@@ -16,9 +16,12 @@ test:
 	$(GO) test ./...
 
 # Race-detector pass over the packages with shared mutable state reached
-# from multiple goroutines in tests (observability hub, hybrid cache).
+# from multiple goroutines in tests (observability hub, hybrid cache), the
+# engine itself (processes run on iter.Pull coroutines, which the detector
+# follows), the WAL and KVFS on top of it, and the root package's
+# integration tests.
 race:
-	$(GO) test -race ./internal/obs/... ./internal/cache/... ./internal/fault/... ./internal/nvmefs/...
+	$(GO) test -race . ./internal/sim/... ./internal/wal/... ./internal/kvfs/... ./internal/obs/... ./internal/cache/... ./internal/fault/... ./internal/nvmefs/...
 
 # Short fixed-seed differential torture: every stack, 8 seeds, 2000 ops
 # each, replayed against the in-memory oracle (see internal/check).
@@ -78,4 +81,4 @@ allocs:
 	$(GO) test -count=1 -run 'ZeroScratchAllocs|ZeroAllocs' .
 	$(GO) test -count=1 -run 'ZeroAllocs' ./internal/telemetry
 
-check: vet test race allocs torture check-crash bench-compare
+check: vet test race allocs torture check-faults check-crash bench-compare

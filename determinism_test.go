@@ -2,9 +2,11 @@ package dpc
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
+	"dpc/internal/obs"
 	"dpc/internal/sim"
 	"dpc/internal/workload"
 )
@@ -57,5 +59,69 @@ func TestSystemDeterminism(t *testing.T) {
 	a, b := run(), run()
 	if a != b {
 		t.Fatalf("non-deterministic runs:\n  a: %s\n  b: %s", a, b)
+	}
+}
+
+// TestDFSDeterminism is TestSystemDeterminism for the distributed file
+// service: every write fans out to several data servers in parallel, so the
+// order those RPCs are issued in is part of virtual time. Same seed, same end
+// time and the same metrics snapshot, byte for byte.
+func TestDFSDeterminism(t *testing.T) {
+	run := func() string {
+		opts := DefaultOptions()
+		opts.Model.HostMemMB = 192
+		opts.Model.DPUMemMB = 8
+		opts.Model.Obs = obs.New()
+		opts.EnableKVFS = false
+		opts.EnableDFS = true
+		opts.CachePages = 512
+		sys := New(opts)
+		cl := sys.DFSClient()
+		var files []*File
+		sys.Go(func(p *sim.Proc) {
+			for i := 0; i < 4; i++ {
+				f, err := cl.Create(p, 0, fmt.Sprintf("/vol/f%d", i))
+				if err != nil {
+					t.Errorf("create: %v", err)
+					return
+				}
+				if err := f.Write(p, 0, 0, make([]byte, 256<<10), true); err != nil {
+					t.Errorf("preload: %v", err)
+				}
+				files = append(files, f)
+			}
+		})
+		sys.RunFor(time.Second)
+		if len(files) != 4 {
+			t.Fatalf("preloaded %d of 4 files", len(files))
+		}
+
+		res := workload.Run(sys.M.Eng, workload.Config{
+			Threads: 8, Warmup: time.Millisecond, Measure: 5 * time.Millisecond, Seed: 7,
+		}, workload.RandomGen(8192, 256<<10, 50), func(p *sim.Proc, tid int, a workload.Access) error {
+			f := files[tid%len(files)]
+			if a.Kind == workload.Write {
+				return f.Write(p, tid, a.Off, make([]byte, a.Size), tid%2 == 0)
+			}
+			_, err := f.Read(p, tid, a.Off, a.Size, tid%2 == 0)
+			return err
+		})
+		sys.StopDaemons()
+		sys.Run()
+		snap, err := sys.Obs().Registry().SnapshotJSON(sys.Now())
+		if err != nil {
+			t.Fatalf("snapshot: %v", err)
+		}
+		sys.Shutdown()
+		return fmt.Sprintf("ops=%d now=%v\n%s", res.Ops, sys.Now(), snap)
+	}
+	a, b := strings.Split(run(), "\n"), strings.Split(run(), "\n")
+	for i := range a {
+		if i >= len(b) || a[i] != b[i] {
+			t.Fatalf("non-deterministic DFS runs, first difference at line %d:\n  a: %s\n  b: %s", i, a[i], b[min(i, len(b)-1)])
+		}
+	}
+	if len(b) != len(a) {
+		t.Fatalf("non-deterministic DFS runs: %d vs %d snapshot lines", len(a), len(b))
 	}
 }

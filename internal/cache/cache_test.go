@@ -210,6 +210,58 @@ func TestFlushWritesBackAndMarksClean(t *testing.T) {
 	}
 }
 
+// HasDirty answers from the maybe-dirty inode set: it must agree with a full
+// meta scan across every transition — never written, dirtied by each of the
+// three host paths that store StatusDirty, cleaned by the DPU flusher (which
+// does not tell the host), invalidated, and dirtied again — and charge the
+// same virtual time whether or not it scans.
+func TestHasDirtyTracksFlushAndRedirty(t *testing.T) {
+	m, _, h, c, _ := newTestCache(t, 64, 8, CtlConfig{FlushEnabled: false})
+	scan := func(ino uint64) bool {
+		for i := 0; i < h.L.Total; i++ {
+			if e := ReadEntry(m.HostMem, h.L, i); e.Status == StatusDirty && e.Ino == ino {
+				return true
+			}
+		}
+		return false
+	}
+	var cost []time.Duration
+	check := func(p *sim.Proc, when string, ino uint64, want bool) {
+		t0 := p.Now()
+		got := h.HasDirty(p, ino)
+		cost = append(cost, p.Now().Sub(t0))
+		if got != want || got != scan(ino) {
+			t.Errorf("%s: HasDirty(%d) = %v, want %v (scan %v)", when, ino, got, want, scan(ino))
+		}
+	}
+	m.Eng.Go("host", func(p *sim.Proc) {
+		check(p, "untouched", 5, false)
+		h.WritePage(p, 5, 0, page(1)) // insert path
+		check(p, "after insert", 5, true)
+		check(p, "other inode", 6, false)
+		c.FlushPass(p, 100)
+		check(p, "after flush", 5, false)
+		check(p, "after flush, set dropped", 5, false)
+		h.WritePage(p, 5, 0, page(2)) // in-place path
+		check(p, "after rewrite", 5, true)
+		c.FlushPass(p, 100)
+		h.MergeIfPresent(p, 5, 0, 16, []byte{9}) // merge path
+		check(p, "after merge", 5, true)
+		h.InvalidateIno(p, 5)
+		check(p, "after invalidate", 5, false)
+	})
+	m.Eng.Run()
+	m.Eng.Shutdown()
+	if len(cost) != 8 {
+		t.Fatalf("script ran %d of 8 checks", len(cost))
+	}
+	for i, d := range cost {
+		if d != cost[0] || d == 0 {
+			t.Fatalf("check %d cost %v of virtual time, first cost %v: scan and no-scan must charge alike", i, d, cost[0])
+		}
+	}
+}
+
 func TestFlushDaemonRunsPeriodically(t *testing.T) {
 	m, _, h, _, b := newTestCache(t, 64, 8, DefaultCtlConfig())
 	m.Eng.Go("host", func(p *sim.Proc) {

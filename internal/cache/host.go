@@ -24,6 +24,12 @@ type Host struct {
 	CachedWr  stats.Counter
 	WriteFull stats.Counter
 
+	// maybeDirty holds every inode this host has marked a page dirty for
+	// since HasDirty last found it clean. Only the host stores StatusDirty
+	// (the DPU side only clears it) and a layout has one Host, so an inode
+	// outside the set has no dirty page and HasDirty need not scan for it.
+	maybeDirty map[uint64]struct{}
+
 	// obs mirrors, cached at construction; nil no-op sinks when disabled.
 	// po is non-nil only in profiling mode (entry-lock spin attribution).
 	po         *obs.Obs
@@ -35,7 +41,7 @@ type Host struct {
 
 // NewHost wraps an initialized layout.
 func NewHost(m *model.Machine, l Layout) *Host {
-	h := &Host{m: m, L: l}
+	h := &Host{m: m, L: l, maybeDirty: map[uint64]struct{}{}}
 	if o := m.Obs; o.Enabled() {
 		h.po = o.Prof()
 		h.oHits = o.Counter("cache.host.hits")
@@ -196,6 +202,7 @@ func (h *Host) WritePage(p *sim.Proc, ino, lpn uint64, data []byte) bool {
 		h.m.HostMem.Write(h.L.PageAddr(i), data)
 		h.m.HostExec(p, h.m.Cfg.Costs.HostCopyPerPage*int64((h.L.PageSize+4095)/4096))
 		h.m.HostMem.PutUint32(a+offStatus, StatusDirty)
+		h.maybeDirty[ino] = struct{}{}
 		h.m.HostMem.PutUint32(a+offLock, LockNone)
 		h.CachedWr.Inc()
 		h.oCachedWr.Inc()
@@ -220,6 +227,7 @@ func (h *Host) WritePage(p *sim.Proc, ino, lpn uint64, data []byte) bool {
 		h.m.HostMem.PutUint64(a+offLPN, lpn)
 		h.m.HostMem.PutUint64(a+offIno, ino)
 		h.m.HostMem.PutUint32(a+offStatus, StatusDirty)
+		h.maybeDirty[ino] = struct{}{}
 		h.m.HostMem.PutUint32(a+offLock, LockNone)
 		AddHeaderFree(h.m.HostMem, h.L, -1)
 		// The copy cost is charged only after the entry is fully published:
@@ -329,22 +337,29 @@ func (h *Host) MergeIfPresent(p *sim.Proc, ino, lpn uint64, pageOff int, frag []
 		h.m.HostMem.Write(h.L.PageAddr(i)+mem.Addr(pageOff), frag)
 		h.m.HostExec(p, h.m.Cfg.Costs.HostCopyPerPage)
 		h.m.HostMem.PutUint32(a+offStatus, StatusDirty)
+		h.maybeDirty[ino] = struct{}{}
 		h.m.HostMem.PutUint32(a+offLock, LockNone)
 		return
 	}
 }
 
-// HasDirty reports whether any cached page of ino is dirty (host-local meta
-// scan). Direct reads use it to decide whether an fsync must run first so
-// O_DIRECT readers see buffered data.
+// HasDirty reports whether any cached page of ino is dirty. Direct I/O uses
+// it to decide whether an fsync must run first so O_DIRECT readers see
+// buffered data. The meta table is scanned only for an inode in maybeDirty,
+// and a scan that finds nothing drops it; the modelled cost is the same
+// either way.
 func (h *Host) HasDirty(p *sim.Proc, ino uint64) bool {
 	h.m.HostExec(p, h.m.Cfg.Costs.HostCacheLookup)
+	if _, ok := h.maybeDirty[ino]; !ok {
+		return false
+	}
 	for i := 0; i < h.L.Total; i++ {
 		e := ReadEntry(h.m.HostMem, h.L, i)
 		if e.Status == StatusDirty && e.Ino == ino {
 			return true
 		}
 	}
+	delete(h.maybeDirty, ino)
 	return false
 }
 

@@ -223,7 +223,9 @@ func (b *Backend) writeBlocksFrom(p *sim.Proc, from *fabric.Node, ino, off uint6
 	if off%BlockSize != 0 {
 		return "unaligned write"
 	}
-	perDS := map[int][]dsShard{}
+	// Indexed by data server, so the parallel RPCs below are issued in
+	// ascending server order and virtual time repeats from run to run.
+	perDS := make([][]dsShard, len(b.ds))
 	for done := 0; done < len(data); done += BlockSize {
 		end := done + BlockSize
 		if end > len(data) {
@@ -247,6 +249,9 @@ func (b *Backend) writeBlocksFrom(p *sim.Proc, from *fabric.Node, ino, off uint6
 	var reqs []any
 	var sizes []int
 	for ds, shards := range perDS {
+		if len(shards) == 0 {
+			continue
+		}
 		bytes := 0
 		for _, s := range shards {
 			bytes += len(s.Data) + len(s.Key)
@@ -272,8 +277,9 @@ func (b *Backend) readBlocksFrom(p *sim.Proc, from *fabric.Node, ino, off uint64
 		return nil, "unaligned read"
 	}
 	nBlocks := (n + BlockSize - 1) / BlockSize
-	// Request the data shards of every block, grouped by data server.
-	perDS := map[int][]dsShard{}
+	// Request the data shards of every block, grouped by data server (a
+	// slice, not a map: see writeBlocksFrom).
+	perDS := make([][]dsShard, len(b.ds))
 	for bi := 0; bi < nBlocks; bi++ {
 		blk := off/BlockSize + uint64(bi)
 		placement := b.Placement(ino, blk)
@@ -287,6 +293,9 @@ func (b *Backend) readBlocksFrom(p *sim.Proc, from *fabric.Node, ino, off uint64
 	var reqs []any
 	var sizes []int
 	for ds, keys := range perDS {
+		if len(keys) == 0 {
+			continue
+		}
 		targets = append(targets, b.ds[ds].node)
 		reqs = append(reqs, dsReq{Op: dsRead, Shards: keys})
 		sizes = append(sizes, 64+len(keys)*24)

@@ -26,9 +26,7 @@ func (c *Cond) Signal() {
 	if len(c.waiters) == 0 {
 		return
 	}
-	p := c.waiters[0]
-	c.waiters = c.waiters[1:]
-	c.eng.Schedule(c.eng.now, func() { c.eng.wake(p) })
+	c.eng.scheduleWake(popFront(&c.waiters), c.eng.now)
 }
 
 // Broadcast wakes every waiter in FIFO order.
@@ -36,9 +34,24 @@ func (c *Cond) Broadcast() {
 	ws := c.waiters
 	c.waiters = nil
 	for _, p := range ws {
-		p := p
-		c.eng.Schedule(c.eng.now, func() { c.eng.wake(p) })
+		c.eng.scheduleWake(p, c.eng.now)
 	}
+}
+
+// popFront removes and returns the first element of the FIFO *q. A queue
+// that drains rewinds onto the slot it just vacated, so the common traffic of
+// one waiter at a time reuses that slot instead of allocating per wait.
+func popFront[T any](q *[]T) T {
+	s := *q
+	v := s[0]
+	var zero T
+	s[0] = zero
+	if len(s) == 1 {
+		*q = s[:0]
+	} else {
+		*q = s[1:]
+	}
+	return v
 }
 
 // Waiters returns the number of parked processes.

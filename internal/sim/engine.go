@@ -2,11 +2,16 @@
 //
 // The engine owns a virtual clock measured in integer nanoseconds. Work is
 // expressed either as plain scheduled events (callbacks) or as processes:
-// goroutine-backed activities that may block on virtual time (Sleep), on
+// coroutine-backed activities that may block on virtual time (Sleep), on
 // resources (Resource.Acquire), on mailboxes (Mailbox.Recv) or on condition
 // variables (Cond.Wait). At any instant exactly one process or event callback
 // is running, so simulations are deterministic and data structures shared
 // between processes need no locking.
+//
+// Execution model: the event loop and every plain-event callback run on the
+// goroutine that called Run; a process body runs on a carrier coroutine
+// (iter.Pull). Waking a process is one direct switch into its carrier and
+// parking is one switch back. A panic in a process body surfaces from Run.
 //
 // Determinism: events scheduled for the same virtual time fire in the order
 // they were scheduled (a monotonically increasing sequence number breaks
@@ -14,8 +19,10 @@
 package sim
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
+	"slices"
 	"time"
 )
 
@@ -114,11 +121,15 @@ type Engine struct {
 	seq    uint64
 	rng    *rand.Rand
 
-	// park is signalled by a process when it has blocked (or terminated)
-	// and control can return to the engine loop.
-	park chan struct{}
-	// parked tracks every live process currently blocked, for Shutdown.
-	parked map[*Proc]struct{}
+	// parked holds every live process currently blocked, for Shutdown. A
+	// process's slot is its parkIdx, so parking and waking are O(1).
+	parked []*Proc
+	// parks counts park calls; it stamps Proc.parkSeq, which gives Shutdown
+	// its order.
+	parks uint64
+	// idle holds carriers whose process body has returned; the next process
+	// to start reuses one instead of creating a coroutine.
+	idle []*carrier
 	// running is the process currently executing, if any.
 	running *Proc
 	// inRun reports whether the event loop is active.
@@ -132,11 +143,7 @@ type Engine struct {
 // NewEngine returns an engine with the clock at zero and a PRNG seeded with
 // the given seed.
 func NewEngine(seed int64) *Engine {
-	return &Engine{
-		rng:    rand.New(rand.NewSource(seed)),
-		park:   make(chan struct{}),
-		parked: make(map[*Proc]struct{}),
-	}
+	return &Engine{rng: rand.New(rand.NewSource(seed))}
 }
 
 // Now returns the current virtual time.
@@ -204,34 +211,34 @@ func (e *Engine) Idle() bool { return e.events.Len() == 0 }
 // PendingEvents returns the number of scheduled events.
 func (e *Engine) PendingEvents() int { return e.events.Len() }
 
-// Shutdown kills every parked process. It must be called from outside
-// process context (after Run returns). Killed processes unwind via panic,
-// running their deferred functions; the engine is unusable for those procs
-// afterwards but may continue to schedule plain events.
+// Shutdown kills every parked process, in the order they parked, and releases
+// the idle carriers. It must be called from outside process context (after
+// Run returns). Killed processes unwind via panic, running their deferred
+// functions; the engine is unusable for those procs afterwards but may
+// continue to schedule plain events.
 func (e *Engine) Shutdown() {
 	if e.running != nil {
 		panic("sim: Shutdown called from process context")
 	}
-	for len(e.parked) > 0 {
-		var p *Proc
-		for q := range e.parked {
-			p = q
-			break
-		}
-		delete(e.parked, p)
-		p.killed = true
+	slices.SortFunc(e.parked, func(a, b *Proc) int { return cmp.Compare(a.parkSeq, b.parkSeq) })
+	for _, p := range e.parked {
 		p.dead = true
 		e.running = p
-		p.resume <- struct{}{}
-		<-e.park
+		p.c.stop() // park's yield returns false: the body unwinds as procKilled
 		e.running = nil
 	}
+	e.parked = nil
+	for _, c := range e.idle {
+		c.stop()
+	}
+	e.idle = nil
 }
 
 // wake transfers control to p until it parks again or terminates. Must be
-// called only from the engine loop (inside an event callback with no process
-// running). Waking a dead process (completed or killed by Shutdown) is a
-// no-op: stale wake events may survive in the heap past a process's life.
+// called only from the engine loop (with no process running). Waking a dead
+// process (completed or killed by Shutdown) is a no-op: stale wake events may
+// survive in the heap past a process's life. A process's first wake is its
+// start event: it takes a carrier and begins the body.
 func (e *Engine) wake(p *Proc) {
 	if e.running != nil {
 		panic("sim: wake with a process already running")
@@ -239,10 +246,23 @@ func (e *Engine) wake(p *Proc) {
 	if p.dead {
 		return
 	}
-	delete(e.parked, p)
+	if p.c == nil {
+		p.c = e.takeCarrier()
+		p.c.p = p
+	} else {
+		// Leave the parked set: the last entry moves into p's slot.
+		if e.parked[p.parkIdx] != p {
+			panic(fmt.Sprintf("sim: waking proc %q that is not parked", p.name))
+		}
+		n := len(e.parked) - 1
+		last := e.parked[n]
+		e.parked[p.parkIdx] = last
+		last.parkIdx = p.parkIdx
+		e.parked[n] = nil
+		e.parked = e.parked[:n]
+	}
 	e.running = p
-	p.resume <- struct{}{}
-	<-e.park
+	p.c.next()
 	e.running = nil
 }
 

@@ -65,11 +65,10 @@ func (m *Mailbox[T]) push(msg T) {
 	m.Sent++
 	if len(m.recvWaiters) > 0 {
 		// Hand the message directly to the oldest receiver.
-		rp := m.recvWaiters[0]
-		m.recvWaiters = m.recvWaiters[1:]
+		rp := popFront(&m.recvWaiters)
 		m.Received++
 		m.pending = append(m.pending, pendingRecv[T]{p: rp, msg: msg})
-		m.eng.Schedule(m.eng.now, func() { m.eng.wake(rp) })
+		m.eng.scheduleWake(rp, m.eng.now)
 		return
 	}
 	m.buf = append(m.buf, msg)
@@ -86,8 +85,7 @@ type pendingRecv[T any] struct {
 // Recv dequeues the oldest message, blocking p while the mailbox is empty.
 func (m *Mailbox[T]) Recv(p *Proc) T {
 	if len(m.buf) > 0 {
-		msg := m.buf[0]
-		m.buf = m.buf[1:]
+		msg := popFront(&m.buf)
 		m.Received++
 		m.wakeSender()
 		return msg
@@ -110,8 +108,7 @@ func (m *Mailbox[T]) TryRecv() (T, bool) {
 	if len(m.buf) == 0 {
 		return zero, false
 	}
-	msg := m.buf[0]
-	m.buf = m.buf[1:]
+	msg := popFront(&m.buf)
 	m.Received++
 	m.wakeSender()
 	return msg, true
@@ -121,9 +118,7 @@ func (m *Mailbox[T]) wakeSender() {
 	if len(m.sendWaiters) == 0 {
 		return
 	}
-	sw := m.sendWaiters[0]
-	m.sendWaiters = m.sendWaiters[1:]
+	sw := popFront(&m.sendWaiters)
 	m.push(sw.msg)
-	sp := sw.p
-	m.eng.Schedule(m.eng.now, func() { m.eng.wake(sp) })
+	m.eng.scheduleWake(sw.p, m.eng.now)
 }

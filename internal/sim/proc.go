@@ -2,18 +2,25 @@ package sim
 
 import (
 	"fmt"
+	"iter"
+	"os"
+	"runtime/debug"
 	"time"
 )
 
-// Proc is a simulation process: a goroutine that runs in lockstep with the
-// engine. Only one process runs at a time; every blocking operation parks the
-// goroutine and returns control to the event loop.
+// Proc is a simulation process: a body that runs on a carrier coroutine in
+// lockstep with the engine. Only one process runs at a time; every blocking
+// operation switches back to the event loop.
 type Proc struct {
-	eng    *Engine
-	name   string
-	resume chan struct{}
-	killed bool
-	dead   bool
+	eng  *Engine
+	name string
+	fn   func(p *Proc)
+	c    *carrier // nil until the start event runs
+	dead bool
+	// parkIdx is the process's slot in Engine.parked while it is parked;
+	// parkSeq is the Engine.parks stamp of its latest park.
+	parkIdx int
+	parkSeq uint64
 
 	// Ctx is an opaque per-process slot for cross-layer instrumentation:
 	// internal/obs hangs the process's span stack here. sim itself never
@@ -25,33 +32,66 @@ type Proc struct {
 // procKilled is the panic value used to unwind a process killed by Shutdown.
 type procKilled struct{ name string }
 
-// Go spawns a new process. The process body starts executing at the current
-// virtual time (as a scheduled event). fn runs on its own goroutine but in
-// lockstep with the engine.
-func (e *Engine) Go(name string, fn func(p *Proc)) *Proc {
-	p := &Proc{eng: e, name: name, resume: make(chan struct{})}
-	e.Schedule(e.now, func() {
-		e.running = p
-		go func() {
-			defer func() {
-				if r := recover(); r != nil {
-					if _, ok := r.(procKilled); !ok {
-						panic(r)
-					}
-				}
-				p.dead = true
-				e.park <- struct{}{}
-			}()
-			<-p.resume
-			if p.killed {
-				panic(procKilled{p.name})
+// carrier is a coroutine that runs process bodies one after another. When a
+// body returns the carrier parks itself on Engine.idle and the next process
+// to start takes it over, so Go allocates a Proc and nothing else (nvme-fs
+// spawns one process per command). Idle carriers are released by Shutdown.
+type carrier struct {
+	eng   *Engine
+	p     *Proc // the process whose body runs now, or runs on the next resume
+	next  func() (struct{}, bool)
+	stop  func()
+	yield func(struct{}) bool
+}
+
+// takeCarrier returns an idle carrier, or a new one if none is idle.
+func (e *Engine) takeCarrier() *carrier {
+	if n := len(e.idle) - 1; n >= 0 {
+		c := e.idle[n]
+		e.idle = e.idle[:n]
+		return c
+	}
+	c := &carrier{eng: e}
+	c.next, c.stop = iter.Pull(c.loop)
+	return c
+}
+
+func (c *carrier) loop(yield func(struct{}) bool) {
+	c.yield = yield
+	for c.run() {
+		c.eng.idle = append(c.eng.idle, c)
+		if !yield(struct{}{}) {
+			return
+		}
+	}
+}
+
+// run executes the body of c.p and reports whether the carrier can take
+// another process: false once Shutdown has stopped it. Any other panic leaves
+// through iter.Pull, which re-raises it in Run on the engine's goroutine; its
+// stack is gone by then, so it is printed here.
+func (c *carrier) run() (reusable bool) {
+	p := c.p
+	defer func() {
+		p.dead = true
+		c.p = nil
+		if r := recover(); r != nil {
+			if _, killed := r.(procKilled); !killed {
+				fmt.Fprintf(os.Stderr, "sim: proc %q panicked: %v\n%s", p.name, r, debug.Stack())
+				c.eng.running = nil
+				panic(r)
 			}
-			fn(p)
-		}()
-		p.resume <- struct{}{}
-		<-e.park
-		e.running = nil
-	})
+		}
+	}()
+	p.fn(p)
+	return true
+}
+
+// Go spawns a new process. The process body starts executing at the current
+// virtual time (as a scheduled event), in lockstep with the engine.
+func (e *Engine) Go(name string, fn func(p *Proc)) *Proc {
+	p := &Proc{eng: e, name: name, fn: fn}
+	e.scheduleWake(p, e.now)
 	return p
 }
 
@@ -67,16 +107,18 @@ func (p *Proc) Now() Time { return p.eng.now }
 // park blocks the process until the engine wakes it. The caller must have
 // already arranged for a wake-up (a scheduled event, a resource grant, a
 // mailbox delivery...). If the process is killed while parked, park unwinds
-// the goroutine via panic so deferred cleanups run.
+// the body via panic so deferred cleanups run.
 func (p *Proc) park() {
-	if p.eng.running != p {
+	e := p.eng
+	if e.running != p {
 		panic(fmt.Sprintf("sim: proc %q parking while not running", p.name))
 	}
-	p.eng.running = nil
-	p.eng.parked[p] = struct{}{}
-	p.eng.park <- struct{}{}
-	<-p.resume
-	if p.killed {
+	e.running = nil
+	e.parks++
+	p.parkSeq = e.parks
+	p.parkIdx = len(e.parked)
+	e.parked = append(e.parked, p)
+	if !p.c.yield(struct{}{}) {
 		panic(procKilled{p.name})
 	}
 }

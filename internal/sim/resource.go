@@ -37,10 +37,9 @@ type Resource struct {
 }
 
 type resWaiter struct {
-	p       *Proc
-	n       int
-	since   Time
-	granted bool
+	p     *Proc
+	n     int
+	since Time
 }
 
 // NewResource creates a resource with the given capacity.
@@ -94,10 +93,7 @@ func (r *Resource) Acquire(p *Proc, n int) {
 		return
 	}
 	r.Waits++
-	w := resWaiter{p: p, n: n, since: r.eng.now}
-	r.waiters = append(r.waiters, w)
-	idx := len(r.waiters) - 1
-	_ = idx
+	r.waiters = append(r.waiters, resWaiter{p: p, n: n, since: r.eng.now})
 	p.park()
 	// When we wake, our grant has already been applied by Release.
 }
@@ -129,15 +125,14 @@ func (r *Resource) Release(n int) {
 		if r.used+w.n > r.cap {
 			break
 		}
-		r.waiters = r.waiters[1:]
+		popFront(&r.waiters)
 		r.used += w.n
 		r.Grants++
 		r.waitTime += int64(r.eng.now - w.since)
 		if r.OnWait != nil {
 			r.OnWait(w.p, w.since)
 		}
-		wp := w.p
-		r.eng.Schedule(r.eng.now, func() { r.eng.wake(wp) })
+		r.eng.scheduleWake(w.p, r.eng.now)
 	}
 }
 

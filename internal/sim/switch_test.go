@@ -1,0 +1,236 @@
+package sim
+
+import (
+	"errors"
+	"runtime"
+	"slices"
+	"testing"
+	"time"
+)
+
+// step advances e by one microsecond of virtual time: in the tests below that
+// is exactly one round of the script under measurement.
+func step(e *Engine) { e.RunUntil(e.Now() + Time(Microsecond)) }
+
+// Every way of parking and being woken must be allocation-free in steady
+// state: the wake is a proc-carrying heap event, the switch is a coroutine
+// switch, and the waiter queues reuse their slots.
+func TestSwitchPathsZeroAllocs(t *testing.T) {
+	cases := []struct {
+		name  string
+		setup func(e *Engine)
+	}{
+		{"Sleep", func(e *Engine) {
+			e.Go("sleeper", func(p *Proc) {
+				for {
+					p.Sleep(Microsecond)
+				}
+			})
+		}},
+		{"CondSignalWait", func(e *Engine) {
+			c := NewCond(e, "c")
+			e.Go("waiter", func(p *Proc) {
+				for {
+					c.Wait(p)
+				}
+			})
+			e.Go("signaller", func(p *Proc) {
+				for {
+					p.Sleep(Microsecond)
+					c.Signal()
+				}
+			})
+		}},
+		{"ResourceReleaseAcquire", func(e *Engine) {
+			r := NewResource(e, "r", 1)
+			for _, name := range []string{"a", "b"} {
+				e.Go(name, func(p *Proc) {
+					for {
+						r.Acquire(p, 1) // the other holds it: queue, granted by its Release
+						p.Sleep(Microsecond)
+						r.Release(1)
+					}
+				})
+			}
+		}},
+		{"MailboxSendToParkedReceiver", func(e *Engine) {
+			mb := NewMailbox[int](e, "mb", 0)
+			e.Go("receiver", func(p *Proc) {
+				for {
+					mb.Recv(p)
+				}
+			})
+			e.Go("sender", func(p *Proc) {
+				for i := 0; ; i++ {
+					p.Sleep(Microsecond)
+					mb.Send(p, i)
+				}
+			})
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			e := NewEngine(1)
+			defer e.Shutdown()
+			tc.setup(e)
+			for i := 0; i < 64; i++ { // warm up: heap, queues and carriers reach their size
+				step(e)
+			}
+			before := e.parks
+			if a := testing.AllocsPerRun(200, func() { step(e) }); a != 0 {
+				t.Fatalf("%v allocs per round, want 0", a)
+			}
+			if e.parks == before {
+				t.Fatal("script did not switch: the measurement is vacuous")
+			}
+		})
+	}
+}
+
+// A finished body parks its carrier; the next Go takes it over, so spawning a
+// short process allocates the Proc and nothing else.
+func TestGoReusesCarrier(t *testing.T) {
+	e := NewEngine(1)
+	defer e.Shutdown()
+	ran := 0
+	body := func(p *Proc) { p.Sleep(Microsecond); ran++ }
+	spawn := func() {
+		e.Go("short", body)
+		e.Run()
+	}
+	spawn()
+	if a := testing.AllocsPerRun(200, spawn); a > 1 {
+		t.Fatalf("Go of a short body: %v allocs, want <= 1 (the Proc)", a)
+	}
+	if ran != 202 {
+		t.Fatalf("ran %d bodies, want 202", ran)
+	}
+	if len(e.idle) != 1 {
+		t.Fatalf("%d idle carriers after sequential bodies, want 1", len(e.idle))
+	}
+}
+
+// A panic in a process body surfaces from Run, on the goroutine that called
+// Run, carrying the original value; the engine stays usable for the others.
+func TestProcPanicSurfacesFromRun(t *testing.T) {
+	e := NewEngine(1)
+	boom := errors.New("boom")
+	survived := false
+	e.Go("bystander", func(p *Proc) {
+		p.Sleep(5 * Microsecond)
+		survived = true
+	})
+	e.Go("bad", func(p *Proc) {
+		p.Sleep(Microsecond)
+		panic(boom)
+	})
+	var got any
+	func() {
+		defer func() { got = recover() }()
+		e.Run()
+	}()
+	if got != boom {
+		t.Fatalf("Run panicked with %v, want the body's own value %v", got, boom)
+	}
+	if e.Now() != Time(Microsecond) {
+		t.Fatalf("panic surfaced at %v, want 1µs", e.Now())
+	}
+	e.Run()
+	if !survived {
+		t.Fatal("bystander did not finish after the panic was recovered")
+	}
+	e.Shutdown()
+}
+
+func TestShutdownOrderDefersAndGoroutines(t *testing.T) {
+	base := runtime.NumGoroutine()
+	e := NewEngine(1)
+	never := NewCond(e, "never")
+	again := NewCond(e, "again")
+	var order []string
+	for i, name := range []string{"a", "b", "c"} {
+		d := time.Duration(i+1) * Microsecond
+		e.Go(name, func(p *Proc) {
+			defer func() { order = append(order, name) }()
+			p.Sleep(d)
+			if name == "a" {
+				again.Wait(p) // woken at 5µs: a re-parks last
+			}
+			never.Wait(p)
+		})
+	}
+	for i := 0; i < 4; i++ { // bodies that return: their carriers go idle
+		e.Go("short", func(p *Proc) { p.Sleep(4 * Microsecond) })
+	}
+	e.Schedule(Time(5*Microsecond), again.Signal)
+	e.Run()
+	if len(order) != 0 {
+		t.Fatalf("defers ran before Shutdown: %v", order)
+	}
+	if len(e.idle) != 4 || len(e.parked) != 3 {
+		t.Fatalf("idle carriers = %d, parked = %d, want 4 and 3", len(e.idle), len(e.parked))
+	}
+	if n := runtime.NumGoroutine(); n != base+7 {
+		t.Fatalf("%d goroutines with 7 carriers alive, started from %d", n, base)
+	}
+	e.Shutdown()
+	if want := []string{"b", "c", "a"}; !slices.Equal(order, want) {
+		t.Fatalf("kill order %v, want park order %v", order, want)
+	}
+	if len(e.idle) != 0 || len(e.parked) != 0 {
+		t.Fatalf("after Shutdown: idle = %d, parked = %d", len(e.idle), len(e.parked))
+	}
+	// A stopped coroutine's goroutine exits on its own schedule: poll.
+	deadline := time.Now().Add(2 * time.Second)
+	for runtime.NumGoroutine() != base {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after Shutdown, want %d", runtime.NumGoroutine(), base)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+func BenchmarkSleepSwitch(b *testing.B) {
+	e := NewEngine(1)
+	defer e.Shutdown()
+	b.ReportAllocs()
+	e.Go("sleeper", func(p *Proc) {
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			p.Sleep(Microsecond)
+		}
+	})
+	e.Run()
+}
+
+func BenchmarkMailboxPingPong(b *testing.B) {
+	e := NewEngine(1)
+	defer e.Shutdown()
+	ping := NewMailbox[int](e, "ping", 0)
+	pong := NewMailbox[int](e, "pong", 0)
+	b.ReportAllocs()
+	e.Go("echo", func(p *Proc) {
+		for {
+			pong.Send(p, ping.Recv(p))
+		}
+	})
+	e.Go("driver", func(p *Proc) {
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			ping.Send(p, i)
+			pong.Recv(p)
+		}
+	})
+	e.Run()
+}
+
+func BenchmarkGoShortProc(b *testing.B) {
+	e := NewEngine(1)
+	defer e.Shutdown()
+	body := func(p *Proc) { p.Sleep(Microsecond) }
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		e.Go("short", body)
+		e.Run()
+	}
+}

@@ -7,10 +7,16 @@ build:
 
 # vet also runs dpclint, the repo's metric-naming lint: every metric
 # registration must use a constant name or the sanctioned q%d per-queue
-# convention (see cmd/dpclint).
+# convention (see cmd/dpclint); fails on any file gofmt would rewrite; and
+# keeps the allocate-and-copy reads (Link.DMARead, Region.Read) out of the
+# cache and nvme-fs data paths, which borrow a view or fill a pooled buffer
+# instead (DESIGN.md "Buffer ownership on the PCIe path").
 vet:
 	$(GO) vet ./...
 	$(GO) run ./cmd/dpclint ./...
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt -l:"; echo "$$out"; exit 1; fi
+	@out=$$(grep -nE '\.DMARead\(|(Mem|hm)\.Read\(' $$(ls internal/cache/*.go internal/nvmefs/*.go | grep -v _test.go)); \
+		if [ -n "$$out" ]; then echo "allocate-and-copy read on a data path:"; echo "$$out"; exit 1; fi
 
 test:
 	$(GO) test ./...
@@ -18,10 +24,11 @@ test:
 # Race-detector pass over the packages with shared mutable state reached
 # from multiple goroutines in tests (observability hub, hybrid cache), the
 # engine itself (processes run on iter.Pull coroutines, which the detector
-# follows), the WAL and KVFS on top of it, and the root package's
-# integration tests.
+# follows), the WAL and KVFS on top of it, the link, memory and buffer-pool
+# layers whose views and pooled buffers the data paths now share, localfs,
+# and the root package's integration tests.
 race:
-	$(GO) test -race . ./internal/sim/... ./internal/wal/... ./internal/kvfs/... ./internal/obs/... ./internal/cache/... ./internal/fault/... ./internal/nvmefs/...
+	$(GO) test -race . ./internal/sim/... ./internal/wal/... ./internal/kvfs/... ./internal/obs/... ./internal/cache/... ./internal/fault/... ./internal/nvmefs/... ./internal/pcie/... ./internal/mem/... ./internal/bufpool/... ./internal/localfs/...
 
 # Short fixed-seed differential torture: every stack, 8 seeds, 2000 ops
 # each, replayed against the in-memory oracle (see internal/check).
@@ -75,10 +82,12 @@ bench-compare:
 	$(GO) run ./cmd/dpcbench -baseline BENCH_10.json -compare
 
 # Allocs-per-op gate: the steady-state client data paths (buffered RMW
-# write, cached ReadInto) and the telemetry flight-recorder ring must stay
-# at zero heap allocations per op.
+# write, cached ReadInto), the telemetry flight-recorder ring, and the DPU
+# side of the PCIe read path (clean-table flush scan, single-entry meta read)
+# must stay at zero heap allocations per op; an 8 KiB write+read through the
+# TGT stays at its fixed per-command bookkeeping.
 allocs:
 	$(GO) test -count=1 -run 'ZeroScratchAllocs|ZeroAllocs' .
-	$(GO) test -count=1 -run 'ZeroAllocs' ./internal/telemetry
+	$(GO) test -count=1 -run 'ZeroAllocs' ./internal/telemetry ./internal/cache ./internal/nvmefs
 
 check: vet test race allocs torture check-faults check-crash bench-compare

@@ -33,6 +33,7 @@ import (
 	"os"
 	"strings"
 
+	"dpc/internal/bufpool"
 	"dpc/internal/check"
 )
 
@@ -50,6 +51,9 @@ func main() {
 		points     = flag.Int("points", 6, "crash points per seed (with -crash)")
 	)
 	flag.Parse()
+	// Every torture runs with released pool buffers poisoned: a buffer
+	// retained past its release then fails the oracle's byte checks.
+	bufpool.SetPoison(true)
 
 	if *crash {
 		runCrash(*seed, *seeds, *ops, *points, *shrink, *parallel, *verbose)

@@ -6,16 +6,26 @@ import (
 	"testing"
 	"time"
 
+	"dpc/internal/bufpool"
 	"dpc/internal/obs"
 	"dpc/internal/sim"
 	"dpc/internal/workload"
 )
+
+// poisonPool turns on bufpool's poison-on-release for one test (root tests
+// never run in parallel): a request or page buffer retained past its release
+// then reads 0xDB and fails the test's data checks instead of passing by luck.
+func poisonPool(t *testing.T) {
+	bufpool.SetPoison(true)
+	t.Cleanup(func() { bufpool.SetPoison(false) })
+}
 
 // TestSystemDeterminism: two identically configured systems running the
 // same workload must produce bit-identical results — operation counts,
 // virtual-time latencies, PCIe traffic and CPU accounting. This is the
 // property that makes every number in EXPERIMENTS.md exactly reproducible.
 func TestSystemDeterminism(t *testing.T) {
+	poisonPool(t)
 	run := func() string {
 		opts := DefaultOptions()
 		opts.Model.HostMemMB = 192
@@ -67,6 +77,7 @@ func TestSystemDeterminism(t *testing.T) {
 // order those RPCs are issued in is part of virtual time. Same seed, same end
 // time and the same metrics snapshot, byte for byte.
 func TestDFSDeterminism(t *testing.T) {
+	poisonPool(t)
 	run := func() string {
 		opts := DefaultOptions()
 		opts.Model.HostMemMB = 192

@@ -72,6 +72,7 @@ func faultMixRun(t *testing.T, withFaults bool) (snapshot string, fingerprint st
 // counters — injected faults ride the virtual clock and op counters, never
 // wall-clock or map order.
 func TestFaultRunsDeterministic(t *testing.T) {
+	poisonPool(t)
 	s1, f1 := faultMixRun(t, true)
 	s2, f2 := faultMixRun(t, true)
 	if f1 != f2 {
@@ -91,6 +92,7 @@ func TestFaultRunsDeterministic(t *testing.T) {
 // deterministic. This is what keeps fault-free benchmark output
 // byte-identical to builds that predate the fault framework.
 func TestInjectionOffLeavesMetricsClean(t *testing.T) {
+	poisonPool(t)
 	s1, f1 := faultMixRun(t, false)
 	s2, f2 := faultMixRun(t, false)
 	if s1 != s2 || f1 != f2 {

@@ -1,8 +1,9 @@
-// Package bufpool is a deterministic tiered buffer pool for the client hot
-// paths. Steady-state data-path operations (buffered-write RMW staging,
-// direct-I/O chunk staging, cache fill buffers) recycle page-sized scratch
-// buffers through it instead of allocating per op, so the Go layer stops
-// exercising the allocator for work the simulated hardware never needed.
+// Package bufpool is a deterministic tiered buffer pool for the data-path hot
+// paths on both sides of the link. Steady-state operations (client RMW and
+// direct-I/O chunk staging, cache fill buffers, the DPU's request buffers
+// and flush/journal page pulls) recycle page-sized scratch buffers through it
+// instead of allocating per op, so the Go layer stops exercising the
+// allocator for work the simulated hardware never needed.
 //
 // The pool is a hand-rolled free list, not sync.Pool: sync.Pool drops
 // buffers nondeterministically under GC pressure, which would make
@@ -86,6 +87,17 @@ func (p *Pool) Get(n int) []byte {
 	return b
 }
 
+// PoisonByte is what a released buffer is filled with under SetPoison.
+const PoisonByte = 0xDB
+
+var poison bool
+
+// SetPoison is a test-only switch: while on, Put overwrites every buffer it
+// is handed with PoisonByte, so a reference retained past release reads
+// garbage and shows up as a data mismatch instead of passing by luck. Set it
+// before the simulation starts (TestMain, or a test that runs alone).
+func SetPoison(on bool) { poison = on }
+
 // Put returns b to the pool. Buffers whose capacity is not an exact pooled
 // class size (or that exceed the per-class cap) are discarded. Callers must
 // not use b after Put.
@@ -96,6 +108,12 @@ func (p *Pool) Put(b []byte) {
 	c := classFor(cap(b))
 	if c < 0 || cap(b) != 1<<(minShift+c) {
 		return
+	}
+	if poison {
+		b = b[:cap(b)]
+		for i := range b {
+			b[i] = PoisonByte
+		}
 	}
 	if len(p.classes[c]) >= perClassCap {
 		return

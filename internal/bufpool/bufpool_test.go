@@ -88,3 +88,27 @@ func TestSteadyStateZeroAllocs(t *testing.T) {
 		t.Fatalf("steady-state Get/Put allocates %v per run, want 0", allocs)
 	}
 }
+
+// Under SetPoison a released buffer is overwritten, so a reference kept past
+// Put reads PoisonByte; the next Get still hands out zeros.
+func TestPoisonOnPut(t *testing.T) {
+	SetPoison(true)
+	defer SetPoison(false)
+	p := New()
+	b := p.Get(100)
+	for i := range b {
+		b[i] = 7
+	}
+	retained := b
+	p.Put(b)
+	for i, v := range retained[:cap(retained)] {
+		if v != PoisonByte {
+			t.Fatalf("released buffer byte %d = %#x, want poison %#x", i, v, PoisonByte)
+		}
+	}
+	for i, v := range p.Get(128) {
+		if v != 0 {
+			t.Fatalf("recycled buffer byte %d = %#x, want 0", i, v)
+		}
+	}
+}

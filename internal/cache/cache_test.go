@@ -2,11 +2,12 @@ package cache
 
 import (
 	"bytes"
-	"dpc/internal/fault"
 	"fmt"
 	"testing"
 	"time"
 
+	"dpc/internal/bufpool"
+	"dpc/internal/fault"
 	"dpc/internal/model"
 	"dpc/internal/sim"
 	"dpc/internal/ssd"
@@ -641,5 +642,138 @@ func TestDegradedFsyncReportsError(t *testing.T) {
 	}
 	if b.writes != 6 {
 		t.Fatalf("backend writes = %d, want 6 (healed fallback flushed)", b.writes)
+	}
+}
+
+// stepper runs body once per call of the returned step function, on one
+// long-lived process, so AllocsPerRun measures the body alone.
+func stepper(m *model.Machine, body func(p *sim.Proc)) (step func()) {
+	kick := sim.NewCond(m.Eng, "step")
+	m.Eng.Go("stepper", func(p *sim.Proc) {
+		for {
+			kick.Wait(p)
+			body(p)
+		}
+	})
+	m.Eng.Run()
+	return func() {
+		kick.Signal()
+		m.Eng.Run()
+	}
+}
+
+// TestFlushPassCleanTableZeroAllocs: the idle flush daemon's whole-table scan
+// (64 chunk DMAs over 8192 entries) decodes DMA views in place and allocates
+// nothing, while still charging every modelled DMA.
+func TestFlushPassCleanTableZeroAllocs(t *testing.T) {
+	m, _, _, c, _ := newTestCache(t, 8192, 1024, CtlConfig{FlushWorkers: 4})
+	defer m.Eng.Shutdown()
+	step := stepper(m, func(p *sim.Proc) {
+		if n, err := c.FlushPass(p, 256); n != 0 || err != nil {
+			t.Errorf("FlushPass over a clean table = %d, %v", n, err)
+		}
+	})
+	step()
+	m.PCIe.Mark()
+	if a := testing.AllocsPerRun(20, step); a != 0 {
+		t.Fatalf("clean FlushPass: %v allocs per pass, want 0", a)
+	}
+	passes := int64(21) // AllocsPerRun warms up with one extra call
+	if got := m.PCIe.DMAs.Delta(); got != 64*passes {
+		t.Fatalf("%d scan DMAs over %d passes, want 64 per pass", got, passes)
+	}
+	if got := m.PCIe.DMABytesH2D.Delta(); got != 8192*EntrySize*passes {
+		t.Fatalf("%d scan bytes over %d passes, want 256 KiB per pass", got, passes)
+	}
+}
+
+// TestReadEntryRemoteZeroAllocs: a single-entry meta read is one 32-byte DMA
+// decoded from the view.
+func TestReadEntryRemoteZeroAllocs(t *testing.T) {
+	m, l, _, c, _ := newTestCache(t, 64, 8, CtlConfig{})
+	defer m.Eng.Shutdown()
+	want := Entry{Lock: LockNone, Status: StatusDirty, Next: 6, LPN: 77, Ino: 9, Ref: 1}
+	WriteEntryMeta(m.HostMem, l, 5, want)
+	step := stepper(m, func(p *sim.Proc) {
+		if got := c.readEntryRemote(p, 5); got != want {
+			t.Errorf("readEntryRemote = %+v, want %+v", got, want)
+		}
+	})
+	step()
+	if a := testing.AllocsPerRun(100, step); a != 0 {
+		t.Fatalf("readEntryRemote: %v allocs, want 0", a)
+	}
+}
+
+// TestScanDirtySelectsAndStops: the one scan helper behind FlushPass,
+// FlushIno, journalIno and settleAll filters on status (and inode), returns
+// indices in table order, and stops issuing DMAs once max are collected.
+func TestScanDirtySelectsAndStops(t *testing.T) {
+	m, l, _, c, _ := newTestCache(t, 512, 64, CtlConfig{})
+	defer m.Eng.Shutdown()
+	mark := func(i int, status uint32, ino uint64) {
+		e := ReadEntry(m.HostMem, l, i)
+		e.Status, e.Ino = status, ino
+		WriteEntryMeta(m.HostMem, l, i, e)
+	}
+	mark(3, StatusDirty, 7)
+	mark(130, StatusDirty, 8)
+	mark(131, StatusClean, 7)
+	mark(300, StatusDirty, 7)
+	mark(511, StatusDirty, 7)
+	m.Eng.Go("scan", func(p *sim.Proc) {
+		check := func(name string, got []int, want []int, dmas int64) {
+			if fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Errorf("%s = %v, want %v", name, got, want)
+			}
+			if d := m.PCIe.DMAs.Delta(); d != dmas {
+				t.Errorf("%s issued %d DMAs, want %d", name, d, dmas)
+			}
+			m.PCIe.Mark()
+		}
+		m.PCIe.Mark()
+		check("all", c.scanDirty(p, anyIno, l.Total), []int{3, 130, 300, 511}, 4)
+		check("ino 7", c.scanDirty(p, 7, l.Total), []int{3, 300, 511}, 4)
+		check("max 2", c.scanDirty(p, anyIno, 2), []int{3, 130}, 2)
+		check("max 0", c.scanDirty(p, anyIno, 0), nil, 0)
+	})
+	m.Eng.Run()
+}
+
+// retainingBackend breaks the Backend.WritePage contract by keeping the
+// slice it was handed.
+type retainingBackend struct {
+	memBackend
+	kept []byte
+}
+
+func (b *retainingBackend) WritePage(p *sim.Proc, ino, lpn uint64, pageSize int, data []byte) error {
+	b.kept = data
+	return nil
+}
+
+// TestFlushPageBufferIsRecycled: the page a flush hands to WritePage is a
+// pooled buffer released when WritePage returns. With the pool's poison
+// switch on (as the torture and determinism tests run), a backend that
+// retains it ends up holding poison, not page bytes — the use-after-release
+// net catches the contract violation instead of letting it pass by luck.
+func TestFlushPageBufferIsRecycled(t *testing.T) {
+	bufpool.SetPoison(true)
+	defer bufpool.SetPoison(false)
+	m, _, h, c, _ := newTestCache(t, 64, 8, CtlConfig{FlushWorkers: 1})
+	defer m.Eng.Shutdown()
+	rb := &retainingBackend{memBackend: *newMemBackend()}
+	c.SetBackend(rb)
+	m.Eng.Go("app", func(p *sim.Proc) {
+		if !h.WritePage(p, 1, 0, page(0x5A)) {
+			t.Error("host WritePage failed")
+		}
+		if n, err := c.FlushPass(p, 16); n != 1 || err != nil {
+			t.Errorf("FlushPass = %d, %v", n, err)
+		}
+	})
+	m.Eng.Run()
+	if len(rb.kept) != 4096 || !bytes.Equal(rb.kept, bytes.Repeat([]byte{bufpool.PoisonByte}, 4096)) {
+		t.Fatalf("retained flush buffer holds %#x..., want poison: the buffer was not recycled", rb.kept[:4])
 	}
 }

@@ -1,9 +1,11 @@
 package cache
 
 import (
+	"encoding/binary"
 	"fmt"
 	"time"
 
+	"dpc/internal/bufpool"
 	"dpc/internal/fault"
 	"dpc/internal/model"
 	"dpc/internal/obs"
@@ -23,6 +25,8 @@ type Backend interface {
 	// file's true EOF rather than extending it to the page boundary.
 	// A non-nil error leaves the page dirty in the cache: the ctl retries
 	// on later passes and enters degraded mode if failures persist.
+	// The backend must not retain data: it is a pooled buffer the ctl
+	// recycles as soon as WritePage returns.
 	WritePage(p *sim.Proc, ino, lpn uint64, pageSize int, data []byte) error
 }
 
@@ -87,6 +91,10 @@ type Ctl struct {
 	L       Layout
 	cfg     CtlConfig
 	backend Backend
+
+	// pool holds the page buffers that must survive a park (flush and
+	// journal pulls); everything else is decoded from a DMA view.
+	pool *bufpool.Pool
 
 	hands    []int // per-bucket clock hands for replacement
 	streams  map[uint64][]*stream
@@ -231,6 +239,7 @@ func NewCtl(m *model.Machine, l Layout, backend Backend, cfg CtlConfig) *Ctl {
 		L:        l,
 		cfg:      cfg,
 		backend:  backend,
+		pool:     bufpool.New(),
 		hands:    make([]int, l.Buckets),
 		streams:  map[uint64][]*stream{},
 		inflight: map[[2]uint64]bool{},
@@ -252,7 +261,7 @@ func NewCtl(m *model.Machine, l Layout, backend Backend, cfg CtlConfig) *Ctl {
 // readBucket DMA-reads one bucket's meta chunk (a single DMA).
 func (c *Ctl) readBucket(p *sim.Proc, bucket int) []Entry {
 	lo, hi := c.L.BucketEntries(bucket)
-	raw := c.m.PCIe.DMARead(p, c.m.HostMem, c.L.EntryAddr(lo), (hi-lo)*EntrySize, "cache-meta")
+	raw := c.m.PCIe.DMAReadView(p, c.m.HostMem, c.L.EntryAddr(lo), (hi-lo)*EntrySize, "cache-meta")
 	out := make([]Entry, hi-lo)
 	for i := range out {
 		out[i] = DecodeEntry(raw[i*EntrySize : (i+1)*EntrySize])
@@ -285,8 +294,7 @@ func (c *Ctl) setStatus(p *sim.Proc, i int, s uint32) {
 // readEntryRemote DMA-reads one meta entry (the DPU cannot touch host
 // memory for free).
 func (c *Ctl) readEntryRemote(p *sim.Proc, i int) Entry {
-	raw := c.m.PCIe.DMARead(p, c.m.HostMem, c.L.EntryAddr(i), EntrySize, "cache-meta-r")
-	return DecodeEntry(raw)
+	return DecodeEntry(c.m.PCIe.DMAReadView(p, c.m.HostMem, c.L.EntryAddr(i), EntrySize, "cache-meta-r"))
 }
 
 // flushDaemon periodically scans the meta area and writes dirty pages back
@@ -314,24 +322,42 @@ func (c *Ctl) FlushPass(p *sim.Proc, maxPages int) (int, error) {
 }
 
 func (c *Ctl) flushPass(p *sim.Proc, maxPages int) (int, error) {
+	dirty := c.scanDirty(p, anyIno, maxPages)
+	if len(dirty) == 0 {
+		return 0, nil
+	}
+	return c.flushWindow(p, dirty, c.flushOne)
+}
+
+// anyIno makes scanDirty select dirty entries of every inode.
+const anyIno = ^uint64(0)
+
+// scanDirty is the control plane's meta-table scan (§3.3): it DMA-reads the
+// meta area in 128-entry chunks and returns the indices of the dirty entries
+// of inode ino (anyIno: of every inode), stopping — and issuing no further
+// DMA — once limit are collected. Each chunk is a view decoded before the next
+// DMA parks the scanner, and only the fields the filter tests are decoded.
+// The scan is what the modelled DPU does and its PCIe traffic is part of the
+// model (Total*EntrySize bytes per full pass); see DESIGN.md for why it is
+// not replaced by a DPU-resident dirty index.
+func (c *Ctl) scanDirty(p *sim.Proc, ino uint64, limit int) []int {
 	var dirty []int
 	const chunkEntries = 128
-	for base := 0; base < c.L.Total && len(dirty) < maxPages; base += chunkEntries {
+	le := binary.LittleEndian
+	for base := 0; base < c.L.Total && len(dirty) < limit; base += chunkEntries {
 		n := chunkEntries
 		if base+n > c.L.Total {
 			n = c.L.Total - base
 		}
-		raw := c.m.PCIe.DMARead(p, c.m.HostMem, c.L.EntryAddr(base), n*EntrySize, "cache-scan")
-		for k := 0; k < n && len(dirty) < maxPages; k++ {
-			e := DecodeEntry(raw[k*EntrySize : (k+1)*EntrySize])
-			if e.Status == StatusDirty {
+		raw := c.m.PCIe.DMAReadView(p, c.m.HostMem, c.L.EntryAddr(base), n*EntrySize, "cache-scan")
+		for k := 0; k < n && len(dirty) < limit; k++ {
+			e := raw[k*EntrySize : (k+1)*EntrySize]
+			if le.Uint32(e[offStatus:]) == StatusDirty && (ino == anyIno || le.Uint64(e[offIno:]) == ino) {
 				dirty = append(dirty, base+k)
 			}
 		}
 	}
-	return c.flushWindow(p, dirty, func(pp *sim.Proc, i int) (bool, error) {
-		return c.flushOne(pp, i)
-	})
+	return dirty
 }
 
 // flushWindow writes the given entries back with a bounded pool of worker
@@ -400,21 +426,7 @@ func (c *Ctl) flushWindow(p *sim.Proc, entries []int, flush func(pp *sim.Proc, i
 // unflushed page sits behind a failing backend — the fallback fully lands
 // or reports the backend error (pinned by TestDegradedFsyncReportsError).
 func (c *Ctl) FlushIno(p *sim.Proc, ino uint64) (int, error) {
-	var dirty []int
-	const chunkEntries = 128
-	for base := 0; base < c.L.Total; base += chunkEntries {
-		n := chunkEntries
-		if base+n > c.L.Total {
-			n = c.L.Total - base
-		}
-		raw := c.m.PCIe.DMARead(p, c.m.HostMem, c.L.EntryAddr(base), n*EntrySize, "cache-scan")
-		for k := 0; k < n; k++ {
-			e := DecodeEntry(raw[k*EntrySize : (k+1)*EntrySize])
-			if e.Status == StatusDirty && e.Ino == ino {
-				dirty = append(dirty, base+k)
-			}
-		}
-	}
+	dirty := c.scanDirty(p, ino, c.L.Total)
 	// Write the inode's pages back as a concurrent window rather than one
 	// blocking flushOne at a time. Each worker keeps the must-settle spin:
 	// an entry it cannot lock is re-checked until it is either flushed here
@@ -479,88 +491,84 @@ func (c *Ctl) SyncIno(p *sim.Proc, ino uint64) (int, error) {
 // against the post-checkpoint cache state.
 func (c *Ctl) journalIno(p *sim.Proc, ino uint64) (int, error) {
 	for attempt := 0; ; attempt++ {
-		for c.ckpting {
-			c.ckptDone.Wait(p)
+		if n, again, err := c.journalAttempt(p, ino, attempt); !again {
+			return n, err
 		}
-		seq := c.ckptSeq
-		gen := c.walGens[ino]
+	}
+}
 
-		var dirty []int
-		const chunkEntries = 128
-		for base := 0; base < c.L.Total; base += chunkEntries {
-			n := chunkEntries
-			if base+n > c.L.Total {
-				n = c.L.Total - base
-			}
-			raw := c.m.PCIe.DMARead(p, c.m.HostMem, c.L.EntryAddr(base), n*EntrySize, "cache-scan")
-			for k := 0; k < n; k++ {
-				e := DecodeEntry(raw[k*EntrySize : (k+1)*EntrySize])
-				if e.Status == StatusDirty && e.Ino == ino {
-					dirty = append(dirty, base+k)
-				}
-			}
+// journalAttempt is one snapshot-and-commit pass of journalIno; again=true
+// asks for a re-run against the post-checkpoint cache state. The snapshotted
+// pages live in pooled buffers that go back on every exit, and only once
+// Commit has returned: a follower's records are framed by its group leader.
+func (c *Ctl) journalAttempt(p *sim.Proc, ino uint64, attempt int) (n int, again bool, err error) {
+	for c.ckpting {
+		c.ckptDone.Wait(p)
+	}
+	seq := c.ckptSeq
+	gen := c.walGens[ino]
+
+	dirty := c.scanDirty(p, ino, c.L.Total)
+	var recs []wal.Record
+	defer func() {
+		for i := range recs {
+			c.pool.Put(recs[i].Data)
 		}
-		var recs []wal.Record
-		_, err := c.flushWindow(p, dirty, func(pp *sim.Proc, i int) (bool, error) {
-			for spins := 0; ; spins++ {
-				if spins > 1<<20 {
-					panic("cache: journalIno livelocked on a held entry lock")
-				}
-				if c.lock(pp, i, LockRead) {
-					e := c.readEntryRemote(pp, i)
-					if e.Status != StatusDirty || e.Ino != ino {
-						c.unlock(pp, i)
-						return false, nil
-					}
-					data := c.m.PCIe.DMARead(pp, c.m.HostMem, c.L.PageAddr(i), c.L.PageSize, "cache-pull")
+	}()
+	_, err = c.flushWindow(p, dirty, func(pp *sim.Proc, i int) (bool, error) {
+		for spins := 0; ; spins++ {
+			if spins > 1<<20 {
+				panic("cache: journalIno livelocked on a held entry lock")
+			}
+			if c.lock(pp, i, LockRead) {
+				e := c.readEntryRemote(pp, i)
+				if e.Status != StatusDirty || e.Ino != ino {
 					c.unlock(pp, i)
-					recs = append(recs, wal.Record{Kind: wal.RecPage, Ino: ino, LPN: e.LPN, Gen: gen, Data: data})
-					return true, nil
-				}
-				// Lock held: a concurrent flush or host write owns the entry.
-				// Wait until it is no longer our dirty page, then re-check.
-				if cur := c.readEntryRemote(pp, i); cur.Status != StatusDirty || cur.Ino != ino {
 					return false, nil
 				}
+				data := c.pool.Get(c.L.PageSize)
+				c.m.PCIe.DMAReadInto(pp, data, c.m.HostMem, c.L.PageAddr(i), "cache-pull")
+				c.unlock(pp, i)
+				recs = append(recs, wal.Record{Kind: wal.RecPage, Ino: ino, LPN: e.LPN, Gen: gen, Data: data})
+				return true, nil
 			}
-		})
-		if err != nil {
-			return 0, err
-		}
-		if len(recs) == 0 {
-			return 0, nil
-		}
-		need := 0
-		for i := range recs {
-			need += wal.RecordSize(len(recs[i].Data))
-		}
-		if c.wal.NeedCheckpoint(need) {
-			if err := c.checkpoint(p); err != nil {
-				return 0, err
+			// Lock held: a concurrent flush or host write owns the entry.
+			// Wait until it is no longer our dirty page, then re-check.
+			if cur := c.readEntryRemote(pp, i); cur.Status != StatusDirty || cur.Ino != ino {
+				return false, nil
 			}
-			// The checkpoint settled our pages into the backend; re-run to
-			// observe them clean (or pick up anything re-dirtied since).
-			continue
 		}
-		if c.ckpting || c.ckptSeq != seq {
-			continue
-		}
-		err = c.wal.Commit(p, recs)
-		if err == wal.ErrFull {
-			if attempt >= 2 {
-				// The batch cannot fit even in an empty log; write through.
-				return c.FlushIno(p, ino)
-			}
-			if err := c.checkpoint(p); err != nil {
-				return 0, err
-			}
-			continue
-		}
-		if err != nil {
-			return 0, err
-		}
-		return len(recs), nil
+	})
+	if err != nil || len(recs) == 0 {
+		return 0, false, err
 	}
+	need := 0
+	for i := range recs {
+		need += wal.RecordSize(len(recs[i].Data))
+	}
+	if c.wal.NeedCheckpoint(need) {
+		// The checkpoint settles our pages into the backend; re-run to
+		// observe them clean (or pick up anything re-dirtied since).
+		err = c.checkpoint(p)
+		return 0, err == nil, err
+	}
+	if c.ckpting || c.ckptSeq != seq {
+		return 0, true, nil
+	}
+	err = c.wal.Commit(p, recs)
+	if err == wal.ErrFull {
+		if attempt >= 2 {
+			// The batch cannot fit even in an empty log; write through.
+			n, err = c.FlushIno(p, ino)
+			return n, false, err
+		}
+		err = c.checkpoint(p)
+		return 0, err == nil, err
+	}
+	if err != nil {
+		return 0, false, err
+	}
+	return len(recs), false, nil
 }
 
 // BumpGen journals a generation bump for the inode. Metadata ops that make
@@ -625,21 +633,7 @@ func (c *Ctl) checkpoint(p *sim.Proc) error {
 // daemon may still fail its backend write and stay dirty — dropping its
 // journal record then would lose an acked fsync.
 func (c *Ctl) settleAll(p *sim.Proc) error {
-	var dirty []int
-	const chunkEntries = 128
-	for base := 0; base < c.L.Total; base += chunkEntries {
-		n := chunkEntries
-		if base+n > c.L.Total {
-			n = c.L.Total - base
-		}
-		raw := c.m.PCIe.DMARead(p, c.m.HostMem, c.L.EntryAddr(base), n*EntrySize, "cache-scan")
-		for k := 0; k < n; k++ {
-			e := DecodeEntry(raw[k*EntrySize : (k+1)*EntrySize])
-			if e.Status == StatusDirty {
-				dirty = append(dirty, base+k)
-			}
-		}
-	}
+	dirty := c.scanDirty(p, anyIno, c.L.Total)
 	_, err := c.flushWindow(p, dirty, func(pp *sim.Proc, i int) (bool, error) {
 		fails := 0
 		for spins := 0; ; spins++ {
@@ -685,8 +679,10 @@ func (c *Ctl) doFlushOne(p *sim.Proc, i int) (bool, error) {
 		c.unlock(p, i)
 		return false, nil
 	}
-	// Pull the page into DPU DRAM by DMA.
-	data := c.m.PCIe.DMARead(p, c.m.HostMem, c.L.PageAddr(i), c.L.PageSize, "cache-pull")
+	// Pull the page into DPU DRAM by DMA: it must outlive the backend write,
+	// so it lands in a pooled buffer, released once WritePage has returned.
+	data := c.pool.Get(c.L.PageSize)
+	c.m.PCIe.DMAReadInto(p, data, c.m.HostMem, c.L.PageAddr(i), "cache-pull")
 	// Relevant computing (compression, DIF, EC...) happens here on the DPU.
 	c.m.DPUExec(p, c.m.Cfg.Costs.DPUFlushPage)
 	var err error
@@ -695,6 +691,7 @@ func (c *Ctl) doFlushOne(p *sim.Proc, i int) (bool, error) {
 	} else {
 		err = c.backend.WritePage(p, e.Ino, e.LPN, c.L.PageSize, data)
 	}
+	c.pool.Put(data)
 	if err != nil {
 		// Leave the page dirty: a later pass retries it. Persistent
 		// failures trip degraded mode via the failure streak.
@@ -1046,21 +1043,11 @@ func (c *Ctl) present(p *sim.Proc, ino, lpn uint64) bool {
 
 // encodeEntry serializes an entry into a 32-byte buffer.
 func encodeEntry(b []byte, e Entry) {
-	put32 := func(off int, v uint32) {
-		b[off] = byte(v)
-		b[off+1] = byte(v >> 8)
-		b[off+2] = byte(v >> 16)
-		b[off+3] = byte(v >> 24)
-	}
-	put64 := func(off int, v uint64) {
-		for i := 0; i < 8; i++ {
-			b[off+i] = byte(v >> (8 * i))
-		}
-	}
-	put32(offLock, e.Lock)
-	put32(offStatus, e.Status)
-	put32(offNext, e.Next)
-	put64(offLPN, e.LPN)
-	put64(offIno, e.Ino)
+	le := binary.LittleEndian
+	le.PutUint32(b[offLock:], e.Lock)
+	le.PutUint32(b[offStatus:], e.Status)
+	le.PutUint32(b[offNext:], e.Next)
+	le.PutUint64(b[offLPN:], e.LPN)
+	le.PutUint64(b[offIno:], e.Ino)
 	b[offRef] = e.Ref
 }

@@ -80,41 +80,15 @@ func (h *Host) findEntry(ino, lpn uint64) int {
 // momentarily locked by the DPU control plane counts as a miss rather than
 // blocking the host.
 func (h *Host) Lookup(p *sim.Proc, ino, lpn uint64) ([]byte, bool) {
-	h.m.HostExec(p, h.m.Cfg.Costs.HostCacheLookup)
-	i := h.findEntry(ino, lpn)
-	if i < 0 {
-		h.Misses.Inc()
-		h.oMisses.Inc()
+	data := make([]byte, h.L.PageSize)
+	if !h.LookupInto(p, ino, lpn, 0, data) {
 		return nil, false
 	}
-	a := h.L.EntryAddr(i)
-	if !h.m.HostMem.CompareAndSwap32(a+offLock, LockNone, LockRead) {
-		h.Misses.Inc()
-		h.oMisses.Inc()
-		return nil, false
-	}
-	// Re-check under the lock: the entry may have been replaced.
-	e := ReadEntry(h.m.HostMem, h.L, i)
-	if (e.Status != StatusClean && e.Status != StatusDirty) || e.Ino != ino || e.LPN != lpn {
-		h.m.HostMem.PutUint32(a+offLock, LockNone)
-		h.Misses.Inc()
-		h.oMisses.Inc()
-		return nil, false
-	}
-	data := h.m.HostMem.Read(h.L.PageAddr(i), h.L.PageSize)
-	h.m.HostExec(p, h.m.Cfg.Costs.HostCopyPerPage*int64((h.L.PageSize+4095)/4096))
-	// Mark the CLOCK reference bit: second-chance eviction spares recently
-	// hit pages.
-	h.m.HostMem.Slice(a+offRef, 1)[0] = 1
-	h.m.HostMem.PutUint32(a+offLock, LockNone)
-	h.Hits.Inc()
-	h.oHits.Inc()
 	return data, true
 }
 
-// LookupInto is Lookup restricted to dst's worth of bytes starting at page
-// offset po, copied into the caller's buffer: the zero-allocation read path.
-// Same locking, accounting and CLOCK semantics as Lookup.
+// LookupInto copies dst's worth of the cached page for <ino, lpn>, starting
+// at page offset po, into the caller's buffer: the zero-allocation read path.
 func (h *Host) LookupInto(p *sim.Proc, ino, lpn uint64, po int, dst []byte) bool {
 	h.m.HostExec(p, h.m.Cfg.Costs.HostCacheLookup)
 	if po < 0 || po+len(dst) > h.L.PageSize {
@@ -132,6 +106,7 @@ func (h *Host) LookupInto(p *sim.Proc, ino, lpn uint64, po int, dst []byte) bool
 		h.oMisses.Inc()
 		return false
 	}
+	// Re-check under the lock: the entry may have been replaced.
 	e := ReadEntry(h.m.HostMem, h.L, i)
 	if (e.Status != StatusClean && e.Status != StatusDirty) || e.Ino != ino || e.LPN != lpn {
 		h.m.HostMem.PutUint32(a+offLock, LockNone)
@@ -140,10 +115,11 @@ func (h *Host) LookupInto(p *sim.Proc, ino, lpn uint64, po int, dst []byte) bool
 		return false
 	}
 	copy(dst, h.m.HostMem.Slice(h.L.PageAddr(i)+mem.Addr(po), len(dst)))
-	// Charged at page granularity, exactly like Lookup: the calibrated cost
-	// covers the locked page copy-out, and keeping the two paths identical
-	// keeps cached-read timing byte-stable whichever one the client uses.
+	// Charged at page granularity whatever len(dst) is: the calibrated cost
+	// covers the locked page copy-out.
 	h.m.HostExec(p, h.m.Cfg.Costs.HostCopyPerPage*int64((h.L.PageSize+4095)/4096))
+	// Mark the CLOCK reference bit: second-chance eviction spares recently
+	// hit pages.
 	h.m.HostMem.Slice(a+offRef, 1)[0] = 1
 	h.m.HostMem.PutUint32(a+offLock, LockNone)
 	h.Hits.Inc()

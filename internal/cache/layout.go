@@ -15,6 +15,7 @@
 package cache
 
 import (
+	"encoding/binary"
 	"fmt"
 	"hash/fnv"
 
@@ -153,22 +154,13 @@ func ReadEntry(r *mem.Region, l Layout, i int) Entry {
 
 // DecodeEntry decodes an entry from raw bytes (e.g. a DMA'd meta chunk).
 func DecodeEntry(b []byte) Entry {
-	le := func(off int) uint32 {
-		return uint32(b[off]) | uint32(b[off+1])<<8 | uint32(b[off+2])<<16 | uint32(b[off+3])<<24
-	}
-	le64 := func(off int) uint64 {
-		var v uint64
-		for i := 7; i >= 0; i-- {
-			v = v<<8 | uint64(b[off+i])
-		}
-		return v
-	}
+	le := binary.LittleEndian
 	return Entry{
-		Lock:   le(offLock),
-		Status: le(offStatus),
-		Next:   le(offNext),
-		LPN:    le64(offLPN),
-		Ino:    le64(offIno),
+		Lock:   le.Uint32(b[offLock:]),
+		Status: le.Uint32(b[offStatus:]),
+		Next:   le.Uint32(b[offNext:]),
+		LPN:    le.Uint64(b[offLPN:]),
+		Ino:    le.Uint64(b[offIno:]),
 		Ref:    b[offRef],
 	}
 }

@@ -1,10 +1,21 @@
 package check
 
 import (
+	"os"
 	"reflect"
 	"strings"
 	"testing"
+
+	"dpc/internal/bufpool"
 )
+
+// TestMain runs every torture in this package (differential, fault, crash)
+// with released pool buffers poisoned, so a request or page buffer retained
+// past its release is a data mismatch the oracle catches.
+func TestMain(m *testing.M) {
+	bufpool.SetPoison(true)
+	os.Exit(m.Run())
+}
 
 // TestGenTraceDeterministic: the same (seed, n, caps) must yield the same
 // trace — reproducibility is the harness's whole value proposition.

@@ -34,19 +34,19 @@ import (
 // commits the per-tenant digest as BENCH_8.json.
 
 const (
-	fleetOpSize     = 8192              // victim read size
-	fleetFilePages  = 2048              // shared victim file: 16 MB of 8 KB pages
-	fleetFileSize   = uint64(fleetFilePages * fleetOpSize)
-	fleetFloodSize  = 64 * 1024         // flood transport chunk (= MaxIO)
-	fleetFloodChunks = 256              // aggressor region: 16 MB of 64 KB chunks
+	fleetOpSize      = 8192 // victim read size
+	fleetFilePages   = 2048 // shared victim file: 16 MB of 8 KB pages
+	fleetFileSize    = uint64(fleetFilePages * fleetOpSize)
+	fleetFloodSize   = 64 * 1024 // flood transport chunk (= MaxIO)
+	fleetFloodChunks = 256       // aggressor region: 16 MB of 64 KB chunks
 	// Each aggressor op writes 4 chunks (256 KB) in one pipelined call, so
 	// every flooding proc keeps several large commands queued at once — the
 	// head-of-line depth that makes the FIFO phase hurt.
 	fleetFloodOpChunks = 4
 	fleetFloodOpSize   = fleetFloodOpChunks * fleetFloodSize
-	fleetZipfS      = 1.2               // victim working-set skew
-	fleetQPerTenant = 4                 // SQ/CQ pairs per tenant queue group
-	fleetSetupDur   = 25 * time.Millisecond
+	fleetZipfS         = 1.2 // victim working-set skew
+	fleetQPerTenant    = 4   // SQ/CQ pairs per tenant queue group
+	fleetSetupDur      = 25 * time.Millisecond
 )
 
 // FleetOpBytes and FleetFloodOpBytes expose the scenario's I/O sizes for
@@ -83,13 +83,13 @@ type FleetConfig struct {
 // the uncontended baseline.
 func DefaultFleetConfig() FleetConfig {
 	return FleetConfig{
-		Tenants:        8,
-		VictimProcs:    24,
-		AggressorProcs: 32,
-		Warmup:         2 * time.Millisecond,
-		Measure:        10 * time.Millisecond,
-		Seed:           1,
-		AggMaxInflight: 2,
+		Tenants:         8,
+		VictimProcs:     24,
+		AggressorProcs:  32,
+		Warmup:          2 * time.Millisecond,
+		Measure:         10 * time.Millisecond,
+		Seed:            1,
+		AggMaxInflight:  2,
 		AggBandwidthBps: 400 << 20,
 		// Half the aggressor's 64 transport slots: the flood's arrival burst
 		// overruns the bound and admission control sheds the excess.

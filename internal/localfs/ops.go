@@ -350,9 +350,11 @@ func (fs *FS) writeThrough(p *sim.Proc, ino uint64, ind *inode, off uint64, data
 		}
 		fs.cache.invalidate(ino, pg)
 	}
+	// Device-contiguous blocks are consecutive in data too, so an extent is
+	// a sub-slice of data (the device copies what it stores).
 	type extent struct {
-		devOff int64
-		data   []byte
+		devOff     int64
+		start, end int // data[start:end]
 	}
 	var extents []extent
 	for done := 0; done < len(data); {
@@ -367,15 +369,15 @@ func (fs *FS) writeThrough(p *sim.Proc, ino uint64, ind *inode, off uint64, data
 			return err
 		}
 		devOff := blk*BlockSize + int64(po)
-		if k := len(extents); k > 0 && extents[k-1].devOff+int64(len(extents[k-1].data)) == devOff {
-			extents[k-1].data = append(extents[k-1].data, data[done:done+n]...)
+		if k := len(extents); k > 0 && extents[k-1].devOff+int64(extents[k-1].end-extents[k-1].start) == devOff {
+			extents[k-1].end = done + n
 		} else {
-			extents = append(extents, extent{devOff: devOff, data: append([]byte(nil), data[done:done+n]...)})
+			extents = append(extents, extent{devOff: devOff, start: done, end: done + n})
 		}
 		done += n
 	}
 	for _, e := range extents {
-		if err := fs.devWrite(p, e.devOff, e.data); err != nil {
+		if err := fs.devWrite(p, e.devOff, data[e.start:e.end]); err != nil {
 			return err
 		}
 	}

@@ -26,7 +26,10 @@ import (
 	"dpc/internal/sim"
 )
 
-// Request is a decoded command as seen by the DPU-side handler.
+// Request is a decoded command as seen by the DPU-side handler. Header and
+// Data alias a pooled DPU buffer that is recycled once the command has
+// completed: a Handler may read them (and return them in its Response) but
+// must not retain them after it returns.
 type Request struct {
 	QID    int
 	Tenant int // owning tenant of the queue the command arrived on; -1 when single-tenant
@@ -45,7 +48,8 @@ type Response struct {
 }
 
 // Handler executes a request on the DPU (the IO_Dispatch module and the
-// stacks behind it).
+// stacks behind it). It must not retain req.Header or req.Data, nor mutate
+// the returned Response's bytes before the command completes.
 type Handler func(p *sim.Proc, req Request) Response
 
 // TenantConfig is one tenant's share of the virtualized transport: its
@@ -296,6 +300,10 @@ func (qs *queueState) execPut(depth int, token uint32, resp Response) {
 		delete(qs.exec, qs.execOrder[0])
 		qs.execOrder = qs.execOrder[1:]
 	}
+	// The cache outlives the command: own the bytes, which may alias the
+	// request buffer (echo handlers) that is about to be recycled.
+	resp.Header = append([]byte(nil), resp.Header...)
+	resp.Data = append([]byte(nil), resp.Data...)
 	qs.exec[token] = resp
 	qs.execOrder = append(qs.execOrder, token)
 }
@@ -330,8 +338,8 @@ type Driver struct {
 	oInflight     *obs.Gauge
 	oInflightPeak *obs.Gauge
 
-	// Inline-path state (InlineMax > 0 only). pool recycles PIO staging
-	// buffers; mmioNs feeds the cutover formula.
+	// pool recycles the TGT's request buffers (and, on the host side, the
+	// inline path's PIO staging buffers); mmioNs feeds the cutover formula.
 	pool   *bufpool.Pool
 	mmioNs float64
 	// InlineWrites/InlineReads count commands that took the inline path;
@@ -429,7 +437,7 @@ func NewDriver(m *model.Machine, cfg Config, handler Handler) *Driver {
 			cfg.DispatchWorkers = 8
 		}
 	}
-	d := &Driver{m: m, cfg: cfg, handler: handler}
+	d := &Driver{m: m, cfg: cfg, handler: handler, pool: bufpool.New()}
 	if o := m.Obs; o.Enabled() {
 		d.o = o
 		d.po = o.Prof()
@@ -448,9 +456,6 @@ func NewDriver(m *model.Machine, cfg Config, handler Handler) *Driver {
 	}
 	pcfg := m.PCIe.Config()
 	d.mmioNs = float64(pcfg.MMIOLatency.Nanoseconds())
-	if cfg.InlineMax > 0 {
-		d.pool = bufpool.New()
-	}
 	for qid := 0; qid < cfg.Queues; qid++ {
 		sqBase := m.AllocHost(cfg.Depth*nvme.SQESize, 4096)
 		cqBase := m.AllocHost(cfg.Depth*nvme.CQESize, 4096)
@@ -1033,7 +1038,7 @@ func (d *Driver) tgtLoop(p *sim.Proc, qs *queueState) {
 type fetched struct {
 	qs   *queueState
 	sqe  nvme.SQE
-	in   []byte // inline write bytes, copied out of the window at fetch time
+	in   []byte // pooled write buffer [header(64)|payload]: inline-window copy-out or pullBuffers' DMAs
 	gen  int    // queue generation the SQE was fetched under
 	ts   obs.Span
 	enq  sim.Time // fetch instant; scheduler wait = dispatch instant − enq
@@ -1058,12 +1063,11 @@ func (d *Driver) processOne(p *sim.Proc, qs *queueState) {
 		f.ts.End(p)
 		return
 	}
-	req, ok := d.pullBuffers(p, f)
-	if !ok {
+	if !d.pullBuffers(p, &f) {
 		f.ts.End(p)
 		return
 	}
-	d.m.Eng.Go("nvme-worker", func(wp *sim.Proc) { d.execute(wp, f, req) })
+	d.m.Eng.Go("nvme-worker", func(wp *sim.Proc) { d.execute(wp, f) })
 	f.ts.End(p)
 }
 
@@ -1092,7 +1096,10 @@ func (d *Driver) fetchOne(p *sim.Proc, qs *queueState) (fetched, bool) {
 	// ① Retrieve the SQE.
 	sqeIdx := qs.qp.SQHead
 	sqeAddr := qs.qp.SQ.EntryAddr(sqeIdx)
-	sqeBytes := link.DMARead(p, hm, sqeAddr, nvme.SQESize, "sqe")
+	// A private copy, never a view: KindCorruptSQE below flips a byte of it.
+	var sqeImg [nvme.SQESize]byte
+	sqeBytes := sqeImg[:]
+	link.DMAReadInto(p, sqeBytes, hm, sqeAddr, "sqe")
 	if qs.gen != gen {
 		// A reset re-armed the ring while the fetch was in flight: the
 		// bytes belong to the old generation. Drop them without touching
@@ -1113,7 +1120,9 @@ func (d *Driver) fetchOne(p *sim.Proc, qs *queueState) (fetched, bool) {
 			if wl > qs.inStride {
 				wl = qs.inStride
 			}
-			inBytes = d.m.DPUMem.Read(qs.inWin+mem.Addr(sqeIdx*qs.inStride), wl)
+			// (On the drop paths below the buffer is simply left to the GC.)
+			inBytes = d.pool.Get(wl)
+			copy(inBytes, d.m.DPUMem.Slice(qs.inWin+mem.Addr(sqeIdx*qs.inStride), wl))
 		}
 	}
 	qs.qp.SQHead = qs.qp.SQ.Next(qs.qp.SQHead)
@@ -1198,8 +1207,10 @@ func sqeCostEstimate(sqe nvme.SQE) int64 {
 // fetch and the payload pull (both skipped for inline writes, which already
 // delivered their bytes through the window). ok=false means the window bytes
 // could not satisfy a corrupted inline SQE; a retryable completion was
-// already posted.
-func (d *Driver) pullBuffers(p *sim.Proc, f fetched) (Request, bool) {
+// already posted. The DMA'd bytes must survive the handler's parks, so they
+// land in a pooled buffer (f.in, laid out like an inline window slot) that
+// execute recycles when the command has completed.
+func (d *Driver) pullBuffers(p *sim.Proc, f *fetched) bool {
 	link := d.m.PCIe
 	hm := d.m.HostMem
 	qs, sqe, gen := f.qs, f.sqe, f.gen
@@ -1207,22 +1218,19 @@ func (d *Driver) pullBuffers(p *sim.Proc, f fetched) (Request, bool) {
 	// brings in the 64-byte file-semantic request header that sits at the
 	// head of the write buffer. An inline write already delivered both
 	// header and payload through the window — steps ② and ③ vanish.
-	req := Request{QID: qs.qp.ID, Tenant: qs.tenant, SQE: sqe}
 	switch {
 	case sqe.PSDTWrite == nvme.PSDTInline && sqe.WriteLen > 0:
 		if f.in == nil || len(f.in) < int(sqe.WHLen) {
 			// The peek ran on pre-corruption bytes; a mangled PSDT bit or
 			// length cannot be satisfied from the window. Fail retryably.
 			d.complete(p, qs, gen, sqe, Response{Status: nvme.StatusCorrupt})
-			return Request{}, false
-		}
-		req.Header = f.in[:sqe.WHLen]
-		if len(f.in) > 64 {
-			req.Data = f.in[64:]
+			return false
 		}
 	case sqe.WriteLen > 0:
+		n := max(int(sqe.WriteLen)-64, 0) // payload bytes after the header
+		f.in = d.pool.Get(64 + n)
 		prpFrom := p.Now()
-		hdrBytes := link.DMARead(p, hm, mem.Addr(sqe.PRPWrite[0]), 64, "prp")
+		link.DMAReadInto(p, f.in[:64], hm, mem.Addr(sqe.PRPWrite[0]), "prp")
 		if d.cfg.InlineMax > 0 {
 			// A 64-byte fetch is almost pure setup: feed the setup estimate.
 			if dur := float64(p.Now()-prpFrom) - 64*qs.dmaPerByte; dur > 0 {
@@ -1230,12 +1238,10 @@ func (d *Driver) pullBuffers(p *sim.Proc, f fetched) (Request, bool) {
 				d.recalcCutover(qs)
 			}
 		}
-		req.Header = hdrBytes[:sqe.WHLen]
-		if sqe.WriteLen > 64 {
+		if n > 0 {
 			// ③ Read the payload in one contiguous transfer.
-			n := int(sqe.WriteLen) - 64
 			dataFrom := p.Now()
-			req.Data = link.DMARead(p, hm, mem.Addr(sqe.PRPWrite[0])+64, n, "data-in")
+			link.DMAReadInto(p, f.in[64:], hm, mem.Addr(sqe.PRPWrite[0])+64, "data-in")
 			if d.cfg.InlineMax > 0 && n >= 4096 {
 				if dur := (float64(p.Now()-dataFrom) - qs.setupObs) / float64(n); dur > 0 {
 					ewma(&qs.dmaPerByte, dur)
@@ -1244,17 +1250,24 @@ func (d *Driver) pullBuffers(p *sim.Proc, f fetched) (Request, bool) {
 			}
 		}
 	}
-	return req, true
+	return true
 }
 
 // execute runs a dispatched command to completion: dedup lookup, handler,
 // response write-back (④ rides in complete). In single-tenant mode it runs
 // on a per-command nvme-worker proc; in multi-tenant mode it runs inline on
 // the dispatch worker the scheduler granted the command to.
-func (d *Driver) execute(wp *sim.Proc, f fetched, req Request) {
+func (d *Driver) execute(wp *sim.Proc, f fetched) {
 	link := d.m.PCIe
 	hm := d.m.HostMem
 	qs, sqe, gen := f.qs, f.sqe, f.gen
+	req := Request{QID: qs.qp.ID, Tenant: qs.tenant, SQE: sqe}
+	if f.in != nil {
+		req.Header = f.in[:sqe.WHLen]
+		if len(f.in) > 64 {
+			req.Data = f.in[64:]
+		}
+	}
 	ws := d.o.BeginChild(wp, f.ts, "nvmefs.worker")
 	var resp Response
 	if cached, ok := qs.execGet(sqe.Token); ok {
@@ -1304,15 +1317,12 @@ func (d *Driver) execute(wp *sim.Proc, f fetched, req Request) {
 			d.oInlineB.Add(int64(len(resp.Data)))
 			resp.Result = uint32(len(resp.Data))
 		} else if live() {
-			out := make([]byte, d.cfg.RHCap+len(resp.Data))
-			copy(out, resp.Header)
-			copy(out[d.cfg.RHCap:], resp.Data)
-			if len(out) > int(sqe.ReadLen) {
-				out = out[:sqe.ReadLen]
-			}
+			// One DMA carries [header | zeros up to RHCap | data], truncated
+			// to ReadLen, gathered straight into the host read buffer.
+			n := min(d.cfg.RHCap+len(resp.Data), int(sqe.ReadLen))
 			outFrom := wp.Now()
-			link.DMAWrite(wp, hm, mem.Addr(sqe.PRPRead[0]), out, "data-out")
-			if n := len(out); d.cfg.InlineMax > 0 && n >= 4096 {
+			putResponse(link.DMAWriteView(wp, hm, mem.Addr(sqe.PRPRead[0]), n, "data-out"), d.cfg.RHCap, resp)
+			if d.cfg.InlineMax > 0 && n >= 4096 {
 				if dur := (float64(wp.Now()-outFrom) - qs.setupObs) / float64(n); dur > 0 {
 					ewma(&qs.dmaPerByte, dur)
 					d.recalcCutover(qs)
@@ -1322,7 +1332,21 @@ func (d *Driver) execute(wp *sim.Proc, f fetched, req Request) {
 		}
 	}
 	d.complete(wp, qs, gen, sqe, resp)
+	// The handler has returned and the response has left the DPU.
+	d.pool.Put(f.in)
 	ws.End(wp)
+}
+
+// putResponse lays a response out in dst the way the host decodes it:
+// header at 0, zero fill up to rhCap, data from rhCap, cut off at len(dst).
+func putResponse(dst []byte, rhCap int, resp Response) {
+	k := copy(dst, resp.Header)
+	if gapEnd := min(rhCap, len(dst)); k < gapEnd {
+		clear(dst[k:gapEnd])
+	}
+	if len(dst) > rhCap {
+		copy(dst[rhCap:], resp.Data)
+	}
 }
 
 // dispatchLoop is one DPU dispatch worker: it pulls scheduler grants and
@@ -1347,8 +1371,8 @@ func (d *Driver) dispatchOne(p *sim.Proc, f fetched) {
 		live = pd != nil && !pd.done && pd.token == f.sqe.Token
 	}
 	if live {
-		if req, ok := d.pullBuffers(p, f); ok {
-			d.execute(p, f, req)
+		if d.pullBuffers(p, &f) {
+			d.execute(p, f)
 		}
 	}
 	d.sched.done(p, qs.tenant)
@@ -1416,11 +1440,9 @@ func (d *Driver) complete(p *sim.Proc, qs *queueState, gen int, sqe nvme.SQE, re
 		if max := qs.cqStride - nvme.CQESize - d.cfg.RHCap; n > max {
 			n = max
 		}
-		out := make([]byte, nvme.CQESize+d.cfg.RHCap+n)
+		out := d.m.PCIe.DMAWriteView(p, d.m.HostMem, winAddr, nvme.CQESize+d.cfg.RHCap+n, "cqe-inline")
 		cqe.Marshal(out)
-		copy(out[nvme.CQESize:], resp.Header)
-		copy(out[nvme.CQESize+d.cfg.RHCap:], resp.Data[:n])
-		d.m.PCIe.DMAWrite(p, d.m.HostMem, winAddr, out, "cqe-inline")
+		putResponse(out[nvme.CQESize:], d.cfg.RHCap, resp)
 	} else {
 		var cqeBytes [nvme.CQESize]byte
 		cqe.Marshal(cqeBytes[:])
@@ -1457,8 +1479,10 @@ func (d *Driver) complete(p *sim.Proc, qs *queueState, gen int, sqe nvme.SQE, re
 				hdrAddr = winAddr + nvme.CQESize
 				dataAddr = winAddr + nvme.CQESize + mem.Addr(d.cfg.RHCap)
 			}
+			// The completion outlives the slot (recycled below), so the
+			// host driver copies the response out of it.
 			if pd.rhLen > 0 {
-				comp.Header = d.m.HostMem.Read(hdrAddr, pd.rhLen)
+				comp.Header = append([]byte(nil), d.m.HostMem.Slice(hdrAddr, pd.rhLen)...)
 			}
 			n := int(cqe.Result)
 			if n > pd.readLen {
@@ -1469,7 +1493,7 @@ func (d *Driver) complete(p *sim.Proc, qs *queueState, gen int, sqe nvme.SQE, re
 					copy(pd.readInto, d.m.HostMem.Slice(dataAddr, n))
 					comp.Data = pd.readInto[:n]
 				} else {
-					comp.Data = d.m.HostMem.Read(dataAddr, n)
+					comp.Data = append([]byte(nil), d.m.HostMem.Slice(dataAddr, n)...)
 				}
 			}
 		}

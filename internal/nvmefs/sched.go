@@ -32,12 +32,12 @@ type schedTenant struct {
 	cfg    TenantConfig
 	weight int64
 
-	ready   []fetched // FIFO of admitted, not yet dispatched commands
-	deficit int64     // DRR deficit in cost bytes
-	tokens  float64   // bandwidth token bucket, in cost bytes
-	seeded  bool      // tokens initialized (bucket starts full)
-	last    sim.Time  // virtual time of the last token refill
-	inflight int      // dispatched and not yet completed
+	ready    []fetched // FIFO of admitted, not yet dispatched commands
+	deficit  int64     // DRR deficit in cost bytes
+	tokens   float64   // bandwidth token bucket, in cost bytes
+	seeded   bool      // tokens initialized (bucket starts full)
+	last     sim.Time  // virtual time of the last token refill
+	inflight int       // dispatched and not yet completed
 
 	dispatched int64 // commands granted to a worker
 	shed       int64 // commands refused at admission

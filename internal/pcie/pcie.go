@@ -271,16 +271,40 @@ func (l *Link) dma(p *sim.Proc, dir Dir, addr mem.Addr, n int, label string) {
 }
 
 // DMARead performs one DMA in which the device reads n bytes of host memory
-// at addr, returning a copy. label annotates the trace.
+// at addr, returning a private copy. label annotates the trace. It is the
+// allocate-and-copy convenience for cold callers; the data paths use
+// DMAReadView or DMAReadInto (DESIGN.md "Buffer ownership on the PCIe path").
 func (l *Link) DMARead(p *sim.Proc, r *mem.Region, addr mem.Addr, n int, label string) []byte {
 	l.dma(p, HostToDev, addr, n, label)
 	return r.Read(addr, n)
 }
 
-// DMAReadInto is DMARead into a caller-provided buffer.
+// DMAReadView is DMARead without the copy: the DMA is charged identically and
+// the region's own bytes are returned in place. The view is valid only until
+// p next parks (any Sleep, Wait, Acquire or further PCIe operation): once p
+// yields, the other side may rewrite the memory under it. A caller that
+// decodes before parking observes exactly the bytes DMARead would have
+// copied, because DMARead copies at this same instant. The caller must not
+// write through the view.
+func (l *Link) DMAReadView(p *sim.Proc, r *mem.Region, addr mem.Addr, n int, label string) []byte {
+	l.dma(p, HostToDev, addr, n, label)
+	return r.Slice(addr, n)
+}
+
+// DMAReadInto is DMARead into a caller-owned buffer, for bytes that must
+// outlive the issuer's next park.
 func (l *Link) DMAReadInto(p *sim.Proc, dst []byte, r *mem.Region, addr mem.Addr, label string) {
 	l.dma(p, HostToDev, addr, len(dst), label)
 	copy(dst, r.Slice(addr, len(dst)))
+}
+
+// DMAWriteView is the gather form of DMAWrite: it charges one n-byte DMA
+// into host memory at addr and returns the destination bytes in place, which
+// the caller fills from its pieces before p next parks — the same bytes land
+// at the same instant as a DMAWrite of their concatenation.
+func (l *Link) DMAWriteView(p *sim.Proc, r *mem.Region, addr mem.Addr, n int, label string) []byte {
+	l.dma(p, DevToHost, addr, n, label)
+	return r.Slice(addr, n)
 }
 
 // DMAWrite performs one DMA in which the device writes src into host memory.

@@ -264,3 +264,86 @@ func TestDirAndOpStrings(t *testing.T) {
 		t.Fatal("Op strings wrong")
 	}
 }
+
+// TestDMAReadViewLifetime pins the view rule: a view holds exactly the bytes
+// DMARead copies, taken at the same instant for the same charge, and stays
+// valid only until the issuer next parks. The same script runs once per
+// primitive; a host store lands while the DMA is in flight (both must see
+// it: the bytes are taken at completion) and another after the issuer parks
+// (the copy must not see it; the view is NOT required to hide it — here it
+// shows through, which is why consumers decode before they park).
+func TestDMAReadViewLifetime(t *testing.T) {
+	type result struct {
+		atCompletion, afterPark []byte
+		done                    sim.Time
+		dmas, bytes             int64
+	}
+	script := func(read func(l *Link, p *sim.Proc, r *mem.Region) []byte) result {
+		e := sim.NewEngine(1)
+		l := testLink(e)
+		host := mem.NewRegion("host", 0, 4096)
+		host.Write(64, []byte("old-old-"))
+		var res result
+		e.Go("host", func(p *sim.Proc) {
+			p.Sleep(100 * time.Nanosecond) // DMA issued at 0, completes after 600ns
+			host.Write(64, []byte("mid-dma-"))
+			p.Sleep(900 * time.Nanosecond) // the issuer is parked in its Sleep by now
+			host.Write(64, []byte("too-late"))
+		})
+		e.Go("dev", func(p *sim.Proc) {
+			got := read(l, p, host)
+			res.done = p.Now()
+			res.atCompletion = append([]byte(nil), got...)
+			p.Sleep(time.Microsecond)
+			res.afterPark = append([]byte(nil), got...)
+		})
+		e.Run()
+		res.dmas, res.bytes = l.DMAs.Total(), l.DMABytesH2D.Total()
+		return res
+	}
+	cp := script(func(l *Link, p *sim.Proc, r *mem.Region) []byte { return l.DMARead(p, r, 64, 8, "t") })
+	vw := script(func(l *Link, p *sim.Proc, r *mem.Region) []byte { return l.DMAReadView(p, r, 64, 8, "t") })
+
+	if string(cp.atCompletion) != "mid-dma-" || !bytes.Equal(vw.atCompletion, cp.atCompletion) {
+		t.Fatalf("at completion: copy %q view %q, want both %q", cp.atCompletion, vw.atCompletion, "mid-dma-")
+	}
+	if vw.done != cp.done || vw.dmas != cp.dmas || vw.bytes != cp.bytes || cp.dmas != 1 || cp.bytes != 8 {
+		t.Fatalf("charge differs: copy done=%v dmas=%d bytes=%d, view done=%v dmas=%d bytes=%d",
+			cp.done, cp.dmas, cp.bytes, vw.done, vw.dmas, vw.bytes)
+	}
+	if string(cp.afterPark) != "mid-dma-" {
+		t.Fatalf("the private copy changed after the issuer parked: %q", cp.afterPark)
+	}
+	if string(vw.afterPark) != "too-late" {
+		t.Fatalf("view after park = %q: a view aliases host memory, so the late store shows through", vw.afterPark)
+	}
+}
+
+// TestDMAWriteViewMatchesDMAWrite: filling a write view from pieces lands the
+// same bytes at the same instant, for the same charge, as DMAWrite of their
+// concatenation.
+func TestDMAWriteViewMatchesDMAWrite(t *testing.T) {
+	run := func(write func(l *Link, p *sim.Proc, r *mem.Region)) ([]byte, sim.Time, int64, int64) {
+		e := sim.NewEngine(1)
+		l := testLink(e)
+		host := mem.NewRegion("host", 0, 4096)
+		var done sim.Time
+		e.Go("dev", func(p *sim.Proc) {
+			write(l, p, host)
+			done = p.Now()
+		})
+		e.Run()
+		return host.Read(0, 32), done, l.DMAs.Total(), l.DMABytesD2H.Total()
+	}
+	hdr, data := []byte("hdr"), []byte("payload-bytes")
+	b1, t1, n1, d1 := run(func(l *Link, p *sim.Proc, r *mem.Region) {
+		l.DMAWrite(p, r, 8, append(append([]byte(nil), hdr...), data...), "w")
+	})
+	b2, t2, n2, d2 := run(func(l *Link, p *sim.Proc, r *mem.Region) {
+		dst := l.DMAWriteView(p, r, 8, len(hdr)+len(data), "w")
+		copy(dst[copy(dst, hdr):], data)
+	})
+	if !bytes.Equal(b1, b2) || t1 != t2 || n1 != n2 || d1 != d2 || d1 != int64(len(hdr)+len(data)) {
+		t.Fatalf("gather write differs: bytes %q vs %q, done %v vs %v, dmas %d vs %d, d2h %d vs %d", b1, b2, t1, t2, n1, n2, d1, d2)
+	}
+}

@@ -101,17 +101,17 @@ func TestBoundedBucketBoundaries(t *testing.T) {
 	// The first 2^histSubBits buckets are exact single values; past them,
 	// each octave splits into 2^histSubBits linear sub-buckets.
 	cases := []struct {
-		v    int64
-		idx  int
-		le   int64 // inclusive upper bound of that bucket
+		v   int64
+		idx int
+		le  int64 // inclusive upper bound of that bucket
 	}{
 		{0, 0, 0}, {1, 1, 1}, {7, 7, 7}, // exact range
-		{8, 8, 8}, {15, 15, 15},         // msb=3: still exact (width 1)
-		{16, 16, 17}, {17, 16, 17},      // msb=4: width-2 buckets
+		{8, 8, 8}, {15, 15, 15}, // msb=3: still exact (width 1)
+		{16, 16, 17}, {17, 16, 17}, // msb=4: width-2 buckets
 		{18, 17, 19}, {31, 23, 31},
 		{32, 24, 35}, {35, 24, 35}, {36, 25, 39}, // msb=5: width 4
-		{1 << 42, (histMaxMSB-histSubBits+1) * histSubBuckets, 0}, // last octave
-		{1 << 50, histNumBuckets - 1, 0},                          // clamps
+		{1 << 42, (histMaxMSB - histSubBits + 1) * histSubBuckets, 0}, // last octave
+		{1 << 50, histNumBuckets - 1, 0},                              // clamps
 		{1 << 62, histNumBuckets - 1, 0},
 	}
 	for _, c := range cases {

@@ -70,7 +70,11 @@ type Record struct {
 	Ino  uint64
 	LPN  uint64 // page number (RecPage)
 	Gen  uint64 // inode generation the record was journaled under
-	Data []byte // page payload (RecPage); nil for RecGen
+	// Data is the page payload (RecPage); nil for RecGen. Commit reads it
+	// until it returns (a follower's records are framed by its group leader)
+	// and does not retain it: the caller may then recycle the buffer. Records
+	// handed out by Recover own their Data.
+	Data []byte
 }
 
 // ErrFull means the append region cannot hold the group: the caller must
@@ -140,8 +144,11 @@ type Log struct {
 	// overwrite acknowledged records.
 	needsScan bool
 
-	cur    *group
-	wlock  *sim.Resource // serializes group writes in commit order
+	cur   *group
+	wlock *sim.Resource // serializes group writes in commit order
+	// frame is writeGroup's framing buffer, reused across groups: group
+	// writes are serialized by wlock and the device copies what it stores.
+	frame  []byte
 	faults *fault.Injector
 
 	// obs mirrors; nil no-op sinks unless AttachObs ran. The wal.* metric
@@ -295,7 +302,10 @@ func (l *Log) writeGroup(p *sim.Proc, g *group) error {
 	if l.head+int64(g.bytes) > l.dataSize() {
 		return ErrFull
 	}
-	buf := make([]byte, 0, g.bytes)
+	if cap(l.frame) < g.bytes {
+		l.frame = make([]byte, 0, g.bytes)
+	}
+	buf := l.frame[:0]
 	for i := range g.recs {
 		buf = appendRecord(buf, l.epoch, &g.recs[i])
 	}
@@ -346,10 +356,7 @@ func appendRecord(dst []byte, epoch uint32, r *Record) []byte {
 	le.PutUint64(h[16:], r.Ino)
 	le.PutUint64(h[24:], r.LPN)
 	le.PutUint64(h[32:], r.Gen)
-	crc := crc32.NewIEEE()
-	crc.Write(h[4:])
-	crc.Write(r.Data)
-	le.PutUint32(h[0:], crc.Sum32())
+	le.PutUint32(h[0:], crc32.Update(crc32.ChecksumIEEE(h[4:]), crc32.IEEETable, r.Data))
 	dst = append(dst, h[:]...)
 	return append(dst, r.Data...)
 }

@@ -10,13 +10,17 @@ build:
 # convention (see cmd/dpclint); fails on any file gofmt would rewrite; and
 # keeps the allocate-and-copy reads (Link.DMARead, Region.Read) out of the
 # cache and nvme-fs data paths, which borrow a view or fill a pooled buffer
-# instead (DESIGN.md "Buffer ownership on the PCIe path").
+# instead, and the allocate-a-result reads (KVFS.Read, DFS.Read, a by-copy
+# cl.Get of a block key) out of dispatch and the KVFS block path, which read
+# into the caller's buffer (DESIGN.md "Buffer ownership on the PCIe path").
 vet:
 	$(GO) vet ./...
 	$(GO) run ./cmd/dpclint ./...
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt -l:"; echo "$$out"; exit 1; fi
 	@out=$$(grep -nE '\.DMARead\(|(Mem|hm)\.Read\(' $$(ls internal/cache/*.go internal/nvmefs/*.go | grep -v _test.go)); \
 		if [ -n "$$out" ]; then echo "allocate-and-copy read on a data path:"; echo "$$out"; exit 1; fi
+	@out=$$(grep -nE '(KVFS|DFS)\.Read\(|cl\.Get\([a-z]+, BigKey' $$(ls internal/dispatch/*.go | grep -v _test.go) internal/kvfs/io.go); \
+		if [ -n "$$out" ]; then echo "allocate-a-result read on the backend read path:"; echo "$$out"; exit 1; fi
 
 test:
 	$(GO) test ./...
@@ -26,9 +30,10 @@ test:
 # engine itself (processes run on iter.Pull coroutines, which the detector
 # follows), the WAL and KVFS on top of it, the link, memory and buffer-pool
 # layers whose views and pooled buffers the data paths now share, localfs,
-# and the root package's integration tests.
+# the KV store, SSD, dispatcher and fabric under the backend read path, and
+# the root package's integration tests.
 race:
-	$(GO) test -race . ./internal/sim/... ./internal/wal/... ./internal/kvfs/... ./internal/obs/... ./internal/cache/... ./internal/fault/... ./internal/nvmefs/... ./internal/pcie/... ./internal/mem/... ./internal/bufpool/... ./internal/localfs/...
+	$(GO) test -race . ./internal/sim/... ./internal/wal/... ./internal/kvfs/... ./internal/obs/... ./internal/cache/... ./internal/fault/... ./internal/nvmefs/... ./internal/pcie/... ./internal/mem/... ./internal/bufpool/... ./internal/localfs/... ./internal/kv/... ./internal/ssd/... ./internal/dispatch/... ./internal/fabric/...
 
 # Short fixed-seed differential torture: every stack, 8 seeds, 2000 ops
 # each, replayed against the in-memory oracle (see internal/check).
@@ -84,10 +89,12 @@ bench-compare:
 # Allocs-per-op gate: the steady-state client data paths (buffered RMW
 # write, cached ReadInto), the telemetry flight-recorder ring, and the DPU
 # side of the PCIe read path (clean-table flush scan, single-entry meta read)
-# must stay at zero heap allocations per op; an 8 KiB write+read through the
-# TGT stays at its fixed per-command bookkeeping.
+# must stay at zero heap allocations per op, as must the engine's park/wake
+# paths, a same-length KV Put and GetInto, and a tracked SSD overwrite with
+# its barrier; an 8 KiB write+read through the TGT, through KVFS and through
+# the whole stack stays at its fixed per-command bookkeeping.
 allocs:
-	$(GO) test -count=1 -run 'ZeroScratchAllocs|ZeroAllocs' .
-	$(GO) test -count=1 -run 'ZeroAllocs' ./internal/telemetry ./internal/cache ./internal/nvmefs
+	$(GO) test -count=1 -run 'ZeroScratchAllocs|ZeroAllocs|PairBytes' .
+	$(GO) test -count=1 -run 'ZeroAllocs' ./internal/telemetry ./internal/cache ./internal/nvmefs ./internal/kv ./internal/kvfs ./internal/ssd ./internal/sim
 
 check: vet test race allocs torture check-faults check-crash bench-compare

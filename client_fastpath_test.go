@@ -3,6 +3,7 @@ package dpc
 import (
 	"bytes"
 	"errors"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -91,6 +92,55 @@ func TestBufferedReadIntoZeroAllocs(t *testing.T) {
 		}
 		if !bytes.Equal(dst, data[1000:7000]) {
 			t.Errorf("ReadInto data mismatch")
+		}
+	})
+	sys.Run()
+	sys.Shutdown()
+}
+
+// TestKVFSDirect8KPairBytes: one 8 KiB direct write plus one 8 KiB direct
+// read through the whole stack (client, nvme-fs, dispatch, KVFS, KV shard)
+// allocates under 4 KiB in steady state: no payload-sized buffer is left
+// anywhere — the write overwrites the store's block in place and the read
+// fills the transport's response buffer from the shard.
+func TestKVFSDirect8KPairBytes(t *testing.T) {
+	sys := kvfsSystem(t, 1024)
+	cl := sys.KVFSClient()
+	sys.Go(func(p *sim.Proc) {
+		sys.StopDaemons()
+		f, err := cl.Create(p, 0, "/pair")
+		if err != nil {
+			t.Errorf("Create: %v", err)
+			return
+		}
+		data, dst := bytes.Repeat([]byte{0xC3}, 4*8192), make([]byte, 8192)
+		if err := f.Write(p, 0, 0, data, true); err != nil {
+			t.Errorf("setup write: %v", err)
+			return
+		}
+		pair := func() {
+			if err := f.Write(p, 0, 8192, data[:8192], true); err != nil {
+				t.Errorf("write: %v", err)
+			}
+			if n, err := f.ReadInto(p, 0, 8192, dst, true); err != nil || n != 8192 {
+				t.Errorf("ReadInto = %d, %v", n, err)
+			}
+		}
+		for i := 0; i < 8; i++ {
+			pair()
+		}
+		const pairs = 100
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < pairs; i++ {
+			pair()
+		}
+		runtime.ReadMemStats(&after)
+		if b := (after.TotalAlloc - before.TotalAlloc) / pairs; b >= 4096 {
+			t.Errorf("8K direct write+read: %d bytes allocated per pair, want < 4096", b)
+		}
+		if !bytes.Equal(dst, data[:8192]) {
+			t.Error("read-back mismatch")
 		}
 	})
 	sys.Run()

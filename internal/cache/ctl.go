@@ -35,7 +35,8 @@ type Backend interface {
 // the whole window.
 type RangeBackend interface {
 	// ReadPageRange returns up to n pages starting at lpn; short or nil
-	// results mean EOF.
+	// results mean EOF. The ctl DMA-writes each page into the cache and
+	// retains none, so the pages may be sub-slices of one read buffer.
 	ReadPageRange(p *sim.Proc, ino, lpn uint64, n, pageSize int) [][]byte
 }
 
@@ -258,13 +259,18 @@ func NewCtl(m *model.Machine, l Layout, backend Backend, cfg CtlConfig) *Ctl {
 	return c
 }
 
-// readBucket DMA-reads one bucket's meta chunk (a single DMA).
-func (c *Ctl) readBucket(p *sim.Proc, bucket int) []Entry {
+// bucketBuf is the stack scratch readBucket's callers decode into; a bucket
+// with more entries than it holds spills to the heap.
+type bucketBuf [32]Entry
+
+// readBucket DMA-reads one bucket's meta chunk (a single DMA) and decodes
+// it into buf[:0].
+func (c *Ctl) readBucket(p *sim.Proc, bucket int, buf *bucketBuf) []Entry {
 	lo, hi := c.L.BucketEntries(bucket)
 	raw := c.m.PCIe.DMAReadView(p, c.m.HostMem, c.L.EntryAddr(lo), (hi-lo)*EntrySize, "cache-meta")
-	out := make([]Entry, hi-lo)
-	for i := range out {
-		out[i] = DecodeEntry(raw[i*EntrySize : (i+1)*EntrySize])
+	out := buf[:0]
+	for i := 0; i < hi-lo; i++ {
+		out = append(out, DecodeEntry(raw[i*EntrySize:(i+1)*EntrySize]))
 	}
 	return out
 }
@@ -728,7 +734,8 @@ func (c *Ctl) fillPage(p *sim.Proc, ino, lpn uint64, data []byte) int {
 	c.m.DPUExec(p, c.m.Cfg.Costs.DPUCacheCtl)
 	bucket := c.L.BucketOf(ino, lpn)
 	lo, _ := c.L.BucketEntries(bucket)
-	entries := c.readBucket(p, bucket)
+	var buf bucketBuf
+	entries := c.readBucket(p, bucket, &buf)
 
 	// Already present (including another fill's pending claim)? Leave it
 	// alone. The host-side copy is never staler than the backend — direct
@@ -779,7 +786,7 @@ func (c *Ctl) fillPage(p *sim.Proc, ino, lpn uint64, data []byte) int {
 	// Re-check under the claim: the host may have inserted this page (or a
 	// concurrent fill claimed it) between the presence scan above and our
 	// claim landing. If so, retract — the other copy is the live one.
-	for k, e := range c.readBucket(p, bucket) {
+	for k, e := range c.readBucket(p, bucket, &buf) {
 		if lo+k != target && e.Status != StatusFree && e.Ino == ino && e.LPN == lpn {
 			c.m.PCIe.AtomicFetchAdd32(p, c.m.HostMem, c.L.Base+12, 1, "cache-free-inc")
 			c.setStatus(p, target, StatusFree)
@@ -853,14 +860,15 @@ func (c *Ctl) reclaimBucket(p *sim.Proc, ino, lpn uint64, want int) int {
 	bucket := c.L.BucketOf(ino, lpn)
 	lo, _ := c.L.BucketEntries(bucket)
 	freed := 0
-	entries := c.readBucket(p, bucket)
+	var buf bucketBuf
+	entries := c.readBucket(p, bucket, &buf)
 	// First pass: evict clean pages.
 	for freed < want {
 		if i := c.evictClean(p, bucket, entries); i < 0 {
 			break
 		}
 		freed++
-		entries = c.readBucket(p, bucket)
+		entries = c.readBucket(p, bucket, &buf)
 	}
 	// Second pass: flush dirty pages, then free them.
 	for k, e := range entries {
@@ -1033,7 +1041,8 @@ func (c *Ctl) fillFaulted() bool {
 // present reports whether <ino, lpn> is resident in the host cache, by one
 // bucket-sized meta DMA read.
 func (c *Ctl) present(p *sim.Proc, ino, lpn uint64) bool {
-	for _, e := range c.readBucket(p, c.L.BucketOf(ino, lpn)) {
+	var buf bucketBuf
+	for _, e := range c.readBucket(p, c.L.BucketOf(ino, lpn), &buf) {
 		if e.Status != StatusFree && e.Ino == ino && e.LPN == lpn {
 			return true
 		}

@@ -288,9 +288,20 @@ func (c *Core) SizeOf(ino uint64) (uint64, bool) {
 	return size, ok
 }
 
-// Read fetches the data shards directly from the data servers and
-// reassembles them (reconstructing from parity if a server is down).
+// Read returns up to n bytes at off in a fresh buffer.
 func (c *Core) Read(p *sim.Proc, ino uint64, off uint64, n int) ([]byte, error) {
+	out := make([]byte, n)
+	got, err := c.ReadInto(p, ino, off, out)
+	if err != nil || got == 0 {
+		return nil, err
+	}
+	return out[:got], nil
+}
+
+// ReadInto fetches the data shards directly from the data servers and
+// reassembles them in dst (reconstructing from parity if a server is down);
+// it returns how many bytes it read, fewer than len(dst) only at EOF.
+func (c *Core) ReadInto(p *sim.Proc, ino uint64, off uint64, dst []byte) (int, error) {
 	s := c.Obs.Begin(p, "dfs.read")
 	defer s.End(p)
 	c.cpu.Exec(p, c.costs.PerOpCycles)
@@ -298,17 +309,17 @@ func (c *Core) Read(p *sim.Proc, ino uint64, off uint64, n int) ([]byte, error) 
 	c.oOps.Inc()
 	if size, ok := c.sizes[ino]; ok {
 		if off >= size {
-			return nil, nil
+			return 0, nil
 		}
-		if max := size - off; uint64(n) > max {
-			n = int(max)
+		if max := size - off; uint64(len(dst)) > max {
+			dst = dst[:max]
 		}
 	}
-	data, errs := c.b.readBlocksFrom(p, c.node, ino, off, n)
+	got, errs := c.b.readBlocksInto(p, c.node, ino, off, dst)
 	if errs != "" {
-		return nil, fmt.Errorf("%w: %s", ErrRemote, errs)
+		return 0, fmt.Errorf("%w: %s", ErrRemote, errs)
 	}
-	return data, nil
+	return got, nil
 }
 
 // lazyServe drains the one-way lazy metadata updates on every MDS. Started

@@ -127,11 +127,12 @@ func (b *Backend) mdsHandle(p *sim.Proc, m *mdsNode, req mdsReq) mdsResp {
 		if max := a.Size - req.Off; uint64(n) > max {
 			n = int(max)
 		}
-		data, err := b.readBlocksFrom(p, m.node, req.Ino, req.Off, n)
+		data := make([]byte, n)
+		got, err := b.readBlocksInto(p, m.node, req.Ino, req.Off, data)
 		if err != "" {
 			return mdsResp{Err: err}
 		}
-		return mdsResp{Data: data}
+		return mdsResp{Data: data[:got]}
 	}
 	return mdsResp{Err: "bad op"}
 }
@@ -269,14 +270,14 @@ func (b *Backend) writeBlocksFrom(p *sim.Proc, from *fabric.Node, ino, off uint6
 	return ""
 }
 
-// readBlocksFrom reads n bytes at off, fetching data shards in parallel
-// (batched per data server) and reconstructing from parity when a data
-// server is down.
-func (b *Backend) readBlocksFrom(p *sim.Proc, from *fabric.Node, ino, off uint64, n int) ([]byte, string) {
+// readBlocksInto reads len(dst) bytes at off into dst and returns how many
+// it joined, fetching data shards in parallel (batched per data server) and
+// reconstructing from parity when a data server is down.
+func (b *Backend) readBlocksInto(p *sim.Proc, from *fabric.Node, ino, off uint64, dst []byte) (int, string) {
 	if off%BlockSize != 0 {
-		return nil, "unaligned read"
+		return 0, "unaligned read"
 	}
-	nBlocks := (n + BlockSize - 1) / BlockSize
+	nBlocks := (len(dst) + BlockSize - 1) / BlockSize
 	// Request the data shards of every block, grouped by data server (a
 	// slice, not a map: see writeBlocksFrom).
 	perDS := make([][]dsShard, len(b.ds))
@@ -308,7 +309,7 @@ func (b *Backend) readBlocksFrom(p *sim.Proc, from *fabric.Node, ino, off uint64
 		}
 	}
 
-	out := make([]byte, 0, nBlocks*BlockSize)
+	out := dst[:0]
 	for bi := 0; bi < nBlocks; bi++ {
 		blk := off/BlockSize + uint64(bi)
 		shards := make([][]byte, b.cfg.ECData+b.cfg.ECParity)
@@ -330,13 +331,10 @@ func (b *Backend) readBlocksFrom(p *sim.Proc, from *fabric.Node, ino, off uint64
 				}
 			}
 			if err := b.coder.Reconstruct(shards); err != nil {
-				return nil, "reconstruct: " + err.Error()
+				return 0, "reconstruct: " + err.Error()
 			}
 		}
-		out = append(out, b.coder.Join(shards[:b.cfg.ECData], BlockSize)...)
+		out = b.coder.AppendJoin(out, shards[:b.cfg.ECData], min(BlockSize, len(dst)-len(out)))
 	}
-	if len(out) > n {
-		out = out[:n]
-	}
-	return out, ""
+	return len(out), ""
 }

@@ -55,11 +55,13 @@ func (s *Service) dpuCachePut(ino, lpn uint64, data []byte) {
 	s.DPUCache[key] = append([]byte(nil), data...)
 }
 
-func (s *Service) backendRead(p *sim.Proc, ino, off uint64, n int) ([]byte, error) {
+// backendRead reads up to len(dst) bytes at off into dst, the one read path
+// of both backends, and returns how many it read.
+func (s *Service) backendRead(p *sim.Proc, ino, off uint64, dst []byte) (int, error) {
 	if s.KVFS != nil {
-		return s.KVFS.Read(p, ino, off, n)
+		return s.KVFS.ReadInto(p, ino, off, dst)
 	}
-	return s.DFS.Read(p, ino, off, n)
+	return s.DFS.ReadInto(p, ino, off, dst)
 }
 
 func (s *Service) backendWrite(p *sim.Proc, ino, off uint64, data []byte) error {
@@ -174,7 +176,7 @@ func (d *Dispatcher) handle(p *sim.Proc, req nvmefs.Request) nvmefs.Response {
 
 	switch req.SQE.FileOp {
 	case nvme.FileOpRead:
-		return d.handleRead(p, svc, hdr)
+		return d.handleRead(p, svc, hdr, req)
 	case nvme.FileOpWrite:
 		return d.handleWrite(p, svc, hdr, req.Data)
 	case nvme.FileOpCacheEvict:
@@ -218,26 +220,27 @@ func (d *Dispatcher) handle(p *sim.Proc, req nvmefs.Request) nvmefs.Response {
 
 // handleRead serves a read miss. With FlagFillCache the page is installed
 // into the host cache and only its entry index travels back (Result =
-// idx+1); otherwise the data is returned in the read buffer.
-func (d *Dispatcher) handleRead(p *sim.Proc, svc *Service, hdr ReqHeader) nvmefs.Response {
+// idx+1); otherwise the data is returned in the read buffer. Every branch
+// reads the backend into the transport's response buffer (req.ReadBuf).
+func (d *Dispatcher) handleRead(p *sim.Proc, svc *Service, hdr ReqHeader, req nvmefs.Request) nvmefs.Response {
 	if svc.Ctl != nil && hdr.Flags&FlagFillCache != 0 {
 		ps := svc.Ctl.L.PageSize
 		lpn := hdr.Off / uint64(ps)
-		if svc.Ctl.Degraded() {
-			// Degraded cache: serve the read but bypass the fill — no new
-			// pages enter a cache whose write-back is failing.
-			page, ok := readPage(p, svc, hdr.Ino, lpn, ps)
-			if !ok {
-				return nvmefs.Response{Status: nvme.StatusNotFound}
-			}
-			return nvmefs.Response{Status: nvme.StatusOK, Header: []byte{0}, Data: page}
+		page := req.ReadBuf(ps)
+		if len(page) < ps {
+			return nvmefs.Response{Status: nvme.StatusInvalid} // no room reserved for the page
 		}
-		if hdr.Flags&FlagNoPrefetch == 0 {
+		// Degraded cache: serve the read but bypass the fill — no new pages
+		// enter a cache whose write-back is failing.
+		degraded := svc.Ctl.Degraded()
+		if !degraded && hdr.Flags&FlagNoPrefetch == 0 {
 			svc.Ctl.NotifyRead(p, hdr.Ino, lpn)
 		}
-		page, ok := readPage(p, svc, hdr.Ino, lpn, ps)
-		if !ok {
+		if !readPage(p, svc, hdr.Ino, lpn, page) {
 			return nvmefs.Response{Status: nvme.StatusNotFound}
+		}
+		if degraded {
+			return nvmefs.Response{Status: nvme.StatusOK, Header: []byte{0}, Data: page}
 		}
 		if idx := svc.Ctl.FillPage(p, hdr.Ino, lpn, page); idx >= 0 {
 			d.CacheFills.Inc()
@@ -258,10 +261,12 @@ func (d *Dispatcher) handleRead(p *sim.Proc, svc *Service, hdr ReqHeader) nvmefs
 			return nvmefs.Response{Status: nvme.StatusOK, Header: []byte{0}, Data: data}
 		}
 	}
-	data, err := svc.backendRead(p, hdr.Ino, hdr.Off, int(hdr.Len))
+	data := req.ReadBuf(int(hdr.Len))
+	n, err := svc.backendRead(p, hdr.Ino, hdr.Off, data)
 	if err != nil {
 		return errResponse(err)
 	}
+	data = data[:n]
 	if svc.DPUCache != nil && hdr.Len > 0 && len(data) == int(hdr.Len) {
 		svc.dpuCachePut(hdr.Ino, hdr.Off/uint64(hdr.Len), data)
 	}
@@ -282,16 +287,15 @@ func ParseFillHeader(h []byte) (filled bool, idx int) {
 	return false, 0
 }
 
-// readPage reads one full page from the backend, zero-padded at EOF.
-func readPage(p *sim.Proc, svc *Service, ino, lpn uint64, pageSize int) ([]byte, bool) {
-	data, err := svc.backendRead(p, ino, lpn*uint64(pageSize), pageSize)
-	if err != nil || data == nil {
-		return nil, false
+// readPage fills page with one full page from the backend, zero-padded at
+// EOF; false when there is nothing at lpn.
+func readPage(p *sim.Proc, svc *Service, ino, lpn uint64, page []byte) bool {
+	n, err := svc.backendRead(p, ino, lpn*uint64(len(page)), page)
+	if err != nil || n == 0 {
+		return false
 	}
-	if len(data) < pageSize {
-		data = append(data, make([]byte, pageSize-len(data))...)
-	}
-	return data, true
+	clear(page[n:])
+	return true
 }
 
 func (d *Dispatcher) handleWrite(p *sim.Proc, svc *Service, hdr ReqHeader, data []byte) nvmefs.Response {

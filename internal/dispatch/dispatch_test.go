@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"dpc/internal/bufpool"
 	"dpc/internal/dfs"
 	"dpc/internal/kv"
 	"dpc/internal/kvfs"
@@ -309,6 +310,64 @@ func TestDispatchDFSMeta(t *testing.T) {
 		r = call(p, d, nvme.FileOpMkdir, nvme.DispatchDFS, ReqHeader{PathLen: 2}, []byte("/d"))
 		if r.Status != nvme.StatusInvalid {
 			t.Errorf("dfs mkdir = %s", nvme.StatusString(r.Status))
+		}
+	})
+	m.Eng.Run()
+	m.Eng.Shutdown()
+}
+
+// A read served into the transport's pooled response buffer returns the
+// bytes a bare Request (ReadBuf falling back to make) returns, for a full
+// block, an unaligned cross-block range and an EOF-clamped tail. With the
+// DPU-resident cache on, a hit returns the cache's own slice as Data: the
+// transport recycles only the buffer it handed out, so with poisoning on the
+// cached bytes survive any number of hits.
+func TestHandleReadTransportBuffer(t *testing.T) {
+	bufpool.SetPoison(true)
+	defer bufpool.SetPoison(false)
+	m, d, fs := newKVFSDispatcher(t)
+	drv := nvmefs.NewDriver(m, nvmefs.Config{Queues: 1, Depth: 16, SlotsPerQ: 8, MaxIO: 64 * 1024, RHCap: 64}, d.Handle)
+	const size = 3*kvfs.BlockSize + 500
+	body := make([]byte, size)
+	for i := range body {
+		body[i] = byte(i*13 + i>>8)
+	}
+	read := func(p *sim.Proc, hdr ReqHeader) []byte {
+		c := drv.Submit(p, 0, nvmefs.Submission{FileOp: nvme.FileOpRead, Dispatch: nvme.DispatchKVFS,
+			Header: hdr.Marshal(), RHLen: 1, ReadLen: int(hdr.Len)})
+		if !c.OK() {
+			t.Fatalf("read %+v: %s", hdr, nvme.StatusString(c.Status))
+		}
+		return c.Data
+	}
+	m.Eng.Go("test", func(p *sim.Proc) {
+		ino, _ := fs.Create(p, "/f")
+		if err := fs.Write(p, ino, 0, body); err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range [][2]int{{0, kvfs.BlockSize}, {5000, 9000}, {size - 300, 4096}} {
+			hdr := ReqHeader{Ino: ino, Off: uint64(r[0]), Len: uint32(r[1])}
+			want := body[r[0]:min(r[0]+r[1], size)]
+			bare := call(p, d, nvme.FileOpRead, nvme.DispatchKVFS, hdr, nil)
+			if !bytes.Equal(bare.Data, want) {
+				t.Errorf("bare request, range %v: wrong bytes", r)
+			}
+			if got := read(p, hdr); !bytes.Equal(got, want) {
+				t.Errorf("transport buffer, range %v: %d bytes, want %d, or different contents", r, len(got), len(want))
+			}
+		}
+
+		svc := d.services[nvme.DispatchKVFS]
+		svc.DPUCache = map[[2]uint64][]byte{}
+		svc.DPUCacheCap = 4
+		hdr := ReqHeader{Ino: ino, Off: 0, Len: kvfs.BlockSize}
+		for i := 0; i < 4; i++ { // a miss that fills the DPU cache, then hits
+			if got := read(p, hdr); !bytes.Equal(got, body[:kvfs.BlockSize]) {
+				t.Fatalf("DPU-cache read %d: wrong bytes (a handler-owned Data slice was recycled)", i)
+			}
+		}
+		if cached := svc.DPUCache[[2]uint64{ino, 0}]; !bytes.Equal(cached, body[:kvfs.BlockSize]) {
+			t.Error("the DPU cache's own page was overwritten")
 		}
 	})
 	m.Eng.Run()

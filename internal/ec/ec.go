@@ -74,11 +74,14 @@ func (c *Coder) Split(data []byte) [][]byte {
 // Join is the inverse of Split: it concatenates the k data shards and trims
 // to size bytes.
 func (c *Coder) Join(shards [][]byte, size int) []byte {
-	out := make([]byte, 0, size)
-	for i := 0; i < c.k && len(out) < size; i++ {
-		need := size - len(out)
+	return c.AppendJoin(make([]byte, 0, size), shards, size)
+}
+
+// AppendJoin is Join appending to out.
+func (c *Coder) AppendJoin(out []byte, shards [][]byte, size int) []byte {
+	for i, end := 0, len(out)+size; i < c.k && len(out) < end; i++ {
 		s := shards[i]
-		if len(s) > need {
+		if need := end - len(out); len(s) > need {
 			s = s[:need]
 		}
 		out = append(out, s...)

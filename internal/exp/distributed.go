@@ -39,7 +39,7 @@ type dfsClientWorld struct {
 	// it in the hybrid cache (write-back), which is where its file-create
 	// advantage comes from. Defaults to write.
 	createWrite func(p *sim.Proc, tid int, ino uint64, off uint64, data []byte) error
-	read        func(p *sim.Proc, tid int, ino uint64, off uint64, n int) ([]byte, error)
+	read        func(p *sim.Proc, tid int, ino uint64, off uint64, n int) error // the bytes are discarded
 	lookup      func(p *sim.Proc, tid int, path string) (uint64, error)
 	stop        func()
 }
@@ -93,8 +93,9 @@ func newStdWorld() *dfsClientWorld {
 		write: func(p *sim.Proc, tid int, ino uint64, off uint64, data []byte) error {
 			return cl.Write(p, ino, off, data)
 		},
-		read: func(p *sim.Proc, tid int, ino uint64, off uint64, n int) ([]byte, error) {
-			return cl.Read(p, ino, off, n)
+		read: func(p *sim.Proc, tid int, ino uint64, off uint64, n int) error {
+			_, err := cl.Read(p, ino, off, n)
+			return err
 		},
 		lookup: func(p *sim.Proc, tid int, path string) (uint64, error) {
 			ino, _, err := cl.Lookup(p, path)
@@ -120,8 +121,9 @@ func newOptWorld() *dfsClientWorld {
 		write: func(p *sim.Proc, tid int, ino uint64, off uint64, data []byte) error {
 			return cl.Write(p, ino, off, data)
 		},
-		read: func(p *sim.Proc, tid int, ino uint64, off uint64, n int) ([]byte, error) {
-			return cl.Read(p, ino, off, n)
+		read: func(p *sim.Proc, tid int, ino uint64, off uint64, n int) error {
+			_, err := cl.Read(p, ino, off, n)
+			return err
 		},
 		lookup: func(p *sim.Proc, tid int, path string) (uint64, error) {
 			ino, _, err := cl.Lookup(p, path)
@@ -149,6 +151,7 @@ func newDPCWorld(cachePages int) *dfsClientWorld {
 	sys := dpcroot.New(opts)
 	cl := sys.DFSClient()
 	files := map[uint64]*dpcroot.File{}
+	bufs := readBufs{}
 	fileOf := func(ino uint64) *dpcroot.File {
 		f, ok := files[ino]
 		if !ok {
@@ -179,8 +182,9 @@ func newDPCWorld(cachePages int) *dfsClientWorld {
 			// the DPU flushes them asynchronously.
 			return fileOf(ino).Write(p, tid, off, data, false)
 		},
-		read: func(p *sim.Proc, tid int, ino uint64, off uint64, n int) ([]byte, error) {
-			return fileOf(ino).Read(p, tid, off, n, true)
+		read: func(p *sim.Proc, tid int, ino uint64, off uint64, n int) error {
+			_, err := fileOf(ino).ReadInto(p, tid, off, bufs.get(tid, n), true)
+			return err
 		},
 		lookup: func(p *sim.Proc, tid int, path string) (uint64, error) {
 			f, err := cl.Open(p, tid, path)
@@ -231,8 +235,7 @@ func Fig9Data(s Scale) []Fig9Point {
 		// 8K random read / write on big files.
 		measure("8K rnd rd", iopsThreads, workload.RandomGen(dfsIOSize, dfsFileSize, 100),
 			func(p *sim.Proc, tid int, a workload.Access) error {
-				_, err := w.read(p, tid, w.bigIno[tid%len(w.bigIno)], a.Off, a.Size)
-				return err
+				return w.read(p, tid, w.bigIno[tid%len(w.bigIno)], a.Off, a.Size)
 			}, false)
 		measure("8K rnd wr", iopsThreads, workload.RandomGen(dfsIOSize, dfsFileSize, 0),
 			func(p *sim.Proc, tid int, a workload.Access) error {
@@ -247,8 +250,7 @@ func Fig9Data(s Scale) []Fig9Point {
 				if err != nil {
 					return err
 				}
-				_, err = w.read(p, tid, ino, 0, dfsIOSize)
-				return err
+				return w.read(p, tid, ino, 0, dfsIOSize)
 			}, false)
 
 		// 8K file creation write.
@@ -267,8 +269,7 @@ func Fig9Data(s Scale) []Fig9Point {
 		// Sequential bandwidth.
 		measure("1MB seq rd", dfsBWThreads, workload.SequentialGen(1<<20, dfsFileSize, workload.Read),
 			func(p *sim.Proc, tid int, a workload.Access) error {
-				_, err := w.read(p, tid, w.bigIno[tid%len(w.bigIno)], a.Off, a.Size)
-				return err
+				return w.read(p, tid, w.bigIno[tid%len(w.bigIno)], a.Off, a.Size)
 			}, true)
 		measure("1MB seq wr", dfsBWThreads, workload.SequentialGen(1<<20, dfsFileSize, workload.Write),
 			func(p *sim.Proc, tid int, a workload.Access) error {
@@ -343,8 +344,7 @@ func Fig1Data(s Scale) []Fig9Point {
 					if a.Kind == workload.Write {
 						return w.write(p, tid, ino, a.Off, make([]byte, a.Size))
 					}
-					_, err := w.read(p, tid, ino, a.Off, a.Size)
-					return err
+					return w.read(p, tid, ino, a.Off, a.Size)
 				})
 			out = append(out, Fig9Point{
 				Client: w.name, Case: kase.name, Value: res.IOPS(), Unit: "IOPS",

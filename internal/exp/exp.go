@@ -39,6 +39,17 @@ func (s Scale) threadSweep() []int {
 	return []int{1, 8, 32, 128}
 }
 
+// readBufs hands each worker proc (tid) of a figure driver one read buffer,
+// grown to its largest read: the drivers discard what they read.
+type readBufs map[int][]byte
+
+func (b readBufs) get(tid, n int) []byte {
+	if cap(b[tid]) < n {
+		b[tid] = make([]byte, n)
+	}
+	return b[tid][:n]
+}
+
 // Table is one printable result table.
 type Table struct {
 	Title  string

@@ -129,6 +129,7 @@ func profiledCachedMix(o *obs.Obs) sim.Time {
 	cl := sys.KVFSClient()
 	payload := make([]byte, 256*1024)
 	rand.New(rand.NewSource(42)).Read(payload)
+	dst := make([]byte, len(payload))
 	sys.Go(func(p *sim.Proc) {
 		f, err := cl.Create(p, 0, "/bench.dat")
 		if err != nil {
@@ -140,7 +141,7 @@ func profiledCachedMix(o *obs.Obs) sim.Time {
 			return
 		}
 		for pass := 0; pass < 2; pass++ {
-			if _, err := f.Read(p, 0, 0, len(payload), false); err != nil {
+			if _, err := f.ReadInto(p, 0, 0, dst, false); err != nil {
 				fmt.Fprintln(os.Stderr, "profile mix read:", err)
 				return
 			}
@@ -157,7 +158,7 @@ func profiledCachedMix(o *obs.Obs) sim.Time {
 			fmt.Fprintln(os.Stderr, "profile mix direct write:", err)
 			return
 		}
-		if _, err := f2.Read(p, 0, 0, len(payload), false); err != nil {
+		if _, err := f2.ReadInto(p, 0, 0, dst, false); err != nil {
 			fmt.Fprintln(os.Stderr, "profile mix cold read:", err)
 		}
 	})

@@ -167,10 +167,11 @@ func RunRamp(slos []string, interval time.Duration) (*RampRun, error) {
 				return
 			}
 			page := uint64(w) // deterministic stride, decorrelated by worker
+			buf := make([]byte, rampOpSize)
 			for p.Now() < rampEnd {
 				off := (page % rampFilePages) * rampOpSize
 				page += 3
-				if _, err := f.Read(p, qid, off, rampOpSize, true); err != nil {
+				if _, err := f.ReadInto(p, qid, off, buf, true); err != nil {
 					fmt.Fprintln(os.Stderr, "ramp read:", err)
 					return
 				}

@@ -71,6 +71,7 @@ func newNvmeStack(queues, depth, slotsPerQ, maxIO int) *rawStack {
 	d := nvmefs.NewDriver(m, nvmefs.Config{
 		Queues: queues, Depth: depth, SlotsPerQ: slotsPerQ, MaxIO: maxIO, RHCap: 64,
 	}, handler)
+	bufs := readBufs{}
 	hdr := func(tid int, off uint64, n int) []byte {
 		h := make([]byte, 20)
 		binary.LittleEndian.PutUint64(h, uint64(tid))
@@ -93,6 +94,7 @@ func newNvmeStack(queues, depth, slotsPerQ, maxIO int) *rawStack {
 		rd: func(p *sim.Proc, tid int, off uint64, n int) ([]byte, error) {
 			c := d.Submit(p, tid, nvmefs.Submission{
 				FileOp: nvme.FileOpRead, Header: hdr(tid, off, n), RHLen: 1, ReadLen: n,
+				ReadInto: bufs.get(tid, n),
 			})
 			if !c.OK() {
 				return nil, fmt.Errorf("read status %s", nvme.StatusString(c.Status))

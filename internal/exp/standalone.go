@@ -109,12 +109,13 @@ func newKVFSWorldPrefetch(cachePages, prefetchDepth int, adaptive bool) *kvfsWor
 }
 
 func (w *kvfsWorld) do(direct bool) workload.Do {
+	bufs := readBufs{}
 	return func(p *sim.Proc, tid int, a workload.Access) error {
 		f := w.files[tid%len(w.files)]
 		if a.Kind == workload.Write {
 			return f.Write(p, tid, a.Off, make([]byte, a.Size), direct)
 		}
-		_, err := f.Read(p, tid, a.Off, a.Size, direct)
+		_, err := f.ReadInto(p, tid, a.Off, bufs.get(tid, a.Size), direct)
 		return err
 	}
 }

@@ -2,7 +2,6 @@ package kv
 
 import (
 	"fmt"
-	"hash/fnv"
 	"time"
 
 	"dpc/internal/cpu"
@@ -24,6 +23,7 @@ const (
 	OpPut
 	OpDelete
 	OpScan
+	OpGetInto
 )
 
 // Request is a KV RPC request.
@@ -32,12 +32,18 @@ type Request struct {
 	Key   string
 	Val   []byte
 	Limit int
+	// Into is the caller-owned destination of an OpGetInto, Off the value
+	// offset it starts at. The shard fills it at the instant of the lookup —
+	// the bytes an OpGet reply would carry; a failed shard leaves it alone.
+	Into []byte
+	Off  int
 }
 
 // Reply is a KV RPC reply.
 type Reply struct {
 	Found bool
 	Val   []byte
+	Len   int // OpGetInto: the stored value's full length
 	KVs   []KV
 	// Down reports that the shard is failed and served nothing.
 	Down bool
@@ -90,6 +96,10 @@ type Cluster struct {
 	eng    *sim.Engine
 	cfg    ClusterConfig
 	shards []*shard
+	// ring is 0..Shards-1 followed by its own first Replicas-1 entries: a
+	// key's replica set is a window of it starting at the primary.
+	ring     []int
+	replicas int // cfg.Replicas clamped to [1, Shards]
 
 	Ops stats.Counter
 }
@@ -100,7 +110,10 @@ func NewCluster(eng *sim.Engine, net *fabric.Network, cfg ClusterConfig) *Cluste
 	if cfg.Shards < 1 || cfg.WorkersPerShard < 1 {
 		panic(fmt.Sprintf("kv: bad config %+v", cfg))
 	}
-	c := &Cluster{eng: eng, cfg: cfg}
+	c := &Cluster{eng: eng, cfg: cfg, replicas: min(max(cfg.Replicas, 1), cfg.Shards)}
+	for i := 0; i < cfg.Shards+c.replicas-1; i++ {
+		c.ring = append(c.ring, i%cfg.Shards)
+	}
 	for i := 0; i < cfg.Shards; i++ {
 		sh := &shard{
 			node:  net.NewNode(fmt.Sprintf("kv-shard-%d", i)),
@@ -122,13 +135,13 @@ func (c *Cluster) Shards() int { return c.cfg.Shards }
 
 // ShardFor returns the shard index owning key.
 func (c *Cluster) ShardFor(key string) int {
-	h := fnv.New64a()
-	n := len(key)
-	if n > RoutePrefixLen {
-		n = RoutePrefixLen
+	// FNV-1a over the route prefix, inline: hash/fnv costs a hasher and a
+	// byte-slice copy of the prefix per call.
+	h := uint64(14695981039346656037)
+	for i := 0; i < len(key) && i < RoutePrefixLen; i++ {
+		h = (h ^ uint64(key[i])) * 1099511628211
 	}
-	h.Write([]byte(key[:n]))
-	return int(h.Sum64() % uint64(len(c.shards)))
+	return int(h % uint64(len(c.shards)))
 }
 
 // StoreOf exposes a shard's raw store for test setup and verification.
@@ -138,21 +151,11 @@ func (c *Cluster) StoreOf(i int) *Store { return c.shards[i].store }
 // Down=true until revived (failure-injection for availability tests).
 func (c *Cluster) SetShardDown(i int, down bool) { c.shards[i].down = down }
 
-// ReplicaShards returns the shard indices holding key, primary first.
+// ReplicaShards returns the shard indices holding key, primary first. The
+// result is shared and must not be modified.
 func (c *Cluster) ReplicaShards(key string) []int {
-	n := c.cfg.Replicas
-	if n < 1 {
-		n = 1
-	}
-	if n > len(c.shards) {
-		n = len(c.shards)
-	}
 	primary := c.ShardFor(key)
-	out := make([]int, n)
-	for i := range out {
-		out[i] = (primary + i) % len(c.shards)
-	}
-	return out
+	return c.ring[primary : primary+c.replicas]
 }
 
 // NodeOf exposes a shard's fabric node.
@@ -185,6 +188,11 @@ func (sh *shard) serve(p *sim.Proc, c *Cluster) {
 		case OpGet:
 			rep.Val, rep.Found = sh.store.Get(req.Key)
 			mediaLat, mediaBytes = sh.cfg.ReadMedia, len(rep.Val)
+		case OpGetInto:
+			// Media time and reply size are the whole value's, as for OpGet,
+			// whatever window of it the destination takes.
+			rep.Len, rep.Found = sh.store.GetInto(req.Key, req.Off, req.Into)
+			mediaLat, mediaBytes = sh.cfg.ReadMedia, rep.Len
 		case OpPut:
 			sh.store.Put(req.Key, req.Val)
 			rep.Found = true
@@ -206,7 +214,7 @@ func (sh *shard) serve(p *sim.Proc, c *Cluster) {
 		sh.media.Release(1)
 
 		c.Ops.Inc()
-		respBytes := 64 + len(rep.Val)
+		respBytes := 64 + len(rep.Val) + rep.Len
 		for _, kvp := range rep.KVs {
 			respBytes += len(kvp.Key) + len(kvp.Val) + 16
 		}
@@ -277,10 +285,17 @@ func (cl *Client) writeCall(p *sim.Proc, req Request) Reply {
 	return reps[0]
 }
 
-// Get fetches a value.
+// Get fetches a copy of a value.
 func (cl *Client) Get(p *sim.Proc, key string) ([]byte, bool) {
 	rep := cl.readCall(p, Request{Op: OpGet, Key: key})
 	return rep.Val, rep.Found && !rep.Down
+}
+
+// GetInto is Store.GetInto on the owning shard: the value's bytes from off
+// land in dst, its full length is returned, at Get's cost in virtual time.
+func (cl *Client) GetInto(p *sim.Proc, key string, off int, dst []byte) (int, bool) {
+	rep := cl.readCall(p, Request{Op: OpGetInto, Key: key, Off: off, Into: dst})
+	return rep.Len, rep.Found && !rep.Down
 }
 
 // Put stores a value.

@@ -63,29 +63,50 @@ func (s *Store) findPrev(key string, prevs *[maxLevel]*node) *node {
 	return x.next[0]
 }
 
-// Get returns the value for key.
-func (s *Store) Get(key string) ([]byte, bool) {
+// seek returns the first node whose key is not below key, or nil.
+func (s *Store) seek(key string) *node {
 	x := s.head
 	for i := s.level - 1; i >= 0; i-- {
 		for x.next[i] != nil && x.next[i].key < key {
 			x = x.next[i]
 		}
 	}
-	n := x.next[0]
-	if n != nil && n.key == key {
-		return n.val, true
-	}
-	return nil, false
+	return x.next[0]
 }
 
-// Put stores val under key, replacing any existing value. The value is
-// copied so callers may reuse their buffers.
+// Get returns a copy of the value for key. The store owns its bytes and
+// never hands them out by reference — that is what lets Put overwrite a
+// value in place — so the result stays as it is whatever is stored later.
+func (s *Store) Get(key string) ([]byte, bool) {
+	n := s.seek(key)
+	if n == nil || n.key != key {
+		return nil, false
+	}
+	return append([]byte(nil), n.val...), true
+}
+
+// GetInto copies the value's bytes from offset off into dst, as many as both
+// hold, and returns the value's full length: dst[max(0, n-off):] is left
+// untouched, so a caller that wants a zero-filled window clears that part.
+func (s *Store) GetInto(key string, off int, dst []byte) (int, bool) {
+	n := s.seek(key)
+	if n == nil || n.key != key {
+		return 0, false
+	}
+	if off < len(n.val) {
+		copy(dst, n.val[off:])
+	}
+	return len(n.val), true
+}
+
+// Put stores a copy of val under key, so callers may reuse their buffers.
+// An existing key's value is overwritten in place, reusing its buffer: no
+// reference to it exists outside the store (see Get).
 func (s *Store) Put(key string, val []byte) {
 	var prevs [maxLevel]*node
 	n := s.findPrev(key, &prevs)
-	v := append([]byte(nil), val...)
 	if n != nil && n.key == key {
-		n.val = v
+		n.val = append(n.val[:0], val...)
 		return
 	}
 	lvl := s.randomLevel()
@@ -95,7 +116,7 @@ func (s *Store) Put(key string, val []byte) {
 		}
 		s.level = lvl
 	}
-	nn := &node{key: key, val: v}
+	nn := &node{key: key, val: append([]byte(nil), val...)}
 	for i := 0; i < lvl; i++ {
 		nn.next[i] = prevs[i].next[i]
 		prevs[i].next[i] = nn
@@ -125,21 +146,12 @@ func (s *Store) Delete(key string) bool {
 // Scan returns up to limit pairs whose keys start with prefix, in key order.
 // limit <= 0 means unlimited.
 func (s *Store) Scan(prefix string, limit int) []KV {
-	x := s.head
-	for i := s.level - 1; i >= 0; i-- {
-		for x.next[i] != nil && x.next[i].key < prefix {
-			x = x.next[i]
-		}
-	}
 	var out []KV
-	for n := x.next[0]; n != nil && strings.HasPrefix(n.key, prefix); n = n.next[0] {
-		out = append(out, KV{Key: n.Key(), Val: append([]byte(nil), n.val...)})
+	for n := s.seek(prefix); n != nil && strings.HasPrefix(n.key, prefix); n = n.next[0] {
+		out = append(out, KV{Key: n.key, Val: append([]byte(nil), n.val...)})
 		if limit > 0 && len(out) >= limit {
 			break
 		}
 	}
 	return out
 }
-
-// Key exposes a node's key (helper for Scan).
-func (n *node) Key() string { return n.key }

@@ -54,12 +54,10 @@ func (fs *FS) Write(p *sim.Proc, ino uint64, off uint64, data []byte) error {
 	switch {
 	case newSize <= SmallFileMax:
 		// Small file: read-modify-write the whole KV.
-		var cur []byte
-		if a.Size > 0 {
-			cur, _ = fs.cl.Get(p, SmallKey(ino))
-		}
 		buf := make([]byte, newSize)
-		copy(buf, cur)
+		if a.Size > 0 {
+			fs.cl.GetInto(p, SmallKey(ino), 0, buf)
+		}
 		copy(buf[off:], data)
 		fs.cl.Put(p, SmallKey(ino), buf)
 
@@ -109,11 +107,8 @@ func (fs *FS) writeBigBlocks(p *sim.Proc, ino uint64, off uint64, data []byte) e
 				fs.cl.Put(pp, BigKey(ino, blk), fs.encodeBlock(pp, chunk))
 			} else {
 				buf := make([]byte, BlockSize)
-				if cur, ok := fs.cl.Get(pp, BigKey(ino, blk)); ok {
-					if dec, err := fs.decodeBlock(pp, cur); err == nil {
-						copy(buf, dec)
-					}
-				}
+				// An undecodable block leaves buf zero and is rewritten whole.
+				_ = fs.readBlock(pp, BigKey(ino, blk), 0, buf)
 				copy(buf[bo:], chunk)
 				fs.cl.Put(pp, BigKey(ino, blk), fs.encodeBlock(pp, buf))
 			}
@@ -124,8 +119,54 @@ func (fs *FS) writeBigBlocks(p *sim.Proc, ino uint64, off uint64, data []byte) e
 	return nil
 }
 
-// Read returns up to n bytes from offset off.
+// readBlock fills dst with the block's decoded bytes from block offset bo,
+// zeros where the block is absent or shorter; a block that fails to decode
+// is an error and leaves dst as it was. Untransformed blocks land in dst
+// straight from the shard; with a transform the stored block is fetched whole
+// into a pooled scratch and decoded from there.
+func (fs *FS) readBlock(pp *sim.Proc, key string, bo int, dst []byte) error {
+	if fs.xf == nil {
+		n, _ := fs.cl.GetInto(pp, key, bo, dst)
+		clear(dst[min(max(n-bo, 0), len(dst)):]) // what the value did not cover
+		return nil
+	}
+	stored := fs.pool.Get(2 * BlockSize)
+	n, ok := fs.cl.GetInto(pp, key, 0, stored)
+	if n > len(stored) { // an encoding that more than doubled the block
+		fs.pool.Put(stored)
+		stored = fs.pool.Get(n)
+		n, ok = fs.cl.GetInto(pp, key, 0, stored)
+	}
+	defer fs.pool.Put(stored)
+	var dec []byte
+	if ok {
+		var err error
+		if dec, err = fs.decodeBlock(pp, stored[:n]); err != nil {
+			return ErrCorrupt
+		}
+	}
+	k := copy(dst, dec[min(bo, len(dec)):])
+	clear(dst[k:])
+	return nil
+}
+
+// Read returns up to n bytes from offset off in a fresh buffer.
 func (fs *FS) Read(p *sim.Proc, ino uint64, off uint64, n int) ([]byte, error) {
+	out := make([]byte, n)
+	got, err := fs.ReadInto(p, ino, off, out)
+	if err != nil || got == 0 {
+		return nil, err
+	}
+	return out[:got], nil
+}
+
+// ReadInto reads up to len(dst) bytes from offset off into dst, which the
+// caller owns, and returns how many it read: fewer than len(dst) only at
+// EOF. Every byte counted is written — holes and short blocks as zeros — so
+// dst need not be cleared beforehand; bytes past the count are untouched.
+// Each block's window of dst is filled by the KV shard itself, so no
+// block-sized buffer exists between the store and dst.
+func (fs *FS) ReadInto(p *sim.Proc, ino uint64, off uint64, dst []byte) (int, error) {
 	s := fs.m.Obs.Begin(p, "kvfs.read")
 	defer s.End(p)
 	fs.charge(p)
@@ -133,29 +174,23 @@ func (fs *FS) Read(p *sim.Proc, ino uint64, off uint64, n int) ([]byte, error) {
 	defer fs.unlockIno(ino, false)
 	a, ok := fs.getAttr(p, ino)
 	if !ok {
-		return nil, ErrNotFound
+		return 0, ErrNotFound
 	}
 	if a.Mode == ModeDir {
-		return nil, ErrIsDir
+		return 0, ErrIsDir
 	}
 	if off >= a.Size {
-		return nil, nil
+		return 0, nil
 	}
+	n := len(dst)
 	if max := a.Size - off; uint64(n) > max {
 		n = int(max)
 	}
 	if a.Size <= SmallFileMax {
-		cur, ok := fs.cl.Get(p, SmallKey(ino))
-		if !ok || off >= uint64(len(cur)) {
-			return nil, nil
-		}
-		end := off + uint64(n)
-		if end > uint64(len(cur)) {
-			end = uint64(len(cur))
-		}
-		return append([]byte(nil), cur[off:end]...), nil
+		// A small-file KV shorter than the attribute size reads short.
+		have, _ := fs.cl.GetInto(p, SmallKey(ino), int(off), dst[:n])
+		return min(max(have-int(off), 0), n), nil
 	}
-	out := make([]byte, n)
 	var fns []func(pp *sim.Proc)
 	var decodeErr error
 	for done := 0; done < n; {
@@ -165,28 +200,19 @@ func (fs *FS) Read(p *sim.Proc, ino uint64, off uint64, n int) ([]byte, error) {
 		if k > n-done {
 			k = n - done
 		}
-		dst := out[done : done+k]
+		window := dst[done : done+k]
 		fns = append(fns, func(pp *sim.Proc) {
-			cur, ok := fs.cl.Get(pp, BigKey(ino, blk))
-			if !ok {
-				return
-			}
-			dec, err := fs.decodeBlock(pp, cur)
-			if err != nil {
-				decodeErr = ErrCorrupt
-				return
-			}
-			if bo < len(dec) {
-				copy(dst, dec[bo:])
+			if err := fs.readBlock(pp, BigKey(ino, blk), bo, window); err != nil {
+				decodeErr = err
 			}
 		})
 		done += k
 	}
 	fs.fanout(p, fns)
 	if decodeErr != nil {
-		return nil, decodeErr
+		return 0, decodeErr
 	}
-	return out, nil
+	return n, nil
 }
 
 // ---- cache.Backend adapter ----
@@ -200,22 +226,11 @@ type PageBackend struct {
 
 // ReadPage implements cache.Backend.
 func (b PageBackend) ReadPage(p *sim.Proc, ino, lpn uint64, pageSize int) ([]byte, bool) {
-	a, ok := b.FS.getAttr(p, ino)
-	if !ok {
+	pages := b.ReadPageRange(p, ino, lpn, 1, pageSize)
+	if len(pages) == 0 {
 		return nil, false
 	}
-	off := lpn * uint64(pageSize)
-	if off >= a.Size {
-		return nil, false
-	}
-	data, err := b.FS.Read(p, ino, off, pageSize)
-	if err != nil || data == nil {
-		return nil, false
-	}
-	if len(data) < pageSize {
-		data = append(data, make([]byte, pageSize-len(data))...)
-	}
-	return data, true
+	return pages[0], true
 }
 
 // WritePage implements cache.Backend. The cache flushes whole pages, but
@@ -236,7 +251,8 @@ func (b PageBackend) WritePage(p *sim.Proc, ino, lpn uint64, pageSize int, data 
 }
 
 // ReadPageRange implements cache.RangeBackend: the whole run is one KVFS
-// read (one op charge, block gets fanned out in parallel).
+// read (one op charge, block gets fanned out in parallel) into one buffer,
+// and the pages are its sub-slices, the tail page zero-padded in place.
 func (b PageBackend) ReadPageRange(p *sim.Proc, ino, lpn uint64, n, pageSize int) [][]byte {
 	a, ok := b.FS.getAttr(p, ino)
 	if !ok {
@@ -246,19 +262,14 @@ func (b PageBackend) ReadPageRange(p *sim.Proc, ino, lpn uint64, n, pageSize int
 	if off >= a.Size {
 		return nil
 	}
-	data, err := b.FS.Read(p, ino, off, n*pageSize)
-	if err != nil || data == nil {
+	data := make([]byte, n*pageSize)
+	got, err := b.FS.ReadInto(p, ino, off, data)
+	if err != nil || got == 0 {
 		return nil
 	}
 	out := make([][]byte, 0, n)
-	for i := 0; i < n && i*pageSize < len(data); i++ {
-		end := (i + 1) * pageSize
-		pg := make([]byte, pageSize)
-		if end > len(data) {
-			end = len(data)
-		}
-		copy(pg, data[i*pageSize:end])
-		out = append(out, pg)
+	for i := 0; i*pageSize < got; i++ {
+		out = append(out, data[i*pageSize:(i+1)*pageSize])
 	}
 	return out
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"strings"
 
+	"dpc/internal/bufpool"
 	"dpc/internal/kv"
 	"dpc/internal/model"
 	"dpc/internal/sim"
@@ -41,6 +42,8 @@ type FS struct {
 	// processing). The CPU cost is charged to the DPU; compressed blocks
 	// genuinely shrink the KV values and hence the network traffic.
 	xf xform.Transform
+	// pool holds the scratch a transformed block is fetched into (readBlock).
+	pool *bufpool.Pool
 
 	nextIno uint64
 
@@ -81,6 +84,7 @@ func New(m *model.Machine, cl *kv.Client) *FS {
 	fs := &FS{
 		m:           m,
 		cl:          cl,
+		pool:        bufpool.New(),
 		nextIno:     1,
 		inoLocks:    map[uint64]*inoLock{},
 		inoCond:     sim.NewCond(m.Eng, "kvfs-inolock"),

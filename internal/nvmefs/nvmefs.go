@@ -36,6 +36,20 @@ type Request struct {
 	SQE    nvme.SQE
 	Header []byte // WH_len request header bytes
 	Data   []byte // write payload after the header
+	out    []byte // the TGT's pooled response buffer (ReadBuf); nil in a bare Request
+}
+
+// ReadBuf returns a buffer of unspecified contents for n bytes of read
+// payload, for the handler to fill and return, whole or a prefix, as
+// Response.Data: the transport's pooled buffer, cut like the response itself
+// to the reserved payload size, or a fresh one when there is none. It must
+// not be retained: the TGT takes it back once the completion is posted. No
+// other Response bytes are recycled, so a handler may return its own slices.
+func (r Request) ReadBuf(n int) []byte {
+	if r.out == nil {
+		return make([]byte, n)
+	}
+	return r.out[:min(n, len(r.out))]
 }
 
 // Response is the handler's reply. Header must be at most the RHLen the
@@ -1262,6 +1276,11 @@ func (d *Driver) execute(wp *sim.Proc, f fetched) {
 	hm := d.m.HostMem
 	qs, sqe, gen := f.qs, f.sqe, f.gen
 	req := Request{QID: qs.qp.ID, Tenant: qs.tenant, SQE: sqe}
+	if n := int(sqe.ReadLen) - d.cfg.RHCap; n > 0 {
+		// Eagerly: filling it on demand needs a pointer in the Request,
+		// which then escapes to the heap.
+		req.out = d.pool.Get(n)
+	}
 	if f.in != nil {
 		req.Header = f.in[:sqe.WHLen]
 		if len(f.in) > 64 {
@@ -1334,6 +1353,7 @@ func (d *Driver) execute(wp *sim.Proc, f fetched) {
 	d.complete(wp, qs, gen, sqe, resp)
 	// The handler has returned and the response has left the DPU.
 	d.pool.Put(f.in)
+	d.pool.Put(req.out)
 	ws.End(wp)
 }
 

@@ -50,7 +50,7 @@ func TestSubmit8KTGTZeroAllocs(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		step()
 	}
-	const maxAllocs, maxBytes = 19, 2048
+	const maxAllocs, maxBytes = 17, 2048
 	if a := testing.AllocsPerRun(100, step); a > maxAllocs {
 		t.Fatalf("8K write+read: %v allocs, want <= %d", a, maxAllocs)
 	}

@@ -7,6 +7,9 @@ type Cond struct {
 	eng     *Engine
 	name    string
 	waiters []*Proc
+	// first backs waiters until two processes wait at once: the common
+	// one-waiter condition (a command's completion) never allocates.
+	first [1]*Proc
 }
 
 // NewCond creates a condition variable.
@@ -17,6 +20,9 @@ func NewCond(eng *Engine, name string) *Cond {
 // Wait parks p until another process calls Signal or Broadcast. As with any
 // condition variable, re-check the predicate after waking.
 func (c *Cond) Wait(p *Proc) {
+	if c.waiters == nil {
+		c.waiters = c.first[:0]
+	}
 	c.waiters = append(c.waiters, p)
 	p.park()
 }
@@ -29,13 +35,14 @@ func (c *Cond) Signal() {
 	c.eng.scheduleWake(popFront(&c.waiters), c.eng.now)
 }
 
-// Broadcast wakes every waiter in FIFO order.
+// Broadcast wakes every waiter in FIFO order. Wakes are scheduled, not run:
+// nobody waits again during the loop, so the queue keeps its backing array.
 func (c *Cond) Broadcast() {
-	ws := c.waiters
-	c.waiters = nil
-	for _, p := range ws {
+	for i, p := range c.waiters {
 		c.eng.scheduleWake(p, c.eng.now)
+		c.waiters[i] = nil
 	}
+	c.waiters = c.waiters[:0]
 }
 
 // popFront removes and returns the first element of the FIFO *q. A queue

@@ -41,6 +41,22 @@ func TestSwitchPathsZeroAllocs(t *testing.T) {
 				}
 			})
 		}},
+		{"CondBroadcastWait", func(e *Engine) { // Broadcast keeps the waiter queue's backing array
+			c := NewCond(e, "c")
+			for _, name := range []string{"w1", "w2", "w3"} {
+				e.Go(name, func(p *Proc) {
+					for {
+						c.Wait(p)
+					}
+				})
+			}
+			e.Go("broadcaster", func(p *Proc) {
+				for {
+					p.Sleep(Microsecond)
+					c.Broadcast()
+				}
+			})
+		}},
 		{"ResourceReleaseAcquire", func(e *Engine) {
 			r := NewResource(e, "r", 1)
 			for _, name := range []string{"a", "b"} {
@@ -84,6 +100,28 @@ func TestSwitchPathsZeroAllocs(t *testing.T) {
 				t.Fatal("script did not switch: the measurement is vacuous")
 			}
 		})
+	}
+}
+
+// A Cond carries room for one waiter, so the common one-shot condition (a
+// command's completion, a fan-out's join) costs the Cond itself and nothing
+// on its first Wait, whether it is woken by Signal or by Broadcast.
+func TestFreshCondWaitZeroAllocs(t *testing.T) {
+	e := NewEngine(1)
+	defer e.Shutdown()
+	var c *Cond
+	e.Go("waiter", func(p *Proc) {
+		for {
+			c = NewCond(e, "one-shot")
+			c.Wait(p)
+		}
+	})
+	round := func() { e.Run(); c.Broadcast() }
+	for i := 0; i < 8; i++ {
+		round()
+	}
+	if a := testing.AllocsPerRun(200, round); a > 1 {
+		t.Fatalf("fresh Cond, Wait, Broadcast: %v allocs, want 1 (the Cond)", a)
 	}
 }
 

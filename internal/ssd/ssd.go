@@ -67,6 +67,9 @@ type Device struct {
 	// granularity, like real flash). nil (the default) disables tracking, so
 	// ordinary runs pay nothing.
 	volatile map[int64][]byte
+	// freeImages recycles undo images from Barrier, which makes them
+	// obsolete, to WriteRaw. One that Crash made a live block never enters.
+	freeImages [][]byte
 
 	Reads      stats.Counter
 	Writes     stats.Counter
@@ -263,7 +266,11 @@ func (d *Device) WriteRaw(off int64, data []byte) {
 		if d.volatile != nil {
 			if _, seen := d.volatile[blk]; !seen {
 				if ok {
-					d.volatile[blk] = append([]byte(nil), b...)
+					var img []byte
+					if k := len(d.freeImages) - 1; k >= 0 {
+						img, d.freeImages = d.freeImages[k], d.freeImages[:k]
+					}
+					d.volatile[blk] = append(img[:0], b...)
 				} else {
 					// nil undo image: the block did not exist before this
 					// write, so a revert deletes it.
@@ -300,9 +307,12 @@ func (d *Device) Barrier(p *sim.Proc) {
 	d.sleepAttr(p, d.cfg.BarrierLatency, obs.CompSSD, "ssd.barrier")
 	d.channels.Release(1)
 	d.Barriers.Inc()
-	if d.volatile != nil {
-		d.volatile = map[int64][]byte{}
+	for _, img := range d.volatile {
+		if img != nil {
+			d.freeImages = append(d.freeImages, img)
+		}
 	}
+	clear(d.volatile)
 	s.End(p)
 }
 
@@ -332,7 +342,7 @@ func (d *Device) Crash(rng *rand.Rand) int {
 		}
 		lost++
 	}
-	d.volatile = map[int64][]byte{}
+	clear(d.volatile)
 	return lost
 }
 
@@ -352,7 +362,6 @@ func (d *Device) Restore(snap map[int64][]byte) {
 	for blk, b := range snap {
 		d.blocks[blk] = append([]byte(nil), b...)
 	}
-	if d.volatile != nil {
-		d.volatile = map[int64][]byte{}
-	}
+	clear(d.volatile)
+	d.freeImages = nil
 }

@@ -2,6 +2,7 @@ package ssd
 
 import (
 	"bytes"
+	"math/rand"
 	"testing"
 	"time"
 
@@ -165,5 +166,109 @@ func TestFailedWriteLeavesBytesUntouched(t *testing.T) {
 	e.Run()
 	if got := string(d.ReadRaw(0, 8)); got != "original" {
 		t.Fatalf("failed write mutated device: %q", got)
+	}
+}
+
+// Undo images are recycled through a free list fed by Barrier. A crash after
+// write → barrier → write must revert each lost block to exactly its
+// pre-write image, and an image that Crash installed as a live block must not
+// also sit in the list: both are checked by filling the list with 0xDB
+// whenever it is supposed to hold only dead buffers.
+func TestCrashRevertsToImageWithFreeListPoisoned(t *testing.T) {
+	e := sim.NewEngine(1)
+	d := New(e, testCfg())
+	d.EnableCrashTracking()
+	const blocks = 24
+	gen := func(v byte) [][]byte {
+		out := make([][]byte, blocks)
+		for b := range out {
+			out[b] = bytes.Repeat([]byte{v, byte(b)}, BlockSize/2)
+		}
+		return out
+	}
+	write := func(g [][]byte) {
+		for b, data := range g {
+			d.WriteRaw(int64(b)*BlockSize, data)
+		}
+	}
+	poisonFreeList := func() {
+		for _, img := range d.freeImages {
+			img = img[:cap(img)]
+			for i := range img {
+				img[i] = 0xDB
+			}
+		}
+	}
+	// check reports how many blocks hold old's bytes; every other must hold new's.
+	check := func(when string, old, new [][]byte) int {
+		reverted := 0
+		for b := 0; b < blocks; b++ {
+			switch got := d.ReadRaw(int64(b)*BlockSize, BlockSize); {
+			case bytes.Equal(got, old[b]):
+				reverted++
+			case !bytes.Equal(got, new[b]):
+				t.Fatalf("%s: block %d is neither its pre-write image nor the written bytes (first bytes %x)", when, b, got[:4])
+			}
+		}
+		return reverted
+	}
+	a, b, c, dd, ee := gen(1), gen(2), gen(3), gen(4), gen(5)
+	e.Go("io", func(p *sim.Proc) {
+		write(a) // first writes: nothing to image
+		d.Barrier(p)
+		write(b) // images of a, freshly allocated
+		d.Barrier(p)
+		if len(d.freeImages) != blocks {
+			t.Fatalf("free list holds %d images after the barrier, want %d", len(d.freeImages), blocks)
+		}
+		poisonFreeList()
+		write(c) // images of b, in recycled buffers
+		if len(d.freeImages) != 0 {
+			t.Fatalf("%d images left in the list: the writes did not reuse it", len(d.freeImages))
+		}
+		lost := d.Crash(rand.New(rand.NewSource(3)))
+		if n := check("first crash", b, c); n != lost || lost == 0 || lost == blocks {
+			t.Fatalf("first crash: %d blocks reverted, Crash reported %d of %d", n, lost, blocks)
+		}
+		// Some of b's images are live blocks now. Overwrite everything and go
+		// round again; the poison must reach none of them.
+		write(dd)
+		d.Barrier(p)
+		poisonFreeList()
+		check("after the second barrier", dd, dd)
+		write(ee)
+		poisonFreeList()
+		lost = d.Crash(rand.New(rand.NewSource(4)))
+		if n := check("second crash", dd, ee); n != lost {
+			t.Fatalf("second crash: %d blocks reverted, Crash reported %d", n, lost)
+		}
+	})
+	e.Run()
+	e.Shutdown()
+}
+
+// In steady state, overwriting tracked blocks and issuing the barrier
+// allocates nothing: images come from the free list and the map is cleared,
+// not replaced.
+func TestTrackedOverwriteBarrierZeroAllocs(t *testing.T) {
+	e := sim.NewEngine(1)
+	defer e.Shutdown()
+	d := New(e, testCfg())
+	d.EnableCrashTracking()
+	data := bytes.Repeat([]byte{7}, 4*BlockSize)
+	kick := sim.NewCond(e, "step")
+	e.Go("io", func(p *sim.Proc) {
+		for {
+			kick.Wait(p)
+			d.WriteRaw(0, data)
+			d.Barrier(p)
+		}
+	})
+	step := func() { kick.Signal(); e.Run() }
+	for i := 0; i < 4; i++ {
+		step()
+	}
+	if a := testing.AllocsPerRun(100, step); a != 0 {
+		t.Fatalf("overwrite of 4 tracked blocks + barrier: %v allocs, want 0", a)
 	}
 }

@@ -1,7 +1,6 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
 	"os"
 
@@ -9,8 +8,8 @@ import (
 )
 
 // The fleet scenario: the multi-tenant noisy-neighbor experiment.
-// -fleet-out commits the per-tenant digest (BENCH_8 shape, gated by
-// -compare); -fleet-timeline-out writes the drr phase's telemetry timeline,
+// -fleet-out commits the per-tenant digest (BENCH_8 shape);
+// -fleet-timeline-out writes the drr phase's telemetry timeline,
 // whose per-tenant t<N>. series feed dpcmon's -tenant views.
 
 // defaultFleetSLO is the per-tenant objective template attached to the drr
@@ -18,8 +17,8 @@ import (
 // read tail must hold under the threshold even while the aggressor floods.
 const defaultFleetSLO = "p999(t*.client.read.latency) < 1ms over 2ms"
 
-// Isolation gates the committed BENCH_8 must satisfy (checked on -fleet-out
-// and on every -compare re-run): with the scheduler the victim p999 stays
+// Isolation gates the committed BENCH_8 must satisfy (checked on every run
+// of the scenario): with the scheduler the victim p999 stays
 // within 25% of the uncontended baseline; without it (FIFO) the same flood
 // must show at least 2x degradation, or the scenario is not demonstrating
 // anything.
@@ -79,11 +78,6 @@ func buildFleetRun() (*exp.FleetRun, fleetReport, error) {
 	return run, rep, nil
 }
 
-func buildFleetReport() (fleetReport, error) {
-	_, rep, err := buildFleetRun()
-	return rep, err
-}
-
 // checkFleetGates enforces the isolation thresholds on a fresh report.
 func checkFleetGates(rep fleetReport) error {
 	if rep.DrrOverBaseline > fleetDrrGate {
@@ -108,11 +102,7 @@ func runFleetScenario(fleetOut, timelineOut string) error {
 		return err
 	}
 	if fleetOut != "" {
-		b, err := json.MarshalIndent(rep, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(fleetOut, append(b, '\n'), 0o644); err != nil {
+		if err := writeJSON(fleetOut, rep); err != nil {
 			return err
 		}
 		fmt.Printf("wrote fleet report to %s (victim p999 baseline/fifo/drr %v/%v/%v ns, fifo %.2fx, drr %.2fx, %d shed)\n",

@@ -1,12 +1,11 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 	"time"
 
 	"dpc"
+	"dpc/internal/exp"
 	"dpc/internal/obs"
 	"dpc/internal/sim"
 	"dpc/internal/stats"
@@ -22,15 +21,10 @@ import (
 // The JSON report (BENCH_9 shape) captures per-tier fsync counts, WAL
 // commit/barrier counts, amortization ratio, journaled bytes and fsync
 // latency quantiles, and is byte-stable across runs so it can be committed
-// and gated with -compare.
+// and gated with `make bench-identical`.
 func runFsyncScenario(outPath string) error {
-	report := buildFsyncReport()
-	b, err := json.MarshalIndent(report, "", "  ")
+	report, err := writeReport(outPath, buildFsyncReport)
 	if err != nil {
-		return err
-	}
-	b = append(b, '\n')
-	if err := os.WriteFile(outPath, b, 0o644); err != nil {
 		return err
 	}
 	t0, tn := report.Tiers[0], report.Tiers[len(report.Tiers)-1]
@@ -40,8 +34,7 @@ func runFsyncScenario(outPath string) error {
 	return nil
 }
 
-// fsyncReport is the BENCH_9 shape; -compare gates current runs against a
-// committed copy of it.
+// fsyncReport is the BENCH_9 shape.
 type fsyncReport struct {
 	Workload string      `json:"workload"`
 	Tiers    []fsyncTier `json:"tiers"`
@@ -74,16 +67,20 @@ const (
 	fsyncBurst  = 2 * 8192 // bytes buffered per round before the fsync
 )
 
-func buildFsyncReport() fsyncReport {
+func buildFsyncReport() (fsyncReport, error) {
 	report := fsyncReport{Workload: "fsync-group-commit"}
 	for _, w := range []int{1, 4, 16} {
-		report.Tiers = append(report.Tiers, measureFsyncTier(w))
+		tier, err := measureFsyncTier(w)
+		if err != nil {
+			return report, err
+		}
+		report.Tiers = append(report.Tiers, tier)
 	}
-	return report
+	return report, nil
 }
 
 // measureFsyncTier runs one worker count on a fresh WAL-enabled system.
-func measureFsyncTier(workers int) fsyncTier {
+func measureFsyncTier(workers int) (fsyncTier, error) {
 	o := obs.New()
 	opts := dpc.DefaultOptions()
 	opts.Model.HostMemMB = 192
@@ -97,51 +94,22 @@ func measureFsyncTier(workers int) fsyncTier {
 	lat := stats.NewLatency()
 	tier := fsyncTier{Workers: workers}
 
-	done := 0
-	for w := 0; w < workers; w++ {
-		w := w
-		sys.Go(func(p *sim.Proc) {
-			cl := sys.KVFSClient()
-			f, err := cl.Create(p, 0, fmt.Sprintf("/fsync-w%d", w))
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "fsync bench create: %v\n", err)
-				done++
-				return
-			}
-			buf := make([]byte, fsyncBurst)
-			for i := range buf {
-				buf[i] = byte(i*31 + w)
-			}
-			for r := 0; r < fsyncRounds; r++ {
-				if err := f.Write(p, 0, uint64(r)*fsyncBurst, buf, false); err != nil {
-					fmt.Fprintf(os.Stderr, "fsync bench write: %v\n", err)
-					break
-				}
-				start := p.Now()
-				if err := f.Sync(p, 0); err != nil {
-					fmt.Fprintf(os.Stderr, "fsync bench sync: %v\n", err)
-					break
-				}
-				lat.Record(time.Duration(p.Now() - start))
-				tier.Fsyncs++
-			}
-			if int64(p.Now()) > tier.ElapsedNS {
-				tier.ElapsedNS = int64(p.Now()) // last worker's finish time
-			}
-			done++
-		})
-	}
-	// The cache flush daemon wakes forever, so pump bounded slices instead
-	// of draining the event heap.
-	for i := 0; done != workers; i++ {
-		if i > 1<<16 {
-			fmt.Fprintf(os.Stderr, "fsync bench: stalled with %d/%d workers finished\n", done, workers)
-			break
+	var err error
+	var last sim.Time
+	tier.Fsyncs, last, err = exp.FsyncWriters(sys, workers, fsyncRounds, fsyncBurst, "/fsync-w", func(p *sim.Proc, f *dpc.File) error {
+		start := p.Now()
+		err := f.Sync(p, 0)
+		if err == nil {
+			lat.Record(time.Duration(p.Now() - start))
 		}
-		sys.RunFor(10 * time.Millisecond)
-	}
+		return err
+	})
+	tier.ElapsedNS = int64(last)
 	sys.StopDaemons()
 	sys.Shutdown()
+	if err != nil {
+		return tier, fmt.Errorf("fsync tier, %d workers: %w", workers, err)
+	}
 
 	tier.Commits = commits.Value()
 	tier.WALBytes = walBytes.Value()
@@ -156,5 +124,5 @@ func measureFsyncTier(workers int) fsyncTier {
 		P99Ns: int64(lat.Percentile(99)),
 		MaxNs: int64(lat.Max()),
 	}
-	return tier
+	return tier, nil
 }

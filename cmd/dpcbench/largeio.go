@@ -1,41 +1,19 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
 	"math/rand"
-	"os"
 	"time"
 
 	"dpc"
 	"dpc/internal/sim"
 )
 
-// runLargeIOScenario is the -largeio-out workload: sequential 1 MiB direct
+// largeIOReport is the large-I/O half of BENCH_5: sequential 1 MiB direct
 // reads over a 32 MiB file, run twice — once with the submission window
 // forced to 1 (the pre-pipeline serial path: one doorbell MMIO per MaxIO
 // chunk) and once with the driver's default in-flight window, where each
-// burst of chunks rides a single doorbell. The JSON report captures the
-// MMIO-per-op drop and the simulated-throughput gain, and is byte-stable
-// across runs so it can be committed as a perf-trajectory point.
-func runLargeIOScenario(outPath string) error {
-	report := buildLargeIOReport()
-	b, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		return err
-	}
-	b = append(b, '\n')
-	if err := os.WriteFile(outPath, b, 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("wrote large-I/O report to %s (doorbells/op %.1f -> %.1f, %.1fx drop; throughput %.0f -> %.0f MiB/s, %.2fx)\n",
-		outPath, report.Serial.MMIOsPerOp, report.Pipelined.MMIOsPerOp, report.DoorbellDrop,
-		report.Serial.ThroughputMiBs, report.Pipelined.ThroughputMiBs, report.Speedup)
-	return nil
-}
-
-// largeIOReport is the BENCH_3-shaped comparison; -compare gates current
-// runs against a committed copy of it.
+// burst of chunks rides a single doorbell.
 type largeIOReport struct {
 	Workload  string        `json:"workload"`
 	OpBytes   int           `json:"op_bytes"`
@@ -48,16 +26,18 @@ type largeIOReport struct {
 	Speedup      float64 `json:"speedup"`
 }
 
-func buildLargeIOReport() largeIOReport {
+func buildLargeIOReport() (largeIOReport, error) {
 	const (
 		opSize = 1 << 20
 		ops    = 32
 	)
-	report := largeIOReport{
-		Workload:  "sequential-direct-read",
-		OpBytes:   opSize,
-		Serial:    largeIORun(1, opSize, ops),
-		Pipelined: largeIORun(0, opSize, ops),
+	report := largeIOReport{Workload: "sequential-direct-read", OpBytes: opSize}
+	var err error
+	if report.Serial, err = largeIORun(1, opSize, ops); err != nil {
+		return report, err
+	}
+	if report.Pipelined, err = largeIORun(0, opSize, ops); err != nil {
+		return report, err
 	}
 	if report.Pipelined.MMIOsPerOp > 0 {
 		report.DoorbellDrop = report.Serial.MMIOsPerOp / report.Pipelined.MMIOsPerOp
@@ -65,7 +45,7 @@ func buildLargeIOReport() largeIOReport {
 	if report.Pipelined.ElapsedNS > 0 {
 		report.Speedup = float64(report.Serial.ElapsedNS) / float64(report.Pipelined.ElapsedNS)
 	}
-	return report
+	return report, nil
 }
 
 type largeIOResult struct {
@@ -81,7 +61,7 @@ type largeIOResult struct {
 // largeIORun builds a fresh system, writes the file with direct I/O, then
 // measures the sequential direct-read phase. window 0 keeps the driver's
 // default in-flight window; window 1 forces serial submission.
-func largeIORun(window, opSize, ops int) largeIOResult {
+func largeIORun(window, opSize, ops int) (largeIOResult, error) {
 	opts := dpc.DefaultOptions()
 	opts.Model.HostMemMB = 192
 	opts.Model.DPUMemMB = 16
@@ -98,24 +78,22 @@ func largeIORun(window, opSize, ops int) largeIOResult {
 	if window == 0 {
 		res.Window = sys.Driver.Window()
 	}
+	var err error
 	sys.Go(func(p *sim.Proc) {
-		f, err := cl.Create(p, 0, "/large.dat")
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "largeio create:", err)
+		var f *dpc.File
+		if f, err = cl.Create(p, 0, "/large.dat"); err != nil {
 			return
 		}
 		for i := 0; i < ops; i++ {
-			if err := f.Write(p, 0, uint64(i*opSize), payload, true); err != nil {
-				fmt.Fprintln(os.Stderr, "largeio write:", err)
+			if err = f.Write(p, 0, uint64(i*opSize), payload, true); err != nil {
 				return
 			}
 		}
 		sys.M.PCIe.MMIOs.Mark()
 		start := p.Now()
 		for i := 0; i < ops; i++ {
-			data, err := f.Read(p, 0, uint64(i*opSize), opSize, true)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "largeio read:", err)
+			var data []byte
+			if data, err = f.Read(p, 0, uint64(i*opSize), opSize, true); err != nil {
 				return
 			}
 			res.Bytes += int64(len(data))
@@ -125,10 +103,13 @@ func largeIORun(window, opSize, ops int) largeIOResult {
 	})
 	sys.RunFor(time.Minute)
 	sys.Shutdown()
+	if err != nil {
+		return res, fmt.Errorf("largeio window %d: %w", window, err)
+	}
 
 	res.MMIOsPerOp = float64(res.MMIOs) / float64(ops)
 	if res.ElapsedNS > 0 {
 		res.ThroughputMiBs = float64(res.Bytes) / (1 << 20) / (float64(res.ElapsedNS) / 1e9)
 	}
-	return res
+	return res, nil
 }

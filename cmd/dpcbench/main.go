@@ -11,10 +11,6 @@
 //	                         # run the instrumented reference workload and
 //	                         # write a machine-readable metrics snapshot
 //	                         # (and optionally a Perfetto trace)
-//	dpcbench -largeio-out l.json
-//	                         # run the sequential large-I/O workload, serial
-//	                         # vs pipelined submission, and write the
-//	                         # doorbell/throughput comparison as JSON
 //	dpcbench -smallio-out s.json
 //	                         # run the small-op direct workload, DMA vs
 //	                         # inline submission, and write the latency/DMA
@@ -29,16 +25,17 @@
 //	                         # critical-path profiler, print attribution
 //	                         # tables and write the JSON report (and
 //	                         # optionally collapsed stacks for flamegraphs)
-//	dpcbench -baseline BENCH_3.json -compare
-//	                         # regression gate: re-run the large-I/O
-//	                         # scenario and exit non-zero if any metric
-//	                         # drifts past tolerance
 //	dpcbench -bench-out BENCH_5.json
 //	                         # write the large-I/O comparison plus the
 //	                         # reference-workload attribution summary
+//
+// The scenario flags combine: one invocation runs every scenario whose flag
+// is set. A scenario that fails writes nothing and the process exits
+// non-zero.
 package main
 
 import (
+	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -58,7 +55,6 @@ func main() {
 
 		metricsOut = flag.String("metrics-out", "", "run the instrumented reference workload, write its metrics snapshot (JSON) to this file and exit")
 		traceOut   = flag.String("trace-out", "", "with -metrics-out: also write the span tree as Perfetto/Chrome trace JSON to this file")
-		largeioOut = flag.String("largeio-out", "", "run the sequential large-I/O workload (serial vs pipelined submission), write its JSON report to this file and exit")
 		smallioOut = flag.String("smallio-out", "", "run the small-op direct workload (DMA vs inline path), write its JSON report to this file and exit")
 		fsyncOut   = flag.String("fsync-out", "", "run the WAL group-commit fsync workload at 1/4/16 workers, write its JSON report (BENCH_9 shape) to this file and exit")
 		whatifOut  = flag.String("whatif-out", "", "run the causal what-if sensitivity sweep (counterfactual parameter dials + payoff-vs-share cross-check), write its JSON report (BENCH_10 shape) to this file and exit")
@@ -69,8 +65,6 @@ func main() {
 		profTraceOut   = flag.String("prof-trace-out", "", "with -prof-out: also write the profiled Perfetto trace (dpcprof -trace input) to this file")
 		profMetricsOut = flag.String("prof-metrics-out", "", "with -prof-out: also write the profiled metrics snapshot (dpcprof -metrics input) to this file")
 		benchOut       = flag.String("bench-out", "", "write the large-I/O comparison plus attribution summary (BENCH_5 shape) to this file")
-		baseline       = flag.String("baseline", "", "baseline JSON (e.g. BENCH_3.json) for -compare")
-		compare        = flag.Bool("compare", false, "re-run the large-I/O scenario and fail (exit 1) if metrics drift past tolerance vs -baseline")
 
 		fleetOut         = flag.String("fleet-out", "", "run the multi-tenant noisy-neighbor fleet, write its per-tenant digest (BENCH_8 shape) to this file and exit")
 		fleetTimelineOut = flag.String("fleet-timeline-out", "", "with the fleet scenario: write the drr phase's telemetry timeline JSON (per-tenant t<N>. series, dpcmon -tenant input) to this file")
@@ -82,87 +76,38 @@ func main() {
 	)
 	flag.Parse()
 
-	if *faults {
-		if err := runFaultScenario(); err != nil {
-			fmt.Fprintln(os.Stderr, "fault scenario:", err)
+	ran := false
+	for _, sc := range []struct {
+		name string
+		on   bool
+		run  func() error
+	}{
+		{"fault scenario", *faults, runFaultScenario},
+		{"fleet scenario", *fleetOut != "" || *fleetTimelineOut != "", func() error {
+			return runFleetScenario(*fleetOut, *fleetTimelineOut)
+		}},
+		{"ramp scenario", *rampOut != "" || *timelineOut != "" || *timelineTraceOut != "", func() error {
+			return runRampScenario(*rampOut, *timelineOut, *timelineTraceOut, *sloSpecs, *sloGate)
+		}},
+		{"metrics scenario", *metricsOut != "", func() error { return runMetricsScenario(*metricsOut, *traceOut) }},
+		{"smallio scenario", *smallioOut != "", func() error { return runSmallIOScenario(*smallioOut) }},
+		{"fsync scenario", *fsyncOut != "", func() error { return runFsyncScenario(*fsyncOut) }},
+		{"whatif scenario", *whatifOut != "", func() error { return runWhatifScenario(*whatifOut) }},
+		{"prof scenario", *profOut != "", func() error {
+			return runProfScenario(*profOut, *foldedOut, *profTraceOut, *profMetricsOut)
+		}},
+		{"bench report", *benchOut != "", func() error { return runBenchOut(*benchOut) }},
+	} {
+		if !sc.on {
+			continue
+		}
+		ran = true
+		if err := sc.run(); err != nil {
+			fmt.Fprintf(os.Stderr, "%s: %v\n", sc.name, err)
 			os.Exit(1)
 		}
-		return
 	}
-
-	if *fleetOut != "" || *fleetTimelineOut != "" {
-		if err := runFleetScenario(*fleetOut, *fleetTimelineOut); err != nil {
-			fmt.Fprintln(os.Stderr, "fleet scenario:", err)
-			os.Exit(1)
-		}
-		if !*compare {
-			return
-		}
-	}
-
-	if *rampOut != "" || *timelineOut != "" || *timelineTraceOut != "" {
-		if err := runRampScenario(*rampOut, *timelineOut, *timelineTraceOut, *sloSpecs, *sloGate); err != nil {
-			fmt.Fprintln(os.Stderr, "ramp scenario:", err)
-			os.Exit(1)
-		}
-		if !*compare {
-			return
-		}
-	}
-
-	if *metricsOut != "" || *largeioOut != "" || *smallioOut != "" || *fsyncOut != "" || *whatifOut != "" || *profOut != "" || *benchOut != "" || *compare {
-		if *metricsOut != "" {
-			if err := runMetricsScenario(*metricsOut, *traceOut); err != nil {
-				fmt.Fprintln(os.Stderr, "metrics scenario:", err)
-				os.Exit(1)
-			}
-		}
-		if *largeioOut != "" {
-			if err := runLargeIOScenario(*largeioOut); err != nil {
-				fmt.Fprintln(os.Stderr, "largeio scenario:", err)
-				os.Exit(1)
-			}
-		}
-		if *smallioOut != "" {
-			if err := runSmallIOScenario(*smallioOut); err != nil {
-				fmt.Fprintln(os.Stderr, "smallio scenario:", err)
-				os.Exit(1)
-			}
-		}
-		if *fsyncOut != "" {
-			if err := runFsyncScenario(*fsyncOut); err != nil {
-				fmt.Fprintln(os.Stderr, "fsync scenario:", err)
-				os.Exit(1)
-			}
-		}
-		if *whatifOut != "" {
-			if err := runWhatifScenario(*whatifOut); err != nil {
-				fmt.Fprintln(os.Stderr, "whatif scenario:", err)
-				os.Exit(1)
-			}
-		}
-		if *profOut != "" {
-			if err := runProfScenario(*profOut, *foldedOut, *profTraceOut, *profMetricsOut); err != nil {
-				fmt.Fprintln(os.Stderr, "prof scenario:", err)
-				os.Exit(1)
-			}
-		}
-		if *benchOut != "" {
-			if err := runBenchOut(*benchOut); err != nil {
-				fmt.Fprintln(os.Stderr, "bench report:", err)
-				os.Exit(1)
-			}
-		}
-		if *compare {
-			if *baseline == "" {
-				fmt.Fprintln(os.Stderr, "-compare requires -baseline <file>")
-				os.Exit(1)
-			}
-			if err := runCompare(*baseline); err != nil {
-				fmt.Fprintln(os.Stderr, "bench compare FAILED:", err)
-				os.Exit(1)
-			}
-		}
+	if ran {
 		return
 	}
 
@@ -205,4 +150,24 @@ func main() {
 		}
 		fmt.Printf("  (wall time %.1fs)\n", time.Since(start).Seconds())
 	}
+}
+
+// writeJSON writes v to path as indented JSON with a trailing newline.
+func writeJSON(path string, v any) error {
+	b, err := json.MarshalIndent(v, "", "  ")
+	if err != nil {
+		return err
+	}
+	return os.WriteFile(path, append(b, '\n'), 0o644)
+}
+
+// writeReport runs build and writes its report to path. Nothing is written
+// when build fails: a scenario whose op errored must not leave a half-empty
+// artifact behind.
+func writeReport[T any](path string, build func() (T, error)) (T, error) {
+	rep, err := build()
+	if err == nil {
+		err = writeJSON(path, rep)
+	}
+	return rep, err
 }

@@ -1,0 +1,86 @@
+package main
+
+import (
+	"bytes"
+	"fmt"
+	"os"
+	"os/exec"
+	"path/filepath"
+	"testing"
+
+	"dpc/internal/fault"
+)
+
+var bin string // the dpcbench binary, built once for the package's tests
+
+func TestMain(m *testing.M) {
+	dir, err := os.MkdirTemp("", "dpcbench-test")
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+	bin = filepath.Join(dir, "dpcbench")
+	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
+		fmt.Fprintf(os.Stderr, "go build: %v\n%s", err, out)
+		os.Exit(1)
+	}
+	code := m.Run()
+	os.RemoveAll(dir)
+	os.Exit(code)
+}
+
+func TestListAndEnvGolden(t *testing.T) {
+	for _, flag := range []string{"list", "env"} {
+		got, err := exec.Command(bin, "-"+flag).Output()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := os.ReadFile(filepath.Join("testdata", flag+".golden"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("dpcbench -%s differs from testdata/%s.golden:\n%s", flag, flag, got)
+		}
+	}
+}
+
+// TestScenarioMatchesCommittedArtifact runs one scenario through the binary
+// and compares what it wrote with the committed artifact, byte for byte
+// (`make bench-identical` does the same for all of them).
+func TestScenarioMatchesCommittedArtifact(t *testing.T) {
+	out := filepath.Join(t.TempDir(), "smallio.json")
+	if msg, err := exec.Command(bin, "-smallio-out", out).CombinedOutput(); err != nil {
+		t.Fatalf("%v\n%s", err, msg)
+	}
+	got, err := os.ReadFile(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile("../../BENCH_6.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("dpcbench -smallio-out differs from BENCH_6.json:\n%s", got)
+	}
+}
+
+// TestFailedOpWritesNoArtifact injects a failing op into the small-I/O
+// scenario body — its own transport, with every SQE corrupted on the way to
+// the TGT so each command exhausts its retries — and checks that the body
+// returns the error (it used to print it and return zeros) and that the
+// report writer then leaves no file behind.
+func TestFailedOpWritesNoArtifact(t *testing.T) {
+	m, d := smallIODriver(0, nil)
+	d.SetFaults(fault.New(m.Eng, []fault.Rule{{Site: fault.SiteTGT, Kind: fault.KindCorruptSQE}}))
+	out := filepath.Join(t.TempDir(), "smallio.json")
+	_, err := writeReport(out, func() (smallIORun, error) { return measureSmallIO(m, d, 0, 256) })
+	if err == nil {
+		t.Error("a scenario whose every op failed returned no error")
+	}
+	t.Logf("scenario error: %v", err)
+	if _, statErr := os.Stat(out); !os.IsNotExist(statErr) {
+		t.Errorf("a failed scenario left %s behind (stat: %v)", out, statErr)
+	}
+}

@@ -2,19 +2,10 @@ package main
 
 import (
 	"fmt"
-	"math/rand"
 	"os"
-	"time"
 
-	"dpc"
-	"dpc/internal/fuse"
-	"dpc/internal/model"
-	"dpc/internal/nvme"
-	"dpc/internal/nvmefs"
+	"dpc/internal/exp"
 	"dpc/internal/obs"
-	"dpc/internal/pcie"
-	"dpc/internal/sim"
-	"dpc/internal/virtio"
 )
 
 // runMetricsScenario is the -metrics-out workload: a fixed, fully
@@ -23,21 +14,33 @@ import (
 // on both transports (recording per-transport DMA counts — DMAs only, the
 // doorbell MMIO is tallied separately under pcie.link.mmios) and then a
 // cached KVFS read/write mix that exercises the hybrid cache, the flush
-// daemon and the full client → nvme-fs → dispatch → KVFS span tree.
+// daemon and the full client → nvme-fs → dispatch → KVFS span tree (the
+// RAM-backed exp.NvmeWalk / exp.VirtioWalk and exp.CachedMix).
 //
 // The metrics snapshot goes to metricsPath; when tracePath is non-empty the
 // span tree is also written as Perfetto / Chrome trace-event JSON.
 func runMetricsScenario(metricsPath, tracePath string) error {
 	o := obs.New()
 
-	wd, rd := nvmeWalk(o, 8192)
+	nv, err := exp.NvmeWalk(o, 8192, false)
+	if err != nil {
+		return err
+	}
+	wd, rd := nv.DMAs()
 	o.Counter("trace.nvmefs.write.dmas").Add(wd)
 	o.Counter("trace.nvmefs.read.dmas").Add(rd)
-	wd, rd = virtioWalk(o, 8192)
+	vi, err := exp.VirtioWalk(o, 8192, false)
+	if err != nil {
+		return err
+	}
+	wd, rd = vi.DMAs()
 	o.Counter("trace.virtiofs.write.dmas").Add(wd)
 	o.Counter("trace.virtiofs.read.dmas").Add(rd)
 
-	now := cachedWorkload(o)
+	now, err := exp.CachedMix(o)
+	if err != nil {
+		return err
+	}
 
 	reg := o.Registry()
 	hits := reg.Counter("cache.host.hits").Value()
@@ -66,150 +69,4 @@ func runMetricsScenario(metricsPath, tracePath string) error {
 		fmt.Printf("wrote Perfetto trace to %s (%d spans)\n", tracePath, o.Tracer().SpanCount())
 	}
 	return nil
-}
-
-// countDMAs subscribes a pure OpDMA counter to the link; the returned read
-// function reports and resets the tally (one call per phase).
-func countDMAs(l *pcie.Link) func() int64 {
-	var n int64
-	l.Subscribe(func(ev pcie.Event) {
-		if ev.Op == pcie.OpDMA {
-			n++
-		}
-	})
-	return func() int64 {
-		v := n
-		n = 0
-		return v
-	}
-}
-
-// nvmeWalk runs the Figure 4 walk — one 8 KB write then read over nvme-fs on
-// a bare machine — and returns the per-phase DMA counts.
-func nvmeWalk(o *obs.Obs, size int) (writeDMAs, readDMAs int64) {
-	cfg := model.Default()
-	cfg.HostMemMB = 64
-	cfg.DPUMemMB = 8
-	cfg.Obs = o
-	m := model.NewMachine(cfg)
-	store := map[uint64][]byte{}
-	d := nvmefs.NewDriver(m, nvmefs.Config{Queues: 1, Depth: 16, SlotsPerQ: 8, MaxIO: 1 << 20, RHCap: 64},
-		func(p *sim.Proc, req nvmefs.Request) nvmefs.Response {
-			off := req.SQE.DW12
-			switch req.SQE.FileOp {
-			case nvme.FileOpWrite:
-				store[uint64(off)] = append([]byte(nil), req.Data...)
-				return nvmefs.Response{Status: nvme.StatusOK, Result: uint32(len(req.Data))}
-			case nvme.FileOpRead:
-				return nvmefs.Response{Status: nvme.StatusOK, Header: []byte{1}, Data: store[uint64(off)]}
-			}
-			return nvmefs.Response{Status: nvme.StatusInvalid}
-		})
-	phase := countDMAs(m.PCIe)
-	m.Eng.Go("nvme-walk", func(p *sim.Proc) {
-		hdr := make([]byte, 16)
-		// One root span per op so the submit span, the doorbell MMIO, and
-		// the completion wait form a single tree: the critical-path walk can
-		// then substitute the DPU-side TGT/worker spans into the host's
-		// inflight wait, mirroring what virtio.write/read cover natively.
-		ws := o.Begin(p, "nvmefs.op.write")
-		d.Submit(p, 0, nvmefs.Submission{FileOp: nvme.FileOpWrite, Header: hdr, Payload: make([]byte, size)})
-		ws.End(p)
-		writeDMAs = phase()
-		rs := o.Begin(p, "nvmefs.op.read")
-		d.Submit(p, 0, nvmefs.Submission{FileOp: nvme.FileOpRead, Header: hdr, RHLen: 1, ReadLen: size})
-		rs.End(p)
-		readDMAs = phase()
-	})
-	m.Eng.Run()
-	m.Eng.Shutdown()
-	return writeDMAs, readDMAs
-}
-
-// virtioWalk runs the Figure 2(b) walk — the same 8 KB write then read over
-// virtio-fs — and returns the per-phase DMA counts.
-func virtioWalk(o *obs.Obs, size int) (writeDMAs, readDMAs int64) {
-	cfg := model.Default()
-	cfg.HostMemMB = 64
-	cfg.DPUMemMB = 8
-	cfg.Obs = o
-	m := model.NewMachine(cfg)
-	store := map[uint64][]byte{}
-	tr := virtio.NewTransport(m, virtio.Config{QueueSize: 256, Slots: 16, MaxIO: 1 << 20},
-		func(p *sim.Proc, req fuse.Request) fuse.Response {
-			switch req.Header.Opcode {
-			case fuse.OpWrite:
-				store[req.IO.Offset] = append([]byte(nil), req.Data...)
-				return fuse.Response{}
-			case fuse.OpRead:
-				return fuse.Response{Data: store[req.IO.Offset]}
-			}
-			return fuse.Response{Error: -38}
-		})
-	phase := countDMAs(m.PCIe)
-	m.Eng.Go("virtio-walk", func(p *sim.Proc) {
-		if err := tr.Write(p, 1, 1, 0, make([]byte, size)); err != nil {
-			fmt.Fprintln(os.Stderr, "virtio walk write:", err)
-		}
-		writeDMAs = phase()
-		if _, err := tr.Read(p, 1, 1, 0, size); err != nil {
-			fmt.Fprintln(os.Stderr, "virtio walk read:", err)
-		}
-		readDMAs = phase()
-	})
-	m.Eng.Run()
-	m.Eng.Shutdown()
-	return writeDMAs, readDMAs
-}
-
-// cachedWorkload runs a buffered KVFS mix on a full system: one warm-up
-// write pass populating the hybrid cache, two read passes that should mostly
-// hit, and an fsync driving the flush path. Returns the final virtual time.
-func cachedWorkload(o *obs.Obs) sim.Time {
-	opts := dpc.DefaultOptions()
-	opts.Model.HostMemMB = 192
-	opts.Model.DPUMemMB = 8
-	opts.Model.Obs = o
-	sys := dpc.New(opts)
-	cl := sys.KVFSClient()
-	payload := make([]byte, 256*1024)
-	rand.New(rand.NewSource(42)).Read(payload)
-	sys.Go(func(p *sim.Proc) {
-		f, err := cl.Create(p, 0, "/bench.dat")
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "cached workload create:", err)
-			return
-		}
-		if err := f.Write(p, 0, 0, payload, false); err != nil {
-			fmt.Fprintln(os.Stderr, "cached workload write:", err)
-			return
-		}
-		for pass := 0; pass < 2; pass++ {
-			if _, err := f.Read(p, 0, 0, len(payload), false); err != nil {
-				fmt.Fprintln(os.Stderr, "cached workload read:", err)
-				return
-			}
-		}
-		if err := f.Sync(p, 0); err != nil {
-			fmt.Fprintln(os.Stderr, "cached workload fsync:", err)
-		}
-		// Cold path: a direct write bypasses the cache, so the buffered
-		// read-back misses and the DPU fills pages (dispatch.cache_fills).
-		f2, err := cl.Create(p, 0, "/cold.dat")
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "cached workload create cold:", err)
-			return
-		}
-		if err := f2.Write(p, 0, 0, payload, true); err != nil {
-			fmt.Fprintln(os.Stderr, "cached workload direct write:", err)
-			return
-		}
-		if _, err := f2.Read(p, 0, 0, len(payload), false); err != nil {
-			fmt.Fprintln(os.Stderr, "cached workload cold read:", err)
-		}
-	})
-	sys.RunFor(time.Second)
-	now := sys.Now()
-	sys.Shutdown()
-	return now
 }

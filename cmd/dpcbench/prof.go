@@ -1,7 +1,6 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
 	"os"
 
@@ -14,9 +13,12 @@ import (
 // profiledReference runs the profiled reference workload (the SSD-backed
 // 8 KB Figure 2(b)/4 walks on both transports plus the cached KVFS mix —
 // see exp.ProfiledReference) and returns the analyzed profile.
-func profiledReference() (*obs.Obs, *prof.Profile, sim.Time) {
-	o, now := exp.ProfiledReference()
-	return o, prof.Analyze(o.Tracer().Export(now)), now
+func profiledReference() (*obs.Obs, *prof.Profile, sim.Time, error) {
+	o, now, err := exp.ProfiledReference()
+	if err != nil {
+		return nil, nil, 0, err
+	}
+	return o, prof.Analyze(o.Tracer().Export(now)), now, nil
 }
 
 // runProfScenario is the -prof-out workload: the profiled reference run,
@@ -24,7 +26,10 @@ func profiledReference() (*obs.Obs, *prof.Profile, sim.Time) {
 // plus optional collapsed stacks and the profiled trace/snapshot pair that
 // feeds cmd/dpcprof offline.
 func runProfScenario(profPath, foldedPath, tracePath, metricsPath string) error {
-	o, pr, now := profiledReference()
+	o, pr, now, err := profiledReference()
+	if err != nil {
+		return err
+	}
 	rep := prof.BuildReport(pr, int64(now), o.Tracer().Dropped(), o.Tracer().DroppedIntervals(), 10)
 	fmt.Print(rep.Text())
 	b, err := rep.JSON()
@@ -74,31 +79,31 @@ type attrSummary struct {
 	WaitKinds map[string]int64 `json:"wait_kinds"`
 }
 
-// runBenchOut writes BENCH_5.json: the BENCH_3-shaped large-I/O comparison
-// (so the file can serve as a future -baseline) plus the attribution
-// summary from the profiled reference run.
+// benchReport is the BENCH_5 shape.
+type benchReport struct {
+	largeIOReport
+	Attribution attrSummary `json:"attribution"`
+}
+
+// runBenchOut writes BENCH_5.json: the serial-vs-pipelined large-I/O
+// comparison plus the attribution summary from the profiled reference run.
 func runBenchOut(outPath string) error {
-	_, pr, now := profiledReference()
-	rep := prof.BuildReport(pr, int64(now), 0, 0, 0)
-	out := struct {
-		largeIOReport
-		Attribution attrSummary `json:"attribution"`
-	}{
-		largeIOReport: buildLargeIOReport(),
-		Attribution: attrSummary{
-			SimTimeNs: rep.SimTimeNs,
-			Spans:     rep.Spans,
-			Anomalies: rep.Anomalies,
-			Groups:    rep.Groups,
-			WaitKinds: rep.WaitKinds,
-		},
-	}
-	b, err := json.MarshalIndent(out, "", "  ")
+	_, pr, now, err := profiledReference()
 	if err != nil {
 		return err
 	}
-	b = append(b, '\n')
-	if err := os.WriteFile(outPath, b, 0o644); err != nil {
+	rep := prof.BuildReport(pr, int64(now), 0, 0, 0)
+	large, err := buildLargeIOReport()
+	if err != nil {
+		return err
+	}
+	if err := writeJSON(outPath, benchReport{large, attrSummary{
+		SimTimeNs: rep.SimTimeNs,
+		Spans:     rep.Spans,
+		Anomalies: rep.Anomalies,
+		Groups:    rep.Groups,
+		WaitKinds: rep.WaitKinds,
+	}}); err != nil {
 		return err
 	}
 	nv, vi := rep.Group("nvmefs"), rep.Group("virtio")

@@ -1,7 +1,6 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
 	"os"
 	"strings"
@@ -11,7 +10,7 @@ import (
 )
 
 // The ramp scenario: staged load under continuous telemetry. -ramp-out
-// commits the per-stage digest (BENCH_7 shape, gated by -compare);
+// commits the per-stage digest (BENCH_7 shape);
 // -timeline-out writes the full sampler/SLO/flight-recorder timeline and
 // -timeline-trace-out the Perfetto trace with counter tracks spliced in.
 
@@ -30,7 +29,7 @@ type rampReport struct {
 	BurnRate         float64 `json:"burn_rate"`
 	FirstViolationNs int64   `json:"first_violation_ns"`
 	Dumps            int     `json:"dumps"`
-	// Whole-run read quantiles, gated by -compare's quantile tolerance.
+	// Whole-run read quantiles.
 	ReadP50Ns int64 `json:"read_p50_ns"`
 	ReadP99Ns int64 `json:"read_p99_ns"`
 }
@@ -67,11 +66,6 @@ func buildRampRun(slos []string) (*exp.RampRun, rampReport, error) {
 	return run, rep, nil
 }
 
-func buildRampReport() (rampReport, error) {
-	_, rep, err := buildRampRun(nil)
-	return rep, err
-}
-
 // runRampScenario runs the ramp once and writes whichever outputs were
 // requested. sloGate, when >= 0, fails the run if any objective's burn
 // rate exceeds it.
@@ -89,11 +83,7 @@ func runRampScenario(rampOut, timelineOut, traceOut, sloSpecs string, sloGate fl
 		return err
 	}
 	if rampOut != "" {
-		b, err := json.MarshalIndent(rep, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(rampOut, append(b, '\n'), 0o644); err != nil {
+		if err := writeJSON(rampOut, rep); err != nil {
 			return err
 		}
 		fmt.Printf("wrote ramp report to %s (%d reads, %d/%d windows violated, burn rate %.2f, %d dumps)\n",

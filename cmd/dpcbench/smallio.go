@@ -2,11 +2,10 @@ package main
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
-	"os"
 	"time"
 
+	"dpc/internal/exp"
 	"dpc/internal/model"
 	"dpc/internal/nvme"
 	"dpc/internal/nvmefs"
@@ -17,7 +16,7 @@ import (
 
 // runSmallIOScenario is the -smallio-out workload: transport-level direct
 // write+read pairs at 64/128/256/512 bytes over nvme-fs with a RAM-backed
-// handler (the exp.ProfileNvmeWalk harness), each size run twice — once with
+// handler (exp.NewNvmeEcho), each size run twice — once with
 // the inline path disabled (every payload rides DMA: four transfers per
 // command) and once with InlineMax 512, where small writes are PIO'd into the
 // DPU inline window and small reads ride back inside an enlarged CQE. The
@@ -29,13 +28,8 @@ import (
 // collapsing, and is byte-stable across runs so it can be committed as
 // BENCH_6.
 func runSmallIOScenario(outPath string) error {
-	report := buildSmallIOReport()
-	b, err := json.MarshalIndent(report, "", "  ")
+	report, err := writeReport(outPath, buildSmallIOReport)
 	if err != nil {
-		return err
-	}
-	b = append(b, '\n')
-	if err := os.WriteFile(outPath, b, 0o644); err != nil {
 		return err
 	}
 	s := report.Sizes[2] // 256 B: the size the attribution pair profiles
@@ -46,8 +40,7 @@ func runSmallIOScenario(outPath string) error {
 	return nil
 }
 
-// smallIOReport is the BENCH_6 shape; -compare gates current runs against a
-// committed copy of it.
+// smallIOReport is the BENCH_6 shape.
 type smallIOReport struct {
 	Workload string `json:"workload"`
 	// DMASetupNs documents the harness's DPU-class per-descriptor cost; see
@@ -90,13 +83,20 @@ const (
 	smallIOWarmup = 8  // pairs before the mark, to settle the adaptive cutover
 )
 
-func buildSmallIOReport() smallIOReport {
+func buildSmallIOReport() (smallIOReport, error) {
 	report := smallIOReport{Workload: "small-op-direct", DMASetupNs: smallIODMASetupNs}
+	measure := func(inlineMax, size int) (smallIORun, error) {
+		m, d := smallIODriver(inlineMax, nil)
+		return measureSmallIO(m, d, inlineMax, size)
+	}
+	var err error
 	for _, size := range []int{64, 128, 256, 512} {
-		s := smallIOSize{
-			OpBytes: size,
-			DMA:     measureSmallIO(0, size),
-			Inline:  measureSmallIO(512, size),
+		s := smallIOSize{OpBytes: size}
+		if s.DMA, err = measure(0, size); err != nil {
+			return report, err
+		}
+		if s.Inline, err = measure(512, size); err != nil {
+			return report, err
 		}
 		if s.Inline.NsPerOp > 0 {
 			s.LatencyDrop = s.DMA.NsPerOp / s.Inline.NsPerOp
@@ -106,16 +106,18 @@ func buildSmallIOReport() smallIOReport {
 		}
 		report.Sizes = append(report.Sizes, s)
 	}
-	report.Attribution = smallIOAttr{
-		OpBytes: 256,
-		DMA:     smallIOProfile(0, 256),
-		Inline:  smallIOProfile(512, 256),
+	report.Attribution.OpBytes = 256
+	if report.Attribution.DMA, err = smallIOProfile(0, 256); err != nil {
+		return report, err
+	}
+	if report.Attribution.Inline, err = smallIOProfile(512, 256); err != nil {
+		return report, err
 	}
 	if report.Attribution.Inline.DMANsPerOp > 0 {
 		report.Attribution.DMADrop = float64(report.Attribution.DMA.DMANsPerOp) /
 			float64(report.Attribution.Inline.DMANsPerOp)
 	}
-	return report
+	return report, nil
 }
 
 // smallIODMASetupNs is the per-descriptor DMA setup cost the harness models:
@@ -134,51 +136,33 @@ func smallIODriver(inlineMax int, o *obs.Obs) (*model.Machine, *nvmefs.Driver) {
 	cfg.DPUMemMB = 8
 	cfg.PCIe.DMASetup = smallIODMASetupNs * time.Nanosecond
 	cfg.Obs = o
-	m := model.NewMachine(cfg)
-	var stored []byte
-	d := nvmefs.NewDriver(m, nvmefs.Config{
+	return exp.NewNvmeEcho(cfg, nvmefs.Config{
 		Queues: 1, Depth: 64, SlotsPerQ: 32, MaxIO: 1 << 20, RHCap: 256,
 		InlineMax: inlineMax,
-	}, func(p *sim.Proc, req nvmefs.Request) nvmefs.Response {
-		switch req.SQE.FileOp {
-		case nvme.FileOpWrite:
-			stored = append(stored[:0], req.Data...)
-			return nvmefs.Response{Status: nvme.StatusOK, Result: uint32(len(req.Data))}
-		case nvme.FileOpRead:
-			return nvmefs.Response{Status: nvme.StatusOK, Header: []byte{1}, Data: stored}
-		}
-		return nvmefs.Response{Status: nvme.StatusInvalid}
-	})
-	return m, d
+	}, false)
 }
 
-// measureSmallIO runs warm-up pairs (the adaptive cutover converges on its
-// EWMAs), then measures smallIOOps serial write+read pairs so ns/op is true
-// per-op transport latency.
-func measureSmallIO(inlineMax, size int) smallIORun {
-	m, d := smallIODriver(inlineMax, nil)
+// measureSmallIO runs warm-up pairs on the transport (the adaptive cutover
+// converges on its EWMAs), then measures smallIOOps serial write+read pairs
+// so ns/op is true per-op transport latency.
+func measureSmallIO(m *model.Machine, d *nvmefs.Driver, inlineMax, size int) (smallIORun, error) {
 	payload := make([]byte, size)
 	for i := range payload {
 		payload[i] = byte(i*7 + size)
 	}
 	res := smallIORun{InlineMax: inlineMax, Ops: 2 * smallIOOps}
+	var err error
 	m.Eng.Go("smallio", func(p *sim.Proc) {
 		hdr := make([]byte, 16)
-		pair := func() bool {
-			w := d.Submit(p, 0, nvmefs.Submission{FileOp: nvme.FileOpWrite, Header: hdr, Payload: payload})
-			if !w.OK() {
-				fmt.Fprintf(os.Stderr, "smallio write: status %s\n", nvme.StatusString(w.Status))
-				return false
+		pair := func() error {
+			data, err := exp.EchoPair(p, d, hdr, payload)
+			if err == nil && !bytes.Equal(data, payload) {
+				err = fmt.Errorf("read back %d bytes that differ from the %d written", len(data), size)
 			}
-			r := d.Submit(p, 0, nvmefs.Submission{FileOp: nvme.FileOpRead, Header: hdr, RHLen: 1, ReadLen: size})
-			if !r.OK() || !bytes.Equal(r.Data, payload) {
-				fmt.Fprintf(os.Stderr, "smallio read: %d bytes, status %s\n", len(r.Data), nvme.StatusString(r.Status))
-				return false
-			}
-			return true
+			return err
 		}
 		for i := 0; i < smallIOWarmup; i++ {
-			if !pair() {
+			if err = pair(); err != nil {
 				return
 			}
 		}
@@ -186,7 +170,7 @@ func measureSmallIO(inlineMax, size int) smallIORun {
 		iw, ir := d.InlineWrites, d.InlineReads
 		start := p.Now()
 		for i := 0; i < smallIOOps; i++ {
-			if !pair() {
+			if err = pair(); err != nil {
 				return
 			}
 			res.Bytes += 2 * int64(size)
@@ -200,13 +184,16 @@ func measureSmallIO(inlineMax, size int) smallIORun {
 	})
 	m.Eng.Run()
 	m.Eng.Shutdown()
+	if err != nil {
+		return res, fmt.Errorf("smallio %d B, inline max %d: %w", size, inlineMax, err)
+	}
 
 	res.NsPerOp = float64(res.ElapsedNS) / float64(res.Ops)
 	res.DMAsPerOp = float64(res.DMAs) / float64(res.Ops)
 	if res.ElapsedNS > 0 {
 		res.IOPS = float64(res.Ops) / (float64(res.ElapsedNS) / 1e9)
 	}
-	return res
+	return res, nil
 }
 
 // smallIOAttr pairs the profiled critical-path attribution of the two modes.
@@ -230,7 +217,7 @@ type smallIOAttrStats struct {
 
 // smallIOProfile runs a shorter profiled batch and rolls the op root spans'
 // critical-path attribution up by component.
-func smallIOProfile(inlineMax, size int) smallIOAttrStats {
+func smallIOProfile(inlineMax, size int) (smallIOAttrStats, error) {
 	o := obs.New()
 	o.EnableProfiling()
 	m, d := smallIODriver(inlineMax, o)
@@ -238,19 +225,22 @@ func smallIOProfile(inlineMax, size int) smallIOAttrStats {
 	for i := range payload {
 		payload[i] = byte(i*3 + size)
 	}
+	var err error
 	m.Eng.Go("smallio-prof", func(p *sim.Proc) {
 		hdr := make([]byte, 16)
-		for i := 0; i < smallIOWarmup; i++ {
-			d.Submit(p, 0, nvmefs.Submission{FileOp: nvme.FileOpWrite, Header: hdr, Payload: payload})
-			d.Submit(p, 0, nvmefs.Submission{FileOp: nvme.FileOpRead, Header: hdr, RHLen: 1, ReadLen: size})
+		for i := 0; i < smallIOWarmup && err == nil; i++ {
+			_, err = exp.EchoPair(p, d, hdr, payload)
 		}
-		for i := 0; i < 16; i++ {
+		for i := 0; i < 16 && err == nil; i++ {
 			ws := o.Begin(p, "smallio.write")
-			d.Submit(p, 0, nvmefs.Submission{FileOp: nvme.FileOpWrite, Header: hdr, Payload: payload})
+			w := d.Submit(p, 0, nvmefs.Submission{FileOp: nvme.FileOpWrite, Header: hdr, Payload: payload})
 			ws.End(p)
 			rs := o.Begin(p, "smallio.read")
-			d.Submit(p, 0, nvmefs.Submission{FileOp: nvme.FileOpRead, Header: hdr, RHLen: 1, ReadLen: size})
+			r := d.Submit(p, 0, nvmefs.Submission{FileOp: nvme.FileOpRead, Header: hdr, RHLen: 1, ReadLen: size})
 			rs.End(p)
+			if !w.OK() || !r.OK() {
+				err = fmt.Errorf("write status %s, read status %s", nvme.StatusString(w.Status), nvme.StatusString(r.Status))
+			}
 		}
 	})
 	m.Eng.Run()
@@ -258,6 +248,9 @@ func smallIOProfile(inlineMax, size int) smallIOAttrStats {
 	pr := prof.Analyze(o.Tracer().Export(now))
 	rep := prof.BuildReport(pr, int64(now), 0, 0, 0)
 	m.Eng.Shutdown()
+	if err != nil {
+		return smallIOAttrStats{}, fmt.Errorf("smallio profile, inline max %d: %w", inlineMax, err)
+	}
 
 	stats := smallIOAttrStats{InlineMax: inlineMax, ComponentsNs: map[string]int64{}}
 	var total int64
@@ -277,5 +270,5 @@ func smallIOProfile(inlineMax, size int) smallIOAttrStats {
 	if total > 0 {
 		stats.DMAShare = float64(stats.ComponentsNs["dma"]) / float64(total)
 	}
-	return stats
+	return stats, nil
 }

@@ -1,9 +1,7 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 
 	"dpc/internal/whatif"
 )
@@ -15,21 +13,18 @@ import (
 // seeds and the end-to-end speedup curve is recorded, then the 0.5x gains
 // are cross-checked against the profiler's critical-path component shares:
 // a component with share X can buy at most ~X/2 by halving, so a gain past
-// the bound is an attribution bug, counted in `violations` (gated exactly
-// at 0 by -compare).
-// The JSON report (BENCH_10 shape) is byte-stable across runs so it can be
-// committed and gated with -compare.
+// the bound is an attribution bug, counted in `violations`.
+// The JSON report (BENCH_10 shape) is byte-stable across runs, so it is
+// committed and `make bench-identical` gates it, violations = 0 included.
 func runWhatifScenario(outPath string) error {
-	rep, err := buildWhatifReport()
+	// The default sweep: the two fast reference workloads (smallio exercises
+	// the pcie/cpu knobs, fsync the ssd/wal knobs), covering seven distinct
+	// parameters between them while keeping the sweep quick enough for the
+	// `make check` gate.
+	rep, err := writeReport(outPath, func() (*whatif.Report, error) {
+		return whatif.Run(whatif.Config{Workloads: []string{"smallio", "fsync"}})
+	})
 	if err != nil {
-		return err
-	}
-	b, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	b = append(b, '\n')
-	if err := os.WriteFile(outPath, b, 0o644); err != nil {
 		return err
 	}
 	fmt.Printf("wrote what-if sensitivity report to %s (%d workloads, %d violations)\n",
@@ -39,12 +34,4 @@ func runWhatifScenario(outPath string) error {
 			p.Rank, p.Workload, p.Param, p.HalvingGain*100)
 	}
 	return nil
-}
-
-// buildWhatifReport runs the default sweep: the two fast reference
-// workloads (smallio exercises the pcie/cpu knobs, fsync the ssd/wal
-// knobs), covering seven distinct parameters between them while keeping
-// the sweep quick enough for the `make check` gate.
-func buildWhatifReport() (*whatif.Report, error) {
-	return whatif.Run(whatif.Config{Workloads: []string{"smallio", "fsync"}})
 }

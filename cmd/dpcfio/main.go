@@ -1,6 +1,7 @@
 // Command dpcfio is a fio/vdbench-style workload driver for every stack in
 // the repository: local Ext4, DPC's standalone KVFS, and the three DFS
-// clients. It reproduces ad-hoc experiments outside the fixed paper sweeps.
+// clients (the pre-filled worlds of internal/exp). It runs ad-hoc
+// experiments outside the fixed paper sweeps.
 //
 // Examples:
 //
@@ -18,12 +19,7 @@ import (
 	"strings"
 	"time"
 
-	"dpc"
-	"dpc/internal/dfs"
-	"dpc/internal/localfs"
-	"dpc/internal/model"
-	"dpc/internal/sim"
-	"dpc/internal/ssd"
+	"dpc/internal/exp"
 	"dpc/internal/workload"
 )
 
@@ -50,24 +46,18 @@ func main() {
 	fileSize := uint64(*fileMB) << 20
 
 	gen, kindName := makeGen(*rw, ioSize, fileSize, *readPct)
-	st, err := makeStack(*stack, fileSize, *files, ioSize)
+	st, err := exp.NewStack(*stack, *files, fileSize)
 	if err != nil {
 		log.Fatal(err)
 	}
 
-	st.hostCPU.Mark()
-	if st.dpuCPU != nil {
-		st.dpuCPU.Mark()
+	st.HostCPU.Mark()
+	if st.DPUCPU != nil {
+		st.DPUCPU.Mark()
 	}
-	res := workload.Run(st.eng, workload.Config{
+	res := workload.Run(st.Eng, workload.Config{
 		Threads: *threads, Warmup: *warmup, Measure: *runtime, Seed: *seed,
-	}, gen, func(p *sim.Proc, tid int, a workload.Access) error {
-		if a.Kind == workload.Write {
-			return st.write(p, tid, a.Off, make([]byte, a.Size), *buffered)
-		}
-		_, err := st.read(p, tid, a.Off, a.Size, *buffered)
-		return err
-	})
+	}, gen, st.Do(!*buffered))
 
 	mode := "direct"
 	if *buffered {
@@ -82,11 +72,11 @@ func main() {
 	fmt.Printf("  lat p50  : %v\n", res.Lat.Percentile(50))
 	fmt.Printf("  lat p99  : %v\n", res.Lat.Percentile(99))
 	fmt.Printf("  lat max  : %v\n", res.Lat.Max())
-	fmt.Printf("  host CPU : %.2f cores\n", st.hostCPU.CoresUsed())
-	if st.dpuCPU != nil {
-		fmt.Printf("  DPU CPU  : %.2f cores\n", st.dpuCPU.CoresUsed())
+	fmt.Printf("  host CPU : %.2f cores\n", st.HostCPU.CoresUsed())
+	if st.DPUCPU != nil {
+		fmt.Printf("  DPU CPU  : %.2f cores\n", st.DPUCPU.CoresUsed())
 	}
-	st.stop()
+	st.Stop()
 }
 
 func parseSize(s string) (int, error) {
@@ -122,195 +112,4 @@ func makeGen(rw string, ioSize int, fileSize uint64, readPct int) (workload.Gene
 		os.Exit(1)
 		return nil, ""
 	}
-}
-
-// stackHandle abstracts the five stacks behind a uniform data path.
-type stackHandle struct {
-	eng     *sim.Engine
-	hostCPU *cpuPool
-	dpuCPU  *cpuPool
-	write   func(p *sim.Proc, tid int, off uint64, data []byte, buffered bool) error
-	read    func(p *sim.Proc, tid int, off uint64, n int, buffered bool) ([]byte, error)
-	stop    func()
-}
-
-// cpuPool is the minimal view dpcfio needs.
-type cpuPool struct {
-	Mark      func()
-	CoresUsed func() float64
-}
-
-func poolOf(m interface {
-	Mark()
-	CoresUsed() float64
-}) *cpuPool {
-	return &cpuPool{Mark: m.Mark, CoresUsed: m.CoresUsed}
-}
-
-func makeStack(name string, fileSize uint64, files, ioSize int) (*stackHandle, error) {
-	switch name {
-	case "ext4":
-		return makeExt4(fileSize, files)
-	case "kvfs":
-		return makeKVFS(fileSize, files, true)
-	case "dfs-std", "dfs-opt":
-		return makeDFSHost(name, fileSize, files)
-	case "dfs-dpc":
-		return makeDFSDPC(fileSize, files)
-	}
-	return nil, fmt.Errorf("unknown stack %q", name)
-}
-
-func makeExt4(fileSize uint64, files int) (*stackHandle, error) {
-	cfg := model.Default()
-	cfg.HostMemMB = 16
-	m := model.NewMachine(cfg)
-	dev := ssd.New(m.Eng, cfg.SSD)
-	fs := localfs.New(m, dev, localfs.DefaultConfig())
-	var inos []uint64
-	m.Eng.Go("setup", func(p *sim.Proc) {
-		chunk := make([]byte, 1<<20)
-		for i := 0; i < files; i++ {
-			ino, err := fs.Create(p, fmt.Sprintf("/f%d", i))
-			if err != nil {
-				log.Fatal(err)
-			}
-			for off := uint64(0); off < fileSize; off += 1 << 20 {
-				fs.Write(p, ino, off, chunk, true)
-			}
-			inos = append(inos, ino)
-		}
-	})
-	m.Eng.Run()
-	return &stackHandle{
-		eng:     m.Eng,
-		hostCPU: poolOf(m.HostCPU),
-		write: func(p *sim.Proc, tid int, off uint64, data []byte, buffered bool) error {
-			return fs.Write(p, inos[tid%len(inos)], off, data, !buffered)
-		},
-		read: func(p *sim.Proc, tid int, off uint64, n int, buffered bool) ([]byte, error) {
-			return fs.Read(p, inos[tid%len(inos)], off, n, !buffered)
-		},
-		stop: func() { m.Eng.Shutdown() },
-	}, nil
-}
-
-func makeKVFS(fileSize uint64, files int, cache bool) (*stackHandle, error) {
-	opts := dpc.DefaultOptions()
-	opts.Model.HostMemMB = 256
-	if !cache {
-		opts.CachePages = 0
-	}
-	sys := dpc.New(opts)
-	cl := sys.KVFSClient()
-	var fhs []*dpc.File
-	sys.Go(func(p *sim.Proc) {
-		chunk := make([]byte, 1<<20)
-		for i := 0; i < files; i++ {
-			f, err := cl.Create(p, 0, fmt.Sprintf("/f%d", i))
-			if err != nil {
-				log.Fatal(err)
-			}
-			for off := uint64(0); off < fileSize; off += 1 << 20 {
-				f.Write(p, 0, off, chunk, true)
-			}
-			fhs = append(fhs, f)
-		}
-	})
-	sys.RunFor(time.Minute)
-	return &stackHandle{
-		eng:     sys.M.Eng,
-		hostCPU: poolOf(sys.M.HostCPU),
-		dpuCPU:  poolOf(sys.M.DPUCPU),
-		write: func(p *sim.Proc, tid int, off uint64, data []byte, buffered bool) error {
-			return fhs[tid%len(fhs)].Write(p, tid, off, data, !buffered)
-		},
-		read: func(p *sim.Proc, tid int, off uint64, n int, buffered bool) ([]byte, error) {
-			return fhs[tid%len(fhs)].Read(p, tid, off, n, !buffered)
-		},
-		stop: func() { sys.StopDaemons(); sys.Shutdown() },
-	}, nil
-}
-
-func makeDFSHost(kind string, fileSize uint64, files int) (*stackHandle, error) {
-	cfg := model.Default()
-	cfg.HostMemMB = 16
-	m := model.NewMachine(cfg)
-	b := dfs.NewBackend(m.Eng, m.Net, dfs.DefaultBackendConfig())
-	var wr func(p *sim.Proc, ino, off uint64, data []byte) error
-	var rd func(p *sim.Proc, ino, off uint64, n int) ([]byte, error)
-	var mk func(p *sim.Proc, path string) (uint64, error)
-	if kind == "dfs-std" {
-		cl := dfs.NewStdClient(b, m.HostNode, m.HostCPU, dfs.DefaultStdClientConfig())
-		wr = func(p *sim.Proc, ino, off uint64, d []byte) error { return cl.Write(p, ino, off, d) }
-		rd = func(p *sim.Proc, ino, off uint64, n int) ([]byte, error) { return cl.Read(p, ino, off, n) }
-		mk = func(p *sim.Proc, path string) (uint64, error) { return cl.Create(p, path) }
-	} else {
-		cl := dfs.NewCore(b, m.HostNode, m.HostCPU, dfs.DefaultCoreCosts())
-		wr = func(p *sim.Proc, ino, off uint64, d []byte) error { return cl.Write(p, ino, off, d) }
-		rd = func(p *sim.Proc, ino, off uint64, n int) ([]byte, error) { return cl.Read(p, ino, off, n) }
-		mk = func(p *sim.Proc, path string) (uint64, error) { return cl.Create(p, path) }
-	}
-	var inos []uint64
-	m.Eng.Go("setup", func(p *sim.Proc) {
-		chunk := make([]byte, 1<<20)
-		for i := 0; i < files; i++ {
-			ino, err := mk(p, fmt.Sprintf("/f%d", i))
-			if err != nil {
-				log.Fatal(err)
-			}
-			for off := uint64(0); off < fileSize; off += 1 << 20 {
-				wr(p, ino, off, chunk)
-			}
-			inos = append(inos, ino)
-		}
-	})
-	m.Eng.Run()
-	return &stackHandle{
-		eng:     m.Eng,
-		hostCPU: poolOf(m.HostCPU),
-		write: func(p *sim.Proc, tid int, off uint64, data []byte, buffered bool) error {
-			return wr(p, inos[tid%len(inos)], off, data)
-		},
-		read: func(p *sim.Proc, tid int, off uint64, n int, buffered bool) ([]byte, error) {
-			return rd(p, inos[tid%len(inos)], off, n)
-		},
-		stop: func() { m.Eng.Shutdown() },
-	}, nil
-}
-
-func makeDFSDPC(fileSize uint64, files int) (*stackHandle, error) {
-	opts := dpc.DefaultOptions()
-	opts.Model.HostMemMB = 256
-	opts.EnableKVFS = false
-	opts.EnableDFS = true
-	sys := dpc.New(opts)
-	cl := sys.DFSClient()
-	var fhs []*dpc.File
-	sys.Go(func(p *sim.Proc) {
-		chunk := make([]byte, 1<<20)
-		for i := 0; i < files; i++ {
-			f, err := cl.Create(p, 0, fmt.Sprintf("/f%d", i))
-			if err != nil {
-				log.Fatal(err)
-			}
-			for off := uint64(0); off < fileSize; off += 1 << 20 {
-				f.Write(p, 0, off, chunk, true)
-			}
-			fhs = append(fhs, f)
-		}
-	})
-	sys.RunFor(time.Minute)
-	return &stackHandle{
-		eng:     sys.M.Eng,
-		hostCPU: poolOf(sys.M.HostCPU),
-		dpuCPU:  poolOf(sys.M.DPUCPU),
-		write: func(p *sim.Proc, tid int, off uint64, data []byte, buffered bool) error {
-			return fhs[tid%len(fhs)].Write(p, tid, off, data, !buffered)
-		},
-		read: func(p *sim.Proc, tid int, off uint64, n int, buffered bool) ([]byte, error) {
-			return fhs[tid%len(fhs)].Read(p, tid, off, n, !buffered)
-		},
-		stop: func() { sys.StopDaemons(); sys.Shutdown() },
-	}, nil
 }

@@ -7,14 +7,10 @@ package main
 import (
 	"flag"
 	"fmt"
+	"os"
 
-	"dpc/internal/fuse"
-	"dpc/internal/model"
-	"dpc/internal/nvme"
-	"dpc/internal/nvmefs"
+	"dpc/internal/exp"
 	"dpc/internal/pcie"
-	"dpc/internal/sim"
-	"dpc/internal/virtio"
 )
 
 func main() {
@@ -22,93 +18,28 @@ func main() {
 	flag.Parse()
 
 	fmt.Printf("=== virtio-fs (DPFS path), %d-byte write+read ===\n", *size)
-	traceVirtio(*size)
+	w, err := exp.VirtioWalk(nil, *size, false)
+	printWalk(w, err)
 	fmt.Printf("\n=== nvme-fs (DPC path), %d-byte write+read ===\n", *size)
-	traceNvme(*size)
+	w, err = exp.NvmeWalk(nil, *size, false)
+	printWalk(w, err)
 }
 
-// printer subscribes to a link and prints each PCIe operation with a running
-// number. reset() restarts the numbering between the write and read phases.
-type printer struct {
-	n int
-}
-
-func (pr *printer) attach(l *pcie.Link) {
-	l.Subscribe(func(ev pcie.Event) {
-		pr.n++
-		fmt.Printf("  %2d. [%8s] %-6s %-12s %5dB  @%v\n",
-			pr.n, ev.Op, ev.Dir, ev.Label, ev.Bytes, ev.At)
-	})
-}
-
-func (pr *printer) reset() { pr.n = 0 }
-
-func traceVirtio(size int) {
-	cfg := model.Default()
-	cfg.HostMemMB = 64
-	cfg.DPUMemMB = 8
-	m := model.NewMachine(cfg)
-	store := map[uint64][]byte{}
-	tr := virtio.NewTransport(m, virtio.Config{QueueSize: 256, Slots: 16, MaxIO: 1 << 20},
-		func(p *sim.Proc, req fuse.Request) fuse.Response {
-			switch req.Header.Opcode {
-			case fuse.OpWrite:
-				store[req.IO.Offset] = append([]byte(nil), req.Data...)
-				return fuse.Response{}
-			case fuse.OpRead:
-				return fuse.Response{Data: store[req.IO.Offset]}
-			}
-			return fuse.Response{Error: -38}
-		})
-	pr := &printer{}
-	m.Eng.Go("trace", func(p *sim.Proc) {
-		fmt.Println("-- write --")
-		pr.attach(m.PCIe)
-		if err := tr.Write(p, 1, 1, 0, make([]byte, size)); err != nil {
-			fmt.Println("write error:", err)
+// printWalk lists a walk's PCIe operations, numbered within each phase.
+func printWalk(w exp.Walk, err error) {
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "dpctrace:", err)
+		os.Exit(1)
+	}
+	for _, phase := range []struct {
+		name string
+		evs  []pcie.Event
+	}{{"write", w.Write}, {"read", w.Read}} {
+		fmt.Printf("-- %s --\n", phase.name)
+		for i, ev := range phase.evs {
+			fmt.Printf("  %2d. [%8s] %-6s %-12s %5dB  @%v\n",
+				i+1, ev.Op, ev.Dir, ev.Label, ev.Bytes, ev.At)
 		}
-		fmt.Printf("   write total: %d PCIe ops\n", pr.n)
-		pr.reset()
-		fmt.Println("-- read --")
-		if _, err := tr.Read(p, 1, 1, 0, size); err != nil {
-			fmt.Println("read error:", err)
-		}
-		fmt.Printf("   read total: %d PCIe ops\n", pr.n)
-	})
-	m.Eng.Run()
-	m.Eng.Shutdown()
-}
-
-func traceNvme(size int) {
-	cfg := model.Default()
-	cfg.HostMemMB = 64
-	cfg.DPUMemMB = 8
-	m := model.NewMachine(cfg)
-	store := map[uint64][]byte{}
-	d := nvmefs.NewDriver(m, nvmefs.Config{Queues: 1, Depth: 16, SlotsPerQ: 8, MaxIO: 1 << 20, RHCap: 64},
-		func(p *sim.Proc, req nvmefs.Request) nvmefs.Response {
-			off := req.SQE.DW12
-			switch req.SQE.FileOp {
-			case nvme.FileOpWrite:
-				store[uint64(off)] = append([]byte(nil), req.Data...)
-				return nvmefs.Response{Status: nvme.StatusOK, Result: uint32(len(req.Data))}
-			case nvme.FileOpRead:
-				return nvmefs.Response{Status: nvme.StatusOK, Header: []byte{1}, Data: store[uint64(off)]}
-			}
-			return nvmefs.Response{Status: nvme.StatusInvalid}
-		})
-	pr := &printer{}
-	m.Eng.Go("trace", func(p *sim.Proc) {
-		hdr := make([]byte, 16)
-		fmt.Println("-- write --")
-		pr.attach(m.PCIe)
-		d.Submit(p, 0, nvmefs.Submission{FileOp: nvme.FileOpWrite, Header: hdr, Payload: make([]byte, size)})
-		fmt.Printf("   write total: %d PCIe ops\n", pr.n)
-		pr.reset()
-		fmt.Println("-- read --")
-		d.Submit(p, 0, nvmefs.Submission{FileOp: nvme.FileOpRead, Header: hdr, RHLen: 1, ReadLen: size})
-		fmt.Printf("   read total: %d PCIe ops\n", pr.n)
-	})
-	m.Eng.Run()
-	m.Eng.Shutdown()
+		fmt.Printf("   %s total: %d PCIe ops\n", phase.name, len(phase.evs))
+	}
 }

@@ -255,6 +255,27 @@ func (sys *System) RunFor(d time.Duration) {
 	sys.M.Eng.RunUntil(sys.M.Eng.Now() + sim.Time(d))
 }
 
+// Drive runs each fn as an application thread and pumps virtual time in
+// 10 ms slices until all of them have returned: a cache flush daemon wakes
+// forever, so a system with one never drains its event heap and Run would
+// not come back. Now() afterwards sits on the slice boundary that followed
+// the last return.
+func (sys *System) Drive(fns ...func(p *sim.Proc)) {
+	running := len(fns)
+	for _, fn := range fns {
+		sys.Go(func(p *sim.Proc) {
+			fn(p)
+			running--
+		})
+	}
+	for i := 0; running > 0; i++ {
+		if i > 1<<20 {
+			panic("dpc: Drive did not finish within the simulated time budget")
+		}
+		sys.RunFor(10 * time.Millisecond)
+	}
+}
+
 // RunUntil executes the simulation up to exactly virtual time t. The crash
 // harness uses it to stop the world at a seed-chosen instant.
 func (sys *System) RunUntil(t sim.Time) { sys.M.Eng.RunUntil(t) }

@@ -67,21 +67,13 @@ func timeTrace(trace []Op) []opWindow {
 	defer func() { sys.StopDaemons(); sys.Shutdown() }()
 	cl := sys.KVFSClient()
 	wins := make([]opWindow, len(trace))
-	done := false
-	sys.Go(func(p *sim.Proc) {
+	sys.Drive(func(p *sim.Proc) {
 		for i, op := range trace {
 			wins[i].start = p.Now()
 			applyDPC(p, cl, op)
 			wins[i].end = p.Now()
 		}
-		done = true
 	})
-	for i := 0; !done; i++ {
-		if i > 1<<20 {
-			panic("check: crash timing run did not finish within simulated time budget")
-		}
-		sys.RunFor(10 * time.Millisecond)
-	}
 	return wins
 }
 
@@ -141,18 +133,8 @@ func recoverImage(img *crashImage) (*dpc.System, wal.ReplayStats, *kvfs.RecoverR
 		stats wal.ReplayStats
 		rep   *kvfs.RecoverReport
 		rerr  error
-		done  bool
 	)
-	sys.Go(func(p *sim.Proc) {
-		stats, rep, rerr = sys.Recover(p)
-		done = true
-	})
-	for i := 0; !done; i++ {
-		if i > 1<<20 {
-			panic("check: recovery did not finish within simulated time budget")
-		}
-		sys.RunFor(10 * time.Millisecond)
-	}
+	sys.Drive(func(p *sim.Proc) { stats, rep, rerr = sys.Recover(p) })
 	return sys, stats, rep, rerr
 }
 
@@ -584,18 +566,8 @@ func runCrashPoint(seed int64, trace []Op, wins []opWindow, pt CrashPoint) (*Cra
 	}
 
 	var diff string
-	done := false
 	cl := sys.KVFSClient()
-	sys.Go(func(p *sim.Proc) {
-		diff = verifyRecovered(p, sys, cl, m, inflight)
-		done = true
-	})
-	for i := 0; !done; i++ {
-		if i > 1<<20 {
-			panic("check: crash verification did not finish within simulated time budget")
-		}
-		sys.RunFor(10 * time.Millisecond)
-	}
+	sys.Drive(func(p *sim.Proc) { diff = verifyRecovered(p, sys, cl, m, inflight) })
 	sys.StopDaemons()
 	sys.Shutdown()
 	if diff != "" {

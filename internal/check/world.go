@@ -204,22 +204,6 @@ func newObserved(name string, rules []fault.Rule, o *obs.Obs) (*World, error) {
 	}
 }
 
-// driveLoop runs fn on a dpc system whose flush daemon never lets the event
-// queue drain, pumping virtual time until fn finishes.
-func driveLoop(sys *dpc.System, fn func(p *sim.Proc)) {
-	done := false
-	sys.Go(func(p *sim.Proc) {
-		fn(p)
-		done = true
-	})
-	for i := 0; !done; i++ {
-		if i > 1<<20 {
-			panic("check: trace did not finish within simulated time budget")
-		}
-		sys.RunFor(10 * time.Millisecond)
-	}
-}
-
 // ---- dpc/KVFS worlds (direct and hybrid-cache) ----
 
 func newKVFSWorld(name string, cachePages, inlineMax int, wal bool, faults []fault.Rule, o *obs.Obs) *World {
@@ -253,7 +237,7 @@ func newKVFSWorld(name string, cachePages, inlineMax int, wal bool, faults []fau
 			Fsync:    cached,
 			MaxFile:  96 * 1024,
 		},
-		drive: func(fn func(p *sim.Proc)) { driveLoop(sys, fn) },
+		drive: func(fn func(p *sim.Proc)) { sys.Drive(fn) },
 		apply: func(p *sim.Proc, op Op) Result { return applyDPC(p, cl, op) },
 		close: func() { sys.StopDaemons(); sys.Shutdown() },
 		now:   sys.Now,
@@ -552,7 +536,7 @@ func newDFSDPCWorld(name string, faults []fault.Rule, o *obs.Obs) *World {
 			Align:    dfs.BlockSize,
 			MaxFile:  64 * 1024,
 		},
-		drive:  func(fn func(p *sim.Proc)) { driveLoop(sys, fn) },
+		drive:  func(fn func(p *sim.Proc)) { sys.Drive(fn) },
 		apply:  func(p *sim.Proc, op Op) Result { return applyDPC(p, cl, op) },
 		settle: func(p *sim.Proc) { p.Sleep(5 * time.Millisecond) },
 		barrier: func(p *sim.Proc) {

@@ -3,6 +3,7 @@ package exp
 import (
 	"fmt"
 
+	dpcroot "dpc"
 	"dpc/internal/cache"
 	"dpc/internal/sim"
 	"dpc/internal/workload"
@@ -48,7 +49,7 @@ func RunAblationCachePlacement(s Scale) []*Table {
 		res := workload.Run(kw.sys.M.Eng, workload.Config{Threads: threads, Warmup: warm, Measure: meas, Seed: 5}, gen, kw.do(true))
 		dmas := float64(kw.sys.M.PCIe.DMAs.Delta()) / float64(res.Ops)
 		t.Rows = append(t.Rows, []string{"no cache", fmtIOPS(res.IOPS()), fmtDur(res.Lat.Mean()), fmt.Sprintf("%.1f", dmas)})
-		kw.sys.Shutdown()
+		kw.stop()
 	}
 
 	// DPU-only cache: hits skip the backend but ship pages over PCIe.
@@ -63,7 +64,7 @@ func RunAblationCachePlacement(s Scale) []*Table {
 		res := workload.Run(kw.sys.M.Eng, workload.Config{Threads: threads, Warmup: warm, Measure: meas, Seed: 6}, gen, kw.do(true))
 		dmas := float64(kw.sys.M.PCIe.DMAs.Delta()) / float64(res.Ops)
 		t.Rows = append(t.Rows, []string{"DPU-only cache", fmtIOPS(res.IOPS()), fmtDur(res.Lat.Mean()), fmt.Sprintf("%.1f", dmas)})
-		kw.sys.Shutdown()
+		kw.stop()
 	}
 
 	// Hybrid cache: hits stay in host memory.
@@ -74,8 +75,7 @@ func RunAblationCachePlacement(s Scale) []*Table {
 		res := workload.Run(kw.sys.M.Eng, workload.Config{Threads: threads, Warmup: warm, Measure: meas, Seed: 6}, gen, kw.do(false))
 		dmas := float64(kw.sys.M.PCIe.DMAs.Delta()) / float64(res.Ops)
 		t.Rows = append(t.Rows, []string{"hybrid cache", fmtIOPS(res.IOPS()), fmtDur(res.Lat.Mean()), fmt.Sprintf("%.1f", dmas)})
-		kw.sys.StopDaemons()
-		kw.sys.Shutdown()
+		kw.stop()
 	}
 	return []*Table{t}
 }
@@ -89,7 +89,12 @@ func RunAblationPrefetch(s Scale) []*Table {
 		Header: []string{"depth", "IOPS", "mean latency", "cache hit rate"},
 	}
 	for _, depth := range []int{0, 4, 16, 64} {
-		kw := newKVFSWorldPrefetch(8192, depth, false)
+		kw := newDPCWorld(func(o *dpcroot.Options) {
+			o.CachePages = 8192
+			o.Ctl.PrefetchDepth = depth
+			o.Ctl.PrefetchEnabled = depth > 0
+			o.Ctl.AdaptivePrefetch = false
+		}).prefill(saFiles, saFileSize)
 		gen := workload.SequentialGen(saIOSize, saFileSize, workload.Read)
 		res := workload.Run(kw.sys.M.Eng, workload.Config{Threads: 1, Warmup: warm, Measure: meas, Seed: 4}, gen, kw.do(false))
 		hits, misses := kw.cl.CacheStats()
@@ -100,8 +105,7 @@ func RunAblationPrefetch(s Scale) []*Table {
 		t.Rows = append(t.Rows, []string{
 			fmt.Sprint(depth), fmtIOPS(res.IOPS()), fmtDur(res.Lat.Mean()), fmtPct(rate),
 		})
-		kw.sys.StopDaemons()
-		kw.sys.Shutdown()
+		kw.stop()
 	}
 	return []*Table{t}
 }
@@ -121,7 +125,7 @@ func RunAblationECPlacement(s Scale) []*Table {
 	}{
 		{"server (MDS)", newStdWorld},
 		{"host CPU", newOptWorld},
-		{"DPU", func() *dfsClientWorld { return newDPCWorld(8192) }},
+		{"DPU", func() *dfsClientWorld { return newDPCDFSWorld(8192) }},
 	} {
 		w := mk.f()
 		w.hostCPU.Mark()
@@ -157,7 +161,10 @@ func RunAblationTransforms(s Scale) []*Table {
 		{"lzss", true, false},
 		{"lzss+dif", true, true},
 	} {
-		kw := newKVFSWorldXform(mode.compression, mode.dif)
+		kw := newDPCWorld(func(o *dpcroot.Options) {
+			bwOptions(o)
+			o.Compression, o.DIF = mode.compression, mode.dif
+		}).prefill(saFiles, saFileSize)
 		// Compressible payload: repeated text blocks.
 		payload := make([]byte, 1<<20)
 		pattern := []byte("application log line: GET /api/v1/object served in 420us status=200\n")
@@ -180,7 +187,7 @@ func RunAblationTransforms(s Scale) []*Table {
 			fmtCores(kw.sys.M.DPUCPU.CoresUsed()),
 			fmtCores(kw.sys.M.HostCPU.CoresUsed()),
 		})
-		kw.sys.Shutdown()
+		kw.stop()
 	}
 	return []*Table{t}
 }
@@ -201,7 +208,10 @@ func RunAblationReplacement(s Scale) []*Table {
 		{"FIFO", cache.PolicyFIFO},
 		{"second-chance", cache.PolicySecondChance},
 	} {
-		kw := newKVFSWorldPolicy(2048, mode.policy) // 16 MB cache
+		kw := newDPCWorld(func(o *dpcroot.Options) {
+			o.CachePages = 2048 // 16 MB cache
+			o.Ctl.Policy = mode.policy
+		}).prefill(saFiles, saFileSize)
 		gen := workload.ZipfGen(saIOSize, 32<<20, 1.2)
 		// Warm until the cache churns at steady state.
 		workload.Run(kw.sys.M.Eng, workload.Config{Threads: 32, Warmup: 0, Measure: 4 * (warm + meas), Seed: 14}, gen, kw.do(false))
@@ -215,8 +225,7 @@ func RunAblationReplacement(s Scale) []*Table {
 		t.Rows = append(t.Rows, []string{
 			mode.name, fmtIOPS(res.IOPS()), fmtDur(res.Lat.Mean()), fmtPct(rate),
 		})
-		kw.sys.StopDaemons()
-		kw.sys.Shutdown()
+		kw.stop()
 	}
 	return []*Table{t}
 }

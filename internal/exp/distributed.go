@@ -5,6 +5,7 @@ import (
 	"time"
 
 	dpcroot "dpc"
+	"dpc/internal/cpu"
 	"dpc/internal/dfs"
 	"dpc/internal/model"
 	"dpc/internal/sim"
@@ -24,11 +25,7 @@ const (
 type dfsClientWorld struct {
 	name    string
 	eng     *sim.Engine
-	hostCPU interface {
-		Mark()
-		CoresUsed() float64
-		Usage() float64
-	}
+	hostCPU *cpu.Pool
 	// bigIno are the preallocated big files; smallPaths the small files.
 	bigIno     []uint64
 	smallPaths []string
@@ -44,19 +41,35 @@ type dfsClientWorld struct {
 	stop        func()
 }
 
-// setupDFSFiles preallocates the big files and small files.
-func (w *dfsClientWorld) setup() {
+// do is the random-I/O body on the big files (direct is ignored: the host
+// clients have no buffered path and the DPC flavor's write is direct).
+func (w *dfsClientWorld) do(bool) workload.Do {
+	return func(p *sim.Proc, tid int, a workload.Access) error {
+		ino := w.bigIno[tid%len(w.bigIno)]
+		if a.Kind == workload.Write {
+			return w.write(p, tid, ino, a.Off, make([]byte, a.Size))
+		}
+		return w.read(p, tid, ino, a.Off, a.Size)
+	}
+}
+
+// setup preallocates files big files of fileSize bytes under the name format
+// and smallN small files, then settles the world for 10 s of virtual time.
+// The DFS namespace is flat and a path's hash picks its home MDS, which
+// allocates the inode number, which places the data — so the names are part
+// of the world, and one setup serves all three clients.
+func (w *dfsClientWorld) setup(name string, files int, fileSize uint64, smallN int) *dfsClientWorld {
 	if w.createWrite == nil {
 		w.createWrite = w.write
 	}
 	w.eng.Go("setup", func(p *sim.Proc) {
-		chunk := make([]byte, 1<<20)
-		for i := 0; i < dfsFiles; i++ {
-			ino, err := w.create(p, 0, fmt.Sprintf("/big/file%d", i))
+		chunk := make([]byte, prefillChunk)
+		for i := 0; i < files; i++ {
+			ino, err := w.create(p, 0, fmt.Sprintf(name, i))
 			if err != nil {
 				panic(err)
 			}
-			for off := uint64(0); off < dfsFileSize; off += 1 << 20 {
+			for off := uint64(0); off < fileSize; off += prefillChunk {
 				if err := w.write(p, 0, ino, off, chunk); err != nil {
 					panic(err)
 				}
@@ -64,7 +77,7 @@ func (w *dfsClientWorld) setup() {
 			w.bigIno = append(w.bigIno, ino)
 		}
 		small := make([]byte, dfsIOSize)
-		for i := 0; i < dfsSmallN; i++ {
+		for i := 0; i < smallN; i++ {
 			path := fmt.Sprintf("/small/f%04d", i)
 			ino, err := w.create(p, 0, path)
 			if err != nil {
@@ -77,18 +90,37 @@ func (w *dfsClientWorld) setup() {
 		}
 	})
 	w.eng.RunUntil(w.eng.Now() + sim.Time(10*time.Second))
+	return w
 }
 
-// newStdWorld builds the standard NFS client world.
-func newStdWorld() *dfsClientWorld {
+// fig9Setup is the Figure 1/9 population.
+func (w *dfsClientWorld) fig9Setup() *dfsClientWorld {
+	return w.setup("/big/file%d", dfsFiles, dfsFileSize, dfsSmallN)
+}
+
+// dfsHostClient is what the two host-resident clients (dfs.StdClient, and
+// dfs.Core run on the host CPU) share.
+type dfsHostClient interface {
+	Create(p *sim.Proc, path string) (uint64, error)
+	Lookup(p *sim.Proc, path string) (uint64, uint64, error)
+	Write(p *sim.Proc, ino uint64, off uint64, data []byte) error
+	Read(p *sim.Proc, ino uint64, off uint64, n int) ([]byte, error)
+}
+
+// newDFSHostWorld builds a host-resident client world, not yet populated:
+// the standard NFS client, or with opt the host-side optimized client.
+func newDFSHostWorld(opt bool) *dfsClientWorld {
 	cfg := model.Default()
 	cfg.HostMemMB = 16
 	cfg.DPUMemMB = 8
 	m := model.NewMachine(cfg)
 	b := dfs.NewBackend(m.Eng, m.Net, dfs.DefaultBackendConfig())
-	cl := dfs.NewStdClient(b, m.HostNode, m.HostCPU, dfs.DefaultStdClientConfig())
-	w := &dfsClientWorld{
-		name: "NFS", eng: m.Eng, hostCPU: m.HostCPU,
+	name, cl := "NFS", dfsHostClient(dfs.NewStdClient(b, m.HostNode, m.HostCPU, dfs.DefaultStdClientConfig()))
+	if opt {
+		name, cl = "NFS+opt-client", dfs.NewCore(b, m.HostNode, m.HostCPU, dfs.DefaultCoreCosts())
+	}
+	return &dfsClientWorld{
+		name: name, eng: m.Eng, hostCPU: m.HostCPU,
 		create: func(p *sim.Proc, tid int, path string) (uint64, error) { return cl.Create(p, path) },
 		write: func(p *sim.Proc, tid int, ino uint64, off uint64, data []byte) error {
 			return cl.Write(p, ino, off, data)
@@ -101,55 +133,27 @@ func newStdWorld() *dfsClientWorld {
 			ino, _, err := cl.Lookup(p, path)
 			return ino, err
 		},
-		stop: func() { m.Eng.Shutdown() },
+		stop: m.Eng.Shutdown,
 	}
-	w.setup()
-	return w
 }
 
-// newOptWorld builds the host-side optimized client world.
-func newOptWorld() *dfsClientWorld {
-	cfg := model.Default()
-	cfg.HostMemMB = 16
-	cfg.DPUMemMB = 8
-	m := model.NewMachine(cfg)
-	b := dfs.NewBackend(m.Eng, m.Net, dfs.DefaultBackendConfig())
-	cl := dfs.NewCore(b, m.HostNode, m.HostCPU, dfs.DefaultCoreCosts())
-	w := &dfsClientWorld{
-		name: "NFS+opt-client", eng: m.Eng, hostCPU: m.HostCPU,
-		create: func(p *sim.Proc, tid int, path string) (uint64, error) { return cl.Create(p, path) },
-		write: func(p *sim.Proc, tid int, ino uint64, off uint64, data []byte) error {
-			return cl.Write(p, ino, off, data)
-		},
-		read: func(p *sim.Proc, tid int, ino uint64, off uint64, n int) error {
-			_, err := cl.Read(p, ino, off, n)
-			return err
-		},
-		lookup: func(p *sim.Proc, tid int, path string) (uint64, error) {
-			ino, _, err := cl.Lookup(p, path)
-			return ino, err
-		},
-		stop: func() { m.Eng.Shutdown() },
-	}
-	w.setup()
-	return w
-}
+func newStdWorld() *dfsClientWorld { return newDFSHostWorld(false).fig9Setup() }
+func newOptWorld() *dfsClientWorld { return newDFSHostWorld(true).fig9Setup() }
 
-// newDPCWorld builds the DPC world: the same optimized core, offloaded to
+// newDPCDFSWorld builds the DPC world: the same optimized core, offloaded to
 // the DPU behind nvme-fs, with the hybrid cache absorbing buffered writes.
-func newDPCWorld(cachePages int) *dfsClientWorld {
-	opts := dpcroot.DefaultOptions()
-	opts.Model.HostMemMB = 320
-	opts.Model.DPUMemMB = 8
-	opts.EnableKVFS = false
-	opts.EnableDFS = true
-	opts.CachePages = cachePages
-	// Wider commands so 1 MB sequential I/O does not fragment.
-	opts.NvmeFS.Queues = 16
-	opts.NvmeFS.SlotsPerQ = 16
-	opts.NvmeFS.MaxIO = 256 * 1024
-	sys := dpcroot.New(opts)
-	cl := sys.DFSClient()
+func newDPCDFSWorld(cachePages int) *dfsClientWorld {
+	dw := newDPCWorld(func(o *dpcroot.Options) {
+		o.Model.HostMemMB = 320
+		o.EnableKVFS = false
+		o.EnableDFS = true
+		o.CachePages = cachePages
+		// Wider commands so 1 MB sequential I/O does not fragment.
+		o.NvmeFS.Queues = 16
+		o.NvmeFS.SlotsPerQ = 16
+		o.NvmeFS.MaxIO = 256 * 1024
+	})
+	sys, cl := dw.sys, dw.cl
 	files := map[uint64]*dpcroot.File{}
 	bufs := readBufs{}
 	fileOf := func(ino uint64) *dpcroot.File {
@@ -194,10 +198,9 @@ func newDPCWorld(cachePages int) *dfsClientWorld {
 			files[f.Ino] = f
 			return f.Ino, nil
 		},
-		stop: func() { sys.StopDaemons(); sys.Shutdown() },
+		stop: dw.stop,
 	}
-	w.setup()
-	return w
+	return w.fig9Setup()
 }
 
 // Fig9Point is one (client, case) measurement.
@@ -214,16 +217,15 @@ func Fig9Data(s Scale) []Fig9Point {
 	warm, meas := s.windows()
 	const iopsThreads = 64
 	var out []Fig9Point
-	worlds := []func() *dfsClientWorld{newStdWorld, newOptWorld, func() *dfsClientWorld { return newDPCWorld(8192) }}
+	worlds := []func() *dfsClientWorld{newStdWorld, newOptWorld, func() *dfsClientWorld { return newDPCDFSWorld(8192) }}
 
 	for _, mk := range worlds {
 		w := mk()
-		cpu := w.hostCPU
 
 		measure := func(kase string, threads int, gen workload.Generator, do workload.Do, bw bool) {
-			cpu.Mark()
+			w.hostCPU.Mark()
 			res := workload.Run(w.eng, workload.Config{Threads: threads, Warmup: warm, Measure: meas, Seed: 11}, gen, do)
-			pt := Fig9Point{Client: w.name, Case: kase, HostCores: cpu.CoresUsed()}
+			pt := Fig9Point{Client: w.name, Case: kase, HostCores: w.hostCPU.CoresUsed()}
 			if bw {
 				pt.Value, pt.Unit = res.GBps(), "GB/s"
 			} else {
@@ -339,13 +341,7 @@ func Fig1Data(s Scale) []Fig9Point {
 			w.hostCPU.Mark()
 			res := workload.Run(w.eng, workload.Config{Threads: threads, Warmup: warm, Measure: meas, Seed: 3},
 				workload.RandomGen(dfsIOSize, dfsFileSize, kase.readPct),
-				func(p *sim.Proc, tid int, a workload.Access) error {
-					ino := w.bigIno[tid%len(w.bigIno)]
-					if a.Kind == workload.Write {
-						return w.write(p, tid, ino, a.Off, make([]byte, a.Size))
-					}
-					return w.read(p, tid, ino, a.Off, a.Size)
-				})
+				w.do(true))
 			out = append(out, Fig9Point{
 				Client: w.name, Case: kase.name, Value: res.IOPS(), Unit: "IOPS",
 				HostCores: w.hostCPU.CoresUsed(),

@@ -33,7 +33,7 @@ func Fig8Data(s Scale) Fig8Result {
 		}
 		gen := workload.RandomGen(saIOSize, workingSet, readPct)
 
-		ext := newExt4World()
+		ext := newExt4World(saFiles, saFileSize)
 		for _, direct := range []bool{true, false} {
 			if op == workload.Read && !direct {
 				// Warm the page cache so buffered reads measure hits; the
@@ -53,8 +53,7 @@ func Fig8Data(s Scale) Fig8Result {
 			res := workload.Run(kw.sys.M.Eng, workload.Config{Threads: randThreads, Warmup: warm, Measure: meas, Seed: 8}, gen, kw.do(direct))
 			out.Rand[key3("kvfs", direct, op)] = res.IOPS()
 		}
-		kw.sys.StopDaemons()
-		kw.sys.Shutdown()
+		kw.stop()
 	}
 
 	// Sequential read: the prefetcher is the star (paper: 100x at 1
@@ -63,7 +62,7 @@ func Fig8Data(s Scale) Fig8Result {
 	for _, threads := range []int{1, 32} {
 		gen := workload.SequentialGen(saIOSize, 8<<20, workload.Read)
 
-		ext := newExt4World()
+		ext := newExt4World(saFiles, saFileSize)
 		res := workload.Run(ext.m.Eng, workload.Config{Threads: threads, Warmup: warm, Measure: meas, Seed: 9}, gen, ext.do(true))
 		out.Seq[fmt.Sprintf("ext4/direct/%d", threads)] = res.IOPS()
 		res = workload.Run(ext.m.Eng, workload.Config{Threads: threads, Warmup: warm, Measure: meas, Seed: 9}, gen, ext.do(false))
@@ -75,8 +74,7 @@ func Fig8Data(s Scale) Fig8Result {
 		out.Seq[fmt.Sprintf("kvfs/direct/%d", threads)] = res.IOPS()
 		res = workload.Run(kw.sys.M.Eng, workload.Config{Threads: threads, Warmup: warm, Measure: meas, Seed: 9}, gen, kw.do(false))
 		out.Seq[fmt.Sprintf("kvfs/buffered/%d", threads)] = res.IOPS()
-		kw.sys.StopDaemons()
-		kw.sys.Shutdown()
+		kw.stop()
 	}
 	return out
 }

@@ -9,7 +9,10 @@ import (
 
 func analyzeReference(t *testing.T) (*prof.Profile, *prof.Report) {
 	t.Helper()
-	o, now := ProfiledReference()
+	o, now, err := ProfiledReference()
+	if err != nil {
+		t.Fatal(err)
+	}
 	pr := prof.Analyze(o.Tracer().Export(now))
 	rep := prof.BuildReport(pr, int64(now), o.Tracer().Dropped(), o.Tracer().DroppedIntervals(), 10)
 	return pr, rep

@@ -234,33 +234,19 @@ func RunBW1(s Scale) []*Table {
 	return []*Table{t}
 }
 
-// DMACounts traces one 8K write + one 8K read through each transport.
+// DMACounts traces one 8K write + one 8K read through each transport (the
+// RAM-backed walks) and counts the DMAs of each.
 func DMACounts() (virtioWr, virtioRd, nvmeWr, nvmeRd int64) {
-	v := newVirtioStack(16*1024, 16)
-	v.m.Eng.Go("trace", func(p *sim.Proc) {
-		buf := make([]byte, 8192)
-		v.m.PCIe.Mark()
-		_ = v.wr(p, 0, 0, buf)
-		virtioWr = v.m.PCIe.DMAs.Delta()
-		v.m.PCIe.Mark()
-		_, _ = v.rd(p, 0, 0, 8192)
-		virtioRd = v.m.PCIe.DMAs.Delta()
-	})
-	v.m.Eng.Run()
-	v.m.Eng.Shutdown()
-
-	n := newNvmeStack(1, 16, 8, 16*1024)
-	n.m.Eng.Go("trace", func(p *sim.Proc) {
-		buf := make([]byte, 8192)
-		n.m.PCIe.Mark()
-		_ = n.wr(p, 0, 0, buf)
-		nvmeWr = n.m.PCIe.DMAs.Delta()
-		n.m.PCIe.Mark()
-		_, _ = n.rd(p, 0, 0, 8192)
-		nvmeRd = n.m.PCIe.DMAs.Delta()
-	})
-	n.m.Eng.Run()
-	n.m.Eng.Shutdown()
+	v, err := VirtioWalk(nil, 8192, false)
+	if err != nil {
+		panic(err)
+	}
+	n, err := NvmeWalk(nil, 8192, false)
+	if err != nil {
+		panic(err)
+	}
+	virtioWr, virtioRd = v.DMAs()
+	nvmeWr, nvmeRd = n.DMAs()
 	return
 }
 

@@ -5,11 +5,6 @@ import (
 	"time"
 
 	dpcroot "dpc"
-	"dpc/internal/cache"
-	"dpc/internal/localfs"
-	"dpc/internal/model"
-	"dpc/internal/sim"
-	"dpc/internal/ssd"
 	"dpc/internal/workload"
 )
 
@@ -20,105 +15,6 @@ const (
 	saFileSize = 32 << 20 // 32 MB each
 	saIOSize   = 8192
 )
-
-// ext4World is the local-Ext4 baseline under test.
-type ext4World struct {
-	m    *model.Machine
-	fs   *localfs.FS
-	inos []uint64
-}
-
-func newExt4World() *ext4World {
-	cfg := model.Default()
-	cfg.HostMemMB = 16
-	cfg.DPUMemMB = 8
-	m := model.NewMachine(cfg)
-	dev := ssd.New(m.Eng, cfg.SSD)
-	fs := localfs.New(m, dev, localfs.DefaultConfig())
-	w := &ext4World{m: m, fs: fs}
-	m.Eng.Go("setup", func(p *sim.Proc) {
-		chunk := make([]byte, 1<<20)
-		for i := 0; i < saFiles; i++ {
-			ino, err := fs.Create(p, fmt.Sprintf("/big%d", i))
-			if err != nil {
-				panic(err)
-			}
-			for off := uint64(0); off < saFileSize; off += 1 << 20 {
-				if err := fs.Write(p, ino, off, chunk, true); err != nil {
-					panic(err)
-				}
-			}
-			w.inos = append(w.inos, ino)
-		}
-	})
-	m.Eng.Run()
-	return w
-}
-
-func (w *ext4World) do(direct bool) workload.Do {
-	return func(p *sim.Proc, tid int, a workload.Access) error {
-		ino := w.inos[tid%len(w.inos)]
-		if a.Kind == workload.Write {
-			return w.fs.Write(p, ino, a.Off, make([]byte, a.Size), direct)
-		}
-		_, err := w.fs.Read(p, ino, a.Off, a.Size, direct)
-		return err
-	}
-}
-
-// kvfsWorld is the DPC standalone service under test.
-type kvfsWorld struct {
-	sys   *dpcroot.System
-	cl    *dpcroot.Client
-	files []*dpcroot.File
-}
-
-func newKVFSWorld(cachePages int) *kvfsWorld {
-	return newKVFSWorldPrefetch(cachePages, 16, true)
-}
-
-// newKVFSWorldPrefetch builds a KVFS world with a specific prefetch depth
-// (depth 0 disables prefetching; adaptive selects window growth).
-func newKVFSWorldPrefetch(cachePages, prefetchDepth int, adaptive bool) *kvfsWorld {
-	opts := dpcroot.DefaultOptions()
-	opts.Model.HostMemMB = 256
-	opts.Model.DPUMemMB = 8
-	opts.CachePages = cachePages
-	opts.Ctl.PrefetchDepth = prefetchDepth
-	opts.Ctl.PrefetchEnabled = prefetchDepth > 0
-	opts.Ctl.AdaptivePrefetch = adaptive
-	sys := dpcroot.New(opts)
-	w := &kvfsWorld{sys: sys, cl: sys.KVFSClient()}
-	sys.Go(func(p *sim.Proc) {
-		chunk := make([]byte, 1<<20)
-		for i := 0; i < saFiles; i++ {
-			f, err := w.cl.Create(p, 0, fmt.Sprintf("/big%d", i))
-			if err != nil {
-				panic(err)
-			}
-			for off := uint64(0); off < saFileSize; off += 1 << 20 {
-				if err := f.Write(p, 0, off, chunk, true); err != nil {
-					panic(err)
-				}
-			}
-			w.files = append(w.files, f)
-		}
-	})
-	sys.RunFor(time.Minute)
-	return w
-}
-
-func (w *kvfsWorld) do(direct bool) workload.Do {
-	bufs := readBufs{}
-	return func(p *sim.Proc, tid int, a workload.Access) error {
-		f := w.files[tid%len(w.files)]
-		if a.Kind == workload.Write {
-			return f.Write(p, tid, a.Off, make([]byte, a.Size), direct)
-		}
-		_, err := f.ReadInto(p, tid, a.Off, bufs.get(tid, a.Size), direct)
-		return err
-	}
-}
 
 // Fig7Point is one (stack, op, threads) measurement.
 type Fig7Point struct {
@@ -141,7 +37,7 @@ func Fig7Data(s Scale) []Fig7Point {
 		if op == workload.Read {
 			readPct = 100
 		}
-		ext := newExt4World()
+		ext := newExt4World(saFiles, saFileSize)
 		kw := newKVFSWorld(2048)
 		for _, threads := range s.threadSweep() {
 			gen := workload.RandomGen(saIOSize, saFileSize, readPct)
@@ -167,8 +63,7 @@ func Fig7Data(s Scale) []Fig7Point {
 			})
 		}
 		ext.m.Eng.Shutdown()
-		kw.sys.StopDaemons()
-		kw.sys.Shutdown()
+		kw.stop()
 	}
 	return out
 }
@@ -204,36 +99,15 @@ func RunFig7(s Scale) []*Table {
 	return []*Table{lat, iops, cpu}
 }
 
-// newKVFSWorldBW builds a KVFS world sized for 1 MB I/O (big per-command
-// MaxIO so a 1 MB request is one nvme-fs command).
-func newKVFSWorldBW() *kvfsWorld {
-	opts := dpcroot.DefaultOptions()
-	opts.Model.HostMemMB = 192
-	opts.Model.DPUMemMB = 8
-	opts.CachePages = 0
-	opts.NvmeFS.Queues = 8
-	opts.NvmeFS.Depth = 32
-	opts.NvmeFS.SlotsPerQ = 4
-	opts.NvmeFS.MaxIO = 1 << 20
-	sys := dpcroot.New(opts)
-	w := &kvfsWorld{sys: sys, cl: sys.KVFSClient()}
-	sys.Go(func(p *sim.Proc) {
-		chunk := make([]byte, 1<<20)
-		for i := 0; i < saFiles; i++ {
-			f, err := w.cl.Create(p, 0, fmt.Sprintf("/big%d", i))
-			if err != nil {
-				panic(err)
-			}
-			for off := uint64(0); off < saFileSize; off += 1 << 20 {
-				if err := f.Write(p, 0, off, chunk, true); err != nil {
-					panic(err)
-				}
-			}
-			w.files = append(w.files, f)
-		}
-	})
-	sys.RunFor(time.Minute)
-	return w
+// bwOptions sizes a world for 1 MB I/O: no cache, and a per-command MaxIO
+// big enough that a 1 MB request is one nvme-fs command.
+func bwOptions(o *dpcroot.Options) {
+	o.Model.HostMemMB = 192
+	o.CachePages = 0
+	o.NvmeFS.Queues = 8
+	o.NvmeFS.Depth = 32
+	o.NvmeFS.SlotsPerQ = 4
+	o.NvmeFS.MaxIO = 1 << 20
 }
 
 // bwWindows returns longer windows for bandwidth runs: 1 MB operations need
@@ -252,24 +126,17 @@ func Table2Data(s Scale) map[string]float64 {
 	for _, threads := range []int{1, 32} {
 		for _, op := range []workload.OpKind{workload.Read, workload.Write} {
 			gen := workload.SequentialGen(1<<20, saFileSize, op)
-			ext := newExt4World()
+			ext := newExt4World(saFiles, saFileSize)
 			res := workload.Run(ext.m.Eng, workload.Config{Threads: threads, Warmup: warm, Measure: meas, Seed: 2},
-				gen, func(p *sim.Proc, tid int, a workload.Access) error {
-					ino := ext.inos[tid%len(ext.inos)]
-					if a.Kind == workload.Write {
-						return ext.fs.Write(p, ino, a.Off, make([]byte, a.Size), true)
-					}
-					_, err := ext.fs.Read(p, ino, a.Off, a.Size, true)
-					return err
-				})
+				gen, ext.do(true))
 			out[fmt.Sprintf("ext4/%s/%d", op, threads)] = res.GBps()
 			ext.m.Eng.Shutdown()
 
-			kw := newKVFSWorldBW()
+			kw := newDPCWorld(bwOptions).prefill(saFiles, saFileSize)
 			res = workload.Run(kw.sys.M.Eng, workload.Config{Threads: threads, Warmup: warm, Measure: meas, Seed: 2},
 				gen, kw.do(true))
 			out[fmt.Sprintf("kvfs/%s/%d", op, threads)] = res.GBps()
-			kw.sys.Shutdown()
+			kw.stop()
 		}
 	}
 	return out
@@ -290,67 +157,4 @@ func RunTable2(s Scale) []*Table {
 		Notes: []string{"paper: Ext4 1.8/1.6 then 3.0/2.0 GB/s; KVFS 5.0/3.1 then 7.6/5.0 GB/s"},
 	}
 	return []*Table{t}
-}
-
-// newKVFSWorldXform builds a bandwidth-capable KVFS world with DPU-side
-// block transforms enabled.
-func newKVFSWorldXform(compression, dif bool) *kvfsWorld {
-	opts := dpcroot.DefaultOptions()
-	opts.Model.HostMemMB = 192
-	opts.Model.DPUMemMB = 8
-	opts.CachePages = 0
-	opts.NvmeFS.Queues = 8
-	opts.NvmeFS.Depth = 32
-	opts.NvmeFS.SlotsPerQ = 4
-	opts.NvmeFS.MaxIO = 1 << 20
-	opts.Compression = compression
-	opts.DIF = dif
-	sys := dpcroot.New(opts)
-	w := &kvfsWorld{sys: sys, cl: sys.KVFSClient()}
-	sys.Go(func(p *sim.Proc) {
-		chunk := make([]byte, 1<<20)
-		for i := 0; i < saFiles; i++ {
-			f, err := w.cl.Create(p, 0, fmt.Sprintf("/big%d", i))
-			if err != nil {
-				panic(err)
-			}
-			for off := uint64(0); off < saFileSize; off += 1 << 20 {
-				if err := f.Write(p, 0, off, chunk, true); err != nil {
-					panic(err)
-				}
-			}
-			w.files = append(w.files, f)
-		}
-	})
-	sys.RunFor(time.Minute)
-	return w
-}
-
-// newKVFSWorldPolicy builds a KVFS world with a specific cache replacement
-// policy.
-func newKVFSWorldPolicy(cachePages int, policy cache.Policy) *kvfsWorld {
-	opts := dpcroot.DefaultOptions()
-	opts.Model.HostMemMB = 256
-	opts.Model.DPUMemMB = 8
-	opts.CachePages = cachePages
-	opts.Ctl.Policy = policy
-	sys := dpcroot.New(opts)
-	w := &kvfsWorld{sys: sys, cl: sys.KVFSClient()}
-	sys.Go(func(p *sim.Proc) {
-		chunk := make([]byte, 1<<20)
-		for i := 0; i < saFiles; i++ {
-			f, err := w.cl.Create(p, 0, fmt.Sprintf("/big%d", i))
-			if err != nil {
-				panic(err)
-			}
-			for off := uint64(0); off < saFileSize; off += 1 << 20 {
-				if err := f.Write(p, 0, off, chunk, true); err != nil {
-					panic(err)
-				}
-			}
-			w.files = append(w.files, f)
-		}
-	})
-	sys.RunFor(time.Minute)
-	return w
 }

@@ -146,15 +146,6 @@ type Config struct {
 	// scheduler feeds (multi-tenant mode only). 0 means 8.
 	DispatchWorkers int
 
-	// SchedQuantum overrides the DRR per-round grant per weight unit, in
-	// cost bytes. 0 (the default) keeps the derived MaxIO+512 grant; it
-	// exists as a what-if knob so sensitivity sweeps can dial scheduler
-	// granularity without rederiving it from MaxIO. The deficit clamp banks
-	// at most two rounds' grant, so pinning it below half the largest
-	// command cost would starve max-size commands — sweeps should stay
-	// within a small factor of the derived grant.
-	SchedQuantum int64
-
 	// InlineCutover pins the inline-write payload cutover instead of the
 	// per-queue adaptive estimate: when > 0, every queue's cutover is
 	// min(InlineCutover, InlineMax) and the EWMA observations only move the

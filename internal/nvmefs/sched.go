@@ -58,7 +58,7 @@ type scheduler struct {
 	tenants []*schedTenant
 	fifoQ   []fetched // the single cross-tenant queue in FIFO mode
 	cond    *sim.Cond // workers park here; offer/done/timer wake them
-	quantum int64     // DRR round grant per weight unit
+	quantum int64     // DRR round grant per weight unit: one max-size command plus header overhead
 	burst   int64     // token-bucket cap; covers the largest single command
 	rr      int       // DRR cursor: the tenant currently being served
 	timerAt sim.Time  // armed token-refill wake, 0 = none
@@ -85,21 +85,12 @@ func (d *Driver) TenantStats(t int) TenantStats {
 		Queued: len(st.ready), Inflight: st.inflight}
 }
 
-// schedQuantum derives the DRR per-round grant: one max-size command plus
-// header overhead, unless Config.SchedQuantum pins it for what-if sweeps.
-func schedQuantum(cfg Config) int64 {
-	if cfg.SchedQuantum > 0 {
-		return cfg.SchedQuantum
-	}
-	return int64(cfg.MaxIO) + 512
-}
-
 func newScheduler(d *Driver) *scheduler {
 	s := &scheduler{
 		d:       d,
 		fifo:    d.cfg.SchedFIFO,
 		cond:    sim.NewCond(d.m.Eng, "nvme-sched"),
-		quantum: schedQuantum(d.cfg),
+		quantum: int64(d.cfg.MaxIO) + 512,
 		burst:   2*int64(d.cfg.MaxIO+d.cfg.RHCap) + 1024,
 	}
 	for i, tc := range d.cfg.Tenants {

@@ -232,32 +232,6 @@ var registry = []Parameter{
 		},
 	},
 	{
-		Name: "nvmefs.inflight_window", Layer: "nvmefs", Component: "",
-		Doc: "per-thread pipelining window / doorbell batch size",
-		apply: func(p *Params, f float64) {
-			w := p.NvmeFS.InflightWindow
-			if w <= 0 {
-				w = 16 // driver default
-			}
-			p.NvmeFS.InflightWindow = scaleInt(w, f)
-		},
-	},
-	{
-		Name: "nvmefs.sched_quantum", Layer: "nvmefs", Component: "",
-		Doc: "DRR per-round dispatch grant per weight unit",
-		apply: func(p *Params, f float64) {
-			q := p.NvmeFS.SchedQuantum
-			if q <= 0 {
-				q = int64(p.NvmeFS.MaxIO) + 512 // driver default
-			}
-			n := int64(float64(q)*f + 0.5)
-			if n < 1 {
-				n = 1
-			}
-			p.NvmeFS.SchedQuantum = n
-		},
-	},
-	{
 		Name: "nvmefs.inline_cutover", Layer: "nvmefs", Component: "",
 		Doc: "pinned inline-write payload cutover (overrides adaptive)",
 		apply: func(p *Params, f float64) {

@@ -29,7 +29,7 @@ type Config struct {
 // cross-check verdicts. JSON is byte-stable: fixed ordering everywhere and
 // every float quantized to 6 decimal places.
 type Report struct {
-	// Workload tags the report shape for the dpcbench -compare gate.
+	// Workload tags the report shape.
 	Workload  string           `json:"workload"`
 	Factors   []float64        `json:"factors"`
 	Workloads []WorkloadResult `json:"workloads"`
@@ -195,7 +195,10 @@ func runWorkload(wl Workload, factors []float64) (WorkloadResult, []string, erro
 	// Unprofiled baseline: the timing reference every counterfactual is
 	// compared against (profiling changes no virtual timing, but keeping
 	// both arms unprofiled removes even the doubt).
-	r0 := wl.run(base, nil)
+	r0, err := wl.run(base, nil)
+	if err != nil {
+		return WorkloadResult{}, nil, fmt.Errorf("whatif: workload %s baseline: %w", wl.Name, err)
+	}
 	if r0.Ops == 0 || r0.ElapsedNs <= 0 {
 		return WorkloadResult{}, nil, fmt.Errorf("whatif: workload %s baseline ran no work (ops=%d elapsed=%d)",
 			wl.Name, r0.Ops, r0.ElapsedNs)
@@ -205,7 +208,10 @@ func runWorkload(wl Workload, factors []float64) (WorkloadResult, []string, erro
 	// Profiled baseline: component shares along the critical paths of the
 	// measured op roots, and the attribution-invariant check over the whole
 	// span forest.
-	shares, waitLayers, invErrs := profileShares(wl, base)
+	shares, waitLayers, invErrs, err := profileShares(wl, base)
+	if err != nil {
+		return WorkloadResult{}, nil, fmt.Errorf("whatif: workload %s profiled baseline: %w", wl.Name, err)
+	}
 	wr.Shares = shares
 	wr.WaitLayers = waitLayers
 
@@ -220,7 +226,10 @@ func runWorkload(wl Workload, factors []float64) (WorkloadResult, []string, erro
 			if err != nil {
 				return WorkloadResult{}, nil, err
 			}
-			r := wl.run(pp, nil)
+			r, err := wl.run(pp, nil)
+			if err != nil {
+				return WorkloadResult{}, nil, fmt.Errorf("whatif: workload %s, %s at %vx: %w", wl.Name, pname, f, err)
+			}
 			if r.Ops != r0.Ops {
 				invErrs = append(invErrs,
 					fmt.Sprintf("param %s factor %v changed the work: %d ops vs %d baseline", pname, f, r.Ops, r0.Ops))
@@ -285,10 +294,13 @@ func crossCheck(prm Parameter, f, gain float64, shares, waitLayers map[string]fl
 // split. It also runs prof.CheckInvariant over the full profile; a breach
 // there means attribution itself is broken, which would invalidate every
 // share the cross-check leans on.
-func profileShares(wl Workload, base Params) (map[string]float64, map[string]float64, []string) {
+func profileShares(wl Workload, base Params) (map[string]float64, map[string]float64, []string, error) {
 	o := obs.New()
 	o.EnableProfiling()
-	r := wl.run(base, o)
+	r, err := wl.run(base, o)
+	if err != nil {
+		return nil, nil, nil, err
+	}
 	spans := o.Tracer().Export(sim.Time(r.EndNs))
 	pr := prof.Analyze(spans)
 
@@ -327,7 +339,7 @@ func profileShares(wl Workload, base Params) (map[string]float64, map[string]flo
 			waitLayers[layer] = round6(float64(ns) / float64(total))
 		}
 	}
-	return shares, waitLayers, invErrs
+	return shares, waitLayers, invErrs, nil
 }
 
 // ProfileReport runs one workload at a counterfactual parameter point with
@@ -344,7 +356,10 @@ func ProfileReport(workload string, ov Overrides) (*prof.Report, error) {
 	}
 	o := obs.New()
 	o.EnableProfiling()
-	r := wl.run(base, o)
+	r, err := wl.run(base, o)
+	if err != nil {
+		return nil, err
+	}
 	pr := prof.Analyze(o.Tracer().Export(sim.Time(r.EndNs)))
 	return prof.BuildReport(pr, r.EndNs, o.Tracer().Dropped(), 0, 3), nil
 }

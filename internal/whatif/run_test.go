@@ -106,7 +106,10 @@ func TestSharesSumToOne(t *testing.T) {
 		t.Skip("runs full simulations")
 	}
 	wl, _ := LookupWorkload("smallio")
-	shares, _, invErrs := profileShares(wl, wl.base(Defaults()))
+	shares, _, invErrs, err := profileShares(wl, wl.base(Defaults()))
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(invErrs) != 0 {
 		t.Fatalf("invariant errors: %v", invErrs)
 	}

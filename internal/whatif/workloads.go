@@ -1,13 +1,10 @@
 package whatif
 
 import (
-	"fmt"
-	"os"
 	"time"
 
 	"dpc"
-	"dpc/internal/model"
-	"dpc/internal/nvme"
+	"dpc/internal/exp"
 	"dpc/internal/nvmefs"
 	"dpc/internal/obs"
 	"dpc/internal/sim"
@@ -44,8 +41,9 @@ type Workload struct {
 	base func(Params) Params
 	// run executes the fixed work. o is nil for timing-only runs and a
 	// profiling-enabled registry for attribution runs; ops must behave
-	// identically either way (obs is nil-safe by construction).
-	run func(p Params, o *obs.Obs) runResult
+	// identically either way (obs is nil-safe by construction). A failed
+	// op fails the run.
+	run func(p Params, o *obs.Obs) (runResult, error)
 }
 
 // Workloads returns the registered reference workloads in a fixed order.
@@ -66,20 +64,6 @@ func LookupWorkload(name string) (Workload, bool) {
 }
 
 var workloads = []Workload{
-	{
-		Name: "largeio",
-		Doc:  "sequential 1 MiB direct reads through the full KVFS stack",
-		Params: []string{
-			"pcie.dma_setup", "pcie.dma_per_byte", "pcie.mmio",
-			"cpu.cost_scale", "nvmefs.inflight_window",
-		},
-		base: func(p Params) Params {
-			p.Model.HostMemMB = 192
-			p.Model.DPUMemMB = 16
-			return p
-		},
-		run: runLargeIO,
-	},
 	{
 		Name: "smallio",
 		Doc:  "256 B transport write+read pairs, DPU-class DMA engine, inline path on",
@@ -116,42 +100,6 @@ var workloads = []Workload{
 		},
 		run: runFsync,
 	},
-	{
-		Name: "ramp",
-		Doc:  "8 concurrent readers on a narrow transport (queue contention)",
-		Params: []string{
-			"pcie.dma_setup", "pcie.dma_per_byte", "cpu.cost_scale",
-			"nvmefs.inflight_window", "pcie.mmio",
-		},
-		base: func(p Params) Params {
-			p.Model.HostMemMB = 192
-			p.Model.DPUMemMB = 16
-			// Narrow the transport so the readers contend for slots: the
-			// sensitivity of interest is queueing, not media.
-			p.NvmeFS.Queues = 2
-			p.NvmeFS.SlotsPerQ = 4
-			return p
-		},
-		run: runRamp,
-	},
-	{
-		Name: "fleet",
-		Doc:  "2-tenant DRR transport probe: victim ops under aggressor load",
-		Params: []string{
-			"pcie.dma_setup", "pcie.dma_per_byte", "nvmefs.sched_quantum",
-			"cpu.cost_scale", "pcie.mmio",
-		},
-		base: func(p Params) Params {
-			p.Model.HostMemMB = 96
-			p.Model.DPUMemMB = 8
-			p.NvmeFS = nvmefs.Config{
-				Queues: 4, Depth: 64, SlotsPerQ: 16, MaxIO: 64 * 1024, RHCap: 256,
-				Tenants: []nvmefs.TenantConfig{{Weight: 1}, {Weight: 1}},
-			}
-			return p
-		},
-		run: runFleet,
-	},
 }
 
 // sysFromParams assembles a full dpc.System from a parameter point.
@@ -164,55 +112,11 @@ func sysFromParams(p Params, o *obs.Obs) *dpc.System {
 	return dpc.New(opts)
 }
 
-// runLargeIO writes an 8 MiB file with 1 MiB direct writes, then measures 8
-// sequential 1 MiB direct reads, each an OpSpan root.
-func runLargeIO(p Params, o *obs.Obs) runResult {
-	const (
-		opSize = 1 << 20
-		ops    = 8
-	)
-	sys := sysFromParams(p, o)
-	cl := sys.KVFSClient()
-	payload := make([]byte, opSize)
-	for i := range payload {
-		payload[i] = byte(i*13 + 7)
-	}
-	var res runResult
-	sys.Go(func(pr *sim.Proc) {
-		f, err := cl.Create(pr, 0, "/whatif-large.dat")
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "whatif largeio create:", err)
-			return
-		}
-		for i := 0; i < ops; i++ {
-			if err := f.Write(pr, 0, uint64(i*opSize), payload, true); err != nil {
-				fmt.Fprintln(os.Stderr, "whatif largeio write:", err)
-				return
-			}
-		}
-		start := pr.Now()
-		for i := 0; i < ops; i++ {
-			s := o.Begin(pr, OpSpan)
-			_, err := f.Read(pr, 0, uint64(i*opSize), opSize, true)
-			s.End(pr)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "whatif largeio read:", err)
-				return
-			}
-			res.Ops++
-		}
-		res.ElapsedNs = int64(pr.Now() - start)
-	})
-	sys.RunFor(time.Minute)
-	res.EndNs = int64(sys.M.Eng.Now())
-	sys.Shutdown()
-	return res
-}
-
 // runSmallIO is the transport-level probe: one nvme-fs queue against a free
-// RAM handler, 8 warm-up pairs (the adaptive cutover settles), then 32
-// measured 256 B write+read pairs, each pair an OpSpan root.
-func runSmallIO(p Params, o *obs.Obs) runResult {
+// RAM handler (exp.NewNvmeEcho), 8 warm-up pairs (the adaptive cutover
+// settles), then 32 measured 256 B write+read pairs, each pair an OpSpan
+// root.
+func runSmallIO(p Params, o *obs.Obs) (runResult, error) {
 	const (
 		size   = 256
 		warmup = 8
@@ -220,51 +124,23 @@ func runSmallIO(p Params, o *obs.Obs) runResult {
 	)
 	cfg := p.Model
 	cfg.Obs = o
-	m := model.NewMachine(cfg)
-	var stored []byte
-	d := nvmefs.NewDriver(m, p.NvmeFS, func(pr *sim.Proc, req nvmefs.Request) nvmefs.Response {
-		switch req.SQE.FileOp {
-		case nvme.FileOpWrite:
-			stored = append(stored[:0], req.Data...)
-			return nvmefs.Response{Status: nvme.StatusOK, Result: uint32(len(req.Data))}
-		case nvme.FileOpRead:
-			return nvmefs.Response{Status: nvme.StatusOK, Header: []byte{1}, Data: stored}
-		}
-		return nvmefs.Response{Status: nvme.StatusInvalid}
-	})
+	m, d := exp.NewNvmeEcho(cfg, p.NvmeFS, false)
 	payload := make([]byte, size)
 	for i := range payload {
 		payload[i] = byte(i*7 + size)
 	}
 	var res runResult
+	var err error
 	m.Eng.Go("whatif-smallio", func(pr *sim.Proc) {
 		hdr := make([]byte, 16)
-		pair := func() bool {
-			w := d.Submit(pr, 0, nvmefs.Submission{FileOp: nvme.FileOpWrite, Header: hdr, Payload: payload})
-			if !w.OK() {
-				fmt.Fprintf(os.Stderr, "whatif smallio write: status %s\n", nvme.StatusString(w.Status))
-				return false
-			}
-			r := d.Submit(pr, 0, nvmefs.Submission{FileOp: nvme.FileOpRead, Header: hdr, RHLen: 1, ReadLen: size})
-			if !r.OK() {
-				fmt.Fprintf(os.Stderr, "whatif smallio read: status %s\n", nvme.StatusString(r.Status))
-				return false
-			}
-			return true
-		}
-		for i := 0; i < warmup; i++ {
-			if !pair() {
-				return
-			}
+		for i := 0; i < warmup && err == nil; i++ {
+			_, err = exp.EchoPair(pr, d, hdr, payload)
 		}
 		start := pr.Now()
-		for i := 0; i < pairs; i++ {
+		for i := 0; i < pairs && err == nil; i++ {
 			s := o.Begin(pr, OpSpan)
-			ok := pair()
+			_, err = exp.EchoPair(pr, d, hdr, payload)
 			s.End(pr)
-			if !ok {
-				return
-			}
 			res.Ops++
 		}
 		res.ElapsedNs = int64(pr.Now() - start)
@@ -272,207 +148,21 @@ func runSmallIO(p Params, o *obs.Obs) runResult {
 	m.Eng.Run()
 	res.EndNs = int64(m.Eng.Now())
 	m.Eng.Shutdown()
-	return res
+	return res, err
 }
 
 // runFsync runs 4 writers, each doing 8 write+fsync rounds through the
-// WAL-enabled cache; every Sync is an OpSpan root. Elapsed is the last
-// worker's finish time: group commit amortizes barriers *across* workers, so
-// per-worker timing would hide exactly the effect under study.
-func runFsync(p Params, o *obs.Obs) runResult {
-	const (
-		workers = 4
-		rounds  = 8
-		burst   = 8192
-	)
+// WAL-enabled cache (exp.FsyncWriters); every Sync is an OpSpan root and
+// elapsed is the last worker's finish time.
+func runFsync(p Params, o *obs.Obs) (runResult, error) {
 	sys := sysFromParams(p, o)
-	var res runResult
-	done := 0
-	for w := 0; w < workers; w++ {
-		w := w
-		sys.Go(func(pr *sim.Proc) {
-			defer func() { done++ }()
-			cl := sys.KVFSClient()
-			f, err := cl.Create(pr, 0, fmt.Sprintf("/whatif-fsync-w%d", w))
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "whatif fsync create:", err)
-				return
-			}
-			buf := make([]byte, burst)
-			for i := range buf {
-				buf[i] = byte(i*31 + w)
-			}
-			for r := 0; r < rounds; r++ {
-				if err := f.Write(pr, 0, uint64(r)*burst, buf, false); err != nil {
-					fmt.Fprintln(os.Stderr, "whatif fsync write:", err)
-					return
-				}
-				s := o.Begin(pr, OpSpan)
-				err := f.Sync(pr, 0)
-				s.End(pr)
-				if err != nil {
-					fmt.Fprintln(os.Stderr, "whatif fsync sync:", err)
-					return
-				}
-				res.Ops++
-			}
-			if int64(pr.Now()) > res.ElapsedNs {
-				res.ElapsedNs = int64(pr.Now())
-			}
-		})
-	}
-	// The cache flush daemon wakes forever; pump bounded slices.
-	for i := 0; done != workers; i++ {
-		if i > 1<<16 {
-			fmt.Fprintf(os.Stderr, "whatif fsync: stalled with %d/%d workers\n", done, workers)
-			break
-		}
-		sys.RunFor(10 * time.Millisecond)
-	}
-	sys.StopDaemons()
-	res.EndNs = int64(sys.M.Eng.Now())
-	sys.Shutdown()
-	return res
-}
-
-// runRamp runs 8 concurrent readers over a shared file on a deliberately
-// narrow transport; every read is an OpSpan root. Elapsed is the last
-// reader's finish time.
-func runRamp(p Params, o *obs.Obs) runResult {
-	const (
-		opSize  = 64 * 1024
-		perProc = 8
-		readers = 8
-	)
-	sys := sysFromParams(p, o)
-	var res runResult
-	done := 0
-	ready := false
-	for w := 0; w < readers; w++ {
-		w := w
-		sys.Go(func(pr *sim.Proc) {
-			defer func() { done++ }()
-			cl := sys.KVFSClient()
-			if w == 0 {
-				f, err := cl.Create(pr, 0, "/whatif-ramp.dat")
-				if err != nil {
-					fmt.Fprintln(os.Stderr, "whatif ramp create:", err)
-					return
-				}
-				payload := make([]byte, opSize)
-				for i := range payload {
-					payload[i] = byte(i*17 + 3)
-				}
-				for i := 0; i < readers*perProc; i++ {
-					if err := f.Write(pr, 0, uint64(i*opSize), payload, true); err != nil {
-						fmt.Fprintln(os.Stderr, "whatif ramp write:", err)
-						return
-					}
-				}
-				ready = true
-			}
-			for !ready {
-				pr.Sleep(100 * time.Microsecond)
-			}
-			f, err := cl.Open(pr, 0, "/whatif-ramp.dat")
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "whatif ramp open:", err)
-				return
-			}
-			for i := 0; i < perProc; i++ {
-				off := uint64(((w*perProc + i) % (readers * perProc)) * opSize)
-				s := o.Begin(pr, OpSpan)
-				_, err := f.Read(pr, 0, off, opSize, true)
-				s.End(pr)
-				if err != nil {
-					fmt.Fprintln(os.Stderr, "whatif ramp read:", err)
-					return
-				}
-				res.Ops++
-			}
-			if int64(pr.Now()) > res.ElapsedNs {
-				res.ElapsedNs = int64(pr.Now())
-			}
-		})
-	}
-	for i := 0; done != readers; i++ {
-		if i > 1<<16 {
-			fmt.Fprintf(os.Stderr, "whatif ramp: stalled with %d/%d readers\n", done, readers)
-			break
-		}
-		sys.RunFor(10 * time.Millisecond)
-	}
-	sys.StopDaemons()
-	res.EndNs = int64(sys.M.Eng.Now())
-	sys.Shutdown()
-	return res
-}
-
-// runFleet is the multi-tenant transport probe: tenant 0 (the victim) runs
-// 48 serial 4 KiB write+read pairs — each an OpSpan root — while tenant 1
-// (the aggressor) floods its queue group with 96 pipelined 32 KiB writes.
-// Elapsed is the victim's completion time: the DRR scheduler's job is to
-// bound exactly that.
-func runFleet(p Params, o *obs.Obs) runResult {
-	const (
-		victimOps  = 48
-		victimSz   = 4 * 1024
-		aggrOps    = 96
-		aggrSz     = 32 * 1024
-		aggrDepth  = 8
-		victimQ    = 0 // tenant 0 owns queues 0-1
-		aggressorQ = 2 // tenant 1 owns queues 2-3
-	)
-	cfg := p.Model
-	cfg.Obs = o
-	m := model.NewMachine(cfg)
-	sink := 0
-	d := nvmefs.NewDriver(m, p.NvmeFS, func(pr *sim.Proc, req nvmefs.Request) nvmefs.Response {
-		switch req.SQE.FileOp {
-		case nvme.FileOpWrite:
-			sink += len(req.Data)
-			return nvmefs.Response{Status: nvme.StatusOK, Result: uint32(len(req.Data))}
-		case nvme.FileOpRead:
-			return nvmefs.Response{Status: nvme.StatusOK, Header: []byte{1}}
-		}
-		return nvmefs.Response{Status: nvme.StatusInvalid}
+	fsyncs, last, err := exp.FsyncWriters(sys, 4, 8, 8192, "/whatif-fsync-w", func(pr *sim.Proc, f *dpc.File) error {
+		s := o.Begin(pr, OpSpan)
+		defer s.End(pr)
+		return f.Sync(pr, 0)
 	})
-	var res runResult
-	m.Eng.Go("whatif-fleet-victim", func(pr *sim.Proc) {
-		hdr := make([]byte, 16)
-		payload := make([]byte, victimSz)
-		for i := range payload {
-			payload[i] = byte(i*5 + 1)
-		}
-		for i := 0; i < victimOps; i++ {
-			s := o.Begin(pr, OpSpan)
-			w := d.Submit(pr, victimQ, nvmefs.Submission{FileOp: nvme.FileOpWrite, Header: hdr, Payload: payload})
-			r := d.Submit(pr, victimQ, nvmefs.Submission{FileOp: nvme.FileOpRead, Header: hdr, RHLen: 1})
-			s.End(pr)
-			if !w.OK() || !r.OK() {
-				fmt.Fprintln(os.Stderr, "whatif fleet victim: bad status")
-				return
-			}
-			res.Ops++
-		}
-		res.ElapsedNs = int64(pr.Now())
-	})
-	for a := 0; a < aggrDepth; a++ {
-		a := a
-		m.Eng.Go(fmt.Sprintf("whatif-fleet-aggr%d", a), func(pr *sim.Proc) {
-			hdr := make([]byte, 16)
-			payload := make([]byte, aggrSz)
-			for i := range payload {
-				payload[i] = byte(i*3 + a)
-			}
-			for i := 0; i < aggrOps/aggrDepth; i++ {
-				d.Submit(pr, aggressorQ+a%2, nvmefs.Submission{FileOp: nvme.FileOpWrite, Header: hdr, Payload: payload})
-			}
-		})
-	}
-	m.Eng.Run()
-	res.EndNs = int64(m.Eng.Now())
-	m.Eng.Shutdown()
-	_ = sink
-	return res
+	sys.StopDaemons()
+	res := runResult{Ops: int(fsyncs), ElapsedNs: int64(last), EndNs: int64(sys.M.Eng.Now())}
+	sys.Shutdown()
+	return res, err
 }

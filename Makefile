@@ -6,8 +6,8 @@ build:
 	$(GO) build ./...
 
 # vet also runs dpclint, the repo's metric-naming lint: every metric
-# registration must use a constant name or the sanctioned q%d per-queue
-# convention (see cmd/dpclint); fails on any file gofmt would rewrite; and
+# registration and every Publish of a component-owned counter must use a
+# constant name or the sanctioned q%d per-queue convention (see cmd/dpclint); fails on any file gofmt would rewrite; and
 # keeps the allocate-and-copy reads (Link.DMARead, Region.Read) out of the
 # cache and nvme-fs data paths, which borrow a view or fill a pooled buffer
 # instead, and the allocate-a-result reads (KVFS.Read, DFS.Read, a by-copy
@@ -30,10 +30,12 @@ test:
 # engine itself (processes run on iter.Pull coroutines, which the detector
 # follows), the WAL and KVFS on top of it, the link, memory and buffer-pool
 # layers whose views and pooled buffers the data paths now share, localfs,
-# the KV store, SSD, dispatcher and fabric under the backend read path, and
-# the root package's integration tests.
+# the KV store, SSD, dispatcher and fabric under the backend read path, the
+# remaining owners and readers of published counters (CPU pools, DFS, the
+# machine model, stats, the telemetry sampler), and the root package's
+# integration tests.
 race:
-	$(GO) test -race . ./internal/sim/... ./internal/wal/... ./internal/kvfs/... ./internal/obs/... ./internal/cache/... ./internal/fault/... ./internal/nvmefs/... ./internal/pcie/... ./internal/mem/... ./internal/bufpool/... ./internal/localfs/... ./internal/kv/... ./internal/ssd/... ./internal/dispatch/... ./internal/fabric/...
+	$(GO) test -race . ./internal/sim/... ./internal/wal/... ./internal/kvfs/... ./internal/obs/... ./internal/cache/... ./internal/fault/... ./internal/nvmefs/... ./internal/pcie/... ./internal/mem/... ./internal/bufpool/... ./internal/localfs/... ./internal/kv/... ./internal/ssd/... ./internal/dispatch/... ./internal/fabric/... ./internal/cpu/... ./internal/dfs/... ./internal/model/... ./internal/stats/... ./internal/telemetry/...
 
 # Short fixed-seed differential torture: every stack, 8 seeds, 2000 ops
 # each, replayed against the in-memory oracle (see internal/check).

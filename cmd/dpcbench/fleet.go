@@ -5,6 +5,7 @@ import (
 	"os"
 
 	"dpc/internal/exp"
+	"dpc/internal/fault"
 )
 
 // The fleet scenario: the multi-tenant noisy-neighbor experiment.
@@ -51,10 +52,10 @@ type fleetReport struct {
 }
 
 // buildFleetRun executes the three-phase fleet experiment and digests it.
-func buildFleetRun() (*exp.FleetRun, fleetReport, error) {
+func buildFleetRun(faults []fault.Rule) (*exp.FleetRun, fleetReport, error) {
 	cfg := exp.DefaultFleetConfig()
 	cfg.SLOs = []string{defaultFleetSLO}
-	run, err := exp.RunFleet(cfg)
+	run, err := exp.RunFleet(cfg, faults)
 	if err != nil {
 		return nil, fleetReport{}, err
 	}
@@ -93,8 +94,8 @@ func checkFleetGates(rep fleetReport) error {
 
 // runFleetScenario runs the fleet experiment once and writes whichever
 // outputs were requested.
-func runFleetScenario(fleetOut, timelineOut string) error {
-	run, rep, err := buildFleetRun()
+func runFleetScenario(fleetOut, timelineOut string, faults []fault.Rule) error {
+	run, rep, err := buildFleetRun(faults)
 	if err != nil {
 		return err
 	}

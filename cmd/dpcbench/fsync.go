@@ -89,8 +89,6 @@ func measureFsyncTier(workers int) (fsyncTier, error) {
 	opts.WAL.Enabled = true
 	sys := dpc.New(opts)
 
-	commits := o.Counter("wal.commits")
-	walBytes := o.Counter("wal.bytes")
 	lat := stats.NewLatency()
 	tier := fsyncTier{Workers: workers}
 
@@ -111,8 +109,8 @@ func measureFsyncTier(workers int) (fsyncTier, error) {
 		return tier, fmt.Errorf("fsync tier, %d workers: %w", workers, err)
 	}
 
-	tier.Commits = commits.Value()
-	tier.WALBytes = walBytes.Value()
+	tier.Commits = o.Registry().CounterValue("wal.commits")
+	tier.WALBytes = o.Registry().CounterValue("wal.bytes")
 	if tier.Commits > 0 {
 		tier.FsyncsPerBarrier = float64(tier.Fsyncs) / float64(tier.Commits)
 	}

@@ -84,10 +84,10 @@ func main() {
 	}{
 		{"fault scenario", *faults, runFaultScenario},
 		{"fleet scenario", *fleetOut != "" || *fleetTimelineOut != "", func() error {
-			return runFleetScenario(*fleetOut, *fleetTimelineOut)
+			return runFleetScenario(*fleetOut, *fleetTimelineOut, nil)
 		}},
 		{"ramp scenario", *rampOut != "" || *timelineOut != "" || *timelineTraceOut != "", func() error {
-			return runRampScenario(*rampOut, *timelineOut, *timelineTraceOut, *sloSpecs, *sloGate)
+			return runRampScenario(*rampOut, *timelineOut, *timelineTraceOut, *sloSpecs, *sloGate, nil)
 		}},
 		{"metrics scenario", *metricsOut != "", func() error { return runMetricsScenario(*metricsOut, *traceOut) }},
 		{"smallio scenario", *smallioOut != "", func() error { return runSmallIOScenario(*smallioOut) }},

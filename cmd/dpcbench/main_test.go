@@ -70,17 +70,41 @@ func TestScenarioMatchesCommittedArtifact(t *testing.T) {
 // scenario body — its own transport, with every SQE corrupted on the way to
 // the TGT so each command exhausts its retries — and checks that the body
 // returns the error (it used to print it and return zeros) and that the
-// report writer then leaves no file behind.
+// report writer then leaves no file behind. The ramp and fleet scenarios run
+// under the same rule: their first op error must come back (they used to
+// print it and digest an empty run), which is what makes main exit 1, and
+// none of their outputs may exist.
 func TestFailedOpWritesNoArtifact(t *testing.T) {
+	corruptAll := []fault.Rule{{Site: fault.SiteTGT, Kind: fault.KindCorruptSQE}}
+	dir := t.TempDir()
+	out := func(name string) string { return filepath.Join(dir, name) }
 	m, d := smallIODriver(0, nil)
-	d.SetFaults(fault.New(m.Eng, []fault.Rule{{Site: fault.SiteTGT, Kind: fault.KindCorruptSQE}}))
-	out := filepath.Join(t.TempDir(), "smallio.json")
-	_, err := writeReport(out, func() (smallIORun, error) { return measureSmallIO(m, d, 0, 256) })
-	if err == nil {
-		t.Error("a scenario whose every op failed returned no error")
-	}
-	t.Logf("scenario error: %v", err)
-	if _, statErr := os.Stat(out); !os.IsNotExist(statErr) {
-		t.Errorf("a failed scenario left %s behind (stat: %v)", out, statErr)
+	d.SetFaults(fault.New(m.Eng, corruptAll))
+	for _, sc := range []struct {
+		name  string
+		run   func() error
+		files []string
+	}{
+		{"smallio", func() error {
+			_, err := writeReport(out("smallio.json"), func() (smallIORun, error) { return measureSmallIO(m, d, 0, 256) })
+			return err
+		}, []string{"smallio.json"}},
+		{"ramp", func() error {
+			return runRampScenario(out("ramp.json"), out("ramp-tl.json"), out("ramp-tr.json"), "", -1, corruptAll)
+		}, []string{"ramp.json", "ramp-tl.json", "ramp-tr.json"}},
+		{"fleet", func() error {
+			return runFleetScenario(out("fleet.json"), out("fleet-tl.json"), corruptAll)
+		}, []string{"fleet.json", "fleet-tl.json"}},
+	} {
+		err := sc.run()
+		if err == nil {
+			t.Errorf("%s: a scenario whose every op failed returned no error", sc.name)
+		}
+		t.Logf("%s scenario error: %v", sc.name, err)
+		for _, f := range sc.files {
+			if _, statErr := os.Stat(out(f)); !os.IsNotExist(statErr) {
+				t.Errorf("%s: a failed scenario left %s behind (stat: %v)", sc.name, f, statErr)
+			}
+		}
 	}
 }

@@ -43,8 +43,8 @@ func runMetricsScenario(metricsPath, tracePath string) error {
 	}
 
 	reg := o.Registry()
-	hits := reg.Counter("cache.host.hits").Value()
-	misses := reg.Counter("cache.host.misses").Value()
+	hits := reg.CounterValue("cache.host.hits")
+	misses := reg.CounterValue("cache.host.misses")
 	if total := hits + misses; total > 0 {
 		reg.Gauge("cache.host.hit_ratio").Set(float64(hits) / float64(total))
 	}

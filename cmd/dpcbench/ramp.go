@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"dpc/internal/exp"
+	"dpc/internal/fault"
 )
 
 // The ramp scenario: staged load under continuous telemetry. -ramp-out
@@ -36,8 +37,8 @@ type rampReport struct {
 
 // buildRampRun executes the ramp and digests it. Empty slos uses the
 // calibrated default objective.
-func buildRampRun(slos []string) (*exp.RampRun, rampReport, error) {
-	run, err := exp.RunRamp(slos, 100*time.Microsecond)
+func buildRampRun(slos []string, faults []fault.Rule) (*exp.RampRun, rampReport, error) {
+	run, err := exp.RunRamp(slos, 100*time.Microsecond, faults)
 	if err != nil {
 		return nil, rampReport{}, err
 	}
@@ -68,8 +69,8 @@ func buildRampRun(slos []string) (*exp.RampRun, rampReport, error) {
 
 // runRampScenario runs the ramp once and writes whichever outputs were
 // requested. sloGate, when >= 0, fails the run if any objective's burn
-// rate exceeds it.
-func runRampScenario(rampOut, timelineOut, traceOut, sloSpecs string, sloGate float64) error {
+// rate exceeds it. Nothing is written when an op of the run failed.
+func runRampScenario(rampOut, timelineOut, traceOut, sloSpecs string, sloGate float64, faults []fault.Rule) error {
 	var slos []string
 	if sloSpecs != "" {
 		for _, s := range strings.Split(sloSpecs, ";") {
@@ -78,7 +79,7 @@ func runRampScenario(rampOut, timelineOut, traceOut, sloSpecs string, sloGate fl
 			}
 		}
 	}
-	run, rep, err := buildRampRun(slos)
+	run, rep, err := buildRampRun(slos, faults)
 	if err != nil {
 		return err
 	}

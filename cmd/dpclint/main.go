@@ -1,5 +1,6 @@
 // Command dpclint enforces the repo's metric-naming discipline: every
-// Counter/Gauge/Histogram registration must use a constant name, so the
+// Counter/Gauge/Histogram registration, and every Publish of a
+// component-owned counter, must use a constant name, so the
 // metric namespace is greppable and the telemetry sampler's column set is
 // closed. The sanctioned dynamic forms are the per-queue and per-tenant
 // conventions — fmt.Sprintf with a format whose only verbs are a "q%d"
@@ -37,6 +38,7 @@ var metricFuncs = map[string]bool{
 	"Counter":   true,
 	"Gauge":     true,
 	"Histogram": true,
+	"Publish":   true,
 }
 
 // verbRE matches a printf verb (with flags/width), for validating the

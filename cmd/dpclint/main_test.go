@@ -98,6 +98,24 @@ func f(o O, tid int, name string) {
 	}
 }
 
+// Publishing a component-owned counter names a metric like a registration
+// does, so it is held to the same rule.
+func TestLintGuardsPublish(t *testing.T) {
+	src := `package x
+import "fmt"
+func f(o O, c *C, name string, tid, shard int) {
+	o.Publish("cache.host.hits", c.Hits.Loc())
+	o.Publish(fmt.Sprintf("nvmefs.t%d.shed", tid), &c.shed)
+	o.Publish(name, &c.n)
+	o.Publish(fmt.Sprintf("shard%d.ops", shard), &c.n)
+	o.Publish("fault.injected."+name, &c.n) //dpclint:ok
+}
+`
+	if n := lintSource(t, src); n != 2 {
+		t.Errorf("Publish: %d findings, want 2 (the bare name and the shard%%d form)", n)
+	}
+}
+
 func TestLintRejectsDynamicNames(t *testing.T) {
 	src := `package x
 import "fmt"

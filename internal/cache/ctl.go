@@ -103,6 +103,8 @@ type Ctl struct {
 
 	stopped bool
 
+	// Published as cache.ctl.* when obs is on; the two failure counters only
+	// by SetFaults, so fault-free metric snapshots keep their exact key set.
 	Flushes    stats.Counter
 	Evictions  stats.Counter
 	Prefetches stats.Counter
@@ -140,19 +142,11 @@ type Ctl struct {
 	ckptSeq  uint64
 	ckptDone *sim.Cond
 
-	// obs mirrors, cached at construction; nil no-op sinks when disabled.
-	// po is non-nil only in profiling mode (flush-join wait attribution).
-	o           *obs.Obs
-	po          *obs.Obs
-	oFlushes    *obs.Counter
-	oEvictions  *obs.Counter
-	oPrefetches *obs.Counter
-	oFills      *obs.Counter
-	// Failure-path mirrors, registered lazily by SetFaults so fault-free
-	// metric snapshots keep their exact key set.
-	oFlushErrs *obs.Counter
-	oFillErrs  *obs.Counter
-	oDegraded  *obs.Gauge
+	// o is nil when obs is disabled; po is non-nil only in profiling mode
+	// (flush-join wait attribution). oDegraded is registered by SetFaults.
+	o         *obs.Obs
+	po        *obs.Obs
+	oDegraded *obs.Gauge
 }
 
 // degradedThreshold is how many consecutive backend flush failures flip
@@ -166,11 +160,9 @@ func (c *Ctl) SetFaults(in *fault.Injector) {
 	if in == nil {
 		return
 	}
-	if o := c.m.Obs; o.Enabled() {
-		c.oFlushErrs = o.Counter("cache.ctl.flush_errs")
-		c.oFillErrs = o.Counter("cache.ctl.fill_errs")
-		c.oDegraded = o.Gauge("cache.ctl.degraded")
-	}
+	c.o.Publish("cache.ctl.flush_errs", c.FlushErrs.Loc())
+	c.o.Publish("cache.ctl.fill_errs", c.FillErrs.Loc())
+	c.oDegraded = c.o.Gauge("cache.ctl.degraded")
 }
 
 // Degraded reports whether the cache is currently in degraded mode.
@@ -244,15 +236,13 @@ func NewCtl(m *model.Machine, l Layout, backend Backend, cfg CtlConfig) *Ctl {
 		hands:    make([]int, l.Buckets),
 		streams:  map[uint64][]*stream{},
 		inflight: map[[2]uint64]bool{},
+		o:        m.Obs,
+		po:       m.Obs.Prof(),
 	}
-	if o := m.Obs; o.Enabled() {
-		c.o = o
-		c.po = o.Prof()
-		c.oFlushes = o.Counter("cache.ctl.flushes")
-		c.oEvictions = o.Counter("cache.ctl.evictions")
-		c.oPrefetches = o.Counter("cache.ctl.prefetches")
-		c.oFills = o.Counter("cache.ctl.fills")
-	}
+	c.o.Publish("cache.ctl.flushes", c.Flushes.Loc())
+	c.o.Publish("cache.ctl.evictions", c.Evictions.Loc())
+	c.o.Publish("cache.ctl.prefetches", c.Prefetches.Loc())
+	c.o.Publish("cache.ctl.fills", c.Fills.Loc())
 	if cfg.FlushEnabled {
 		m.Eng.Go("cache-flushd", c.flushDaemon)
 	}
@@ -703,14 +693,12 @@ func (c *Ctl) doFlushOne(p *sim.Proc, i int) (bool, error) {
 		// failures trip degraded mode via the failure streak.
 		c.unlock(p, i)
 		c.FlushErrs.Inc()
-		c.oFlushErrs.Inc()
 		c.noteFlushFailure(p)
 		return false, err
 	}
 	c.setStatus(p, i, StatusClean)
 	c.unlock(p, i)
 	c.Flushes.Inc()
-	c.oFlushes.Inc()
 	c.noteFlushSuccess(p)
 	return true, nil
 }
@@ -798,7 +786,6 @@ func (c *Ctl) fillPage(p *sim.Proc, ino, lpn uint64, data []byte) int {
 	c.setStatus(p, target, StatusClean)
 	c.unlock(p, target)
 	c.Fills.Inc()
-	c.oFills.Inc()
 	return target
 }
 
@@ -839,7 +826,6 @@ func (c *Ctl) evictClean(p *sim.Proc, bucket int, entries []Entry) int {
 		c.m.PCIe.AtomicFetchAdd32(p, c.m.HostMem, c.L.Base+12, 1, "cache-free-inc")
 		c.unlock(p, i)
 		c.Evictions.Inc()
-		c.oEvictions.Inc()
 		return i
 	}
 	return -1
@@ -890,7 +876,6 @@ func (c *Ctl) reclaimBucket(p *sim.Proc, ino, lpn uint64, want int) int {
 			c.m.PCIe.AtomicFetchAdd32(p, c.m.HostMem, c.L.Base+12, 1, "cache-free-inc")
 			freed++
 			c.Evictions.Inc()
-			c.oEvictions.Inc()
 		}
 		c.unlock(p, i)
 	}
@@ -999,7 +984,6 @@ func (c *Ctl) NotifyRead(p *sim.Proc, ino, lpn uint64) {
 					if pg != nil {
 						c.FillPage(pp, ino, need[i]+uint64(k), pg)
 						c.Prefetches.Inc()
-						c.oPrefetches.Inc()
 					}
 				}
 				i = j
@@ -1032,7 +1016,6 @@ func (c *Ctl) fillFaulted() bool {
 	kind, _, injected := c.faults.At(fault.SiteCacheFill)
 	if injected && kind == fault.KindBackendReadErr {
 		c.FillErrs.Inc()
-		c.oFillErrs.Inc()
 		return true
 	}
 	return false

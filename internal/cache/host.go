@@ -19,6 +19,7 @@ type Host struct {
 	m *model.Machine
 	L Layout
 
+	// Published as cache.host.* when obs is on.
 	Hits      stats.Counter
 	Misses    stats.Counter
 	CachedWr  stats.Counter
@@ -30,25 +31,17 @@ type Host struct {
 	// outside the set has no dirty page and HasDirty need not scan for it.
 	maybeDirty map[uint64]struct{}
 
-	// obs mirrors, cached at construction; nil no-op sinks when disabled.
 	// po is non-nil only in profiling mode (entry-lock spin attribution).
-	po         *obs.Obs
-	oHits      *obs.Counter
-	oMisses    *obs.Counter
-	oCachedWr  *obs.Counter
-	oWriteFull *obs.Counter
+	po *obs.Obs
 }
 
 // NewHost wraps an initialized layout.
 func NewHost(m *model.Machine, l Layout) *Host {
-	h := &Host{m: m, L: l, maybeDirty: map[uint64]struct{}{}}
-	if o := m.Obs; o.Enabled() {
-		h.po = o.Prof()
-		h.oHits = o.Counter("cache.host.hits")
-		h.oMisses = o.Counter("cache.host.misses")
-		h.oCachedWr = o.Counter("cache.host.cached_writes")
-		h.oWriteFull = o.Counter("cache.host.write_full")
-	}
+	h := &Host{m: m, L: l, maybeDirty: map[uint64]struct{}{}, po: m.Obs.Prof()}
+	m.Obs.Publish("cache.host.hits", h.Hits.Loc())
+	m.Obs.Publish("cache.host.misses", h.Misses.Loc())
+	m.Obs.Publish("cache.host.cached_writes", h.CachedWr.Loc())
+	m.Obs.Publish("cache.host.write_full", h.WriteFull.Loc())
 	return h
 }
 
@@ -97,13 +90,11 @@ func (h *Host) LookupInto(p *sim.Proc, ino, lpn uint64, po int, dst []byte) bool
 	i := h.findEntry(ino, lpn)
 	if i < 0 {
 		h.Misses.Inc()
-		h.oMisses.Inc()
 		return false
 	}
 	a := h.L.EntryAddr(i)
 	if !h.m.HostMem.CompareAndSwap32(a+offLock, LockNone, LockRead) {
 		h.Misses.Inc()
-		h.oMisses.Inc()
 		return false
 	}
 	// Re-check under the lock: the entry may have been replaced.
@@ -111,7 +102,6 @@ func (h *Host) LookupInto(p *sim.Proc, ino, lpn uint64, po int, dst []byte) bool
 	if (e.Status != StatusClean && e.Status != StatusDirty) || e.Ino != ino || e.LPN != lpn {
 		h.m.HostMem.PutUint32(a+offLock, LockNone)
 		h.Misses.Inc()
-		h.oMisses.Inc()
 		return false
 	}
 	copy(dst, h.m.HostMem.Slice(h.L.PageAddr(i)+mem.Addr(po), len(dst)))
@@ -123,7 +113,6 @@ func (h *Host) LookupInto(p *sim.Proc, ino, lpn uint64, po int, dst []byte) bool
 	h.m.HostMem.Slice(a+offRef, 1)[0] = 1
 	h.m.HostMem.PutUint32(a+offLock, LockNone)
 	h.Hits.Inc()
-	h.oHits.Inc()
 	return true
 }
 
@@ -181,7 +170,6 @@ func (h *Host) WritePage(p *sim.Proc, ino, lpn uint64, data []byte) bool {
 		h.maybeDirty[ino] = struct{}{}
 		h.m.HostMem.PutUint32(a+offLock, LockNone)
 		h.CachedWr.Inc()
-		h.oCachedWr.Inc()
 		return true
 	}
 
@@ -211,11 +199,9 @@ func (h *Host) WritePage(p *sim.Proc, ino, lpn uint64, data []byte) bool {
 		// a concurrent DPU fill claim a second entry for this page.
 		h.m.HostExec(p, h.m.Cfg.Costs.HostCopyPerPage*int64((h.L.PageSize+4095)/4096))
 		h.CachedWr.Inc()
-		h.oCachedWr.Inc()
 		return true
 	}
 	h.WriteFull.Inc()
-	h.oWriteFull.Inc()
 	return false
 }
 

@@ -179,7 +179,6 @@ type Backend struct {
 	ds    []*dsNode
 
 	MDSOps stats.Counter
-	DSOps  stats.Counter
 	// Forwards counts entry-MDS metadata forwards (saved by the optimized
 	// clients' metadata-view cache).
 	Forwards stats.Counter

@@ -154,22 +154,18 @@ type Core struct {
 
 	Ops         stats.Counter
 	DelegHits   stats.Counter
-	ECBlocks    stats.Counter
 	RecallsSeen stats.Counter
 
-	// Obs, when set (before first use), records dfs.read/dfs.write spans
-	// and mirrors Ops into "dfs.core.ops". Nil no-ops.
-	Obs  *obs.Obs
-	oOps *obs.Counter
+	// Obs, when set (before first use), records dfs.read/dfs.write spans;
+	// AttachObs also publishes Ops, every core operation, as "dfs.core.ops".
+	// Nil no-ops.
+	Obs *obs.Obs
 }
 
 // AttachObs enables span/counter recording on the core. Safe with nil.
 func (c *Core) AttachObs(o *obs.Obs) {
-	if !o.Enabled() {
-		return
-	}
 	c.Obs = o
-	c.oOps = o.Counter("dfs.core.ops")
+	o.Publish("dfs.core.ops", c.Ops.Loc())
 }
 
 // NewCore creates an optimized client core on the given CPU pool and node.
@@ -250,8 +246,6 @@ func (c *Core) Write(p *sim.Proc, ino uint64, off uint64, data []byte) error {
 	defer s.End(p)
 	c.cpu.Exec(p, c.costs.PerOpCycles+c.costs.ECCyclesPerByte*int64(len(data)))
 	c.Ops.Inc()
-	c.oOps.Inc()
-	c.ECBlocks.Add(int64((len(data) + BlockSize - 1) / BlockSize))
 	if errs := c.b.writeBlocksFrom(p, c.node, ino, off, data); errs != "" {
 		return fmt.Errorf("%w: %s", ErrRemote, errs)
 	}
@@ -306,7 +300,6 @@ func (c *Core) ReadInto(p *sim.Proc, ino uint64, off uint64, dst []byte) (int, e
 	defer s.End(p)
 	c.cpu.Exec(p, c.costs.PerOpCycles)
 	c.Ops.Inc()
-	c.oOps.Inc()
 	if size, ok := c.sizes[ino]; ok {
 		if off >= size {
 			return 0, nil

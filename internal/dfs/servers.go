@@ -162,7 +162,6 @@ func (b *Backend) dsServe(p *sim.Proc, d *dsNode) {
 			continue
 		}
 		d.cpu.Exec(p, b.cfg.DSCycles)
-		b.DSOps.Inc()
 
 		bytes := 0
 		var out []dsShard

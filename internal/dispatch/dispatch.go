@@ -76,6 +76,7 @@ type Dispatcher struct {
 	m        *model.Machine
 	services [2]*Service // indexed by nvme.DispatchKVFS / nvme.DispatchDFS
 
+	// Published as dispatch.* when obs is on.
 	Requests   stats.Counter
 	CacheFills stats.Counter
 
@@ -84,22 +85,17 @@ type Dispatcher struct {
 	tenantReqs  []*obs.Counter
 	tenantBytes []*obs.Counter
 
-	// obs mirrors, cached at construction; nil no-op sinks when disabled.
-	o           *obs.Obs
-	oRequests   *obs.Counter
-	oCacheFills *obs.Counter
+	// o records per-request spans; nil when disabled.
+	o *obs.Obs
 }
 
 // New creates a dispatcher. Either service may be nil.
 func New(m *model.Machine, kvfsSvc, dfsSvc *Service) *Dispatcher {
-	d := &Dispatcher{m: m}
+	d := &Dispatcher{m: m, o: m.Obs}
 	d.services[nvme.DispatchKVFS] = kvfsSvc
 	d.services[nvme.DispatchDFS] = dfsSvc
-	if o := m.Obs; o.Enabled() {
-		d.o = o
-		d.oRequests = o.Counter("dispatch.requests")
-		d.oCacheFills = o.Counter("dispatch.cache_fills")
-	}
+	d.o.Publish("dispatch.requests", d.Requests.Loc())
+	d.o.Publish("dispatch.cache_fills", d.CacheFills.Loc())
 	return d
 }
 
@@ -160,7 +156,6 @@ func (d *Dispatcher) Handle(p *sim.Proc, req nvmefs.Request) nvmefs.Response {
 
 func (d *Dispatcher) handle(p *sim.Proc, req nvmefs.Request) nvmefs.Response {
 	d.Requests.Inc()
-	d.oRequests.Inc()
 	if req.Tenant >= 0 && req.Tenant < len(d.tenantReqs) {
 		d.tenantReqs[req.Tenant].Inc()
 		d.tenantBytes[req.Tenant].Add(int64(req.SQE.WriteLen) + int64(req.SQE.ReadLen))
@@ -244,7 +239,6 @@ func (d *Dispatcher) handleRead(p *sim.Proc, svc *Service, hdr ReqHeader, req nv
 		}
 		if idx := svc.Ctl.FillPage(p, hdr.Ino, lpn, page); idx >= 0 {
 			d.CacheFills.Inc()
-			d.oCacheFills.Inc()
 			// Only the cache entry index travels back, in the response
 			// header: RH[0]=1, RH[1:5]=index.
 			return nvmefs.Response{Status: nvme.StatusOK, Header: fillHeader(idx)}

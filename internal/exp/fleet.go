@@ -7,6 +7,7 @@ import (
 	"time"
 
 	dpcroot "dpc"
+	"dpc/internal/fault"
 	"dpc/internal/nvmefs"
 	"dpc/internal/obs"
 	"dpc/internal/sim"
@@ -160,21 +161,24 @@ func (r *FleetRun) VictimP999Ratio(name string) float64 {
 }
 
 // RunFleet executes the three phases. Fully deterministic: identical configs
-// produce identical reports and timeline exports.
-func RunFleet(cfg FleetConfig) (*FleetRun, error) {
+// produce identical reports and timeline exports. An error in a measured op
+// is part of the scenario and is counted per tenant; the first error of a
+// setup op fails the run (faults, nil in every committed scenario, injects
+// one).
+func RunFleet(cfg FleetConfig, faults []fault.Rule) (*FleetRun, error) {
 	if cfg.Tenants < 2 || cfg.VictimProcs <= 0 || cfg.Measure <= 0 {
 		return nil, fmt.Errorf("fleet: bad config %+v", cfg)
 	}
 	run := &FleetRun{Cfg: cfg}
-	base, _, err := runFleetPhase(cfg, "baseline", false, false, false)
+	base, _, err := runFleetPhase(cfg, faults, "baseline", false, false, false)
 	if err != nil {
 		return nil, err
 	}
-	fifo, _, err := runFleetPhase(cfg, "fifo", true, true, false)
+	fifo, _, err := runFleetPhase(cfg, faults, "fifo", true, true, false)
 	if err != nil {
 		return nil, err
 	}
-	drr, tel, err := runFleetPhase(cfg, "drr", true, false, true)
+	drr, tel, err := runFleetPhase(cfg, faults, "drr", true, false, true)
 	if err != nil {
 		return nil, err
 	}
@@ -192,7 +196,7 @@ type fleetTel struct {
 
 // runFleetPhase builds a fresh system with the tenant queue groups, runs one
 // contention scenario, and summarizes the measurement window.
-func runFleetPhase(cfg FleetConfig, name string, withAggressor, fifo, wantTel bool) (FleetPhase, fleetTel, error) {
+func runFleetPhase(cfg FleetConfig, faults []fault.Rule, name string, withAggressor, fifo, wantTel bool) (FleetPhase, fleetTel, error) {
 	o := obs.New()
 	opts := dpcroot.DefaultOptions()
 	opts.Model.Obs = o
@@ -212,7 +216,9 @@ func runFleetPhase(cfg FleetConfig, name string, withAggressor, fifo, wantTel bo
 	}
 	opts.NvmeFS.Tenants = tenants
 	opts.NvmeFS.SchedFIFO = fifo
+	opts.Faults = faults
 	sys := dpcroot.New(opts)
+	var opErr firstErr
 
 	// Clients first: each tenant client registers its t<N>.client.* metric
 	// family, and the telemetry sampler picks its series from the registry
@@ -253,12 +259,12 @@ func runFleetPhase(cfg FleetConfig, name string, withAggressor, fifo, wantTel bo
 	sys.Go(func(p *sim.Proc) {
 		vf, err := clients[1].Create(p, 0, "/fleet.dat")
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "fleet create:", err)
+			opErr.note("fleet create", err)
 			return
 		}
 		ff, err := clients[0].Create(p, 0, "/flood.dat")
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "fleet flood create:", err)
+			opErr.note("fleet flood create", err)
 			return
 		}
 		payload := make([]byte, fleetFloodSize)
@@ -267,13 +273,13 @@ func runFleetPhase(cfg FleetConfig, name string, withAggressor, fifo, wantTel bo
 		}
 		tail := uint64(fleetFloodChunks-1) * fleetFloodSize
 		if err := ff.Write(p, 0, tail, payload, true); err != nil {
-			fmt.Fprintln(os.Stderr, "fleet flood seed:", err)
+			opErr.note("fleet flood seed", err)
 			return
 		}
 		// EOF must be published before the range writers start, or their
 		// first writes race to extend the size.
 		if err := vf.Write(p, 0, fleetFileSize-fleetFloodSize, payload, true); err != nil {
-			fmt.Fprintln(os.Stderr, "fleet seed:", err)
+			opErr.note("fleet seed", err)
 			return
 		}
 		filesReady = true
@@ -288,7 +294,7 @@ func runFleetPhase(cfg FleetConfig, name string, withAggressor, fifo, wantTel bo
 			}
 			vf, err := clients[1].Open(p, w, "/fleet.dat")
 			if err != nil {
-				fmt.Fprintln(os.Stderr, "fleet fill open:", err)
+				opErr.note("fleet fill open", err)
 				return
 			}
 			payload := make([]byte, fleetFloodSize)
@@ -297,7 +303,7 @@ func runFleetPhase(cfg FleetConfig, name string, withAggressor, fifo, wantTel bo
 			}
 			for c := w * chunksPerFiller; c < (w+1)*chunksPerFiller; c++ {
 				if err := vf.Write(p, w, uint64(c)*fleetFloodSize, payload, true); err != nil {
-					fmt.Fprintln(os.Stderr, "fleet fill:", err)
+					opErr.note("fleet fill", err)
 					return
 				}
 			}
@@ -341,7 +347,7 @@ func runFleetPhase(cfg FleetConfig, name string, withAggressor, fifo, wantTel bo
 				}
 				f, err := clients[t].Open(p, i, "/fleet.dat")
 				if err != nil {
-					fmt.Fprintln(os.Stderr, "fleet open:", err)
+					opErr.note("fleet open", err)
 					return
 				}
 				buf := make([]byte, fleetOpSize)
@@ -383,7 +389,7 @@ func runFleetPhase(cfg FleetConfig, name string, withAggressor, fifo, wantTel bo
 				}
 				f, err := clients[0].Open(p, i, "/flood.dat")
 				if err != nil {
-					fmt.Fprintln(os.Stderr, "fleet flood open:", err)
+					opErr.note("fleet flood open", err)
 					return
 				}
 				payload := make([]byte, fleetFloodOpSize)
@@ -451,5 +457,8 @@ func runFleetPhase(cfg FleetConfig, name string, withAggressor, fifo, wantTel bo
 	out := fleetTel{o: o, t: tel, now: sys.Now()}
 	sys.StopDaemons()
 	sys.Shutdown()
+	if opErr.err != nil {
+		return FleetPhase{}, fleetTel{}, fmt.Errorf("%s phase: %w", name, opErr.err)
+	}
 	return ph, out, nil
 }

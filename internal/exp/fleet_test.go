@@ -27,7 +27,7 @@ func tinyFleetConfig() FleetConfig {
 // engine, so BENCH_8.json regenerates exactly.
 func TestFleetDeterminism(t *testing.T) {
 	marshal := func() []byte {
-		run, err := RunFleet(tinyFleetConfig())
+		run, err := RunFleet(tinyFleetConfig(), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -47,7 +47,7 @@ func TestFleetDeterminism(t *testing.T) {
 // order, victims measured in all of them, aggressor traffic only in the
 // contended ones, and budgets enforced only under drr.
 func TestFleetPhaseShape(t *testing.T) {
-	run, err := RunFleet(tinyFleetConfig())
+	run, err := RunFleet(tinyFleetConfig(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

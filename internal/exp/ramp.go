@@ -2,10 +2,10 @@ package exp
 
 import (
 	"fmt"
-	"os"
 	"time"
 
 	dpcroot "dpc"
+	"dpc/internal/fault"
 	"dpc/internal/obs"
 	"dpc/internal/sim"
 	"dpc/internal/stats"
@@ -58,11 +58,22 @@ const (
 	rampSetupDur  = 5 * time.Millisecond
 )
 
+// firstErr keeps the first op error the procs of a scenario (the ramp, a
+// fleet phase) report, in event order, for the scenario to return.
+type firstErr struct{ err error }
+
+func (f *firstErr) note(what string, err error) {
+	if f.err == nil {
+		f.err = fmt.Errorf("%s: %w", what, err)
+	}
+}
+
 // RunRamp executes the staged ramp with the given objectives (nil uses
 // DefaultRampSLO) and sample interval (0 uses the 100us default). The run
 // is fully deterministic: identical arguments produce byte-identical
-// timeline and trace exports.
-func RunRamp(slos []string, interval time.Duration) (*RampRun, error) {
+// timeline and trace exports. The first op error of any proc fails the run;
+// faults (nil in every committed scenario) injects one.
+func RunRamp(slos []string, interval time.Duration, faults []fault.Rule) (*RampRun, error) {
 	if len(slos) == 0 {
 		slos = []string{DefaultRampSLO}
 	}
@@ -81,6 +92,7 @@ func RunRamp(slos []string, interval time.Duration) (*RampRun, error) {
 	// slot acquisition and the windowed p99 climbs past the objective.
 	opts.NvmeFS.Queues = 2
 	opts.NvmeFS.SlotsPerQ = 4
+	opts.Faults = faults
 	sys := dpcroot.New(opts)
 	tel, err := telemetry.Attach(sys.M.Eng, o, telemetry.Config{
 		Interval: interval,
@@ -91,6 +103,7 @@ func RunRamp(slos []string, interval time.Duration) (*RampRun, error) {
 		return nil, err
 	}
 
+	var opErr firstErr
 	run := &RampRun{Obs: o, T: tel}
 	nStages := len(rampStageWorkers)
 	run.Stages = make([]RampStage, nStages)
@@ -119,7 +132,7 @@ func RunRamp(slos []string, interval time.Duration) (*RampRun, error) {
 	sys.Go(func(p *sim.Proc) {
 		f, err := cl.Create(p, 0, "/ramp.dat")
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "ramp create:", err)
+			opErr.note("ramp create", err)
 			return
 		}
 		payload := make([]byte, rampOpSize)
@@ -128,7 +141,7 @@ func RunRamp(slos []string, interval time.Duration) (*RampRun, error) {
 		}
 		for i := 0; i < rampFilePages; i++ {
 			if err := f.Write(p, 0, uint64(i)*rampOpSize, payload, true); err != nil {
-				fmt.Fprintln(os.Stderr, "ramp fill:", err)
+				opErr.note("ramp fill", err)
 				return
 			}
 		}
@@ -163,7 +176,7 @@ func RunRamp(slos []string, interval time.Duration) (*RampRun, error) {
 			qid := w % 2
 			f, err := cl.Open(p, qid, "/ramp.dat")
 			if err != nil {
-				fmt.Fprintln(os.Stderr, "ramp open:", err)
+				opErr.note("ramp open", err)
 				return
 			}
 			page := uint64(w) // deterministic stride, decorrelated by worker
@@ -172,7 +185,7 @@ func RunRamp(slos []string, interval time.Duration) (*RampRun, error) {
 				off := (page % rampFilePages) * rampOpSize
 				page += 3
 				if _, err := f.ReadInto(p, qid, off, buf, true); err != nil {
-					fmt.Fprintln(os.Stderr, "ramp read:", err)
+					opErr.note("ramp read", err)
 					return
 				}
 				run.Reads++
@@ -197,5 +210,8 @@ func RunRamp(slos []string, interval time.Duration) (*RampRun, error) {
 
 	sys.StopDaemons()
 	sys.Shutdown()
+	if opErr.err != nil {
+		return nil, opErr.err
+	}
 	return run, nil
 }

@@ -13,11 +13,11 @@ func TestRampDeterministicAndBurns(t *testing.T) {
 	if testing.Short() {
 		t.Skip("ramp run in -short mode")
 	}
-	r1, err := RunRamp(nil, 0)
+	r1, err := RunRamp(nil, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := RunRamp(nil, 0)
+	r2, err := RunRamp(nil, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -158,8 +158,7 @@ type Injector struct {
 	armed bool
 	until sim.Time // controller frozen until this instant (0 = not)
 
-	kindCount [numKinds]int64 // total firings by kind
-	oInjected [numKinds]*obs.Counter
+	kindCount [numKinds]int64 // total firings by kind; fault.injected.<kind> under AttachObs
 }
 
 // New builds an injector over the engine's virtual clock. The injector
@@ -174,14 +173,14 @@ func New(eng *sim.Engine, rules []Rule) *Injector {
 	}
 }
 
-// AttachObs registers per-kind injection counters. Call only on fault
-// runs — registering the keys changes metric snapshots.
+// AttachObs publishes the per-kind injection counts. Call only on fault
+// runs — publishing the keys changes metric snapshots.
 func (in *Injector) AttachObs(o *obs.Obs) {
 	if in == nil || o == nil {
 		return
 	}
 	for k := Kind(1); k < numKinds; k++ {
-		in.oInjected[k] = o.Counter("fault.injected." + k.String()) // closed Kind enum //dpclint:ok
+		o.Publish("fault.injected."+k.String(), &in.kindCount[k]) // closed Kind enum //dpclint:ok
 	}
 }
 
@@ -251,9 +250,6 @@ func (in *Injector) At(site Site) (kind Kind, delay time.Duration, ok bool) {
 		}
 		in.fired[i]++
 		in.kindCount[r.Kind]++
-		if c := in.oInjected[r.Kind]; c != nil {
-			c.Inc()
-		}
 		if r.Kind == KindFreeze {
 			thaw := now + sim.Time(r.Delay.Nanoseconds())
 			if thaw > in.until {

@@ -62,9 +62,7 @@ type FS struct {
 	attrCache   map[uint64]Attr
 	negCache    map[string]bool // known-absent dentries
 
-	Ops        stats.Counter
-	DentryHits stats.Counter
-	AttrHits   stats.Counter
+	Ops stats.Counter
 }
 
 // NextIno returns the next inode number the FS would allocate.
@@ -175,7 +173,6 @@ func (fs *FS) charge(p *sim.Proc) {
 
 func (fs *FS) getAttr(p *sim.Proc, ino uint64) (Attr, bool) {
 	if a, ok := fs.attrCache[ino]; ok {
-		fs.AttrHits.Inc()
 		return a, true
 	}
 	v, ok := fs.cl.Get(p, AttrKey(ino))
@@ -200,7 +197,6 @@ func (fs *FS) putAttr(p *sim.Proc, a Attr) {
 func (fs *FS) lookupDentry(p *sim.Proc, pIno uint64, name string) (uint64, bool) {
 	key := DentryKey(pIno, name)
 	if ino, ok := fs.dentryCache[key]; ok {
-		fs.DentryHits.Inc()
 		return ino, true
 	}
 	if fs.negCache[key] {

@@ -130,7 +130,6 @@ type FS struct {
 	// Counters for experiments.
 	Ops       stats.Counter
 	CacheHits stats.Counter
-	CacheMiss stats.Counter
 }
 
 // New formats the device and mounts a fresh file system.

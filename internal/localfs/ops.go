@@ -518,7 +518,6 @@ func (fs *FS) readPageCached(p *sim.Proc, ind *inode, ino uint64, pg int64) []by
 		fs.CacheHits.Inc()
 		return d
 	}
-	fs.CacheMiss.Inc()
 	ra := int64(1)
 	if sequential {
 		ra = int64(fs.cfg.ReadAheadPages)

@@ -230,16 +230,14 @@ func NewMachine(cfg Config) *Machine {
 		hostBump: hostMem.Base(),
 		dpuBump:  dpuMem.Base(),
 	}
-	if cfg.Obs != nil {
-		m.AttachObs(cfg.Obs)
-	}
+	m.AttachObs(cfg.Obs)
 	return m
 }
 
-// AttachObs enables observability on an assembled machine: CPU pools get
-// busy-time counters and a PCIe subscriber bridges every link operation
-// into obs counters plus span annotations on the issuing process. Must be
-// called before dependent components (drivers, caches, services) are
+// AttachObs enables observability on an assembled machine: the CPU pools
+// and the PCIe link publish their counters, and a link subscriber attaches
+// every PCIe operation as an annotation to the issuing process's span. Must
+// be called before dependent components (drivers, caches, services) are
 // built, since they cache m.Obs at construction.
 func (m *Machine) AttachObs(o *obs.Obs) {
 	if !o.Enabled() || m.Obs != nil {
@@ -248,42 +246,14 @@ func (m *Machine) AttachObs(o *obs.Obs) {
 	m.Obs = o
 	m.HostCPU.AttachObs(o)
 	m.DPUCPU.AttachObs(o)
-	m.PCIe.AttachProf(o)
-	dmas := o.Counter("pcie.link.dmas")
-	h2d := o.Counter("pcie.link.dma_bytes_h2d")
-	d2h := o.Counter("pcie.link.dma_bytes_d2h")
-	mmios := o.Counter("pcie.link.mmios")
-	atomics := o.Counter("pcie.link.atomics")
-	var pios, pioBytes *obs.Counter
+	m.PCIe.AttachObs(o)
 	m.PCIe.Subscribe(func(ev pcie.Event) {
-		switch ev.Op {
-		case pcie.OpDMA:
-			dmas.Inc()
-			if ev.Dir == pcie.HostToDev {
-				h2d.Add(int64(ev.Bytes))
-			} else {
-				d2h.Add(int64(ev.Bytes))
-			}
-			o.Annotate(ev.Proc, "dma:"+ev.Label, int64(ev.Bytes))
-		case pcie.OpMMIO:
-			mmios.Inc()
-			o.Annotate(ev.Proc, "mmio:"+ev.Label, int64(ev.Bytes))
-		case pcie.OpPIO:
-			// Registered lazily on the first PIO so snapshots of runs that
-			// never use the inline path keep their historical key set.
-			if pios == nil {
-				pios = o.Counter("pcie.link.pios")
-				pioBytes = o.Counter("pcie.link.pio_bytes")
-			}
-			pios.Inc()
-			pioBytes.Add(int64(ev.Bytes))
-			o.Annotate(ev.Proc, "pio:"+ev.Label, int64(ev.Bytes))
-		default:
-			atomics.Inc()
-			o.Annotate(ev.Proc, "atomic:"+ev.Label, int64(ev.Bytes))
-		}
+		o.Annotate(ev.Proc, annotPrefix[ev.Op]+ev.Label, int64(ev.Bytes))
 	})
 }
+
+// annotPrefix is the span-annotation prefix of each PCIe operation kind.
+var annotPrefix = [...]string{pcie.OpDMA: "dma:", pcie.OpMMIO: "mmio:", pcie.OpAtomic: "atomic:", pcie.OpPIO: "pio:"}
 
 // AllocHost reserves size bytes of host memory, aligned to align (a power of
 // two), and returns its address. Panics when the arena is exhausted: the

@@ -332,9 +332,8 @@ type Driver struct {
 	// o is the machine's observability hub (nil no-op when disabled); po is
 	// non-nil only in profiling mode and gates wait-interval attribution
 	// (slot/SQ/inflight/backoff/reset waits) and per-queue depth gauges.
-	o          *obs.Obs
-	po         *obs.Obs
-	oCompleted *obs.Counter
+	o  *obs.Obs
+	po *obs.Obs
 	// oDoorbells counts doorbell MMIOs; oCoalesced counts SQEs that shared
 	// a doorbell with an earlier SQE (the MMIOs a serial submitter would
 	// have paid). oInflight/oInflightPeak gauge the async pipeline depth.
@@ -349,20 +348,17 @@ type Driver struct {
 	mmioNs float64
 	// InlineWrites/InlineReads count commands that took the inline path;
 	// InlineBytes counts payload bytes moved inline (both directions).
+	// Published as nvmefs.driver.inline_* only with the path enabled.
 	InlineWrites int64
 	InlineReads  int64
 	InlineBytes  int64
-	oInlineW     *obs.Counter
-	oInlineR     *obs.Counter
-	oInlineB     *obs.Counter
 
-	// Completed counts finished commands.
+	// Completed counts finished commands (nvmefs.driver.completed).
 	Completed int64
 
 	// inflight is the number of commands submitted and not yet completed,
-	// across all queues; inflightPeak is its high-water mark.
-	inflight     int64
-	inflightPeak int64
+	// across all queues.
+	inflight int64
 
 	// sched arbitrates between queue drain and dispatch in multi-tenant
 	// mode; nil (the default) means TGT threads dispatch directly.
@@ -379,7 +375,7 @@ type Driver struct {
 	resetting      bool
 
 	// Failure counters. Always maintained (they replace panics that could
-	// fire with injection off too); mirrored into obs only on fault runs so
+	// fire with injection off too); SetFaults publishes six of them, so
 	// fault-free metric snapshots keep their exact key set.
 	Timeouts           int64 // per-command deadlines expired
 	Retries            int64 // command resubmissions
@@ -391,13 +387,6 @@ type Driver struct {
 	HeaderOverflows    int64 // handler responses whose header exceeded RHLen
 	WorkerCrashes      int64 // TGT workers that died before executing (injected)
 	DedupHits          int64 // retried commands answered from the executed-response cache
-
-	oTimeouts *obs.Counter
-	oRetries  *obs.Counter
-	oResets   *obs.Counter
-	oDropped  *obs.Counter
-	oUnknown  *obs.Counter
-	oDedup    *obs.Counter
 }
 
 // NewDriver lays out the queues and buffers and starts one TGT thread per
@@ -446,17 +435,17 @@ func NewDriver(m *model.Machine, cfg Config, handler Handler) *Driver {
 	if o := m.Obs; o.Enabled() {
 		d.o = o
 		d.po = o.Prof()
-		d.oCompleted = o.Counter("nvmefs.driver.completed")
+		o.Publish("nvmefs.driver.completed", &d.Completed)
 		d.oDoorbells = o.Counter("nvmefs.driver.doorbells")
 		d.oCoalesced = o.Counter("nvmefs.driver.doorbells_coalesced")
 		d.oInflight = o.Gauge("nvmefs.driver.inflight")
 		d.oInflightPeak = o.Gauge("nvmefs.driver.inflight_peak")
 		if cfg.InlineMax > 0 {
-			// Registered only with the path enabled so inline-off runs keep
+			// Published only with the path enabled so inline-off runs keep
 			// their exact metric key set (snapshot byte stability).
-			d.oInlineW = o.Counter("nvmefs.driver.inline_writes")
-			d.oInlineR = o.Counter("nvmefs.driver.inline_reads")
-			d.oInlineB = o.Counter("nvmefs.driver.inline_bytes")
+			o.Publish("nvmefs.driver.inline_writes", &d.InlineWrites)
+			o.Publish("nvmefs.driver.inline_reads", &d.InlineReads)
+			o.Publish("nvmefs.driver.inline_bytes", &d.InlineBytes)
 		}
 	}
 	pcfg := m.PCIe.Config()
@@ -540,21 +529,19 @@ func (d *Driver) TenantOf(qid int) int { return d.queues[qid%len(d.queues)].tena
 
 // SetFaults attaches a fault injector: the TGT and completion paths start
 // consulting it, and every enqueue arms a per-command deadline event. The
-// failure obs counters are registered here — not at construction — so that
+// failure counters are published here — not at construction — so that
 // fault-free runs export exactly the same metric key set as before.
 func (d *Driver) SetFaults(in *fault.Injector) {
 	d.faults = in
 	if in == nil {
 		return
 	}
-	if o := d.m.Obs; o.Enabled() {
-		d.oTimeouts = o.Counter("nvmefs.driver.timeouts")
-		d.oRetries = o.Counter("nvmefs.driver.retries")
-		d.oResets = o.Counter("nvmefs.driver.resets")
-		d.oDropped = o.Counter("nvmefs.driver.dropped_completions")
-		d.oUnknown = o.Counter("nvmefs.driver.unknown_completions")
-		d.oDedup = o.Counter("nvmefs.driver.dedup_hits")
-	}
+	d.o.Publish("nvmefs.driver.timeouts", &d.Timeouts)
+	d.o.Publish("nvmefs.driver.retries", &d.Retries)
+	d.o.Publish("nvmefs.driver.resets", &d.Resets)
+	d.o.Publish("nvmefs.driver.dropped_completions", &d.DroppedCompletions)
+	d.o.Publish("nvmefs.driver.unknown_completions", &d.UnknownCompletions)
+	d.o.Publish("nvmefs.driver.dedup_hits", &d.DedupHits)
 }
 
 // ewma folds a new sample into an α=1/8 exponentially-weighted average.
@@ -812,12 +799,9 @@ func (d *Driver) enqueueToken(p *sim.Proc, qid int, sub Submission, token uint32
 		d.pool.Put(stage)
 		d.InlineWrites++
 		d.InlineBytes += int64(len(sub.Payload))
-		d.oInlineW.Inc()
-		d.oInlineB.Add(int64(len(sub.Payload)))
 	}
 	if inlineR {
 		d.InlineReads++
-		d.oInlineR.Inc()
 	}
 	// Write the SQE into the SQ ring (host-local memory write).
 	sqeAddr := qs.qp.SQ.EntryAddr(qs.qp.SQTail)
@@ -847,9 +831,6 @@ func (d *Driver) enqueueToken(p *sim.Proc, qid int, sub Submission, token uint32
 	}
 
 	d.inflight++
-	if d.inflight > d.inflightPeak {
-		d.inflightPeak = d.inflight
-	}
 	d.oInflightPeak.SetMax(float64(d.inflight))
 	d.oInflight.Set(float64(d.inflight))
 	s.End(p)
@@ -868,9 +849,6 @@ func (d *Driver) onDeadline(qs *queueState, cid uint16, pd *pendingCmd) {
 	}
 	d.Timeouts++
 	d.consecTimeouts++
-	if d.oTimeouts != nil {
-		d.oTimeouts.Inc()
-	}
 	pd.comp = Completion{Status: nvme.StatusTimeout}
 	pd.done = true
 	delete(qs.pending, cid)
@@ -928,15 +906,11 @@ func (pend *Pending) Wait(p *sim.Proc) Completion {
 		if !nvme.Retryable(comp.Status) || pend.attempts >= d.cfg.MaxRetries {
 			d.m.HostExec(p, d.m.Cfg.Costs.HostComplete)
 			d.Completed++
-			d.oCompleted.Inc()
 			s.End(p)
 			return comp
 		}
 		pend.attempts++
 		d.Retries++
-		if d.oRetries != nil {
-			d.oRetries.Inc()
-		}
 		// A retryable completion is a fault-path event: pin the wait span so
 		// the telemetry flight recorder keeps this op's causal tree.
 		s.Pin()
@@ -971,9 +945,6 @@ func (d *Driver) reset(p *sim.Proc) {
 	}
 	d.resetting = true
 	d.Resets++
-	if d.oResets != nil {
-		d.oResets.Inc()
-	}
 	rs := d.o.Begin(p, "nvmefs.reset")
 	rs.Pin() // controller resets are always recorder-worthy
 	resetFrom := p.Now()
@@ -1285,9 +1256,6 @@ func (d *Driver) execute(wp *sim.Proc, f fetched) {
 		// completion was lost): replay the recorded response instead of
 		// running the handler a second time.
 		d.DedupHits++
-		if d.oDedup != nil {
-			d.oDedup.Inc()
-		}
 		resp = cached
 	} else {
 		resp = d.handler(wp, req)
@@ -1324,7 +1292,6 @@ func (d *Driver) execute(wp *sim.Proc, f fetched) {
 				resp.Data = resp.Data[:int(sqe.ReadLen)-d.cfg.RHCap]
 			}
 			d.InlineBytes += int64(len(resp.Data))
-			d.oInlineB.Add(int64(len(resp.Data)))
 			resp.Result = uint32(len(resp.Data))
 		} else if live() {
 			// One DMA carries [header | zeros up to RHCap | data], truncated
@@ -1422,9 +1389,6 @@ func (d *Driver) complete(p *sim.Proc, qs *queueState, gen int, sqe nvme.SQE, re
 			// command is retried, and the retry hits the executed-response
 			// cache (the handler DID run).
 			d.DroppedCompletions++
-			if d.oDropped != nil {
-				d.oDropped.Inc()
-			}
 			return
 		case fault.KindCorruptCQE:
 			// Mangle the CID to one that can never be allocated (>= Depth)
@@ -1476,9 +1440,6 @@ func (d *Driver) complete(p *sim.Proc, qs *queueState, gen int, sqe nvme.SQE, re
 			// already aborted: drop the completion. The slot is NOT
 			// recycled here — the abort path owns it.
 			d.UnknownCompletions++
-			if d.oUnknown != nil {
-				d.oUnknown.Inc()
-			}
 			return
 		}
 		d.consecTimeouts = 0

@@ -39,16 +39,14 @@ type schedTenant struct {
 	last     sim.Time  // virtual time of the last token refill
 	inflight int       // dispatched and not yet completed
 
+	// Published as nvmefs.t<i>.dispatched/shed/bytes when obs is on.
 	dispatched int64 // commands granted to a worker
 	shed       int64 // commands refused at admission
 	bytes      int64 // cost bytes granted
 
-	oDispatched *obs.Counter
-	oShed       *obs.Counter
-	oBytes      *obs.Counter
-	oQueued     *obs.Gauge
-	oInflight   *obs.Gauge
-	oWait       *obs.Histogram // fetch→dispatch scheduling delay
+	oQueued   *obs.Gauge
+	oInflight *obs.Gauge
+	oWait     *obs.Histogram // fetch→dispatch scheduling delay
 }
 
 // scheduler arbitrates fetched commands across tenants.
@@ -65,7 +63,7 @@ type scheduler struct {
 }
 
 // TenantStats is a point-in-time snapshot of one tenant's scheduler
-// accounting (tests and benches; the obs mirrors feed telemetry).
+// accounting (tests and benches; telemetry reads the published names).
 type TenantStats struct {
 	Dispatched int64 // commands granted to dispatch workers
 	Shed       int64 // commands refused at admission with StatusOverload
@@ -100,9 +98,9 @@ func newScheduler(d *Driver) *scheduler {
 		}
 		st := &schedTenant{cfg: tc, weight: w}
 		if o := d.o; o != nil {
-			st.oDispatched = o.Counter(fmt.Sprintf("nvmefs.t%d.dispatched", i))
-			st.oShed = o.Counter(fmt.Sprintf("nvmefs.t%d.shed", i))
-			st.oBytes = o.Counter(fmt.Sprintf("nvmefs.t%d.bytes", i))
+			o.Publish(fmt.Sprintf("nvmefs.t%d.dispatched", i), &st.dispatched)
+			o.Publish(fmt.Sprintf("nvmefs.t%d.shed", i), &st.shed)
+			o.Publish(fmt.Sprintf("nvmefs.t%d.bytes", i), &st.bytes)
 			st.oQueued = o.Gauge(fmt.Sprintf("nvmefs.t%d.queued", i))
 			st.oInflight = o.Gauge(fmt.Sprintf("nvmefs.t%d.inflight", i))
 			st.oWait = o.Histogram(fmt.Sprintf("nvmefs.t%d.sched_wait", i))
@@ -119,7 +117,6 @@ func (s *scheduler) offer(p *sim.Proc, f fetched) {
 	st := s.tenants[f.qs.tenant]
 	if !s.fifo && st.cfg.MaxQueued > 0 && len(st.ready) >= st.cfg.MaxQueued {
 		st.shed++
-		st.oShed.Inc()
 		s.d.complete(p, f.qs, f.gen, f.sqe, Response{Status: nvme.StatusOverload})
 		return
 	}
@@ -172,8 +169,6 @@ func (s *scheduler) grant(p *sim.Proc, st *schedTenant, f fetched) fetched {
 	st.inflight++
 	st.dispatched++
 	st.bytes += f.cost
-	st.oDispatched.Inc()
-	st.oBytes.Add(f.cost)
 	st.oQueued.Set(float64(len(st.ready)))
 	st.oInflight.Set(float64(st.inflight))
 	st.oWait.Observe(time.Duration(p.Now() - f.enq))

@@ -10,7 +10,8 @@
 // The whole layer is opt-in and free when off: every entry point nil-checks
 // its receiver, so instrumented hot paths compile down to a pointer test and
 // allocate nothing when no Obs is attached (see TestDisabledPathAllocates
-// Nothing). Components therefore call o.Begin/o.Counter(...).Add unconditionally.
+// Nothing). Components therefore call o.Begin/o.Publish/o.Gauge(...).Set
+// unconditionally.
 //
 // Metric names follow the layer.component.metric scheme, e.g.
 // "cache.host.hits", "pcie.link.dma_bytes_h2d", "cpu.dpu-cpu.busy_ns".
@@ -120,8 +121,12 @@ func (o *Obs) Tracer() *Tracer {
 	return o.tr
 }
 
-// Counter returns the named counter (nil, hence a no-op sink, when disabled).
+// Counter returns the named registry-owned counter (nil, hence a no-op sink,
+// when disabled).
 func (o *Obs) Counter(name string) *Counter { return o.Registry().Counter(name) } // forwarder //dpclint:ok
+
+// Publish exports component-owned counter storage under name.
+func (o *Obs) Publish(name string, loc *int64) { o.Registry().Publish(name, loc) } // forwarder //dpclint:ok
 
 // Gauge returns the named gauge.
 func (o *Obs) Gauge(name string) *Gauge { return o.Registry().Gauge(name) } // forwarder //dpclint:ok

@@ -221,3 +221,41 @@ func TestNilSnapshots(t *testing.T) {
 		t.Errorf("nil registry snapshot not empty: %s", b)
 	}
 }
+
+// TestPublishExportsComponentStorage: the registry reads a published
+// location, it does not copy it. Instances sharing a name export their sum, a
+// plain int64 field publishes like a Counter, a name exists only once
+// something is published under it, republishing a location does not double
+// it, and a registry-owned counter is one more location under its name.
+func TestPublishExportsComponentStorage(t *testing.T) {
+	r := NewRegistry()
+	var a, b Counter
+	var plain int64
+	r.Publish("dev.reads", a.Loc())
+	r.Publish("dev.reads", b.Loc())
+	r.Publish("dev.reads", a.Loc())
+	r.Publish("drv.retries", &plain)
+	a.Add(3)
+	b.Inc()
+	plain += 7
+	if got := r.CounterValue("dev.reads"); got != 4 {
+		t.Errorf("dev.reads = %d, want the sum 4", got)
+	}
+	r.Counter("dev.reads").Add(10)
+	r.Counter("dev.reads").Inc()
+	snap := r.Snapshot(0)
+	if snap.Counters["dev.reads"] != 15 || snap.Counters["drv.retries"] != 7 {
+		t.Errorf("snapshot = %v, want dev.reads 15, drv.retries 7", snap.Counters)
+	}
+	if _, ok := snap.Counters["dev.lazy"]; ok || r.CounterValue("dev.lazy") != 0 {
+		t.Error("reading an unpublished name created it")
+	}
+	if names := r.CounterNames(); len(names) != 2 || names[0] != "dev.reads" || names[1] != "drv.retries" {
+		t.Errorf("CounterNames = %v", names)
+	}
+	var off *Registry
+	off.Publish("x", &plain) // disabled: a nil check, nothing more
+	if off.CounterValue("x") != 0 {
+		t.Error("nil registry exported a value")
+	}
+}

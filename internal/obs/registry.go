@@ -12,13 +12,20 @@ import (
 
 // Registry is a process-wide set of named metrics. Names follow the
 // layer.component.metric scheme (e.g. "cache.host.hits", "pcie.link.dmas").
-// Metrics are created on first use and live for the registry's lifetime; all
-// values are recorded in virtual time so snapshots are deterministic.
+// Gauges and histograms are created on first use and live for the registry's
+// lifetime; all values are recorded in virtual time so snapshots are
+// deterministic. Counters are not stored here: an event is counted once, in a
+// field of the component that observes it, and Publish exports that storage
+// by name. A name exists from its first Publish, so a component that
+// publishes on first use of a feature keeps runs without it free of the key.
+// The registry points into its components, so it keeps them (and the machine
+// behind them) alive for as long as it lives.
 //
 // A nil *Registry is valid and returns nil metrics, whose record methods are
 // no-ops — the disabled path is a nil check, nothing more.
 type Registry struct {
-	counters map[string]*Counter
+	counters map[string][]*int64 // every location published under a name
+	owned    map[string]*Counter // the ones Counter created, by name
 	gauges   map[string]*Gauge
 	hists    map[string]*Histogram
 }
@@ -26,37 +33,15 @@ type Registry struct {
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
 	return &Registry{
-		counters: map[string]*Counter{},
+		counters: map[string][]*int64{},
+		owned:    map[string]*Counter{},
 		gauges:   map[string]*Gauge{},
 		hists:    map[string]*Histogram{},
 	}
 }
 
-// Counter is a monotonically increasing count. The zero value of a nil
-// pointer is a no-op sink.
-type Counter struct{ v int64 }
-
-// Add increments the counter by n.
-func (c *Counter) Add(n int64) {
-	if c != nil {
-		c.v += n
-	}
-}
-
-// Inc increments the counter by one.
-func (c *Counter) Inc() {
-	if c != nil {
-		c.v++
-	}
-}
-
-// Value returns the current count (0 for a nil counter).
-func (c *Counter) Value() int64 {
-	if c == nil {
-		return 0
-	}
-	return c.v
-}
+// Counter is the tree's one counter type; a nil pointer is a no-op sink.
+type Counter = stats.Counter
 
 // Gauge is a last-value metric (utilizations, ratios, levels). Alongside the
 // last value it tracks a monotone window peak: Set raises it, DrainPeak
@@ -136,17 +121,47 @@ func (h *Histogram) Latency() *stats.Latency {
 	return h.lat
 }
 
-// Counter returns the named counter, creating it on first use.
+// Publish exports the count stored at loc under name. Instances that publish
+// the same name (two cache controllers, every SSD) export their sum;
+// publishing a location twice is a no-op.
+func (r *Registry) Publish(name string, loc *int64) {
+	if r == nil {
+		return
+	}
+	for _, l := range r.counters[name] {
+		if l == loc {
+			return
+		}
+	}
+	r.counters[name] = append(r.counters[name], loc)
+}
+
+// Counter returns the registry-owned counter called name, creating and
+// publishing it on first use: the home of a count no component field holds.
 func (r *Registry) Counter(name string) *Counter {
 	if r == nil {
 		return nil
 	}
-	c := r.counters[name]
+	c := r.owned[name]
 	if c == nil {
 		c = &Counter{}
-		r.counters[name] = c
+		r.owned[name] = c
+		r.counters[name] = append(r.counters[name], c.Loc())
 	}
 	return c
+}
+
+// CounterValue returns the exported value of name: the sum of the locations
+// published under it, 0 when there is none. It never creates the name.
+func (r *Registry) CounterValue(name string) int64 {
+	if r == nil {
+		return 0
+	}
+	var v int64
+	for _, l := range r.counters[name] {
+		v += *l
+	}
+	return v
 }
 
 // Gauge returns the named gauge, creating it on first use.
@@ -185,17 +200,12 @@ func (r *Registry) Counts() (counters, gauges, hists int) {
 	return len(r.counters), len(r.gauges), len(r.hists)
 }
 
-// CounterNames returns the registered counter names, sorted.
+// CounterNames returns the published counter names, sorted.
 func (r *Registry) CounterNames() []string {
 	if r == nil {
 		return nil
 	}
-	out := make([]string, 0, len(r.counters))
-	for k := range r.counters {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
+	return sortedNames(r.counters)
 }
 
 // GaugeNames returns the registered gauge names, sorted.
@@ -203,12 +213,7 @@ func (r *Registry) GaugeNames() []string {
 	if r == nil {
 		return nil
 	}
-	out := make([]string, 0, len(r.gauges))
-	for k := range r.gauges {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
+	return sortedNames(r.gauges)
 }
 
 // HistogramNames returns the registered histogram names, sorted.
@@ -216,8 +221,12 @@ func (r *Registry) HistogramNames() []string {
 	if r == nil {
 		return nil
 	}
-	out := make([]string, 0, len(r.hists))
-	for k := range r.hists {
+	return sortedNames(r.hists)
+}
+
+func sortedNames[V any](m map[string]V) []string {
+	out := make([]string, 0, len(m))
+	for k := range m {
 		out = append(out, k)
 	}
 	sort.Strings(out)
@@ -319,8 +328,8 @@ func (r *Registry) Snapshot(now sim.Time) Snapshot {
 	if r == nil {
 		return s
 	}
-	for name, c := range r.counters {
-		s.Counters[name] = c.v
+	for name := range r.counters {
+		s.Counters[name] = r.CounterValue(name)
 	}
 	for name, g := range r.gauges {
 		s.Gauges[name] = g.v

@@ -70,8 +70,8 @@ func (o Op) String() string {
 
 // Event describes one PCIe operation for trace consumers. Proc is the sim
 // process that issued the operation, letting subscribers attribute traffic
-// to the request being served (the obs bridge attaches DMA events to the
-// process's current span).
+// to the request being served (the model's annotator attaches DMA events to
+// the process's current span).
 type Event struct {
 	At    sim.Time
 	Op    Op
@@ -124,7 +124,8 @@ type Link struct {
 	engines *sim.Resource
 	pipe    *sim.Resource
 
-	// Counters, exported for experiments.
+	// Counters, published as pcie.link.* by AttachObs (the PIO pair on the
+	// first PIO, so runs that never use the inline path keep their key set).
 	DMAs        stats.Counter
 	DMABytesH2D stats.Counter
 	DMABytesD2H stats.Counter
@@ -138,15 +139,16 @@ type Link struct {
 	// faults is consulted on every DMA; nil means no injection.
 	faults *fault.Injector
 
-	// po is non-nil only in profiling mode (AttachProf): every DMA setup and
-	// payload serialization records a CompDMA interval, MMIO/atomics record
-	// CompMMIO, and queueing for an engine or the shared pipe records
-	// CompWait on the issuing process's innermost span.
-	po *obs.Obs
+	// o is the hub the counters are published to (nil when disabled). po is
+	// non-nil only in profiling mode: every DMA setup and payload
+	// serialization records a CompDMA interval, MMIO/atomics record CompMMIO,
+	// and queueing for an engine or the shared pipe records CompWait on the
+	// issuing process's innermost span.
+	o, po *obs.Obs
 
 	// subs receives every PCIe operation, in subscription order. Multiple
-	// consumers coexist: cmd/dpctrace's printer and the obs metrics bridge
-	// can both watch the same link.
+	// consumers coexist: cmd/dpctrace's printer and the model's span
+	// annotator can both watch the same link.
 	subs   []subscriber
 	nextID int
 }
@@ -205,10 +207,15 @@ func NewLink(eng *sim.Engine, cfg Config) *Link {
 // Config returns the link's cost model.
 func (l *Link) Config() Config { return l.cfg }
 
-// AttachProf enables per-operation latency attribution on this link. No-op
-// unless o has profiling enabled (the model wires it unconditionally from
-// AttachObs).
-func (l *Link) AttachProf(o *obs.Obs) {
+// AttachObs publishes the link's counters and, when o has profiling enabled,
+// turns on per-operation latency attribution.
+func (l *Link) AttachObs(o *obs.Obs) {
+	l.o = o
+	o.Publish("pcie.link.dmas", l.DMAs.Loc())
+	o.Publish("pcie.link.dma_bytes_h2d", l.DMABytesH2D.Loc())
+	o.Publish("pcie.link.dma_bytes_d2h", l.DMABytesD2H.Loc())
+	o.Publish("pcie.link.mmios", l.MMIOs.Loc())
+	o.Publish("pcie.link.atomics", l.Atomics.Loc())
 	po := o.Prof()
 	if po == nil {
 		return
@@ -336,6 +343,10 @@ func (l *Link) PIOWrite(p *sim.Proc, r *mem.Region, addr mem.Addr, src []byte, l
 	d := l.cfg.MMIOLatency + time.Duration(int64(n)*int64(time.Second)/l.cfg.PIOBandwidthBps)
 	l.sleepAttr(p, d, obs.CompMMIO, label)
 	r.Write(addr, src)
+	if l.PIOs.Total() == 0 {
+		l.o.Publish("pcie.link.pios", l.PIOs.Loc())
+		l.o.Publish("pcie.link.pio_bytes", l.PIOBytes.Loc())
+	}
 	l.PIOs.Inc()
 	l.PIOBytes.Add(int64(n))
 	if len(l.subs) > 0 {

@@ -71,6 +71,7 @@ type Device struct {
 	// obsolete, to WriteRaw. One that Crash made a live block never enters.
 	freeImages [][]byte
 
+	// The first four are published as ssd.dev.* by AttachObs.
 	Reads      stats.Counter
 	Writes     stats.Counter
 	BytesRead  stats.Counter
@@ -85,12 +86,8 @@ type Device struct {
 	// faults is consulted on every timed I/O; nil means no injection.
 	faults *fault.Injector
 
-	// obs mirrors, cached at AttachObs; nil no-op sinks when disabled.
-	o           *obs.Obs
-	oReads      *obs.Counter
-	oWrites     *obs.Counter
-	oBytesRead  *obs.Counter
-	oBytesWrite *obs.Counter
+	// o records per-I/O spans; nil when disabled.
+	o *obs.Obs
 
 	// po is non-nil only in profiling mode: media latency and bus payload
 	// time record CompSSD service intervals, channel/bus queueing and
@@ -101,14 +98,11 @@ type Device struct {
 // AttachObs registers the device's counters ("ssd.dev.*") and enables
 // per-I/O spans. Safe with a nil hub.
 func (d *Device) AttachObs(o *obs.Obs) {
-	if !o.Enabled() {
-		return
-	}
 	d.o = o
-	d.oReads = o.Counter("ssd.dev.reads")
-	d.oWrites = o.Counter("ssd.dev.writes")
-	d.oBytesRead = o.Counter("ssd.dev.bytes_read")
-	d.oBytesWrite = o.Counter("ssd.dev.bytes_written")
+	o.Publish("ssd.dev.reads", d.Reads.Loc())
+	o.Publish("ssd.dev.writes", d.Writes.Loc())
+	o.Publish("ssd.dev.bytes_read", d.BytesRead.Loc())
+	o.Publish("ssd.dev.bytes_written", d.BytesWrite.Loc())
 	if po := o.Prof(); po != nil {
 		d.po = po
 		d.channels.OnWait = func(p *sim.Proc, since sim.Time) {
@@ -179,8 +173,6 @@ func (d *Device) Read(p *sim.Proc, off int64, n int) ([]byte, error) {
 	d.channels.Release(1)
 	d.Reads.Inc()
 	d.BytesRead.Add(int64(n))
-	d.oReads.Inc()
-	d.oBytesRead.Add(int64(n))
 	if injected {
 		switch kind {
 		case fault.KindSSDReadErr:
@@ -210,8 +202,6 @@ func (d *Device) Write(p *sim.Proc, off int64, data []byte) error {
 	d.channels.Release(1)
 	d.Writes.Inc()
 	d.BytesWrite.Add(int64(len(data)))
-	d.oWrites.Inc()
-	d.oBytesWrite.Add(int64(len(data)))
 	if injected {
 		switch kind {
 		case fault.KindSSDWriteErr:

@@ -126,6 +126,7 @@ func TestInjectedReadErrorAndStall(t *testing.T) {
 	d.SetFaults(fault.New(e, []fault.Rule{
 		{Site: fault.SiteSSDRead, Kind: fault.KindSSDReadErr, FromOp: 1, Count: 1},
 		{Site: fault.SiteSSDWrite, Kind: fault.KindSSDStall, FromOp: 1, Count: 1, Delay: 300 * time.Microsecond},
+		{Site: fault.SiteSSDWrite, Kind: fault.KindSSDWriteErr, FromOp: 2, Count: 1},
 	}))
 	e.Go("io", func(p *sim.Proc) {
 		start := p.Now()
@@ -143,10 +144,20 @@ func TestInjectedReadErrorAndStall(t *testing.T) {
 		if _, err := d.Read(p, 0, 4096); err != nil {
 			t.Errorf("read after budget spent: %v", err)
 		}
+		if err := d.Write(p, 0, make([]byte, 4096)); err == nil {
+			t.Error("injected write error not surfaced")
+		}
+		if err := d.Write(p, 0, make([]byte, 4096)); err != nil {
+			t.Errorf("write after budget spent: %v", err)
+		}
 	})
 	e.Run()
-	if d.ReadErrs.Total() != 1 || d.Stalls.Total() != 1 {
-		t.Fatalf("read_errs=%d stalls=%d, want 1/1", d.ReadErrs.Total(), d.Stalls.Total())
+	if d.ReadErrs.Total() != 1 || d.WriteErrs.Total() != 1 || d.Stalls.Total() != 1 {
+		t.Fatalf("read_errs=%d write_errs=%d stalls=%d, want 1/1/1", d.ReadErrs.Total(), d.WriteErrs.Total(), d.Stalls.Total())
+	}
+	// A failed I/O was still issued to the media: it counts as an I/O.
+	if d.Reads.Total() != 2 || d.Writes.Total() != 3 {
+		t.Fatalf("reads=%d writes=%d, want 2/3", d.Reads.Total(), d.Writes.Total())
 	}
 }
 

@@ -287,21 +287,35 @@ func (l *Latency) String() string {
 		l.Count(), l.Mean(), l.Percentile(50), l.Percentile(99), l.Max())
 }
 
-// Counter is a monotonically increasing operation/byte counter with window
-// support: Mark remembers the current value, Delta reports growth since Mark.
+// Counter is the tree's one counter type: a monotonically increasing count
+// held by the component that observes the event (obs.Registry.Publish exports
+// it by name). Mark remembers the current value, Delta reports growth since
+// Mark. A nil *Counter is a no-op sink that reads as zero.
 type Counter struct {
 	total  int64
 	marked int64
 }
 
 // Add increments the counter.
-func (c *Counter) Add(n int64) { c.total += n }
+func (c *Counter) Add(n int64) {
+	if c != nil {
+		c.total += n
+	}
+}
 
 // Inc increments the counter by one.
-func (c *Counter) Inc() { c.total++ }
+func (c *Counter) Inc() { c.Add(1) }
 
 // Total returns the all-time value.
-func (c *Counter) Total() int64 { return c.total }
+func (c *Counter) Total() int64 {
+	if c == nil {
+		return 0
+	}
+	return c.total
+}
+
+// Loc returns the count's storage, which is what the obs registry exports.
+func (c *Counter) Loc() *int64 { return &c.total }
 
 // Mark records the current value as the start of a measurement window.
 func (c *Counter) Mark() { c.marked = c.total }

@@ -66,10 +66,10 @@ func (c *Config) defaults() {
 	}
 }
 
-// sampledCounter tracks one counter between ticks; the column name is
-// precomputed so steady-state ticks build no strings.
+// sampledCounter tracks one exported counter name between ticks; the column
+// name is precomputed so steady-state ticks build no strings.
 type sampledCounter struct {
-	c       *obs.Counter
+	name    string
 	prev    int64
 	colRate string
 }
@@ -202,19 +202,13 @@ func (t *T) refresh() {
 		return
 	}
 	if nc != t.nc {
-		prev := make(map[string]sampledCounter, len(t.counters))
+		prev := make(map[string]int64, len(t.counters))
 		for _, sc := range t.counters {
-			prev[sc.colRate] = sc
+			prev[sc.name] = sc.prev
 		}
 		t.counters = t.counters[:0]
 		for _, name := range reg.CounterNames() {
-			col := name + ":rate"
-			if sc, ok := prev[col]; ok {
-				t.counters = append(t.counters, sc)
-			} else {
-				// Re-resolving a registry-enumerated name. //dpclint:ok
-				t.counters = append(t.counters, sampledCounter{c: reg.Counter(name), colRate: col})
-			}
+			t.counters = append(t.counters, sampledCounter{name: name, prev: prev[name], colRate: name + ":rate"})
 		}
 		t.nc = nc
 	}
@@ -271,9 +265,10 @@ func (t *T) sample(now sim.Time) {
 	record := t.store.beginTick(int64(now))
 	secs := float64(elapsed) / 1e9
 
+	reg := t.o.Registry()
 	for i := range t.counters {
 		sc := &t.counters[i]
-		v := sc.c.Value()
+		v := reg.CounterValue(sc.name)
 		if record {
 			rate := 0.0
 			if secs > 0 {

@@ -151,7 +151,7 @@ type Log struct {
 	frame  []byte
 	faults *fault.Injector
 
-	// obs mirrors; nil no-op sinks unless AttachObs ran. The wal.* metric
+	// Registry-owned metrics; nil no-op sinks unless AttachObs ran. The wal.*
 	// family only ever registers on WAL-enabled systems, so WAL-off metric
 	// snapshots keep their exact key set.
 	oAppends     *obs.Counter

@@ -72,13 +72,13 @@ func TestTracedDMAWalkNvme(t *testing.T) {
 	if writeDMAs != 4 || readDMAs != 4 {
 		t.Errorf("nvme-fs 8KB walk: %d write / %d read DMAs, want 4 / 4", writeDMAs, readDMAs)
 	}
-	// The obs bridge saw the same traffic: per-phase DMAs plus one doorbell
+	// The registry exports the same traffic: per-phase DMAs plus one doorbell
 	// MMIO per submission.
 	reg := cfg.Obs.Registry()
-	if got := reg.Counter("pcie.link.dmas").Value(); got != 8 {
+	if got := reg.CounterValue("pcie.link.dmas"); got != 8 {
 		t.Errorf("pcie.link.dmas = %d, want 8", got)
 	}
-	if got := reg.Counter("pcie.link.mmios").Value(); got != 2 {
+	if got := reg.CounterValue("pcie.link.mmios"); got != 2 {
 		t.Errorf("pcie.link.mmios = %d, want 2", got)
 	}
 	// And the DMAs were attached as annotations inside the submit span tree.
@@ -190,7 +190,7 @@ func TestSystemObsDeterminism(t *testing.T) {
 		"cache.host.hits", "cache.ctl.flushes", "nvmefs.driver.completed",
 		"dispatch.requests", "pcie.link.dmas", "cpu.dpu-cpu.busy_ns",
 	} {
-		if reg.Counter(name).Value() == 0 {
+		if reg.CounterValue(name) == 0 {
 			t.Errorf("counter %s is zero after an instrumented workload", name)
 		}
 	}
@@ -206,5 +206,82 @@ func TestSystemObsDeterminism(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("Perfetto export missing %s", want)
 		}
+	}
+}
+
+// observedDFSSystem is a small DFS-DPC system with obs on.
+func observedDFSSystem() *System {
+	opts := DefaultOptions()
+	opts.Model.HostMemMB = 192
+	opts.Model.DPUMemMB = 8
+	opts.Model.Obs = obs.New()
+	opts.EnableKVFS = false
+	opts.EnableDFS = true
+	return New(opts)
+}
+
+// The two tests below pin the disagreements the paired counters had drifted
+// into on a DFS-DPC world, where each site bumped the struct field and forgot
+// its registry twin. A count that is stored once and exported by name cannot
+// disagree with itself.
+
+// TestPrefetchCountExportedDFS: the single-page prefetch path — the only one
+// a backend without a range read takes — shows up under cache.ctl.prefetches.
+func TestPrefetchCountExportedDFS(t *testing.T) {
+	sys := observedDFSSystem()
+	cl := sys.DFSClient()
+	const pages = 64
+	sys.Drive(func(p *sim.Proc) {
+		f, err := cl.Create(p, 0, "/seq.dat")
+		if err != nil {
+			t.Errorf("Create: %v", err)
+			return
+		}
+		if err := f.Write(p, 0, 0, make([]byte, pages*8192), true); err != nil {
+			t.Errorf("Write: %v", err)
+			return
+		}
+		buf := make([]byte, 8192)
+		for i := uint64(0); i < pages; i++ {
+			if _, err := f.ReadInto(p, 0, i*8192, buf, false); err != nil {
+				t.Errorf("ReadInto page %d: %v", i, err)
+				return
+			}
+		}
+	})
+	snap := sys.Obs().Registry().Snapshot(sys.Now())
+	sys.Shutdown()
+	if got, want := snap.Counters["cache.ctl.prefetches"], sys.DFSService().Ctl.Prefetches.Total(); got != want || got == 0 {
+		t.Errorf("cache.ctl.prefetches = %d, Ctl.Prefetches = %d; want equal and > 0", got, want)
+	}
+}
+
+// TestCoreOpsExportedDFS: dfs.core.ops counts every core operation, the
+// metadata ones (create, lookup, set-size) included.
+func TestCoreOpsExportedDFS(t *testing.T) {
+	sys := observedDFSSystem()
+	cl := sys.DFSClient()
+	sys.Drive(func(p *sim.Proc) {
+		if _, err := cl.Create(p, 0, "/f"); err != nil {
+			t.Errorf("Create: %v", err)
+			return
+		}
+		f, err := cl.Open(p, 0, "/f")
+		if err != nil {
+			t.Errorf("Open: %v", err)
+			return
+		}
+		if err := f.Write(p, 0, 0, make([]byte, 8192), true); err != nil {
+			t.Errorf("Write: %v", err)
+			return
+		}
+		if _, err := f.Read(p, 0, 0, 8192, true); err != nil {
+			t.Errorf("Read: %v", err)
+		}
+	})
+	snap := sys.Obs().Registry().Snapshot(sys.Now())
+	sys.Shutdown()
+	if got, want := snap.Counters["dfs.core.ops"], sys.DFSCore.Ops.Total(); got != want || got == 0 {
+		t.Errorf("dfs.core.ops = %d, Core.Ops = %d; want equal and > 0", got, want)
 	}
 }

@@ -208,8 +208,8 @@ func TestPipelinedDeterminism(t *testing.T) {
 		t.Error("identical pipelined runs produced different metrics snapshots")
 	}
 	reg := o.Registry()
-	doorbells := reg.Counter("nvmefs.driver.doorbells").Value()
-	coalesced := reg.Counter("nvmefs.driver.doorbells_coalesced").Value()
+	doorbells := reg.CounterValue("nvmefs.driver.doorbells")
+	coalesced := reg.CounterValue("nvmefs.driver.doorbells_coalesced")
 	if doorbells == 0 {
 		t.Error("nvmefs.driver.doorbells is zero after a pipelined workload")
 	}

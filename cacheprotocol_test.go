@@ -1,0 +1,420 @@
+package dpc
+
+import (
+	"bytes"
+	"encoding/binary"
+	"fmt"
+	"math/rand"
+	"testing"
+	"time"
+
+	"dpc/internal/cache"
+	"dpc/internal/kvfs"
+	"dpc/internal/obs"
+	"dpc/internal/prof"
+	"dpc/internal/sim"
+)
+
+// These tests pin the hybrid cache's entry-lock protocol from the outside:
+// a host path that meets a held entry lock waits for it and works on the
+// cached page, so a buffered read can never be older than the last
+// acknowledged write. Before the protocol was written once (cache.Host's
+// acquire), the read side took a held lock for a miss and, after three fills
+// that found the entry still locked, read the backend *around* the cache —
+// returning whatever the backend had while the newer dirty page sat in host
+// memory under the flusher's lock.
+
+// slowFlushBackend stretches every write-back, and with it the time the
+// flusher holds the entry's read lock, so reads are sure to meet it.
+type slowFlushBackend struct {
+	kvfs.PageBackend
+	delay   time.Duration
+	writing int // write-backs in progress
+}
+
+func (b *slowFlushBackend) WritePage(p *sim.Proc, ino, lpn uint64, pageSize int, data []byte) error {
+	b.writing++
+	p.Sleep(b.delay)
+	err := b.PageBackend.WritePage(p, ino, lpn, pageSize, data)
+	b.writing--
+	return err
+}
+
+// TestBufferedReadDuringWriteBack: a page is written buffered and then
+// flushed through a backend that takes 5 ms; a second thread reads it
+// buffered every 50 µs for as long as the flush lasts. Every read must return
+// the acknowledged write — not the backend's previous version (flushedBefore)
+// and not a hole (the page has never reached the backend).
+func TestBufferedReadDuringWriteBack(t *testing.T) {
+	for _, flushedBefore := range []bool{true, false} {
+		t.Run(fmt.Sprintf("flushedBefore=%v", flushedBefore), func(t *testing.T) {
+			poisonPool(t)
+			o := obs.New()
+			o.EnableProfiling()
+			opts := DefaultOptions()
+			opts.Model.HostMemMB = 192
+			opts.Model.DPUMemMB = 8
+			opts.Model.Obs = o
+			sys := New(opts)
+			defer sys.Shutdown()
+			cl := sys.KVFSClient()
+			ps := opts.CachePageSize
+			v0, v1 := bytes.Repeat([]byte{0xA0}, ps), bytes.Repeat([]byte{0xB1}, ps)
+			slow := &slowFlushBackend{PageBackend: kvfs.PageBackend{FS: sys.KVFS}, delay: 5 * time.Millisecond}
+
+			var acked, flushed bool
+			writer := func(p *sim.Proc) {
+				defer func() { acked, flushed = true, true }()
+				f, err := cl.Create(p, 0, "/f")
+				if err != nil {
+					t.Errorf("create: %v", err)
+					return
+				}
+				if flushedBefore {
+					if err := f.Write(p, 0, 0, v0, false); err != nil {
+						t.Errorf("write v0: %v", err)
+					}
+					if err := f.Sync(p, 0); err != nil {
+						t.Errorf("sync v0: %v", err)
+					}
+				}
+				sys.KVFSService().Ctl.SetBackend(slow)
+				if err := f.Write(p, 0, 0, v1, false); err != nil {
+					t.Errorf("write v1: %v", err)
+				}
+				acked = true
+				if err := f.Sync(p, 0); err != nil {
+					t.Errorf("sync v1: %v", err)
+				}
+			}
+			reads, overlapped, wrong := 0, 0, 0
+			reader := func(p *sim.Proc) {
+				for !acked {
+					p.Sleep(50 * time.Microsecond)
+				}
+				f, err := cl.Open(p, 1, "/f")
+				if err != nil {
+					t.Errorf("open: %v", err)
+					return
+				}
+				buf := make([]byte, ps)
+				for !flushed {
+					issued, during := p.Now(), slow.writing > 0
+					n, err := f.ReadInto(p, 1, 0, buf, false)
+					reads++
+					if during {
+						overlapped++
+					}
+					if err != nil || n != ps || !bytes.Equal(buf, v1) {
+						if wrong++; wrong == 1 {
+							t.Errorf("buffered read issued at %v (write-back in progress: %v) returned n=%d err=%v first byte %#x, want the acknowledged %#x page",
+								time.Duration(issued), during, n, err, buf[0], v1[0])
+						}
+					}
+					p.Sleep(50 * time.Microsecond)
+				}
+			}
+			sys.Drive(writer, reader)
+			if overlapped == 0 {
+				t.Fatalf("none of %d reads was issued during the write-back: the test exercised nothing", reads)
+			}
+			if wrong > 0 {
+				t.Errorf("%d of %d reads (%d issued during the write-back) did not return the acknowledged write", wrong, reads, overlapped)
+			}
+			// The reader's wait is attributed, once, as cache.lock.
+			pr := prof.Analyze(o.Tracer().Export(sys.Now()))
+			for _, err := range pr.CheckInvariant() {
+				t.Errorf("attribution invariant: %v", err)
+			}
+			if pr.Anomalies != 0 {
+				t.Errorf("%d attribution anomalies", pr.Anomalies)
+			}
+			if waited := time.Duration(pr.WaitKinds["cache.lock"]); waited < slow.delay/2 {
+				t.Errorf("cache.lock wait attributed to the reads: %v, want most of the %v write-back", waited, slow.delay)
+			}
+		})
+	}
+}
+
+const stampSector = 512
+
+// stampPage marks every 512-byte sector of page with (lpn, version) and fills
+// the rest of the sector from them, so a page assembled from two versions, or
+// served for the wrong lpn, is visible in any sector.
+func stampPage(page []byte, lpn, version uint64) {
+	for off := 0; off < len(page); off += stampSector {
+		s := page[off : off+stampSector]
+		binary.LittleEndian.PutUint64(s, lpn)
+		binary.LittleEndian.PutUint64(s[8:], version)
+		body := s[16:]
+		body[0] = stampFill(lpn, version)
+		for n := 1; n < len(body); n *= 2 {
+			copy(body[n:], body[:n]) // doubling copies, not a byte loop: the race detector instruments each store
+		}
+	}
+}
+
+func stampFill(lpn, version uint64) byte { return byte(lpn*31 + version*7) }
+
+// checkStamps verifies that every sector of page is a stampPage sector of
+// lpn at one version within [lo, hi].
+func checkStamps(page []byte, lpn, lo, hi uint64) error {
+	for off := 0; off < len(page); off += stampSector {
+		s := page[off : off+stampSector]
+		gotLPN, v := binary.LittleEndian.Uint64(s), binary.LittleEndian.Uint64(s[8:])
+		if gotLPN != lpn || v < lo || v > hi {
+			return fmt.Errorf("lpn %d sector %d holds (lpn %d, v %d), want lpn %d at a version in [%d, %d]",
+				lpn, off/stampSector, gotLPN, v, lpn, lo, hi)
+		}
+		if body := s[16:]; bytes.Count(body, []byte{stampFill(lpn, v)}) != len(body) {
+			return fmt.Errorf("lpn %d sector %d: body does not match its stamp (lpn %d, v %d)", lpn, off/stampSector, lpn, v)
+		}
+	}
+	return nil
+}
+
+// TestSharedPagesReadersNeverSeeStaleVersions is the concurrent torture the
+// single-proc differential harness cannot run: 4 writers and 8 readers on the
+// same 96 pages of one file, through a 64-page / 8-bucket cache, so lookups
+// race write-back, eviction, fills and each other all the time. Page l
+// belongs to writer l%4, which makes the versions of a page totally ordered.
+// Oracle: a buffered read returns, in every sector, the right lpn and a
+// version no older than the last write acknowledged before the read was
+// issued and no newer than the last one issued when it completed. The meta
+// table must fsck clean once everything has quiesced.
+func TestSharedPagesReadersNeverSeeStaleVersions(t *testing.T) {
+	const (
+		pages   = 96
+		writers = 4
+		readers = 8
+	)
+	ops := 1500 // per proc
+	if raceBuild {
+		ops = 300
+	}
+	variants := []struct {
+		name string
+		set  func(*Options)
+	}{
+		{"plain", func(*Options) {}},
+		{"wal", func(o *Options) { o.WAL.Enabled = true }},
+		{"inline", func(o *Options) { o.NvmeFS.InlineMax = 512 }},
+	}
+	for _, v := range variants {
+		t.Run(v.name, func(t *testing.T) {
+			poisonPool(t)
+			opts := DefaultOptions()
+			opts.Model.HostMemMB = 192
+			opts.Model.DPUMemMB = 8
+			opts.CachePages = 64
+			opts.CacheBuckets = 8
+			v.set(&opts)
+			sys := New(opts)
+			defer sys.Shutdown()
+			cl := sys.KVFSClient()
+			ps := uint64(opts.CachePageSize)
+
+			// issued[l] is bumped before writer l%4 submits a version of page l,
+			// acked[l] set once that write has returned.
+			var issued, acked [pages]uint64
+			writePage := func(p *sim.Proc, f *File, qid int, page []byte, l uint64) bool {
+				issued[l]++
+				v := issued[l]
+				stampPage(page, l, v)
+				if err := f.Write(p, qid, l*ps, page, false); err != nil {
+					t.Errorf("write lpn %d v %d: %v", l, v, err)
+					return false
+				}
+				acked[l] = v
+				return true
+			}
+
+			sys.Drive(func(p *sim.Proc) {
+				f, err := cl.Create(p, 0, "/shared")
+				if err != nil {
+					t.Errorf("create: %v", err)
+					return
+				}
+				page := make([]byte, ps)
+				for l := uint64(0); l < pages; l++ {
+					if !writePage(p, f, 0, page, l) {
+						return
+					}
+				}
+			})
+			if t.Failed() {
+				return
+			}
+
+			var procs []func(p *sim.Proc)
+			failed := false // first violation stops every proc
+			for w := 0; w < writers; w++ {
+				procs = append(procs, func(p *sim.Proc) {
+					rng := rand.New(rand.NewSource(int64(100 + w)))
+					f, err := cl.Open(p, w, "/shared")
+					if err != nil {
+						t.Errorf("writer %d open: %v", w, err)
+						return
+					}
+					page := make([]byte, ps)
+					for i := 0; i < ops && !failed; i++ {
+						l := uint64(rng.Intn(pages/writers)*writers + w)
+						if !writePage(p, f, w, page, l) {
+							failed = true
+							return
+						}
+						if rng.Intn(64) == 0 {
+							if err := f.Sync(p, w); err != nil {
+								t.Errorf("writer %d sync: %v", w, err)
+								failed = true
+								return
+							}
+						}
+						p.Sleep(time.Duration(rng.Intn(20)) * time.Microsecond)
+					}
+				})
+			}
+			for r := 0; r < readers; r++ {
+				procs = append(procs, func(p *sim.Proc) {
+					qid := writers + r
+					rng := rand.New(rand.NewSource(int64(200 + r)))
+					f, err := cl.Open(p, qid, "/shared")
+					if err != nil {
+						t.Errorf("reader %d open: %v", r, err)
+						return
+					}
+					buf := make([]byte, 3*ps)
+					var lo [3]uint64
+					for i := 0; i < ops && !failed; i++ {
+						l := uint64(rng.Intn(pages))
+						k := uint64(1 + rng.Intn(3))
+						if l+k > pages {
+							k = pages - l
+						}
+						copy(lo[:], acked[l:l+k])
+						at := p.Now()
+						n, err := f.ReadInto(p, qid, l*ps, buf[:k*ps], false)
+						if err != nil || uint64(n) != k*ps {
+							t.Errorf("reader %d: read of %d pages at lpn %d: n=%d err=%v", r, k, l, n, err)
+							failed = true
+							return
+						}
+						for j := uint64(0); j < k; j++ {
+							if err := checkStamps(buf[j*ps:(j+1)*ps], l+j, lo[j], issued[l+j]); err != nil {
+								t.Errorf("reader %d, buffered read issued at %v: %v", r, time.Duration(at), err)
+								failed = true
+								return
+							}
+						}
+						p.Sleep(time.Duration(rng.Intn(10)) * time.Microsecond)
+					}
+				})
+			}
+			sys.Drive(procs...)
+			if t.Failed() {
+				return
+			}
+
+			// Quiesce, then every page must hold its last acknowledged version
+			// in the cache's view and in the backend's, and both structures
+			// must check clean.
+			sys.Drive(func(p *sim.Proc) {
+				f, err := cl.Open(p, 0, "/shared")
+				if err != nil {
+					t.Errorf("open: %v", err)
+					return
+				}
+				if err := cl.Sync(p, 0); err != nil {
+					t.Errorf("final sync: %v", err)
+				}
+				buf := make([]byte, ps)
+				for _, direct := range []bool{false, true} {
+					for l := uint64(0); l < pages; l++ {
+						if n, err := f.ReadInto(p, 0, l*ps, buf, direct); err != nil || uint64(n) != ps {
+							t.Errorf("final read lpn %d direct=%v: n=%d err=%v", l, direct, n, err)
+						} else if err := checkStamps(buf, l, acked[l], acked[l]); err != nil {
+							t.Errorf("final read direct=%v: %v", direct, err)
+						}
+					}
+				}
+				p.Sleep(time.Millisecond) // let the last prefetches land
+				for _, prob := range cache.Fsck(sys.M.HostMem, sys.kvfsHost.L) {
+					t.Errorf("meta fsck: %s", prob)
+				}
+				for _, prob := range sys.KVFS.Fsck(p, sys.KVCluster).Problems {
+					t.Errorf("kvfs fsck: %s", prob)
+				}
+			})
+		})
+	}
+}
+
+// TestMissEngineTerminatesUnderThrash: with no uncached read to fall back on,
+// a page evicted between its fill and the re-probe is filled again, so the
+// miss engine's only exit is the bytes. Worst case for that loop: six readers
+// each pulling 64-page buffered reads through an 8-page / 2-bucket cache, so
+// nearly every fill is evicted by a neighbour before it is read. Every read
+// must still come back, with the right bytes.
+func TestMissEngineTerminatesUnderThrash(t *testing.T) {
+	const (
+		pages   = 64
+		readers = 6
+	)
+	rounds := 20
+	if raceBuild {
+		rounds = 4
+	}
+	poisonPool(t)
+	opts := DefaultOptions()
+	opts.Model.HostMemMB = 192
+	opts.Model.DPUMemMB = 8
+	opts.CachePages = 8
+	opts.CacheBuckets = 2
+	sys := New(opts)
+	defer sys.Shutdown()
+	cl := sys.KVFSClient()
+	ps := opts.CachePageSize
+
+	want := make([]byte, pages*ps)
+	for l := 0; l < pages; l++ {
+		stampPage(want[l*ps:(l+1)*ps], uint64(l), 1)
+	}
+	sys.Drive(func(p *sim.Proc) {
+		f, err := cl.Create(p, 0, "/thrash")
+		if err != nil {
+			t.Errorf("create: %v", err)
+			return
+		}
+		if err := f.Write(p, 0, 0, want, true); err != nil {
+			t.Errorf("write: %v", err)
+		}
+	})
+	if t.Failed() {
+		return
+	}
+
+	var procs []func(p *sim.Proc)
+	for r := 0; r < readers; r++ {
+		procs = append(procs, func(p *sim.Proc) {
+			f, err := cl.Open(p, r, "/thrash")
+			if err != nil {
+				t.Errorf("reader %d open: %v", r, err)
+				return
+			}
+			buf := make([]byte, len(want))
+			for i := 0; i < rounds; i++ {
+				n, err := f.ReadInto(p, r, 0, buf, false)
+				if err != nil || n != len(want) || !bytes.Equal(buf, want) {
+					t.Errorf("reader %d round %d: n=%d err=%v, bytes equal: %v", r, i, n, err, bytes.Equal(buf, want))
+					return
+				}
+			}
+		})
+	}
+	sys.Drive(procs...)
+	fills := sys.KVFSService().Ctl.Fills.Total()
+	if min := int64(readers * rounds * pages / 2); fills < min {
+		t.Errorf("%d fills for %d page reads: the cache did not thrash, the test exercised nothing", fills, readers*rounds*pages)
+	}
+	t.Logf("%d page reads took %d fills", readers*rounds*pages, fills)
+}

@@ -965,41 +965,31 @@ type pageFetch struct {
 	dst []byte
 }
 
-func (r *pageFetch) fill(page []byte) {
-	if r.po < len(page) {
-		copy(r.dst, page[r.po:])
-	}
-}
-
-// pageMiss tracks one cache miss through the fill protocol: up to three
-// FlagFillCache attempts (each re-probing host memory afterwards), then an
-// uncached fallback read if the filled entry keeps getting evicted first.
-// It names its request by index into the caller's slice — not by pointer —
-// so a stack-allocated request array (the RMW and small-read paths) never
-// escapes to the heap through the miss queue.
+// pageMiss is one absent page on its way through the fill protocol. It names
+// its request by index into the caller's slice — not by pointer — so a
+// stack-allocated request array (the RMW and small-read paths) never escapes
+// to the heap through the miss queue.
 type pageMiss struct {
-	idx      int
-	attempt  int
-	fallback bool
-	pend     *nvmefs.Pending
+	idx  int
+	pend *nvmefs.Pending
 }
 
-func (c *Client) missSubmission(ino, lpn uint64, fallback bool, ps uint64) nvmefs.Submission {
-	if fallback {
-		hdr := dispatch.ReqHeader{Ino: ino, Off: lpn * ps, Len: uint32(ps)}
-		return nvmefs.Submission{FileOp: nvme.FileOpRead, Header: hdr.Marshal(), RHLen: 1, ReadLen: int(ps)}
-	}
+// missSubmission asks the DPU to install the page in the host cache. The
+// cached read path has no other way to the backend: the cache may hold bytes
+// newer than the backend's, so a read never goes around it.
+func missSubmission(ino, lpn, ps uint64) nvmefs.Submission {
 	hdr := dispatch.ReqHeader{Ino: ino, Off: lpn * ps, Len: uint32(ps), Flags: dispatch.FlagFillCache}
 	return nvmefs.Submission{FileOp: nvme.FileOpRead, Header: hdr.Marshal(), RHLen: 8, ReadLen: int(ps)}
 }
 
-// fetchPages serves a batch of pages through the hybrid cache. Hits are
-// copied straight out of host memory; misses are filled by the DPU with
-// their submissions pipelined under the client's in-flight window and
-// striped across queues starting at qid, each wave's per-queue share riding
-// a single doorbell. Waits retire in submission order; completions that
-// finish early recycle their slot and CID at IRQ time, so the window keeps
-// moving regardless of wait order.
+// fetchPages serves a batch of pages through the hybrid cache: probe, fill,
+// re-probe. Hits are copied straight out of host memory (a lookup waits out
+// a held entry lock, so a miss means the page is absent); misses are filled
+// by the DPU with their submissions pipelined under the client's in-flight
+// window and striped across queues starting at qid, each wave's per-queue
+// share riding a single doorbell. Waits retire in submission order;
+// completions that finish early recycle their slot and CID at IRQ time, so
+// the window keeps moving regardless of wait order.
 func (c *Client) fetchPages(p *sim.Proc, qid int, ino uint64, reqs []pageFetch) error {
 	ps := uint64(c.cacheHost.L.PageSize)
 	// Hits copy straight from host memory into each request's dst
@@ -1008,10 +998,9 @@ func (c *Client) fetchPages(p *sim.Proc, qid int, ino uint64, reqs []pageFetch) 
 	// allocates nothing.
 	var queue []pageMiss
 	for i := range reqs {
-		if c.cacheHost.LookupInto(p, ino, reqs[i].lpn, reqs[i].po, reqs[i].dst) {
-			continue
+		if !c.cacheHost.LookupInto(p, ino, reqs[i].lpn, reqs[i].po, reqs[i].dst) {
+			queue = append(queue, pageMiss{idx: i})
 		}
-		queue = append(queue, pageMiss{idx: i})
 	}
 	if len(queue) == 0 {
 		return nil
@@ -1051,7 +1040,7 @@ func (c *Client) fetchPages(p *sim.Proc, qid int, ino uint64, reqs []pageFetch) 
 				}
 				subs := make([]nvmefs.Submission, len(g))
 				for i := range g {
-					subs[i] = c.missSubmission(ino, reqs[g[i].idx].lpn, g[i].fallback, ps)
+					subs[i] = missSubmission(ino, reqs[g[i].idx].lpn, ps)
 				}
 				pends := c.submitBatch(p, (qid+s)%c.queueCount(), subs)
 				for i := range g {
@@ -1070,26 +1059,19 @@ func (c *Client) fetchPages(p *sim.Proc, qid int, ino uint64, reqs []pageFetch) 
 			}
 			return err
 		}
-		if ms.fallback {
-			req.fill(comp.Data)
-			continue
-		}
 		if filled, _ := dispatch.ParseFillHeader(comp.Header); !filled {
 			// The DPU could not fill the bucket; data came back inline.
-			req.fill(comp.Data)
+			if req.po < len(comp.Data) {
+				copy(req.dst, comp.Data[req.po:])
+			}
 			continue
 		}
-		// Filled: re-read host memory (covers the rare race where the entry
-		// is evicted before we get to it — retry the fill, then fall back to
-		// an uncached read).
-		if c.cacheHost.LookupInto(p, ino, req.lpn, req.po, req.dst) {
-			continue
+		// Installed (or already there): read it from host memory. A page
+		// evicted again before this probe is simply absent, and goes round
+		// for another fill.
+		if !c.cacheHost.LookupInto(p, ino, req.lpn, req.po, req.dst) {
+			queue = append(queue, ms)
 		}
-		ms.attempt++
-		if ms.attempt >= 3 {
-			ms.fallback = true
-		}
-		queue = append(queue, ms)
 	}
 	return nil
 }

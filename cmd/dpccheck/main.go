@@ -80,16 +80,9 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	stacks := cfg.Stacks
-	if len(stacks) == 0 {
-		stacks = check.StackNames()
-		if *faults {
-			stacks = check.FaultStackNames()
-		}
-	}
 	if len(failures) == 0 {
 		fmt.Printf("ok: %d stacks x %d seeds x %d ops diverged nowhere\n",
-			len(stacks), len(cfg.Seeds), *ops)
+			len(cfg.StackList()), len(cfg.Seeds), *ops)
 		return
 	}
 	reportFailures(failures, *ops)
@@ -105,14 +98,18 @@ func reportFailures(failures []*check.Failure, ops int) {
 		}
 		fmt.Printf("  reproduce: go run ./cmd/dpccheck -stacks %s -seed %d -seeds 1 -ops %d%s\n",
 			f.Stack, f.Seed, ops, faultArg)
-		if len(f.Trace) <= 40 {
-			fmt.Println("  minimal trace:")
-			for _, op := range f.Trace {
-				fmt.Printf("    %s\n", op)
-			}
-		} else {
-			fmt.Printf("  trace: %d ops (rerun with -shrink for a minimal one)\n", len(f.Trace))
-		}
+		printTrace(f.Trace)
+	}
+}
+
+func printTrace(trace []check.Op) {
+	if len(trace) > 40 {
+		fmt.Printf("  trace: %d ops (rerun with -shrink for a minimal one)\n", len(trace))
+		return
+	}
+	fmt.Println("  minimal trace:")
+	for _, op := range trace {
+		fmt.Printf("    %s\n", op)
 	}
 }
 
@@ -157,14 +154,7 @@ func runCrash(seed int64, seeds, ops, points int, shrink bool, parallel int, ver
 		fmt.Printf("FAIL %v\n", f)
 		fmt.Printf("  reproduce: go run ./cmd/dpccheck -crash -seed %d -seeds 1 -ops %d -points %d\n",
 			f.Seed, ops, points)
-		if len(f.Trace) <= 40 {
-			fmt.Println("  minimal trace:")
-			for _, op := range f.Trace {
-				fmt.Printf("    %s\n", op)
-			}
-		} else {
-			fmt.Printf("  trace: %d ops (rerun with -shrink for a minimal one)\n", len(f.Trace))
-		}
+		printTrace(f.Trace)
 	}
 	os.Exit(1)
 }

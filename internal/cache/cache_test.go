@@ -3,11 +3,13 @@ package cache
 import (
 	"bytes"
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
 	"dpc/internal/bufpool"
 	"dpc/internal/fault"
+	"dpc/internal/mem"
 	"dpc/internal/model"
 	"dpc/internal/sim"
 	"dpc/internal/ssd"
@@ -775,5 +777,116 @@ func TestFlushPageBufferIsRecycled(t *testing.T) {
 	m.Eng.Run()
 	if len(rb.kept) != 4096 || !bytes.Equal(rb.kept, bytes.Repeat([]byte{bufpool.PoisonByte}, 4096)) {
 		t.Fatalf("retained flush buffer holds %#x..., want poison: the buffer was not recycled", rb.kept[:4])
+	}
+}
+
+// TestLookupWaitsOutHeldLock pins the host side of the entry protocol: a
+// lookup that meets a held lock waits and reads the page from the cache, and
+// answers "absent" only when the holder turns out to have freed the entry.
+func TestLookupWaitsOutHeldLock(t *testing.T) {
+	m, l, h, c, _ := newTestCache(t, 64, 8, CtlConfig{FlushEnabled: false})
+	m.Eng.Go("host", func(p *sim.Proc) {
+		if !h.WritePage(p, 7, 3, page(0xAB)) || !h.WritePage(p, 7, 4, page(0xCD)) {
+			t.Error("WritePage failed")
+			return
+		}
+		kept, evicted := h.findEntry(7, 3), h.findEntry(7, 4)
+		m.Eng.Go("dpu", func(pp *sim.Proc) {
+			if !c.lock(pp, kept, LockRead) || !c.lock(pp, evicted, LockWrite) {
+				t.Error("ctl could not lock an idle entry")
+				return
+			}
+			pp.Sleep(40 * time.Microsecond) // a backend write's worth
+			c.unlock(pp, kept)
+			c.setStatus(pp, evicted, StatusFree)
+			m.PCIe.AtomicFetchAdd32(pp, m.HostMem, l.Base+12, 1, "cache-free-inc")
+			c.unlock(pp, evicted)
+		})
+		p.Sleep(10 * time.Microsecond) // both locks are held by now
+		from := p.Now()
+		if got, ok := h.Lookup(p, 7, 3); !ok || !bytes.Equal(got, page(0xAB)) {
+			t.Error("lookup of a locked page did not wait for it")
+		}
+		if waited := time.Duration(p.Now() - from); waited < 25*time.Microsecond {
+			t.Errorf("lookup returned after %v, before the lock was released", waited)
+		}
+		if _, ok := h.Lookup(p, 7, 4); ok {
+			t.Error("lookup hit an entry that was freed under its lock")
+		}
+	})
+	m.Eng.Run()
+	m.Eng.Shutdown()
+	if h.Hits.Total() != 1 || h.Misses.Total() != 1 {
+		t.Errorf("hits=%d misses=%d, want 1 and 1", h.Hits.Total(), h.Misses.Total())
+	}
+	if probs := Fsck(m.HostMem, l); len(probs) > 0 {
+		t.Errorf("fsck after the waits: %v", probs)
+	}
+}
+
+// TestFsckReportsEachCorruption corrupts a healthy table by hand, one
+// invariant at a time, and expects exactly one finding per corruption.
+func TestFsckReportsEachCorruption(t *testing.T) {
+	m, l, h, c, _ := newTestCache(t, 64, 8, CtlConfig{FlushEnabled: false})
+	var idx [4]int
+	m.Eng.Go("host", func(p *sim.Proc) {
+		for k := range idx {
+			if !h.WritePage(p, 9, uint64(k), page(byte(k))) {
+				t.Error("WritePage failed")
+				return
+			}
+			idx[k] = h.findEntry(9, uint64(k))
+		}
+		c.FillPage(p, 9, 100, page(0x11))
+	})
+	m.Eng.Run()
+	m.Eng.Shutdown()
+	if probs := Fsck(m.HostMem, l); len(probs) > 0 {
+		t.Fatalf("healthy table: %v", probs)
+	}
+
+	hm := m.HostMem
+	word := func(i, off int) mem.Addr { return l.EntryAddr(i) + mem.Addr(off) }
+	wrongBucket := uint64(1000) // an lpn nobody holds, hashing elsewhere
+	for l.BucketOf(9, wrongBucket) == idx[3]/l.EntriesPerBucket() {
+		wrongBucket++
+	}
+	corruptions := []struct {
+		name string
+		do   func()
+		want string
+	}{
+		{"leaked lock", func() { hm.PutUint32(word(idx[0], offLock), LockRead) }, "lock word 2 still held"},
+		{"pending claim", func() { hm.PutUint32(word(idx[1], offStatus), StatusInvalid) }, "left pending"},
+		{"next pointer", func() { hm.PutUint32(word(idx[2], offNext), uint32(idx[2])) }, "next pointer"},
+		{"wrong bucket", func() { hm.PutUint64(word(idx[3], offLPN), wrongBucket) }, "hashes to"},
+		{"duplicate", func() {
+			lo, hi := l.BucketEntries(idx[0] / l.EntriesPerBucket())
+			for i := lo; i < hi; i++ {
+				if ReadEntry(hm, l, i).Status == StatusFree {
+					WriteEntryMeta(hm, l, i, Entry{Status: StatusClean, Next: l.chainNext(i), Ino: 9, LPN: 0})
+					AddHeaderFree(hm, l, -1)
+					return
+				}
+			}
+			t.Fatal("no free entry left in the bucket")
+		}, "both hold <9,0>"},
+		{"free counter", func() { AddHeaderFree(hm, l, 1) }, "header free counter"},
+	}
+	for n, cr := range corruptions {
+		cr.do()
+		probs := Fsck(hm, l)
+		if len(probs) != n+1 {
+			t.Fatalf("after %q: %d findings, want %d: %v", cr.name, len(probs), n+1, probs)
+		}
+		hits := 0
+		for _, pr := range probs {
+			if strings.Contains(pr, cr.want) {
+				hits++
+			}
+		}
+		if hits != 1 {
+			t.Errorf("%q reported %d times, want once: %v", cr.name, hits, probs)
+		}
 	}
 }

@@ -266,7 +266,10 @@ func (c *Ctl) readBucket(p *sim.Proc, bucket int, buf *bucketBuf) []Entry {
 }
 
 // lock acquires an entry's lock word with a PCIe CAS, retrying while the
-// host holds it. Returns false if the entry cannot be locked quickly.
+// host holds it. Returns false if the entry cannot be locked quickly: unlike
+// the host side (Host.acquire), the DPU's lock is bounded, and its callers
+// either are best-effort (the daemon pass, fill, eviction, reclaim: the entry
+// is left for a later pass or the data goes back inline) or go through settle.
 func (c *Ctl) lock(p *sim.Proc, i int, kind uint32) bool {
 	a := c.L.EntryAddr(i) + offLock
 	for attempt := 0; attempt < 8; attempt++ {
@@ -402,17 +405,14 @@ func (c *Ctl) flushWindow(p *sim.Proc, entries []int, flush func(pp *sim.Proc, i
 	return flushed, firstErr
 }
 
-// FlushIno flushes every dirty page belonging to one inode (fsync):
-// a full meta scan selecting only that inode's entries. Unlike the daemon's
-// best-effort pass, fsync must not return while any of the inode's pages is
-// still dirty or mid-flush elsewhere — a direct read right after fsync
-// would otherwise miss data a concurrent daemon flush has snapshotted but
-// not yet written to the backend. An entry we cannot lock is therefore
-// re-checked until it is either flushed here or observed clean (the
-// concurrent flusher marks it clean only after its backend write lands).
-// Returns the number flushed; a persistent backend failure surfaces as an
-// error after a bounded number of attempts (the page stays dirty), so a
-// failing fsync reports failure instead of livelocking.
+// FlushIno flushes every dirty page belonging to one inode (fsync; anyIno,
+// the checkpoint's use, selects every inode's): a full meta scan selecting
+// only that inode's entries. Unlike the daemon's best-effort pass, fsync
+// must not return while any of the inode's pages is still dirty or mid-flush
+// elsewhere — a direct read right after fsync would otherwise miss data a
+// concurrent daemon flush has snapshotted but not yet written to the backend
+// — so every entry is settled (see settle). Returns the number flushed, and
+// the backend's error if it kept failing.
 //
 // Fsync contract. FlushIno is the synchronous durability path: success
 // means every one of the inode's pages reached the backend. SyncIno is the
@@ -422,40 +422,51 @@ func (c *Ctl) flushWindow(p *sim.Proc, entries []int, flush func(pp *sim.Proc, i
 // unflushed page sits behind a failing backend — the fallback fully lands
 // or reports the backend error (pinned by TestDegradedFsyncReportsError).
 func (c *Ctl) FlushIno(p *sim.Proc, ino uint64) (int, error) {
-	dirty := c.scanDirty(p, ino, c.L.Total)
-	// Write the inode's pages back as a concurrent window rather than one
-	// blocking flushOne at a time. Each worker keeps the must-settle spin:
-	// an entry it cannot lock is re-checked until it is either flushed here
-	// or observed clean/replaced.
-	return c.flushWindow(p, dirty, func(pp *sim.Proc, i int) (bool, error) {
-		fails := 0
-		for spins := 0; ; spins++ {
-			if spins > 1<<20 {
-				panic("cache: FlushIno livelocked on a held entry lock")
-			}
-			ok, err := c.flushOne(pp, i)
-			if ok {
-				return true, nil
-			}
-			if err != nil {
-				// Backend failure: the page is still dirty. Retry a bounded
-				// number of times, then report the error — the caller's
-				// fsync fails cleanly rather than spinning forever.
-				if fails++; fails >= 8 {
-					return false, err
-				}
-				pp.Sleep(20 * time.Microsecond)
-				continue
-			}
-			// Lock held or state changed: either a concurrent flush is
-			// writing this page back, or the host replaced the entry.
-			// Re-read and wait until it is no longer our dirty page.
-			cur := c.readEntryRemote(pp, i)
-			if cur.Status != StatusDirty || cur.Ino != ino {
-				return false, nil
-			}
-		}
+	// Write the pages back as a concurrent window rather than one blocking
+	// flushOne at a time; each worker settles its entry.
+	return c.flushWindow(p, c.scanDirty(p, ino, c.L.Total), func(pp *sim.Proc, i int) (bool, error) {
+		return c.settle(pp, i, ino, c.tryFlush)
 	})
+}
+
+// settle is the must-settle rule of the DPU side, written once for fsync's
+// write-back, the journal snapshot and the checkpoint: repeat try on entry i
+// until it takes the entry (took), the entry is observed no longer a dirty
+// page of ino (anyIno: of any inode) — by try under the lock (gone), or here
+// by re-reading it after a try that could not lock it: a concurrent flusher
+// marks it clean only after its backend write lands, and the host may have
+// replaced it — or the backend has failed eight times (20 µs apart), so a
+// failing fsync reports the error with the page still dirty instead of
+// livelocking. It reports whether this call took the entry. try must not
+// escape: a closure passed here lives on its caller's stack.
+func (c *Ctl) settle(pp *sim.Proc, i int, ino uint64, try func(pp *sim.Proc, i int) (took, gone bool, err error)) (bool, error) {
+	fails := 0
+	for spins := 0; ; spins++ {
+		if spins > 1<<20 {
+			panic("cache: settle livelocked on a held entry lock")
+		}
+		took, gone, err := try(pp, i)
+		if took || gone {
+			return took, nil
+		}
+		if err != nil {
+			if fails++; fails >= 8 {
+				return false, err
+			}
+			pp.Sleep(20 * time.Microsecond)
+			continue
+		}
+		if cur := c.readEntryRemote(pp, i); cur.Status != StatusDirty || (ino != anyIno && cur.Ino != ino) {
+			return false, nil
+		}
+	}
+}
+
+// tryFlush is flushOne as a settle attempt. flushOne does not say why it
+// flushed nothing, so gone stays false and settle reads the entry itself.
+func (c *Ctl) tryFlush(pp *sim.Proc, i int) (took, gone bool, err error) {
+	took, err = c.flushOne(pp, i)
+	return took, false, err
 }
 
 // SyncIno is the fsync entry point when durability may be satisfied by the
@@ -474,10 +485,9 @@ func (c *Ctl) SyncIno(p *sim.Proc, ino uint64) (int, error) {
 }
 
 // journalIno snapshots the inode's dirty pages over DMA and commits them to
-// the WAL as one record batch. Pages stay dirty in the cache. The snapshot
-// keeps FlushIno's must-settle semantics: an entry we cannot lock is
-// re-checked until it is either snapshotted here or observed clean (a
-// concurrent flush made it durable some other way).
+// the WAL as one record batch. Pages stay dirty in the cache. Every entry is
+// settled: snapshotted here, or observed clean (a concurrent flush made it
+// durable some other way).
 //
 // Checkpoint interleaving: a checkpoint settles every dirty page and then
 // invalidates all prior records. A batch committed with records snapshotted
@@ -504,36 +514,29 @@ func (c *Ctl) journalAttempt(p *sim.Proc, ino uint64, attempt int) (n int, again
 	seq := c.ckptSeq
 	gen := c.walGens[ino]
 
-	dirty := c.scanDirty(p, ino, c.L.Total)
 	var recs []wal.Record
 	defer func() {
 		for i := range recs {
 			c.pool.Put(recs[i].Data)
 		}
 	}()
-	_, err = c.flushWindow(p, dirty, func(pp *sim.Proc, i int) (bool, error) {
-		for spins := 0; ; spins++ {
-			if spins > 1<<20 {
-				panic("cache: journalIno livelocked on a held entry lock")
+	_, err = c.flushWindow(p, c.scanDirty(p, ino, c.L.Total), func(pp *sim.Proc, i int) (bool, error) {
+		return c.settle(pp, i, ino, func(pp *sim.Proc, i int) (took, gone bool, err error) {
+			if !c.lock(pp, i, LockRead) {
+				return false, false, nil // a concurrent flush or host write owns the entry
 			}
-			if c.lock(pp, i, LockRead) {
-				e := c.readEntryRemote(pp, i)
-				if e.Status != StatusDirty || e.Ino != ino {
-					c.unlock(pp, i)
-					return false, nil
-				}
-				data := c.pool.Get(c.L.PageSize)
-				c.m.PCIe.DMAReadInto(pp, data, c.m.HostMem, c.L.PageAddr(i), "cache-pull")
+			e := c.readEntryRemote(pp, i)
+			if e.Status != StatusDirty || e.Ino != ino {
+				// Seen under the lock, so settle needs no second meta read.
 				c.unlock(pp, i)
-				recs = append(recs, wal.Record{Kind: wal.RecPage, Ino: ino, LPN: e.LPN, Gen: gen, Data: data})
-				return true, nil
+				return false, true, nil
 			}
-			// Lock held: a concurrent flush or host write owns the entry.
-			// Wait until it is no longer our dirty page, then re-check.
-			if cur := c.readEntryRemote(pp, i); cur.Status != StatusDirty || cur.Ino != ino {
-				return false, nil
-			}
-		}
+			data := c.pool.Get(c.L.PageSize)
+			c.m.PCIe.DMAReadInto(pp, data, c.m.HostMem, c.L.PageAddr(i), "cache-pull")
+			c.unlock(pp, i)
+			recs = append(recs, wal.Record{Kind: wal.RecPage, Ino: ino, LPN: e.LPN, Gen: gen, Data: data})
+			return true, false, nil
+		})
 	})
 	if err != nil || len(recs) == 0 {
 		return 0, false, err
@@ -612,46 +615,17 @@ func (c *Ctl) checkpoint(p *sim.Proc) error {
 		c.ckptDone.Wait(p)
 	}
 	c.ckpting = true
-	err := c.settleAll(p)
+	// Every dirty page, settled as fsync settles one inode's: FlushPass skips
+	// entries whose lock is held, but a page mid-flush by the daemon may still
+	// fail its backend write and stay dirty — dropping its journal record
+	// then would lose an acked fsync.
+	_, err := c.FlushIno(p, anyIno)
 	if err == nil {
 		err = c.wal.Checkpoint(p)
 	}
 	c.ckpting = false
 	c.ckptSeq++
 	c.ckptDone.Broadcast()
-	return err
-}
-
-// settleAll writes every dirty page in the cache back to the backend with
-// FlushIno's must-settle semantics (an unlockable entry is re-checked until
-// flushed or observed clean). A checkpoint needs this stronger guarantee:
-// FlushPass skips entries whose lock is held, but a page mid-flush by the
-// daemon may still fail its backend write and stay dirty — dropping its
-// journal record then would lose an acked fsync.
-func (c *Ctl) settleAll(p *sim.Proc) error {
-	dirty := c.scanDirty(p, anyIno, c.L.Total)
-	_, err := c.flushWindow(p, dirty, func(pp *sim.Proc, i int) (bool, error) {
-		fails := 0
-		for spins := 0; ; spins++ {
-			if spins > 1<<20 {
-				panic("cache: checkpoint livelocked on a held entry lock")
-			}
-			ok, err := c.flushOne(pp, i)
-			if ok {
-				return true, nil
-			}
-			if err != nil {
-				if fails++; fails >= 8 {
-					return false, err
-				}
-				pp.Sleep(20 * time.Microsecond)
-				continue
-			}
-			if cur := c.readEntryRemote(pp, i); cur.Status != StatusDirty {
-				return false, nil
-			}
-		}
-	})
 	return err
 }
 

@@ -56,8 +56,8 @@ func (h *Host) Degraded() bool { return h.m.HostMem.Uint32(h.L.Base+16) != 0 }
 // that is the DPU's fill-pending claim, and treating a claimed page as
 // absent would let the host insert a duplicate entry for the same page —
 // two copies of one page with independent contents is unrecoverable.
-// Callers re-validate the status under the entry lock, so a pending claim
-// behaves like a locked entry (miss for Lookup, spin for writers).
+// A claim is published together with its write lock, so acquire waits it out
+// like any other held entry.
 func (h *Host) findEntry(ino, lpn uint64) int {
 	lo, hi := h.L.BucketEntries(h.L.BucketOf(ino, lpn))
 	for i := lo; i < hi; i++ {
@@ -69,9 +69,51 @@ func (h *Host) findEntry(ino, lpn uint64) int {
 	return -1
 }
 
-// Lookup returns a copy of the cached page for <ino, lpn>. A page that is
-// momentarily locked by the DPU control plane counts as a miss rather than
-// blocking the host.
+// lockEntry takes entry i's lock word for kind, waiting out whoever holds it:
+// the flusher for one backend write, a fill or an eviction for a few PCIe
+// operations, another host thread for one page copy. A held lock is never a
+// reason to give up or to go around the entry — every bounded spin this
+// package once had lost an update or served stale bytes — so the only way
+// out other than the lock is the livelock panic. The wait is attributed as
+// cache.lock when profiling.
+func (h *Host) lockEntry(p *sim.Proc, i int, kind uint32) {
+	a := h.L.EntryAddr(i) + offLock
+	from := p.Now()
+	for spins := 0; !h.m.HostMem.CompareAndSwap32(a, LockNone, kind); spins++ {
+		if spins > 1<<22 {
+			panic("cache: host livelocked on a held entry lock")
+		}
+		p.Sleep(500 * time.Nanosecond)
+	}
+	h.po.Attr(p, obs.CompWait, "cache.lock", from, p.Now())
+}
+
+// acquire is the host side of the entry protocol, the one place it is
+// written: find the entry of <ino, lpn>, take its lock (lockEntry waits), and
+// re-check status and identity under the lock — the DPU may have evicted and
+// re-used the entry during the wait, in which case the page is looked up
+// again. It returns the locked entry's index, or -1 only when the page is
+// absent from the cache; the caller unlocks. Nothing yields between findEntry
+// and an uncontended lock, so a pass that finds the entry replaced has waited:
+// the loop advances virtual time or returns.
+func (h *Host) acquire(p *sim.Proc, ino, lpn uint64, kind uint32) int {
+	for {
+		i := h.findEntry(ino, lpn)
+		if i < 0 {
+			return -1
+		}
+		h.lockEntry(p, i, kind)
+		e := ReadEntry(h.m.HostMem, h.L, i)
+		if (e.Status == StatusClean || e.Status == StatusDirty) && e.Ino == ino && e.LPN == lpn {
+			return i
+		}
+		h.unlock(i)
+	}
+}
+
+func (h *Host) unlock(i int) { h.m.HostMem.PutUint32(h.L.EntryAddr(i)+offLock, LockNone) }
+
+// Lookup returns a copy of the cached page for <ino, lpn>; see LookupInto.
 func (h *Host) Lookup(p *sim.Proc, ino, lpn uint64) ([]byte, bool) {
 	data := make([]byte, h.L.PageSize)
 	if !h.LookupInto(p, ino, lpn, 0, data) {
@@ -82,25 +124,18 @@ func (h *Host) Lookup(p *sim.Proc, ino, lpn uint64) ([]byte, bool) {
 
 // LookupInto copies dst's worth of the cached page for <ino, lpn>, starting
 // at page offset po, into the caller's buffer: the zero-allocation read path.
+// False means the page is absent, never that it is busy: a page the control
+// plane holds locked is waited for and read from the cache, because the
+// backend may not have its bytes yet (the flusher holds its lock across the
+// whole write-back of a dirty page). The lookup cost is charged once per
+// call, however long the wait.
 func (h *Host) LookupInto(p *sim.Proc, ino, lpn uint64, po int, dst []byte) bool {
 	h.m.HostExec(p, h.m.Cfg.Costs.HostCacheLookup)
 	if po < 0 || po+len(dst) > h.L.PageSize {
 		panic(fmt.Sprintf("cache: LookupInto range [%d,%d) of page size %d", po, po+len(dst), h.L.PageSize))
 	}
-	i := h.findEntry(ino, lpn)
+	i := h.acquire(p, ino, lpn, LockRead)
 	if i < 0 {
-		h.Misses.Inc()
-		return false
-	}
-	a := h.L.EntryAddr(i)
-	if !h.m.HostMem.CompareAndSwap32(a+offLock, LockNone, LockRead) {
-		h.Misses.Inc()
-		return false
-	}
-	// Re-check under the lock: the entry may have been replaced.
-	e := ReadEntry(h.m.HostMem, h.L, i)
-	if (e.Status != StatusClean && e.Status != StatusDirty) || e.Ino != ino || e.LPN != lpn {
-		h.m.HostMem.PutUint32(a+offLock, LockNone)
 		h.Misses.Inc()
 		return false
 	}
@@ -110,8 +145,8 @@ func (h *Host) LookupInto(p *sim.Proc, ino, lpn uint64, po int, dst []byte) bool
 	h.m.HostExec(p, h.m.Cfg.Costs.HostCopyPerPage*int64((h.L.PageSize+4095)/4096))
 	// Mark the CLOCK reference bit: second-chance eviction spares recently
 	// hit pages.
-	h.m.HostMem.Slice(a+offRef, 1)[0] = 1
-	h.m.HostMem.PutUint32(a+offLock, LockNone)
+	h.m.HostMem.Slice(h.L.EntryAddr(i)+offRef, 1)[0] = 1
+	h.unlock(i)
 	h.Hits.Inc()
 	return true
 }
@@ -127,48 +162,16 @@ func (h *Host) WritePage(p *sim.Proc, ino, lpn uint64, data []byte) bool {
 	}
 	h.m.HostExec(p, h.m.Cfg.Costs.HostCacheLookup)
 
-	// Update in place if the page is already cached. As long as the entry
-	// exists this MUST succeed (or observe the entry's replacement): falling
-	// through to the insert path with the page still present would leave a
-	// stale copy that a later lookup serves as current data. The flusher
-	// holds the lock across a whole backend write, so waiting is bounded by
-	// one flush, not by a spin budget.
-	spinFrom := sim.Time(-1)
-	for spins := 0; ; spins++ {
-		if spins > 1<<22 {
-			panic("cache: WritePage livelocked on a held entry lock")
-		}
-		i := h.findEntry(ino, lpn)
-		if i < 0 {
-			if spinFrom >= 0 {
-				h.po.Attr(p, obs.CompWait, "cache.lock", spinFrom, p.Now())
-			}
-			break
-		}
-		a := h.L.EntryAddr(i)
-		if !h.m.HostMem.CompareAndSwap32(a+offLock, LockNone, LockWrite) {
-			// Locked by the flusher: wait for it to release rather than
-			// duplicating the page elsewhere.
-			if spinFrom < 0 {
-				spinFrom = p.Now()
-			}
-			p.Sleep(500 * time.Nanosecond)
-			continue
-		}
-		if spinFrom >= 0 {
-			h.po.Attr(p, obs.CompWait, "cache.lock", spinFrom, p.Now())
-			spinFrom = -1
-		}
-		e := ReadEntry(h.m.HostMem, h.L, i)
-		if (e.Status != StatusClean && e.Status != StatusDirty) || e.Ino != ino || e.LPN != lpn {
-			h.m.HostMem.PutUint32(a+offLock, LockNone)
-			continue // replaced under us; take the insert path
-		}
+	// Update in place if the page is already cached. While the entry exists
+	// this MUST land (acquire waits out the flusher, and -1 means absent):
+	// falling through to the insert path with the page still present would
+	// leave a stale copy that a later lookup serves as current data.
+	if i := h.acquire(p, ino, lpn, LockWrite); i >= 0 {
 		h.m.HostMem.Write(h.L.PageAddr(i), data)
 		h.m.HostExec(p, h.m.Cfg.Costs.HostCopyPerPage*int64((h.L.PageSize+4095)/4096))
-		h.m.HostMem.PutUint32(a+offStatus, StatusDirty)
+		h.m.HostMem.PutUint32(h.L.EntryAddr(i)+offStatus, StatusDirty)
 		h.maybeDirty[ino] = struct{}{}
-		h.m.HostMem.PutUint32(a+offLock, LockNone)
+		h.unlock(i)
 		h.CachedWr.Inc()
 		return true
 	}
@@ -184,7 +187,7 @@ func (h *Host) WritePage(p *sim.Proc, ino, lpn uint64, data []byte) bool {
 			continue
 		}
 		if h.m.HostMem.Uint32(a+offStatus) != StatusFree {
-			h.m.HostMem.PutUint32(a+offLock, LockNone)
+			h.unlock(i)
 			continue
 		}
 		h.m.HostMem.Write(h.L.PageAddr(i), data)
@@ -192,7 +195,7 @@ func (h *Host) WritePage(p *sim.Proc, ino, lpn uint64, data []byte) bool {
 		h.m.HostMem.PutUint64(a+offIno, ino)
 		h.m.HostMem.PutUint32(a+offStatus, StatusDirty)
 		h.maybeDirty[ino] = struct{}{}
-		h.m.HostMem.PutUint32(a+offLock, LockNone)
+		h.unlock(i)
 		AddHeaderFree(h.m.HostMem, h.L, -1)
 		// The copy cost is charged only after the entry is fully published:
 		// a yield between the absence check above and publication would let
@@ -203,22 +206,6 @@ func (h *Host) WritePage(p *sim.Proc, ino, lpn uint64, data []byte) bool {
 	}
 	h.WriteFull.Inc()
 	return false
-}
-
-// Invalidate drops a cached page (e.g. after truncate); best effort.
-func (h *Host) Invalidate(p *sim.Proc, ino, lpn uint64) {
-	h.m.HostExec(p, h.m.Cfg.Costs.HostCacheLookup)
-	i := h.findEntry(ino, lpn)
-	if i < 0 {
-		return
-	}
-	a := h.L.EntryAddr(i)
-	if !h.m.HostMem.CompareAndSwap32(a+offLock, LockNone, LockWrite) {
-		return
-	}
-	h.m.HostMem.PutUint32(a+offStatus, StatusFree)
-	h.m.HostMem.PutUint32(a+offLock, LockNone)
-	AddHeaderFree(h.m.HostMem, h.L, 1)
 }
 
 // InvalidateIno drops every cached page of one inode (truncate/unlink):
@@ -238,26 +225,15 @@ func (h *Host) InvalidateIno(p *sim.Proc, ino uint64) {
 		if e.Status == StatusFree || e.Ino != ino {
 			continue
 		}
-		a := h.L.EntryAddr(i)
-		spinFrom := sim.Time(-1)
-		for spins := 0; !h.m.HostMem.CompareAndSwap32(a+offLock, LockNone, LockWrite); spins++ {
-			if spins > 1<<22 {
-				panic("cache: InvalidateIno livelocked on a held entry lock")
-			}
-			if spinFrom < 0 {
-				spinFrom = p.Now()
-			}
-			p.Sleep(500 * time.Nanosecond)
-		}
-		if spinFrom >= 0 {
-			h.po.Attr(p, obs.CompWait, "cache.lock", spinFrom, p.Now())
-		}
+		// By index, not through acquire: whatever page of the inode the entry
+		// holds once its lock drops is the one to free.
+		h.lockEntry(p, i, LockWrite)
 		e = ReadEntry(h.m.HostMem, h.L, i)
 		if e.Status != StatusFree && e.Ino == ino {
-			h.m.HostMem.PutUint32(a+offStatus, StatusFree)
+			h.m.HostMem.PutUint32(h.L.EntryAddr(i)+offStatus, StatusFree)
 			AddHeaderFree(h.m.HostMem, h.L, 1)
 		}
-		h.m.HostMem.PutUint32(a+offLock, LockNone)
+		h.unlock(i)
 	}
 }
 
@@ -269,40 +245,23 @@ func (h *Host) InvalidateIno(p *sim.Proc, ino uint64) {
 // raced the backend write, and a redundant flush is harmless while a silent
 // mismatch is not.
 //
-// While the entry exists the merge MUST land: giving up while the flusher
-// holds the lock leaves the cached copy missing the direct write's bytes,
-// which a later buffered read serves as current data. The flusher releases
-// after one backend write, so waiting is bounded.
+// While the entry exists the merge MUST land (acquire waits out the flusher):
+// giving up on a held lock leaves the cached copy missing the direct write's
+// bytes, which a later buffered read serves as current data.
 func (h *Host) MergeIfPresent(p *sim.Proc, ino, lpn uint64, pageOff int, frag []byte) {
 	if len(frag) == 0 || pageOff+len(frag) > h.L.PageSize {
 		return
 	}
 	h.m.HostExec(p, h.m.Cfg.Costs.HostCacheLookup)
-	for spins := 0; ; spins++ {
-		if spins > 1<<22 {
-			panic("cache: MergeIfPresent livelocked on a held entry lock")
-		}
-		i := h.findEntry(ino, lpn)
-		if i < 0 {
-			return
-		}
-		a := h.L.EntryAddr(i)
-		if !h.m.HostMem.CompareAndSwap32(a+offLock, LockNone, LockWrite) {
-			p.Sleep(500 * time.Nanosecond)
-			continue
-		}
-		e := ReadEntry(h.m.HostMem, h.L, i)
-		if (e.Status != StatusClean && e.Status != StatusDirty) || e.Ino != ino || e.LPN != lpn {
-			h.m.HostMem.PutUint32(a+offLock, LockNone)
-			continue
-		}
-		h.m.HostMem.Write(h.L.PageAddr(i)+mem.Addr(pageOff), frag)
-		h.m.HostExec(p, h.m.Cfg.Costs.HostCopyPerPage)
-		h.m.HostMem.PutUint32(a+offStatus, StatusDirty)
-		h.maybeDirty[ino] = struct{}{}
-		h.m.HostMem.PutUint32(a+offLock, LockNone)
+	i := h.acquire(p, ino, lpn, LockWrite)
+	if i < 0 {
 		return
 	}
+	h.m.HostMem.Write(h.L.PageAddr(i)+mem.Addr(pageOff), frag)
+	h.m.HostExec(p, h.m.Cfg.Costs.HostCopyPerPage)
+	h.m.HostMem.PutUint32(h.L.EntryAddr(i)+offStatus, StatusDirty)
+	h.maybeDirty[ino] = struct{}{}
+	h.unlock(i)
 }
 
 // HasDirty reports whether any cached page of ino is dirty. Direct I/O uses

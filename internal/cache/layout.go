@@ -187,16 +187,59 @@ func InitHeader(r *mem.Region, l Layout, mode uint32) {
 	// when backend write-back keeps failing, and the host reads it to route
 	// writes around the cache. Starts healthy.
 	r.PutUint32(l.Base+16, 0)
-	for b := 0; b < l.Buckets; b++ {
-		lo, hi := l.BucketEntries(b)
-		for i := lo; i < hi; i++ {
-			next := uint32(i + 1)
-			if i == hi-1 {
-				next = uint32(lo) // circular within the bucket
-			}
-			WriteEntryMeta(r, l, i, Entry{Lock: LockNone, Status: StatusFree, Next: next})
-		}
+	for i := 0; i < l.Total; i++ {
+		WriteEntryMeta(r, l, i, Entry{Lock: LockNone, Status: StatusFree, Next: l.chainNext(i)})
 	}
+}
+
+// chainNext is entry i's next pointer: its successor in the bucket, circular.
+// It is written at format time and never changes.
+func (l Layout) chainNext(i int) uint32 {
+	lo, hi := l.BucketEntries(i / l.EntriesPerBucket())
+	if i == hi-1 {
+		return uint32(lo)
+	}
+	return uint32(i + 1)
+}
+
+// Fsck checks the meta table's invariants and returns one line per violation.
+// It is meant for a quiesce point — no host thread, fill, eviction or flush
+// inside an entry — where every lock word must be free again: a lock leaked
+// by either side of the entry protocol shows up here rather than as a hang
+// much later. Host-local and free in virtual time.
+func Fsck(r *mem.Region, l Layout) []string {
+	var probs []string
+	bad := func(format string, args ...any) { probs = append(probs, "cache: "+fmt.Sprintf(format, args...)) }
+	free := 0
+	at := map[[2]uint64]int{}
+	for i := 0; i < l.Total; i++ {
+		e := ReadEntry(r, l, i)
+		if e.Lock != LockNone {
+			bad("entry %d: lock word %d still held", i, e.Lock)
+		}
+		if want := l.chainNext(i); e.Next != want {
+			bad("entry %d: next pointer %d, formatted as %d", i, e.Next, want)
+		}
+		if e.Status == StatusFree {
+			free++
+			continue
+		}
+		if e.Status == StatusInvalid {
+			bad("entry %d: fill claim for <%d,%d> left pending", i, e.Ino, e.LPN)
+		}
+		if b, want := i/l.EntriesPerBucket(), l.BucketOf(e.Ino, e.LPN); b != want {
+			bad("entry %d: <%d,%d> sits in bucket %d, hashes to %d", i, e.Ino, e.LPN, b, want)
+		}
+		key := [2]uint64{e.Ino, e.LPN}
+		if j, dup := at[key]; dup {
+			bad("entries %d and %d both hold <%d,%d>", j, i, e.Ino, e.LPN)
+		}
+		at[key] = i
+	}
+	if got := int(HeaderFree(r, l)); got != free {
+		bad("header free counter %d, %d entries are free", got, free)
+	}
+	return probs
 }
 
 // HeaderFree reads the free-page counter.

@@ -27,34 +27,11 @@ import (
 // must be *some* state the application actually produced — never garbage.
 // Failing crash points delta-debug their traces to minimal reproducers.
 
-// crashCaps is the capability envelope of the crash-torture stack (the
-// kvfs-wal world's caps).
-func crashCaps() Caps {
-	return Caps{
-		Buffered: true,
-		Direct:   true,
-		Mkdir:    true,
-		Unlink:   true,
-		Rename:   true,
-		Truncate: true,
-		Fsync:    true,
-		MaxFile:  96 * 1024,
-	}
-}
-
-// newCrashSystem builds the WAL-enabled stack under crash torture. Every
-// phase constructs it identically: the simulation is deterministic, so a
-// re-run reaches bit-identical state at any virtual time, which is what
+// crashStack is the row of the stack table under crash torture. Every phase
+// builds its system from it identically: the simulation is deterministic, so
+// a re-run reaches bit-identical state at any virtual time, which is what
 // lets the harness re-execute a run and stop it mid-flight.
-func newCrashSystem() *dpc.System {
-	opts := dpc.DefaultOptions()
-	opts.Model.HostMemMB = 192
-	opts.Model.DPUMemMB = 8
-	opts.CachePages = 128
-	opts.CacheBuckets = 16
-	opts.WAL.Enabled = true
-	return dpc.New(opts)
-}
+var crashStack, _ = stackByName("kvfs-wal")
 
 // opWindow is one op's virtual-time execution window.
 type opWindow struct{ start, end sim.Time }
@@ -63,7 +40,7 @@ type opWindow struct{ start, end sim.Time }
 // each op's window. The driver is sequential, so at most one op is in
 // flight at any instant — the single-op relaxation the verifier leans on.
 func timeTrace(trace []Op) []opWindow {
-	sys := newCrashSystem()
+	sys := crashStack.system(nil, nil)
 	defer func() { sys.StopDaemons(); sys.Shutdown() }()
 	cl := sys.KVFSClient()
 	wins := make([]opWindow, len(trace))
@@ -93,7 +70,7 @@ type crashImage struct {
 // between the puts of one metadata op strands any prefix — the scavenger's
 // job). Nothing in the extraction consumes virtual time.
 func captureCrash(trace []Op, tc sim.Time, rng *rand.Rand) *crashImage {
-	sys := newCrashSystem()
+	sys := crashStack.system(nil, nil)
 	cl := sys.KVFSClient()
 	sys.Go(func(p *sim.Proc) {
 		for _, op := range trace {
@@ -120,7 +97,7 @@ func captureCrash(trace []Op, tc sim.Time, rng *rand.Rand) *crashImage {
 // recoverImage transplants a crash image into a fresh machine and runs the
 // production recovery sequence (scavenge, WAL replay, checkpoint).
 func recoverImage(img *crashImage) (*dpc.System, wal.ReplayStats, *kvfs.RecoverReport, error) {
-	sys := newCrashSystem()
+	sys := crashStack.system(nil, nil)
 	sys.WALDev.Restore(img.wal)
 	sys.WAL.Reopen()
 	for i, shard := range img.shards {
@@ -610,7 +587,7 @@ func ShrinkCrash(fail *CrashFailure, budget int) *CrashFailure {
 			cand := make([]Op, 0, len(trace)-chunk)
 			cand = append(cand, trace[:start]...)
 			cand = append(cand, trace[start+chunk:]...)
-			cand = sanitize(cand, crashCaps())
+			cand = sanitize(cand, crashStack.caps())
 			if indexOfIdx(cand, fail.Point.Anchor) < 0 {
 				start += chunk
 				continue
@@ -688,7 +665,7 @@ func RunCrashSuite(cfg CrashSuiteConfig) ([]*CrashFailure, *CrashReport, error) 
 		sem <- struct{}{}
 		go func() {
 			defer func() { <-sem; wg.Done() }()
-			trace := GenTrace(seed, ops, crashCaps())
+			trace := GenTrace(seed, ops, crashStack.caps())
 			wins := timeTrace(trace)
 			rng := rand.New(rand.NewSource(seed ^ 0x5ca1ab1e))
 			for _, pt := range pickCrashPoints(rng, trace, points) {

@@ -131,7 +131,7 @@ func TestCrashShrinkKeepsAnchor(t *testing.T) {
 	// that reproduces deterministically via the sabotage-free path being
 	// healthy: if no failure exists, ShrinkCrash is vacuous — so instead
 	// verify indexOfIdx/pickCrashPoints determinism, which Shrink relies on.
-	trace := GenTrace(11, 60, crashCaps())
+	trace := GenTrace(11, 60, crashStack.caps())
 	wins := timeTrace(trace)
 	if len(wins) != len(trace) {
 		t.Fatalf("windows %d, trace %d", len(wins), len(trace))

@@ -3,6 +3,7 @@ package check
 import (
 	"testing"
 
+	"dpc/internal/fault"
 	"dpc/internal/obs"
 	"dpc/internal/prof"
 )
@@ -21,6 +22,7 @@ func TestTortureAttributionInvariant(t *testing.T) {
 		{"kvfs-cache", false},
 		{"kvfs-cache", true},
 		{"dfs-dpc", true},
+		{"kvfs-inline-wal", true},
 	}
 	for _, tc := range cases {
 		tc := tc
@@ -33,15 +35,11 @@ func TestTortureAttributionInvariant(t *testing.T) {
 			const seed = 1
 			o := obs.New()
 			o.EnableProfiling() // before world construction: components latch the profiler
-			var (
-				w   *World
-				err error
-			)
+			var rules []fault.Rule
 			if tc.faults {
-				w, err = NewObservedFaultWorld(tc.stack, seed, o)
-			} else {
-				w, err = NewObservedWorld(tc.stack, o)
+				rules = fault.TortureSchedule(seed)
 			}
+			w, err := NewObservedWorld(tc.stack, rules, o)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -129,13 +129,18 @@ func verifyTree(p *sim.Proc, w *World, o *Oracle) string {
 // with the identical diff — any divergence is a reproducer). budget bounds
 // the number of replays.
 func Shrink(fail *Failure, budget int) (*Failure, error) {
-	factory := func() (*World, error) { return NewWorld(fail.Stack) }
-	if fail.Faults {
-		// Fault schedules are a pure function of (stack, seed), so the
-		// shrunk trace replays under the exact same injected faults.
-		factory = func() (*World, error) { return NewFaultWorld(fail.Stack, fail.Seed) }
-	}
+	// Fault schedules are a pure function of (stack, seed), so the shrunk
+	// trace replays under the exact same injected faults.
+	factory := func() (*World, error) { return newSuiteWorld(fail.Stack, fail.Seed, fail.Faults) }
 	return shrinkWith(factory, fail, budget)
+}
+
+// newSuiteWorld is the world a (stack, seed) pair of a suite runs on.
+func newSuiteWorld(stack string, seed int64, faults bool) (*World, error) {
+	if faults {
+		return NewFaultWorld(stack, seed)
+	}
+	return NewWorld(stack)
 }
 
 // sanitize drops ops that fall outside the stack's capability envelope
@@ -242,17 +247,22 @@ type SuiteConfig struct {
 	Logf         func(format string, args ...any)
 }
 
+// StackList is the stacks the suite runs: cfg.Stacks, or every stack its
+// mode supports.
+func (cfg SuiteConfig) StackList() []string {
+	if len(cfg.Stacks) > 0 {
+		return cfg.Stacks
+	}
+	if cfg.Faults {
+		return FaultStackNames()
+	}
+	return StackNames()
+}
+
 // RunSuite tortures every (stack, seed) pair and returns the failures. Each
 // world is an independent simulation, so pairs run on real goroutines in
 // parallel.
 func RunSuite(cfg SuiteConfig) ([]*Failure, error) {
-	stacks := cfg.Stacks
-	if len(stacks) == 0 {
-		stacks = StackNames()
-		if cfg.Faults {
-			stacks = FaultStackNames()
-		}
-	}
 	logf := cfg.Logf
 	if logf == nil {
 		logf = func(string, ...any) {}
@@ -267,7 +277,7 @@ func RunSuite(cfg SuiteConfig) ([]*Failure, error) {
 		seed  int64
 	}
 	var jobs []job
-	for _, s := range stacks {
+	for _, s := range cfg.StackList() {
 		for _, seed := range cfg.Seeds {
 			jobs = append(jobs, job{s, seed})
 		}
@@ -286,13 +296,7 @@ func RunSuite(cfg SuiteConfig) ([]*Failure, error) {
 		sem <- struct{}{}
 		go func() {
 			defer func() { <-sem; wg.Done() }()
-			var w *World
-			var err error
-			if cfg.Faults {
-				w, err = NewFaultWorld(j.stack, j.seed)
-			} else {
-				w, err = NewWorld(j.stack)
-			}
+			w, err := newSuiteWorld(j.stack, j.seed, cfg.Faults)
 			if err != nil {
 				mu.Lock()
 				if firstErr == nil {

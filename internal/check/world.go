@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"dpc"
+	"dpc/internal/cache"
 	"dpc/internal/dfs"
 	"dpc/internal/fault"
 	"dpc/internal/kvfs"
@@ -73,11 +74,7 @@ func (w *World) Fsck(p *sim.Proc) []string {
 }
 
 // Close tears down the simulation.
-func (w *World) Close() {
-	if w.close != nil {
-		w.close()
-	}
-}
+func (w *World) Close() { w.close() }
 
 // Disarm stops fault injection so the final settle/barrier/verify runs
 // against a healthy stack. No-op on fault-free worlds.
@@ -107,156 +104,186 @@ func (w *World) InjectLegacyFlushBug() bool {
 	return true
 }
 
-// StackNames lists every stack the harness can instantiate. kvfs-inline is
-// the kvfs-cache stack with the inline small-I/O fast path enabled
-// (InlineMax 512): the differential suite must not be able to tell it apart
-// from the DMA-only stacks.
-func StackNames() []string {
-	return []string{"kvfs-direct", "kvfs-cache", "kvfs-inline", "kvfs-wal", "localfs", "dfs-std", "dfs-opt", "dfs-dpc"}
+// stackSpec is one row of the stack table: either a dpc system, described by
+// the service behind its offloaded client and the features switched on, or a
+// baseline the dpc stacks are compared with — no dpc system, hence no
+// injector hooks and no obs handle.
+type stackSpec struct {
+	name       string
+	service    string // "kvfs" or "dfs" behind the offloaded client
+	cachePages int    // hybrid cache size; 0 leaves only direct I/O
+	inlineMax  int    // inline small-I/O limit; 0 is DMA only
+	wal        bool   // fsync journals through the write-ahead log
+	// baseline, when non-nil, builds a baseline row; the features above are unused.
+	baseline func(name string) *World
 }
 
-// inlineMaxForTorture is the InlineMax used by the kvfs-inline stack; 512
-// keeps the adaptive cutover strictly inside it so torture traces exercise
-// both sides of the boundary.
+// inlineMaxForTorture is the InlineMax of the inline stacks; 512 keeps the
+// adaptive cutover strictly inside it so torture traces exercise both sides
+// of the boundary.
 const inlineMaxForTorture = 512
 
-// NewWorld instantiates a fresh stack by name.
-func NewWorld(name string) (*World, error) {
-	switch name {
-	case "kvfs-direct":
-		return newKVFSWorld(name, 0, 0, false, nil, nil), nil
-	case "kvfs-cache":
-		return newKVFSWorld(name, 128, 0, false, nil, nil), nil
-	case "kvfs-inline":
-		return newKVFSWorld(name, 128, inlineMaxForTorture, false, nil, nil), nil
-	case "kvfs-wal":
-		return newKVFSWorld(name, 128, 0, true, nil, nil), nil
-	case "localfs":
-		return newLocalWorld(name), nil
-	case "dfs-std":
-		return newDFSWorld(name, false), nil
-	case "dfs-opt":
-		return newDFSWorld(name, true), nil
-	case "dfs-dpc":
-		return newDFSDPCWorld(name, nil, nil), nil
-	default:
-		return nil, fmt.Errorf("check: unknown stack %q (have %v)", name, StackNames())
-	}
+// stacks is every stack the harness can instantiate, in report order; the
+// name lists, the constructors' error messages and the crash suite's system
+// all derive from it. The differential suite must not be able to tell the
+// feature rows apart: inline is a transport optimization, the WAL a different
+// way to keep the same fsync promise (and the only place the fault suite's
+// SiteWAL rules fire), and kvfs-inline-wal runs both behind one cache. The
+// cache is deliberately small (128 pages, 16 buckets) to keep eviction and
+// write-through pressure high.
+var stacks = []stackSpec{
+	{name: "kvfs-direct", service: "kvfs"},
+	{name: "kvfs-cache", service: "kvfs", cachePages: 128},
+	{name: "kvfs-inline", service: "kvfs", cachePages: 128, inlineMax: inlineMaxForTorture},
+	{name: "kvfs-wal", service: "kvfs", cachePages: 128, wal: true},
+	{name: "kvfs-inline-wal", service: "kvfs", cachePages: 128, inlineMax: inlineMaxForTorture, wal: true},
+	{name: "localfs", baseline: newLocalWorld},
+	{name: "dfs-std", baseline: func(name string) *World { return newDFSWorld(name, false) }},
+	{name: "dfs-opt", baseline: func(name string) *World { return newDFSWorld(name, true) }},
+	{name: "dfs-dpc", service: "dfs", cachePages: 128},
 }
+
+func stackByName(name string) (stackSpec, bool) {
+	for _, s := range stacks {
+		if s.name == name {
+			return s, true
+		}
+	}
+	return stackSpec{}, false
+}
+
+func stackNames(dpcOnly bool) []string {
+	var names []string
+	for _, s := range stacks {
+		if !dpcOnly || s.baseline == nil {
+			names = append(names, s.name)
+		}
+	}
+	return names
+}
+
+// StackNames lists every stack the harness can instantiate.
+func StackNames() []string { return stackNames(false) }
 
 // FaultStackNames lists the stacks that support fault injection (the dpc
 // data-path stacks; the baselines have no injector hooks).
-func FaultStackNames() []string {
-	return []string{"kvfs-direct", "kvfs-cache", "kvfs-inline", "kvfs-wal", "dfs-dpc"}
+func FaultStackNames() []string { return stackNames(true) }
+
+// NewWorld instantiates a fresh stack by name.
+func NewWorld(name string) (*World, error) {
+	s, ok := stackByName(name)
+	if !ok {
+		return nil, fmt.Errorf("check: unknown stack %q (have %v)", name, StackNames())
+	}
+	if s.baseline != nil {
+		return s.baseline(name), nil
+	}
+	return newDPCWorld(s, nil, nil), nil
 }
 
 // NewFaultWorld instantiates a stack with the deterministic torture fault
 // schedule derived from seed. The same (name, seed) always produces the
 // same injected faults at the same virtual times.
 func NewFaultWorld(name string, seed int64) (*World, error) {
-	rules := fault.TortureSchedule(seed)
-	switch name {
-	case "kvfs-direct":
-		return newKVFSWorld(name, 0, 0, false, rules, nil), nil
-	case "kvfs-cache":
-		return newKVFSWorld(name, 128, 0, false, rules, nil), nil
-	case "kvfs-inline":
-		return newKVFSWorld(name, 128, inlineMaxForTorture, false, rules, nil), nil
-	case "kvfs-wal":
-		return newKVFSWorld(name, 128, 0, true, rules, nil), nil
-	case "dfs-dpc":
-		return newDFSDPCWorld(name, rules, nil), nil
-	default:
-		return nil, fmt.Errorf("check: stack %q does not support fault injection (have %v)", name, FaultStackNames())
-	}
+	return newDPCWorldNamed(name, "does not support fault injection", fault.TortureSchedule(seed), nil)
 }
 
 // NewObservedWorld instantiates a dpc stack with the supplied observability
 // handle threaded through the machine, so a torture run produces a full
 // span/attribution trace. Enable profiling on o BEFORE calling this —
 // components latch the profiler at construction time. Only the dpc stacks
-// (kvfs-direct, kvfs-cache, dfs-dpc) carry instrumentation.
-func NewObservedWorld(name string, o *obs.Obs) (*World, error) {
-	return newObserved(name, nil, o)
+// carry instrumentation. A non-nil faults (fault.TortureSchedule) runs it
+// under injection, for asserting that attribution invariants hold through
+// retries, timeouts and resets.
+func NewObservedWorld(name string, faults []fault.Rule, o *obs.Obs) (*World, error) {
+	return newDPCWorldNamed(name, "cannot carry an obs handle", faults, o)
 }
 
-// NewObservedFaultWorld is NewObservedWorld under the deterministic
-// per-seed torture fault schedule, for asserting that attribution
-// invariants hold through retries, timeouts and resets.
-func NewObservedFaultWorld(name string, seed int64, o *obs.Obs) (*World, error) {
-	return newObserved(name, fault.TortureSchedule(seed), o)
-}
-
-func newObserved(name string, rules []fault.Rule, o *obs.Obs) (*World, error) {
-	switch name {
-	case "kvfs-direct":
-		return newKVFSWorld(name, 0, 0, false, rules, o), nil
-	case "kvfs-cache":
-		return newKVFSWorld(name, 128, 0, false, rules, o), nil
-	case "kvfs-inline":
-		return newKVFSWorld(name, 128, inlineMaxForTorture, false, rules, o), nil
-	case "kvfs-wal":
-		return newKVFSWorld(name, 128, 0, true, rules, o), nil
-	case "dfs-dpc":
-		return newDFSDPCWorld(name, rules, o), nil
-	default:
-		return nil, fmt.Errorf("check: stack %q cannot carry an obs handle (have %v)", name, FaultStackNames())
+func newDPCWorldNamed(name, cannot string, faults []fault.Rule, o *obs.Obs) (*World, error) {
+	if s, ok := stackByName(name); ok && s.baseline == nil {
+		return newDPCWorld(s, faults, o), nil
 	}
+	return nil, fmt.Errorf("check: stack %q %s (have %v)", name, cannot, FaultStackNames())
 }
 
-// ---- dpc/KVFS worlds (direct and hybrid-cache) ----
+// ---- dpc worlds (KVFS or the offloaded DFS client, direct or hybrid-cache) ----
 
-func newKVFSWorld(name string, cachePages, inlineMax int, wal bool, faults []fault.Rule, o *obs.Obs) *World {
+// system assembles the dpc system the row describes.
+func (s stackSpec) system(faults []fault.Rule, o *obs.Obs) *dpc.System {
 	opts := dpc.DefaultOptions()
 	opts.Model.HostMemMB = 192
 	opts.Model.DPUMemMB = 8
 	opts.Model.Obs = o
-	opts.CachePages = cachePages
-	opts.NvmeFS.InlineMax = inlineMax
-	// A deliberately small cache (128 pages, 16 buckets) keeps eviction and
-	// write-through pressure high during torture runs.
+	opts.EnableKVFS = s.service == "kvfs"
+	opts.EnableDFS = s.service == "dfs"
+	opts.CachePages = s.cachePages
 	opts.CacheBuckets = 16
+	opts.NvmeFS.InlineMax = s.inlineMax
+	opts.WAL.Enabled = s.wal
 	opts.Faults = faults
-	// The kvfs-wal stack journals fsyncs through the write-ahead log; the
-	// differential suite must not be able to tell it apart from the
-	// write-back stacks, and the fault suite's SiteWAL rules only fire here.
-	opts.WAL.Enabled = wal
-	sys := dpc.New(opts)
-	cl := sys.KVFSClient()
-	cached := cachePages > 0
+	return dpc.New(opts)
+}
+
+// caps is what the row's client supports; the generator is masked to it.
+func (s stackSpec) caps() Caps {
+	cached := s.cachePages > 0
+	if s.service == "dfs" {
+		return Caps{Buffered: cached, Direct: true, Fsync: cached, Align: dfs.BlockSize, MaxFile: 64 * 1024}
+	}
+	return Caps{
+		Buffered: cached,
+		Direct:   true,
+		Mkdir:    true,
+		Unlink:   true,
+		Rename:   true,
+		Truncate: true,
+		Fsync:    cached,
+		MaxFile:  96 * 1024,
+	}
+}
+
+func newDPCWorld(s stackSpec, faults []fault.Rule, o *obs.Obs) *World {
+	sys := s.system(faults, o)
+	newClient, service := sys.KVFSClient, sys.KVFSService
+	if s.service == "dfs" {
+		newClient, service = sys.DFSClient, sys.DFSService
+	}
+	cl, ctl := newClient(), service().Ctl
 
 	w := &World{
-		name: name,
-		caps: Caps{
-			Buffered: cached,
-			Direct:   true,
-			Mkdir:    true,
-			Unlink:   true,
-			Rename:   true,
-			Truncate: true,
-			Fsync:    cached,
-			MaxFile:  96 * 1024,
-		},
+		name:  s.name,
+		caps:  s.caps(),
 		drive: func(fn func(p *sim.Proc)) { sys.Drive(fn) },
 		apply: func(p *sim.Proc, op Op) Result { return applyDPC(p, cl, op) },
 		close: func() { sys.StopDaemons(); sys.Shutdown() },
 		now:   sys.Now,
+		// Disarm is nil-safe: a no-op on a world built without faults.
+		disarm: sys.Faults.Disarm,
+		// The backend's own fsck where it has one, then the hybrid cache's
+		// meta table: the run is quiescent here, so a lock word still held or
+		// a fill claim still pending was leaked by the entry protocol.
 		fsck: func(p *sim.Proc) []string {
-			return sys.KVFS.Fsck(p, sys.KVCluster).Problems
+			var probs []string
+			if sys.KVFS != nil {
+				probs = sys.KVFS.Fsck(p, sys.KVCluster).Problems
+			}
+			if ctl != nil {
+				probs = append(probs, cache.Fsck(sys.M.HostMem, ctl.L)...)
+			}
+			return probs
 		},
 	}
-	if sys.Faults != nil {
-		w.disarm = sys.Faults.Disarm
-	}
-	if cached {
+	if ctl != nil {
 		w.settle = func(p *sim.Proc) { p.Sleep(5 * time.Millisecond) }
 		w.barrier = func(p *sim.Proc) {
 			if err := cl.Sync(p, 0); err != nil {
 				panic(fmt.Sprintf("check: barrier failed: %v", err))
 			}
 		}
-		w.injectBug = func() {
-			sys.KVFSService().Ctl.SetBackend(legacyFlushBackend{kvfs.PageBackend{FS: sys.KVFS}})
+		if sys.KVFS != nil {
+			w.injectBug = func() {
+				ctl.SetBackend(legacyFlushBackend{kvfs.PageBackend{FS: sys.KVFS}})
+			}
 		}
 	}
 	return w
@@ -505,47 +532,5 @@ func newDFSWorld(name string, optimized bool) *World {
 			panic("check: op " + op.Kind.String() + " not supported by dfs world")
 		},
 		close: func() { m.Eng.Shutdown() },
-	}
-}
-
-// ---- dpc/DFS world (offloaded client behind the hybrid cache) ----
-
-func newDFSDPCWorld(name string, faults []fault.Rule, o *obs.Obs) *World {
-	opts := dpc.DefaultOptions()
-	opts.Model.HostMemMB = 192
-	opts.Model.DPUMemMB = 8
-	opts.Model.Obs = o
-	opts.EnableKVFS = false
-	opts.EnableDFS = true
-	opts.CachePages = 128
-	opts.CacheBuckets = 16
-	opts.Faults = faults
-	sys := dpc.New(opts)
-	cl := sys.DFSClient()
-	var disarm func()
-	if sys.Faults != nil {
-		disarm = sys.Faults.Disarm
-	}
-
-	return &World{
-		name: name,
-		caps: Caps{
-			Buffered: true,
-			Direct:   true,
-			Fsync:    true,
-			Align:    dfs.BlockSize,
-			MaxFile:  64 * 1024,
-		},
-		drive:  func(fn func(p *sim.Proc)) { sys.Drive(fn) },
-		apply:  func(p *sim.Proc, op Op) Result { return applyDPC(p, cl, op) },
-		settle: func(p *sim.Proc) { p.Sleep(5 * time.Millisecond) },
-		barrier: func(p *sim.Proc) {
-			if err := cl.Sync(p, 0); err != nil {
-				panic(fmt.Sprintf("check: barrier failed: %v", err))
-			}
-		},
-		close:  func() { sys.StopDaemons(); sys.Shutdown() },
-		disarm: disarm,
-		now:    sys.Now,
 	}
 }

@@ -524,9 +524,6 @@ func (d *Driver) TenantQueues(t int) (base, count int) {
 	return t * count, count
 }
 
-// TenantOf maps a queue ID to its owning tenant (-1 when single-tenant).
-func (d *Driver) TenantOf(qid int) int { return d.queues[qid%len(d.queues)].tenant }
-
 // SetFaults attaches a fault injector: the TGT and completion paths start
 // consulting it, and every enqueue arms a per-command deadline event. The
 // failure counters are published here — not at construction — so that
@@ -590,9 +587,6 @@ func (d *Driver) recalcCutover(qs *queueState) {
 // Cutover returns queue qid's current inline-write payload cutover in bytes
 // (0 when the inline path is disabled).
 func (d *Driver) Cutover(qid int) int { return d.queues[qid%len(d.queues)].cutover }
-
-// InlineMax returns the configured inline payload cap (0 = disabled).
-func (d *Driver) InlineMax() int { return d.cfg.InlineMax }
 
 // Queues returns the number of queue pairs.
 func (d *Driver) Queues() int { return d.cfg.Queues }

@@ -183,14 +183,13 @@ func checkStamps(page []byte, lpn, lo, hi uint64) error {
 // issued and no newer than the last one issued when it completed. The meta
 // table must fsck clean once everything has quiesced.
 func TestSharedPagesReadersNeverSeeStaleVersions(t *testing.T) {
-	const (
-		pages   = 96
-		writers = 4
-		readers = 8
-	)
 	ops := 1500 // per proc
+	// The think-time PRNGs of every proc are re-seeded per k: each k is another
+	// interleaving of the same shape, and three of these four caught a
+	// write-through that skipped the coherence step (see writePageCached).
+	seeds := []int64{0, 3, 5, 11}
 	if raceBuild {
-		ops = 300
+		ops, seeds = 300, seeds[:1]
 	}
 	variants := []struct {
 		name string
@@ -202,151 +201,167 @@ func TestSharedPagesReadersNeverSeeStaleVersions(t *testing.T) {
 	}
 	for _, v := range variants {
 		t.Run(v.name, func(t *testing.T) {
-			poisonPool(t)
-			opts := DefaultOptions()
-			opts.Model.HostMemMB = 192
-			opts.Model.DPUMemMB = 8
-			opts.CachePages = 64
-			opts.CacheBuckets = 8
-			v.set(&opts)
-			sys := New(opts)
-			defer sys.Shutdown()
-			cl := sys.KVFSClient()
-			ps := uint64(opts.CachePageSize)
-
-			// issued[l] is bumped before writer l%4 submits a version of page l,
-			// acked[l] set once that write has returned.
-			var issued, acked [pages]uint64
-			writePage := func(p *sim.Proc, f *File, qid int, page []byte, l uint64) bool {
-				issued[l]++
-				v := issued[l]
-				stampPage(page, l, v)
-				if err := f.Write(p, qid, l*ps, page, false); err != nil {
-					t.Errorf("write lpn %d v %d: %v", l, v, err)
-					return false
-				}
-				acked[l] = v
-				return true
+			for _, k := range seeds {
+				t.Run(fmt.Sprintf("k=%d", k), func(t *testing.T) { sharedPagesRun(t, v.set, ops, k) })
 			}
-
-			sys.Drive(func(p *sim.Proc) {
-				f, err := cl.Create(p, 0, "/shared")
-				if err != nil {
-					t.Errorf("create: %v", err)
-					return
-				}
-				page := make([]byte, ps)
-				for l := uint64(0); l < pages; l++ {
-					if !writePage(p, f, 0, page, l) {
-						return
-					}
-				}
-			})
-			if t.Failed() {
-				return
-			}
-
-			var procs []func(p *sim.Proc)
-			failed := false // first violation stops every proc
-			for w := 0; w < writers; w++ {
-				procs = append(procs, func(p *sim.Proc) {
-					rng := rand.New(rand.NewSource(int64(100 + w)))
-					f, err := cl.Open(p, w, "/shared")
-					if err != nil {
-						t.Errorf("writer %d open: %v", w, err)
-						return
-					}
-					page := make([]byte, ps)
-					for i := 0; i < ops && !failed; i++ {
-						l := uint64(rng.Intn(pages/writers)*writers + w)
-						if !writePage(p, f, w, page, l) {
-							failed = true
-							return
-						}
-						if rng.Intn(64) == 0 {
-							if err := f.Sync(p, w); err != nil {
-								t.Errorf("writer %d sync: %v", w, err)
-								failed = true
-								return
-							}
-						}
-						p.Sleep(time.Duration(rng.Intn(20)) * time.Microsecond)
-					}
-				})
-			}
-			for r := 0; r < readers; r++ {
-				procs = append(procs, func(p *sim.Proc) {
-					qid := writers + r
-					rng := rand.New(rand.NewSource(int64(200 + r)))
-					f, err := cl.Open(p, qid, "/shared")
-					if err != nil {
-						t.Errorf("reader %d open: %v", r, err)
-						return
-					}
-					buf := make([]byte, 3*ps)
-					var lo [3]uint64
-					for i := 0; i < ops && !failed; i++ {
-						l := uint64(rng.Intn(pages))
-						k := uint64(1 + rng.Intn(3))
-						if l+k > pages {
-							k = pages - l
-						}
-						copy(lo[:], acked[l:l+k])
-						at := p.Now()
-						n, err := f.ReadInto(p, qid, l*ps, buf[:k*ps], false)
-						if err != nil || uint64(n) != k*ps {
-							t.Errorf("reader %d: read of %d pages at lpn %d: n=%d err=%v", r, k, l, n, err)
-							failed = true
-							return
-						}
-						for j := uint64(0); j < k; j++ {
-							if err := checkStamps(buf[j*ps:(j+1)*ps], l+j, lo[j], issued[l+j]); err != nil {
-								t.Errorf("reader %d, buffered read issued at %v: %v", r, time.Duration(at), err)
-								failed = true
-								return
-							}
-						}
-						p.Sleep(time.Duration(rng.Intn(10)) * time.Microsecond)
-					}
-				})
-			}
-			sys.Drive(procs...)
-			if t.Failed() {
-				return
-			}
-
-			// Quiesce, then every page must hold its last acknowledged version
-			// in the cache's view and in the backend's, and both structures
-			// must check clean.
-			sys.Drive(func(p *sim.Proc) {
-				f, err := cl.Open(p, 0, "/shared")
-				if err != nil {
-					t.Errorf("open: %v", err)
-					return
-				}
-				if err := cl.Sync(p, 0); err != nil {
-					t.Errorf("final sync: %v", err)
-				}
-				buf := make([]byte, ps)
-				for _, direct := range []bool{false, true} {
-					for l := uint64(0); l < pages; l++ {
-						if n, err := f.ReadInto(p, 0, l*ps, buf, direct); err != nil || uint64(n) != ps {
-							t.Errorf("final read lpn %d direct=%v: n=%d err=%v", l, direct, n, err)
-						} else if err := checkStamps(buf, l, acked[l], acked[l]); err != nil {
-							t.Errorf("final read direct=%v: %v", direct, err)
-						}
-					}
-				}
-				p.Sleep(time.Millisecond) // let the last prefetches land
-				for _, prob := range cache.Fsck(sys.M.HostMem, sys.kvfsHost.L) {
-					t.Errorf("meta fsck: %s", prob)
-				}
-				for _, prob := range sys.KVFS.Fsck(p, sys.KVCluster).Problems {
-					t.Errorf("kvfs fsck: %s", prob)
-				}
-			})
 		})
 	}
+}
+
+// sharedPagesRun is one run of TestSharedPagesReadersNeverSeeStaleVersions:
+// ops operations per proc, think times drawn from seed offset k.
+func sharedPagesRun(t *testing.T, set func(*Options), ops int, k int64) {
+	const (
+		pages   = 96
+		writers = 4
+		readers = 8
+	)
+	poisonPool(t)
+	opts := DefaultOptions()
+	opts.Model.HostMemMB = 192
+	opts.Model.DPUMemMB = 8
+	opts.CachePages = 64
+	opts.CacheBuckets = 8
+	set(&opts)
+	sys := New(opts)
+	defer sys.Shutdown()
+	cl := sys.KVFSClient()
+	ps := uint64(opts.CachePageSize)
+
+	// issued[l] is bumped before writer l%4 submits a version of page l,
+	// acked[l] set once that write has returned.
+	var issued, acked [pages]uint64
+	writePage := func(p *sim.Proc, f *File, qid int, page []byte, l uint64) bool {
+		issued[l]++
+		v := issued[l]
+		stampPage(page, l, v)
+		if err := f.Write(p, qid, l*ps, page, false); err != nil {
+			t.Errorf("write lpn %d v %d: %v", l, v, err)
+			return false
+		}
+		acked[l] = v
+		return true
+	}
+
+	sys.Drive(func(p *sim.Proc) {
+		f, err := cl.Create(p, 0, "/shared")
+		if err != nil {
+			t.Errorf("create: %v", err)
+			return
+		}
+		page := make([]byte, ps)
+		for l := uint64(0); l < pages; l++ {
+			if !writePage(p, f, 0, page, l) {
+				return
+			}
+		}
+	})
+	if t.Failed() {
+		return
+	}
+
+	var procs []func(p *sim.Proc)
+	failed := false // first violation stops every proc
+	for w := 0; w < writers; w++ {
+		procs = append(procs, func(p *sim.Proc) {
+			rng := rand.New(rand.NewSource(int64(100+w) + 1000*k))
+			f, err := cl.Open(p, w, "/shared")
+			if err != nil {
+				t.Errorf("writer %d open: %v", w, err)
+				return
+			}
+			page := make([]byte, ps)
+			for i := 0; i < ops && !failed; i++ {
+				l := uint64(rng.Intn(pages/writers)*writers + w)
+				if !writePage(p, f, w, page, l) {
+					failed = true
+					return
+				}
+				if rng.Intn(64) == 0 {
+					if err := f.Sync(p, w); err != nil {
+						t.Errorf("writer %d sync: %v", w, err)
+						failed = true
+						return
+					}
+				}
+				p.Sleep(time.Duration(rng.Intn(20)) * time.Microsecond)
+			}
+		})
+	}
+	for r := 0; r < readers; r++ {
+		procs = append(procs, func(p *sim.Proc) {
+			qid := writers + r
+			rng := rand.New(rand.NewSource(int64(200+r) + 1000*k))
+			f, err := cl.Open(p, qid, "/shared")
+			if err != nil {
+				t.Errorf("reader %d open: %v", r, err)
+				return
+			}
+			buf := make([]byte, 3*ps)
+			var lo [3]uint64
+			for i := 0; i < ops && !failed; i++ {
+				l := uint64(rng.Intn(pages))
+				k := uint64(1 + rng.Intn(3))
+				if l+k > pages {
+					k = pages - l
+				}
+				copy(lo[:], acked[l:l+k])
+				at := p.Now()
+				n, err := f.ReadInto(p, qid, l*ps, buf[:k*ps], false)
+				if err != nil || uint64(n) != k*ps {
+					t.Errorf("reader %d: read of %d pages at lpn %d: n=%d err=%v", r, k, l, n, err)
+					failed = true
+					return
+				}
+				for j := uint64(0); j < k; j++ {
+					if err := checkStamps(buf[j*ps:(j+1)*ps], l+j, lo[j], issued[l+j]); err != nil {
+						t.Errorf("reader %d, buffered read issued at %v: %v", r, time.Duration(at), err)
+						failed = true
+						return
+					}
+				}
+				p.Sleep(time.Duration(rng.Intn(10)) * time.Microsecond)
+			}
+		})
+	}
+	sys.Drive(procs...)
+	if t.Failed() {
+		return
+	}
+
+	// Quiesce, then every page must hold its last acknowledged version
+	// in the cache's view and in the backend's, and both structures
+	// must check clean.
+	sys.Drive(func(p *sim.Proc) {
+		f, err := cl.Open(p, 0, "/shared")
+		if err != nil {
+			t.Errorf("open: %v", err)
+			return
+		}
+		if err := cl.Sync(p, 0); err != nil {
+			t.Errorf("final sync: %v", err)
+		}
+		buf := make([]byte, ps)
+		for _, direct := range []bool{false, true} {
+			for l := uint64(0); l < pages; l++ {
+				if n, err := f.ReadInto(p, 0, l*ps, buf, direct); err != nil || uint64(n) != ps {
+					t.Errorf("final read lpn %d direct=%v: n=%d err=%v", l, direct, n, err)
+				} else if err := checkStamps(buf, l, acked[l], acked[l]); err != nil {
+					t.Errorf("final read direct=%v: %v", direct, err)
+				}
+			}
+		}
+		p.Sleep(time.Millisecond) // let the last prefetches land
+		for _, prob := range cache.Fsck(sys.M.HostMem, sys.kvfsHost.L) {
+			t.Errorf("meta fsck: %s", prob)
+		}
+		if i := sys.KVFSService().Ctl.HeldEntry(); i >= 0 {
+			t.Errorf("control plane still records entry %d's lock as held", i)
+		}
+		for _, prob := range sys.KVFS.Fsck(p, sys.KVCluster).Problems {
+			t.Errorf("kvfs fsck: %s", prob)
+		}
+	})
 }
 
 // TestMissEngineTerminatesUnderThrash: with no uncached read to fall back on,

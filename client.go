@@ -732,7 +732,14 @@ func (c *Client) writePageCached(p *sim.Proc, qid int, ino, lpn uint64, page []b
 		Header:  hdr.Marshal(),
 		Payload: page,
 	})
-	return statusErr(comp.Status)
+	if err := statusErr(comp.Status); err != nil {
+		return err
+	}
+	// Cache coherence, as in writeDirect: a DPU fill whose backend read
+	// predates this write may have installed the old page while the write was
+	// in flight, and buffered reads would serve it as current.
+	c.cacheHost.MergeIfPresent(p, ino, lpn, 0, page)
+	return nil
 }
 
 // Read returns up to n bytes at off. Buffered reads of any alignment go

@@ -16,11 +16,12 @@ import (
 // own duration. The group-commit leader/follower split is the interesting
 // case — a follower's fsync span covers a wait on the leader's commit, so a
 // double-charge bug (charging the shared device write to every waiter)
-// shows up here and nowhere in the single-writer tests.
+// shows up here and nowhere in the single-writer tests. The same goes for the
+// must-settle park: it happens on a flush-window worker, a third process.
 func TestFsyncProfileInvariant(t *testing.T) {
 	const (
 		workers = 4
-		rounds  = 6
+		rounds  = 12 // past the flush daemon's first pass (2 ms), so fsyncs meet its write-backs
 		burst   = 8192
 	)
 	o := obs.New()
@@ -95,7 +96,7 @@ func TestFsyncProfileInvariant(t *testing.T) {
 	// the SSD component somewhere: every group pays one device write + one
 	// barrier, and at least the leaders' paths cross it.
 	fsyncRoots := 0
-	var ssdNs int64
+	var ssdNs, settleNs int64
 	for _, root := range pr.Roots {
 		if root.Data.Name != "client.fsync" {
 			continue
@@ -105,6 +106,9 @@ func TestFsyncProfileInvariant(t *testing.T) {
 			if seg.Comp == "ssd" {
 				ssdNs += seg.Ns
 			}
+			if seg.Kind == "cache.settle" {
+				settleNs += seg.Ns
+			}
 		}
 	}
 	if fsyncRoots != fsyncs {
@@ -112,5 +116,11 @@ func TestFsyncProfileInvariant(t *testing.T) {
 	}
 	if ssdNs == 0 {
 		t.Error("no ssd time on any fsync critical path; WAL write/barrier unattributed")
+	}
+	// An fsync that meets an entry the flush daemon is writing back parks in
+	// Ctl.settle, on a flush-window worker; the park must show on the fsync's
+	// own critical path as a named wait, not vanish into cache.flush_join.
+	if settleNs == 0 {
+		t.Errorf("no cache.settle wait on any fsync critical path (wait kinds over the trace: %v)", pr.WaitKinds)
 	}
 }

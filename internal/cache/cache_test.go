@@ -890,3 +890,176 @@ func TestFsckReportsEachCorruption(t *testing.T) {
 		}
 	}
 }
+
+// slowBackend stretches every write-back to delay, so the flusher holds its
+// entry lock long enough for others to meet it; with fail set the write-back
+// also fails, leaving the page dirty.
+type slowBackend struct {
+	memBackend
+	delay time.Duration
+	fail  bool
+	done  sim.Time // when the last write-back returned
+}
+
+func (b *slowBackend) WritePage(p *sim.Proc, ino, lpn uint64, pageSize int, data []byte) error {
+	p.Sleep(b.delay)
+	b.done = p.Now()
+	if b.fail {
+		return fmt.Errorf("slow backend: write of <%d,%d> failed", ino, lpn)
+	}
+	return b.memBackend.WritePage(p, ino, lpn, pageSize, data)
+}
+
+// TestSettleParksOnSiblingFlush: a daemon pass is 5 ms into the write-back of
+// a page when fsync must settle the same page. The lock is the control
+// plane's own, so the wait costs no PCIe atomic — the handful counted are the
+// flusher's release and fsync's own lock/unlock, where a polling settle issues
+// thousands — and fsync returns only once the write-back has: observing the
+// page clean (FlushIno), or, the write-back having failed, journaling the
+// still-dirty page itself (SyncIno with a WAL).
+func TestSettleParksOnSiblingFlush(t *testing.T) {
+	for _, journal := range []bool{false, true} {
+		t.Run(fmt.Sprintf("journal=%v", journal), func(t *testing.T) {
+			m, _, h, c, _ := newTestCache(t, 64, 8, CtlConfig{FlushEnabled: false})
+			defer m.Eng.Shutdown()
+			slow := &slowBackend{memBackend: *newMemBackend(), delay: 5 * time.Millisecond, fail: journal}
+			c.SetBackend(slow)
+			want := 0 // pages fsync itself takes, and pages left dirty
+			if journal {
+				c.SetWAL(wal.Open(m.Eng, ssd.New(m.Eng, ssd.DefaultConfig()), wal.DefaultConfig()))
+				want = 1
+			}
+			m.Eng.Go("app", func(p *sim.Proc) {
+				if !h.WritePage(p, 7, 0, page(0x11)) {
+					t.Error("WritePage failed")
+					return
+				}
+				m.Eng.Go("daemon", func(pp *sim.Proc) { c.FlushPass(pp, 16) })
+				p.Sleep(100 * time.Microsecond)
+				if i := h.findEntry(7, 0); c.HeldEntry() != i {
+					t.Errorf("100 µs into the write-back the control plane holds entry %d, want %d", c.HeldEntry(), i)
+				}
+				atomics := m.PCIe.Atomics.Total()
+				n, err := c.SyncIno(p, 7)
+				if n != want || err != nil {
+					t.Errorf("SyncIno = (%d, %v), want (%d, nil)", n, err, want)
+				}
+				if slow.done == 0 || p.Now() < slow.done {
+					t.Errorf("fsync returned at %v, before the write-back it met (done at %v)", p.Now(), slow.done)
+				}
+				if got := m.PCIe.Atomics.Total() - atomics; got > 8 {
+					t.Errorf("%d PCIe atomics while fsync waited out a DPU-held lock, want a handful", got)
+				}
+			})
+			m.Eng.Run()
+			if h.DirtyCount() != want {
+				t.Errorf("dirty = %d after fsync, want %d", h.DirtyCount(), want)
+			}
+			if journal && c.WAL().Device().Writes.Total() == 0 {
+				t.Error("the still-dirty page was not journaled")
+			}
+			if i := c.HeldEntry(); i >= 0 {
+				t.Errorf("entry %d still recorded as held at quiesce", i)
+			}
+		})
+	}
+}
+
+// TestSettleStillPollsHostHeldLock: the DPU cannot see a host release, so a
+// lock word the host took (a plain CAS in host memory, unknown to Ctl.held) is
+// still waited out by bounded PCIe CAS rounds, and fsync finishes once the
+// host unlocks.
+func TestSettleStillPollsHostHeldLock(t *testing.T) {
+	m, l, h, c, b := newTestCache(t, 64, 8, CtlConfig{FlushEnabled: false})
+	defer m.Eng.Shutdown()
+	var unlocked sim.Time
+	m.Eng.Go("host", func(p *sim.Proc) {
+		if !h.WritePage(p, 7, 0, page(0x22)) {
+			t.Error("WritePage failed")
+			return
+		}
+		i := h.findEntry(7, 0)
+		if !m.HostMem.CompareAndSwap32(l.EntryAddr(i)+offLock, LockNone, LockWrite) {
+			t.Error("host could not lock an idle entry")
+			return
+		}
+		m.Eng.Go("fsync", func(pp *sim.Proc) {
+			atomics := m.PCIe.Atomics.Total()
+			if n, err := c.FlushIno(pp, 7); n != 1 || err != nil {
+				t.Errorf("FlushIno = (%d, %v), want (1, nil)", n, err)
+			}
+			if unlocked == 0 || pp.Now() < unlocked {
+				t.Errorf("fsync returned at %v, before the host unlocked (%v)", pp.Now(), unlocked)
+			}
+			if got := m.PCIe.Atomics.Total() - atomics; got < 16 {
+				t.Errorf("%d PCIe atomics over a 200 µs host-held lock: settle did not poll it", got)
+			}
+		})
+		p.Sleep(200 * time.Microsecond)
+		if c.HeldEntry() >= 0 {
+			t.Errorf("the host-held lock on entry %d is recorded as the control plane's", c.HeldEntry())
+		}
+		unlocked = p.Now()
+		h.unlock(i)
+	})
+	m.Eng.Run()
+	if h.DirtyCount() != 0 || b.writes != 1 {
+		t.Errorf("dirty = %d, backend writes = %d after fsync, want 0 and 1", h.DirtyCount(), b.writes)
+	}
+}
+
+// TestSettleParkZeroAllocs: a settle that parks on a sibling's lock, is woken
+// by the release, re-reads the entry and then takes it allocates nothing.
+func TestSettleParkZeroAllocs(t *testing.T) {
+	m, l, _, c, _ := newTestCache(t, 64, 8, CtlConfig{})
+	defer m.Eng.Shutdown()
+	const entry, ino = 5, 9
+	WriteEntryMeta(m.HostMem, l, entry, Entry{Status: StatusDirty, Next: l.chainNext(entry), LPN: 77, Ino: ino})
+	try := func(pp *sim.Proc, i int) (took, gone bool, err error) {
+		if !c.lock(pp, i, LockRead) {
+			return false, false, nil
+		}
+		c.unlock(pp, i)
+		return true, false, nil
+	}
+	var parked time.Duration
+	kick := sim.NewCond(m.Eng, "step")
+	m.Eng.Go("holder", func(p *sim.Proc) {
+		for {
+			kick.Wait(p)
+			if !c.lock(p, entry, LockRead) {
+				t.Error("holder could not lock an idle entry")
+			}
+			p.Sleep(10 * time.Microsecond)
+			c.unlock(p, entry)
+		}
+	})
+	m.Eng.Go("settler", func(p *sim.Proc) {
+		for {
+			kick.Wait(p)
+			p.Sleep(5 * time.Microsecond) // the holder has the lock by now
+			from := p.Now()
+			if took, err := c.settle(p, p, entry, ino, try); !took || err != nil {
+				t.Errorf("settle = (%v, %v), want (true, nil)", took, err)
+			}
+			parked = time.Duration(p.Now() - from)
+		}
+	})
+	m.Eng.Run()
+	step := func() {
+		kick.Broadcast()
+		m.Eng.Run()
+	}
+	step()
+	if parked < 5*time.Microsecond {
+		t.Fatalf("settle returned after %v: it never met the held lock", parked)
+	}
+	m.PCIe.Mark()
+	if a := testing.AllocsPerRun(50, step); a != 0 {
+		t.Fatalf("parked-and-released settle: %v allocs per round, want 0", a)
+	}
+	// Per round: the holder's lock + unlock and try's lock + unlock.
+	if got := m.PCIe.Atomics.Delta(); got != 4*51 {
+		t.Fatalf("%d PCIe atomics over 51 rounds, want 4 per round", got)
+	}
+}

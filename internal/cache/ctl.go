@@ -3,6 +3,7 @@ package cache
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"time"
 
 	"dpc/internal/bufpool"
@@ -97,7 +98,12 @@ type Ctl struct {
 	// journal pulls); everything else is decoded from a DMA view.
 	pool *bufpool.Pool
 
-	hands    []int // per-bucket clock hands for replacement
+	hands []int // per-bucket clock hands for replacement
+	// held[i] is set while a process of this control plane holds entry i's lock
+	// (lock sets it; unlock clears it and broadcasts released). DPU-local, and
+	// only settle consults it; a lock the host holds is not in it.
+	held     []bool
+	released *sim.Cond
 	streams  map[uint64][]*stream
 	inflight map[[2]uint64]bool // prefetches in flight
 
@@ -234,6 +240,8 @@ func NewCtl(m *model.Machine, l Layout, backend Backend, cfg CtlConfig) *Ctl {
 		backend:  backend,
 		pool:     bufpool.New(),
 		hands:    make([]int, l.Buckets),
+		held:     make([]bool, l.Total),
+		released: sim.NewCond(m.Eng, "cache-release"),
 		streams:  map[uint64][]*stream{},
 		inflight: map[[2]uint64]bool{},
 		o:        m.Obs,
@@ -274,16 +282,24 @@ func (c *Ctl) lock(p *sim.Proc, i int, kind uint32) bool {
 	a := c.L.EntryAddr(i) + offLock
 	for attempt := 0; attempt < 8; attempt++ {
 		if c.m.PCIe.AtomicCAS32(p, c.m.HostMem, a, LockNone, kind, "cache-lock") {
+			c.held[i] = true
 			return true
 		}
 	}
 	return false
 }
 
-// unlock releases an entry lock with a PCIe atomic store.
+// unlock releases an entry lock with a PCIe atomic store and wakes the settle
+// callers parked on it.
 func (c *Ctl) unlock(p *sim.Proc, i int) {
 	c.m.PCIe.AtomicStore32(p, c.m.HostMem, c.L.EntryAddr(i)+offLock, LockNone, "cache-unlock")
+	c.held[i] = false
+	c.released.Broadcast()
 }
+
+// HeldEntry returns an entry whose lock this control plane's processes hold,
+// or -1; at a quiesce point, -1.
+func (c *Ctl) HeldEntry() int { return slices.Index(c.held, true) }
 
 // setStatus updates an entry's status field from the DPU.
 func (c *Ctl) setStatus(p *sim.Proc, i int, s uint32) {
@@ -425,7 +441,7 @@ func (c *Ctl) FlushIno(p *sim.Proc, ino uint64) (int, error) {
 	// Write the pages back as a concurrent window rather than one blocking
 	// flushOne at a time; each worker settles its entry.
 	return c.flushWindow(p, c.scanDirty(p, ino, c.L.Total), func(pp *sim.Proc, i int) (bool, error) {
-		return c.settle(pp, i, ino, c.tryFlush)
+		return c.settle(p, pp, i, ino, c.tryFlush)
 	})
 }
 
@@ -433,23 +449,34 @@ func (c *Ctl) FlushIno(p *sim.Proc, ino uint64) (int, error) {
 // write-back, the journal snapshot and the checkpoint: repeat try on entry i
 // until it takes the entry (took), the entry is observed no longer a dirty
 // page of ino (anyIno: of any inode) — by try under the lock (gone), or here
-// by re-reading it after a try that could not lock it: a concurrent flusher
+// by re-reading it after a turn that did not get it: a concurrent flusher
 // marks it clean only after its backend write lands, and the host may have
 // replaced it — or the backend has failed eight times (20 µs apart), so a
 // failing fsync reports the error with the page still dirty instead of
-// livelocking. It reports whether this call took the entry. try must not
-// escape: a closure passed here lives on its caller's stack.
-func (c *Ctl) settle(pp *sim.Proc, i int, ino uint64, try func(pp *sim.Proc, i int) (took, gone bool, err error)) (bool, error) {
+// livelocking. A turn is a try, unless a sibling process of this control plane
+// holds the entry (the daemon keeps its read lock across the whole backend
+// write): then it is a park until that process unlocks, at no PCIe atomic,
+// shown under joiner p's span when profiling. Only a host-held lock, whose
+// release the DPU cannot see, is polled by try's bounded CAS. It reports
+// whether this call took the entry. try must not escape: a closure passed
+// here lives on its caller's stack.
+func (c *Ctl) settle(p, pp *sim.Proc, i int, ino uint64, try func(pp *sim.Proc, i int) (took, gone bool, err error)) (bool, error) {
 	fails := 0
 	for spins := 0; ; spins++ {
 		if spins > 1<<20 {
 			panic("cache: settle livelocked on a held entry lock")
 		}
-		took, gone, err := try(pp, i)
-		if took || gone {
+		if c.held[i] {
+			s := c.po.BeginChild(pp, c.po.Current(p), "cache.settle")
+			from := pp.Now()
+			for c.held[i] {
+				c.released.Wait(pp)
+			}
+			c.po.Attr(pp, obs.CompWait, "cache.settle", from, pp.Now())
+			s.End(pp)
+		} else if took, gone, err := try(pp, i); took || gone {
 			return took, nil
-		}
-		if err != nil {
+		} else if err != nil {
 			if fails++; fails >= 8 {
 				return false, err
 			}
@@ -521,7 +548,7 @@ func (c *Ctl) journalAttempt(p *sim.Proc, ino uint64, attempt int) (n int, again
 		}
 	}()
 	_, err = c.flushWindow(p, c.scanDirty(p, ino, c.L.Total), func(pp *sim.Proc, i int) (bool, error) {
-		return c.settle(pp, i, ino, func(pp *sim.Proc, i int) (took, gone bool, err error) {
+		return c.settle(p, pp, i, ino, func(pp *sim.Proc, i int) (took, gone bool, err error) {
 			if !c.lock(pp, i, LockRead) {
 				return false, false, nil // a concurrent flush or host write owns the entry
 			}

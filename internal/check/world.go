@@ -261,7 +261,9 @@ func newDPCWorld(s stackSpec, faults []fault.Rule, o *obs.Obs) *World {
 		disarm: sys.Faults.Disarm,
 		// The backend's own fsck where it has one, then the hybrid cache's
 		// meta table: the run is quiescent here, so a lock word still held or
-		// a fill claim still pending was leaked by the entry protocol.
+		// a fill claim still pending was leaked by the entry protocol — as was
+		// an entry the control plane still records as its own, on which the
+		// next fsync would park for good.
 		fsck: func(p *sim.Proc) []string {
 			var probs []string
 			if sys.KVFS != nil {
@@ -269,6 +271,9 @@ func newDPCWorld(s stackSpec, faults []fault.Rule, o *obs.Obs) *World {
 			}
 			if ctl != nil {
 				probs = append(probs, cache.Fsck(sys.M.HostMem, ctl.L)...)
+				if i := ctl.HeldEntry(); i >= 0 {
+					probs = append(probs, fmt.Sprintf("cache: control plane still records entry %d's lock as held", i))
+				}
 			}
 			return probs
 		},

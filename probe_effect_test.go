@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"dpc/internal/obs"
+	"dpc/internal/prof"
 	"dpc/internal/sim"
 	"dpc/internal/telemetry"
 )
@@ -18,11 +19,15 @@ type probeRun struct {
 	lats     []time.Duration
 	read     []byte
 	counters map[string]int64
+	// settleWait is the profiled cache.settle wait; level 2 only.
+	settleWait time.Duration
 }
 
 // runProbeMix drives a fixed cached KVFS mix — buffered writes, fsync through
 // the WAL (the one SSD of a KVFS system), cache hits, direct writes, and a
-// sequential buffered scan that misses, fills and prefetches — at one of
+// sequential buffered scan that misses, fills and prefetches, then rewrite +
+// fsync rounds across several flush-daemon passes, so that fsyncs park in
+// Ctl.settle behind the daemon's write-backs — at one of
 // three observation levels: 0 is obs off, 1 adds the registry and tracer, 2
 // adds profiling and a telemetry sampler with an SLO.
 func runProbeMix(t *testing.T, level int) probeRun {
@@ -99,9 +104,19 @@ func runProbeMix(t *testing.T, level int) probeRun {
 				return
 			}
 		}
-		op("fsync", func() error { return hotF.Sync(p, 0) })
+		for i := uint64(0); i < 4*hot; i++ {
+			if !op("buffered rewrite", func() error { return hotF.Write(p, 0, i%hot*page, buf, false) }) {
+				return
+			}
+			if i%4 == 3 && !op("fsync", func() error { return hotF.Sync(p, 0) }) {
+				return
+			}
+		}
 	})
 	r.now = sys.Now()
+	if level >= 2 {
+		r.settleWait = time.Duration(prof.Analyze(sys.Obs().Tracer().Export(r.now)).WaitKinds["cache.settle"])
+	}
 	sys.Shutdown()
 
 	host, ctl, link, ssd := sys.kvfsHost, sys.kvfsSvc.Ctl, sys.M.PCIe, sys.WALDev
@@ -149,6 +164,9 @@ func TestZeroProbeEffect(t *testing.T) {
 			if got.counters[c] != want {
 				t.Errorf("%s: %s = %d, unobserved %d", name, c, got.counters[c], want)
 			}
+		}
+		if level == 1 && got.settleWait == 0 {
+			t.Error("the mix never parked an fsync behind a write-back (no cache.settle wait profiled)")
 		}
 	}
 }

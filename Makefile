@@ -13,6 +13,9 @@ build:
 # instead, and the allocate-a-result reads (KVFS.Read, DFS.Read, a by-copy
 # cl.Get of a block key) out of dispatch and the KVFS block path, which read
 # into the caller's buffer (DESIGN.md "Buffer ownership on the PCIe path").
+# internal/sim stays one single-threaded engine: no channel, sync primitive or
+# `go` statement (processes are iter.Pull coroutines), and no environment
+# variable, build tag or package-level bool that would select a second one.
 vet:
 	$(GO) vet ./...
 	$(GO) run ./cmd/dpclint ./...
@@ -21,6 +24,9 @@ vet:
 		if [ -n "$$out" ]; then echo "allocate-and-copy read on a data path:"; echo "$$out"; exit 1; fi
 	@out=$$(grep -nE '(KVFS|DFS)\.Read\(|cl\.Get\([a-z]+, BigKey' $$(ls internal/dispatch/*.go | grep -v _test.go) internal/kvfs/io.go); \
 		if [ -n "$$out" ]; then echo "allocate-a-result read on the backend read path:"; echo "$$out"; exit 1; fi
+	@out=$$(grep -nE '\bchan\b|"sync(/atomic)?"|^[[:space:]]*(go|select)[[:space:]]|os\.Getenv|^//go:build|^// \+build|^var [A-Za-z_]+( bool| *= *(true|false))' \
+		$$(ls internal/sim/*.go | grep -v _test.go)); \
+		if [ -n "$$out" ]; then echo "concurrency primitive or engine switch in internal/sim:"; echo "$$out"; exit 1; fi
 
 test:
 	$(GO) test ./...

@@ -192,7 +192,7 @@ func (c Completion) OK() bool { return c.Status == nvme.StatusOK }
 // buffer and frees the slot/CID itself, so a blocked submitter with a full
 // in-flight window can make progress without anyone calling Wait first.
 type pendingCmd struct {
-	cond     *sim.Cond
+	cond     sim.Cond // initialised in place; never copy a pendingCmd
 	done     bool
 	comp     Completion
 	slot     int
@@ -614,7 +614,11 @@ func (qs *queueState) slotBufs(slot int) (wbuf, rbuf mem.Addr) {
 type Pending struct {
 	d   *Driver
 	cid uint16
+	// pd is the command Wait reaps: &own until a retry, then the own of the
+	// Pending the resubmission made. Handle, command and its condition are
+	// one object: they live and die together.
 	pd  *pendingCmd
+	own pendingCmd
 
 	// Retry state: Wait resubmits the original submission — with the same
 	// token, under a fresh CID/slot — when the completion status is
@@ -803,14 +807,16 @@ func (d *Driver) enqueueToken(p *sim.Proc, qid int, sub Submission, token uint32
 	qs.qp.SQTail = qs.qp.SQ.Next(qs.qp.SQTail)
 	qs.unrung++
 
-	pd := &pendingCmd{
-		cond:     sim.NewCond(d.m.Eng, "nvme-cmd"),
+	pend := &Pending{d: d, cid: cid, qid: qid, sub: sub, token: token, own: pendingCmd{
 		slot:     slot,
 		rhLen:    sub.RHLen,
 		readLen:  sub.ReadLen,
 		token:    token,
 		readInto: sub.ReadInto,
-	}
+	}}
+	pd := &pend.own
+	pd.cond.Init(d.m.Eng, "nvme-cmd")
+	pend.pd = pd
 	qs.pending[cid] = pd
 	qs.depthGauge.Set(float64(len(qs.pending)))
 	if s.Valid() {
@@ -828,7 +834,7 @@ func (d *Driver) enqueueToken(p *sim.Proc, qid int, sub Submission, token uint32
 	d.oInflightPeak.SetMax(float64(d.inflight))
 	d.oInflight.Set(float64(d.inflight))
 	s.End(p)
-	return &Pending{d: d, cid: cid, pd: pd, qid: qid, sub: sub, token: token}
+	return pend
 }
 
 // onDeadline aborts a command whose completion did not arrive in time: the

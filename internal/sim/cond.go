@@ -3,6 +3,7 @@ package sim
 // Cond is a condition variable for processes. Unlike sync.Cond there is no
 // associated lock: processes already run one at a time, so checking the
 // predicate and calling Wait is atomic with respect to other processes.
+// A used Cond must not be copied: its waiter queue points into its own first.
 type Cond struct {
 	eng     *Engine
 	name    string
@@ -16,6 +17,9 @@ type Cond struct {
 func NewCond(eng *Engine, name string) *Cond {
 	return &Cond{eng: eng, name: name}
 }
+
+// Init sets up a zero Cond in place: one embedded by value in its owner.
+func (c *Cond) Init(eng *Engine, name string) { c.eng, c.name = eng, name }
 
 // Wait parks p until another process calls Signal or Broadcast. As with any
 // condition variable, re-check the predicate after waking.

@@ -10,8 +10,13 @@
 //
 // Execution model: the event loop and every plain-event callback run on the
 // goroutine that called Run; a process body runs on a carrier coroutine
-// (iter.Pull). Waking a process is one direct switch into its carrier and
-// parking is one switch back. A panic in a process body surfaces from Run.
+// (iter.Pull). An activation with other work interleaved costs two switches:
+// one from the loop into the carrier to wake the process, one back when it
+// parks. Two events cost less, in the same (at, seq) order: a sleeper whose
+// own wake-up is the next event advances the clock in place without leaving
+// its carrier (Proc.wakeAt), and a wake-up or event for the current instant
+// is queued in a FIFO instead of the heap (Engine.push). A panic in a process
+// body surfaces from Run.
 //
 // Determinism: events scheduled for the same virtual time fire in the order
 // they were scheduled (a monotonically increasing sequence number breaks
@@ -118,8 +123,12 @@ func (h *eventHeap) popEvent() event {
 type Engine struct {
 	now    Time
 	events eventHeap
-	seq    uint64
-	rng    *rand.Rand
+	// nowq[nowHead:] holds, in scheduling order, the events scheduled for the
+	// instant the clock already shows; the clock stays put until it drains.
+	nowq    []event
+	nowHead int
+	seq     uint64
+	rng     *rand.Rand
 
 	// parked holds every live process currently blocked, for Shutdown. A
 	// process's slot is its parkIdx, so parking and waking are O(1).
@@ -132,8 +141,10 @@ type Engine struct {
 	idle []*carrier
 	// running is the process currently executing, if any.
 	running *Proc
-	// inRun reports whether the event loop is active.
+	// inRun reports whether the event loop is active; limit is the bound of
+	// that RunUntil, which an in-place advance must not pass.
 	inRun bool
+	limit Time
 	// tickerPending counts scheduled idle-stopping ticker wake-ups (see
 	// Ticker): when they are the only events left, tickers stop firing so
 	// Run can drain.
@@ -159,8 +170,46 @@ func (e *Engine) Schedule(at Time, fn func()) {
 	if at < e.now {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", at, e.now))
 	}
+	e.push(event{at: at, fn: fn})
+}
+
+// push gives ev the next sequence number and queues it. An event for the
+// current instant sorts behind everything pending for now (smaller seq) and
+// ahead of everything later (larger at): it skips the heap for nowq.
+func (e *Engine) push(ev event) {
 	e.seq++
-	e.events.pushEvent(event{at: at, seq: e.seq, fn: fn})
+	ev.seq = e.seq
+	if ev.at == e.now {
+		e.nowq = append(e.nowq, ev)
+		return
+	}
+	e.events.pushEvent(ev)
+}
+
+// pop returns the next event due by e.limit in (at, seq) order and moves the
+// clock to it. Heap entries for now were scheduled before the clock got here,
+// so their seq is below all of nowq; the rest of the heap is later than both.
+func (e *Engine) pop() (ev event, ok bool) {
+	switch {
+	case e.events.Len() > 0 && e.events.peek().at == e.now:
+		return e.events.popEvent(), true
+	case e.nowHead < len(e.nowq):
+		ev = e.nowq[e.nowHead]
+		e.nowq[e.nowHead] = event{} // drop the fn/p references so they can be collected
+		e.nowHead++
+		if e.nowHead == len(e.nowq) {
+			e.nowq, e.nowHead = e.nowq[:0], 0
+		}
+		return ev, true
+	case e.events.Len() > 0 && e.events.peek().at <= e.limit:
+		ev = e.events.popEvent()
+		if ev.at < e.now {
+			panic("sim: event heap time went backwards")
+		}
+		e.now = ev.at
+		return ev, true
+	}
+	return event{}, false
 }
 
 // After registers fn to run d from now.
@@ -183,17 +232,12 @@ func (e *Engine) RunUntil(limit Time) {
 	if e.inRun {
 		panic("sim: Run re-entered")
 	}
-	e.inRun = true
+	if limit < e.now {
+		return // everything pending is at or after now
+	}
+	e.inRun, e.limit = true, limit
 	defer func() { e.inRun = false }()
-	for e.events.Len() > 0 {
-		if e.events.peek().at > limit {
-			break
-		}
-		ev := e.events.popEvent()
-		if ev.at < e.now {
-			panic("sim: event heap time went backwards")
-		}
-		e.now = ev.at
+	for ev, ok := e.pop(); ok; ev, ok = e.pop() {
 		if ev.p != nil {
 			e.wake(ev.p)
 		} else {
@@ -206,10 +250,10 @@ func (e *Engine) RunUntil(limit Time) {
 }
 
 // Idle reports whether no events are pending.
-func (e *Engine) Idle() bool { return e.events.Len() == 0 }
+func (e *Engine) Idle() bool { return e.PendingEvents() == 0 }
 
-// PendingEvents returns the number of scheduled events.
-func (e *Engine) PendingEvents() int { return e.events.Len() }
+// PendingEvents returns the number of scheduled events, heap and nowq.
+func (e *Engine) PendingEvents() int { return e.events.Len() + len(e.nowq) - e.nowHead }
 
 // Shutdown kills every parked process, in the order they parked, and releases
 // the idle carriers. It must be called from outside process context (after
@@ -273,6 +317,5 @@ func (e *Engine) scheduleWake(p *Proc, at Time) {
 	if at < e.now {
 		panic(fmt.Sprintf("sim: scheduling wake at %v before now %v", at, e.now))
 	}
-	e.seq++
-	e.events.pushEvent(event{at: at, seq: e.seq, p: p})
+	e.push(event{at: at, p: p})
 }

@@ -131,8 +131,7 @@ func (p *Proc) Sleep(d time.Duration) {
 	if d == 0 {
 		return
 	}
-	p.eng.scheduleWake(p, p.eng.now+Time(d))
-	p.park()
+	p.wakeAt(p.eng.now + Time(d))
 }
 
 // SleepUntil suspends the process until absolute virtual time t. If t is in
@@ -141,13 +140,34 @@ func (p *Proc) SleepUntil(t Time) {
 	if t <= p.eng.now {
 		return
 	}
-	p.eng.scheduleWake(p, t)
-	p.park()
+	p.wakeAt(t)
 }
 
 // Yield reschedules the process at the current time behind already-pending
 // same-time events, giving them a chance to run.
-func (p *Proc) Yield() {
-	p.eng.scheduleWake(p, p.eng.now)
+func (p *Proc) Yield() { p.wakeAt(p.eng.now) }
+
+// wakeAt suspends the process until its wake-up at time at comes up in
+// (at, seq) order; Sleep, SleepUntil and Yield are argument checks in front
+// of it. When nothing is pending at or before at, that wake-up is the very
+// event the loop would pop next — nothing scheduled later can precede it, and
+// a tie would need a smaller seq, so it would be pending already. The round
+// trip through the heap and the loop is then skipped: the wake's sequence
+// number is consumed (every later tie breaks as it would have), the clock
+// moves to at, and the process runs on. It is the same run minus two switches.
+// Every other case schedules the wake and parks: a tie at at goes to the
+// earlier seq, a wake past the run's limit must stay pending, and a caller
+// that is not a live running process — event context, somebody else's Proc,
+// a deferred call in a body Shutdown is killing (it sets running too, but
+// marks the process dead first) — must reach park's panics.
+func (p *Proc) wakeAt(at Time) {
+	e := p.eng
+	if e.running == p && !p.dead && at <= e.limit && e.nowHead == len(e.nowq) &&
+		(e.events.Len() == 0 || e.events.peek().at > at) {
+		e.seq++
+		e.now = at
+		return
+	}
+	e.scheduleWake(p, at)
 	p.park()
 }

@@ -13,21 +13,24 @@ import (
 func step(e *Engine) { e.RunUntil(e.Now() + Time(Microsecond)) }
 
 // Every way of parking and being woken must be allocation-free in steady
-// state: the wake is a proc-carrying heap event, the switch is a coroutine
-// switch, and the waiter queues reuse their slots.
+// state: the wake is a proc-carrying event in the heap or, for the current
+// instant, in the same-instant queue, which drains and refills in place; the
+// switch is a coroutine switch; and the waiter queues reuse their slots. A
+// spawned process costs its Proc and nothing else.
 func TestSwitchPathsZeroAllocs(t *testing.T) {
 	cases := []struct {
-		name  string
-		setup func(e *Engine)
+		name   string
+		setup  func(e *Engine)
+		allocs float64
 	}{
-		{"Sleep", func(e *Engine) {
+		{name: "Sleep", setup: func(e *Engine) {
 			e.Go("sleeper", func(p *Proc) {
 				for {
 					p.Sleep(Microsecond)
 				}
 			})
 		}},
-		{"CondSignalWait", func(e *Engine) {
+		{name: "CondSignalWait", setup: func(e *Engine) {
 			c := NewCond(e, "c")
 			e.Go("waiter", func(p *Proc) {
 				for {
@@ -41,7 +44,7 @@ func TestSwitchPathsZeroAllocs(t *testing.T) {
 				}
 			})
 		}},
-		{"CondBroadcastWait", func(e *Engine) { // Broadcast keeps the waiter queue's backing array
+		{name: "CondBroadcastWait", setup: func(e *Engine) { // Broadcast keeps the waiter queue's backing array
 			c := NewCond(e, "c")
 			for _, name := range []string{"w1", "w2", "w3"} {
 				e.Go(name, func(p *Proc) {
@@ -57,7 +60,7 @@ func TestSwitchPathsZeroAllocs(t *testing.T) {
 				}
 			})
 		}},
-		{"ResourceReleaseAcquire", func(e *Engine) {
+		{name: "ResourceReleaseAcquire", setup: func(e *Engine) {
 			r := NewResource(e, "r", 1)
 			for _, name := range []string{"a", "b"} {
 				e.Go(name, func(p *Proc) {
@@ -69,7 +72,7 @@ func TestSwitchPathsZeroAllocs(t *testing.T) {
 				})
 			}
 		}},
-		{"MailboxSendToParkedReceiver", func(e *Engine) {
+		{name: "MailboxSendToParkedReceiver", setup: func(e *Engine) {
 			mb := NewMailbox[int](e, "mb", 0)
 			e.Go("receiver", func(p *Proc) {
 				for {
@@ -83,6 +86,33 @@ func TestSwitchPathsZeroAllocs(t *testing.T) {
 				}
 			})
 		}},
+		{name: "YieldBehindQueuedWakes", setup: func(e *Engine) { // the queue refills while it drains
+			c := NewCond(e, "c")
+			for _, name := range []string{"w1", "w2"} {
+				e.Go(name, func(p *Proc) {
+					for {
+						c.Wait(p)
+						p.Yield()
+					}
+				})
+			}
+			e.Go("broadcaster", func(p *Proc) {
+				for {
+					p.Sleep(Microsecond)
+					c.Broadcast()
+					p.Yield()
+				}
+			})
+		}},
+		{name: "GoShortBody", allocs: 1, setup: func(e *Engine) {
+			body := func(p *Proc) { p.Yield() }
+			e.Go("spawner", func(p *Proc) {
+				for {
+					p.Sleep(Microsecond)
+					e.Go("short", body)
+				}
+			})
+		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -92,12 +122,16 @@ func TestSwitchPathsZeroAllocs(t *testing.T) {
 			for i := 0; i < 64; i++ { // warm up: heap, queues and carriers reach their size
 				step(e)
 			}
-			before := e.parks
-			if a := testing.AllocsPerRun(200, func() { step(e) }); a != 0 {
-				t.Fatalf("%v allocs per round, want 0", a)
+			before, queue := e.parks, cap(e.nowq)
+			if a := testing.AllocsPerRun(200, func() { step(e) }); a != tc.allocs {
+				t.Fatalf("%v allocs per round, want %v", a, tc.allocs)
 			}
 			if e.parks == before {
 				t.Fatal("script did not switch: the measurement is vacuous")
+			}
+			if len(e.nowq) != 0 || e.nowHead != 0 || cap(e.nowq) != queue {
+				t.Fatalf("same-instant queue after a drained round: len %d head %d cap %d (was %d), want it rewound in place",
+					len(e.nowq), e.nowHead, cap(e.nowq), queue)
 			}
 		})
 	}
@@ -228,6 +262,8 @@ func TestShutdownOrderDefersAndGoroutines(t *testing.T) {
 	}
 }
 
+// A lone sleeper's wake-up is always the next event, so every Sleep is the
+// in-place advance: no heap entry, no switch.
 func BenchmarkSleepSwitch(b *testing.B) {
 	e := NewEngine(1)
 	defer e.Shutdown()
@@ -239,6 +275,28 @@ func BenchmarkSleepSwitch(b *testing.B) {
 		}
 	})
 	e.Run()
+}
+
+// Two sleepers with the same period, half a period apart: each one's wake-up
+// is always behind the other's, so every Sleep is the full round trip — heap
+// push, park, pop, wake. One iteration is one such activation.
+func BenchmarkSleepInterleaved(b *testing.B) {
+	e := NewEngine(1)
+	defer e.Shutdown()
+	b.ReportAllocs()
+	for i, name := range []string{"a", "b"} {
+		e.Go(name, func(p *Proc) {
+			p.Sleep(time.Duration(1+i) * Microsecond)
+			for n := i; n < b.N; n += 2 {
+				p.Sleep(2 * Microsecond)
+			}
+		})
+	}
+	b.ResetTimer()
+	e.Run()
+	if e.parks < uint64(b.N) {
+		b.Errorf("%d parks for %d sleeps: some advanced in place", e.parks, b.N)
+	}
 }
 
 func BenchmarkMailboxPingPong(b *testing.B) {

@@ -44,7 +44,7 @@ func (e *Engine) NewTicker(every time.Duration, fn func(now Time)) *Ticker {
 		// Reschedule only while non-ticker work remains: if every pending
 		// event is another ticker's wake-up, the simulation has quiesced and
 		// rescheduling would keep Run alive forever.
-		if e.events.Len() > e.tickerPending && !t.stopped {
+		if e.PendingEvents() > e.tickerPending && !t.stopped {
 			t.schedule()
 		} else {
 			t.stopped = true

@@ -38,10 +38,14 @@ test:
 # layers whose views and pooled buffers the data paths now share, localfs,
 # the KV store, SSD, dispatcher and fabric under the backend read path, the
 # remaining owners and readers of published counters (CPU pools, DFS, the
-# machine model, stats, the telemetry sampler), and the root package's
-# integration tests.
+# machine model, stats, the telemetry sampler), the protocol, profiler,
+# what-if, workload, erasure-coding, transform and FUSE packages, and the
+# root package's integration tests. Left out: internal/exp and internal/check
+# (the large reference worlds and the torture harness, which `make test` and
+# the torture targets drive) and the cmd/ tools.
 race:
-	$(GO) test -race . ./internal/sim/... ./internal/wal/... ./internal/kvfs/... ./internal/obs/... ./internal/cache/... ./internal/fault/... ./internal/nvmefs/... ./internal/pcie/... ./internal/mem/... ./internal/bufpool/... ./internal/localfs/... ./internal/kv/... ./internal/ssd/... ./internal/dispatch/... ./internal/fabric/... ./internal/cpu/... ./internal/dfs/... ./internal/model/... ./internal/stats/... ./internal/telemetry/...
+	$(GO) test -race . ./internal/sim/... ./internal/wal/... ./internal/kvfs/... ./internal/obs/... ./internal/cache/... ./internal/fault/... ./internal/nvmefs/... ./internal/pcie/... ./internal/mem/... ./internal/bufpool/... ./internal/localfs/... ./internal/kv/... ./internal/ssd/... ./internal/dispatch/... ./internal/fabric/... ./internal/cpu/... ./internal/dfs/... ./internal/model/... ./internal/stats/... ./internal/telemetry/... \
+		./internal/whatif/... ./internal/nvme/... ./internal/prof/... ./internal/xform/... ./internal/virtio/... ./internal/workload/... ./internal/ec/... ./internal/gf256/... ./internal/fuse/...
 
 # Short fixed-seed differential torture: every stack, 8 seeds, 2000 ops
 # each, replayed against the in-memory oracle (see internal/check).

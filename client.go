@@ -111,11 +111,6 @@ type Client struct {
 	sizes *sizeTable
 	pool  *bufpool.Pool
 
-	// window bounds how many commands a multi-page or multi-chunk operation
-	// keeps in flight at once. Seeded from the driver's InflightWindow;
-	// override per client with SetWindow.
-	window int
-
 	// Tenant scoping. A tenant-scoped client (tenant >= 0) confines every
 	// submission to its tenant's queue group [qbase, qbase+qcount): caller
 	// qids are folded into the group, so existing thread-index conventions
@@ -141,7 +136,7 @@ type Client struct {
 // are separable in telemetry and dpcmon.
 func newClient(sys *System, bit uint8, host *cache.Host, ctl *cache.Ctl, sizes *sizeTable, tenant int) *Client {
 	c := &Client{sys: sys, dispatchBit: bit, cacheHost: host, ctl: ctl,
-		sizes: sizes, pool: sys.pool, window: sys.Driver.Window(), tenant: -1}
+		sizes: sizes, pool: sys.pool, tenant: -1}
 	if tenant >= 0 && sys.Driver.Tenants() > 0 {
 		c.tenant = tenant
 		c.qbase, c.qcount = sys.Driver.TenantQueues(tenant)
@@ -248,15 +243,6 @@ func (c *Client) submitBatch(p *sim.Proc, qid int, subs []nvmefs.Submission) []*
 		subs[i].Dispatch = c.dispatchBit
 	}
 	return c.sys.Driver.SubmitBatch(p, c.mapQ(qid), subs)
-}
-
-// SetWindow overrides the client's in-flight window (1 = fully serial
-// submission, the pre-pipeline behavior). Values < 1 are clamped to 1.
-func (c *Client) SetWindow(w int) {
-	if w < 1 {
-		w = 1
-	}
-	c.window = w
 }
 
 // metaOp runs a path-based namespace operation and decodes the attribute.
@@ -623,10 +609,7 @@ func (f *File) writeDirect(p *sim.Proc, qid int, off uint64, data []byte) error 
 	// in submission order. On error, stop submitting but drain what is
 	// already in flight before reporting the first failure.
 	maxIO := c.sys.Driver.MaxIO()
-	w := c.window
-	if w < 1 {
-		w = 1
-	}
+	w := c.sys.Driver.Window()
 	var (
 		pends    []*nvmefs.Pending
 		burst    []nvmefs.Submission
@@ -885,10 +868,7 @@ func (f *File) readDirectInto(p *sim.Proc, qid int, off uint64, out []byte) (int
 	// short chunk marks EOF, after which the remaining in-flight chunks (all
 	// past it) are drained and discarded.
 	maxIO := c.sys.Driver.MaxIO()
-	w := c.window
-	if w < 1 {
-		w = 1
-	}
+	w := c.sys.Driver.Window()
 	type chunk struct{ off, want int }
 	var (
 		pends    []*nvmefs.Pending
@@ -1012,10 +992,7 @@ func (c *Client) fetchPages(p *sim.Proc, qid int, ino uint64, reqs []pageFetch) 
 	if len(queue) == 0 {
 		return nil
 	}
-	w := c.window
-	if w < 1 {
-		w = 1
-	}
+	w := c.sys.Driver.Window()
 	stripes := c.queueCount()
 	if stripes > w {
 		stripes = w

@@ -351,7 +351,10 @@ func TestInlineMetricsKeysOnlyWhenEnabled(t *testing.T) {
 	keys := []string{
 		"nvmefs.driver.inline_writes", "nvmefs.driver.inline_reads",
 		"nvmefs.driver.inline_bytes", "pcie.link.pios", "pcie.link.pio_bytes",
-		"inline_cutover",
+		"nvmefs.driver.inline_cutover",
+	}
+	if strings.Contains(on, "nvmefs.q0.inline_cutover") {
+		t.Errorf("inline-enabled snapshot still has a per-queue cutover gauge")
 	}
 	for _, key := range keys {
 		if strings.Contains(off, key) {

@@ -65,11 +65,11 @@ func largeIORun(window, opSize, ops int) (largeIOResult, error) {
 	opts := dpc.DefaultOptions()
 	opts.Model.HostMemMB = 192
 	opts.Model.DPUMemMB = 16
+	if window > 0 {
+		opts.NvmeFS.InflightWindow = window
+	}
 	sys := dpc.New(opts)
 	cl := sys.KVFSClient()
-	if window > 0 {
-		cl.SetWindow(window)
-	}
 
 	payload := make([]byte, opSize)
 	rand.New(rand.NewSource(7)).Read(payload)

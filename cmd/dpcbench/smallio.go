@@ -80,7 +80,7 @@ type smallIORun struct {
 
 const (
 	smallIOOps    = 64 // measured write+read pairs per run
-	smallIOWarmup = 8  // pairs before the mark, to settle the adaptive cutover
+	smallIOWarmup = 8  // pairs before the mark (see measureSmallIO)
 )
 
 func buildSmallIOReport() (smallIOReport, error) {
@@ -142,9 +142,10 @@ func smallIODriver(inlineMax int, o *obs.Obs) (*model.Machine, *nvmefs.Driver) {
 	}, false)
 }
 
-// measureSmallIO runs warm-up pairs on the transport (the adaptive cutover
-// converges on its EWMAs), then measures smallIOOps serial write+read pairs
-// so ns/op is true per-op transport latency.
+// measureSmallIO runs warm-up pairs on the transport, then measures
+// smallIOOps serial write+read pairs so ns/op is true per-op transport
+// latency. The inline cutover is fixed from the start, so the warm-up has
+// nothing to settle; it stays because removing it would move BENCH_6.
 func measureSmallIO(m *model.Machine, d *nvmefs.Driver, inlineMax, size int) (smallIORun, error) {
 	payload := make([]byte, size)
 	for i := range payload {

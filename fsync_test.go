@@ -57,54 +57,3 @@ func TestFsyncFlushesOnlyThatFile(t *testing.T) {
 		t.Fatal("un-synced file reached the backend without a flush daemon")
 	}
 }
-
-// TestKVFSSurvivesShardFailure: with a replicated KV cluster, the file
-// service keeps working through a storage-shard failure.
-func TestKVFSSurvivesShardFailure(t *testing.T) {
-	opts := DefaultOptions()
-	opts.Model.HostMemMB = 192
-	opts.Model.DPUMemMB = 8
-	opts.CachePages = 0
-	opts.KV.Replicas = 2
-	sys := New(opts)
-	cl := sys.KVFSClient()
-
-	payload := bytes.Repeat([]byte{7}, 3*8192)
-	var ino uint64
-	sys.Go(func(p *sim.Proc) {
-		f, _ := cl.Create(p, 0, "/ha-file")
-		ino = f.Ino
-		if err := f.Write(p, 0, 0, payload, true); err != nil {
-			t.Errorf("write: %v", err)
-		}
-	})
-	sys.RunFor(time.Second)
-
-	// Take down the shard holding the file's attribute KV (and possibly
-	// some blocks).
-	attrKeyShard := sys.KVCluster.ShardFor("a\x00\x00\x00\x00\x00\x00\x00\x01")
-	_ = attrKeyShard
-	// Simpler: down the primary of block 0 and the attr shard.
-	for i := 0; i < 2; i++ {
-		sys.KVCluster.SetShardDown(i, true)
-	}
-
-	sys.Go(func(p *sim.Proc) {
-		f, err := cl.Open(p, 0, "/ha-file")
-		if err != nil {
-			t.Errorf("open during failure: %v", err)
-			return
-		}
-		got, err := f.Read(p, 0, 0, len(payload), true)
-		if err != nil || !bytes.Equal(got, payload) {
-			t.Errorf("read during failure: err=%v equal=%v", err, bytes.Equal(got, payload))
-		}
-		// Writes keep working too (surviving replicas accept them).
-		if err := f.Write(p, 0, 0, payload, true); err != nil {
-			t.Errorf("write during failure: %v", err)
-		}
-	})
-	sys.RunFor(time.Second)
-	sys.Shutdown()
-	_ = ino
-}

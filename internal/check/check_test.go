@@ -236,9 +236,10 @@ func TestFaultWorldRejectsBaselines(t *testing.T) {
 
 // TestInlineBoundarySizesDifferential drives handcrafted writes and reads
 // whose payload sizes bracket every interesting inline boundary — 0-adjacent,
-// the 64-byte header unit, the adaptive cutover's neighborhood, InlineMax
-// itself and one byte past it, plus a small write straddling a page boundary
-// — through the inline-enabled stack and checks every op against the oracle.
+// the 64-byte header unit, the write cutover and one byte either side of it
+// (389 B on the default link, see nvmefs.WriteCutover), InlineMax itself and
+// one byte past it, plus a small write straddling a page boundary — through
+// the inline-enabled stack and checks every op against the oracle.
 // Each size runs in both I/O modes: direct exercises the SQE-inline and
 // enlarged-CQE paths, buffered the write-through and fill paths.
 func TestInlineBoundarySizesDifferential(t *testing.T) {

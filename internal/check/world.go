@@ -119,8 +119,8 @@ type stackSpec struct {
 }
 
 // inlineMaxForTorture is the InlineMax of the inline stacks; 512 keeps the
-// adaptive cutover strictly inside it so torture traces exercise both sides
-// of the boundary.
+// link-cost cutover (389 B on the default link) strictly inside it so
+// torture traces exercise both sides of the boundary.
 const inlineMaxForTorture = 512
 
 // stacks is every stack the harness can instantiate, in report order; the

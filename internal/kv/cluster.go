@@ -60,10 +60,6 @@ type ClusterConfig struct {
 	WriteMedia      time.Duration // media latency per put/delete
 	MediaChannels   int           // per-shard media parallelism
 	MediaBps        int64         // per-shard media bandwidth
-	// Replicas is the number of copies of each key (1 = no replication).
-	// Writes go to the primary and its successors in parallel; reads try
-	// the primary and fail over to replicas when a shard is down.
-	Replicas int
 }
 
 // DefaultClusterConfig models a healthy flash-backed KV service.
@@ -78,7 +74,6 @@ func DefaultClusterConfig() ClusterConfig {
 		WriteMedia:      22 * time.Microsecond,
 		MediaChannels:   16,
 		MediaBps:        2_500_000_000,
-		Replicas:        1,
 	}
 }
 
@@ -93,13 +88,8 @@ type shard struct {
 
 // Cluster is the set of storage nodes.
 type Cluster struct {
-	eng    *sim.Engine
 	cfg    ClusterConfig
 	shards []*shard
-	// ring is 0..Shards-1 followed by its own first Replicas-1 entries: a
-	// key's replica set is a window of it starting at the primary.
-	ring     []int
-	replicas int // cfg.Replicas clamped to [1, Shards]
 
 	Ops stats.Counter
 }
@@ -110,10 +100,7 @@ func NewCluster(eng *sim.Engine, net *fabric.Network, cfg ClusterConfig) *Cluste
 	if cfg.Shards < 1 || cfg.WorkersPerShard < 1 {
 		panic(fmt.Sprintf("kv: bad config %+v", cfg))
 	}
-	c := &Cluster{eng: eng, cfg: cfg, replicas: min(max(cfg.Replicas, 1), cfg.Shards)}
-	for i := 0; i < cfg.Shards+c.replicas-1; i++ {
-		c.ring = append(c.ring, i%cfg.Shards)
-	}
+	c := &Cluster{cfg: cfg}
 	for i := 0; i < cfg.Shards; i++ {
 		sh := &shard{
 			node:  net.NewNode(fmt.Sprintf("kv-shard-%d", i)),
@@ -148,15 +135,9 @@ func (c *Cluster) ShardFor(key string) int {
 func (c *Cluster) StoreOf(i int) *Store { return c.shards[i].store }
 
 // SetShardDown marks a shard as failed: it answers every request with
-// Down=true until revived (failure-injection for availability tests).
+// Down=true until revived, so every operation on its keys fails
+// (failure injection).
 func (c *Cluster) SetShardDown(i int, down bool) { c.shards[i].down = down }
-
-// ReplicaShards returns the shard indices holding key, primary first. The
-// result is shared and must not be modified.
-func (c *Cluster) ReplicaShards(key string) []int {
-	primary := c.ShardFor(key)
-	return c.ring[primary : primary+c.replicas]
-}
 
 // NodeOf exposes a shard's fabric node.
 func (c *Cluster) NodeOf(i int) *fabric.Node { return c.shards[i].node }
@@ -233,79 +214,34 @@ func (c *Cluster) NewClient(local *fabric.Node) *Client {
 	return &Client{c: c, local: local}
 }
 
-// callShard issues one RPC to a specific shard.
-func (cl *Client) callShard(p *sim.Proc, shardIdx int, req Request) Reply {
-	sh := cl.c.shards[shardIdx]
+// call issues req to the shard owning its key.
+func (cl *Client) call(p *sim.Proc, req Request) Reply {
+	sh := cl.c.shards[cl.c.ShardFor(req.Key)]
 	reqBytes := 64 + len(req.Key) + len(req.Val)
 	return cl.local.Call(p, sh.node, "kv", req, reqBytes).(Reply)
 }
 
-// readCall tries the primary and fails over to replicas while shards are
-// down.
-func (cl *Client) readCall(p *sim.Proc, req Request) Reply {
-	var rep Reply
-	for _, idx := range cl.c.ReplicaShards(req.Key) {
-		rep = cl.callShard(p, idx, req)
-		if !rep.Down {
-			return rep
-		}
-	}
-	return rep
-}
-
-// writeCall updates every replica in parallel. Writes succeed as long as at
-// least one replica is alive (failed replicas resync out of band; this
-// models a primary-backup store, not a consensus protocol).
-func (cl *Client) writeCall(p *sim.Proc, req Request) Reply {
-	replicas := cl.c.ReplicaShards(req.Key)
-	if len(replicas) == 1 {
-		return cl.callShard(p, replicas[0], req)
-	}
-	reps := make([]Reply, len(replicas))
-	remaining := len(replicas)
-	done := sim.NewCond(cl.c.eng, "kv-repl")
-	for i, idx := range replicas {
-		i, idx := i, idx
-		cl.c.eng.Go("kv-repl-w", func(pp *sim.Proc) {
-			reps[i] = cl.callShard(pp, idx, req)
-			remaining--
-			if remaining == 0 {
-				done.Broadcast()
-			}
-		})
-	}
-	for remaining > 0 {
-		done.Wait(p)
-	}
-	for _, r := range reps {
-		if !r.Down {
-			return r
-		}
-	}
-	return reps[0]
-}
-
 // Get fetches a copy of a value.
 func (cl *Client) Get(p *sim.Proc, key string) ([]byte, bool) {
-	rep := cl.readCall(p, Request{Op: OpGet, Key: key})
+	rep := cl.call(p, Request{Op: OpGet, Key: key})
 	return rep.Val, rep.Found && !rep.Down
 }
 
 // GetInto is Store.GetInto on the owning shard: the value's bytes from off
 // land in dst, its full length is returned, at Get's cost in virtual time.
 func (cl *Client) GetInto(p *sim.Proc, key string, off int, dst []byte) (int, bool) {
-	rep := cl.readCall(p, Request{Op: OpGetInto, Key: key, Off: off, Into: dst})
+	rep := cl.call(p, Request{Op: OpGetInto, Key: key, Off: off, Into: dst})
 	return rep.Len, rep.Found && !rep.Down
 }
 
 // Put stores a value.
 func (cl *Client) Put(p *sim.Proc, key string, val []byte) {
-	cl.writeCall(p, Request{Op: OpPut, Key: key, Val: val})
+	cl.call(p, Request{Op: OpPut, Key: key, Val: val})
 }
 
 // Delete removes a key, reporting whether it existed.
 func (cl *Client) Delete(p *sim.Proc, key string) bool {
-	rep := cl.writeCall(p, Request{Op: OpDelete, Key: key})
+	rep := cl.call(p, Request{Op: OpDelete, Key: key})
 	return rep.Found && !rep.Down
 }
 
@@ -315,5 +251,5 @@ func (cl *Client) Scan(p *sim.Proc, prefix string, limit int) []KV {
 	if len(prefix) < RoutePrefixLen {
 		panic(fmt.Sprintf("kv: scan prefix %q shorter than route prefix", prefix))
 	}
-	return cl.readCall(p, Request{Op: OpScan, Key: prefix, Limit: limit}).KVs
+	return cl.call(p, Request{Op: OpScan, Key: prefix, Limit: limit}).KVs
 }

@@ -150,3 +150,36 @@ func TestClusterParallelClients(t *testing.T) {
 		t.Fatalf("Ops = %d", c.Ops.Total())
 	}
 }
+
+// A read from a failed shard fails cleanly — a Down reply, not a hang — and
+// reviving the shard serves the key again.
+func TestDownShardReadFails(t *testing.T) {
+	e, c, cl := newTestCluster(t, 8)
+	prefix := "dAAAABBBB"
+	key := prefix + "item"
+	e.Go("setup", func(p *sim.Proc) { cl.Put(p, key, []byte("x")) })
+	e.Run()
+	c.SetShardDown(c.ShardFor(key), true)
+	var gotOK, finished bool
+	var scanned int
+	e.Go("reader", func(p *sim.Proc) {
+		_, gotOK = cl.Get(p, key)
+		scanned = len(cl.Scan(p, prefix, 0))
+		finished = true
+	})
+	e.Run()
+	if !finished {
+		t.Fatal("reads against a down shard never returned")
+	}
+	if gotOK || scanned != 0 {
+		t.Fatalf("owning shard down: Get found=%v, Scan returned %d items", gotOK, scanned)
+	}
+	c.SetShardDown(c.ShardFor(key), false)
+	var v []byte
+	e.Go("revived", func(p *sim.Proc) { v, gotOK = cl.Get(p, key) })
+	e.Run()
+	e.Shutdown()
+	if !gotOK || string(v) != "x" {
+		t.Fatalf("Get after revival = %q, %v", v, gotOK)
+	}
+}

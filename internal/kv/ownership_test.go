@@ -3,7 +3,6 @@ package kv
 import (
 	"bytes"
 	"hash/fnv"
-	"slices"
 	"testing"
 
 	"dpc/internal/sim"
@@ -101,27 +100,20 @@ func TestShardForMatchesFNV(t *testing.T) {
 	}
 }
 
-// Routing a key allocates nothing, whatever the replica count, and a replica
-// set that runs off the last shard wraps to the first.
+// Routing a key allocates nothing.
 func TestRoutingZeroAllocs(t *testing.T) {
-	_, c, _ := newReplicatedCluster(t, 4, 3)
+	_, c, _ := newTestCluster(t, 4)
 	key := "b\x00\x00\x00\x00\x00\x00\x00\x2a\x00\x00\x00\x01"
-	if a := testing.AllocsPerRun(100, func() { c.ReplicaShards(key) }); a != 0 {
-		t.Errorf("ReplicaShards: %v allocs, want 0", a)
-	}
-	for _, k := range []string{"a", "b", "c", "d", "e", "f", "g", "h"} {
-		got, primary := c.ReplicaShards(k), c.ShardFor(k)
-		if want := []int{primary, (primary + 1) % 4, (primary + 2) % 4}; !slices.Equal(got, want) {
-			t.Errorf("ReplicaShards(%q) = %v, want %v", k, got, want)
-		}
+	if a := testing.AllocsPerRun(100, func() { c.ShardFor(key) }); a != 0 {
+		t.Errorf("ShardFor: %v allocs, want 0", a)
 	}
 }
 
 // Over the fabric, GetInto fills the caller's buffer, reports the full
 // length, costs the virtual time of a Get, and a failed shard leaves the
-// destination untouched while the replica serves it.
+// destination untouched.
 func TestClientGetInto(t *testing.T) {
-	e, c, cl := newReplicatedCluster(t, 4, 2)
+	e, c, cl := newTestCluster(t, 4)
 	val := bytes.Repeat([]byte{0x5A}, 8192)
 	e.Go("client", func(p *sim.Proc) {
 		cl.Put(p, "block-key", val)
@@ -142,15 +134,10 @@ func TestClientGetInto(t *testing.T) {
 		if n, ok := cl.GetInto(p, "no-such-key", 0, dst); ok || n != 0 {
 			t.Errorf("GetInto(missing) = %d, %v", n, ok)
 		}
-		c.SetShardDown(c.ReplicaShards("block-key")[0], true)
-		clear(dst)
-		if n, ok := cl.GetInto(p, "block-key", 0, dst); !ok || n != len(val) || !bytes.Equal(dst, val[:1000]) {
-			t.Errorf("GetInto with the primary down = %d, %v", n, ok)
-		}
-		c.SetShardDown(c.ReplicaShards("block-key")[1], true)
+		c.SetShardDown(c.ShardFor("block-key"), true)
 		poisoned := bytes.Repeat([]byte{0xDB}, 16)
 		if _, ok := cl.GetInto(p, "block-key", 0, poisoned); ok || !bytes.Equal(poisoned, bytes.Repeat([]byte{0xDB}, 16)) {
-			t.Errorf("every replica down: found=%v, destination %x", ok, poisoned)
+			t.Errorf("owning shard down: found=%v, destination %x", ok, poisoned)
 		}
 	})
 	e.Run()

@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"fmt"
 	"testing"
+	"time"
 
 	"dpc/internal/fault"
 	"dpc/internal/model"
 	"dpc/internal/nvme"
+	"dpc/internal/pcie"
 	"dpc/internal/sim"
 )
 
@@ -105,15 +107,15 @@ func TestInlineReadInto(t *testing.T) {
 }
 
 // Round-trip integrity across the cutover boundaries: payloads at 0, 1, the
-// adaptive cutover itself, one byte either side of it, InlineMax, and one
-// byte past InlineMax must all survive a write/read cycle, and only those at
-// or under the cutover may take the inline path.
+// cutover itself, one byte either side of it, InlineMax, and one byte past
+// InlineMax must all survive a write/read cycle, and exactly those in
+// (0, cutover] take the inline path.
 func TestInlineCutoverBoundaries(t *testing.T) {
 	m, d, _ := newInlineDriver(t, 1, 512)
 	m.Eng.Go("app", func(p *sim.Proc) {
-		cut := d.Cutover(0)
-		if cut <= 0 || cut > 512 {
-			t.Fatalf("initial cutover = %d, want in (0, 512]", cut)
+		cut := d.Cutover()
+		if cut <= 0 || cut >= 512 {
+			t.Fatalf("cutover = %d, want in (0, 512)", cut)
 		}
 		sizes := []int{0, 1, cut - 1, cut, cut + 1, 512, 513}
 		for i, n := range sizes {
@@ -126,13 +128,7 @@ func TestInlineCutoverBoundaries(t *testing.T) {
 			if !w.OK() {
 				t.Errorf("write n=%d: %+v", n, w)
 			}
-			// The cutover adapts as observations accumulate; re-read it for
-			// the expectation (it can only have moved by the same EWMAs the
-			// submission used).
-			inlined := d.InlineWrites > before
-			wantInline := n > 0 && n <= cut
-			cut = d.Cutover(0)
-			if inlined != wantInline && (n <= cut) != inlined {
+			if inlined := d.InlineWrites > before; inlined != (0 < n && n <= cut) {
 				t.Errorf("write n=%d inlined=%v, cutover=%d", n, inlined, cut)
 			}
 			r := d.Submit(p, 0, Submission{FileOp: nvme.FileOpRead, Header: header(9, uint64(i)), ReadLen: 1024, RHLen: 1})
@@ -184,8 +180,8 @@ func TestInlineWriteUnderDroppedCompletion(t *testing.T) {
 	if execs != 2 || d.DedupHits != 1 {
 		t.Fatalf("handler runs=%d dedup=%d, want 2 runs with 1 dedup hit", execs, d.DedupHits)
 	}
-	if d.InlineWrites < 1 {
-		t.Fatalf("InlineWrites = %d, want >= 1 (original and retry both inline)", d.InlineWrites)
+	if d.InlineWrites != 2 {
+		t.Fatalf("InlineWrites = %d, want 2 (original and retry both inline)", d.InlineWrites)
 	}
 }
 
@@ -235,14 +231,45 @@ func TestInlineDeterminism(t *testing.T) {
 			}
 		})
 		m.Eng.Run()
-		fp := fmt.Sprintf("now=%d dmas=%d pios=%d piob=%d iw=%d ir=%d ib=%d cut0=%d cut1=%d",
+		fp := fmt.Sprintf("now=%d dmas=%d pios=%d piob=%d iw=%d ir=%d ib=%d",
 			m.Eng.Now(), m.PCIe.DMAs.Total(), m.PCIe.PIOs.Total(), m.PCIe.PIOBytes.Total(),
-			d.InlineWrites, d.InlineReads, d.InlineBytes, d.Cutover(0), d.Cutover(1))
+			d.InlineWrites, d.InlineReads, d.InlineBytes)
 		m.Eng.Shutdown()
 		return fp
 	}
 	a, b := run(), run()
 	if a != b {
 		t.Fatalf("inline runs diverged:\n  %s\n  %s", a, b)
+	}
+}
+
+// The write cutover is the break-even payload of one PIO burst against two
+// DMAs on the configured link, clamped to [0, InlineMax], with a positive
+// InlineCutover as the only override.
+func TestWriteCutover(t *testing.T) {
+	link := func(setup, mmio time.Duration) pcie.Config {
+		pc := pcie.DefaultConfig()
+		pc.DMASetup, pc.MMIOLatency = setup, mmio
+		return pc
+	}
+	def := pcie.DefaultConfig()
+	for _, tc := range []struct {
+		name string
+		pc   pcie.Config
+		cfg  Config
+		want int
+	}{
+		{"default link", def, Config{InlineMax: 512}, 389},
+		{"1.5us setup saturates", link(1500*time.Nanosecond, def.MMIOLatency), Config{InlineMax: 512}, 512},
+		{"inline off", def, Config{}, 0},
+		{"inline off ignores pin", def, Config{InlineCutover: 100}, 0},
+		{"pin", def, Config{InlineMax: 512, InlineCutover: 100}, 100},
+		{"pin above InlineMax", def, Config{InlineMax: 512, InlineCutover: 4096}, 512},
+		{"2*setup == mmio", link(125*time.Nanosecond, 250*time.Nanosecond), Config{InlineMax: 512}, 0},
+		{"2*setup < mmio", link(100*time.Nanosecond, 250*time.Nanosecond), Config{InlineMax: 512}, 0},
+	} {
+		if got := WriteCutover(tc.pc, tc.cfg); got != tc.want {
+			t.Errorf("%s: WriteCutover = %d, want %d", tc.name, got, tc.want)
+		}
 	}
 }

@@ -23,6 +23,7 @@ import (
 	"dpc/internal/model"
 	"dpc/internal/nvme"
 	"dpc/internal/obs"
+	"dpc/internal/pcie"
 	"dpc/internal/sim"
 )
 
@@ -101,16 +102,16 @@ type Config struct {
 	// inline window next to the SQE (PIO-staged, no PRP-fetch or data-in
 	// DMA) and small read responses return through the enlarged-CQE window
 	// (one contiguous [CQE|header|data] DMA instead of data-out + CQE). The
-	// write-side DMA↔inline cutover adapts per queue from observed costs.
+	// write-side DMA↔inline cutover is fixed at construction from the link's
+	// cost model (see WriteCutover).
 	// 0 (the default) disables the path entirely: no window allocations, no
 	// extra metrics, byte-identical behavior to builds without it.
 	InlineMax int
 
 	// InflightWindow bounds how many commands a single application thread
-	// keeps in flight when it pipelines a multi-page or multi-chunk
-	// operation (client read/write loops, flush write-back). 0 means the
-	// default. The window also sets how many SQEs share one doorbell when
-	// the client submits a burst with SubmitBatch.
+	// keeps in flight when it pipelines a multi-page or multi-chunk client
+	// read or write. 0 means the default. The window also sets how many SQEs
+	// share one doorbell when the client submits a burst with SubmitBatch.
 	InflightWindow int
 
 	// Failure-handling knobs. Per-command deadlines are armed only when a
@@ -118,8 +119,6 @@ type Config struct {
 	// no extra events and stay byte-identical to older builds.
 	CmdTimeout     time.Duration // per-command deadline (default 5ms)
 	MaxRetries     int           // bounded retries of retryable statuses (default 8)
-	RetryBase      time.Duration // first backoff step (default 20µs)
-	RetryMax       time.Duration // backoff cap (default 640µs)
 	ResetThreshold int           // consecutive timeouts that trigger a controller reset (default 8)
 	ResetDelay     time.Duration // modeled cost of a controller reset (default 200µs)
 
@@ -147,10 +146,9 @@ type Config struct {
 	DispatchWorkers int
 
 	// InlineCutover pins the inline-write payload cutover instead of the
-	// per-queue adaptive estimate: when > 0, every queue's cutover is
-	// min(InlineCutover, InlineMax) and the EWMA observations only move the
-	// exported gauge's inputs, not the decision. 0 (the default) keeps the
-	// adaptive behavior.
+	// break-even value WriteCutover derives from the link's costs: when > 0
+	// the cutover is min(InlineCutover, InlineMax). 0 (the default) keeps
+	// the derived value.
 	InlineCutover int
 }
 
@@ -251,18 +249,6 @@ type queueState struct {
 	cqWin    mem.Addr
 	cqStride int
 
-	// Adaptive cutover inputs: EWMA (α = 1/8) of observed per-DMA setup
-	// time, per-byte DMA transfer time and per-byte PIO time, seeded from
-	// the link's cost model and updated from live transfer durations (which
-	// include engine/pipe queueing — observed cost, not configured cost).
-	// cutover is the derived max inline-write payload, exported as the
-	// "nvmefs.q<N>.inline_cutover" gauge.
-	setupObs   float64
-	dmaPerByte float64
-	pioPerByte float64
-	cutover    int
-	cutGauge   *obs.Gauge
-
 	// gen is the queue's reset generation. A controller reset bumps it;
 	// TGT work that straddles the reset (SQE fetches, workers mid-handler)
 	// re-checks it and drops its results instead of touching rings or
@@ -282,6 +268,13 @@ type queueState struct {
 
 // execCap bounds the per-queue executed-response cache.
 const execCapPerDepth = 4
+
+// retryBase and retryMax bound Wait's exponential retry backoff: the first
+// step and the cap.
+const (
+	retryBase = 20 * time.Microsecond
+	retryMax  = 640 * time.Microsecond
+)
 
 // slotGrace is how long an aborted command's buffer slot is quarantined
 // before returning to the free list. A worker that passed its liveness
@@ -343,9 +336,11 @@ type Driver struct {
 	oInflightPeak *obs.Gauge
 
 	// pool recycles the TGT's request buffers (and, on the host side, the
-	// inline path's PIO staging buffers); mmioNs feeds the cutover formula.
-	pool   *bufpool.Pool
-	mmioNs float64
+	// inline path's PIO staging buffers).
+	pool *bufpool.Pool
+	// cutover is the largest write payload that goes inline (WriteCutover;
+	// 0 with the inline path off), exported as nvmefs.driver.inline_cutover.
+	cutover int
 	// InlineWrites/InlineReads count commands that took the inline path;
 	// InlineBytes counts payload bytes moved inline (both directions).
 	// Published as nvmefs.driver.inline_* only with the path enabled.
@@ -407,12 +402,6 @@ func NewDriver(m *model.Machine, cfg Config, handler Handler) *Driver {
 	if cfg.MaxRetries <= 0 {
 		cfg.MaxRetries = 8
 	}
-	if cfg.RetryBase <= 0 {
-		cfg.RetryBase = 20 * time.Microsecond
-	}
-	if cfg.RetryMax <= 0 {
-		cfg.RetryMax = 640 * time.Microsecond
-	}
 	if cfg.ResetThreshold <= 0 {
 		cfg.ResetThreshold = 8
 	}
@@ -431,7 +420,7 @@ func NewDriver(m *model.Machine, cfg Config, handler Handler) *Driver {
 			cfg.DispatchWorkers = 8
 		}
 	}
-	d := &Driver{m: m, cfg: cfg, handler: handler, pool: bufpool.New()}
+	d := &Driver{m: m, cfg: cfg, handler: handler, pool: bufpool.New(), cutover: WriteCutover(m.PCIe.Config(), cfg)}
 	if o := m.Obs; o.Enabled() {
 		d.o = o
 		d.po = o.Prof()
@@ -446,10 +435,9 @@ func NewDriver(m *model.Machine, cfg Config, handler Handler) *Driver {
 			o.Publish("nvmefs.driver.inline_writes", &d.InlineWrites)
 			o.Publish("nvmefs.driver.inline_reads", &d.InlineReads)
 			o.Publish("nvmefs.driver.inline_bytes", &d.InlineBytes)
+			o.Gauge("nvmefs.driver.inline_cutover").Set(float64(d.cutover))
 		}
 	}
-	pcfg := m.PCIe.Config()
-	d.mmioNs = float64(pcfg.MMIOLatency.Nanoseconds())
 	for qid := 0; qid < cfg.Queues; qid++ {
 		sqBase := m.AllocHost(cfg.Depth*nvme.SQESize, 4096)
 		cqBase := m.AllocHost(cfg.Depth*nvme.CQESize, 4096)
@@ -477,13 +465,6 @@ func NewDriver(m *model.Machine, cfg Config, handler Handler) *Driver {
 			qs.cqStride = nvme.CQESize + cfg.RHCap + cfg.InlineMax
 			qs.inWin = m.AllocDPU(cfg.Depth*qs.inStride, 4096)
 			qs.cqWin = m.AllocHost(cfg.Depth*qs.cqStride, 4096)
-			qs.setupObs = float64(pcfg.DMASetup.Nanoseconds())
-			qs.dmaPerByte = 1e9 / float64(pcfg.BandwidthBps)
-			qs.pioPerByte = 1e9 / float64(pcfg.PIOBandwidthBps)
-			if d.o != nil {
-				qs.cutGauge = d.o.Gauge(fmt.Sprintf("nvmefs.q%d.inline_cutover", qid))
-			}
-			d.recalcCutover(qs)
 		}
 		qs.slabBase = m.AllocHost(cfg.SlotsPerQ*(qs.wStride+qs.rStride), 4096)
 		for i := cfg.SlotsPerQ - 1; i >= 0; i-- {
@@ -541,52 +522,38 @@ func (d *Driver) SetFaults(in *fault.Injector) {
 	d.o.Publish("nvmefs.driver.dedup_hits", &d.DedupHits)
 }
 
-// ewma folds a new sample into an α=1/8 exponentially-weighted average.
-func ewma(v *float64, sample float64) { *v += (sample - *v) / 8 }
-
-// recalcCutover rederives the queue's inline-write payload cutover from its
-// observed costs. An inline write replaces two DMAs (the 64-byte PRP/header
-// fetch and the payload pull) with one PIO burst of the same 64+n bytes, so
-// inline wins while
+// WriteCutover is the largest write payload, in bytes, that goes inline
+// over a link with costs pc. An inline write replaces two DMAs (the 64-byte
+// PRP/header fetch and the payload pull) with one PIO burst of the same 64+n
+// bytes, so with pio and dma the per-byte costs inline wins while
 //
-//	mmio + pioPerByte·(64+n)  <  2·setup + dmaPerByte·(64+n)
+//	mmio + pio·(64+n)  <  2·setup + dma·(64+n)
 //
-// i.e. for 64+n below (2·setup − mmio)/(pioPerByte − dmaPerByte). The
-// result is clamped to [0, InlineMax]; when PIO is at least as fast per
-// byte as DMA the cutover saturates at InlineMax.
-func (d *Driver) recalcCutover(qs *queueState) {
-	if d.cfg.InlineCutover > 0 {
-		// Pinned cutover (what-if override): the EWMAs keep accumulating but
-		// the decision is fixed, so a sweep can isolate the policy choice.
-		cut := d.cfg.InlineCutover
-		if cut > d.cfg.InlineMax {
-			cut = d.cfg.InlineMax
-		}
-		qs.cutover = cut
-		qs.cutGauge.Set(float64(cut))
-		return
+// i.e. for 64+n below (2·setup − mmio)/(pio − dma). The result is clamped
+// to [0, InlineMax]; when PIO is at least as fast per byte as DMA the cutover
+// saturates at InlineMax. A positive cfg.InlineCutover pins the cutover
+// instead (still clamped to InlineMax). 0 with the inline path off.
+func WriteCutover(pc pcie.Config, cfg Config) int {
+	if cfg.InlineMax <= 0 {
+		return 0
 	}
-	cut := d.cfg.InlineMax
-	num := 2*qs.setupObs - d.mmioNs
-	den := qs.pioPerByte - qs.dmaPerByte
-	if num <= 0 {
-		cut = 0
-	} else if den > 0 {
-		c := int(num/den) - 64
-		if c < 0 {
-			c = 0
-		}
-		if c < cut {
-			cut = c
-		}
+	if cfg.InlineCutover > 0 {
+		return min(cfg.InlineCutover, cfg.InlineMax)
 	}
-	qs.cutover = cut
-	qs.cutGauge.Set(float64(cut))
+	num := 2*float64(pc.DMASetup) - float64(pc.MMIOLatency)
+	den := 1e9/float64(pc.PIOBandwidthBps) - 1e9/float64(pc.BandwidthBps) // ns per byte
+	switch {
+	case num <= 0:
+		return 0
+	case den > 0:
+		return min(max(int(num/den)-64, 0), cfg.InlineMax)
+	}
+	return cfg.InlineMax
 }
 
-// Cutover returns queue qid's current inline-write payload cutover in bytes
-// (0 when the inline path is disabled).
-func (d *Driver) Cutover(qid int) int { return d.queues[qid%len(d.queues)].cutover }
+// Cutover returns the inline-write payload cutover in bytes (0 when the
+// inline path is disabled).
+func (d *Driver) Cutover() int { return d.cutover }
 
 // Queues returns the number of queue pairs.
 func (d *Driver) Queues() int { return d.cfg.Queues }
@@ -730,10 +697,10 @@ func (d *Driver) enqueueToken(p *sim.Proc, qid int, sub Submission, token uint32
 
 	// Inline decisions. Writes inline only when there is a payload (a
 	// header-only command already costs a single 64-byte fetch, which beats
-	// a PIO burst) at or under the queue's adaptive cutover. Reads inline
-	// whenever the response fits the enlarged-CQE window: folding data-out
-	// into the CQE DMA saves one DMA setup unconditionally.
-	inlineW := d.cfg.InlineMax > 0 && writeLen > 64 && len(sub.Payload) <= qs.cutover
+	// a PIO burst) at or under the cutover, which is 0 with the path off.
+	// Reads inline whenever the response fits the enlarged-CQE window:
+	// folding data-out into the CQE DMA saves one DMA setup unconditionally.
+	inlineW := writeLen > 64 && len(sub.Payload) <= d.cutover
 	inlineR := d.cfg.InlineMax > 0 && readLen > 0 && sub.ReadLen <= d.cfg.InlineMax
 
 	// Place the file-semantic header and payload in the write buffer. An
@@ -783,17 +750,12 @@ func (d *Driver) enqueueToken(p *sim.Proc, qid int, sub Submission, token uint32
 		// Stage [header|payload] into the inline window slot matching this
 		// SQE's ring position — one write-combined PIO burst. The staging
 		// buffer comes from the pool; PIOWrite only reads it, so it recycles
-		// immediately. The burst duration feeds the PIO-per-byte estimate.
+		// immediately.
 		stage := d.pool.Get(writeLen)
 		copy(stage, sub.Header)
 		copy(stage[64:], sub.Payload)
 		winAddr := qs.inWin + mem.Addr(qs.qp.SQTail*qs.inStride)
-		pioFrom := p.Now()
 		d.m.PCIe.PIOWrite(p, d.m.DPUMem, winAddr, stage, "inline-sqe")
-		if dur := float64(p.Now() - pioFrom); dur > d.mmioNs {
-			ewma(&qs.pioPerByte, (dur-d.mmioNs)/float64(writeLen))
-			d.recalcCutover(qs)
-		}
 		d.pool.Put(stage)
 		d.InlineWrites++
 		d.InlineBytes += int64(len(sub.Payload))
@@ -917,9 +879,9 @@ func (pend *Pending) Wait(p *sim.Proc) Completion {
 		if comp.Status == nvme.StatusTimeout && d.consecTimeouts >= d.cfg.ResetThreshold {
 			d.reset(p)
 		}
-		backoff := d.cfg.RetryBase << (pend.attempts - 1)
-		if backoff > d.cfg.RetryMax || backoff <= 0 {
-			backoff = d.cfg.RetryMax
+		backoff := retryBase << (pend.attempts - 1)
+		if backoff > retryMax || backoff <= 0 {
+			backoff = retryMax
 		}
 		// The backoff sleep is recovery time, not work: attribute it as
 		// wait so fault-injected runs show where retry latency went.
@@ -1205,25 +1167,10 @@ func (d *Driver) pullBuffers(p *sim.Proc, f *fetched) bool {
 	case sqe.WriteLen > 0:
 		n := max(int(sqe.WriteLen)-64, 0) // payload bytes after the header
 		f.in = d.pool.Get(64 + n)
-		prpFrom := p.Now()
 		link.DMAReadInto(p, f.in[:64], hm, mem.Addr(sqe.PRPWrite[0]), "prp")
-		if d.cfg.InlineMax > 0 {
-			// A 64-byte fetch is almost pure setup: feed the setup estimate.
-			if dur := float64(p.Now()-prpFrom) - 64*qs.dmaPerByte; dur > 0 {
-				ewma(&qs.setupObs, dur)
-				d.recalcCutover(qs)
-			}
-		}
 		if n > 0 {
 			// ③ Read the payload in one contiguous transfer.
-			dataFrom := p.Now()
 			link.DMAReadInto(p, f.in[64:], hm, mem.Addr(sqe.PRPWrite[0])+64, "data-in")
-			if d.cfg.InlineMax > 0 && n >= 4096 {
-				if dur := (float64(p.Now()-dataFrom) - qs.setupObs) / float64(n); dur > 0 {
-					ewma(&qs.dmaPerByte, dur)
-					d.recalcCutover(qs)
-				}
-			}
 		}
 	}
 	return true
@@ -1297,14 +1244,7 @@ func (d *Driver) execute(wp *sim.Proc, f fetched) {
 			// One DMA carries [header | zeros up to RHCap | data], truncated
 			// to ReadLen, gathered straight into the host read buffer.
 			n := min(d.cfg.RHCap+len(resp.Data), int(sqe.ReadLen))
-			outFrom := wp.Now()
 			putResponse(link.DMAWriteView(wp, hm, mem.Addr(sqe.PRPRead[0]), n, "data-out"), d.cfg.RHCap, resp)
-			if d.cfg.InlineMax > 0 && n >= 4096 {
-				if dur := (float64(wp.Now()-outFrom) - qs.setupObs) / float64(n); dur > 0 {
-					ewma(&qs.dmaPerByte, dur)
-					d.recalcCutover(qs)
-				}
-			}
 			resp.Result = uint32(len(resp.Data))
 		}
 	}
@@ -1422,15 +1362,7 @@ func (d *Driver) complete(p *sim.Proc, qs *queueState, gen int, sqe nvme.SQE, re
 		var cqeBytes [nvme.CQESize]byte
 		cqe.Marshal(cqeBytes[:])
 		cqAddr := qs.qp.CQ.EntryAddr(cqIdx)
-		cqeFrom := p.Now()
 		d.m.PCIe.DMAWrite(p, d.m.HostMem, cqAddr, cqeBytes[:], "cqe")
-		if d.cfg.InlineMax > 0 {
-			// A 16-byte CQE write is pure setup: feed the setup estimate.
-			if dur := float64(p.Now()-cqeFrom) - nvme.CQESize*qs.dmaPerByte; dur > 0 {
-				ewma(&qs.setupObs, dur)
-				d.recalcCutover(qs)
-			}
-		}
 	}
 
 	d.m.Eng.After(d.m.Cfg.Costs.HostIRQDelay, func() {

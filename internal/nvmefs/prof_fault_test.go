@@ -2,7 +2,6 @@ package nvmefs
 
 import (
 	"testing"
-	"time"
 
 	"dpc/internal/fault"
 	"dpc/internal/model"
@@ -58,11 +57,9 @@ func TestBackoffAttributedAsWait(t *testing.T) {
 	if backoff <= 0 {
 		t.Fatalf("nvmefs.backoff wait = %d ns, want > 0 (wait kinds: %v)", backoff, pr.WaitKinds)
 	}
-	// One retry sleeps exactly RetryBase (first step of the exponential
-	// ladder, 20µs by driver default); the attribution must cover the
-	// whole sleep.
-	const base = int64(20 * time.Microsecond)
-	if backoff < base {
-		t.Fatalf("nvmefs.backoff wait = %d ns, want >= RetryBase %d ns", backoff, base)
+	// One retry sleeps exactly retryBase (first step of the exponential
+	// ladder); the attribution must cover the whole sleep.
+	if backoff < int64(retryBase) {
+		t.Fatalf("nvmefs.backoff wait = %d ns, want >= retryBase %d ns", backoff, int64(retryBase))
 	}
 }

@@ -131,37 +131,6 @@ func scaleInt(v int, f float64) int {
 	return n
 }
 
-// staticCutover computes the nominal inline-write cutover from the
-// *configured* pcie costs — the same break-even formula the driver seeds its
-// adaptive estimate with (see nvmefs.recalcCutover), minus the live EWMA
-// feedback. Used to give the inline_cutover parameter a concrete baseline
-// to scale.
-func staticCutover(p *Params) int {
-	pc := p.Model.PCIe
-	if p.NvmeFS.InlineMax <= 0 || pc.BandwidthBps <= 0 || pc.PIOBandwidthBps <= 0 {
-		return 0
-	}
-	setup := float64(pc.DMASetup)
-	mmio := float64(pc.MMIOLatency)
-	dmaPerByte := 1e9 / float64(pc.BandwidthBps) // ns per byte
-	pioPerByte := 1e9 / float64(pc.PIOBandwidthBps)
-	cut := p.NvmeFS.InlineMax
-	num := 2*setup - mmio
-	den := pioPerByte - dmaPerByte
-	if num <= 0 {
-		return 0
-	}
-	if den > 0 {
-		if c := int(num/den) - 64; c < cut {
-			cut = c
-		}
-	}
-	if cut < 0 {
-		cut = 0
-	}
-	return cut
-}
-
 // registry is the full knob surface. Cost knobs name the component their
 // time is attributed to; policy knobs leave Component empty.
 var registry = []Parameter{
@@ -233,12 +202,9 @@ var registry = []Parameter{
 	},
 	{
 		Name: "nvmefs.inline_cutover", Layer: "nvmefs", Component: "",
-		Doc: "pinned inline-write payload cutover (overrides adaptive)",
+		Doc: "pinned inline-write payload cutover (overrides the link-cost break-even)",
 		apply: func(p *Params, f float64) {
-			base := p.NvmeFS.InlineCutover
-			if base <= 0 {
-				base = staticCutover(p)
-			}
+			base := nvmefs.WriteCutover(p.Model.PCIe, p.NvmeFS)
 			if base <= 0 {
 				return // inline path disabled; nothing to dial
 			}

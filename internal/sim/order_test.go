@@ -67,9 +67,9 @@ func (w *orderWorld) woken(p *Proc) {
 
 // timed runs one Sleep, SleepUntil or Yield that wakes at time at.
 func (w *orderWorld) timed(at Time, call func()) {
-	k, parks := w.next(at, 0), w.e.parks
+	k, parks := w.next(at, 0), w.e.Parks
 	call()
-	if w.e.parks == parks {
+	if w.e.Parks == parks {
 		w.inPlace++
 	}
 	w.log = append(w.log, k)
@@ -280,9 +280,9 @@ func TestSleepTieGoesToEarlierSeq(t *testing.T) {
 	var got []string
 	e.Schedule(5, func() { got = append(got, "early") })
 	e.Go("sleeper", func(p *Proc) {
-		parks := e.parks
+		parks := e.Parks
 		p.Sleep(5)
-		if e.parks == parks {
+		if e.Parks == parks {
 			t.Error("Sleep tied with an earlier event advanced in place")
 		}
 		got = append(got, "sleeper")
@@ -301,17 +301,17 @@ func TestSleepTieGoesToEarlierSeq(t *testing.T) {
 func TestSleepAtAndPastLimit(t *testing.T) {
 	e := NewEngine(1)
 	defer e.Shutdown()
-	var parksAtLimit, parksPast uint64
+	var parksAtLimit, parksPast int64
 	e.Go("sleeper", func(p *Proc) {
-		parks := e.parks
+		parks := e.Parks
 		p.Sleep(10)
-		parksAtLimit = e.parks - parks
+		parksAtLimit = e.Parks - parks
 		p.Sleep(1)
-		parksPast = e.parks - parks
+		parksPast = e.Parks - parks
 	})
 	e.RunUntil(10)
-	if parksAtLimit != 0 || e.parks != 1 {
-		t.Fatalf("Sleep to the limit parked %d times, past it %d, want 0 and 1", parksAtLimit, e.parks)
+	if parksAtLimit != 0 || e.Parks != 1 {
+		t.Fatalf("Sleep to the limit parked %d times, past it %d, want 0 and 1", parksAtLimit, e.Parks)
 	}
 	if e.Now() != 10 || e.PendingEvents() != 1 {
 		t.Fatalf("after RunUntil(10): now %v, %d pending, want 10 and 1", e.Now(), e.PendingEvents())
@@ -328,10 +328,10 @@ func TestYieldAloneConsumesSeq(t *testing.T) {
 	e := NewEngine(1)
 	defer e.Shutdown()
 	e.Go("lone", func(p *Proc) {
-		seq, parks := e.seq, e.parks
+		seq, parks := e.seq, e.Parks
 		p.Yield()
-		if e.seq != seq+1 || e.parks != parks {
-			t.Errorf("lone Yield: seq %d -> %d, parks %d -> %d", seq, e.seq, parks, e.parks)
+		if e.seq != seq+1 || e.Parks != parks {
+			t.Errorf("lone Yield: seq %d -> %d, parks %d -> %d", seq, e.seq, parks, e.Parks)
 		}
 	})
 	e.Run()
@@ -353,8 +353,8 @@ func TestTickerOverLoneSleeper(t *testing.T) {
 	if want := []Time{100_000, 200_000, 300_000, 400_000}; !slices.Equal(fires, want) || !tk.Stopped() {
 		t.Fatalf("ticker fired at %v (stopped %v), want %v", fires, tk.Stopped(), want)
 	}
-	if e.Now() != 400_000 || e.parks >= 50 {
-		t.Fatalf("now %v after %d parks: want 400µs and most of the 50 sleeps in place", e.Now(), e.parks)
+	if e.Now() != 400_000 || e.Parks >= 50 {
+		t.Fatalf("now %v after %d parks: want 400µs and most of the 50 sleeps in place", e.Now(), e.Parks)
 	}
 }
 

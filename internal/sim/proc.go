@@ -18,9 +18,9 @@ type Proc struct {
 	c    *carrier // nil until the start event runs
 	dead bool
 	// parkIdx is the process's slot in Engine.parked while it is parked;
-	// parkSeq is the Engine.parks stamp of its latest park.
+	// parkSeq is the Engine.Parks stamp of its latest park.
 	parkIdx int
-	parkSeq uint64
+	parkSeq int64
 
 	// Ctx is an opaque per-process slot for cross-layer instrumentation:
 	// internal/obs hangs the process's span stack here. sim itself never
@@ -114,8 +114,8 @@ func (p *Proc) park() {
 		panic(fmt.Sprintf("sim: proc %q parking while not running", p.name))
 	}
 	e.running = nil
-	e.parks++
-	p.parkSeq = e.parks
+	e.Parks++
+	p.parkSeq = e.Parks
 	p.parkIdx = len(e.parked)
 	e.parked = append(e.parked, p)
 	if !p.c.yield(struct{}{}) {
@@ -166,6 +166,7 @@ func (p *Proc) wakeAt(at Time) {
 		(e.events.Len() == 0 || e.events.peek().at > at) {
 		e.seq++
 		e.now = at
+		e.InPlace++
 		return
 	}
 	e.scheduleWake(p, at)

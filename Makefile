@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race torture check check-faults check-crash bench-json bench-identical allocs whatif
+.PHONY: build test vet race torture check check-faults check-crash bench-json bench-identical bench-smoke allocs whatif
 
 build:
 	$(GO) build ./...
@@ -99,6 +99,14 @@ bench-identical:
 		[ -f "$$(basename "$$f")" ] || { echo "bench-identical: $$(basename "$$f") is generated but not committed"; bad=1; }; \
 	done && [ $$bad -eq 0 ] && echo "bench-identical OK: $$(ls BENCH_*.json | wc -l) artifacts byte-identical to a fresh run"
 
+# The benchmark's smoke test: every bench/ workload and probe at 1/100 scale.
+# bench/ is a module of its own (it imports this one through a replace), so
+# `make test` does not reach it; run here, a program change that breaks the
+# benchmark fails `make check`. Offline and on the installed toolchain, as
+# bench/run.sh builds it.
+bench-smoke:
+	cd bench && GOTOOLCHAIN=local GOPROXY=off $(GO) test ./...
+
 # Causal what-if sensitivity sweep alone: counterfactual parameter dials at
 # 0.25x/0.5x/2x over the smallio and fsync reference workloads, payoff
 # ranking, and the payoff-vs-share cross-check (violations must be 0).
@@ -116,4 +124,4 @@ allocs:
 	$(GO) test -count=1 -run 'ZeroScratchAllocs|ZeroAllocs|PairBytes' .
 	$(GO) test -count=1 -run 'ZeroAllocs' ./internal/telemetry ./internal/cache ./internal/nvmefs ./internal/kv ./internal/kvfs ./internal/ssd ./internal/sim
 
-check: vet test race allocs torture check-faults check-crash bench-identical
+check: vet test race allocs torture check-faults check-crash bench-identical bench-smoke

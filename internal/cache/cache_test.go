@@ -1063,3 +1063,49 @@ func TestSettleParkZeroAllocs(t *testing.T) {
 		t.Fatalf("%d PCIe atomics over 51 rounds, want 4 per round", got)
 	}
 }
+
+// TestSettleWakesOnlyOnItsEntry: while a settle is parked on entry 5, a
+// sibling process locks and unlocks ten other entries; none of those releases
+// wakes it, so the settle parks once, and it returns at entry 5's release.
+func TestSettleWakesOnlyOnItsEntry(t *testing.T) {
+	m, l, _, c, _ := newTestCache(t, 64, 8, CtlConfig{})
+	defer m.Eng.Shutdown()
+	const entry, ino = 5, 9
+	WriteEntryMeta(m.HostMem, l, entry, Entry{Status: StatusDirty, Next: l.chainNext(entry), LPN: 77, Ino: ino})
+	try := func(pp *sim.Proc, i int) (took, gone bool, err error) {
+		if !c.lock(pp, i, LockRead) {
+			return false, false, nil
+		}
+		c.unlock(pp, i)
+		return true, false, nil
+	}
+	var released sim.Time
+	m.Eng.Go("holder", func(p *sim.Proc) {
+		if !c.lock(p, entry, LockRead) {
+			t.Error("holder could not lock an idle entry")
+		}
+		p.Sleep(10 * time.Microsecond) // the settle parks meanwhile
+		for i := 10; i < 20; i++ {
+			if !c.lock(p, i, LockRead) {
+				t.Errorf("holder could not lock idle entry %d", i)
+			}
+			c.unlock(p, i)
+		}
+		released = p.Now()
+		c.unlock(p, entry)
+	})
+	m.Eng.Go("settler", func(p *sim.Proc) {
+		p.Sleep(5 * time.Microsecond)
+		parks := m.Eng.Parks
+		if took, err := c.settle(p, p, entry, ino, try); !took || err != nil {
+			t.Errorf("settle = (%v, %v), want (true, nil)", took, err)
+		}
+		if got := m.Eng.Parks - parks; got != 1 {
+			t.Errorf("settle parked %d times, want 1", got)
+		}
+		if p.Now() < released {
+			t.Errorf("settle returned at %v, before entry %d's release at %v", p.Now(), entry, released)
+		}
+	})
+	m.Eng.Run()
+}

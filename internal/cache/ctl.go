@@ -99,11 +99,11 @@ type Ctl struct {
 	pool *bufpool.Pool
 
 	hands []int // per-bucket clock hands for replacement
-	// held[i] is set while a process of this control plane holds entry i's lock
-	// (lock sets it; unlock clears it and broadcasts released). DPU-local, and
-	// only settle consults it; a lock the host holds is not in it.
+	// held[i] is set while a process of this control plane holds entry i's
+	// lock (lock sets it; unlock clears it and wakes released[i], made by the
+	// first settle parked on i). Only settle reads it; a host-held lock is not in it.
 	held     []bool
-	released *sim.Cond
+	released []*sim.Cond
 	streams  map[uint64][]*stream
 	inflight map[[2]uint64]bool // prefetches in flight
 
@@ -241,7 +241,7 @@ func NewCtl(m *model.Machine, l Layout, backend Backend, cfg CtlConfig) *Ctl {
 		pool:     bufpool.New(),
 		hands:    make([]int, l.Buckets),
 		held:     make([]bool, l.Total),
-		released: sim.NewCond(m.Eng, "cache-release"),
+		released: make([]*sim.Cond, l.Total),
 		streams:  map[uint64][]*stream{},
 		inflight: map[[2]uint64]bool{},
 		o:        m.Obs,
@@ -294,7 +294,9 @@ func (c *Ctl) lock(p *sim.Proc, i int, kind uint32) bool {
 func (c *Ctl) unlock(p *sim.Proc, i int) {
 	c.m.PCIe.AtomicStore32(p, c.m.HostMem, c.L.EntryAddr(i)+offLock, LockNone, "cache-unlock")
 	c.held[i] = false
-	c.released.Broadcast()
+	if w := c.released[i]; w != nil {
+		w.Broadcast()
+	}
 }
 
 // HeldEntry returns an entry whose lock this control plane's processes hold,
@@ -469,8 +471,11 @@ func (c *Ctl) settle(p, pp *sim.Proc, i int, ino uint64, try func(pp *sim.Proc, 
 		if c.held[i] {
 			s := c.po.BeginChild(pp, c.po.Current(p), "cache.settle")
 			from := pp.Now()
+			if c.released[i] == nil {
+				c.released[i] = sim.NewCond(c.m.Eng, "cache-release")
+			}
 			for c.held[i] {
-				c.released.Wait(pp)
+				c.released[i].Wait(pp)
 			}
 			c.po.Attr(pp, obs.CompWait, "cache.settle", from, pp.Now())
 			s.End(pp)

@@ -32,7 +32,9 @@ func (r *FsckReport) problemf(format string, args ...any) {
 //     sizes <= 8 KB, big-file block KVs covering [0, size) otherwise, and
 //     never both);
 //   - directory attributes really are directories;
-//   - no unreachable ("orphan") attribute KVs exist.
+//   - no unreachable ("orphan") attribute KVs exist, and no small-file or
+//     big-file KV belongs to an inode that is not reachable (the state a torn
+//     or stale unlink leaves, which Scavenge repairs).
 //
 // It runs as a sim process because it reads through the KV cluster like any
 // other client (fsck on a disaggregated store is an online scrubber).
@@ -82,15 +84,21 @@ func (fs *FS) Fsck(p *sim.Proc, cluster *kv.Cluster) *FsckReport {
 	}
 	walk(RootIno, "")
 
-	// Orphan scan: every attribute KV in the cluster must be reachable.
+	// Orphan scan: every attribute KV in the cluster must be reachable, and so
+	// must the inode every data KV belongs to.
 	for i := 0; i < cluster.Shards(); i++ {
-		for _, kvp := range cluster.StoreOf(i).Scan("a", 0) {
-			if len(kvp.Key) != 9 {
+		for _, kvp := range cluster.StoreOf(i).Scan("", 0) {
+			kind, ino, blk := decodeKey(kvp.Key)
+			if seen[ino] {
 				continue
 			}
-			ino := binary.BigEndian.Uint64([]byte(kvp.Key[1:]))
-			if !seen[ino] {
+			switch kind {
+			case 'a':
 				r.problemf("orphan attribute KV for ino %d", ino)
+			case 's':
+				r.problemf("orphan small-file KV for ino %d", ino)
+			case 'b':
+				r.problemf("orphan big-file block %d of ino %d", blk, ino)
 			}
 		}
 	}

@@ -2,6 +2,7 @@ package kvfs
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"dpc/internal/sim"
@@ -79,6 +80,25 @@ func TestFsckDetectsOrphanAttr(t *testing.T) {
 	m.Eng.Shutdown()
 	if r.OK() {
 		t.Fatal("orphan attribute not detected")
+	}
+}
+
+// TestFsckDetectsOrphanData: data KVs of an inode with no attribute — what a
+// torn unlink, or one that deleted by a stale size, leaves — are reported.
+func TestFsckDetectsOrphanData(t *testing.T) {
+	m, cluster, fs := newTestFS(t)
+	run(m, func(p *sim.Proc) {
+		fs.Create(p, "/real")
+		fs.cl.Put(p, SmallKey(999), []byte("lost"))
+		fs.cl.Put(p, BigKey(998, 2), make([]byte, BlockSize))
+	})
+	var r *FsckReport
+	run(m, func(p *sim.Proc) { r = fs.Fsck(p, cluster) })
+	m.Eng.Shutdown()
+	slices.Sort(r.Problems)
+	want := []string{"orphan big-file block 2 of ino 998", "orphan small-file KV for ino 999"}
+	if !slices.Equal(r.Problems, want) {
+		t.Fatalf("problems = %q, want %q", r.Problems, want)
 	}
 }
 

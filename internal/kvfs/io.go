@@ -38,7 +38,7 @@ func (fs *FS) Write(p *sim.Proc, ino uint64, off uint64, data []byte) error {
 	defer s.End(p)
 	fs.charge(p)
 	fs.lockIno(p, ino, true)
-	defer fs.unlockIno(ino, true)
+	defer fs.unlockIno(ino)
 	a, ok := fs.getAttr(p, ino)
 	if !ok {
 		return ErrNotFound
@@ -171,7 +171,7 @@ func (fs *FS) ReadInto(p *sim.Proc, ino uint64, off uint64, dst []byte) (int, er
 	defer s.End(p)
 	fs.charge(p)
 	fs.lockIno(p, ino, false)
-	defer fs.unlockIno(ino, false)
+	defer fs.unlockIno(ino)
 	a, ok := fs.getAttr(p, ino)
 	if !ok {
 		return 0, ErrNotFound

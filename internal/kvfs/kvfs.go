@@ -53,9 +53,9 @@ type FS struct {
 	// mutators of one file — flush workers, direct writes, truncate —
 	// interleaving those KV ops corrupt the file (e.g. a stale small-file
 	// KV surviving migration). Writers are exclusive per inode; readers are
-	// shared so prefetch fan-out keeps its parallelism.
-	inoLocks map[uint64]*inoLock
-	inoCond  *sim.Cond
+	// shared so prefetch fan-out keeps its parallelism. Free locks are reused.
+	inoLocks  map[uint64]*sim.RWLock
+	freeLocks []*sim.RWLock
 
 	// DPU-side caches, analogous to the kernel's icache/dcache.
 	dentryCache map[string]uint64 // DentryKey -> ino
@@ -84,8 +84,7 @@ func New(m *model.Machine, cl *kv.Client) *FS {
 		cl:          cl,
 		pool:        bufpool.New(),
 		nextIno:     1,
-		inoLocks:    map[uint64]*inoLock{},
-		inoCond:     sim.NewCond(m.Eng, "kvfs-inolock"),
+		inoLocks:    map[uint64]*sim.RWLock{},
 		dentryCache: map[string]uint64{},
 		attrCache:   map[uint64]Attr{},
 		negCache:    map[string]bool{},
@@ -93,45 +92,25 @@ func New(m *model.Machine, cl *kv.Client) *FS {
 	return fs
 }
 
-type inoLock struct {
-	readers int
-	writer  bool
-}
-
-// lockIno acquires the per-inode lock (exclusive for mutators, shared for
-// readers). The sim engine is cooperative, so the state check and update
-// are atomic between Wait yields.
+// lockIno takes ino's lock, exclusive for mutators and shared for readers.
 func (fs *FS) lockIno(p *sim.Proc, ino uint64, exclusive bool) {
-	for {
-		l := fs.inoLocks[ino]
-		if l == nil {
-			l = &inoLock{}
-			fs.inoLocks[ino] = l
+	l := fs.inoLocks[ino]
+	if l == nil {
+		if n := len(fs.freeLocks) - 1; n >= 0 {
+			l, fs.freeLocks = fs.freeLocks[n], fs.freeLocks[:n]
+		} else {
+			l = new(sim.RWLock)
 		}
-		if exclusive {
-			if !l.writer && l.readers == 0 {
-				l.writer = true
-				return
-			}
-		} else if !l.writer {
-			l.readers++
-			return
-		}
-		fs.inoCond.Wait(p)
+		fs.inoLocks[ino] = l
 	}
+	l.Lock(p, exclusive)
 }
 
-func (fs *FS) unlockIno(ino uint64, exclusive bool) {
-	l := fs.inoLocks[ino]
-	if exclusive {
-		l.writer = false
-	} else {
-		l.readers--
-	}
-	if !l.writer && l.readers == 0 {
+func (fs *FS) unlockIno(ino uint64) {
+	if l := fs.inoLocks[ino]; l.Unlock() {
 		delete(fs.inoLocks, ino)
+		fs.freeLocks = append(fs.freeLocks, l)
 	}
-	fs.inoCond.Broadcast()
 }
 
 // Mount writes the root attribute KV. Must run in a sim process before any
@@ -377,10 +356,16 @@ func (fs *FS) Unlink(p *sim.Proc, path string) error {
 		return ErrIsDir
 	}
 	fs.lockIno(p, ino, true)
+	// A mutator the lock waited out may have migrated the file to big blocks
+	// (or a concurrent Unlink removed it): delete what the file holds now.
+	if a, ok = fs.getAttr(p, ino); !ok {
+		fs.unlockIno(ino)
+		return ErrNotFound
+	}
 	fs.deleteFileData(p, a)
 	fs.cl.Delete(p, AttrKey(ino))
 	delete(fs.attrCache, ino)
-	fs.unlockIno(ino, true)
+	fs.unlockIno(ino)
 	fs.delDentry(p, pIno, leaf)
 	return nil
 }
@@ -458,7 +443,7 @@ func (fs *FS) deleteFileData(p *sim.Proc, a Attr) {
 func (fs *FS) SetSize(p *sim.Proc, ino uint64, size uint64) error {
 	fs.charge(p)
 	fs.lockIno(p, ino, true)
-	defer fs.unlockIno(ino, true)
+	defer fs.unlockIno(ino)
 	a, ok := fs.getAttr(p, ino)
 	if !ok {
 		return ErrNotFound
@@ -486,7 +471,7 @@ func (fs *FS) SetSize(p *sim.Proc, ino uint64, size uint64) error {
 func (fs *FS) Truncate(p *sim.Proc, ino uint64) error {
 	fs.charge(p)
 	fs.lockIno(p, ino, true)
-	defer fs.unlockIno(ino, true)
+	defer fs.unlockIno(ino)
 	a, ok := fs.getAttr(p, ino)
 	if !ok {
 		return ErrNotFound

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"dpc/internal/kv"
 	"dpc/internal/model"
@@ -221,6 +222,40 @@ func TestUnlinkRemovesAllKVs(t *testing.T) {
 		t.Fatalf("cluster holds %d keys after unlink, want 1", total)
 	}
 	m.Eng.Shutdown()
+}
+
+// TestUnlinkWaitsOutMigration: an Unlink that meets the inode lock of a Write
+// growing the file from small to big deletes what the file holds once the
+// lock is its own — the three blocks — not the small-file KV it saw before.
+func TestUnlinkWaitsOutMigration(t *testing.T) {
+	m, cluster, fs := newTestFS(t)
+	var ino uint64
+	run(m, func(p *sim.Proc) {
+		ino, _ = fs.Create(p, "/growing")
+		fs.Write(p, ino, 0, make([]byte, SmallFileMax))
+	})
+	m.Eng.Go("writer", func(p *sim.Proc) {
+		if err := fs.Write(p, ino, SmallFileMax, make([]byte, 2*BlockSize)); err != nil {
+			t.Errorf("Write: %v", err)
+		}
+	})
+	m.Eng.Go("unlinker", func(p *sim.Proc) {
+		for fs.inoLocks[ino] == nil { // until the writer holds the inode lock
+			p.Sleep(time.Microsecond)
+		}
+		if err := fs.Unlink(p, "/growing"); err != nil {
+			t.Errorf("Unlink: %v", err)
+		}
+	})
+	m.Eng.Run()
+	m.Eng.Shutdown()
+	total := 0
+	for i := 0; i < cluster.Shards(); i++ {
+		total += cluster.StoreOf(i).Len()
+	}
+	if total != 1 { // only the root attr remains
+		t.Fatalf("cluster holds %d keys after unlink, want 1", total)
+	}
 }
 
 func TestRmdirSemantics(t *testing.T) {

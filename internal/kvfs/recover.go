@@ -54,31 +54,28 @@ func (fs *FS) Scavenge(p *sim.Proc, cluster *kv.Cluster) *RecoverReport {
 	var dents []dent
 	for i := 0; i < cluster.Shards(); i++ {
 		for _, kvp := range cluster.StoreOf(i).Scan("", 0) {
-			switch {
-			case len(kvp.Key) == 9 && kvp.Key[0] == 'a':
+			switch kind, ino, blk := decodeKey(kvp.Key); kind {
+			case 'a':
 				a, err := UnmarshalAttr(kvp.Val)
 				if err != nil {
 					continue
 				}
-				ino := binary.BigEndian.Uint64([]byte(kvp.Key[1:]))
 				attrs[ino] = a
-			case len(kvp.Key) == 9 && kvp.Key[0] == 's':
-				smalls[binary.BigEndian.Uint64([]byte(kvp.Key[1:]))] = true
-			case len(kvp.Key) == 25 && kvp.Key[0] == 'b':
-				ino := binary.BigEndian.Uint64([]byte(kvp.Key[9:]))
-				blk := binary.BigEndian.Uint64([]byte(kvp.Key[17:]))
+			case 's':
+				smalls[ino] = true
+			case 'b':
 				bigs[ino] = append(bigs[ino], blk)
 				if bigKeys[ino] == nil {
 					bigKeys[ino] = map[uint64]string{}
 				}
 				bigKeys[ino][blk] = kvp.Key
-			case len(kvp.Key) > 9 && kvp.Key[0] == 'd':
+			case 'd':
 				if len(kvp.Val) != 8 {
 					continue
 				}
 				dents = append(dents, dent{
 					key:  kvp.Key,
-					pIno: binary.BigEndian.Uint64([]byte(kvp.Key[1:9])),
+					pIno: ino,
 					ino:  binary.LittleEndian.Uint64(kvp.Val),
 				})
 			}
@@ -284,6 +281,23 @@ func (fs *FS) repairFile(p *sim.Proc, r *RecoverReport, a Attr, hasSmall bool, b
 		}
 	}
 	return changed
+}
+
+// decodeKey splits a KVFS key into its type byte and the inode it names: the
+// file's for attribute ('a'), small-file ('s') and block ('b') keys, with the
+// block number for the last, and the parent directory's for a dentry ('d').
+// kind is 0 for a key of no known shape.
+func decodeKey(key string) (kind byte, ino, blk uint64) {
+	be := func(off int) uint64 { return binary.BigEndian.Uint64([]byte(key[off : off+8])) }
+	switch {
+	case len(key) == 9 && (key[0] == 'a' || key[0] == 's'):
+		return key[0], be(1), 0
+	case len(key) == 25 && key[0] == 'b':
+		return 'b', be(9), be(17)
+	case len(key) > 9 && key[0] == 'd':
+		return 'd', be(1), 0
+	}
+	return 0, 0, 0
 }
 
 func sortedInos(m map[uint64]Attr) []uint64 {

@@ -16,6 +16,9 @@ build:
 # internal/sim stays one single-threaded engine: no channel, sync primitive or
 # `go` statement (processes are iter.Pull coroutines), and no environment
 # variable, build tag or package-level bool that would select a second one.
+# The cache's bucket hash and the KV shard hash are FNV-1a written inline on
+# the hot path: no hash/fnv import outside their tests, which compare
+# against it.
 vet:
 	$(GO) vet ./...
 	$(GO) run ./cmd/dpclint ./...
@@ -27,6 +30,8 @@ vet:
 	@out=$$(grep -nE '\bchan\b|"sync(/atomic)?"|^[[:space:]]*(go|select)[[:space:]]|os\.Getenv|^//go:build|^// \+build|^var [A-Za-z_]+( bool| *= *(true|false))' \
 		$$(ls internal/sim/*.go | grep -v _test.go)); \
 		if [ -n "$$out" ]; then echo "concurrency primitive or engine switch in internal/sim:"; echo "$$out"; exit 1; fi
+	@out=$$(grep -n '"hash/fnv"' $$(ls internal/cache/*.go internal/kv/*.go | grep -v _test.go)); \
+		if [ -n "$$out" ]; then echo "hash/fnv on a lookup path (hash inline):"; echo "$$out"; exit 1; fi
 
 test:
 	$(GO) test ./...
@@ -116,10 +121,12 @@ whatif:
 # Allocs-per-op gate: the steady-state client data paths (buffered RMW
 # write, cached ReadInto), the telemetry flight-recorder ring, and the DPU
 # side of the PCIe read path (clean-table flush scan, single-entry meta read)
-# must stay at zero heap allocations per op, as must the engine's park/wake
-# paths, a same-length KV Put and GetInto, and a tracked SSD overwrite with
-# its barrier; an 8 KiB write+read through the TGT, through KVFS and through
-# the whole stack stays at its fixed per-command bookkeeping.
+# must stay at zero heap allocations per op, as must the host cache's bucket
+# lookup (TestHostFindEntryZeroAllocs: a hit and a miss on a full bucket), the
+# engine's park/wake paths, a same-length KV Put and a GetInto hit and miss,
+# and a tracked SSD overwrite with its barrier; an 8 KiB write+read through
+# the TGT, through KVFS and through the whole stack stays at its fixed
+# per-command bookkeeping.
 allocs:
 	$(GO) test -count=1 -run 'ZeroScratchAllocs|ZeroAllocs|PairBytes' .
 	$(GO) test -count=1 -run 'ZeroAllocs' ./internal/telemetry ./internal/cache ./internal/nvmefs ./internal/kv ./internal/kvfs ./internal/ssd ./internal/sim

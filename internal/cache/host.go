@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"encoding/binary"
 	"fmt"
 	"time"
 
@@ -51,6 +52,13 @@ func NewHost(m *model.Machine, l Layout) *Host {
 // accumulating dirty pages that cannot be flushed.
 func (h *Host) Degraded() bool { return h.m.HostMem.Uint32(h.L.Base+16) != 0 }
 
+// meta returns the live host-memory bytes of entries [lo, hi). The host's
+// walks compare fields in place in it instead of decoding every entry; being
+// a view, it shows the current bytes even after the walker yields.
+func (h *Host) meta(lo, hi int) []byte {
+	return h.m.HostMem.Slice(h.L.EntryAddr(lo), (hi-lo)*EntrySize)
+}
+
 // findEntry scans a bucket's chain for <ino, lpn>, returning the entry index
 // or -1. Host-local memory walk. StatusInvalid entries count as present:
 // that is the DPU's fill-pending claim, and treating a claimed page as
@@ -59,10 +67,12 @@ func (h *Host) Degraded() bool { return h.m.HostMem.Uint32(h.L.Base+16) != 0 }
 // A claim is published together with its write lock, so acquire waits it out
 // like any other held entry.
 func (h *Host) findEntry(ino, lpn uint64) int {
+	le := binary.LittleEndian
 	lo, hi := h.L.BucketEntries(h.L.BucketOf(ino, lpn))
+	meta := h.meta(lo, hi)
 	for i := lo; i < hi; i++ {
-		e := ReadEntry(h.m.HostMem, h.L, i)
-		if e.Status != StatusFree && e.Ino == ino && e.LPN == lpn {
+		e := meta[(i-lo)*EntrySize:][:EntrySize]
+		if le.Uint64(e[offLPN:]) == lpn && le.Uint64(e[offIno:]) == ino && le.Uint32(e[offStatus:]) != StatusFree {
 			return i
 		}
 	}
@@ -178,11 +188,12 @@ func (h *Host) WritePage(p *sim.Proc, ino, lpn uint64, data []byte) bool {
 
 	// Insert into a free entry of the bucket.
 	lo, hi := h.L.BucketEntries(h.L.BucketOf(ino, lpn))
+	meta := h.meta(lo, hi)
 	for i := lo; i < hi; i++ {
-		a := h.L.EntryAddr(i)
-		if h.m.HostMem.Uint32(a+offStatus) != StatusFree {
+		if binary.LittleEndian.Uint32(meta[(i-lo)*EntrySize+offStatus:]) != StatusFree {
 			continue
 		}
+		a := h.L.EntryAddr(i)
 		if !h.m.HostMem.CompareAndSwap32(a+offLock, LockNone, LockWrite) {
 			continue
 		}
@@ -217,18 +228,20 @@ func (h *Host) WritePage(p *sim.Proc, ino, lpn uint64, data []byte) bool {
 // returns, no flusher still holds a snapshot of this inode's pages.
 func (h *Host) InvalidateIno(p *sim.Proc, ino uint64) {
 	h.m.HostExec(p, h.m.Cfg.Costs.HostCacheLookup)
+	le := binary.LittleEndian
+	meta := h.meta(0, h.L.Total)
 	for i := 0; i < h.L.Total; i++ {
-		e := ReadEntry(h.m.HostMem, h.L, i)
+		raw := meta[i*EntrySize:][:EntrySize]
 		// StatusInvalid with a matching ino is a pending DPU fill of this
 		// inode's page: wait it out (the lock below) and drop the result,
 		// or it would survive the invalidation holding stale bytes.
-		if e.Status == StatusFree || e.Ino != ino {
+		if le.Uint32(raw[offStatus:]) == StatusFree || le.Uint64(raw[offIno:]) != ino {
 			continue
 		}
 		// By index, not through acquire: whatever page of the inode the entry
 		// holds once its lock drops is the one to free.
 		h.lockEntry(p, i, LockWrite)
-		e = ReadEntry(h.m.HostMem, h.L, i)
+		e := ReadEntry(h.m.HostMem, h.L, i)
 		if e.Status != StatusFree && e.Ino == ino {
 			h.m.HostMem.PutUint32(h.L.EntryAddr(i)+offStatus, StatusFree)
 			AddHeaderFree(h.m.HostMem, h.L, 1)
@@ -274,9 +287,11 @@ func (h *Host) HasDirty(p *sim.Proc, ino uint64) bool {
 	if _, ok := h.maybeDirty[ino]; !ok {
 		return false
 	}
+	le := binary.LittleEndian
+	meta := h.meta(0, h.L.Total)
 	for i := 0; i < h.L.Total; i++ {
-		e := ReadEntry(h.m.HostMem, h.L, i)
-		if e.Status == StatusDirty && e.Ino == ino {
+		e := meta[i*EntrySize:][:EntrySize]
+		if le.Uint32(e[offStatus:]) == StatusDirty && le.Uint64(e[offIno:]) == ino {
 			return true
 		}
 	}
@@ -287,8 +302,9 @@ func (h *Host) HasDirty(p *sim.Proc, ino uint64) bool {
 // DirtyCount scans the meta area and reports dirty pages (test helper).
 func (h *Host) DirtyCount() int {
 	n := 0
+	meta := h.meta(0, h.L.Total)
 	for i := 0; i < h.L.Total; i++ {
-		if ReadEntry(h.m.HostMem, h.L, i).Status == StatusDirty {
+		if binary.LittleEndian.Uint32(meta[i*EntrySize+offStatus:]) == StatusDirty {
 			n++
 		}
 	}

@@ -17,7 +17,6 @@ package cache
 import (
 	"encoding/binary"
 	"fmt"
-	"hash/fnv"
 
 	"dpc/internal/mem"
 )
@@ -97,16 +96,17 @@ func (l Layout) PageAddr(i int) mem.Addr {
 	return l.DataBase() + mem.Addr(i*l.PageSize)
 }
 
-// BucketOf hashes <ino, lpn> to a bucket index.
+// BucketOf hashes <ino, lpn> to a bucket index: FNV-1a over the 16
+// little-endian bytes of ino then lpn, inline, since hash/fnv costs a hasher
+// per lookup.
 func (l Layout) BucketOf(ino, lpn uint64) int {
-	h := fnv.New64a()
-	var b [16]byte
-	for i := 0; i < 8; i++ {
-		b[i] = byte(ino >> (8 * i))
-		b[8+i] = byte(lpn >> (8 * i))
+	h := uint64(14695981039346656037)
+	for _, v := range [2]uint64{ino, lpn} {
+		for i := 0; i < 8; i++ {
+			h = (h ^ uint64(byte(v>>(8*i)))) * 1099511628211
+		}
 	}
-	h.Write(b[:])
-	return int(h.Sum64() % uint64(l.Buckets))
+	return int(h % uint64(l.Buckets))
 }
 
 // BucketEntries returns the entry indices belonging to bucket b.

@@ -84,6 +84,9 @@ func TestStoreSteadyStateZeroAllocs(t *testing.T) {
 	if a := testing.AllocsPerRun(100, func() { s.GetInto("b", 0, dst) }); a != 0 {
 		t.Errorf("GetInto: %v allocs, want 0", a)
 	}
+	if a := testing.AllocsPerRun(100, func() { s.GetInto("missing", 0, dst) }); a != 0 {
+		t.Errorf("GetInto of an absent key: %v allocs, want 0", a)
+	}
 }
 
 // ShardFor is FNV-1a over the route prefix, written out by hand; it must

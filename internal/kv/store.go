@@ -20,11 +20,14 @@ type node struct {
 
 // Store is an ordered in-memory key-value store (a skiplist). It is the
 // storage engine of one shard; all mutation goes through the shard's server
-// process, so no internal locking is needed.
+// process, so no internal locking is needed. index maps every key to its
+// list node: point operations (Get, GetInto, an overwriting Put, a Delete
+// miss) are one map lookup, and only the ordered ones — Scan, an insert, a
+// Delete — walk the list.
 type Store struct {
 	head  *node
 	level int
-	size  int
+	index map[string]*node
 	rng   *rand.Rand
 }
 
@@ -37,11 +40,11 @@ type KV struct {
 // NewStore creates an empty store. The seed makes skiplist tower heights
 // deterministic.
 func NewStore(seed int64) *Store {
-	return &Store{head: &node{}, level: 1, rng: rand.New(rand.NewSource(seed))}
+	return &Store{head: &node{}, level: 1, index: map[string]*node{}, rng: rand.New(rand.NewSource(seed))}
 }
 
 // Len returns the number of keys.
-func (s *Store) Len() int { return s.size }
+func (s *Store) Len() int { return len(s.index) }
 
 func (s *Store) randomLevel() int {
 	lvl := 1
@@ -52,7 +55,7 @@ func (s *Store) randomLevel() int {
 }
 
 // findPrev fills prevs with the rightmost node before key at every level.
-func (s *Store) findPrev(key string, prevs *[maxLevel]*node) *node {
+func (s *Store) findPrev(key string, prevs *[maxLevel]*node) {
 	x := s.head
 	for i := s.level - 1; i >= 0; i-- {
 		for x.next[i] != nil && x.next[i].key < key {
@@ -60,7 +63,6 @@ func (s *Store) findPrev(key string, prevs *[maxLevel]*node) *node {
 		}
 		prevs[i] = x
 	}
-	return x.next[0]
 }
 
 // seek returns the first node whose key is not below key, or nil.
@@ -78,8 +80,8 @@ func (s *Store) seek(key string) *node {
 // never hands them out by reference — that is what lets Put overwrite a
 // value in place — so the result stays as it is whatever is stored later.
 func (s *Store) Get(key string) ([]byte, bool) {
-	n := s.seek(key)
-	if n == nil || n.key != key {
+	n, ok := s.index[key]
+	if !ok {
 		return nil, false
 	}
 	return append([]byte(nil), n.val...), true
@@ -89,8 +91,8 @@ func (s *Store) Get(key string) ([]byte, bool) {
 // hold, and returns the value's full length: dst[max(0, n-off):] is left
 // untouched, so a caller that wants a zero-filled window clears that part.
 func (s *Store) GetInto(key string, off int, dst []byte) (int, bool) {
-	n := s.seek(key)
-	if n == nil || n.key != key {
+	n, ok := s.index[key]
+	if !ok {
 		return 0, false
 	}
 	if off < len(n.val) {
@@ -103,12 +105,12 @@ func (s *Store) GetInto(key string, off int, dst []byte) (int, bool) {
 // An existing key's value is overwritten in place, reusing its buffer: no
 // reference to it exists outside the store (see Get).
 func (s *Store) Put(key string, val []byte) {
-	var prevs [maxLevel]*node
-	n := s.findPrev(key, &prevs)
-	if n != nil && n.key == key {
+	if n, ok := s.index[key]; ok {
 		n.val = append(n.val[:0], val...)
 		return
 	}
+	var prevs [maxLevel]*node
+	s.findPrev(key, &prevs)
 	lvl := s.randomLevel()
 	if lvl > s.level {
 		for i := s.level; i < lvl; i++ {
@@ -121,16 +123,17 @@ func (s *Store) Put(key string, val []byte) {
 		nn.next[i] = prevs[i].next[i]
 		prevs[i].next[i] = nn
 	}
-	s.size++
+	s.index[key] = nn
 }
 
 // Delete removes key, reporting whether it existed.
 func (s *Store) Delete(key string) bool {
-	var prevs [maxLevel]*node
-	n := s.findPrev(key, &prevs)
-	if n == nil || n.key != key {
+	n, ok := s.index[key]
+	if !ok {
 		return false
 	}
+	var prevs [maxLevel]*node
+	s.findPrev(key, &prevs)
 	for i := 0; i < s.level; i++ {
 		if prevs[i].next[i] == n {
 			prevs[i].next[i] = n.next[i]
@@ -139,7 +142,7 @@ func (s *Store) Delete(key string) bool {
 	for s.level > 1 && s.head.next[s.level-1] == nil {
 		s.level--
 	}
-	s.size--
+	delete(s.index, key)
 	return true
 }
 

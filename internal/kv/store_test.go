@@ -1,6 +1,7 @@
 package kv
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -68,21 +69,44 @@ func TestScanOrderedWithPrefix(t *testing.T) {
 	}
 }
 
-// Property: the store behaves exactly like a map with sorted iteration.
+// checkIndex reports where the point-lookup index and the level-0 list
+// disagree: they must hold the same keys, in order in the list, and the index
+// must map each key to that key's list node.
+func checkIndex(s *Store) error {
+	n := 0
+	for x := s.head.next[0]; x != nil; x = x.next[0] {
+		if x.next[0] != nil && x.next[0].key <= x.key {
+			return fmt.Errorf("list out of order at %q", x.key)
+		}
+		if s.index[x.key] != x {
+			return fmt.Errorf("index[%q] is not the key's list node", x.key)
+		}
+		n++
+	}
+	if n != len(s.index) {
+		return fmt.Errorf("list holds %d keys, index %d", n, len(s.index))
+	}
+	return nil
+}
+
+// Property: the store behaves exactly like a map with sorted iteration, and
+// after every operation its index and its list hold the same nodes.
 func TestStoreMatchesModelProperty(t *testing.T) {
 	type op struct {
 		Kind byte
 		Key  uint8
 		Val  uint16
+		Off  uint8
 	}
 	f := func(ops []op) bool {
 		s := NewStore(42)
 		m := map[string][]byte{}
 		for _, o := range ops {
-			key := fmt.Sprintf("k%03d", o.Key)
-			switch o.Kind % 3 {
+			// 32 keys, so that deletes and overwrites meet existing keys.
+			key := fmt.Sprintf("k%03d", o.Key%32)
+			val := []byte(fmt.Sprintf("v%d", o.Val))
+			switch o.Kind % 5 {
 			case 0:
-				val := []byte(fmt.Sprintf("v%d", o.Val))
 				s.Put(key, val)
 				m[key] = val
 			case 1:
@@ -98,6 +122,32 @@ func TestStoreMatchesModelProperty(t *testing.T) {
 				if ok != wok || string(got) != string(want) {
 					return false
 				}
+			case 3:
+				off, dst := int(o.Off%8), bytes.Repeat([]byte{0xDB}, int(o.Val%8))
+				n, ok := s.GetInto(key, off, dst)
+				want, wok := m[key]
+				if ok != wok || n != len(want) {
+					return false
+				}
+				w := bytes.Repeat([]byte{0xDB}, len(dst))
+				if off < len(want) {
+					copy(w, want[off:])
+				}
+				if !bytes.Equal(dst, w) {
+					return false
+				}
+			case 4: // delete, then insert the same key afresh
+				got := s.Delete(key)
+				_, want := m[key]
+				if got != want {
+					return false
+				}
+				s.Put(key, val)
+				m[key] = val
+			}
+			if err := checkIndex(s); err != nil {
+				t.Log(err)
+				return false
 			}
 		}
 		if s.Len() != len(m) {

@@ -7,7 +7,11 @@ build:
 
 # vet also runs dpclint, the repo's metric-naming lint: every metric
 # registration and every Publish of a component-owned counter must use a
-# constant name or the sanctioned q%d per-queue convention (see cmd/dpclint); fails on any file gofmt would rewrite; and
+# constant name or the sanctioned q%d per-queue convention (see cmd/dpclint),
+# and every exported field of an Options or *Config struct must be written by
+# some non-test file outside its package (bench/ counts; structs marked
+# //dpclint:params, the modelled testbed's calibration surface, are exempt);
+# fails on any file gofmt would rewrite; and
 # keeps the allocate-and-copy reads (Link.DMARead, Region.Read) out of the
 # cache and nvme-fs data paths, which borrow a view or fill a pooled buffer
 # instead, and the allocate-a-result reads (KVFS.Read, DFS.Read, a by-copy

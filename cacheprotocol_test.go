@@ -58,7 +58,7 @@ func TestBufferedReadDuringWriteBack(t *testing.T) {
 			sys := New(opts)
 			defer sys.Shutdown()
 			cl := sys.KVFSClient()
-			ps := opts.CachePageSize
+			ps := cachePageSize
 			v0, v1 := bytes.Repeat([]byte{0xA0}, ps), bytes.Repeat([]byte{0xB1}, ps)
 			slow := &slowFlushBackend{PageBackend: kvfs.PageBackend{FS: sys.KVFS}, delay: 5 * time.Millisecond}
 
@@ -226,7 +226,7 @@ func sharedPagesRun(t *testing.T, set func(*Options), ops int, k int64) {
 	sys := New(opts)
 	defer sys.Shutdown()
 	cl := sys.KVFSClient()
-	ps := uint64(opts.CachePageSize)
+	ps := uint64(cachePageSize)
 
 	// issued[l] is bumped before writer l%4 submits a version of page l,
 	// acked[l] set once that write has returned.
@@ -388,7 +388,7 @@ func TestMissEngineTerminatesUnderThrash(t *testing.T) {
 	sys := New(opts)
 	defer sys.Shutdown()
 	cl := sys.KVFSClient()
-	ps := opts.CachePageSize
+	ps := cachePageSize
 
 	want := make([]byte, pages*ps)
 	for l := 0; l < pages; l++ {

@@ -725,50 +725,24 @@ func (c *Client) writePageCached(p *sim.Proc, qid int, ino, lpn uint64, page []b
 	return nil
 }
 
-// Read returns up to n bytes at off. Buffered reads of any alignment go
-// through the hybrid cache: hits are served from host memory with no PCIe
-// traffic; misses are filled by the DPU (which also drives the prefetcher).
-// Like a kernel page-cache read, the result is clamped to the handle's EOF
-// and holes read as zeros.
+// Read returns up to n bytes at off: ReadInto on a fresh buffer, nil when
+// nothing was read.
 func (f *File) Read(p *sim.Proc, qid int, off uint64, n int, direct bool) ([]byte, error) {
-	c := f.c
-	s := c.o.Begin(p, "client.read")
-	start := p.Now()
-	out, err := f.read(p, qid, off, n, direct)
-	c.hRead.Observe(time.Duration(p.Now() - start))
-	pinFault(s, err)
-	s.End(p)
-	return out, err
-}
-
-func (f *File) read(p *sim.Proc, qid int, off uint64, n int, direct bool) ([]byte, error) {
-	c := f.c
-	ps := uint64(0)
-	if c.cacheHost != nil {
-		ps = uint64(c.cacheHost.L.PageSize)
-	}
-	if direct || ps == 0 || n <= 0 {
-		return f.readDirect(p, qid, off, n)
-	}
-	eof := f.sizeNow()
-	if off >= eof {
-		return nil, nil
-	}
-	if max := eof - off; uint64(n) > max {
-		n = int(max)
-	}
-	out := make([]byte, n)
-	if err := f.readBuffered(p, qid, off, out); err != nil {
+	out := make([]byte, max(n, 0))
+	got, err := f.ReadInto(p, qid, off, out, direct)
+	if err != nil || got == 0 {
 		return nil, err
 	}
-	return out, nil
+	return out[:got], nil
 }
 
-// ReadInto is Read without the per-call result allocation: up to len(dst)
-// bytes at off land directly in dst (direct reads DMA — or inline-deliver —
-// straight into it) and the byte count is returned. Like Read, buffered
-// results are clamped to the effective EOF and holes read as zeros; dst
-// bytes past the returned count, or after an error, are unspecified.
+// ReadInto reads up to len(dst) bytes at off into dst and returns the byte
+// count. Buffered reads of any alignment go through the hybrid cache: hits
+// are served from host memory with no PCIe traffic; misses are filled by the
+// DPU (which also drives the prefetcher). Like a kernel page-cache read, the
+// result is clamped to the effective EOF and holes read as zeros. Direct
+// reads DMA — or inline-deliver — straight into dst. dst bytes past the
+// returned count, or after an error, are unspecified.
 func (f *File) ReadInto(p *sim.Proc, qid int, off uint64, dst []byte, direct bool) (int, error) {
 	c := f.c
 	s := c.o.Begin(p, "client.read")
@@ -798,8 +772,7 @@ func (f *File) readInto(p *sim.Proc, qid int, off uint64, dst []byte, direct boo
 		n = int(max)
 	}
 	dst = dst[:n]
-	// Holes leave their range of dst untouched, so it must start zeroed
-	// (Read gets this for free from make).
+	// Holes leave their range of dst untouched, so it must start zeroed.
 	for i := range dst {
 		dst[i] = 0
 	}
@@ -829,23 +802,6 @@ func (f *File) readBuffered(p *sim.Proc, qid int, off uint64, dst []byte) error 
 		done += k
 	}
 	return c.fetchPages(p, qid, f.Ino, reqs)
-}
-
-func (f *File) readDirect(p *sim.Proc, qid int, off uint64, n int) ([]byte, error) {
-	if n <= 0 {
-		// Flush-before-read still applies to an empty read.
-		_, err := f.readDirectInto(p, qid, off, nil)
-		return nil, err
-	}
-	out := make([]byte, n)
-	got, err := f.readDirectInto(p, qid, off, out)
-	if err != nil {
-		return nil, err
-	}
-	if got == 0 {
-		return nil, nil
-	}
-	return out[:got], nil
 }
 
 func (f *File) readDirectInto(p *sim.Proc, qid int, off uint64, out []byte) (int, error) {

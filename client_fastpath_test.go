@@ -147,9 +147,9 @@ func TestKVFSDirect8KPairBytes(t *testing.T) {
 	sys.Shutdown()
 }
 
-// directReadSystem builds a cacheless system with 4 KiB chunks and a tight
-// retry budget so one persistently-dropped completion turns into ErrTimeout
-// after exactly three attempts.
+// directReadSystem builds a cacheless system with 4 KiB chunks, where one
+// persistently-dropped completion turns into ErrTimeout after nvme-fs's nine
+// attempts (the first plus eight retries).
 func directReadSystem(t *testing.T, rules []fault.Rule) *System {
 	t.Helper()
 	opts := DefaultOptions()
@@ -157,8 +157,6 @@ func directReadSystem(t *testing.T, rules []fault.Rule) *System {
 	opts.Model.DPUMemMB = 8
 	opts.CachePages = 0
 	opts.NvmeFS.MaxIO = 4096
-	opts.NvmeFS.MaxRetries = 2
-	opts.NvmeFS.ResetThreshold = 100
 	opts.Faults = rules
 	return New(opts)
 }
@@ -171,11 +169,11 @@ func directReadSystem(t *testing.T, rules []fault.Rule) *System {
 // write is 2-4. The read's four chunks complete in handler-latency order,
 // not submission order — the straggler past EOF reads nothing and posts its
 // CQE (event 7) before the short chunk's 1808-byte read (event 8). Dropping
-// event 7 three times (initial + both retries) exhausts the straggler's
+// event 7 nine times (initial + eight retries) exhausts the straggler's
 // budget and surfaces StatusTimeout — which the EOF rule discards.
 func TestReadDirectStragglerErrorDiscardedAtEOF(t *testing.T) {
 	sys := directReadSystem(t, []fault.Rule{
-		{Site: fault.SiteComplete, Kind: fault.KindDropCompletion, FromOp: 7, Count: 3},
+		{Site: fault.SiteComplete, Kind: fault.KindDropCompletion, FromOp: 7, Count: 9},
 	})
 	cl := sys.KVFSClient()
 	payload := make([]byte, 10000)
@@ -203,8 +201,8 @@ func TestReadDirectStragglerErrorDiscardedAtEOF(t *testing.T) {
 	})
 	sys.Run()
 	sys.Shutdown()
-	if sys.Driver.Timeouts != 3 {
-		t.Fatalf("Timeouts = %d, want 3 (fault did not hit the straggler)", sys.Driver.Timeouts)
+	if sys.Driver.Timeouts != 9 {
+		t.Fatalf("Timeouts = %d, want 9 (fault did not hit the straggler)", sys.Driver.Timeouts)
 	}
 }
 
@@ -212,11 +210,11 @@ func TestReadDirectStragglerErrorDiscardedAtEOF(t *testing.T) {
 // the remaining in-flight chunks must still be drained — the driver stays
 // usable for the next operation.
 func TestReadDirectErrorBelowEOFDrainsAndReports(t *testing.T) {
-	// Completions 5-16 dropped: all four read chunks exhaust their three
-	// attempts. The read must fail; the follow-up read (completions 17+)
+	// Completions 5-40 dropped: all four read chunks exhaust their nine
+	// attempts. The read must fail; the follow-up read (completions 41+)
 	// must succeed, proving no slot or pending leaked.
 	sys := directReadSystem(t, []fault.Rule{
-		{Site: fault.SiteComplete, Kind: fault.KindDropCompletion, FromOp: 5, Count: 12},
+		{Site: fault.SiteComplete, Kind: fault.KindDropCompletion, FromOp: 5, Count: 36},
 	})
 	cl := sys.KVFSClient()
 	payload := make([]byte, 10000)
@@ -243,8 +241,8 @@ func TestReadDirectErrorBelowEOFDrainsAndReports(t *testing.T) {
 	})
 	sys.Run()
 	sys.Shutdown()
-	if sys.Driver.Timeouts != 12 {
-		t.Fatalf("Timeouts = %d, want 12", sys.Driver.Timeouts)
+	if sys.Driver.Timeouts != 36 {
+		t.Fatalf("Timeouts = %d, want 36", sys.Driver.Timeouts)
 	}
 }
 

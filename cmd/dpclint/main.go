@@ -15,6 +15,15 @@
 // (the telemetry sampler does this) carries a `//dpclint:ok` suppression on
 // the call's line or the line above it.
 //
+// A second rule keeps configuration surfaces closed: every exported field of
+// an exported Options or *Config struct must be written by some non-test file
+// outside the struct's own package, as a selector assignment (`a.B.C = v`
+// writes C and B) or as a composite-literal key. A field only its package's
+// defaults or tests set is a constant in disguise. Structs whose doc comment
+// carries `//dpclint:params` (the modelled testbed's calibration parameters)
+// are exempt. Fields match by name alone, so a collision can hide a finding
+// but never create one.
+//
 // Usage: dpclint [dir ...]   (default ".", always recursive; _test.go,
 // testdata and vendor are skipped). Exits non-zero on any finding.
 package main
@@ -50,7 +59,33 @@ func main() {
 	if len(roots) == 0 {
 		roots = []string{"."}
 	}
-	findings := 0
+	names, knobs, err := lintTree(roots)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "dpclint:", err)
+		os.Exit(2)
+	}
+	if names > 0 {
+		fmt.Fprintf(os.Stderr, "dpclint: %d dynamic metric name(s); use a constant name, the q%%d/t%%d conventions, or //dpclint:ok\n", names)
+	}
+	if knobs > 0 {
+		fmt.Fprintf(os.Stderr, "dpclint: %d config field(s) no caller sets; make each a constant, or mark a testbed struct //dpclint:params\n", knobs)
+	}
+	if names+knobs > 0 {
+		os.Exit(1)
+	}
+}
+
+// source is one parsed non-test file.
+type source struct {
+	path string
+	f    *ast.File
+}
+
+// lintTree parses every non-test Go file under roots, checks each for
+// dynamic metric names, then checks the whole tree for unset config fields.
+func lintTree(roots []string) (names, knobs int, err error) {
+	fset := token.NewFileSet()
+	var files []source
 	for _, root := range roots {
 		// Accept go-style "./..." patterns; the walk is recursive anyway.
 		root = strings.TrimSuffix(root, "...")
@@ -72,28 +107,24 @@ func main() {
 			if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
 				return nil
 			}
-			findings += lintFile(path)
+			f, err := parser.ParseFile(fset, path, nil, parser.ParseComments)
+			if err != nil {
+				return err
+			}
+			names += lintNames(fset, path, f)
+			files = append(files, source{path, f})
 			return nil
 		})
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "dpclint:", err)
-			os.Exit(2)
+			return 0, 0, err
 		}
 	}
-	if findings > 0 {
-		fmt.Fprintf(os.Stderr, "dpclint: %d dynamic metric name(s); use a constant name, the q%%d/t%%d conventions, or //dpclint:ok\n", findings)
-		os.Exit(1)
-	}
+	return names, lintKnobs(fset, files), nil
 }
 
-func lintFile(path string) int {
-	fset := token.NewFileSet()
-	f, err := parser.ParseFile(fset, path, nil, parser.ParseComments)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "dpclint:", err)
-		os.Exit(2)
-	}
-
+// lintNames reports the file's metric registrations and Publish calls whose
+// name is neither constant nor a sanctioned convention.
+func lintNames(fset *token.FileSet, path string, f *ast.File) int {
 	// Lines carrying a `//dpclint:ok` suppression.
 	suppressed := map[int]bool{}
 	for _, cg := range f.Comments {
@@ -211,4 +242,102 @@ func constString(e ast.Expr) (string, bool) {
 		return l + r, lok && rok
 	}
 	return "", false
+}
+
+// lintKnobs reports every exported field of an exported Options or *Config
+// struct that no non-test file outside the struct's directory writes.
+func lintKnobs(fset *token.FileSet, files []source) int {
+	// writers maps a field name to the directories whose files write it.
+	writers := map[string]map[string]bool{}
+	wrote := func(name, dir string) {
+		if writers[name] == nil {
+			writers[name] = map[string]bool{}
+		}
+		writers[name][dir] = true
+	}
+	for _, s := range files {
+		dir := filepath.Dir(s.path)
+		ast.Inspect(s.f, func(n ast.Node) bool {
+			switch x := n.(type) {
+			case *ast.AssignStmt:
+				for _, lhs := range x.Lhs {
+					// a.B[i].C = v writes C and B.
+					for e := lhs; e != nil; {
+						switch y := e.(type) {
+						case *ast.SelectorExpr:
+							wrote(y.Sel.Name, dir)
+							e = y.X
+						case *ast.IndexExpr:
+							e = y.X
+						case *ast.StarExpr:
+							e = y.X
+						case *ast.ParenExpr:
+							e = y.X
+						default:
+							e = nil
+						}
+					}
+				}
+			case *ast.KeyValueExpr:
+				if id, ok := x.Key.(*ast.Ident); ok {
+					wrote(id.Name, dir)
+				}
+			}
+			return true
+		})
+	}
+
+	findings := 0
+	for _, s := range files {
+		dir := filepath.Dir(s.path)
+		for _, decl := range s.f.Decls {
+			gd, ok := decl.(*ast.GenDecl)
+			if !ok || gd.Tok != token.TYPE {
+				continue
+			}
+			for _, spec := range gd.Specs {
+				ts := spec.(*ast.TypeSpec)
+				st, ok := ts.Type.(*ast.StructType)
+				name := ts.Name.Name
+				if !ok || !ts.Name.IsExported() || name != "Options" && !strings.HasSuffix(name, "Config") ||
+					isParams(gd.Doc) || isParams(ts.Doc) {
+					continue
+				}
+				for _, field := range st.Fields.List {
+					for _, id := range field.Names {
+						if !id.IsExported() || writtenOutside(writers[id.Name], dir) {
+							continue
+						}
+						pos := fset.Position(id.Pos())
+						fmt.Fprintf(os.Stderr, "%s:%d: %s.%s.%s is set by no non-test file outside its package\n",
+							s.path, pos.Line, s.f.Name.Name, name, id.Name)
+						findings++
+					}
+				}
+			}
+		}
+	}
+	return findings
+}
+
+// isParams reports whether a doc comment marks its struct //dpclint:params.
+func isParams(doc *ast.CommentGroup) bool {
+	if doc == nil {
+		return false
+	}
+	for _, c := range doc.List {
+		if strings.Contains(c.Text, "dpclint:params") {
+			return true
+		}
+	}
+	return false
+}
+
+func writtenOutside(dirs map[string]bool, own string) bool {
+	for d := range dirs {
+		if d != own {
+			return true
+		}
+	}
+	return false
 }

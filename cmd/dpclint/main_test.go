@@ -1,6 +1,8 @@
 package main
 
 import (
+	"go/parser"
+	"go/token"
 	"os"
 	"path/filepath"
 	"testing"
@@ -8,11 +10,12 @@ import (
 
 func lintSource(t *testing.T, src string) int {
 	t.Helper()
-	path := filepath.Join(t.TempDir(), "x.go")
-	if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
+	fset := token.NewFileSet()
+	f, err := parser.ParseFile(fset, "x.go", src, parser.ParseComments)
+	if err != nil {
 		t.Fatal(err)
 	}
-	return lintFile(path)
+	return lintNames(fset, "x.go", f)
 }
 
 func TestLintAcceptsConstantNames(t *testing.T) {
@@ -156,5 +159,93 @@ func f(m M, name string) {
 `
 	if n := lintSource(t, src); n != 0 {
 		t.Errorf("non-metric calls flagged: %d findings", n)
+	}
+}
+
+// TestLintKnobs runs the config-field rule over small module trees: package a
+// declares the struct, the other files are its would-be callers.
+func TestLintKnobs(t *testing.T) {
+	const decl = `package a
+
+type Config struct {
+	Knob  int
+	Inner SubConfig
+	local int
+}
+
+type SubConfig struct{ Depth int }
+
+func DefaultConfig() Config { return Config{Knob: 1, Inner: SubConfig{Depth: 2}, local: 3} }
+`
+	cases := []struct {
+		name  string
+		files map[string]string
+		want  int
+	}{
+		{"set only by its package's default", map[string]string{
+			"a/a.go": decl,
+		}, 3},
+		{"set from another package", map[string]string{
+			"a/a.go": decl,
+			"b/b.go": `package b
+func f() {
+	c := a.DefaultConfig()
+	c.Knob = 2
+	_ = a.Config{Inner: a.SubConfig{Depth: 4}}
+}
+`,
+		}, 0},
+		{"parent set only through opts.X.Y", map[string]string{
+			"a/a.go": decl,
+			"b/b.go": `package b
+func f(opts *Options) {
+	opts.Cfg.Knob = 2
+	opts.Cfg.Inner.Depth = 4
+}
+`,
+		}, 0},
+		{"set only in a test file", map[string]string{
+			"a/a.go": decl,
+			"b/b_test.go": `package b
+func f(c *a.Config) { c.Knob, c.Inner.Depth = 2, 4 }
+`,
+		}, 3},
+		{"params struct skipped", map[string]string{
+			"a/a.go": `package a
+
+// Config is a calibration surface.
+//
+//dpclint:params
+type Config struct{ Knob int }
+
+type (
+	// SubConfig too.
+	//
+	//dpclint:params
+	SubConfig struct{ Depth int }
+)
+`,
+		}, 0},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			root := t.TempDir()
+			for name, src := range tc.files {
+				path := filepath.Join(root, name)
+				if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+					t.Fatal(err)
+				}
+				if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			names, knobs, err := lintTree([]string{root})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if names != 0 || knobs != tc.want {
+				t.Errorf("findings: %d metric names, %d knobs; want 0 and %d", names, knobs, tc.want)
+			}
+		})
 	}
 }

@@ -1,17 +1,13 @@
 // Command dpcstat pretty-prints a metrics snapshot produced by
 // `dpcbench -metrics-out` (the obs registry's JSON snapshot format):
 // counters and gauges grouped by layer, histograms as one summary row each
-// with p50/p95/p99 quantiles recomputed from the log-spaced buckets.
-//
-// With -diff, it compares two snapshots instead: counters as B−A deltas,
-// gauges as before → after, sorted and byte-stable, so snapshot drift is a
-// one-command answer instead of an eyeball job.
+// with p50/p95/p99 quantiles recomputed from the log-spaced buckets. To
+// compare two snapshots, use dpcdiff.
 //
 // Usage:
 //
 //	dpcstat snapshot.json
 //	dpcstat < snapshot.json
-//	dpcstat -diff before.json after.json
 package main
 
 import (
@@ -28,31 +24,11 @@ import (
 )
 
 func main() {
-	diff := flag.Bool("diff", false, "compare two snapshots (A B): counters as deltas, gauges as before -> after")
 	flag.Usage = func() {
-		fmt.Fprintln(os.Stderr, "usage: dpcstat [snapshot.json]\n       dpcstat -diff A.json B.json")
+		fmt.Fprintln(os.Stderr, "usage: dpcstat [snapshot.json]")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
-
-	if *diff {
-		if flag.NArg() != 2 {
-			flag.Usage()
-			os.Exit(2)
-		}
-		a, err := loadSnapshot(flag.Arg(0))
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "dpcstat:", err)
-			os.Exit(1)
-		}
-		b, err := loadSnapshot(flag.Arg(1))
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "dpcstat:", err)
-			os.Exit(1)
-		}
-		fmt.Print(obs.DiffSnapshots(a, b))
-		return
-	}
 
 	var (
 		data []byte
@@ -78,18 +54,6 @@ func main() {
 		os.Exit(1)
 	}
 	render(os.Stdout, s)
-}
-
-func loadSnapshot(path string) (obs.Snapshot, error) {
-	var s obs.Snapshot
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return s, err
-	}
-	if err := json.Unmarshal(data, &s); err != nil {
-		return s, fmt.Errorf("%s: not a metrics snapshot: %w", path, err)
-	}
-	return s, nil
 }
 
 // render writes the whole report; split from main so tests can pin the

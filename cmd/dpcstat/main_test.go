@@ -1,7 +1,6 @@
 package main
 
 import (
-	"os"
 	"strings"
 	"testing"
 
@@ -63,42 +62,6 @@ tracer
 `
 	if got := b.String(); got != want {
 		t.Errorf("render output:\n%s\nwant:\n%s", got, want)
-	}
-}
-
-// TestLoadSnapshotDiff round-trips two snapshots through files and checks
-// the -diff rendering path end to end (the formatting itself is pinned in
-// the obs package's DiffSnapshots tests).
-func TestLoadSnapshotDiff(t *testing.T) {
-	dir := t.TempDir()
-	write := func(name, body string) string {
-		p := dir + "/" + name
-		if err := os.WriteFile(p, []byte(body), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return p
-	}
-	pa := write("a.json", `{"sim_time_ns": 10, "counters": {"wal.commits": 2}, "gauges": {}, "histograms": {}}`)
-	pb := write("b.json", `{"sim_time_ns": 30, "counters": {"wal.commits": 9}, "gauges": {}, "histograms": {}}`)
-
-	a, err := loadSnapshot(pa)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := loadSnapshot(pb)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := obs.DiffSnapshots(a, b)
-	if !strings.Contains(got, "+7 (2 -> 9)") {
-		t.Errorf("diff output:\n%s", got)
-	}
-
-	if _, err := loadSnapshot(write("bad.json", "not json")); err == nil {
-		t.Error("bad snapshot: want error")
-	}
-	if _, err := loadSnapshot(dir + "/missing.json"); err == nil {
-		t.Error("missing file: want error")
 	}
 }
 

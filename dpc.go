@@ -58,19 +58,15 @@ type Options struct {
 	// EnableKVFS attaches the standalone KVFS service over a disaggregated
 	// KV cluster.
 	EnableKVFS bool
-	KV         kv.ClusterConfig
 
 	// EnableDFS attaches the offloaded distributed file service.
 	EnableDFS bool
-	DFS       dfs.BackendConfig
-	DFSCosts  dfs.CoreCosts
 
-	// CachePages enables the hybrid cache with this many pages per enabled
-	// service (0 disables caching).
-	CachePages    int
-	CachePageSize int
-	CacheBuckets  int
-	Ctl           cache.CtlConfig
+	// CachePages enables the hybrid cache with this many 8 KiB pages per
+	// enabled service (0 disables caching).
+	CachePages   int
+	CacheBuckets int
+	Ctl          cache.CtlConfig
 
 	// WAL, when Enabled, puts a write-ahead log on a local simulated SSD and
 	// attaches it to the KVFS cache controller: fsync group-commits dirty
@@ -94,26 +90,20 @@ type Options struct {
 	DIF         bool
 }
 
+// cachePageSize is the hybrid cache's page size.
+const cachePageSize = 8192
+
 // DefaultOptions enables KVFS with a 2048-page (16 MB) hybrid cache.
 func DefaultOptions() Options {
 	return Options{
-		Model:      model.Default(),
-		NvmeFS:     nvmefs.DefaultConfig(),
-		EnableKVFS: true,
-		KV:         kv.DefaultClusterConfig(),
-		EnableDFS:  false,
-		DFS:        dfs.DefaultBackendConfig(),
-		// The offloaded client core is a lean, purpose-built pipeline: it
-		// skips the kernel client's syscall/VFS/page-pinning overheads and
-		// uses the DPU's erasure-coding accelerator (§3.3: "this step can
-		// be accelerated by hardware"), so its per-op cost is well below
-		// the host client's ~71 µs.
-		DFSCosts:      dfs.CoreCosts{PerOpCycles: 45_000, ECCyclesPerByte: 1, DelegationCycles: 2_500},
-		CachePages:    2048,
-		CachePageSize: 8192,
-		CacheBuckets:  256,
-		Ctl:           cache.DefaultCtlConfig(),
-		WAL:           wal.DefaultConfig(),
+		Model:        model.Default(),
+		NvmeFS:       nvmefs.DefaultConfig(),
+		EnableKVFS:   true,
+		EnableDFS:    false,
+		CachePages:   2048,
+		CacheBuckets: 256,
+		Ctl:          cache.DefaultCtlConfig(),
+		WAL:          wal.DefaultConfig(),
 	}
 }
 
@@ -165,7 +155,7 @@ func New(opts Options) *System {
 		kvfsSizes: newSizeTable(), dfsSizes: newSizeTable(), pool: bufpool.New()}
 
 	if opts.EnableKVFS {
-		sys.KVCluster = kv.NewCluster(m.Eng, m.Net, opts.KV)
+		sys.KVCluster = kv.NewCluster(m.Eng, m.Net, kv.DefaultClusterConfig())
 		sys.KVFS = kvfs.New(m, sys.KVCluster.NewClient(m.DPUNode))
 		if t := buildTransform(opts); t != nil {
 			sys.KVFS.SetTransform(t)
@@ -185,8 +175,14 @@ func New(opts Options) *System {
 		sys.kvfsSvc = svc
 	}
 	if opts.EnableDFS {
-		sys.DFSBackend = dfs.NewBackend(m.Eng, m.Net, opts.DFS)
-		sys.DFSCore = dfs.NewCore(sys.DFSBackend, m.DPUNode, m.DPUCPU, opts.DFSCosts)
+		sys.DFSBackend = dfs.NewBackend(m.Eng, m.Net, dfs.DefaultBackendConfig())
+		// The offloaded client core is a lean, purpose-built pipeline: it
+		// skips the kernel client's syscall/VFS/page-pinning overheads and
+		// uses the DPU's erasure-coding accelerator (§3.3: "this step can
+		// be accelerated by hardware"), so its per-op cost is well below
+		// the host client's ~71 µs.
+		costs := dfs.CoreCosts{PerOpCycles: 45_000, ECCyclesPerByte: 1, DelegationCycles: 2_500}
+		sys.DFSCore = dfs.NewCore(sys.DFSBackend, m.DPUNode, m.DPUCPU, costs)
 		sys.DFSCore.AttachObs(m.Obs)
 		svc := &dispatch.Service{DFS: sys.DFSCore}
 		if opts.CachePages > 0 {
@@ -223,9 +219,9 @@ func New(opts Options) *System {
 }
 
 func (sys *System) newCacheLayout(opts Options) cache.Layout {
-	probe := cache.NewLayout(0, opts.CachePageSize, opts.CachePages, opts.CacheBuckets)
+	probe := cache.NewLayout(0, cachePageSize, opts.CachePages, opts.CacheBuckets)
 	base := sys.M.AllocHost(probe.Size(), 4096)
-	l := cache.NewLayout(base, opts.CachePageSize, opts.CachePages, opts.CacheBuckets)
+	l := cache.NewLayout(base, cachePageSize, opts.CachePages, opts.CacheBuckets)
 	cache.InitHeader(sys.M.HostMem, l, cache.ModeWrite)
 	return l
 }
@@ -385,9 +381,8 @@ func (sys *System) Recover(p *sim.Proc) (wal.ReplayStats, *kvfs.RecoverReport, e
 	rep := sys.KVFS.Scavenge(p, sys.KVCluster)
 	sys.KVFS.SetNextIno(rep.MaxIno + 1)
 	backend := kvfs.PageBackend{FS: sys.KVFS}
-	ps := sys.Opts.CachePageSize
 	st, err := sys.WAL.Recover(p, func(pp *sim.Proc, r wal.Record) error {
-		return backend.WritePage(pp, r.Ino, r.LPN, ps, r.Data)
+		return backend.WritePage(pp, r.Ino, r.LPN, cachePageSize, r.Data)
 	})
 	if err != nil {
 		return st, rep, err

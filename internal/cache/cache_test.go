@@ -57,6 +57,12 @@ func newTestCache(t *testing.T, pages, buckets int, ctlCfg CtlConfig) (*model.Ma
 
 func page(seed byte) []byte { return bytes.Repeat([]byte{seed}, 4096) }
 
+// lookupPage reads a whole cached page through LookupInto.
+func lookupPage(p *sim.Proc, h *Host, ino, lpn uint64) ([]byte, bool) {
+	data := make([]byte, h.L.PageSize)
+	return data, h.LookupInto(p, ino, lpn, 0, data)
+}
+
 func TestLayoutGeometry(t *testing.T) {
 	l := NewLayout(0x1000, 4096, 64, 8)
 	if l.Size() != HeaderSize+64*EntrySize+64*4096 {
@@ -119,11 +125,11 @@ func TestHostWriteThenLookup(t *testing.T) {
 			t.Error("WritePage failed")
 			return
 		}
-		got, ok := h.Lookup(p, 7, 3)
+		got, ok := lookupPage(p, h, 7, 3)
 		if !ok || !bytes.Equal(got, page(0xAB)) {
 			t.Error("Lookup after write failed")
 		}
-		if _, ok := h.Lookup(p, 7, 4); ok {
+		if _, ok := lookupPage(p, h, 7, 4); ok {
 			t.Error("Lookup of absent page hit")
 		}
 	})
@@ -143,7 +149,7 @@ func TestHostWriteUpdatesInPlace(t *testing.T) {
 		if HeaderFree(m.HostMem, l) != free1 {
 			t.Error("in-place update consumed a page")
 		}
-		got, _ := h.Lookup(p, 1, 1)
+		got, _ := lookupPage(p, h, 1, 1)
 		if !bytes.Equal(got, page(2)) {
 			t.Error("update not visible")
 		}
@@ -290,7 +296,7 @@ func TestFillPageAndHostHit(t *testing.T) {
 	})
 	m.Eng.Run()
 	m.Eng.Go("host", func(p *sim.Proc) {
-		got, ok := h.Lookup(p, 3, 14)
+		got, ok := lookupPage(p, h, 3, 14)
 		if !ok || !bytes.Equal(got, page(0x5A)) {
 			t.Error("host lookup of DPU-filled page failed")
 		}
@@ -370,7 +376,7 @@ func TestPrefetchOnSequentialStream(t *testing.T) {
 	// Prefetched pages must now be host-cache hits.
 	m2 := m
 	m2.Eng.Go("host", func(p *sim.Proc) {
-		got, ok := h.Lookup(p, 4, 3)
+		got, ok := lookupPage(p, h, 4, 3)
 		if !ok || !bytes.Equal(got, page(3)) {
 			t.Error("prefetched page not in host cache")
 		}
@@ -446,14 +452,14 @@ func TestSecondChanceSparesHotEntry(t *testing.T) {
 			}
 		}
 		// Touch (1,0): sets its ref bit.
-		if _, ok := h.Lookup(p, 1, 0); !ok {
+		if _, ok := lookupPage(p, h, 1, 0); !ok {
 			t.Error("hot lookup missed")
 		}
 		// Insert one more page: eviction must spare (1,0).
 		if c.FillPage(p, 1, 100, page(0xFF)) < 0 {
 			t.Error("fill after eviction failed")
 		}
-		if _, ok := h.Lookup(p, 1, 0); !ok {
+		if _, ok := lookupPage(p, h, 1, 0); !ok {
 			t.Error("hot entry was evicted despite its reference bit")
 		}
 	})
@@ -470,10 +476,10 @@ func TestFIFOIgnoresReferenceBit(t *testing.T) {
 		for lpn := uint64(0); lpn < 8; lpn++ {
 			c.FillPage(p, 1, lpn, page(byte(lpn)))
 		}
-		h.Lookup(p, 1, 0) // sets ref bit, but FIFO does not care
+		lookupPage(p, h, 1, 0) // sets ref bit, but FIFO does not care
 		c.FillPage(p, 1, 100, page(0xFF))
 		// The clock hand started at 0: (1,0) is evicted even though hot.
-		if _, ok := h.Lookup(p, 1, 0); ok {
+		if _, ok := lookupPage(p, h, 1, 0); ok {
 			t.Error("FIFO unexpectedly spared the referenced entry")
 		}
 	})
@@ -668,7 +674,7 @@ func stepper(m *model.Machine, body func(p *sim.Proc)) (step func()) {
 // (64 chunk DMAs over 8192 entries) decodes DMA views in place and allocates
 // nothing, while still charging every modelled DMA.
 func TestFlushPassCleanTableZeroAllocs(t *testing.T) {
-	m, _, _, c, _ := newTestCache(t, 8192, 1024, CtlConfig{FlushWorkers: 4})
+	m, _, _, c, _ := newTestCache(t, 8192, 1024, CtlConfig{})
 	defer m.Eng.Shutdown()
 	step := stepper(m, func(p *sim.Proc) {
 		if n, err := c.FlushPass(p, 256); n != 0 || err != nil {
@@ -762,7 +768,7 @@ func (b *retainingBackend) WritePage(p *sim.Proc, ino, lpn uint64, pageSize int,
 func TestFlushPageBufferIsRecycled(t *testing.T) {
 	bufpool.SetPoison(true)
 	defer bufpool.SetPoison(false)
-	m, _, h, c, _ := newTestCache(t, 64, 8, CtlConfig{FlushWorkers: 1})
+	m, _, h, c, _ := newTestCache(t, 64, 8, CtlConfig{})
 	defer m.Eng.Shutdown()
 	rb := &retainingBackend{memBackend: *newMemBackend()}
 	c.SetBackend(rb)
@@ -804,13 +810,13 @@ func TestLookupWaitsOutHeldLock(t *testing.T) {
 		})
 		p.Sleep(10 * time.Microsecond) // both locks are held by now
 		from := p.Now()
-		if got, ok := h.Lookup(p, 7, 3); !ok || !bytes.Equal(got, page(0xAB)) {
+		if got, ok := lookupPage(p, h, 7, 3); !ok || !bytes.Equal(got, page(0xAB)) {
 			t.Error("lookup of a locked page did not wait for it")
 		}
 		if waited := time.Duration(p.Now() - from); waited < 25*time.Microsecond {
 			t.Errorf("lookup returned after %v, before the lock was released", waited)
 		}
-		if _, ok := h.Lookup(p, 7, 4); ok {
+		if _, ok := lookupPage(p, h, 7, 4); ok {
 			t.Error("lookup hit an entry that was freed under its lock")
 		}
 	})

@@ -54,9 +54,7 @@ const (
 
 // CtlConfig tunes the control plane.
 type CtlConfig struct {
-	FlushBatch   int // max dirty pages flushed per daemon pass
-	FlushWorkers int // write-back window: dirty pages flushed concurrently
-	Policy       Policy
+	Policy Policy
 
 	PrefetchEnabled bool
 	PrefetchDepth   int // pages fetched ahead once a stream is detected
@@ -69,8 +67,13 @@ type CtlConfig struct {
 
 // DefaultCtlConfig returns the experiments' defaults.
 func DefaultCtlConfig() CtlConfig {
-	return CtlConfig{FlushBatch: 256, FlushWorkers: 32, PrefetchEnabled: true, PrefetchDepth: 16, AdaptivePrefetch: true, FlushEnabled: true}
+	return CtlConfig{PrefetchEnabled: true, PrefetchDepth: 16, AdaptivePrefetch: true, FlushEnabled: true}
 }
+
+const (
+	flushBatch   = 256 // max dirty pages flushed per daemon pass
+	flushWorkers = 32  // write-back window: dirty pages flushed concurrently
+)
 
 type stream struct {
 	lastLPN uint64
@@ -230,9 +233,6 @@ func (c *Ctl) SetBackend(b Backend) { c.backend = b }
 
 // NewCtl creates the control plane and starts the flush daemon.
 func NewCtl(m *model.Machine, l Layout, backend Backend, cfg CtlConfig) *Ctl {
-	if cfg.FlushWorkers <= 0 {
-		cfg.FlushWorkers = DefaultCtlConfig().FlushWorkers
-	}
 	c := &Ctl{
 		m:        m,
 		L:        l,
@@ -322,7 +322,7 @@ func (c *Ctl) flushDaemon(p *sim.Proc) {
 		if c.stopped {
 			return
 		}
-		c.FlushPass(p, c.cfg.FlushBatch)
+		c.FlushPass(p, flushBatch)
 	}
 }
 
@@ -378,17 +378,14 @@ func (c *Ctl) scanDirty(p *sim.Proc, ino uint64, limit int) []int {
 }
 
 // flushWindow writes the given entries back with a bounded pool of worker
-// processes (FlushWorkers wide; a serial flusher could never keep up with
+// processes (flushWorkers wide; a serial flusher could never keep up with
 // write-back load) and returns how many flushed. flush is the per-entry
 // attempt; it reports whether this call flushed the entry.
 func (c *Ctl) flushWindow(p *sim.Proc, entries []int, flush func(pp *sim.Proc, i int) (bool, error)) (int, error) {
 	if len(entries) == 0 {
 		return 0, nil
 	}
-	workers := c.cfg.FlushWorkers
-	if workers > len(entries) {
-		workers = len(entries)
-	}
+	workers := min(flushWorkers, len(entries))
 	flushed := 0
 	next := 0
 	remaining := workers

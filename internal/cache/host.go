@@ -123,15 +123,6 @@ func (h *Host) acquire(p *sim.Proc, ino, lpn uint64, kind uint32) int {
 
 func (h *Host) unlock(i int) { h.m.HostMem.PutUint32(h.L.EntryAddr(i)+offLock, LockNone) }
 
-// Lookup returns a copy of the cached page for <ino, lpn>; see LookupInto.
-func (h *Host) Lookup(p *sim.Proc, ino, lpn uint64) ([]byte, bool) {
-	data := make([]byte, h.L.PageSize)
-	if !h.LookupInto(p, ino, lpn, 0, data) {
-		return nil, false
-	}
-	return data, true
-}
-
 // LookupInto copies dst's worth of the cached page for <ino, lpn>, starting
 // at page offset po, into the caller's buffer: the zero-allocation read path.
 // False means the page is absent, never that it is busy: a page the control

@@ -270,7 +270,7 @@ func postContents(m *durableModel, op Op) map[string][]byte {
 // mix of pre- and post-op state is legal, but still nothing that was never
 // written. Returns "" on success, or a description of the violation.
 func verifyRecovered(p *sim.Proc, sys *dpc.System, cl *dpc.Client, m *durableModel, inflight *Op) string {
-	ps := sys.Opts.CachePageSize
+	ps := sys.KVFSService().Ctl.L.PageSize
 	relaxed := map[string]bool{}
 	if inflight != nil {
 		relaxed[inflight.Path] = true
@@ -559,9 +559,6 @@ func runCrashPoint(seed int64, trace []Op, wins []opWindow, pt CrashPoint) (*Cra
 // removed in shrinking chunks, re-timing the survivor trace each round so
 // the crash instant tracks the anchor's new window. budget bounds replays.
 func ShrinkCrash(fail *CrashFailure, budget int) *CrashFailure {
-	if budget <= 0 {
-		budget = 100
-	}
 	trace := fail.Trace
 	if i := indexOfIdx(trace, fail.Point.Anchor); i >= 0 && i+1 < len(trace) {
 		trace = trace[:i+1]
@@ -610,14 +607,17 @@ func ShrinkCrash(fail *CrashFailure, budget int) *CrashFailure {
 
 // CrashSuiteConfig parameterizes a crash-restart torture sweep.
 type CrashSuiteConfig struct {
-	Seeds        []int64
-	Ops          int // trace length per seed (default 160)
-	Points       int // crash points per seed (default 6)
-	Shrink       bool
-	ShrinkBudget int // max replays per shrink; 0 = 100
-	Parallel     int // concurrent seeds; 0 = GOMAXPROCS
-	Logf         func(format string, args ...any)
+	Seeds    []int64
+	Ops      int  // trace length per seed (default 160)
+	Points   int  // crash points per seed (default 6)
+	Shrink   bool // delta-debug failures before reporting (crashShrinkBudget replays)
+	Parallel int  // concurrent seeds; 0 = GOMAXPROCS
+	Logf     func(format string, args ...any)
 }
+
+// crashShrinkBudget bounds the replays one ShrinkCrash of a sweep failure may
+// spend.
+const crashShrinkBudget = 100
 
 // CrashReport aggregates a sweep's recovery telemetry.
 type CrashReport struct {
@@ -691,7 +691,7 @@ func RunCrashSuite(cfg CrashSuiteConfig) ([]*CrashFailure, *CrashReport, error) 
 				}
 				logf("FAIL crash seed=%d anchor=#%d: %s", seed, pt.Anchor, fail.Diff)
 				if cfg.Shrink {
-					shrunk := ShrinkCrash(fail, cfg.ShrinkBudget)
+					shrunk := ShrinkCrash(fail, crashShrinkBudget)
 					logf("shrunk crash seed=%d anchor=#%d to %d ops", seed, pt.Anchor, len(shrunk.Trace))
 					fail = shrunk
 				}

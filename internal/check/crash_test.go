@@ -13,12 +13,11 @@ import (
 // must actually be exercised: records replayed and torn tails detected.
 func TestCrashRestartTorture(t *testing.T) {
 	fails, rep, err := RunCrashSuite(CrashSuiteConfig{
-		Seeds:        []int64{1, 2, 3},
-		Ops:          140,
-		Points:       5,
-		Shrink:       true,
-		ShrinkBudget: 40,
-		Logf:         t.Logf,
+		Seeds:  []int64{1, 2, 3},
+		Ops:    140,
+		Points: 5,
+		Shrink: true,
+		Logf:   t.Logf,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -237,15 +237,17 @@ func shrinkWith(factory func() (*World, error), fail *Failure, budget int) (*Fai
 
 // SuiteConfig parameterizes a torture run.
 type SuiteConfig struct {
-	Stacks       []string // nil = all stacks
-	Seeds        []int64
-	Ops          int  // trace length per (stack, seed)
-	Faults       bool // run under the deterministic per-seed fault schedule
-	Shrink       bool // delta-debug failures before reporting
-	ShrinkBudget int  // max replays per shrink; 0 = 200
-	Parallel     int  // concurrent worlds; 0 = GOMAXPROCS
-	Logf         func(format string, args ...any)
+	Stacks   []string // nil = all stacks
+	Seeds    []int64
+	Ops      int  // trace length per (stack, seed)
+	Faults   bool // run under the deterministic per-seed fault schedule
+	Shrink   bool // delta-debug failures before reporting (shrinkBudget replays)
+	Parallel int  // concurrent worlds; 0 = GOMAXPROCS
+	Logf     func(format string, args ...any)
 }
+
+// shrinkBudget bounds the replays one Shrink of a suite failure may spend.
+const shrinkBudget = 200
 
 // StackList is the stacks the suite runs: cfg.Stacks, or every stack its
 // mode supports.
@@ -317,11 +319,7 @@ func RunSuite(cfg SuiteConfig) ([]*Failure, error) {
 			}
 			logf("FAIL %-11s seed=%-4d: %s", j.stack, j.seed, fail.Diff)
 			if cfg.Shrink {
-				budget := cfg.ShrinkBudget
-				if budget <= 0 {
-					budget = 200
-				}
-				if shrunk, err := Shrink(fail, budget); err == nil && shrunk != nil {
+				if shrunk, err := Shrink(fail, shrinkBudget); err == nil && shrunk != nil {
 					logf("shrunk %s seed=%d to %d ops", j.stack, j.seed, len(shrunk.Trace))
 					fail = shrunk
 				}

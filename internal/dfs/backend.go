@@ -25,6 +25,8 @@ import (
 const BlockSize = 8192
 
 // BackendConfig sizes the DFS backend.
+//
+//dpclint:params
 type BackendConfig struct {
 	MDSCount int
 	DSCount  int

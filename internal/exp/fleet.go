@@ -67,12 +67,6 @@ type FleetConfig struct {
 	Measure        time.Duration
 	Seed           int64
 
-	// Aggressor budgets, enforced by the DRR scheduler in the "drr" phase
-	// (the FIFO phase ignores them by design — that is the contrast).
-	AggMaxInflight  int
-	AggBandwidthBps int64
-	AggMaxQueued    int
-
 	// SLOs are per-tenant objective templates for the telemetry attached to
 	// the drr phase; "t*." in a metric expands per tenant. Empty attaches
 	// the sampler with no objectives.
@@ -80,21 +74,15 @@ type FleetConfig struct {
 }
 
 // DefaultFleetConfig is the committed BENCH_8 scenario: 8 tenants, ~200
-// client procs, budgets calibrated so the drr-phase victim tail holds near
-// the uncontended baseline.
+// client procs.
 func DefaultFleetConfig() FleetConfig {
 	return FleetConfig{
-		Tenants:         8,
-		VictimProcs:     24,
-		AggressorProcs:  32,
-		Warmup:          2 * time.Millisecond,
-		Measure:         10 * time.Millisecond,
-		Seed:            1,
-		AggMaxInflight:  2,
-		AggBandwidthBps: 400 << 20,
-		// Half the aggressor's 64 transport slots: the flood's arrival burst
-		// overruns the bound and admission control sheds the excess.
-		AggMaxQueued: 32,
+		Tenants:        8,
+		VictimProcs:    24,
+		AggressorProcs: 32,
+		Warmup:         2 * time.Millisecond,
+		Measure:        10 * time.Millisecond,
+		Seed:           1,
 	}
 }
 
@@ -209,10 +197,16 @@ func runFleetPhase(cfg FleetConfig, faults []fault.Rule, name string, withAggres
 	// reference.
 	opts.NvmeFS.DispatchWorkers = 32
 	tenants := make([]nvmefs.TenantConfig, cfg.Tenants)
+	// The aggressor's budgets, enforced by the DRR scheduler in the "drr"
+	// phase (the FIFO phase ignores them by design — that is the contrast),
+	// calibrated so the drr-phase victim tail holds near the uncontended
+	// baseline.
 	tenants[0] = nvmefs.TenantConfig{
-		MaxInflight:  cfg.AggMaxInflight,
-		BandwidthBps: cfg.AggBandwidthBps,
-		MaxQueued:    cfg.AggMaxQueued,
+		MaxInflight:  2,
+		BandwidthBps: 400 << 20,
+		// Half the aggressor's 64 transport slots: the flood's arrival burst
+		// overruns the bound and admission control sheds the excess.
+		MaxQueued: 32,
 	}
 	opts.NvmeFS.Tenants = tenants
 	opts.NvmeFS.SchedFIFO = fifo

@@ -7,18 +7,17 @@ import (
 )
 
 // tinyFleetConfig is a scaled-down fleet that keeps the test fast while
-// still exercising every phase, the prefill, and the scheduler budgets.
+// still exercising every phase, the prefill, and the scheduler budgets. The
+// 8ms window is long enough for the drr-phase aggressor, held to its
+// bandwidth budget behind a 32-deep ready queue, to finish ops inside it.
 func tinyFleetConfig() FleetConfig {
 	return FleetConfig{
-		Tenants:         4,
-		VictimProcs:     8,
-		AggressorProcs:  12,
-		Warmup:          1 * time.Millisecond,
-		Measure:         4 * time.Millisecond,
-		Seed:            7,
-		AggMaxInflight:  2,
-		AggBandwidthBps: 400 << 20,
-		AggMaxQueued:    16,
+		Tenants:        4,
+		VictimProcs:    8,
+		AggressorProcs: 12,
+		Warmup:         1 * time.Millisecond,
+		Measure:        8 * time.Millisecond,
+		Seed:           7,
 	}
 }
 

@@ -14,6 +14,8 @@ import (
 )
 
 // Config is the fabric cost model.
+//
+//dpclint:params
 type Config struct {
 	// PropDelay is the one-way propagation + switching delay.
 	PropDelay time.Duration

@@ -50,6 +50,8 @@ type Reply struct {
 }
 
 // ClusterConfig sizes the disaggregated store.
+//
+//dpclint:params
 type ClusterConfig struct {
 	Shards          int
 	WorkersPerShard int

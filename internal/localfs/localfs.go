@@ -65,6 +65,8 @@ type DirEntry struct {
 }
 
 // Config tunes the file system.
+//
+//dpclint:params
 type Config struct {
 	InodeCount     int
 	PageCachePages int   // buffered-I/O cache capacity in 4 KB pages

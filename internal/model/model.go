@@ -97,6 +97,8 @@ func (c Costs) ScaleCycles(f float64) Costs {
 }
 
 // Config describes the whole simulated testbed.
+//
+//dpclint:params
 type Config struct {
 	Seed int64
 

@@ -61,12 +61,7 @@ func TestDroppedCompletionTimesOutAndRetries(t *testing.T) {
 }
 
 func TestRetryBudgetExhaustedReturnsTimeout(t *testing.T) {
-	cfg := faultCfg()
-	cfg.CmdTimeout = 500 * time.Microsecond
-	cfg.MaxRetries = 2
-	// ResetThreshold high enough that this test never resets.
-	cfg.ResetThreshold = 100
-	m, d, _, _ := newFaultDriver(t, cfg, []fault.Rule{
+	m, d, _, _ := newFaultDriver(t, faultCfg(), []fault.Rule{
 		{Site: fault.SiteComplete, Kind: fault.KindDropCompletion}, // every completion, forever
 	})
 	m.Eng.Go("app", func(p *sim.Proc) {
@@ -76,24 +71,23 @@ func TestRetryBudgetExhaustedReturnsTimeout(t *testing.T) {
 		}
 	})
 	m.Eng.Run()
-	if d.Retries != 2 || d.Timeouts != 3 {
-		t.Fatalf("retries=%d timeouts=%d, want 2 retries / 3 timeouts", d.Retries, d.Timeouts)
+	// Every attempt times out: maxRetries resubmissions after the first, and
+	// the resetThreshold-th consecutive timeout resets the controller once.
+	if d.Retries != maxRetries || d.Timeouts != maxRetries+1 || d.Resets != 1 {
+		t.Fatalf("retries=%d timeouts=%d resets=%d, want %d / %d / 1",
+			d.Retries, d.Timeouts, d.Resets, maxRetries, maxRetries+1)
 	}
 }
 
 func TestControllerResetResubmitsInflight(t *testing.T) {
-	cfg := faultCfg()
-	cfg.CmdTimeout = 1 * time.Millisecond
-	cfg.ResetThreshold = 2
-	cfg.ResetDelay = 100 * time.Microsecond
-	cfg.MaxRetries = 10
 	// One long freeze: every in-flight command blows its deadline, the
 	// consecutive-timeout streak trips a controller reset, and the retries
-	// succeed once the queue thaws.
-	m, d, _, _ := newFaultDriver(t, cfg, []fault.Rule{
-		{Site: fault.SiteTGT, Kind: fault.KindFreeze, FromOp: 2, Count: 1, Delay: 4 * time.Millisecond},
+	// succeed once the queue thaws. The first command completes before the
+	// freeze; the resetThreshold behind it fill the queue's buffer slots.
+	m, d, _, _ := newFaultDriver(t, faultCfg(), []fault.Rule{
+		{Site: fault.SiteTGT, Kind: fault.KindFreeze, FromOp: 2, Count: 1, Delay: 8 * time.Millisecond},
 	})
-	const n = 4
+	const n = 1 + resetThreshold
 	oks := 0
 	for i := 0; i < n; i++ {
 		i := i

@@ -67,15 +67,10 @@ type Response struct {
 // the returned Response's bytes before the command completes.
 type Handler func(p *sim.Proc, req Request) Response
 
-// TenantConfig is one tenant's share of the virtualized transport: its
-// scheduling weight, and the hard budgets the DPU-side scheduler enforces
-// against it. Zero values mean "unlimited" for the budgets and weight 1 for
-// the share.
+// TenantConfig is one tenant's share of the virtualized transport: the hard
+// budgets the DPU-side scheduler enforces against it. Zero values mean
+// "unlimited".
 type TenantConfig struct {
-	// Weight scales the tenant's deficit-round-robin quantum: a weight-2
-	// tenant earns twice the dispatch bytes per round of a weight-1 tenant
-	// when both are backlogged. 0 means 1.
-	Weight int
 	// MaxInflight caps commands dispatched (pulled + executing) but not yet
 	// completed for this tenant. 0 = unlimited.
 	MaxInflight int
@@ -114,30 +109,23 @@ type Config struct {
 	// share one doorbell when the client submits a burst with SubmitBatch.
 	InflightWindow int
 
-	// Failure-handling knobs. Per-command deadlines are armed only when a
-	// fault injector is attached (SetFaults), so fault-free runs schedule
-	// no extra events and stay byte-identical to older builds.
-	CmdTimeout     time.Duration // per-command deadline (default 5ms)
-	MaxRetries     int           // bounded retries of retryable statuses (default 8)
-	ResetThreshold int           // consecutive timeouts that trigger a controller reset (default 8)
-	ResetDelay     time.Duration // modeled cost of a controller reset (default 200µs)
-
 	// Tenants virtualizes the transport into per-tenant queue groups
 	// (SR-IOV style): with N >= 2 entries, the Queues SQ/CQ pairs are
 	// partitioned contiguously — tenant t owns Queues/N pairs starting at
 	// t*Queues/N — and a DPU-side scheduler arbitrates between queue drain
-	// and dispatch: deficit-round-robin weighted by TenantConfig.Weight over
-	// SQE cost estimates, per-tenant inflight and bandwidth budgets, and
-	// admission shedding past MaxQueued. Queues must divide evenly.
+	// and dispatch: deficit-round-robin over SQE cost estimates (one quantum
+	// per backlogged tenant per round), per-tenant inflight and bandwidth
+	// budgets, and admission shedding past MaxQueued. Queues must divide
+	// evenly.
 	//
 	// Empty or single-entry (the default) leaves the transport exactly as
 	// before: no scheduler procs, no per-tenant metrics, TGT threads hand
 	// work straight to workers — byte-identical to builds without tenancy.
 	Tenants []TenantConfig
 
-	// SchedFIFO replaces the weighted-fair policy with strict FIFO arrival
-	// order across all tenants — same dispatch-worker topology, no budgets,
-	// no shedding. This is the "scheduler off" arm of the noisy-neighbor
+	// SchedFIFO replaces the fair policy with strict FIFO arrival order
+	// across all tenants — same dispatch-worker topology, no budgets, no
+	// shedding. This is the "scheduler off" arm of the noisy-neighbor
 	// A/B: queue groups and workers identical, arbitration policy removed.
 	SchedFIFO bool
 
@@ -269,9 +257,23 @@ type queueState struct {
 // execCap bounds the per-queue executed-response cache.
 const execCapPerDepth = 4
 
-// retryBase and retryMax bound Wait's exponential retry backoff: the first
-// step and the cap.
+// Failure handling. Per-command deadlines are armed only when a fault
+// injector is attached (SetFaults), so fault-free runs schedule no extra
+// events.
 const (
+	// cmdTimeout is the per-command deadline. It must exceed the worst-case
+	// legitimate command (Flush/Barrier run full cache write-back inline);
+	// spurious timeouts are correct — the token protocol dedups the
+	// re-execution — but wasted work.
+	cmdTimeout = 5 * time.Millisecond
+	// maxRetries bounds Wait's resubmissions of a retryable status.
+	maxRetries = 8
+	// resetThreshold consecutive timeouts trigger a controller reset, which
+	// costs resetDelay.
+	resetThreshold = 8
+	resetDelay     = 200 * time.Microsecond
+	// retryBase and retryMax bound Wait's exponential retry backoff: the
+	// first step and the cap.
 	retryBase = 20 * time.Microsecond
 	retryMax  = 640 * time.Microsecond
 )
@@ -365,7 +367,7 @@ type Driver struct {
 	// nextToken hands out retry tokens; monotonically increasing, never 0.
 	nextToken uint32
 	// consecTimeouts counts command deadlines expired since the last clean
-	// completion; crossing ResetThreshold triggers a controller reset.
+	// completion; reaching resetThreshold triggers a controller reset.
 	consecTimeouts int
 	resetting      bool
 
@@ -392,21 +394,6 @@ func NewDriver(m *model.Machine, cfg Config, handler Handler) *Driver {
 	}
 	if cfg.InflightWindow <= 0 {
 		cfg.InflightWindow = DefaultConfig().InflightWindow
-	}
-	if cfg.CmdTimeout <= 0 {
-		// Must exceed the worst-case legitimate command (Flush/Barrier run
-		// full cache write-back inline); spurious timeouts are correct —
-		// the token protocol dedups the re-execution — but wasted work.
-		cfg.CmdTimeout = 5 * time.Millisecond
-	}
-	if cfg.MaxRetries <= 0 {
-		cfg.MaxRetries = 8
-	}
-	if cfg.ResetThreshold <= 0 {
-		cfg.ResetThreshold = 8
-	}
-	if cfg.ResetDelay <= 0 {
-		cfg.ResetDelay = 200 * time.Microsecond
 	}
 	if cfg.InlineMax > cfg.MaxIO {
 		cfg.InlineMax = cfg.MaxIO
@@ -789,7 +776,7 @@ func (d *Driver) enqueueToken(p *sim.Proc, qid int, sub Submission, token uint32
 	// schedules no timer events at all, so its event interleaving — and
 	// with it every metric and trace snapshot — is unchanged.
 	if d.faults != nil {
-		d.m.Eng.After(d.cfg.CmdTimeout, func() { d.onDeadline(qs, cid, pd) })
+		d.m.Eng.After(cmdTimeout, func() { d.onDeadline(qs, cid, pd) })
 	}
 
 	d.inflight++
@@ -849,10 +836,9 @@ func (d *Driver) ring(p *sim.Proc, qs *queueState) {
 //
 // Wait is also the retry engine: a retryable completion status (timeout,
 // transient, corrupt, reset) is resubmitted — same token, fresh CID/slot —
-// after exponential backoff, up to Config.MaxRetries attempts. A run of
-// consecutive timeouts past Config.ResetThreshold triggers a controller
-// reset first, on the theory that the controller (not the command) is
-// stuck.
+// after exponential backoff, up to maxRetries attempts. A run of
+// resetThreshold consecutive timeouts triggers a controller reset first, on
+// the theory that the controller (not the command) is stuck.
 func (pend *Pending) Wait(p *sim.Proc) Completion {
 	d := pend.d
 	s := d.o.Begin(p, "nvmefs.wait")
@@ -865,7 +851,7 @@ func (pend *Pending) Wait(p *sim.Proc) Completion {
 			d.po.Attr(p, obs.CompWait, "nvmefs.inflight", waitFrom, p.Now())
 		}
 		comp := pend.pd.comp
-		if !nvme.Retryable(comp.Status) || pend.attempts >= d.cfg.MaxRetries {
+		if !nvme.Retryable(comp.Status) || pend.attempts >= maxRetries {
 			d.m.HostExec(p, d.m.Cfg.Costs.HostComplete)
 			d.Completed++
 			s.End(p)
@@ -876,7 +862,7 @@ func (pend *Pending) Wait(p *sim.Proc) Completion {
 		// A retryable completion is a fault-path event: pin the wait span so
 		// the telemetry flight recorder keeps this op's causal tree.
 		s.Pin()
-		if comp.Status == nvme.StatusTimeout && d.consecTimeouts >= d.cfg.ResetThreshold {
+		if comp.Status == nvme.StatusTimeout && d.consecTimeouts >= resetThreshold {
 			d.reset(p)
 		}
 		backoff := retryBase << (pend.attempts - 1)
@@ -897,7 +883,7 @@ func (pend *Pending) Wait(p *sim.Proc) Completion {
 // reset performs a controller reset: every queue's rings and doorbell are
 // re-armed from index zero and every in-flight command is failed with
 // StatusReset — a retryable status, so Wait-side owners resubmit them
-// (bounded by MaxRetries) once the reset completes. Work that straddles
+// (bounded by maxRetries) once the reset completes. Work that straddles
 // the reset (a TGT mid-fetch, a worker mid-handler) is fenced off by the
 // per-queue generation counter; the executed-response cache survives so
 // resubmissions of commands that did execute still deduplicate.
@@ -910,7 +896,7 @@ func (d *Driver) reset(p *sim.Proc) {
 	rs := d.o.Begin(p, "nvmefs.reset")
 	rs.Pin() // controller resets are always recorder-worthy
 	resetFrom := p.Now()
-	p.Sleep(d.cfg.ResetDelay)
+	p.Sleep(resetDelay)
 	d.po.Attr(p, obs.CompWait, "nvmefs.reset", resetFrom, p.Now())
 	for _, qs := range d.queues {
 		qs.gen++
@@ -989,7 +975,7 @@ type fetched struct {
 // serialize the queue (DPFS's single HAL thread does exactly that, which is
 // part of why it cannot scale). In multi-tenant mode the hand-off goes
 // through the DPU scheduler instead: the TGT only drains and admits; the
-// payload pull and execution happen when the weighted-fair policy dispatches
+// payload pull and execution happen when the fair policy dispatches
 // the command to a worker.
 func (d *Driver) processOne(p *sim.Proc, qs *queueState) {
 	f, ok := d.fetchOne(p, qs)

@@ -3,7 +3,7 @@
 //
 // TGT threads drain their rings as before, but instead of handing each
 // fetched command straight to a worker they offer it to the scheduler. A
-// fixed pool of dispatch workers then pulls commands under a weighted-fair
+// fixed pool of dispatch workers then pulls commands under a fair
 // policy: deficit round-robin over per-command cost estimates (command
 // overhead + declared transfer bytes both ways), gated by per-tenant
 // inflight caps and token-bucket bandwidth budgets. Admission control runs
@@ -29,8 +29,7 @@ import (
 
 // schedTenant is one tenant's scheduler state.
 type schedTenant struct {
-	cfg    TenantConfig
-	weight int64
+	cfg TenantConfig
 
 	ready    []fetched // FIFO of admitted, not yet dispatched commands
 	deficit  int64     // DRR deficit in cost bytes
@@ -56,7 +55,7 @@ type scheduler struct {
 	tenants []*schedTenant
 	fifoQ   []fetched // the single cross-tenant queue in FIFO mode
 	cond    *sim.Cond // workers park here; offer/done/timer wake them
-	quantum int64     // DRR round grant per weight unit: one max-size command plus header overhead
+	quantum int64     // DRR round grant: one max-size command plus header overhead
 	burst   int64     // token-bucket cap; covers the largest single command
 	rr      int       // DRR cursor: the tenant currently being served
 	timerAt sim.Time  // armed token-refill wake, 0 = none
@@ -92,11 +91,7 @@ func newScheduler(d *Driver) *scheduler {
 		burst:   2*int64(d.cfg.MaxIO+d.cfg.RHCap) + 1024,
 	}
 	for i, tc := range d.cfg.Tenants {
-		w := int64(tc.Weight)
-		if w <= 0 {
-			w = 1
-		}
-		st := &schedTenant{cfg: tc, weight: w}
+		st := &schedTenant{cfg: tc}
 		if o := d.o; o != nil {
 			o.Publish(fmt.Sprintf("nvmefs.t%d.dispatched", i), &st.dispatched)
 			o.Publish(fmt.Sprintf("nvmefs.t%d.shed", i), &st.shed)
@@ -183,8 +178,8 @@ func (s *scheduler) grant(p *sim.Proc, st *schedTenant, f fetched) fetched {
 // DRR mode scans tenants from the cursor. A tenant is passed over when it
 // is empty, inflight-capped, token-short (the earliest refill instant is
 // accumulated and a timer armed), or deficit-short. When every backlogged,
-// unblocked tenant is deficit-short a new round starts: each earns
-// quantum×weight. The cursor stays on the granted tenant, so a tenant
+// unblocked tenant is deficit-short a new round starts: each earns one
+// quantum. The cursor stays on the granted tenant, so a tenant
 // consumes its deficit in consecutive grants (classic DRR service order);
 // an emptied queue forfeits leftover deficit, so idleness earns nothing.
 func (s *scheduler) next(p *sim.Proc) fetched {
@@ -238,8 +233,8 @@ func (s *scheduler) next(p *sim.Proc) fetched {
 			return s.grant(p, st, f)
 		}
 		if deficitBlocked {
-			// New DRR round: every backlogged tenant earns quantum×weight,
-			// clamped at twice its per-round grant. The clamp is what bounds
+			// New DRR round: every backlogged tenant earns one quantum,
+			// clamped at two. The clamp is what bounds
 			// burstiness — a tenant parked behind its inflight or bandwidth
 			// budget keeps earning, but can never bank more than two rounds'
 			// worth, so its post-unblock burst is bounded. The clamp also
@@ -251,8 +246,8 @@ func (s *scheduler) next(p *sim.Proc) fetched {
 				if len(st.ready) == 0 {
 					continue
 				}
-				st.deficit += s.quantum * st.weight
-				if max := 2 * s.quantum * st.weight; st.deficit > max {
+				st.deficit += s.quantum
+				if max := 2 * s.quantum; st.deficit > max {
 					st.deficit = max
 				}
 			}

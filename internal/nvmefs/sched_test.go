@@ -46,7 +46,7 @@ func floodTenant(m *model.Machine, d *Driver, t, procs, opBytes int, until sim.T
 }
 
 // TestDRRFairnessEqualWeights is the fairness invariant: with every tenant
-// equal-weight and continuously backlogged, dispatched cost bytes stay within
+// continuously backlogged, dispatched cost bytes stay within
 // a bounded deficit of each other — the DRR clamp (two rounds' grant) plus
 // one in-flight command per worker of slack.
 func TestDRRFairnessEqualWeights(t *testing.T) {
@@ -88,43 +88,8 @@ func TestDRRFairnessEqualWeights(t *testing.T) {
 		t.Fatalf("a tenant was never served: %+v", snap)
 	}
 	if hi-lo > bound {
-		t.Errorf("equal-weight cost spread %d (lo %d, hi %d) exceeds deficit bound %d",
+		t.Errorf("cost spread %d (lo %d, hi %d) exceeds deficit bound %d",
 			hi-lo, lo, hi, bound)
-	}
-}
-
-// TestDRRWeightsProportional: a weight-2 tenant earns about twice the
-// dispatched bytes of each weight-1 tenant while all are backlogged.
-func TestDRRWeightsProportional(t *testing.T) {
-	tenants := []TenantConfig{{Weight: 2}, {Weight: 1}, {Weight: 1}}
-	// A single dispatch worker makes the scheduler the bottleneck: with
-	// more, service keeps up with the closed-loop writers, nothing queues,
-	// and the weights never bite.
-	m, d, _ := newTenantDriver(t, 3, tenants, 1)
-
-	const until = sim.Time(5_000_000)
-	for tn := 0; tn < 3; tn++ {
-		floodTenant(m, d, tn, 8, 32*1024, until)
-	}
-	var snap [3]TenantStats
-	m.Eng.Schedule(until-1_000_000, func() {
-		for tn := 0; tn < 3; tn++ {
-			snap[tn] = d.TenantStats(tn)
-			if snap[tn].Queued == 0 {
-				t.Errorf("tenant %d not backlogged at snapshot — weight ratio vacuous", tn)
-			}
-		}
-	})
-	m.Eng.Run()
-	m.Eng.Shutdown()
-
-	peers := float64(snap[1].CostBytes+snap[2].CostBytes) / 2
-	if peers == 0 {
-		t.Fatalf("weight-1 tenants never served: %+v", snap)
-	}
-	ratio := float64(snap[0].CostBytes) / peers
-	if ratio < 1.6 || ratio > 2.4 {
-		t.Errorf("weight-2 / weight-1 cost ratio = %.2f, want about 2 (stats %+v)", ratio, snap)
 	}
 }
 
@@ -148,16 +113,17 @@ func TestAdmissionShedsOverBudget(t *testing.T) {
 		p.Sleep(50 * time.Microsecond)
 		return vc.handle(p, req)
 	}
-	// The whole burst serializes behind one 50µs inflight slot (~1.2ms), so
-	// the default 8-retry budget is not enough for the unluckiest op; the
-	// test asserts shedding is pure delay, so give retries room.
 	d := NewDriver(m, Config{
 		Queues: 2, Depth: 64, SlotsPerQ: 32, MaxIO: 64 * 1024, RHCap: 256,
-		Tenants: tenants, DispatchWorkers: 4, MaxRetries: 64,
+		Tenants: tenants, DispatchWorkers: 4,
 	}, slow)
 
+	// The whole burst serializes behind one 50µs inflight slot (~0.8ms), well
+	// inside the ~2.5ms of backoff the retry budget spends, so the unluckiest
+	// op still completes.
+
 	base, _ := d.TenantQueues(0)
-	const writers = 24
+	const writers = 16
 	failures := 0
 	for i := 0; i < writers; i++ {
 		node := uint64(i)
@@ -194,7 +160,7 @@ func TestSchedDeterminism(t *testing.T) {
 		tenants := []TenantConfig{
 			{MaxInflight: 2, BandwidthBps: 200 << 20, MaxQueued: 4},
 			{},
-			{Weight: 2},
+			{},
 		}
 		m, d, _ := newTenantDriver(t, 3, tenants, 4)
 		const until = sim.Time(4_000_000)

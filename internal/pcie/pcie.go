@@ -83,6 +83,8 @@ type Event struct {
 }
 
 // Config holds the link's cost model.
+//
+//dpclint:params
 type Config struct {
 	// BandwidthBps is effective payload bandwidth (PCIe 3.0 x16 ≈ 15.75 GB/s
 	// raw; ~14.5 GB/s effective after TLP overhead).

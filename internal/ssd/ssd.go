@@ -25,6 +25,8 @@ import (
 const BlockSize = 4096
 
 // Config describes the device's performance envelope.
+//
+//dpclint:params
 type Config struct {
 	ReadLatency  time.Duration // media latency per read I/O
 	WriteLatency time.Duration // media latency per write I/O (DRAM-buffered)

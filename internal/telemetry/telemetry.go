@@ -30,39 +30,24 @@ type Config struct {
 	Interval time.Duration
 	// SLOs are objective specs, e.g. "p99(client.read.latency) < 800us over 1ms".
 	SLOs []string
-	// RecorderSpans is the flight-recorder ring capacity (default 4096).
-	RecorderSpans int
-	// RecorderTrees caps retained anomalous span trees (default 16).
-	RecorderTrees int
 	// SlowSpan pins root spans at least this slow (0 = disabled).
 	SlowSpan time.Duration
-	// MaxDumps bounds retained trace dumps (default 8).
-	MaxDumps int
-	// MaxTicks bounds the series store (default 1<<20 rows).
-	MaxTicks int
-	// MaxViolations bounds the retained violation list (default 4096);
-	// objectives keep exact counts past it.
-	MaxViolations int
 }
+
+// The pipeline's memory bounds.
+const (
+	recorderSpans = 4096    // flight-recorder ring capacity
+	recorderTrees = 16      // retained anomalous span trees
+	maxDumps      = 8       // retained trace dumps
+	maxTicks      = 1 << 20 // series store rows
+	// maxViolations bounds the retained violation list; objectives keep exact
+	// counts past it.
+	maxViolations = 4096
+)
 
 func (c *Config) defaults() {
 	if c.Interval <= 0 {
 		c.Interval = 100 * time.Microsecond
-	}
-	if c.RecorderSpans <= 0 {
-		c.RecorderSpans = 4096
-	}
-	if c.RecorderTrees <= 0 {
-		c.RecorderTrees = 16
-	}
-	if c.MaxDumps <= 0 {
-		c.MaxDumps = 8
-	}
-	if c.MaxTicks <= 0 {
-		c.MaxTicks = 1 << 20
-	}
-	if c.MaxViolations <= 0 {
-		c.MaxViolations = 4096
 	}
 }
 
@@ -153,7 +138,7 @@ func Attach(e *sim.Engine, o *obs.Obs, cfg Config) (*T, error) {
 		e:     e,
 		o:     o,
 		cfg:   cfg,
-		store: newStore(int64(cfg.Interval), cfg.MaxTicks),
+		store: newStore(int64(cfg.Interval), maxTicks),
 		cur:   make([]int64, stats.BucketCount()),
 		delta: make([]int64, stats.BucketCount()),
 	}
@@ -168,7 +153,7 @@ func Attach(e *sim.Engine, o *obs.Obs, cfg Config) (*T, error) {
 		}
 		t.slos = append(t.slos, obj)
 	}
-	t.rec = newRecorder(cfg.RecorderSpans, int64(cfg.SlowSpan), cfg.RecorderTrees)
+	t.rec = newRecorder(recorderSpans, int64(cfg.SlowSpan), recorderTrees)
 	o.Tracer().SetCloseHook(t.rec.observe)
 	t.ticker = e.NewTicker(cfg.Interval, t.sample)
 	return t, nil
@@ -316,7 +301,7 @@ func (t *T) sample(now sim.Time) {
 		if !bad {
 			continue
 		}
-		if len(t.violations) < t.cfg.MaxViolations {
+		if len(t.violations) < maxViolations {
 			t.violations = append(t.violations, v)
 		} else {
 			t.droppedViolations++
@@ -348,7 +333,7 @@ func (t *T) Flush(now sim.Time) {
 // dump snapshots the flight recorder over [now-window, now] and attaches a
 // critical-path report. Retained dumps are bounded; extra triggers count.
 func (t *T) dump(now sim.Time, reason string, windowNs int64) {
-	if len(t.dumps) >= t.cfg.MaxDumps {
+	if len(t.dumps) >= maxDumps {
 		t.droppedDumps++
 		return
 	}

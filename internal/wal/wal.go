@@ -6,7 +6,7 @@
 // the ordinary flush daemon. After a crash, replaying the log's valid
 // prefix against the backend reconstructs every acknowledged fsync.
 //
-// Layout on the device, starting at Config.Base:
+// Layout on the device, from byte 0:
 //
 //	block 0                superblock: magic | epoch | CRC
 //	blocks 1..            append region: back-to-back records
@@ -86,8 +86,6 @@ type Config struct {
 	// Enabled turns the WAL on (dpc.Options embeds this config; everything
 	// — device, metrics, timers — is created only when set).
 	Enabled bool
-	// Base is the byte offset of the superblock on the device.
-	Base int64
 	// Size is the total region size in bytes including the superblock
 	// block. Default 4 MiB.
 	Size int64
@@ -178,12 +176,12 @@ func Open(eng *sim.Engine, dev *ssd.Device, cfg Config) *Log {
 		wlock: sim.NewResource(eng, "wal-commit", 1),
 	}
 	dev.EnableCrashTracking()
-	if epoch, ok := parseSuper(dev.ReadRaw(cfg.Base, ssd.BlockSize)); ok {
+	if epoch, ok := parseSuper(dev.ReadRaw(0, ssd.BlockSize)); ok {
 		l.epoch = epoch
 		l.needsScan = true
 	} else {
 		l.epoch = 1
-		dev.WriteRaw(cfg.Base, buildSuper(l.epoch))
+		dev.WriteRaw(0, buildSuper(l.epoch))
 	}
 	return l
 }
@@ -195,7 +193,7 @@ func Open(eng *sim.Engine, dev *ssd.Device, cfg Config) *Log {
 func (l *Log) Reopen() {
 	l.cur = nil
 	l.head = 0
-	if epoch, ok := parseSuper(l.dev.ReadRaw(l.cfg.Base, ssd.BlockSize)); ok {
+	if epoch, ok := parseSuper(l.dev.ReadRaw(0, ssd.BlockSize)); ok {
 		l.epoch = epoch
 	} else {
 		l.epoch = 0
@@ -233,7 +231,7 @@ func (l *Log) Epoch() uint32 { return l.epoch }
 func (l *Log) dataSize() int64 { return l.cfg.Size - ssd.BlockSize }
 
 // dataBase is the device byte offset of the append region.
-func (l *Log) dataBase() int64 { return l.cfg.Base + ssd.BlockSize }
+func (l *Log) dataBase() int64 { return ssd.BlockSize }
 
 // SpaceLeft returns the bytes still appendable before a checkpoint is due.
 func (l *Log) SpaceLeft() int64 { return l.dataSize() - l.head }
@@ -379,7 +377,7 @@ func (l *Log) Recover(p *sim.Proc, apply func(p *sim.Proc, r Record) error) (st 
 		l.oStale.Add(int64(st.SkippedStale))
 	}()
 
-	sb, err := l.dev.Read(p, l.cfg.Base, ssd.BlockSize)
+	sb, err := l.dev.Read(p, 0, ssd.BlockSize)
 	if err != nil {
 		return st, fmt.Errorf("wal: superblock read: %w", err)
 	}
@@ -390,7 +388,7 @@ func (l *Log) Recover(p *sim.Proc, apply func(p *sim.Proc, r Record) error) (st 
 		l.epoch = 1
 		l.head = 0
 		l.needsScan = false
-		if err := l.dev.Write(p, l.cfg.Base, buildSuper(l.epoch)); err != nil {
+		if err := l.dev.Write(p, 0, buildSuper(l.epoch)); err != nil {
 			return st, err
 		}
 		l.dev.Barrier(p)
@@ -528,7 +526,7 @@ func (l *Log) scan(p *sim.Proc) (recs []Record, tail int64, torn int) {
 // epoch — both consistent.
 func (l *Log) Checkpoint(p *sim.Proc) error {
 	l.wlock.Acquire(p, 1) // never interleave with a group write
-	err := l.dev.Write(p, l.cfg.Base, buildSuper(l.epoch+1))
+	err := l.dev.Write(p, 0, buildSuper(l.epoch+1))
 	if err == nil {
 		l.dev.Barrier(p)
 		l.epoch++

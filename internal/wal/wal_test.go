@@ -67,7 +67,7 @@ func TestRecoverFormatsBlankDevice(t *testing.T) {
 	dev := ssd.New(eng, ssd.DefaultConfig())
 	cfg := DefaultConfig()
 	l := Open(eng, dev, cfg)
-	dev.WriteRaw(cfg.Base, make([]byte, ssd.BlockSize)) // wipe the superblock
+	dev.WriteRaw(0, make([]byte, ssd.BlockSize)) // wipe the superblock
 	l.Reopen()
 	drive(eng, func(p *sim.Proc) {
 		st, err := l.Recover(p, collect(new([]Record)))

@@ -15,9 +15,6 @@ type Config struct {
 	// Workloads names the reference workloads to sweep (registry names).
 	// Empty means every registered workload.
 	Workloads []string
-	// Factors are the cost scale factors each parameter is dialed to.
-	// Empty means the standard 0.25 / 0.5 / 2 sweep.
-	Factors []float64
 	// Obs, when non-nil, receives one whatif.* gauge per (workload,
 	// parameter) carrying the halving gain, so sweeps show up in metric
 	// snapshots alongside everything else.
@@ -108,10 +105,8 @@ const crossCheckSlack = 0.05
 
 // Run executes the sweep.
 func Run(cfg Config) (*Report, error) {
-	factors := cfg.Factors
-	if len(factors) == 0 {
-		factors = []float64{0.25, 0.5, 2}
-	}
+	// The cost scale factors each parameter is dialed to.
+	factors := []float64{0.25, 0.5, 2}
 	names := cfg.Workloads
 	if len(names) == 0 {
 		for _, wl := range workloads {

@@ -51,7 +51,7 @@ func TestRunSmallIODeterministic(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs full simulations")
 	}
-	cfg := Config{Workloads: []string{"smallio"}, Factors: []float64{0.5}}
+	cfg := Config{Workloads: []string{"smallio"}}
 	r1, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -77,8 +77,10 @@ func TestRunSmallIODeterministic(t *testing.T) {
 	}
 	var dmaGain float64
 	for _, c := range wr.Curves {
-		if c.Param == "pcie.dma_setup" {
-			dmaGain = 1 - float64(c.Points[0].ElapsedNs)/float64(wr.BaselineNs)
+		for _, pt := range c.Points {
+			if c.Param == "pcie.dma_setup" && pt.Factor == 0.5 {
+				dmaGain = 1 - float64(pt.ElapsedNs)/float64(wr.BaselineNs)
+			}
 		}
 	}
 	// The probe models a DPU-class DMA engine (1.5µs setup) precisely so

@@ -5,13 +5,17 @@ GO ?= go
 build:
 	$(GO) build ./...
 
-# vet also runs dpclint, the repo's metric-naming lint: every metric
-# registration and every Publish of a component-owned counter must use a
-# constant name or the sanctioned q%d per-queue convention (see cmd/dpclint),
-# and every exported field of an Options or *Config struct must be written by
-# some non-test file outside its package (bench/ counts; structs marked
-# //dpclint:params, the modelled testbed's calibration surface, are exempt);
-# fails on any file gofmt would rewrite; and
+# vet also vets the bench/ module, which root `go vet ./...` stops short of,
+# and runs dpclint over both: every metric registration and every Publish of
+# a component-owned counter must use a constant name or the sanctioned q%d
+# per-queue convention (see cmd/dpclint); every exported field of an Options
+# or *Config struct must be written by some non-test file outside its
+# package (bench/ counts; structs marked //dpclint:params, the modelled
+# testbed's calibration surface, are exempt); every exported func or method
+# must be named by some non-test file other than at its declaration (bench/,
+# cmd/ and examples/ count; a method an in-tree or standard-library interface
+# requires is exempt); and a //dpclint:ok suppression must give its reason.
+# vet fails on any file gofmt would rewrite; and
 # keeps the allocate-and-copy reads (Link.DMARead, Region.Read) out of the
 # cache and nvme-fs data paths, which borrow a view or fill a pooled buffer
 # instead, and the allocate-a-result reads (KVFS.Read, DFS.Read, a by-copy
@@ -25,6 +29,7 @@ build:
 # against it.
 vet:
 	$(GO) vet ./...
+	cd bench && GOTOOLCHAIN=local GOPROXY=off $(GO) vet ./...
 	$(GO) run ./cmd/dpclint ./...
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt -l:"; echo "$$out"; exit 1; fi
 	@out=$$(grep -nE '\.DMARead\(|(Mem|hm)\.Read\(' $$(ls internal/cache/*.go internal/nvmefs/*.go | grep -v _test.go)); \

@@ -1,6 +1,6 @@
 // Command dpcdiff compares two exported observability artifacts and
-// attributes the delta: profile reports (dpcbench -prof-out, whatif
-// ProfileReport) are diffed per op and per component via prof.Diff, metric
+// attributes the delta: profile reports (dpcbench -prof-out) are diffed per
+// op and per component via prof.Diff, metric
 // snapshots (dpcbench -metrics-out, dpcstat input) via obs.DiffSnapshots,
 // and telemetry timelines (dpcbench -timeline-out) at the SLO/violation
 // level. The artifact type is sniffed from the JSON shape, so the one

@@ -13,7 +13,9 @@
 //
 // A call site that must re-resolve names the registry itself enumerated
 // (the telemetry sampler does this) carries a `//dpclint:ok` suppression on
-// the call's line or the line above it.
+// the call's line or the line above it. A suppression states its reason in
+// the same comment (`// forwarder //dpclint:ok`, `//dpclint:ok closed enum`);
+// a bare `//dpclint:ok` is itself a finding and suppresses nothing.
 //
 // A second rule keeps configuration surfaces closed: every exported field of
 // an exported Options or *Config struct must be written by some non-test file
@@ -23,6 +25,16 @@
 // carries `//dpclint:params` (the modelled testbed's calibration parameters)
 // are exempt. Fields match by name alone, so a collision can hide a finding
 // but never create one.
+//
+// A third rule keeps the API the surface the layers call: an exported func or
+// method declared in a non-test file fails unless some non-test file in the
+// tree (bench/, cmd/ and examples/ included) mentions its name other than at
+// a declaration. Names match by name alone, like fields. A method is exempt
+// when an interface requires its name: one declared in the tree's non-test
+// code, or one of the standard library's in stdMethods (fmt, encoding/json,
+// sort, container/heap, io and errors call those). Anything else carries
+// `//dpclint:ok <reason>` on its declaration's line or the line above it. A
+// helper only tests call belongs in a _test.go file of its package.
 //
 // Usage: dpclint [dir ...]   (default ".", always recursive; _test.go,
 // testdata and vendor are skipped). Exits non-zero on any finding.
@@ -59,18 +71,24 @@ func main() {
 	if len(roots) == 0 {
 		roots = []string{"."}
 	}
-	names, knobs, err := lintTree(roots)
+	n, err := lintTree(roots)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "dpclint:", err)
 		os.Exit(2)
 	}
-	if names > 0 {
-		fmt.Fprintf(os.Stderr, "dpclint: %d dynamic metric name(s); use a constant name, the q%%d/t%%d conventions, or //dpclint:ok\n", names)
+	if n.names > 0 {
+		fmt.Fprintf(os.Stderr, "dpclint: %d dynamic metric name(s); use a constant name, the q%%d/t%%d conventions, or //dpclint:ok\n", n.names)
 	}
-	if knobs > 0 {
-		fmt.Fprintf(os.Stderr, "dpclint: %d config field(s) no caller sets; make each a constant, or mark a testbed struct //dpclint:params\n", knobs)
+	if n.knobs > 0 {
+		fmt.Fprintf(os.Stderr, "dpclint: %d config field(s) no caller sets; make each a constant, or mark a testbed struct //dpclint:params\n", n.knobs)
 	}
-	if names+knobs > 0 {
+	if n.callers > 0 {
+		fmt.Fprintf(os.Stderr, "dpclint: %d exported func(s) with no non-test caller; delete each, or move it into a _test.go file\n", n.callers)
+	}
+	if n.bare > 0 {
+		fmt.Fprintf(os.Stderr, "dpclint: %d //dpclint:ok without a reason\n", n.bare)
+	}
+	if n.names+n.knobs+n.callers+n.bare > 0 {
 		os.Exit(1)
 	}
 }
@@ -79,11 +97,18 @@ func main() {
 type source struct {
 	path string
 	f    *ast.File
+	ok   map[int]bool // lines carrying a reasoned //dpclint:ok
+}
+
+// findings counts each rule's findings.
+type findings struct {
+	names, knobs, callers, bare int
 }
 
 // lintTree parses every non-test Go file under roots, checks each for
-// dynamic metric names, then checks the whole tree for unset config fields.
-func lintTree(roots []string) (names, knobs int, err error) {
+// dynamic metric names and bare suppressions, then checks the whole tree for
+// unset config fields and uncalled exported funcs.
+func lintTree(roots []string) (n findings, err error) {
 	fset := token.NewFileSet()
 	var files []source
 	for _, root := range roots {
@@ -111,32 +136,51 @@ func lintTree(roots []string) (names, knobs int, err error) {
 			if err != nil {
 				return err
 			}
-			names += lintNames(fset, path, f)
-			files = append(files, source{path, f})
+			s := source{path: path, f: f}
+			var bare int
+			s.ok, bare = suppressions(fset, s)
+			n.bare += bare
+			n.names += lintNames(fset, s)
+			files = append(files, s)
 			return nil
 		})
 		if err != nil {
-			return 0, 0, err
+			return findings{}, err
 		}
 	}
-	return names, lintKnobs(fset, files), nil
+	n.knobs = lintKnobs(fset, files)
+	n.callers = lintCallers(fset, files)
+	return n, nil
+}
+
+// suppressions returns the lines of the file's `//dpclint:ok` comments that
+// give a reason, and reports and counts the bare ones.
+func suppressions(fset *token.FileSet, s source) (ok map[int]bool, bare int) {
+	const mark = "dpclint:ok"
+	ok = map[int]bool{}
+	for _, cg := range s.f.Comments {
+		for _, c := range cg.List {
+			before, after, found := strings.Cut(c.Text, mark)
+			if !found {
+				continue
+			}
+			line := fset.Position(c.Pos()).Line
+			if strings.Trim(before+after, "/* \t") == "" {
+				fmt.Fprintf(os.Stderr, "%s:%d: //%s without a reason\n", s.path, line, mark)
+				bare++
+				continue
+			}
+			ok[line] = true
+		}
+	}
+	return ok, bare
 }
 
 // lintNames reports the file's metric registrations and Publish calls whose
 // name is neither constant nor a sanctioned convention.
-func lintNames(fset *token.FileSet, path string, f *ast.File) int {
-	// Lines carrying a `//dpclint:ok` suppression.
-	suppressed := map[int]bool{}
-	for _, cg := range f.Comments {
-		for _, c := range cg.List {
-			if strings.Contains(c.Text, "dpclint:ok") {
-				suppressed[fset.Position(c.Pos()).Line] = true
-			}
-		}
-	}
-
+func lintNames(fset *token.FileSet, s source) int {
 	findings := 0
-	ast.Inspect(f, func(n ast.Node) bool {
+	ast.Inspect(s.f, func(n ast.Node) bool {
 		call, ok := n.(*ast.CallExpr)
 		if !ok {
 			return true
@@ -149,10 +193,10 @@ func lintNames(fset *token.FileSet, path string, f *ast.File) int {
 			return true
 		}
 		pos := fset.Position(call.Pos())
-		if suppressed[pos.Line] || suppressed[pos.Line-1] {
+		if s.ok[pos.Line] || s.ok[pos.Line-1] {
 			return true
 		}
-		fmt.Fprintf(os.Stderr, "%s:%d: dynamic metric name in %s(...)\n", path, pos.Line, sel.Sel.Name)
+		fmt.Fprintf(os.Stderr, "%s:%d: dynamic metric name in %s(...)\n", s.path, pos.Line, sel.Sel.Name)
 		findings++
 		return true
 	})
@@ -340,4 +384,85 @@ func writtenOutside(dirs map[string]bool, own string) bool {
 		}
 	}
 	return false
+}
+
+// stdMethods are the method names a standard-library interface requires; the
+// callers (fmt, encoding/json, encoding, sort, container/heap, io, errors)
+// are outside the tree.
+var stdMethods = map[string]bool{
+	"String": true, "Error": true, "Format": true, "GoString": true,
+	"MarshalJSON": true, "UnmarshalJSON": true, "MarshalText": true, "UnmarshalText": true,
+	"Len": true, "Less": true, "Swap": true, "Push": true, "Pop": true,
+	"Read": true, "Write": true, "Close": true, "Unwrap": true,
+}
+
+// lintCallers reports every exported func or method whose name no non-test
+// file mentions other than at a declaration, unless an interface requires
+// the method's name or its declaration carries a reasoned //dpclint:ok.
+func lintCallers(fset *token.FileSet, files []source) int {
+	mentioned := map[string]bool{}
+	required := map[string]bool{} // method names of the tree's interfaces
+	for _, s := range files {
+		decl := map[*ast.Ident]bool{}
+		ast.Inspect(s.f, func(n ast.Node) bool {
+			switch x := n.(type) {
+			case *ast.FuncDecl:
+				decl[x.Name] = true
+			case *ast.InterfaceType:
+				for _, m := range x.Methods.List {
+					for _, id := range m.Names {
+						decl[id] = true
+						required[id.Name] = true
+					}
+				}
+			case *ast.Ident:
+				if !decl[x] {
+					mentioned[x.Name] = true
+				}
+			}
+			return true
+		})
+	}
+
+	findings := 0
+	for _, s := range files {
+		for _, d := range s.f.Decls {
+			fd, ok := d.(*ast.FuncDecl)
+			if !ok || !fd.Name.IsExported() || mentioned[fd.Name.Name] {
+				continue
+			}
+			name := fd.Name.Name
+			if fd.Recv != nil {
+				if required[name] || stdMethods[name] {
+					continue
+				}
+				name = recvName(fd.Recv.List[0].Type) + "." + name
+			}
+			line := fset.Position(fd.Pos()).Line
+			if s.ok[line] || s.ok[line-1] {
+				continue
+			}
+			fmt.Fprintf(os.Stderr, "%s:%d: %s.%s has no non-test caller\n", s.path, line, s.f.Name.Name, name)
+			findings++
+		}
+	}
+	return findings
+}
+
+// recvName returns the type name of a method receiver: T for T, *T, T[P].
+func recvName(e ast.Expr) string {
+	for {
+		switch x := e.(type) {
+		case *ast.StarExpr:
+			e = x.X
+		case *ast.IndexExpr:
+			e = x.X
+		case *ast.IndexListExpr:
+			e = x.X
+		case *ast.Ident:
+			return x.Name
+		default:
+			return "?"
+		}
+	}
 }

@@ -8,6 +8,7 @@ import (
 	"testing"
 )
 
+// lintSource counts the metric-name and bare-suppression findings in src.
 func lintSource(t *testing.T, src string) int {
 	t.Helper()
 	fset := token.NewFileSet()
@@ -15,7 +16,30 @@ func lintSource(t *testing.T, src string) int {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return lintNames(fset, "x.go", f)
+	s := source{path: "x.go", f: f}
+	var bare int
+	s.ok, bare = suppressions(fset, s)
+	return lintNames(fset, s) + bare
+}
+
+// lintFiles writes files (path -> source) under a fresh root and lints it.
+func lintFiles(t *testing.T, files map[string]string) findings {
+	t.Helper()
+	root := t.TempDir()
+	for name, src := range files {
+		path := filepath.Join(root, name)
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	n, err := lintTree([]string{root})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return n
 }
 
 func TestLintAcceptsConstantNames(t *testing.T) {
@@ -111,7 +135,7 @@ func f(o O, c *C, name string, tid, shard int) {
 	o.Publish(fmt.Sprintf("nvmefs.t%d.shed", tid), &c.shed)
 	o.Publish(name, &c.n)
 	o.Publish(fmt.Sprintf("shard%d.ops", shard), &c.n)
-	o.Publish("fault.injected."+name, &c.n) //dpclint:ok
+	o.Publish("fault.injected."+name, &c.n) // closed enum //dpclint:ok
 }
 `
 	if n := lintSource(t, src); n != 2 {
@@ -138,7 +162,7 @@ func f(o O, name string, i int) {
 func TestLintSuppression(t *testing.T) {
 	src := `package x
 func f(o O, name string) {
-	o.Counter(name) //dpclint:ok
+	o.Counter(name) //dpclint:ok registry-enumerated
 	// registry-enumerated //dpclint:ok
 	o.Gauge(name)
 	o.Histogram(name)
@@ -146,6 +170,20 @@ func f(o O, name string) {
 `
 	if n := lintSource(t, src); n != 1 {
 		t.Errorf("suppressed file: %d findings, want 1 (the unsuppressed Histogram)", n)
+	}
+}
+
+// A suppression without a reason is a finding of its own and suppresses
+// nothing.
+func TestLintBareSuppression(t *testing.T) {
+	src := `package x
+func f(o O, name string) {
+	o.Counter(name) //dpclint:ok
+	o.Gauge(name) // /* */ //dpclint:ok
+}
+`
+	if n := lintSource(t, src); n != 4 {
+		t.Errorf("bare suppressions: %d findings, want 4 (two markers, two names)", n)
 	}
 }
 
@@ -229,22 +267,63 @@ type (
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			root := t.TempDir()
-			for name, src := range tc.files {
-				path := filepath.Join(root, name)
-				if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-					t.Fatal(err)
-				}
-				if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
-					t.Fatal(err)
-				}
+			if n := lintFiles(t, tc.files); n.knobs != tc.want {
+				t.Errorf("%d knobs, want %d", n.knobs, tc.want)
 			}
-			names, knobs, err := lintTree([]string{root})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if names != 0 || knobs != tc.want {
-				t.Errorf("findings: %d metric names, %d knobs; want 0 and %d", names, knobs, tc.want)
+		})
+	}
+}
+
+// TestLintCallers runs the exported-func rule over small module trees:
+// package a declares, the other files are its would-be callers.
+func TestLintCallers(t *testing.T) {
+	const decl = `package a
+
+type T struct{}
+
+// Shower is an interface the tree declares.
+type Shower interface{ Show() }
+
+func Helper() int { return 1 }
+`
+	cases := []struct {
+		name          string
+		files         map[string]string
+		callers, bare int
+	}{
+		{"called only from a test file", map[string]string{
+			"a/a.go":      decl,
+			"a/a_test.go": "package a\nvar _ = Helper()\n",
+		}, 1, 0},
+		{"called from another package", map[string]string{
+			"a/a.go": decl,
+			"b/b.go": "package b\nvar _ = a.Helper()\n",
+		}, 0, 0},
+		{"called from bench/", map[string]string{
+			"a/a.go":           decl,
+			"bench/measure.go": "package main\nvar _ = a.Helper()\n",
+		}, 0, 0},
+		{"a standard-library interface method", map[string]string{
+			"a/a.go": decl + "var _ = Helper\nfunc (T) MarshalJSON() ([]byte, error) { return nil, nil }\n",
+		}, 0, 0},
+		{"a method an in-tree interface names", map[string]string{
+			"a/a.go": decl + "var _ = Helper\nfunc (*T) Show() {}\n",
+		}, 0, 0},
+		{"a plain func is not exempt by an interface", map[string]string{
+			"a/a.go": decl + "var _ = Helper\nfunc Show() {}\nfunc (T) String() string { return \"\" }\n",
+		}, 1, 0},
+		{"a reasoned suppression", map[string]string{
+			"a/a.go": decl + "var _ = Helper\n\n// Debug prints state.\n//\n//dpclint:ok called from a debugger\nfunc Debug() {}\n",
+		}, 0, 0},
+		{"a bare suppression", map[string]string{
+			"a/a.go": decl + "var _ = Helper\n\n//dpclint:ok\nfunc Debug() {}\n",
+		}, 1, 1},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			n := lintFiles(t, tc.files)
+			if n != (findings{callers: tc.callers, bare: tc.bare}) {
+				t.Errorf("findings %+v, want %d callers and %d bare", n, tc.callers, tc.bare)
 			}
 		})
 	}

@@ -327,17 +327,6 @@ func (sys *System) TenantKVFSClient(t int) *Client {
 	return newClient(sys, 0, sys.kvfsHost, sys.kvfsSvc.Ctl, sys.kvfsSizes, t)
 }
 
-// TenantDFSClient is TenantKVFSClient for the distributed file service.
-func (sys *System) TenantDFSClient(t int) *Client {
-	if sys.dfsSvc == nil {
-		panic("dpc: DFS not enabled")
-	}
-	if n := sys.Driver.Tenants(); t < 0 || t >= n {
-		panic(fmt.Sprintf("dpc: tenant %d outside the %d configured tenants", t, n))
-	}
-	return newClient(sys, 1, sys.dfsHost, sys.dfsSvc.Ctl, sys.dfsSizes, t)
-}
-
 // buildTransform assembles the optional block-transform chain: compression
 // first (shrink), then DIF (protect the stored representation).
 func buildTransform(opts Options) xform.Transform {

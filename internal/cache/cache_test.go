@@ -2,6 +2,7 @@ package cache
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"strings"
 	"testing"
@@ -24,6 +25,18 @@ type memBackend struct {
 }
 
 func newMemBackend() *memBackend { return &memBackend{pages: map[[2]uint64][]byte{}} }
+
+// DirtyCount scans the meta area and reports dirty pages.
+func (h *Host) DirtyCount() int {
+	n := 0
+	meta := h.meta(0, h.L.Total)
+	for i := 0; i < h.L.Total; i++ {
+		if binary.LittleEndian.Uint32(meta[i*EntrySize+offStatus:]) == StatusDirty {
+			n++
+		}
+	}
+	return n
+}
 
 func (b *memBackend) ReadPage(p *sim.Proc, ino, lpn uint64, pageSize int) ([]byte, bool) {
 	b.reads++

@@ -289,15 +289,3 @@ func (h *Host) HasDirty(p *sim.Proc, ino uint64) bool {
 	delete(h.maybeDirty, ino)
 	return false
 }
-
-// DirtyCount scans the meta area and reports dirty pages (test helper).
-func (h *Host) DirtyCount() int {
-	n := 0
-	meta := h.meta(0, h.L.Total)
-	for i := 0; i < h.L.Total; i++ {
-		if binary.LittleEndian.Uint32(meta[i*EntrySize+offStatus:]) == StatusDirty {
-			n++
-		}
-	}
-	return n
-}

@@ -13,8 +13,8 @@
 // The harness exists because of a real bug: the hybrid cache's flush path
 // used to write back whole pages through a backend interface that could not
 // see the file's true EOF, silently inflating a 10 000-byte file to the
-// next page boundary. InjectLegacyFlushBug reinstates that behavior under a
-// live cache so the harness can demonstrate it still catches it.
+// next page boundary. The package's tests reinstate that behavior under a
+// live cache so the harness demonstrates it still catches it.
 package check
 
 import (

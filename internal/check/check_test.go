@@ -7,6 +7,8 @@ import (
 	"testing"
 
 	"dpc/internal/bufpool"
+	"dpc/internal/kvfs"
+	"dpc/internal/sim"
 )
 
 // TestMain runs every torture in this package (differential, fault, crash)
@@ -106,6 +108,23 @@ func TestShortTortureAllStacks(t *testing.T) {
 	}
 }
 
+// legacyFlushBackend reproduces the pre-fix cache write-back: whole pages go
+// to the backend with no knowledge of the file's true EOF, so flushing the
+// tail page of a 10 000-byte file inflates it to the next page boundary.
+type legacyFlushBackend struct {
+	kvfs.PageBackend
+}
+
+func (b legacyFlushBackend) WritePage(p *sim.Proc, ino, lpn uint64, pageSize int, data []byte) error {
+	return b.FS.Write(p, ino, lpn*uint64(pageSize), data)
+}
+
+// injectLegacyFlushBug puts legacyFlushBackend under a KVFS world's live
+// hybrid cache.
+func injectLegacyFlushBug(w *World) {
+	w.sys.KVFSService().Ctl.SetBackend(legacyFlushBackend{kvfs.PageBackend{FS: w.sys.KVFS}})
+}
+
 // TestHarnessCatchesLegacyFlushSizeBug reinstates the pre-fix cache
 // write-back (whole pages flushed with no EOF clamp) under a live
 // kvfs-cache world and proves the harness detects the size inflation. This
@@ -135,9 +154,7 @@ func TestHarnessCatchesLegacyFlushSizeBug(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer w.Close()
-	if !w.InjectLegacyFlushBug() {
-		t.Fatal("kvfs-cache world cannot inject the legacy flush bug")
-	}
+	injectLegacyFlushBug(w)
 	fail := runTraceOn(w, 0, trace)
 	if fail == nil {
 		t.Fatal("harness did not catch the legacy unclamped flush (size inflation past EOF)")
@@ -157,7 +174,7 @@ func TestShrinkMinimizes(t *testing.T) {
 	sabotaged := func() (*World, error) {
 		w, err := NewWorld("kvfs-cache")
 		if err == nil {
-			w.InjectLegacyFlushBug()
+			injectLegacyFlushBug(w)
 		}
 		return w, err
 	}
@@ -264,11 +281,12 @@ func TestInlineBoundarySizesDifferential(t *testing.T) {
 		add(Op{Kind: OpWrite, Path: "/f0", Off: 8191, Len: 2, Direct: direct})
 		add(Op{Kind: OpRead, Path: "/f0", Off: 8180, Len: 30, Direct: direct})
 	}
-	fail, err := RunTrace("kvfs-inline", 0, trace)
+	w, err := NewWorld("kvfs-inline")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fail != nil {
+	defer w.Close()
+	if fail := runTraceOn(w, 0, trace); fail != nil {
 		t.Fatalf("inline stack diverged from oracle: %v", fail)
 	}
 }

@@ -39,7 +39,7 @@ func TestTortureAttributionInvariant(t *testing.T) {
 			if tc.faults {
 				rules = fault.TortureSchedule(seed)
 			}
-			w, err := NewObservedWorld(tc.stack, rules, o)
+			w, err := newDPCWorldNamed(tc.stack, "cannot carry an obs handle", rules, o)
 			if err != nil {
 				t.Fatal(err)
 			}

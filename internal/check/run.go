@@ -32,19 +32,9 @@ func (f *Failure) Error() string {
 	return fmt.Sprintf("%s seed=%d: %s: %s", f.Stack, f.Seed, where, f.Diff)
 }
 
-// RunTrace replays a trace against a fresh instance of the named stack,
-// diffing every operation against the oracle. It returns nil if the stack
-// agrees with the oracle throughout, including the final settle + barrier +
-// full verify + fsck.
-func RunTrace(stack string, seed int64, trace []Op) (*Failure, error) {
-	w, err := NewWorld(stack)
-	if err != nil {
-		return nil, err
-	}
-	defer w.Close()
-	return runTraceOn(w, seed, trace), nil
-}
-
+// runTraceOn replays a trace against w, diffing every operation against the
+// oracle. It returns nil if the stack agrees with the oracle throughout,
+// including the final settle + barrier + full verify + fsck.
 func runTraceOn(w *World, seed int64, trace []Op) *Failure {
 	var fail *Failure
 	w.Drive(func(p *sim.Proc) {

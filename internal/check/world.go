@@ -31,10 +31,7 @@ type World struct {
 	close   func()
 	disarm  func()          // stop fault injection (fault worlds only)
 	now     func() sim.Time // current virtual time (dpc worlds only)
-
-	// injectBug, when non-nil, swaps the live cache's write-back for the
-	// pre-fix behavior that flushed whole pages without clamping to EOF.
-	injectBug func()
+	sys     *dpc.System     // the system under a dpc world; nil for baselines
 }
 
 // Name returns the stack's registry name.
@@ -91,17 +88,6 @@ func (w *World) Now() sim.Time {
 		return 0
 	}
 	return w.now()
-}
-
-// InjectLegacyFlushBug reinstates the historical unclamped whole-page
-// write-back on stacks that have a hybrid cache. Returns false if the stack
-// has no cache to sabotage.
-func (w *World) InjectLegacyFlushBug() bool {
-	if w.injectBug == nil {
-		return false
-	}
-	w.injectBug()
-	return true
 }
 
 // stackSpec is one row of the stack table: either a dpc system, described by
@@ -188,17 +174,6 @@ func NewFaultWorld(name string, seed int64) (*World, error) {
 	return newDPCWorldNamed(name, "does not support fault injection", fault.TortureSchedule(seed), nil)
 }
 
-// NewObservedWorld instantiates a dpc stack with the supplied observability
-// handle threaded through the machine, so a torture run produces a full
-// span/attribution trace. Enable profiling on o BEFORE calling this —
-// components latch the profiler at construction time. Only the dpc stacks
-// carry instrumentation. A non-nil faults (fault.TortureSchedule) runs it
-// under injection, for asserting that attribution invariants hold through
-// retries, timeouts and resets.
-func NewObservedWorld(name string, faults []fault.Rule, o *obs.Obs) (*World, error) {
-	return newDPCWorldNamed(name, "cannot carry an obs handle", faults, o)
-}
-
 func newDPCWorldNamed(name, cannot string, faults []fault.Rule, o *obs.Obs) (*World, error) {
 	if s, ok := stackByName(name); ok && s.baseline == nil {
 		return newDPCWorld(s, faults, o), nil
@@ -257,6 +232,7 @@ func newDPCWorld(s stackSpec, faults []fault.Rule, o *obs.Obs) *World {
 		apply: func(p *sim.Proc, op Op) Result { return applyDPC(p, cl, op) },
 		close: func() { sys.StopDaemons(); sys.Shutdown() },
 		now:   sys.Now,
+		sys:   sys,
 		// Disarm is nil-safe: a no-op on a world built without faults.
 		disarm: sys.Faults.Disarm,
 		// The backend's own fsck where it has one, then the hybrid cache's
@@ -285,24 +261,8 @@ func newDPCWorld(s stackSpec, faults []fault.Rule, o *obs.Obs) *World {
 				panic(fmt.Sprintf("check: barrier failed: %v", err))
 			}
 		}
-		if sys.KVFS != nil {
-			w.injectBug = func() {
-				ctl.SetBackend(legacyFlushBackend{kvfs.PageBackend{FS: sys.KVFS}})
-			}
-		}
 	}
 	return w
-}
-
-// legacyFlushBackend reproduces the pre-fix cache write-back: whole pages go
-// to the backend with no knowledge of the file's true EOF, so flushing the
-// tail page of a 10 000-byte file inflates it to the next page boundary.
-type legacyFlushBackend struct {
-	kvfs.PageBackend
-}
-
-func (b legacyFlushBackend) WritePage(p *sim.Proc, ino, lpn uint64, pageSize int, data []byte) error {
-	return b.FS.Write(p, ino, lpn*uint64(pageSize), data)
 }
 
 // applyDPC maps trace ops onto the dpc client API (shared by the KVFS

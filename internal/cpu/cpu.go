@@ -65,7 +65,7 @@ func (c *Pool) AttachObs(o *obs.Obs) {
 	}
 	// Pool names are a closed set (host, dpu). //dpclint:ok
 	c.busyNs = o.Counter("cpu." + c.name + ".busy_ns")
-	c.execs = o.Counter("cpu." + c.name + ".execs") //dpclint:ok
+	c.execs = o.Counter("cpu." + c.name + ".execs") // closed set, as above //dpclint:ok
 	if po := o.Prof(); po != nil {
 		c.po = po
 		c.execKind = "cpu." + c.name
@@ -78,9 +78,6 @@ func (c *Pool) AttachObs(o *obs.Obs) {
 
 // Name returns the pool name.
 func (c *Pool) Name() string { return c.name }
-
-// Cores returns the number of cores.
-func (c *Pool) Cores() int { return c.cores }
 
 // CyclesToDuration converts a cycle count to wall time at this pool's clock.
 func (c *Pool) CyclesToDuration(cycles int64) time.Duration {
@@ -114,11 +111,6 @@ func (c *Pool) ExecDuration(p *sim.Proc, d time.Duration) {
 	c.res.Release(1)
 	c.execs.Inc()
 	c.busyNs.Add(int64(d))
-}
-
-// Contended reports whether there is currently more runnable work than cores.
-func (c *Pool) Contended() bool {
-	return c.res.InUse() >= c.cores && c.res.QueueLen() > 0
 }
 
 // InUse returns the number of busy cores right now.

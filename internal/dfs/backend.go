@@ -268,24 +268,3 @@ func (b *Backend) Placement(ino, blk uint64) []int {
 	}
 	return out
 }
-
-// DSNode returns data server i's fabric node.
-func (b *Backend) DSNode(i int) *fabric.Node { return b.ds[i].node }
-
-// SetDSDown marks a data server as failed (degraded-read testing).
-func (b *Backend) SetDSDown(i int, down bool) { b.ds[i].down = down }
-
-// ShardOnDS reports whether a shard is stored on data server i (tests).
-func (b *Backend) ShardOnDS(i int, key string) bool {
-	_, ok := b.ds[i].store[key]
-	return ok
-}
-
-// TotalShards counts stored shards across data servers (tests).
-func (b *Backend) TotalShards() int {
-	n := 0
-	for _, d := range b.ds {
-		n += len(d.store)
-	}
-	return n
-}

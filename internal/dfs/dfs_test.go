@@ -118,12 +118,16 @@ func TestECShardsActuallyDistributed(t *testing.T) {
 	})
 	w.m.Eng.Shutdown()
 	cfg := w.b.Config()
-	if w.b.TotalShards() != cfg.ECData+cfg.ECParity {
-		t.Fatalf("TotalShards = %d, want %d", w.b.TotalShards(), cfg.ECData+cfg.ECParity)
+	stored := 0
+	for _, d := range w.b.ds {
+		stored += len(d.store)
+	}
+	if stored != cfg.ECData+cfg.ECParity {
+		t.Fatalf("%d shards stored, want %d", stored, cfg.ECData+cfg.ECParity)
 	}
 	// Every shard lands on the data server the placement function says.
 	for i, ds := range w.b.Placement(ino, 0) {
-		if !w.b.ShardOnDS(ds, ShardKey(ino, 0, i)) {
+		if _, ok := w.b.ds[ds].store[ShardKey(ino, 0, i)]; !ok {
 			t.Fatalf("shard %d missing from ds %d", i, ds)
 		}
 	}
@@ -140,7 +144,7 @@ func TestDegradedReadReconstructs(t *testing.T) {
 	})
 	// Take down the data server holding block 0's first data shard.
 	down := w.b.Placement(ino, 0)[0]
-	w.b.SetDSDown(down, true)
+	w.b.ds[down].down = true
 	w.run(func(p *sim.Proc) {
 		got, err := w.opt.Read(p, ino, 0, len(payload))
 		if err != nil {

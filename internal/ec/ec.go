@@ -43,12 +43,6 @@ func New(k, m int) (*Coder, error) {
 	return &Coder{k: k, m: m, matrix: matMul(vm, topInv)}, nil
 }
 
-// DataShards returns k.
-func (c *Coder) DataShards() int { return c.k }
-
-// ParityShards returns m.
-func (c *Coder) ParityShards() int { return c.m }
-
 // Split slices data into k equal shards, zero-padding the tail. The returned
 // shards reference fresh memory.
 func (c *Coder) Split(data []byte) [][]byte {
@@ -182,38 +176,6 @@ func (c *Coder) Reconstruct(shards [][]byte) error {
 		shards[c.k+p] = out
 	}
 	return nil
-}
-
-// Verify recomputes parity from the data shards and reports whether it
-// matches the provided parity shards.
-func (c *Coder) Verify(shards [][]byte) (bool, error) {
-	if len(shards) != c.k+c.m {
-		return false, fmt.Errorf("ec: got %d shards, want %d", len(shards), c.k+c.m)
-	}
-	parity, err := c.Encode(shards[:c.k])
-	if err != nil {
-		return false, err
-	}
-	for p := 0; p < c.m; p++ {
-		got := shards[c.k+p]
-		if len(got) != len(parity[p]) {
-			return false, nil
-		}
-		for i := range got {
-			if got[i] != parity[p][i] {
-				return false, nil
-			}
-		}
-	}
-	return true, nil
-}
-
-// EncodeCost returns an abstract cycle count for encoding n payload bytes,
-// used by the simulation to charge CPU time. Reed–Solomon encode performs
-// m multiply-adds per data byte; ~4 cycles per byte per parity shard is a
-// reasonable table-driven software cost.
-func (c *Coder) EncodeCost(n int) int64 {
-	return int64(n) * int64(c.m) * 4
 }
 
 // ---- matrix helpers ----

@@ -47,16 +47,19 @@ func TestEncodeVerify(t *testing.T) {
 	if len(parity) != 2 {
 		t.Fatalf("parity count = %d", len(parity))
 	}
-	all := append(append([][]byte{}, data...), parity...)
-	ok, err := c.Verify(all)
-	if err != nil || !ok {
-		t.Fatalf("Verify = %v, %v", ok, err)
+	// The code is MDS, so every parity coefficient is non-zero: one flipped
+	// data byte changes that byte of every parity shard and no other byte.
+	data[3][10] ^= 1
+	again, err := c.Encode(data)
+	if err != nil {
+		t.Fatal(err)
 	}
-	// Corrupt one byte: verification must fail.
-	all[5][10] ^= 1
-	ok, err = c.Verify(all)
-	if err != nil || ok {
-		t.Fatalf("Verify after corruption = %v, %v", ok, err)
+	for p := range parity {
+		for i := range parity[p] {
+			if changed := parity[p][i] != again[p][i]; changed != (i == 10) {
+				t.Fatalf("parity %d byte %d changed=%v after flipping data byte 10", p, i, changed)
+			}
+		}
 	}
 }
 
@@ -141,16 +144,6 @@ func TestSplitJoinRoundTrip(t *testing.T) {
 	}
 }
 
-func TestEncodeCostScales(t *testing.T) {
-	c := mustCoder(t, 4, 2)
-	if c.EncodeCost(8192) != 8192*2*4 {
-		t.Fatalf("EncodeCost = %d", c.EncodeCost(8192))
-	}
-	if c.EncodeCost(0) != 0 {
-		t.Fatal("EncodeCost(0) != 0")
-	}
-}
-
 // Property: for random data and any loss pattern of up to m shards,
 // reconstruction recovers the original bytes exactly.
 func TestReconstructAnyLossProperty(t *testing.T) {
@@ -183,8 +176,7 @@ func TestReconstructAnyLossProperty(t *testing.T) {
 				return false
 			}
 		}
-		ok, err := c.Verify(all)
-		return ok && err == nil
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)

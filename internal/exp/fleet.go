@@ -191,11 +191,6 @@ func runFleetPhase(cfg FleetConfig, faults []fault.Rule, name string, withAggres
 	opts.Model.HostMemMB = 256
 	opts.Model.DPUMemMB = 32
 	opts.NvmeFS.Queues = cfg.Tenants * fleetQPerTenant
-	// A wider dispatch pool than the 8-worker default: with ~200 closed-loop
-	// procs the fleet would otherwise saturate the workers on its own and
-	// the baseline tail would be self-congestion, not a clean uncontended
-	// reference.
-	opts.NvmeFS.DispatchWorkers = 32
 	tenants := make([]nvmefs.TenantConfig, cfg.Tenants)
 	// The aggressor's budgets, enforced by the DRR scheduler in the "drr"
 	// phase (the FIFO phase ignores them by design — that is the contrast),

@@ -184,24 +184,13 @@ func (in *Injector) AttachObs(o *obs.Obs) {
 	}
 }
 
-// Arm re-enables firing after a Disarm.
-func (in *Injector) Arm() {
-	if in != nil {
-		in.armed = true
-	}
-}
-
-// Disarm stops the injector: At reports no fault at every site until
-// re-armed. Site op counters keep advancing so a later Arm resumes the
-// same deterministic schedule.
+// Disarm stops the injector: At reports no fault at any site from now on.
+// Site op counters keep advancing.
 func (in *Injector) Disarm() {
 	if in != nil {
 		in.armed = false
 	}
 }
-
-// Armed reports whether the injector will currently fire rules.
-func (in *Injector) Armed() bool { return in != nil && in.armed }
 
 // FrozenUntil returns the instant a previously fired KindFreeze rule
 // thaws the controller, or 0 when no freeze is pending.

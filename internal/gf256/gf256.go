@@ -37,21 +37,6 @@ func Mul(a, b byte) byte {
 	return expTable[int(logTable[a])+int(logTable[b])]
 }
 
-// Div returns a / b. Division by zero panics.
-func Div(a, b byte) byte {
-	if b == 0 {
-		panic("gf256: division by zero")
-	}
-	if a == 0 {
-		return 0
-	}
-	d := int(logTable[a]) - int(logTable[b])
-	if d < 0 {
-		d += 255
-	}
-	return expTable[d]
-}
-
 // Inv returns the multiplicative inverse of a. Inverse of zero panics.
 func Inv(a byte) byte {
 	if a == 0 {
@@ -60,35 +45,8 @@ func Inv(a byte) byte {
 	return expTable[255-int(logTable[a])]
 }
 
-// Exp returns the generator (2) raised to the power n.
-func Exp(n int) byte {
-	n %= 255
-	if n < 0 {
-		n += 255
-	}
-	return expTable[n]
-}
-
-// MulSlice computes dst[i] = c * src[i] for every i. len(dst) must equal
-// len(src). It is the inner loop of Reed–Solomon encoding.
-func MulSlice(c byte, src, dst []byte) {
-	if c == 0 {
-		for i := range dst {
-			dst[i] = 0
-		}
-		return
-	}
-	lc := int(logTable[c])
-	for i, s := range src {
-		if s == 0 {
-			dst[i] = 0
-		} else {
-			dst[i] = expTable[lc+int(logTable[s])]
-		}
-	}
-}
-
-// MulAddSlice computes dst[i] ^= c * src[i] for every i.
+// MulAddSlice computes dst[i] ^= c * src[i] for every i. It is the inner
+// loop of Reed–Solomon encoding.
 func MulAddSlice(c byte, src, dst []byte) {
 	if c == 0 {
 		return

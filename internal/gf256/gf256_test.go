@@ -50,26 +50,6 @@ func TestInverse(t *testing.T) {
 	}
 }
 
-func TestDiv(t *testing.T) {
-	for a := 0; a < 256; a++ {
-		for b := 1; b < 256; b++ {
-			q := Div(byte(a), byte(b))
-			if Mul(q, byte(b)) != byte(a) {
-				t.Fatalf("(%d/%d)*%d != %d", a, b, b, a)
-			}
-		}
-	}
-}
-
-func TestDivByZeroPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Div by zero did not panic")
-		}
-	}()
-	Div(3, 0)
-}
-
 func TestInvZeroPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
@@ -80,20 +60,17 @@ func TestInvZeroPanics(t *testing.T) {
 }
 
 func TestExpGeneratorCycle(t *testing.T) {
-	if Exp(0) != 1 {
-		t.Fatalf("Exp(0) = %d", Exp(0))
+	if expTable[0] != 1 {
+		t.Fatalf("2^0 = %d", expTable[0])
 	}
-	if Exp(255) != 1 {
-		t.Fatalf("Exp(255) = %d (generator order must be 255)", Exp(255))
-	}
-	if Exp(-1) != Exp(254) {
-		t.Fatal("negative exponent wrap broken")
+	if expTable[255] != 1 {
+		t.Fatalf("2^255 = %d (generator order must be 255)", expTable[255])
 	}
 	seen := map[byte]bool{}
 	for i := 0; i < 255; i++ {
-		v := Exp(i)
+		v := expTable[i]
 		if seen[v] {
-			t.Fatalf("Exp repeats value %d before full cycle", v)
+			t.Fatalf("2^%d repeats value %d before full cycle", i, v)
 		}
 		seen[v] = true
 	}
@@ -116,23 +93,6 @@ func TestAssociativityProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestMulSlice(t *testing.T) {
-	src := []byte{0, 1, 2, 3, 255}
-	dst := make([]byte, len(src))
-	MulSlice(7, src, dst)
-	for i := range src {
-		if dst[i] != Mul(7, src[i]) {
-			t.Fatalf("MulSlice[%d] = %d, want %d", i, dst[i], Mul(7, src[i]))
-		}
-	}
-	MulSlice(0, src, dst)
-	for i := range dst {
-		if dst[i] != 0 {
-			t.Fatal("MulSlice by zero should clear dst")
-		}
 	}
 }
 

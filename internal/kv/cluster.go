@@ -136,14 +136,6 @@ func (c *Cluster) ShardFor(key string) int {
 // StoreOf exposes a shard's raw store for test setup and verification.
 func (c *Cluster) StoreOf(i int) *Store { return c.shards[i].store }
 
-// SetShardDown marks a shard as failed: it answers every request with
-// Down=true until revived, so every operation on its keys fails
-// (failure injection).
-func (c *Cluster) SetShardDown(i int, down bool) { c.shards[i].down = down }
-
-// NodeOf exposes a shard's fabric node.
-func (c *Cluster) NodeOf(i int) *fabric.Node { return c.shards[i].node }
-
 // TotalKeys sums keys across shards.
 func (c *Cluster) TotalKeys() int {
 	n := 0

@@ -159,7 +159,7 @@ func TestDownShardReadFails(t *testing.T) {
 	key := prefix + "item"
 	e.Go("setup", func(p *sim.Proc) { cl.Put(p, key, []byte("x")) })
 	e.Run()
-	c.SetShardDown(c.ShardFor(key), true)
+	c.shards[c.ShardFor(key)].down = true
 	var gotOK, finished bool
 	var scanned int
 	e.Go("reader", func(p *sim.Proc) {
@@ -174,7 +174,7 @@ func TestDownShardReadFails(t *testing.T) {
 	if gotOK || scanned != 0 {
 		t.Fatalf("owning shard down: Get found=%v, Scan returned %d items", gotOK, scanned)
 	}
-	c.SetShardDown(c.ShardFor(key), false)
+	c.shards[c.ShardFor(key)].down = false
 	var v []byte
 	e.Go("revived", func(p *sim.Proc) { v, gotOK = cl.Get(p, key) })
 	e.Run()

@@ -65,9 +65,6 @@ type FS struct {
 	Ops stats.Counter
 }
 
-// NextIno returns the next inode number the FS would allocate.
-func (fs *FS) NextIno() uint64 { return fs.nextIno }
-
 // SetNextIno raises the inode allocation cursor. Crash recovery rebuilds
 // the (volatile) cursor from the maximum inode found in the surviving KV
 // state so re-created files never reuse a durable inode number.

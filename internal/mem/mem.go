@@ -74,14 +74,6 @@ func (r *Region) Write(addr Addr, p []byte) {
 	copy(r.Slice(addr, len(p)), p)
 }
 
-// Zero clears n bytes at addr.
-func (r *Region) Zero(addr Addr, n int) {
-	s := r.Slice(addr, n)
-	for i := range s {
-		s[i] = 0
-	}
-}
-
 // Uint32 reads a little-endian uint32 at addr.
 func (r *Region) Uint32(addr Addr) uint32 {
 	return binary.LittleEndian.Uint32(r.Slice(addr, 4))
@@ -130,53 +122,4 @@ func (r *Region) FetchAdd32(addr Addr, delta uint32) uint32 {
 	v := r.Uint32(addr)
 	r.PutUint32(addr, v+delta)
 	return v
-}
-
-// PageAllocator hands out fixed-size, page-aligned chunks from a region.
-// Free pages are recycled LIFO.
-type PageAllocator struct {
-	region   *Region
-	pageSize int
-	next     Addr
-	free     []Addr
-}
-
-// NewPageAllocator creates an allocator over the whole region.
-func NewPageAllocator(r *Region, pageSize int) *PageAllocator {
-	if pageSize <= 0 || pageSize > r.Size() {
-		panic(fmt.Sprintf("mem: page size %d for region of %d bytes", pageSize, r.Size()))
-	}
-	return &PageAllocator{region: r, pageSize: pageSize, next: r.Base()}
-}
-
-// PageSize returns the allocation granule.
-func (a *PageAllocator) PageSize() int { return a.pageSize }
-
-// Alloc returns the address of a free page, or false if the region is full.
-func (a *PageAllocator) Alloc() (Addr, bool) {
-	if n := len(a.free); n > 0 {
-		addr := a.free[n-1]
-		a.free = a.free[:n-1]
-		return addr, true
-	}
-	if !a.region.Contains(a.next, a.pageSize) {
-		return 0, false
-	}
-	addr := a.next
-	a.next += Addr(a.pageSize)
-	return addr, true
-}
-
-// Free returns a page to the allocator.
-func (a *PageAllocator) Free(addr Addr) {
-	if !a.region.Contains(addr, a.pageSize) {
-		panic(fmt.Sprintf("mem: freeing %#x outside region %q", uint64(addr), a.region.name))
-	}
-	a.free = append(a.free, addr)
-}
-
-// FreePages returns the number of pages currently allocatable.
-func (a *PageAllocator) FreePages() int {
-	remaining := int(a.region.End()-a.next) / a.pageSize
-	return remaining + len(a.free)
 }

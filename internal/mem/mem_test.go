@@ -3,7 +3,6 @@ package mem
 import (
 	"bytes"
 	"testing"
-	"testing/quick"
 )
 
 func TestRegionBounds(t *testing.T) {
@@ -41,12 +40,6 @@ func TestReadWriteRoundTrip(t *testing.T) {
 	r.Slice(8, 5)[0] = 'H'
 	if r.Read(8, 1)[0] != 'H' {
 		t.Fatal("Slice does not alias region")
-	}
-	r.Zero(8, len(data))
-	for _, b := range r.Read(8, len(data)) {
-		if b != 0 {
-			t.Fatal("Zero did not clear bytes")
-		}
 	}
 }
 
@@ -94,63 +87,5 @@ func TestFetchAdd(t *testing.T) {
 	}
 	if r.Uint32(0) != 15 {
 		t.Fatalf("value = %d, want 15", r.Uint32(0))
-	}
-}
-
-func TestPageAllocator(t *testing.T) {
-	r := NewRegion("pages", 0x10000, 4096*4)
-	a := NewPageAllocator(r, 4096)
-	if a.FreePages() != 4 {
-		t.Fatalf("FreePages = %d, want 4", a.FreePages())
-	}
-	var pages []Addr
-	for i := 0; i < 4; i++ {
-		p, ok := a.Alloc()
-		if !ok {
-			t.Fatalf("alloc %d failed", i)
-		}
-		if (p-r.Base())%4096 != 0 {
-			t.Fatalf("page %#x not aligned", uint64(p))
-		}
-		pages = append(pages, p)
-	}
-	if _, ok := a.Alloc(); ok {
-		t.Fatal("alloc beyond capacity succeeded")
-	}
-	a.Free(pages[2])
-	p, ok := a.Alloc()
-	if !ok || p != pages[2] {
-		t.Fatalf("recycled page = %#x, want %#x", uint64(p), uint64(pages[2]))
-	}
-}
-
-// Property: distinct allocated pages never overlap.
-func TestPageAllocatorNoOverlapProperty(t *testing.T) {
-	f := func(ops []bool) bool {
-		r := NewRegion("p", 0, 4096*16)
-		a := NewPageAllocator(r, 4096)
-		held := map[Addr]bool{}
-		for _, alloc := range ops {
-			if alloc || len(held) == 0 {
-				p, ok := a.Alloc()
-				if !ok {
-					continue
-				}
-				if held[p] {
-					return false // double allocation
-				}
-				held[p] = true
-			} else {
-				for p := range held {
-					delete(held, p)
-					a.Free(p)
-					break
-				}
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Fatal(err)
 	}
 }

@@ -3,6 +3,10 @@ package model
 import (
 	"strings"
 	"testing"
+	"time"
+
+	"dpc/internal/cpu"
+	"dpc/internal/sim"
 )
 
 func TestDefaultConfigSane(t *testing.T) {
@@ -20,8 +24,20 @@ func TestDefaultConfigSane(t *testing.T) {
 
 func TestMachineAssembly(t *testing.T) {
 	m := NewMachine(Default())
-	if m.HostCPU.Cores() != 52 || m.DPUCPU.Cores() != 24 {
-		t.Fatal("CPU pools wrong size")
+	// A pool runs as many executions at once as it has cores: offer each one
+	// more than that.
+	offer := func(pool *cpu.Pool, n int) {
+		for i := 0; i <= n; i++ {
+			m.Eng.Go("w", func(p *sim.Proc) { pool.ExecDuration(p, time.Microsecond) })
+		}
+	}
+	offer(m.HostCPU, 52)
+	offer(m.DPUCPU, 24)
+	var host, dpu int
+	m.Eng.Schedule(1, func() { host, dpu = m.HostCPU.InUse(), m.DPUCPU.InUse() })
+	m.Eng.Run()
+	if host != 52 || dpu != 24 {
+		t.Fatalf("CPU pools run %d and %d at once, want 52 and 24", host, dpu)
 	}
 	if m.HostMem.Size() != Default().HostMemMB*1024*1024 {
 		t.Fatalf("host mem = %d", m.HostMem.Size())

@@ -251,25 +251,6 @@ func (c *CQE) Marshal(buf []byte) {
 	le.PutUint32(buf[12:], dw3)
 }
 
-// UnmarshalCQE decodes a 16-byte completion entry.
-func UnmarshalCQE(buf []byte) (CQE, error) {
-	if len(buf) < CQESize {
-		return CQE{}, fmt.Errorf("nvme: CQE buffer %d bytes", len(buf))
-	}
-	le := binary.LittleEndian
-	dw2 := le.Uint32(buf[8:])
-	dw3 := le.Uint32(buf[12:])
-	return CQE{
-		Result: le.Uint32(buf[0:]),
-		Token:  le.Uint32(buf[4:]),
-		SQHead: uint16(dw2),
-		SQID:   uint16(dw2 >> 16),
-		CID:    uint16(dw3),
-		Phase:  dw3>>16&1 == 1,
-		Status: uint16(dw3 >> 17),
-	}, nil
-}
-
 // Ring describes a queue ring in simulated memory.
 type Ring struct {
 	Base      mem.Addr
@@ -287,9 +268,6 @@ func (r Ring) EntryAddr(i int) mem.Addr {
 
 // Next returns the slot after i, wrapping.
 func (r Ring) Next(i int) int { return (i + 1) % r.Entries }
-
-// SizeBytes returns the ring's total footprint.
-func (r Ring) SizeBytes() int { return r.Entries * r.EntrySize }
 
 // QueuePair is one SQ/CQ pair. Head/tail indices are kept by the respective
 // drivers; the phase bit implements standard NVMe CQ ownership.

@@ -113,7 +113,7 @@ func TestInlineReadInto(t *testing.T) {
 func TestInlineCutoverBoundaries(t *testing.T) {
 	m, d, _ := newInlineDriver(t, 1, 512)
 	m.Eng.Go("app", func(p *sim.Proc) {
-		cut := d.Cutover()
+		cut := d.cutover
 		if cut <= 0 || cut >= 512 {
 			t.Fatalf("cutover = %d, want in (0, 512)", cut)
 		}

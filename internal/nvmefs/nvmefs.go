@@ -129,10 +129,6 @@ type Config struct {
 	// A/B: queue groups and workers identical, arbitration policy removed.
 	SchedFIFO bool
 
-	// DispatchWorkers bounds the DPU-side dispatch/execute procs the
-	// scheduler feeds (multi-tenant mode only). 0 means 8.
-	DispatchWorkers int
-
 	// InlineCutover pins the inline-write payload cutover instead of the
 	// break-even value WriteCutover derives from the link's costs: when > 0
 	// the cutover is min(InlineCutover, InlineMax). 0 (the default) keeps
@@ -403,9 +399,6 @@ func NewDriver(m *model.Machine, cfg Config, handler Handler) *Driver {
 		if cfg.Queues%len(cfg.Tenants) != 0 {
 			panic(fmt.Sprintf("nvmefs: %d queues do not partition over %d tenants", cfg.Queues, len(cfg.Tenants)))
 		}
-		if cfg.DispatchWorkers <= 0 {
-			cfg.DispatchWorkers = 8
-		}
 	}
 	d := &Driver{m: m, cfg: cfg, handler: handler, pool: bufpool.New(), cutover: WriteCutover(m.PCIe.Config(), cfg)}
 	if o := m.Obs; o.Enabled() {
@@ -465,7 +458,7 @@ func NewDriver(m *model.Machine, cfg Config, handler Handler) *Driver {
 	}
 	if multiTenant {
 		d.sched = newScheduler(d)
-		for w := 0; w < cfg.DispatchWorkers; w++ {
+		for w := 0; w < dispatchWorkers; w++ {
 			m.Eng.Go(fmt.Sprintf("nvme-dispatch-%d", w), d.dispatchLoop)
 		}
 	}
@@ -537,10 +530,6 @@ func WriteCutover(pc pcie.Config, cfg Config) int {
 	}
 	return cfg.InlineMax
 }
-
-// Cutover returns the inline-write payload cutover in bytes (0 when the
-// inline path is disabled).
-func (d *Driver) Cutover() int { return d.cutover }
 
 // Queues returns the number of queue pairs.
 func (d *Driver) Queues() int { return d.cfg.Queues }

@@ -27,6 +27,12 @@ import (
 	"dpc/internal/sim"
 )
 
+// dispatchWorkers is the size of the DPU-side dispatch/execute pool the
+// scheduler feeds. It is wide enough that a fleet of ~200 closed-loop procs
+// does not saturate it on its own, so an uncontended tenant's tail is not
+// self-congestion.
+const dispatchWorkers = 32
+
 // schedTenant is one tenant's scheduler state.
 type schedTenant struct {
 	cfg TenantConfig

@@ -10,8 +10,9 @@ import (
 )
 
 // newTenantDriver builds a driver with the transport virtualized into one
-// queue group per tenant config.
-func newTenantDriver(t *testing.T, queues int, tenants []TenantConfig, workers int) (*model.Machine, *Driver, *virtualClient) {
+// queue group per tenant config, over a backend that takes service of
+// virtual time per command.
+func newTenantDriver(t *testing.T, queues int, tenants []TenantConfig, service time.Duration) (*model.Machine, *Driver) {
 	t.Helper()
 	cfg := model.Default()
 	cfg.HostMemMB = 96
@@ -20,9 +21,12 @@ func newTenantDriver(t *testing.T, queues int, tenants []TenantConfig, workers i
 	vc := newVirtualClient()
 	d := NewDriver(m, Config{
 		Queues: queues, Depth: 64, SlotsPerQ: 32, MaxIO: 64 * 1024, RHCap: 256,
-		Tenants: tenants, DispatchWorkers: workers,
-	}, vc.handle)
-	return m, d, vc
+		Tenants: tenants,
+	}, func(p *sim.Proc, req Request) Response {
+		p.Sleep(service)
+		return vc.handle(p, req)
+	})
+	return m, d
 }
 
 // floodTenant runs procs closed-loop writers against tenant t's queue group
@@ -46,16 +50,20 @@ func floodTenant(m *model.Machine, d *Driver, t, procs, opBytes int, until sim.T
 }
 
 // TestDRRFairnessEqualWeights is the fairness invariant: with every tenant
-// continuously backlogged, dispatched cost bytes stay within
-// a bounded deficit of each other — the DRR clamp (two rounds' grant) plus
-// one in-flight command per worker of slack.
+// continuously backlogged, dispatched cost bytes stay within a bounded
+// deficit of each other — the DRR clamp (two rounds' grant) plus one
+// command. Each tenant keeps more commands outstanding than there are
+// dispatch workers (two queue groups of 32 slots, 48 writers), so a policy
+// that serves whichever tenant it granted last until that tenant runs dry
+// would starve the others.
 func TestDRRFairnessEqualWeights(t *testing.T) {
 	const nTenants = 4
-	m, d, _ := newTenantDriver(t, nTenants, make([]TenantConfig, nTenants), 4)
+	// A slow backend keeps the dispatch workers the bottleneck.
+	m, d := newTenantDriver(t, 2*nTenants, make([]TenantConfig, nTenants), 200*time.Microsecond)
 
 	const until = sim.Time(5_000_000) // 5ms
 	for tn := 0; tn < nTenants; tn++ {
-		floodTenant(m, d, tn, 8, 32*1024, until)
+		floodTenant(m, d, tn, dispatchWorkers*3/2, 32*1024, until)
 	}
 
 	// Snapshot mid-run, while every tenant is still backlogged; at the end of
@@ -74,7 +82,7 @@ func TestDRRFairnessEqualWeights(t *testing.T) {
 
 	quantum := int64(d.MaxIO()) + 512
 	maxCost := int64(512 + 32*1024)
-	bound := 2*quantum + 4*maxCost // deficit clamp + one grant in flight per worker
+	bound := 2*quantum + maxCost // deficit clamp + one command
 	lo, hi := snap[0].CostBytes, snap[0].CostBytes
 	for _, s := range snap[1:] {
 		if s.CostBytes < lo {
@@ -104,19 +112,7 @@ func TestAdmissionShedsOverBudget(t *testing.T) {
 	// A slow backend makes execution the bottleneck (a large payload would
 	// not: its DMA shares the PCIe link with SQE fetches, so the TGT drain
 	// would slow in lockstep with service and the ready queue never fills).
-	cfg := model.Default()
-	cfg.HostMemMB = 96
-	cfg.DPUMemMB = 8
-	m := model.NewMachine(cfg)
-	vc := newVirtualClient()
-	slow := func(p *sim.Proc, req Request) Response {
-		p.Sleep(50 * time.Microsecond)
-		return vc.handle(p, req)
-	}
-	d := NewDriver(m, Config{
-		Queues: 2, Depth: 64, SlotsPerQ: 32, MaxIO: 64 * 1024, RHCap: 256,
-		Tenants: tenants, DispatchWorkers: 4,
-	}, slow)
+	m, d := newTenantDriver(t, 2, tenants, 50*time.Microsecond)
 
 	// The whole burst serializes behind one 50µs inflight slot (~0.8ms), well
 	// inside the ~2.5ms of backoff the retry budget spends, so the unluckiest
@@ -162,10 +158,10 @@ func TestSchedDeterminism(t *testing.T) {
 			{},
 			{},
 		}
-		m, d, _ := newTenantDriver(t, 3, tenants, 4)
+		m, d := newTenantDriver(t, 3, tenants, 0)
 		const until = sim.Time(4_000_000)
 		for tn := 0; tn < 3; tn++ {
-			floodTenant(m, d, tn, 6, 16*1024, until)
+			floodTenant(m, d, tn, dispatchWorkers/2, 16*1024, until)
 		}
 		m.Eng.Schedule(until/2, func() {
 			for tn := 0; tn < 3; tn++ {

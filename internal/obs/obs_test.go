@@ -166,7 +166,7 @@ func TestHistogramBucketBoundaries(t *testing.T) {
 // TestSpanCap: spans over the cap are dropped and counted, not recorded.
 func TestSpanCap(t *testing.T) {
 	o := New()
-	o.Tracer().SetMaxSpans(2)
+	o.Tracer().maxSpans = 2
 	eng := sim.NewEngine(1)
 	eng.Go("p", func(p *sim.Proc) {
 		for i := 0; i < 5; i++ {

@@ -75,9 +75,6 @@ func newTracer() *Tracer {
 	}
 }
 
-// SetMaxSpans adjusts the span cap (before tracing starts).
-func (t *Tracer) SetMaxSpans(n int) { t.maxSpans = n }
-
 // Dropped reports how many spans were discarded over the cap.
 func (t *Tracer) Dropped() int64 { return t.dropped }
 

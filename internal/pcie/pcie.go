@@ -151,44 +151,21 @@ type Link struct {
 	// subs receives every PCIe operation, in subscription order. Multiple
 	// consumers coexist: cmd/dpctrace's printer and the model's span
 	// annotator can both watch the same link.
-	subs   []subscriber
-	nextID int
+	subs []func(Event)
 }
 
-type subscriber struct {
-	id int
-	fn func(Event)
-}
-
-// Subscribe registers fn to receive every PCIe operation and returns a
-// token for Unsubscribe. Subscribers fire in subscription order.
-func (l *Link) Subscribe(fn func(Event)) int {
-	l.nextID++
-	l.subs = append(l.subs, subscriber{id: l.nextID, fn: fn})
-	return l.nextID
-}
-
-// Unsubscribe removes a subscriber registered with Subscribe.
-func (l *Link) Unsubscribe(id int) {
-	for i, s := range l.subs {
-		if s.id == id {
-			l.subs = append(l.subs[:i], l.subs[i+1:]...)
-			return
-		}
-	}
-}
+// Subscribe registers fn to receive every PCIe operation. Subscribers fire in
+// subscription order.
+func (l *Link) Subscribe(fn func(Event)) { l.subs = append(l.subs, fn) }
 
 // emit fans an event out to every subscriber. Callers must skip the Event
-// construction entirely when Traced() is false, keeping the untraced hot
+// construction entirely when nobody subscribed, keeping the untraced hot
 // path allocation-free.
 func (l *Link) emit(ev Event) {
-	for _, s := range l.subs {
-		s.fn(ev)
+	for _, fn := range l.subs {
+		fn(ev)
 	}
 }
-
-// Traced reports whether any subscriber is listening.
-func (l *Link) Traced() bool { return len(l.subs) > 0 }
 
 // NewLink creates a link with the given cost model.
 func NewLink(eng *sim.Engine, cfg Config) *Link {

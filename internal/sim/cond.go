@@ -64,6 +64,3 @@ func popFront[T any](q *[]T) T {
 	}
 	return v
 }
-
-// Waiters returns the number of parked processes.
-func (c *Cond) Waiters() int { return len(c.waiters) }

@@ -259,9 +259,6 @@ func (e *Engine) RunUntil(limit Time) {
 	}
 }
 
-// Idle reports whether no events are pending.
-func (e *Engine) Idle() bool { return e.PendingEvents() == 0 }
-
 // PendingEvents returns the number of scheduled events, heap and nowq.
 func (e *Engine) PendingEvents() int { return e.events.Len() + len(e.nowq) - e.nowHead }
 

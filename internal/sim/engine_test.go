@@ -203,6 +203,11 @@ func TestShutdownRunsDefers(t *testing.T) {
 	}
 }
 
+// Yield reschedules the process at the current time behind already-pending
+// same-time events, giving them a chance to run. No model yields; the tests
+// use it to put a wake behind the events of its instant.
+func (p *Proc) Yield() { p.wakeAt(p.eng.now) }
+
 func TestYield(t *testing.T) {
 	e := NewEngine(1)
 	var trace []string

@@ -21,7 +21,6 @@ type Mailbox[T any] struct {
 	// Sent and Received count total messages through the mailbox.
 	Sent     int64
 	Received int64
-	maxDepth int
 }
 
 type mboxSend[T any] struct {
@@ -36,9 +35,6 @@ func NewMailbox[T any](eng *Engine, name string, bound int) *Mailbox[T] {
 
 // Len returns the number of queued messages.
 func (m *Mailbox[T]) Len() int { return len(m.buf) }
-
-// MaxDepth returns the high-water mark of the queue length.
-func (m *Mailbox[T]) MaxDepth() int { return m.maxDepth }
 
 // Send enqueues msg, blocking p while the mailbox is full.
 func (m *Mailbox[T]) Send(p *Proc, msg T) {
@@ -72,9 +68,6 @@ func (m *Mailbox[T]) push(msg T) {
 		return
 	}
 	m.buf = append(m.buf, msg)
-	if len(m.buf) > m.maxDepth {
-		m.maxDepth = len(m.buf)
-	}
 }
 
 type pendingRecv[T any] struct {
@@ -100,18 +93,6 @@ func (m *Mailbox[T]) Recv(p *Proc) T {
 		}
 	}
 	panic(fmt.Sprintf("sim: mailbox %q woke receiver %q with no pending message", m.name, p.name))
-}
-
-// TryRecv dequeues a message if one is available. It never blocks.
-func (m *Mailbox[T]) TryRecv() (T, bool) {
-	var zero T
-	if len(m.buf) == 0 {
-		return zero, false
-	}
-	msg := popFront(&m.buf)
-	m.Received++
-	m.wakeSender()
-	return msg, true
 }
 
 func (m *Mailbox[T]) wakeSender() {

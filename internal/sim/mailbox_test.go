@@ -81,21 +81,17 @@ func TestMailboxBoundedSendBlocks(t *testing.T) {
 	}
 }
 
-func TestMailboxTrySendTryRecv(t *testing.T) {
+func TestMailboxTrySend(t *testing.T) {
 	e := NewEngine(1)
 	m := NewMailbox[int](e, "m", 1)
-	if _, ok := m.TryRecv(); ok {
-		t.Fatal("TryRecv on empty mailbox succeeded")
-	}
 	if !m.TrySend(7) {
 		t.Fatal("TrySend on empty bounded mailbox failed")
 	}
 	if m.TrySend(8) {
 		t.Fatal("TrySend on full mailbox succeeded")
 	}
-	v, ok := m.TryRecv()
-	if !ok || v != 7 {
-		t.Fatalf("TryRecv = %v,%v", v, ok)
+	if m.Len() != 1 || m.buf[0] != 7 {
+		t.Fatalf("queued %v, want [7]", m.buf)
 	}
 }
 
@@ -202,7 +198,7 @@ func TestCondSignalBroadcast(t *testing.T) {
 	if len(woke) != 3 || woke[0] != "a" {
 		t.Fatalf("woke = %v", woke)
 	}
-	if c.Waiters() != 0 {
-		t.Fatalf("Waiters = %d", c.Waiters())
+	if len(c.waiters) != 0 {
+		t.Fatalf("%d waiters left", len(c.waiters))
 	}
 }

@@ -118,7 +118,7 @@ func (w *orderWorld) receiving() {
 // post from event context, some chain another event.
 func (w *orderWorld) event(d Time) {
 	k := w.next(w.e.now+d, 0)
-	act := w.rng.Intn(5)
+	act := w.rng.Intn(4)
 	w.e.Schedule(k.at, func() {
 		w.log = append(w.log, k)
 		switch act {
@@ -130,9 +130,6 @@ func (w *orderWorld) event(d Time) {
 			w.sending()
 			w.mb.TrySend(0)
 		case 3:
-			w.receiving()
-			w.mb.TryRecv()
-		case 4:
 			w.event(Time(w.rng.Intn(3)))
 		}
 	})
@@ -210,9 +207,6 @@ func (w *orderWorld) check(when string) {
 	}
 	if got, want := w.e.PendingEvents(), w.scheduled-len(w.log); got != want {
 		w.t.Fatalf("%s: PendingEvents() = %d, want %d scheduled and not dispatched", when, got, want)
-	}
-	if w.e.Idle() != (w.e.PendingEvents() == 0) {
-		w.t.Fatalf("%s: Idle() = %v with %d pending", when, w.e.Idle(), w.e.PendingEvents())
 	}
 	if w.e.seq != uint64(w.scheduled) {
 		w.t.Fatalf("%s: engine consumed %d sequence numbers for %d schedulings", when, w.e.seq, w.scheduled)
@@ -350,8 +344,8 @@ func TestTickerOverLoneSleeper(t *testing.T) {
 		}
 	})
 	e.Run()
-	if want := []Time{100_000, 200_000, 300_000, 400_000}; !slices.Equal(fires, want) || !tk.Stopped() {
-		t.Fatalf("ticker fired at %v (stopped %v), want %v", fires, tk.Stopped(), want)
+	if want := []Time{100_000, 200_000, 300_000, 400_000}; !slices.Equal(fires, want) || !tk.stopped {
+		t.Fatalf("ticker fired at %v (stopped %v), want %v", fires, tk.stopped, want)
 	}
 	if e.Now() != 400_000 || e.Parks >= 50 {
 		t.Fatalf("now %v after %d parks: want 400µs and most of the 50 sleeps in place", e.Now(), e.Parks)

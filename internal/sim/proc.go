@@ -143,13 +143,9 @@ func (p *Proc) SleepUntil(t Time) {
 	p.wakeAt(t)
 }
 
-// Yield reschedules the process at the current time behind already-pending
-// same-time events, giving them a chance to run.
-func (p *Proc) Yield() { p.wakeAt(p.eng.now) }
-
 // wakeAt suspends the process until its wake-up at time at comes up in
-// (at, seq) order; Sleep, SleepUntil and Yield are argument checks in front
-// of it. When nothing is pending at or before at, that wake-up is the very
+// (at, seq) order; Sleep and SleepUntil are argument checks in front of it.
+// When nothing is pending at or before at, that wake-up is the very
 // event the loop would pop next — nothing scheduled later can precede it, and
 // a tie would need a smaller seq, so it would be pending already. The round
 // trip through the heap and the loop is then skipped: the wake's sequence

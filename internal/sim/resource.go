@@ -1,9 +1,6 @@
 package sim
 
-import (
-	"fmt"
-	"time"
-)
+import "fmt"
 
 // Resource models a pool of identical servers (CPU cores, DMA engines, disk
 // channels...). Processes acquire units, hold them for some virtual time and
@@ -25,8 +22,6 @@ type Resource struct {
 	// that had to queue.
 	Grants int64
 	Waits  int64
-	// waitTime accumulates total queueing delay in ns.
-	waitTime int64
 
 	// OnWait, when set, observes queued acquisitions: it is invoked at grant
 	// time with the process that waited and the time it began queueing. The
@@ -50,9 +45,6 @@ func NewResource(eng *Engine, name string, capacity int) *Resource {
 	return &Resource{eng: eng, name: name, cap: capacity}
 }
 
-// Cap returns the resource capacity in units.
-func (r *Resource) Cap() int { return r.cap }
-
 // InUse returns the number of units currently held.
 func (r *Resource) InUse() int { return r.used }
 
@@ -73,14 +65,6 @@ func (r *Resource) BusyUnitSeconds() float64 {
 	return float64(r.busy) / 1e9
 }
 
-// MeanWait returns the average queueing delay across all acquisitions.
-func (r *Resource) MeanWait() time.Duration {
-	if r.Grants == 0 {
-		return 0
-	}
-	return time.Duration(r.waitTime / r.Grants)
-}
-
 // Acquire blocks p until n units are available and then takes them.
 func (r *Resource) Acquire(p *Proc, n int) {
 	if n <= 0 || n > r.cap {
@@ -96,20 +80,6 @@ func (r *Resource) Acquire(p *Proc, n int) {
 	r.waiters = append(r.waiters, resWaiter{p: p, n: n, since: r.eng.now})
 	p.park()
 	// When we wake, our grant has already been applied by Release.
-}
-
-// TryAcquire takes n units if immediately available, reporting success.
-func (r *Resource) TryAcquire(n int) bool {
-	if n <= 0 || n > r.cap {
-		panic(fmt.Sprintf("sim: resource %q tryacquire %d of %d", r.name, n, r.cap))
-	}
-	if len(r.waiters) == 0 && r.used+n <= r.cap {
-		r.account()
-		r.used += n
-		r.Grants++
-		return true
-	}
-	return false
 }
 
 // Release returns n units and hands them to queued waiters (FIFO, skipping
@@ -128,19 +98,11 @@ func (r *Resource) Release(n int) {
 		popFront(&r.waiters)
 		r.used += w.n
 		r.Grants++
-		r.waitTime += int64(r.eng.now - w.since)
 		if r.OnWait != nil {
 			r.OnWait(w.p, w.since)
 		}
 		r.eng.scheduleWake(w.p, r.eng.now)
 	}
-}
-
-// Use acquires n units, holds them for d of virtual time, and releases them.
-func (r *Resource) Use(p *Proc, n int, d time.Duration) {
-	r.Acquire(p, n)
-	p.Sleep(d)
-	r.Release(n)
 }
 
 // RWLock is a readers-writer lock for processes, with reader preference: a

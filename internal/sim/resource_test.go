@@ -8,12 +8,19 @@ import (
 	"time"
 )
 
+// hold acquires n units of r, keeps them for d and releases them.
+func hold(p *Proc, r *Resource, n int, d time.Duration) {
+	r.Acquire(p, n)
+	p.Sleep(d)
+	r.Release(n)
+}
+
 func TestResourceImmediateGrant(t *testing.T) {
 	e := NewEngine(1)
 	r := NewResource(e, "cpu", 2)
 	var end Time
 	e.Go("p", func(p *Proc) {
-		r.Use(p, 1, 100)
+		hold(p, r, 1, 100)
 		end = p.Now()
 	})
 	e.Run()
@@ -31,7 +38,7 @@ func TestResourceQueueing(t *testing.T) {
 	var ends []Time
 	for i := 0; i < 3; i++ {
 		e.Go("p", func(p *Proc) {
-			r.Use(p, 1, 100)
+			hold(p, r, 1, 100)
 			ends = append(ends, p.Now())
 		})
 	}
@@ -50,7 +57,7 @@ func TestResourceParallelism(t *testing.T) {
 	var ends []Time
 	for i := 0; i < 8; i++ {
 		e.Go("p", func(p *Proc) {
-			r.Use(p, 1, 100)
+			hold(p, r, 1, 100)
 			ends = append(ends, p.Now())
 		})
 	}
@@ -94,27 +101,12 @@ func TestResourceFIFOWithLargeRequestBlocksSmall(t *testing.T) {
 func TestResourceUtilization(t *testing.T) {
 	e := NewEngine(1)
 	r := NewResource(e, "cpu", 2)
-	e.Go("p1", func(p *Proc) { r.Use(p, 1, Time(1*Second).Sub(0)) })
-	e.Go("p2", func(p *Proc) { r.Use(p, 1, Time(1*Second).Sub(0)) })
+	e.Go("p1", func(p *Proc) { hold(p, r, 1, Time(1*Second).Sub(0)) })
+	e.Go("p2", func(p *Proc) { hold(p, r, 1, Time(1*Second).Sub(0)) })
 	e.Run()
 	busy := r.BusyUnitSeconds()
 	if busy < 1.99 || busy > 2.01 {
 		t.Fatalf("BusyUnitSeconds = %v, want 2.0", busy)
-	}
-}
-
-func TestResourceTryAcquire(t *testing.T) {
-	e := NewEngine(1)
-	r := NewResource(e, "r", 1)
-	if !r.TryAcquire(1) {
-		t.Fatal("first TryAcquire failed")
-	}
-	if r.TryAcquire(1) {
-		t.Fatal("second TryAcquire succeeded with no capacity")
-	}
-	r.Release(1)
-	if !r.TryAcquire(1) {
-		t.Fatal("TryAcquire after release failed")
 	}
 }
 
@@ -147,7 +139,7 @@ func TestResourceConservationProperty(t *testing.T) {
 			d := int64(d) + 1
 			total += d
 			e.Go("j", func(p *Proc) {
-				r.Use(p, 1, Time(d).Sub(0))
+				hold(p, r, 1, Time(d).Sub(0))
 				ends = append(ends, p.Now())
 			})
 		}

@@ -24,7 +24,6 @@ type Ticker struct {
 	fn      func(now Time)
 	tick    func()
 	stopped bool
-	fires   int64
 }
 
 // NewTicker schedules fn to run every interval of virtual time, first firing
@@ -39,7 +38,6 @@ func (e *Engine) NewTicker(every time.Duration, fn func(now Time)) *Ticker {
 		if t.stopped {
 			return
 		}
-		t.fires++
 		t.fn(e.now)
 		// Reschedule only while non-ticker work remains: if every pending
 		// event is another ticker's wake-up, the simulation has quiesced and
@@ -62,10 +60,3 @@ func (t *Ticker) schedule() {
 // Stop cancels the ticker. The already-scheduled wake-up still pops from the
 // event heap but does nothing.
 func (t *Ticker) Stop() { t.stopped = true }
-
-// Stopped reports whether the ticker has stopped (explicitly or by idle
-// detection).
-func (t *Ticker) Stopped() bool { return t.stopped }
-
-// Fires returns how many times the callback has run.
-func (t *Ticker) Fires() int64 { return t.fires }

@@ -19,7 +19,7 @@ func TestTickerIdleStops(t *testing.T) {
 	})
 	e.Run() // must terminate: the ticker stops once only its wake-ups remain
 
-	if !tk.Stopped() {
+	if !tk.stopped {
 		t.Error("ticker still live after Run drained")
 	}
 	// Work ends at 350us; the 100/200/300us ticks see it pending, the 400us
@@ -32,9 +32,6 @@ func TestTickerIdleStops(t *testing.T) {
 		if fireTimes[i] != at {
 			t.Errorf("fire %d at %d, want %d", i, fireTimes[i], at)
 		}
-	}
-	if tk.Fires() != int64(len(want)) {
-		t.Errorf("Fires() = %d, want %d", tk.Fires(), len(want))
 	}
 }
 

@@ -275,9 +275,6 @@ func (d *Device) WriteRaw(off int64, data []byte) {
 	}
 }
 
-// AllocatedBlocks returns the number of 4 KB blocks that have been written.
-func (d *Device) AllocatedBlocks() int { return len(d.blocks) }
-
 // EnableCrashTracking arms power-fail tracking: from now on, blocks written
 // between Barriers are revertible by Crash.
 func (d *Device) EnableCrashTracking() {

@@ -56,8 +56,8 @@ func TestCrossBlockBoundary(t *testing.T) {
 	if !bytes.Equal(got, payload) {
 		t.Fatal("cross-block round trip failed")
 	}
-	if d.AllocatedBlocks() != 4 {
-		t.Fatalf("AllocatedBlocks = %d, want 4", d.AllocatedBlocks())
+	if len(d.blocks) != 4 {
+		t.Fatalf("%d blocks allocated, want 4", len(d.blocks))
 	}
 }
 

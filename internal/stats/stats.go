@@ -55,10 +55,6 @@ func histUpperBound(idx int) int64 {
 // snapshot arrays with it.
 func BucketCount() int { return histNumBuckets }
 
-// BucketUpper returns the inclusive upper bound, in nanoseconds, of bucket
-// idx in the bounded geometry.
-func BucketUpper(idx int) int64 { return histUpperBound(idx) }
-
 // CopyBuckets copies the raw bucket counts of a bounded recorder into dst
 // (which must be at least BucketCount long) and returns the total sample
 // count. It allocates nothing, so a periodic sampler can snapshot a live
@@ -138,9 +134,6 @@ func NewLatency() *Latency {
 func NewLatencyBounded() *Latency {
 	return &Latency{min: math.MaxInt64, buckets: make([]int64, histNumBuckets)}
 }
-
-// Bounded reports whether this recorder aggregates into buckets.
-func (l *Latency) Bounded() bool { return l.buckets != nil }
 
 // Record adds one sample.
 func (l *Latency) Record(d time.Duration) {
@@ -265,21 +258,6 @@ func (l *Latency) Buckets() []Bucket {
 		}
 	}
 	return out
-}
-
-// Reset discards all samples.
-func (l *Latency) Reset() {
-	l.samples = l.samples[:0]
-	if l.buckets != nil {
-		for i := range l.buckets {
-			l.buckets[i] = 0
-		}
-		l.n = 0
-	}
-	l.sum = 0
-	l.min = math.MaxInt64
-	l.max = 0
-	l.sorted = false
 }
 
 func (l *Latency) String() string {

@@ -58,19 +58,6 @@ func TestLatencyRecordAfterPercentile(t *testing.T) {
 	}
 }
 
-func TestLatencyReset(t *testing.T) {
-	l := NewLatency()
-	l.Record(5)
-	l.Reset()
-	if l.Count() != 0 || l.Max() != 0 || l.Mean() != 0 {
-		t.Fatal("reset did not clear recorder")
-	}
-	l.Record(7)
-	if l.Min() != 7 {
-		t.Fatalf("Min after reset+record = %v", l.Min())
-	}
-}
-
 // Property: percentiles are monotone in p and bounded by min/max.
 func TestPercentileMonotoneProperty(t *testing.T) {
 	f := func(seed int64, n uint8) bool {
@@ -142,18 +129,33 @@ func TestBoundedBucketBoundaries(t *testing.T) {
 func TestBoundedPercentileApproximation(t *testing.T) {
 	exact := NewLatency()
 	bounded := NewLatencyBounded()
+	if bounded.Buckets() != nil {
+		t.Fatal("empty recorder reports buckets")
+	}
 	rng := rand.New(rand.NewSource(42))
 	for i := 0; i < 20000; i++ {
 		d := time.Duration(rng.Intn(50_000_000)) // up to 50 ms
 		exact.Record(d)
 		bounded.Record(d)
 	}
-	if !bounded.Bounded() || exact.Bounded() {
-		t.Fatal("Bounded() mislabels recorders")
+	if bounded.buckets == nil || exact.buckets != nil {
+		t.Fatal("recorders in the wrong mode")
 	}
 	if bounded.Count() != exact.Count() || bounded.Mean() != exact.Mean() ||
 		bounded.Min() != exact.Min() || bounded.Max() != exact.Max() {
 		t.Fatalf("count/mean/min/max must be exact in bounded mode")
+	}
+	// Buckets lists the populated buckets in ascending order, every sample once.
+	var n int64
+	le := time.Duration(-1)
+	for _, b := range bounded.Buckets() {
+		if b.LE <= le || b.Count == 0 {
+			t.Fatalf("bucket %+v after LE %v", b, le)
+		}
+		le, n = b.LE, n+b.Count
+	}
+	if n != int64(bounded.Count()) {
+		t.Fatalf("buckets hold %d samples, want %d", n, bounded.Count())
 	}
 	for _, p := range []float64{1, 25, 50, 90, 99, 99.9, 100} {
 		e, b := exact.Percentile(p), bounded.Percentile(p)
@@ -164,20 +166,6 @@ func TestBoundedPercentileApproximation(t *testing.T) {
 		if float64(b) > float64(e)*(1+1.0/histSubBuckets)+1 {
 			t.Errorf("P%v: bounded %v overshoots exact %v by more than a bucket", p, b, e)
 		}
-	}
-}
-
-func TestBoundedReset(t *testing.T) {
-	l := NewLatencyBounded()
-	l.Record(100 * time.Microsecond)
-	l.Reset()
-	if l.Count() != 0 || l.Max() != 0 || l.Percentile(50) != 0 || l.Buckets() != nil {
-		t.Fatal("reset did not clear bounded recorder")
-	}
-	l.Record(7)
-	bs := l.Buckets()
-	if len(bs) != 1 || bs[0].LE != 7 || bs[0].Count != 1 {
-		t.Fatalf("Buckets after reset+record = %+v", bs)
 	}
 }
 

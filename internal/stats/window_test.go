@@ -115,9 +115,9 @@ func TestCopyBucketsExactMode(t *testing.T) {
 func TestBucketUpperMonotone(t *testing.T) {
 	prev := int64(-1)
 	for i := 0; i < BucketCount(); i++ {
-		u := BucketUpper(i)
+		u := histUpperBound(i)
 		if u <= prev {
-			t.Fatalf("BucketUpper(%d) = %d, not above BucketUpper(%d) = %d", i, u, i-1, prev)
+			t.Fatalf("histUpperBound(%d) = %d, not above histUpperBound(%d) = %d", i, u, i-1, prev)
 		}
 		prev = u
 	}

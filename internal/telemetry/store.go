@@ -58,9 +58,6 @@ func (s *Store) set(name string, v float64) {
 	s.cols[name] = append(col, v)
 }
 
-// Column returns a stored series (nil if absent).
-func (s *Store) Column(name string) []float64 { return s.cols[name] }
-
 // ColumnNames returns all series names, sorted.
 func (s *Store) ColumnNames() []string {
 	out := make([]string, 0, len(s.cols))

@@ -16,10 +16,10 @@ func TestStoreZeroBackfill(t *testing.T) {
 	s.set("a", 2)
 	s.set("b", 9)
 
-	if got := s.Column("a"); len(got) != 2 || got[0] != 1 || got[1] != 2 {
+	if got := s.cols["a"]; len(got) != 2 || got[0] != 1 || got[1] != 2 {
 		t.Errorf("column a = %v, want [1 2]", got)
 	}
-	if got := s.Column("b"); len(got) != 2 || got[0] != 0 || got[1] != 9 {
+	if got := s.cols["b"]; len(got) != 2 || got[0] != 0 || got[1] != 9 {
 		t.Errorf("late column b = %v, want zero-backfilled [0 9]", got)
 	}
 	if names := s.ColumnNames(); len(names) != 2 || names[0] != "a" || names[1] != "b" {
@@ -39,7 +39,7 @@ func TestStoreTickCap(t *testing.T) {
 	if s.Ticks() != 2 || s.DroppedTicks() != 3 {
 		t.Errorf("ticks=%d dropped=%d, want 2/3", s.Ticks(), s.DroppedTicks())
 	}
-	if got := s.Column("a"); len(got) != 2 {
+	if got := s.cols["a"]; len(got) != 2 {
 		t.Errorf("column a = %v, want 2 stored values", got)
 	}
 }

@@ -77,13 +77,13 @@ func TestPipelineSampling(t *testing.T) {
 		t.Fatal("no sample ticks recorded")
 	}
 	for _, col := range []string{"ops:rate", "depth:last", "depth:peak", "m:p50", "m:p99", "m:wcount"} {
-		if st.Column(col) == nil {
+		if st.cols[col] == nil {
 			t.Errorf("missing column %q (have %v)", col, st.ColumnNames())
 		}
 	}
 	// The gauge cycles 0..6, so its drained window peak must reach 6.
 	peak := 0.0
-	for _, v := range st.Column("depth:peak") {
+	for _, v := range st.cols["depth:peak"] {
 		if v > peak {
 			peak = v
 		}

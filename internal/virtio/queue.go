@@ -86,9 +86,6 @@ func (vq *Virtqueue) descAddr(i uint16) mem.Addr {
 	return vq.DescBase + mem.Addr(int(i)*descEntrySize)
 }
 
-// FreeDescs returns the number of free descriptors.
-func (vq *Virtqueue) FreeDescs() int { return len(vq.freeDescs) }
-
 // ---- host (driver) side: local memory operations ----
 
 // Buf describes one buffer of a request chain.

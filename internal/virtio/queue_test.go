@@ -40,8 +40,8 @@ func TestAllocChainEncodesDescriptors(t *testing.T) {
 	if !ok {
 		t.Fatal("AllocChain failed")
 	}
-	if vq.FreeDescs() != 5 {
-		t.Fatalf("FreeDescs = %d", vq.FreeDescs())
+	if len(vq.freeDescs) != 5 {
+		t.Fatalf("%d free descriptors", len(vq.freeDescs))
 	}
 	// Decode the head descriptor straight from memory.
 	a := vq.descAddr(head)
@@ -61,8 +61,8 @@ func TestAllocChainEncodesDescriptors(t *testing.T) {
 		t.Fatalf("tail descriptor flags = %#x", flags)
 	}
 	vq.FreeChain(head)
-	if vq.FreeDescs() != 8 {
-		t.Fatalf("FreeDescs after free = %d", vq.FreeDescs())
+	if len(vq.freeDescs) != 8 {
+		t.Fatalf("%d free descriptors after free", len(vq.freeDescs))
 	}
 }
 

@@ -224,17 +224,11 @@ func (l *Log) SetFaults(in *fault.Injector) { l.faults = in }
 // Device returns the underlying device (the crash harness snapshots it).
 func (l *Log) Device() *ssd.Device { return l.dev }
 
-// Epoch returns the current log epoch.
-func (l *Log) Epoch() uint32 { return l.epoch }
-
 // dataSize is the append region's capacity in bytes.
 func (l *Log) dataSize() int64 { return l.cfg.Size - ssd.BlockSize }
 
 // dataBase is the device byte offset of the append region.
 func (l *Log) dataBase() int64 { return ssd.BlockSize }
-
-// SpaceLeft returns the bytes still appendable before a checkpoint is due.
-func (l *Log) SpaceLeft() int64 { return l.dataSize() - l.head }
 
 // NeedCheckpoint reports whether an append of extra more bytes (plus any
 // group already gathering) would overflow the region.

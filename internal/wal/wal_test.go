@@ -77,8 +77,8 @@ func TestRecoverFormatsBlankDevice(t *testing.T) {
 		if st.Records != 0 {
 			t.Fatalf("blank device yielded records: %+v", st)
 		}
-		if l.Epoch() != 1 {
-			t.Fatalf("epoch after fresh format = %d, want 1", l.Epoch())
+		if l.epoch != 1 {
+			t.Fatalf("epoch after fresh format = %d, want 1", l.epoch)
 		}
 		// The freshly formatted log must accept commits immediately.
 		if err := l.Commit(p, []Record{{Kind: RecPage, Ino: 1, LPN: 0, Gen: 1, Data: page('a')}}); err != nil {
@@ -285,12 +285,12 @@ func TestCheckpointWraparound(t *testing.T) {
 		if err := l.Commit(p, rec(2)); err != ErrFull {
 			t.Fatalf("commit on full region: %v, want ErrFull", err)
 		}
-		epoch := l.Epoch()
+		epoch := l.epoch
 		if err := l.Checkpoint(p); err != nil {
 			t.Fatal(err)
 		}
-		if l.Epoch() != epoch+1 || l.SpaceLeft() != l.dataSize() {
-			t.Fatalf("checkpoint left epoch=%d head=%d", l.Epoch(), l.head)
+		if l.epoch != epoch+1 || l.head != 0 {
+			t.Fatalf("checkpoint left epoch=%d head=%d", l.epoch, l.head)
 		}
 		// Recovery now sees only post-checkpoint appends.
 		if err := l.Commit(p, rec(3)); err != nil {

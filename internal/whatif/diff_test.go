@@ -3,8 +3,29 @@ package whatif
 import (
 	"testing"
 
+	"dpc/internal/obs"
 	"dpc/internal/prof"
+	"dpc/internal/sim"
 )
+
+// profileReport runs one workload at a counterfactual parameter point with
+// profiling enabled and returns the full critical-path report — the
+// prof.Diff input for "what regressed between these two worlds".
+func profileReport(workload string, ov Overrides) (*prof.Report, error) {
+	wl, _ := LookupWorkload(workload)
+	base, err := ov.Apply(wl.base(Defaults()))
+	if err != nil {
+		return nil, err
+	}
+	o := obs.New()
+	o.EnableProfiling()
+	r, err := wl.run(base, o)
+	if err != nil {
+		return nil, err
+	}
+	pr := prof.Analyze(o.Tracer().Export(sim.Time(r.EndNs)))
+	return prof.BuildReport(pr, r.EndNs, o.Tracer().Dropped(), 0, 3), nil
+}
 
 // The PR's acceptance bar for the differential attributor: doubling the
 // per-DMA setup cost is a known, synthetic regression whose time belongs to
@@ -14,11 +35,11 @@ func TestDiffAttributesDMASetupRegression(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs full simulations")
 	}
-	before, err := ProfileReport("smallio", nil)
+	before, err := profileReport("smallio", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	after, err := ProfileReport("smallio", Overrides{"pcie.dma_setup": 2})
+	after, err := profileReport("smallio", Overrides{"pcie.dma_setup": 2})
 	if err != nil {
 		t.Fatal(err)
 	}

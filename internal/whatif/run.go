@@ -337,28 +337,6 @@ func profileShares(wl Workload, base Params) (map[string]float64, map[string]flo
 	return shares, waitLayers, invErrs, nil
 }
 
-// ProfileReport runs one workload at a counterfactual parameter point with
-// profiling enabled and returns the full critical-path report — the
-// prof.Diff input for "what regressed between these two worlds".
-func ProfileReport(workload string, ov Overrides) (*prof.Report, error) {
-	wl, ok := LookupWorkload(workload)
-	if !ok {
-		return nil, fmt.Errorf("whatif: unknown workload %q", workload)
-	}
-	base, err := ov.Apply(wl.base(Defaults()))
-	if err != nil {
-		return nil, err
-	}
-	o := obs.New()
-	o.EnableProfiling()
-	r, err := wl.run(base, o)
-	if err != nil {
-		return nil, err
-	}
-	pr := prof.Analyze(o.Tracer().Export(sim.Time(r.EndNs)))
-	return prof.BuildReport(pr, r.EndNs, o.Tracer().Dropped(), 0, 3), nil
-}
-
 // round6 quantizes to 6 decimal places for byte-stable JSON.
 func round6(f float64) float64 {
 	if f < 0 {

@@ -117,21 +117,6 @@ func ZipfGenAt(ioSize int, fileSize uint64, s float64, base uint64) Generator {
 	}
 }
 
-// ZipfHotPages returns the pages the top-k Zipf ranks map to under
-// ZipfGenAt's scatter — the generator's hot set, in rank order. Tests use it
-// to assert two tenants' working sets do not collide.
-func ZipfHotPages(ioSize int, fileSize uint64, base uint64, k int) []uint64 {
-	pages := fileSize / uint64(ioSize)
-	if pages == 0 {
-		panic(fmt.Sprintf("workload: file %d smaller than I/O %d", fileSize, ioSize))
-	}
-	out := make([]uint64, 0, k)
-	for rank := uint64(0); rank < uint64(k); rank++ {
-		out = append(out, (rank*2654435761+base)%pages)
-	}
-	return out
-}
-
 // CreateGen generates file creations (each with a small initial write of
 // ioSize bytes, the paper's "8K file creation write").
 func CreateGen(ioSize int) Generator {

@@ -149,24 +149,12 @@ func TestZipfGenAtDistinctWorkingSets(t *testing.T) {
 	const (
 		ioSize   = 8192
 		fileSize = uint64(64 << 20)
-		hot      = 64
 	)
 	pages := fileSize / uint64(ioSize)
-	a := ZipfHotPages(ioSize, fileSize, 0, hot)
-	b := ZipfHotPages(ioSize, fileSize, pages/2, hot)
-	seen := map[uint64]bool{}
-	for _, pg := range a {
-		seen[pg] = true
-	}
-	for _, pg := range b {
-		if seen[pg] {
-			t.Fatalf("hot page %d shared between working sets", pg)
-		}
-	}
 
-	// The generators' actual draws concentrate on their own hot sets: no
-	// page that absorbs a meaningful share of one tenant's accesses may be
-	// hot for the other. (Cold tail draws can land anywhere — the noisy
+	// The generators' draws concentrate on their own hot sets: no page that
+	// absorbs a meaningful share of one tenant's accesses may be hot for the
+	// other. (Cold tail draws can land anywhere — the noisy
 	// -neighbor question is only about the pages that matter.)
 	genA := ZipfGenAt(ioSize, fileSize, 1.2, 0)
 	genB := ZipfGenAt(ioSize, fileSize, 1.2, pages/2)

@@ -133,7 +133,7 @@ type Client struct {
 // is an unscoped client (the whole queue range, the classic metric names);
 // tenant >= 0 confines the client to that tenant's queue group and registers
 // its latency histograms under the t<N>. prefix instead, so per-tenant tails
-// are separable in telemetry and dpcmon.
+// are separable in telemetry and dpcreport.
 func newClient(sys *System, bit uint8, host *cache.Host, ctl *cache.Ctl, sizes *sizeTable, tenant int) *Client {
 	c := &Client{sys: sys, dispatchBit: bit, cacheHost: host, ctl: ctl,
 		sizes: sizes, pool: sys.pool, tenant: -1}

@@ -11,7 +11,7 @@ import (
 // The fleet scenario: the multi-tenant noisy-neighbor experiment.
 // -fleet-out commits the per-tenant digest (BENCH_8 shape);
 // -fleet-timeline-out writes the drr phase's telemetry timeline,
-// whose per-tenant t<N>. series feed dpcmon's -tenant views.
+// whose per-tenant t<N>. series feed dpcreport's -tenant views.
 
 // defaultFleetSLO is the per-tenant objective template attached to the drr
 // phase: with the scheduler isolating the victims, every tenant's windowed

@@ -7,6 +7,7 @@
 //	dpcbench -quick          # shorter windows / fewer sweep points
 //	dpcbench -list           # list experiment IDs
 //	dpcbench -env            # print the simulated testbed (Table 1)
+//	dpcbench -walk           # print the 8 KB PCIe walks of Figures 2(b) and 4
 //	dpcbench -metrics-out m.json [-trace-out t.json]
 //	                         # run the instrumented reference workload and
 //	                         # write a machine-readable metrics snapshot
@@ -52,6 +53,7 @@ func main() {
 		quick  = flag.Bool("quick", false, "shorter measurement windows")
 		list   = flag.Bool("list", false, "list experiments and exit")
 		env    = flag.Bool("env", false, "print the simulated testbed and exit")
+		walk   = flag.Bool("walk", false, "print every PCIe operation of an 8 KB write and read on virtio-fs and nvme-fs (Figures 2(b) and 4) and exit")
 
 		metricsOut = flag.String("metrics-out", "", "run the instrumented reference workload, write its metrics snapshot (JSON) to this file and exit")
 		traceOut   = flag.String("trace-out", "", "with -metrics-out: also write the span tree as Perfetto/Chrome trace JSON to this file")
@@ -62,12 +64,12 @@ func main() {
 
 		profOut        = flag.String("prof-out", "", "run the reference workload with critical-path profiling, print attribution tables and write the JSON report to this file")
 		foldedOut      = flag.String("folded-out", "", "with -prof-out: also write collapsed stacks (flamegraph.pl / speedscope input) to this file")
-		profTraceOut   = flag.String("prof-trace-out", "", "with -prof-out: also write the profiled Perfetto trace (dpcprof -trace input) to this file")
-		profMetricsOut = flag.String("prof-metrics-out", "", "with -prof-out: also write the profiled metrics snapshot (dpcprof -metrics input) to this file")
+		profTraceOut   = flag.String("prof-trace-out", "", "with -prof-out: also write the profiled Perfetto trace (dpcreport input) to this file")
+		profMetricsOut = flag.String("prof-metrics-out", "", "with -prof-out: also write the profiled metrics snapshot (dpcreport -metrics input) to this file")
 		benchOut       = flag.String("bench-out", "", "write the large-I/O comparison plus attribution summary (BENCH_5 shape) to this file")
 
 		fleetOut         = flag.String("fleet-out", "", "run the multi-tenant noisy-neighbor fleet, write its per-tenant digest (BENCH_8 shape) to this file and exit")
-		fleetTimelineOut = flag.String("fleet-timeline-out", "", "with the fleet scenario: write the drr phase's telemetry timeline JSON (per-tenant t<N>. series, dpcmon -tenant input) to this file")
+		fleetTimelineOut = flag.String("fleet-timeline-out", "", "with the fleet scenario: write the drr phase's telemetry timeline JSON (per-tenant t<N>. series, dpcreport -tenant input) to this file")
 		rampOut          = flag.String("ramp-out", "", "run the staged load ramp under continuous telemetry, write its per-stage digest (BENCH_7 shape) to this file and exit")
 		timelineOut      = flag.String("timeline-out", "", "with the ramp scenario: write the sampler/SLO/flight-recorder timeline JSON to this file")
 		timelineTraceOut = flag.String("timeline-trace-out", "", "with the ramp scenario: write the Perfetto trace with metric counter tracks spliced in")
@@ -120,6 +122,13 @@ func main() {
 	if *env {
 		m := model.NewMachine(model.Default())
 		fmt.Print(m.EnvString())
+		return
+	}
+	if *walk {
+		if err := printWalks(); err != nil {
+			fmt.Fprintln(os.Stderr, "walk:", err)
+			os.Exit(1)
+		}
 		return
 	}
 

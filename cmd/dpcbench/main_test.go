@@ -31,17 +31,30 @@ func TestMain(m *testing.M) {
 
 func TestListAndEnvGolden(t *testing.T) {
 	for _, flag := range []string{"list", "env"} {
-		got, err := exec.Command(bin, "-"+flag).Output()
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := os.ReadFile(filepath.Join("testdata", flag+".golden"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(got, want) {
-			t.Errorf("dpcbench -%s differs from testdata/%s.golden:\n%s", flag, flag, got)
-		}
+		checkFlagGolden(t, flag)
+	}
+}
+
+// TestWalkGolden pins the whole -walk trace — every PCIe operation of the
+// 8 KB write and read on both transports, with its virtual timestamp.
+func TestWalkGolden(t *testing.T) {
+	checkFlagGolden(t, "walk")
+}
+
+// checkFlagGolden runs `dpcbench -flag` and compares its output with
+// testdata/flag.golden byte for byte.
+func checkFlagGolden(t *testing.T, flag string) {
+	t.Helper()
+	got, err := exec.Command(bin, "-"+flag).Output()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile(filepath.Join("testdata", flag+".golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("dpcbench -%s differs from testdata/%s.golden:\n%s", flag, flag, got)
 	}
 }
 

@@ -24,7 +24,7 @@ func profiledReference() (*obs.Obs, *prof.Profile, sim.Time, error) {
 // runProfScenario is the -prof-out workload: the profiled reference run,
 // rendered as attribution tables on stdout and a byte-stable JSON report,
 // plus optional collapsed stacks and the profiled trace/snapshot pair that
-// feeds cmd/dpcprof offline.
+// feeds cmd/dpcreport offline.
 func runProfScenario(profPath, foldedPath, tracePath, metricsPath string) error {
 	o, pr, now, err := profiledReference()
 	if err != nil {

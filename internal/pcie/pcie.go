@@ -149,7 +149,7 @@ type Link struct {
 	o, po *obs.Obs
 
 	// subs receives every PCIe operation, in subscription order. Multiple
-	// consumers coexist: cmd/dpctrace's printer and the model's span
+	// consumers coexist: dpcbench -walk's printer and the model's span
 	// annotator can both watch the same link.
 	subs []func(Event)
 }

@@ -7,7 +7,7 @@
 //
 // Inputs are obs.SpanData slices — either live (Tracer.Export) or
 // reconstructed from a Perfetto trace file (ParsePerfetto) — so the same
-// analysis runs in-process, in tests, and in cmd/dpcprof. Everything is
+// analysis runs in-process, in tests, and in cmd/dpcreport. Everything is
 // integer arithmetic over virtual time: identical traces produce
 // byte-identical reports.
 package prof

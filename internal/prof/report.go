@@ -223,7 +223,7 @@ func (r *Report) Op(name string) *OpStat {
 // componentCols is the fixed column order for text tables.
 var componentCols = []string{"cpu", "dma", "mmio", "ssd", "wait", "other"}
 
-// Text renders the report as human-readable tables (the cmd/dpcprof and
+// Text renders the report as human-readable tables (the cmd/dpcreport and
 // dpcbench -prof-out console view).
 func (r *Report) Text() string {
 	var b strings.Builder

@@ -2,7 +2,6 @@ package telemetry
 
 import (
 	"bytes"
-	"encoding/json"
 	"sort"
 	"strconv"
 )
@@ -68,8 +67,10 @@ func (s *Store) ColumnNames() []string {
 	return out
 }
 
-// seriesJSON is the JSON shape of a store export.
-type seriesJSON struct {
+// Series is a store's export in the timeline: one timestamp per stored tick
+// and one equally long column per series. It marshals byte-stably: map keys
+// sort and float formatting is deterministic for identical inputs.
+type Series struct {
 	IntervalNs   int64                `json:"interval_ns"`
 	Ticks        int                  `json:"ticks"`
 	DroppedTicks int64                `json:"dropped_ticks"`
@@ -77,16 +78,15 @@ type seriesJSON struct {
 	Columns      map[string][]float64 `json:"columns"`
 }
 
-// MarshalJSON renders the store byte-stably: map keys marshal sorted and
-// float formatting is deterministic for identical inputs.
-func (s *Store) MarshalJSON() ([]byte, error) {
-	return json.Marshal(seriesJSON{
+// export returns the store's contents as a Series sharing its slices.
+func (s *Store) export() Series {
+	return Series{
 		IntervalNs:   s.intervalNs,
 		Ticks:        len(s.times),
 		DroppedTicks: s.droppedTicks,
 		TimesNs:      s.times,
 		Columns:      s.cols,
-	})
+	}
 }
 
 // PerfettoCounterEvents renders every stored series as Chrome trace-event

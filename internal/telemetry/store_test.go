@@ -57,8 +57,8 @@ func TestStoreMarshalStable(t *testing.T) {
 		s.set("y:p99", 101_000)
 		return s
 	}
-	b1, err1 := json.Marshal(build())
-	b2, err2 := json.Marshal(build())
+	b1, err1 := json.Marshal(build().export())
+	b2, err2 := json.Marshal(build().export())
 	if err1 != nil || err2 != nil {
 		t.Fatalf("marshal: %v / %v", err1, err2)
 	}

@@ -81,11 +81,12 @@ type Dump struct {
 	TimeNs   int64        `json:"time_ns"`
 	Reason   string       `json:"reason"`
 	WindowNs int64        `json:"window_ns"`
-	Spans    []dumpSpan   `json:"spans"`
+	Spans    []DumpSpan   `json:"spans"`
 	Report   *prof.Report `json:"report"`
 }
 
-type dumpSpan struct {
+// DumpSpan is one span of a dump's causal trace.
+type DumpSpan struct {
 	ID      uint64 `json:"id"`
 	Parent  uint64 `json:"parent"`
 	Name    string `json:"name"`
@@ -343,9 +344,9 @@ func (t *T) dump(now sim.Time, reason string, windowNs int64) {
 	}
 	spans := t.rec.windowSpans(lo, nil)
 	rep := prof.BuildReport(prof.Analyze(spans), int64(now), 0, 0, 3)
-	ds := make([]dumpSpan, len(spans))
+	ds := make([]DumpSpan, len(spans))
 	for i, sd := range spans {
-		ds[i] = dumpSpan{
+		ds[i] = DumpSpan{
 			ID: sd.ID, Parent: sd.Parent, Name: sd.Name, Proc: sd.Proc,
 			StartNs: int64(sd.Start), EndNs: int64(sd.End),
 		}
@@ -355,8 +356,8 @@ func (t *T) dump(now sim.Time, reason string, windowNs int64) {
 	})
 }
 
-// sloJSON is the per-objective summary in the timeline export.
-type sloJSON struct {
+// SLOSummary is one objective's ledger in the timeline export.
+type SLOSummary struct {
 	Spec        string  `json:"spec"`
 	Metric      string  `json:"metric"`
 	Quantile    string  `json:"quantile"`
@@ -367,27 +368,28 @@ type sloJSON struct {
 	BurnRate    float64 `json:"burn_rate"`
 }
 
-// timelineJSON is the full timeline export shape.
-type timelineJSON struct {
-	SimTimeNs         int64       `json:"sim_time_ns"`
-	Series            *Store      `json:"series"`
-	SLOs              []sloJSON   `json:"slos"`
-	Violations        []Violation `json:"violations"`
-	DroppedViolations int64       `json:"dropped_violations"`
-	RecorderSpans     int64       `json:"recorder_spans"`
-	PinnedTrees       int         `json:"pinned_trees"`
-	Dumps             []Dump      `json:"dumps"`
-	DroppedDumps      int64       `json:"dropped_dumps"`
+// Timeline is the timeline export: TimelineJSON encodes it, and readers
+// decode a timeline file into it.
+type Timeline struct {
+	SimTimeNs         int64        `json:"sim_time_ns"`
+	Series            Series       `json:"series"`
+	SLOs              []SLOSummary `json:"slos"`
+	Violations        []Violation  `json:"violations"`
+	DroppedViolations int64        `json:"dropped_violations"`
+	RecorderSpans     int64        `json:"recorder_spans"`
+	PinnedTrees       int          `json:"pinned_trees"`
+	Dumps             []Dump       `json:"dumps"`
+	DroppedDumps      int64        `json:"dropped_dumps"`
 }
 
 // TimelineJSON renders the whole pipeline — series store, SLO summaries,
 // violation events and flight-recorder dumps — as indented JSON with sorted
 // keys. Identical seeds produce identical bytes.
 func (t *T) TimelineJSON(now sim.Time) ([]byte, error) {
-	out := timelineJSON{
+	out := Timeline{
 		SimTimeNs:         int64(now),
-		Series:            t.store,
-		SLOs:              []sloJSON{},
+		Series:            t.store.export(),
+		SLOs:              []SLOSummary{},
 		Violations:        t.violations,
 		DroppedViolations: t.droppedViolations,
 		RecorderSpans:     t.rec.Total(),
@@ -402,7 +404,7 @@ func (t *T) TimelineJSON(now sim.Time) ([]byte, error) {
 		out.Dumps = []Dump{}
 	}
 	for _, obj := range t.slos {
-		out.SLOs = append(out.SLOs, sloJSON{
+		out.SLOs = append(out.SLOs, SLOSummary{
 			Spec:        obj.Spec,
 			Metric:      obj.Metric,
 			Quantile:    obj.QLabel,

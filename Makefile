@@ -26,7 +26,9 @@ build:
 # variable, build tag or package-level bool that would select a second one.
 # The cache's bucket hash and the KV shard hash are FNV-1a written inline on
 # the hot path: no hash/fnv import outside their tests, which compare
-# against it.
+# against it. The PCIe link and the fabric NICs are computed clocks, not
+# queues: no sim.NewResource outside their tests, which keep the resource
+# model as the reference.
 vet:
 	$(GO) vet ./...
 	cd bench && GOTOOLCHAIN=local GOPROXY=off $(GO) vet ./...
@@ -41,6 +43,8 @@ vet:
 		if [ -n "$$out" ]; then echo "concurrency primitive or engine switch in internal/sim:"; echo "$$out"; exit 1; fi
 	@out=$$(grep -n '"hash/fnv"' $$(ls internal/cache/*.go internal/kv/*.go | grep -v _test.go)); \
 		if [ -n "$$out" ]; then echo "hash/fnv on a lookup path (hash inline):"; echo "$$out"; exit 1; fi
+	@out=$$(grep -n 'sim\.NewResource' $$(ls internal/pcie/*.go internal/fabric/*.go | grep -v _test.go)); \
+		if [ -n "$$out" ]; then echo "queueing resource on a link (book its free time instead):"; echo "$$out"; exit 1; fi
 
 test:
 	$(GO) test ./...
@@ -133,11 +137,12 @@ whatif:
 # must stay at zero heap allocations per op, as must the host cache's bucket
 # lookup (TestHostFindEntryZeroAllocs: a hit and a miss on a full bucket), the
 # engine's park/wake paths, a same-length KV Put and a GetInto hit and miss,
-# and a tracked SSD overwrite with its barrier; an 8 KiB write+read through
+# a tracked SSD overwrite with its barrier, a contended DMA and a fabric RPC
+# round trip with nil payloads; an 8 KiB write+read through
 # the TGT, through KVFS and through the whole stack stays at its fixed
 # per-command bookkeeping.
 allocs:
 	$(GO) test -count=1 -run 'ZeroScratchAllocs|ZeroAllocs|PairBytes' .
-	$(GO) test -count=1 -run 'ZeroAllocs' ./internal/telemetry ./internal/cache ./internal/nvmefs ./internal/kv ./internal/kvfs ./internal/ssd ./internal/sim
+	$(GO) test -count=1 -run 'ZeroAllocs' ./internal/telemetry ./internal/cache ./internal/nvmefs ./internal/kv ./internal/kvfs ./internal/ssd ./internal/sim ./internal/fabric ./internal/pcie
 
 check: vet test race allocs torture check-faults check-crash bench-identical bench-smoke

@@ -155,8 +155,10 @@ type mdsNode struct {
 	paths   map[string]uint64
 	attrs   map[uint64]*fileAttr
 	nextIno uint64
-	// delegations tracks which client nodes hold a delegation per inode.
-	delegations map[uint64]map[*fabric.Node]bool
+	// delegations lists the client nodes holding a delegation per inode,
+	// once each, in grant order: recalls leave in that order, so virtual
+	// time repeats from run to run.
+	delegations map[uint64][]*fabric.Node
 }
 
 type fileAttr struct {
@@ -206,7 +208,7 @@ func NewBackend(eng *sim.Engine, net *fabric.Network, cfg BackendConfig) *Backen
 			paths:       map[string]uint64{},
 			attrs:       map[uint64]*fileAttr{},
 			nextIno:     uint64(i) + uint64(cfg.MDSCount), // ino % MDSCount == i
-			delegations: map[uint64]map[*fabric.Node]bool{},
+			delegations: map[uint64][]*fabric.Node{},
 		}
 		b.mds = append(b.mds, m)
 		for w := 0; w < cfg.MDSCores; w++ {

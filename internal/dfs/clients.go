@@ -315,9 +315,9 @@ func (c *Core) ReadInto(p *sim.Proc, ino uint64, off uint64, dst []byte) (int, e
 	return got, nil
 }
 
-// lazyServe drains the one-way lazy metadata updates on every MDS. Started
-// by NewBackend? No: the updates are one-way Sends to the "meta-lazy" port,
-// handled here to keep the hot "meta" RPC port uncluttered.
+// lazyServe drains one MDS's one-way lazy metadata updates. NewBackend starts
+// one per MDS: the updates are one-way Sends to the "meta-lazy" port, kept off
+// the hot "meta" RPC port.
 func (b *Backend) lazyServe(p *sim.Proc, m *mdsNode) {
 	port := m.node.Listen("meta-lazy")
 	for {

@@ -1,6 +1,8 @@
 package dfs
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 
 	"dpc/internal/model"
@@ -125,5 +127,60 @@ func TestStdClientWritesRecallOptClientDelegations(t *testing.T) {
 	m.Eng.Shutdown()
 	if opt.RecallsSeen.Total() == 0 {
 		t.Fatal("opt client missed the recall from the std client's write")
+	}
+}
+
+// TestRecallsLeaveInGrantOrder: when a write recalls several delegations,
+// the recalls leave the MDS in the order the delegations were granted, so
+// each reaches its holder at the same instant in every run. Go randomizes
+// map iteration, so holders kept in a map would leave in a different order
+// in each fresh world.
+func TestRecallsLeaveInGrantOrder(t *testing.T) {
+	grantOrder := []int{5, 2, 7, 1, 4, 6, 3} // core 0 creates the file and writes it
+	for world := 0; world < 10; world++ {
+		cfg := model.Default()
+		cfg.HostMemMB = 16
+		cfg.DPUMemMB = 8
+		m := model.NewMachine(cfg)
+		b := NewBackend(m.Eng, m.Net, DefaultBackendConfig())
+		var cores []*Core
+		var got []int
+		var at []sim.Time
+		for i := 0; i < 8; i++ {
+			node := m.Net.NewNode(fmt.Sprintf("core-%d", i))
+			// Started before NewCore's recall loop, this receiver is first in
+			// the port's FIFO queue of receivers and takes the one recall.
+			m.Eng.Go("recv", func(p *sim.Proc) {
+				node.Listen("recall").Recv(p)
+				got, at = append(got, i), append(at, p.Now())
+			})
+			cores = append(cores, NewCore(b, node, m.HostCPU, DefaultCoreCosts()))
+		}
+		m.Eng.Go("flow", func(p *sim.Proc) {
+			ino, err := cores[0].Create(p, "/shared")
+			if err != nil {
+				t.Errorf("create: %v", err)
+				return
+			}
+			for _, i := range grantOrder {
+				if _, _, err := cores[i].Lookup(p, "/shared"); err != nil {
+					t.Errorf("core %d lookup: %v", i, err)
+				}
+			}
+			if err := cores[0].Write(p, ino, 0, make([]byte, BlockSize)); err != nil {
+				t.Errorf("write: %v", err)
+			}
+			p.Sleep(sim.Millisecond)
+		})
+		m.Eng.Run()
+		m.Eng.Shutdown()
+		if !slices.Equal(got, grantOrder) {
+			t.Fatalf("world %d: recalls arrived at cores %v, want grant order %v", world, got, grantOrder)
+		}
+		for k := 1; k < len(at); k++ {
+			if at[k] <= at[k-1] {
+				t.Fatalf("world %d: recall arrivals %v not strictly increasing", world, at)
+			}
+		}
 	}
 }

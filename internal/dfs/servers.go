@@ -1,6 +1,7 @@
 package dfs
 
 import (
+	"slices"
 	"time"
 
 	"dpc/internal/fabric"
@@ -71,12 +72,9 @@ func (b *Backend) mdsHandle(p *sim.Proc, m *mdsNode, req mdsReq) mdsResp {
 		if req.Op == mdsDelegate && req.Origin != nil {
 			// Grant a delegation: record the holder so conflicting writes
 			// from other clients trigger a recall.
-			holders := m.delegations[ino]
-			if holders == nil {
-				holders = map[*fabric.Node]bool{}
-				m.delegations[ino] = holders
+			if holders := m.delegations[ino]; !slices.Contains(holders, req.Origin) {
+				m.delegations[ino] = append(holders, req.Origin)
 			}
-			holders[req.Origin] = true
 		}
 		return mdsResp{Ino: ino, Size: size}
 
@@ -141,8 +139,7 @@ func (b *Backend) mdsHandle(p *sim.Proc, m *mdsNode, req mdsReq) mdsResp {
 // that the inode changed (one-way messages; holders refresh their cached
 // metadata). The writer keeps its delegation.
 func (b *Backend) recallDelegations(p *sim.Proc, m *mdsNode, ino, size uint64, writer *fabric.Node) {
-	holders := m.delegations[ino]
-	for holder := range holders {
+	for _, holder := range m.delegations[ino] {
 		if holder == writer {
 			continue
 		}

@@ -33,6 +33,8 @@ type Network struct {
 	eng   *sim.Engine
 	cfg   Config
 	nodes map[string]*Node
+	// free holds delivered flights for reuse.
+	free []*flight
 
 	Messages  stats.Counter
 	BytesSent stats.Counter
@@ -53,13 +55,16 @@ func (n *Network) Config() Config { return n.cfg }
 type Node struct {
 	net   *Network
 	name  string
-	tx    *sim.Resource
 	ports map[string]*sim.Mailbox[Message]
-	// rxBusyUntil models receive-side NIC serialization analytically:
-	// arrivals queue behind each other at the receiver's line rate, so a
-	// node's ingress cannot exceed NICBps no matter how many senders fan
-	// in.
-	rxBusyUntil sim.Time
+	// txBusyUntil and rxBusyUntil are the NIC's two directions as clocks:
+	// a message leaves after the sender's earlier messages have left and
+	// arrives after the receiver's earlier arrivals, each serialized at the
+	// line rate, so neither direction exceeds NICBps however many messages
+	// queue behind it or fan in.
+	txBusyUntil, rxBusyUntil sim.Time
+	// idle holds the node's RPC envelopes that are in no call, each with
+	// its reply mailbox.
+	idle []*RPC
 }
 
 // NewNode registers a node. Node names must be unique.
@@ -67,12 +72,7 @@ func (n *Network) NewNode(name string) *Node {
 	if _, dup := n.nodes[name]; dup {
 		panic(fmt.Sprintf("fabric: duplicate node %q", name))
 	}
-	nd := &Node{
-		net:   n,
-		name:  name,
-		tx:    sim.NewResource(n.eng, name+"-tx", 1),
-		ports: map[string]*sim.Mailbox[Message]{},
-	}
+	nd := &Node{net: n, name: name, ports: map[string]*sim.Mailbox[Message]{}}
 	n.nodes[name] = nd
 	return nd
 }
@@ -97,39 +97,66 @@ func (nd *Node) Listen(port string) *sim.Mailbox[Message] {
 	return mb
 }
 
-// Send transmits payload to a port on dst, charging sender NIC serialization
-// plus propagation delay. The sender blocks only for its own serialization;
-// delivery happens asynchronously after the propagation delay (receive-side
-// serialization is folded into the NIC bandwidth charge).
-func (nd *Node) Send(p *sim.Proc, dst *Node, port string, payload any, bytes int) {
+// flight is one message on its way from the sender's NIC into a mailbox on
+// dst. Flights are recycled; their depart and arrive funcs are bound once.
+type flight struct {
+	dst                *Node
+	mb                 *sim.Mailbox[Message]
+	msg                Message
+	ser                time.Duration
+	departFn, arriveFn func()
+}
+
+// post validates a message's size and books nd's NIC for it. It returns the
+// message's flight and the instant its last bit leaves.
+func (nd *Node) post(dst *Node, mb *sim.Mailbox[Message], payload any, bytes int) (*flight, sim.Time) {
 	if bytes < 0 {
 		panic("fabric: negative message size")
 	}
-	ser := time.Duration(int64(bytes) * int64(time.Second) / nd.net.cfg.NICBps)
-	nd.tx.Acquire(p, 1)
-	p.Sleep(ser)
-	nd.tx.Release(1)
-	nd.net.Messages.Inc()
-	nd.net.BytesSent.Add(int64(bytes))
-	deliver(nd.net, nd, dst, port, payload, bytes, ser)
-}
-
-// deliver schedules arrival after the propagation delay, queueing behind
-// earlier arrivals at the receiver's line rate.
-func deliver(net *Network, from, dst *Node, port string, payload any, bytes int, ser time.Duration) {
-	mb := dst.Listen(port)
-	arrival := net.eng.Now() + sim.Time(net.cfg.PropDelay)
-	if dst.rxBusyUntil > arrival {
-		arrival = dst.rxBusyUntil
+	net := nd.net
+	var f *flight
+	if k := len(net.free) - 1; k >= 0 {
+		f, net.free = net.free[k], net.free[:k]
+	} else {
+		f = &flight{}
+		f.departFn, f.arriveFn = f.depart, f.arrive
 	}
-	arrival += sim.Time(ser)
-	dst.rxBusyUntil = arrival
-	net.eng.Schedule(arrival, func() {
-		mb.TrySend(Message{From: from, Payload: payload, Bytes: bytes})
-	})
+	f.dst, f.mb, f.msg = dst, mb, Message{From: nd, Payload: payload, Bytes: bytes}
+	f.ser = time.Duration(int64(bytes) * int64(time.Second) / net.cfg.NICBps)
+	nd.txBusyUntil = max(net.eng.Now(), nd.txBusyUntil) + sim.Time(f.ser)
+	return f, nd.txBusyUntil
 }
 
-// RPC is a request envelope carrying its own reply channel.
+// depart runs when the message's last bit has left: it counts the message
+// and schedules its arrival after the propagation delay, queued behind
+// earlier arrivals at the receiver's line rate.
+func (f *flight) depart() {
+	net := f.dst.net
+	net.Messages.Inc()
+	net.BytesSent.Add(int64(f.msg.Bytes))
+	arrival := max(net.eng.Now()+sim.Time(net.cfg.PropDelay), f.dst.rxBusyUntil) + sim.Time(f.ser)
+	f.dst.rxBusyUntil = arrival
+	net.eng.Schedule(arrival, f.arriveFn)
+}
+
+func (f *flight) arrive() {
+	f.mb.TrySend(f.msg)
+	net := f.dst.net
+	f.dst, f.mb, f.msg = nil, nil, Message{}
+	net.free = append(net.free, f)
+}
+
+// Send transmits payload to a port on dst, charging sender NIC serialization
+// plus propagation delay and receive-side serialization. The sender blocks
+// only until its message has left its NIC; delivery happens asynchronously.
+func (nd *Node) Send(p *sim.Proc, dst *Node, port string, payload any, bytes int) {
+	f, depart := nd.post(dst, dst.Listen(port), payload, bytes)
+	p.SleepUntil(depart)
+	f.depart()
+}
+
+// RPC is a request envelope carrying its own reply channel. Its node reuses
+// it for a later call once the reply is in.
 type RPC struct {
 	From     *Node
 	Req      any
@@ -138,37 +165,33 @@ type RPC struct {
 }
 
 // Call sends req to a port on dst and blocks until the server replies,
-// returning the response payload.
+// returning the response payload. The caller does not wait for its request
+// to leave: the departure is an event, and the caller parks once, on the
+// reply.
 func (nd *Node) Call(p *sim.Proc, dst *Node, port string, req any, reqBytes int) any {
-	reply := sim.NewMailbox[Message](nd.net.eng, nd.name+"-reply", 0)
-	env := &RPC{From: nd, Req: req, ReqBytes: reqBytes, reply: reply}
-	nd.Send(p, dst, port, env, reqBytes)
-	msg := reply.Recv(p)
-	return msg.Payload
+	var env *RPC
+	if k := len(nd.idle) - 1; k >= 0 {
+		env, nd.idle = nd.idle[k], nd.idle[:k]
+	} else {
+		env = &RPC{From: nd, reply: sim.NewMailbox[Message](nd.net.eng, nd.name+"-reply", 0)}
+	}
+	env.Req, env.ReqBytes = req, reqBytes
+	f, depart := nd.post(dst, dst.Listen(port), env, reqBytes)
+	nd.net.eng.Schedule(depart, f.departFn)
+	resp := env.reply.Recv(p).Payload
+	env.Req = nil
+	nd.idle = append(nd.idle, env)
+	return resp
 }
 
 // Reply answers an RPC, charging the server's NIC, the return flight and
 // the caller's receive-side serialization. server is the node executing the
-// handler.
+// handler. The envelope is dead once Reply is called: its caller reuses it
+// as soon as the response arrives.
 func (r *RPC) Reply(p *sim.Proc, server *Node, resp any, respBytes int) {
-	ser := time.Duration(int64(respBytes) * int64(time.Second) / server.net.cfg.NICBps)
-	server.tx.Acquire(p, 1)
-	p.Sleep(ser)
-	server.tx.Release(1)
-	server.net.Messages.Inc()
-	server.net.BytesSent.Add(int64(respBytes))
-	mb := r.reply
-	arrival := server.net.eng.Now() + sim.Time(server.net.cfg.PropDelay)
-	if r.From.rxBusyUntil > arrival {
-		arrival = r.From.rxBusyUntil
-	}
-	arrival += sim.Time(ser)
-	r.From.rxBusyUntil = arrival
-	bytes := respBytes
-	from := server
-	server.net.eng.Schedule(arrival, func() {
-		mb.TrySend(Message{From: from, Payload: resp, Bytes: bytes})
-	})
+	f, depart := server.post(r.From, r.reply, resp, respBytes)
+	p.SleepUntil(depart)
+	f.depart()
 }
 
 // RecvRPC receives the next RPC envelope from a port, for server loops.

@@ -5,7 +5,9 @@
 // therefore makes every DMA explicit and observable: each transfer pays a
 // fixed per-DMA setup cost plus payload time over a shared bandwidth pipe,
 // and counters/trace hooks record every operation so tests can assert exact
-// DMA counts and experiments can report PCIe traffic.
+// DMA counts and experiments can report PCIe traffic. The engines and the
+// pipe are clocks, not queues: a DMA's end is computed when it is issued and
+// its issuer sleeps once, until then.
 //
 // MMIO doorbells and PCIe atomics (used by the hybrid cache's lock words)
 // are modeled as separate, cheaper operations.
@@ -121,10 +123,12 @@ func DefaultConfig() Config {
 
 // Link is a host–DPU PCIe connection.
 type Link struct {
-	eng     *sim.Engine
-	cfg     Config
-	engines *sim.Resource
-	pipe    *sim.Resource
+	eng *sim.Engine
+	cfg Config
+	// engineFree holds the instant each DMA engine finishes its last booked
+	// transfer, and pipeFree the instant the shared payload pipe does.
+	engineFree []sim.Time
+	pipeFree   sim.Time
 
 	// Counters, published as pcie.link.* by AttachObs (the PIO pair on the
 	// first PIO, so runs that never use the inline path keep their key set).
@@ -144,7 +148,7 @@ type Link struct {
 	// o is the hub the counters are published to (nil when disabled). po is
 	// non-nil only in profiling mode: every DMA setup and payload
 	// serialization records a CompDMA interval, MMIO/atomics record CompMMIO,
-	// and queueing for an engine or the shared pipe records CompWait on the
+	// and waiting for an engine or the shared pipe records CompWait on the
 	// issuing process's innermost span.
 	o, po *obs.Obs
 
@@ -175,12 +179,7 @@ func NewLink(eng *sim.Engine, cfg Config) *Link {
 	if cfg.PIOBandwidthBps <= 0 {
 		cfg.PIOBandwidthBps = DefaultConfig().PIOBandwidthBps
 	}
-	return &Link{
-		eng:     eng,
-		cfg:     cfg,
-		engines: sim.NewResource(eng, "pcie-dma-engines", cfg.Engines),
-		pipe:    sim.NewResource(eng, "pcie-pipe", 1),
-	}
+	return &Link{eng: eng, cfg: cfg, engineFree: make([]sim.Time, cfg.Engines)}
 }
 
 // Config returns the link's cost model.
@@ -195,17 +194,7 @@ func (l *Link) AttachObs(o *obs.Obs) {
 	o.Publish("pcie.link.dma_bytes_d2h", l.DMABytesD2H.Loc())
 	o.Publish("pcie.link.mmios", l.MMIOs.Loc())
 	o.Publish("pcie.link.atomics", l.Atomics.Loc())
-	po := o.Prof()
-	if po == nil {
-		return
-	}
-	l.po = po
-	l.engines.OnWait = func(p *sim.Proc, since sim.Time) {
-		po.Attr(p, obs.CompWait, "pcie.engine", since, l.eng.Now())
-	}
-	l.pipe.OnWait = func(p *sim.Proc, since sim.Time) {
-		po.Attr(p, obs.CompWait, "pcie.arb", since, l.eng.Now())
-	}
+	l.po = o.Prof()
 }
 
 // sleepAttr sleeps d and, in profiling mode, records the slept interval as
@@ -229,21 +218,42 @@ func (l *Link) payloadTime(n int) time.Duration {
 func (l *Link) SetFaults(in *fault.Injector) { l.faults = in }
 
 // dma charges one DMA of n bytes in direction dir and emits trace/counters.
-// An injected KindPCIeStall holds the transfer for the rule's extra delay
-// while it occupies a DMA engine — modeling replay/retrain hiccups that
-// slow a transfer without corrupting it.
+// The transfer takes the engine that frees first, pays its setup, then
+// waits for the pipe and serializes its payload; all of that is known at
+// issue, so the issuer books the engine and the pipe until the end and
+// sleeps once. This is exactly the FIFO engine pool and FIFO pipe: the
+// setup is a constant, so grants and pipe arrivals never decrease in issue
+// order. An injected KindPCIeStall holds the transfer for the rule's extra
+// delay before its setup, on its engine — modeling replay/retrain hiccups
+// that slow a transfer without corrupting it. Its pipe slot is booked at
+// issue like any other, so later DMAs queue behind it.
 func (l *Link) dma(p *sim.Proc, dir Dir, addr mem.Addr, n int, label string) {
 	kind, delay, injected := l.faults.At(fault.SitePCIeDMA)
-	l.engines.Acquire(p, 1)
+	now := p.Now()
+	e := 0
+	for i, t := range l.engineFree {
+		if t < l.engineFree[e] {
+			e = i
+		}
+	}
+	grant := max(now, l.engineFree[e])
+	setup := grant
 	if injected && kind == fault.KindPCIeStall {
 		l.Stalls.Inc()
-		l.sleepAttr(p, delay, obs.CompWait, "pcie.stall")
+		setup += sim.Time(delay)
 	}
-	l.sleepAttr(p, l.cfg.DMASetup, obs.CompDMA, label)
-	l.pipe.Acquire(p, 1)
-	l.sleepAttr(p, l.payloadTime(n), obs.CompDMA, label)
-	l.pipe.Release(1)
-	l.engines.Release(1)
+	arrive := setup + sim.Time(l.cfg.DMASetup)
+	start := max(arrive, l.pipeFree)
+	end := start + sim.Time(l.payloadTime(n))
+	l.engineFree[e], l.pipeFree = end, end
+	p.SleepUntil(end)
+	if po := l.po; po != nil {
+		po.Attr(p, obs.CompWait, "pcie.engine", now, grant)
+		po.Attr(p, obs.CompWait, "pcie.stall", grant, setup)
+		po.Attr(p, obs.CompDMA, label, setup, arrive)
+		po.Attr(p, obs.CompWait, "pcie.arb", arrive, start)
+		po.Attr(p, obs.CompDMA, label, start, end)
+	}
 
 	l.DMAs.Inc()
 	if dir == HostToDev {

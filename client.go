@@ -111,12 +111,11 @@ type Client struct {
 	sizes *sizeTable
 	pool  *bufpool.Pool
 
-	// Tenant scoping. A tenant-scoped client (tenant >= 0) confines every
-	// submission to its tenant's queue group [qbase, qbase+qcount): caller
-	// qids are folded into the group, so existing thread-index conventions
-	// work unchanged over a shared driver. An unscoped client (tenant -1,
-	// qcount 0) passes qids through untouched.
-	tenant int
+	// Tenant scoping. A tenant-scoped client confines every submission to
+	// its tenant's queue group [qbase, qbase+qcount): caller qids are folded
+	// into the group, so existing thread-index conventions work unchanged
+	// over a shared driver. An unscoped client (qcount 0) passes qids
+	// through untouched.
 	qbase  int
 	qcount int
 
@@ -136,18 +135,20 @@ type Client struct {
 // are separable in telemetry and dpcreport.
 func newClient(sys *System, bit uint8, host *cache.Host, ctl *cache.Ctl, sizes *sizeTable, tenant int) *Client {
 	c := &Client{sys: sys, dispatchBit: bit, cacheHost: host, ctl: ctl,
-		sizes: sizes, pool: sys.pool, tenant: -1}
-	if tenant >= 0 && sys.Driver.Tenants() > 0 {
-		c.tenant = tenant
+		sizes: sizes, pool: sys.pool}
+	if sys.Driver.Tenants() == 0 {
+		tenant = -1
+	}
+	if tenant >= 0 {
 		c.qbase, c.qcount = sys.Driver.TenantQueues(tenant)
 	}
 	if o := sys.M.Obs; o.Enabled() {
 		c.o = o
-		if c.tenant >= 0 {
-			c.hWrite = o.Histogram(fmt.Sprintf("t%d.client.write.latency", c.tenant))
-			c.hRead = o.Histogram(fmt.Sprintf("t%d.client.read.latency", c.tenant))
-			c.hMeta = o.Histogram(fmt.Sprintf("t%d.client.meta.latency", c.tenant))
-			c.hSync = o.Histogram(fmt.Sprintf("t%d.client.sync.latency", c.tenant))
+		if tenant >= 0 {
+			c.hWrite = o.Histogram(fmt.Sprintf("t%d.client.write.latency", tenant))
+			c.hRead = o.Histogram(fmt.Sprintf("t%d.client.read.latency", tenant))
+			c.hMeta = o.Histogram(fmt.Sprintf("t%d.client.meta.latency", tenant))
+			c.hSync = o.Histogram(fmt.Sprintf("t%d.client.sync.latency", tenant))
 		} else {
 			c.hWrite = o.Histogram("client.write.latency")
 			c.hRead = o.Histogram("client.read.latency")
@@ -157,9 +158,6 @@ func newClient(sys *System, bit uint8, host *cache.Host, ctl *cache.Ctl, sizes *
 	}
 	return c
 }
-
-// Tenant returns the client's tenant ID, or -1 for an unscoped client.
-func (c *Client) Tenant() int { return c.tenant }
 
 // mapQ folds a caller's queue ID into the client's tenant queue group; an
 // unscoped client passes it through (the driver wraps modulo Queues).
@@ -243,6 +241,13 @@ func (c *Client) submitBatch(p *sim.Proc, qid int, subs []nvmefs.Submission) []*
 		subs[i].Dispatch = c.dispatchBit
 	}
 	return c.sys.Driver.SubmitBatch(p, c.mapQ(qid), subs)
+}
+
+// command runs a header-only control command (a one-byte response header,
+// no payload either way) and maps its status.
+func (c *Client) command(p *sim.Proc, qid int, op uint32, hdr dispatch.ReqHeader) error {
+	comp := c.submit(p, qid, nvmefs.Submission{FileOp: op, Header: hdr.Marshal(), RHLen: 1})
+	return statusErr(comp.Status)
 }
 
 // metaOp runs a path-based namespace operation and decodes the attribute.
@@ -382,13 +387,7 @@ func (f *File) sync(p *sim.Proc, qid int, flags uint32) error {
 	c := f.c
 	s := c.o.Begin(p, "client.fsync")
 	start := p.Now()
-	hdr := dispatch.ReqHeader{Ino: f.Ino, Flags: flags}
-	comp := c.submit(p, qid, nvmefs.Submission{
-		FileOp: nvme.FileOpFlush,
-		Header: hdr.Marshal(),
-		RHLen:  1,
-	})
-	err := statusErr(comp.Status)
+	err := c.command(p, qid, nvme.FileOpFlush, dispatch.ReqHeader{Ino: f.Ino, Flags: flags})
 	c.hSync.Observe(time.Duration(p.Now() - start))
 	pinFault(s, err)
 	s.End(p)
@@ -413,13 +412,7 @@ func (f *File) truncate(p *sim.Proc, qid int) error {
 	if f.c.cacheHost != nil {
 		f.c.cacheHost.InvalidateIno(p, f.Ino)
 	}
-	hdr := dispatch.ReqHeader{Ino: f.Ino}
-	comp := f.c.submit(p, qid, nvmefs.Submission{
-		FileOp: nvme.FileOpTruncate,
-		Header: hdr.Marshal(),
-		RHLen:  1,
-	})
-	if err := statusErr(comp.Status); err != nil {
+	if err := f.c.command(p, qid, nvme.FileOpTruncate, dispatch.ReqHeader{Ino: f.Ino}); err != nil {
 		return err
 	}
 	f.Size = 0
@@ -431,13 +424,7 @@ func (f *File) truncate(p *sim.Proc, qid int) error {
 func (c *Client) Sync(p *sim.Proc, qid int) error {
 	s := c.o.Begin(p, "client.sync")
 	start := p.Now()
-	hdr := dispatch.ReqHeader{}
-	comp := c.submit(p, qid, nvmefs.Submission{
-		FileOp: nvme.FileOpBarrier,
-		Header: hdr.Marshal(),
-		RHLen:  1,
-	})
-	err := statusErr(comp.Status)
+	err := c.command(p, qid, nvme.FileOpBarrier, dispatch.ReqHeader{})
 	c.hSync.Observe(time.Duration(p.Now() - start))
 	pinFault(s, err)
 	s.End(p)
@@ -474,110 +461,24 @@ func (f *File) Write(p *sim.Proc, qid int, off uint64, data []byte, direct bool)
 	return err
 }
 
+// write routes a write by mode. A zero-length write moves no bytes and
+// returns at once: it must not pay the direct path's pre-sync. A degraded
+// cache (persistent backend flush failure) routes writes straight to the
+// backend — buffering them would only grow the pool of dirty pages that
+// cannot be written back.
 func (f *File) write(p *sim.Proc, qid int, off uint64, data []byte, direct bool) error {
-	c := f.c
-	ps := uint64(0)
-	if c.cacheHost != nil {
-		ps = uint64(c.cacheHost.L.PageSize)
-	}
-	if direct || ps == 0 || len(data) == 0 || c.cacheHost.Degraded() {
-		// A degraded cache (persistent backend flush failure) routes writes
-		// straight to the backend — buffering them would only grow the pool
-		// of dirty pages that cannot be written back.
+	switch {
+	case len(data) == 0:
+		return nil
+	case direct || f.c.cacheHost == nil || f.c.cacheHost.Degraded():
 		return f.writeDirect(p, qid, off, data)
 	}
-	end := off + uint64(len(data))
-	eof := f.sizeNow()
-	if end > eof {
-		if err := c.setSize(p, qid, f.Ino, end); err != nil {
-			return err
-		}
-		eof = end
-	}
-	// Only the head and tail pages of the range can be partial; batch their
-	// read-modify-write bases in one pipelined fetch instead of two blocking
-	// round trips inside the loop. A missing page (hole or beyond the old
-	// EOF) modifies zeros, which is what the pooled buffer arrives holding.
-	// The bases live in fixed two-element arrays and pooled page buffers —
-	// no per-op slice, map, or scratch allocation on this path (regression
-	// test: TestBufferedWriteRMWZeroScratchAllocs).
-	var (
-		rmwLPNs [2]uint64
-		rmwBufs [2][]byte
-		nr      int
-	)
-	first := off / ps
-	last := (end - 1) / ps
-	headCov := ps - off%ps
-	if headCov > uint64(len(data)) {
-		headCov = uint64(len(data))
-	}
-	if off%ps != 0 || headCov < ps {
-		rmwLPNs[nr] = first
-		nr++
-	}
-	if last != first && end%ps != 0 {
-		rmwLPNs[nr] = last
-		nr++
-	}
-	if nr > 0 {
-		var reqs [2]pageFetch
-		for i := 0; i < nr; i++ {
-			rmwBufs[i] = c.pool.Get(int(ps))
-			reqs[i] = pageFetch{lpn: rmwLPNs[i], dst: rmwBufs[i]}
-		}
-		if err := c.fetchPages(p, qid, f.Ino, reqs[:nr]); err != nil {
-			for i := 0; i < nr; i++ {
-				c.pool.Put(rmwBufs[i])
-			}
-			return err
-		}
-	}
-	for done := uint64(0); done < uint64(len(data)); {
-		lpn := (off + done) / ps
-		po := (off + done) % ps
-		n := ps - po
-		if n > uint64(len(data))-done {
-			n = uint64(len(data)) - done
-		}
-		var page []byte
-		if po == 0 && n == ps {
-			page = data[done : done+n]
-		} else {
-			// A partial page is by construction the first or last of the
-			// range, so it is one of the (at most two) registered bases.
-			page = rmwBufs[0]
-			if nr > 1 && lpn == rmwLPNs[1] {
-				page = rmwBufs[1]
-			}
-			copy(page[po:], data[done:done+n])
-		}
-		if err := c.writePageCached(p, qid, f.Ino, lpn, page, eof); err != nil {
-			for i := 0; i < nr; i++ {
-				c.pool.Put(rmwBufs[i])
-			}
-			return err
-		}
-		done += n
-	}
-	for i := 0; i < nr; i++ {
-		c.pool.Put(rmwBufs[i])
-	}
-	if end > f.Size {
-		f.Size = end
-	}
-	return nil
+	return f.writeBuffered(p, qid, off, data)
 }
 
 // setSize publishes a new EOF to the backend (a size-only setattr).
 func (c *Client) setSize(p *sim.Proc, qid int, ino, size uint64) error {
-	hdr := dispatch.ReqHeader{Ino: ino, Off: size}
-	comp := c.submit(p, qid, nvmefs.Submission{
-		FileOp: nvme.FileOpSetattr,
-		Header: hdr.Marshal(),
-		RHLen:  1,
-	})
-	if err := statusErr(comp.Status); err != nil {
+	if err := c.command(p, qid, nvme.FileOpSetattr, dispatch.ReqHeader{Ino: ino, Off: size}); err != nil {
 		return err
 	}
 	c.sizes.setMax(ino, size)
@@ -592,137 +493,6 @@ func (f *File) sizeNow() uint64 {
 		return sz
 	}
 	return f.Size
-}
-
-func (f *File) writeDirect(p *sim.Proc, qid int, off uint64, data []byte) error {
-	c := f.c
-	// O_DIRECT semantics, write side: buffered dirty pages must reach the
-	// backend first, or a later daemon flush of a pre-write snapshot would
-	// overwrite what this direct write is about to put there.
-	if c.cacheHost != nil && c.cacheHost.HasDirty(p, f.Ino) {
-		if err := f.syncWriteback(p, qid); err != nil {
-			return err
-		}
-	}
-	// Pipeline the MaxIO chunks: keep up to window commands in flight on the
-	// caller's queue, each burst ringing the doorbell once, and retire them
-	// in submission order. On error, stop submitting but drain what is
-	// already in flight before reporting the first failure.
-	maxIO := c.sys.Driver.MaxIO()
-	w := c.sys.Driver.Window()
-	var (
-		pends    []*nvmefs.Pending
-		burst    []nvmefs.Submission
-		next     int
-		firstErr error
-	)
-	for next < len(data) || len(pends) > 0 {
-		if firstErr == nil && next < len(data) && len(pends) < w {
-			burst = burst[:0]
-			for next < len(data) && len(pends)+len(burst) < w {
-				end := next + maxIO
-				if end > len(data) {
-					end = len(data)
-				}
-				chunk := data[next:end]
-				hdr := dispatch.ReqHeader{Ino: f.Ino, Off: off + uint64(next), Len: uint32(len(chunk))}
-				if next == 0 {
-					// First chunk invalidates journaled page history for the
-					// inode (see FlagInvalidate): the pre-write sync above left
-					// the backend current, and success is only reported after
-					// this chunk — and therefore the bump — completed.
-					hdr.Flags = dispatch.FlagInvalidate
-				}
-				burst = append(burst, nvmefs.Submission{
-					FileOp:  nvme.FileOpWrite,
-					Header:  hdr.Marshal(),
-					Payload: chunk,
-				})
-				next = end
-			}
-			pends = append(pends, c.submitBatch(p, qid, burst)...)
-		}
-		if len(pends) == 0 {
-			break
-		}
-		comp := pends[0].Wait(p)
-		pends = pends[1:]
-		if err := statusErr(comp.Status); err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	if firstErr != nil {
-		return firstErr
-	}
-	// Cache coherence: a cached copy of any page in the range (possibly
-	// dirty with earlier buffered data) must not keep — and later flush —
-	// stale bytes over what the backend now holds.
-	if c.cacheHost != nil && len(data) > 0 {
-		ps := uint64(c.cacheHost.L.PageSize)
-		for done := uint64(0); done < uint64(len(data)); {
-			lpn := (off + done) / ps
-			po := (off + done) % ps
-			n := ps - po
-			if n > uint64(len(data))-done {
-				n = uint64(len(data)) - done
-			}
-			c.cacheHost.MergeIfPresent(p, f.Ino, lpn, int(po), data[done:done+n])
-			done += n
-		}
-	}
-	if len(data) > 0 {
-		end := off + uint64(len(data))
-		// The backend learned the new EOF from the write itself; publish it
-		// so other handles' buffered reads are not clamped to a stale size.
-		c.sizes.setMax(f.Ino, end)
-		if end > f.Size {
-			f.Size = end
-		}
-	}
-	return nil
-}
-
-// writePageCached inserts one page into the hybrid cache, asking the DPU to
-// reclaim space when the bucket is full (the paper's front-end write flow).
-// eof is the file's published size: the write-through fallback trims the
-// page to it so a bypassing write never extends the file past its EOF.
-func (c *Client) writePageCached(p *sim.Proc, qid int, ino, lpn uint64, page []byte, eof uint64) error {
-	for attempt := 0; attempt < 4; attempt++ {
-		if c.cacheHost.WritePage(p, ino, lpn, page) {
-			return nil
-		}
-		hdr := dispatch.ReqHeader{Ino: ino, Off: lpn, Len: 4}
-		comp := c.submit(p, qid, nvmefs.Submission{
-			FileOp: nvme.FileOpCacheEvict,
-			Header: hdr.Marshal(),
-			RHLen:  1,
-		})
-		if err := statusErr(comp.Status); err != nil {
-			return err
-		}
-	}
-	// The bucket would not drain (all entries hot); write through instead.
-	off := lpn * uint64(c.cacheHost.L.PageSize)
-	if off >= eof {
-		return nil
-	}
-	if end := off + uint64(len(page)); end > eof {
-		page = page[:eof-off]
-	}
-	hdr := dispatch.ReqHeader{Ino: ino, Off: off, Len: uint32(len(page))}
-	comp := c.submit(p, qid, nvmefs.Submission{
-		FileOp:  nvme.FileOpWrite,
-		Header:  hdr.Marshal(),
-		Payload: page,
-	})
-	if err := statusErr(comp.Status); err != nil {
-		return err
-	}
-	// Cache coherence, as in writeDirect: a DPU fill whose backend read
-	// predates this write may have installed the old page while the write was
-	// in flight, and buffered reads would serve it as current.
-	c.cacheHost.MergeIfPresent(p, ino, lpn, 0, page)
-	return nil
 }
 
 // Read returns up to n bytes at off: ReadInto on a fresh buffer, nil when
@@ -754,264 +524,14 @@ func (f *File) ReadInto(p *sim.Proc, qid int, off uint64, dst []byte, direct boo
 	return got, err
 }
 
+// readInto routes a read by mode; a zero-length read, like a zero-length
+// write, returns at once.
 func (f *File) readInto(p *sim.Proc, qid int, off uint64, dst []byte, direct bool) (int, error) {
-	c := f.c
-	ps := uint64(0)
-	if c.cacheHost != nil {
-		ps = uint64(c.cacheHost.L.PageSize)
-	}
-	if direct || ps == 0 || len(dst) == 0 {
-		return f.readDirectInto(p, qid, off, dst)
-	}
-	eof := f.sizeNow()
-	if off >= eof {
+	switch {
+	case len(dst) == 0:
 		return 0, nil
+	case direct || f.c.cacheHost == nil:
+		return f.direct(p, qid, off, dst, false)
 	}
-	n := len(dst)
-	if max := eof - off; uint64(n) > max {
-		n = int(max)
-	}
-	dst = dst[:n]
-	// Holes leave their range of dst untouched, so it must start zeroed.
-	for i := range dst {
-		dst[i] = 0
-	}
-	if err := f.readBuffered(p, qid, off, dst); err != nil {
-		return 0, err
-	}
-	return n, nil
-}
-
-// readBuffered fills dst — already clamped to EOF and zeroed — through the
-// hybrid cache. The request array is stack-sized for reads spanning up to
-// four pages, the common case, so cache-hit reads allocate nothing.
-func (f *File) readBuffered(p *sim.Proc, qid int, off uint64, dst []byte) error {
-	c := f.c
-	ps := uint64(c.cacheHost.L.PageSize)
-	n := len(dst)
-	var reqArr [4]pageFetch
-	reqs := reqArr[:0]
-	for done := 0; done < n; {
-		lpn := (off + uint64(done)) / ps
-		po := (off + uint64(done)) % ps
-		k := int(ps - po)
-		if k > n-done {
-			k = n - done
-		}
-		reqs = append(reqs, pageFetch{lpn: lpn, po: int(po), dst: dst[done : done+k]})
-		done += k
-	}
-	return c.fetchPages(p, qid, f.Ino, reqs)
-}
-
-func (f *File) readDirectInto(p *sim.Proc, qid int, off uint64, out []byte) (int, error) {
-	c := f.c
-	// O_DIRECT semantics: dirty buffered pages must reach the backend before
-	// a direct read, or the reader sees pre-write data.
-	if c.cacheHost != nil && c.cacheHost.HasDirty(p, f.Ino) {
-		if err := f.syncWriteback(p, qid); err != nil {
-			return 0, err
-		}
-	}
-	n := len(out)
-	if n <= 0 {
-		return 0, nil
-	}
-	// Pipeline the MaxIO chunks on the caller's queue under the in-flight
-	// window, one doorbell per burst. Each chunk's ReadInto aims the IRQ-side
-	// copy (or inline delivery) straight at its slice of out, so retiring a
-	// completion moves no bytes. Chunks retire in submission order; the first
-	// short chunk marks EOF, after which the remaining in-flight chunks (all
-	// past it) are drained and discarded.
-	maxIO := c.sys.Driver.MaxIO()
-	w := c.sys.Driver.Window()
-	type chunk struct{ off, want int }
-	var (
-		pends    []*nvmefs.Pending
-		chunks   []chunk
-		burst    []nvmefs.Submission
-		next     int
-		got      int
-		short    bool
-		firstErr error
-	)
-	for next < n || len(pends) > 0 {
-		if firstErr == nil && !short && next < n && len(pends) < w {
-			burst = burst[:0]
-			for next < n && len(pends)+len(burst) < w {
-				want := n - next
-				if want > maxIO {
-					want = maxIO
-				}
-				hdr := dispatch.ReqHeader{Ino: f.Ino, Off: off + uint64(next), Len: uint32(want)}
-				burst = append(burst, nvmefs.Submission{
-					FileOp:   nvme.FileOpRead,
-					Header:   hdr.Marshal(),
-					RHLen:    1,
-					ReadLen:  want,
-					ReadInto: out[next : next+want],
-				})
-				chunks = append(chunks, chunk{next, want})
-				next = next + want
-			}
-			pends = append(pends, c.submitBatch(p, qid, burst)...)
-		}
-		if len(pends) == 0 {
-			break
-		}
-		comp := pends[0].Wait(p)
-		ck := chunks[0]
-		pends, chunks = pends[1:], chunks[1:]
-		if short {
-			// EOF wins over anything a later chunk reports: chunks retire in
-			// submission order, so every chunk retiring after the first short
-			// one reads a range entirely past the EOF that chunk observed.
-			// Neither its payload nor its failure (a straggler fault) can
-			// change the bytes below EOF already assembled in out.
-			continue
-		}
-		if err := statusErr(comp.Status); err != nil {
-			// A failure below EOF makes the result incomplete. Record the
-			// first one, stop submitting, and keep draining what is already
-			// in flight (mirroring writeDirect) so no completion — and no
-			// late error that deserves at least its retry accounting — is
-			// abandoned mid-air.
-			if firstErr == nil {
-				firstErr = err
-			}
-			continue
-		}
-		if firstErr != nil {
-			continue // draining after a failure; out is already condemned
-		}
-		if len(comp.Data) > 0 {
-			copy(out[ck.off:], comp.Data) // self-copy no-op when ReadInto landed it
-		}
-		got = ck.off + len(comp.Data)
-		if len(comp.Data) < ck.want {
-			short = true // EOF
-		}
-	}
-	if firstErr != nil {
-		return 0, firstErr
-	}
-	return got, nil
-}
-
-// pageFetch is one page's worth of a multi-page cached operation: the page's
-// bytes from offset po onward are copied into dst (len(dst) ≤ PageSize-po).
-// Pages absent from both cache and backend (holes, beyond EOF) leave dst
-// untouched, so callers see zeros in a fresh buffer.
-type pageFetch struct {
-	lpn uint64
-	po  int
-	dst []byte
-}
-
-// pageMiss is one absent page on its way through the fill protocol. It names
-// its request by index into the caller's slice — not by pointer — so a
-// stack-allocated request array (the RMW and small-read paths) never escapes
-// to the heap through the miss queue.
-type pageMiss struct {
-	idx  int
-	pend *nvmefs.Pending
-}
-
-// missSubmission asks the DPU to install the page in the host cache. The
-// cached read path has no other way to the backend: the cache may hold bytes
-// newer than the backend's, so a read never goes around it.
-func missSubmission(ino, lpn, ps uint64) nvmefs.Submission {
-	hdr := dispatch.ReqHeader{Ino: ino, Off: lpn * ps, Len: uint32(ps), Flags: dispatch.FlagFillCache}
-	return nvmefs.Submission{FileOp: nvme.FileOpRead, Header: hdr.Marshal(), RHLen: 8, ReadLen: int(ps)}
-}
-
-// fetchPages serves a batch of pages through the hybrid cache: probe, fill,
-// re-probe. Hits are copied straight out of host memory (a lookup waits out
-// a held entry lock, so a miss means the page is absent); misses are filled
-// by the DPU with their submissions pipelined under the client's in-flight
-// window and striped across queues starting at qid, each wave's per-queue
-// share riding a single doorbell. Waits retire in submission order;
-// completions that finish early recycle their slot and CID at IRQ time, so
-// the window keeps moving regardless of wait order.
-func (c *Client) fetchPages(p *sim.Proc, qid int, ino uint64, reqs []pageFetch) error {
-	ps := uint64(c.cacheHost.L.PageSize)
-	// Hits copy straight from host memory into each request's dst
-	// (LookupInto: no intermediate page slice); the miss queue is only
-	// materialized when a miss actually occurs, so the all-hit fast path
-	// allocates nothing.
-	var queue []pageMiss
-	for i := range reqs {
-		if !c.cacheHost.LookupInto(p, ino, reqs[i].lpn, reqs[i].po, reqs[i].dst) {
-			queue = append(queue, pageMiss{idx: i})
-		}
-	}
-	if len(queue) == 0 {
-		return nil
-	}
-	w := c.sys.Driver.Window()
-	stripes := c.queueCount()
-	if stripes > w {
-		stripes = w
-	}
-	inflight := make([]pageMiss, 0, w)
-	groups := make([][]pageMiss, stripes)
-	seq := 0
-	for len(queue) > 0 || len(inflight) > 0 {
-		if len(queue) > 0 && len(inflight) < w {
-			take := w - len(inflight)
-			if take > len(queue) {
-				take = len(queue)
-			}
-			wave := queue[:take]
-			queue = queue[take:]
-			// Group the wave by stripe (a fixed slice, not a map, so the
-			// submit order is deterministic) and batch each group.
-			for s := range groups {
-				groups[s] = groups[s][:0]
-			}
-			for _, ms := range wave {
-				s := seq % stripes
-				seq++
-				groups[s] = append(groups[s], ms)
-			}
-			for s, g := range groups {
-				if len(g) == 0 {
-					continue
-				}
-				subs := make([]nvmefs.Submission, len(g))
-				for i := range g {
-					subs[i] = missSubmission(ino, reqs[g[i].idx].lpn, ps)
-				}
-				pends := c.submitBatch(p, (qid+s)%c.queueCount(), subs)
-				for i := range g {
-					g[i].pend = pends[i]
-				}
-				inflight = append(inflight, g...)
-			}
-		}
-		ms := inflight[0]
-		inflight = inflight[1:]
-		comp := ms.pend.Wait(p)
-		req := &reqs[ms.idx]
-		if err := statusErr(comp.Status); err != nil {
-			if errors.Is(err, ErrNotFound) {
-				continue // hole or beyond EOF: dst keeps its zeros
-			}
-			return err
-		}
-		if filled, _ := dispatch.ParseFillHeader(comp.Header); !filled {
-			// The DPU could not fill the bucket; data came back inline.
-			if req.po < len(comp.Data) {
-				copy(req.dst, comp.Data[req.po:])
-			}
-			continue
-		}
-		// Installed (or already there): read it from host memory. A page
-		// evicted again before this probe is simply absent, and goes round
-		// for another fill.
-		if !c.cacheHost.LookupInto(p, ino, req.lpn, req.po, req.dst) {
-			queue = append(queue, ms)
-		}
-	}
-	return nil
+	return f.readBuffered(p, qid, off, dst)
 }

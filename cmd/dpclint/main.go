@@ -34,7 +34,12 @@
 // code, or one of the standard library's in stdMethods (fmt, encoding/json,
 // sort, container/heap, io and errors call those). Anything else carries
 // `//dpclint:ok <reason>` on its declaration's line or the line above it. A
-// helper only tests call belongs in a _test.go file of its package.
+// helper only tests call belongs in a _test.go file of its package. A
+// struct field's declared name and a composite-literal key are never
+// mentions: a field name never names a func, and a func, not being
+// comparable, cannot be a map key. The blind spot that remains is the
+// selector: x.Name counts as a mention of every method called Name, whatever
+// x is; telling them apart needs go/types.
 //
 // Usage: dpclint [dir ...]   (default ".", always recursive; _test.go,
 // testdata and vendor are skipped). Exits non-zero on any finding.
@@ -413,6 +418,20 @@ func lintCallers(fset *token.FileSet, files []source) int {
 					for _, id := range m.Names {
 						decl[id] = true
 						required[id.Name] = true
+					}
+				}
+			case *ast.StructType:
+				for _, fl := range x.Fields.List {
+					for _, id := range fl.Names {
+						decl[id] = true
+					}
+				}
+			case *ast.CompositeLit:
+				for _, el := range x.Elts {
+					if kv, ok := el.(*ast.KeyValueExpr); ok {
+						if id, ok := kv.Key.(*ast.Ident); ok {
+							decl[id] = true
+						}
 					}
 				}
 			case *ast.Ident:

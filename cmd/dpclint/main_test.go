@@ -312,6 +312,14 @@ func Helper() int { return 1 }
 		{"a plain func is not exempt by an interface", map[string]string{
 			"a/a.go": decl + "var _ = Helper\nfunc Show() {}\nfunc (T) String() string { return \"\" }\n",
 		}, 1, 0},
+		{"named only as a struct field and a literal key", map[string]string{
+			"a/a.go": decl + "var _ = Helper\n\n// Inflight counts.\nfunc (T) Inflight() int { return 0 }\n",
+			"b/b.go": "package b\n\ntype Stats struct{ Inflight int }\n\nvar _ = Stats{Inflight: 1}\n",
+		}, 1, 0},
+		{"named by a selector", map[string]string{
+			"a/a.go": decl + "var _ = Helper\n\n// Inflight counts.\nfunc (T) Inflight() int { return 0 }\n",
+			"b/b.go": "package b\n\nvar _ = a.T{}.Inflight\n",
+		}, 0, 0},
 		{"a reasoned suppression", map[string]string{
 			"a/a.go": decl + "var _ = Helper\n\n// Debug prints state.\n//\n//dpclint:ok called from a debugger\nfunc Debug() {}\n",
 		}, 0, 0},

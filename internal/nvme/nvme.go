@@ -101,10 +101,11 @@ type SQE struct {
 	DW12      uint32
 	WHLen     uint16
 	RHLen     uint16
-	// Token is a driver-assigned retry token carried in the reserved tail
-	// of the SQE (DW14). Retries of one logical command reuse the token, so
-	// the TGT can deduplicate re-executions and the host can reject stale
-	// completions after a CID has been recycled. 0 means "no token".
+	// Token is a driver-assigned token carried in the reserved tail of the
+	// SQE (DW14) that names one attempt of one logical command: retries keep
+	// its operation bits, so the TGT can deduplicate re-executions, and
+	// change its attempt bits, so the host can reject a straggler's
+	// completion even when its retry reuses the CID. 0 means "no token".
 	Token uint32
 }
 

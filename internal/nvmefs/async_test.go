@@ -81,8 +81,8 @@ func TestSubmitBatchOneDoorbell(t *testing.T) {
 			if s.node != uint64(i) {
 				t.Errorf("SQE %d consumed out of order: node %d", i, s.node)
 			}
-			if s.cid != pends[i].CID() {
-				t.Errorf("cmd %d: handler saw CID %d, Pending has %d", i, s.cid, pends[i].CID())
+			if s.cid != pends[i].pd.cid {
+				t.Errorf("cmd %d: handler saw CID %d, Pending has %d", i, s.cid, pends[i].pd.cid)
 			}
 		}
 		// Read everything back: payloads must not have crossed commands.
@@ -128,8 +128,8 @@ func TestBatchExceedsQueueResources(t *testing.T) {
 				t.Errorf("cmd %d: completion = %+v", i, comp)
 			}
 		}
-		if d.Inflight() != 0 {
-			t.Errorf("inflight = %d after draining, want 0", d.Inflight())
+		if d.inflight != 0 {
+			t.Errorf("inflight = %d after draining, want 0", d.inflight)
 		}
 	})
 	m.Eng.Run()

@@ -8,6 +8,7 @@ import (
 	"dpc/internal/fault"
 	"dpc/internal/model"
 	"dpc/internal/nvme"
+	"dpc/internal/obs"
 	"dpc/internal/sim"
 )
 
@@ -206,5 +207,94 @@ func TestNoDeadlinesWithoutInjector(t *testing.T) {
 	m.Eng.Run()
 	if d.Timeouts != 0 || d.Retries != 0 || d.DedupHits != 0 {
 		t.Fatalf("fault machinery ran without an injector: %d/%d/%d", d.Timeouts, d.Retries, d.DedupHits)
+	}
+}
+
+// TestStragglerCannotCompleteItsRetry: a read whose first attempt outlives
+// its deadline is retried, and the retry usually gets back the CID the first
+// attempt released. The straggling first attempt must neither write into the
+// retry's response nor have its completion accepted as the retry's: the read
+// returns the written bytes, and the straggler's CQE is a counted drop.
+func TestStragglerCannotCompleteItsRetry(t *testing.T) {
+	mcfg := model.Default()
+	mcfg.HostMemMB = 96
+	mcfg.DPUMemMB = 8
+	m := model.NewMachine(mcfg)
+	vc := newVirtualClient()
+	reads := 0
+	d := NewDriver(m, faultCfg(), func(p *sim.Proc, req Request) Response {
+		if req.SQE.FileOp == nvme.FileOpRead {
+			reads++
+			switch reads {
+			case 1:
+				p.Sleep(cmdTimeout + time.Millisecond) // outlives its deadline
+			case 2:
+				p.Sleep(2 * time.Millisecond) // still running when the first attempt finishes
+			}
+		}
+		return vc.handle(p, req)
+	})
+	d.SetFaults(fault.New(m.Eng, nil)) // deadlines armed, nothing injected
+	payload := bytes.Repeat([]byte{0xA5}, 4096)
+	m.Eng.Go("app", func(p *sim.Proc) {
+		if w := d.Submit(p, 0, Submission{FileOp: nvme.FileOpWrite, Header: header(1, 0), Payload: payload}); !w.OK() {
+			t.Errorf("write = %+v", w)
+		}
+		r := d.Submit(p, 0, Submission{FileOp: nvme.FileOpRead, Header: header(1, 0), ReadLen: 4096, RHLen: 1})
+		if !r.OK() || !bytes.Equal(r.Data, payload) {
+			t.Errorf("read after a spurious timeout: status %s, %d bytes, want the %d written bytes",
+				nvme.StatusString(r.Status), len(r.Data), len(payload))
+		}
+	})
+	m.Eng.Run()
+	if d.Timeouts != 1 || d.Retries != 1 || d.UnknownCompletions != 1 || reads != 2 {
+		t.Fatalf("timeouts=%d retries=%d unknown=%d handler reads=%d, want 1/1/1/2",
+			d.Timeouts, d.Retries, d.UnknownCompletions, reads)
+	}
+}
+
+// TestRetirePathsBalanceQueueResources: a clean completion, a deadline abort
+// and a controller reset each retire commands; once the quarantined slots
+// have come back, the queue holds exactly what it started with.
+func TestRetirePathsBalanceQueueResources(t *testing.T) {
+	o := obs.New()
+	mcfg := model.Default()
+	mcfg.HostMemMB = 96
+	mcfg.DPUMemMB = 8
+	mcfg.Obs = o
+	m := model.NewMachine(mcfg)
+	vc := newVirtualClient()
+	cfg := faultCfg()
+	d := NewDriver(m, cfg, vc.handle)
+	// Completion 1 is clean. Completion 2 is dropped: a deadline abort whose
+	// retry (completion 3) succeeds. From completion 4 on every completion
+	// of the third command is dropped until its retry budget is spent, which
+	// trips a controller reset on the way.
+	d.SetFaults(fault.New(m.Eng, []fault.Rule{
+		{Site: fault.SiteComplete, Kind: fault.KindDropCompletion, FromOp: 2, Count: 1},
+		{Site: fault.SiteComplete, Kind: fault.KindDropCompletion, FromOp: 4},
+	}))
+	m.Eng.Go("app", func(p *sim.Proc) {
+		want := []uint16{nvme.StatusOK, nvme.StatusOK, nvme.StatusTimeout}
+		for i, st := range want {
+			w := d.Submit(p, 0, Submission{FileOp: nvme.FileOpWrite, Header: header(uint64(i), 0), Payload: []byte("x")})
+			if w.Status != st {
+				t.Errorf("cmd %d = %s, want %s", i, nvme.StatusString(w.Status), nvme.StatusString(st))
+			}
+		}
+	})
+	m.Eng.Run() // runs past the last slot's quarantine
+	if d.Timeouts == 0 || d.Resets != 1 {
+		t.Fatalf("timeouts=%d resets=%d: the schedule did not reach every retire path", d.Timeouts, d.Resets)
+	}
+	qs := d.queues[0]
+	if len(qs.freeCID) != cfg.Depth || len(qs.freeSlots) != cfg.SlotsPerQ {
+		t.Errorf("free CIDs %d / slots %d, want %d / %d", len(qs.freeCID), len(qs.freeSlots), cfg.Depth, cfg.SlotsPerQ)
+	}
+	if len(qs.pending) != 0 || len(qs.spanOf) != 0 {
+		t.Errorf("pending %d / spanOf %d entries left, want none", len(qs.pending), len(qs.spanOf))
+	}
+	if d.inflight != 0 || d.oInflight.Value() != 0 {
+		t.Errorf("inflight %d, gauge %v, want 0", d.inflight, d.oInflight.Value())
 	}
 }

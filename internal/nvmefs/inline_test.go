@@ -142,9 +142,9 @@ func TestInlineCutoverBoundaries(t *testing.T) {
 }
 
 // Inline commands must survive the retry/dedup machinery exactly like DMA
-// commands: a dropped completion times out, resubmits with the same token,
-// and the executed-response cache answers the retry without a second handler
-// run.
+// commands: a dropped completion times out, resubmits as the operation's
+// next attempt, and the executed-response cache answers the retry without a
+// second handler run.
 func TestInlineWriteUnderDroppedCompletion(t *testing.T) {
 	cfg := faultCfg()
 	cfg.InlineMax = 512

@@ -275,3 +275,25 @@ func (s *scheduler) done(p *sim.Proc, tenant int) {
 	st.oInflight.Set(float64(st.inflight))
 	s.cond.Signal()
 }
+
+// dispatchLoop is one DPU dispatch worker: it pulls scheduler grants and
+// runs them to completion. Workers are the execution concurrency bound in
+// multi-tenant mode — the analogue of the DPU's core budget.
+func (d *Driver) dispatchLoop(p *sim.Proc) {
+	for {
+		f := d.sched.next(p)
+		d.dispatchOne(p, f)
+	}
+}
+
+// dispatchOne re-validates a scheduler grant and executes it. The liveness
+// re-check matters: the command may have timed out or been failed by a
+// reset while it sat in the scheduler's ready queue, in which case its slot
+// may already belong to another command and must not be touched.
+func (d *Driver) dispatchOne(p *sim.Proc, f fetched) {
+	qs := f.qs
+	if qs.live(f.gen, f.sqe.CID, f.sqe.Token) != nil && d.pullBuffers(p, &f) {
+		d.execute(p, f)
+	}
+	d.sched.done(p, qs.tenant)
+}

@@ -30,9 +30,7 @@ build:
 # queues: no sim.NewResource outside their tests, which keep the resource
 # model as the reference. No non-test file in the root package,
 # internal/nvmefs or internal/cache is over 700 lines: a larger one is split
-# along its seams. internal/cache/ctl.go is the one exception until the
-# DPU-side fill/bypass-write fix (ROADMAP item 2), which edits it first, has
-# landed.
+# along its seams.
 vet:
 	$(GO) vet ./...
 	cd bench && GOTOOLCHAIN=local GOPROXY=off $(GO) vet ./...
@@ -49,7 +47,7 @@ vet:
 		if [ -n "$$out" ]; then echo "hash/fnv on a lookup path (hash inline):"; echo "$$out"; exit 1; fi
 	@out=$$(grep -n 'sim\.NewResource' $$(ls internal/pcie/*.go internal/fabric/*.go | grep -v _test.go)); \
 		if [ -n "$$out" ]; then echo "queueing resource on a link (book its free time instead):"; echo "$$out"; exit 1; fi
-	@out=$$(wc -l $$(ls *.go internal/nvmefs/*.go internal/cache/*.go | grep -v _test.go | grep -vx internal/cache/ctl.go) | \
+	@out=$$(wc -l $$(ls *.go internal/nvmefs/*.go internal/cache/*.go | grep -v _test.go) | \
 		awk '$$2 != "total" && $$1 > 700'); \
 		if [ -n "$$out" ]; then echo "non-test file over 700 lines (split it along its seams):"; echo "$$out"; exit 1; fi
 

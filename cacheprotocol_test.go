@@ -433,3 +433,165 @@ func TestMissEngineTerminatesUnderThrash(t *testing.T) {
 	}
 	t.Logf("%d page reads took %d fills", readers*rounds*pages, fills)
 }
+
+// streamWorld builds the world of the fill-window tests: default options with
+// HostMemMB 192, and one KVFS file of pages pages written direct as 0xA0.
+func streamWorld(t *testing.T, pages int) (*System, *File) {
+	t.Helper()
+	poisonPool(t)
+	opts := DefaultOptions()
+	opts.Model.HostMemMB = 192
+	sys := New(opts)
+	t.Cleanup(sys.Shutdown)
+	var f *File
+	v0 := bytes.Repeat([]byte{0xA0}, cachePageSize)
+	sys.Drive(func(p *sim.Proc) {
+		var err error
+		if f, err = sys.KVFSClient().Create(p, 0, "/stream"); err != nil {
+			t.Errorf("create: %v", err)
+			return
+		}
+		for l := 0; l < pages; l++ {
+			if err := f.Write(p, 0, uint64(l)*cachePageSize, v0, true); err != nil {
+				t.Errorf("prefill lpn %d: %v", l, err)
+				return
+			}
+		}
+	})
+	if t.Failed() {
+		t.FailNow()
+	}
+	return sys, f
+}
+
+// streamReader returns a process that streams buffered reads of f's pages
+// from *pos on, one page at a time, until EOF (or pages), then sets *done.
+func streamReader(t *testing.T, f *File, pages uint64, pos *uint64, done *bool) func(*sim.Proc) {
+	return func(p *sim.Proc) {
+		defer func() { *done = true }()
+		buf := make([]byte, cachePageSize)
+		for ; *pos < pages; *pos++ {
+			n, err := f.ReadInto(p, 1, *pos*cachePageSize, buf, false)
+			if err != nil {
+				t.Errorf("read lpn %d: %v", *pos, err)
+				return
+			}
+			if n == 0 {
+				return // truncated under the reader
+			}
+		}
+	}
+}
+
+// TestPrefetchDuringDirectWritesKeepsNoStalePage: the fill vs bypass-write
+// window, reached through the prefetcher. A reader streams buffered reads of
+// a 768-page file while a writer direct-writes one page 200 pages ahead of it
+// every 20 µs. The prefetcher's range read of a window can finish before such
+// a write lands and its fill only after: the write's cache merge finds the
+// page absent, and unless the DPU retracts the fill, the page it installs is
+// the pre-write one, which every later buffered read serves as current.
+func TestPrefetchDuringDirectWritesKeepsNoStalePage(t *testing.T) {
+	const (
+		pages = 768
+		ahead = 200
+	)
+	sys, f := streamWorld(t, pages)
+	ps := uint64(cachePageSize)
+	v1 := bytes.Repeat([]byte{0xB1}, int(ps))
+	var (
+		pos     uint64 // the reader's next page
+		done    bool
+		written [pages]bool
+		writes  int
+	)
+	writer := func(p *sim.Proc) {
+		for !done {
+			p.Sleep(20 * time.Microsecond)
+			l := pos + ahead
+			if l >= pages || written[l] {
+				continue
+			}
+			if err := f.Write(p, 2, l*ps, v1, true); err != nil {
+				t.Errorf("direct write lpn %d: %v", l, err)
+				return
+			}
+			written[l] = true
+			writes++
+		}
+	}
+	sys.Drive(streamReader(t, f, pages, &pos, &done), writer)
+	if writes == 0 {
+		t.Fatal("the writer never wrote ahead of the reader: the test exercised nothing")
+	}
+	sys.Drive(func(p *sim.Proc) {
+		buf := make([]byte, ps)
+		for l := range written {
+			if !written[l] {
+				continue
+			}
+			if _, err := f.ReadInto(p, 3, uint64(l)*ps, buf, false); err != nil {
+				t.Errorf("read back lpn %d: %v", l, err)
+			} else if !bytes.Equal(buf, v1) {
+				t.Errorf("lpn %d reads back %#x after its acknowledged %#x direct write", l, buf[0], v1[0])
+			}
+		}
+	})
+	t.Logf("%d direct writes, %d prefetches", writes, sys.KVFSService().Ctl.Prefetches.Total())
+}
+
+// TestTruncateDuringPrefetchKeepsNoDeadPage: the fill vs truncate window. A
+// reader streams buffered reads of a 768-page file, keeping prefetch windows
+// in flight, when the file is truncated. A fill whose backend read predates
+// the truncate must leave no page in the cache: once a direct write past
+// every prefetched page re-extends the file, the truncated pages are holes
+// and must read back as zeros, not as the 0xA0 they held before.
+func TestTruncateDuringPrefetchKeepsNoDeadPage(t *testing.T) {
+	const pages = 768
+	for _, at := range []uint64{64, 256, 512} {
+		t.Run(fmt.Sprintf("at page %d", at), func(t *testing.T) {
+			sys, f := streamWorld(t, pages)
+			ctl := sys.KVFSService().Ctl
+			var (
+				pos  uint64
+				done bool
+				pre  int64 // prefetches when the truncate was issued
+			)
+			truncater := func(p *sim.Proc) {
+				for pos < at && !done {
+					p.Sleep(time.Microsecond)
+				}
+				pre = ctl.Prefetches.Total()
+				if err := f.Truncate(p, 2); err != nil {
+					t.Errorf("truncate: %v", err)
+				}
+			}
+			sys.Drive(streamReader(t, f, pages, &pos, &done), truncater)
+			if pre == 0 {
+				t.Fatal("nothing was prefetched when the truncate was issued: the test exercised nothing")
+			}
+			sys.Drive(func(p *sim.Proc) {
+				p.Sleep(10 * time.Millisecond) // every prefetch in flight lands
+				end := bytes.Repeat([]byte{0xB1}, cachePageSize)
+				if err := f.Write(p, 0, pages*cachePageSize, end, true); err != nil {
+					t.Errorf("re-extend: %v", err)
+					return
+				}
+				buf := make([]byte, cachePageSize)
+				dead := 0
+				for l := uint64(0); l < pages; l++ {
+					if _, err := f.ReadInto(p, 3, l*cachePageSize, buf, false); err != nil {
+						t.Errorf("read back lpn %d: %v", l, err)
+					} else if !bytes.Equal(buf, make([]byte, cachePageSize)) {
+						if dead++; dead == 1 {
+							t.Errorf("lpn %d reads back %#x after the truncate", l, buf[0])
+						}
+					}
+				}
+				if dead > 0 {
+					t.Errorf("%d truncated pages read back dead bytes", dead)
+				}
+			})
+			t.Logf("%d prefetches before the truncate, %d in all", pre, ctl.Prefetches.Total())
+		})
+	}
+}

@@ -60,15 +60,27 @@ var (
 	ErrTimeout = errors.New("dpc: command timed out")
 )
 
-// pinFault marks an op's span anomalous for the telemetry flight recorder
-// when err is a fault-class outcome — an I/O error or a retry-budget
-// timeout. Namespace results (not-found, exists, not-a-directory, ...) are
-// ordinary answers, not faults, and stay unpinned. Without an attached
-// recorder the pin is a single bool store on the open span record.
-func pinFault(s obs.Span, err error) {
+// opTimer is a client op's span and latency sample (h nil: none), a value so
+// that timing an op allocates nothing.
+type opTimer struct {
+	s     obs.Span
+	h     *obs.Histogram
+	start sim.Time
+}
+
+func (c *Client) begin(p *sim.Proc, name string, h *obs.Histogram) opTimer {
+	return opTimer{s: c.o.Begin(p, name), h: h, start: p.Now()}
+}
+
+// end records the latency, pins the span for the telemetry flight recorder
+// when err is a fault-class outcome — an I/O error or a retry-budget timeout,
+// not a namespace answer such as not-found — and ends the span.
+func (t opTimer) end(p *sim.Proc, err error) {
+	t.h.Observe(time.Duration(p.Now() - t.start))
 	if err != nil && (errors.Is(err, ErrIO) || errors.Is(err, ErrTimeout)) {
-		s.Pin()
+		t.s.Pin()
 	}
+	t.s.End(p)
 }
 
 func statusErr(s uint16) error {
@@ -251,17 +263,9 @@ func (c *Client) command(p *sim.Proc, qid int, op uint32, hdr dispatch.ReqHeader
 }
 
 // metaOp runs a path-based namespace operation and decodes the attribute.
-func (c *Client) metaOp(p *sim.Proc, qid int, op uint32, path, path2 string) (kvfs.Attr, error) {
-	s := c.o.Begin(p, clientSpanName(op))
-	start := p.Now()
-	a, err := c.doMetaOp(p, qid, op, path, path2)
-	c.hMeta.Observe(time.Duration(p.Now() - start))
-	pinFault(s, err)
-	s.End(p)
-	return a, err
-}
-
-func (c *Client) doMetaOp(p *sim.Proc, qid int, op uint32, path, path2 string) (kvfs.Attr, error) {
+func (c *Client) metaOp(p *sim.Proc, qid int, op uint32, path, path2 string) (a kvfs.Attr, err error) {
+	t := c.begin(p, clientSpanName(op), c.hMeta)
+	defer func() { t.end(p, err) }()
 	hdr := dispatch.ReqHeader{PathLen: uint16(len(path)), Aux: uint16(len(path2))}
 	comp := c.submit(p, qid, nvmefs.Submission{
 		FileOp:  op,
@@ -273,8 +277,7 @@ func (c *Client) doMetaOp(p *sim.Proc, qid int, op uint32, path, path2 string) (
 		return kvfs.Attr{}, err
 	}
 	if len(comp.Header) == kvfs.AttrSize {
-		a, err := kvfs.UnmarshalAttr(comp.Header)
-		return a, err
+		return kvfs.UnmarshalAttr(comp.Header)
 	}
 	return kvfs.Attr{}, nil
 }
@@ -334,17 +337,9 @@ func (c *Client) StatPath(p *sim.Proc, qid int, path string) (Stat, error) {
 }
 
 // Readdir lists a directory.
-func (c *Client) Readdir(p *sim.Proc, qid int, path string) ([]DirEntry, error) {
-	s := c.o.Begin(p, "client.readdir")
-	start := p.Now()
-	out, err := c.readdir(p, qid, path)
-	c.hMeta.Observe(time.Duration(p.Now() - start))
-	pinFault(s, err)
-	s.End(p)
-	return out, err
-}
-
-func (c *Client) readdir(p *sim.Proc, qid int, path string) ([]DirEntry, error) {
+func (c *Client) Readdir(p *sim.Proc, qid int, path string) (out []DirEntry, err error) {
+	t := c.begin(p, "client.readdir", c.hMeta)
+	defer func() { t.end(p, err) }()
 	hdr := dispatch.ReqHeader{PathLen: uint16(len(path))}
 	comp := c.submit(p, qid, nvmefs.Submission{
 		FileOp:  nvme.FileOpReaddir,
@@ -360,7 +355,7 @@ func (c *Client) readdir(p *sim.Proc, qid int, path string) ([]DirEntry, error) 
 	if err != nil {
 		return nil, err
 	}
-	out := make([]DirEntry, len(names))
+	out = make([]DirEntry, len(names))
 	for i := range names {
 		out[i] = DirEntry{Name: names[i], Ino: inos[i]}
 	}
@@ -384,13 +379,9 @@ func (f *File) syncWriteback(p *sim.Proc, qid int) error {
 }
 
 func (f *File) sync(p *sim.Proc, qid int, flags uint32) error {
-	c := f.c
-	s := c.o.Begin(p, "client.fsync")
-	start := p.Now()
-	err := c.command(p, qid, nvme.FileOpFlush, dispatch.ReqHeader{Ino: f.Ino, Flags: flags})
-	c.hSync.Observe(time.Duration(p.Now() - start))
-	pinFault(s, err)
-	s.End(p)
+	t := f.c.begin(p, "client.fsync", f.c.hSync)
+	err := f.c.command(p, qid, nvme.FileOpFlush, dispatch.ReqHeader{Ino: f.Ino, Flags: flags})
+	t.end(p, err)
 	return err
 }
 
@@ -399,20 +390,21 @@ func (f *File) sync(p *sim.Proc, qid int, flags uint32) error {
 // read-modify-write or the flush daemon. The invalidation runs BEFORE the
 // backend truncate: InvalidateIno waits out any flusher holding a page of
 // this inode, so no in-flight flush (whose EOF clamp read the pre-truncate
-// size) can land after the truncate and re-extend the file.
-func (f *File) Truncate(p *sim.Proc, qid int) error {
-	s := f.c.o.Begin(p, "client.truncate")
-	err := f.truncate(p, qid)
-	pinFault(s, err)
-	s.End(p)
-	return err
-}
-
-func (f *File) truncate(p *sim.Proc, qid int) error {
+// size) can land after the truncate and re-extend the file. It runs again
+// AFTER it: a DPU fill that read a page before the truncate and checked the
+// inode's write sequence before the truncate noted itself installs the dead
+// page, and only this second pass (which waits out a pending claim) drops it.
+func (f *File) Truncate(p *sim.Proc, qid int) (err error) {
+	t := f.c.begin(p, "client.truncate", nil)
+	defer func() { t.end(p, err) }()
 	if f.c.cacheHost != nil {
 		f.c.cacheHost.InvalidateIno(p, f.Ino)
 	}
-	if err := f.c.command(p, qid, nvme.FileOpTruncate, dispatch.ReqHeader{Ino: f.Ino}); err != nil {
+	err = f.c.command(p, qid, nvme.FileOpTruncate, dispatch.ReqHeader{Ino: f.Ino})
+	if f.c.cacheHost != nil {
+		f.c.cacheHost.InvalidateIno(p, f.Ino)
+	}
+	if err != nil {
 		return err
 	}
 	f.Size = 0
@@ -422,12 +414,9 @@ func (f *File) truncate(p *sim.Proc, qid int) error {
 
 // Sync flushes the service's dirty cache pages to the backend.
 func (c *Client) Sync(p *sim.Proc, qid int) error {
-	s := c.o.Begin(p, "client.sync")
-	start := p.Now()
+	t := c.begin(p, "client.sync", c.hSync)
 	err := c.command(p, qid, nvme.FileOpBarrier, dispatch.ReqHeader{})
-	c.hSync.Observe(time.Duration(p.Now() - start))
-	pinFault(s, err)
-	s.End(p)
+	t.end(p, err)
 	return err
 }
 
@@ -450,23 +439,14 @@ func (c *Client) CacheStats() (hits, misses int64) {
 // that extends the file publishes the new EOF to the backend first (one
 // metadata op), so flush-time write-back can clamp whole-page flushes to
 // the true size instead of inflating it to the page boundary.
-func (f *File) Write(p *sim.Proc, qid int, off uint64, data []byte, direct bool) error {
-	c := f.c
-	s := c.o.Begin(p, "client.write")
-	start := p.Now()
-	err := f.write(p, qid, off, data, direct)
-	c.hWrite.Observe(time.Duration(p.Now() - start))
-	pinFault(s, err)
-	s.End(p)
-	return err
-}
-
-// write routes a write by mode. A zero-length write moves no bytes and
-// returns at once: it must not pay the direct path's pre-sync. A degraded
-// cache (persistent backend flush failure) routes writes straight to the
-// backend — buffering them would only grow the pool of dirty pages that
-// cannot be written back.
-func (f *File) write(p *sim.Proc, qid int, off uint64, data []byte, direct bool) error {
+//
+// A zero-length write moves no bytes and returns at once: it must not pay
+// the direct path's pre-sync. A degraded cache (persistent backend flush
+// failure) routes writes straight to the backend — buffering them would only
+// grow the pool of dirty pages that cannot be written back.
+func (f *File) Write(p *sim.Proc, qid int, off uint64, data []byte, direct bool) (err error) {
+	t := f.c.begin(p, "client.write", f.c.hWrite)
+	defer func() { t.end(p, err) }()
 	switch {
 	case len(data) == 0:
 		return nil
@@ -512,21 +492,11 @@ func (f *File) Read(p *sim.Proc, qid int, off uint64, n int, direct bool) ([]byt
 // DPU (which also drives the prefetcher). Like a kernel page-cache read, the
 // result is clamped to the effective EOF and holes read as zeros. Direct
 // reads DMA — or inline-deliver — straight into dst. dst bytes past the
-// returned count, or after an error, are unspecified.
-func (f *File) ReadInto(p *sim.Proc, qid int, off uint64, dst []byte, direct bool) (int, error) {
-	c := f.c
-	s := c.o.Begin(p, "client.read")
-	start := p.Now()
-	got, err := f.readInto(p, qid, off, dst, direct)
-	c.hRead.Observe(time.Duration(p.Now() - start))
-	pinFault(s, err)
-	s.End(p)
-	return got, err
-}
-
-// readInto routes a read by mode; a zero-length read, like a zero-length
-// write, returns at once.
-func (f *File) readInto(p *sim.Proc, qid int, off uint64, dst []byte, direct bool) (int, error) {
+// returned count, or after an error, are unspecified. A zero-length read,
+// like a zero-length write, returns at once.
+func (f *File) ReadInto(p *sim.Proc, qid int, off uint64, dst []byte, direct bool) (got int, err error) {
+	t := f.c.begin(p, "client.read", f.c.hRead)
+	defer func() { t.end(p, err) }()
 	switch {
 	case len(dst) == 0:
 		return 0, nil

@@ -818,7 +818,7 @@ func TestLookupWaitsOutHeldLock(t *testing.T) {
 			pp.Sleep(40 * time.Microsecond) // a backend write's worth
 			c.unlock(pp, kept)
 			c.setStatus(pp, evicted, StatusFree)
-			m.PCIe.AtomicFetchAdd32(pp, m.HostMem, l.Base+12, 1, "cache-free-inc")
+			m.PCIe.AtomicFetchAdd32(pp, m.HostMem, l.Base+hdrFree, 1, "cache-free-inc")
 			c.unlock(pp, evicted)
 		})
 		p.Sleep(10 * time.Microsecond) // both locks are held by now

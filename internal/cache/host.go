@@ -50,7 +50,7 @@ func NewHost(m *model.Machine, l Layout) *Host {
 // (persistent backend write-back failure). Host-local memory read; the
 // client checks it to route writes directly to the backend instead of
 // accumulating dirty pages that cannot be flushed.
-func (h *Host) Degraded() bool { return h.m.HostMem.Uint32(h.L.Base+16) != 0 }
+func (h *Host) Degraded() bool { return h.m.HostMem.Uint32(h.L.Base+hdrDegraded) != 0 }
 
 // meta returns the live host-memory bytes of entries [lo, hi). The host's
 // walks compare fields in place in it instead of decoding every entry; being

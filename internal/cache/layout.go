@@ -5,7 +5,7 @@
 //
 // The memory layout is byte-exact per Figure 5:
 //
-//	header : pagesize u32 | mode u32 | total u32 | free u32 (+ pad to 32)
+//	header : pagesize u32 | mode u32 | total u32 | free u32 | degraded u32 (+ pad to 32)
 //	meta   : total entries of 32 bytes:
 //	         lock u32 | status u32 | next u32 | lpn u64 | ino u64 | pad
 //	data   : total pages of pagesize bytes
@@ -138,21 +138,26 @@ const (
 	offRef    = 28
 )
 
+// Header field offsets past the geometry: the free-page counter, and the
+// degraded flag the ctl sets over PCIe while backend write-back keeps failing.
+const (
+	hdrFree     = 12
+	hdrDegraded = 16
+)
+
 // ReadEntry decodes entry i from the region (no timing; callers on the DPU
 // side must have DMA'd the bytes or pay atomics per field).
 func ReadEntry(r *mem.Region, l Layout, i int) Entry {
-	a := l.EntryAddr(i)
-	return Entry{
-		Lock:   r.Uint32(a + offLock),
-		Status: r.Uint32(a + offStatus),
-		Next:   r.Uint32(a + offNext),
-		LPN:    r.Uint64(a + offLPN),
-		Ino:    r.Uint64(a + offIno),
-		Ref:    r.Slice(a+offRef, 1)[0],
-	}
+	return DecodeEntry(r.Slice(l.EntryAddr(i), EntrySize))
+}
+
+// WriteEntryMeta stores entry i's fields (host-local).
+func WriteEntryMeta(r *mem.Region, l Layout, i int, e Entry) {
+	encodeEntry(r.Slice(l.EntryAddr(i), EntrySize), e)
 }
 
 // DecodeEntry decodes an entry from raw bytes (e.g. a DMA'd meta chunk).
+// It and encodeEntry are the one spelling of the entry's field list.
 func DecodeEntry(b []byte) Entry {
 	le := binary.LittleEndian
 	return Entry{
@@ -165,15 +170,16 @@ func DecodeEntry(b []byte) Entry {
 	}
 }
 
-// WriteEntryMeta stores the status/lpn/ino fields of entry i (host-local).
-func WriteEntryMeta(r *mem.Region, l Layout, i int, e Entry) {
-	a := l.EntryAddr(i)
-	r.PutUint32(a+offLock, e.Lock)
-	r.PutUint32(a+offStatus, e.Status)
-	r.PutUint32(a+offNext, e.Next)
-	r.PutUint64(a+offLPN, e.LPN)
-	r.PutUint64(a+offIno, e.Ino)
-	r.Slice(a+offRef, 1)[0] = e.Ref
+// encodeEntry serializes an entry into a 32-byte buffer; the padding after
+// the ref byte is left as it is.
+func encodeEntry(b []byte, e Entry) {
+	le := binary.LittleEndian
+	le.PutUint32(b[offLock:], e.Lock)
+	le.PutUint32(b[offStatus:], e.Status)
+	le.PutUint32(b[offNext:], e.Next)
+	le.PutUint64(b[offLPN:], e.LPN)
+	le.PutUint64(b[offIno:], e.Ino)
+	b[offRef] = e.Ref
 }
 
 // InitHeader writes the cache header and formats every entry as free,
@@ -182,11 +188,8 @@ func InitHeader(r *mem.Region, l Layout, mode uint32) {
 	r.PutUint32(l.Base+0, uint32(l.PageSize))
 	r.PutUint32(l.Base+4, mode)
 	r.PutUint32(l.Base+8, uint32(l.Total))
-	r.PutUint32(l.Base+12, uint32(l.Total))
-	// Base+16 is the degraded flag: the ctl sets it (remotely, over PCIe)
-	// when backend write-back keeps failing, and the host reads it to route
-	// writes around the cache. Starts healthy.
-	r.PutUint32(l.Base+16, 0)
+	r.PutUint32(l.Base+hdrFree, uint32(l.Total))
+	r.PutUint32(l.Base+hdrDegraded, 0) // starts healthy
 	for i := 0; i < l.Total; i++ {
 		WriteEntryMeta(r, l, i, Entry{Lock: LockNone, Status: StatusFree, Next: l.chainNext(i)})
 	}
@@ -243,9 +246,9 @@ func Fsck(r *mem.Region, l Layout) []string {
 }
 
 // HeaderFree reads the free-page counter.
-func HeaderFree(r *mem.Region, l Layout) uint32 { return r.Uint32(l.Base + 12) }
+func HeaderFree(r *mem.Region, l Layout) uint32 { return r.Uint32(l.Base + hdrFree) }
 
 // AddHeaderFree adjusts the free-page counter.
 func AddHeaderFree(r *mem.Region, l Layout, delta int32) {
-	r.PutUint32(l.Base+12, uint32(int32(r.Uint32(l.Base+12))+delta))
+	r.PutUint32(l.Base+hdrFree, uint32(int32(HeaderFree(r, l))+delta))
 }

@@ -231,19 +231,24 @@ func (d *Dispatcher) handleRead(p *sim.Proc, svc *Service, hdr ReqHeader, req nv
 		if !degraded && hdr.Flags&FlagNoPrefetch == 0 {
 			svc.Ctl.NotifyRead(p, hdr.Ino, lpn)
 		}
-		if !readPage(p, svc, hdr.Ino, lpn, page) {
+		read := func() bool { return readPage(p, svc, hdr.Ino, lpn, page) }
+		idx, found := -1, false
+		if degraded {
+			found = read()
+		} else {
+			idx, found = svc.Ctl.ReadFill(p, hdr.Ino, lpn, page, read)
+		}
+		if !found {
 			return nvmefs.Response{Status: nvme.StatusNotFound}
 		}
-		if degraded {
-			return nvmefs.Response{Status: nvme.StatusOK, Header: []byte{0}, Data: page}
-		}
-		if idx := svc.Ctl.FillPage(p, hdr.Ino, lpn, page); idx >= 0 {
+		if idx >= 0 {
 			d.CacheFills.Inc()
 			// Only the cache entry index travels back, in the response
 			// header: RH[0]=1, RH[1:5]=index.
 			return nvmefs.Response{Status: nvme.StatusOK, Header: fillHeader(idx)}
 		}
-		// Fill failed (bucket busy): ship the bytes back instead.
+		// Not filled (bucket busy, or a write overtook the read): ship the
+		// bytes back instead.
 		return nvmefs.Response{Status: nvme.StatusOK, Header: []byte{0}, Data: page}
 	}
 	// DPU-resident cache path (ablation): serve hits from DPU DRAM; the
@@ -299,7 +304,13 @@ func (d *Dispatcher) handleWrite(p *sim.Proc, svc *Service, hdr ReqHeader, data 
 	if hdr.Flags&FlagInvalidate != 0 && !bumpGen(p, svc, hdr.Ino) {
 		return nvmefs.Response{Status: nvme.StatusTransient}
 	}
-	if err := svc.backendWrite(p, hdr.Ino, hdr.Off, data); err != nil {
+	err := svc.backendWrite(p, hdr.Ino, hdr.Off, data)
+	if svc.Ctl != nil {
+		// Landed or failed part-way, the write may have changed the pages: a
+		// fill that read them before it finished must not install them.
+		svc.Ctl.NoteWrite(hdr.Ino)
+	}
+	if err != nil {
 		return errResponse(err)
 	}
 	return nvmefs.Response{Status: nvme.StatusOK, Result: uint32(len(data))}
@@ -326,7 +337,7 @@ func (d *Dispatcher) handleMeta(p *sim.Proc, svc *Service, op uint32, hdr ReqHea
 // bump did not commit and the op must fail with a retryable transient —
 // proceeding would let a crash resurrect pre-op pages.
 func bumpGen(p *sim.Proc, svc *Service, ino uint64) bool {
-	if svc.Ctl == nil || !svc.Ctl.HasWAL() {
+	if svc.Ctl == nil || svc.Ctl.WAL() == nil {
 		return true
 	}
 	return svc.Ctl.BumpGen(p, ino) == nil
@@ -377,7 +388,7 @@ func (d *Dispatcher) kvfsMeta(p *sim.Proc, svc *Service, op uint32, hdr ReqHeade
 		}
 		return nvmefs.Response{Status: nvme.StatusOK, Header: []byte{1}, Data: EncodeDirEntries(names, inos)}
 	case nvme.FileOpUnlink:
-		if svc.Ctl != nil && svc.Ctl.HasWAL() {
+		if svc.Ctl != nil && svc.Ctl.WAL() != nil {
 			if ino, err := fs.Lookup(p, path); err == nil {
 				if !bumpGen(p, svc, ino) {
 					return nvmefs.Response{Status: nvme.StatusTransient}
@@ -393,7 +404,11 @@ func (d *Dispatcher) kvfsMeta(p *sim.Proc, svc *Service, op uint32, hdr ReqHeade
 		if !bumpGen(p, svc, hdr.Ino) {
 			return nvmefs.Response{Status: nvme.StatusTransient}
 		}
-		return statusOnly(fs.Truncate(p, hdr.Ino))
+		err := fs.Truncate(p, hdr.Ino)
+		if svc.Ctl != nil {
+			svc.Ctl.NoteWrite(hdr.Ino)
+		}
+		return statusOnly(err)
 	case nvme.FileOpSetattr:
 		// Size-only setattr: hdr.Off carries the new EOF (buffered writes
 		// publish it before their pages land in the cache).

@@ -28,9 +28,10 @@ build:
 # the hot path: no hash/fnv import outside their tests, which compare
 # against it. The PCIe link and the fabric NICs are computed clocks, not
 # queues: no sim.NewResource outside their tests, which keep the resource
-# model as the reference. No non-test file in the root package,
-# internal/nvmefs or internal/cache is over 700 lines: a larger one is split
-# along its seams.
+# model as the reference. No non-test Go file outside bench/ is over 700
+# lines: a larger one is split along its seams. No Go file outside bench/
+# and internal/model, tests included, names HostMemMB or DPUMemMB: arenas
+# hold what a world reserves, so nothing sizes them by hand.
 vet:
 	$(GO) vet ./...
 	cd bench && GOTOOLCHAIN=local GOPROXY=off $(GO) vet ./...
@@ -47,9 +48,11 @@ vet:
 		if [ -n "$$out" ]; then echo "hash/fnv on a lookup path (hash inline):"; echo "$$out"; exit 1; fi
 	@out=$$(grep -n 'sim\.NewResource' $$(ls internal/pcie/*.go internal/fabric/*.go | grep -v _test.go)); \
 		if [ -n "$$out" ]; then echo "queueing resource on a link (book its free time instead):"; echo "$$out"; exit 1; fi
-	@out=$$(wc -l $$(ls *.go internal/nvmefs/*.go internal/cache/*.go | grep -v _test.go) | \
+	@out=$$(find . \( -path ./bench -o -path './.*' \) -prune -o -name '*.go' ! -name '*_test.go' -print | xargs wc -l | \
 		awk '$$2 != "total" && $$1 > 700'); \
 		if [ -n "$$out" ]; then echo "non-test file over 700 lines (split it along its seams):"; echo "$$out"; exit 1; fi
+	@out=$$(grep -rnwE 'HostMemMB|DPUMemMB' --include='*.go' . | grep -vE '^\./(bench|internal/model|\.[^/]*)/'); \
+		if [ -n "$$out" ]; then echo "hand-sized arena (arenas hold what is reserved):"; echo "$$out"; exit 1; fi
 
 test:
 	$(GO) test ./...
@@ -143,11 +146,11 @@ whatif:
 # lookup (TestHostFindEntryZeroAllocs: a hit and a miss on a full bucket), the
 # engine's park/wake paths, a same-length KV Put and a GetInto hit and miss,
 # a tracked SSD overwrite with its barrier, a contended DMA and a fabric RPC
-# round trip with nil payloads; an 8 KiB write+read through
-# the TGT, through KVFS and through the whole stack stays at its fixed
-# per-command bookkeeping.
+# round trip with nil payloads, and a Slice of a materialised memory extent;
+# an 8 KiB write+read through the TGT, through KVFS and through the whole
+# stack stays at its fixed per-command bookkeeping.
 allocs:
 	$(GO) test -count=1 -run 'ZeroScratchAllocs|ZeroAllocs|PairBytes' .
-	$(GO) test -count=1 -run 'ZeroAllocs' ./internal/telemetry ./internal/cache ./internal/nvmefs ./internal/kv ./internal/kvfs ./internal/ssd ./internal/sim ./internal/fabric ./internal/pcie
+	$(GO) test -count=1 -run 'ZeroAllocs' ./internal/telemetry ./internal/cache ./internal/nvmefs ./internal/kv ./internal/kvfs ./internal/ssd ./internal/sim ./internal/fabric ./internal/pcie ./internal/mem
 
 check: vet test race allocs torture check-faults check-crash bench-identical bench-smoke

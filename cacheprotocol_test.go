@@ -52,8 +52,6 @@ func TestBufferedReadDuringWriteBack(t *testing.T) {
 			o := obs.New()
 			o.EnableProfiling()
 			opts := DefaultOptions()
-			opts.Model.HostMemMB = 192
-			opts.Model.DPUMemMB = 8
 			opts.Model.Obs = o
 			sys := New(opts)
 			defer sys.Shutdown()
@@ -218,8 +216,6 @@ func sharedPagesRun(t *testing.T, set func(*Options), ops int, k int64) {
 	)
 	poisonPool(t)
 	opts := DefaultOptions()
-	opts.Model.HostMemMB = 192
-	opts.Model.DPUMemMB = 8
 	opts.CachePages = 64
 	opts.CacheBuckets = 8
 	set(&opts)
@@ -381,8 +377,6 @@ func TestMissEngineTerminatesUnderThrash(t *testing.T) {
 	}
 	poisonPool(t)
 	opts := DefaultOptions()
-	opts.Model.HostMemMB = 192
-	opts.Model.DPUMemMB = 8
 	opts.CachePages = 8
 	opts.CacheBuckets = 2
 	sys := New(opts)
@@ -434,14 +428,12 @@ func TestMissEngineTerminatesUnderThrash(t *testing.T) {
 	t.Logf("%d page reads took %d fills", readers*rounds*pages, fills)
 }
 
-// streamWorld builds the world of the fill-window tests: default options with
-// HostMemMB 192, and one KVFS file of pages pages written direct as 0xA0.
+// streamWorld builds the world of the fill-window tests: default options and
+// one KVFS file of pages pages written direct as 0xA0.
 func streamWorld(t *testing.T, pages int) (*System, *File) {
 	t.Helper()
 	poisonPool(t)
-	opts := DefaultOptions()
-	opts.Model.HostMemMB = 192
-	sys := New(opts)
+	sys := New(DefaultOptions())
 	t.Cleanup(sys.Shutdown)
 	var f *File
 	v0 := bytes.Repeat([]byte{0xA0}, cachePageSize)

@@ -215,8 +215,6 @@ func TestInlineMetricsKeysOnlyWhenEnabled(t *testing.T) {
 	run := func(inlineMax int) string {
 		o := obs.New()
 		opts := DefaultOptions()
-		opts.Model.HostMemMB = 192
-		opts.Model.DPUMemMB = 8
 		opts.Model.Obs = o
 		opts.CachePages = 0
 		opts.NvmeFS.InlineMax = inlineMax

@@ -19,8 +19,6 @@ import (
 // the workload are fixed, so the whole report is deterministic.
 func runFaultScenario() error {
 	opts := dpc.DefaultOptions()
-	opts.Model.HostMemMB = 192
-	opts.Model.DPUMemMB = 8
 	opts.Faults = fault.CannedSchedule()
 	sys := dpc.New(opts)
 	cl := sys.KVFSClient()

@@ -83,8 +83,6 @@ func buildFsyncReport() (fsyncReport, error) {
 func measureFsyncTier(workers int) (fsyncTier, error) {
 	o := obs.New()
 	opts := dpc.DefaultOptions()
-	opts.Model.HostMemMB = 192
-	opts.Model.DPUMemMB = 16
 	opts.Model.Obs = o
 	opts.WAL.Enabled = true
 	sys := dpc.New(opts)

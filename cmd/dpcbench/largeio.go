@@ -63,8 +63,6 @@ type largeIOResult struct {
 // default in-flight window; window 1 forces serial submission.
 func largeIORun(window, opSize, ops int) (largeIOResult, error) {
 	opts := dpc.DefaultOptions()
-	opts.Model.HostMemMB = 192
-	opts.Model.DPUMemMB = 16
 	if window > 0 {
 		opts.NvmeFS.InflightWindow = window
 	}

@@ -132,8 +132,6 @@ const smallIODMASetupNs = 1500
 // handler that serves from DPU RAM with no simulated backend time.
 func smallIODriver(inlineMax int, o *obs.Obs) (*model.Machine, *nvmefs.Driver) {
 	cfg := model.Default()
-	cfg.HostMemMB = 96
-	cfg.DPUMemMB = 8
 	cfg.PCIe.DMASetup = smallIODMASetupNs * time.Nanosecond
 	cfg.Obs = o
 	return exp.NewNvmeEcho(cfg, nvmefs.Config{

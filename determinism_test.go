@@ -28,8 +28,6 @@ func TestSystemDeterminism(t *testing.T) {
 	poisonPool(t)
 	run := func() string {
 		opts := DefaultOptions()
-		opts.Model.HostMemMB = 192
-		opts.Model.DPUMemMB = 8
 		opts.CachePages = 1024
 		sys := New(opts)
 		cl := sys.KVFSClient()
@@ -80,8 +78,6 @@ func TestDFSDeterminism(t *testing.T) {
 	poisonPool(t)
 	run := func() string {
 		opts := DefaultOptions()
-		opts.Model.HostMemMB = 192
-		opts.Model.DPUMemMB = 8
 		opts.Model.Obs = obs.New()
 		opts.EnableKVFS = false
 		opts.EnableDFS = true

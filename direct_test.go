@@ -15,8 +15,6 @@ import (
 func directReadSystem(t *testing.T, rules []fault.Rule) *System {
 	t.Helper()
 	opts := DefaultOptions()
-	opts.Model.HostMemMB = 192
-	opts.Model.DPUMemMB = 8
 	opts.CachePages = 0
 	opts.NvmeFS.MaxIO = 4096
 	opts.Faults = rules
@@ -152,8 +150,6 @@ func TestWriteDirectErrorDrainsAndReports(t *testing.T) {
 // path's O_DIRECT pre-sync either: a dirty page stays dirty.
 func TestZeroLengthIODoesNotFlush(t *testing.T) {
 	opts := DefaultOptions()
-	opts.Model.HostMemMB = 192
-	opts.Model.DPUMemMB = 8
 	opts.Ctl.FlushEnabled = false // no daemon: only an explicit sync flushes
 	sys := New(opts)
 	cl := sys.KVFSClient()

@@ -13,8 +13,6 @@ import (
 func kvfsSystem(t *testing.T, cachePages int) *System {
 	t.Helper()
 	opts := DefaultOptions()
-	opts.Model.HostMemMB = 192
-	opts.Model.DPUMemMB = 8
 	opts.CachePages = cachePages
 	return New(opts)
 }
@@ -22,8 +20,6 @@ func kvfsSystem(t *testing.T, cachePages int) *System {
 func dfsSystem(t *testing.T, cachePages int) *System {
 	t.Helper()
 	opts := DefaultOptions()
-	opts.Model.HostMemMB = 192
-	opts.Model.DPUMemMB = 8
 	opts.EnableKVFS = false
 	opts.EnableDFS = true
 	opts.CachePages = cachePages

@@ -18,8 +18,6 @@ func faultMixRun(t *testing.T, withFaults bool) (snapshot string, fingerprint st
 	t.Helper()
 	o := obs.New()
 	opts := DefaultOptions()
-	opts.Model.HostMemMB = 192
-	opts.Model.DPUMemMB = 8
 	opts.Model.Obs = o
 	if withFaults {
 		opts.Faults = fault.CannedSchedule()

@@ -17,10 +17,7 @@ import (
 func TestFlushClampsToEOF(t *testing.T) {
 	const size = 10000 // crosses one page boundary, ends mid-page
 
-	opts := DefaultOptions()
-	opts.Model.HostMemMB = 192
-	opts.Model.DPUMemMB = 8
-	sys := New(opts)
+	sys := New(DefaultOptions())
 	cl := sys.KVFSClient()
 
 	payload := make([]byte, size)

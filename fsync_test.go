@@ -13,8 +13,6 @@ import (
 // the flush daemon has not run; other files' dirty pages stay dirty.
 func TestFsyncFlushesOnlyThatFile(t *testing.T) {
 	opts := DefaultOptions()
-	opts.Model.HostMemMB = 192
-	opts.Model.DPUMemMB = 8
 	opts.Ctl.FlushEnabled = false // no daemon: only fsync flushes
 	sys := New(opts)
 	cl := sys.KVFSClient()

@@ -27,8 +27,6 @@ func TestFsyncProfileInvariant(t *testing.T) {
 	o := obs.New()
 	o.EnableProfiling()
 	opts := DefaultOptions()
-	opts.Model.HostMemMB = 192
-	opts.Model.DPUMemMB = 16
 	opts.Model.Obs = o
 	opts.WAL.Enabled = true
 	sys := New(opts)

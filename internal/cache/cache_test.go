@@ -55,10 +55,7 @@ func (b *memBackend) WritePage(p *sim.Proc, ino, lpn uint64, pageSize int, data 
 
 func newTestCache(t *testing.T, pages, buckets int, ctlCfg CtlConfig) (*model.Machine, Layout, *Host, *Ctl, *memBackend) {
 	t.Helper()
-	cfg := model.Default()
-	cfg.HostMemMB = 64
-	cfg.DPUMemMB = 8
-	m := model.NewMachine(cfg)
+	m := model.NewMachine(model.Default())
 	base := m.AllocHost(NewLayout(0, 4096, pages, buckets).Size(), 4096)
 	l := NewLayout(base, 4096, pages, buckets)
 	InitHeader(m.HostMem, l, ModeWrite)
@@ -97,10 +94,7 @@ func TestLayoutGeometry(t *testing.T) {
 }
 
 func TestInitHeaderFields(t *testing.T) {
-	cfg := model.Default()
-	cfg.HostMemMB = 16
-	cfg.DPUMemMB = 8
-	m := model.NewMachine(cfg)
+	m := model.NewMachine(model.Default())
 	l := NewLayout(m.AllocHost(NewLayout(0, 4096, 16, 4).Size(), 4096), 4096, 16, 4)
 	InitHeader(m.HostMem, l, ModeRead)
 	if m.HostMem.Uint32(l.Base) != 4096 {

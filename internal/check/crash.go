@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
-	"strings"
 	"sync"
 	"time"
 
@@ -113,302 +112,6 @@ func recoverImage(img *crashImage) (*dpc.System, wal.ReplayStats, *kvfs.RecoverR
 	)
 	sys.Drive(func(p *sim.Proc) { stats, rep, rerr = sys.Recover(p) })
 	return sys, stats, rep, rerr
-}
-
-// fileVersion is one point-in-time content snapshot of a file.
-type fileVersion struct {
-	opIdx int
-	data  []byte
-}
-
-// durableModel tracks, alongside the plain oracle, every live file's content
-// history since its last reset and its durability floor: the most recent
-// version the stack acknowledged as crash-proof. Completed fsyncs and direct
-// writes raise the floor; creates and truncates reset the history (KVFS
-// metadata is write-through, so a completed metadata op is itself durable).
-// Buffered writes append versions without raising the floor — a background
-// flush may or may not have made them durable, so after a crash any version
-// at or above the floor is legitimate.
-type durableModel struct {
-	o     *Oracle
-	hist  map[string][]fileVersion
-	floor map[string]int // index into hist
-}
-
-func newDurableModel() *durableModel {
-	return &durableModel{o: NewOracle(), hist: map[string][]fileVersion{}, floor: map[string]int{}}
-}
-
-func (m *durableModel) apply(op Op) {
-	if m.o.Apply(op).Err != ErrNone {
-		return
-	}
-	switch op.Kind {
-	case OpCreate, OpTruncate:
-		m.hist[op.Path] = []fileVersion{{op.Idx, nil}}
-		m.floor[op.Path] = 0
-	case OpWrite:
-		content, _ := m.o.ContentOf(op.Path)
-		m.hist[op.Path] = append(m.hist[op.Path], fileVersion{op.Idx, append([]byte(nil), content...)})
-		if op.Direct {
-			m.floor[op.Path] = len(m.hist[op.Path]) - 1
-		}
-	case OpFsync:
-		if n := len(m.hist[op.Path]); n > 0 {
-			m.floor[op.Path] = n - 1
-		}
-	case OpUnlink:
-		delete(m.hist, op.Path)
-		delete(m.floor, op.Path)
-	case OpRename:
-		m.hist[op.Path2] = m.hist[op.Path]
-		m.floor[op.Path2] = m.floor[op.Path]
-		delete(m.hist, op.Path)
-		delete(m.floor, op.Path)
-	}
-}
-
-// checkPages verifies each page-sized extent of got against the file's
-// acceptable version set: any snapshot at or after the durability floor
-// (background flushes, write-through fallbacks and WAL replay each
-// legitimately leave a different one), or zeros where the floor version had
-// no bytes (pages that never became durable are zero-filled by the
-// scavenger). With loose=true (the in-flight file) the floor is ignored and
-// extra candidate images are admitted. Pages are the atomic write-back unit,
-// so every recovered page must be *some* whole version's image — a page
-// matching none is corruption, not caching.
-func (m *durableModel) checkPages(path string, got []byte, ps int, loose bool, extra [][]byte) string {
-	hist := m.hist[path]
-	fl := m.floor[path]
-	if loose {
-		fl = 0
-	}
-	var cands [][]byte
-	for v := fl; v < len(hist); v++ {
-		cands = append(cands, hist[v].data)
-	}
-	cands = append(cands, extra...)
-	floorEOF := 0
-	if !loose && fl < len(hist) {
-		floorEOF = len(hist[fl].data)
-	}
-	for pg := 0; pg*ps < len(got); pg++ {
-		lo := pg * ps
-		hi := lo + ps
-		if hi > len(got) {
-			hi = len(got)
-		}
-		gpage := got[lo:hi]
-		ok := false
-		for _, c := range cands {
-			if pageMatches(c, lo, gpage) {
-				ok = true
-				break
-			}
-		}
-		if !ok && (loose || lo >= floorEOF) && allZero(gpage) {
-			ok = true
-		}
-		if !ok {
-			return fmt.Sprintf("page %d (bytes [%d,%d)) matches no written version (floor v%d of %d)",
-				pg, lo, hi, fl, len(hist))
-		}
-	}
-	return ""
-}
-
-// pageMatches reports whether gpage equals version's bytes at offset off,
-// zero-padded past the version's EOF.
-func pageMatches(version []byte, off int, gpage []byte) bool {
-	for i := range gpage {
-		var w byte
-		if off+i < len(version) {
-			w = version[off+i]
-		}
-		if gpage[i] != w {
-			return false
-		}
-	}
-	return true
-}
-
-func allZero(b []byte) bool {
-	for _, c := range b {
-		if c != 0 {
-			return false
-		}
-	}
-	return true
-}
-
-// postContents applies the in-flight op to a copy of the pre-crash oracle
-// and returns the resulting file contents for the paths it touches.
-func postContents(m *durableModel, op Op) map[string][]byte {
-	cp := NewOracle()
-	for d := range m.o.dirs {
-		cp.dirs[d] = true
-	}
-	for f, b := range m.o.files {
-		cp.files[f] = append([]byte(nil), b...)
-	}
-	cp.Apply(op)
-	out := map[string][]byte{}
-	for _, path := range []string{op.Path, op.Path2} {
-		if path == "" {
-			continue
-		}
-		if b, ok := cp.files[path]; ok {
-			out[path] = b
-		}
-	}
-	return out
-}
-
-// verifyRecovered checks a recovered system against the durability model.
-// inflight is the single op whose window straddled the crash instant (nil
-// if the crash fell between ops); its paths get the relaxed treatment — any
-// mix of pre- and post-op state is legal, but still nothing that was never
-// written. Returns "" on success, or a description of the violation.
-func verifyRecovered(p *sim.Proc, sys *dpc.System, cl *dpc.Client, m *durableModel, inflight *Op) string {
-	ps := sys.KVFSService().Ctl.L.PageSize
-	relaxed := map[string]bool{}
-	if inflight != nil {
-		relaxed[inflight.Path] = true
-		if inflight.Path2 != "" {
-			relaxed[inflight.Path2] = true
-		}
-	}
-
-	// The repaired image must be structurally clean before any semantics.
-	if probs := sys.KVFS.Fsck(p, sys.KVCluster).Problems; len(probs) > 0 {
-		return "post-recovery fsck: " + strings.Join(probs, "; ")
-	}
-
-	// Namespace: every durable directory must list exactly the durable
-	// children (strays included — anything extra survived when it should
-	// not have). In-flight paths are excluded from both sides.
-	for _, dir := range m.o.LiveDirs() {
-		if relaxed[dir] {
-			continue
-		}
-		want := filterChildren(dir, m.o.list(dir), relaxed)
-		lsPath := dir
-		if lsPath == "" {
-			lsPath = "/"
-		}
-		ents, err := cl.Readdir(p, 0, lsPath)
-		if err != nil {
-			return fmt.Sprintf("recovered: readdir %s: %v", lsPath, err)
-		}
-		var names []string
-		for _, e := range ents {
-			names = append(names, e.Name)
-		}
-		got := filterChildren(dir, sortedCopy(names), relaxed)
-		if strings.Join(got, ",") != strings.Join(want, ",") {
-			return fmt.Sprintf("recovered: listing of %s [%s], want [%s]",
-				lsPath, strings.Join(got, ","), strings.Join(want, ","))
-		}
-	}
-
-	// Durable files: exact size (sizes are write-through metadata), every
-	// page some version at or above the durability floor.
-	for _, path := range m.o.LiveFiles() {
-		if relaxed[path] {
-			continue
-		}
-		want, _ := m.o.ContentOf(path)
-		st, err := cl.StatPath(p, 0, path)
-		if err != nil {
-			return fmt.Sprintf("recovered: stat %s: %v", path, err)
-		}
-		if st.Size != uint64(len(want)) {
-			return fmt.Sprintf("recovered: %s size=%d, want %d", path, st.Size, len(want))
-		}
-		if len(want) == 0 {
-			continue
-		}
-		got, err := readBack(p, cl, path, len(want))
-		if err != nil {
-			return fmt.Sprintf("recovered: read %s: %v", path, err)
-		}
-		if len(got) != len(want) {
-			return fmt.Sprintf("recovered: read %s: %d bytes, want %d", path, len(got), len(want))
-		}
-		if d := m.checkPages(path, got, ps, false, nil); d != "" {
-			return fmt.Sprintf("recovered: %s: %s", path, d)
-		}
-	}
-
-	// The in-flight op's paths: presence and size may reflect any point
-	// through the op, but content must still be assembled from states the
-	// application actually produced.
-	if inflight != nil {
-		post := postContents(m, *inflight)
-		var extra [][]byte
-		var looseHist [][]byte
-		for path := range relaxed {
-			for _, v := range m.hist[path] {
-				looseHist = append(looseHist, v.data)
-			}
-		}
-		for _, b := range post {
-			extra = append(extra, b)
-		}
-		extra = append(extra, looseHist...)
-		for path := range relaxed {
-			st, err := cl.StatPath(p, 0, path)
-			if err != nil {
-				continue // absence is always acceptable mid-op
-			}
-			if st.Mode == kvfs.ModeDir || st.Size == 0 {
-				continue
-			}
-			maxSz := 0
-			if b, ok := m.o.ContentOf(path); ok && len(b) > maxSz {
-				maxSz = len(b)
-			}
-			if b, ok := post[path]; ok && len(b) > maxSz {
-				maxSz = len(b)
-			}
-			if st.Size > uint64(maxSz) {
-				return fmt.Sprintf("recovered: in-flight %s size=%d beyond any state (max %d)", path, st.Size, maxSz)
-			}
-			got, err := readBack(p, cl, path, int(st.Size))
-			if err != nil {
-				return fmt.Sprintf("recovered: read in-flight %s: %v", path, err)
-			}
-			if d := m.checkPages(path, got, ps, true, extra); d != "" {
-				return fmt.Sprintf("recovered: in-flight %s: %s", path, d)
-			}
-		}
-	}
-	return ""
-}
-
-// readBack reads a recovered file's content through direct I/O — the
-// honest "what is on the backend" view, untouched by fresh cache state.
-func readBack(p *sim.Proc, cl *dpc.Client, path string, n int) ([]byte, error) {
-	f, err := cl.Open(p, 0, path)
-	if err != nil {
-		return nil, err
-	}
-	return f.Read(p, 0, 0, n, true)
-}
-
-// filterChildren drops children of dir whose full path is in the relaxed
-// set. names must be sorted; the result preserves order.
-func filterChildren(dir string, names []string, relaxed map[string]bool) []string {
-	if len(relaxed) == 0 {
-		return names
-	}
-	out := names[:0:0]
-	for _, nm := range names {
-		if !relaxed[dir+"/"+nm] {
-			out = append(out, nm)
-		}
-	}
-	return out
 }
 
 // CrashPoint pins a crash instant to a trace op: the crash fires Frac of

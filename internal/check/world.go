@@ -186,8 +186,6 @@ func newDPCWorldNamed(name, cannot string, faults []fault.Rule, o *obs.Obs) (*Wo
 // system assembles the dpc system the row describes.
 func (s stackSpec) system(faults []fault.Rule, o *obs.Obs) *dpc.System {
 	opts := dpc.DefaultOptions()
-	opts.Model.HostMemMB = 192
-	opts.Model.DPUMemMB = 8
 	opts.Model.Obs = o
 	opts.EnableKVFS = s.service == "kvfs"
 	opts.EnableDFS = s.service == "dfs"
@@ -430,10 +428,7 @@ func newLocalWorld(name string) *World {
 // ---- raw DFS client worlds (std and opt) ----
 
 func newDFSWorld(name string, optimized bool) *World {
-	cfg := model.Default()
-	cfg.HostMemMB = 16
-	cfg.DPUMemMB = 8
-	m := model.NewMachine(cfg)
+	m := model.NewMachine(model.Default())
 	b := dfs.NewBackend(m.Eng, m.Net, dfs.DefaultBackendConfig())
 	var cl dfs.Client
 	if optimized {

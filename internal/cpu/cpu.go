@@ -101,13 +101,7 @@ func (c *Pool) ExecDuration(p *sim.Proc, d time.Duration) {
 	if contended && c.SwitchOverhead > 0 {
 		d += c.SwitchOverhead
 	}
-	if c.po != nil {
-		t0 := p.Now()
-		p.Sleep(d)
-		c.po.Attr(p, obs.CompCPU, c.execKind, t0, p.Now())
-	} else {
-		p.Sleep(d)
-	}
+	c.po.Sleep(p, d, obs.CompCPU, c.execKind)
 	c.res.Release(1)
 	c.execs.Inc()
 	c.busyNs.Add(int64(d))

@@ -19,10 +19,7 @@ type world struct {
 
 func newWorld(t *testing.T) *world {
 	t.Helper()
-	cfg := model.Default()
-	cfg.HostMemMB = 16
-	cfg.DPUMemMB = 8
-	m := model.NewMachine(cfg)
+	m := model.NewMachine(model.Default())
 	b := NewBackend(m.Eng, m.Net, DefaultBackendConfig())
 	std := NewStdClient(b, m.HostNode, m.HostCPU, DefaultStdClientConfig())
 	// Give the optimized client its own node so NIC accounting separates.

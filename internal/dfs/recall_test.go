@@ -13,10 +13,7 @@ import (
 // backend, for coherence tests.
 func twoClientWorld(t *testing.T) (*model.Machine, *Backend, *Core, *Core) {
 	t.Helper()
-	cfg := model.Default()
-	cfg.HostMemMB = 16
-	cfg.DPUMemMB = 8
-	m := model.NewMachine(cfg)
+	m := model.NewMachine(model.Default())
 	b := NewBackend(m.Eng, m.Net, DefaultBackendConfig())
 	a := NewCore(b, m.Net.NewNode("client-a"), m.HostCPU, DefaultCoreCosts())
 	c := NewCore(b, m.Net.NewNode("client-b"), m.HostCPU, DefaultCoreCosts())
@@ -97,10 +94,7 @@ func TestWriterKeepsItsOwnDelegation(t *testing.T) {
 }
 
 func TestStdClientWritesRecallOptClientDelegations(t *testing.T) {
-	cfg := model.Default()
-	cfg.HostMemMB = 16
-	cfg.DPUMemMB = 8
-	m := model.NewMachine(cfg)
+	m := model.NewMachine(model.Default())
 	b := NewBackend(m.Eng, m.Net, DefaultBackendConfig())
 	opt := NewCore(b, m.Net.NewNode("opt"), m.HostCPU, DefaultCoreCosts())
 	std := NewStdClient(b, m.HostNode, m.HostCPU, DefaultStdClientConfig())
@@ -138,10 +132,7 @@ func TestStdClientWritesRecallOptClientDelegations(t *testing.T) {
 func TestRecallsLeaveInGrantOrder(t *testing.T) {
 	grantOrder := []int{5, 2, 7, 1, 4, 6, 3} // core 0 creates the file and writes it
 	for world := 0; world < 10; world++ {
-		cfg := model.Default()
-		cfg.HostMemMB = 16
-		cfg.DPUMemMB = 8
-		m := model.NewMachine(cfg)
+		m := model.NewMachine(model.Default())
 		b := NewBackend(m.Eng, m.Net, DefaultBackendConfig())
 		var cores []*Core
 		var got []int

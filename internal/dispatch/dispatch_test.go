@@ -91,10 +91,7 @@ func TestFillHeaderRoundTrip(t *testing.T) {
 // newKVFSDispatcher wires a real KVFS service behind the dispatcher.
 func newKVFSDispatcher(t *testing.T) (*model.Machine, *Dispatcher, *kvfs.FS) {
 	t.Helper()
-	cfg := model.Default()
-	cfg.HostMemMB = 32
-	cfg.DPUMemMB = 8
-	m := model.NewMachine(cfg)
+	m := model.NewMachine(model.Default())
 	cluster := kv.NewCluster(m.Eng, m.Net, kv.DefaultClusterConfig())
 	fs := kvfs.New(m, cluster.NewClient(m.DPUNode))
 	m.Eng.Go("mount", fs.Mount)
@@ -289,10 +286,7 @@ func TestDispatchNamespaceOps(t *testing.T) {
 }
 
 func TestDispatchDFSMeta(t *testing.T) {
-	cfg := model.Default()
-	cfg.HostMemMB = 32
-	cfg.DPUMemMB = 8
-	m := model.NewMachine(cfg)
+	m := model.NewMachine(model.Default())
 	b := dfs.NewBackend(m.Eng, m.Net, dfs.DefaultBackendConfig())
 	core := dfs.NewCore(b, m.DPUNode, m.DPUCPU, dfs.DefaultCoreCosts())
 	d := New(m, nil, &Service{DFS: core})

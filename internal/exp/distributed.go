@@ -110,10 +110,7 @@ type dfsHostClient interface {
 // newDFSHostWorld builds a host-resident client world, not yet populated:
 // the standard NFS client, or with opt the host-side optimized client.
 func newDFSHostWorld(opt bool) *dfsClientWorld {
-	cfg := model.Default()
-	cfg.HostMemMB = 16
-	cfg.DPUMemMB = 8
-	m := model.NewMachine(cfg)
+	m := model.NewMachine(model.Default())
 	b := dfs.NewBackend(m.Eng, m.Net, dfs.DefaultBackendConfig())
 	name, cl := "NFS", dfsHostClient(dfs.NewStdClient(b, m.HostNode, m.HostCPU, dfs.DefaultStdClientConfig()))
 	if opt {
@@ -144,7 +141,6 @@ func newOptWorld() *dfsClientWorld { return newDFSHostWorld(true).fig9Setup() }
 // the DPU behind nvme-fs, with the hybrid cache absorbing buffered writes.
 func newDPCDFSWorld(cachePages int) *dfsClientWorld {
 	dw := newDPCWorld(func(o *dpcroot.Options) {
-		o.Model.HostMemMB = 320
 		o.EnableKVFS = false
 		o.EnableDFS = true
 		o.CachePages = cachePages

@@ -188,8 +188,6 @@ func runFleetPhase(cfg FleetConfig, faults []fault.Rule, name string, withAggres
 	o := obs.New()
 	opts := dpcroot.DefaultOptions()
 	opts.Model.Obs = o
-	opts.Model.HostMemMB = 256
-	opts.Model.DPUMemMB = 32
 	opts.NvmeFS.Queues = cfg.Tenants * fleetQPerTenant
 	tenants := make([]nvmefs.TenantConfig, cfg.Tenants)
 	// The aggressor's budgets, enforced by the DRR scheduler in the "drr"

@@ -85,8 +85,6 @@ func RunRamp(slos []string, interval time.Duration, faults []fault.Rule) (*RampR
 	o.EnableProfiling()
 	opts := dpcroot.DefaultOptions()
 	opts.Model.Obs = o
-	opts.Model.HostMemMB = 192
-	opts.Model.DPUMemMB = 16
 	// Constrain the transport so the ramp actually saturates: two queues
 	// with few buffer slots. The early stages fit; the late stages park on
 	// slot acquisition and the windowed p99 climbs past the objective.

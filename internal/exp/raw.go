@@ -27,14 +27,11 @@ type rawStack struct {
 // newVirtioStack builds the DPFS-style baseline: single virtqueue, single
 // HAL thread.
 func newVirtioStack(maxIO, slots int) *rawStack {
-	cfg := model.Default()
-	cfg.HostMemMB = 128
-	cfg.DPUMemMB = 8
-	m := model.NewMachine(cfg)
+	m := model.NewMachine(model.Default())
 	zero := make([]byte, maxIO)
 	handler := func(p *sim.Proc, req fuse.Request) fuse.Response {
 		// Virtual client: respond from DPU memory.
-		m.DPUExec(p, cfg.Costs.DPUVirtClient)
+		m.DPUExec(p, m.Cfg.Costs.DPUVirtClient)
 		if req.Header.Opcode == fuse.OpRead {
 			return fuse.Response{Data: zero[:req.IO.Size]}
 		}
@@ -55,13 +52,10 @@ func newVirtioStack(maxIO, slots int) *rawStack {
 
 // newNvmeStack builds the nvme-fs transport with the same virtual client.
 func newNvmeStack(queues, depth, slotsPerQ, maxIO int) *rawStack {
-	cfg := model.Default()
-	cfg.HostMemMB = 160
-	cfg.DPUMemMB = 8
-	m := model.NewMachine(cfg)
+	m := model.NewMachine(model.Default())
 	zero := make([]byte, maxIO)
 	handler := func(p *sim.Proc, req nvmefs.Request) nvmefs.Response {
-		m.DPUExec(p, cfg.Costs.DPUVirtClient)
+		m.DPUExec(p, m.Cfg.Costs.DPUVirtClient)
 		if req.SQE.FileOp == nvme.FileOpRead {
 			n := int(binary.LittleEndian.Uint32(req.Header[16:]))
 			return nvmefs.Response{Status: nvme.StatusOK, Header: []byte{1}, Data: zero[:n]}

@@ -102,7 +102,6 @@ func RunFig7(s Scale) []*Table {
 // bwOptions sizes a world for 1 MB I/O: no cache, and a per-command MaxIO
 // big enough that a 1 MB request is one nvme-fs command.
 func bwOptions(o *dpcroot.Options) {
-	o.Model.HostMemMB = 192
 	o.CachePages = 0
 	o.NvmeFS.Queues = 8
 	o.NvmeFS.Depth = 32

@@ -127,8 +127,6 @@ func (w Walk) DMAs() (write, read int64) {
 
 func walkMachine(o *obs.Obs) model.Config {
 	cfg := model.Default()
-	cfg.HostMemMB = 64
-	cfg.DPUMemMB = 8
 	cfg.Obs = o
 	return cfg
 }
@@ -192,8 +190,6 @@ func VirtioWalk(o *obs.Obs, size int, onSSD bool) (Walk, error) {
 // virtual time.
 func CachedMix(o *obs.Obs) (sim.Time, error) {
 	opts := dpcroot.DefaultOptions()
-	opts.Model.HostMemMB = 192
-	opts.Model.DPUMemMB = 8
 	opts.Model.Obs = o
 	sys := dpcroot.New(opts)
 	cl := sys.KVFSClient()
@@ -294,12 +290,10 @@ type dpcWorld struct {
 	files []*dpcroot.File
 }
 
-// newDPCWorld assembles a system from the default options (256 MB host
-// arena, 8 MB DPU memory) as changed by mutate.
+// newDPCWorld assembles a system from the default options as changed by
+// mutate.
 func newDPCWorld(mutate func(*dpcroot.Options)) *dpcWorld {
 	opts := dpcroot.DefaultOptions()
-	opts.Model.HostMemMB = 256
-	opts.Model.DPUMemMB = 8
 	mutate(&opts)
 	w := &dpcWorld{sys: dpcroot.New(opts)}
 	if opts.EnableKVFS {
@@ -361,8 +355,6 @@ type ext4World struct {
 
 func newExt4World(files int, fileSize uint64) *ext4World {
 	cfg := model.Default()
-	cfg.HostMemMB = 16
-	cfg.DPUMemMB = 8
 	m := model.NewMachine(cfg)
 	fs := localfs.New(m, ssd.New(m.Eng, cfg.SSD), localfs.DefaultConfig())
 	w := &ext4World{m: m, fs: fs}

@@ -15,10 +15,7 @@ import (
 
 func newTestFS(t *testing.T) (*model.Machine, *kv.Cluster, *FS) {
 	t.Helper()
-	cfg := model.Default()
-	cfg.HostMemMB = 16
-	cfg.DPUMemMB = 8
-	m := model.NewMachine(cfg)
+	m := model.NewMachine(model.Default())
 	cluster := kv.NewCluster(m.Eng, m.Net, kv.DefaultClusterConfig())
 	fs := New(m, cluster.NewClient(m.DPUNode))
 	m.Eng.Go("mount", fs.Mount)
@@ -384,10 +381,7 @@ func TestKVFSDataModelProperty(t *testing.T) {
 		if len(ops) > 12 {
 			ops = ops[:12]
 		}
-		cfg := model.Default()
-		cfg.HostMemMB = 16
-		cfg.DPUMemMB = 8
-		m := model.NewMachine(cfg)
+		m := model.NewMachine(model.Default())
 		cluster := kv.NewCluster(m.Eng, m.Net, kv.DefaultClusterConfig())
 		fs := New(m, cluster.NewClient(m.DPUNode))
 		m.Eng.Go("mount", fs.Mount)

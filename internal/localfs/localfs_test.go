@@ -15,8 +15,6 @@ import (
 func newTestFS(t *testing.T) (*model.Machine, *FS) {
 	t.Helper()
 	cfg := model.Default()
-	cfg.HostMemMB = 16
-	cfg.DPUMemMB = 8
 	cfg.SSD.CapacityMB = 256
 	m := model.NewMachine(cfg)
 	dev := ssd.New(m.Eng, cfg.SSD)
@@ -238,8 +236,6 @@ func TestBufferedFasterThanDirectForHits(t *testing.T) {
 
 func TestContentionCostGrowsWithInflight(t *testing.T) {
 	cfgM := model.Default()
-	cfgM.HostMemMB = 16
-	cfgM.DPUMemMB = 8
 	cfgM.SSD.CapacityMB = 128
 	m := model.NewMachine(cfgM)
 	dev := ssd.New(m.Eng, cfgM.SSD)
@@ -285,8 +281,6 @@ func TestFileDataModelProperty(t *testing.T) {
 			ops = ops[:24]
 		}
 		cfgM := model.Default()
-		cfgM.HostMemMB = 16
-		cfgM.DPUMemMB = 8
 		cfgM.SSD.CapacityMB = 64
 		m := model.NewMachine(cfgM)
 		dev := ssd.New(m.Eng, cfgM.SSD)

@@ -10,24 +10,67 @@ package mem
 import (
 	"encoding/binary"
 	"fmt"
+	"sort"
 )
 
 // Addr is a simulated physical address.
 type Addr uint64
 
-// Region is a contiguous block of simulated physical memory starting at Base.
+// Region is a span of simulated physical address space starting at Base.
+// It is also its own allocator: Alloc reserves address ranges in ascending
+// order, up to a fixed capacity, and only reserved bytes exist. Reservations
+// made before any access share one extent, which is materialised on its
+// first access, zeroed and exactly its reserved size; it is never copied or
+// moved, so a view Slice returns aliases the region for the region's life.
+// An access must lie inside one reservation: the alignment gap between two
+// reservations and everything past the last one are not memory.
 type Region struct {
-	name string
-	base Addr
-	buf  []byte
+	name  string
+	base  Addr
+	limit Addr   // base + capacity
+	next  Addr   // one past the last reservation
+	spans []span // reservations, ascending
+	open  int    // index of the first span not yet materialised
+	last  span   // the span the last lookup returned, materialised
 }
 
-// NewRegion allocates a region of the given size at the given base address.
+// span is one reservation, or a run of adjacent ones in one extent. buf is
+// its bytes, nil until its extent is materialised.
+type span struct {
+	start, end Addr
+	buf        []byte
+}
+
+// NewArena returns an empty region at base that Alloc may fill up to
+// capacity bytes.
+func NewArena(name string, base Addr, capacity int) *Region {
+	return &Region{name: name, base: base, limit: base + Addr(capacity), next: base}
+}
+
+// NewRegion returns a region holding one reservation of size bytes at base.
 func NewRegion(name string, base Addr, size int) *Region {
-	if size <= 0 {
-		panic(fmt.Sprintf("mem: region %q size %d", name, size))
+	r := NewArena(name, base, size)
+	r.Alloc(size, 1)
+	return r
+}
+
+// Alloc reserves size bytes aligned to align (a power of two) above every
+// earlier reservation and returns its address. It panics when the
+// reservation would pass the region's capacity.
+func (r *Region) Alloc(size, align int) Addr {
+	a := (uint64(r.next) + uint64(align) - 1) &^ (uint64(align) - 1)
+	if size < 0 || a+uint64(size) > uint64(r.limit) {
+		panic(fmt.Sprintf("mem: arena %q exhausted allocating %d bytes (capacity %d, %d reserved)",
+			r.name, size, uint64(r.limit-r.base), uint64(r.next-r.base)))
 	}
-	return &Region{name: name, base: base, buf: make([]byte, size)}
+	addr := Addr(a)
+	r.next = addr + Addr(size)
+	if n := len(r.spans); n > r.open && r.spans[n-1].end == addr {
+		r.spans[n-1].end = r.next
+	} else if size > 0 {
+		r.spans = append(r.spans, span{start: addr, end: r.next})
+	}
+	return addr
 }
 
 // Name returns the region's diagnostic name.
@@ -36,30 +79,48 @@ func (r *Region) Name() string { return r.name }
 // Base returns the region's base address.
 func (r *Region) Base() Addr { return r.base }
 
-// Size returns the region's length in bytes.
-func (r *Region) Size() int { return len(r.buf) }
+// Size returns the bytes reserved so far, alignment gaps included: the
+// distance from Base to one past the last reservation.
+func (r *Region) Size() int { return int(r.next - r.base) }
 
-// End returns one past the last valid address.
-func (r *Region) End() Addr { return r.base + Addr(len(r.buf)) }
-
-// Contains reports whether [addr, addr+n) lies inside the region.
-func (r *Region) Contains(addr Addr, n int) bool {
-	return addr >= r.base && n >= 0 && uint64(addr)+uint64(n) <= uint64(r.End())
+// materialise backs the open extent, every span from r.open on, with one
+// zeroed allocation and hands each span its view. Later reservations start
+// a new extent.
+func (r *Region) materialise() {
+	ext := r.spans[r.open:]
+	start := ext[0].start
+	buf := make([]byte, r.next-start)
+	for i := range ext {
+		lo, hi := ext[i].start-start, ext[i].end-start
+		ext[i].buf = buf[lo:hi:hi]
+	}
+	r.open = len(r.spans)
 }
 
-func (r *Region) off(addr Addr, n int) int {
-	if !r.Contains(addr, n) {
-		panic(fmt.Sprintf("mem: access [%#x,+%d) outside region %q [%#x,%#x)",
-			uint64(addr), n, r.name, uint64(r.base), uint64(r.End())))
+// lookup returns the span holding [addr, addr+n), materialised, and keeps a
+// copy for Slice to try first. It panics when no reservation holds the range.
+func (r *Region) lookup(addr Addr, n int) *span {
+	i := sort.Search(len(r.spans), func(i int) bool { return r.spans[i].end > addr })
+	if n < 0 || i == len(r.spans) || r.spans[i].start > addr || uint64(addr)+uint64(n) > uint64(r.spans[i].end) {
+		panic(fmt.Sprintf("mem: access [%#x,+%d) outside the reservations of region %q [%#x,%#x)",
+			uint64(addr), n, r.name, uint64(r.base), uint64(r.next)))
 	}
-	return int(addr - r.base)
+	if r.spans[i].buf == nil {
+		r.materialise()
+	}
+	r.last = r.spans[i]
+	return &r.last
 }
 
 // Slice returns the region's backing bytes for [addr, addr+n). Mutating the
 // slice mutates the region; this is how zero-copy DMA is modeled.
 func (r *Region) Slice(addr Addr, n int) []byte {
-	o := r.off(addr, n)
-	return r.buf[o : o+n : o+n]
+	s := &r.last
+	if addr < s.start || uint64(addr)+uint64(n) > uint64(s.end) {
+		s = r.lookup(addr, n)
+	}
+	o := int(addr - s.start)
+	return s.buf[o : o+n : o+n]
 }
 
 // Read copies n bytes at addr into a fresh slice.

@@ -119,11 +119,13 @@ type Config struct {
 	SSD  ssd.Config
 	Net  fabric.Config
 
-	// HostMemMB is the size of the simulated host memory arena used for
-	// rings and the hybrid cache data plane.
+	// HostMemMB and DPUMemMB are the modelled DRAM capacities the host and
+	// DPU arenas may not exceed. An arena holds only what the world's
+	// components reserve in it (rings, slabs, the hybrid cache), so neither
+	// sizes an allocation; DPU DRAM being bounded is what motivates the
+	// hybrid cache.
 	HostMemMB int
-	// DPUMemMB is DPU DRAM (bounded; motivates the hybrid cache).
-	DPUMemMB int
+	DPUMemMB  int
 
 	// Obs, when non-nil, enables cross-layer observability: CPU pools,
 	// the PCIe link and every component built on this machine register
@@ -147,10 +149,10 @@ func Default() Config {
 		PCIe:       pcie.DefaultConfig(),
 		SSD:        ssd.DefaultConfig(),
 		Net:        fabric.DefaultConfig(),
-		// Arena sizes are kept modest: regions are contiguous Go slices and
-		// the experiments only need rings plus the hybrid-cache space.
-		HostMemMB: 160,
-		DPUMemMB:  48,
+		// Table 1's DPU has 32 GB of DRAM. The host bound only has to sit
+		// above every world's reservations: arenas hold what is reserved.
+		HostMemMB: 4096,
+		DPUMemMB:  32 * 1024,
 		Costs: Costs{
 			HostSyscall:     5000,
 			HostSubmit:      1800,
@@ -203,9 +205,6 @@ type Machine struct {
 	// Obs is the machine's observability hub (nil when disabled).
 	// Components built on the machine read it at construction time.
 	Obs *obs.Obs
-
-	hostBump mem.Addr
-	dpuBump  mem.Addr
 }
 
 // NewMachine assembles a machine from the config.
@@ -215,8 +214,6 @@ func NewMachine(cfg Config) *Machine {
 	hostCPU.SwitchOverhead = cfg.HostSwitch
 	dpuCPU := cpu.NewPool(eng, "dpu-cpu", cfg.DPUCores, cfg.DPUFreqHz)
 	dpuCPU.SwitchOverhead = cfg.DPUSwitch
-	hostMem := mem.NewRegion("host-dram", 0x1000_0000, cfg.HostMemMB*1024*1024)
-	dpuMem := mem.NewRegion("dpu-dram", 0x8_0000_0000, cfg.DPUMemMB*1024*1024)
 	net := fabric.NewNetwork(eng, cfg.Net)
 	m := &Machine{
 		Cfg:      cfg,
@@ -224,13 +221,11 @@ func NewMachine(cfg Config) *Machine {
 		HostCPU:  hostCPU,
 		DPUCPU:   dpuCPU,
 		PCIe:     pcie.NewLink(eng, cfg.PCIe),
-		HostMem:  hostMem,
-		DPUMem:   dpuMem,
+		HostMem:  mem.NewArena("host-dram", 0x1000_0000, cfg.HostMemMB<<20),
+		DPUMem:   mem.NewArena("dpu-dram", 0x8_0000_0000, cfg.DPUMemMB<<20),
 		Net:      net,
 		HostNode: net.NewNode("host"),
 		DPUNode:  net.NewNode("dpu"),
-		hostBump: hostMem.Base(),
-		dpuBump:  dpuMem.Base(),
 	}
 	m.AttachObs(cfg.Obs)
 	return m
@@ -258,30 +253,11 @@ func (m *Machine) AttachObs(o *obs.Obs) {
 var annotPrefix = [...]string{pcie.OpDMA: "dma:", pcie.OpMMIO: "mmio:", pcie.OpAtomic: "atomic:", pcie.OpPIO: "pio:"}
 
 // AllocHost reserves size bytes of host memory, aligned to align (a power of
-// two), and returns its address. Panics when the arena is exhausted: the
-// experiments size HostMemMB generously.
-func (m *Machine) AllocHost(size int, align int) mem.Addr {
-	return allocBump(&m.hostBump, m.HostMem, size, align)
-}
+// two), and returns its address. Panics past HostMemMB.
+func (m *Machine) AllocHost(size int, align int) mem.Addr { return m.HostMem.Alloc(size, align) }
 
-// AllocDPU reserves size bytes of DPU DRAM.
-func (m *Machine) AllocDPU(size int, align int) mem.Addr {
-	return allocBump(&m.dpuBump, m.DPUMem, size, align)
-}
-
-func allocBump(bump *mem.Addr, r *mem.Region, size, align int) mem.Addr {
-	if align <= 0 {
-		align = 1
-	}
-	a := uint64(*bump)
-	a = (a + uint64(align) - 1) &^ (uint64(align) - 1)
-	addr := mem.Addr(a)
-	if !r.Contains(addr, size) {
-		panic(fmt.Sprintf("model: arena %q exhausted allocating %d bytes", r.Name(), size))
-	}
-	*bump = addr + mem.Addr(size)
-	return addr
-}
+// AllocDPU reserves size bytes of DPU DRAM. Panics past DPUMemMB.
+func (m *Machine) AllocDPU(size int, align int) mem.Addr { return m.DPUMem.Alloc(size, align) }
 
 // NewSSD attaches a local NVMe SSD to the machine (the Ext4 baseline's disk).
 func (m *Machine) NewSSD() *ssd.Device {
@@ -302,7 +278,7 @@ func (m *Machine) EnvString() string {
 	return fmt.Sprintf(`Component | Description
 ----------+------------------------------------------------------------
 CPU       | simulated host, %d hardware threads @ %.1f GHz
-Memory    | %d MB simulated host DRAM arena
+Memory    | simulated host DRAM, %d MB capacity, allocated as reserved
 DPU       | simulated QingTian-class DPU, %d cores @ %.1f GHz, %d MB DRAM
 PCIe      | %.1f GB/s payload, %v DMA setup, %d engines
 NVMe SSD  | %v read / %v write, %.1f/%.1f GB/s, %d channels

@@ -39,8 +39,13 @@ func TestMachineAssembly(t *testing.T) {
 	if host != 52 || dpu != 24 {
 		t.Fatalf("CPU pools run %d and %d at once, want 52 and 24", host, dpu)
 	}
-	if m.HostMem.Size() != Default().HostMemMB*1024*1024 {
-		t.Fatalf("host mem = %d", m.HostMem.Size())
+	if m.HostMem.Size() != 0 || m.DPUMem.Size() != 0 {
+		t.Fatalf("bare machine reserved %d host and %d DPU bytes", m.HostMem.Size(), m.DPUMem.Size())
+	}
+	a := m.AllocHost(100, 64)
+	b := m.AllocHost(8, 4096)
+	if got, want := m.HostMem.Size(), int(b+8-m.HostMem.Base()); got != want || a != m.HostMem.Base() {
+		t.Fatalf("host arena holds %d bytes from %#x, want the %d reserved from %#x", got, uint64(a), want, uint64(m.HostMem.Base()))
 	}
 	if m.HostNode.Name() != "host" || m.DPUNode.Name() != "dpu" {
 		t.Fatal("network nodes not created")
@@ -60,8 +65,7 @@ func TestAllocAlignment(t *testing.T) {
 	if b <= a {
 		t.Fatal("bump allocator went backwards")
 	}
-	d := m.AllocDPU(1024, 8)
-	if !m.DPUMem.Contains(d, 1024) {
+	if d := m.AllocDPU(1024, 8); len(m.DPUMem.Slice(d, 1024)) != 1024 {
 		t.Fatal("DPU alloc outside DPU DRAM")
 	}
 }

@@ -15,10 +15,7 @@ import (
 // lands on the Pending of the matching CID.
 func TestSubmitBatchOneDoorbell(t *testing.T) {
 	const n = 8
-	cfg := model.Default()
-	cfg.HostMemMB = 96
-	cfg.DPUMemMB = 8
-	m := model.NewMachine(cfg)
+	m := model.NewMachine(model.Default())
 	vc := newVirtualClient()
 	// The handler log pins down in-order SQE consumption and the node->CID
 	// assignment the host made at enqueue time.
@@ -104,10 +101,7 @@ func TestSubmitBatchOneDoorbell(t *testing.T) {
 // the slot/SQ conds (ringing its already-staged prefix so it can drain) and
 // finish without deadlock, with every completion correct.
 func TestBatchExceedsQueueResources(t *testing.T) {
-	cfg := model.Default()
-	cfg.HostMemMB = 96
-	cfg.DPUMemMB = 8
-	m := model.NewMachine(cfg)
+	m := model.NewMachine(model.Default())
 	vc := newVirtualClient()
 	d := NewDriver(m, Config{Queues: 1, Depth: 4, SlotsPerQ: 2, MaxIO: 64 * 1024, RHCap: 64, InflightWindow: 16}, vc.handle)
 

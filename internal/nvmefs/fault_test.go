@@ -16,10 +16,7 @@ import (
 // a handler that counts its own invocations (for dedup assertions).
 func newFaultDriver(t *testing.T, cfg Config, rules []fault.Rule) (*model.Machine, *Driver, *fault.Injector, *int) {
 	t.Helper()
-	mcfg := model.Default()
-	mcfg.HostMemMB = 96
-	mcfg.DPUMemMB = 8
-	m := model.NewMachine(mcfg)
+	m := model.NewMachine(model.Default())
 	vc := newVirtualClient()
 	execs := new(int)
 	d := NewDriver(m, cfg, func(p *sim.Proc, req Request) Response {
@@ -173,10 +170,7 @@ func TestWorkerCrashRecovered(t *testing.T) {
 }
 
 func TestHeaderOverflowIsIOErrorNotPanic(t *testing.T) {
-	mcfg := model.Default()
-	mcfg.HostMemMB = 96
-	mcfg.DPUMemMB = 8
-	m := model.NewMachine(mcfg)
+	m := model.NewMachine(model.Default())
 	d := NewDriver(m, faultCfg(), func(p *sim.Proc, req Request) Response {
 		// Response header larger than the submission's RHLen.
 		return Response{Status: nvme.StatusOK, Header: make([]byte, 32), Data: []byte("d")}
@@ -216,10 +210,7 @@ func TestNoDeadlinesWithoutInjector(t *testing.T) {
 // retry's response nor have its completion accepted as the retry's: the read
 // returns the written bytes, and the straggler's CQE is a counted drop.
 func TestStragglerCannotCompleteItsRetry(t *testing.T) {
-	mcfg := model.Default()
-	mcfg.HostMemMB = 96
-	mcfg.DPUMemMB = 8
-	m := model.NewMachine(mcfg)
+	m := model.NewMachine(model.Default())
 	vc := newVirtualClient()
 	reads := 0
 	d := NewDriver(m, faultCfg(), func(p *sim.Proc, req Request) Response {
@@ -259,8 +250,6 @@ func TestStragglerCannotCompleteItsRetry(t *testing.T) {
 func TestRetirePathsBalanceQueueResources(t *testing.T) {
 	o := obs.New()
 	mcfg := model.Default()
-	mcfg.HostMemMB = 96
-	mcfg.DPUMemMB = 8
 	mcfg.Obs = o
 	m := model.NewMachine(mcfg)
 	vc := newVirtualClient()

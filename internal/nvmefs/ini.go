@@ -275,9 +275,7 @@ func (pend *Pending) Wait(p *sim.Proc) Completion {
 		}
 		// The backoff sleep is recovery time, not work: attribute it as
 		// wait so fault-injected runs show where retry latency went.
-		backoffFrom := p.Now()
-		p.Sleep(backoff)
-		d.po.Attr(p, obs.CompWait, "nvmefs.backoff", backoffFrom, p.Now())
+		d.po.Sleep(p, backoff, obs.CompWait, "nvmefs.backoff")
 		pend.pd = d.enqueue(p, pend.qid, pend.pd.sub, pend.pd.token+1).pd
 		d.ring(p, d.queues[pend.qid%len(d.queues)])
 	}

@@ -15,10 +15,7 @@ import (
 
 func newInlineDriver(t *testing.T, queues, inlineMax int) (*model.Machine, *Driver, *virtualClient) {
 	t.Helper()
-	cfg := model.Default()
-	cfg.HostMemMB = 96
-	cfg.DPUMemMB = 8
-	m := model.NewMachine(cfg)
+	m := model.NewMachine(model.Default())
 	vc := newVirtualClient()
 	d := NewDriver(m, Config{
 		Queues: queues, Depth: 64, SlotsPerQ: 32, MaxIO: 64 * 1024, RHCap: 256,
@@ -148,10 +145,7 @@ func TestInlineCutoverBoundaries(t *testing.T) {
 func TestInlineWriteUnderDroppedCompletion(t *testing.T) {
 	cfg := faultCfg()
 	cfg.InlineMax = 512
-	mcfg := model.Default()
-	mcfg.HostMemMB = 96
-	mcfg.DPUMemMB = 8
-	m := model.NewMachine(mcfg)
+	m := model.NewMachine(model.Default())
 	vc := newVirtualClient()
 	execs := 0
 	d := NewDriver(m, cfg, func(p *sim.Proc, req Request) Response {

@@ -48,10 +48,7 @@ func header(node, off uint64) []byte {
 
 func newTestDriver(t *testing.T, queues int) (*model.Machine, *Driver, *virtualClient) {
 	t.Helper()
-	cfg := model.Default()
-	cfg.HostMemMB = 96
-	cfg.DPUMemMB = 8
-	m := model.NewMachine(cfg)
+	m := model.NewMachine(model.Default())
 	vc := newVirtualClient()
 	d := NewDriver(m, Config{Queues: queues, Depth: 64, SlotsPerQ: 32, MaxIO: 64 * 1024, RHCap: 256}, vc.handle)
 	return m, d, vc
@@ -163,10 +160,7 @@ func TestSQEOnTheWireIsBidirectionalVendorCommand(t *testing.T) {
 }
 
 func TestDispatchBitReachesHandler(t *testing.T) {
-	cfg := model.Default()
-	cfg.HostMemMB = 64
-	cfg.DPUMemMB = 8
-	m := model.NewMachine(cfg)
+	m := model.NewMachine(model.Default())
 	var sawDispatch []uint8
 	d := NewDriver(m, Config{Queues: 1, Depth: 16, SlotsPerQ: 8, MaxIO: 8192, RHCap: 64},
 		func(p *sim.Proc, req Request) Response {
@@ -188,10 +182,7 @@ func TestMultiQueueParallelism(t *testing.T) {
 	// The same workload on 1 queue vs 8 queues: multi-queue must be
 	// substantially faster (this is nvme-fs's advantage over virtio-fs).
 	run := func(queues int) sim.Time {
-		cfg := model.Default()
-		cfg.HostMemMB = 96
-		cfg.DPUMemMB = 8
-		m := model.NewMachine(cfg)
+		m := model.NewMachine(model.Default())
 		vc := newVirtualClient()
 		d := NewDriver(m, Config{Queues: queues, Depth: 64, SlotsPerQ: 32, MaxIO: 16 * 1024, RHCap: 64}, vc.handle)
 		const threads = 16

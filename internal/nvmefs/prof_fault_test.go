@@ -21,8 +21,6 @@ func TestBackoffAttributedAsWait(t *testing.T) {
 	o.EnableProfiling() // before machine construction: the driver latches the profiler
 
 	mcfg := model.Default()
-	mcfg.HostMemMB = 96
-	mcfg.DPUMemMB = 8
 	mcfg.Obs = o
 	m := model.NewMachine(mcfg)
 	vc := newVirtualClient()

@@ -121,9 +121,7 @@ func (d *Driver) reset(p *sim.Proc) {
 	d.Resets++
 	rs := d.o.Begin(p, "nvmefs.reset")
 	rs.Pin() // controller resets are always recorder-worthy
-	resetFrom := p.Now()
-	p.Sleep(resetDelay)
-	d.po.Attr(p, obs.CompWait, "nvmefs.reset", resetFrom, p.Now())
+	d.po.Sleep(p, resetDelay, obs.CompWait, "nvmefs.reset")
 	for _, qs := range d.queues {
 		qs.gen++
 		// Fail in-flight commands in CID order (deterministic iteration).

@@ -14,10 +14,7 @@ import (
 // virtual time per command.
 func newTenantDriver(t *testing.T, queues int, tenants []TenantConfig, service time.Duration) (*model.Machine, *Driver) {
 	t.Helper()
-	cfg := model.Default()
-	cfg.HostMemMB = 96
-	cfg.DPUMemMB = 8
-	m := model.NewMachine(cfg)
+	m := model.NewMachine(model.Default())
 	vc := newVirtualClient()
 	d := NewDriver(m, Config{
 		Queues: queues, Depth: 64, SlotsPerQ: 32, MaxIO: 64 * 1024, RHCap: 256,

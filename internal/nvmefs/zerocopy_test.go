@@ -18,10 +18,7 @@ import (
 // per-command bookkeeping (the Pending handle, which holds the pending entry
 // and its cond; the worker Proc and its closure) — bounded, not zero.
 func TestSubmit8KTGTZeroAllocs(t *testing.T) {
-	cfg := model.Default()
-	cfg.HostMemMB = 96
-	cfg.DPUMemMB = 8
-	m := model.NewMachine(cfg)
+	m := model.NewMachine(model.Default())
 	defer m.Eng.Shutdown()
 	store := make([]byte, 8192)
 	d := NewDriver(m, Config{Queues: 1, Depth: 64, SlotsPerQ: 32, MaxIO: 64 * 1024, RHCap: 256},
@@ -90,10 +87,7 @@ func TestExecuteDataOutBytes(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			cfg := model.Default()
-			cfg.HostMemMB = 32
-			cfg.DPUMemMB = 8
-			m := model.NewMachine(cfg)
+			m := model.NewMachine(model.Default())
 			defer m.Eng.Shutdown()
 			d := NewDriver(m, Config{Queues: 1, Depth: 8, SlotsPerQ: 1, MaxIO: 4096, RHCap: rhCap},
 				func(p *sim.Proc, req Request) Response {

@@ -18,6 +18,8 @@
 package obs
 
 import (
+	"time"
+
 	"dpc/internal/sim"
 )
 
@@ -78,6 +80,19 @@ func (o *Obs) Attr(p *sim.Proc, comp Component, kind string, start, end sim.Time
 		return
 	}
 	o.tr.attr(p, comp, kind, start, end)
+}
+
+// Sleep blocks p for d and, in profiling mode, attributes the slept interval
+// as comp/kind on p's innermost span. Components call it on their cached
+// Prof() handle, so with profiling off it is a plain p.Sleep(d).
+func (o *Obs) Sleep(p *sim.Proc, d time.Duration, comp Component, kind string) {
+	if o == nil || !o.profiling {
+		p.Sleep(d)
+		return
+	}
+	t0 := p.Now()
+	p.Sleep(d)
+	o.Attr(p, comp, kind, t0, p.Now())
 }
 
 // SnapshotJSON renders the metrics snapshot. With profiling enabled it

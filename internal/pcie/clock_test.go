@@ -41,11 +41,11 @@ func newRefLink(e *sim.Engine, cfg Config, o *obs.Obs) *refLink {
 func (r *refLink) dma(p *sim.Proc, n int, stall time.Duration, label string) {
 	r.engines.Acquire(p, 1)
 	if stall > 0 {
-		r.sleepAttr(p, stall, obs.CompWait, "pcie.stall")
+		r.po.Sleep(p, stall, obs.CompWait, "pcie.stall")
 	}
-	r.sleepAttr(p, r.cfg.DMASetup, obs.CompDMA, label)
+	r.po.Sleep(p, r.cfg.DMASetup, obs.CompDMA, label)
 	r.pipe.Acquire(p, 1)
-	r.sleepAttr(p, r.payloadTime(n), obs.CompDMA, label)
+	r.po.Sleep(p, r.payloadTime(n), obs.CompDMA, label)
 	r.pipe.Release(1)
 	r.engines.Release(1)
 }

@@ -197,18 +197,6 @@ func (l *Link) AttachObs(o *obs.Obs) {
 	l.po = o.Prof()
 }
 
-// sleepAttr sleeps d and, in profiling mode, records the slept interval as
-// an attributed component on p's innermost span.
-func (l *Link) sleepAttr(p *sim.Proc, d time.Duration, comp obs.Component, kind string) {
-	if l.po == nil {
-		p.Sleep(d)
-		return
-	}
-	t0 := p.Now()
-	p.Sleep(d)
-	l.po.Attr(p, comp, kind, t0, p.Now())
-}
-
 // payloadTime returns the serialization time of n bytes on the link.
 func (l *Link) payloadTime(n int) time.Duration {
 	return time.Duration(int64(n) * int64(time.Second) / l.cfg.BandwidthBps)
@@ -312,7 +300,7 @@ func (l *Link) DMAWrite(p *sim.Proc, r *mem.Region, addr mem.Addr, src []byte, l
 // MMIOWrite32 is a posted 32-bit write (doorbell) from host to device
 // register space backed by r.
 func (l *Link) MMIOWrite32(p *sim.Proc, r *mem.Region, addr mem.Addr, v uint32, label string) {
-	l.sleepAttr(p, l.cfg.MMIOLatency, obs.CompMMIO, label)
+	l.po.Sleep(p, l.cfg.MMIOLatency, obs.CompMMIO, label)
 	r.PutUint32(addr, v)
 	l.MMIOs.Inc()
 	if len(l.subs) > 0 {
@@ -330,7 +318,7 @@ func (l *Link) MMIOWrite32(p *sim.Proc, r *mem.Region, addr mem.Addr, v uint32, 
 func (l *Link) PIOWrite(p *sim.Proc, r *mem.Region, addr mem.Addr, src []byte, label string) {
 	n := len(src)
 	d := l.cfg.MMIOLatency + time.Duration(int64(n)*int64(time.Second)/l.cfg.PIOBandwidthBps)
-	l.sleepAttr(p, d, obs.CompMMIO, label)
+	l.po.Sleep(p, d, obs.CompMMIO, label)
 	r.Write(addr, src)
 	if l.PIOs.Total() == 0 {
 		l.o.Publish("pcie.link.pios", l.PIOs.Loc())
@@ -346,7 +334,7 @@ func (l *Link) PIOWrite(p *sim.Proc, r *mem.Region, addr mem.Addr, src []byte, l
 // AtomicCAS32 is a PCIe atomic compare-and-swap on host memory, issued by
 // the device (the hybrid cache's DPU-side lock operations).
 func (l *Link) AtomicCAS32(p *sim.Proc, r *mem.Region, addr mem.Addr, old, new uint32, label string) bool {
-	l.sleepAttr(p, l.cfg.AtomicLatency, obs.CompMMIO, label)
+	l.po.Sleep(p, l.cfg.AtomicLatency, obs.CompMMIO, label)
 	l.Atomics.Inc()
 	if len(l.subs) > 0 {
 		l.emit(Event{At: l.eng.Now(), Op: OpAtomic, Dir: HostToDev, Addr: addr, Bytes: 4, Label: label, Proc: p})
@@ -356,7 +344,7 @@ func (l *Link) AtomicCAS32(p *sim.Proc, r *mem.Region, addr mem.Addr, old, new u
 
 // AtomicStore32 is a PCIe atomic store (release a lock word).
 func (l *Link) AtomicStore32(p *sim.Proc, r *mem.Region, addr mem.Addr, v uint32, label string) {
-	l.sleepAttr(p, l.cfg.AtomicLatency, obs.CompMMIO, label)
+	l.po.Sleep(p, l.cfg.AtomicLatency, obs.CompMMIO, label)
 	l.Atomics.Inc()
 	if len(l.subs) > 0 {
 		l.emit(Event{At: l.eng.Now(), Op: OpAtomic, Dir: HostToDev, Addr: addr, Bytes: 4, Label: label, Proc: p})
@@ -366,7 +354,7 @@ func (l *Link) AtomicStore32(p *sim.Proc, r *mem.Region, addr mem.Addr, v uint32
 
 // AtomicFetchAdd32 is a PCIe atomic fetch-and-add on host memory.
 func (l *Link) AtomicFetchAdd32(p *sim.Proc, r *mem.Region, addr mem.Addr, delta uint32, label string) uint32 {
-	l.sleepAttr(p, l.cfg.AtomicLatency, obs.CompMMIO, label)
+	l.po.Sleep(p, l.cfg.AtomicLatency, obs.CompMMIO, label)
 	l.Atomics.Inc()
 	if len(l.subs) > 0 {
 		l.emit(Event{At: l.eng.Now(), Op: OpAtomic, Dir: HostToDev, Addr: addr, Bytes: 4, Label: label, Proc: p})

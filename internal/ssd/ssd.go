@@ -118,18 +118,6 @@ func (d *Device) AttachObs(o *obs.Obs) {
 	}
 }
 
-// sleepAttr sleeps d and, in profiling mode, records the slept interval as
-// an attributed component on p's innermost span.
-func (d *Device) sleepAttr(p *sim.Proc, dur time.Duration, comp obs.Component, kind string) {
-	if d.po == nil {
-		p.Sleep(dur)
-		return
-	}
-	t0 := p.Now()
-	p.Sleep(dur)
-	d.po.Attr(p, comp, kind, t0, p.Now())
-}
-
 // SetFaults attaches a fault injector to the timed I/O paths.
 func (d *Device) SetFaults(in *fault.Injector) { d.faults = in }
 
@@ -168,9 +156,9 @@ func (d *Device) Read(p *sim.Proc, off int64, n int) ([]byte, error) {
 	s := d.o.Begin(p, "ssd.read")
 	kind, delay, injected := d.faults.At(fault.SiteSSDRead)
 	d.channels.Acquire(p, 1)
-	d.sleepAttr(p, d.cfg.ReadLatency, obs.CompSSD, "ssd.read")
+	d.po.Sleep(p, d.cfg.ReadLatency, obs.CompSSD, "ssd.read")
 	d.readBus.Acquire(p, 1)
-	d.sleepAttr(p, time.Duration(int64(n)*int64(time.Second)/d.cfg.ReadBps), obs.CompSSD, "ssd.read")
+	d.po.Sleep(p, time.Duration(int64(n)*int64(time.Second)/d.cfg.ReadBps), obs.CompSSD, "ssd.read")
 	d.readBus.Release(1)
 	d.channels.Release(1)
 	d.Reads.Inc()
@@ -183,7 +171,7 @@ func (d *Device) Read(p *sim.Proc, off int64, n int) ([]byte, error) {
 			return nil, fault.Errf(kind, "ssd read [%d,+%d)", off, n)
 		case fault.KindSSDStall:
 			d.Stalls.Inc()
-			d.sleepAttr(p, delay, obs.CompWait, "ssd.stall")
+			d.po.Sleep(p, delay, obs.CompWait, "ssd.stall")
 		}
 	}
 	s.End(p)
@@ -197,9 +185,9 @@ func (d *Device) Write(p *sim.Proc, off int64, data []byte) error {
 	s := d.o.Begin(p, "ssd.write")
 	kind, delay, injected := d.faults.At(fault.SiteSSDWrite)
 	d.channels.Acquire(p, 1)
-	d.sleepAttr(p, d.cfg.WriteLatency, obs.CompSSD, "ssd.write")
+	d.po.Sleep(p, d.cfg.WriteLatency, obs.CompSSD, "ssd.write")
 	d.writeBus.Acquire(p, 1)
-	d.sleepAttr(p, time.Duration(int64(len(data))*int64(time.Second)/d.cfg.WriteBps), obs.CompSSD, "ssd.write")
+	d.po.Sleep(p, time.Duration(int64(len(data))*int64(time.Second)/d.cfg.WriteBps), obs.CompSSD, "ssd.write")
 	d.writeBus.Release(1)
 	d.channels.Release(1)
 	d.Writes.Inc()
@@ -212,7 +200,7 @@ func (d *Device) Write(p *sim.Proc, off int64, data []byte) error {
 			return fault.Errf(kind, "ssd write [%d,+%d)", off, len(data))
 		case fault.KindSSDStall:
 			d.Stalls.Inc()
-			d.sleepAttr(p, delay, obs.CompWait, "ssd.stall")
+			d.po.Sleep(p, delay, obs.CompWait, "ssd.stall")
 		}
 	}
 	s.End(p)
@@ -293,7 +281,7 @@ func (d *Device) CrashTracking() bool { return d.volatile != nil }
 func (d *Device) Barrier(p *sim.Proc) {
 	s := d.o.Begin(p, "ssd.barrier")
 	d.channels.Acquire(p, 1)
-	d.sleepAttr(p, d.cfg.BarrierLatency, obs.CompSSD, "ssd.barrier")
+	d.po.Sleep(p, d.cfg.BarrierLatency, obs.CompSSD, "ssd.barrier")
 	d.channels.Release(1)
 	d.Barriers.Inc()
 	for _, img := range d.volatile {

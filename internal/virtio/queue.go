@@ -70,9 +70,6 @@ func NewVirtqueue(r *mem.Region, base mem.Addr, size int) *Virtqueue {
 		AvailBase: base + mem.Addr(size*descEntrySize),
 		UsedBase:  base + mem.Addr(size*descEntrySize) + mem.Addr(4+2*size),
 	}
-	if !r.Contains(base, Layout(size)) {
-		panic("virtio: queue does not fit in region")
-	}
 	for i := size - 1; i >= 0; i-- {
 		vq.freeDescs = append(vq.freeDescs, uint16(i))
 	}

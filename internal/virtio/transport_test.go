@@ -37,10 +37,7 @@ func (v *virtualClient) handle(p *sim.Proc, req fuse.Request) fuse.Response {
 
 func newTestTransport(t *testing.T) (*model.Machine, *Transport, *virtualClient) {
 	t.Helper()
-	cfg := model.Default()
-	cfg.HostMemMB = 64
-	cfg.DPUMemMB = 8
-	m := model.NewMachine(cfg)
+	m := model.NewMachine(model.Default())
 	vc := newVirtualClient()
 	tr := NewTransport(m, Config{QueueSize: 256, Slots: 64, MaxIO: 64 * 1024}, vc.handle)
 	return m, tr, vc

@@ -72,8 +72,6 @@ var workloads = []Workload{
 			"pcie.mmio", "cpu.cost_scale", "nvmefs.inline_cutover",
 		},
 		base: func(p Params) Params {
-			p.Model.HostMemMB = 96
-			p.Model.DPUMemMB = 8
 			// DPU-class DMA engine: microsecond descriptor programming makes
 			// the inline/DMA tradeoff real (see cmd/dpcbench smallio).
 			p.Model.PCIe.DMASetup = 1500 * time.Nanosecond
@@ -93,8 +91,6 @@ var workloads = []Workload{
 			"wal.group_window", "cpu.cost_scale",
 		},
 		base: func(p Params) Params {
-			p.Model.HostMemMB = 192
-			p.Model.DPUMemMB = 16
 			p.WAL.Enabled = true
 			return p
 		},

@@ -39,8 +39,6 @@ func (d *dmaPhases) take() int64 {
 // exactly 4 DMAs per phase (sqe, prp, data, cqe) — the paper's Figure 4.
 func TestTracedDMAWalkNvme(t *testing.T) {
 	cfg := model.Default()
-	cfg.HostMemMB = 64
-	cfg.DPUMemMB = 8
 	cfg.Obs = obs.New()
 	m := model.NewMachine(cfg)
 	store := map[uint64][]byte{}
@@ -94,8 +92,6 @@ func TestTracedDMAWalkNvme(t *testing.T) {
 // DMAs per phase — the paper's Figure 2(b) overhead argument.
 func TestTracedDMAWalkVirtio(t *testing.T) {
 	cfg := model.Default()
-	cfg.HostMemMB = 64
-	cfg.DPUMemMB = 8
 	cfg.Obs = obs.New()
 	m := model.NewMachine(cfg)
 	store := map[uint64][]byte{}
@@ -136,8 +132,6 @@ func TestTracedDMAWalkVirtio(t *testing.T) {
 func runObservedSystem(t *testing.T) ([]byte, []byte, *obs.Obs) {
 	t.Helper()
 	opts := DefaultOptions()
-	opts.Model.HostMemMB = 192
-	opts.Model.DPUMemMB = 8
 	opts.Model.Obs = obs.New()
 	sys := New(opts)
 	cl := sys.KVFSClient()
@@ -212,8 +206,6 @@ func TestSystemObsDeterminism(t *testing.T) {
 // observedDFSSystem is a small DFS-DPC system with obs on.
 func observedDFSSystem() *System {
 	opts := DefaultOptions()
-	opts.Model.HostMemMB = 192
-	opts.Model.DPUMemMB = 8
 	opts.Model.Obs = obs.New()
 	opts.EnableKVFS = false
 	opts.EnableDFS = true

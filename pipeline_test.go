@@ -150,8 +150,6 @@ func TestPipelinedRMWHeadTail(t *testing.T) {
 func runPipelinedObserved(t *testing.T) (trace, snap []byte, o *obs.Obs) {
 	t.Helper()
 	opts := DefaultOptions()
-	opts.Model.HostMemMB = 192
-	opts.Model.DPUMemMB = 8
 	opts.Model.Obs = obs.New()
 	sys := New(opts)
 	cl := sys.KVFSClient()

@@ -33,8 +33,6 @@ type probeRun struct {
 func runProbeMix(t *testing.T, level int) probeRun {
 	t.Helper()
 	opts := DefaultOptions()
-	opts.Model.HostMemMB = 96
-	opts.Model.DPUMemMB = 16
 	opts.CachePages, opts.CacheBuckets = 128, 16
 	opts.WAL.Enabled = true
 	if level >= 1 {

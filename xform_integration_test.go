@@ -13,8 +13,6 @@ import (
 func xformSystem(t *testing.T, compression, dif bool) *System {
 	t.Helper()
 	opts := DefaultOptions()
-	opts.Model.HostMemMB = 192
-	opts.Model.DPUMemMB = 8
 	opts.CachePages = 0
 	opts.Compression = compression
 	opts.DIF = dif

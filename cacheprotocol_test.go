@@ -50,7 +50,6 @@ func TestBufferedReadDuringWriteBack(t *testing.T) {
 		t.Run(fmt.Sprintf("flushedBefore=%v", flushedBefore), func(t *testing.T) {
 			poisonPool(t)
 			o := obs.New()
-			o.EnableProfiling()
 			opts := DefaultOptions()
 			opts.Model.Obs = o
 			sys := New(opts)

@@ -8,10 +8,12 @@
 //	dpcbench -list           # list experiment IDs
 //	dpcbench -env            # print the simulated testbed (Table 1)
 //	dpcbench -walk           # print the 8 KB PCIe walks of Figures 2(b) and 4
-//	dpcbench -metrics-out m.json [-trace-out t.json]
-//	                         # run the instrumented reference workload and
-//	                         # write a machine-readable metrics snapshot
-//	                         # (and optionally a Perfetto trace)
+//	dpcbench -metrics-out m.json -trace-out t.json -prof-out p.json -folded-out f.txt
+//	                         # run the profiled reference workload once and
+//	                         # write any of: its metrics snapshot, its
+//	                         # Perfetto trace, the critical-path report
+//	                         # (tables on stdout) and collapsed stacks for
+//	                         # flamegraphs
 //	dpcbench -smallio-out s.json
 //	                         # run the small-op direct workload, DMA vs
 //	                         # inline submission, and write the latency/DMA
@@ -21,14 +23,10 @@
 //	                         # counterfactual parameter dials at 0.25x/0.5x/2x
 //	                         # with payoff ranking and payoff-vs-share
 //	                         # cross-checks, written as JSON
-//	dpcbench -prof-out p.json [-folded-out f.txt]
-//	                         # run the reference workload under the
-//	                         # critical-path profiler, print attribution
-//	                         # tables and write the JSON report (and
-//	                         # optionally collapsed stacks for flamegraphs)
 //	dpcbench -bench-out BENCH_5.json
 //	                         # write the large-I/O comparison plus the
-//	                         # reference-workload attribution summary
+//	                         # reference run's attribution summary (the same
+//	                         # run as the flags above when combined)
 //
 // The scenario flags combine: one invocation runs every scenario whose flag
 // is set. A scenario that fails writes nothing and the process exits
@@ -55,18 +53,16 @@ func main() {
 		env    = flag.Bool("env", false, "print the simulated testbed and exit")
 		walk   = flag.Bool("walk", false, "print every PCIe operation of an 8 KB write and read on virtio-fs and nvme-fs (Figures 2(b) and 4) and exit")
 
-		metricsOut = flag.String("metrics-out", "", "run the instrumented reference workload, write its metrics snapshot (JSON) to this file and exit")
-		traceOut   = flag.String("trace-out", "", "with -metrics-out: also write the span tree as Perfetto/Chrome trace JSON to this file")
+		metricsOut = flag.String("metrics-out", "", "run the profiled reference workload, write its metrics snapshot (JSON) to this file and exit")
+		traceOut   = flag.String("trace-out", "", "run the profiled reference workload, write its span tree as Perfetto/Chrome trace JSON to this file and exit")
 		smallioOut = flag.String("smallio-out", "", "run the small-op direct workload (DMA vs inline path), write its JSON report to this file and exit")
 		fsyncOut   = flag.String("fsync-out", "", "run the WAL group-commit fsync workload at 1/4/16 workers, write its JSON report (BENCH_9 shape) to this file and exit")
 		whatifOut  = flag.String("whatif-out", "", "run the causal what-if sensitivity sweep (counterfactual parameter dials + payoff-vs-share cross-check), write its JSON report (BENCH_10 shape) to this file and exit")
 		faults     = flag.Bool("faults", false, "run the reference workload under the canned fault schedule, report recovery counters and exit")
 
-		profOut        = flag.String("prof-out", "", "run the reference workload with critical-path profiling, print attribution tables and write the JSON report to this file")
-		foldedOut      = flag.String("folded-out", "", "with -prof-out: also write collapsed stacks (flamegraph.pl / speedscope input) to this file")
-		profTraceOut   = flag.String("prof-trace-out", "", "with -prof-out: also write the profiled Perfetto trace (dpcreport input) to this file")
-		profMetricsOut = flag.String("prof-metrics-out", "", "with -prof-out: also write the profiled metrics snapshot (dpcreport -metrics input) to this file")
-		benchOut       = flag.String("bench-out", "", "write the large-I/O comparison plus attribution summary (BENCH_5 shape) to this file")
+		profOut   = flag.String("prof-out", "", "run the profiled reference workload, print attribution tables and write the JSON report to this file")
+		foldedOut = flag.String("folded-out", "", "run the profiled reference workload, write collapsed stacks (flamegraph.pl / speedscope input) to this file")
+		benchOut  = flag.String("bench-out", "", "write the large-I/O comparison plus the profiled reference run's attribution summary (BENCH_5 shape) to this file")
 
 		fleetOut         = flag.String("fleet-out", "", "run the multi-tenant noisy-neighbor fleet, write its per-tenant digest (BENCH_8 shape) to this file and exit")
 		fleetTimelineOut = flag.String("fleet-timeline-out", "", "with the fleet scenario: write the drr phase's telemetry timeline JSON (per-tenant t<N>. series, dpcreport -tenant input) to this file")
@@ -78,6 +74,7 @@ func main() {
 	)
 	flag.Parse()
 
+	ref := referenceOut{metrics: *metricsOut, trace: *traceOut, prof: *profOut, folded: *foldedOut, bench: *benchOut}
 	ran := false
 	for _, sc := range []struct {
 		name string
@@ -91,14 +88,10 @@ func main() {
 		{"ramp scenario", *rampOut != "" || *timelineOut != "" || *timelineTraceOut != "", func() error {
 			return runRampScenario(*rampOut, *timelineOut, *timelineTraceOut, *sloSpecs, *sloGate, nil)
 		}},
-		{"metrics scenario", *metricsOut != "", func() error { return runMetricsScenario(*metricsOut, *traceOut) }},
+		{"reference scenario", ref != referenceOut{}, func() error { return runReferenceScenario(ref) }},
 		{"smallio scenario", *smallioOut != "", func() error { return runSmallIOScenario(*smallioOut) }},
 		{"fsync scenario", *fsyncOut != "", func() error { return runFsyncScenario(*fsyncOut) }},
 		{"whatif scenario", *whatifOut != "", func() error { return runWhatifScenario(*whatifOut) }},
-		{"prof scenario", *profOut != "", func() error {
-			return runProfScenario(*profOut, *foldedOut, *profTraceOut, *profMetricsOut)
-		}},
-		{"bench report", *benchOut != "", func() error { return runBenchOut(*benchOut) }},
 	} {
 		if !sc.on {
 			continue

@@ -2,13 +2,16 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"dpc/internal/fault"
+	"dpc/internal/prof"
 )
 
 var bin string // the dpcbench binary, built once for the package's tests
@@ -76,6 +79,42 @@ func TestScenarioMatchesCommittedArtifact(t *testing.T) {
 	}
 	if !bytes.Equal(got, want) {
 		t.Errorf("dpcbench -smallio-out differs from BENCH_6.json:\n%s", got)
+	}
+}
+
+// TestCommittedArtifactsAgree analyses the committed BENCH_trace.json
+// offline and requires it to reproduce BENCH_5.json's attribution block
+// exactly — groups, wait kinds, span count and anomalies. The trace does not
+// carry the run's end instant, so the test takes it from
+// BENCH_metrics.json: all three artifacts come from one profiled reference
+// run and must agree with each other.
+func TestCommittedArtifactsAgree(t *testing.T) {
+	read := func(name string, v any) []byte {
+		b, err := os.ReadFile(filepath.Join("..", "..", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if v != nil {
+			if err := json.Unmarshal(b, v); err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+		}
+		return b
+	}
+	var metrics struct {
+		SimTimeNs int64 `json:"sim_time_ns"`
+	}
+	var bench benchReport
+	read("BENCH_metrics.json", &metrics)
+	read("BENCH_5.json", &bench)
+	spans, err := prof.ParsePerfetto(read("BENCH_trace.json", nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := newAttrSummary(prof.BuildReport(prof.Analyze(spans), metrics.SimTimeNs, 0, 0, 0))
+	if !reflect.DeepEqual(got, bench.Attribution) {
+		g, _ := json.MarshalIndent(got, "", "  ")
+		t.Errorf("BENCH_trace.json analysed offline differs from BENCH_5.json's attribution:\n%s", g)
 	}
 }
 

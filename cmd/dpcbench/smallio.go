@@ -218,7 +218,6 @@ type smallIOAttrStats struct {
 // critical-path attribution up by component.
 func smallIOProfile(inlineMax, size int) (smallIOAttrStats, error) {
 	o := obs.New()
-	o.EnableProfiling()
 	m, d := smallIODriver(inlineMax, o)
 	payload := make([]byte, size)
 	for i := range payload {

@@ -5,7 +5,7 @@
 //	                              # gauges by layer, histogram quantiles
 //	dpcreport p.json              # profile report (-prof-out): attribution tables
 //	dpcreport [-metrics m.json] [-json|-folded] t.json
-//	                              # Perfetto trace (-trace-out, -prof-trace-out):
+//	                              # Perfetto trace (-trace-out):
 //	                              # critical-path analysis of the span tree
 //	dpcreport [view] tl.json      # telemetry timeline (-timeline-out,
 //	                              # -fleet-timeline-out): SLOs, violations, dumps

@@ -31,8 +31,8 @@ func TestMain(m *testing.M) {
 		}
 	}
 	if msg, err := exec.Command(bench, "-timeline-out", filepath.Join(dir, "tl.json"),
-		"-prof-out", filepath.Join(dir, "p.json"), "-prof-trace-out", filepath.Join(dir, "t.json"),
-		"-prof-metrics-out", filepath.Join(dir, "m.json")).CombinedOutput(); err != nil {
+		"-prof-out", filepath.Join(dir, "p.json"), "-trace-out", filepath.Join(dir, "t.json"),
+		"-metrics-out", filepath.Join(dir, "m.json")).CombinedOutput(); err != nil {
 		fmt.Fprintf(os.Stderr, "dpcbench: %v\n%s", err, msg)
 		os.Exit(1)
 	}

@@ -115,7 +115,7 @@ func TestDFSDeterminism(t *testing.T) {
 		})
 		sys.StopDaemons()
 		sys.Run()
-		snap, err := sys.Obs().Registry().SnapshotJSON(sys.Now())
+		snap, err := sys.Obs().SnapshotJSON(sys.Now())
 		if err != nil {
 			t.Fatalf("snapshot: %v", err)
 		}

@@ -52,7 +52,7 @@ func faultMixRun(t *testing.T, withFaults bool) (snapshot string, fingerprint st
 		}
 	})
 	sys.RunFor(2 * time.Second)
-	js, err := o.Registry().SnapshotJSON(sys.Now())
+	js, err := o.SnapshotJSON(sys.Now())
 	if err != nil {
 		t.Fatalf("snapshot: %v", err)
 	}

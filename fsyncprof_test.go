@@ -25,7 +25,6 @@ func TestFsyncProfileInvariant(t *testing.T) {
 		burst   = 8192
 	)
 	o := obs.New()
-	o.EnableProfiling()
 	opts := DefaultOptions()
 	opts.Model.Obs = o
 	opts.WAL.Enabled = true

@@ -89,8 +89,12 @@ type Ctl struct {
 	inflight map[[2]uint64]bool // prefetches in flight
 
 	// writes[ino] counts the backend writes and truncates of ino that have
-	// completed (NoteWrite); a fill compares it before and after its read.
-	writes map[uint64]uint64
+	// completed (NoteWrite), flushed[{ino, lpn}] the write-backs of that page
+	// that have landed; a fill compares their sum (seq) before and after its
+	// read. A buffered write reaches the backend only by its flush, so the
+	// flush is what a fill racing it must see.
+	writes  map[uint64]uint64
+	flushed map[[2]uint64]uint64
 
 	stopped bool
 
@@ -133,10 +137,9 @@ type Ctl struct {
 	ckptSeq  uint64
 	ckptDone *sim.Cond
 
-	// o is nil when obs is disabled; po is non-nil only in profiling mode
-	// (flush-join wait attribution). oDegraded is registered by SetFaults.
+	// o is nil when obs is disabled; it also takes the flush-join and settle
+	// wait attribution. oDegraded is registered by SetFaults.
 	o         *obs.Obs
-	po        *obs.Obs
 	oDegraded *obs.Gauge
 }
 
@@ -192,8 +195,8 @@ func NewCtl(m *model.Machine, l Layout, backend Backend, cfg CtlConfig) *Ctl {
 		streams:  map[uint64][]*stream{},
 		inflight: map[[2]uint64]bool{},
 		writes:   map[uint64]uint64{},
+		flushed:  map[[2]uint64]uint64{},
 		o:        m.Obs,
-		po:       m.Obs.Prof(),
 	}
 	c.o.Publish("cache.ctl.flushes", c.Flushes.Loc())
 	c.o.Publish("cache.ctl.evictions", c.Evictions.Loc())

@@ -14,23 +14,23 @@ import (
 // corresponding host page, and marks the entry clean. Returns the entry
 // index, or -1 if the bucket is unreclaimable right now.
 func (c *Ctl) FillPage(p *sim.Proc, ino, lpn uint64, data []byte) int {
-	return c.fillPage(p, ino, lpn, data, c.writes[ino])
+	return c.fillPage(p, ino, lpn, data, c.seq(ino, lpn))
 }
 
 // ReadFill is a read miss: read fills page from the backend (false: nothing
 // at lpn) and FillPage installs it, unless a write or truncate of ino
-// completed after read began (NoteWrite): then idx is -1 and the bytes go
-// back inline. read must not escape.
+// (NoteWrite) or a write-back of the page completed after read began: then
+// idx is -1 and the bytes go back inline. read must not escape.
 func (c *Ctl) ReadFill(p *sim.Proc, ino, lpn uint64, page []byte, read func() bool) (idx int, found bool) {
-	seq := c.writes[ino]
+	seq := c.seq(ino, lpn)
 	if !read() {
 		return -1, false
 	}
 	return c.fillPage(p, ino, lpn, page, seq), true
 }
 
-// fillPage installs data, read from the backend when ino's write sequence
-// was seq.
+// fillPage installs data, read from the backend when the page's write
+// sequence was seq.
 func (c *Ctl) fillPage(p *sim.Proc, ino, lpn uint64, data []byte, seq uint64) int {
 	s := c.o.Begin(p, "cache.fill")
 	defer s.End(p)
@@ -90,9 +90,10 @@ func (c *Ctl) fillPage(p *sim.Proc, ino, lpn uint64, data []byte, seq uint64) in
 		c.retract(p, target)
 		return lo + k
 	}
-	// And against the backend: a write of the inode that completed since our
-	// read began has noted it by now; a later one's merge finds the claim.
-	if c.writes[ino] != seq {
+	// And against the backend: a write of the inode or a write-back of the
+	// page that completed since our read began has noted it by now; a later
+	// one's merge finds the claim.
+	if c.seq(ino, lpn) != seq {
 		c.retract(p, target)
 		return -1
 	}
@@ -196,4 +197,10 @@ func (c *Ctl) ReclaimBucket(p *sim.Proc, ino, lpn uint64, want int) int {
 // Fills of ino whose backend read began before it retract.
 func (c *Ctl) NoteWrite(ino uint64) {
 	c.writes[ino]++
+}
+
+// seq is the write sequence of page <ino, lpn>: the inode's completed
+// backend writes and truncates plus the page's landed write-backs.
+func (c *Ctl) seq(ino, lpn uint64) uint64 {
+	return c.writes[ino] + c.flushed[[2]uint64{ino, lpn}]
 }

@@ -80,6 +80,48 @@ func TestFillRetractsOnAWriteOfItsInode(t *testing.T) {
 	}
 }
 
+// TestFillRetractsOnAFlushOfItsPage: a full-page buffered write of the page a
+// fill is reading, then its flush and the eviction of the now clean page, all
+// land inside the fill's backend read. The write never reaches dispatch, so
+// only the flush can tell the fill its bytes are stale; without it the fill
+// finds the page absent and installs the pre-write bytes as clean.
+func TestFillRetractsOnAFlushOfItsPage(t *testing.T) {
+	const ino, lpn = 5, 3
+	m, l, h, c, b := newTestCache(t, 64, 8, CtlConfig{})
+	idx, buf := -2, make([]byte, 4096)
+	m.Eng.Go("fill", func(p *sim.Proc) {
+		idx, _ = c.ReadFill(p, ino, lpn, buf, func() bool {
+			copy(buf, page(0x11))
+			p.Sleep(200 * time.Microsecond)
+			return true
+		})
+	})
+	m.Eng.Go("write", func(p *sim.Proc) {
+		if !h.WritePage(p, ino, lpn, page(0x22)) {
+			t.Error("WritePage found no room")
+		}
+		if _, err := c.FlushIno(p, ino); err != nil {
+			t.Error(err)
+		}
+		if c.ReclaimBucket(p, ino, lpn, 1) != 1 {
+			t.Error("ReclaimBucket freed nothing")
+		}
+	})
+	m.Eng.Run()
+	var got []byte
+	var cached bool
+	m.Eng.Go("host", func(p *sim.Proc) { got, cached = lookupPage(p, h, ino, lpn) })
+	m.Eng.Run()
+	m.Eng.Shutdown()
+	if !bytes.Equal(b.pages[[2]uint64{ino, lpn}], page(0x22)) {
+		t.Fatal("the flush did not reach the backend")
+	}
+	if cached && !bytes.Equal(got, page(0x22)) {
+		t.Errorf("fill = %d: the cache serves %#x, the backend holds 0x22", idx, got[0])
+	}
+	quiesced(t, m, l, c)
+}
+
 // rangeBackend gives memBackend a range read, which puts the prefetcher on
 // its one-read-per-run path.
 type rangeBackend struct{ *memBackend }

@@ -142,7 +142,7 @@ func (c *Ctl) flushWindow(p *sim.Proc, entries []int, flush func(pp *sim.Proc, i
 		for remaining > 0 {
 			done.Wait(p)
 		}
-		c.po.Attr(p, obs.CompWait, "cache.flush_join", waitFrom, p.Now())
+		c.o.Attr(p, obs.CompWait, "cache.flush_join", waitFrom, p.Now())
 	}
 	return flushed, firstErr
 }
@@ -182,7 +182,7 @@ func (c *Ctl) FlushIno(p *sim.Proc, ino uint64) (int, error) {
 // livelocking. A turn is a try, unless a sibling process of this control plane
 // holds the entry (the daemon keeps its read lock across the whole backend
 // write): then it is a park until that process unlocks, at no PCIe atomic,
-// shown under joiner p's span when profiling. Only a host-held lock, whose
+// shown under joiner p's span. Only a host-held lock, whose
 // release the DPU cannot see, is polled by try's bounded CAS. It reports
 // whether this call took the entry. try must not escape: a closure passed
 // here lives on its caller's stack.
@@ -193,7 +193,7 @@ func (c *Ctl) settle(p, pp *sim.Proc, i int, ino uint64, try func(pp *sim.Proc, 
 			panic("cache: settle livelocked on a held entry lock")
 		}
 		if c.held[i] {
-			s := c.po.BeginChild(pp, c.po.Current(p), "cache.settle")
+			s := c.o.BeginChild(pp, c.o.Current(p), "cache.settle")
 			from := pp.Now()
 			if c.released[i] == nil {
 				c.released[i] = sim.NewCond(c.m.Eng, "cache-release")
@@ -201,7 +201,7 @@ func (c *Ctl) settle(p, pp *sim.Proc, i int, ino uint64, try func(pp *sim.Proc, 
 			for c.held[i] {
 				c.released[i].Wait(pp)
 			}
-			c.po.Attr(pp, obs.CompWait, "cache.settle", from, pp.Now())
+			c.o.Attr(pp, obs.CompWait, "cache.settle", from, pp.Now())
 			s.End(pp)
 		} else if took, gone, err := try(pp, i); took || gone {
 			return took, nil
@@ -261,6 +261,9 @@ func (c *Ctl) flushOne(p *sim.Proc, i int) (bool, error) {
 		c.noteFlushFailure(p)
 		return false, err
 	}
+	// The page's new bytes are on the backend: a fill that read it before
+	// now must not install what it read (seq).
+	c.flushed[[2]uint64{e.Ino, e.LPN}]++
 	c.setStatus(p, i, StatusClean)
 	c.unlock(p, i)
 	c.Flushes.Inc()

@@ -32,13 +32,14 @@ type Host struct {
 	// outside the set has no dirty page and HasDirty need not scan for it.
 	maybeDirty map[uint64]struct{}
 
-	// po is non-nil only in profiling mode (entry-lock spin attribution).
-	po *obs.Obs
+	// o is the machine's hub (nil when disabled): entry-lock spin
+	// attribution.
+	o *obs.Obs
 }
 
 // NewHost wraps an initialized layout.
 func NewHost(m *model.Machine, l Layout) *Host {
-	h := &Host{m: m, L: l, maybeDirty: map[uint64]struct{}{}, po: m.Obs.Prof()}
+	h := &Host{m: m, L: l, maybeDirty: map[uint64]struct{}{}, o: m.Obs}
 	m.Obs.Publish("cache.host.hits", h.Hits.Loc())
 	m.Obs.Publish("cache.host.misses", h.Misses.Loc())
 	m.Obs.Publish("cache.host.cached_writes", h.CachedWr.Loc())
@@ -85,7 +86,7 @@ func (h *Host) findEntry(ino, lpn uint64) int {
 // reason to give up or to go around the entry — every bounded spin this
 // package once had lost an update or served stale bytes — so the only way
 // out other than the lock is the livelock panic. The wait is attributed as
-// cache.lock when profiling.
+// cache.lock.
 func (h *Host) lockEntry(p *sim.Proc, i int, kind uint32) {
 	a := h.L.EntryAddr(i) + offLock
 	from := p.Now()
@@ -95,7 +96,7 @@ func (h *Host) lockEntry(p *sim.Proc, i int, kind uint32) {
 		}
 		p.Sleep(500 * time.Nanosecond)
 	}
-	h.po.Attr(p, obs.CompWait, "cache.lock", from, p.Now())
+	h.o.Attr(p, obs.CompWait, "cache.lock", from, p.Now())
 }
 
 // acquire is the host side of the entry protocol, the one place it is

@@ -99,7 +99,7 @@ func (c *Ctl) NotifyRead(p *sim.Proc, ino, lpn uint64) {
 	// is stalled on its own frontier fill. Backends with a range read serve
 	// each contiguous absent run in one operation; otherwise pages fetch in
 	// parallel so the prefetcher stays ahead of the reader. Each read's fills
-	// compare the inode's write sequence with its value before the read (see
+	// compare their page's write sequence with its value before the read (see
 	// ReadFill).
 	if rb, ok := c.backend.(RangeBackend); ok {
 		c.m.Eng.Go("cache-prefetch", func(pp *sim.Proc) {
@@ -111,16 +111,19 @@ func (c *Ctl) NotifyRead(p *sim.Proc, ino, lpn uint64) {
 					}
 				}
 			}
+			seqs := make([]uint64, len(need))
 			for i := 0; i < len(need); {
 				j := i + 1
 				for j < len(need) && need[j] == need[j-1]+1 {
 					j++
 				}
-				seq := c.writes[ino]
+				for k := i; k < j; k++ {
+					seqs[k] = c.seq(ino, need[k])
+				}
 				pages := rb.ReadPageRange(pp, ino, need[i], j-i, c.L.PageSize)
 				for k, pg := range pages {
 					if pg != nil {
-						c.fillPage(pp, ino, need[i]+uint64(k), pg, seq)
+						c.fillPage(pp, ino, need[i]+uint64(k), pg, seqs[i+k])
 						c.Prefetches.Inc()
 					}
 				}
@@ -136,7 +139,7 @@ func (c *Ctl) NotifyRead(p *sim.Proc, ino, lpn uint64) {
 		l := l
 		c.m.Eng.Go("cache-prefetch", func(pp *sim.Proc) {
 			if !c.fillFaulted() && !c.present(pp, ino, l) {
-				seq := c.writes[ino]
+				seq := c.seq(ino, l)
 				if data, ok := c.backend.ReadPage(pp, ino, l, c.L.PageSize); ok {
 					c.fillPage(pp, ino, l, data, seq)
 					c.Prefetches.Inc()

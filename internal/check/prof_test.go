@@ -34,7 +34,6 @@ func TestTortureAttributionInvariant(t *testing.T) {
 			t.Parallel()
 			const seed = 1
 			o := obs.New()
-			o.EnableProfiling() // before world construction: components latch the profiler
 			var rules []fault.Rule
 			if tc.faults {
 				rules = fault.TortureSchedule(seed)

@@ -26,10 +26,10 @@ type Pool struct {
 	busyNs *obs.Counter
 	execs  *obs.Counter
 
-	// po is non-nil only in profiling mode: executions record CPU-compute
-	// intervals and run-queue delays record wait intervals on the caller's
-	// innermost span.
-	po       *obs.Obs
+	// o is the hub (nil when observability is off): executions record
+	// CPU-compute intervals and run-queue delays record wait intervals on
+	// the caller's innermost span.
+	o        *obs.Obs
 	execKind string
 	waitKind string
 
@@ -66,13 +66,11 @@ func (c *Pool) AttachObs(o *obs.Obs) {
 	// Pool names are a closed set (host, dpu). //dpclint:ok
 	c.busyNs = o.Counter("cpu." + c.name + ".busy_ns")
 	c.execs = o.Counter("cpu." + c.name + ".execs") // closed set, as above //dpclint:ok
-	if po := o.Prof(); po != nil {
-		c.po = po
-		c.execKind = "cpu." + c.name
-		c.waitKind = "cpu." + c.name + ".runq"
-		c.res.OnWait = func(p *sim.Proc, since sim.Time) {
-			po.Attr(p, obs.CompWait, c.waitKind, since, c.eng.Now())
-		}
+	c.o = o
+	c.execKind = "cpu." + c.name
+	c.waitKind = "cpu." + c.name + ".runq"
+	c.res.OnWait = func(p *sim.Proc, since sim.Time) {
+		o.Attr(p, obs.CompWait, c.waitKind, since, c.eng.Now())
 	}
 }
 
@@ -101,7 +99,7 @@ func (c *Pool) ExecDuration(p *sim.Proc, d time.Duration) {
 	if contended && c.SwitchOverhead > 0 {
 		d += c.SwitchOverhead
 	}
-	c.po.Sleep(p, d, obs.CompCPU, c.execKind)
+	c.o.Sleep(p, d, obs.CompCPU, c.execKind)
 	c.res.Release(1)
 	c.execs.Inc()
 	c.busyNs.Add(int64(d))

@@ -4,15 +4,18 @@ import (
 	"bytes"
 	"testing"
 
+	"dpc/internal/obs"
 	"dpc/internal/prof"
 )
 
 func analyzeReference(t *testing.T) (*prof.Profile, *prof.Report) {
 	t.Helper()
-	o, now, err := ProfiledReference()
+	o := obs.New()
+	ref, err := ProfiledReference(o)
 	if err != nil {
 		t.Fatal(err)
 	}
+	now := ref.Now
 	pr := prof.Analyze(o.Tracer().Export(now))
 	rep := prof.BuildReport(pr, int64(now), o.Tracer().Dropped(), o.Tracer().DroppedIntervals(), 10)
 	return pr, rep
@@ -79,5 +82,45 @@ func TestProfiledReferenceDeterminism(t *testing.T) {
 	}
 	if !bytes.Equal(f1, f2) {
 		t.Error("folded stacks differ across identical runs")
+	}
+}
+
+// TestReferenceZeroProbeEffect runs the reference workload with no hub and
+// with an attached one: observation records spans, intervals and counters
+// but must not move virtual time, so both runs end at the same instant and
+// see the same walks — 4 DMAs per 8 KB op on nvme-fs, 11 on virtio-fs.
+func TestReferenceZeroProbeEffect(t *testing.T) {
+	off, err := ProfiledReference(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	o := obs.New()
+	on, err := ProfiledReference(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if off.Now != on.Now {
+		t.Errorf("final virtual time: %v unobserved, %v observed", off.Now, on.Now)
+	}
+	reg := o.Registry()
+	for _, c := range []struct {
+		name         string
+		off, on      Walk
+		wantW, wantR int64
+	}{
+		{"nvmefs", off.Nvme, on.Nvme, 4, 4},
+		{"virtiofs", off.Virtio, on.Virtio, 11, 11},
+	} {
+		ow, or := c.off.DMAs()
+		nw, nr := c.on.DMAs()
+		if ow != c.wantW || or != c.wantR || nw != c.wantW || nr != c.wantR {
+			t.Errorf("%s walk DMAs (write/read): unobserved %d/%d, observed %d/%d, want %d/%d",
+				c.name, ow, or, nw, nr, c.wantW, c.wantR)
+		}
+		for op, want := range map[string]int64{"write": c.wantW, "read": c.wantR} {
+			if got := reg.CounterValue("trace." + c.name + "." + op + ".dmas"); got != want {
+				t.Errorf("trace.%s.%s.dmas = %d, want %d", c.name, op, got, want)
+			}
+		}
 	}
 }

@@ -77,12 +77,10 @@ func RunRamp(slos []string, interval time.Duration, faults []fault.Rule) (*RampR
 	if len(slos) == 0 {
 		slos = []string{DefaultRampSLO}
 	}
+	// Spans carry component intervals, so a flight-recorder dump's
+	// critical-path report attributes the overload (slot waits vs SSD
+	// service vs DMA) instead of lumping it into "other".
 	o := obs.New()
-	// Profiling makes the flight-recorder dumps meaningful: spans carry
-	// component intervals, so a dump's critical-path report attributes the
-	// overload (slot waits vs SSD service vs DMA) instead of lumping it
-	// into "other". Attribution is passive — virtual timing is unchanged.
-	o.EnableProfiling()
 	opts := dpcroot.DefaultOptions()
 	opts.Model.Obs = o
 	// Constrain the transport so the ramp actually saturates: two queues

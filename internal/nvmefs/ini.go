@@ -102,7 +102,7 @@ func (d *Driver) enqueue(p *sim.Proc, qid int, sub Submission, token uint32) *Pe
 			d.ring(p, qs)
 			qs.slotCond.Wait(p)
 		}
-		d.po.Attr(p, obs.CompWait, "nvmefs.slot", waitFrom, p.Now())
+		d.o.Attr(p, obs.CompWait, "nvmefs.slot", waitFrom, p.Now())
 	}
 	slot := qs.freeSlots[len(qs.freeSlots)-1]
 	qs.freeSlots = qs.freeSlots[:len(qs.freeSlots)-1]
@@ -169,7 +169,7 @@ func (d *Driver) enqueue(p *sim.Proc, qid int, sub Submission, token uint32) *Pe
 			d.ring(p, qs)
 			qs.sqCond.Wait(p)
 		}
-		d.po.Attr(p, obs.CompWait, "nvmefs.sq", waitFrom, p.Now())
+		d.o.Attr(p, obs.CompWait, "nvmefs.sq", waitFrom, p.Now())
 	}
 	if inlineW {
 		// Stage [header|payload] into the inline window slot matching this
@@ -252,7 +252,7 @@ func (pend *Pending) Wait(p *sim.Proc) Completion {
 			for !pend.pd.done {
 				pend.pd.cond.Wait(p)
 			}
-			d.po.Attr(p, obs.CompWait, "nvmefs.inflight", waitFrom, p.Now())
+			d.o.Attr(p, obs.CompWait, "nvmefs.inflight", waitFrom, p.Now())
 		}
 		comp := pend.pd.comp
 		retries := int(pend.pd.token & attemptMask)
@@ -275,7 +275,7 @@ func (pend *Pending) Wait(p *sim.Proc) Completion {
 		}
 		// The backoff sleep is recovery time, not work: attribute it as
 		// wait so fault-injected runs show where retry latency went.
-		d.po.Sleep(p, backoff, obs.CompWait, "nvmefs.backoff")
+		d.o.Sleep(p, backoff, obs.CompWait, "nvmefs.backoff")
 		pend.pd = d.enqueue(p, pend.qid, pend.pd.sub, pend.pd.token+1).pd
 		d.ring(p, d.queues[pend.qid%len(d.queues)])
 	}

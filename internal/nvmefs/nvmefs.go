@@ -202,8 +202,7 @@ type queueState struct {
 
 	// depthGauge ("nvmefs.q<N>.sq_depth") tracks in-flight commands on this
 	// queue, sampled at submit and reap so wait spikes correlate with queue
-	// saturation. Registered only in profiling mode (nil no-op otherwise) to
-	// keep the non-profiled metric key set unchanged.
+	// saturation. Registered whenever obs is attached (nil no-op otherwise).
 	depthGauge *obs.Gauge
 
 	pending map[uint16]*pendingCmd // by CID
@@ -259,11 +258,10 @@ type Driver struct {
 	handler Handler
 	queues  []*queueState
 
-	// o is the machine's observability hub (nil no-op when disabled); po is
-	// non-nil only in profiling mode and gates wait-interval attribution
-	// (slot/SQ/inflight/backoff/reset waits) and per-queue depth gauges.
-	o  *obs.Obs
-	po *obs.Obs
+	// o is the machine's observability hub (nil no-op when disabled); it
+	// also takes wait-interval attribution (slot/SQ/inflight/backoff/reset
+	// waits) and per-queue depth gauges.
+	o *obs.Obs
 	// oDoorbells counts doorbell MMIOs; oCoalesced counts SQEs that shared
 	// a doorbell with an earlier SQE (the MMIOs a serial submitter would
 	// have paid). oInflight/oInflightPeak gauge the async pipeline depth.
@@ -342,7 +340,6 @@ func NewDriver(m *model.Machine, cfg Config, handler Handler) *Driver {
 	d := &Driver{m: m, cfg: cfg, handler: handler, pool: bufpool.New(), cutover: WriteCutover(m.PCIe.Config(), cfg)}
 	if o := m.Obs; o.Enabled() {
 		d.o = o
-		d.po = o.Prof()
 		o.Publish("nvmefs.driver.completed", &d.Completed)
 		d.oDoorbells = o.Counter("nvmefs.driver.doorbells")
 		d.oCoalesced = o.Counter("nvmefs.driver.doorbells_coalesced")
@@ -376,8 +373,8 @@ func NewDriver(m *model.Machine, cfg Config, handler Handler) *Driver {
 			wStride:  64 + cfg.MaxIO,
 			rStride:  cfg.RHCap + cfg.MaxIO,
 		}
-		if d.po != nil {
-			qs.depthGauge = d.po.Gauge(fmt.Sprintf("nvmefs.q%d.sq_depth", qid))
+		if d.o != nil {
+			qs.depthGauge = d.o.Gauge(fmt.Sprintf("nvmefs.q%d.sq_depth", qid))
 		}
 		if cfg.InlineMax > 0 {
 			qs.inStride = 64 + cfg.InlineMax

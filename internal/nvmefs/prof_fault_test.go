@@ -18,7 +18,6 @@ import (
 // and the span still sums exactly to its duration.
 func TestBackoffAttributedAsWait(t *testing.T) {
 	o := obs.New()
-	o.EnableProfiling() // before machine construction: the driver latches the profiler
 
 	mcfg := model.Default()
 	mcfg.Obs = o

@@ -121,7 +121,7 @@ func (d *Driver) reset(p *sim.Proc) {
 	d.Resets++
 	rs := d.o.Begin(p, "nvmefs.reset")
 	rs.Pin() // controller resets are always recorder-worthy
-	d.po.Sleep(p, resetDelay, obs.CompWait, "nvmefs.reset")
+	d.o.Sleep(p, resetDelay, obs.CompWait, "nvmefs.reset")
 	for _, qs := range d.queues {
 		qs.gen++
 		// Fail in-flight commands in CID order (deterministic iteration).

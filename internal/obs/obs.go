@@ -18,6 +18,7 @@
 package obs
 
 import (
+	"encoding/json"
 	"time"
 
 	"dpc/internal/sim"
@@ -25,16 +26,12 @@ import (
 
 // Obs bundles a metrics registry and a span tracer. A nil *Obs disables
 // the whole layer: every method no-ops and returns nil/zero handles whose
-// own methods no-op in turn.
+// own methods no-op in turn. An attached hub always attributes: components
+// record per-span component intervals (CPU compute, DMA/MMIO, SSD service,
+// waits) that internal/prof decomposes.
 type Obs struct {
 	reg *Registry
 	tr  *Tracer
-
-	// profiling gates per-resource latency attribution: component intervals
-	// on spans, resource wait hooks, and the extra snapshot fields. Off by
-	// default so metric snapshots and hot-path allocation behavior stay
-	// identical to non-profiled builds.
-	profiling bool
 }
 
 // New returns an enabled observability hub.
@@ -45,48 +42,22 @@ func New() *Obs {
 // Enabled reports whether the hub records anything.
 func (o *Obs) Enabled() bool { return o != nil }
 
-// EnableProfiling turns on critical-path attribution: components start
-// recording per-span component intervals (CPU compute, DMA/MMIO, SSD
-// service, waits) that internal/prof decomposes. Must be called before the
-// machine and its components are built — they cache the profiling handle at
-// AttachObs time.
-func (o *Obs) EnableProfiling() {
-	if o != nil {
-		o.profiling = true
-	}
-}
-
-// Profiling reports whether attribution recording is on.
-func (o *Obs) Profiling() bool { return o != nil && o.profiling }
-
-// Prof returns o when profiling is enabled and nil otherwise. Components
-// cache the result in a field consulted on hot paths, so the disabled mode
-// costs one pointer test and allocates nothing.
-func (o *Obs) Prof() *Obs {
-	if o.Profiling() {
-		return o
-	}
-	return nil
-}
-
 // Attr records one attributed component interval [start, end) against p's
-// innermost open span. Intervals recorded with no span open (or on a hub
-// without profiling) are dropped and counted. The recording process must
-// not have run between start and now — all callers capture start, block
-// (sleep, resource queue, cond wait) and record on wake, so the innermost
-// span cannot have changed in between.
+// innermost open span. Intervals recorded with no span open are dropped and
+// counted. The recording process must not have run between start and now —
+// all callers capture start, block (sleep, resource queue, cond wait) and
+// record on wake, so the innermost span cannot have changed in between.
 func (o *Obs) Attr(p *sim.Proc, comp Component, kind string, start, end sim.Time) {
-	if o == nil || !o.profiling || end <= start {
+	if o == nil || end <= start {
 		return
 	}
 	o.tr.attr(p, comp, kind, start, end)
 }
 
-// Sleep blocks p for d and, in profiling mode, attributes the slept interval
-// as comp/kind on p's innermost span. Components call it on their cached
-// Prof() handle, so with profiling off it is a plain p.Sleep(d).
+// Sleep blocks p for d and attributes the slept interval as comp/kind on p's
+// innermost span. With a nil hub it is a plain p.Sleep(d).
 func (o *Obs) Sleep(p *sim.Proc, d time.Duration, comp Component, kind string) {
-	if o == nil || !o.profiling {
+	if o == nil {
 		p.Sleep(d)
 		return
 	}
@@ -95,17 +66,14 @@ func (o *Obs) Sleep(p *sim.Proc, d time.Duration, comp Component, kind string) {
 	o.Attr(p, comp, kind, t0, p.Now())
 }
 
-// SnapshotJSON renders the metrics snapshot. With profiling enabled it
-// additionally exports tracer drop counts and per-registry series counts,
-// so truncated traces are visible in reports instead of silently skewing
-// attribution; without profiling the bytes are identical to
-// Registry.SnapshotJSON.
+// SnapshotJSON renders the metrics snapshot plus tracer health (dropped
+// spans and per-kind series counts, so truncated traces are visible in
+// reports instead of silently skewing attribution) as indented JSON with
+// sorted keys, byte-stable across identical runs. A nil hub renders an empty
+// snapshot.
 func (o *Obs) SnapshotJSON(now sim.Time) ([]byte, error) {
-	if o == nil {
-		return (*Registry)(nil).SnapshotJSON(now)
-	}
-	s := o.reg.Snapshot(now)
-	if o.profiling {
+	s := o.Registry().Snapshot(now)
+	if o != nil {
 		dropped := o.tr.Dropped()
 		s.TracerDropped = &dropped
 		s.Series = map[string]int64{
@@ -117,7 +85,11 @@ func (o *Obs) SnapshotJSON(now sim.Time) ([]byte, error) {
 			"dropped_intervals": o.tr.droppedIvs,
 		}
 	}
-	return marshalSnapshot(s)
+	b, err := json.MarshalIndent(s, "", "  ")
+	if err != nil {
+		return nil, err
+	}
+	return append(b, '\n'), nil
 }
 
 // Registry returns the metrics registry (nil when disabled).

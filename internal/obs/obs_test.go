@@ -75,7 +75,7 @@ func runSpanScenario(seed int64) ([]byte, []byte) {
 		})
 	}
 	eng.Run()
-	js, err := o.Registry().SnapshotJSON(eng.Now())
+	js, err := o.SnapshotJSON(eng.Now())
 	if err != nil {
 		panic(err)
 	}
@@ -201,24 +201,23 @@ func TestDisabledPathAllocatesNothing(t *testing.T) {
 		o.Annotate(nil, "dma", 4096)
 		s.SetParent(Span{})
 		s.End(nil)
-		// Profiling hooks: Prof() is nil when disabled, and Attr on a nil
-		// receiver is a bare nil check.
-		o.Prof().Attr(nil, CompWait, "q", 0, 10)
+		// Attribution on a nil hub is a bare nil check.
+		o.Attr(nil, CompWait, "q", 0, 10)
 	})
 	if allocs != 0 {
 		t.Errorf("disabled path allocates %.0f bytes/op, want 0", allocs)
 	}
 }
 
-// TestNilSnapshots: nil registry/tracer still render valid empty output.
+// TestNilSnapshots: a nil hub still renders a valid empty snapshot.
 func TestNilSnapshots(t *testing.T) {
-	var r *Registry
-	b, err := r.SnapshotJSON(0)
+	var o *Obs
+	b, err := o.SnapshotJSON(0)
 	if err != nil || len(b) == 0 {
-		t.Fatalf("nil registry snapshot: err=%v len=%d", err, len(b))
+		t.Fatalf("nil hub snapshot: err=%v len=%d", err, len(b))
 	}
-	if !strings.Contains(string(b), `"counters": {}`) {
-		t.Errorf("nil registry snapshot not empty: %s", b)
+	if !strings.Contains(string(b), `"counters": {}`) || strings.Contains(string(b), "tracer_dropped") {
+		t.Errorf("nil hub snapshot not empty: %s", b)
 	}
 }
 

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"encoding/json"
 	"math"
 	"sort"
 	"time"
@@ -301,9 +300,8 @@ func (h HistSnapshot) Quantile(q float64) int64 {
 // Snapshot is a stable, JSON-serializable view of a registry. Map keys
 // marshal in sorted order, so identical registries produce identical bytes.
 //
-// TracerDropped and Series are populated only by Obs.SnapshotJSON when
-// profiling is enabled; Registry.SnapshotJSON leaves them unset so
-// non-profiled snapshots keep their historical byte format.
+// TracerDropped and Series are the tracer health Obs.SnapshotJSON adds; a
+// nil hub leaves them unset.
 type Snapshot struct {
 	SimTimeNs  int64                   `json:"sim_time_ns"`
 	Counters   map[string]int64        `json:"counters"`
@@ -349,18 +347,4 @@ func (r *Registry) Snapshot(now sim.Time) Snapshot {
 		s.Histograms[name] = hs
 	}
 	return s
-}
-
-// SnapshotJSON renders the snapshot as indented JSON with sorted keys
-// (byte-stable across identical runs).
-func (r *Registry) SnapshotJSON(now sim.Time) ([]byte, error) {
-	return marshalSnapshot(r.Snapshot(now))
-}
-
-func marshalSnapshot(s Snapshot) ([]byte, error) {
-	b, err := json.MarshalIndent(s, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	return append(b, '\n'), nil
 }

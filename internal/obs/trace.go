@@ -56,7 +56,7 @@ type spanRec struct {
 	start  sim.Time
 	end    sim.Time
 	annots []annot
-	ivs    []ivRec // attributed component intervals (profiling mode only)
+	ivs    []ivRec // attributed component intervals
 	// pinned marks the span anomalous (error/timeout status, degraded-mode
 	// entry). Pins bubble to the enclosing open parent at End, so a fault
 	// deep in the transport pins the whole client-op tree by the time the
@@ -119,8 +119,8 @@ func (s Span) Pin() {
 
 // SetCloseHook registers fn to observe every span as it closes (the
 // telemetry flight recorder's feed). The SpanData passed to fn shares the
-// tracer's name/proc strings; its Intervals are copied only when profiling
-// recorded any, so the hook allocates nothing on unprofiled runs.
+// tracer's name/proc strings; its Intervals are copied only when the span
+// recorded any.
 func (t *Tracer) SetCloseHook(fn func(sd SpanData, pinned bool)) { t.closeHook = fn }
 
 // procStack is the per-process span stack hung on Proc.Ctx.
@@ -206,8 +206,7 @@ func (s Span) End(p *sim.Proc) {
 }
 
 // export converts a record to its analysis form. Strings are shared with the
-// tracer and Intervals copied only when attribution recorded any, so the
-// close-hook path allocates nothing on unprofiled runs.
+// tracer and Intervals copied only when attribution recorded any.
 func (rec *spanRec) export(t *Tracer, end sim.Time) SpanData {
 	sd := SpanData{
 		ID:     rec.id,

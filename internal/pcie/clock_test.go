@@ -41,11 +41,11 @@ func newRefLink(e *sim.Engine, cfg Config, o *obs.Obs) *refLink {
 func (r *refLink) dma(p *sim.Proc, n int, stall time.Duration, label string) {
 	r.engines.Acquire(p, 1)
 	if stall > 0 {
-		r.po.Sleep(p, stall, obs.CompWait, "pcie.stall")
+		r.o.Sleep(p, stall, obs.CompWait, "pcie.stall")
 	}
-	r.po.Sleep(p, r.cfg.DMASetup, obs.CompDMA, label)
+	r.o.Sleep(p, r.cfg.DMASetup, obs.CompDMA, label)
 	r.pipe.Acquire(p, 1)
-	r.po.Sleep(p, r.payloadTime(n), obs.CompDMA, label)
+	r.o.Sleep(p, r.payloadTime(n), obs.CompDMA, label)
 	r.pipe.Release(1)
 	r.engines.Release(1)
 }
@@ -74,7 +74,6 @@ func randomDMAScript(rng *rand.Rand) dmaScript {
 func (s dmaScript) run(ref bool) ([]sim.Time, map[string]sim.Time) {
 	e := sim.NewEngine(1)
 	o := obs.New()
-	o.EnableProfiling()
 	cfg := testLink(e).Config()
 	host := mem.NewRegion("host", 0, 1<<17)
 	var dma func(p *sim.Proc, n int)
@@ -108,7 +107,7 @@ func (s dmaScript) run(ref bool) ([]sim.Time, map[string]sim.Time) {
 
 // TestDMAClockMatchesResources drives the computed free times and the
 // resource model with the same random schedules: every DMA ends at the same
-// instant, and profiling attributes the same time to engine waits, pipe
+// instant, and attribution gives the same time to engine waits, pipe
 // arbitration and transfer.
 func TestDMAClockMatchesResources(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))

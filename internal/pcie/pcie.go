@@ -145,12 +145,11 @@ type Link struct {
 	// faults is consulted on every DMA; nil means no injection.
 	faults *fault.Injector
 
-	// o is the hub the counters are published to (nil when disabled). po is
-	// non-nil only in profiling mode: every DMA setup and payload
-	// serialization records a CompDMA interval, MMIO/atomics record CompMMIO,
-	// and waiting for an engine or the shared pipe records CompWait on the
-	// issuing process's innermost span.
-	o, po *obs.Obs
+	// o is the hub the counters are published to (nil when disabled). Every
+	// DMA setup and payload serialization records a CompDMA interval on it,
+	// MMIO/atomics record CompMMIO, and waiting for an engine or the shared
+	// pipe records CompWait on the issuing process's innermost span.
+	o *obs.Obs
 
 	// subs receives every PCIe operation, in subscription order. Multiple
 	// consumers coexist: dpcbench -walk's printer and the model's span
@@ -185,8 +184,8 @@ func NewLink(eng *sim.Engine, cfg Config) *Link {
 // Config returns the link's cost model.
 func (l *Link) Config() Config { return l.cfg }
 
-// AttachObs publishes the link's counters and, when o has profiling enabled,
-// turns on per-operation latency attribution.
+// AttachObs publishes the link's counters and turns on per-operation latency
+// attribution.
 func (l *Link) AttachObs(o *obs.Obs) {
 	l.o = o
 	o.Publish("pcie.link.dmas", l.DMAs.Loc())
@@ -194,7 +193,6 @@ func (l *Link) AttachObs(o *obs.Obs) {
 	o.Publish("pcie.link.dma_bytes_d2h", l.DMABytesD2H.Loc())
 	o.Publish("pcie.link.mmios", l.MMIOs.Loc())
 	o.Publish("pcie.link.atomics", l.Atomics.Loc())
-	l.po = o.Prof()
 }
 
 // payloadTime returns the serialization time of n bytes on the link.
@@ -235,12 +233,12 @@ func (l *Link) dma(p *sim.Proc, dir Dir, addr mem.Addr, n int, label string) {
 	end := start + sim.Time(l.payloadTime(n))
 	l.engineFree[e], l.pipeFree = end, end
 	p.SleepUntil(end)
-	if po := l.po; po != nil {
-		po.Attr(p, obs.CompWait, "pcie.engine", now, grant)
-		po.Attr(p, obs.CompWait, "pcie.stall", grant, setup)
-		po.Attr(p, obs.CompDMA, label, setup, arrive)
-		po.Attr(p, obs.CompWait, "pcie.arb", arrive, start)
-		po.Attr(p, obs.CompDMA, label, start, end)
+	if o := l.o; o != nil {
+		o.Attr(p, obs.CompWait, "pcie.engine", now, grant)
+		o.Attr(p, obs.CompWait, "pcie.stall", grant, setup)
+		o.Attr(p, obs.CompDMA, label, setup, arrive)
+		o.Attr(p, obs.CompWait, "pcie.arb", arrive, start)
+		o.Attr(p, obs.CompDMA, label, start, end)
 	}
 
 	l.DMAs.Inc()
@@ -300,7 +298,7 @@ func (l *Link) DMAWrite(p *sim.Proc, r *mem.Region, addr mem.Addr, src []byte, l
 // MMIOWrite32 is a posted 32-bit write (doorbell) from host to device
 // register space backed by r.
 func (l *Link) MMIOWrite32(p *sim.Proc, r *mem.Region, addr mem.Addr, v uint32, label string) {
-	l.po.Sleep(p, l.cfg.MMIOLatency, obs.CompMMIO, label)
+	l.o.Sleep(p, l.cfg.MMIOLatency, obs.CompMMIO, label)
 	r.PutUint32(addr, v)
 	l.MMIOs.Inc()
 	if len(l.subs) > 0 {
@@ -318,7 +316,7 @@ func (l *Link) MMIOWrite32(p *sim.Proc, r *mem.Region, addr mem.Addr, v uint32, 
 func (l *Link) PIOWrite(p *sim.Proc, r *mem.Region, addr mem.Addr, src []byte, label string) {
 	n := len(src)
 	d := l.cfg.MMIOLatency + time.Duration(int64(n)*int64(time.Second)/l.cfg.PIOBandwidthBps)
-	l.po.Sleep(p, d, obs.CompMMIO, label)
+	l.o.Sleep(p, d, obs.CompMMIO, label)
 	r.Write(addr, src)
 	if l.PIOs.Total() == 0 {
 		l.o.Publish("pcie.link.pios", l.PIOs.Loc())
@@ -334,7 +332,7 @@ func (l *Link) PIOWrite(p *sim.Proc, r *mem.Region, addr mem.Addr, src []byte, l
 // AtomicCAS32 is a PCIe atomic compare-and-swap on host memory, issued by
 // the device (the hybrid cache's DPU-side lock operations).
 func (l *Link) AtomicCAS32(p *sim.Proc, r *mem.Region, addr mem.Addr, old, new uint32, label string) bool {
-	l.po.Sleep(p, l.cfg.AtomicLatency, obs.CompMMIO, label)
+	l.o.Sleep(p, l.cfg.AtomicLatency, obs.CompMMIO, label)
 	l.Atomics.Inc()
 	if len(l.subs) > 0 {
 		l.emit(Event{At: l.eng.Now(), Op: OpAtomic, Dir: HostToDev, Addr: addr, Bytes: 4, Label: label, Proc: p})
@@ -344,7 +342,7 @@ func (l *Link) AtomicCAS32(p *sim.Proc, r *mem.Region, addr mem.Addr, old, new u
 
 // AtomicStore32 is a PCIe atomic store (release a lock word).
 func (l *Link) AtomicStore32(p *sim.Proc, r *mem.Region, addr mem.Addr, v uint32, label string) {
-	l.po.Sleep(p, l.cfg.AtomicLatency, obs.CompMMIO, label)
+	l.o.Sleep(p, l.cfg.AtomicLatency, obs.CompMMIO, label)
 	l.Atomics.Inc()
 	if len(l.subs) > 0 {
 		l.emit(Event{At: l.eng.Now(), Op: OpAtomic, Dir: HostToDev, Addr: addr, Bytes: 4, Label: label, Proc: p})
@@ -354,7 +352,7 @@ func (l *Link) AtomicStore32(p *sim.Proc, r *mem.Region, addr mem.Addr, v uint32
 
 // AtomicFetchAdd32 is a PCIe atomic fetch-and-add on host memory.
 func (l *Link) AtomicFetchAdd32(p *sim.Proc, r *mem.Region, addr mem.Addr, delta uint32, label string) uint32 {
-	l.po.Sleep(p, l.cfg.AtomicLatency, obs.CompMMIO, label)
+	l.o.Sleep(p, l.cfg.AtomicLatency, obs.CompMMIO, label)
 	l.Atomics.Inc()
 	if len(l.subs) > 0 {
 		l.emit(Event{At: l.eng.Now(), Op: OpAtomic, Dir: HostToDev, Addr: addr, Bytes: 4, Label: label, Proc: p})

@@ -151,11 +151,10 @@ func TestCriticalPathScopedToTree(t *testing.T) {
 	}
 }
 
-// runProfScenario drives a small cross-process workload under profiling and
+// runProfScenario drives a small cross-process workload under obs and
 // returns the obs handle plus the end time.
 func runProfScenario(seed int64) (*obs.Obs, sim.Time) {
 	o := obs.New()
-	o.EnableProfiling()
 	eng := sim.NewEngine(seed)
 	for i := 0; i < 3; i++ {
 		eng.Go("host", func(p *sim.Proc) {

@@ -9,7 +9,8 @@ import (
 
 // goldenScript runs one fixed scenario that mixes every way a process can
 // park and be woken — Sleep, Yield, Cond Signal and Broadcast, a bounded
-// Mailbox with a blocked sender, a contended Resource, a Ticker, a plain
+// Mailbox whose full buffer parks the sender on a Cond until the receiver
+// makes room, a contended Resource, a Ticker, a plain
 // event tied with a wake, a child spawned mid-run — over RunUntil in two
 // slices, and returns the (time, proc, step) log.
 func goldenScript() []string {
@@ -21,6 +22,7 @@ func goldenScript() []string {
 
 	cores := NewResource(e, "cores", 2)
 	mb := NewMailbox[int](e, "mb", 1)
+	room := NewCond(e, "room")
 	gate := NewCond(e, "gate")
 	open := false
 
@@ -47,7 +49,9 @@ func goldenScript() []string {
 
 	e.Go("prod", func(p *Proc) {
 		for i := 0; i < 4; i++ {
-			mb.Send(p, i)
+			for !mb.TrySend(i) {
+				room.Wait(p)
+			}
 			rec("prod", fmt.Sprintf("sent%d", i))
 			p.Sleep(Microsecond)
 		}
@@ -56,6 +60,7 @@ func goldenScript() []string {
 		p.Sleep(4 * Microsecond)
 		for i := 0; i < 4; i++ {
 			rec("cons", fmt.Sprintf("recv%d", mb.Recv(p)))
+			room.Signal()
 			p.Sleep(2 * Microsecond)
 		}
 		open = true

@@ -4,8 +4,9 @@ import "fmt"
 
 // Mailbox is an ordered message queue between processes, analogous to a Go
 // channel but living in virtual time. A capacity of 0 means unbounded.
-// Senders block only when a bound is set and reached; receivers block when
-// the mailbox is empty. Both queues are FIFO.
+// Senders never block: a bounded mailbox is a doorbell that TrySend rings,
+// and Send on a full one panics. Receivers block, FIFO, when the mailbox is
+// empty.
 type Mailbox[T any] struct {
 	eng   *Engine
 	name  string
@@ -13,7 +14,6 @@ type Mailbox[T any] struct {
 	buf   []T
 
 	recvWaiters []*Proc
-	sendWaiters []mboxSend[T]
 	// pending holds messages handed directly to woken receivers, keyed by
 	// the receiving process; the receiver collects its message on wake.
 	pending []pendingRecv[T]
@@ -21,11 +21,6 @@ type Mailbox[T any] struct {
 	// Sent and Received count total messages through the mailbox.
 	Sent     int64
 	Received int64
-}
-
-type mboxSend[T any] struct {
-	p   *Proc
-	msg T
 }
 
 // NewMailbox creates a mailbox. bound <= 0 means unbounded.
@@ -36,15 +31,12 @@ func NewMailbox[T any](eng *Engine, name string, bound int) *Mailbox[T] {
 // Len returns the number of queued messages.
 func (m *Mailbox[T]) Len() int { return len(m.buf) }
 
-// Send enqueues msg, blocking p while the mailbox is full.
+// Send enqueues msg. It panics on a full bounded mailbox: no sender waits
+// for room.
 func (m *Mailbox[T]) Send(p *Proc, msg T) {
-	for m.bound > 0 && len(m.buf) >= m.bound {
-		m.sendWaiters = append(m.sendWaiters, mboxSend[T]{p: p, msg: msg})
-		p.park()
-		// On wake our message has been delivered by the receiver.
-		return
+	if !m.TrySend(msg) {
+		panic(fmt.Sprintf("sim: %q sent on full mailbox %q", p.name, m.name))
 	}
-	m.push(msg)
 }
 
 // TrySend enqueues msg if the mailbox has room, reporting success. It never
@@ -80,7 +72,6 @@ func (m *Mailbox[T]) Recv(p *Proc) T {
 	if len(m.buf) > 0 {
 		msg := popFront(&m.buf)
 		m.Received++
-		m.wakeSender()
 		return msg
 	}
 	m.recvWaiters = append(m.recvWaiters, p)
@@ -93,13 +84,4 @@ func (m *Mailbox[T]) Recv(p *Proc) T {
 		}
 	}
 	panic(fmt.Sprintf("sim: mailbox %q woke receiver %q with no pending message", m.name, p.name))
-}
-
-func (m *Mailbox[T]) wakeSender() {
-	if len(m.sendWaiters) == 0 {
-		return
-	}
-	sw := popFront(&m.sendWaiters)
-	m.push(sw.msg)
-	m.eng.scheduleWake(sw.p, m.eng.now)
 }

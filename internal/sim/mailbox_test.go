@@ -61,23 +61,23 @@ func TestMailboxMultipleReceiversFIFO(t *testing.T) {
 	}
 }
 
-func TestMailboxBoundedSendBlocks(t *testing.T) {
+// TestMailboxSendOnFullPanics: no sender waits for room. A bounded mailbox
+// is a doorbell rung with TrySend; Send on a full one is a bug.
+func TestMailboxSendOnFullPanics(t *testing.T) {
 	e := NewEngine(1)
 	m := NewMailbox[int](e, "m", 1)
-	var sendDone Time
+	var recovered any
 	e.Go("sender", func(p *Proc) {
 		m.Send(p, 1) // fills the buffer
-		m.Send(p, 2) // blocks until receiver drains
-		sendDone = p.Now()
-	})
-	e.Go("receiver", func(p *Proc) {
-		p.Sleep(100)
-		_ = m.Recv(p)
-		_ = m.Recv(p)
+		defer func() { recovered = recover() }()
+		m.Send(p, 2)
 	})
 	e.Run()
-	if sendDone != 100 {
-		t.Fatalf("second send completed at %v, want 100", sendDone)
+	if recovered == nil {
+		t.Fatal("Send on a full bounded mailbox returned")
+	}
+	if m.Len() != 1 || m.Sent != 1 {
+		t.Fatalf("len %d, sent %d after the refused send, want 1 and 1", m.Len(), m.Sent)
 	}
 }
 

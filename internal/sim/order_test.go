@@ -100,17 +100,10 @@ func (w *orderWorld) broadcast() {
 	w.gate.Broadcast()
 }
 
-// sending notes the receiver a message with room to land would wake, and
-// receiving the parked sender a taken message would admit.
+// sending notes the receiver a message with room to land would wake.
 func (w *orderWorld) sending() {
 	if len(w.mb.buf) < w.mb.bound && len(w.mb.recvWaiters) > 0 {
 		w.willWake(w.mb.recvWaiters[0], 0)
-	}
-}
-
-func (w *orderWorld) receiving() {
-	if len(w.mb.buf) > 0 && len(w.mb.sendWaiters) > 0 {
-		w.willWake(w.mb.sendWaiters[0].p, 0)
 	}
 }
 
@@ -161,12 +154,12 @@ func (w *orderWorld) step(p *Proc) {
 		w.signal()
 	case 6:
 		w.broadcast()
-	case 7: // a full mailbox parks the sender until a receiver makes room
-		w.sending()
-		w.mb.Send(p, 0)
-		w.woken(p)
-	case 8: // an empty one parks the receiver until a sender hands it a message
-		w.receiving()
+	case 7: // a send with room hands the message to the oldest parked receiver
+		if len(w.mb.buf) < w.mb.bound {
+			w.sending()
+			w.mb.Send(p, 0)
+		}
+	case 8: // an empty mailbox parks the receiver until a sender hands it a message
 		w.mb.Recv(p)
 		w.woken(p)
 	case 9:

@@ -88,30 +88,26 @@ type Device struct {
 	// faults is consulted on every timed I/O; nil means no injection.
 	faults *fault.Injector
 
-	// o records per-I/O spans; nil when disabled.
+	// o records per-I/O spans; nil when disabled. Media latency and bus
+	// payload time record CompSSD service intervals on it, channel/bus
+	// queueing and injected stalls record CompWait.
 	o *obs.Obs
-
-	// po is non-nil only in profiling mode: media latency and bus payload
-	// time record CompSSD service intervals, channel/bus queueing and
-	// injected stalls record CompWait.
-	po *obs.Obs
 }
 
 // AttachObs registers the device's counters ("ssd.dev.*") and enables
-// per-I/O spans. Safe with a nil hub.
+// per-I/O spans and attribution. Safe with a nil hub.
 func (d *Device) AttachObs(o *obs.Obs) {
 	d.o = o
 	o.Publish("ssd.dev.reads", d.Reads.Loc())
 	o.Publish("ssd.dev.writes", d.Writes.Loc())
 	o.Publish("ssd.dev.bytes_read", d.BytesRead.Loc())
 	o.Publish("ssd.dev.bytes_written", d.BytesWrite.Loc())
-	if po := o.Prof(); po != nil {
-		d.po = po
+	if o != nil {
 		d.channels.OnWait = func(p *sim.Proc, since sim.Time) {
-			po.Attr(p, obs.CompWait, "ssd.queue", since, d.eng.Now())
+			o.Attr(p, obs.CompWait, "ssd.queue", since, d.eng.Now())
 		}
 		busWait := func(p *sim.Proc, since sim.Time) {
-			po.Attr(p, obs.CompWait, "ssd.bus", since, d.eng.Now())
+			o.Attr(p, obs.CompWait, "ssd.bus", since, d.eng.Now())
 		}
 		d.readBus.OnWait = busWait
 		d.writeBus.OnWait = busWait
@@ -156,9 +152,9 @@ func (d *Device) Read(p *sim.Proc, off int64, n int) ([]byte, error) {
 	s := d.o.Begin(p, "ssd.read")
 	kind, delay, injected := d.faults.At(fault.SiteSSDRead)
 	d.channels.Acquire(p, 1)
-	d.po.Sleep(p, d.cfg.ReadLatency, obs.CompSSD, "ssd.read")
+	d.o.Sleep(p, d.cfg.ReadLatency, obs.CompSSD, "ssd.read")
 	d.readBus.Acquire(p, 1)
-	d.po.Sleep(p, time.Duration(int64(n)*int64(time.Second)/d.cfg.ReadBps), obs.CompSSD, "ssd.read")
+	d.o.Sleep(p, time.Duration(int64(n)*int64(time.Second)/d.cfg.ReadBps), obs.CompSSD, "ssd.read")
 	d.readBus.Release(1)
 	d.channels.Release(1)
 	d.Reads.Inc()
@@ -171,7 +167,7 @@ func (d *Device) Read(p *sim.Proc, off int64, n int) ([]byte, error) {
 			return nil, fault.Errf(kind, "ssd read [%d,+%d)", off, n)
 		case fault.KindSSDStall:
 			d.Stalls.Inc()
-			d.po.Sleep(p, delay, obs.CompWait, "ssd.stall")
+			d.o.Sleep(p, delay, obs.CompWait, "ssd.stall")
 		}
 	}
 	s.End(p)
@@ -185,9 +181,9 @@ func (d *Device) Write(p *sim.Proc, off int64, data []byte) error {
 	s := d.o.Begin(p, "ssd.write")
 	kind, delay, injected := d.faults.At(fault.SiteSSDWrite)
 	d.channels.Acquire(p, 1)
-	d.po.Sleep(p, d.cfg.WriteLatency, obs.CompSSD, "ssd.write")
+	d.o.Sleep(p, d.cfg.WriteLatency, obs.CompSSD, "ssd.write")
 	d.writeBus.Acquire(p, 1)
-	d.po.Sleep(p, time.Duration(int64(len(data))*int64(time.Second)/d.cfg.WriteBps), obs.CompSSD, "ssd.write")
+	d.o.Sleep(p, time.Duration(int64(len(data))*int64(time.Second)/d.cfg.WriteBps), obs.CompSSD, "ssd.write")
 	d.writeBus.Release(1)
 	d.channels.Release(1)
 	d.Writes.Inc()
@@ -200,7 +196,7 @@ func (d *Device) Write(p *sim.Proc, off int64, data []byte) error {
 			return fault.Errf(kind, "ssd write [%d,+%d)", off, len(data))
 		case fault.KindSSDStall:
 			d.Stalls.Inc()
-			d.po.Sleep(p, delay, obs.CompWait, "ssd.stall")
+			d.o.Sleep(p, delay, obs.CompWait, "ssd.stall")
 		}
 	}
 	s.End(p)
@@ -281,7 +277,7 @@ func (d *Device) CrashTracking() bool { return d.volatile != nil }
 func (d *Device) Barrier(p *sim.Proc) {
 	s := d.o.Begin(p, "ssd.barrier")
 	d.channels.Acquire(p, 1)
-	d.po.Sleep(p, d.cfg.BarrierLatency, obs.CompSSD, "ssd.barrier")
+	d.o.Sleep(p, d.cfg.BarrierLatency, obs.CompSSD, "ssd.barrier")
 	d.channels.Release(1)
 	d.Barriers.Inc()
 	for _, img := range d.volatile {

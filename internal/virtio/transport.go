@@ -63,10 +63,9 @@ type Transport struct {
 	slotOf     map[uint16]int      // chain head -> slot
 	nextUnique uint64
 
-	// o is the machine's observability hub (nil no-op when disabled); po is
-	// non-nil only in profiling mode and gates wait-interval attribution.
-	o  *obs.Obs
-	po *obs.Obs
+	// o is the machine's observability hub (nil no-op when disabled); it
+	// also takes wait-interval attribution.
+	o *obs.Obs
 
 	// Completed counts finished requests (for tests and experiments).
 	Completed int64
@@ -92,7 +91,6 @@ func NewTransport(m *model.Machine, cfg Config, handler Handler) *Transport {
 		slotOf:     map[uint16]int{},
 		slabStride: 4096 + cfg.MaxIO + 4096,
 		o:          m.Obs,
-		po:         m.Obs.Prof(),
 	}
 	t.slabBase = m.AllocHost(cfg.Slots*t.slabStride, 4096)
 	for i := cfg.Slots - 1; i >= 0; i-- {
@@ -152,7 +150,7 @@ func (t *Transport) do(p *sim.Proc, opcode uint32, nodeID, fh, offset uint64,
 		for len(t.freeSlots) == 0 {
 			t.slotCond.Wait(p)
 		}
-		t.po.Attr(p, obs.CompWait, "virtio.slot", waitFrom, p.Now())
+		t.o.Attr(p, obs.CompWait, "virtio.slot", waitFrom, p.Now())
 	}
 	slot := t.freeSlots[len(t.freeSlots)-1]
 	t.freeSlots = t.freeSlots[:len(t.freeSlots)-1]
@@ -222,7 +220,7 @@ func (t *Transport) do(p *sim.Proc, opcode uint32, nodeID, fh, offset uint64,
 		t.chainCond.Wait(p)
 	}
 	if chainFrom >= 0 {
-		t.po.Attr(p, obs.CompWait, "virtio.chain", chainFrom, p.Now())
+		t.o.Attr(p, obs.CompWait, "virtio.chain", chainFrom, p.Now())
 	}
 
 	pd := &pending{cond: sim.NewCond(t.m.Eng, "vq-req"), span: s}
@@ -239,7 +237,7 @@ func (t *Transport) do(p *sim.Proc, opcode uint32, nodeID, fh, offset uint64,
 		for !pd.done {
 			pd.cond.Wait(p)
 		}
-		t.po.Attr(p, obs.CompWait, "virtio.inflight", waitFrom, p.Now())
+		t.o.Attr(p, obs.CompWait, "virtio.inflight", waitFrom, p.Now())
 	}
 
 	// Completion processing on the host.

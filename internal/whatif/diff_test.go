@@ -9,7 +9,7 @@ import (
 )
 
 // profileReport runs one workload at a counterfactual parameter point with
-// profiling enabled and returns the full critical-path report — the
+// obs attached and returns the full critical-path report — the
 // prof.Diff input for "what regressed between these two worlds".
 func profileReport(workload string, ov Overrides) (*prof.Report, error) {
 	wl, _ := LookupWorkload(workload)
@@ -18,7 +18,6 @@ func profileReport(workload string, ov Overrides) (*prof.Report, error) {
 		return nil, err
 	}
 	o := obs.New()
-	o.EnableProfiling()
 	r, err := wl.run(base, o)
 	if err != nil {
 		return nil, err

@@ -187,9 +187,9 @@ func Run(cfg Config) (*Report, error) {
 func runWorkload(wl Workload, factors []float64) (WorkloadResult, []string, error) {
 	base := wl.base(Defaults())
 
-	// Unprofiled baseline: the timing reference every counterfactual is
-	// compared against (profiling changes no virtual timing, but keeping
-	// both arms unprofiled removes even the doubt).
+	// Unobserved baseline: the timing reference every counterfactual is
+	// compared against (observation changes no virtual timing, but keeping
+	// both arms unobserved removes even the doubt).
 	r0, err := wl.run(base, nil)
 	if err != nil {
 		return WorkloadResult{}, nil, fmt.Errorf("whatif: workload %s baseline: %w", wl.Name, err)
@@ -284,14 +284,13 @@ func crossCheck(prm Parameter, f, gain float64, shares, waitLayers map[string]fl
 	}
 }
 
-// profileShares runs the workload once with profiling enabled and reduces
+// profileShares runs the workload once with obs attached and reduces
 // the OpSpan roots' critical paths to component shares plus a wait-by-layer
 // split. It also runs prof.CheckInvariant over the full profile; a breach
 // there means attribution itself is broken, which would invalidate every
 // share the cross-check leans on.
 func profileShares(wl Workload, base Params) (map[string]float64, map[string]float64, []string, error) {
 	o := obs.New()
-	o.EnableProfiling()
 	r, err := wl.run(base, o)
 	if err != nil {
 		return nil, nil, nil, err

@@ -39,8 +39,8 @@ type Workload struct {
 	// Overrides are applied after base, so sweeps dial the transformed
 	// world.
 	base func(Params) Params
-	// run executes the fixed work. o is nil for timing-only runs and a
-	// profiling-enabled registry for attribution runs; ops must behave
+	// run executes the fixed work. o is nil for timing-only runs and an
+	// attached hub for attribution runs; ops must behave
 	// identically either way (obs is nil-safe by construction). A failed
 	// op fails the run.
 	run func(p Params, o *obs.Obs) (runResult, error)

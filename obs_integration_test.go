@@ -158,7 +158,7 @@ func runObservedSystem(t *testing.T) ([]byte, []byte, *obs.Obs) {
 	sys.RunFor(100 * time.Millisecond)
 	now := sys.Now()
 	trace := sys.Obs().Tracer().Perfetto(now)
-	snap, err := sys.Obs().Registry().SnapshotJSON(now)
+	snap, err := sys.Obs().SnapshotJSON(now)
 	if err != nil {
 		t.Fatalf("SnapshotJSON: %v", err)
 	}

@@ -184,7 +184,7 @@ func runPipelinedObserved(t *testing.T) (trace, snap []byte, o *obs.Obs) {
 	sys.RunFor(200 * time.Millisecond)
 	now := sys.Now()
 	trace = sys.Obs().Tracer().Perfetto(now)
-	snap, err := sys.Obs().Registry().SnapshotJSON(now)
+	snap, err := sys.Obs().SnapshotJSON(now)
 	if err != nil {
 		t.Fatalf("SnapshotJSON: %v", err)
 	}

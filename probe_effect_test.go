@@ -19,7 +19,7 @@ type probeRun struct {
 	lats     []time.Duration
 	read     []byte
 	counters map[string]int64
-	// settleWait is the profiled cache.settle wait; level 2 only.
+	// settleWait is the attributed cache.settle wait; observed runs only.
 	settleWait time.Duration
 }
 
@@ -27,22 +27,19 @@ type probeRun struct {
 // the WAL (the one SSD of a KVFS system), cache hits, direct writes, and a
 // sequential buffered scan that misses, fills and prefetches, then rewrite +
 // fsync rounds across several flush-daemon passes, so that fsyncs park in
-// Ctl.settle behind the daemon's write-backs — at one of
-// three observation levels: 0 is obs off, 1 adds the registry and tracer, 2
-// adds profiling and a telemetry sampler with an SLO.
-func runProbeMix(t *testing.T, level int) probeRun {
+// Ctl.settle behind the daemon's write-backs — unobserved, or observed: the
+// registry, the tracer with its attribution, and a telemetry sampler with an
+// SLO.
+func runProbeMix(t *testing.T, observed bool) probeRun {
 	t.Helper()
 	opts := DefaultOptions()
 	opts.CachePages, opts.CacheBuckets = 128, 16
 	opts.WAL.Enabled = true
-	if level >= 1 {
+	if observed {
 		opts.Model.Obs = obs.New()
 	}
-	if level >= 2 {
-		opts.Model.Obs.EnableProfiling()
-	}
 	sys := New(opts)
-	if level >= 2 {
+	if observed {
 		slo := []string{"p99(client.read.latency) < 1ms over 1ms"}
 		if _, err := telemetry.Attach(sys.M.Eng, sys.Obs(), telemetry.Config{SLOs: slo}); err != nil {
 			t.Fatalf("telemetry.Attach: %v", err)
@@ -112,7 +109,7 @@ func runProbeMix(t *testing.T, level int) probeRun {
 		}
 	})
 	r.now = sys.Now()
-	if level >= 2 {
+	if observed {
 		r.settleWait = time.Duration(prof.Analyze(sys.Obs().Tracer().Export(r.now)).WaitKinds["cache.settle"])
 	}
 	sys.Shutdown()
@@ -136,35 +133,33 @@ func runProbeMix(t *testing.T, level int) probeRun {
 }
 
 // TestZeroProbeEffect: observing the system changes nothing it can observe.
-// The same mix runs with obs off, with the registry and tracer on, and with
-// profiling plus a telemetry sampler on top; the clock, every op latency, the
-// bytes read and every component counter must be identical. The counters are
-// comparable at all because each lives in its component, obs or no obs.
+// The same mix runs with obs off and with obs plus a telemetry sampler on;
+// the clock, every op latency, the bytes read and every component counter
+// must be identical. The counters are comparable at all because each lives
+// in its component, obs or no obs.
 func TestZeroProbeEffect(t *testing.T) {
-	base := runProbeMix(t, 0)
+	base := runProbeMix(t, false)
 	for _, name := range []string{"ctl.fills", "ctl.prefetches", "ctl.evictions", "ctl.flushes", "host.hits", "ssd.writes"} {
 		if base.counters[name] == 0 {
 			t.Errorf("the mix never exercised %s", name)
 		}
 	}
-	for level, name := range []string{"obs", "obs+prof+telemetry"} {
-		got := runProbeMix(t, level+1)
-		if got.now != base.now {
-			t.Errorf("%s: final Now %v, unobserved %v", name, got.now, base.now)
+	got := runProbeMix(t, true)
+	if got.now != base.now {
+		t.Errorf("final Now %v, unobserved %v", got.now, base.now)
+	}
+	if !reflect.DeepEqual(got.lats, base.lats) {
+		t.Error("per-op virtual latencies differ from the unobserved run")
+	}
+	if !bytes.Equal(got.read, base.read) {
+		t.Error("read bytes differ from the unobserved run")
+	}
+	for c, want := range base.counters {
+		if got.counters[c] != want {
+			t.Errorf("%s = %d, unobserved %d", c, got.counters[c], want)
 		}
-		if !reflect.DeepEqual(got.lats, base.lats) {
-			t.Errorf("%s: per-op virtual latencies differ from the unobserved run", name)
-		}
-		if !bytes.Equal(got.read, base.read) {
-			t.Errorf("%s: read bytes differ from the unobserved run", name)
-		}
-		for c, want := range base.counters {
-			if got.counters[c] != want {
-				t.Errorf("%s: %s = %d, unobserved %d", name, c, got.counters[c], want)
-			}
-		}
-		if level == 1 && got.settleWait == 0 {
-			t.Error("the mix never parked an fsync behind a write-back (no cache.settle wait profiled)")
-		}
+	}
+	if got.settleWait == 0 {
+		t.Error("the mix never parked an fsync behind a write-back (no cache.settle wait attributed)")
 	}
 }

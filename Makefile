@@ -14,7 +14,10 @@ build:
 # testbed's calibration surface, are exempt); every exported func or method
 # must be named by some non-test file other than at its declaration (bench/,
 # cmd/ and examples/ count; a method an in-tree or standard-library interface
-# requires is exempt); and a //dpclint:ok suppression must give its reason.
+# requires is exempt); every unexported struct field must be read by some
+# non-test file of its package (an assignment, ++/-- or literal key is not a
+# read; a field that serves only equality or a map key carries a reasoned
+# //dpclint:ok); and a //dpclint:ok suppression must give its reason.
 # vet fails on any file gofmt would rewrite; and
 # keeps the allocate-and-copy reads (Link.DMARead, Region.Read) out of the
 # cache and nvme-fs data paths, which borrow a view or fill a pooled buffer

@@ -114,7 +114,6 @@ type Client struct {
 	sys         *System
 	dispatchBit uint8
 	cacheHost   *cache.Host
-	ctl         *cache.Ctl
 
 	// sizes is the service-wide EOF table shared with every other client of
 	// the same service (see sizeTable); pool recycles hot-path scratch
@@ -145,9 +144,8 @@ type Client struct {
 // tenant >= 0 confines the client to that tenant's queue group and registers
 // its latency histograms under the t<N>. prefix instead, so per-tenant tails
 // are separable in telemetry and dpcreport.
-func newClient(sys *System, bit uint8, host *cache.Host, ctl *cache.Ctl, sizes *sizeTable, tenant int) *Client {
-	c := &Client{sys: sys, dispatchBit: bit, cacheHost: host, ctl: ctl,
-		sizes: sizes, pool: sys.pool}
+func newClient(sys *System, bit uint8, host *cache.Host, sizes *sizeTable, tenant int) *Client {
+	c := &Client{sys: sys, dispatchBit: bit, cacheHost: host, sizes: sizes, pool: sys.pool}
 	if sys.Driver.Tenants() == 0 {
 		tenant = -1
 	}

@@ -41,6 +41,16 @@
 // selector: x.Name counts as a mention of every method called Name, whatever
 // x is; telling them apart needs go/types.
 //
+// A fourth rule keeps state that nothing reads out: an unexported struct
+// field fails unless some non-test file of its package reads it. A read is a
+// selector x.f that is not itself the target of an assignment, an
+// op-assignment or ++/--; a composite-literal key is a write. Names match by
+// name alone, so a read of another field called f hides a finding but never
+// creates one. A field that is never read by name but still matters, such as
+// one of a struct that is built positionally and only compared with == or
+// used as a map key, carries `//dpclint:ok <reason>` on its line or the line
+// above it; deleting it would merge values the struct tells apart.
+//
 // Usage: dpclint [dir ...]   (default ".", always recursive; _test.go,
 // testdata and vendor are skipped). Exits non-zero on any finding.
 package main
@@ -90,10 +100,13 @@ func main() {
 	if n.callers > 0 {
 		fmt.Fprintf(os.Stderr, "dpclint: %d exported func(s) with no non-test caller; delete each, or move it into a _test.go file\n", n.callers)
 	}
+	if n.fields > 0 {
+		fmt.Fprintf(os.Stderr, "dpclint: %d unexported field(s) nothing reads; delete each, or, if it only serves equality or a map key, mark it //dpclint:ok with that reason\n", n.fields)
+	}
 	if n.bare > 0 {
 		fmt.Fprintf(os.Stderr, "dpclint: %d //dpclint:ok without a reason\n", n.bare)
 	}
-	if n.names+n.knobs+n.callers+n.bare > 0 {
+	if n.names+n.knobs+n.callers+n.fields+n.bare > 0 {
 		os.Exit(1)
 	}
 }
@@ -107,12 +120,12 @@ type source struct {
 
 // findings counts each rule's findings.
 type findings struct {
-	names, knobs, callers, bare int
+	names, knobs, callers, fields, bare int
 }
 
 // lintTree parses every non-test Go file under roots, checks each for
 // dynamic metric names and bare suppressions, then checks the whole tree for
-// unset config fields and uncalled exported funcs.
+// unset config fields, uncalled exported funcs and unread unexported fields.
 func lintTree(roots []string) (n findings, err error) {
 	fset := token.NewFileSet()
 	var files []source
@@ -155,6 +168,7 @@ func lintTree(roots []string) (n findings, err error) {
 	}
 	n.knobs = lintKnobs(fset, files)
 	n.callers = lintCallers(fset, files)
+	n.fields = lintFields(fset, files)
 	return n, nil
 }
 
@@ -484,4 +498,60 @@ func recvName(e ast.Expr) string {
 			return "?"
 		}
 	}
+}
+
+// lintFields reports every unexported struct field whose name no non-test
+// file of its package reads.
+func lintFields(fset *token.FileSet, files []source) int {
+	// reads maps a directory to the field names its files read.
+	reads := map[string]map[string]bool{}
+	for _, s := range files {
+		dir := filepath.Dir(s.path)
+		if reads[dir] == nil {
+			reads[dir] = map[string]bool{}
+		}
+		targets := map[ast.Expr]bool{}
+		ast.Inspect(s.f, func(n ast.Node) bool {
+			switch x := n.(type) {
+			case *ast.AssignStmt:
+				for _, lhs := range x.Lhs {
+					targets[ast.Unparen(lhs)] = true
+				}
+			case *ast.IncDecStmt:
+				targets[ast.Unparen(x.X)] = true
+			case *ast.SelectorExpr:
+				if !targets[x] {
+					reads[dir][x.Sel.Name] = true
+				}
+			}
+			return true
+		})
+	}
+
+	findings := 0
+	for _, s := range files {
+		read := reads[filepath.Dir(s.path)]
+		ast.Inspect(s.f, func(n ast.Node) bool {
+			st, ok := n.(*ast.StructType)
+			if !ok {
+				return true
+			}
+			for _, field := range st.Fields.List {
+				for _, id := range field.Names {
+					if id.IsExported() || id.Name == "_" || read[id.Name] {
+						continue
+					}
+					line := fset.Position(id.Pos()).Line
+					if s.ok[line] || s.ok[line-1] {
+						continue
+					}
+					fmt.Fprintf(os.Stderr, "%s:%d: %s field %s is read by no non-test file of its package\n",
+						s.path, line, s.f.Name.Name, id.Name)
+					findings++
+				}
+			}
+			return true
+		})
+	}
+	return findings
 }

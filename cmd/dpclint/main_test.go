@@ -336,3 +336,69 @@ func Helper() int { return 1 }
 		})
 	}
 }
+
+// TestLintFields runs the unread-field rule over small module trees: package
+// a declares the struct, the other files are its would-be readers.
+func TestLintFields(t *testing.T) {
+	const decl = `package a
+
+type T struct {
+	Pub  int
+	seen int
+	hits int
+}
+
+func New() *T { return &T{Pub: 1, seen: 2} }
+
+func (t *T) Bump() { t.hits++; t.seen = 3; t.hits += 2 }
+`
+	cases := []struct {
+		name         string
+		files        map[string]string
+		fields, bare int
+	}{
+		{"written, incremented and keyed, never read", map[string]string{
+			"a/a.go": decl,
+		}, 2, 0},
+		{"read by a file of its package", map[string]string{
+			"a/a.go": decl,
+			"a/b.go": "package a\n\nfunc (t *T) Sum() int { return t.seen + t.hits }\n",
+		}, 0, 0},
+		{"read in an assignment's source and an index", map[string]string{
+			"a/a.go": decl,
+			"a/b.go": "package a\n\nfunc (t *T) Copy(s []int) { s[t.hits] = t.seen }\n",
+		}, 0, 0},
+		{"read only by a test or another package", map[string]string{
+			"a/a.go":      decl,
+			"a/a_test.go": "package a\n\nvar _ = New().seen + New().hits\n",
+			"b/b.go":      "package b\n\nfunc f(t *T) int { return t.seen + t.hits }\n",
+		}, 2, 0},
+		{"a reasoned suppression", map[string]string{
+			"a/a.go": `package a
+
+type T struct {
+	//dpclint:ok read through unsafe by the debugger
+	seen int
+}
+
+func New() *T { return &T{seen: 2} }
+`,
+		}, 0, 0},
+		{"a positional map-key struct, read by no field name", map[string]string{
+			"a/a.go": "package a\n\ntype key struct {\n\tino  uint64\n\tpage int64\n}\n\nvar m = map[key]int{key{1, 2}: 3}\n",
+		}, 2, 0},
+		{"a positional map-key struct with its reason", map[string]string{
+			"a/a.go": "package a\n\ntype key struct {\n\tino  uint64 //dpclint:ok map-key identity\n\tpage int64  //dpclint:ok map-key identity\n}\n\nvar m = map[key]int{key{1, 2}: 3}\n",
+		}, 0, 0},
+		{"a bare suppression", map[string]string{
+			"a/a.go": "package a\n\ntype T struct {\n\tseen int //dpclint:ok\n}\n\nvar _ = T{seen: 1}\n",
+		}, 1, 1},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			if n := lintFiles(t, tc.files); n.fields != tc.fields || n.bare != tc.bare {
+				t.Errorf("findings %+v, want %d fields and %d bare", n, tc.fields, tc.bare)
+			}
+		})
+	}
+}

@@ -109,8 +109,7 @@ func DefaultOptions() Options {
 
 // System is an assembled DPC machine.
 type System struct {
-	Opts Options
-	M    *model.Machine
+	M *model.Machine
 
 	// Driver is the nvme-fs stack (NVME-INI + NVME-TGT threads).
 	Driver *nvmefs.Driver
@@ -151,7 +150,7 @@ type System struct {
 // New assembles a system.
 func New(opts Options) *System {
 	m := model.NewMachine(opts.Model)
-	sys := &System{Opts: opts, M: m,
+	sys := &System{M: m,
 		kvfsSizes: newSizeTable(), dfsSizes: newSizeTable(), pool: bufpool.New()}
 
 	if opts.EnableKVFS {
@@ -302,7 +301,7 @@ func (sys *System) KVFSClient() *Client {
 	if sys.kvfsSvc == nil {
 		panic("dpc: KVFS not enabled")
 	}
-	return newClient(sys, 0, sys.kvfsHost, sys.kvfsSvc.Ctl, sys.kvfsSizes, -1)
+	return newClient(sys, 0, sys.kvfsHost, sys.kvfsSizes, -1)
 }
 
 // DFSClient returns a client of the distributed file service.
@@ -310,7 +309,7 @@ func (sys *System) DFSClient() *Client {
 	if sys.dfsSvc == nil {
 		panic("dpc: DFS not enabled")
 	}
-	return newClient(sys, 1, sys.dfsHost, sys.dfsSvc.Ctl, sys.dfsSizes, -1)
+	return newClient(sys, 1, sys.dfsHost, sys.dfsSizes, -1)
 }
 
 // TenantKVFSClient returns a KVFS client confined to tenant t's queue group
@@ -324,7 +323,7 @@ func (sys *System) TenantKVFSClient(t int) *Client {
 	if n := sys.Driver.Tenants(); t < 0 || t >= n {
 		panic(fmt.Sprintf("dpc: tenant %d outside the %d configured tenants", t, n))
 	}
-	return newClient(sys, 0, sys.kvfsHost, sys.kvfsSvc.Ctl, sys.kvfsSizes, t)
+	return newClient(sys, 0, sys.kvfsHost, sys.kvfsSizes, t)
 }
 
 // buildTransform assembles the optional block-transform chain: compression
@@ -390,15 +389,13 @@ type dfsPageBackend struct {
 	core *dfs.Core
 }
 
+// ReadPage reads into one fresh page, so its tail past EOF is already zero.
 func (b dfsPageBackend) ReadPage(p *sim.Proc, ino, lpn uint64, pageSize int) ([]byte, bool) {
-	data, err := b.core.Read(p, ino, lpn*uint64(pageSize), pageSize)
-	if err != nil || data == nil {
+	page := make([]byte, pageSize)
+	if n, err := b.core.ReadInto(p, ino, lpn*uint64(pageSize), page); err != nil || n == 0 {
 		return nil, false
 	}
-	if len(data) < pageSize {
-		data = append(data, make([]byte, pageSize-len(data))...)
-	}
-	return data, true
+	return page, true
 }
 
 func (b dfsPageBackend) WritePage(p *sim.Proc, ino, lpn uint64, pageSize int, data []byte) error {

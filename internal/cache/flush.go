@@ -112,38 +112,23 @@ func (c *Ctl) flushWindow(p *sim.Proc, entries []int, flush func(pp *sim.Proc, i
 	if len(entries) == 0 {
 		return 0, nil
 	}
-	workers := min(flushWorkers, len(entries))
-	flushed := 0
-	next := 0
-	remaining := workers
+	flushed, next := 0, 0
 	var firstErr error
-	done := sim.NewCond(c.m.Eng, "flush-join")
-	for w := 0; w < workers; w++ {
-		c.m.Eng.Go("cache-flush-w", func(pp *sim.Proc) {
-			for next < len(entries) {
-				i := entries[next]
-				next++
-				ok, err := flush(pp, i)
-				if ok {
-					flushed++
-				}
-				if err != nil && firstErr == nil {
-					firstErr = err
-				}
+	waitFrom := p.Now()
+	p.Fork("cache-flush-w", min(flushWorkers, len(entries)), func(pp *sim.Proc, _ int) {
+		for next < len(entries) {
+			i := entries[next]
+			next++
+			ok, err := flush(pp, i)
+			if ok {
+				flushed++
 			}
-			remaining--
-			if remaining == 0 {
-				done.Broadcast()
+			if err != nil && firstErr == nil {
+				firstErr = err
 			}
-		})
-	}
-	if remaining > 0 {
-		waitFrom := p.Now()
-		for remaining > 0 {
-			done.Wait(p)
 		}
-		c.o.Attr(p, obs.CompWait, "cache.flush_join", waitFrom, p.Now())
-	}
+	})
+	c.o.Attr(p, obs.CompWait, "cache.flush_join", waitFrom, p.Now())
 	return flushed, firstErr
 }
 

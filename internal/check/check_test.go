@@ -119,10 +119,13 @@ func (b legacyFlushBackend) WritePage(p *sim.Proc, ino, lpn uint64, pageSize int
 	return b.FS.Write(p, ino, lpn*uint64(pageSize), data)
 }
 
-// injectLegacyFlushBug puts legacyFlushBackend under a KVFS world's live
-// hybrid cache.
-func injectLegacyFlushBug(w *World) {
-	w.sys.KVFSService().Ctl.SetBackend(legacyFlushBackend{kvfs.PageBackend{FS: w.sys.KVFS}})
+// legacyFlushWorld is a kvfs-cache world with legacyFlushBackend under its
+// live hybrid cache.
+func legacyFlushWorld() *World {
+	s, _ := stackByName("kvfs-cache")
+	sys := s.system(nil, nil)
+	sys.KVFSService().Ctl.SetBackend(legacyFlushBackend{kvfs.PageBackend{FS: sys.KVFS}})
+	return newDPCWorld(s, sys)
 }
 
 // TestHarnessCatchesLegacyFlushSizeBug reinstates the pre-fix cache
@@ -149,12 +152,8 @@ func TestHarnessCatchesLegacyFlushSizeBug(t *testing.T) {
 	w.Close()
 
 	// Sabotaged stack: the harness must catch it.
-	w, err = NewWorld("kvfs-cache")
-	if err != nil {
-		t.Fatal(err)
-	}
+	w = legacyFlushWorld()
 	defer w.Close()
-	injectLegacyFlushBug(w)
 	fail := runTraceOn(w, 0, trace)
 	if fail == nil {
 		t.Fatal("harness did not catch the legacy unclamped flush (size inflation past EOF)")
@@ -171,18 +170,9 @@ func TestShrinkMinimizes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("shrinking replays many worlds")
 	}
-	sabotaged := func() (*World, error) {
-		w, err := NewWorld("kvfs-cache")
-		if err == nil {
-			injectLegacyFlushBug(w)
-		}
-		return w, err
-	}
+	sabotaged := func() (*World, error) { return legacyFlushWorld(), nil }
 
-	w, err := sabotaged()
-	if err != nil {
-		t.Fatal(err)
-	}
+	w := legacyFlushWorld()
 	// Random padding followed by the probe ops that trigger the bug; the
 	// padding itself may (and usually does) trip divergence even earlier.
 	trace := GenTrace(5, 120, w.Caps())
@@ -207,13 +197,44 @@ func TestShrinkMinimizes(t *testing.T) {
 		t.Fatalf("shrink left %d of %d ops", len(shrunk.Trace), len(trace))
 	}
 	// The shrunk trace must still reproduce on a fresh sabotaged world.
-	w, err = sabotaged()
-	if err != nil {
-		t.Fatal(err)
-	}
+	w = legacyFlushWorld()
 	defer w.Close()
 	if runTraceOn(w, 5, shrunk.Trace) == nil {
 		t.Fatal("shrunk trace does not reproduce the failure")
+	}
+}
+
+// TestDdminKeepsWhatTheFailureNeeds runs the shared shrink loop on a
+// synthetic failure that needs ops #7 and #23, with #23 pinned the way the
+// crash shrinker pins its anchor: it must end at exactly those two, never
+// replay a candidate fit rejects, and cut each adopted candidate at its
+// failing op.
+func TestDdminKeepsWhatTheFailureNeeds(t *testing.T) {
+	var trace []Op
+	for i := range 40 {
+		trace = append(trace, Op{Idx: i})
+	}
+	has := func(cand []Op, idx int) bool { return indexOfIdx(cand, idx) >= 0 }
+	replays := 0
+	got, err := ddmin(trace, 30, 200,
+		func(cand []Op) ([]Op, bool) { return cand, has(cand, 23) },
+		func(cand []Op) (int, error) {
+			if replays++; replays > 1 && cand[len(cand)-1].Idx > 23 {
+				t.Fatalf("replay %d kept ops past the failing one: %v", replays, cand)
+			}
+			if !has(cand, 23) {
+				t.Fatalf("replayed a candidate without the pinned op: %v", cand)
+			}
+			if !has(cand, 7) {
+				return 0, nil
+			}
+			return indexOfIdx(cand, 23) + 1, nil
+		})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 2 || got[0].Idx != 7 || got[1].Idx != 23 {
+		t.Fatalf("shrunk to %v, want ops #7 and #23", got)
 	}
 }
 

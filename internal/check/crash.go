@@ -3,7 +3,6 @@ package check
 import (
 	"fmt"
 	"math/rand"
-	"runtime"
 	"sync"
 	"time"
 
@@ -262,48 +261,21 @@ func runCrashPoint(seed int64, trace []Op, wins []opWindow, pt CrashPoint) (*Cra
 // removed in shrinking chunks, re-timing the survivor trace each round so
 // the crash instant tracks the anchor's new window. budget bounds replays.
 func ShrinkCrash(fail *CrashFailure, budget int) *CrashFailure {
-	trace := fail.Trace
-	if i := indexOfIdx(trace, fail.Point.Anchor); i >= 0 && i+1 < len(trace) {
-		trace = trace[:i+1]
-	}
 	best := fail
-	runs := 0
-	attempt := func(cand []Op) *CrashFailure {
-		runs++
-		wins := timeTrace(cand)
-		f, _ := runCrashPoint(fail.Seed, cand, wins, fail.Point)
-		return f
-	}
-	// The truncated trace must still fail (later ops cannot matter); be
-	// defensive anyway.
-	if f := attempt(trace); f != nil {
-		best = f
-	} else {
-		trace = fail.Trace
-	}
-	for chunk := len(trace) / 2; chunk > 0 && runs < budget; {
-		removed := false
-		for start := 0; start+chunk <= len(trace) && runs < budget; {
-			cand := make([]Op, 0, len(trace)-chunk)
-			cand = append(cand, trace[:start]...)
-			cand = append(cand, trace[start+chunk:]...)
+	// The replay below returns no error, so neither does ddmin.
+	trace, _ := ddmin(fail.Trace, indexOfIdx(fail.Trace, fail.Point.Anchor)+1, budget,
+		func(cand []Op) ([]Op, bool) {
 			cand = sanitize(cand, crashStack.caps())
-			if indexOfIdx(cand, fail.Point.Anchor) < 0 {
-				start += chunk
-				continue
+			return cand, indexOfIdx(cand, fail.Point.Anchor) >= 0
+		},
+		func(cand []Op) (int, error) {
+			f, _ := runCrashPoint(fail.Seed, cand, timeTrace(cand), fail.Point)
+			if f == nil {
+				return 0, nil
 			}
-			if f := attempt(cand); f != nil {
-				trace = cand
-				best = f
-				removed = true
-			} else {
-				start += chunk
-			}
-		}
-		if !removed {
-			chunk /= 2
-		}
-	}
+			best = f
+			return len(cand), nil
+		})
 	best.Trace = trace
 	return best
 }
@@ -346,64 +318,48 @@ func RunCrashSuite(cfg CrashSuiteConfig) ([]*CrashFailure, *CrashReport, error) 
 	if points <= 0 {
 		points = 6
 	}
-	logf := cfg.Logf
-	if logf == nil {
-		logf = func(string, ...any) {}
-	}
-	par := cfg.Parallel
-	if par <= 0 {
-		par = runtime.GOMAXPROCS(0)
-	}
 
 	var (
 		mu       sync.Mutex
 		failures []*CrashFailure
 		report   CrashReport
-		wg       sync.WaitGroup
-		sem      = make(chan struct{}, par)
 	)
-	for _, seed := range cfg.Seeds {
-		seed := seed
-		wg.Add(1)
-		sem <- struct{}{}
-		go func() {
-			defer func() { <-sem; wg.Done() }()
-			trace := GenTrace(seed, ops, crashStack.caps())
-			wins := timeTrace(trace)
-			rng := rand.New(rand.NewSource(seed ^ 0x5ca1ab1e))
-			for _, pt := range pickCrashPoints(rng, trace, points) {
-				fail, st := runCrashPoint(seed, trace, wins, pt)
-				mu.Lock()
-				report.Runs++
-				report.TornTails += st.replay.TornTails
-				report.Replayed += st.replay.Replayed
-				report.SkippedStale += st.replay.SkippedStale
-				report.LostWALBlocks += st.lost
-				if st.report != nil {
-					report.Scavenged += st.report.RepairedFiles + st.report.OrphanAttrs +
-						st.report.DanglingDentries + st.report.DupDentries
-				}
-				if st.replay.Duration > report.MaxRecovery {
-					report.MaxRecovery = st.replay.Duration
-				}
-				mu.Unlock()
-				if fail == nil {
-					logf("ok   crash seed=%-4d anchor=#%-3d frac=%.2f (replayed=%d torn=%d stale=%d)",
-						seed, pt.Anchor, pt.Frac, st.replay.Replayed, st.replay.TornTails, st.replay.SkippedStale)
-					continue
-				}
-				logf("FAIL crash seed=%d anchor=#%d: %s", seed, pt.Anchor, fail.Diff)
-				if cfg.Shrink {
-					shrunk := ShrinkCrash(fail, crashShrinkBudget)
-					logf("shrunk crash seed=%d anchor=#%d to %d ops", seed, pt.Anchor, len(shrunk.Trace))
-					fail = shrunk
-				}
-				mu.Lock()
-				failures = append(failures, fail)
-				mu.Unlock()
+	pool(len(cfg.Seeds), cfg.Parallel, cfg.Logf, func(i int, logf func(string, ...any)) {
+		seed := cfg.Seeds[i]
+		trace := GenTrace(seed, ops, crashStack.caps())
+		wins := timeTrace(trace)
+		rng := rand.New(rand.NewSource(seed ^ 0x5ca1ab1e))
+		for _, pt := range pickCrashPoints(rng, trace, points) {
+			fail, st := runCrashPoint(seed, trace, wins, pt)
+			mu.Lock()
+			report.Runs++
+			report.TornTails += st.replay.TornTails
+			report.Replayed += st.replay.Replayed
+			report.SkippedStale += st.replay.SkippedStale
+			report.LostWALBlocks += st.lost
+			if st.report != nil {
+				report.Scavenged += st.report.RepairedFiles + st.report.OrphanAttrs +
+					st.report.DanglingDentries + st.report.DupDentries
 			}
-		}()
-	}
-	wg.Wait()
+			if st.replay.Duration > report.MaxRecovery {
+				report.MaxRecovery = st.replay.Duration
+			}
+			mu.Unlock()
+			if fail == nil {
+				logf("ok   crash seed=%-4d anchor=#%-3d frac=%.2f (replayed=%d torn=%d stale=%d)",
+					seed, pt.Anchor, pt.Frac, st.replay.Replayed, st.replay.TornTails, st.replay.SkippedStale)
+				continue
+			}
+			logf("FAIL crash seed=%d anchor=#%d: %s", seed, pt.Anchor, fail.Diff)
+			if cfg.Shrink {
+				shrunk := ShrinkCrash(fail, crashShrinkBudget)
+				logf("shrunk crash seed=%d anchor=#%d to %d ops", seed, pt.Anchor, len(shrunk.Trace))
+				fail = shrunk
+			}
+			mu.Lock()
+			failures = append(failures, fail)
+			mu.Unlock()
+		}
+	})
 	return failures, &report, nil
 }

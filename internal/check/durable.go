@@ -13,28 +13,23 @@ import (
 // the stack promised durable at each point of a trace, and the check of a
 // recovered world against those promises.
 
-// fileVersion is one point-in-time content snapshot of a file.
-type fileVersion struct {
-	opIdx int
-	data  []byte
-}
-
 // durableModel tracks, alongside the plain oracle, every live file's content
-// history since its last reset and its durability floor: the most recent
-// version the stack acknowledged as crash-proof. Completed fsyncs and direct
-// writes raise the floor; creates and truncates reset the history (KVFS
-// metadata is write-through, so a completed metadata op is itself durable).
-// Buffered writes append versions without raising the floor — a background
-// flush may or may not have made them durable, so after a crash any version
-// at or above the floor is legitimate.
+// history since its last reset (one point-in-time snapshot per version) and
+// its durability floor: the most recent version the stack acknowledged as
+// crash-proof. Completed fsyncs and direct writes raise the floor; creates
+// and truncates reset the history (KVFS metadata is write-through, so a
+// completed metadata op is itself durable). Buffered writes append versions
+// without raising the floor — a background flush may or may not have made
+// them durable, so after a crash any version at or above the floor is
+// legitimate.
 type durableModel struct {
 	o     *Oracle
-	hist  map[string][]fileVersion
+	hist  map[string][][]byte
 	floor map[string]int // index into hist
 }
 
 func newDurableModel() *durableModel {
-	return &durableModel{o: NewOracle(), hist: map[string][]fileVersion{}, floor: map[string]int{}}
+	return &durableModel{o: NewOracle(), hist: map[string][][]byte{}, floor: map[string]int{}}
 }
 
 func (m *durableModel) apply(op Op) {
@@ -43,11 +38,11 @@ func (m *durableModel) apply(op Op) {
 	}
 	switch op.Kind {
 	case OpCreate, OpTruncate:
-		m.hist[op.Path] = []fileVersion{{op.Idx, nil}}
+		m.hist[op.Path] = [][]byte{nil}
 		m.floor[op.Path] = 0
 	case OpWrite:
 		content, _ := m.o.ContentOf(op.Path)
-		m.hist[op.Path] = append(m.hist[op.Path], fileVersion{op.Idx, append([]byte(nil), content...)})
+		m.hist[op.Path] = append(m.hist[op.Path], append([]byte(nil), content...))
 		if op.Direct {
 			m.floor[op.Path] = len(m.hist[op.Path]) - 1
 		}
@@ -82,13 +77,13 @@ func (m *durableModel) checkPages(path string, got []byte, ps int, loose bool, e
 		fl = 0
 	}
 	var cands [][]byte
-	for v := fl; v < len(hist); v++ {
-		cands = append(cands, hist[v].data)
+	if fl < len(hist) {
+		cands = append(cands, hist[fl:]...)
 	}
 	cands = append(cands, extra...)
 	floorEOF := 0
 	if !loose && fl < len(hist) {
-		floorEOF = len(hist[fl].data)
+		floorEOF = len(hist[fl])
 	}
 	for pg := 0; pg*ps < len(got); pg++ {
 		lo := pg * ps
@@ -246,9 +241,7 @@ func verifyRecovered(p *sim.Proc, sys *dpc.System, cl *dpc.Client, m *durableMod
 		var extra [][]byte
 		var looseHist [][]byte
 		for path := range relaxed {
-			for _, v := range m.hist[path] {
-				looseHist = append(looseHist, v.data)
-			}
+			looseHist = append(looseHist, m.hist[path]...)
 		}
 		for _, b := range post {
 			extra = append(extra, b)

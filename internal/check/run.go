@@ -168,51 +168,70 @@ func shrinkWith(factory func() (*World, error), fail *Failure, budget int) (*Fai
 	probe.Close()
 
 	best := fail
-	trace := fail.Trace
-	if n := fail.OpIdx + 1; n < len(trace) {
-		trace = trace[:n]
-	}
-
-	runs := 0
-	rerun := func(cand []Op) (*Failure, error) {
-		runs++
-		w, err := factory()
-		if err != nil {
-			return nil, err
-		}
-		defer w.Close()
-		return runTraceOn(w, fail.Seed, cand), nil
-	}
-
-	// The truncated prefix must reproduce (the executor's state through the
-	// failing op is independent of later ops); verify and adopt it.
-	if f, err := rerun(trace); err != nil {
+	trace, err := ddmin(fail.Trace, fail.OpIdx+1, budget,
+		func(cand []Op) ([]Op, bool) { return sanitize(cand, caps), true },
+		func(cand []Op) (int, error) {
+			w, err := factory()
+			if err != nil {
+				return 0, err
+			}
+			defer w.Close()
+			f := runTraceOn(w, fail.Seed, cand)
+			if f == nil {
+				return 0, nil
+			}
+			best = f
+			return f.OpIdx + 1, nil
+		})
+	if err != nil {
 		return nil, err
-	} else if f == nil {
-		// Failure only manifests with the full trace's end-phase checks.
-		trace = fail.Trace
-	} else {
-		best = f
 	}
+	best.Trace = trace
+	return best, nil
+}
 
+// ddmin delta-debugs a failing trace to a locally minimal one that still
+// fails. It first replays the trace cut to its first keep ops (the failure
+// should not need later ones), then removes chunks of halving size, adopting
+// every candidate that still fails, not necessarily with the same diff, until
+// budget replays are spent. fit makes a candidate one the generator could
+// have produced, or rejects it unreplayed; replay runs one and returns how
+// many of its ops the failure needs (0: it passed), and an adopted candidate
+// is cut there.
+func ddmin(trace []Op, keep, budget int, fit func([]Op) ([]Op, bool), replay func([]Op) (int, error)) ([]Op, error) {
+	runs := 0
+	fails := func(cand []Op) (bool, error) {
+		runs++
+		n, err := replay(cand)
+		if err != nil || n == 0 {
+			return false, err
+		}
+		trace = cand[:min(n, len(cand))]
+		return true, nil
+	}
+	head := trace
+	if keep > 0 && keep < len(trace) {
+		head = trace[:keep]
+	}
+	// A head that passes leaves the trace whole: the failure only shows with
+	// the later ops or in the end-phase checks.
+	if _, err := fails(head); err != nil {
+		return nil, err
+	}
 	for chunk := len(trace) / 2; chunk > 0 && runs < budget; {
 		removed := false
 		for start := 0; start+chunk <= len(trace) && runs < budget; {
 			cand := make([]Op, 0, len(trace)-chunk)
 			cand = append(cand, trace[:start]...)
 			cand = append(cand, trace[start+chunk:]...)
-			cand = sanitize(cand, caps)
-			f, err := rerun(cand)
-			if err != nil {
-				return nil, err
-			}
-			if f != nil {
-				if n := f.OpIdx + 1; n < len(cand) {
-					cand = cand[:n]
+			failed := false
+			if cand, ok := fit(cand); ok {
+				var err error
+				if failed, err = fails(cand); err != nil {
+					return nil, err
 				}
-				trace = cand
-				best = f
-				best.Trace = trace
+			}
+			if failed {
 				removed = true
 			} else {
 				start += chunk
@@ -222,7 +241,7 @@ func shrinkWith(factory func() (*World, error), fail *Failure, budget int) (*Fai
 			chunk /= 2
 		}
 	}
-	return best, nil
+	return trace, nil
 }
 
 // SuiteConfig parameterizes a torture run.
@@ -255,15 +274,6 @@ func (cfg SuiteConfig) StackList() []string {
 // world is an independent simulation, so pairs run on real goroutines in
 // parallel.
 func RunSuite(cfg SuiteConfig) ([]*Failure, error) {
-	logf := cfg.Logf
-	if logf == nil {
-		logf = func(string, ...any) {}
-	}
-	par := cfg.Parallel
-	if par <= 0 {
-		par = runtime.GOMAXPROCS(0)
-	}
-
 	type job struct {
 		stack string
 		seed  int64
@@ -279,46 +289,59 @@ func RunSuite(cfg SuiteConfig) ([]*Failure, error) {
 		mu       sync.Mutex
 		failures []*Failure
 		firstErr error
-		wg       sync.WaitGroup
-		sem      = make(chan struct{}, par)
 	)
-	for _, j := range jobs {
-		j := j
+	pool(len(jobs), cfg.Parallel, cfg.Logf, func(i int, logf func(string, ...any)) {
+		j := jobs[i]
+		w, err := newSuiteWorld(j.stack, j.seed, cfg.Faults)
+		if err != nil {
+			mu.Lock()
+			if firstErr == nil {
+				firstErr = err
+			}
+			mu.Unlock()
+			return
+		}
+		trace := GenTrace(j.seed, cfg.Ops, w.Caps())
+		fail := runTraceOn(w, j.seed, trace)
+		w.Close()
+		if fail == nil {
+			logf("ok   %-11s seed=%-4d (%d ops)", j.stack, j.seed, len(trace))
+			return
+		}
+		fail.Faults = cfg.Faults
+		logf("FAIL %-11s seed=%-4d: %s", j.stack, j.seed, fail.Diff)
+		if cfg.Shrink {
+			if shrunk, err := Shrink(fail, shrinkBudget); err == nil && shrunk != nil {
+				logf("shrunk %s seed=%d to %d ops", j.stack, j.seed, len(shrunk.Trace))
+				fail = shrunk
+			}
+		}
+		mu.Lock()
+		failures = append(failures, fail)
+		mu.Unlock()
+	})
+	return failures, firstErr
+}
+
+// pool runs job(0) … job(n-1) on at most par goroutines at once (GOMAXPROCS
+// when par <= 0) and returns once all have finished. Each job logs through
+// logf, a no-op when nil.
+func pool(n, par int, logf func(string, ...any), job func(i int, logf func(string, ...any))) {
+	if logf == nil {
+		logf = func(string, ...any) {}
+	}
+	if par <= 0 {
+		par = runtime.GOMAXPROCS(0)
+	}
+	var wg sync.WaitGroup
+	sem := make(chan struct{}, par)
+	for i := range n {
 		wg.Add(1)
 		sem <- struct{}{}
 		go func() {
 			defer func() { <-sem; wg.Done() }()
-			w, err := newSuiteWorld(j.stack, j.seed, cfg.Faults)
-			if err != nil {
-				mu.Lock()
-				if firstErr == nil {
-					firstErr = err
-				}
-				mu.Unlock()
-				return
-			}
-			trace := GenTrace(j.seed, cfg.Ops, w.Caps())
-			fail := runTraceOn(w, j.seed, trace)
-			w.Close()
-			if fail != nil {
-				fail.Faults = cfg.Faults
-			}
-			if fail == nil {
-				logf("ok   %-11s seed=%-4d (%d ops)", j.stack, j.seed, len(trace))
-				return
-			}
-			logf("FAIL %-11s seed=%-4d: %s", j.stack, j.seed, fail.Diff)
-			if cfg.Shrink {
-				if shrunk, err := Shrink(fail, shrinkBudget); err == nil && shrunk != nil {
-					logf("shrunk %s seed=%d to %d ops", j.stack, j.seed, len(shrunk.Trace))
-					fail = shrunk
-				}
-			}
-			mu.Lock()
-			failures = append(failures, fail)
-			mu.Unlock()
+			job(i, logf)
 		}()
 	}
 	wg.Wait()
-	return failures, firstErr
 }

@@ -31,7 +31,6 @@ type World struct {
 	close   func()
 	disarm  func()          // stop fault injection (fault worlds only)
 	now     func() sim.Time // current virtual time (dpc worlds only)
-	sys     *dpc.System     // the system under a dpc world; nil for baselines
 }
 
 // Name returns the stack's registry name.
@@ -164,7 +163,7 @@ func NewWorld(name string) (*World, error) {
 	if s.baseline != nil {
 		return s.baseline(name), nil
 	}
-	return newDPCWorld(s, nil, nil), nil
+	return newDPCWorld(s, s.system(nil, nil)), nil
 }
 
 // NewFaultWorld instantiates a stack with the deterministic torture fault
@@ -176,7 +175,7 @@ func NewFaultWorld(name string, seed int64) (*World, error) {
 
 func newDPCWorldNamed(name, cannot string, faults []fault.Rule, o *obs.Obs) (*World, error) {
 	if s, ok := stackByName(name); ok && s.baseline == nil {
-		return newDPCWorld(s, faults, o), nil
+		return newDPCWorld(s, s.system(faults, o)), nil
 	}
 	return nil, fmt.Errorf("check: stack %q %s (have %v)", name, cannot, FaultStackNames())
 }
@@ -215,8 +214,8 @@ func (s stackSpec) caps() Caps {
 	}
 }
 
-func newDPCWorld(s stackSpec, faults []fault.Rule, o *obs.Obs) *World {
-	sys := s.system(faults, o)
+// newDPCWorld is the world of row s over sys, a system the row built.
+func newDPCWorld(s stackSpec, sys *dpc.System) *World {
 	newClient, service := sys.KVFSClient, sys.KVFSService
 	if s.service == "dfs" {
 		newClient, service = sys.DFSClient, sys.DFSService
@@ -230,7 +229,6 @@ func newDPCWorld(s stackSpec, faults []fault.Rule, o *obs.Obs) *World {
 		apply: func(p *sim.Proc, op Op) Result { return applyDPC(p, cl, op) },
 		close: func() { sys.StopDaemons(); sys.Shutdown() },
 		now:   sys.Now,
-		sys:   sys,
 		// Disarm is nil-safe: a no-op on a world built without faults.
 		disarm: sys.Faults.Disarm,
 		// The backend's own fsck where it has one, then the hybrid cache's

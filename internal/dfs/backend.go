@@ -166,7 +166,6 @@ type fileAttr struct {
 }
 
 type dsNode struct {
-	idx   int
 	node  *fabric.Node
 	cpu   *cpu.Pool
 	media *sim.Resource
@@ -220,7 +219,6 @@ func NewBackend(eng *sim.Engine, net *fabric.Network, cfg BackendConfig) *Backen
 	}
 	for i := 0; i < cfg.DSCount; i++ {
 		d := &dsNode{
-			idx:   i,
 			node:  net.NewNode(fmt.Sprintf("ds-%d", i)),
 			cpu:   cpu.NewPool(eng, fmt.Sprintf("ds-cpu-%d", i), cfg.DSCores, cfg.DSFreqHz),
 			media: sim.NewResource(eng, fmt.Sprintf("ds-media-%d", i), cfg.DSChannels),

@@ -189,26 +189,13 @@ func (b *Backend) dsServe(p *sim.Proc, d *dsNode) {
 	}
 }
 
-// parallelCalls issues one RPC per target concurrently and waits for all
-// replies (the fan-out a striping client or MDS performs).
-func parallelCalls(eng *sim.Engine, p *sim.Proc, from *fabric.Node, targets []*fabric.Node, port string, reqs []any, reqBytes []int) []any {
-	n := len(targets)
-	out := make([]any, n)
-	remaining := n
-	done := sim.NewCond(eng, "fanout")
-	for i := 0; i < n; i++ {
-		i := i
-		eng.Go("fanout", func(pp *sim.Proc) {
-			out[i] = from.Call(pp, targets[i], port, reqs[i], reqBytes[i])
-			remaining--
-			if remaining == 0 {
-				done.Broadcast()
-			}
-		})
-	}
-	for remaining > 0 {
-		done.Wait(p)
-	}
+// parallelCalls issues one RPC per target, each from its own process, and
+// waits for all replies (the fan-out a striping client or MDS performs).
+func parallelCalls(p *sim.Proc, from *fabric.Node, targets []*fabric.Node, port string, reqs []any, reqBytes []int) []any {
+	out := make([]any, len(targets))
+	p.Fork("fanout", len(targets), func(pp *sim.Proc, i int) {
+		out[i] = from.Call(pp, targets[i], port, reqs[i], reqBytes[i])
+	})
 	return out
 }
 
@@ -257,7 +244,7 @@ func (b *Backend) writeBlocksFrom(p *sim.Proc, from *fabric.Node, ino, off uint6
 		reqs = append(reqs, dsReq{Op: dsWrite, Shards: shards})
 		sizes = append(sizes, 64+bytes)
 	}
-	resps := parallelCalls(b.eng, p, from, targets, "data", reqs, sizes)
+	resps := parallelCalls(p, from, targets, "data", reqs, sizes)
 	for _, r := range resps {
 		if !r.(dsResp).OK {
 			return "ds write failed"
@@ -297,7 +284,7 @@ func (b *Backend) readBlocksInto(p *sim.Proc, from *fabric.Node, ino, off uint64
 		reqs = append(reqs, dsReq{Op: dsRead, Shards: keys})
 		sizes = append(sizes, 64+len(keys)*24)
 	}
-	resps := parallelCalls(b.eng, p, from, targets, "data", reqs, sizes)
+	resps := parallelCalls(p, from, targets, "data", reqs, sizes)
 	for _, r := range resps {
 		dr := r.(dsResp)
 		for _, s := range dr.Shards {

@@ -241,8 +241,7 @@ func runFleetPhase(cfg FleetConfig, faults []fault.Rule, name string, withAggres
 	setupDone := false
 	setupCond := sim.NewCond(sys.M.Eng, "fleet-setup")
 	const fillers = 8
-	fillersLeft := fillers
-	filesReady := false
+	chunksPerFiller := fleetFloodChunks / fillers
 	sys.Go(func(p *sim.Proc) {
 		vf, err := clients[1].Create(p, 0, "/fleet.dat")
 		if err != nil {
@@ -269,16 +268,7 @@ func runFleetPhase(cfg FleetConfig, faults []fault.Rule, name string, withAggres
 			opErr.note("fleet seed", err)
 			return
 		}
-		filesReady = true
-		setupCond.Broadcast()
-	})
-	chunksPerFiller := fleetFloodChunks / fillers
-	for w := 0; w < fillers; w++ {
-		w := w
-		sys.Go(func(p *sim.Proc) {
-			for !filesReady {
-				setupCond.Wait(p)
-			}
+		p.Fork("app", fillers, func(p *sim.Proc, w int) {
 			vf, err := clients[1].Open(p, w, "/fleet.dat")
 			if err != nil {
 				opErr.note("fleet fill open", err)
@@ -294,16 +284,14 @@ func runFleetPhase(cfg FleetConfig, faults []fault.Rule, name string, withAggres
 					return
 				}
 			}
-			if fillersLeft--; fillersLeft == 0 {
-				if p.Now() > setupEnd {
-					fmt.Fprintf(os.Stderr, "fleet: setup overran its window (%v > %v)\n",
-						time.Duration(p.Now()), fleetSetupDur)
-				}
-				setupDone = true
-				setupCond.Broadcast()
-			}
 		})
-	}
+		if p.Now() > setupEnd {
+			fmt.Fprintf(os.Stderr, "fleet: setup overran its window (%v > %v)\n",
+				time.Duration(p.Now()), fleetSetupDur)
+		}
+		setupDone = true
+		setupCond.Broadcast()
+	})
 
 	nVictims := cfg.Tenants - 1
 	lats := make([]*stats.Latency, cfg.Tenants)

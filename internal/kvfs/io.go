@@ -4,29 +4,33 @@ import (
 	"dpc/internal/sim"
 )
 
-// fanout runs fns concurrently as sim processes and waits for all of them:
-// multi-block reads and writes hit many KV shards in parallel, the way a
-// real scatter-gather client would.
-func (fs *FS) fanout(p *sim.Proc, fns []func(pp *sim.Proc)) {
-	if len(fns) == 1 {
-		fns[0](p)
-		return
+// eachBlock runs do on every block of inode ino that the file range [off,
+// off+len(buf)) touches, with the block's key, the range's offset inside the
+// block and the block's window of buf, and returns an error do returned. A
+// one-block range runs on p; a longer one forks a process per block, since
+// the blocks live on different KV shards, the way a scatter-gather client
+// would.
+func (fs *FS) eachBlock(p *sim.Proc, ino, off uint64, buf []byte, do func(fs *FS, pp *sim.Proc, key string, bo int, window []byte) error) error {
+	if len(buf) == 0 {
+		return nil
 	}
-	remaining := len(fns)
-	done := sim.NewCond(fs.m.Eng, "kvfs-fanout")
-	for _, fn := range fns {
-		fn := fn
-		fs.m.Eng.Go("kvfs-io", func(pp *sim.Proc) {
-			fn(pp)
-			remaining--
-			if remaining == 0 {
-				done.Broadcast()
-			}
-		})
+	first := off / BlockSize
+	n := int((off+uint64(len(buf))-1)/BlockSize-first) + 1
+	if n == 1 {
+		return do(fs, p, BigKey(ino, first), int(off%BlockSize), buf)
 	}
-	for remaining > 0 {
-		done.Wait(p)
-	}
+	var err error
+	p.Fork("kvfs-io", n, func(pp *sim.Proc, i int) {
+		blk, bo := first+uint64(i), 0
+		if i == 0 {
+			bo = int(off % BlockSize)
+		}
+		lo := int(blk*BlockSize + uint64(bo) - off)
+		if e := do(fs, pp, BigKey(ino, blk), bo, buf[lo:min(lo+BlockSize-bo, len(buf))]); e != nil {
+			err = e
+		}
+	})
+	return err
 }
 
 // Write stores data at offset off. Small files (final size <= 8 KB) live in
@@ -90,32 +94,22 @@ func (fs *FS) Write(p *sim.Proc, ino uint64, off uint64, data []byte) error {
 }
 
 // writeBigBlocks updates the big-file KVs covering [off, off+len(data)).
-// Full-block updates are pure in-place puts; partial blocks read-modify-
-// write.
 func (fs *FS) writeBigBlocks(p *sim.Proc, ino uint64, off uint64, data []byte) error {
-	var fns []func(pp *sim.Proc)
-	for done := 0; done < len(data); {
-		blk := (off + uint64(done)) / BlockSize
-		bo := int((off + uint64(done)) % BlockSize)
-		n := BlockSize - bo
-		if n > len(data)-done {
-			n = len(data) - done
-		}
-		chunk := data[done : done+n]
-		fns = append(fns, func(pp *sim.Proc) {
-			if bo == 0 && len(chunk) == BlockSize {
-				fs.cl.Put(pp, BigKey(ino, blk), fs.encodeBlock(pp, chunk))
-			} else {
-				buf := make([]byte, BlockSize)
-				// An undecodable block leaves buf zero and is rewritten whole.
-				_ = fs.readBlock(pp, BigKey(ino, blk), 0, buf)
-				copy(buf[bo:], chunk)
-				fs.cl.Put(pp, BigKey(ino, blk), fs.encodeBlock(pp, buf))
-			}
-		})
-		done += n
+	return fs.eachBlock(p, ino, off, data, (*FS).writeBlock)
+}
+
+// writeBlock writes chunk into the block at key from block offset bo. A full
+// block is a pure in-place put; a partial one is read-modify-write.
+func (fs *FS) writeBlock(pp *sim.Proc, key string, bo int, chunk []byte) error {
+	if bo == 0 && len(chunk) == BlockSize {
+		fs.cl.Put(pp, key, fs.encodeBlock(pp, chunk))
+		return nil
 	}
-	fs.fanout(p, fns)
+	buf := make([]byte, BlockSize)
+	// An undecodable block leaves buf zero and is rewritten whole.
+	_ = fs.readBlock(pp, key, 0, buf)
+	copy(buf[bo:], chunk)
+	fs.cl.Put(pp, key, fs.encodeBlock(pp, buf))
 	return nil
 }
 
@@ -191,26 +185,8 @@ func (fs *FS) ReadInto(p *sim.Proc, ino uint64, off uint64, dst []byte) (int, er
 		have, _ := fs.cl.GetInto(p, SmallKey(ino), int(off), dst[:n])
 		return min(max(have-int(off), 0), n), nil
 	}
-	var fns []func(pp *sim.Proc)
-	var decodeErr error
-	for done := 0; done < n; {
-		blk := (off + uint64(done)) / BlockSize
-		bo := int((off + uint64(done)) % BlockSize)
-		k := BlockSize - bo
-		if k > n-done {
-			k = n - done
-		}
-		window := dst[done : done+k]
-		fns = append(fns, func(pp *sim.Proc) {
-			if err := fs.readBlock(pp, BigKey(ino, blk), bo, window); err != nil {
-				decodeErr = err
-			}
-		})
-		done += k
-	}
-	fs.fanout(p, fns)
-	if decodeErr != nil {
-		return 0, decodeErr
+	if err := fs.eachBlock(p, ino, off, dst[:n], (*FS).readBlock); err != nil {
+		return 0, err
 	}
 	return n, nil
 }

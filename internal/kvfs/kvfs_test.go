@@ -370,7 +370,12 @@ func TestPageBackendRoundTrip(t *testing.T) {
 }
 
 // Property: random aligned and unaligned writes followed by reads match a
-// byte-slice model across the small/big boundary.
+// byte-slice model across the small/big boundary. Most writes run up to
+// 3 000 bytes, so small files still occur; every fourth runs up to 30 000,
+// and a last fixed write always spans four blocks with an unaligned head and
+// tail (migrating the file if it is still small). An unaligned sub-range
+// spanning several blocks then reads back through ReadInto: the per-block
+// windows a multi-block range forks.
 func TestKVFSDataModelProperty(t *testing.T) {
 	type wop struct {
 		Off  uint16
@@ -391,9 +396,14 @@ func TestKVFSDataModelProperty(t *testing.T) {
 			ino, _ := fs.Create(p, "/prop")
 			modelBuf := make([]byte, 1<<17)
 			maxEnd := 0
-			for _, o := range ops {
+			for i, o := range append(ops, wop{Off: 1000, Len: 3*BlockSize + 500, Seed: 0xA5}) {
 				off := int(o.Off) % 60000
 				n := int(o.Len)%3000 + 1
+				if i == len(ops) {
+					n = int(o.Len)
+				} else if i%4 == 3 {
+					n = int(o.Len)%30000 + 1
+				}
 				chunk := bytes.Repeat([]byte{o.Seed}, n)
 				if err := fs.Write(p, ino, uint64(off), chunk); err != nil {
 					ok = false
@@ -406,6 +416,12 @@ func TestKVFSDataModelProperty(t *testing.T) {
 			}
 			got, err := fs.Read(p, ino, 0, maxEnd)
 			if err != nil || !bytes.Equal(got, modelBuf[:maxEnd]) {
+				ok = false
+			}
+			// Both ends odd, so neither is block-aligned.
+			lo, hi := maxEnd/7|1, (maxEnd-3)|1
+			dst := bytes.Repeat([]byte{0xEE}, hi-lo)
+			if n, err := fs.ReadInto(p, ino, uint64(lo), dst); err != nil || n != hi-lo || !bytes.Equal(dst, modelBuf[lo:hi]) {
 				ok = false
 			}
 		})

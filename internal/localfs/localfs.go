@@ -106,9 +106,8 @@ type FS struct {
 	dev *ssd.Device
 	cfg Config
 
-	// Geometry (block numbers).
-	inodeStart  int64
-	inodeBlocks int64
+	// Geometry (block numbers): the inode table fills blocks 1 up to
+	// dataStart.
 	dataStart   int64
 	totalBlocks int64
 
@@ -145,8 +144,6 @@ func New(m *model.Machine, dev *ssd.Device, cfg Config) *FS {
 		m:           m,
 		dev:         dev,
 		cfg:         cfg,
-		inodeStart:  1,
-		inodeBlocks: inodeBlocks,
 		dataStart:   1 + inodeBlocks,
 		totalBlocks: capBlocks,
 		inodes:      map[uint64]*inode{},

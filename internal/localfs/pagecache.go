@@ -4,8 +4,8 @@ package localfs
 // tracking. It models the kernel page cache used for buffered I/O.
 
 type pcKey struct {
-	ino  uint64
-	page int64
+	ino  uint64 //dpclint:ok map-key identity: compared whole, never read by name
+	page int64  //dpclint:ok map-key identity: compared whole, never read by name
 }
 
 type cachePage struct {

@@ -1,7 +1,12 @@
 // Package model centralizes the simulated testbed configuration (the
 // paper's Table 1) and the software-path cost constants used to calibrate
-// the simulation. Every experiment builds its world from a model.Config so
-// that all tuning lives in one place.
+// the simulation. Every experiment builds its world from a model.Config.
+// Costs holds the cycles the host and DPU software paths charge. The
+// backends' own cycle costs live with their configurations: the DFS servers'
+// in dfs.BackendConfig (MDSCycles, DSCycles), the KV storage nodes' in
+// kv.ClusterConfig.ServerCycles, and the DPU-offloaded DFS client's in the
+// dfs.CoreCosts that dpc.New sets. The what-if parameter cpu.cost_scale
+// scales Costs only (Costs.ScaleCycles), never those.
 package model
 
 import (
@@ -34,26 +39,18 @@ type Costs struct {
 	HostFUSEQueue  int64
 
 	// DPU-side costs.
-	DPUCmdParse     int64 // NVME-TGT SQE parse + dispatch
-	DPUVirtClient   int64 // in-memory virtual client respond (§4.1 setup)
-	DPUHALProcess   int64 // DPFS-HAL virtio descriptor walk bookkeeping
-	DPUKVFSOp       int64 // KVFS request handling (excl. KV backend time)
-	DPUCacheCtl     int64 // cache control-plane decision
-	DPUDFSClient    int64 // offloaded DFS client logic per op
-	ECCyclesPerByte int64 // Reed-Solomon encode cost per payload byte
-	DPUFlushPage    int64 // per-page flush handling
-
-	// Backend server costs.
-	MDSProcess  int64 // metadata server request handling
-	DataProcess int64 // data server request handling
-	KVServerOp  int64 // KV storage node op handling
+	DPUCmdParse   int64 // NVME-TGT SQE parse + dispatch
+	DPUVirtClient int64 // in-memory virtual client respond (§4.1 setup)
+	DPUHALProcess int64 // DPFS-HAL virtio descriptor walk bookkeeping
+	DPUKVFSOp     int64 // KVFS request handling (excl. KV backend time)
+	DPUCacheCtl   int64 // cache control-plane decision
+	DPUFlushPage  int64 // per-page flush handling
 
 	// Polling/notification latencies.
-	TGTPollDelay   time.Duration // DPU notices a new SQE after doorbell
-	HostIRQDelay   time.Duration // host notices a new CQE
-	HALPollDelay   time.Duration // DPFS-HAL thread notices virtio avail
-	FlushInterval  time.Duration // hybrid-cache flush daemon period
-	HostFUSEWakeup time.Duration // FUSE daemon wakeup latency
+	TGTPollDelay  time.Duration // DPU notices a new SQE after doorbell
+	HostIRQDelay  time.Duration // host notices a new CQE
+	HALPollDelay  time.Duration // DPFS-HAL thread notices virtio avail
+	FlushInterval time.Duration // hybrid-cache flush daemon period
 }
 
 // ScaleCycles multiplies every per-operation cycle cost by f, rounding to
@@ -87,12 +84,7 @@ func (c Costs) ScaleCycles(f float64) Costs {
 	s(&c.DPUHALProcess)
 	s(&c.DPUKVFSOp)
 	s(&c.DPUCacheCtl)
-	s(&c.DPUDFSClient)
-	s(&c.ECCyclesPerByte)
 	s(&c.DPUFlushPage)
-	s(&c.MDSProcess)
-	s(&c.DataProcess)
-	s(&c.KVServerOp)
 	return c
 }
 
@@ -163,24 +155,17 @@ func Default() Config {
 			HostFUSEEncode: 12000,
 			HostFUSEQueue:  8000,
 
-			DPUCmdParse:     5000,
-			DPUVirtClient:   1000,
-			DPUHALProcess:   4500,
-			DPUKVFSOp:       60000,
-			DPUCacheCtl:     1400,
-			DPUDFSClient:    12000,
-			ECCyclesPerByte: 4,
-			DPUFlushPage:    2500,
+			DPUCmdParse:   5000,
+			DPUVirtClient: 1000,
+			DPUHALProcess: 4500,
+			DPUKVFSOp:     60000,
+			DPUCacheCtl:   1400,
+			DPUFlushPage:  2500,
 
-			MDSProcess:  9000,
-			DataProcess: 7000,
-			KVServerOp:  5200,
-
-			TGTPollDelay:   3 * time.Microsecond,
-			HostIRQDelay:   2500 * time.Nanosecond,
-			HALPollDelay:   6 * time.Microsecond,
-			FlushInterval:  2 * time.Millisecond,
-			HostFUSEWakeup: 4 * time.Microsecond,
+			TGTPollDelay:  3 * time.Microsecond,
+			HostIRQDelay:  2500 * time.Nanosecond,
+			HALPollDelay:  6 * time.Microsecond,
+			FlushInterval: 2 * time.Millisecond,
 		},
 	}
 }

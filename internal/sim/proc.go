@@ -95,6 +95,43 @@ func (e *Engine) Go(name string, fn func(p *Proc)) *Proc {
 	return p
 }
 
+// Fork runs body(c, i) for each i in [0, n), each in a child process named
+// name, and parks p until the last child returns. The children start in index
+// order at the current instant, and the last one to return wakes p directly.
+// That is n start events, one park and one wake at the last return: the
+// events of spawning n processes that count down to a Broadcast on a Cond p
+// waits on. For n == 0 Fork returns at once.
+func (p *Proc) Fork(name string, n int, body func(c *Proc, i int)) {
+	if n == 0 {
+		return
+	}
+	f := &fork{parent: p, body: body, left: n}
+	child := f.child
+	for range n {
+		p.eng.Go(name, child)
+	}
+	p.park()
+}
+
+// fork is the state one Fork's children share.
+type fork struct {
+	parent *Proc
+	body   func(c *Proc, i int)
+	next   int // index of the next child to start
+	left   int // children that have not returned
+}
+
+// child is each child's body. Start events at one instant run in the order
+// they were scheduled, so the k-th child to start is child k.
+func (f *fork) child(c *Proc) {
+	i := f.next
+	f.next++
+	f.body(c, i)
+	if f.left--; f.left == 0 {
+		c.eng.scheduleWake(f.parent, c.eng.now)
+	}
+}
+
 // Name returns the process name (for diagnostics).
 func (p *Proc) Name() string { return p.name }
 

@@ -19,7 +19,7 @@ import (
 // the ring and kept in a small tree ring, so a later dump still holds the
 // trace even after ordinary traffic has churned the main ring past it.
 type Recorder struct {
-	ring  []ringEntry
+	ring  []obs.SpanData
 	next  int
 	total int64
 
@@ -39,11 +39,6 @@ type Recorder struct {
 	byID []int
 }
 
-type ringEntry struct {
-	sd     obs.SpanData
-	pinned bool
-}
-
 // PinnedTree is one tail-sampled anomalous span tree.
 type PinnedTree struct {
 	RootID  uint64
@@ -54,7 +49,7 @@ type PinnedTree struct {
 
 func newRecorder(ringCap int, slowNs int64, treeCap int) *Recorder {
 	return &Recorder{
-		ring:    make([]ringEntry, ringCap),
+		ring:    make([]obs.SpanData, ringCap),
 		slowNs:  slowNs,
 		trees:   make([]PinnedTree, 0, treeCap),
 		treeCap: treeCap,
@@ -63,9 +58,7 @@ func newRecorder(ringCap int, slowNs int64, treeCap int) *Recorder {
 
 // observe is the tracer close hook. Hot path: one slot assignment.
 func (r *Recorder) observe(sd obs.SpanData, pinned bool) {
-	slot := &r.ring[r.next]
-	slot.sd = sd
-	slot.pinned = pinned
+	r.ring[r.next] = sd
 	r.next++
 	if r.next == len(r.ring) {
 		r.next = 0
@@ -81,7 +74,6 @@ func (r *Recorder) observe(sd obs.SpanData, pinned bool) {
 		r.faultRoots++
 	} else if r.slowNs > 0 && int64(sd.End-sd.Start) >= r.slowNs {
 		reason = "slow"
-		slot.pinned = true
 	}
 	if reason != "" {
 		r.keepTree(sd, reason)
@@ -118,17 +110,17 @@ func (r *Recorder) keepTree(root obs.SpanData, reason string) {
 	// increasing order sees every span's parent before the span itself.
 	r.byID = r.byID[:0]
 	for i := range r.ring {
-		if r.ring[i].sd.ID != 0 {
+		if r.ring[i].ID != 0 {
 			r.byID = append(r.byID, i)
 		}
 	}
 	sort.Slice(r.byID, func(a, b int) bool {
-		return r.ring[r.byID[a]].sd.ID < r.ring[r.byID[b]].sd.ID
+		return r.ring[r.byID[a]].ID < r.ring[r.byID[b]].ID
 	})
 	member := map[uint64]bool{root.ID: true}
 	spans := make([]obs.SpanData, 0, 8)
 	for _, i := range r.byID {
-		sd := r.ring[i].sd
+		sd := r.ring[i]
 		if sd.ID == root.ID || (sd.Parent != 0 && member[sd.Parent]) {
 			member[sd.ID] = true
 			spans = append(spans, sd)
@@ -153,7 +145,7 @@ func (r *Recorder) keepTree(root obs.SpanData, reason string) {
 func (r *Recorder) windowSpans(lo sim.Time, out []obs.SpanData) []obs.SpanData {
 	seen := map[uint64]bool{}
 	for i := range r.ring {
-		sd := r.ring[i].sd
+		sd := r.ring[i]
 		if sd.ID != 0 && sd.End >= lo && !seen[sd.ID] {
 			seen[sd.ID] = true
 			out = append(out, sd)

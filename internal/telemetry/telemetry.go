@@ -97,9 +97,7 @@ type DumpSpan struct {
 
 // T is an attached telemetry pipeline.
 type T struct {
-	e   *sim.Engine
-	o   *obs.Obs
-	cfg Config
+	o *obs.Obs
 
 	store  *Store
 	ticker *sim.Ticker
@@ -136,9 +134,7 @@ func Attach(e *sim.Engine, o *obs.Obs, cfg Config) (*T, error) {
 	}
 	cfg.defaults()
 	t := &T{
-		e:     e,
 		o:     o,
-		cfg:   cfg,
 		store: newStore(int64(cfg.Interval), maxTicks),
 		cur:   make([]int64, stats.BucketCount()),
 		delta: make([]int64, stats.BucketCount()),

@@ -34,7 +34,12 @@ build:
 # model as the reference. No non-test Go file outside bench/ is over 700
 # lines: a larger one is split along its seams. No Go file outside bench/
 # and internal/model, tests included, names HostMemMB or DPUMemMB: arenas
-# hold what a world reserves, so nothing sizes them by hand.
+# hold what a world reserves, so nothing sizes them by hand. The figure
+# worlds are built and measured in one place, internal/exp/worlds.go: no
+# other non-test file of internal/exp builds a machine, a transport or a
+# dpc.System (model.NewMachine, nvmefs.NewDriver, virtio.NewTransport,
+# dpcroot.New) or runs a closed loop (workload.Run) — a figure goes through
+# the world constructors and `measure`.
 vet:
 	$(GO) vet ./...
 	cd bench && GOTOOLCHAIN=local GOPROXY=off $(GO) vet ./...
@@ -56,6 +61,9 @@ vet:
 		if [ -n "$$out" ]; then echo "non-test file over 700 lines (split it along its seams):"; echo "$$out"; exit 1; fi
 	@out=$$(grep -rnwE 'HostMemMB|DPUMemMB' --include='*.go' . | grep -vE '^\./(bench|internal/model|\.[^/]*)/'); \
 		if [ -n "$$out" ]; then echo "hand-sized arena (arenas hold what is reserved):"; echo "$$out"; exit 1; fi
+	@out=$$(grep -nE 'model\.NewMachine\(|dpcroot\.New\(|nvmefs\.NewDriver\(|virtio\.NewTransport\(|workload\.Run\(' \
+		$$(ls internal/exp/*.go | grep -vE '_test\.go$$|/worlds\.go$$')); \
+		if [ -n "$$out" ]; then echo "world built or closed loop run outside internal/exp/worlds.go:"; echo "$$out"; exit 1; fi
 
 test:
 	$(GO) test ./...

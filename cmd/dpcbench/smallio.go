@@ -137,7 +137,7 @@ func smallIODriver(inlineMax int, o *obs.Obs) (*model.Machine, *nvmefs.Driver) {
 	return exp.NewNvmeEcho(cfg, nvmefs.Config{
 		Queues: 1, Depth: 64, SlotsPerQ: 32, MaxIO: 1 << 20, RHCap: 256,
 		InlineMax: inlineMax,
-	}, false)
+	}, exp.StoreRAM)
 }
 
 // measureSmallIO runs warm-up pairs on the transport, then measures

@@ -18,7 +18,7 @@ const walkSize = 8192
 func printWalks() error {
 	for n, t := range []struct {
 		title string
-		walk  func(*obs.Obs, int, bool) (exp.Walk, error)
+		walk  func(*obs.Obs, int, exp.Store) (exp.Walk, error)
 	}{
 		{"virtio-fs (DPFS path)", exp.VirtioWalk},
 		{"nvme-fs (DPC path)", exp.NvmeWalk},
@@ -27,7 +27,7 @@ func printWalks() error {
 			fmt.Println()
 		}
 		fmt.Printf("=== %s, %d-byte write+read ===\n", t.title, walkSize)
-		w, err := t.walk(nil, walkSize, false)
+		w, err := t.walk(nil, walkSize, exp.StoreRAM)
 		if err != nil {
 			return err
 		}

@@ -20,8 +20,8 @@ func RunAblationQueues(s Scale) []*Table {
 		Notes:  []string{"1 queue approximates virtio-fs's single-HAL-thread bottleneck"},
 	}
 	for _, q := range []int{1, 2, 4, 8, 16} {
-		st := newNvmeStack(q, 128, 64, 16*1024)
-		pt := measureRaw(st, 64, 4096, true, warm, meas)
+		m, do := nvmeRaw(q, 128, 64, 16*1024)
+		pt := measureRaw("nvme-fs", m, do, 64, 4096, true, warm, meas)
 		t.Rows = append(t.Rows, []string{fmt.Sprint(q), fmtIOPS(pt.IOPS), fmtDur(pt.Mean)})
 	}
 	return []*Table{t}
@@ -42,40 +42,32 @@ func RunAblationCachePlacement(s Scale) []*Table {
 		Header: []string{"design", "IOPS", "mean latency", "PCIe DMAs/op"},
 	}
 
-	// No cache: every read crosses PCIe to the backend.
-	{
-		kw := newKVFSWorld(0)
-		kw.sys.M.PCIe.Mark()
-		res := workload.Run(kw.sys.M.Eng, workload.Config{Threads: threads, Warmup: warm, Measure: meas, Seed: 5}, gen, kw.do(true))
-		dmas := float64(kw.sys.M.PCIe.DMAs.Delta()) / float64(res.Ops)
-		t.Rows = append(t.Rows, []string{"no cache", fmtIOPS(res.IOPS()), fmtDur(res.Lat.Mean()), fmt.Sprintf("%.1f", dmas)})
-		kw.stop()
-	}
-
-	// DPU-only cache: hits skip the backend but ship pages over PCIe.
-	{
-		kw := newKVFSWorld(0)
-		svc := kw.sys.KVFSService()
-		svc.DPUCache = map[[2]uint64][]byte{}
-		svc.DPUCacheCap = 8192
-		// Warm.
-		workload.Run(kw.sys.M.Eng, workload.Config{Threads: threads, Warmup: 0, Measure: 4 * (warm + meas), Seed: 5}, gen, kw.do(true))
-		kw.sys.M.PCIe.Mark()
-		res := workload.Run(kw.sys.M.Eng, workload.Config{Threads: threads, Warmup: warm, Measure: meas, Seed: 6}, gen, kw.do(true))
-		dmas := float64(kw.sys.M.PCIe.DMAs.Delta()) / float64(res.Ops)
-		t.Rows = append(t.Rows, []string{"DPU-only cache", fmtIOPS(res.IOPS()), fmtDur(res.Lat.Mean()), fmt.Sprintf("%.1f", dmas)})
-		kw.stop()
-	}
-
-	// Hybrid cache: hits stay in host memory.
-	{
-		kw := newKVFSWorld(8192)
-		workload.Run(kw.sys.M.Eng, workload.Config{Threads: threads, Warmup: 0, Measure: 4 * (warm + meas), Seed: 5}, gen, kw.do(false))
-		kw.sys.M.PCIe.Mark()
-		res := workload.Run(kw.sys.M.Eng, workload.Config{Threads: threads, Warmup: warm, Measure: meas, Seed: 6}, gen, kw.do(false))
-		dmas := float64(kw.sys.M.PCIe.DMAs.Delta()) / float64(res.Ops)
-		t.Rows = append(t.Rows, []string{"hybrid cache", fmtIOPS(res.IOPS()), fmtDur(res.Lat.Mean()), fmt.Sprintf("%.1f", dmas)})
-		kw.stop()
+	for _, d := range []struct {
+		design string
+		mutate func(*dpcroot.Options)
+		// dpuCache turns on the DPU-resident cache; warm runs a warm-up.
+		dpuCache, warm, direct bool
+		seed                   int64
+	}{
+		// No cache: every read crosses PCIe to the backend.
+		{"no cache", cachePages(0), false, false, true, 5},
+		// DPU-only cache: hits skip the backend but ship pages over PCIe.
+		{"DPU-only cache", cachePages(0), true, true, true, 6},
+		// Hybrid cache: hits stay in host memory.
+		{"hybrid cache", cachePages(8192), false, true, false, 6},
+	} {
+		w := saKVFS(d.mutate)
+		if d.dpuCache {
+			svc := w.sys.KVFSService()
+			svc.DPUCache = map[[2]uint64][]byte{}
+			svc.DPUCacheCap = 8192
+		}
+		if d.warm {
+			measure(w.m, w.name, d.design+" warm-up", workload.Config{Threads: threads, Warmup: 0, Measure: 4 * (warm + meas), Seed: 5}, gen, w.do(d.direct))
+		}
+		pt := measure(w.m, w.name, d.design, workload.Config{Threads: threads, Warmup: warm, Measure: meas, Seed: d.seed}, gen, w.do(d.direct))
+		t.Rows = append(t.Rows, []string{d.design, fmtIOPS(pt.IOPS), fmtDur(pt.Mean), fmt.Sprintf("%.1f", pt.DMAsPerOp)})
+		w.stop()
 	}
 	return []*Table{t}
 }
@@ -89,23 +81,23 @@ func RunAblationPrefetch(s Scale) []*Table {
 		Header: []string{"depth", "IOPS", "mean latency", "cache hit rate"},
 	}
 	for _, depth := range []int{0, 4, 16, 64} {
-		kw := newDPCWorld(func(o *dpcroot.Options) {
+		w := saKVFS(func(o *dpcroot.Options) {
 			o.CachePages = 8192
 			o.Ctl.PrefetchDepth = depth
 			o.Ctl.PrefetchEnabled = depth > 0
 			o.Ctl.AdaptivePrefetch = false
-		}).prefill(saFiles, saFileSize)
+		})
 		gen := workload.SequentialGen(saIOSize, saFileSize, workload.Read)
-		res := workload.Run(kw.sys.M.Eng, workload.Config{Threads: 1, Warmup: warm, Measure: meas, Seed: 4}, gen, kw.do(false))
-		hits, misses := kw.cl.CacheStats()
+		pt := measure(w.m, w.name, fmt.Sprintf("prefetch depth %d", depth), workload.Config{Threads: 1, Warmup: warm, Measure: meas, Seed: 4}, gen, w.do(false))
+		hits, misses := w.cl.CacheStats()
 		rate := 0.0
 		if hits+misses > 0 {
 			rate = float64(hits) / float64(hits+misses)
 		}
 		t.Rows = append(t.Rows, []string{
-			fmt.Sprint(depth), fmtIOPS(res.IOPS()), fmtDur(res.Lat.Mean()), fmtPct(rate),
+			fmt.Sprint(depth), fmtIOPS(pt.IOPS), fmtDur(pt.Mean), fmtPct(rate),
 		})
-		kw.stop()
+		w.stop()
 	}
 	return []*Table{t}
 }
@@ -119,24 +111,11 @@ func RunAblationECPlacement(s Scale) []*Table {
 		Title:  "Ablation: EC placement (8K random write, 32 threads)",
 		Header: []string{"EC location", "client", "IOPS", "host cores"},
 	}
-	for _, mk := range []struct {
-		loc string
-		f   func() *dfsClientWorld
-	}{
-		{"server (MDS)", newStdWorld},
-		{"host CPU", newOptWorld},
-		{"DPU", func() *dfsClientWorld { return newDPCDFSWorld(8192) }},
-	} {
-		w := mk.f()
-		w.hostCPU.Mark()
-		res := workload.Run(w.eng, workload.Config{Threads: threads, Warmup: warm, Measure: meas, Seed: 12},
-			workload.RandomGen(dfsIOSize, dfsFileSize, 0),
-			func(p *sim.Proc, tid int, a workload.Access) error {
-				return w.write(p, tid, w.bigIno[tid%len(w.bigIno)], a.Off, make([]byte, a.Size))
-			})
-		t.Rows = append(t.Rows, []string{
-			mk.loc, w.name, fmtIOPS(res.IOPS()), fmtCores(w.hostCPU.CoresUsed()),
-		})
+	for i, loc := range []string{"server (MDS)", "host CPU", "DPU"} {
+		w := dfsWorlds[i]()
+		pt := measure(w.m, w.name, "8K rnd wr", workload.Config{Threads: threads, Warmup: warm, Measure: meas, Seed: 12},
+			workload.RandomGen(dfsIOSize, dfsFileSize, 0), w.do(true))
+		t.Rows = append(t.Rows, []string{loc, w.name, fmtIOPS(pt.IOPS), fmtCores(pt.HostCores)})
 		w.stop()
 	}
 	return []*Table{t}
@@ -161,33 +140,30 @@ func RunAblationTransforms(s Scale) []*Table {
 		{"lzss", true, false},
 		{"lzss+dif", true, true},
 	} {
-		kw := newDPCWorld(func(o *dpcroot.Options) {
+		w := saKVFS(func(o *dpcroot.Options) {
 			bwOptions(o)
 			o.Compression, o.DIF = mode.compression, mode.dif
-		}).prefill(saFiles, saFileSize)
+		})
 		// Compressible payload: repeated text blocks.
 		payload := make([]byte, 1<<20)
 		pattern := []byte("application log line: GET /api/v1/object served in 420us status=200\n")
 		for i := 0; i < len(payload); i += len(pattern) {
 			copy(payload[i:], pattern)
 		}
-		kw.sys.M.HostCPU.Mark()
-		kw.sys.M.DPUCPU.Mark()
-		kw.sys.M.Net.BytesSent.Mark()
-		res := workload.Run(kw.sys.M.Eng, workload.Config{Threads: 8, Warmup: warm, Measure: meas, Seed: 13},
+		w.m.Net.BytesSent.Mark()
+		pt := measure(w.m, w.name, "transforms "+mode.name, workload.Config{Threads: 8, Warmup: warm, Measure: meas, Seed: 13},
 			workload.SequentialGen(1<<20, saFileSize, workload.Write),
 			func(p *sim.Proc, tid int, a workload.Access) error {
-				f := kw.files[tid%len(kw.files)]
-				return f.Write(p, tid, a.Off, payload, true)
+				return w.write(p, tid, w.big[tid%len(w.big)], a.Off, payload, true)
 			})
-		netPerOp := float64(kw.sys.M.Net.BytesSent.Delta()) / float64(res.Ops)
+		netPerOp := float64(w.m.Net.BytesSent.Delta()) / float64(pt.Ops)
 		t.Rows = append(t.Rows, []string{
-			mode.name, fmtGBps(res.GBps()),
+			mode.name, fmtGBps(pt.GBps),
 			fmt.Sprintf("%.0fKB", netPerOp/1024),
-			fmtCores(kw.sys.M.DPUCPU.CoresUsed()),
-			fmtCores(kw.sys.M.HostCPU.CoresUsed()),
+			fmtCores(pt.DPUCores),
+			fmtCores(pt.HostCores),
 		})
-		kw.stop()
+		w.stop()
 	}
 	return []*Table{t}
 }
@@ -208,24 +184,24 @@ func RunAblationReplacement(s Scale) []*Table {
 		{"FIFO", cache.PolicyFIFO},
 		{"second-chance", cache.PolicySecondChance},
 	} {
-		kw := newDPCWorld(func(o *dpcroot.Options) {
+		w := saKVFS(func(o *dpcroot.Options) {
 			o.CachePages = 2048 // 16 MB cache
 			o.Ctl.Policy = mode.policy
-		}).prefill(saFiles, saFileSize)
+		})
 		gen := workload.ZipfGen(saIOSize, 32<<20, 1.2)
 		// Warm until the cache churns at steady state.
-		workload.Run(kw.sys.M.Eng, workload.Config{Threads: 32, Warmup: 0, Measure: 4 * (warm + meas), Seed: 14}, gen, kw.do(false))
-		h0, m0 := kw.cl.CacheStats()
-		res := workload.Run(kw.sys.M.Eng, workload.Config{Threads: 32, Warmup: warm, Measure: meas, Seed: 15}, gen, kw.do(false))
-		h1, m1 := kw.cl.CacheStats()
+		measure(w.m, w.name, mode.name+" warm-up", workload.Config{Threads: 32, Warmup: 0, Measure: 4 * (warm + meas), Seed: 14}, gen, w.do(false))
+		h0, m0 := w.cl.CacheStats()
+		pt := measure(w.m, w.name, mode.name, workload.Config{Threads: 32, Warmup: warm, Measure: meas, Seed: 15}, gen, w.do(false))
+		h1, m1 := w.cl.CacheStats()
 		rate := 0.0
 		if d := (h1 - h0) + (m1 - m0); d > 0 {
 			rate = float64(h1-h0) / float64(d)
 		}
 		t.Rows = append(t.Rows, []string{
-			mode.name, fmtIOPS(res.IOPS()), fmtDur(res.Lat.Mean()), fmtPct(rate),
+			mode.name, fmtIOPS(pt.IOPS), fmtDur(pt.Mean), fmtPct(rate),
 		})
-		kw.stop()
+		w.stop()
 	}
 	return []*Table{t}
 }

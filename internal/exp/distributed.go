@@ -5,9 +5,6 @@ import (
 	"time"
 
 	dpcroot "dpc"
-	"dpc/internal/cpu"
-	"dpc/internal/dfs"
-	"dpc/internal/model"
 	"dpc/internal/sim"
 	"dpc/internal/workload"
 )
@@ -21,182 +18,28 @@ const (
 	dfsBWThreads = 16
 )
 
-// dfsClientWorld wraps one fs-client flavor plus its world.
-type dfsClientWorld struct {
-	name    string
-	eng     *sim.Engine
-	hostCPU *cpu.Pool
-	// bigIno are the preallocated big files; smallPaths the small files.
-	bigIno     []uint64
-	smallPaths []string
-
-	create func(p *sim.Proc, tid int, path string) (uint64, error)
-	write  func(p *sim.Proc, tid int, ino uint64, off uint64, data []byte) error
-	// createWrite is the initial small write after a create; DPC absorbs
-	// it in the hybrid cache (write-back), which is where its file-create
-	// advantage comes from. Defaults to write.
-	createWrite func(p *sim.Proc, tid int, ino uint64, off uint64, data []byte) error
-	read        func(p *sim.Proc, tid int, ino uint64, off uint64, n int) error // the bytes are discarded
-	lookup      func(p *sim.Proc, tid int, path string) (uint64, error)
-	stop        func()
+// dfsWorlds build Figure 9's three clients — standard NFS, the
+// host-optimized client, and NFS+DPC, the same optimized core offloaded to
+// the DPU behind nvme-fs with the hybrid cache absorbing buffered writes —
+// each with the Figure 1/9 population, settled for 10 s.
+var dfsWorlds = []func() *world{
+	func() *world { return dfsPrefill(newDFSHostWorld(false)) },
+	func() *world { return dfsPrefill(newDFSHostWorld(true)) },
+	func() *world {
+		return dfsPrefill(newDPCWorld("NFS+DPC", func(o *dpcroot.Options) {
+			o.EnableKVFS = false
+			o.EnableDFS = true
+			o.CachePages = 8192
+			// Wider commands so 1 MB sequential I/O does not fragment.
+			o.NvmeFS.Queues = 16
+			o.NvmeFS.SlotsPerQ = 16
+			o.NvmeFS.MaxIO = 256 * 1024
+		}))
+	},
 }
 
-// do is the random-I/O body on the big files (direct is ignored: the host
-// clients have no buffered path and the DPC flavor's write is direct).
-func (w *dfsClientWorld) do(bool) workload.Do {
-	return func(p *sim.Proc, tid int, a workload.Access) error {
-		ino := w.bigIno[tid%len(w.bigIno)]
-		if a.Kind == workload.Write {
-			return w.write(p, tid, ino, a.Off, make([]byte, a.Size))
-		}
-		return w.read(p, tid, ino, a.Off, a.Size)
-	}
-}
-
-// setup preallocates files big files of fileSize bytes under the name format
-// and smallN small files, then settles the world for 10 s of virtual time.
-// The DFS namespace is flat and a path's hash picks its home MDS, which
-// allocates the inode number, which places the data — so the names are part
-// of the world, and one setup serves all three clients.
-func (w *dfsClientWorld) setup(name string, files int, fileSize uint64, smallN int) *dfsClientWorld {
-	if w.createWrite == nil {
-		w.createWrite = w.write
-	}
-	w.eng.Go("setup", func(p *sim.Proc) {
-		chunk := make([]byte, prefillChunk)
-		for i := 0; i < files; i++ {
-			ino, err := w.create(p, 0, fmt.Sprintf(name, i))
-			if err != nil {
-				panic(err)
-			}
-			for off := uint64(0); off < fileSize; off += prefillChunk {
-				if err := w.write(p, 0, ino, off, chunk); err != nil {
-					panic(err)
-				}
-			}
-			w.bigIno = append(w.bigIno, ino)
-		}
-		small := make([]byte, dfsIOSize)
-		for i := 0; i < smallN; i++ {
-			path := fmt.Sprintf("/small/f%04d", i)
-			ino, err := w.create(p, 0, path)
-			if err != nil {
-				panic(err)
-			}
-			if err := w.write(p, 0, ino, 0, small); err != nil {
-				panic(err)
-			}
-			w.smallPaths = append(w.smallPaths, path)
-		}
-	})
-	w.eng.RunUntil(w.eng.Now() + sim.Time(10*time.Second))
-	return w
-}
-
-// fig9Setup is the Figure 1/9 population.
-func (w *dfsClientWorld) fig9Setup() *dfsClientWorld {
-	return w.setup("/big/file%d", dfsFiles, dfsFileSize, dfsSmallN)
-}
-
-// dfsHostClient is what the two host-resident clients (dfs.StdClient, and
-// dfs.Core run on the host CPU) share.
-type dfsHostClient interface {
-	Create(p *sim.Proc, path string) (uint64, error)
-	Lookup(p *sim.Proc, path string) (uint64, uint64, error)
-	Write(p *sim.Proc, ino uint64, off uint64, data []byte) error
-	Read(p *sim.Proc, ino uint64, off uint64, n int) ([]byte, error)
-}
-
-// newDFSHostWorld builds a host-resident client world, not yet populated:
-// the standard NFS client, or with opt the host-side optimized client.
-func newDFSHostWorld(opt bool) *dfsClientWorld {
-	m := model.NewMachine(model.Default())
-	b := dfs.NewBackend(m.Eng, m.Net, dfs.DefaultBackendConfig())
-	name, cl := "NFS", dfsHostClient(dfs.NewStdClient(b, m.HostNode, m.HostCPU, dfs.DefaultStdClientConfig()))
-	if opt {
-		name, cl = "NFS+opt-client", dfs.NewCore(b, m.HostNode, m.HostCPU, dfs.DefaultCoreCosts())
-	}
-	return &dfsClientWorld{
-		name: name, eng: m.Eng, hostCPU: m.HostCPU,
-		create: func(p *sim.Proc, tid int, path string) (uint64, error) { return cl.Create(p, path) },
-		write: func(p *sim.Proc, tid int, ino uint64, off uint64, data []byte) error {
-			return cl.Write(p, ino, off, data)
-		},
-		read: func(p *sim.Proc, tid int, ino uint64, off uint64, n int) error {
-			_, err := cl.Read(p, ino, off, n)
-			return err
-		},
-		lookup: func(p *sim.Proc, tid int, path string) (uint64, error) {
-			ino, _, err := cl.Lookup(p, path)
-			return ino, err
-		},
-		stop: m.Eng.Shutdown,
-	}
-}
-
-func newStdWorld() *dfsClientWorld { return newDFSHostWorld(false).fig9Setup() }
-func newOptWorld() *dfsClientWorld { return newDFSHostWorld(true).fig9Setup() }
-
-// newDPCDFSWorld builds the DPC world: the same optimized core, offloaded to
-// the DPU behind nvme-fs, with the hybrid cache absorbing buffered writes.
-func newDPCDFSWorld(cachePages int) *dfsClientWorld {
-	dw := newDPCWorld(func(o *dpcroot.Options) {
-		o.EnableKVFS = false
-		o.EnableDFS = true
-		o.CachePages = cachePages
-		// Wider commands so 1 MB sequential I/O does not fragment.
-		o.NvmeFS.Queues = 16
-		o.NvmeFS.SlotsPerQ = 16
-		o.NvmeFS.MaxIO = 256 * 1024
-	})
-	sys, cl := dw.sys, dw.cl
-	files := map[uint64]*dpcroot.File{}
-	bufs := readBufs{}
-	fileOf := func(ino uint64) *dpcroot.File {
-		f, ok := files[ino]
-		if !ok {
-			panic("dpc: unknown ino")
-		}
-		return f
-	}
-	w := &dfsClientWorld{
-		name: "NFS+DPC", eng: sys.M.Eng, hostCPU: sys.M.HostCPU,
-		create: func(p *sim.Proc, tid int, path string) (uint64, error) {
-			f, err := cl.Create(p, tid, path)
-			if err != nil {
-				return 0, err
-			}
-			files[f.Ino] = f
-			return f.Ino, nil
-		},
-		write: func(p *sim.Proc, tid int, ino uint64, off uint64, data []byte) error {
-			// Direct I/O: EC + DIO run on the DPU, like the opt-client's
-			// path runs on the host. (Buffered writes through the hybrid
-			// cache complete at host-memory speed as long as the working
-			// set fits — see the cache-placement ablation — which would
-			// make the big-file comparison trivially unfair.)
-			return fileOf(ino).Write(p, tid, off, data, true)
-		},
-		createWrite: func(p *sim.Proc, tid int, ino uint64, off uint64, data []byte) error {
-			// Write-back: the cache absorbs the new file's first bytes;
-			// the DPU flushes them asynchronously.
-			return fileOf(ino).Write(p, tid, off, data, false)
-		},
-		read: func(p *sim.Proc, tid int, ino uint64, off uint64, n int) error {
-			_, err := fileOf(ino).ReadInto(p, tid, off, bufs.get(tid, n), true)
-			return err
-		},
-		lookup: func(p *sim.Proc, tid int, path string) (uint64, error) {
-			f, err := cl.Open(p, tid, path)
-			if err != nil {
-				return 0, err
-			}
-			files[f.Ino] = f
-			return f.Ino, nil
-		},
-		stop: dw.stop,
-	}
-	return w.fig9Setup()
+func dfsPrefill(w *world) *world {
+	return w.prefill("/big/file%d", dfsFiles, dfsFileSize, dfsSmallN, 10*time.Second)
 }
 
 // Fig9Point is one (client, case) measurement.
@@ -208,71 +51,59 @@ type Fig9Point struct {
 	HostCores float64
 }
 
-// Fig9Data runs every Figure 9 case for every client.
+// Fig9Data runs every Figure 9 case for every client. Big-file I/O is
+// direct on every client: EC + DIO run on the DPU for DPC, like the
+// opt-client's path runs on the host. (Buffered writes through the hybrid
+// cache complete at host-memory speed as long as the working set fits — see
+// the cache-placement ablation — which would make the big-file comparison
+// trivially unfair.)
 func Fig9Data(s Scale) []Fig9Point {
 	warm, meas := s.windows()
 	const iopsThreads = 64
 	var out []Fig9Point
-	worlds := []func() *dfsClientWorld{newStdWorld, newOptWorld, func() *dfsClientWorld { return newDPCDFSWorld(8192) }}
-
-	for _, mk := range worlds {
+	for _, mk := range dfsWorlds {
 		w := mk()
-
-		measure := func(kase string, threads int, gen workload.Generator, do workload.Do, bw bool) {
-			w.hostCPU.Mark()
-			res := workload.Run(w.eng, workload.Config{Threads: threads, Warmup: warm, Measure: meas, Seed: 11}, gen, do)
-			pt := Fig9Point{Client: w.name, Case: kase, HostCores: w.hostCPU.CoresUsed()}
+		run := func(kase string, threads int, gen workload.Generator, do workload.Do, bw bool) {
+			pt := measure(w.m, w.name, kase, workload.Config{Threads: threads, Warmup: warm, Measure: meas, Seed: 11}, gen, do)
+			f := Fig9Point{Client: w.name, Case: kase, Value: pt.IOPS, Unit: "IOPS", HostCores: pt.HostCores}
 			if bw {
-				pt.Value, pt.Unit = res.GBps(), "GB/s"
-			} else {
-				pt.Value, pt.Unit = res.IOPS(), "IOPS"
+				f.Value, f.Unit = pt.GBps, "GB/s"
 			}
-			out = append(out, pt)
+			out = append(out, f)
 		}
 
 		// 8K random read / write on big files.
-		measure("8K rnd rd", iopsThreads, workload.RandomGen(dfsIOSize, dfsFileSize, 100),
-			func(p *sim.Proc, tid int, a workload.Access) error {
-				return w.read(p, tid, w.bigIno[tid%len(w.bigIno)], a.Off, a.Size)
-			}, false)
-		measure("8K rnd wr", iopsThreads, workload.RandomGen(dfsIOSize, dfsFileSize, 0),
-			func(p *sim.Proc, tid int, a workload.Access) error {
-				return w.write(p, tid, w.bigIno[tid%len(w.bigIno)], a.Off, make([]byte, a.Size))
-			}, false)
+		run("8K rnd rd", iopsThreads, workload.RandomGen(dfsIOSize, dfsFileSize, 100), w.do(true), false)
+		run("8K rnd wr", iopsThreads, workload.RandomGen(dfsIOSize, dfsFileSize, 0), w.do(true), false)
 
 		// Small-file 8K random read (lookup + read).
-		measure("small rnd rd", iopsThreads, workload.RandomGen(dfsIOSize, uint64(dfsSmallN)*dfsIOSize, 100),
+		run("small rnd rd", iopsThreads, workload.RandomGen(dfsIOSize, uint64(dfsSmallN)*dfsIOSize, 100),
 			func(p *sim.Proc, tid int, a workload.Access) error {
-				path := w.smallPaths[int(a.Off/dfsIOSize)%len(w.smallPaths)]
-				ino, err := w.lookup(p, tid, path)
+				ino, err := w.lookup(p, tid, w.small[int(a.Off/dfsIOSize)%len(w.small)])
 				if err != nil {
 					return err
 				}
-				return w.read(p, tid, ino, 0, dfsIOSize)
+				return w.read(p, tid, ino, 0, dfsIOSize, true)
 			}, false)
 
-		// 8K file creation write.
+		// 8K file creation write. The first write is buffered: DPC's hybrid
+		// cache absorbs the new file's bytes and the DPU flushes them
+		// asynchronously, which is where its file-create advantage comes
+		// from.
 		created := 0
-		measure("8K file cr", iopsThreads, workload.CreateGen(dfsIOSize),
+		run("8K file cr", iopsThreads, workload.CreateGen(dfsIOSize),
 			func(p *sim.Proc, tid int, a workload.Access) error {
 				created++
-				path := fmt.Sprintf("/new/%s-t%d-i%d", w.name, tid, created)
-				ino, err := w.create(p, tid, path)
+				ino, err := w.create(p, tid, fmt.Sprintf("/new/%s-t%d-i%d", w.name, tid, created))
 				if err != nil {
 					return err
 				}
-				return w.createWrite(p, tid, ino, 0, make([]byte, dfsIOSize))
+				return w.write(p, tid, ino, 0, make([]byte, dfsIOSize), false)
 			}, false)
 
 		// Sequential bandwidth.
-		measure("1MB seq rd", dfsBWThreads, workload.SequentialGen(1<<20, dfsFileSize, workload.Read),
-			func(p *sim.Proc, tid int, a workload.Access) error {
-				return w.read(p, tid, w.bigIno[tid%len(w.bigIno)], a.Off, a.Size)
-			}, true)
-		measure("1MB seq wr", dfsBWThreads, workload.SequentialGen(1<<20, dfsFileSize, workload.Write),
-			func(p *sim.Proc, tid int, a workload.Access) error {
-				return w.write(p, tid, w.bigIno[tid%len(w.bigIno)], a.Off, make([]byte, a.Size))
-			}, true)
+		run("1MB seq rd", dfsBWThreads, workload.SequentialGen(1<<20, dfsFileSize, workload.Read), w.do(true), true)
+		run("1MB seq wr", dfsBWThreads, workload.SequentialGen(1<<20, dfsFileSize, workload.Write), w.do(true), true)
 
 		w.stop()
 	}
@@ -280,8 +111,9 @@ func Fig9Data(s Scale) []Fig9Point {
 }
 
 // RunFig9 renders Figure 9.
-func RunFig9(s Scale) []*Table {
-	pts := Fig9Data(s)
+func RunFig9(s Scale) []*Table { return renderFig9(Fig9Data(s)) }
+
+func renderFig9(pts []Fig9Point) []*Table {
 	byCase := map[string]map[string]Fig9Point{}
 	var caseOrder []string
 	for _, p := range pts {
@@ -328,20 +160,15 @@ func Fig1Data(s Scale) []Fig9Point {
 	warm, meas := s.windows()
 	const threads = 32
 	var out []Fig9Point
-	for _, mk := range []func() *dfsClientWorld{newStdWorld, newOptWorld} {
+	for _, mk := range dfsWorlds[:2] {
 		w := mk()
 		for _, kase := range []struct {
 			name    string
 			readPct int
 		}{{"rnd rd", 100}, {"rnd wr", 0}, {"mix 70/30", 70}} {
-			w.hostCPU.Mark()
-			res := workload.Run(w.eng, workload.Config{Threads: threads, Warmup: warm, Measure: meas, Seed: 3},
-				workload.RandomGen(dfsIOSize, dfsFileSize, kase.readPct),
-				w.do(true))
-			out = append(out, Fig9Point{
-				Client: w.name, Case: kase.name, Value: res.IOPS(), Unit: "IOPS",
-				HostCores: w.hostCPU.CoresUsed(),
-			})
+			pt := measure(w.m, w.name, kase.name, workload.Config{Threads: threads, Warmup: warm, Measure: meas, Seed: 3},
+				workload.RandomGen(dfsIOSize, dfsFileSize, kase.readPct), w.do(true))
+			out = append(out, Fig9Point{Client: w.name, Case: kase.name, Value: pt.IOPS, Unit: "IOPS", HostCores: pt.HostCores})
 		}
 		w.stop()
 	}
@@ -349,8 +176,9 @@ func Fig1Data(s Scale) []Fig9Point {
 }
 
 // RunFig1 renders Figure 1.
-func RunFig1(s Scale) []*Table {
-	pts := Fig1Data(s)
+func RunFig1(s Scale) []*Table { return renderFig1(Fig1Data(s)) }
+
+func renderFig1(pts []Fig9Point) []*Table {
 	t := &Table{
 		Title:  "Figure 1: IOPS and CPU cores, standard vs optimized NFS client (32 threads)",
 		Header: []string{"workload", "NFS IOPS", "opt IOPS", "speedup", "NFS cores", "opt cores", "CPU ratio"},

@@ -1,13 +1,42 @@
 package exp
 
 import (
+	"errors"
+	"fmt"
+	"os"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"testing"
+	"time"
+
+	"dpc/internal/model"
+	"dpc/internal/sim"
+	"dpc/internal/workload"
 )
 
 // These tests assert the paper's qualitative claims (the "shapes") at Quick
 // scale. They are the executable version of EXPERIMENTS.md.
+
+// golden renders an experiment's tables — each shape test passes the data
+// it checked — and compares them with testdata/<id>.golden: the tables
+// `dpcbench -quick` prints for the experiment, minus its wall-time line.
+// Every figure is a virtual-time quantity, so any change to how a world is
+// built or measured shows up.
+func golden(t *testing.T, id string, tables []*Table) {
+	t.Helper()
+	var b strings.Builder
+	for _, tbl := range tables {
+		tbl.Fprint(&b)
+	}
+	want, err := os.ReadFile(filepath.Join("testdata", id+".golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b.String() != string(want) {
+		t.Errorf("%s differs from testdata/%s.golden:\n%s", id, id, b.String())
+	}
+}
 
 func TestDMACountsMatchPaper(t *testing.T) {
 	vw, vr, nw, nr := DMACounts()
@@ -17,6 +46,8 @@ func TestDMACountsMatchPaper(t *testing.T) {
 	if nw != 4 || nr != 4 {
 		t.Errorf("nvme-fs 8K DMAs = %d/%d, want 4/4", nw, nr)
 	}
+	golden(t, "fig2", renderFig2(vw, vr))
+	golden(t, "fig4", renderFig4(nw, nr))
 }
 
 func TestFig6Shapes(t *testing.T) {
@@ -43,6 +74,7 @@ func TestFig6Shapes(t *testing.T) {
 			}
 		}
 	}
+	golden(t, "fig6", renderFig6(pts))
 }
 
 func TestBW1Shapes(t *testing.T) {
@@ -57,6 +89,7 @@ func TestBW1Shapes(t *testing.T) {
 	if vr > nr/1.5 || vw > nw/1.5 {
 		t.Errorf("virtio-fs %v/%v too close to nvme-fs %v/%v", vr, vw, nr, nw)
 	}
+	golden(t, "bw1", renderBW1(vr, vw, nr, nw))
 }
 
 func TestFig7Shapes(t *testing.T) {
@@ -87,6 +120,7 @@ func TestFig7Shapes(t *testing.T) {
 	if e, k := byKey["ext4/read/128"], byKey["kvfs/read/128"]; e.HostUsage < 3*k.HostUsage {
 		t.Errorf("ext4 host usage (%.2f) not >> kvfs (%.2f)", e.HostUsage, k.HostUsage)
 	}
+	golden(t, "fig7", renderFig7(pts))
 }
 
 func TestTable2Shapes(t *testing.T) {
@@ -100,6 +134,7 @@ func TestTable2Shapes(t *testing.T) {
 				key, d["kvfs/"+key], d["ext4/"+key])
 		}
 	}
+	golden(t, "tab2", renderTable2(d))
 }
 
 func TestFig8Shapes(t *testing.T) {
@@ -119,6 +154,7 @@ func TestFig8Shapes(t *testing.T) {
 	if boost < 10 {
 		t.Errorf("kvfs 1-thread prefetch boost = %.1fx, want >= 10x", boost)
 	}
+	golden(t, "fig8", renderFig8(d))
 }
 
 func TestFig9Shapes(t *testing.T) {
@@ -148,6 +184,45 @@ func TestFig9Shapes(t *testing.T) {
 			t.Errorf("%s: DPC %.1f cores not <= 35%% of opt %.1f", kase, dpcPt.HostCores, opt.HostCores)
 		}
 	}
+	golden(t, "fig9", renderFig9(pts))
+}
+
+// TestCheapTablesGolden pins the tables of the experiments no shape test
+// runs but that cost seconds: Figure 1 and the queue-count and EC-placement
+// ablations.
+func TestCheapTablesGolden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("long experiment")
+	}
+	for _, id := range []string{"fig1", "abl1", "abl4"} {
+		golden(t, id, ByID(id).Run(Quick))
+	}
+}
+
+// TestMeasureFailsOnAFailedOp: a figure must not print a rate that silently
+// dropped ops, so one failed op in the window panics, naming the world and
+// the case.
+func TestMeasureFailsOnAFailedOp(t *testing.T) {
+	m := model.NewMachine(model.Default())
+	defer m.Eng.Shutdown()
+	failed := false
+	do := func(p *sim.Proc, tid int, a workload.Access) error {
+		p.Sleep(time.Microsecond)
+		if !failed {
+			failed = true
+			return errors.New("injected")
+		}
+		return nil
+	}
+	defer func() {
+		msg := fmt.Sprint(recover())
+		if !strings.Contains(msg, "test-world") || !strings.Contains(msg, "one bad op") || !strings.Contains(msg, "1 of") {
+			t.Errorf("panic %q does not name the world, the case and the failure", msg)
+		}
+	}()
+	measure(m, "test-world", "one bad op", workload.Config{Threads: 1, Measure: time.Millisecond, Seed: 1},
+		workload.RandomGen(4096, 1<<20, 100), do)
+	t.Error("measure returned despite a failed op")
 }
 
 func TestRegistryAndTables(t *testing.T) {

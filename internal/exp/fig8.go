@@ -6,7 +6,7 @@ import (
 	"dpc/internal/workload"
 )
 
-// Fig8Data measures the hybrid cache's contribution: direct vs buffered 8K
+// Fig8Result is the hybrid cache's contribution: direct vs buffered 8K
 // random IOPS for Ext4 and KVFS, plus the sequential-read prefetch boost at
 // 1 and 32 threads.
 type Fig8Result struct {
@@ -32,28 +32,20 @@ func Fig8Data(s Scale) Fig8Result {
 			readPct = 100
 		}
 		gen := workload.RandomGen(saIOSize, workingSet, readPct)
-
-		ext := newExt4World(saFiles, saFileSize)
-		for _, direct := range []bool{true, false} {
-			if op == workload.Read && !direct {
-				// Warm the page cache so buffered reads measure hits; the
-				// random fill needs several windows' worth of misses.
-				workload.Run(ext.m.Eng, workload.Config{Threads: randThreads, Warmup: 0, Measure: 4 * (warm + meas), Seed: 7}, gen, ext.do(false))
+		// The 32 MB hybrid cache covers the working set.
+		for _, mk := range []func() *world{saExt4, func() *world { return saKVFS(cachePages(4096)) }} {
+			w := mk()
+			for _, direct := range []bool{true, false} {
+				kase := key3(w.name, direct, op)
+				if op == workload.Read && !direct {
+					// Warm the cache so buffered reads measure hits; the
+					// random fill needs several windows' worth of misses.
+					measure(w.m, w.name, kase+" warm-up", workload.Config{Threads: randThreads, Warmup: 0, Measure: 4 * (warm + meas), Seed: 7}, gen, w.do(false))
+				}
+				out.Rand[kase] = measure(w.m, w.name, kase, workload.Config{Threads: randThreads, Warmup: warm, Measure: meas, Seed: 8}, gen, w.do(direct)).IOPS
 			}
-			res := workload.Run(ext.m.Eng, workload.Config{Threads: randThreads, Warmup: warm, Measure: meas, Seed: 8}, gen, ext.do(direct))
-			out.Rand[key3("ext4", direct, op)] = res.IOPS()
+			w.stop()
 		}
-		ext.m.Eng.Shutdown()
-
-		kw := newKVFSWorld(4096) // 32 MB hybrid cache covers the working set
-		for _, direct := range []bool{true, false} {
-			if op == workload.Read && !direct {
-				workload.Run(kw.sys.M.Eng, workload.Config{Threads: randThreads, Warmup: 0, Measure: 4 * (warm + meas), Seed: 7}, gen, kw.do(false))
-			}
-			res := workload.Run(kw.sys.M.Eng, workload.Config{Threads: randThreads, Warmup: warm, Measure: meas, Seed: 8}, gen, kw.do(direct))
-			out.Rand[key3("kvfs", direct, op)] = res.IOPS()
-		}
-		kw.stop()
 	}
 
 	// Sequential read: the prefetcher is the star (paper: 100x at 1
@@ -61,20 +53,15 @@ func Fig8Data(s Scale) Fig8Result {
 	// can hold; past cache capacity both degrade to capacity thrash.
 	for _, threads := range []int{1, 32} {
 		gen := workload.SequentialGen(saIOSize, 8<<20, workload.Read)
-
-		ext := newExt4World(saFiles, saFileSize)
-		res := workload.Run(ext.m.Eng, workload.Config{Threads: threads, Warmup: warm, Measure: meas, Seed: 9}, gen, ext.do(true))
-		out.Seq[fmt.Sprintf("ext4/direct/%d", threads)] = res.IOPS()
-		res = workload.Run(ext.m.Eng, workload.Config{Threads: threads, Warmup: warm, Measure: meas, Seed: 9}, gen, ext.do(false))
-		out.Seq[fmt.Sprintf("ext4/buffered/%d", threads)] = res.IOPS()
-		ext.m.Eng.Shutdown()
-
-		kw := newKVFSWorld(8192)
-		res = workload.Run(kw.sys.M.Eng, workload.Config{Threads: threads, Warmup: warm, Measure: meas, Seed: 9}, gen, kw.do(true))
-		out.Seq[fmt.Sprintf("kvfs/direct/%d", threads)] = res.IOPS()
-		res = workload.Run(kw.sys.M.Eng, workload.Config{Threads: threads, Warmup: warm, Measure: meas, Seed: 9}, gen, kw.do(false))
-		out.Seq[fmt.Sprintf("kvfs/buffered/%d", threads)] = res.IOPS()
-		kw.stop()
+		cfg := workload.Config{Threads: threads, Warmup: warm, Measure: meas, Seed: 9}
+		for _, mk := range []func() *world{saExt4, func() *world { return saKVFS(cachePages(8192)) }} {
+			w := mk()
+			for _, mode := range []string{"direct", "buffered"} {
+				kase := fmt.Sprintf("%s/%s/%d", w.name, mode, threads)
+				out.Seq[kase] = measure(w.m, w.name, kase, cfg, gen, w.do(mode == "direct")).IOPS
+			}
+			w.stop()
+		}
 	}
 	return out
 }
@@ -88,8 +75,9 @@ func key3(stack string, direct bool, op workload.OpKind) string {
 }
 
 // RunFig8 renders Figure 8.
-func RunFig8(s Scale) []*Table {
-	d := Fig8Data(s)
+func RunFig8(s Scale) []*Table { return renderFig8(Fig8Data(s)) }
+
+func renderFig8(d Fig8Result) []*Table {
 	randT := &Table{
 		Title:  "Figure 8: 8K random IOPS, direct vs buffered (32 threads)",
 		Header: []string{"stack", "op", "direct", "buffered", "boost"},

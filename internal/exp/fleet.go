@@ -186,25 +186,25 @@ type fleetTel struct {
 // contention scenario, and summarizes the measurement window.
 func runFleetPhase(cfg FleetConfig, faults []fault.Rule, name string, withAggressor, fifo, wantTel bool) (FleetPhase, fleetTel, error) {
 	o := obs.New()
-	opts := dpcroot.DefaultOptions()
-	opts.Model.Obs = o
-	opts.NvmeFS.Queues = cfg.Tenants * fleetQPerTenant
-	tenants := make([]nvmefs.TenantConfig, cfg.Tenants)
-	// The aggressor's budgets, enforced by the DRR scheduler in the "drr"
-	// phase (the FIFO phase ignores them by design — that is the contrast),
-	// calibrated so the drr-phase victim tail holds near the uncontended
-	// baseline.
-	tenants[0] = nvmefs.TenantConfig{
-		MaxInflight:  2,
-		BandwidthBps: 400 << 20,
-		// Half the aggressor's 64 transport slots: the flood's arrival burst
-		// overruns the bound and admission control sheds the excess.
-		MaxQueued: 32,
-	}
-	opts.NvmeFS.Tenants = tenants
-	opts.NvmeFS.SchedFIFO = fifo
-	opts.Faults = faults
-	sys := dpcroot.New(opts)
+	sys := newSystem(func(opts *dpcroot.Options) {
+		opts.Model.Obs = o
+		opts.NvmeFS.Queues = cfg.Tenants * fleetQPerTenant
+		opts.NvmeFS.Tenants = make([]nvmefs.TenantConfig, cfg.Tenants)
+		// The aggressor's budgets, enforced by the DRR scheduler in the
+		// "drr" phase (the FIFO phase ignores them by design — that is the
+		// contrast), calibrated so the drr-phase victim tail holds near the
+		// uncontended baseline.
+		opts.NvmeFS.Tenants[0] = nvmefs.TenantConfig{
+			MaxInflight:  2,
+			BandwidthBps: 400 << 20,
+			// Half the aggressor's 64 transport slots: the flood's arrival
+			// burst overruns the bound and admission control sheds the
+			// excess.
+			MaxQueued: 32,
+		}
+		opts.NvmeFS.SchedFIFO = fifo
+		opts.Faults = faults
+	})
 	var opErr firstErr
 
 	// Clients first: each tenant client registers its t<N>.client.* metric

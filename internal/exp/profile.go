@@ -26,13 +26,13 @@ type Reference struct {
 func ProfiledReference(o *obs.Obs) (Reference, error) {
 	var ref Reference
 	var err error
-	if ref.Nvme, err = NvmeWalk(o, 8192, true); err != nil {
+	if ref.Nvme, err = NvmeWalk(o, 8192, StoreSSD); err != nil {
 		return ref, err
 	}
 	wd, rd := ref.Nvme.DMAs()
 	o.Counter("trace.nvmefs.write.dmas").Add(wd)
 	o.Counter("trace.nvmefs.read.dmas").Add(rd)
-	if ref.Virtio, err = VirtioWalk(o, 8192, true); err != nil {
+	if ref.Virtio, err = VirtioWalk(o, 8192, StoreSSD); err != nil {
 		return ref, err
 	}
 	wd, rd = ref.Virtio.DMAs()

@@ -81,15 +81,16 @@ func RunRamp(slos []string, interval time.Duration, faults []fault.Rule) (*RampR
 	// critical-path report attributes the overload (slot waits vs SSD
 	// service vs DMA) instead of lumping it into "other".
 	o := obs.New()
-	opts := dpcroot.DefaultOptions()
-	opts.Model.Obs = o
-	// Constrain the transport so the ramp actually saturates: two queues
-	// with few buffer slots. The early stages fit; the late stages park on
-	// slot acquisition and the windowed p99 climbs past the objective.
-	opts.NvmeFS.Queues = 2
-	opts.NvmeFS.SlotsPerQ = 4
-	opts.Faults = faults
-	sys := dpcroot.New(opts)
+	sys := newSystem(func(opts *dpcroot.Options) {
+		opts.Model.Obs = o
+		// Constrain the transport so the ramp actually saturates: two
+		// queues with few buffer slots. The early stages fit; the late
+		// stages park on slot acquisition and the windowed p99 climbs past
+		// the objective.
+		opts.NvmeFS.Queues = 2
+		opts.NvmeFS.SlotsPerQ = 4
+		opts.Faults = faults
+	})
 	tel, err := telemetry.Attach(sys.M.Eng, o, telemetry.Config{
 		Interval: interval,
 		SLOs:     slos,

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"time"
 
-	"dpc/internal/fuse"
 	"dpc/internal/model"
 	"dpc/internal/nvme"
 	"dpc/internal/nvmefs"
@@ -14,87 +13,49 @@ import (
 	"dpc/internal/workload"
 )
 
-// rawStack is a host-DPU transport with an in-memory virtual client behind
-// it (the §4.1 setup: the DPU responds from DRAM, so measured latency is
-// pure host-DPU round trip).
-type rawStack struct {
-	name string
-	m    *model.Machine
-	wr   func(p *sim.Proc, tid int, off uint64, data []byte) error
-	rd   func(p *sim.Proc, tid int, off uint64, n int) ([]byte, error)
-}
+// The §4.1 set-up: a host-DPU transport over the DRAM virtual client
+// (storeVirt), so measured latency is the pure host-DPU round trip. Each
+// constructor returns the machine and the client side: the closed-loop body
+// of size-byte writes, or of size-byte reads, at the generator's offsets.
 
-// newVirtioStack builds the DPFS-style baseline: single virtqueue, single
-// HAL thread.
-func newVirtioStack(maxIO, slots int) *rawStack {
-	m := model.NewMachine(model.Default())
-	zero := make([]byte, maxIO)
-	handler := func(p *sim.Proc, req fuse.Request) fuse.Response {
-		// Virtual client: respond from DPU memory.
-		m.DPUExec(p, m.Cfg.Costs.DPUVirtClient)
-		if req.Header.Opcode == fuse.OpRead {
-			return fuse.Response{Data: zero[:req.IO.Size]}
+// virtioRaw is the DPFS-style baseline: a single virtqueue and HAL thread.
+func virtioRaw(maxIO, slots int) (*model.Machine, func(write bool, size int) workload.Do) {
+	m, tr := newVirtioEcho(model.Default(), virtio.Config{QueueSize: 1024, Slots: slots, MaxIO: maxIO}, storeVirt)
+	return m, func(write bool, size int) workload.Do {
+		buf := make([]byte, size)
+		return func(p *sim.Proc, tid int, a workload.Access) error {
+			if write {
+				return tr.Write(p, uint64(tid), 1, a.Off, buf)
+			}
+			_, err := tr.Read(p, uint64(tid), 1, a.Off, size)
+			return err
 		}
-		return fuse.Response{}
-	}
-	tr := virtio.NewTransport(m, virtio.Config{QueueSize: 1024, Slots: slots, MaxIO: maxIO}, handler)
-	return &rawStack{
-		name: "virtio-fs",
-		m:    m,
-		wr: func(p *sim.Proc, tid int, off uint64, data []byte) error {
-			return tr.Write(p, uint64(tid), 1, off, data)
-		},
-		rd: func(p *sim.Proc, tid int, off uint64, n int) ([]byte, error) {
-			return tr.Read(p, uint64(tid), 1, off, n)
-		},
 	}
 }
 
-// newNvmeStack builds the nvme-fs transport with the same virtual client.
-func newNvmeStack(queues, depth, slotsPerQ, maxIO int) *rawStack {
-	m := model.NewMachine(model.Default())
-	zero := make([]byte, maxIO)
-	handler := func(p *sim.Proc, req nvmefs.Request) nvmefs.Response {
-		m.DPUExec(p, m.Cfg.Costs.DPUVirtClient)
-		if req.SQE.FileOp == nvme.FileOpRead {
-			n := int(binary.LittleEndian.Uint32(req.Header[16:]))
-			return nvmefs.Response{Status: nvme.StatusOK, Header: []byte{1}, Data: zero[:n]}
-		}
-		return nvmefs.Response{Status: nvme.StatusOK, Result: uint32(len(req.Data))}
-	}
-	d := nvmefs.NewDriver(m, nvmefs.Config{
+// nvmeRaw is the nvme-fs transport. Each command carries a 20-byte header
+// (tid, offset, length), DMA'd like any other.
+func nvmeRaw(queues, depth, slotsPerQ, maxIO int) (*model.Machine, func(write bool, size int) workload.Do) {
+	m, d := NewNvmeEcho(model.Default(), nvmefs.Config{
 		Queues: queues, Depth: depth, SlotsPerQ: slotsPerQ, MaxIO: maxIO, RHCap: 64,
-	}, handler)
+	}, storeVirt)
 	bufs := readBufs{}
-	hdr := func(tid int, off uint64, n int) []byte {
-		h := make([]byte, 20)
-		binary.LittleEndian.PutUint64(h, uint64(tid))
-		binary.LittleEndian.PutUint64(h[8:], off)
-		binary.LittleEndian.PutUint32(h[16:], uint32(n))
-		return h
-	}
-	return &rawStack{
-		name: "nvme-fs",
-		m:    m,
-		wr: func(p *sim.Proc, tid int, off uint64, data []byte) error {
-			c := d.Submit(p, tid, nvmefs.Submission{
-				FileOp: nvme.FileOpWrite, Header: hdr(tid, off, len(data)), Payload: data,
-			})
-			if !c.OK() {
-				return fmt.Errorf("write status %s", nvme.StatusString(c.Status))
+	return m, func(write bool, size int) workload.Do {
+		buf := make([]byte, size)
+		return func(p *sim.Proc, tid int, a workload.Access) error {
+			hdr := make([]byte, 20)
+			binary.LittleEndian.PutUint64(hdr, uint64(tid))
+			binary.LittleEndian.PutUint64(hdr[8:], a.Off)
+			binary.LittleEndian.PutUint32(hdr[16:], uint32(size))
+			sub := nvmefs.Submission{FileOp: nvme.FileOpWrite, Header: hdr, Payload: buf}
+			if !write {
+				sub = nvmefs.Submission{FileOp: nvme.FileOpRead, Header: hdr, RHLen: 1, ReadLen: size, ReadInto: bufs.get(tid, size)}
+			}
+			if c := d.Submit(p, tid, sub); !c.OK() {
+				return fmt.Errorf("status %s", nvme.StatusString(c.Status))
 			}
 			return nil
-		},
-		rd: func(p *sim.Proc, tid int, off uint64, n int) ([]byte, error) {
-			c := d.Submit(p, tid, nvmefs.Submission{
-				FileOp: nvme.FileOpRead, Header: hdr(tid, off, n), RHLen: 1, ReadLen: n,
-				ReadInto: bufs.get(tid, n),
-			})
-			if !c.OK() {
-				return nil, fmt.Errorf("read status %s", nvme.StatusString(c.Status))
-			}
-			return c.Data, nil
-		},
+		}
 	}
 }
 
@@ -103,33 +64,19 @@ type rawPoint struct {
 	Transport string
 	Op        string
 	Threads   int
-	IOPS      float64
-	Mean      time.Duration
-	P99       time.Duration
+	point
 }
 
-// measureRaw runs one closed-loop window on a raw stack.
-func measureRaw(st *rawStack, threads, ioSize int, write bool, warmup, measure time.Duration) rawPoint {
+// measureRaw runs one closed-loop window of ioSize-byte ops.
+func measureRaw(transport string, m *model.Machine, do func(bool, int) workload.Do, threads, ioSize int, write bool, warmup, meas time.Duration) rawPoint {
 	op := "read"
-	kind := workload.Read
 	if write {
 		op = "write"
-		kind = workload.Write
 	}
-	buf := make([]byte, ioSize)
-	res := workload.Run(st.m.Eng, workload.Config{
-		Threads: threads, Warmup: warmup, Measure: measure, Seed: 1,
-	}, workload.RandomGen(ioSize, 256<<20, 0), func(p *sim.Proc, tid int, a workload.Access) error {
-		if kind == workload.Write {
-			return st.wr(p, tid, a.Off, buf)
-		}
-		_, err := st.rd(p, tid, a.Off, ioSize)
-		return err
-	})
-	return rawPoint{
-		Transport: st.name, Op: op, Threads: threads,
-		IOPS: res.IOPS(), Mean: res.Lat.Mean(), P99: res.Lat.Percentile(99),
-	}
+	return rawPoint{Transport: transport, Op: op, Threads: threads, point: measure(m, transport,
+		fmt.Sprintf("%dB %s, %d threads", ioSize, op, threads),
+		workload.Config{Threads: threads, Warmup: warmup, Measure: meas, Seed: 1},
+		workload.RandomGen(ioSize, 256<<20, 0), do(write, ioSize))}
 }
 
 // Fig6Data runs the Figure 6 sweep and returns the points (used by the
@@ -139,28 +86,29 @@ func Fig6Data(s Scale) []rawPoint {
 	var out []rawPoint
 	for _, write := range []bool{false, true} {
 		for _, threads := range s.threadSweep() {
-			// Fresh stacks per point: queue/cache state does not leak.
-			// nvme-fs runs with 2 queues here, which lands the IOPS gap in
-			// the paper's reported 2-3x band; the queue-count ablation
-			// (abl1) shows how the protocol scales with more queues.
-			v := newVirtioStack(16*1024, 512)
-			n := newNvmeStack(2, 256, 128, 16*1024)
 			// 4K for IOPS and 8K for latency, as in the paper; we measure
 			// both sizes' IOPS and report 8K latency.
-			out = append(out, measureRaw(v, threads, 4096, write, warm, meas))
-			out = append(out, measureRaw(n, threads, 4096, write, warm, meas))
-			v2 := newVirtioStack(16*1024, 512)
-			n2 := newNvmeStack(2, 256, 128, 16*1024)
-			out = append(out, measureRaw(v2, threads, 8192, write, warm, meas))
-			out = append(out, measureRaw(n2, threads, 8192, write, warm, meas))
+			for _, size := range []int{4096, 8192} {
+				// Fresh stacks per point: queue/cache state does not leak.
+				// nvme-fs runs with 2 queues here, which lands the IOPS gap
+				// in the paper's reported 2-3x band; the queue-count
+				// ablation (abl1) shows how the protocol scales with more
+				// queues.
+				vm, vdo := virtioRaw(16*1024, 512)
+				nm, ndo := nvmeRaw(2, 256, 128, 16*1024)
+				out = append(out,
+					measureRaw("virtio-fs", vm, vdo, threads, size, write, warm, meas),
+					measureRaw("nvme-fs", nm, ndo, threads, size, write, warm, meas))
+			}
 		}
 	}
 	return out
 }
 
 // RunFig6 renders Figure 6.
-func RunFig6(s Scale) []*Table {
-	pts := Fig6Data(s)
+func RunFig6(s Scale) []*Table { return renderFig6(Fig6Data(s)) }
+
+func renderFig6(pts []rawPoint) []*Table {
 	iops := &Table{
 		Title:  "Figure 6 (a,b): 4K random IOPS vs concurrency",
 		Header: []string{"op", "threads", "virtio-fs IOPS", "nvme-fs IOPS", "speedup"},
@@ -188,32 +136,30 @@ func RunFig6(s Scale) []*Table {
 	return []*Table{iops, lat}
 }
 
-// BW1Data measures §4.1's bandwidth comparison.
+// BW1Data measures §4.1's bandwidth comparison, each number on a fresh
+// transport.
 func BW1Data(s Scale) (virtioRd, virtioWr, nvmeRd, nvmeWr float64) {
 	warm, meas := s.windows()
-	run := func(st *rawStack, write bool) float64 {
-		buf := make([]byte, 1<<20)
-		res := workload.Run(st.m.Eng, workload.Config{Threads: 16, Warmup: warm, Measure: meas, Seed: 1},
-			workload.SequentialGen(1<<20, 1<<30, workload.Read),
-			func(p *sim.Proc, tid int, a workload.Access) error {
-				if write {
-					return st.wr(p, tid, a.Off, buf)
-				}
-				_, err := st.rd(p, tid, a.Off, len(buf))
-				return err
-			})
-		return res.GBps()
+	run := func(name string, m *model.Machine, do func(bool, int) workload.Do, write bool) float64 {
+		return measure(m, name, fmt.Sprintf("1MB seq, write %v", write),
+			workload.Config{Threads: 16, Warmup: warm, Measure: meas, Seed: 1},
+			workload.SequentialGen(1<<20, 1<<30, workload.Read), do(write, 1<<20)).GBps
 	}
-	virtioRd = run(newVirtioStack(1<<20, 24), false)
-	virtioWr = run(newVirtioStack(1<<20, 24), true)
-	nvmeRd = run(newNvmeStack(16, 64, 2, 1<<20), false)
-	nvmeWr = run(newNvmeStack(16, 64, 2, 1<<20), true)
+	m, do := virtioRaw(1<<20, 24)
+	virtioRd = run("virtio-fs", m, do, false)
+	m, do = virtioRaw(1<<20, 24)
+	virtioWr = run("virtio-fs", m, do, true)
+	m, do = nvmeRaw(16, 64, 2, 1<<20)
+	nvmeRd = run("nvme-fs", m, do, false)
+	m, do = nvmeRaw(16, 64, 2, 1<<20)
+	nvmeWr = run("nvme-fs", m, do, true)
 	return
 }
 
 // RunBW1 renders the §4.1 bandwidth comparison.
-func RunBW1(s Scale) []*Table {
-	vr, vw, nr, nw := BW1Data(s)
+func RunBW1(s Scale) []*Table { return renderBW1(BW1Data(s)) }
+
+func renderBW1(vr, vw, nr, nw float64) []*Table {
 	t := &Table{
 		Title:  "§4.1: raw bandwidth, 1MB sequential, 16 threads",
 		Header: []string{"transport", "read", "write"},
@@ -231,11 +177,11 @@ func RunBW1(s Scale) []*Table {
 // DMACounts traces one 8K write + one 8K read through each transport (the
 // RAM-backed walks) and counts the DMAs of each.
 func DMACounts() (virtioWr, virtioRd, nvmeWr, nvmeRd int64) {
-	v, err := VirtioWalk(nil, 8192, false)
+	v, err := VirtioWalk(nil, 8192, StoreRAM)
 	if err != nil {
 		panic(err)
 	}
-	n, err := NvmeWalk(nil, 8192, false)
+	n, err := NvmeWalk(nil, 8192, StoreRAM)
 	if err != nil {
 		panic(err)
 	}
@@ -247,6 +193,10 @@ func DMACounts() (virtioWr, virtioRd, nvmeWr, nvmeRd int64) {
 // RunFig2 renders the virtio DMA walk count.
 func RunFig2(s Scale) []*Table {
 	vw, vr, _, _ := DMACounts()
+	return renderFig2(vw, vr)
+}
+
+func renderFig2(vw, vr int64) []*Table {
 	return []*Table{{
 		Title:  "Figure 2(b): DMA operations per 8K request, virtio-fs",
 		Header: []string{"op", "DMAs"},
@@ -261,6 +211,10 @@ func RunFig2(s Scale) []*Table {
 // RunFig4 renders the nvme-fs DMA walk count.
 func RunFig4(s Scale) []*Table {
 	_, _, nw, nr := DMACounts()
+	return renderFig4(nw, nr)
+}
+
+func renderFig4(nw, nr int64) []*Table {
 	return []*Table{{
 		Title:  "Figure 4: DMA operations per 8K request, nvme-fs",
 		Header: []string{"op", "DMAs"},

@@ -16,16 +16,25 @@ const (
 	saIOSize   = 8192
 )
 
+// saExt4 and saKVFS are the standalone experiments' pre-filled worlds:
+// saFiles big files of saFileSize bytes each.
+func saExt4() *world { return newExt4World().prefill(bigFileName, saFiles, saFileSize, 0, 0) }
+
+func saKVFS(mutate func(*dpcroot.Options)) *world {
+	return newDPCWorld("kvfs", mutate).prefill(bigFileName, saFiles, saFileSize, 0, time.Minute)
+}
+
+// cachePages sizes a KVFS world's hybrid cache (0: none).
+func cachePages(n int) func(*dpcroot.Options) {
+	return func(o *dpcroot.Options) { o.CachePages = n }
+}
+
 // Fig7Point is one (stack, op, threads) measurement.
 type Fig7Point struct {
-	Stack     string
-	Op        string
-	Threads   int
-	IOPS      float64
-	Mean      time.Duration
-	HostCores float64
-	HostUsage float64
-	DPUUsage  float64
+	Stack   string
+	Op      string
+	Threads int
+	point
 }
 
 // Fig7Data sweeps concurrency for Ext4 and KVFS with direct 8K random I/O.
@@ -37,40 +46,26 @@ func Fig7Data(s Scale) []Fig7Point {
 		if op == workload.Read {
 			readPct = 100
 		}
-		ext := newExt4World(saFiles, saFileSize)
-		kw := newKVFSWorld(2048)
+		ext, kw := saExt4(), saKVFS(cachePages(2048))
 		for _, threads := range s.threadSweep() {
 			gen := workload.RandomGen(saIOSize, saFileSize, readPct)
-
-			ext.m.HostCPU.Mark()
-			res := workload.Run(ext.m.Eng, workload.Config{Threads: threads, Warmup: warm, Measure: meas, Seed: int64(threads)},
-				gen, ext.do(true))
-			out = append(out, Fig7Point{
-				Stack: "ext4", Op: op.String(), Threads: threads,
-				IOPS: res.IOPS(), Mean: res.Lat.Mean(),
-				HostCores: ext.m.HostCPU.CoresUsed(), HostUsage: ext.m.HostCPU.Usage(),
-			})
-
-			kw.sys.M.HostCPU.Mark()
-			kw.sys.M.DPUCPU.Mark()
-			res = workload.Run(kw.sys.M.Eng, workload.Config{Threads: threads, Warmup: warm, Measure: meas, Seed: int64(threads)},
-				gen, kw.do(true))
-			out = append(out, Fig7Point{
-				Stack: "kvfs", Op: op.String(), Threads: threads,
-				IOPS: res.IOPS(), Mean: res.Lat.Mean(),
-				HostCores: kw.sys.M.HostCPU.CoresUsed(), HostUsage: kw.sys.M.HostCPU.Usage(),
-				DPUUsage: kw.sys.M.DPUCPU.Usage(),
-			})
+			cfg := workload.Config{Threads: threads, Warmup: warm, Measure: meas, Seed: int64(threads)}
+			kase := fmt.Sprintf("%s %d threads", op, threads)
+			for _, w := range []*world{ext, kw} {
+				out = append(out, Fig7Point{Stack: w.name, Op: op.String(), Threads: threads,
+					point: measure(w.m, w.name, kase, cfg, gen, w.do(true))})
+			}
 		}
-		ext.m.Eng.Shutdown()
+		ext.stop()
 		kw.stop()
 	}
 	return out
 }
 
 // RunFig7 renders Figure 7.
-func RunFig7(s Scale) []*Table {
-	pts := Fig7Data(s)
+func RunFig7(s Scale) []*Table { return renderFig7(Fig7Data(s)) }
+
+func renderFig7(pts []Fig7Point) []*Table {
 	lat := &Table{
 		Title:  "Figure 7(a): 8K random latency (direct I/O)",
 		Header: []string{"op", "threads", "ext4", "kvfs"},
@@ -125,25 +120,21 @@ func Table2Data(s Scale) map[string]float64 {
 	for _, threads := range []int{1, 32} {
 		for _, op := range []workload.OpKind{workload.Read, workload.Write} {
 			gen := workload.SequentialGen(1<<20, saFileSize, op)
-			ext := newExt4World(saFiles, saFileSize)
-			res := workload.Run(ext.m.Eng, workload.Config{Threads: threads, Warmup: warm, Measure: meas, Seed: 2},
-				gen, ext.do(true))
-			out[fmt.Sprintf("ext4/%s/%d", op, threads)] = res.GBps()
-			ext.m.Eng.Shutdown()
-
-			kw := newDPCWorld(bwOptions).prefill(saFiles, saFileSize)
-			res = workload.Run(kw.sys.M.Eng, workload.Config{Threads: threads, Warmup: warm, Measure: meas, Seed: 2},
-				gen, kw.do(true))
-			out[fmt.Sprintf("kvfs/%s/%d", op, threads)] = res.GBps()
-			kw.stop()
+			cfg := workload.Config{Threads: threads, Warmup: warm, Measure: meas, Seed: 2}
+			for _, mk := range []func() *world{saExt4, func() *world { return saKVFS(bwOptions) }} {
+				w := mk()
+				out[fmt.Sprintf("%s/%s/%d", w.name, op, threads)] = measure(w.m, w.name, fmt.Sprintf("1MB seq %s, %d threads", op, threads), cfg, gen, w.do(true)).GBps
+				w.stop()
+			}
 		}
 	}
 	return out
 }
 
 // RunTable2 renders Table 2.
-func RunTable2(s Scale) []*Table {
-	d := Table2Data(s)
+func RunTable2(s Scale) []*Table { return renderTable2(Table2Data(s)) }
+
+func renderTable2(d map[string]float64) []*Table {
 	t := &Table{
 		Title:  "Table 2: sequential bandwidth",
 		Header: []string{"threads", "workload", "Ext4", "KVFS"},

@@ -8,6 +8,7 @@ import (
 
 	dpcroot "dpc"
 	"dpc/internal/cpu"
+	"dpc/internal/dfs"
 	"dpc/internal/fuse"
 	"dpc/internal/localfs"
 	"dpc/internal/model"
@@ -16,7 +17,6 @@ import (
 	"dpc/internal/obs"
 	"dpc/internal/pcie"
 	"dpc/internal/sim"
-	"dpc/internal/ssd"
 	"dpc/internal/virtio"
 	"dpc/internal/workload"
 )
@@ -24,19 +24,46 @@ import (
 // The reference worlds: every fixed set-up the paper's evaluation (and so a
 // committed artifact, a figure table or a cmd/ tool) measures is built here
 // and nowhere else. A difference between two uses that an artifact can see
-// — RAM or SSD behind the handler, machine or driver sizing, file count and
+// — the store behind the handler, machine or driver sizing, file count and
 // size — is an argument of the one constructor, never a second constructor.
 
 // ---- echo transports: a host-DPU transport with a store behind it ----
 
-// echoStore is what an echo transport's DPU-side handler serves from: DPU
-// RAM, which costs no simulated time so the transport alone is measured, or
-// the machine's simulated SSD, which makes ops media-bound.
-func echoStore(m *model.Machine, onSSD bool) (put func(p *sim.Proc, off uint64, data []byte) error, get func(p *sim.Proc, off uint64, n int) ([]byte, error)) {
-	if onSSD {
+// Store is what an echo transport's DPU-side handler serves from.
+type Store int
+
+const (
+	// StoreRAM keeps each write in DPU RAM at no simulated cost, so the
+	// transport alone is measured.
+	StoreRAM Store = iota
+	// StoreSSD puts the machine's simulated SSD behind the handler, which
+	// makes ops media-bound.
+	StoreSSD
+	// storeVirt is §4.1's DRAM "virtual client": it charges DPUVirtClient
+	// per op, discards writes and reads back zeros, so measured latency is
+	// the pure host-DPU round trip.
+	storeVirt
+)
+
+func echoStore(m *model.Machine, s Store) (put func(p *sim.Proc, off uint64, data []byte) error, get func(p *sim.Proc, off uint64, n int) ([]byte, error)) {
+	switch s {
+	case StoreSSD:
 		dev := m.NewSSD()
 		return func(p *sim.Proc, off uint64, data []byte) error { return dev.Write(p, int64(off), data) },
 			func(p *sim.Proc, off uint64, n int) ([]byte, error) { return dev.Read(p, int64(off), n) }
+	case storeVirt:
+		var zero []byte
+		return func(p *sim.Proc, _ uint64, _ []byte) error {
+				m.DPUExec(p, m.Cfg.Costs.DPUVirtClient)
+				return nil
+			},
+			func(p *sim.Proc, _ uint64, n int) ([]byte, error) {
+				m.DPUExec(p, m.Cfg.Costs.DPUVirtClient)
+				if len(zero) < n {
+					zero = make([]byte, n)
+				}
+				return zero[:n], nil
+			}
 	}
 	ram := map[uint64][]byte{}
 	return func(_ *sim.Proc, off uint64, data []byte) error {
@@ -47,10 +74,10 @@ func echoStore(m *model.Machine, onSSD bool) (put func(p *sim.Proc, off uint64, 
 }
 
 // NewNvmeEcho builds a bare machine with an nvme-fs driver whose handler
-// stores each write at its DW12 offset and reads it back.
-func NewNvmeEcho(cfg model.Config, ncfg nvmefs.Config, onSSD bool) (*model.Machine, *nvmefs.Driver) {
+// stores each write at its DW12 offset in store and reads it back.
+func NewNvmeEcho(cfg model.Config, ncfg nvmefs.Config, store Store) (*model.Machine, *nvmefs.Driver) {
 	m := model.NewMachine(cfg)
-	put, get := echoStore(m, onSSD)
+	put, get := echoStore(m, store)
 	d := nvmefs.NewDriver(m, ncfg, func(p *sim.Proc, req nvmefs.Request) nvmefs.Response {
 		off := uint64(req.SQE.DW12)
 		switch req.SQE.FileOp {
@@ -83,9 +110,9 @@ func EchoPair(p *sim.Proc, d *nvmefs.Driver, hdr, payload []byte) ([]byte, error
 }
 
 // newVirtioEcho is NewNvmeEcho over the virtio-fs (DPFS) transport.
-func newVirtioEcho(cfg model.Config, vcfg virtio.Config, onSSD bool) (*model.Machine, *virtio.Transport) {
+func newVirtioEcho(cfg model.Config, vcfg virtio.Config, store Store) (*model.Machine, *virtio.Transport) {
 	m := model.NewMachine(cfg)
-	put, get := echoStore(m, onSSD)
+	put, get := echoStore(m, store)
 	tr := virtio.NewTransport(m, vcfg, func(p *sim.Proc, req fuse.Request) fuse.Response {
 		switch req.Header.Opcode {
 		case fuse.OpWrite:
@@ -152,9 +179,9 @@ func runWalk(m *model.Machine, name string, write, read func(p *sim.Proc) error)
 // wait form a single tree: the critical-path walk can then substitute the
 // DPU-side TGT/worker spans into the host's inflight wait, mirroring what
 // virtio.write/read cover natively. o may be nil.
-func NvmeWalk(o *obs.Obs, size int, onSSD bool) (Walk, error) {
+func NvmeWalk(o *obs.Obs, size int, store Store) (Walk, error) {
 	m, d := NewNvmeEcho(walkMachine(o),
-		nvmefs.Config{Queues: 1, Depth: 16, SlotsPerQ: 8, MaxIO: 1 << 20, RHCap: 64}, onSSD)
+		nvmefs.Config{Queues: 1, Depth: 16, SlotsPerQ: 8, MaxIO: 1 << 20, RHCap: 64}, store)
 	hdr := make([]byte, 16)
 	op := func(span string, sub nvmefs.Submission) func(p *sim.Proc) error {
 		return func(p *sim.Proc) error {
@@ -174,8 +201,8 @@ func NvmeWalk(o *obs.Obs, size int, onSSD bool) (Walk, error) {
 
 // VirtioWalk plays the same write then read over virtio-fs; virtio.write /
 // virtio.read already root the whole op.
-func VirtioWalk(o *obs.Obs, size int, onSSD bool) (Walk, error) {
-	m, tr := newVirtioEcho(walkMachine(o), virtio.Config{QueueSize: 256, Slots: 16, MaxIO: 1 << 20}, onSSD)
+func VirtioWalk(o *obs.Obs, size int, store Store) (Walk, error) {
+	m, tr := newVirtioEcho(walkMachine(o), virtio.Config{QueueSize: 256, Slots: 16, MaxIO: 1 << 20}, store)
 	return runWalk(m, "virtio-walk",
 		func(p *sim.Proc) error { return tr.Write(p, 1, 1, 0, make([]byte, size)) },
 		func(p *sim.Proc) error { _, err := tr.Read(p, 1, 1, 0, size); return err })
@@ -189,9 +216,7 @@ func VirtioWalk(o *obs.Obs, size int, onSSD bool) (Walk, error) {
 // buffered read-back misses so the DPU fills pages. Returns the final
 // virtual time.
 func CachedMix(o *obs.Obs) (sim.Time, error) {
-	opts := dpcroot.DefaultOptions()
-	opts.Model.Obs = o
-	sys := dpcroot.New(opts)
+	sys := newSystem(func(opts *dpcroot.Options) { opts.Model.Obs = o })
 	cl := sys.KVFSClient()
 	payload := make([]byte, 256*1024)
 	rand.New(rand.NewSource(42)).Read(payload)
@@ -273,123 +298,193 @@ func FsyncWriters(sys *dpcroot.System, workers, rounds, burst int, name string, 
 	return fsyncs, last, errors.Join(errs...)
 }
 
-// ---- pre-filled worlds: a stack with big files written before measuring ----
+// ---- the DPC system: the one place a dpc.System is built ----
+
+// newSystem assembles a system from the default options as changed by
+// mutate. It creates no client: a client registers its client.* metric
+// family, which an attached sampler would export.
+func newSystem(mutate func(*dpcroot.Options)) *dpcroot.System {
+	opts := dpcroot.DefaultOptions()
+	mutate(&opts)
+	return dpcroot.New(opts)
+}
+
+// ---- pre-filled worlds: a stack with its files written before measuring ----
+
+// world is one file-system stack under test — local Ext4, standalone KVFS,
+// or a DFS client (standard NFS, the host-optimized client, or DPC's
+// offloaded one) — behind one file surface, with the files prefill wrote.
+type world struct {
+	name string
+	m    *model.Machine
+	sys  *dpcroot.System // nil for the host-only stacks
+	cl   *dpcroot.Client // the DPC stacks' client
+
+	// A file is its inode number. The host DFS clients have no buffered
+	// path and ignore direct.
+	create func(p *sim.Proc, tid int, path string) (uint64, error)
+	lookup func(p *sim.Proc, tid int, path string) (uint64, error)
+	write  func(p *sim.Proc, tid int, ino, off uint64, data []byte, direct bool) error
+	read   func(p *sim.Proc, tid int, ino, off uint64, n int, direct bool) error // the bytes are discarded
+
+	big   []uint64 // the pre-filled big files
+	small []string // the small files' paths
+	stop  func()
+}
+
+// newExt4World is the local-Ext4 baseline: localfs over the machine's SSD.
+func newExt4World() *world {
+	m := model.NewMachine(model.Default())
+	fs := localfs.New(m, m.NewSSD(), localfs.DefaultConfig())
+	return &world{
+		name: "ext4", m: m,
+		create: func(p *sim.Proc, _ int, path string) (uint64, error) { return fs.Create(p, path) },
+		lookup: func(p *sim.Proc, _ int, path string) (uint64, error) { return fs.Lookup(p, path) },
+		write: func(p *sim.Proc, _ int, ino, off uint64, data []byte, direct bool) error {
+			return fs.Write(p, ino, off, data, direct)
+		},
+		read: func(p *sim.Proc, _ int, ino, off uint64, n int, direct bool) error {
+			_, err := fs.Read(p, ino, off, n, direct)
+			return err
+		},
+		stop: m.Eng.Shutdown,
+	}
+}
+
+// newDPCWorld is a DPC system under test with its one client: of KVFS, or
+// of the offloaded DFS client when the options enable DFS instead.
+func newDPCWorld(name string, mutate func(*dpcroot.Options)) *world {
+	sys := newSystem(mutate)
+	cl := sys.KVFSClient
+	if sys.KVFS == nil {
+		cl = sys.DFSClient
+	}
+	w := &world{name: name, m: sys.M, sys: sys, cl: cl()}
+	files := map[uint64]*dpcroot.File{}
+	open := func(f *dpcroot.File, err error) (uint64, error) {
+		if err != nil {
+			return 0, err
+		}
+		files[f.Ino] = f
+		return f.Ino, nil
+	}
+	bufs := readBufs{}
+	w.create = func(p *sim.Proc, tid int, path string) (uint64, error) { return open(w.cl.Create(p, tid, path)) }
+	w.lookup = func(p *sim.Proc, tid int, path string) (uint64, error) { return open(w.cl.Open(p, tid, path)) }
+	w.write = func(p *sim.Proc, tid int, ino, off uint64, data []byte, direct bool) error {
+		return files[ino].Write(p, tid, off, data, direct)
+	}
+	w.read = func(p *sim.Proc, tid int, ino, off uint64, n int, direct bool) error {
+		_, err := files[ino].ReadInto(p, tid, off, bufs.get(tid, n), direct)
+		return err
+	}
+	w.stop = func() { sys.StopDaemons(); sys.Shutdown() }
+	return w
+}
+
+// newDFSHostWorld is a host-resident DFS client world: the standard NFS
+// client, or with opt the host-side optimized client (DPC's core on the
+// host CPU).
+func newDFSHostWorld(opt bool) *world {
+	m := model.NewMachine(model.Default())
+	b := dfs.NewBackend(m.Eng, m.Net, dfs.DefaultBackendConfig())
+	name, cl := "NFS", dfs.Client(dfs.NewStdClient(b, m.HostNode, m.HostCPU, dfs.DefaultStdClientConfig()))
+	if opt {
+		name, cl = "NFS+opt-client", dfs.NewCore(b, m.HostNode, m.HostCPU, dfs.DefaultCoreCosts())
+	}
+	return &world{
+		name: name, m: m,
+		create: func(p *sim.Proc, _ int, path string) (uint64, error) { return cl.Create(p, path) },
+		lookup: func(p *sim.Proc, _ int, path string) (uint64, error) {
+			ino, _, err := cl.Lookup(p, path)
+			return ino, err
+		},
+		write: func(p *sim.Proc, _ int, ino, off uint64, data []byte, _ bool) error {
+			return cl.Write(p, ino, off, data)
+		},
+		read: func(p *sim.Proc, _ int, ino, off uint64, n int, _ bool) error {
+			_, err := cl.Read(p, ino, off, n)
+			return err
+		},
+		stop: m.Eng.Shutdown,
+	}
+}
 
 // prefillChunk is the direct-write size every world is filled with.
 const prefillChunk = 1 << 20
 
 // bigFileName names the big files of the worlds whose behaviour does not
-// depend on it (the DFS worlds' does: see dfsClientWorld.setup).
+// depend on it (the DFS figure worlds' does: see prefill).
 const bigFileName = "/big%d"
 
-// dpcWorld is a DPC system under test — standalone KVFS, or the offloaded
-// DFS client when the options enable it instead.
-type dpcWorld struct {
-	sys   *dpcroot.System
-	cl    *dpcroot.Client
-	files []*dpcroot.File
-}
-
-// newDPCWorld assembles a system from the default options as changed by
-// mutate.
-func newDPCWorld(mutate func(*dpcroot.Options)) *dpcWorld {
-	opts := dpcroot.DefaultOptions()
-	mutate(&opts)
-	w := &dpcWorld{sys: dpcroot.New(opts)}
-	if opts.EnableKVFS {
-		w.cl = w.sys.KVFSClient()
+// prefill writes files big files of fileSize bytes, named by the format
+// name, and smallN small files of one dfsIOSize write each, all direct, then
+// settles the world: for settle of virtual time, or until it drains when
+// settle is 0. The DFS namespace is flat and a path's hash picks its home
+// MDS, which allocates the inode number, which places the data — so the
+// names are part of a DFS world. A failed op panics, naming the world.
+func (w *world) prefill(name string, files int, fileSize uint64, smallN int, settle time.Duration) *world {
+	must := func(err error) {
+		if err != nil {
+			panic(fmt.Sprintf("exp: %s prefill: %v", w.name, err))
+		}
+	}
+	w.m.Eng.Go("setup", func(p *sim.Proc) {
+		chunk := make([]byte, prefillChunk)
+		for i := 0; i < files; i++ {
+			ino, err := w.create(p, 0, fmt.Sprintf(name, i))
+			must(err)
+			for off := uint64(0); off < fileSize; off += prefillChunk {
+				must(w.write(p, 0, ino, off, chunk, true))
+			}
+			w.big = append(w.big, ino)
+		}
+		small := make([]byte, dfsIOSize)
+		for i := 0; i < smallN; i++ {
+			path := fmt.Sprintf("/small/f%04d", i)
+			ino, err := w.create(p, 0, path)
+			must(err)
+			must(w.write(p, 0, ino, 0, small, true))
+			w.small = append(w.small, path)
+		}
+	})
+	if settle == 0 {
+		w.m.Eng.Run()
 	} else {
-		w.cl = w.sys.DFSClient()
+		w.m.Eng.RunUntil(w.m.Eng.Now() + sim.Time(settle))
 	}
 	return w
 }
 
-// prefill writes files big files of fileSize bytes each and settles the
-// world for a minute of virtual time.
-func (w *dpcWorld) prefill(files int, fileSize uint64) *dpcWorld {
-	w.sys.Go(func(p *sim.Proc) {
-		chunk := make([]byte, prefillChunk)
-		for i := 0; i < files; i++ {
-			f, err := w.cl.Create(p, 0, fmt.Sprintf(bigFileName, i))
-			if err != nil {
-				panic(err)
-			}
-			for off := uint64(0); off < fileSize; off += prefillChunk {
-				if err := f.Write(p, 0, off, chunk, true); err != nil {
-					panic(err)
-				}
-			}
-			w.files = append(w.files, f)
-		}
-	})
-	w.sys.RunFor(time.Minute)
-	return w
-}
-
-// newKVFSWorld is the standalone-experiment KVFS world with a hybrid cache
-// of cachePages pages (0: none).
-func newKVFSWorld(cachePages int) *dpcWorld {
-	return newDPCWorld(func(o *dpcroot.Options) { o.CachePages = cachePages }).prefill(saFiles, saFileSize)
-}
-
-func (w *dpcWorld) do(direct bool) workload.Do {
-	bufs := readBufs{}
+// do is the random-I/O body on the big files: 8K-style reads and
+// zero-filled writes on file tid mod files.
+func (w *world) do(direct bool) workload.Do {
 	return func(p *sim.Proc, tid int, a workload.Access) error {
-		f := w.files[tid%len(w.files)]
+		ino := w.big[tid%len(w.big)]
 		if a.Kind == workload.Write {
-			return f.Write(p, tid, a.Off, make([]byte, a.Size), direct)
+			return w.write(p, tid, ino, a.Off, make([]byte, a.Size), direct)
 		}
-		_, err := f.ReadInto(p, tid, a.Off, bufs.get(tid, a.Size), direct)
-		return err
+		return w.read(p, tid, ino, a.Off, a.Size, direct)
 	}
 }
 
-func (w *dpcWorld) stop() { w.sys.StopDaemons(); w.sys.Shutdown() }
-
-// ext4World is the local-Ext4 baseline under test.
-type ext4World struct {
-	m    *model.Machine
-	fs   *localfs.FS
-	inos []uint64
+// stacks are the worlds NewStack builds by name, each with the settle step
+// of the figure that measures it.
+var stacks = map[string]struct {
+	build  func() *world
+	settle time.Duration
+}{
+	"ext4": {newExt4World, 0},
+	"kvfs": {func() *world { return newDPCWorld("kvfs", func(*dpcroot.Options) {}) }, time.Minute},
+	"dfs-dpc": {func() *world {
+		return newDPCWorld("dfs-dpc", func(o *dpcroot.Options) { o.EnableKVFS, o.EnableDFS = false, true })
+	}, time.Minute},
+	"dfs-std": {func() *world { return newDFSHostWorld(false) }, 10 * time.Second},
+	"dfs-opt": {func() *world { return newDFSHostWorld(true) }, 10 * time.Second},
 }
 
-func newExt4World(files int, fileSize uint64) *ext4World {
-	cfg := model.Default()
-	m := model.NewMachine(cfg)
-	fs := localfs.New(m, ssd.New(m.Eng, cfg.SSD), localfs.DefaultConfig())
-	w := &ext4World{m: m, fs: fs}
-	m.Eng.Go("setup", func(p *sim.Proc) {
-		chunk := make([]byte, prefillChunk)
-		for i := 0; i < files; i++ {
-			ino, err := fs.Create(p, fmt.Sprintf(bigFileName, i))
-			if err != nil {
-				panic(err)
-			}
-			for off := uint64(0); off < fileSize; off += prefillChunk {
-				if err := fs.Write(p, ino, off, chunk, true); err != nil {
-					panic(err)
-				}
-			}
-			w.inos = append(w.inos, ino)
-		}
-	})
-	m.Eng.Run()
-	return w
-}
-
-func (w *ext4World) do(direct bool) workload.Do {
-	return func(p *sim.Proc, tid int, a workload.Access) error {
-		ino := w.inos[tid%len(w.inos)]
-		if a.Kind == workload.Write {
-			return w.fs.Write(p, ino, a.Off, make([]byte, a.Size), direct)
-		}
-		_, err := w.fs.Read(p, ino, a.Off, a.Size, direct)
-		return err
-	}
-}
-
-// Stack is a pre-filled world behind the closed-loop driver's surface, for
-// ad-hoc runs outside the fixed paper sweeps (cmd/dpcfio).
+// Stack is a pre-filled world's exported face, for ad-hoc runs outside the
+// fixed paper sweeps (cmd/dpcfio).
 type Stack struct {
 	Eng     *sim.Engine
 	HostCPU *cpu.Pool
@@ -404,18 +499,49 @@ type Stack struct {
 // NewStack builds the named stack (ext4, kvfs, dfs-std, dfs-opt or dfs-dpc)
 // with files files of fileSize bytes.
 func NewStack(name string, files int, fileSize uint64) (*Stack, error) {
-	switch name {
-	case "ext4":
-		w := newExt4World(files, fileSize)
-		return &Stack{Eng: w.m.Eng, HostCPU: w.m.HostCPU, Do: w.do, Stop: w.m.Eng.Shutdown}, nil
-	case "kvfs", "dfs-dpc":
-		w := newDPCWorld(func(o *dpcroot.Options) {
-			o.EnableKVFS, o.EnableDFS = name == "kvfs", name != "kvfs"
-		}).prefill(files, fileSize)
-		return &Stack{Eng: w.sys.M.Eng, HostCPU: w.sys.M.HostCPU, DPUCPU: w.sys.M.DPUCPU, Do: w.do, Stop: w.stop}, nil
-	case "dfs-std", "dfs-opt":
-		w := newDFSHostWorld(name == "dfs-opt").setup(bigFileName, files, fileSize, 0)
-		return &Stack{Eng: w.eng, HostCPU: w.hostCPU, Do: w.do, Stop: w.stop}, nil
+	st, ok := stacks[name]
+	if !ok {
+		return nil, fmt.Errorf("unknown stack %q", name)
 	}
-	return nil, fmt.Errorf("unknown stack %q", name)
+	w := st.build().prefill(bigFileName, files, fileSize, 0, st.settle)
+	s := &Stack{Eng: w.m.Eng, HostCPU: w.m.HostCPU, Do: w.do, Stop: w.stop}
+	if w.sys != nil {
+		s.DPUCPU = w.m.DPUCPU
+	}
+	return s, nil
+}
+
+// ---- one measured point ----
+
+// point is one measured closed-loop window.
+type point struct {
+	Ops        int64
+	IOPS, GBps float64
+	Mean, P99  time.Duration
+	HostCores  float64
+	HostUsage  float64
+	DPUCores   float64
+	DPUUsage   float64
+	DMAsPerOp  float64
+}
+
+// measure marks the machine's host and DPU CPU pools and PCIe counters, runs
+// the closed loop, and reads the window back as one point. A failed op
+// panics, naming the world and the case: a figure never prints a rate that
+// silently dropped ops.
+func measure(m *model.Machine, world, kase string, cfg workload.Config, gen workload.Generator, do workload.Do) point {
+	m.HostCPU.Mark()
+	m.DPUCPU.Mark()
+	m.PCIe.Mark()
+	res := workload.Run(m.Eng, cfg, gen, do)
+	if res.Errors > 0 {
+		panic(fmt.Sprintf("exp: %s, %s: %d of %d ops failed", world, kase, res.Errors, res.Errors+res.Ops))
+	}
+	return point{
+		Ops: res.Ops, IOPS: res.IOPS(), GBps: res.GBps(),
+		Mean: res.Lat.Mean(), P99: res.Lat.Percentile(99),
+		HostCores: m.HostCPU.CoresUsed(), HostUsage: m.HostCPU.Usage(),
+		DPUCores: m.DPUCPU.CoresUsed(), DPUUsage: m.DPUCPU.Usage(),
+		DMAsPerOp: float64(m.PCIe.DMAs.Delta()) / float64(res.Ops),
+	}
 }

@@ -120,7 +120,7 @@ func runSmallIO(p Params, o *obs.Obs) (runResult, error) {
 	)
 	cfg := p.Model
 	cfg.Obs = o
-	m, d := exp.NewNvmeEcho(cfg, p.NvmeFS, false)
+	m, d := exp.NewNvmeEcho(cfg, p.NvmeFS, exp.StoreRAM)
 	payload := make([]byte, size)
 	for i := range payload {
 		payload[i] = byte(i*7 + size)

@@ -94,7 +94,9 @@ func lzCompress(src []byte) []byte {
 			if i+lzMinMatch <= len(src) {
 				h := hash(i)
 				cand := head[h]
-				for probes := 0; cand >= 0 && probes < 16; probes++ {
+				// A later candidate wins only if strictly longer, and none
+				// is longer than lzMaxMatch: stop probing once one reaches it.
+				for probes := 0; cand >= 0 && probes < 16 && matchLen < lzMaxMatch; probes++ {
 					if int(cand) < i && i-int(cand) <= lzWindow {
 						l := matchLength(src, int(cand), i)
 						if l > matchLen {

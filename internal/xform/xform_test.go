@@ -2,7 +2,9 @@ package xform
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -120,6 +122,125 @@ func TestChainOrderAndName(t *testing.T) {
 	if _, err := c.Decode(bad); err == nil {
 		t.Fatal("chained corruption undetected")
 	}
+}
+
+// TestLZSSMatchesReference pins lzCompress's output to the reference's:
+// stopping the probe loop at a full-length match must not change one
+// output byte, whatever the input.
+func TestLZSSMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	random := func(n int) []byte {
+		b := make([]byte, n)
+		rng.Read(b)
+		return b
+	}
+	// Words drawn at random from a small vocabulary: a position's hash
+	// chain holds candidates of many lengths, the most recent rarely the
+	// longest.
+	var words []byte
+	vocab := strings.Fields("the a cache page flush dirty write read block inode the of and to")
+	for len(words) < 32<<10 {
+		words = append(words, vocab[rng.Intn(len(vocab))]...)
+		words = append(words, ' ')
+	}
+	inputs := map[string][]byte{
+		"words":         words,
+		"periodic text": bytes.Repeat([]byte("application log line: GET /api/v1/object served in 420us status=200\n"), 4000),
+		"random":        random(64 << 10),
+		"zero page":     make([]byte, 8192),
+		"empty":         {},
+		"one byte":      {7},
+		"two bytes":     {7, 7},
+		"mixed":         append(append(random(3000), make([]byte, 5000)...), bytes.Repeat([]byte("abcab"), 900)...),
+	}
+	// A repeat at distance d just inside, at and just past the 4 KiB window.
+	for _, d := range []int{lzWindow - 1, lzWindow, lzWindow + 1} {
+		b := random(d + 64)
+		copy(b[d:], b[:64])
+		inputs[fmt.Sprintf("repeat at %d", d)] = b
+	}
+	for name, src := range inputs {
+		want := refLZCompress(src)
+		if got := lzCompress(src); !bytes.Equal(got, want) {
+			t.Errorf("%s: lzCompress differs from the reference (%d vs %d bytes)", name, len(got), len(want))
+		}
+		enc := (LZSS{}).Encode(src)
+		if enc[0] == 'L' && !bytes.Equal(enc[lzHeader:], want) {
+			t.Errorf("%s: Encode body differs from the reference", name)
+		}
+		if dec, err := (LZSS{}).Decode(enc); err != nil || !bytes.Equal(dec, src) {
+			t.Errorf("%s: round trip failed (err %v)", name, err)
+		}
+	}
+}
+
+// refLZCompress is lzCompress before its probe loop stopped at a
+// full-length match, kept verbatim as TestLZSSMatchesReference's reference.
+func refLZCompress(src []byte) []byte {
+	var out []byte
+	// head[h] is the most recent position with 3-byte hash h; a tiny
+	// chained hash table keeps matching O(n) with bounded probes.
+	var head [1 << 13]int32
+	var prev []int32
+	for i := range head {
+		head[i] = -1
+	}
+	prev = make([]int32, len(src))
+
+	hash := func(i int) uint32 {
+		v := uint32(src[i]) | uint32(src[i+1])<<8 | uint32(src[i+2])<<16
+		return (v * 2654435761) >> 19
+	}
+
+	i := 0
+	for i < len(src) {
+		flagPos := len(out)
+		out = append(out, 0)
+		var flags byte
+		for bit := 0; bit < 8 && i < len(src); bit++ {
+			matchLen, matchOff := 0, 0
+			if i+lzMinMatch <= len(src) {
+				h := hash(i)
+				cand := head[h]
+				for probes := 0; cand >= 0 && probes < 16; probes++ {
+					if int(cand) < i && i-int(cand) <= lzWindow {
+						l := matchLength(src, int(cand), i)
+						if l > matchLen {
+							matchLen, matchOff = l, i-int(cand)
+						}
+					}
+					cand = prev[cand]
+				}
+			}
+			if matchLen >= lzMinMatch {
+				if matchLen > lzMaxMatch {
+					matchLen = lzMaxMatch
+				}
+				// 12-bit offset, 4-bit (length - 3).
+				token := uint16(matchOff-1)<<4 | uint16(matchLen-lzMinMatch)
+				out = append(out, byte(token), byte(token>>8))
+				end := i + matchLen
+				for ; i < end; i++ {
+					if i+lzMinMatch <= len(src) {
+						h := hash(i)
+						prev[i] = head[h]
+						head[h] = int32(i)
+					}
+				}
+			} else {
+				flags |= 1 << bit
+				out = append(out, src[i])
+				if i+lzMinMatch <= len(src) {
+					h := hash(i)
+					prev[i] = head[h]
+					head[h] = int32(i)
+				}
+				i++
+			}
+		}
+		out[flagPos] = flags
+	}
+	return out
 }
 
 func BenchmarkLZSSEncode8K(b *testing.B) {

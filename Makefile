@@ -34,12 +34,14 @@ build:
 # model as the reference. No non-test Go file outside bench/ is over 700
 # lines: a larger one is split along its seams. No Go file outside bench/
 # and internal/model, tests included, names HostMemMB or DPUMemMB: arenas
-# hold what a world reserves, so nothing sizes them by hand. The figure
-# worlds are built and measured in one place, internal/exp/worlds.go: no
-# other non-test file of internal/exp builds a machine, a transport or a
-# dpc.System (model.NewMachine, nvmefs.NewDriver, virtio.NewTransport,
-# dpcroot.New) or runs a closed loop (workload.Run) — a figure goes through
-# the world constructors and `measure`.
+# hold what a world reserves, so nothing sizes them by hand. Every stack is
+# built and measured in one place, internal/world: no non-test Go file
+# outside it, dpc.go (which defines dpc.New), examples/ (public-API demos)
+# and bench/ (its own module until it builds from internal/world) builds a
+# machine, a transport or a dpc.System (model.NewMachine, dpc.New or
+# dpcroot.New, nvmefs.NewDriver, virtio.NewTransport) or runs a closed loop
+# (workload.Run) — figures, torture, what-if and the cmd/ tools go through
+# the world constructors, world.NewSystem and world.Measure.
 vet:
 	$(GO) vet ./...
 	cd bench && GOTOOLCHAIN=local GOPROXY=off $(GO) vet ./...
@@ -61,9 +63,10 @@ vet:
 		if [ -n "$$out" ]; then echo "non-test file over 700 lines (split it along its seams):"; echo "$$out"; exit 1; fi
 	@out=$$(grep -rnwE 'HostMemMB|DPUMemMB' --include='*.go' . | grep -vE '^\./(bench|internal/model|\.[^/]*)/'); \
 		if [ -n "$$out" ]; then echo "hand-sized arena (arenas hold what is reserved):"; echo "$$out"; exit 1; fi
-	@out=$$(grep -nE 'model\.NewMachine\(|dpcroot\.New\(|nvmefs\.NewDriver\(|virtio\.NewTransport\(|workload\.Run\(' \
-		$$(ls internal/exp/*.go | grep -vE '_test\.go$$|/worlds\.go$$')); \
-		if [ -n "$$out" ]; then echo "world built or closed loop run outside internal/exp/worlds.go:"; echo "$$out"; exit 1; fi
+	@out=$$(find . \( -path ./bench -o -path ./examples -o -path ./internal/world -o -path './.*' \) -prune -o \
+		-name '*.go' ! -name '*_test.go' ! -path ./dpc.go -print | \
+		xargs grep -nE 'model\.NewMachine\(|dpc(root)?\.New\(|nvmefs\.NewDriver\(|virtio\.NewTransport\(|workload\.Run\('); \
+		if [ -n "$$out" ]; then echo "world built or closed loop run outside internal/world:"; echo "$$out"; exit 1; fi
 
 test:
 	$(GO) test ./...
@@ -76,13 +79,14 @@ test:
 # the KV store, SSD, dispatcher and fabric under the backend read path, the
 # remaining owners and readers of published counters (CPU pools, DFS, the
 # machine model, stats, the telemetry sampler), the protocol, profiler,
-# what-if, workload, erasure-coding, transform and FUSE packages, and the
-# root package's integration tests. Left out: internal/exp and internal/check
+# what-if, workload, erasure-coding, transform and FUSE packages, the world
+# builder with its measured closed loop, and the root package's integration
+# tests. Left out: internal/exp and internal/check
 # (the large reference worlds and the torture harness, which `make test` and
 # the torture targets drive) and the cmd/ tools.
 race:
 	$(GO) test -race . ./internal/sim/... ./internal/wal/... ./internal/kvfs/... ./internal/obs/... ./internal/cache/... ./internal/fault/... ./internal/nvmefs/... ./internal/pcie/... ./internal/mem/... ./internal/bufpool/... ./internal/localfs/... ./internal/kv/... ./internal/ssd/... ./internal/dispatch/... ./internal/fabric/... ./internal/cpu/... ./internal/dfs/... ./internal/model/... ./internal/stats/... ./internal/telemetry/... \
-		./internal/whatif/... ./internal/nvme/... ./internal/prof/... ./internal/xform/... ./internal/virtio/... ./internal/workload/... ./internal/ec/... ./internal/gf256/... ./internal/fuse/...
+		./internal/whatif/... ./internal/nvme/... ./internal/prof/... ./internal/xform/... ./internal/virtio/... ./internal/workload/... ./internal/ec/... ./internal/gf256/... ./internal/fuse/... ./internal/world/...
 
 # Short fixed-seed differential torture: every stack, 8 seeds, 2000 ops
 # each, replayed against the in-memory oracle (see internal/check).

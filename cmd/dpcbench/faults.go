@@ -8,6 +8,7 @@ import (
 	"dpc"
 	"dpc/internal/fault"
 	"dpc/internal/sim"
+	"dpc/internal/world"
 )
 
 // runFaultScenario is the -faults workload: the buffered KVFS reference mix
@@ -18,9 +19,7 @@ import (
 // retries, dedup replays, resets, degraded-mode entries. The schedule and
 // the workload are fixed, so the whole report is deterministic.
 func runFaultScenario() error {
-	opts := dpc.DefaultOptions()
-	opts.Faults = fault.CannedSchedule()
-	sys := dpc.New(opts)
+	sys := world.NewSystem(func(o *dpc.Options) { o.Faults = fault.CannedSchedule() })
 	cl := sys.KVFSClient()
 
 	payload := make([]byte, 256*1024)

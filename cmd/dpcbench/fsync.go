@@ -5,10 +5,10 @@ import (
 	"time"
 
 	"dpc"
-	"dpc/internal/exp"
 	"dpc/internal/obs"
 	"dpc/internal/sim"
 	"dpc/internal/stats"
+	"dpc/internal/world"
 )
 
 // runFsyncScenario is the -fsync-out workload: concurrent writers on a
@@ -82,17 +82,17 @@ func buildFsyncReport() (fsyncReport, error) {
 // measureFsyncTier runs one worker count on a fresh WAL-enabled system.
 func measureFsyncTier(workers int) (fsyncTier, error) {
 	o := obs.New()
-	opts := dpc.DefaultOptions()
-	opts.Model.Obs = o
-	opts.WAL.Enabled = true
-	sys := dpc.New(opts)
+	sys := world.NewSystem(func(opts *dpc.Options) {
+		opts.Model.Obs = o
+		opts.WAL.Enabled = true
+	})
 
 	lat := stats.NewLatency()
 	tier := fsyncTier{Workers: workers}
 
 	var err error
 	var last sim.Time
-	tier.Fsyncs, last, err = exp.FsyncWriters(sys, workers, fsyncRounds, fsyncBurst, "/fsync-w", func(p *sim.Proc, f *dpc.File) error {
+	tier.Fsyncs, last, err = world.FsyncWriters(sys, workers, fsyncRounds, fsyncBurst, "/fsync-w", func(p *sim.Proc, f *dpc.File) error {
 		start := p.Now()
 		err := f.Sync(p, 0)
 		if err == nil {

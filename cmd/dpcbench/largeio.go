@@ -7,6 +7,7 @@ import (
 
 	"dpc"
 	"dpc/internal/sim"
+	"dpc/internal/world"
 )
 
 // largeIOReport is the large-I/O half of BENCH_5: sequential 1 MiB direct
@@ -62,11 +63,11 @@ type largeIOResult struct {
 // measures the sequential direct-read phase. window 0 keeps the driver's
 // default in-flight window; window 1 forces serial submission.
 func largeIORun(window, opSize, ops int) (largeIOResult, error) {
-	opts := dpc.DefaultOptions()
-	if window > 0 {
-		opts.NvmeFS.InflightWindow = window
-	}
-	sys := dpc.New(opts)
+	sys := world.NewSystem(func(o *dpc.Options) {
+		if window > 0 {
+			o.NvmeFS.InflightWindow = window
+		}
+	})
 	cl := sys.KVFSClient()
 
 	payload := make([]byte, opSize)

@@ -113,8 +113,7 @@ func main() {
 		return
 	}
 	if *env {
-		m := model.NewMachine(model.Default())
-		fmt.Print(m.EnvString())
+		fmt.Print(model.Default().EnvString())
 		return
 	}
 	if *walk {

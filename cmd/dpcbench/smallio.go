@@ -5,18 +5,18 @@ import (
 	"fmt"
 	"time"
 
-	"dpc/internal/exp"
 	"dpc/internal/model"
 	"dpc/internal/nvme"
 	"dpc/internal/nvmefs"
 	"dpc/internal/obs"
 	"dpc/internal/prof"
 	"dpc/internal/sim"
+	"dpc/internal/world"
 )
 
 // runSmallIOScenario is the -smallio-out workload: transport-level direct
 // write+read pairs at 64/128/256/512 bytes over nvme-fs with a RAM-backed
-// handler (exp.NewNvmeEcho), each size run twice — once with
+// handler (world.NewNvmeEcho), each size run twice — once with
 // the inline path disabled (every payload rides DMA: four transfers per
 // command) and once with InlineMax 512, where small writes are PIO'd into the
 // DPU inline window and small reads ride back inside an enlarged CQE. The
@@ -134,10 +134,10 @@ func smallIODriver(inlineMax int, o *obs.Obs) (*model.Machine, *nvmefs.Driver) {
 	cfg := model.Default()
 	cfg.PCIe.DMASetup = smallIODMASetupNs * time.Nanosecond
 	cfg.Obs = o
-	return exp.NewNvmeEcho(cfg, nvmefs.Config{
+	return world.NewNvmeEcho(cfg, nvmefs.Config{
 		Queues: 1, Depth: 64, SlotsPerQ: 32, MaxIO: 1 << 20, RHCap: 256,
 		InlineMax: inlineMax,
-	}, exp.StoreRAM)
+	}, world.StoreRAM)
 }
 
 // measureSmallIO runs warm-up pairs on the transport, then measures
@@ -154,7 +154,7 @@ func measureSmallIO(m *model.Machine, d *nvmefs.Driver, inlineMax, size int) (sm
 	m.Eng.Go("smallio", func(p *sim.Proc) {
 		hdr := make([]byte, 16)
 		pair := func() error {
-			data, err := exp.EchoPair(p, d, hdr, payload)
+			data, err := world.EchoPair(p, d, hdr, payload)
 			if err == nil && !bytes.Equal(data, payload) {
 				err = fmt.Errorf("read back %d bytes that differ from the %d written", len(data), size)
 			}
@@ -227,7 +227,7 @@ func smallIOProfile(inlineMax, size int) (smallIOAttrStats, error) {
 	m.Eng.Go("smallio-prof", func(p *sim.Proc) {
 		hdr := make([]byte, 16)
 		for i := 0; i < smallIOWarmup && err == nil; i++ {
-			_, err = exp.EchoPair(p, d, hdr, payload)
+			_, err = world.EchoPair(p, d, hdr, payload)
 		}
 		for i := 0; i < 16 && err == nil; i++ {
 			ws := o.Begin(p, "smallio.write")

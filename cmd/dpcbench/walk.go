@@ -3,9 +3,9 @@ package main
 import (
 	"fmt"
 
-	"dpc/internal/exp"
 	"dpc/internal/obs"
 	"dpc/internal/pcie"
+	"dpc/internal/world"
 )
 
 // walkSize is the I/O size of the -walk traces: the paper's 8 KB example.
@@ -18,16 +18,16 @@ const walkSize = 8192
 func printWalks() error {
 	for n, t := range []struct {
 		title string
-		walk  func(*obs.Obs, int, exp.Store) (exp.Walk, error)
+		walk  func(*obs.Obs, int, world.Store) (world.Walk, error)
 	}{
-		{"virtio-fs (DPFS path)", exp.VirtioWalk},
-		{"nvme-fs (DPC path)", exp.NvmeWalk},
+		{"virtio-fs (DPFS path)", world.VirtioWalk},
+		{"nvme-fs (DPC path)", world.NvmeWalk},
 	} {
 		if n > 0 {
 			fmt.Println()
 		}
 		fmt.Printf("=== %s, %d-byte write+read ===\n", t.title, walkSize)
-		w, err := t.walk(nil, walkSize, exp.StoreRAM)
+		w, err := t.walk(nil, walkSize, world.StoreRAM)
 		if err != nil {
 			return err
 		}

@@ -1,7 +1,8 @@
 // Command dpcfio is a fio/vdbench-style workload driver for every stack in
 // the repository: local Ext4, DPC's standalone KVFS, and the three DFS
-// clients (the pre-filled worlds of internal/exp). It runs ad-hoc
-// experiments outside the fixed paper sweeps.
+// clients (the pre-filled worlds of internal/world). It runs ad-hoc
+// experiments outside the fixed paper sweeps. A run in which any op fails
+// reports no rate: it names the stack and the failed-op count and exits 1.
 //
 // Examples:
 //
@@ -19,9 +20,25 @@ import (
 	"strings"
 	"time"
 
-	"dpc/internal/exp"
+	"dpc"
 	"dpc/internal/workload"
+	"dpc/internal/world"
 )
+
+// stacks are the worlds -stack names, each with the settle step of the
+// figure that measures it.
+var stacks = map[string]struct {
+	build  func() *world.World
+	settle time.Duration
+}{
+	"ext4": {func() *world.World { return world.NewExt4(nil) }, 0},
+	"kvfs": {func() *world.World { return world.NewDPC("kvfs", nil) }, time.Minute},
+	"dfs-dpc": {func() *world.World {
+		return world.NewDPC("dfs-dpc", func(o *dpc.Options) { o.EnableKVFS, o.EnableDFS = false, true })
+	}, time.Minute},
+	"dfs-std": {func() *world.World { return world.NewDFSHost(false) }, 10 * time.Second},
+	"dfs-opt": {func() *world.World { return world.NewDFSHost(true) }, 10 * time.Second},
+}
 
 func main() {
 	var (
@@ -46,18 +63,18 @@ func main() {
 	fileSize := uint64(*fileMB) << 20
 
 	gen, kindName := makeGen(*rw, ioSize, fileSize, *readPct)
-	st, err := exp.NewStack(*stack, *files, fileSize)
-	if err != nil {
-		log.Fatal(err)
+	st, ok := stacks[*stack]
+	if !ok {
+		log.Fatalf("unknown stack %q", *stack)
 	}
-
-	st.HostCPU.Mark()
-	if st.DPUCPU != nil {
-		st.DPUCPU.Mark()
-	}
-	res := workload.Run(st.Eng, workload.Config{
+	w := st.build().Prefill(world.BigFileName, *files, fileSize, 0, st.settle)
+	pt, err := world.Measure(w.M, *stack, kindName+" bs="+*bs, workload.Config{
 		Threads: *threads, Warmup: *warmup, Measure: *runtime, Seed: *seed,
-	}, gen, st.Do(!*buffered))
+	}, gen, w.Do(!*buffered))
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "dpcfio:", err)
+		os.Exit(1)
+	}
 
 	mode := "direct"
 	if *buffered {
@@ -65,18 +82,18 @@ func main() {
 	}
 	fmt.Printf("stack=%s rw=%s bs=%s threads=%d mode=%s window=%v\n",
 		*stack, kindName, *bs, *threads, mode, *runtime)
-	fmt.Printf("  ops      : %d (%d errors)\n", res.Ops, res.Errors)
-	fmt.Printf("  IOPS     : %.0f\n", res.IOPS())
-	fmt.Printf("  BW       : %.2f GB/s\n", res.GBps())
-	fmt.Printf("  lat mean : %v\n", res.Lat.Mean())
-	fmt.Printf("  lat p50  : %v\n", res.Lat.Percentile(50))
-	fmt.Printf("  lat p99  : %v\n", res.Lat.Percentile(99))
-	fmt.Printf("  lat max  : %v\n", res.Lat.Max())
-	fmt.Printf("  host CPU : %.2f cores\n", st.HostCPU.CoresUsed())
-	if st.DPUCPU != nil {
-		fmt.Printf("  DPU CPU  : %.2f cores\n", st.DPUCPU.CoresUsed())
+	fmt.Printf("  ops      : %d (0 errors)\n", pt.Ops) // a failed op ended the run above
+	fmt.Printf("  IOPS     : %.0f\n", pt.IOPS)
+	fmt.Printf("  BW       : %.2f GB/s\n", pt.GBps)
+	fmt.Printf("  lat mean : %v\n", pt.Mean)
+	fmt.Printf("  lat p50  : %v\n", pt.P50)
+	fmt.Printf("  lat p99  : %v\n", pt.P99)
+	fmt.Printf("  lat max  : %v\n", pt.Max)
+	fmt.Printf("  host CPU : %.2f cores\n", pt.HostCores)
+	if w.Sys != nil {
+		fmt.Printf("  DPU CPU  : %.2f cores\n", pt.DPUCores)
 	}
-	st.Stop()
+	w.Stop()
 }
 
 func parseSize(s string) (int, error) {

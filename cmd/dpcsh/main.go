@@ -17,14 +17,14 @@ import (
 
 	"dpc"
 	"dpc/internal/sim"
+	"dpc/internal/world"
 )
 
 func main() {
 	script := flag.String("c", "", "semicolon-separated commands to run non-interactively")
 	flag.Parse()
 
-	opts := dpc.DefaultOptions()
-	sys := dpc.New(opts)
+	sys := world.NewSystem(nil)
 	cl := sys.KVFSClient()
 
 	run := func(line string) {
@@ -58,10 +58,27 @@ func main() {
 	}
 }
 
+// usage is the argument line of each command that takes arguments: given
+// fewer than its line names, the command prints the line instead of running.
+var usage = map[string]string{
+	"mkdir": "mkdir <path>", "write": "write <path> <text>", "cat": "cat <path>", "stat": "stat <path>",
+	"mv": "mv <old> <new>", "rm": "rm <path>", "rmdir": "rmdir <path>",
+}
+
 func execute(p *sim.Proc, sys *dpc.System, cl *dpc.Client, line string) {
 	args := strings.Fields(line)
 	cmd := args[0]
-	fail := func(err error) { fmt.Println("  error:", err) }
+	if u, ok := usage[cmd]; ok && len(args) <= strings.Count(u, "<") {
+		fmt.Println("  usage:", u)
+		return
+	}
+	// fail reports a non-nil err and says whether there was one.
+	fail := func(err error) bool {
+		if err != nil {
+			fmt.Println("  error:", err)
+		}
+		return err != nil
+	}
 	switch cmd {
 	case "help":
 		fmt.Println("  mkdir <path> | ls <path> | write <path> <text> | cat <path>")
@@ -69,69 +86,42 @@ func execute(p *sim.Proc, sys *dpc.System, cl *dpc.Client, line string) {
 	case "time":
 		fmt.Printf("  virtual time: %v\n", sys.Now())
 	case "mkdir":
-		if len(args) < 2 {
-			fmt.Println("  usage: mkdir <path>")
-			return
-		}
-		if err := cl.Mkdir(p, 0, args[1]); err != nil {
-			fail(err)
-		}
+		fail(cl.Mkdir(p, 0, args[1]))
 	case "ls":
 		path := "/"
 		if len(args) > 1 {
 			path = args[1]
 		}
 		ents, err := cl.Readdir(p, 0, path)
-		if err != nil {
-			fail(err)
+		if fail(err) {
 			return
 		}
 		for _, e := range ents {
 			fmt.Printf("  %-30s ino=%d\n", e.Name, e.Ino)
 		}
 	case "write":
-		if len(args) < 3 {
-			fmt.Println("  usage: write <path> <text>")
-			return
-		}
 		f, err := cl.Open(p, 0, args[1])
 		if err != nil {
 			f, err = cl.Create(p, 0, args[1])
 		}
-		if err != nil {
-			fail(err)
-			return
-		}
 		data := []byte(strings.Join(args[2:], " "))
-		if err := f.Write(p, 0, 0, data, true); err != nil {
-			fail(err)
+		if fail(err) || fail(f.Write(p, 0, 0, data, true)) {
 			return
 		}
 		fmt.Printf("  wrote %d bytes\n", len(data))
 	case "cat":
-		if len(args) < 2 {
-			fmt.Println("  usage: cat <path>")
-			return
-		}
 		f, err := cl.Open(p, 0, args[1])
-		if err != nil {
-			fail(err)
+		if fail(err) {
 			return
 		}
 		data, err := f.Read(p, 0, 0, int(f.Size), true)
-		if err != nil {
-			fail(err)
+		if fail(err) {
 			return
 		}
 		fmt.Printf("  %s\n", data)
 	case "stat":
-		if len(args) < 2 {
-			fmt.Println("  usage: stat <path>")
-			return
-		}
 		st, err := cl.StatPath(p, 0, args[1])
-		if err != nil {
-			fail(err)
+		if fail(err) {
 			return
 		}
 		kind := "file"
@@ -140,29 +130,11 @@ func execute(p *sim.Proc, sys *dpc.System, cl *dpc.Client, line string) {
 		}
 		fmt.Printf("  ino=%d type=%s size=%d\n", st.Ino, kind, st.Size)
 	case "mv":
-		if len(args) < 3 {
-			fmt.Println("  usage: mv <old> <new>")
-			return
-		}
-		if err := cl.Rename(p, 0, args[1], args[2]); err != nil {
-			fail(err)
-		}
+		fail(cl.Rename(p, 0, args[1], args[2]))
 	case "rm":
-		if len(args) < 2 {
-			fmt.Println("  usage: rm <path>")
-			return
-		}
-		if err := cl.Unlink(p, 0, args[1]); err != nil {
-			fail(err)
-		}
+		fail(cl.Unlink(p, 0, args[1]))
 	case "rmdir":
-		if len(args) < 2 {
-			fmt.Println("  usage: rmdir <path>")
-			return
-		}
-		if err := cl.Rmdir(p, 0, args[1]); err != nil {
-			fail(err)
-		}
+		fail(cl.Rmdir(p, 0, args[1]))
 	default:
 		fmt.Printf("  unknown command %q (try help)\n", cmd)
 	}

@@ -11,10 +11,9 @@ import (
 	"time"
 
 	"dpc"
-	"dpc/internal/dfs"
-	"dpc/internal/model"
 	"dpc/internal/sim"
 	"dpc/internal/workload"
+	"dpc/internal/world"
 )
 
 const (
@@ -26,122 +25,47 @@ const (
 func main() {
 	fmt.Printf("%-16s %12s %12s %12s\n", "client", "write IOPS", "read IOPS", "host cores")
 
-	runStd()
-	runOpt()
-	runDPC()
+	run(world.NewDFSHost(false))
+	run(world.NewDFSHost(true))
+	// Direct I/O, apples-to-apples with the host clients: no hybrid cache.
+	run(world.NewDPC("NFS+DPC", func(o *dpc.Options) { o.EnableKVFS, o.EnableDFS, o.CachePages = false, true, 0 }))
 
 	fmt.Println("\nThe optimized client buys its IOPS with host CPU; DPC buys")
 	fmt.Println("the same IOPS with DPU cycles, leaving the host to the")
 	fmt.Println("application. That is the paper's core claim.")
 }
 
-type measured struct {
-	wIOPS, rIOPS, cores float64
-}
-
-func report(name string, m measured) {
-	fmt.Printf("%-16s %12.0f %12.0f %12.1f\n", name, m.wIOPS, m.rIOPS, m.cores)
-}
-
-func drive(eng *sim.Engine, hostCPU interface {
-	Mark()
-	CoresUsed() float64
-}, write func(p *sim.Proc, tid int, off uint64, data []byte) error,
-	read func(p *sim.Proc, tid int, off uint64, n int) ([]byte, error)) measured {
-
-	cfg := workload.Config{Threads: threads, Warmup: 2 * time.Millisecond, Measure: 10 * time.Millisecond, Seed: 1}
-	hostCPU.Mark()
-	wres := workload.Run(eng, cfg, workload.RandomGen(ioSize, fileSize, 0),
-		func(p *sim.Proc, tid int, a workload.Access) error {
-			return write(p, tid, a.Off, make([]byte, a.Size))
-		})
-	cores := hostCPU.CoresUsed()
-	rres := workload.Run(eng, cfg, workload.RandomGen(ioSize, fileSize, 100),
-		func(p *sim.Proc, tid int, a workload.Access) error {
-			_, err := read(p, tid, a.Off, a.Size)
-			return err
-		})
-	return measured{wIOPS: wres.IOPS(), rIOPS: rres.IOPS(), cores: cores}
-}
-
-func prealloc(eng *sim.Engine, write func(p *sim.Proc, tid int, off uint64, data []byte) error) {
-	eng.Go("setup", func(p *sim.Proc) {
+// run creates one file on w within the first second, preallocates it with
+// direct 1 MB writes, settles the world for 10 s, then measures 8K random
+// direct writes (with the host cores they use) and 8K random direct reads
+// over it.
+func run(w *world.World) {
+	var err error
+	w.Big = make([]uint64, 1)
+	w.M.Eng.Go("create", func(p *sim.Proc) { w.Big[0], err = w.FS.Create(p, 0, "/data") })
+	w.M.Eng.RunUntil(sim.Time(time.Second))
+	if err != nil {
+		log.Fatal(err)
+	}
+	w.M.Eng.Go("setup", func(p *sim.Proc) {
 		chunk := make([]byte, 1<<20)
 		for off := uint64(0); off < fileSize; off += 1 << 20 {
-			if err := write(p, 0, off, chunk); err != nil {
+			if err := w.FS.Write(p, 0, w.Big[0], off, chunk, true); err != nil {
 				log.Fatal(err)
 			}
 		}
 	})
-	eng.RunUntil(eng.Now() + sim.Time(10*time.Second))
-}
+	w.M.Eng.RunUntil(w.M.Eng.Now() + sim.Time(10*time.Second))
 
-func runStd() {
-	cfg := model.Default()
-	m := model.NewMachine(cfg)
-	b := dfs.NewBackend(m.Eng, m.Net, dfs.DefaultBackendConfig())
-	cl := dfs.NewStdClient(b, m.HostNode, m.HostCPU, dfs.DefaultStdClientConfig())
-	var ino uint64
-	m.Eng.Go("create", func(p *sim.Proc) {
-		var err error
-		ino, err = cl.Create(p, "/data")
-		if err != nil {
-			log.Fatal(err)
-		}
-	})
-	m.Eng.Run()
-	w := func(p *sim.Proc, tid int, off uint64, data []byte) error { return cl.Write(p, ino, off, data) }
-	r := func(p *sim.Proc, tid int, off uint64, n int) ([]byte, error) { return cl.Read(p, ino, off, n) }
-	prealloc(m.Eng, w)
-	report("NFS", drive(m.Eng, m.HostCPU, w, r))
-	m.Eng.Shutdown()
-}
-
-func runOpt() {
-	cfg := model.Default()
-	m := model.NewMachine(cfg)
-	b := dfs.NewBackend(m.Eng, m.Net, dfs.DefaultBackendConfig())
-	cl := dfs.NewCore(b, m.HostNode, m.HostCPU, dfs.DefaultCoreCosts())
-	var ino uint64
-	m.Eng.Go("create", func(p *sim.Proc) {
-		var err error
-		ino, err = cl.Create(p, "/data")
-		if err != nil {
-			log.Fatal(err)
-		}
-	})
-	m.Eng.Run()
-	w := func(p *sim.Proc, tid int, off uint64, data []byte) error { return cl.Write(p, ino, off, data) }
-	r := func(p *sim.Proc, tid int, off uint64, n int) ([]byte, error) { return cl.Read(p, ino, off, n) }
-	prealloc(m.Eng, w)
-	report("NFS+opt-client", drive(m.Eng, m.HostCPU, w, r))
-	m.Eng.Shutdown()
-}
-
-func runDPC() {
-	opts := dpc.DefaultOptions()
-	opts.EnableKVFS = false
-	opts.EnableDFS = true
-	opts.CachePages = 0 // direct I/O apples-to-apples with the host clients
-	sys := dpc.New(opts)
-	cl := sys.DFSClient()
-	var f *dpc.File
-	sys.Go(func(p *sim.Proc) {
-		var err error
-		f, err = cl.Create(p, 0, "/data")
-		if err != nil {
-			log.Fatal(err)
-		}
-	})
-	sys.RunFor(time.Second)
-	w := func(p *sim.Proc, tid int, off uint64, data []byte) error {
-		return f.Write(p, tid, off, data, true)
+	cfg := workload.Config{Threads: threads, Warmup: 2 * time.Millisecond, Measure: 10 * time.Millisecond, Seed: 1}
+	wr, err := world.Measure(w.M, w.Name, "8K random write", cfg, workload.RandomGen(ioSize, fileSize, 0), w.Do(true))
+	if err != nil {
+		log.Fatal(err)
 	}
-	r := func(p *sim.Proc, tid int, off uint64, n int) ([]byte, error) {
-		return f.Read(p, tid, off, n, true)
+	rd, err := world.Measure(w.M, w.Name, "8K random read", cfg, workload.RandomGen(ioSize, fileSize, 100), w.Do(true))
+	if err != nil {
+		log.Fatal(err)
 	}
-	prealloc(sys.M.Eng, w)
-	report("NFS+DPC", drive(sys.M.Eng, sys.M.HostCPU, w, r))
-	sys.StopDaemons()
-	sys.Shutdown()
+	fmt.Printf("%-16s %12.0f %12.0f %12.1f\n", w.Name, wr.IOPS, rd.IOPS, wr.HostCores)
+	w.Stop()
 }

@@ -23,6 +23,7 @@ import (
 	"sort"
 	"strings"
 
+	"dpc"
 	"dpc/internal/dfs"
 	"dpc/internal/kvfs"
 	"dpc/internal/localfs"
@@ -45,28 +46,7 @@ const (
 )
 
 func (k OpKind) String() string {
-	switch k {
-	case OpCreate:
-		return "create"
-	case OpMkdir:
-		return "mkdir"
-	case OpWrite:
-		return "write"
-	case OpRead:
-		return "read"
-	case OpTruncate:
-		return "truncate"
-	case OpUnlink:
-		return "unlink"
-	case OpRename:
-		return "rename"
-	case OpFsync:
-		return "fsync"
-	case OpStat:
-		return "stat"
-	default:
-		return "readdir"
-	}
+	return [...]string{"create", "mkdir", "write", "read", "truncate", "unlink", "rename", "fsync", "stat", "readdir"}[k]
 }
 
 // Op is one trace operation. Idx is assigned at generation time and is
@@ -142,57 +122,34 @@ const (
 )
 
 func (c ErrClass) String() string {
-	switch c {
-	case ErrNone:
-		return "ok"
-	case ErrNotFound:
-		return "not-found"
-	case ErrExists:
-		return "exists"
-	case ErrIsDir:
-		return "is-dir"
-	case ErrNotDir:
-		return "not-dir"
-	case ErrNotEmpty:
-		return "not-empty"
-	default:
-		return "other"
-	}
+	return [...]string{"ok", "not-found", "exists", "is-dir", "not-dir", "not-empty", "other"}[c]
 }
 
 // Classify maps any stack's error onto an ErrClass.
 func Classify(err error) ErrClass {
+	is := func(targets ...error) bool {
+		for _, t := range targets {
+			if errors.Is(err, t) {
+				return true
+			}
+		}
+		return false
+	}
 	switch {
 	case err == nil:
 		return ErrNone
-	case errors.Is(err, kvfs.ErrNotFound) || errors.Is(err, localfs.ErrNotFound) || errors.Is(err, dfs.ErrNotFound):
+	case is(dpc.ErrNotFound, kvfs.ErrNotFound, localfs.ErrNotFound, dfs.ErrNotFound):
 		return ErrNotFound
-	case errors.Is(err, kvfs.ErrExists) || errors.Is(err, localfs.ErrExists) || errors.Is(err, dfs.ErrExists):
+	case is(dpc.ErrExists, kvfs.ErrExists, localfs.ErrExists, dfs.ErrExists):
 		return ErrExists
-	case errors.Is(err, kvfs.ErrIsDir) || errors.Is(err, localfs.ErrIsDir):
+	case is(dpc.ErrIsDir, kvfs.ErrIsDir, localfs.ErrIsDir):
 		return ErrIsDir
-	case errors.Is(err, kvfs.ErrNotDir) || errors.Is(err, localfs.ErrNotDir):
+	case is(dpc.ErrNotDir, kvfs.ErrNotDir, localfs.ErrNotDir):
 		return ErrNotDir
-	case errors.Is(err, kvfs.ErrNotEmpty) || errors.Is(err, localfs.ErrNotEmpty):
+	case is(dpc.ErrNotEmpty, kvfs.ErrNotEmpty, localfs.ErrNotEmpty):
 		return ErrNotEmpty
-	default:
-		// The dpc client package defines its own sentinel errors; match by
-		// message to avoid an import cycle (dpc imports internal packages).
-		msg := err.Error()
-		switch {
-		case strings.Contains(msg, "not found"):
-			return ErrNotFound
-		case strings.Contains(msg, "exists"):
-			return ErrExists
-		case strings.Contains(msg, "is a directory"):
-			return ErrIsDir
-		case strings.Contains(msg, "not a directory"):
-			return ErrNotDir
-		case strings.Contains(msg, "not empty"):
-			return ErrNotEmpty
-		}
-		return ErrOther
 	}
+	return ErrOther
 }
 
 // Result is the observable outcome of one operation, produced identically

@@ -99,8 +99,8 @@ func TestShortTortureAllStacks(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			defer w.Close()
-			trace := GenTrace(1, 300, w.Caps())
+			defer w.Stop()
+			trace := GenTrace(1, 300, w.Caps)
 			if fail := runTraceOn(w, 1, trace); fail != nil {
 				t.Fatalf("diverged from oracle: %v", fail)
 			}
@@ -122,10 +122,9 @@ func (b legacyFlushBackend) WritePage(p *sim.Proc, ino, lpn uint64, pageSize int
 // legacyFlushWorld is a kvfs-cache world with legacyFlushBackend under its
 // live hybrid cache.
 func legacyFlushWorld() *World {
-	s, _ := stackByName("kvfs-cache")
-	sys := s.system(nil, nil)
-	sys.KVFSService().Ctl.SetBackend(legacyFlushBackend{kvfs.PageBackend{FS: sys.KVFS}})
-	return newDPCWorld(s, sys)
+	w, _ := NewWorld("kvfs-cache")
+	w.Ctl.SetBackend(legacyFlushBackend{kvfs.PageBackend{FS: w.Sys.KVFS}})
+	return w
 }
 
 // TestHarnessCatchesLegacyFlushSizeBug reinstates the pre-fix cache
@@ -149,11 +148,11 @@ func TestHarnessCatchesLegacyFlushSizeBug(t *testing.T) {
 	if fail := runTraceOn(w, 0, trace); fail != nil {
 		t.Fatalf("fixed stack fails the probe trace: %v", fail)
 	}
-	w.Close()
+	w.Stop()
 
 	// Sabotaged stack: the harness must catch it.
 	w = legacyFlushWorld()
-	defer w.Close()
+	defer w.Stop()
 	fail := runTraceOn(w, 0, trace)
 	if fail == nil {
 		t.Fatal("harness did not catch the legacy unclamped flush (size inflation past EOF)")
@@ -175,7 +174,7 @@ func TestShrinkMinimizes(t *testing.T) {
 	w := legacyFlushWorld()
 	// Random padding followed by the probe ops that trigger the bug; the
 	// padding itself may (and usually does) trip divergence even earlier.
-	trace := GenTrace(5, 120, w.Caps())
+	trace := GenTrace(5, 120, w.Caps)
 	next := len(trace) * 2 // Idx values past anything in the padding
 	trace = append(trace,
 		Op{Idx: next, Kind: OpCreate, Path: "/zz0"},
@@ -184,7 +183,7 @@ func TestShrinkMinimizes(t *testing.T) {
 		Op{Idx: next + 3, Kind: OpStat, Path: "/zz0"},
 	)
 	fail := runTraceOn(w, 5, trace)
-	w.Close()
+	w.Stop()
 	if fail == nil {
 		t.Fatal("sabotaged world did not diverge")
 	}
@@ -198,7 +197,7 @@ func TestShrinkMinimizes(t *testing.T) {
 	}
 	// The shrunk trace must still reproduce on a fresh sabotaged world.
 	w = legacyFlushWorld()
-	defer w.Close()
+	defer w.Stop()
 	if runTraceOn(w, 5, shrunk.Trace) == nil {
 		t.Fatal("shrunk trace does not reproduce the failure")
 	}
@@ -253,9 +252,9 @@ func TestShortTortureWithFaults(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				trace := GenTrace(seed, 300, w.Caps())
+				trace := GenTrace(seed, 300, w.Caps)
 				fail := runTraceOn(w, seed, trace)
-				w.Close()
+				w.Stop()
 				if fail != nil {
 					t.Fatalf("seed %d diverged under injection: %v", seed, fail)
 				}
@@ -306,7 +305,7 @@ func TestInlineBoundarySizesDifferential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer w.Close()
+	defer w.Stop()
 	if fail := runTraceOn(w, 0, trace); fail != nil {
 		t.Fatalf("inline stack diverged from oracle: %v", fail)
 	}
@@ -322,10 +321,10 @@ func TestInlineTortureMatchesDMATorture(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		trace := GenTrace(7, 300, w.Caps())
+		trace := GenTrace(7, 300, w.Caps)
 		if fail := runTraceOn(w, 7, trace); fail != nil {
 			t.Fatalf("%s diverged: %v", stack, fail)
 		}
-		w.Close()
+		w.Stop()
 	}
 }

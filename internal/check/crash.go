@@ -6,7 +6,6 @@ import (
 	"sync"
 	"time"
 
-	"dpc"
 	"dpc/internal/kv"
 	"dpc/internal/kvfs"
 	"dpc/internal/sim"
@@ -26,7 +25,7 @@ import (
 // Failing crash points delta-debug their traces to minimal reproducers.
 
 // crashStack is the row of the stack table under crash torture. Every phase
-// builds its system from it identically: the simulation is deterministic, so
+// builds its world from it identically: the simulation is deterministic, so
 // a re-run reaches bit-identical state at any virtual time, which is what
 // lets the harness re-execute a run and stop it mid-flight.
 var crashStack, _ = stackByName("kvfs-wal")
@@ -38,14 +37,13 @@ type opWindow struct{ start, end sim.Time }
 // each op's window. The driver is sequential, so at most one op is in
 // flight at any instant — the single-op relaxation the verifier leans on.
 func timeTrace(trace []Op) []opWindow {
-	sys := crashStack.system(nil, nil)
-	defer func() { sys.StopDaemons(); sys.Shutdown() }()
-	cl := sys.KVFSClient()
+	w := crashStack.world(nil)
+	defer w.Stop()
 	wins := make([]opWindow, len(trace))
-	sys.Drive(func(p *sim.Proc) {
+	w.Drive(func(p *sim.Proc) {
 		for i, op := range trace {
 			wins[i].start = p.Now()
-			applyDPC(p, cl, op)
+			w.Apply(p, op)
 			wins[i].end = p.Now()
 		}
 	})
@@ -68,11 +66,11 @@ type crashImage struct {
 // between the puts of one metadata op strands any prefix — the scavenger's
 // job). Nothing in the extraction consumes virtual time.
 func captureCrash(trace []Op, tc sim.Time, rng *rand.Rand) *crashImage {
-	sys := crashStack.system(nil, nil)
-	cl := sys.KVFSClient()
+	w := crashStack.world(nil)
+	sys := w.Sys
 	sys.Go(func(p *sim.Proc) {
 		for _, op := range trace {
-			applyDPC(p, cl, op)
+			w.Apply(p, op)
 		}
 	})
 	sys.RunUntil(tc)
@@ -92,10 +90,11 @@ func captureCrash(trace []Op, tc sim.Time, rng *rand.Rand) *crashImage {
 	return img
 }
 
-// recoverImage transplants a crash image into a fresh machine and runs the
+// recoverImage transplants a crash image into a fresh world and runs the
 // production recovery sequence (scavenge, WAL replay, checkpoint).
-func recoverImage(img *crashImage) (*dpc.System, wal.ReplayStats, *kvfs.RecoverReport, error) {
-	sys := crashStack.system(nil, nil)
+func recoverImage(img *crashImage) (*World, wal.ReplayStats, *kvfs.RecoverReport, error) {
+	w := crashStack.world(nil)
+	sys := w.Sys
 	sys.WALDev.Restore(img.wal)
 	sys.WAL.Reopen()
 	for i, shard := range img.shards {
@@ -109,8 +108,8 @@ func recoverImage(img *crashImage) (*dpc.System, wal.ReplayStats, *kvfs.RecoverR
 		rep   *kvfs.RecoverReport
 		rerr  error
 	)
-	sys.Drive(func(p *sim.Proc) { stats, rep, rerr = sys.Recover(p) })
-	return sys, stats, rep, rerr
+	w.Drive(func(p *sim.Proc) { stats, rep, rerr = sys.Recover(p) })
+	return w, stats, rep, rerr
 }
 
 // CrashPoint pins a crash instant to a trace op: the crash fires Frac of
@@ -205,20 +204,19 @@ func runCrashPoint(seed int64, trace []Op, wins []opWindow, pt CrashPoint) (*Cra
 	if idx < 0 {
 		return nil, crashRunStats{}
 	}
-	w := wins[idx]
-	tc := w.start + sim.Time(pt.Frac*float64(w.end-w.start))
+	win := wins[idx]
+	tc := win.start + sim.Time(pt.Frac*float64(win.end-win.start))
 
 	img := captureCrash(trace, tc, crashRNG(seed, pt))
 	st := crashRunStats{lost: img.lost}
 
-	sys, replay, rep, rerr := recoverImage(img)
+	w, replay, rep, rerr := recoverImage(img)
+	defer w.Stop()
 	st.replay, st.report = replay, rep
 	fail := func(diff string) *CrashFailure {
 		return &CrashFailure{Seed: seed, Point: pt, When: tc, Diff: diff, Trace: trace, Replay: replay}
 	}
 	if rerr != nil {
-		sys.StopDaemons()
-		sys.Shutdown()
 		return fail(fmt.Sprintf("recovery error: %v", rerr)), st
 	}
 
@@ -245,10 +243,7 @@ func runCrashPoint(seed int64, trace []Op, wins []opWindow, pt CrashPoint) (*Cra
 	}
 
 	var diff string
-	cl := sys.KVFSClient()
-	sys.Drive(func(p *sim.Proc) { diff = verifyRecovered(p, sys, cl, m, inflight) })
-	sys.StopDaemons()
-	sys.Shutdown()
+	w.Drive(func(p *sim.Proc) { diff = verifyRecovered(p, w, m, inflight) })
 	if diff != "" {
 		return fail(diff), st
 	}
@@ -265,7 +260,7 @@ func ShrinkCrash(fail *CrashFailure, budget int) *CrashFailure {
 	// The replay below returns no error, so neither does ddmin.
 	trace, _ := ddmin(fail.Trace, indexOfIdx(fail.Trace, fail.Point.Anchor)+1, budget,
 		func(cand []Op) ([]Op, bool) {
-			cand = sanitize(cand, crashStack.caps())
+			cand = sanitize(cand, crashStack.caps)
 			return cand, indexOfIdx(cand, fail.Point.Anchor) >= 0
 		},
 		func(cand []Op) (int, error) {
@@ -326,7 +321,7 @@ func RunCrashSuite(cfg CrashSuiteConfig) ([]*CrashFailure, *CrashReport, error) 
 	)
 	pool(len(cfg.Seeds), cfg.Parallel, cfg.Logf, func(i int, logf func(string, ...any)) {
 		seed := cfg.Seeds[i]
-		trace := GenTrace(seed, ops, crashStack.caps())
+		trace := GenTrace(seed, ops, crashStack.caps)
 		wins := timeTrace(trace)
 		rng := rand.New(rand.NewSource(seed ^ 0x5ca1ab1e))
 		for _, pt := range pickCrashPoints(rng, trace, points) {

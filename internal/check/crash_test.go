@@ -61,7 +61,8 @@ func TestCrashHarnessCatchesLostJournal(t *testing.T) {
 	tc := wins[idx].start + sim.Time(pt.Frac*float64(wins[idx].end-wins[idx].start))
 	img := captureCrash(trace, tc, crashRNG(7, pt))
 	img.wal = map[int64][]byte{} // sabotage: the journal vanishes
-	sys, _, _, rerr := recoverImage(img)
+	w, _, _, rerr := recoverImage(img)
+	defer w.Stop()
 	if rerr != nil {
 		t.Fatalf("sabotaged recovery errored: %v", rerr)
 	}
@@ -70,20 +71,7 @@ func TestCrashHarnessCatchesLostJournal(t *testing.T) {
 		m.apply(op)
 	}
 	var diff string
-	done := false
-	cl := sys.KVFSClient()
-	sys.Go(func(p *sim.Proc) {
-		diff = verifyRecovered(p, sys, cl, m, nil)
-		done = true
-	})
-	for i := 0; !done; i++ {
-		if i > 1<<20 {
-			t.Fatal("verification stalled")
-		}
-		sys.RunFor(10 * 1000 * 1000)
-	}
-	sys.StopDaemons()
-	sys.Shutdown()
+	w.Drive(func(p *sim.Proc) { diff = verifyRecovered(p, w, m, nil) })
 	if diff == "" {
 		t.Fatal("verifier accepted a recovery that lost journaled fsync data")
 	}
@@ -130,7 +118,7 @@ func TestCrashShrinkKeepsAnchor(t *testing.T) {
 	// that reproduces deterministically via the sabotage-free path being
 	// healthy: if no failure exists, ShrinkCrash is vacuous — so instead
 	// verify indexOfIdx/pickCrashPoints determinism, which Shrink relies on.
-	trace := GenTrace(11, 60, crashStack.caps())
+	trace := GenTrace(11, 60, crashStack.caps)
 	wins := timeTrace(trace)
 	if len(wins) != len(trace) {
 		t.Fatalf("windows %d, trace %d", len(wins), len(trace))

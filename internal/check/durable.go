@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"dpc"
-	"dpc/internal/kvfs"
 	"dpc/internal/sim"
 )
 
@@ -162,8 +160,8 @@ func postContents(m *durableModel, op Op) map[string][]byte {
 // if the crash fell between ops); its paths get the relaxed treatment — any
 // mix of pre- and post-op state is legal, but still nothing that was never
 // written. Returns "" on success, or a description of the violation.
-func verifyRecovered(p *sim.Proc, sys *dpc.System, cl *dpc.Client, m *durableModel, inflight *Op) string {
-	ps := sys.KVFSService().Ctl.L.PageSize
+func verifyRecovered(p *sim.Proc, w *World, m *durableModel, inflight *Op) string {
+	ps := w.Ctl.L.PageSize
 	relaxed := map[string]bool{}
 	if inflight != nil {
 		relaxed[inflight.Path] = true
@@ -173,7 +171,7 @@ func verifyRecovered(p *sim.Proc, sys *dpc.System, cl *dpc.Client, m *durableMod
 	}
 
 	// The repaired image must be structurally clean before any semantics.
-	if probs := sys.KVFS.Fsck(p, sys.KVCluster).Problems; len(probs) > 0 {
+	if probs := w.Sys.KVFS.Fsck(p, w.Sys.KVCluster).Problems; len(probs) > 0 {
 		return "post-recovery fsck: " + strings.Join(probs, "; ")
 	}
 
@@ -185,22 +183,14 @@ func verifyRecovered(p *sim.Proc, sys *dpc.System, cl *dpc.Client, m *durableMod
 			continue
 		}
 		want := filterChildren(dir, m.o.list(dir), relaxed)
-		lsPath := dir
-		if lsPath == "" {
-			lsPath = "/"
+		ls := w.Apply(p, Op{Kind: OpReaddir, Path: dir})
+		if ls.Err != ErrNone {
+			return fmt.Sprintf("recovered: readdir %q: %v", dir, ls.Err)
 		}
-		ents, err := cl.Readdir(p, 0, lsPath)
-		if err != nil {
-			return fmt.Sprintf("recovered: readdir %s: %v", lsPath, err)
-		}
-		var names []string
-		for _, e := range ents {
-			names = append(names, e.Name)
-		}
-		got := filterChildren(dir, sortedCopy(names), relaxed)
+		got := filterChildren(dir, ls.Names, relaxed)
 		if strings.Join(got, ",") != strings.Join(want, ",") {
-			return fmt.Sprintf("recovered: listing of %s [%s], want [%s]",
-				lsPath, strings.Join(got, ","), strings.Join(want, ","))
+			return fmt.Sprintf("recovered: listing of %q [%s], want [%s]",
+				dir, strings.Join(got, ","), strings.Join(want, ","))
 		}
 	}
 
@@ -211,19 +201,19 @@ func verifyRecovered(p *sim.Proc, sys *dpc.System, cl *dpc.Client, m *durableMod
 			continue
 		}
 		want, _ := m.o.ContentOf(path)
-		st, err := cl.StatPath(p, 0, path)
+		size, _, err := w.FS.Stat(p, 0, path)
 		if err != nil {
 			return fmt.Sprintf("recovered: stat %s: %v", path, err)
 		}
-		if st.Size != uint64(len(want)) {
-			return fmt.Sprintf("recovered: %s size=%d, want %d", path, st.Size, len(want))
+		if size != uint64(len(want)) {
+			return fmt.Sprintf("recovered: %s size=%d, want %d", path, size, len(want))
 		}
 		if len(want) == 0 {
 			continue
 		}
-		got, err := readBack(p, cl, path, len(want))
-		if err != nil {
-			return fmt.Sprintf("recovered: read %s: %v", path, err)
+		got, cls := readBack(p, w, path, len(want))
+		if cls != ErrNone {
+			return fmt.Sprintf("recovered: read %s: %v", path, cls)
 		}
 		if len(got) != len(want) {
 			return fmt.Sprintf("recovered: read %s: %d bytes, want %d", path, len(got), len(want))
@@ -239,21 +229,16 @@ func verifyRecovered(p *sim.Proc, sys *dpc.System, cl *dpc.Client, m *durableMod
 	if inflight != nil {
 		post := postContents(m, *inflight)
 		var extra [][]byte
-		var looseHist [][]byte
-		for path := range relaxed {
-			looseHist = append(looseHist, m.hist[path]...)
-		}
 		for _, b := range post {
 			extra = append(extra, b)
 		}
-		extra = append(extra, looseHist...)
 		for path := range relaxed {
-			st, err := cl.StatPath(p, 0, path)
-			if err != nil {
+			extra = append(extra, m.hist[path]...)
+		}
+		for path := range relaxed {
+			size, dir, err := w.FS.Stat(p, 0, path)
+			if err != nil || dir || size == 0 {
 				continue // absence is always acceptable mid-op
-			}
-			if st.Mode == kvfs.ModeDir || st.Size == 0 {
-				continue
 			}
 			maxSz := 0
 			if b, ok := m.o.ContentOf(path); ok && len(b) > maxSz {
@@ -262,12 +247,12 @@ func verifyRecovered(p *sim.Proc, sys *dpc.System, cl *dpc.Client, m *durableMod
 			if b, ok := post[path]; ok && len(b) > maxSz {
 				maxSz = len(b)
 			}
-			if st.Size > uint64(maxSz) {
-				return fmt.Sprintf("recovered: in-flight %s size=%d beyond any state (max %d)", path, st.Size, maxSz)
+			if size > uint64(maxSz) {
+				return fmt.Sprintf("recovered: in-flight %s size=%d beyond any state (max %d)", path, size, maxSz)
 			}
-			got, err := readBack(p, cl, path, int(st.Size))
-			if err != nil {
-				return fmt.Sprintf("recovered: read in-flight %s: %v", path, err)
+			got, cls := readBack(p, w, path, int(size))
+			if cls != ErrNone {
+				return fmt.Sprintf("recovered: read in-flight %s: %v", path, cls)
 			}
 			if d := m.checkPages(path, got, ps, true, extra); d != "" {
 				return fmt.Sprintf("recovered: in-flight %s: %s", path, d)
@@ -279,12 +264,9 @@ func verifyRecovered(p *sim.Proc, sys *dpc.System, cl *dpc.Client, m *durableMod
 
 // readBack reads a recovered file's content through direct I/O — the
 // honest "what is on the backend" view, untouched by fresh cache state.
-func readBack(p *sim.Proc, cl *dpc.Client, path string, n int) ([]byte, error) {
-	f, err := cl.Open(p, 0, path)
-	if err != nil {
-		return nil, err
-	}
-	return f.Read(p, 0, 0, n, true)
+func readBack(p *sim.Proc, w *World, path string, n int) ([]byte, ErrClass) {
+	r := w.Apply(p, Op{Kind: OpRead, Path: path, Len: n, Direct: true})
+	return r.Data, r.Err
 }
 
 // filterChildren drops children of dir whose full path is in the relaxed

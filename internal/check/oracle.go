@@ -41,31 +41,26 @@ func (o *Oracle) exists(path string) bool {
 // Apply executes one operation against the reference state and returns the
 // expected Result.
 func (o *Oracle) Apply(op Op) Result {
+	buf, isFile := o.files[op.Path]
+	missing := Result{Err: ErrNotFound}
 	switch op.Kind {
-	case OpCreate:
+	case OpCreate, OpMkdir:
 		if o.exists(op.Path) {
 			return Result{Err: ErrExists}
 		}
 		if !o.parentExists(op.Path) {
-			return Result{Err: ErrNotFound}
+			return missing
 		}
-		o.files[op.Path] = []byte{}
-		return Result{}
-
-	case OpMkdir:
-		if o.exists(op.Path) {
-			return Result{Err: ErrExists}
+		if op.Kind == OpMkdir {
+			o.dirs[op.Path] = true
+		} else {
+			o.files[op.Path] = []byte{}
 		}
-		if !o.parentExists(op.Path) {
-			return Result{Err: ErrNotFound}
-		}
-		o.dirs[op.Path] = true
 		return Result{}
 
 	case OpWrite:
-		buf, ok := o.files[op.Path]
-		if !ok {
-			return Result{Err: ErrNotFound}
+		if !isFile {
+			return missing
 		}
 		end := op.Off + uint64(op.Len)
 		if uint64(len(buf)) < end {
@@ -76,22 +71,18 @@ func (o *Oracle) Apply(op Op) Result {
 		return Result{}
 
 	case OpRead:
-		buf, ok := o.files[op.Path]
-		if !ok {
-			return Result{Err: ErrNotFound}
+		if !isFile {
+			return missing
 		}
 		if op.Off >= uint64(len(buf)) {
 			return Result{Data: nil}
 		}
-		end := op.Off + uint64(op.Len)
-		if end > uint64(len(buf)) {
-			end = uint64(len(buf))
-		}
+		end := min(op.Off+uint64(op.Len), uint64(len(buf)))
 		return Result{Data: append([]byte(nil), buf[op.Off:end]...)}
 
 	case OpTruncate:
-		if _, ok := o.files[op.Path]; !ok {
-			return Result{Err: ErrNotFound}
+		if !isFile {
+			return missing
 		}
 		o.files[op.Path] = []byte{}
 		return Result{}
@@ -100,29 +91,26 @@ func (o *Oracle) Apply(op Op) Result {
 		if o.dirs[op.Path] {
 			return Result{Err: ErrIsDir}
 		}
-		if _, ok := o.files[op.Path]; !ok {
-			return Result{Err: ErrNotFound}
+		if !isFile {
+			return missing
 		}
 		delete(o.files, op.Path)
 		return Result{}
 
 	case OpRename:
-		if _, ok := o.files[op.Path]; !ok {
-			return Result{Err: ErrNotFound}
-		}
-		if !o.parentExists(op.Path2) {
-			return Result{Err: ErrNotFound}
+		if !isFile || !o.parentExists(op.Path2) {
+			return missing
 		}
 		if o.exists(op.Path2) {
 			return Result{Err: ErrExists}
 		}
-		o.files[op.Path2] = o.files[op.Path]
+		o.files[op.Path2] = buf
 		delete(o.files, op.Path)
 		return Result{}
 
 	case OpFsync:
-		if _, ok := o.files[op.Path]; !ok {
-			return Result{Err: ErrNotFound}
+		if !isFile {
+			return missing
 		}
 		return Result{}
 
@@ -130,17 +118,17 @@ func (o *Oracle) Apply(op Op) Result {
 		if o.dirs[op.Path] {
 			return Result{IsDir: true}
 		}
-		if buf, ok := o.files[op.Path]; ok {
+		if isFile {
 			return Result{Size: uint64(len(buf))}
 		}
-		return Result{Err: ErrNotFound}
+		return missing
 
 	case OpReaddir:
 		if op.Path != "" && !o.dirs[op.Path] {
-			if _, ok := o.files[op.Path]; ok {
+			if isFile {
 				return Result{Err: ErrNotDir}
 			}
-			return Result{Err: ErrNotFound}
+			return missing
 		}
 		return Result{Names: o.list(op.Path)}
 	}

@@ -3,6 +3,7 @@ package check
 import (
 	"testing"
 
+	"dpc"
 	"dpc/internal/fault"
 	"dpc/internal/obs"
 	"dpc/internal/prof"
@@ -38,18 +39,16 @@ func TestTortureAttributionInvariant(t *testing.T) {
 			if tc.faults {
 				rules = fault.TortureSchedule(seed)
 			}
-			w, err := newDPCWorldNamed(tc.stack, "cannot carry an obs handle", rules, o)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer w.Close()
+			s, _ := stackByName(tc.stack)
+			w := s.world(func(opts *dpc.Options) { opts.Model.Obs, opts.Faults = o, rules })
+			defer w.Stop()
 
-			trace := GenTrace(seed, 300, w.Caps())
+			trace := GenTrace(seed, 300, w.Caps)
 			if fail := runTraceOn(w, seed, trace); fail != nil {
 				t.Fatalf("diverged from oracle under profiling: %v", fail)
 			}
 
-			pr := prof.Analyze(o.Tracer().Export(w.Now()))
+			pr := prof.Analyze(o.Tracer().Export(w.M.Eng.Now()))
 			if len(pr.Spans) == 0 {
 				t.Fatal("profiled torture run produced no spans")
 			}

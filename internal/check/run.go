@@ -43,13 +43,13 @@ func runTraceOn(w *World, seed int64, trace []Op) *Failure {
 			want := o.Apply(op)
 			got := w.Apply(p, op)
 			if d := Diff(op, got, want); d != "" {
-				fail = &Failure{Stack: w.Name(), Seed: seed, OpIdx: i, Diff: d, Trace: trace}
+				fail = &Failure{Stack: w.Name, Seed: seed, OpIdx: i, Diff: d, Trace: trace}
 				return
 			}
 			if (i+1)%verifyEvery == 0 {
 				w.Settle(p)
 				if d := verifyTree(p, w, o); d != "" {
-					fail = &Failure{Stack: w.Name(), Seed: seed, OpIdx: i, Diff: "periodic verify: " + d, Trace: trace}
+					fail = &Failure{Stack: w.Name, Seed: seed, OpIdx: i, Diff: "periodic verify: " + d, Trace: trace}
 					return
 				}
 			}
@@ -61,11 +61,11 @@ func runTraceOn(w *World, seed int64, trace []Op) *Failure {
 		w.Settle(p)
 		w.Barrier(p)
 		if d := verifyTree(p, w, o); d != "" {
-			fail = &Failure{Stack: w.Name(), Seed: seed, OpIdx: len(trace), Diff: "final verify: " + d, Trace: trace}
+			fail = &Failure{Stack: w.Name, Seed: seed, OpIdx: len(trace), Diff: "final verify: " + d, Trace: trace}
 			return
 		}
 		if probs := w.Fsck(p); len(probs) > 0 {
-			fail = &Failure{Stack: w.Name(), Seed: seed, OpIdx: len(trace),
+			fail = &Failure{Stack: w.Name, Seed: seed, OpIdx: len(trace),
 				Diff: "fsck: " + strings.Join(probs, "; "), Trace: trace}
 		}
 	})
@@ -76,7 +76,7 @@ func runTraceOn(w *World, seed int64, trace []Op) *Failure {
 // stat size and full content (in each I/O mode the stack supports), every
 // directory listing. Synthetic ops (Idx -1) label the diffs.
 func verifyTree(p *sim.Proc, w *World, o *Oracle) string {
-	caps := w.Caps()
+	caps := w.Caps
 	for _, path := range o.LiveFiles() {
 		size, _ := o.SizeOf(path)
 		content, _ := o.ContentOf(path)
@@ -157,25 +157,19 @@ func sanitize(trace []Op, caps Caps) []Op {
 }
 
 // shrinkWith is Shrink with an explicit world factory, so callers (and the
-// harness's own tests) can shrink against instrumented worlds — e.g. one
-// with the legacy flush bug injected.
+// harness's own tests) can shrink against instrumented worlds of the failed
+// stack's row — e.g. one with the legacy flush bug injected.
 func shrinkWith(factory func() (*World, error), fail *Failure, budget int) (*Failure, error) {
-	probe, err := factory()
-	if err != nil {
-		return nil, err
-	}
-	caps := probe.Caps()
-	probe.Close()
-
+	row, _ := stackByName(fail.Stack)
 	best := fail
 	trace, err := ddmin(fail.Trace, fail.OpIdx+1, budget,
-		func(cand []Op) ([]Op, bool) { return sanitize(cand, caps), true },
+		func(cand []Op) ([]Op, bool) { return sanitize(cand, row.caps), true },
 		func(cand []Op) (int, error) {
 			w, err := factory()
 			if err != nil {
 				return 0, err
 			}
-			defer w.Close()
+			defer w.Stop()
 			f := runTraceOn(w, fail.Seed, cand)
 			if f == nil {
 				return 0, nil
@@ -301,9 +295,9 @@ func RunSuite(cfg SuiteConfig) ([]*Failure, error) {
 			mu.Unlock()
 			return
 		}
-		trace := GenTrace(j.seed, cfg.Ops, w.Caps())
+		trace := GenTrace(j.seed, cfg.Ops, w.Caps)
 		fail := runTraceOn(w, j.seed, trace)
-		w.Close()
+		w.Stop()
 		if fail == nil {
 			logf("ok   %-11s seed=%-4d (%d ops)", j.stack, j.seed, len(trace))
 			return

@@ -49,6 +49,16 @@ func GenTrace(seed int64, n int, caps Caps) []Op {
 		return live[rng.Intn(len(live))], true
 	}
 
+	// target picks a live file or, for a deliberately invalid op (or when
+	// none is live), any file slot.
+	target := func(invalid bool) string {
+		path, ok := liveFile()
+		if !ok || invalid {
+			path = pick(files)
+		}
+		return path
+	}
+
 	// alignDown rounds v to the stack's alignment (0 or 1 = byte-granular).
 	alignDown := func(v uint64) uint64 {
 		if caps.Align > 1 {
@@ -79,12 +89,8 @@ func GenTrace(seed int64, n int, caps Caps) []Op {
 
 		case w < 45: // write
 			op.Kind = OpWrite
-			path, ok := liveFile()
-			if !ok || invalid {
-				path = pick(files)
-			}
-			op.Path = path
-			size, _ := o.SizeOf(path)
+			op.Path = target(invalid)
+			size, _ := o.SizeOf(op.Path)
 			op.Off, op.Len = genExtent(rng, caps, size, maxFile)
 			op.Direct = pickMode(rng, caps)
 			if op.Len == 0 {
@@ -93,12 +99,8 @@ func GenTrace(seed int64, n int, caps Caps) []Op {
 
 		case w < 70: // read
 			op.Kind = OpRead
-			path, ok := liveFile()
-			if !ok || invalid {
-				path = pick(files)
-			}
-			op.Path = path
-			size, _ := o.SizeOf(path)
+			op.Path = target(invalid)
+			size, _ := o.SizeOf(op.Path)
 			// Reads may deliberately overshoot EOF: clamping is part of the
 			// contract under test.
 			limit := size + uint64(caps.Align) + 8192
@@ -114,11 +116,7 @@ func GenTrace(seed int64, n int, caps Caps) []Op {
 			if rng.Intn(4) == 0 && len(dirs) > 0 {
 				op.Path = pick(dirs)
 			} else {
-				path, ok := liveFile()
-				if !ok || invalid {
-					path = pick(files)
-				}
-				op.Path = path
+				op.Path = target(invalid)
 			}
 
 		case w < 82 && caps.Mkdir: // readdir
@@ -139,27 +137,15 @@ func GenTrace(seed int64, n int, caps Caps) []Op {
 
 		case w < 91 && caps.Truncate: // truncate
 			op.Kind = OpTruncate
-			path, ok := liveFile()
-			if !ok || invalid {
-				path = pick(files)
-			}
-			op.Path = path
+			op.Path = target(invalid)
 
 		case w < 96 && caps.Unlink: // unlink
 			op.Kind = OpUnlink
-			path, ok := liveFile()
-			if !ok || invalid {
-				path = pick(files)
-			}
-			op.Path = path
+			op.Path = target(invalid)
 
 		case w < 100 && caps.Rename: // rename
 			op.Kind = OpRename
-			path, ok := liveFile()
-			if !ok || invalid {
-				path = pick(files)
-			}
-			op.Path = path
+			op.Path = target(invalid)
 			op.Path2 = pick(files)
 			if op.Path2 == op.Path {
 				continue

@@ -58,16 +58,16 @@ func RunAblationCachePlacement(s Scale) []*Table {
 	} {
 		w := saKVFS(d.mutate)
 		if d.dpuCache {
-			svc := w.sys.KVFSService()
+			svc := w.Sys.KVFSService()
 			svc.DPUCache = map[[2]uint64][]byte{}
 			svc.DPUCacheCap = 8192
 		}
 		if d.warm {
-			measure(w.m, w.name, d.design+" warm-up", workload.Config{Threads: threads, Warmup: 0, Measure: 4 * (warm + meas), Seed: 5}, gen, w.do(d.direct))
+			measure(w.M, w.Name, d.design+" warm-up", workload.Config{Threads: threads, Warmup: 0, Measure: 4 * (warm + meas), Seed: 5}, gen, w.Do(d.direct))
 		}
-		pt := measure(w.m, w.name, d.design, workload.Config{Threads: threads, Warmup: warm, Measure: meas, Seed: d.seed}, gen, w.do(d.direct))
+		pt := measure(w.M, w.Name, d.design, workload.Config{Threads: threads, Warmup: warm, Measure: meas, Seed: d.seed}, gen, w.Do(d.direct))
 		t.Rows = append(t.Rows, []string{d.design, fmtIOPS(pt.IOPS), fmtDur(pt.Mean), fmt.Sprintf("%.1f", pt.DMAsPerOp)})
-		w.stop()
+		w.Stop()
 	}
 	return []*Table{t}
 }
@@ -88,8 +88,8 @@ func RunAblationPrefetch(s Scale) []*Table {
 			o.Ctl.AdaptivePrefetch = false
 		})
 		gen := workload.SequentialGen(saIOSize, saFileSize, workload.Read)
-		pt := measure(w.m, w.name, fmt.Sprintf("prefetch depth %d", depth), workload.Config{Threads: 1, Warmup: warm, Measure: meas, Seed: 4}, gen, w.do(false))
-		hits, misses := w.cl.CacheStats()
+		pt := measure(w.M, w.Name, fmt.Sprintf("prefetch depth %d", depth), workload.Config{Threads: 1, Warmup: warm, Measure: meas, Seed: 4}, gen, w.Do(false))
+		hits, misses := w.Cl.CacheStats()
 		rate := 0.0
 		if hits+misses > 0 {
 			rate = float64(hits) / float64(hits+misses)
@@ -97,7 +97,7 @@ func RunAblationPrefetch(s Scale) []*Table {
 		t.Rows = append(t.Rows, []string{
 			fmt.Sprint(depth), fmtIOPS(pt.IOPS), fmtDur(pt.Mean), fmtPct(rate),
 		})
-		w.stop()
+		w.Stop()
 	}
 	return []*Table{t}
 }
@@ -113,10 +113,10 @@ func RunAblationECPlacement(s Scale) []*Table {
 	}
 	for i, loc := range []string{"server (MDS)", "host CPU", "DPU"} {
 		w := dfsWorlds[i]()
-		pt := measure(w.m, w.name, "8K rnd wr", workload.Config{Threads: threads, Warmup: warm, Measure: meas, Seed: 12},
-			workload.RandomGen(dfsIOSize, dfsFileSize, 0), w.do(true))
-		t.Rows = append(t.Rows, []string{loc, w.name, fmtIOPS(pt.IOPS), fmtCores(pt.HostCores)})
-		w.stop()
+		pt := measure(w.M, w.Name, "8K rnd wr", workload.Config{Threads: threads, Warmup: warm, Measure: meas, Seed: 12},
+			workload.RandomGen(dfsIOSize, dfsFileSize, 0), w.Do(true))
+		t.Rows = append(t.Rows, []string{loc, w.Name, fmtIOPS(pt.IOPS), fmtCores(pt.HostCores)})
+		w.Stop()
 	}
 	return []*Table{t}
 }
@@ -150,20 +150,20 @@ func RunAblationTransforms(s Scale) []*Table {
 		for i := 0; i < len(payload); i += len(pattern) {
 			copy(payload[i:], pattern)
 		}
-		w.m.Net.BytesSent.Mark()
-		pt := measure(w.m, w.name, "transforms "+mode.name, workload.Config{Threads: 8, Warmup: warm, Measure: meas, Seed: 13},
+		w.M.Net.BytesSent.Mark()
+		pt := measure(w.M, w.Name, "transforms "+mode.name, workload.Config{Threads: 8, Warmup: warm, Measure: meas, Seed: 13},
 			workload.SequentialGen(1<<20, saFileSize, workload.Write),
 			func(p *sim.Proc, tid int, a workload.Access) error {
-				return w.write(p, tid, w.big[tid%len(w.big)], a.Off, payload, true)
+				return w.FS.Write(p, tid, w.Big[tid%len(w.Big)], a.Off, payload, true)
 			})
-		netPerOp := float64(w.m.Net.BytesSent.Delta()) / float64(pt.Ops)
+		netPerOp := float64(w.M.Net.BytesSent.Delta()) / float64(pt.Ops)
 		t.Rows = append(t.Rows, []string{
 			mode.name, fmtGBps(pt.GBps),
 			fmt.Sprintf("%.0fKB", netPerOp/1024),
 			fmtCores(pt.DPUCores),
 			fmtCores(pt.HostCores),
 		})
-		w.stop()
+		w.Stop()
 	}
 	return []*Table{t}
 }
@@ -190,10 +190,10 @@ func RunAblationReplacement(s Scale) []*Table {
 		})
 		gen := workload.ZipfGen(saIOSize, 32<<20, 1.2)
 		// Warm until the cache churns at steady state.
-		measure(w.m, w.name, mode.name+" warm-up", workload.Config{Threads: 32, Warmup: 0, Measure: 4 * (warm + meas), Seed: 14}, gen, w.do(false))
-		h0, m0 := w.cl.CacheStats()
-		pt := measure(w.m, w.name, mode.name, workload.Config{Threads: 32, Warmup: warm, Measure: meas, Seed: 15}, gen, w.do(false))
-		h1, m1 := w.cl.CacheStats()
+		measure(w.M, w.Name, mode.name+" warm-up", workload.Config{Threads: 32, Warmup: 0, Measure: 4 * (warm + meas), Seed: 14}, gen, w.Do(false))
+		h0, m0 := w.Cl.CacheStats()
+		pt := measure(w.M, w.Name, mode.name, workload.Config{Threads: 32, Warmup: warm, Measure: meas, Seed: 15}, gen, w.Do(false))
+		h1, m1 := w.Cl.CacheStats()
 		rate := 0.0
 		if d := (h1 - h0) + (m1 - m0); d > 0 {
 			rate = float64(h1-h0) / float64(d)
@@ -201,7 +201,7 @@ func RunAblationReplacement(s Scale) []*Table {
 		t.Rows = append(t.Rows, []string{
 			mode.name, fmtIOPS(pt.IOPS), fmtDur(pt.Mean), fmtPct(rate),
 		})
-		w.stop()
+		w.Stop()
 	}
 	return []*Table{t}
 }

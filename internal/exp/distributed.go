@@ -7,6 +7,7 @@ import (
 	dpcroot "dpc"
 	"dpc/internal/sim"
 	"dpc/internal/workload"
+	"dpc/internal/world"
 )
 
 // Distributed experiment geometry.
@@ -22,11 +23,11 @@ const (
 // host-optimized client, and NFS+DPC, the same optimized core offloaded to
 // the DPU behind nvme-fs with the hybrid cache absorbing buffered writes —
 // each with the Figure 1/9 population, settled for 10 s.
-var dfsWorlds = []func() *world{
-	func() *world { return dfsPrefill(newDFSHostWorld(false)) },
-	func() *world { return dfsPrefill(newDFSHostWorld(true)) },
-	func() *world {
-		return dfsPrefill(newDPCWorld("NFS+DPC", func(o *dpcroot.Options) {
+var dfsWorlds = []func() *world.World{
+	func() *world.World { return dfsPrefill(world.NewDFSHost(false)) },
+	func() *world.World { return dfsPrefill(world.NewDFSHost(true)) },
+	func() *world.World {
+		return dfsPrefill(world.NewDPC("NFS+DPC", func(o *dpcroot.Options) {
 			o.EnableKVFS = false
 			o.EnableDFS = true
 			o.CachePages = 8192
@@ -38,8 +39,8 @@ var dfsWorlds = []func() *world{
 	},
 }
 
-func dfsPrefill(w *world) *world {
-	return w.prefill("/big/file%d", dfsFiles, dfsFileSize, dfsSmallN, 10*time.Second)
+func dfsPrefill(w *world.World) *world.World {
+	return w.Prefill("/big/file%d", dfsFiles, dfsFileSize, dfsSmallN, 10*time.Second)
 }
 
 // Fig9Point is one (client, case) measurement.
@@ -64,8 +65,8 @@ func Fig9Data(s Scale) []Fig9Point {
 	for _, mk := range dfsWorlds {
 		w := mk()
 		run := func(kase string, threads int, gen workload.Generator, do workload.Do, bw bool) {
-			pt := measure(w.m, w.name, kase, workload.Config{Threads: threads, Warmup: warm, Measure: meas, Seed: 11}, gen, do)
-			f := Fig9Point{Client: w.name, Case: kase, Value: pt.IOPS, Unit: "IOPS", HostCores: pt.HostCores}
+			pt := measure(w.M, w.Name, kase, workload.Config{Threads: threads, Warmup: warm, Measure: meas, Seed: 11}, gen, do)
+			f := Fig9Point{Client: w.Name, Case: kase, Value: pt.IOPS, Unit: "IOPS", HostCores: pt.HostCores}
 			if bw {
 				f.Value, f.Unit = pt.GBps, "GB/s"
 			}
@@ -73,17 +74,17 @@ func Fig9Data(s Scale) []Fig9Point {
 		}
 
 		// 8K random read / write on big files.
-		run("8K rnd rd", iopsThreads, workload.RandomGen(dfsIOSize, dfsFileSize, 100), w.do(true), false)
-		run("8K rnd wr", iopsThreads, workload.RandomGen(dfsIOSize, dfsFileSize, 0), w.do(true), false)
+		run("8K rnd rd", iopsThreads, workload.RandomGen(dfsIOSize, dfsFileSize, 100), w.Do(true), false)
+		run("8K rnd wr", iopsThreads, workload.RandomGen(dfsIOSize, dfsFileSize, 0), w.Do(true), false)
 
 		// Small-file 8K random read (lookup + read).
 		run("small rnd rd", iopsThreads, workload.RandomGen(dfsIOSize, uint64(dfsSmallN)*dfsIOSize, 100),
 			func(p *sim.Proc, tid int, a workload.Access) error {
-				ino, err := w.lookup(p, tid, w.small[int(a.Off/dfsIOSize)%len(w.small)])
+				ino, _, err := w.FS.Lookup(p, tid, w.Small[int(a.Off/dfsIOSize)%len(w.Small)])
 				if err != nil {
 					return err
 				}
-				return w.read(p, tid, ino, 0, dfsIOSize, true)
+				return w.Read(p, tid, ino, 0, dfsIOSize, true)
 			}, false)
 
 		// 8K file creation write. The first write is buffered: DPC's hybrid
@@ -94,18 +95,18 @@ func Fig9Data(s Scale) []Fig9Point {
 		run("8K file cr", iopsThreads, workload.CreateGen(dfsIOSize),
 			func(p *sim.Proc, tid int, a workload.Access) error {
 				created++
-				ino, err := w.create(p, tid, fmt.Sprintf("/new/%s-t%d-i%d", w.name, tid, created))
+				ino, err := w.FS.Create(p, tid, fmt.Sprintf("/new/%s-t%d-i%d", w.Name, tid, created))
 				if err != nil {
 					return err
 				}
-				return w.write(p, tid, ino, 0, make([]byte, dfsIOSize), false)
+				return w.FS.Write(p, tid, ino, 0, make([]byte, dfsIOSize), false)
 			}, false)
 
 		// Sequential bandwidth.
-		run("1MB seq rd", dfsBWThreads, workload.SequentialGen(1<<20, dfsFileSize, workload.Read), w.do(true), true)
-		run("1MB seq wr", dfsBWThreads, workload.SequentialGen(1<<20, dfsFileSize, workload.Write), w.do(true), true)
+		run("1MB seq rd", dfsBWThreads, workload.SequentialGen(1<<20, dfsFileSize, workload.Read), w.Do(true), true)
+		run("1MB seq wr", dfsBWThreads, workload.SequentialGen(1<<20, dfsFileSize, workload.Write), w.Do(true), true)
 
-		w.stop()
+		w.Stop()
 	}
 	return out
 }
@@ -166,11 +167,11 @@ func Fig1Data(s Scale) []Fig9Point {
 			name    string
 			readPct int
 		}{{"rnd rd", 100}, {"rnd wr", 0}, {"mix 70/30", 70}} {
-			pt := measure(w.m, w.name, kase.name, workload.Config{Threads: threads, Warmup: warm, Measure: meas, Seed: 3},
-				workload.RandomGen(dfsIOSize, dfsFileSize, kase.readPct), w.do(true))
-			out = append(out, Fig9Point{Client: w.name, Case: kase.name, Value: pt.IOPS, Unit: "IOPS", HostCores: pt.HostCores})
+			pt := measure(w.M, w.Name, kase.name, workload.Config{Threads: threads, Warmup: warm, Measure: meas, Seed: 3},
+				workload.RandomGen(dfsIOSize, dfsFileSize, kase.readPct), w.Do(true))
+			out = append(out, Fig9Point{Client: w.Name, Case: kase.name, Value: pt.IOPS, Unit: "IOPS", HostCores: pt.HostCores})
 		}
-		w.stop()
+		w.Stop()
 	}
 	return out
 }

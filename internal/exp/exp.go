@@ -11,6 +11,10 @@ import (
 	"io"
 	"strings"
 	"time"
+
+	"dpc/internal/model"
+	"dpc/internal/workload"
+	"dpc/internal/world"
 )
 
 // Scale selects how long the measurement windows are and how many sweep
@@ -39,15 +43,15 @@ func (s Scale) threadSweep() []int {
 	return []int{1, 8, 32, 128}
 }
 
-// readBufs hands each worker proc (tid) of a figure driver one read buffer,
-// grown to its largest read: the drivers discard what they read.
-type readBufs map[int][]byte
-
-func (b readBufs) get(tid, n int) []byte {
-	if cap(b[tid]) < n {
-		b[tid] = make([]byte, n)
+// measure is world.Measure for a figure: a failed op panics, naming the
+// world and the case, so a figure never prints a rate that silently dropped
+// ops.
+func measure(m *model.Machine, name, kase string, cfg workload.Config, gen workload.Generator, do workload.Do) world.Point {
+	pt, err := world.Measure(m, name, kase, cfg, gen, do)
+	if err != nil {
+		panic("exp: " + err.Error())
 	}
-	return b[tid][:n]
+	return pt
 }
 
 // Table is one printable result table.

@@ -1,18 +1,11 @@
 package exp
 
 import (
-	"errors"
-	"fmt"
 	"os"
 	"path/filepath"
 	"strconv"
 	"strings"
 	"testing"
-	"time"
-
-	"dpc/internal/model"
-	"dpc/internal/sim"
-	"dpc/internal/workload"
 )
 
 // These tests assert the paper's qualitative claims (the "shapes") at Quick
@@ -101,7 +94,9 @@ func TestFig7Shapes(t *testing.T) {
 	for _, p := range pts {
 		byKey[p.Stack+"/"+p.Op+"/"+strconv.Itoa(p.Threads)] = p
 	}
-	// Ext4 wins writes at low concurrency; KVFS wins at high concurrency.
+	// Ext4 wins writes at one thread, and KVFS wins reads at 128 threads on
+	// both latency and IOPS. No write is checked at high concurrency: KVFS
+	// direct writes to one file run one at a time (ROADMAP item 1a).
 	if e, k := byKey["ext4/write/1"], byKey["kvfs/write/1"]; e.Mean >= k.Mean {
 		t.Errorf("ext4 write @1 thread (%v) should beat kvfs (%v)", e.Mean, k.Mean)
 	}
@@ -197,32 +192,6 @@ func TestCheapTablesGolden(t *testing.T) {
 	for _, id := range []string{"fig1", "abl1", "abl4"} {
 		golden(t, id, ByID(id).Run(Quick))
 	}
-}
-
-// TestMeasureFailsOnAFailedOp: a figure must not print a rate that silently
-// dropped ops, so one failed op in the window panics, naming the world and
-// the case.
-func TestMeasureFailsOnAFailedOp(t *testing.T) {
-	m := model.NewMachine(model.Default())
-	defer m.Eng.Shutdown()
-	failed := false
-	do := func(p *sim.Proc, tid int, a workload.Access) error {
-		p.Sleep(time.Microsecond)
-		if !failed {
-			failed = true
-			return errors.New("injected")
-		}
-		return nil
-	}
-	defer func() {
-		msg := fmt.Sprint(recover())
-		if !strings.Contains(msg, "test-world") || !strings.Contains(msg, "one bad op") || !strings.Contains(msg, "1 of") {
-			t.Errorf("panic %q does not name the world, the case and the failure", msg)
-		}
-	}()
-	measure(m, "test-world", "one bad op", workload.Config{Threads: 1, Measure: time.Millisecond, Seed: 1},
-		workload.RandomGen(4096, 1<<20, 100), do)
-	t.Error("measure returned despite a failed op")
 }
 
 func TestRegistryAndTables(t *testing.T) {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"dpc/internal/workload"
+	"dpc/internal/world"
 )
 
 // Fig8Result is the hybrid cache's contribution: direct vs buffered 8K
@@ -33,18 +34,18 @@ func Fig8Data(s Scale) Fig8Result {
 		}
 		gen := workload.RandomGen(saIOSize, workingSet, readPct)
 		// The 32 MB hybrid cache covers the working set.
-		for _, mk := range []func() *world{saExt4, func() *world { return saKVFS(cachePages(4096)) }} {
+		for _, mk := range []func() *world.World{saExt4, func() *world.World { return saKVFS(cachePages(4096)) }} {
 			w := mk()
 			for _, direct := range []bool{true, false} {
-				kase := key3(w.name, direct, op)
+				kase := key3(w.Name, direct, op)
 				if op == workload.Read && !direct {
 					// Warm the cache so buffered reads measure hits; the
 					// random fill needs several windows' worth of misses.
-					measure(w.m, w.name, kase+" warm-up", workload.Config{Threads: randThreads, Warmup: 0, Measure: 4 * (warm + meas), Seed: 7}, gen, w.do(false))
+					measure(w.M, w.Name, kase+" warm-up", workload.Config{Threads: randThreads, Warmup: 0, Measure: 4 * (warm + meas), Seed: 7}, gen, w.Do(false))
 				}
-				out.Rand[kase] = measure(w.m, w.name, kase, workload.Config{Threads: randThreads, Warmup: warm, Measure: meas, Seed: 8}, gen, w.do(direct)).IOPS
+				out.Rand[kase] = measure(w.M, w.Name, kase, workload.Config{Threads: randThreads, Warmup: warm, Measure: meas, Seed: 8}, gen, w.Do(direct)).IOPS
 			}
-			w.stop()
+			w.Stop()
 		}
 	}
 
@@ -54,13 +55,13 @@ func Fig8Data(s Scale) Fig8Result {
 	for _, threads := range []int{1, 32} {
 		gen := workload.SequentialGen(saIOSize, 8<<20, workload.Read)
 		cfg := workload.Config{Threads: threads, Warmup: warm, Measure: meas, Seed: 9}
-		for _, mk := range []func() *world{saExt4, func() *world { return saKVFS(cachePages(8192)) }} {
+		for _, mk := range []func() *world.World{saExt4, func() *world.World { return saKVFS(cachePages(8192)) }} {
 			w := mk()
 			for _, mode := range []string{"direct", "buffered"} {
-				kase := fmt.Sprintf("%s/%s/%d", w.name, mode, threads)
-				out.Seq[kase] = measure(w.m, w.name, kase, cfg, gen, w.do(mode == "direct")).IOPS
+				kase := fmt.Sprintf("%s/%s/%d", w.Name, mode, threads)
+				out.Seq[kase] = measure(w.M, w.Name, kase, cfg, gen, w.Do(mode == "direct")).IOPS
 			}
-			w.stop()
+			w.Stop()
 		}
 	}
 	return out

@@ -14,6 +14,7 @@ import (
 	"dpc/internal/stats"
 	"dpc/internal/telemetry"
 	"dpc/internal/workload"
+	"dpc/internal/world"
 )
 
 // The fleet workload is the multi-tenant noisy-neighbor experiment: hundreds
@@ -186,7 +187,7 @@ type fleetTel struct {
 // contention scenario, and summarizes the measurement window.
 func runFleetPhase(cfg FleetConfig, faults []fault.Rule, name string, withAggressor, fifo, wantTel bool) (FleetPhase, fleetTel, error) {
 	o := obs.New()
-	sys := newSystem(func(opts *dpcroot.Options) {
+	sys := world.NewSystem(func(opts *dpcroot.Options) {
 		opts.Model.Obs = o
 		opts.NvmeFS.Queues = cfg.Tenants * fleetQPerTenant
 		opts.NvmeFS.Tenants = make([]nvmefs.TenantConfig, cfg.Tenants)
@@ -303,47 +304,56 @@ func runFleetPhase(cfg FleetConfig, faults []fault.Rule, name string, withAggres
 	errs := make([]int64, cfg.Tenants)
 	bytes := make([]int64, cfg.Tenants)
 
+	// load starts proc i of tenant t: once setup is done and the time grid
+	// reaches setupEnd it opens path and repeats op until the window ends,
+	// counting each op of size bytes that falls inside the measured window
+	// (and, for a victim, into the victims' aggregate too).
+	load := func(t, i int, path string, size int64, agg *stats.Latency, op func(p *sim.Proc, f *dpcroot.File, iter int) error) {
+		sys.Go(func(p *sim.Proc) {
+			for !setupDone {
+				setupCond.Wait(p)
+			}
+			if d := setupEnd - p.Now(); d > 0 {
+				p.Sleep(time.Duration(d))
+			}
+			f, err := clients[t].Open(p, i, path)
+			if err != nil {
+				opErr.note("fleet open "+path, err)
+				return
+			}
+			for iter := 0; p.Now() < end; iter++ {
+				t0 := p.Now()
+				err := op(p, f, iter)
+				t1 := p.Now()
+				if t0 < warmEnd || t1 > end {
+					continue
+				}
+				if err != nil {
+					errs[t]++
+					continue
+				}
+				ops[t]++
+				bytes[t] += size
+				lats[t].Record(t1.Sub(t0))
+				if agg != nil {
+					agg.Record(t1.Sub(t0))
+				}
+			}
+		})
+	}
+
 	// Victims: tenant t's procs read 8 KB pages from t's own Zipf working
 	// set — the base offset rotates each tenant's hot ranks onto a disjoint
 	// region of the shared file.
 	for t := 1; t < cfg.Tenants; t++ {
-		t := t
 		zipfBase := uint64(t-1) * fleetFilePages / uint64(nVictims)
 		for i := 0; i < cfg.VictimProcs; i++ {
-			i := i
 			rng := rand.New(rand.NewSource(cfg.Seed + int64(t)*100003 + int64(i)*7919))
 			gen := workload.ZipfGenAt(fleetOpSize, fleetFileSize, fleetZipfS, zipfBase)
-			sys.Go(func(p *sim.Proc) {
-				for !setupDone {
-					setupCond.Wait(p)
-				}
-				if d := setupEnd - p.Now(); d > 0 {
-					p.Sleep(time.Duration(d))
-				}
-				f, err := clients[t].Open(p, i, "/fleet.dat")
-				if err != nil {
-					opErr.note("fleet open", err)
-					return
-				}
-				buf := make([]byte, fleetOpSize)
-				for iter := 0; p.Now() < end; iter++ {
-					a := gen(i, rng, iter)
-					t0 := p.Now()
-					_, err := f.ReadInto(p, i, a.Off, buf, true)
-					t1 := p.Now()
-					if t0 < warmEnd || t1 > end {
-						continue
-					}
-					if err != nil {
-						errs[t]++
-						continue
-					}
-					ops[t]++
-					bytes[t] += fleetOpSize
-					d := t1.Sub(t0)
-					lats[t].Record(d)
-					victimAgg.Record(d)
-				}
+			buf := make([]byte, fleetOpSize)
+			load(t, i, "/fleet.dat", fleetOpSize, victimAgg, func(p *sim.Proc, f *dpcroot.File, iter int) error {
+				_, err := f.ReadInto(p, i, gen(i, rng, iter).Off, buf, true)
+				return err
 			})
 		}
 	}
@@ -352,44 +362,16 @@ func runFleetPhase(cfg FleetConfig, faults []fault.Rule, name string, withAggres
 	// Budget-shed attempts come back retryable (StatusOverload); the
 	// transport's bounded retry loop absorbs most, and whatever exhausts its
 	// retries surfaces as an op error here — both are part of the scenario.
-	if withAggressor {
-		for i := 0; i < cfg.AggressorProcs; i++ {
-			i := i
-			sys.Go(func(p *sim.Proc) {
-				for !setupDone {
-					setupCond.Wait(p)
-				}
-				if d := setupEnd - p.Now(); d > 0 {
-					p.Sleep(time.Duration(d))
-				}
-				f, err := clients[0].Open(p, i, "/flood.dat")
-				if err != nil {
-					opErr.note("fleet flood open", err)
-					return
-				}
-				payload := make([]byte, fleetFloodOpSize)
-				for j := range payload {
-					payload[j] = byte(i + j)
-				}
-				const slots = fleetFloodChunks / fleetFloodOpChunks
-				for iter := 0; p.Now() < end; iter++ {
-					slot := (uint64(i) + uint64(iter)*uint64(cfg.AggressorProcs)) % slots
-					t0 := p.Now()
-					err := f.Write(p, i, slot*fleetFloodOpSize, payload, true)
-					t1 := p.Now()
-					if t0 < warmEnd || t1 > end {
-						continue
-					}
-					if err != nil {
-						errs[0]++
-						continue
-					}
-					ops[0]++
-					bytes[0] += fleetFloodOpSize
-					lats[0].Record(t1.Sub(t0))
-				}
-			})
+	for i := 0; withAggressor && i < cfg.AggressorProcs; i++ {
+		payload := make([]byte, fleetFloodOpSize)
+		for j := range payload {
+			payload[j] = byte(i + j)
 		}
+		const slots = fleetFloodChunks / fleetFloodOpChunks
+		load(0, i, "/flood.dat", fleetFloodOpSize, nil, func(p *sim.Proc, f *dpcroot.File, iter int) error {
+			slot := (uint64(i) + uint64(iter)*uint64(cfg.AggressorProcs)) % slots
+			return f.Write(p, i, slot*fleetFloodOpSize, payload, true)
+		})
 	}
 
 	sys.RunFor(time.Duration(end) + time.Millisecond)

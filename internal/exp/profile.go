@@ -1,14 +1,20 @@
 package exp
 
 import (
+	"fmt"
+	"math/rand"
+	"time"
+
+	dpcroot "dpc"
 	"dpc/internal/obs"
 	"dpc/internal/sim"
+	"dpc/internal/world"
 )
 
 // Reference is one run of the reference workload: the PCIe traffic of the
 // two 8 KB walks and the cached mix's final virtual time.
 type Reference struct {
-	Nvme, Virtio Walk
+	Nvme, Virtio world.Walk
 	Now          sim.Time
 }
 
@@ -26,13 +32,13 @@ type Reference struct {
 func ProfiledReference(o *obs.Obs) (Reference, error) {
 	var ref Reference
 	var err error
-	if ref.Nvme, err = NvmeWalk(o, 8192, StoreSSD); err != nil {
+	if ref.Nvme, err = world.NvmeWalk(o, 8192, world.StoreSSD); err != nil {
 		return ref, err
 	}
 	wd, rd := ref.Nvme.DMAs()
 	o.Counter("trace.nvmefs.write.dmas").Add(wd)
 	o.Counter("trace.nvmefs.read.dmas").Add(rd)
-	if ref.Virtio, err = VirtioWalk(o, 8192, StoreSSD); err != nil {
+	if ref.Virtio, err = world.VirtioWalk(o, 8192, world.StoreSSD); err != nil {
 		return ref, err
 	}
 	wd, rd = ref.Virtio.DMAs()
@@ -47,4 +53,52 @@ func ProfiledReference(o *obs.Obs) (Reference, error) {
 		o.Gauge("cache.host.hit_ratio").Set(float64(hits) / float64(total))
 	}
 	return ref, nil
+}
+
+// CachedMix runs the buffered KVFS reference mix on a full system: one
+// warm-up write pass populating the hybrid cache, two read passes that
+// mostly hit, an fsync through the flush path, then a direct write whose
+// buffered read-back misses so the DPU fills pages. Returns the final
+// virtual time.
+func CachedMix(o *obs.Obs) (sim.Time, error) {
+	sys := world.NewSystem(func(opts *dpcroot.Options) { opts.Model.Obs = o })
+	cl := sys.KVFSClient()
+	payload := make([]byte, 256*1024)
+	rand.New(rand.NewSource(42)).Read(payload)
+	dst := make([]byte, len(payload))
+	mix := func(p *sim.Proc) error {
+		f, err := cl.Create(p, 0, "/bench.dat")
+		if err != nil {
+			return err
+		}
+		if err := f.Write(p, 0, 0, payload, false); err != nil {
+			return err
+		}
+		for pass := 0; pass < 2; pass++ {
+			if _, err := f.ReadInto(p, 0, 0, dst, false); err != nil {
+				return err
+			}
+		}
+		if err := f.Sync(p, 0); err != nil {
+			return err
+		}
+		f2, err := cl.Create(p, 0, "/cold.dat")
+		if err != nil {
+			return err
+		}
+		if err := f2.Write(p, 0, 0, payload, true); err != nil {
+			return err
+		}
+		_, err = f2.ReadInto(p, 0, 0, dst, false)
+		return err
+	}
+	var err error
+	sys.Go(func(p *sim.Proc) { err = mix(p) })
+	sys.RunFor(time.Second)
+	now := sys.Now()
+	sys.Shutdown()
+	if err != nil {
+		return now, fmt.Errorf("cached mix: %w", err)
+	}
+	return now, nil
 }

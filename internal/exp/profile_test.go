@@ -6,6 +6,7 @@ import (
 
 	"dpc/internal/obs"
 	"dpc/internal/prof"
+	"dpc/internal/world"
 )
 
 func analyzeReference(t *testing.T) (*prof.Profile, *prof.Report) {
@@ -105,7 +106,7 @@ func TestReferenceZeroProbeEffect(t *testing.T) {
 	reg := o.Registry()
 	for _, c := range []struct {
 		name         string
-		off, on      Walk
+		off, on      world.Walk
 		wantW, wantR int64
 	}{
 		{"nvmefs", off.Nvme, on.Nvme, 4, 4},

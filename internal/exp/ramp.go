@@ -10,6 +10,7 @@ import (
 	"dpc/internal/sim"
 	"dpc/internal/stats"
 	"dpc/internal/telemetry"
+	"dpc/internal/world"
 )
 
 // The ramp workload drives the full client → nvme-fs → dispatch → cache
@@ -81,7 +82,7 @@ func RunRamp(slos []string, interval time.Duration, faults []fault.Rule) (*RampR
 	// critical-path report attributes the overload (slot waits vs SSD
 	// service vs DMA) instead of lumping it into "other".
 	o := obs.New()
-	sys := newSystem(func(opts *dpcroot.Options) {
+	sys := world.NewSystem(func(opts *dpcroot.Options) {
 		opts.Model.Obs = o
 		// Constrain the transport so the ramp actually saturates: two
 		// queues with few buffer slots. The early stages fit; the late

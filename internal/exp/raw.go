@@ -11,16 +11,17 @@ import (
 	"dpc/internal/sim"
 	"dpc/internal/virtio"
 	"dpc/internal/workload"
+	"dpc/internal/world"
 )
 
 // The §4.1 set-up: a host-DPU transport over the DRAM virtual client
-// (storeVirt), so measured latency is the pure host-DPU round trip. Each
+// (world.StoreVirt), so measured latency is the pure host-DPU round trip. Each
 // constructor returns the machine and the client side: the closed-loop body
 // of size-byte writes, or of size-byte reads, at the generator's offsets.
 
 // virtioRaw is the DPFS-style baseline: a single virtqueue and HAL thread.
 func virtioRaw(maxIO, slots int) (*model.Machine, func(write bool, size int) workload.Do) {
-	m, tr := newVirtioEcho(model.Default(), virtio.Config{QueueSize: 1024, Slots: slots, MaxIO: maxIO}, storeVirt)
+	m, tr := world.NewVirtioEcho(model.Default(), virtio.Config{QueueSize: 1024, Slots: slots, MaxIO: maxIO}, world.StoreVirt)
 	return m, func(write bool, size int) workload.Do {
 		buf := make([]byte, size)
 		return func(p *sim.Proc, tid int, a workload.Access) error {
@@ -36,10 +37,10 @@ func virtioRaw(maxIO, slots int) (*model.Machine, func(write bool, size int) wor
 // nvmeRaw is the nvme-fs transport. Each command carries a 20-byte header
 // (tid, offset, length), DMA'd like any other.
 func nvmeRaw(queues, depth, slotsPerQ, maxIO int) (*model.Machine, func(write bool, size int) workload.Do) {
-	m, d := NewNvmeEcho(model.Default(), nvmefs.Config{
+	m, d := world.NewNvmeEcho(model.Default(), nvmefs.Config{
 		Queues: queues, Depth: depth, SlotsPerQ: slotsPerQ, MaxIO: maxIO, RHCap: 64,
-	}, storeVirt)
-	bufs := readBufs{}
+	}, world.StoreVirt)
+	bufs := world.ReadBufs{}
 	return m, func(write bool, size int) workload.Do {
 		buf := make([]byte, size)
 		return func(p *sim.Proc, tid int, a workload.Access) error {
@@ -49,7 +50,7 @@ func nvmeRaw(queues, depth, slotsPerQ, maxIO int) (*model.Machine, func(write bo
 			binary.LittleEndian.PutUint32(hdr[16:], uint32(size))
 			sub := nvmefs.Submission{FileOp: nvme.FileOpWrite, Header: hdr, Payload: buf}
 			if !write {
-				sub = nvmefs.Submission{FileOp: nvme.FileOpRead, Header: hdr, RHLen: 1, ReadLen: size, ReadInto: bufs.get(tid, size)}
+				sub = nvmefs.Submission{FileOp: nvme.FileOpRead, Header: hdr, RHLen: 1, ReadLen: size, ReadInto: bufs.Get(tid, size)}
 			}
 			if c := d.Submit(p, tid, sub); !c.OK() {
 				return fmt.Errorf("status %s", nvme.StatusString(c.Status))
@@ -64,7 +65,7 @@ type rawPoint struct {
 	Transport string
 	Op        string
 	Threads   int
-	point
+	world.Point
 }
 
 // measureRaw runs one closed-loop window of ioSize-byte ops.
@@ -73,7 +74,7 @@ func measureRaw(transport string, m *model.Machine, do func(bool, int) workload.
 	if write {
 		op = "write"
 	}
-	return rawPoint{Transport: transport, Op: op, Threads: threads, point: measure(m, transport,
+	return rawPoint{Transport: transport, Op: op, Threads: threads, Point: measure(m, transport,
 		fmt.Sprintf("%dB %s, %d threads", ioSize, op, threads),
 		workload.Config{Threads: threads, Warmup: warmup, Measure: meas, Seed: 1},
 		workload.RandomGen(ioSize, 256<<20, 0), do(write, ioSize))}
@@ -177,11 +178,11 @@ func renderBW1(vr, vw, nr, nw float64) []*Table {
 // DMACounts traces one 8K write + one 8K read through each transport (the
 // RAM-backed walks) and counts the DMAs of each.
 func DMACounts() (virtioWr, virtioRd, nvmeWr, nvmeRd int64) {
-	v, err := VirtioWalk(nil, 8192, StoreRAM)
+	v, err := world.VirtioWalk(nil, 8192, world.StoreRAM)
 	if err != nil {
 		panic(err)
 	}
-	n, err := NvmeWalk(nil, 8192, StoreRAM)
+	n, err := world.NvmeWalk(nil, 8192, world.StoreRAM)
 	if err != nil {
 		panic(err)
 	}

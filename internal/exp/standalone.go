@@ -6,6 +6,7 @@ import (
 
 	dpcroot "dpc"
 	"dpc/internal/workload"
+	"dpc/internal/world"
 )
 
 // standalone experiment dataset geometry: a handful of shared big files so
@@ -18,10 +19,12 @@ const (
 
 // saExt4 and saKVFS are the standalone experiments' pre-filled worlds:
 // saFiles big files of saFileSize bytes each.
-func saExt4() *world { return newExt4World().prefill(bigFileName, saFiles, saFileSize, 0, 0) }
+func saExt4() *world.World {
+	return world.NewExt4(nil).Prefill(world.BigFileName, saFiles, saFileSize, 0, 0)
+}
 
-func saKVFS(mutate func(*dpcroot.Options)) *world {
-	return newDPCWorld("kvfs", mutate).prefill(bigFileName, saFiles, saFileSize, 0, time.Minute)
+func saKVFS(mutate func(*dpcroot.Options)) *world.World {
+	return world.NewDPC("kvfs", mutate).Prefill(world.BigFileName, saFiles, saFileSize, 0, time.Minute)
 }
 
 // cachePages sizes a KVFS world's hybrid cache (0: none).
@@ -34,7 +37,7 @@ type Fig7Point struct {
 	Stack   string
 	Op      string
 	Threads int
-	point
+	world.Point
 }
 
 // Fig7Data sweeps concurrency for Ext4 and KVFS with direct 8K random I/O.
@@ -51,13 +54,13 @@ func Fig7Data(s Scale) []Fig7Point {
 			gen := workload.RandomGen(saIOSize, saFileSize, readPct)
 			cfg := workload.Config{Threads: threads, Warmup: warm, Measure: meas, Seed: int64(threads)}
 			kase := fmt.Sprintf("%s %d threads", op, threads)
-			for _, w := range []*world{ext, kw} {
-				out = append(out, Fig7Point{Stack: w.name, Op: op.String(), Threads: threads,
-					point: measure(w.m, w.name, kase, cfg, gen, w.do(true))})
+			for _, w := range []*world.World{ext, kw} {
+				out = append(out, Fig7Point{Stack: w.Name, Op: op.String(), Threads: threads,
+					Point: measure(w.M, w.Name, kase, cfg, gen, w.Do(true))})
 			}
 		}
-		ext.stop()
-		kw.stop()
+		ext.Stop()
+		kw.Stop()
 	}
 	return out
 }
@@ -121,10 +124,10 @@ func Table2Data(s Scale) map[string]float64 {
 		for _, op := range []workload.OpKind{workload.Read, workload.Write} {
 			gen := workload.SequentialGen(1<<20, saFileSize, op)
 			cfg := workload.Config{Threads: threads, Warmup: warm, Measure: meas, Seed: 2}
-			for _, mk := range []func() *world{saExt4, func() *world { return saKVFS(bwOptions) }} {
+			for _, mk := range []func() *world.World{saExt4, func() *world.World { return saKVFS(bwOptions) }} {
 				w := mk()
-				out[fmt.Sprintf("%s/%s/%d", w.name, op, threads)] = measure(w.m, w.name, fmt.Sprintf("1MB seq %s, %d threads", op, threads), cfg, gen, w.do(true)).GBps
-				w.stop()
+				out[fmt.Sprintf("%s/%s/%d", w.Name, op, threads)] = measure(w.M, w.Name, fmt.Sprintf("1MB seq %s, %d threads", op, threads), cfg, gen, w.Do(true)).GBps
+				w.Stop()
 			}
 		}
 	}

@@ -36,7 +36,7 @@ func TestCreateLookupStat(t *testing.T) {
 			t.Errorf("Create: %v", err)
 			return
 		}
-		got, err := fs.Lookup(p, "/hello.txt")
+		got, _, err := fs.Lookup(p, "/hello.txt")
 		if err != nil || got != ino {
 			t.Errorf("Lookup = %d,%v want %d", got, err, ino)
 		}
@@ -47,7 +47,7 @@ func TestCreateLookupStat(t *testing.T) {
 		if _, err := fs.Create(p, "/hello.txt"); err != ErrExists {
 			t.Errorf("duplicate Create err = %v", err)
 		}
-		if _, err := fs.Lookup(p, "/nope"); err != ErrNotFound {
+		if _, _, err := fs.Lookup(p, "/nope"); err != ErrNotFound {
 			t.Errorf("missing Lookup err = %v", err)
 		}
 	})
@@ -154,7 +154,7 @@ func TestUnlinkAndSpaceReuse(t *testing.T) {
 		if fs.freeBlks <= free0 {
 			t.Errorf("blocks not reclaimed: %d -> %d", free0, fs.freeBlks)
 		}
-		if _, err := fs.Lookup(p, "/f"); err != ErrNotFound {
+		if _, _, err := fs.Lookup(p, "/f"); err != ErrNotFound {
 			t.Errorf("Lookup after unlink = %v", err)
 		}
 		// Non-empty directory refuses unlink.
@@ -173,7 +173,7 @@ func TestDirentOnDiskFormatRoundTrips(t *testing.T) {
 		for i := 0; i < 50; i++ {
 			fs.Create(p, fmt.Sprintf("/dir/file-%02d", i))
 		}
-		dirIno, _ := fs.Lookup(p, "/dir")
+		dirIno, _, _ := fs.Lookup(p, "/dir")
 		onDisk := fs.loadDir(dirIno)
 		inMem := fs.dirOf(dirIno).entries
 		if len(onDisk) != len(inMem) {

@@ -174,9 +174,8 @@ func (fs *FS) splitPath(path string) (parent uint64, leaf string, err error) {
 	return cur, leaf, nil
 }
 
-// Lookup resolves a path to an inode number.
-func (fs *FS) Lookup(p *sim.Proc, path string) (uint64, error) {
-	defer fs.charge(p)()
+// resolve maps a path to its inode number.
+func (fs *FS) resolve(path string) (uint64, error) {
 	if strings.Trim(path, "/") == "" {
 		return rootIno, nil
 	}
@@ -189,6 +188,15 @@ func (fs *FS) Lookup(p *sim.Proc, path string) (uint64, error) {
 		return 0, ErrNotFound
 	}
 	return ino, nil
+}
+
+// Lookup resolves a path to its inode number and size.
+func (fs *FS) Lookup(p *sim.Proc, path string) (ino, size uint64, err error) {
+	defer fs.charge(p)()
+	if ino, err = fs.resolve(path); err != nil {
+		return 0, 0, err
+	}
+	return ino, fs.inodes[ino].Size, nil
 }
 
 func (fs *FS) allocIno() (uint64, error) {
@@ -242,17 +250,9 @@ func (fs *FS) Mkdir(p *sim.Proc, path string) (uint64, error) {
 // Readdir lists a directory.
 func (fs *FS) Readdir(p *sim.Proc, path string) ([]DirEntry, error) {
 	defer fs.charge(p)()
-	var dirIno uint64 = rootIno
-	if strings.Trim(path, "/") != "" {
-		parent, leaf, err := fs.splitPath(path)
-		if err != nil {
-			return nil, err
-		}
-		ino, ok := fs.dirOf(parent).entries[leaf]
-		if !ok {
-			return nil, ErrNotFound
-		}
-		dirIno = ino
+	dirIno, err := fs.resolve(path)
+	if err != nil {
+		return nil, err
 	}
 	if fs.inodes[dirIno].Mode != ModeDir {
 		return nil, ErrNotDir

@@ -258,8 +258,7 @@ func (m *Machine) HostExec(p *sim.Proc, cycles int64) { m.HostCPU.Exec(p, cycles
 func (m *Machine) DPUExec(p *sim.Proc, cycles int64) { m.DPUCPU.Exec(p, cycles) }
 
 // EnvString renders the testbed like the paper's Table 1.
-func (m *Machine) EnvString() string {
-	c := m.Cfg
+func (c Config) EnvString() string {
 	return fmt.Sprintf(`Component | Description
 ----------+------------------------------------------------------------
 CPU       | simulated host, %d hardware threads @ %.1f GHz

@@ -83,8 +83,7 @@ func TestAllocExhaustionPanics(t *testing.T) {
 }
 
 func TestEnvString(t *testing.T) {
-	m := NewMachine(Default())
-	s := m.EnvString()
+	s := Default().EnvString()
 	for _, want := range []string{"DPU", "24 cores", "NVMe SSD", "PCIe"} {
 		if !strings.Contains(s, want) {
 			t.Errorf("EnvString missing %q:\n%s", want, s)

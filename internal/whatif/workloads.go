@@ -4,10 +4,10 @@ import (
 	"time"
 
 	"dpc"
-	"dpc/internal/exp"
 	"dpc/internal/nvmefs"
 	"dpc/internal/obs"
 	"dpc/internal/sim"
+	"dpc/internal/world"
 )
 
 // OpSpan is the root span every workload wraps its measured operations in.
@@ -98,18 +98,8 @@ var workloads = []Workload{
 	},
 }
 
-// sysFromParams assembles a full dpc.System from a parameter point.
-func sysFromParams(p Params, o *obs.Obs) *dpc.System {
-	opts := dpc.DefaultOptions()
-	opts.Model = p.Model
-	opts.NvmeFS = p.NvmeFS
-	opts.WAL = p.WAL
-	opts.Model.Obs = o
-	return dpc.New(opts)
-}
-
 // runSmallIO is the transport-level probe: one nvme-fs queue against a free
-// RAM handler (exp.NewNvmeEcho), 8 warm-up pairs, then 32 measured 256 B
+// RAM handler (world.NewNvmeEcho), 8 warm-up pairs, then 32 measured 256 B
 // write+read pairs, each pair an OpSpan root. The cutover is fixed from the
 // start; the warm-up stays because removing it would move BENCH_10.
 func runSmallIO(p Params, o *obs.Obs) (runResult, error) {
@@ -120,7 +110,7 @@ func runSmallIO(p Params, o *obs.Obs) (runResult, error) {
 	)
 	cfg := p.Model
 	cfg.Obs = o
-	m, d := exp.NewNvmeEcho(cfg, p.NvmeFS, exp.StoreRAM)
+	m, d := world.NewNvmeEcho(cfg, p.NvmeFS, world.StoreRAM)
 	payload := make([]byte, size)
 	for i := range payload {
 		payload[i] = byte(i*7 + size)
@@ -130,12 +120,12 @@ func runSmallIO(p Params, o *obs.Obs) (runResult, error) {
 	m.Eng.Go("whatif-smallio", func(pr *sim.Proc) {
 		hdr := make([]byte, 16)
 		for i := 0; i < warmup && err == nil; i++ {
-			_, err = exp.EchoPair(pr, d, hdr, payload)
+			_, err = world.EchoPair(pr, d, hdr, payload)
 		}
 		start := pr.Now()
 		for i := 0; i < pairs && err == nil; i++ {
 			s := o.Begin(pr, OpSpan)
-			_, err = exp.EchoPair(pr, d, hdr, payload)
+			_, err = world.EchoPair(pr, d, hdr, payload)
 			s.End(pr)
 			res.Ops++
 		}
@@ -148,11 +138,14 @@ func runSmallIO(p Params, o *obs.Obs) (runResult, error) {
 }
 
 // runFsync runs 4 writers, each doing 8 write+fsync rounds through the
-// WAL-enabled cache (exp.FsyncWriters); every Sync is an OpSpan root and
+// WAL-enabled cache (world.FsyncWriters); every Sync is an OpSpan root and
 // elapsed is the last worker's finish time.
 func runFsync(p Params, o *obs.Obs) (runResult, error) {
-	sys := sysFromParams(p, o)
-	fsyncs, last, err := exp.FsyncWriters(sys, 4, 8, 8192, "/whatif-fsync-w", func(pr *sim.Proc, f *dpc.File) error {
+	sys := world.NewSystem(func(opts *dpc.Options) {
+		opts.Model, opts.NvmeFS, opts.WAL = p.Model, p.NvmeFS, p.WAL
+		opts.Model.Obs = o
+	})
+	fsyncs, last, err := world.FsyncWriters(sys, 4, 8, 8192, "/whatif-fsync-w", func(pr *sim.Proc, f *dpc.File) error {
 		s := o.Begin(pr, OpSpan)
 		defer s.End(pr)
 		return f.Sync(pr, 0)

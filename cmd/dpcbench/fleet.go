@@ -19,13 +19,14 @@ import (
 const defaultFleetSLO = "p999(t*.client.read.latency) < 1ms over 2ms"
 
 // Isolation gates the committed BENCH_8 must satisfy (checked on every run
-// of the scenario): with the scheduler the victim p999 stays
-// within 25% of the uncontended baseline; without it (FIFO) the same flood
-// must show at least 2x degradation, or the scenario is not demonstrating
-// anything.
+// of the scenario): the baseline must really be uncontended, its victim
+// p999 within 25% of its p50; with the scheduler the victim p999 stays
+// within 25% of that baseline; without it (FIFO) the same flood must show
+// at least 2x degradation, or the scenario is not demonstrating anything.
 const (
-	fleetDrrGate  = 1.25
-	fleetFifoGate = 2.0
+	fleetBaselineGate = 1.25
+	fleetDrrGate      = 1.25
+	fleetFifoGate     = 2.0
 )
 
 // fleetReport is the BENCH_8-shaped digest.
@@ -81,6 +82,10 @@ func buildFleetRun(faults []fault.Rule) (*exp.FleetRun, fleetReport, error) {
 
 // checkFleetGates enforces the isolation thresholds on a fresh report.
 func checkFleetGates(rep fleetReport) error {
+	if base := rep.Phases[0]; float64(base.VictimP999Ns) > fleetBaselineGate*float64(base.VictimP50Ns) {
+		return fmt.Errorf("fleet gate: baseline victim p999 is %.2fx its p50 (limit %.2fx): the baseline is contended",
+			float64(base.VictimP999Ns)/float64(base.VictimP50Ns), fleetBaselineGate)
+	}
 	if rep.DrrOverBaseline > fleetDrrGate {
 		return fmt.Errorf("fleet gate: drr victim p999 is %.2fx the uncontended baseline (limit %.2fx)",
 			rep.DrrOverBaseline, fleetDrrGate)

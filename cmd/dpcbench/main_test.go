@@ -10,6 +10,7 @@ import (
 	"reflect"
 	"testing"
 
+	"dpc/internal/exp"
 	"dpc/internal/fault"
 	"dpc/internal/prof"
 )
@@ -157,6 +158,33 @@ func TestFailedOpWritesNoArtifact(t *testing.T) {
 			if _, statErr := os.Stat(out(f)); !os.IsNotExist(statErr) {
 				t.Errorf("%s: a failed scenario left %s behind (stat: %v)", sc.name, f, statErr)
 			}
+		}
+	}
+}
+
+// TestFleetGates: each of the three isolation gates refuses a report that
+// breaks it alone. The contended baseline is the scenario's earlier shape:
+// 24 victim procs per tenant queued on one another, p999 1.39x the p50.
+func TestFleetGates(t *testing.T) {
+	report := func(p50, p999 int64, fifo, drr float64) fleetReport {
+		return fleetReport{
+			Phases:           []exp.FleetPhase{{Name: "baseline", VictimP50Ns: p50, VictimP999Ns: p999}},
+			FifoOverBaseline: fifo,
+			DrrOverBaseline:  drr,
+		}
+	}
+	for _, c := range []struct {
+		name string
+		rep  fleetReport
+		ok   bool
+	}{
+		{"isolated", report(112367, 114130, 3.70, 1.09), true},
+		{"contended baseline", report(529045, 732857, 2.83, 0.99), false},
+		{"drr leaks", report(112367, 114130, 3.70, 1.30), false},
+		{"fifo shows nothing", report(112367, 114130, 1.00, 1.09), false},
+	} {
+		if err := checkFleetGates(c.rep); (err == nil) != c.ok {
+			t.Errorf("%s: checkFleetGates = %v, want ok %v", c.name, err, c.ok)
 		}
 	}
 }

@@ -94,17 +94,19 @@ func TestFig7Shapes(t *testing.T) {
 	for _, p := range pts {
 		byKey[p.Stack+"/"+p.Op+"/"+strconv.Itoa(p.Threads)] = p
 	}
-	// Ext4 wins writes at one thread, and KVFS wins reads at 128 threads on
-	// both latency and IOPS. No write is checked at high concurrency: KVFS
-	// direct writes to one file run one at a time (ROADMAP item 1a).
+	// Ext4 wins writes at one thread, and KVFS wins reads and writes at 128
+	// threads on both latency and IOPS.
 	if e, k := byKey["ext4/write/1"], byKey["kvfs/write/1"]; e.Mean >= k.Mean {
 		t.Errorf("ext4 write @1 thread (%v) should beat kvfs (%v)", e.Mean, k.Mean)
 	}
-	if e, k := byKey["ext4/read/128"], byKey["kvfs/read/128"]; k.Mean >= e.Mean {
-		t.Errorf("kvfs read @128 threads (%v) should beat ext4 (%v)", k.Mean, e.Mean)
-	}
-	if e, k := byKey["ext4/read/128"], byKey["kvfs/read/128"]; k.IOPS <= e.IOPS {
-		t.Errorf("kvfs read IOPS @128 (%v) should beat ext4 (%v)", k.IOPS, e.IOPS)
+	for _, op := range []string{"read", "write"} {
+		e, k := byKey["ext4/"+op+"/128"], byKey["kvfs/"+op+"/128"]
+		if k.Mean >= e.Mean {
+			t.Errorf("kvfs %s @128 threads (%v) should beat ext4 (%v)", op, k.Mean, e.Mean)
+		}
+		if k.IOPS <= e.IOPS {
+			t.Errorf("kvfs %s IOPS @128 (%v) should beat ext4 (%v)", op, k.IOPS, e.IOPS)
+		}
 	}
 	// KVFS host CPU stays low; Ext4 grows much larger.
 	for _, p := range pts {

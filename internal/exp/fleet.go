@@ -17,17 +17,19 @@ import (
 	"dpc/internal/world"
 )
 
-// The fleet workload is the multi-tenant noisy-neighbor experiment: hundreds
-// of simulated client procs spread over N tenants share one virtualized
-// nvme-fs transport. Tenant 0 is the aggressor — it floods large direct
-// writes — while every other tenant runs small direct Zipf reads over its own
-// working set. The same contended load runs three ways on three fresh
-// systems:
+// The fleet workload is the multi-tenant noisy-neighbor experiment: simulated
+// client procs spread over N tenants share one virtualized nvme-fs
+// transport. Tenant 0 is the aggressor — it floods large direct writes —
+// while every other tenant runs small direct Zipf reads over its own working
+// set, a few procs each so that, alone, they leave the transport idle. The
+// same load runs three ways on three fresh systems:
 //
-//	baseline  victims only (no aggressor): the uncontended tail.
+//	baseline  victims only (no aggressor): the uncontended tail, which sits
+//	          on the unloaded 8 KB read latency.
 //	fifo      aggressor on, scheduler degraded to FIFO: every admitted
-//	          command shares one global queue, so flood writes park in
-//	          front of victim reads and the victim tail collapses.
+//	          command shares one global queue, so victim reads wait behind
+//	          the flood's 64 KB chunks in the transport and the victim tail
+//	          collapses.
 //	drr       aggressor on, weighted-fair scheduling plus the aggressor's
 //	          inflight/bandwidth/admission budgets: the scheduler isolates
 //	          the victims, whose tail stays near the baseline.
@@ -42,8 +44,11 @@ const (
 	fleetFloodSize   = 64 * 1024 // flood transport chunk (= MaxIO)
 	fleetFloodChunks = 256       // aggressor region: 16 MB of 64 KB chunks
 	// Each aggressor op writes 4 chunks (256 KB) in one pipelined call, so
-	// every flooding proc keeps several large commands queued at once — the
-	// head-of-line depth that makes the FIFO phase hurt.
+	// every flooding proc keeps several large commands queued at once in the
+	// transport — the head-of-line depth that makes the FIFO phase hurt. The
+	// chunks are whole-block overwrites inside the flood file's EOF, which
+	// KVFS runs in parallel, so the queue that builds is the transport's,
+	// not the flood file's inode lock.
 	fleetFloodOpChunks = 4
 	fleetFloodOpSize   = fleetFloodOpChunks * fleetFloodSize
 	fleetZipfS         = 1.2 // victim working-set skew
@@ -74,12 +79,12 @@ type FleetConfig struct {
 	SLOs []string
 }
 
-// DefaultFleetConfig is the committed BENCH_8 scenario: 8 tenants, ~200
-// client procs.
+// DefaultFleetConfig is the committed BENCH_8 scenario: 8 tenants, 28
+// victim procs against 32 flooding ones.
 func DefaultFleetConfig() FleetConfig {
 	return FleetConfig{
 		Tenants:        8,
-		VictimProcs:    24,
+		VictimProcs:    4,
 		AggressorProcs: 32,
 		Warmup:         2 * time.Millisecond,
 		Measure:        10 * time.Millisecond,

@@ -34,13 +34,16 @@ func (r *FsckReport) problemf(format string, args ...any) {
 //   - directory attributes really are directories;
 //   - no unreachable ("orphan") attribute KVs exist, and no small-file or
 //     big-file KV belongs to an inode that is not reachable (the state a torn
-//     or stale unlink leaves, which Scavenge repairs).
+//     or stale unlink leaves, which Scavenge repairs);
+//   - no big-file block of a file lies past its EOF (the state a write
+//     racing a truncate would leave).
 //
 // It runs as a sim process because it reads through the KV cluster like any
 // other client (fsck on a disaggregated store is an online scrubber).
 func (fs *FS) Fsck(p *sim.Proc, cluster *kv.Cluster) *FsckReport {
 	r := &FsckReport{}
 	seen := map[uint64]bool{}
+	sizes := map[uint64]uint64{} // file ino -> attr size
 
 	var walk func(dirIno uint64, path string)
 	walk = func(dirIno uint64, path string) {
@@ -77,6 +80,7 @@ func (fs *FS) Fsck(p *sim.Proc, cluster *kv.Cluster) *FsckReport {
 				continue
 			}
 			seen[ino] = true
+			sizes[ino] = ca.Size
 			r.Inodes++
 			r.Files++
 			fs.checkFileData(p, r, path+"/"+name, ca)
@@ -85,11 +89,14 @@ func (fs *FS) Fsck(p *sim.Proc, cluster *kv.Cluster) *FsckReport {
 	walk(RootIno, "")
 
 	// Orphan scan: every attribute KV in the cluster must be reachable, and so
-	// must the inode every data KV belongs to.
+	// must the inode every data KV belongs to, inside its EOF.
 	for i := 0; i < cluster.Shards(); i++ {
 		for _, kvp := range cluster.StoreOf(i).Scan("", 0) {
 			kind, ino, blk := decodeKey(kvp.Key)
 			if seen[ino] {
+				if size, file := sizes[ino]; file && kind == 'b' && blk*BlockSize >= size {
+					r.problemf("big-file block %d of ino %d lies past EOF %d", blk, ino, size)
+				}
 				continue
 			}
 			switch kind {

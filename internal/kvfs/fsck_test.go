@@ -120,3 +120,20 @@ func TestFsckDetectsSizeMismatch(t *testing.T) {
 		t.Fatal("size mismatch not detected")
 	}
 }
+
+func TestFsckDetectsBlockPastEOF(t *testing.T) {
+	m, cluster, fs := newTestFS(t)
+	var ino uint64
+	run(m, func(p *sim.Proc) {
+		ino, _ = fs.Create(p, "/big")
+		fs.Write(p, ino, 0, make([]byte, 2*BlockSize))
+		fs.cl.Put(p, BigKey(ino, 5), make([]byte, BlockSize))
+	})
+	var r *FsckReport
+	run(m, func(p *sim.Proc) { r = fs.Fsck(p, cluster) })
+	m.Eng.Shutdown()
+	want := []string{fmt.Sprintf("big-file block 5 of ino %d lies past EOF %d", ino, 2*BlockSize)}
+	if !slices.Equal(r.Problems, want) {
+		t.Fatalf("problems = %q, want %q", r.Problems, want)
+	}
+}

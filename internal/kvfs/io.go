@@ -37,13 +37,24 @@ func (fs *FS) eachBlock(p *sim.Proc, ino, off uint64, buf []byte, do func(fs *FS
 // a single small-file KV that is rewritten whole on every update; once a
 // file grows past 8 KB it migrates to the big-file representation, where
 // updates are written in place at 8 KB block granularity (§3.4).
+//
+// A big-file write of whole blocks that ends at or before EOF (an
+// overwrite) changes neither the size nor the representation, and each of
+// its blocks is one KV Put, so it holds the inode lock shared: overwrites of
+// one file run in parallel with each other and with reads. Every other
+// write holds it exclusive and reads the attribute again once it does.
 func (fs *FS) Write(p *sim.Proc, ino uint64, off uint64, data []byte) error {
 	s := fs.m.Obs.Begin(p, "kvfs.write")
 	defer s.End(p)
 	fs.charge(p)
-	fs.lockIno(p, ino, true)
-	defer fs.unlockIno(ino)
+	fs.lockIno(p, ino, false)
 	a, ok := fs.getAttr(p, ino)
+	if ok && a.Mode != ModeDir && !overwrites(a, off, len(data)) {
+		fs.unlockIno(ino)
+		fs.lockIno(p, ino, true)
+		a, ok = fs.getAttr(p, ino)
+	}
+	defer fs.unlockIno(ino)
 	if !ok {
 		return ErrNotFound
 	}
@@ -91,6 +102,12 @@ func (fs *FS) Write(p *sim.Proc, ino uint64, off uint64, data []byte) error {
 		fs.putAttr(p, a)
 	}
 	return nil
+}
+
+// overwrites reports whether writing n bytes at off to the file a is an
+// overwrite: whole big-file blocks, ending at or before EOF.
+func overwrites(a Attr, off uint64, n int) bool {
+	return a.Size > SmallFileMax && off%BlockSize == 0 && n%BlockSize == 0 && off+uint64(n) <= a.Size
 }
 
 // writeBigBlocks updates the big-file KVs covering [off, off+len(data)).

@@ -52,8 +52,10 @@ type FS struct {
 	// attr update) with simulated network latency between them; concurrent
 	// mutators of one file — flush workers, direct writes, truncate —
 	// interleaving those KV ops corrupt the file (e.g. a stale small-file
-	// KV surviving migration). Writers are exclusive per inode; readers are
-	// shared so prefetch fan-out keeps its parallelism. Free locks are reused.
+	// KV surviving migration). Readers and whole-block overwrites inside EOF
+	// share it, so prefetch fan-out and the flusher's write-back keep their
+	// parallelism; every other mutator is exclusive (see Write). Free locks
+	// are reused.
 	inoLocks  map[uint64]*sim.RWLock
 	freeLocks []*sim.RWLock
 
@@ -89,7 +91,7 @@ func New(m *model.Machine, cl *kv.Client) *FS {
 	return fs
 }
 
-// lockIno takes ino's lock, exclusive for mutators and shared for readers.
+// lockIno takes ino's lock, exclusive or shared.
 func (fs *FS) lockIno(p *sim.Proc, ino uint64, exclusive bool) {
 	l := fs.inoLocks[ino]
 	if l == nil {

@@ -353,6 +353,9 @@ func sharedPagesRun(t *testing.T, set func(*Options), ops int, k int64) {
 		if i := sys.KVFSService().Ctl.HeldEntry(); i >= 0 {
 			t.Errorf("control plane still records entry %d's lock as held", i)
 		}
+		if i := sys.KVFSService().Ctl.PendingLog(); i >= 0 {
+			t.Errorf("entry %d still carries an unfinished journal attempt", i)
+		}
 		for _, prob := range sys.KVFS.Fsck(p, sys.KVCluster).Problems {
 			t.Errorf("kvfs fsck: %s", prob)
 		}

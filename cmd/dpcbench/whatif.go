@@ -15,7 +15,8 @@ import (
 // a component with share X can buy at most ~X/2 by halving, so a gain past
 // the bound is an attribution bug, counted in `violations`.
 // The JSON report (BENCH_10 shape) is byte-stable across runs, so it is
-// committed and `make bench-identical` gates it, violations = 0 included.
+// committed and `make bench-identical` gates it, violations count included
+// (one standing, DESIGN.md §13).
 func runWhatifScenario(outPath string) error {
 	// The default sweep: the two fast reference workloads (smallio exercises
 	// the pcie/cpu knobs, fsync the ssd/wal knobs), covering seven distinct

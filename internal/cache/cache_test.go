@@ -26,12 +26,13 @@ type memBackend struct {
 
 func newMemBackend() *memBackend { return &memBackend{pages: map[[2]uint64][]byte{}} }
 
-// DirtyCount scans the meta area and reports dirty pages.
+// DirtyCount scans the meta area and reports dirty pages, journaled or not
+// (StatusDirty or StatusLogged).
 func (h *Host) DirtyCount() int {
 	n := 0
 	meta := h.meta(0, h.L.Total)
 	for i := 0; i < h.L.Total; i++ {
-		if binary.LittleEndian.Uint32(meta[i*EntrySize+offStatus:]) == StatusDirty {
+		if 1<<binary.LittleEndian.Uint32(meta[i*EntrySize+offStatus:])&dirtyMask != 0 {
 			n++
 		}
 	}
@@ -722,10 +723,13 @@ func TestReadEntryRemoteZeroAllocs(t *testing.T) {
 
 // TestScanDirtySelectsAndStops: the one scan helper behind FlushPass,
 // FlushIno, journalIno and settleAll filters on status (and inode), returns
-// indices in table order, and stops issuing DMAs once max are collected.
+// indices in table order, and stops issuing DMAs once max are collected. A
+// StatusLogged page is dirty; the journal's scan leaves it out only while its
+// record has landed under the inode's current generation.
 func TestScanDirtySelectsAndStops(t *testing.T) {
 	m, l, _, c, _ := newTestCache(t, 512, 64, CtlConfig{})
 	defer m.Eng.Shutdown()
+	c.SetWAL(wal.Open(m.Eng, ssd.New(m.Eng, ssd.DefaultConfig()), wal.DefaultConfig()))
 	mark := func(i int, status uint32, ino uint64) {
 		e := ReadEntry(m.HostMem, l, i)
 		e.Status, e.Ino = status, ino
@@ -734,6 +738,10 @@ func TestScanDirtySelectsAndStops(t *testing.T) {
 	mark(3, StatusDirty, 7)
 	mark(130, StatusDirty, 8)
 	mark(131, StatusClean, 7)
+	mark(200, StatusLogged, 7)
+	c.logs[200] = logNote{ticket: 1, landed: true}
+	mark(201, StatusLogged, 7)
+	c.logs[201] = logNote{ticket: 2}
 	mark(300, StatusDirty, 7)
 	mark(511, StatusDirty, 7)
 	m.Eng.Go("scan", func(p *sim.Proc) {
@@ -747,10 +755,13 @@ func TestScanDirtySelectsAndStops(t *testing.T) {
 			m.PCIe.Mark()
 		}
 		m.PCIe.Mark()
-		check("all", c.scanDirty(p, anyIno, l.Total), []int{3, 130, 300, 511}, 4)
-		check("ino 7", c.scanDirty(p, 7, l.Total), []int{3, 300, 511}, 4)
-		check("max 2", c.scanDirty(p, anyIno, 2), []int{3, 130}, 2)
-		check("max 0", c.scanDirty(p, anyIno, 0), nil, 0)
+		check("all", c.scanDirty(p, anyIno, l.Total, false), []int{3, 130, 200, 201, 300, 511}, 4)
+		check("ino 7", c.scanDirty(p, 7, l.Total, false), []int{3, 200, 201, 300, 511}, 4)
+		check("ino 7 unlogged", c.scanDirty(p, 7, l.Total, true), []int{3, 201, 300, 511}, 4)
+		c.walGens[7]++
+		check("ino 7 unlogged, new generation", c.scanDirty(p, 7, l.Total, true), []int{3, 200, 201, 300, 511}, 4)
+		check("max 2", c.scanDirty(p, anyIno, 2, false), []int{3, 130}, 2)
+		check("max 0", c.scanDirty(p, anyIno, 0, false), nil, 0)
 	})
 	m.Eng.Run()
 }
@@ -854,12 +865,13 @@ func TestFsckReportsEachCorruption(t *testing.T) {
 	})
 	m.Eng.Run()
 	m.Eng.Shutdown()
-	if probs := Fsck(m.HostMem, l); len(probs) > 0 {
+	hm := m.HostMem
+	word := func(i, off int) mem.Addr { return l.EntryAddr(i) + mem.Addr(off) }
+	hm.PutUint32(word(idx[3], offStatus), StatusLogged) // journaled: as healthy as dirty
+	if probs := Fsck(hm, l); len(probs) > 0 {
 		t.Fatalf("healthy table: %v", probs)
 	}
 
-	hm := m.HostMem
-	word := func(i, off int) mem.Addr { return l.EntryAddr(i) + mem.Addr(off) }
 	wrongBucket := uint64(1000) // an lpn nobody holds, hashing elsewhere
 	for l.BucketOf(9, wrongBucket) == idx[3]/l.EntriesPerBucket() {
 		wrongBucket++
@@ -885,6 +897,7 @@ func TestFsckReportsEachCorruption(t *testing.T) {
 			t.Fatal("no free entry left in the bucket")
 		}, "both hold <9,0>"},
 		{"free counter", func() { AddHeaderFree(hm, l, 1) }, "header free counter"},
+		{"unknown status", func() { hm.PutUint32(word(idx[2], offStatus), StatusLogged+1) }, "unknown status"},
 	}
 	for n, cr := range corruptions {
 		cr.do()

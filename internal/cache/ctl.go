@@ -137,6 +137,16 @@ type Ctl struct {
 	ckptSeq  uint64
 	ckptDone *sim.Cond
 
+	// logs[i] is the DPU's note on entry i, made by the journal attempt that
+	// stored StatusLogged in it (tickets numbers the attempts) and cleared by
+	// every other DPU status store (setStatus). journaling holds the inodes
+	// with a journal pass running; a second fsync of one waits on
+	// journalDone (see journalIno).
+	logs        []logNote
+	tickets     uint64
+	journaling  map[uint64]bool
+	journalDone *sim.Cond
+
 	// o is nil when obs is disabled; it also takes the flush-join and settle
 	// wait attribution. oDegraded is registered by SetFaults.
 	o         *obs.Obs
@@ -166,6 +176,9 @@ func (c *Ctl) SetWAL(l *wal.Log) {
 	if l != nil {
 		c.walGens = map[uint64]uint64{}
 		c.ckptDone = sim.NewCond(c.m.Eng, "wal-ckpt")
+		c.logs = make([]logNote, c.L.Total)
+		c.journaling = map[uint64]bool{}
+		c.journalDone = sim.NewCond(c.m.Eng, "wal-inode")
 	}
 }
 
@@ -238,9 +251,14 @@ func indexOf(entries []Entry, ino, lpn uint64, skip int) int {
 // anyIno makes an inode filter (scanDirty, take, settle) match every inode.
 const anyIno = ^uint64(0)
 
-// is reports whether e has status s and, unless ino is anyIno, belongs to ino.
-func (e Entry) is(s uint32, ino uint64) bool {
-	return e.Status == s && (ino == anyIno || e.Ino == ino)
+// dirtyMask selects the statuses of a page the backend does not hold yet,
+// journaled or not: what write-back, checkpoint and reclaim flush.
+const dirtyMask = 1<<StatusDirty | 1<<StatusLogged
+
+// is reports whether e's status is in mask (bit s for status s) and, unless
+// ino is anyIno, e belongs to ino.
+func (e Entry) is(mask uint32, ino uint64) bool {
+	return 1<<e.Status&mask != 0 && (ino == anyIno || e.Ino == ino)
 }
 
 // lock acquires an entry's lock word with a PCIe CAS, retrying while the
@@ -270,24 +288,29 @@ func (c *Ctl) unlock(p *sim.Proc, i int) {
 }
 
 // take is the DPU side of the entry protocol (Host.acquire is the host's):
-// lock entry i for kind, then re-check by one meta DMA that it still has
-// status want and, unless ino is anyIno, belongs to ino. took: the caller
-// holds the lock on e. gone: e did not match and is unlocked again. Neither:
-// the lock stayed busy.
-func (c *Ctl) take(p *sim.Proc, i int, kind, want uint32, ino uint64) (e Entry, took, gone bool) {
+// lock entry i for kind, then re-check by one meta DMA that its status is
+// still in mask and, unless ino is anyIno, it belongs to ino. took: the
+// caller holds the lock on e. gone: e did not match and is unlocked again.
+// Neither: the lock stayed busy.
+func (c *Ctl) take(p *sim.Proc, i int, kind, mask uint32, ino uint64) (e Entry, took, gone bool) {
 	if !c.lock(p, i, kind) {
 		return Entry{}, false, false
 	}
-	if e = c.readEntryRemote(p, i); !e.is(want, ino) {
+	if e = c.readEntryRemote(p, i); !e.is(mask, ino) {
 		c.unlock(p, i)
 		return e, false, true
 	}
 	return e, true, false
 }
 
-// setStatus updates an entry's status field from the DPU.
+// setStatus updates an entry's status field from the DPU and drops the
+// entry's journal note: whatever the DPU stores, the note's attempt no
+// longer speaks for the entry (journalAttempt notes a StatusLogged after).
 func (c *Ctl) setStatus(p *sim.Proc, i int, s uint32) {
 	c.m.PCIe.AtomicStore32(p, c.m.HostMem, c.L.EntryAddr(i)+offStatus, s, "cache-status")
+	if c.logs != nil {
+		c.logs[i] = logNote{}
+	}
 }
 
 // readEntryRemote DMA-reads one meta entry (the DPU cannot touch host

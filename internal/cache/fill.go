@@ -67,7 +67,7 @@ func (c *Ctl) fillPage(p *sim.Proc, ino, lpn uint64, data []byte, seq uint64) in
 			return -1
 		}
 	}
-	cur, took, _ := c.take(p, target, LockWrite, StatusFree, anyIno)
+	cur, took, _ := c.take(p, target, LockWrite, 1<<StatusFree, anyIno)
 	if !took {
 		// Lost the entry to a concurrent claim; this fill is best-effort.
 		return -1
@@ -146,7 +146,7 @@ func (c *Ctl) evictClean(p *sim.Proc, bucket int, entries []Entry) int {
 				c.L.EntryAddr(lo+k)+offRef, 0, "cache-ref-clr")
 			continue
 		}
-		if _, took, _ := c.take(p, lo+k, LockWrite, StatusClean, anyIno); took {
+		if _, took, _ := c.take(p, lo+k, LockWrite, 1<<StatusClean, anyIno); took {
 			c.evict(p, lo+k)
 			return lo + k
 		}
@@ -179,13 +179,13 @@ func (c *Ctl) ReclaimBucket(p *sim.Proc, ino, lpn uint64, want int) int {
 		if freed >= want {
 			break
 		}
-		if e.Status != StatusDirty {
+		if !e.is(dirtyMask, anyIno) {
 			continue
 		}
 		if ok, _ := c.flushOne(p, lo+k); !ok {
 			continue
 		}
-		if _, took, _ := c.take(p, lo+k, LockWrite, StatusClean, anyIno); took {
+		if _, took, _ := c.take(p, lo+k, LockWrite, 1<<StatusClean, anyIno); took {
 			c.evict(p, lo+k)
 			freed++
 		}

@@ -12,7 +12,8 @@ import (
 
 // quiesced checks what every fill, installed or retracted, must leave behind:
 // a meta table Fsck passes (every lock word free, the header's free counter
-// equal to the free entries) and no entry lock held by the control plane.
+// equal to the free entries), no entry lock held by the control plane, and
+// no entry noted by a journal attempt that neither landed nor was undone.
 func quiesced(t *testing.T, m *model.Machine, l Layout, c *Ctl) {
 	t.Helper()
 	for _, pr := range Fsck(m.HostMem, l) {
@@ -20,6 +21,9 @@ func quiesced(t *testing.T, m *model.Machine, l Layout, c *Ctl) {
 	}
 	if i := c.HeldEntry(); i != -1 {
 		t.Errorf("the ctl still holds entry %d", i)
+	}
+	if i := c.PendingLog(); i != -1 {
+		t.Errorf("entry %d still carries an unfinished journal attempt", i)
 	}
 }
 

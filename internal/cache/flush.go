@@ -69,7 +69,7 @@ func (c *Ctl) flushDaemon(p *sim.Proc) {
 func (c *Ctl) FlushPass(p *sim.Proc, maxPages int) (int, error) {
 	s := c.o.Begin(p, "cache.flush_pass")
 	defer s.End(p)
-	dirty := c.scanDirty(p, anyIno, maxPages)
+	dirty := c.scanDirty(p, anyIno, maxPages, false)
 	if len(dirty) == 0 {
 		return 0, nil // before the method value below, which escapes
 	}
@@ -79,12 +79,14 @@ func (c *Ctl) FlushPass(p *sim.Proc, maxPages int) (int, error) {
 // scanDirty is the control plane's meta-table scan (§3.3): it DMA-reads the
 // meta area in 128-entry chunks and returns the indices of the dirty entries
 // of inode ino (anyIno: of every inode), stopping — and issuing no further
-// DMA — once limit are collected. Each chunk is a view decoded before the next
-// DMA parks the scanner, and only the fields the filter tests are decoded.
-// The scan is what the modelled DPU does and its PCIe traffic is part of the
-// model (Total*EntrySize bytes per full pass); see DESIGN.md for why it is
-// not replaced by a DPU-resident dirty index.
-func (c *Ctl) scanDirty(p *sim.Proc, ino uint64, limit int) []int {
+// DMA — once limit are collected. unlogged, the journal's scan, leaves out
+// the pages whose current bytes a landed record already holds (onLog). Each
+// chunk is a view decoded before the next DMA parks the scanner, and only
+// the fields the filter tests are decoded. The scan is what the modelled DPU
+// does and its PCIe traffic is part of the model (Total*EntrySize bytes per
+// full pass); see DESIGN.md for why it is not replaced by a DPU-resident
+// dirty index.
+func (c *Ctl) scanDirty(p *sim.Proc, ino uint64, limit int, unlogged bool) []int {
 	var dirty []int
 	const chunkEntries = 128
 	le := binary.LittleEndian
@@ -96,7 +98,11 @@ func (c *Ctl) scanDirty(p *sim.Proc, ino uint64, limit int) []int {
 		raw := c.m.PCIe.DMAReadView(p, c.m.HostMem, c.L.EntryAddr(base), n*EntrySize, "cache-scan")
 		for k := 0; k < n && len(dirty) < limit; k++ {
 			e := raw[k*EntrySize : (k+1)*EntrySize]
-			if le.Uint32(e[offStatus:]) == StatusDirty && (ino == anyIno || le.Uint64(e[offIno:]) == ino) {
+			s := le.Uint32(e[offStatus:])
+			if s != StatusDirty && s != StatusLogged { // dirtyMask, compared directly in this hot loop
+				continue
+			}
+			if eino := le.Uint64(e[offIno:]); (ino == anyIno || eino == ino) && !(unlogged && c.onLog(base+k, s, eino)) {
 				dirty = append(dirty, base+k)
 			}
 		}
@@ -144,14 +150,17 @@ func (c *Ctl) flushWindow(p *sim.Proc, entries []int, flush func(pp *sim.Proc, i
 // Fsync contract. FlushIno is the synchronous durability path: success
 // means every one of the inode's pages reached the backend. SyncIno is the
 // journaled path: success means every dirty page is either in the backend
-// or committed to the WAL. In degraded mode SyncIno falls back to FlushIno,
-// so a caller never gets a successful fsync while any journaled-but-
-// unflushed page sits behind a failing backend — the fallback fully lands
-// or reports the backend error (pinned by TestDegradedFsyncReportsError).
+// or has its current bytes in a landed WAL record of the inode's current
+// generation — this call's, or an earlier fsync's that no host write has
+// made stale since (StatusLogged). In degraded mode SyncIno falls back to
+// FlushIno, so a caller never gets a successful fsync while any journaled-
+// but-unflushed page sits behind a failing backend — the fallback fully
+// lands or reports the backend error (pinned by
+// TestDegradedFsyncReportsError).
 func (c *Ctl) FlushIno(p *sim.Proc, ino uint64) (int, error) {
 	// Write the pages back as a concurrent window rather than one blocking
 	// flushOne at a time; each worker settles its entry.
-	return c.flushWindow(p, c.scanDirty(p, ino, c.L.Total), func(pp *sim.Proc, i int) (bool, error) {
+	return c.flushWindow(p, c.scanDirty(p, ino, c.L.Total, false), func(pp *sim.Proc, i int) (bool, error) {
 		return c.settle(p, pp, i, ino, c.tryFlush)
 	})
 }
@@ -197,7 +206,7 @@ func (c *Ctl) settle(p, pp *sim.Proc, i int, ino uint64, try func(pp *sim.Proc, 
 			pp.Sleep(20 * time.Microsecond)
 			continue
 		}
-		if !c.readEntryRemote(pp, i).is(StatusDirty, ino) {
+		if !c.readEntryRemote(pp, i).is(dirtyMask, ino) {
 			return false, nil
 		}
 	}
@@ -221,7 +230,7 @@ func (c *Ctl) tryFlush(pp *sim.Proc, i int) (took, gone bool, err error) {
 func (c *Ctl) flushOne(p *sim.Proc, i int) (bool, error) {
 	s := c.o.Begin(p, "cache.flush_page")
 	defer s.End(p)
-	e, took, _ := c.take(p, i, LockRead, StatusDirty, anyIno)
+	e, took, _ := c.take(p, i, LockRead, dirtyMask, anyIno)
 	if !took {
 		return false, nil
 	}

@@ -27,9 +27,11 @@ type Host struct {
 	WriteFull stats.Counter
 
 	// maybeDirty holds every inode this host has marked a page dirty for
-	// since HasDirty last found it clean. Only the host stores StatusDirty
-	// (the DPU side only clears it) and a layout has one Host, so an inode
-	// outside the set has no dirty page and HasDirty need not scan for it.
+	// since HasDirty last found it clean. A page becomes dirty only by a host
+	// write, and a layout has one Host: the DPU stores StatusLogged only over
+	// a dirty page, and StatusDirty only to undo that (an fsync that did not
+	// land), so both count as dirty here and an inode outside the set has no
+	// dirty page: HasDirty need not scan for it.
 	maybeDirty map[uint64]struct{}
 
 	// o is the machine's hub (nil when disabled): entry-lock spin
@@ -115,7 +117,7 @@ func (h *Host) acquire(p *sim.Proc, ino, lpn uint64, kind uint32) int {
 		}
 		h.lockEntry(p, i, kind)
 		e := ReadEntry(h.m.HostMem, h.L, i)
-		if (e.Status == StatusClean || e.Status == StatusDirty) && e.Ino == ino && e.LPN == lpn {
+		if e.is(1<<StatusClean|dirtyMask, ino) && e.LPN == lpn {
 			return i
 		}
 		h.unlock(i)
@@ -269,7 +271,8 @@ func (h *Host) MergeIfPresent(p *sim.Proc, ino, lpn uint64, pageOff int, frag []
 	h.unlock(i)
 }
 
-// HasDirty reports whether any cached page of ino is dirty. Direct I/O uses
+// HasDirty reports whether any cached page of ino is dirty, journaled or
+// not (StatusDirty or StatusLogged). Direct I/O uses
 // it to decide whether an fsync must run first so O_DIRECT readers see
 // buffered data. The meta table is scanned only for an inode in maybeDirty,
 // and a scan that finds nothing drops it; the modelled cost is the same
@@ -283,7 +286,7 @@ func (h *Host) HasDirty(p *sim.Proc, ino uint64) bool {
 	meta := h.meta(0, h.L.Total)
 	for i := 0; i < h.L.Total; i++ {
 		e := meta[i*EntrySize:][:EntrySize]
-		if le.Uint32(e[offStatus:]) == StatusDirty && le.Uint64(e[offIno:]) == ino {
+		if 1<<le.Uint32(e[offStatus:])&dirtyMask != 0 && le.Uint64(e[offIno:]) == ino {
 			return true
 		}
 	}

@@ -11,7 +11,8 @@
 //	data   : total pages of pagesize bytes
 //
 // Lock values: 0 = unlocked, 1 = write lock, 2 = read lock, 3 = invalid.
-// Status values: 0 = free, 1 = clean, 2 = dirty, 3 = invalid.
+// Status values: 0 = free, 1 = clean, 2 = dirty, 3 = invalid, 4 = logged
+// (dirty, with its current bytes in a journal record).
 package cache
 
 import (
@@ -35,12 +36,17 @@ const (
 	LockInvalid uint32 = 3
 )
 
-// Status values (paper §3.3).
+// Status values (paper §3.3), plus StatusLogged: a dirty page whose current
+// bytes the DPU has put in a WAL record. Only the DPU stores it, under the
+// entry lock as it snapshots the page for fsync; a host write stores
+// StatusDirty whatever the status was, which is what makes the next fsync
+// journal the page again.
 const (
 	StatusFree    uint32 = 0
 	StatusClean   uint32 = 1
 	StatusDirty   uint32 = 2
 	StatusInvalid uint32 = 3
+	StatusLogged  uint32 = 4
 )
 
 // Cache modes.
@@ -227,8 +233,12 @@ func Fsck(r *mem.Region, l Layout) []string {
 			free++
 			continue
 		}
-		if e.Status == StatusInvalid {
+		switch e.Status {
+		case StatusClean, StatusDirty, StatusLogged:
+		case StatusInvalid:
 			bad("entry %d: fill claim for <%d,%d> left pending", i, e.Ino, e.LPN)
+		default:
+			bad("entry %d: unknown status %d", i, e.Status)
 		}
 		if b, want := i/l.EntriesPerBucket(), l.BucketOf(e.Ino, e.LPN); b != want {
 			bad("entry %d: <%d,%d> sits in bucket %d, hashes to %d", i, e.Ino, e.LPN, b, want)

@@ -1,8 +1,10 @@
 package check
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
+	"strings"
 	"sync"
 	"time"
 
@@ -36,18 +38,26 @@ type opWindow struct{ start, end sim.Time }
 // timeTrace replays trace to completion on a fresh crash system, recording
 // each op's window. The driver is sequential, so at most one op is in
 // flight at any instant — the single-op relaxation the verifier leans on.
-func timeTrace(trace []Op) []opWindow {
+// The crash runs never reach a quiesce point, so this run is the one that
+// checks the journal notes after the last op, then settles, writes
+// everything back and returns those problems and the world's fsck's.
+func timeTrace(trace []Op) ([]opWindow, []string) {
 	w := crashStack.world(nil)
 	defer w.Stop()
 	wins := make([]opWindow, len(trace))
+	var probs []string
 	w.Drive(func(p *sim.Proc) {
 		for i, op := range trace {
 			wins[i].start = p.Now()
 			w.Apply(p, op)
 			wins[i].end = p.Now()
 		}
+		probs = w.journalLeaks()
+		w.Settle(p)
+		w.Barrier(p)
+		probs = append(probs, w.Fsck(p)...)
 	})
-	return wins
+	return wins, probs
 }
 
 // crashImage is the durable state a crash leaves behind: the WAL device's
@@ -264,7 +274,8 @@ func ShrinkCrash(fail *CrashFailure, budget int) *CrashFailure {
 			return cand, indexOfIdx(cand, fail.Point.Anchor) >= 0
 		},
 		func(cand []Op) (int, error) {
-			f, _ := runCrashPoint(fail.Seed, cand, timeTrace(cand), fail.Point)
+			wins, _ := timeTrace(cand)
+			f, _ := runCrashPoint(fail.Seed, cand, wins, fail.Point)
 			if f == nil {
 				return 0, nil
 			}
@@ -302,8 +313,9 @@ type CrashReport struct {
 
 // RunCrashSuite runs the crash-restart torture: per seed, one timing run,
 // then Points crash cycles at seed-chosen instants. Returns every
-// durability violation found (shrunk if configured) and the aggregate
-// recovery report.
+// durability violation found (shrunk if configured), the aggregate
+// recovery report, and an error naming each seed whose timing run ended
+// with fsck problems.
 func RunCrashSuite(cfg CrashSuiteConfig) ([]*CrashFailure, *CrashReport, error) {
 	ops := cfg.Ops
 	if ops <= 0 {
@@ -318,11 +330,17 @@ func RunCrashSuite(cfg CrashSuiteConfig) ([]*CrashFailure, *CrashReport, error) 
 		mu       sync.Mutex
 		failures []*CrashFailure
 		report   CrashReport
+		fsckErrs []error
 	)
 	pool(len(cfg.Seeds), cfg.Parallel, cfg.Logf, func(i int, logf func(string, ...any)) {
 		seed := cfg.Seeds[i]
 		trace := GenTrace(seed, ops, crashStack.caps)
-		wins := timeTrace(trace)
+		wins, probs := timeTrace(trace)
+		if len(probs) > 0 {
+			mu.Lock()
+			fsckErrs = append(fsckErrs, fmt.Errorf("crash seed %d: fsck after the timing run: %s", seed, strings.Join(probs, "; ")))
+			mu.Unlock()
+		}
 		rng := rand.New(rand.NewSource(seed ^ 0x5ca1ab1e))
 		for _, pt := range pickCrashPoints(rng, trace, points) {
 			fail, st := runCrashPoint(seed, trace, wins, pt)
@@ -356,5 +374,5 @@ func RunCrashSuite(cfg CrashSuiteConfig) ([]*CrashFailure, *CrashReport, error) 
 			mu.Unlock()
 		}
 	})
-	return failures, &report, nil
+	return failures, &report, errors.Join(fsckErrs...)
 }

@@ -48,7 +48,7 @@ func TestCrashHarnessCatchesLostJournal(t *testing.T) {
 		{Idx: 2, Kind: OpFsync, Path: "/f0"},
 		{Idx: 3, Kind: OpStat, Path: "/f0"}, // anchor: crash lands after the fsync
 	}
-	wins := timeTrace(trace)
+	wins := timedClean(t, trace)
 	pt := CrashPoint{Anchor: 3, Frac: 0.5}
 
 	if fail, st := runCrashPoint(7, trace, wins, pt); fail != nil {
@@ -90,7 +90,7 @@ func TestCrashTornTail(t *testing.T) {
 		{Idx: 2, Kind: OpFsync, Path: "/f0"},
 		{Idx: 3, Kind: OpStat, Path: "/f0"},
 	}
-	wins := timeTrace(trace)
+	wins := timedClean(t, trace)
 	torn, exercised := 0, 0
 	for i := 0; i < 24; i++ {
 		pt := CrashPoint{Anchor: 2, Frac: 0.80 + 0.19*float64(i)/24}
@@ -119,7 +119,7 @@ func TestCrashShrinkKeepsAnchor(t *testing.T) {
 	// healthy: if no failure exists, ShrinkCrash is vacuous — so instead
 	// verify indexOfIdx/pickCrashPoints determinism, which Shrink relies on.
 	trace := GenTrace(11, 60, crashStack.caps)
-	wins := timeTrace(trace)
+	wins := timedClean(t, trace)
 	if len(wins) != len(trace) {
 		t.Fatalf("windows %d, trace %d", len(wins), len(trace))
 	}
@@ -129,10 +129,20 @@ func TestCrashShrinkKeepsAnchor(t *testing.T) {
 		}
 	}
 	// Timing runs are deterministic: a second pass yields identical windows.
-	wins2 := timeTrace(trace)
+	wins2 := timedClean(t, trace)
 	for i := range wins {
 		if wins[i] != wins2[i] {
 			t.Fatalf("timing run not deterministic at op %d: %v vs %v", i, wins[i], wins2[i])
 		}
 	}
+}
+
+// timedClean is timeTrace for a test: its fsck must come back clean.
+func timedClean(t *testing.T, trace []Op) []opWindow {
+	t.Helper()
+	wins, probs := timeTrace(trace)
+	for _, pr := range probs {
+		t.Errorf("fsck after the timing run: %s", pr)
+	}
+	return wins
 }

@@ -54,6 +54,11 @@ func runTraceOn(w *World, seed int64, trace []Op) *Failure {
 				}
 			}
 		}
+		if probs := w.journalLeaks(); len(probs) > 0 {
+			fail = &Failure{Stack: w.Name, Seed: seed, OpIdx: len(trace),
+				Diff: "after the last op: " + strings.Join(probs, "; "), Trace: trace}
+			return
+		}
 		// Stop injecting before the final settle/verify: the oracle judges
 		// the stack's *recovered* state — everything retried, flushed and
 		// readable once faults cease — not its behavior mid-outage.

@@ -115,7 +115,8 @@ func (w *World) Barrier(p *sim.Proc) {
 // cache's meta table: the run is quiescent here, so a lock word still held
 // or a fill claim still pending was leaked by the entry protocol — as was an
 // entry the control plane still records as its own, on which the next fsync
-// would park for good.
+// would park for good, or one still noted by a journal attempt that neither
+// landed nor was undone.
 func (w *World) Fsck(p *sim.Proc) []string {
 	if w.Ext4 != nil {
 		return w.Ext4.Fsck().Problems
@@ -129,8 +130,24 @@ func (w *World) Fsck(p *sim.Proc) []string {
 		if i := w.Ctl.HeldEntry(); i >= 0 {
 			probs = append(probs, fmt.Sprintf("cache: control plane still records entry %d's lock as held", i))
 		}
+		probs = append(probs, w.journalLeaks()...)
 	}
 	return probs
+}
+
+// journalLeaks reports an entry of the hybrid cache still noted by a journal
+// attempt that neither landed nor was undone. That holds whenever no fsync
+// is in flight — between two ops of the sequential driver too — and
+// write-back clears the notes, so the harness checks it right after the last
+// op, before the settle and barrier that precede Fsck, as well as in Fsck.
+func (w *World) journalLeaks() []string {
+	if w.Ctl == nil {
+		return nil
+	}
+	if i := w.Ctl.PendingLog(); i >= 0 {
+		return []string{fmt.Sprintf("cache: entry %d still carries an unfinished journal attempt", i)}
+	}
+	return nil
 }
 
 // Disarm stops fault injection so the final settle/barrier/verify runs

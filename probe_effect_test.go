@@ -26,8 +26,9 @@ type probeRun struct {
 // runProbeMix drives a fixed cached KVFS mix — buffered writes, fsync through
 // the WAL (the one SSD of a KVFS system), cache hits, direct writes, and a
 // sequential buffered scan that misses, fills and prefetches, then rewrite +
-// fsync rounds across several flush-daemon passes, so that fsyncs park in
-// Ctl.settle behind the daemon's write-backs — unobserved, or observed: the
+// fsync rounds across several flush-daemon passes, each rewrite followed by a
+// direct read, so that fsyncs park in Ctl.settle behind the daemon's
+// write-backs — unobserved, or observed: the
 // registry, the tracer with its attribution, and a telemetry sampler with an
 // SLO.
 func runProbeMix(t *testing.T, observed bool) probeRun {
@@ -100,7 +101,12 @@ func runProbeMix(t *testing.T, observed bool) probeRun {
 			}
 		}
 		for i := uint64(0); i < 4*hot; i++ {
-			if !op("buffered rewrite", func() error { return hotF.Write(p, 0, i%hot*page, buf, false) }) {
+			// The direct read keeps the rewritten page dirty and unjournaled
+			// for a backend round trip: an fsync journals only what changed
+			// since the last one, so it meets a daemon-held page only if a
+			// flush pass began while such a page was waiting for it.
+			if !op("buffered rewrite", func() error { return hotF.Write(p, 0, i%hot*page, buf, false) }) ||
+				!read(coldF, i%cold, true) {
 				return
 			}
 			if i%4 == 3 && !op("fsync", func() error { return hotF.Sync(p, 0) }) {

@@ -80,13 +80,13 @@ test:
 # remaining owners and readers of published counters (CPU pools, DFS, the
 # machine model, stats, the telemetry sampler), the protocol, profiler,
 # what-if, workload, erasure-coding, transform and FUSE packages, the world
-# builder with its measured closed loop, and the root package's integration
-# tests. Left out: internal/exp and internal/check
-# (the large reference worlds and the torture harness, which `make test` and
-# the torture targets drive) and the cmd/ tools.
+# builder with its measured closed loop, the torture harness's own tests, and
+# the root package's integration tests. Left out: internal/exp (the large
+# reference worlds, whose suite takes 30 s without the detector) and the cmd/
+# tools.
 race:
 	$(GO) test -race . ./internal/sim/... ./internal/wal/... ./internal/kvfs/... ./internal/obs/... ./internal/cache/... ./internal/fault/... ./internal/nvmefs/... ./internal/pcie/... ./internal/mem/... ./internal/bufpool/... ./internal/localfs/... ./internal/kv/... ./internal/ssd/... ./internal/dispatch/... ./internal/fabric/... ./internal/cpu/... ./internal/dfs/... ./internal/model/... ./internal/stats/... ./internal/telemetry/... \
-		./internal/whatif/... ./internal/nvme/... ./internal/prof/... ./internal/xform/... ./internal/virtio/... ./internal/workload/... ./internal/ec/... ./internal/gf256/... ./internal/fuse/... ./internal/world/...
+		./internal/whatif/... ./internal/nvme/... ./internal/prof/... ./internal/xform/... ./internal/virtio/... ./internal/workload/... ./internal/ec/... ./internal/gf256/... ./internal/fuse/... ./internal/world/... ./internal/check/...
 
 # Short fixed-seed differential torture: every stack, 8 seeds, 2000 ops
 # each, replayed against the in-memory oracle (see internal/check).

@@ -19,7 +19,7 @@ func (f *File) writeBuffered(p *sim.Proc, qid int, off uint64, data []byte) erro
 	c := f.c
 	ps := uint64(c.cacheHost.L.PageSize)
 	end := off + uint64(len(data))
-	eof := f.sizeNow()
+	eof := f.Size()
 	if end > eof {
 		if err := c.setSize(p, qid, f.Ino, end); err != nil {
 			return err
@@ -95,9 +95,6 @@ func (f *File) writeBuffered(p *sim.Proc, qid int, off uint64, data []byte) erro
 	for i := 0; i < nr; i++ {
 		c.pool.Put(rmwBufs[i])
 	}
-	if end > f.Size {
-		f.Size = end
-	}
 	return nil
 }
 
@@ -144,7 +141,7 @@ func (c *Client) writePageCached(p *sim.Proc, qid int, ino, lpn uint64, page []b
 // pages, the common case, so cache-hit reads allocate nothing.
 func (f *File) readBuffered(p *sim.Proc, qid int, off uint64, dst []byte) (int, error) {
 	c := f.c
-	eof := f.sizeNow()
+	eof := f.Size()
 	if off >= eof {
 		return 0, nil
 	}

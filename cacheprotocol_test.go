@@ -356,6 +356,9 @@ func sharedPagesRun(t *testing.T, set func(*Options), ops int, k int64) {
 		if i := sys.KVFSService().Ctl.PendingLog(); i >= 0 {
 			t.Errorf("entry %d still carries an unfinished journal attempt", i)
 		}
+		if n := sys.KVFSService().Ctl.InflightReads(); n != 0 {
+			t.Errorf("%d pages still in the in-flight read table", n)
+		}
 		for _, prob := range sys.KVFS.Fsck(p, sys.KVCluster).Problems {
 			t.Errorf("kvfs fsck: %s", prob)
 		}

@@ -16,25 +16,20 @@ import (
 )
 
 // sizeTable is a service-wide view of each inode's published EOF, shared by
-// every client (and thus every File handle) of that service. File.Size alone
-// is per-handle state: a handle opened before another handle extended the
-// file would clamp buffered reads to its stale size and silently truncate
-// data that is already in the cache. The table is updated at every point a
-// client learns an authoritative size — create, lookup, setattr, extending
-// writes, truncate — and, when it has an entry, wins over the handle's
-// snapshot. Entries for unlinked files linger, which is harmless: both
-// backends allocate inode numbers monotonically, so a dead entry can never
-// be mistaken for a new file.
+// every client (and thus every File handle) of that service, and the only
+// EOF the host keeps (File.Size reads it): a per-handle copy would let a
+// handle opened before another handle extended the file clamp buffered
+// reads to its stale size and silently truncate data already in the cache.
+// The table is updated at every point a client learns an authoritative size
+// — create, lookup, setattr, extending writes, truncate — and every handle
+// comes from a create or a lookup, so it has an entry. Entries for unlinked
+// files linger, which is harmless: both backends allocate inode numbers
+// monotonically, so a dead entry can never be mistaken for a new file.
 type sizeTable struct {
 	m map[uint64]uint64
 }
 
 func newSizeTable() *sizeTable { return &sizeTable{m: map[uint64]uint64{}} }
-
-func (t *sizeTable) get(ino uint64) (uint64, bool) {
-	sz, ok := t.m[ino]
-	return sz, ok
-}
 
 // setMax merges a size observation: sizes only grow through it, so a lookup
 // response that raced a concurrent extend can never shrink the published EOF.
@@ -233,9 +228,8 @@ type Stat struct {
 
 // File is an open file handle.
 type File struct {
-	c    *Client
-	Ino  uint64
-	Size uint64
+	c   *Client
+	Ino uint64
 }
 
 // submit sends one nvme-fs command for this service.
@@ -297,7 +291,7 @@ func (c *Client) Open(p *sim.Proc, qid int, path string) (*File, error) {
 		return nil, err
 	}
 	c.sizes.setMax(a.Ino, a.Size)
-	return &File{c: c, Ino: a.Ino, Size: a.Size}, nil
+	return &File{c: c, Ino: a.Ino}, nil
 }
 
 // Mkdir creates a directory.
@@ -389,9 +383,10 @@ func (f *File) sync(p *sim.Proc, qid int, flags uint32) error {
 // backend truncate: InvalidateIno waits out any flusher holding a page of
 // this inode, so no in-flight flush (whose EOF clamp read the pre-truncate
 // size) can land after the truncate and re-extend the file. It runs again
-// AFTER it: a DPU fill that read a page before the truncate and checked the
-// inode's write sequence before the truncate noted itself installs the dead
-// page, and only this second pass (which waits out a pending claim) drops it.
+// AFTER it: a DPU fill that read a page before the truncate and compared its
+// page's landed-write count before the truncate noted itself installs the
+// dead page, and only this second pass (which waits out a pending claim)
+// drops it.
 func (f *File) Truncate(p *sim.Proc, qid int) (err error) {
 	t := f.c.begin(p, "client.truncate", nil)
 	defer func() { t.end(p, err) }()
@@ -405,7 +400,6 @@ func (f *File) Truncate(p *sim.Proc, qid int) (err error) {
 	if err != nil {
 		return err
 	}
-	f.Size = 0
 	f.c.sizes.set(f.Ino, 0)
 	return nil
 }
@@ -463,15 +457,9 @@ func (c *Client) setSize(p *sim.Proc, qid int, ino, size uint64) error {
 	return nil
 }
 
-// sizeNow is the file's effective EOF: the service-wide table (which sees
-// extends made through other handles) when it has an entry, else the
-// handle's own snapshot.
-func (f *File) sizeNow() uint64 {
-	if sz, ok := f.c.sizes.get(f.Ino); ok {
-		return sz
-	}
-	return f.Size
-}
+// Size is the file's EOF: the service-wide size table, which sees extends
+// and truncates made through every handle.
+func (f *File) Size() uint64 { return f.c.sizes.m[f.Ino] }
 
 // Read returns up to n bytes at off: ReadInto on a fresh buffer, nil when
 // nothing was read.

@@ -147,7 +147,7 @@ func TestKVFSDirect8KPairBytes(t *testing.T) {
 
 // Satellite S3: a handle opened before another handle extends the file must
 // see the extension through buffered reads. The EOF comes from the
-// service-wide size table, not the handle's stale Size snapshot.
+// service-wide size table, the one EOF every handle's Size reads.
 func TestBufferedReadSeesOtherHandleExtend(t *testing.T) {
 	sys := kvfsSystem(t, 1024)
 	cl := sys.KVFSClient()
@@ -167,14 +167,14 @@ func TestBufferedReadSeesOtherHandleExtend(t *testing.T) {
 			t.Errorf("write part1: %v", err)
 			return
 		}
-		// Open a second handle now: it snapshots Size = 4096.
+		// Open a second handle now: it sees Size 4096.
 		b, err := cl.Open(p, 0, "/shared")
 		if err != nil {
 			t.Errorf("Open: %v", err)
 			return
 		}
-		if b.Size != 4096 {
-			t.Errorf("second handle Size = %d, want 4096", b.Size)
+		if b.Size() != 4096 {
+			t.Errorf("second handle Size = %d, want 4096", b.Size())
 		}
 		// Extend through the first handle, buffered.
 		if err := a.Write(p, 0, 4096, part2, false); err != nil {

@@ -44,7 +44,7 @@ func runSmallIOScenario(outPath string) error {
 type smallIOReport struct {
 	Workload string `json:"workload"`
 	// DMASetupNs documents the harness's DPU-class per-descriptor cost; see
-	// smallIODMASetupNs.
+	// world.SmallIODMASetup.
 	DMASetupNs int           `json:"dma_setup_ns"`
 	Sizes      []smallIOSize `json:"sizes"`
 	// Attribution is the profiled pair at 256 B: where critical-path time
@@ -84,7 +84,7 @@ const (
 )
 
 func buildSmallIOReport() (smallIOReport, error) {
-	report := smallIOReport{Workload: "small-op-direct", DMASetupNs: smallIODMASetupNs}
+	report := smallIOReport{Workload: "small-op-direct", DMASetupNs: int(world.SmallIODMASetup / time.Nanosecond)}
 	measure := func(inlineMax, size int) (smallIORun, error) {
 		m, d := smallIODriver(inlineMax, nil)
 		return measureSmallIO(m, d, inlineMax, size)
@@ -120,24 +120,14 @@ func buildSmallIOReport() (smallIOReport, error) {
 	return report, nil
 }
 
-// smallIODMASetupNs is the per-descriptor DMA setup cost the harness models:
-// a DPU-class engine driven from ARM cores, where programming a descriptor
-// and waiting for the engine costs microseconds — the paper's motivation for
-// inlining small payloads at all. The testbed default (200 ns) models a
-// host-NIC-class engine, under which the dma component is a rounding error
-// on a small op and no inline/DMA tradeoff exists to measure.
-const smallIODMASetupNs = 1500
-
-// smallIODriver builds the transport harness: one nvme-fs queue against a
-// handler that serves from DPU RAM with no simulated backend time.
+// smallIODriver builds the transport harness: the small-I/O transport
+// (world.SmallIO) against a handler that serves from DPU RAM with no
+// simulated backend time.
 func smallIODriver(inlineMax int, o *obs.Obs) (*model.Machine, *nvmefs.Driver) {
 	cfg := model.Default()
-	cfg.PCIe.DMASetup = smallIODMASetupNs * time.Nanosecond
 	cfg.Obs = o
-	return world.NewNvmeEcho(cfg, nvmefs.Config{
-		Queues: 1, Depth: 64, SlotsPerQ: 32, MaxIO: 1 << 20, RHCap: 256,
-		InlineMax: inlineMax,
-	}, world.StoreRAM)
+	ncfg := world.SmallIO(&cfg, inlineMax)
+	return world.NewNvmeEcho(cfg, ncfg, world.StoreRAM)
 }
 
 // measureSmallIO runs warm-up pairs on the transport, then measures

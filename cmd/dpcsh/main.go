@@ -114,7 +114,7 @@ func execute(p *sim.Proc, sys *dpc.System, cl *dpc.Client, line string) {
 		if fail(err) {
 			return
 		}
-		data, err := f.Read(p, 0, 0, int(f.Size), true)
+		data, err := f.Read(p, 0, 0, int(f.Size()), true)
 		if fail(err) {
 			return
 		}

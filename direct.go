@@ -38,9 +38,6 @@ func (f *File) writeDirect(p *sim.Proc, qid int, off uint64, data []byte) error 
 	// The backend learned the new EOF from the write itself; publish it so
 	// other handles' buffered reads are not clamped to a stale size.
 	c.sizes.setMax(f.Ino, end)
-	if end > f.Size {
-		f.Size = end
-	}
 	return nil
 }
 

@@ -389,13 +389,11 @@ type dfsPageBackend struct {
 	core *dfs.Core
 }
 
-// ReadPage reads into one fresh page, so its tail past EOF is already zero.
-func (b dfsPageBackend) ReadPage(p *sim.Proc, ino, lpn uint64, pageSize int) ([]byte, bool) {
-	page := make([]byte, pageSize)
-	if n, err := b.core.ReadInto(p, ino, lpn*uint64(pageSize), page); err != nil || n == 0 {
-		return nil, false
-	}
-	return page, true
+// ReadPageRange implements cache.RangeBackend: the whole run is one core
+// read into one buffer.
+func (b dfsPageBackend) ReadPageRange(p *sim.Proc, ino, lpn uint64, n, pageSize int) [][]byte {
+	off := lpn * uint64(pageSize)
+	return cache.ReadPages(n, pageSize, func(buf []byte) (int, error) { return b.core.ReadInto(p, ino, off, buf) })
 }
 
 func (b dfsPageBackend) WritePage(p *sim.Proc, ino, lpn uint64, pageSize int, data []byte) error {

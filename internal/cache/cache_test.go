@@ -39,13 +39,19 @@ func (h *Host) DirtyCount() int {
 	return n
 }
 
-func (b *memBackend) ReadPage(p *sim.Proc, ino, lpn uint64, pageSize int) ([]byte, bool) {
-	b.reads++
-	d, ok := b.pages[[2]uint64{ino, lpn}]
-	if !ok {
-		return nil, false
+// ReadPageRange reads up to n consecutive stored pages from lpn, stopping at
+// the first absent one.
+func (b *memBackend) ReadPageRange(p *sim.Proc, ino, lpn uint64, n, pageSize int) [][]byte {
+	var out [][]byte
+	for k := 0; k < n; k++ {
+		b.reads++
+		d, ok := b.pages[[2]uint64{ino, lpn + uint64(k)}]
+		if !ok {
+			break
+		}
+		out = append(out, append([]byte(nil), d...))
 	}
-	return append([]byte(nil), d...), true
+	return out
 }
 
 func (b *memBackend) WritePage(p *sim.Proc, ino, lpn uint64, pageSize int, data []byte) error {
@@ -391,6 +397,29 @@ func TestPrefetchOnSequentialStream(t *testing.T) {
 	})
 	m2.Eng.Run()
 	m2.Eng.Shutdown()
+}
+
+// writeOnlyBackend takes write-backs and has no range read.
+type writeOnlyBackend struct{}
+
+func (writeOnlyBackend) WritePage(*sim.Proc, uint64, uint64, int, []byte) error { return nil }
+
+// TestPrefetchNeedsARangeRead: the prefetcher fetches only through
+// ReadPageRange, so a control plane refuses a write-only backend with
+// prefetch on and takes it with prefetch off.
+func TestPrefetchNeedsARangeRead(t *testing.T) {
+	for _, prefetch := range []bool{false, true} {
+		m, _, _, c, _ := newTestCache(t, 64, 8, CtlConfig{PrefetchEnabled: prefetch})
+		func() {
+			defer func() {
+				if panicked := recover() != nil; panicked != prefetch {
+					t.Errorf("prefetch %v: SetBackend of a write-only backend panicked: %v", prefetch, panicked)
+				}
+			}()
+			c.SetBackend(writeOnlyBackend{})
+		}()
+		m.Eng.Shutdown()
+	}
 }
 
 func TestNoPrefetchOnRandomReads(t *testing.T) {

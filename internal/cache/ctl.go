@@ -10,11 +10,9 @@ import (
 	"dpc/internal/wal"
 )
 
-// Backend is where flushed pages go and where prefetched pages come from:
-// on the DPU this is KVFS or the DFS client stack.
+// Backend is where flushed pages go: on the DPU this is KVFS or the DFS
+// client stack. With prefetch on it must also be a RangeBackend.
 type Backend interface {
-	// ReadPage fetches one page; ok=false when the page does not exist.
-	ReadPage(p *sim.Proc, ino, lpn uint64, pageSize int) ([]byte, bool)
 	// WritePage persists one page. pageSize is the cache's page size, so
 	// the backend can derive the byte offset (lpn*pageSize) even when the
 	// payload is shorter than a page, and clamp the write-back to the
@@ -26,14 +24,30 @@ type Backend interface {
 	WritePage(p *sim.Proc, ino, lpn uint64, pageSize int, data []byte) error
 }
 
-// RangeBackend is implemented by backends that can fetch a run of pages in
-// one operation; the prefetcher uses it to amortize per-request costs over
-// the whole window.
+// RangeBackend is a backend the prefetcher can fetch from: one operation
+// reads a whole run of pages, amortizing per-request costs over the window.
 type RangeBackend interface {
 	// ReadPageRange returns up to n pages starting at lpn; short or nil
 	// results mean EOF. The ctl DMA-writes each page into the cache and
 	// retains none, so the pages may be sub-slices of one read buffer.
 	ReadPageRange(p *sim.Proc, ino, lpn uint64, n, pageSize int) [][]byte
+}
+
+// ReadPages is how a RangeBackend reads n pages: readInto fills one buffer of
+// n pages and returns how many bytes it read, where nothing read or an error
+// means EOF. The pages are the buffer's sub-slices up to the last byte read,
+// the tail page zero-padded in place.
+func ReadPages(n, pageSize int, readInto func(buf []byte) (int, error)) [][]byte {
+	buf := make([]byte, n*pageSize)
+	got, err := readInto(buf)
+	if err != nil || got == 0 {
+		return nil
+	}
+	out := make([][]byte, 0, n)
+	for i := 0; i*pageSize < got; i++ {
+		out = append(out, buf[i*pageSize:(i+1)*pageSize])
+	}
+	return out
 }
 
 // Policy selects the clean-page replacement policy.
@@ -86,15 +100,11 @@ type Ctl struct {
 	held     []bool
 	released []*sim.Cond
 	streams  map[uint64][]*stream
-	inflight map[[2]uint64]bool // prefetches in flight
 
-	// writes[ino] counts the backend writes and truncates of ino that have
-	// completed (NoteWrite), flushed[{ino, lpn}] the write-backs of that page
-	// that have landed; a fill compares their sum (seq) before and after its
-	// read. A buffered write reaches the backend only by its flush, so the
-	// flush is what a fill racing it must see.
-	writes  map[uint64]uint64
-	flushed map[[2]uint64]uint64
+	// reads holds a page only while backend reads of it are in flight (see
+	// beginRead): it is bounded by those reads, not by the pages ever read,
+	// written or flushed.
+	reads map[pageKey]pageReads
 
 	stopped bool
 
@@ -192,7 +202,13 @@ func (c *Ctl) Stop() { c.stopped = true }
 
 // SetBackend swaps the flush/fill backend. Used by tests and the torture
 // harness to inject faulty or instrumented backends under a live cache.
-func (c *Ctl) SetBackend(b Backend) { c.backend = b }
+// With prefetch on, b must be a RangeBackend.
+func (c *Ctl) SetBackend(b Backend) {
+	if _, ok := b.(RangeBackend); c.cfg.PrefetchEnabled && !ok {
+		panic("cache: prefetch needs a backend with a range read")
+	}
+	c.backend = b
+}
 
 // NewCtl creates the control plane and starts the flush daemon.
 func NewCtl(m *model.Machine, l Layout, backend Backend, cfg CtlConfig) *Ctl {
@@ -200,17 +216,15 @@ func NewCtl(m *model.Machine, l Layout, backend Backend, cfg CtlConfig) *Ctl {
 		m:        m,
 		L:        l,
 		cfg:      cfg,
-		backend:  backend,
 		pool:     bufpool.New(),
 		hands:    make([]int, l.Buckets),
 		held:     make([]bool, l.Total),
 		released: make([]*sim.Cond, l.Total),
 		streams:  map[uint64][]*stream{},
-		inflight: map[[2]uint64]bool{},
-		writes:   map[uint64]uint64{},
-		flushed:  map[[2]uint64]uint64{},
+		reads:    map[pageKey]pageReads{},
 		o:        m.Obs,
 	}
+	c.SetBackend(backend)
 	c.o.Publish("cache.ctl.flushes", c.Flushes.Loc())
 	c.o.Publish("cache.ctl.evictions", c.Evictions.Loc())
 	c.o.Publish("cache.ctl.prefetches", c.Prefetches.Loc())

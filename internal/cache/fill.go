@@ -14,7 +14,9 @@ import (
 // corresponding host page, and marks the entry clean. Returns the entry
 // index, or -1 if the bucket is unreclaimable right now.
 func (c *Ctl) FillPage(p *sim.Proc, ino, lpn uint64, data []byte) int {
-	return c.fillPage(p, ino, lpn, data, c.seq(ino, lpn))
+	k := pageKey{ino, lpn}
+	defer c.endRead(k, false)
+	return c.fillPage(p, ino, lpn, data, c.beginRead(k, false))
 }
 
 // ReadFill is a read miss: read fills page from the backend (false: nothing
@@ -22,16 +24,18 @@ func (c *Ctl) FillPage(p *sim.Proc, ino, lpn uint64, data []byte) int {
 // (NoteWrite) or a write-back of the page completed after read began: then
 // idx is -1 and the bytes go back inline. read must not escape.
 func (c *Ctl) ReadFill(p *sim.Proc, ino, lpn uint64, page []byte, read func() bool) (idx int, found bool) {
-	seq := c.seq(ino, lpn)
+	k := pageKey{ino, lpn}
+	writes := c.beginRead(k, false)
+	defer c.endRead(k, false)
 	if !read() {
 		return -1, false
 	}
-	return c.fillPage(p, ino, lpn, page, seq), true
+	return c.fillPage(p, ino, lpn, page, writes), true
 }
 
-// fillPage installs data, read from the backend when the page's write
-// sequence was seq.
-func (c *Ctl) fillPage(p *sim.Proc, ino, lpn uint64, data []byte, seq uint64) int {
+// fillPage installs data, read from the backend by a read of the page still
+// in flight, which began when the page's landed-write count was writes.
+func (c *Ctl) fillPage(p *sim.Proc, ino, lpn uint64, data []byte, writes uint64) int {
 	s := c.o.Begin(p, "cache.fill")
 	defer s.End(p)
 	if len(data) != c.L.PageSize {
@@ -93,7 +97,7 @@ func (c *Ctl) fillPage(p *sim.Proc, ino, lpn uint64, data []byte, seq uint64) in
 	// And against the backend: a write of the inode or a write-back of the
 	// page that completed since our read began has noted it by now; a later
 	// one's merge finds the claim.
-	if c.seq(ino, lpn) != seq {
+	if c.reads[pageKey{ino, lpn}].writes != writes {
 		c.retract(p, target)
 		return -1
 	}
@@ -193,14 +197,64 @@ func (c *Ctl) ReclaimBucket(p *sim.Proc, ino, lpn uint64, want int) int {
 	return freed
 }
 
-// NoteWrite records that a backend write or truncate of ino has completed.
-// Fills of ino whose backend read began before it retract.
-func (c *Ctl) NoteWrite(ino uint64) {
-	c.writes[ino]++
+// pageKey names page lpn of inode ino.
+type pageKey struct{ ino, lpn uint64 } // lpn serves the map key //dpclint:ok
+
+// pageReads is the DPU's record of a page with backend reads in flight.
+type pageReads struct {
+	n        int  // reads running: demand fills, FillPage calls and the prefetch window holding the page
+	prefetch bool // a prefetch window holds the page
+	// writes counts the backend writes, truncates and write-backs of the
+	// page that landed since the record was made; a read compares it
+	// before and after (fillPage).
+	writes uint64
 }
 
-// seq is the write sequence of page <ino, lpn>: the inode's completed
-// backend writes and truncates plus the page's landed write-backs.
-func (c *Ctl) seq(ino, lpn uint64) uint64 {
-	return c.writes[ino] + c.flushed[[2]uint64{ino, lpn}]
+// beginRead registers a backend read of page k (a prefetch window's claim,
+// if window) and returns the page's landed-write count, for fillPage to
+// compare against.
+func (c *Ctl) beginRead(k pageKey, window bool) uint64 {
+	r := c.reads[k]
+	r.n++
+	r.prefetch = r.prefetch || window
+	c.reads[k] = r
+	return r.writes
 }
+
+// endRead ends a read of page k (the prefetch window's, if window); the
+// page's record goes with its last read.
+func (c *Ctl) endRead(k pageKey, window bool) {
+	r := c.reads[k]
+	if r.n--; r.n == 0 {
+		delete(c.reads, k)
+		return
+	}
+	if window {
+		r.prefetch = false
+	}
+	c.reads[k] = r
+}
+
+// staleReads records that a write of page k reached the backend: fills of k
+// whose read began before it retract.
+func (c *Ctl) staleReads(k pageKey) {
+	if r, ok := c.reads[k]; ok {
+		r.writes++
+		c.reads[k] = r
+	}
+}
+
+// NoteWrite records that a backend write or truncate of ino has completed.
+// Fills of ino whose backend read began before it retract. The bumps are
+// independent, so the table's iteration order does not matter.
+func (c *Ctl) NoteWrite(ino uint64) {
+	for k := range c.reads {
+		if k.ino == ino {
+			c.staleReads(k)
+		}
+	}
+}
+
+// InflightReads returns the number of pages with backend reads in flight;
+// at a quiesce point, 0.
+func (c *Ctl) InflightReads() int { return len(c.reads) }

@@ -12,8 +12,9 @@ import (
 
 // quiesced checks what every fill, installed or retracted, must leave behind:
 // a meta table Fsck passes (every lock word free, the header's free counter
-// equal to the free entries), no entry lock held by the control plane, and
-// no entry noted by a journal attempt that neither landed nor was undone.
+// equal to the free entries), no entry lock held by the control plane, no
+// entry noted by a journal attempt that neither landed nor was undone, and no
+// page left in the in-flight read table.
 func quiesced(t *testing.T, m *model.Machine, l Layout, c *Ctl) {
 	t.Helper()
 	for _, pr := range Fsck(m.HostMem, l) {
@@ -24,6 +25,9 @@ func quiesced(t *testing.T, m *model.Machine, l Layout, c *Ctl) {
 	}
 	if i := c.PendingLog(); i != -1 {
 		t.Errorf("entry %d still carries an unfinished journal attempt", i)
+	}
+	if n := c.InflightReads(); n != 0 {
+		t.Errorf("%d pages still in the in-flight read table", n)
 	}
 }
 
@@ -126,72 +130,92 @@ func TestFillRetractsOnAFlushOfItsPage(t *testing.T) {
 	quiesced(t, m, l, c)
 }
 
-// rangeBackend gives memBackend a range read, which puts the prefetcher on
-// its one-read-per-run path.
-type rangeBackend struct{ *memBackend }
-
-func (b rangeBackend) ReadPageRange(p *sim.Proc, ino, lpn uint64, n, pageSize int) [][]byte {
-	var out [][]byte
-	for k := 0; k < n; k++ {
-		d, ok := b.ReadPage(p, ino, lpn+uint64(k), pageSize)
-		if !ok {
-			break
-		}
-		out = append(out, d)
-	}
-	return out
-}
-
 // TestPrefetchFaultReleasesWindow: while the fill site fails every backend
 // read, a detected stream's prefetch windows fetch nothing, and each releases
-// its in-flight keys, so once the fault clears the same pages
-// prefetch again. Both the range and the per-page path.
+// its pages from the in-flight table, so once the fault clears the same pages
+// prefetch again.
 func TestPrefetchFaultReleasesWindow(t *testing.T) {
-	for _, ranged := range []bool{true, false} {
-		name := "per-page"
-		if ranged {
-			name = "range"
+	// The prefetcher reads only through the backend's page range.
+	t.Run("range", func(t *testing.T) {
+		m, l, h, c, b := newTestCache(t, 256, 16, CtlConfig{PrefetchEnabled: true, PrefetchDepth: 8})
+		for lpn := uint64(0); lpn < 64; lpn++ {
+			b.pages[[2]uint64{4, lpn}] = page(byte(lpn))
 		}
-		t.Run(name, func(t *testing.T) {
-			m, l, h, c, b := newTestCache(t, 256, 16, CtlConfig{PrefetchEnabled: true, PrefetchDepth: 8})
-			if ranged {
-				c.SetBackend(rangeBackend{b})
+		in := fault.New(m.Eng, []fault.Rule{{Site: fault.SiteCacheFill, Kind: fault.KindBackendReadErr}})
+		c.SetFaults(in)
+		m.Eng.Go("dpu", func(p *sim.Proc) {
+			for lpn := uint64(0); lpn < 3; lpn++ {
+				c.NotifyRead(p, 4, lpn)
 			}
-			for lpn := uint64(0); lpn < 64; lpn++ {
-				b.pages[[2]uint64{4, lpn}] = page(byte(lpn))
-			}
-			in := fault.New(m.Eng, []fault.Rule{{Site: fault.SiteCacheFill, Kind: fault.KindBackendReadErr}})
-			c.SetFaults(in)
-			m.Eng.Go("dpu", func(p *sim.Proc) {
-				for lpn := uint64(0); lpn < 3; lpn++ {
-					c.NotifyRead(p, 4, lpn)
-				}
-			})
-			m.Eng.Run()
-			if c.FillErrs.Total() == 0 || c.Prefetches.Total() != 0 || b.reads != 0 {
-				t.Fatalf("under the fault: fill errors %d, prefetches %d, backend reads %d; want >0, 0, 0",
-					c.FillErrs.Total(), c.Prefetches.Total(), b.reads)
-			}
-			if len(c.inflight) != 0 {
-				t.Fatalf("%d prefetch keys still in flight after the failed window", len(c.inflight))
-			}
-			quiesced(t, m, l, c)
+		})
+		m.Eng.Run()
+		if c.FillErrs.Total() == 0 || c.Prefetches.Total() != 0 || b.reads != 0 {
+			t.Fatalf("under the fault: fill errors %d, prefetches %d, backend reads %d; want >0, 0, 0",
+				c.FillErrs.Total(), c.Prefetches.Total(), b.reads)
+		}
+		quiesced(t, m, l, c)
 
-			in.Disarm()
-			m.Eng.Go("dpu", func(p *sim.Proc) { c.NotifyRead(p, 4, 3) })
-			m.Eng.Run()
-			var got []byte
-			var cached bool
-			m.Eng.Go("host", func(p *sim.Proc) { got, cached = lookupPage(p, h, 4, 4) })
-			m.Eng.Run()
-			m.Eng.Shutdown()
-			if !cached || !bytes.Equal(got, page(4)) {
-				t.Errorf("page 4, in the failed window, was not prefetched once the fault cleared")
+		in.Disarm()
+		m.Eng.Go("dpu", func(p *sim.Proc) { c.NotifyRead(p, 4, 3) })
+		m.Eng.Run()
+		var got []byte
+		var cached bool
+		m.Eng.Go("host", func(p *sim.Proc) { got, cached = lookupPage(p, h, 4, 4) })
+		m.Eng.Run()
+		m.Eng.Shutdown()
+		if !cached || !bytes.Equal(got, page(4)) {
+			t.Errorf("page 4, in the failed window, was not prefetched once the fault cleared")
+		}
+		quiesced(t, m, l, c)
+	})
+}
+
+// TestInflightTableIsBoundedByReads: eight processes, one inode each, write
+// and flush 4096 distinct pages, and read-miss fill 4096 more of a second
+// inode each, every backend read 10 µs long and overlapping the others'; a
+// direct write or truncate of the read's inode is noted during every third
+// read. Every noted fill retracts, the in-flight table never holds more pages
+// than the eight reads running, and it ends empty, where a count per page
+// flushed would keep 4096 entries.
+func TestInflightTableIsBoundedByReads(t *testing.T) {
+	const procs, pages = 8, 4096
+	m, l, h, c, _ := newTestCache(t, 256, 16, CtlConfig{})
+	peak := 0
+	for w := uint64(0); w < procs; w++ {
+		ino, readIno := w+1, w+1+procs
+		m.Eng.Go("proc", func(p *sim.Proc) {
+			buf := make([]byte, 4096)
+			for lpn := w; lpn < pages; lpn += procs {
+				for try := 0; !h.WritePage(p, ino, lpn, page(byte(lpn))); try++ {
+					if try == 8 {
+						t.Errorf("ino %d lpn %d: no room after %d reclaims", ino, lpn, try)
+						return
+					}
+					c.ReclaimBucket(p, ino, lpn, 1)
+				}
+				if _, err := c.FlushIno(p, ino); err != nil {
+					t.Error(err)
+				}
+				noted := lpn%3 == 0
+				idx, _ := c.ReadFill(p, readIno, lpn, buf, func() bool {
+					peak = max(peak, c.InflightReads())
+					p.Sleep(5 * time.Microsecond)
+					if noted {
+						c.NoteWrite(readIno)
+					}
+					p.Sleep(5 * time.Microsecond)
+					return true
+				})
+				if noted && idx != -1 {
+					t.Errorf("ino %d lpn %d: fill = %d with a write noted during its read; want retracted", readIno, lpn, idx)
+				}
 			}
-			if len(c.inflight) != 0 {
-				t.Errorf("%d prefetch keys still in flight", len(c.inflight))
-			}
-			quiesced(t, m, l, c)
 		})
 	}
+	m.Eng.Run()
+	m.Eng.Shutdown()
+	if peak < 2 || peak > procs {
+		t.Errorf("in-flight table peaked at %d pages; want between 2 and %d", peak, procs)
+	}
+	quiesced(t, m, l, c)
 }

@@ -256,8 +256,8 @@ func (c *Ctl) flushOne(p *sim.Proc, i int) (bool, error) {
 		return false, err
 	}
 	// The page's new bytes are on the backend: a fill that read it before
-	// now must not install what it read (seq).
-	c.flushed[[2]uint64{e.Ino, e.LPN}]++
+	// now must not install what it read.
+	c.staleReads(pageKey{e.Ino, e.LPN})
 	c.setStatus(p, i, StatusClean)
 	c.unlock(p, i)
 	c.Flushes.Inc()

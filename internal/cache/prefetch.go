@@ -79,75 +79,56 @@ func (c *Ctl) NotifyRead(p *sim.Proc, ino, lpn uint64) {
 			s.depth = 1
 		}
 	}
-	depth := s.depth
 	start := lpn + 1
 	var toFetch []uint64
-	for k := 0; k < depth; k++ {
-		key := [2]uint64{ino, start + uint64(k)}
-		if !c.inflight[key] {
-			c.inflight[key] = true
-			toFetch = append(toFetch, start+uint64(k))
+	for l := start; l < start+uint64(s.depth); l++ {
+		if k := (pageKey{ino, l}); !c.reads[k].prefetch {
+			c.beginRead(k, true)
+			toFetch = append(toFetch, l)
 		}
 	}
 	if len(toFetch) == 0 {
 		return
 	}
 	// Fetch the window in the background. Successive windows overlap pages
-	// cached by earlier passes, so each worker first probes residency (one
+	// cached by earlier passes, so the worker first probes residency (one
 	// bucket meta DMA per page) and fetches only the absent ones: a redundant
 	// backend read wastes a page of backend bandwidth exactly when the reader
-	// is stalled on its own frontier fill. Backends with a range read serve
-	// each contiguous absent run in one operation; otherwise pages fetch in
-	// parallel so the prefetcher stays ahead of the reader. Each read's fills
-	// compare their page's write sequence with its value before the read (see
-	// ReadFill).
-	if rb, ok := c.backend.(RangeBackend); ok {
-		c.m.Eng.Go("cache-prefetch", func(pp *sim.Proc) {
-			var need []uint64 // stays empty when the window's read fails
-			if !c.fillFaulted() {
-				for _, l := range toFetch {
-					if !c.present(pp, ino, l) {
-						need = append(need, l)
-					}
-				}
-			}
-			seqs := make([]uint64, len(need))
-			for i := 0; i < len(need); {
-				j := i + 1
-				for j < len(need) && need[j] == need[j-1]+1 {
-					j++
-				}
-				for k := i; k < j; k++ {
-					seqs[k] = c.seq(ino, need[k])
-				}
-				pages := rb.ReadPageRange(pp, ino, need[i], j-i, c.L.PageSize)
-				for k, pg := range pages {
-					if pg != nil {
-						c.fillPage(pp, ino, need[i]+uint64(k), pg, seqs[i+k])
-						c.Prefetches.Inc()
-					}
-				}
-				i = j
-			}
+	// is stalled on its own frontier fill. Each contiguous absent run is one
+	// range read, and each of its fills compares its page's landed-write
+	// count with the count before the read (see ReadFill).
+	rb := c.backend.(RangeBackend)
+	c.m.Eng.Go("cache-prefetch", func(pp *sim.Proc) {
+		var need []uint64 // stays empty when the window's read fails
+		if !c.fillFaulted() {
 			for _, l := range toFetch {
-				delete(c.inflight, [2]uint64{ino, l})
+				if !c.present(pp, ino, l) {
+					need = append(need, l)
+				}
 			}
-		})
-		return
-	}
-	for _, l := range toFetch {
-		l := l
-		c.m.Eng.Go("cache-prefetch", func(pp *sim.Proc) {
-			if !c.fillFaulted() && !c.present(pp, ino, l) {
-				seq := c.seq(ino, l)
-				if data, ok := c.backend.ReadPage(pp, ino, l, c.L.PageSize); ok {
-					c.fillPage(pp, ino, l, data, seq)
+		}
+		writes := make([]uint64, len(need))
+		for i := 0; i < len(need); {
+			j := i + 1
+			for j < len(need) && need[j] == need[j-1]+1 {
+				j++
+			}
+			for k := i; k < j; k++ {
+				writes[k] = c.reads[pageKey{ino, need[k]}].writes
+			}
+			pages := rb.ReadPageRange(pp, ino, need[i], j-i, c.L.PageSize)
+			for k, pg := range pages {
+				if pg != nil {
+					c.fillPage(pp, ino, need[i]+uint64(k), pg, writes[i+k])
 					c.Prefetches.Inc()
 				}
 			}
-			delete(c.inflight, [2]uint64{ino, l})
-		})
-	}
+			i = j
+		}
+		for _, l := range toFetch {
+			c.endRead(pageKey{ino, l}, true)
+		}
+	})
 }
 
 // fillFaulted consults the injector on the fill/prefetch path: a fired

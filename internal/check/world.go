@@ -115,8 +115,8 @@ func (w *World) Barrier(p *sim.Proc) {
 // cache's meta table: the run is quiescent here, so a lock word still held
 // or a fill claim still pending was leaked by the entry protocol — as was an
 // entry the control plane still records as its own, on which the next fsync
-// would park for good, or one still noted by a journal attempt that neither
-// landed nor was undone.
+// would park for good, one still noted by a journal attempt that neither
+// landed nor was undone, or a page left in the in-flight read table.
 func (w *World) Fsck(p *sim.Proc) []string {
 	if w.Ext4 != nil {
 		return w.Ext4.Fsck().Problems
@@ -129,6 +129,9 @@ func (w *World) Fsck(p *sim.Proc) []string {
 		probs = append(probs, cache.Fsck(w.M.HostMem, w.Ctl.L)...)
 		if i := w.Ctl.HeldEntry(); i >= 0 {
 			probs = append(probs, fmt.Sprintf("cache: control plane still records entry %d's lock as held", i))
+		}
+		if n := w.Ctl.InflightReads(); n != 0 {
+			probs = append(probs, fmt.Sprintf("cache: %d pages still in the in-flight read table", n))
 		}
 		probs = append(probs, w.journalLeaks()...)
 	}

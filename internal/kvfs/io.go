@@ -1,6 +1,7 @@
 package kvfs
 
 import (
+	"dpc/internal/cache"
 	"dpc/internal/sim"
 )
 
@@ -217,7 +218,7 @@ type PageBackend struct {
 	FS *FS
 }
 
-// ReadPage implements cache.Backend.
+// ReadPage reads one page; ok=false past EOF.
 func (b PageBackend) ReadPage(p *sim.Proc, ino, lpn uint64, pageSize int) ([]byte, bool) {
 	pages := b.ReadPageRange(p, ino, lpn, 1, pageSize)
 	if len(pages) == 0 {
@@ -244,25 +245,12 @@ func (b PageBackend) WritePage(p *sim.Proc, ino, lpn uint64, pageSize int, data 
 }
 
 // ReadPageRange implements cache.RangeBackend: the whole run is one KVFS
-// read (one op charge, block gets fanned out in parallel) into one buffer,
-// and the pages are its sub-slices, the tail page zero-padded in place.
+// read (one op charge, block gets fanned out in parallel) into one buffer.
 func (b PageBackend) ReadPageRange(p *sim.Proc, ino, lpn uint64, n, pageSize int) [][]byte {
 	a, ok := b.FS.getAttr(p, ino)
-	if !ok {
-		return nil
-	}
 	off := lpn * uint64(pageSize)
-	if off >= a.Size {
+	if !ok || off >= a.Size {
 		return nil
 	}
-	data := make([]byte, n*pageSize)
-	got, err := b.FS.ReadInto(p, ino, off, data)
-	if err != nil || got == 0 {
-		return nil
-	}
-	out := make([][]byte, 0, n)
-	for i := 0; i*pageSize < got; i++ {
-		out = append(out, data[i*pageSize:(i+1)*pageSize])
-	}
-	return out
+	return cache.ReadPages(n, pageSize, func(buf []byte) (int, error) { return b.FS.ReadInto(p, ino, off, buf) })
 }

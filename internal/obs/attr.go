@@ -1,10 +1,6 @@
 package obs
 
-import (
-	"sort"
-
-	"dpc/internal/sim"
-)
+import "dpc/internal/sim"
 
 // Component classifies where a slice of a span's wall time went. The
 // profiler (internal/prof) decomposes every closed span into these buckets;
@@ -107,36 +103,13 @@ func (t *Tracer) Export(now sim.Time) []SpanData {
 		recs = append(recs, rec)
 	}
 	sortSpans(recs)
-
-	names := make([]string, len(t.tidOrder)+1)
-	for i, name := range t.tidOrder {
-		names[i+1] = name
-	}
-
 	out := make([]SpanData, len(recs))
 	for i, rec := range recs {
 		end := rec.end
 		if end < 0 {
 			end = now
 		}
-		sd := SpanData{
-			ID:     rec.id,
-			Parent: rec.parent,
-			Name:   rec.name,
-			Proc:   names[rec.tid],
-			Start:  rec.start,
-			End:    end,
-		}
-		if len(rec.ivs) > 0 {
-			sd.Intervals = make([]Interval, len(rec.ivs))
-			for j, iv := range rec.ivs {
-				sd.Intervals[j] = Interval{Comp: iv.comp, Kind: iv.kind, Start: iv.start, End: iv.end}
-			}
-			sort.Slice(sd.Intervals, func(a, b int) bool {
-				return sd.Intervals[a].Start < sd.Intervals[b].Start
-			})
-		}
-		out[i] = sd
+		out[i] = rec.export(t, end)
 	}
 	return out
 }

@@ -1,10 +1,7 @@
 package whatif
 
 import (
-	"time"
-
 	"dpc"
-	"dpc/internal/nvmefs"
 	"dpc/internal/obs"
 	"dpc/internal/sim"
 	"dpc/internal/world"
@@ -73,12 +70,8 @@ var workloads = []Workload{
 		},
 		base: func(p Params) Params {
 			// DPU-class DMA engine: microsecond descriptor programming makes
-			// the inline/DMA tradeoff real (see cmd/dpcbench smallio).
-			p.Model.PCIe.DMASetup = 1500 * time.Nanosecond
-			p.NvmeFS = nvmefs.Config{
-				Queues: 1, Depth: 64, SlotsPerQ: 32, MaxIO: 1 << 20, RHCap: 256,
-				InlineMax: 512,
-			}
+			// the inline/DMA tradeoff real.
+			p.NvmeFS = world.SmallIO(&p.Model, 512)
 			return p
 		},
 		run: runSmallIO,

@@ -98,7 +98,7 @@ func (f dpcFS) open(h *dpc.File, err error) (uint64, uint64, error) {
 		return 0, 0, err
 	}
 	f.files[h.Ino] = h
-	return h.Ino, h.Size, nil
+	return h.Ino, h.Size(), nil
 }
 
 func (f dpcFS) Create(p *sim.Proc, tid int, path string) (uint64, error) {

@@ -29,9 +29,12 @@ build:
 # variable, build tag or package-level bool that would select a second one.
 # The cache's bucket hash and the KV shard hash are FNV-1a written inline on
 # the hot path: no hash/fnv import outside their tests, which compare
-# against it. The PCIe link and the fabric NICs are computed clocks, not
-# queues: no sim.NewResource outside their tests, which keep the resource
-# model as the reference. No non-test Go file outside bench/ is over 700
+# against it. Every server pool (PCIe engines and pipe, fabric NICs, SSD
+# channels and buses, CPU cores) is a computed clock, not a queue: a
+# sim.Resource is a semaphore held across work of unknown length, and the
+# only non-test ones outside internal/sim are the WAL commit lock and the NFS
+# slot table; the clocks' tests keep the resource models as the reference.
+# No non-test Go file outside bench/ is over 700
 # lines: a larger one is split along its seams. No Go file outside bench/
 # and internal/model, tests included, names HostMemMB or DPUMemMB: arenas
 # hold what a world reserves, so nothing sizes them by hand. Every stack is
@@ -56,8 +59,9 @@ vet:
 		if [ -n "$$out" ]; then echo "concurrency primitive or engine switch in internal/sim:"; echo "$$out"; exit 1; fi
 	@out=$$(grep -n '"hash/fnv"' $$(ls internal/cache/*.go internal/kv/*.go | grep -v _test.go)); \
 		if [ -n "$$out" ]; then echo "hash/fnv on a lookup path (hash inline):"; echo "$$out"; exit 1; fi
-	@out=$$(grep -n 'sim\.NewResource' $$(ls internal/pcie/*.go internal/fabric/*.go | grep -v _test.go)); \
-		if [ -n "$$out" ]; then echo "queueing resource on a link (book its free time instead):"; echo "$$out"; exit 1; fi
+	@out=$$(find . \( -path ./internal/sim -o -path './.*' \) -prune -o -name '*.go' ! -name '*_test.go' \
+		! -path ./internal/wal/wal.go ! -path ./internal/dfs/clients.go -print | xargs grep -n 'sim\.NewResource'); \
+		if [ -n "$$out" ]; then echo "queueing resource on a server pool (book a sim.Servers clock or a free time instead):"; echo "$$out"; exit 1; fi
 	@out=$$(find . \( -path ./bench -o -path './.*' \) -prune -o -name '*.go' ! -name '*_test.go' -print | xargs wc -l | \
 		awk '$$2 != "total" && $$1 > 700'); \
 		if [ -n "$$out" ]; then echo "non-test file over 700 lines (split it along its seams):"; echo "$$out"; exit 1; fi
@@ -160,12 +164,13 @@ whatif:
 # must stay at zero heap allocations per op, as must the host cache's bucket
 # lookup (TestHostFindEntryZeroAllocs: a hit and a miss on a full bucket), the
 # engine's park/wake paths, a same-length KV Put and a GetInto hit and miss,
-# a tracked SSD overwrite with its barrier, a contended DMA and a fabric RPC
-# round trip with nil payloads, and a Slice of a materialised memory extent;
+# a tracked SSD overwrite with its barrier, an SSD read into a caller's
+# buffer, a contended and an uncontended CPU execution, a contended DMA and a
+# fabric RPC round trip with nil payloads, and a Slice of a materialised memory extent;
 # an 8 KiB write+read through the TGT, through KVFS and through the whole
 # stack stays at its fixed per-command bookkeeping.
 allocs:
 	$(GO) test -count=1 -run 'ZeroScratchAllocs|ZeroAllocs|PairBytes' .
-	$(GO) test -count=1 -run 'ZeroAllocs' ./internal/telemetry ./internal/cache ./internal/nvmefs ./internal/kv ./internal/kvfs ./internal/ssd ./internal/sim ./internal/fabric ./internal/pcie ./internal/mem
+	$(GO) test -count=1 -run 'ZeroAllocs' ./internal/telemetry ./internal/cache ./internal/nvmefs ./internal/kv ./internal/kvfs ./internal/ssd ./internal/cpu ./internal/sim ./internal/fabric ./internal/pcie ./internal/mem
 
 check: vet test race allocs torture check-faults check-crash bench-identical bench-smoke

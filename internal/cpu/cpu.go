@@ -1,8 +1,9 @@
 // Package cpu models CPU pools (the host Xeon and the DPU's TaiShan cores).
 // Work is charged in cycles; a pool converts cycles to virtual time at its
-// clock frequency and serializes work over a finite number of cores. The
-// pool integrates busy time so experiments can report "cores consumed" and
-// "% CPU usage" exactly the way the paper does.
+// clock frequency and serializes work over a finite number of cores, a
+// sim.Servers clock that books each execution at issue. The clock integrates
+// busy time so experiments can report "cores consumed" and "% CPU usage"
+// exactly the way the paper does.
 package cpu
 
 import (
@@ -19,7 +20,7 @@ type Pool struct {
 	name   string
 	cores  int
 	freqHz int64
-	res    *sim.Resource
+	clock  *sim.Servers
 
 	// obs hooks, cached at AttachObs time; nil (a no-op sink) when
 	// observability is off, so the hot path stays allocation-free.
@@ -34,12 +35,12 @@ type Pool struct {
 	waitKind string
 
 	// SwitchOverhead is added to every execution that finds the pool
-	// contended (more runnable work than cores), modeling context-switch
-	// and run-queue cost. The paper attributes the performance drop past
+	// contended (no core free at issue), modeling context-switch and
+	// run-queue cost. The paper attributes the performance drop past
 	// 32 threads on the 24-core DPU to exactly this effect.
 	SwitchOverhead time.Duration
 
-	markBusy float64
+	markBusy float64 // busy core-seconds at Mark
 	markTime sim.Time
 }
 
@@ -53,7 +54,7 @@ func NewPool(eng *sim.Engine, name string, cores int, freqHz int64) *Pool {
 		name:   name,
 		cores:  cores,
 		freqHz: freqHz,
-		res:    sim.NewResource(eng, name, cores),
+		clock:  sim.NewServers(cores),
 	}
 }
 
@@ -69,9 +70,6 @@ func (c *Pool) AttachObs(o *obs.Obs) {
 	c.o = o
 	c.execKind = "cpu." + c.name
 	c.waitKind = "cpu." + c.name + ".runq"
-	c.res.OnWait = func(p *sim.Proc, since sim.Time) {
-		o.Attr(p, obs.CompWait, c.waitKind, since, c.eng.Now())
-	}
 }
 
 // Name returns the pool name.
@@ -83,34 +81,39 @@ func (c *Pool) CyclesToDuration(cycles int64) time.Duration {
 }
 
 // Exec runs cycles of work on one core, blocking p for the computed time
-// plus any queueing delay. If the pool is oversubscribed the configured
-// switch overhead is added.
+// plus any queueing delay. If no core is free at issue the configured switch
+// overhead is added.
 func (c *Pool) Exec(p *sim.Proc, cycles int64) {
 	c.ExecDuration(p, c.CyclesToDuration(cycles))
 }
 
-// ExecDuration runs a fixed-duration piece of work on one core.
+// ExecDuration runs a fixed-duration piece of work on one core: it books the
+// core that frees first from the instant it does, and p sleeps once, until
+// the work ends.
 func (c *Pool) ExecDuration(p *sim.Proc, d time.Duration) {
 	if d < 0 {
 		panic(fmt.Sprintf("cpu: pool %q negative work %v", c.name, d))
 	}
-	contended := c.res.InUse() >= c.cores || c.res.QueueLen() > 0
-	c.res.Acquire(p, 1)
-	if contended && c.SwitchOverhead > 0 {
+	now := p.Now()
+	start := c.clock.Grant(now)
+	if start > now {
 		d += c.SwitchOverhead
 	}
-	c.o.Sleep(p, d, obs.CompCPU, c.execKind)
-	c.res.Release(1)
+	end := start + sim.Time(d)
+	c.clock.Book(start, end)
+	p.SleepUntil(end)
+	c.o.Attr(p, obs.CompWait, c.waitKind, now, start)
+	c.o.Attr(p, obs.CompCPU, c.execKind, start, end)
 	c.execs.Inc()
 	c.busyNs.Add(int64(d))
 }
 
-// InUse returns the number of busy cores right now.
-func (c *Pool) InUse() int { return c.res.InUse() }
+// busySeconds returns the core-seconds booked before now.
+func (c *Pool) busySeconds() float64 { return float64(c.clock.Busy(c.eng.Now())) / 1e9 }
 
 // Mark starts a measurement window.
 func (c *Pool) Mark() {
-	c.markBusy = c.res.BusyUnitSeconds()
+	c.markBusy = c.busySeconds()
 	c.markTime = c.eng.Now()
 }
 
@@ -120,7 +123,7 @@ func (c *Pool) CoresUsed() float64 {
 	if elapsed <= 0 {
 		return 0
 	}
-	return (c.res.BusyUnitSeconds() - c.markBusy) / elapsed
+	return (c.busySeconds() - c.markBusy) / elapsed
 }
 
 // Usage returns mean utilization since Mark as a fraction of all cores

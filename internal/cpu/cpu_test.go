@@ -98,35 +98,88 @@ func TestUsageWindowPartial(t *testing.T) {
 	}
 }
 
+// TestContendedAndInUse: a pool runs as many executions at once as it has
+// cores. With one more than that, the extra one finds no core free at issue:
+// it starts when the first ones end and pays the switch overhead, so cores+1
+// executions of 1 µs take 2 µs plus one overhead. Work issued at the instant
+// a core frees finds it free and pays nothing extra.
 func TestContendedAndInUse(t *testing.T) {
+	const cores, sw = 3, 300 * time.Nanosecond
 	e := sim.NewEngine(1)
-	c := NewPool(e, "cpu", 1, 1_000_000_000)
-	// More runnable work than cores.
-	contended := func() bool { return c.res.InUse() >= c.cores && c.res.QueueLen() > 0 }
-	if contended() || c.InUse() != 0 {
-		t.Fatal("fresh pool reports contention")
+	c := NewPool(e, "cpu", cores, 1_000_000_000)
+	c.SwitchOverhead = sw
+	var ends []sim.Time
+	for i := 0; i <= cores; i++ {
+		e.Go("w", func(p *sim.Proc) {
+			c.Exec(p, 1000)
+			ends = append(ends, p.Now())
+		})
 	}
-	var sawContended, sawInUse bool
-	e.Go("a", func(p *sim.Proc) { c.Exec(p, 10_000) })
-	e.Go("b", func(p *sim.Proc) {
-		p.Sleep(1_000)
-		// While a holds the core and b queues, the pool is contended.
-		sawInUse = c.InUse() == 1
-		c.Exec(p, 1_000)
-	})
-	e.Go("probe", func(p *sim.Proc) {
-		p.Sleep(2_000)
-		sawContended = contended()
+	var late sim.Time
+	e.Go("late", func(p *sim.Proc) {
+		p.SleepUntil(sim.Time(sim.Microsecond))
+		c.Exec(p, 1000)
+		late = p.Now()
 	})
 	e.Run()
-	if !sawInUse {
-		t.Fatal("InUse never observed")
+	for i, end := range ends[:cores] {
+		if end != sim.Time(sim.Microsecond) {
+			t.Fatalf("execution %d ends at %v, want 1µs: %d cores run at once", i, end, cores)
+		}
 	}
-	if !sawContended {
-		t.Fatal("Contended never observed")
+	if got, want := ends[cores], sim.Time(2*sim.Microsecond+sw); got != want {
+		t.Fatalf("execution %d of %d cores ends at %v, want 2µs plus one switch overhead", cores+1, cores, got)
 	}
-	if c.Name() != "cpu" || c.cores != 1 {
+	if late != sim.Time(2*sim.Microsecond) {
+		t.Fatalf("execution issued as a core frees ends at %v, want 2µs", late)
+	}
+	if c.Name() != "cpu" || c.cores != cores {
 		t.Fatal("accessors wrong")
+	}
+}
+
+// TestExecParksOnce: with twice as many issuers as cores every execution
+// after the first round queues for a core and pays the switch overhead, yet
+// parks its process once.
+func TestExecParksOnce(t *testing.T) {
+	e := sim.NewEngine(1)
+	c := NewPool(e, "cpu", 4, 1_000_000_000)
+	c.SwitchOverhead = 100 * time.Nanosecond
+	const procs, execs = 8, 16
+	for i := 0; i < procs; i++ {
+		e.Go("w", func(p *sim.Proc) {
+			for j := 0; j < execs; j++ {
+				c.Exec(p, 1000)
+			}
+		})
+	}
+	e.Run()
+	if e.Parks > procs*execs {
+		t.Fatalf("%d parks for %d executions, want at most one each", e.Parks, procs*execs)
+	}
+}
+
+// TestExecZeroAllocs: an execution, contended or not, allocates nothing.
+func TestExecZeroAllocs(t *testing.T) {
+	for _, procs := range []int{1, 8} {
+		e := sim.NewEngine(1)
+		c := NewPool(e, "cpu", 4, 1_000_000_000)
+		c.SwitchOverhead = 100 * time.Nanosecond
+		for i := 0; i < procs; i++ {
+			e.Go("w", func(p *sim.Proc) {
+				for {
+					c.Exec(p, 1000)
+				}
+			})
+		}
+		step := func() { e.RunUntil(e.Now() + sim.Time(10*sim.Microsecond)) }
+		for i := 0; i < 16; i++ {
+			step()
+		}
+		if a := testing.AllocsPerRun(200, step); a != 0 {
+			t.Fatalf("%d procs on 4 cores: %v allocs per round of executions, want 0", procs, a)
+		}
+		e.Shutdown()
 	}
 }
 

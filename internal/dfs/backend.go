@@ -47,7 +47,6 @@ type BackendConfig struct {
 	DSCycles     int64
 	DSReadMedia  time.Duration
 	DSWriteMedia time.Duration
-	DSChannels   int
 	DSMediaBps   int64
 }
 
@@ -67,7 +66,6 @@ func DefaultBackendConfig() BackendConfig {
 		DSCycles:           6_000,
 		DSReadMedia:        35 * time.Microsecond,
 		DSWriteMedia:       18 * time.Microsecond,
-		DSChannels:         16,
 		DSMediaBps:         2_800_000_000,
 	}
 }
@@ -168,7 +166,6 @@ type fileAttr struct {
 type dsNode struct {
 	node  *fabric.Node
 	cpu   *cpu.Pool
-	media *sim.Resource
 	store map[string][]byte
 	down  bool
 }
@@ -221,7 +218,6 @@ func NewBackend(eng *sim.Engine, net *fabric.Network, cfg BackendConfig) *Backen
 		d := &dsNode{
 			node:  net.NewNode(fmt.Sprintf("ds-%d", i)),
 			cpu:   cpu.NewPool(eng, fmt.Sprintf("ds-cpu-%d", i), cfg.DSCores, cfg.DSFreqHz),
-			media: sim.NewResource(eng, fmt.Sprintf("ds-media-%d", i), cfg.DSChannels),
 			store: map[string][]byte{},
 		}
 		b.ds = append(b.ds, d)

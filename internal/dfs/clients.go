@@ -84,9 +84,9 @@ func (c *StdClient) call(p *sim.Proc, req mdsReq) mdsResp {
 	req.Origin = c.node
 	c.cpu.Exec(p, c.cfg.PerOpCycles)
 	c.Ops.Inc()
-	c.slot.Acquire(p, 1)
+	c.slot.Acquire(p)
 	resp := c.node.Call(p, c.b.EntryMDS(), "meta", req, 96+len(req.Path)+len(req.Data)).(mdsResp)
-	c.slot.Release(1)
+	c.slot.Release()
 	return resp
 }
 

@@ -168,9 +168,7 @@ func (b *Backend) dsServe(p *sim.Proc, d *dsNode) {
 				d.store[s.Key] = append([]byte(nil), s.Data...)
 				bytes += len(s.Data)
 			}
-			d.media.Acquire(p, 1)
 			p.Sleep(b.cfg.DSWriteMedia + time.Duration(int64(bytes)*int64(time.Second)/b.cfg.DSMediaBps))
-			d.media.Release(1)
 			rpc.Reply(p, d.node, dsResp{OK: true}, 32)
 
 		case dsRead:
@@ -181,9 +179,7 @@ func (b *Backend) dsServe(p *sim.Proc, d *dsNode) {
 					bytes += len(data)
 				}
 			}
-			d.media.Acquire(p, 1)
 			p.Sleep(b.cfg.DSReadMedia + time.Duration(int64(bytes)*int64(time.Second)/b.cfg.DSMediaBps))
-			d.media.Release(1)
 			rpc.Reply(p, d.node, dsResp{Shards: out, OK: true}, 32+bytes)
 		}
 	}

@@ -44,9 +44,9 @@ func refWire(net *Network, departs map[*Node]map[sim.Time]int) wire {
 			r = sim.NewResource(net.eng, from.name+"-tx", 1)
 			tx[from] = r
 		}
-		r.Acquire(p, 1)
+		r.Acquire(p)
 		p.Sleep(ser)
-		r.Release(1)
+		r.Release()
 		net.Messages.Inc()
 		net.BytesSent.Add(int64(bytes))
 		if departs[dst] == nil {

@@ -60,7 +60,6 @@ type ClusterConfig struct {
 	ServerCycles    int64         // CPU cost per op on the storage node
 	ReadMedia       time.Duration // media latency per get/scan
 	WriteMedia      time.Duration // media latency per put/delete
-	MediaChannels   int           // per-shard media parallelism
 	MediaBps        int64         // per-shard media bandwidth
 }
 
@@ -74,7 +73,6 @@ func DefaultClusterConfig() ClusterConfig {
 		ServerCycles:    12_000,
 		ReadMedia:       45 * time.Microsecond,
 		WriteMedia:      22 * time.Microsecond,
-		MediaChannels:   16,
 		MediaBps:        2_500_000_000,
 	}
 }
@@ -82,7 +80,6 @@ func DefaultClusterConfig() ClusterConfig {
 type shard struct {
 	node  *fabric.Node
 	cpu   *cpu.Pool
-	media *sim.Resource
 	store *Store
 	cfg   ClusterConfig
 	down  bool
@@ -107,7 +104,6 @@ func NewCluster(eng *sim.Engine, net *fabric.Network, cfg ClusterConfig) *Cluste
 		sh := &shard{
 			node:  net.NewNode(fmt.Sprintf("kv-shard-%d", i)),
 			cpu:   cpu.NewPool(eng, fmt.Sprintf("kv-cpu-%d", i), cfg.CoresPerShard, cfg.CoreFreqHz),
-			media: sim.NewResource(eng, fmt.Sprintf("kv-media-%d", i), cfg.MediaChannels),
 			store: NewStore(int64(i) + 1),
 			cfg:   cfg,
 		}
@@ -184,9 +180,7 @@ func (sh *shard) serve(p *sim.Proc, c *Cluster) {
 			mediaLat = sh.cfg.ReadMedia
 		}
 
-		sh.media.Acquire(p, 1)
 		p.Sleep(mediaLat + time.Duration(int64(mediaBytes)*int64(time.Second)/sh.cfg.MediaBps))
-		sh.media.Release(1)
 
 		c.Ops.Inc()
 		respBytes := 64 + len(rep.Val) + rep.Len

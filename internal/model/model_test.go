@@ -25,19 +25,30 @@ func TestDefaultConfigSane(t *testing.T) {
 func TestMachineAssembly(t *testing.T) {
 	m := NewMachine(Default())
 	// A pool runs as many executions at once as it has cores: offer each one
-	// more than that.
+	// more than that. The extra one finds no core free, so it starts when the
+	// first ones end and pays the pool's switch overhead.
+	ends := map[*cpu.Pool][]sim.Time{}
 	offer := func(pool *cpu.Pool, n int) {
 		for i := 0; i <= n; i++ {
-			m.Eng.Go("w", func(p *sim.Proc) { pool.ExecDuration(p, time.Microsecond) })
+			m.Eng.Go("w", func(p *sim.Proc) {
+				pool.ExecDuration(p, time.Microsecond)
+				ends[pool] = append(ends[pool], p.Now())
+			})
 		}
 	}
 	offer(m.HostCPU, 52)
 	offer(m.DPUCPU, 24)
-	var host, dpu int
-	m.Eng.Schedule(1, func() { host, dpu = m.HostCPU.InUse(), m.DPUCPU.InUse() })
 	m.Eng.Run()
-	if host != 52 || dpu != 24 {
-		t.Fatalf("CPU pools run %d and %d at once, want 52 and 24", host, dpu)
+	for _, c := range []struct {
+		pool  *cpu.Pool
+		cores int
+		sw    time.Duration
+	}{{m.HostCPU, 52, m.Cfg.HostSwitch}, {m.DPUCPU, 24, m.Cfg.DPUSwitch}} {
+		e := ends[c.pool]
+		if e[c.cores-1] != sim.Time(time.Microsecond) || e[c.cores] != sim.Time(2*time.Microsecond+c.sw) {
+			t.Fatalf("%s: %d executions of 1µs end at %v and %v, want 1µs and 2µs + %v",
+				c.pool.Name(), c.cores+1, e[c.cores-1], e[c.cores], c.sw)
+		}
 	}
 	if m.HostMem.Size() != 0 || m.DPUMem.Size() != 0 {
 		t.Fatalf("bare machine reserved %d host and %d DPU bytes", m.HostMem.Size(), m.DPUMem.Size())

@@ -14,7 +14,8 @@ import (
 // refLink is the link as a FIFO pool of DMA engines and a one-unit FIFO
 // pipe, each DMA taking an engine, sleeping its setup, taking the pipe and
 // sleeping its payload: the reference model whose every end instant and
-// profiled interval the computed free times must reproduce.
+// profiled interval the computed free times must reproduce. It records its
+// own waits.
 type refLink struct {
 	*Link
 	engines, pipe *sim.Resource
@@ -28,26 +29,27 @@ func newRefLink(e *sim.Engine, cfg Config, o *obs.Obs) *refLink {
 	}
 	if o != nil {
 		r.AttachObs(o)
-		r.engines.OnWait = func(p *sim.Proc, since sim.Time) {
-			o.Attr(p, obs.CompWait, "pcie.engine", since, e.Now())
-		}
-		r.pipe.OnWait = func(p *sim.Proc, since sim.Time) {
-			o.Attr(p, obs.CompWait, "pcie.arb", since, e.Now())
-		}
 	}
 	return r
 }
 
+// acquire takes one unit of res for p and attributes its wait to kind.
+func (r *refLink) acquire(p *sim.Proc, res *sim.Resource, kind string) {
+	since := p.Now()
+	res.Acquire(p)
+	r.o.Attr(p, obs.CompWait, kind, since, p.Now())
+}
+
 func (r *refLink) dma(p *sim.Proc, n int, stall time.Duration, label string) {
-	r.engines.Acquire(p, 1)
+	r.acquire(p, r.engines, "pcie.engine")
 	if stall > 0 {
 		r.o.Sleep(p, stall, obs.CompWait, "pcie.stall")
 	}
 	r.o.Sleep(p, r.cfg.DMASetup, obs.CompDMA, label)
-	r.pipe.Acquire(p, 1)
+	r.acquire(p, r.pipe, "pcie.arb")
 	r.o.Sleep(p, r.payloadTime(n), obs.CompDMA, label)
-	r.pipe.Release(1)
-	r.engines.Release(1)
+	r.pipe.Release()
+	r.engines.Release()
 }
 
 // dmaScript is one random schedule: the issue instant and size of each DMA,

@@ -125,10 +125,10 @@ func DefaultConfig() Config {
 type Link struct {
 	eng *sim.Engine
 	cfg Config
-	// engineFree holds the instant each DMA engine finishes its last booked
-	// transfer, and pipeFree the instant the shared payload pipe does.
-	engineFree []sim.Time
-	pipeFree   sim.Time
+	// engines books the DMA engines, and pipeFree holds the instant the
+	// shared payload pipe finishes its last booked transfer.
+	engines  *sim.Servers
+	pipeFree sim.Time
 
 	// Counters, published as pcie.link.* by AttachObs (the PIO pair on the
 	// first PIO, so runs that never use the inline path keep their key set).
@@ -178,7 +178,7 @@ func NewLink(eng *sim.Engine, cfg Config) *Link {
 	if cfg.PIOBandwidthBps <= 0 {
 		cfg.PIOBandwidthBps = DefaultConfig().PIOBandwidthBps
 	}
-	return &Link{eng: eng, cfg: cfg, engineFree: make([]sim.Time, cfg.Engines)}
+	return &Link{eng: eng, cfg: cfg, engines: sim.NewServers(cfg.Engines)}
 }
 
 // Config returns the link's cost model.
@@ -216,13 +216,7 @@ func (l *Link) SetFaults(in *fault.Injector) { l.faults = in }
 func (l *Link) dma(p *sim.Proc, dir Dir, addr mem.Addr, n int, label string) {
 	kind, delay, injected := l.faults.At(fault.SitePCIeDMA)
 	now := p.Now()
-	e := 0
-	for i, t := range l.engineFree {
-		if t < l.engineFree[e] {
-			e = i
-		}
-	}
-	grant := max(now, l.engineFree[e])
+	grant := l.engines.Grant(now)
 	setup := grant
 	if injected && kind == fault.KindPCIeStall {
 		l.Stalls.Inc()
@@ -231,7 +225,8 @@ func (l *Link) dma(p *sim.Proc, dir Dir, addr mem.Addr, n int, label string) {
 	arrive := setup + sim.Time(l.cfg.DMASetup)
 	start := max(arrive, l.pipeFree)
 	end := start + sim.Time(l.payloadTime(n))
-	l.engineFree[e], l.pipeFree = end, end
+	l.engines.Book(grant, end)
+	l.pipeFree = end
 	p.SleepUntil(end)
 	if o := l.o; o != nil {
 		o.Attr(p, obs.CompWait, "pcie.engine", now, grant)

@@ -32,10 +32,10 @@ func goldenScript() []string {
 		name := fmt.Sprintf("w%d", i)
 		hold := time.Duration(2*(i+1)) * Microsecond
 		e.Go(name, func(p *Proc) {
-			cores.Acquire(p, 1)
+			cores.Acquire(p)
 			rec(name, "acquired")
 			p.Sleep(hold)
-			cores.Release(1)
+			cores.Release()
 			rec(name, "released")
 			p.Yield()
 			rec(name, "yielded")

@@ -163,21 +163,15 @@ func (w *orderWorld) step(p *Proc) {
 		w.mb.Recv(p)
 		w.woken(p)
 	case 9:
-		n := 1 + rng.Intn(2)
-		w.cores.Acquire(p, n)
+		w.cores.Acquire(p)
 		w.woken(p)
 		if d := rng.Intn(4); d > 0 {
 			w.timed(e.now+Time(d), func() { p.Sleep(time.Duration(d)) })
 		}
-		used := w.cores.used - n // Release grants FIFO while the head fits
-		for i, rw := range w.cores.waiters {
-			if used+rw.n > w.cores.cap {
-				break
-			}
-			used += rw.n
-			w.willWake(rw.p, i)
+		if len(w.cores.waiters) > 0 { // Release hands its unit to the head
+			w.willWake(w.cores.waiters[0], 0)
 		}
-		w.cores.Release(n)
+		w.cores.Release()
 	case 10:
 		w.event(Time(rng.Intn(4)))
 	case 11:

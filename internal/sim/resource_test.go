@@ -8,11 +8,11 @@ import (
 	"time"
 )
 
-// hold acquires n units of r, keeps them for d and releases them.
-func hold(p *Proc, r *Resource, n int, d time.Duration) {
-	r.Acquire(p, n)
+// hold acquires a unit of r, keeps it for d and releases it.
+func hold(p *Proc, r *Resource, d time.Duration) {
+	r.Acquire(p)
 	p.Sleep(d)
-	r.Release(n)
+	r.Release()
 }
 
 func TestResourceImmediateGrant(t *testing.T) {
@@ -20,15 +20,15 @@ func TestResourceImmediateGrant(t *testing.T) {
 	r := NewResource(e, "cpu", 2)
 	var end Time
 	e.Go("p", func(p *Proc) {
-		hold(p, r, 1, 100)
+		hold(p, r, 100)
 		end = p.Now()
 	})
 	e.Run()
 	if end != 100 {
 		t.Fatalf("end = %v, want 100", end)
 	}
-	if r.InUse() != 0 {
-		t.Fatalf("InUse = %d after release", r.InUse())
+	if r.free != 2 {
+		t.Fatalf("%d of 2 units free after release", r.free)
 	}
 }
 
@@ -38,16 +38,13 @@ func TestResourceQueueing(t *testing.T) {
 	var ends []Time
 	for i := 0; i < 3; i++ {
 		e.Go("p", func(p *Proc) {
-			hold(p, r, 1, 100)
+			hold(p, r, 100)
 			ends = append(ends, p.Now())
 		})
 	}
 	e.Run()
 	if len(ends) != 3 || ends[0] != 100 || ends[1] != 200 || ends[2] != 300 {
 		t.Fatalf("ends = %v, want [100 200 300]", ends)
-	}
-	if r.Waits != 2 {
-		t.Fatalf("Waits = %d, want 2", r.Waits)
 	}
 }
 
@@ -57,7 +54,7 @@ func TestResourceParallelism(t *testing.T) {
 	var ends []Time
 	for i := 0; i < 8; i++ {
 		e.Go("p", func(p *Proc) {
-			hold(p, r, 1, 100)
+			hold(p, r, 100)
 			ends = append(ends, p.Now())
 		})
 	}
@@ -65,48 +62,6 @@ func TestResourceParallelism(t *testing.T) {
 	// 8 jobs on 4 servers: two waves of 100ns.
 	if e.Now() != 200 {
 		t.Fatalf("makespan = %v, want 200", e.Now())
-	}
-}
-
-func TestResourceFIFOWithLargeRequestBlocksSmall(t *testing.T) {
-	// Strict FIFO: a queued 2-unit request blocks later 1-unit requests
-	// even when 1 unit is free (no starvation of wide requests).
-	e := NewEngine(1)
-	r := NewResource(e, "r", 2)
-	var order []string
-	e.Go("hold1", func(p *Proc) { // takes 1 unit until t=100
-		r.Acquire(p, 1)
-		p.Sleep(100)
-		r.Release(1)
-	})
-	e.Go("wide", func(p *Proc) { // wants 2, must wait for hold1
-		p.Sleep(1)
-		r.Acquire(p, 2)
-		order = append(order, "wide")
-		p.Sleep(10)
-		r.Release(2)
-	})
-	e.Go("narrow", func(p *Proc) { // wants 1, arrives after wide
-		p.Sleep(2)
-		r.Acquire(p, 1)
-		order = append(order, "narrow")
-		r.Release(1)
-	})
-	e.Run()
-	if len(order) != 2 || order[0] != "wide" || order[1] != "narrow" {
-		t.Fatalf("order = %v, want [wide narrow]", order)
-	}
-}
-
-func TestResourceUtilization(t *testing.T) {
-	e := NewEngine(1)
-	r := NewResource(e, "cpu", 2)
-	e.Go("p1", func(p *Proc) { hold(p, r, 1, Time(1*Second).Sub(0)) })
-	e.Go("p2", func(p *Proc) { hold(p, r, 1, Time(1*Second).Sub(0)) })
-	e.Run()
-	busy := r.BusyUnitSeconds()
-	if busy < 1.99 || busy > 2.01 {
-		t.Fatalf("BusyUnitSeconds = %v, want 2.0", busy)
 	}
 }
 
@@ -118,7 +73,7 @@ func TestResourceReleasePanics(t *testing.T) {
 			t.Fatal("over-release did not panic")
 		}
 	}()
-	r.Release(1)
+	r.Release()
 }
 
 // Property: for any set of jobs on a single-server resource, the makespan is
@@ -139,7 +94,7 @@ func TestResourceConservationProperty(t *testing.T) {
 			d := int64(d) + 1
 			total += d
 			e.Go("j", func(p *Proc) {
-				hold(p, r, 1, Time(d).Sub(0))
+				hold(p, r, Time(d).Sub(0))
 				ends = append(ends, p.Now())
 			})
 		}

@@ -65,9 +65,9 @@ func TestSwitchPathsZeroAllocs(t *testing.T) {
 			for _, name := range []string{"a", "b"} {
 				e.Go(name, func(p *Proc) {
 					for {
-						r.Acquire(p, 1) // the other holds it: queue, granted by its Release
+						r.Acquire(p) // the other holds it: queue, granted by its Release
 						p.Sleep(Microsecond)
-						r.Release(1)
+						r.Release()
 					}
 				})
 			}

@@ -6,7 +6,7 @@
 //
 // The device has a bounded number of internal channels, which is what caps
 // random IOPS: the paper observes local Ext4 "reaches the limit of the NVMe
-// SSD" past 32 concurrent threads.
+// SSD" past 32 concurrent threads. Channels and buses are clocks, not queues.
 package ssd
 
 import (
@@ -55,12 +55,13 @@ func DefaultConfig() Config {
 
 // Device is a simulated NVMe SSD.
 type Device struct {
-	eng      *sim.Engine
-	cfg      Config
-	channels *sim.Resource
-	readBus  *sim.Resource
-	writeBus *sim.Resource
-	blocks   map[int64][]byte
+	cfg Config
+	// channels books the internal channels; readFree and writeFree hold the
+	// instant the read and the write bus finish their last booked transfer.
+	channels  *sim.Servers
+	readFree  sim.Time
+	writeFree sim.Time
+	blocks    map[int64][]byte
 
 	// volatile, when non-nil, models the device's volatile write buffer for
 	// power-fail experiments: every block written since the last Barrier is
@@ -102,16 +103,6 @@ func (d *Device) AttachObs(o *obs.Obs) {
 	o.Publish("ssd.dev.writes", d.Writes.Loc())
 	o.Publish("ssd.dev.bytes_read", d.BytesRead.Loc())
 	o.Publish("ssd.dev.bytes_written", d.BytesWrite.Loc())
-	if o != nil {
-		d.channels.OnWait = func(p *sim.Proc, since sim.Time) {
-			o.Attr(p, obs.CompWait, "ssd.queue", since, d.eng.Now())
-		}
-		busWait := func(p *sim.Proc, since sim.Time) {
-			o.Attr(p, obs.CompWait, "ssd.bus", since, d.eng.Now())
-		}
-		d.readBus.OnWait = busWait
-		d.writeBus.OnWait = busWait
-	}
 }
 
 // SetFaults attaches a fault injector to the timed I/O paths.
@@ -126,11 +117,8 @@ func New(eng *sim.Engine, cfg Config) *Device {
 		cfg.BarrierLatency = cfg.WriteLatency
 	}
 	return &Device{
-		eng:      eng,
 		cfg:      cfg,
-		channels: sim.NewResource(eng, "ssd-channels", cfg.Channels),
-		readBus:  sim.NewResource(eng, "ssd-read-bus", 1),
-		writeBus: sim.NewResource(eng, "ssd-write-bus", 1),
+		channels: sim.NewServers(cfg.Channels),
 		blocks:   map[int64][]byte{},
 	}
 }
@@ -148,15 +136,20 @@ func (d *Device) checkRange(off int64, n int) {
 // transient media error is charged the full I/O time and then fails; an
 // injected stall adds the rule's delay on top of the modeled latency.
 func (d *Device) Read(p *sim.Proc, off int64, n int) ([]byte, error) {
+	out := make([]byte, n)
+	if err := d.ReadInto(p, off, out); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// ReadInto is Read into a caller-owned buffer, which it fills completely.
+func (d *Device) ReadInto(p *sim.Proc, off int64, dst []byte) error {
+	n := len(dst)
 	d.checkRange(off, n)
 	s := d.o.Begin(p, "ssd.read")
 	kind, delay, injected := d.faults.At(fault.SiteSSDRead)
-	d.channels.Acquire(p, 1)
-	d.o.Sleep(p, d.cfg.ReadLatency, obs.CompSSD, "ssd.read")
-	d.readBus.Acquire(p, 1)
-	d.o.Sleep(p, time.Duration(int64(n)*int64(time.Second)/d.cfg.ReadBps), obs.CompSSD, "ssd.read")
-	d.readBus.Release(1)
-	d.channels.Release(1)
+	d.transfer(p, "ssd.read", d.cfg.ReadLatency, &d.readFree, time.Duration(int64(n)*int64(time.Second)/d.cfg.ReadBps))
 	d.Reads.Inc()
 	d.BytesRead.Add(int64(n))
 	if injected {
@@ -164,14 +157,15 @@ func (d *Device) Read(p *sim.Proc, off int64, n int) ([]byte, error) {
 		case fault.KindSSDReadErr:
 			d.ReadErrs.Inc()
 			s.End(p)
-			return nil, fault.Errf(kind, "ssd read [%d,+%d)", off, n)
+			return fault.Errf(kind, "ssd read [%d,+%d)", off, n)
 		case fault.KindSSDStall:
 			d.Stalls.Inc()
 			d.o.Sleep(p, delay, obs.CompWait, "ssd.stall")
 		}
 	}
 	s.End(p)
-	return d.ReadRaw(off, n), nil
+	d.copyOut(off, dst)
+	return nil
 }
 
 // Write performs a timed write of data at byte offset off. Fault semantics
@@ -180,12 +174,7 @@ func (d *Device) Write(p *sim.Proc, off int64, data []byte) error {
 	d.checkRange(off, len(data))
 	s := d.o.Begin(p, "ssd.write")
 	kind, delay, injected := d.faults.At(fault.SiteSSDWrite)
-	d.channels.Acquire(p, 1)
-	d.o.Sleep(p, d.cfg.WriteLatency, obs.CompSSD, "ssd.write")
-	d.writeBus.Acquire(p, 1)
-	d.o.Sleep(p, time.Duration(int64(len(data))*int64(time.Second)/d.cfg.WriteBps), obs.CompSSD, "ssd.write")
-	d.writeBus.Release(1)
-	d.channels.Release(1)
+	d.transfer(p, "ssd.write", d.cfg.WriteLatency, &d.writeFree, time.Duration(int64(len(data))*int64(time.Second)/d.cfg.WriteBps))
 	d.Writes.Inc()
 	d.BytesWrite.Add(int64(len(data)))
 	if injected {
@@ -204,24 +193,52 @@ func (d *Device) Write(p *sim.Proc, off int64, data []byte) error {
 	return nil
 }
 
+// transfer charges one I/O: the channel that frees first serves its media
+// latency, then its bus (none for a barrier), a FIFO of one, serializes its
+// payload, and the channel is held until the payload is through. Every media
+// latency of a kind is the same constant, so bus arrivals never decrease in
+// issue order and the whole I/O is known at issue: p books the channel and
+// the bus and sleeps once.
+func (d *Device) transfer(p *sim.Proc, kind string, media time.Duration, bus *sim.Time, payload time.Duration) {
+	now := p.Now()
+	start := d.channels.Grant(now)
+	arrive := start + sim.Time(media)
+	xfer, end := arrive, arrive
+	if bus != nil {
+		xfer = max(arrive, *bus)
+		end = xfer + sim.Time(payload)
+		*bus = end
+	}
+	d.channels.Book(start, end)
+	p.SleepUntil(end)
+	d.o.Attr(p, obs.CompWait, "ssd.queue", now, start)
+	d.o.Attr(p, obs.CompSSD, kind, start, arrive)
+	d.o.Attr(p, obs.CompWait, "ssd.bus", arrive, xfer)
+	d.o.Attr(p, obs.CompSSD, kind, xfer, end)
+}
+
 // ReadRaw reads stored bytes without charging time (used for verification
 // and by the timed path). Unwritten ranges read as zeros.
 func (d *Device) ReadRaw(off int64, n int) []byte {
 	d.checkRange(off, n)
 	out := make([]byte, n)
-	for i := 0; i < n; {
+	d.copyOut(off, out)
+	return out
+}
+
+// copyOut fills dst with the stored bytes at off, zeros where unwritten.
+func (d *Device) copyOut(off int64, dst []byte) {
+	for i, n := 0, len(dst); i < n; {
 		blk := (off + int64(i)) / BlockSize
 		bo := int((off + int64(i)) % BlockSize)
-		chunk := BlockSize - bo
-		if chunk > n-i {
-			chunk = n - i
-		}
+		chunk := min(BlockSize-bo, n-i)
 		if b, ok := d.blocks[blk]; ok {
-			copy(out[i:i+chunk], b[bo:bo+chunk])
+			copy(dst[i:i+chunk], b[bo:bo+chunk])
+		} else {
+			clear(dst[i : i+chunk])
 		}
 		i += chunk
 	}
-	return out
 }
 
 // WriteRaw stores bytes without charging time.
@@ -230,10 +247,7 @@ func (d *Device) WriteRaw(off int64, data []byte) {
 	for i := 0; i < len(data); {
 		blk := (off + int64(i)) / BlockSize
 		bo := int((off + int64(i)) % BlockSize)
-		chunk := BlockSize - bo
-		if chunk > len(data)-i {
-			chunk = len(data) - i
-		}
+		chunk := min(BlockSize-bo, len(data)-i)
 		b, ok := d.blocks[blk]
 		if !ok {
 			b = make([]byte, BlockSize)
@@ -273,12 +287,10 @@ func (d *Device) CrashTracking() bool { return d.volatile != nil }
 
 // Barrier is a timed flush/FUA barrier: it drains the device's volatile
 // write buffer, so every block written before the barrier survives a Crash.
-// Modeled as one write-latency media op through a channel.
+// Modeled as one BarrierLatency media op through a channel.
 func (d *Device) Barrier(p *sim.Proc) {
 	s := d.o.Begin(p, "ssd.barrier")
-	d.channels.Acquire(p, 1)
-	d.o.Sleep(p, d.cfg.BarrierLatency, obs.CompSSD, "ssd.barrier")
-	d.channels.Release(1)
+	d.transfer(p, "ssd.barrier", d.cfg.BarrierLatency, nil, 0)
 	d.Barriers.Inc()
 	for _, img := range d.volatile {
 		if img != nil {

@@ -276,9 +276,9 @@ func (l *Log) Commit(p *sim.Proc, recs []Record) error {
 		p.Sleep(l.cfg.GroupWindow)
 	}
 	l.cur = nil // close the window; later arrivals form the next group
-	l.wlock.Acquire(p, 1)
+	l.wlock.Acquire(p)
 	err := l.writeGroup(p, g)
-	l.wlock.Release(1)
+	l.wlock.Release()
 	g.err = err
 	g.ok = true
 	g.done.Broadcast()
@@ -519,7 +519,7 @@ func (l *Log) scan(p *sim.Proc) (recs []Record, tail int64, torn int) {
 // single-block, so a crash mid-checkpoint leaves either the old or the new
 // epoch — both consistent.
 func (l *Log) Checkpoint(p *sim.Proc) error {
-	l.wlock.Acquire(p, 1) // never interleave with a group write
+	l.wlock.Acquire(p) // never interleave with a group write
 	err := l.dev.Write(p, 0, buildSuper(l.epoch+1))
 	if err == nil {
 		l.dev.Barrier(p)
@@ -527,7 +527,7 @@ func (l *Log) Checkpoint(p *sim.Proc) error {
 		l.head = 0
 		l.oCheckpoints.Inc()
 	}
-	l.wlock.Release(1)
+	l.wlock.Release()
 	return err
 }
 

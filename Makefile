@@ -34,6 +34,10 @@ build:
 # sim.Resource is a semaphore held across work of unknown length, and the
 # only non-test ones outside internal/sim are the WAL commit lock and the NFS
 # slot table; the clocks' tests keep the resource models as the reference.
+# The KV shards and the DFS data servers answer calls with fabric.Server
+# callbacks, not worker processes: no non-test file of internal/kv starts a
+# process (.Go), and outside bench/ the only RPC receive loop (RecvRPC) is the
+# DFS MDS's, which makes nested calls.
 # No non-test Go file outside bench/ is over 700
 # lines: a larger one is split along its seams. No Go file outside bench/
 # and internal/model, tests included, names HostMemMB or DPUMemMB: arenas
@@ -62,6 +66,11 @@ vet:
 	@out=$$(find . \( -path ./internal/sim -o -path './.*' \) -prune -o -name '*.go' ! -name '*_test.go' \
 		! -path ./internal/wal/wal.go ! -path ./internal/dfs/clients.go -print | xargs grep -n 'sim\.NewResource'); \
 		if [ -n "$$out" ]; then echo "queueing resource on a server pool (book a sim.Servers clock or a free time instead):"; echo "$$out"; exit 1; fi
+	@out=$$(grep -n '\.Go(' $$(ls internal/kv/*.go | grep -v _test.go)); \
+		if [ -n "$$out" ]; then echo "process started in internal/kv (answer calls with a fabric.Server):"; echo "$$out"; exit 1; fi
+	@out=$$(find . \( -path ./bench -o -path './.*' \) -prune -o -name '*.go' ! -name '*_test.go' -print | \
+		xargs awk 'FNR == 1 {fn = ""} /^func /{fn=$$0} /RecvRPC\(/ && !/^func RecvRPC\(/ && !(FILENAME == "./internal/dfs/servers.go" && fn ~ /\) mdsServe\(/) {print FILENAME ":" FNR ": " $$0}'); \
+		if [ -n "$$out" ]; then echo "RPC receive loop outside the DFS MDS (answer calls with a fabric.Server):"; echo "$$out"; exit 1; fi
 	@out=$$(find . \( -path ./bench -o -path './.*' \) -prune -o -name '*.go' ! -name '*_test.go' -print | xargs wc -l | \
 		awk '$$2 != "total" && $$1 > 700'); \
 		if [ -n "$$out" ]; then echo "non-test file over 700 lines (split it along its seams):"; echo "$$out"; exit 1; fi
@@ -167,6 +176,8 @@ whatif:
 # a tracked SSD overwrite with its barrier, an SSD read into a caller's
 # buffer, a contended and an uncontended CPU execution, a contended DMA and a
 # fabric RPC round trip with nil payloads, and a Slice of a materialised memory extent;
+# a KV GetInto round trip through a shard's fabric.Server allocates only the
+# boxing of its request and reply;
 # an 8 KiB write+read through the TGT, through KVFS and through the whole
 # stack stays at its fixed per-command bookkeeping.
 allocs:

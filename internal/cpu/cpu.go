@@ -88,24 +88,33 @@ func (c *Pool) Exec(p *sim.Proc, cycles int64) {
 }
 
 // ExecDuration runs a fixed-duration piece of work on one core: it books the
-// core that frees first from the instant it does, and p sleeps once, until
-// the work ends.
+// core (Book), p sleeps once, until the work ends, and the execution is
+// counted then.
 func (c *Pool) ExecDuration(p *sim.Proc, d time.Duration) {
-	if d < 0 {
-		panic(fmt.Sprintf("cpu: pool %q negative work %v", c.name, d))
-	}
 	now := p.Now()
-	start := c.clock.Grant(now)
-	if start > now {
-		d += c.SwitchOverhead
-	}
-	end := start + sim.Time(d)
-	c.clock.Book(start, end)
+	start, end := c.Book(d)
 	p.SleepUntil(end)
 	c.o.Attr(p, obs.CompWait, c.waitKind, now, start)
 	c.o.Attr(p, obs.CompCPU, c.execKind, start, end)
 	c.execs.Inc()
-	c.busyNs.Add(int64(d))
+	c.busyNs.Add(int64(end - start))
+}
+
+// Book books the core that frees first for d of work issued now, plus the
+// switch overhead if it frees later, and returns when the work starts and
+// ends; waiting is the caller's. Only ExecDuration publishes the execution.
+func (c *Pool) Book(d time.Duration) (start, end sim.Time) {
+	if d < 0 {
+		panic(fmt.Sprintf("cpu: pool %q negative work %v", c.name, d))
+	}
+	now := c.eng.Now()
+	start = c.clock.Grant(now)
+	if start > now {
+		d += c.SwitchOverhead
+	}
+	end = start + sim.Time(d)
+	c.clock.Book(start, end)
+	return start, end
 }
 
 // busySeconds returns the core-seconds booked before now.

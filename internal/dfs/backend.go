@@ -165,9 +165,7 @@ type fileAttr struct {
 
 type dsNode struct {
 	node  *fabric.Node
-	cpu   *cpu.Pool
 	store map[string][]byte
-	down  bool
 }
 
 // Backend is the assembled DFS cluster.
@@ -186,7 +184,8 @@ type Backend struct {
 	Recalls stats.Counter
 }
 
-// NewBackend builds the cluster and starts its server processes.
+// NewBackend builds the cluster and starts its MDS processes; each data
+// server answers its "data" port with a fabric.Server.
 func NewBackend(eng *sim.Engine, net *fabric.Network, cfg BackendConfig) *Backend {
 	coder, err := ec.New(cfg.ECData, cfg.ECParity)
 	if err != nil {
@@ -215,16 +214,10 @@ func NewBackend(eng *sim.Engine, net *fabric.Network, cfg BackendConfig) *Backen
 		eng.Go(fmt.Sprintf("mds-%d-lazy", i), func(p *sim.Proc) { b.lazyServe(p, mm) })
 	}
 	for i := 0; i < cfg.DSCount; i++ {
-		d := &dsNode{
-			node:  net.NewNode(fmt.Sprintf("ds-%d", i)),
-			cpu:   cpu.NewPool(eng, fmt.Sprintf("ds-cpu-%d", i), cfg.DSCores, cfg.DSFreqHz),
-			store: map[string][]byte{},
-		}
+		d := &dsNode{node: net.NewNode(fmt.Sprintf("ds-%d", i)), store: map[string][]byte{}}
 		b.ds = append(b.ds, d)
-		for w := 0; w < cfg.DSCores; w++ {
-			dd := d
-			eng.Go(fmt.Sprintf("ds-%d-w%d", i, w), func(p *sim.Proc) { b.dsServe(p, dd) })
-		}
+		d.node.Serve("data", cfg.DSCores, cpu.NewPool(eng, fmt.Sprintf("ds-cpu-%d", i), cfg.DSCores, cfg.DSFreqHz),
+			cfg.DSCycles, dsResp{OK: false}, func(req any) (any, time.Duration, int) { return b.dsApply(d, req.(dsReq)) })
 	}
 	return b
 }

@@ -141,7 +141,7 @@ func TestDegradedReadReconstructs(t *testing.T) {
 	})
 	// Take down the data server holding block 0's first data shard.
 	down := w.b.Placement(ino, 0)[0]
-	w.b.ds[down].down = true
+	w.b.ds[down].node.Down = true
 	w.run(func(p *sim.Proc) {
 		got, err := w.opt.Read(p, ino, 0, len(payload))
 		if err != nil {

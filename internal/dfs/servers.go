@@ -148,41 +148,25 @@ func (b *Backend) recallDelegations(p *sim.Proc, m *mdsNode, ino, size uint64, w
 	}
 }
 
-// dsServe is one data-server worker loop.
-func (b *Backend) dsServe(p *sim.Proc, d *dsNode) {
-	port := d.node.Listen("data")
-	for {
-		rpc := fabric.RecvRPC(p, port)
-		req := rpc.Req.(dsReq)
-		if d.down {
-			rpc.Reply(p, d.node, dsResp{OK: false}, 32)
-			continue
+// dsApply runs req on a data server, at the instant its execution ends, and
+// returns the reply, the media time and the reply's size.
+func (b *Backend) dsApply(d *dsNode, req dsReq) (any, time.Duration, int) {
+	bytes := 0
+	if req.Op == dsWrite {
+		for _, s := range req.Shards {
+			d.store[s.Key] = append([]byte(nil), s.Data...)
+			bytes += len(s.Data)
 		}
-		d.cpu.Exec(p, b.cfg.DSCycles)
-
-		bytes := 0
-		var out []dsShard
-		switch req.Op {
-		case dsWrite:
-			for _, s := range req.Shards {
-				d.store[s.Key] = append([]byte(nil), s.Data...)
-				bytes += len(s.Data)
-			}
-			p.Sleep(b.cfg.DSWriteMedia + time.Duration(int64(bytes)*int64(time.Second)/b.cfg.DSMediaBps))
-			rpc.Reply(p, d.node, dsResp{OK: true}, 32)
-
-		case dsRead:
-			for _, s := range req.Shards {
-				data, ok := d.store[s.Key]
-				if ok {
-					out = append(out, dsShard{Key: s.Key, Data: append([]byte(nil), data...)})
-					bytes += len(data)
-				}
-			}
-			p.Sleep(b.cfg.DSReadMedia + time.Duration(int64(bytes)*int64(time.Second)/b.cfg.DSMediaBps))
-			rpc.Reply(p, d.node, dsResp{Shards: out, OK: true}, 32+bytes)
+		return dsResp{OK: true}, b.cfg.DSWriteMedia + time.Duration(int64(bytes)*int64(time.Second)/b.cfg.DSMediaBps), 32
+	}
+	var out []dsShard
+	for _, s := range req.Shards {
+		if data, ok := d.store[s.Key]; ok {
+			out = append(out, dsShard{Key: s.Key, Data: append([]byte(nil), data...)})
+			bytes += len(data)
 		}
 	}
+	return dsResp{Shards: out, OK: true}, b.cfg.DSReadMedia + time.Duration(int64(bytes)*int64(time.Second)/b.cfg.DSMediaBps), 32 + bytes
 }
 
 // parallelCalls issues one RPC per target, each from its own process, and

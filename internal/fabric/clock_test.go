@@ -62,7 +62,7 @@ func refWire(net *Network, departs map[*Node]map[sim.Time]int) wire {
 			transmit(p, from, dst, dst.Listen(port), payload, bytes)
 		},
 		call: func(p *sim.Proc, from, dst *Node, port string, req any, bytes int) any {
-			env := &RPC{From: from, Req: req, ReqBytes: bytes, reply: sim.NewMailbox[Message](net.eng, from.name+"-reply", 0)}
+			env := &RPC{From: from, Req: req, reply: sim.NewMailbox[Message](net.eng, from.name+"-reply", 0)}
 			transmit(p, from, dst, dst.Listen(port), env, bytes)
 			return env.reply.Recv(p).Payload
 		},

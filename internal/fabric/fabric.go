@@ -1,8 +1,8 @@
 // Package fabric models the datacenter network between the application
 // server (or its DPU) and disaggregated storage: an RDMA-capable fabric with
 // propagation delay and per-node NIC bandwidth. It provides node endpoints,
-// one-way messages and a blocking RPC helper used by the KV store and DFS
-// backends.
+// one-way messages, a blocking RPC helper, and the process-free Server the
+// KV shards and the DFS data servers answer calls with.
 package fabric
 
 import (
@@ -56,6 +56,8 @@ type Node struct {
 	net   *Network
 	name  string
 	ports map[string]*sim.Mailbox[Message]
+	// servers holds the ports a Server answers (Serve).
+	servers map[string]*Server
 	// txBusyUntil and rxBusyUntil are the NIC's two directions as clocks:
 	// a message leaves after the sender's earlier messages have left and
 	// arrives after the receiver's earlier arrivals, each serialized at the
@@ -65,6 +67,8 @@ type Node struct {
 	// idle holds the node's RPC envelopes that are in no call, each with
 	// its reply mailbox.
 	idle []*RPC
+	// Down marks the node failed: its Servers answer with their down replies.
+	Down bool
 }
 
 // NewNode registers a node. Node names must be unique.
@@ -98,10 +102,12 @@ func (nd *Node) Listen(port string) *sim.Mailbox[Message] {
 }
 
 // flight is one message on its way from the sender's NIC into a mailbox on
-// dst. Flights are recycled; their depart and arrive funcs are bound once.
+// dst, or a call into a Server on dst. Flights are recycled; their depart
+// and arrive funcs are bound once.
 type flight struct {
 	dst                *Node
 	mb                 *sim.Mailbox[Message]
+	srv                *Server
 	msg                Message
 	ser                time.Duration
 	departFn, arriveFn func()
@@ -140,9 +146,13 @@ func (f *flight) depart() {
 }
 
 func (f *flight) arrive() {
-	f.mb.TrySend(f.msg)
+	if f.srv != nil {
+		f.srv.arrive(f.msg.Payload.(*RPC))
+	} else {
+		f.mb.TrySend(f.msg)
+	}
 	net := f.dst.net
-	f.dst, f.mb, f.msg = nil, nil, Message{}
+	f.dst, f.mb, f.srv, f.msg = nil, nil, nil, Message{}
 	net.free = append(net.free, f)
 }
 
@@ -158,16 +168,15 @@ func (nd *Node) Send(p *sim.Proc, dst *Node, port string, payload any, bytes int
 // RPC is a request envelope carrying its own reply channel. Its node reuses
 // it for a later call once the reply is in.
 type RPC struct {
-	From     *Node
-	Req      any
-	ReqBytes int
-	reply    *sim.Mailbox[Message]
+	From  *Node
+	Req   any
+	reply *sim.Mailbox[Message]
 }
 
-// Call sends req to a port on dst and blocks until the server replies,
-// returning the response payload. The caller does not wait for its request
-// to leave: the departure is an event, and the caller parks once, on the
-// reply.
+// Call sends req to a port on dst and blocks until the server (a process
+// receiving from the port, or its Server) replies, returning the response
+// payload. The caller does not wait for its request to leave: the departure
+// is an event, and the caller parks once, on the reply.
 func (nd *Node) Call(p *sim.Proc, dst *Node, port string, req any, reqBytes int) any {
 	var env *RPC
 	if k := len(nd.idle) - 1; k >= 0 {
@@ -175,8 +184,11 @@ func (nd *Node) Call(p *sim.Proc, dst *Node, port string, req any, reqBytes int)
 	} else {
 		env = &RPC{From: nd, reply: sim.NewMailbox[Message](nd.net.eng, nd.name+"-reply", 0)}
 	}
-	env.Req, env.ReqBytes = req, reqBytes
-	f, depart := nd.post(dst, dst.Listen(port), env, reqBytes)
+	env.Req = req
+	f, depart := nd.post(dst, nil, env, reqBytes)
+	if f.srv = dst.servers[port]; f.srv == nil {
+		f.mb = dst.Listen(port)
+	}
 	nd.net.eng.Schedule(depart, f.departFn)
 	resp := env.reply.Recv(p).Payload
 	env.Req = nil

@@ -79,10 +79,7 @@ func DefaultClusterConfig() ClusterConfig {
 
 type shard struct {
 	node  *fabric.Node
-	cpu   *cpu.Pool
 	store *Store
-	cfg   ClusterConfig
-	down  bool
 }
 
 // Cluster is the set of storage nodes.
@@ -90,29 +87,30 @@ type Cluster struct {
 	cfg    ClusterConfig
 	shards []*shard
 
+	// Ops counts the requests the shards applied; a down shard applies none.
 	Ops stats.Counter
 }
 
-// NewCluster creates the shards, registers their fabric nodes and starts the
-// server processes.
+// NewCluster creates the shards and registers their fabric nodes, each
+// serving the "kv" port.
 func NewCluster(eng *sim.Engine, net *fabric.Network, cfg ClusterConfig) *Cluster {
 	if cfg.Shards < 1 || cfg.WorkersPerShard < 1 {
 		panic(fmt.Sprintf("kv: bad config %+v", cfg))
 	}
 	c := &Cluster{cfg: cfg}
 	for i := 0; i < cfg.Shards; i++ {
-		sh := &shard{
-			node:  net.NewNode(fmt.Sprintf("kv-shard-%d", i)),
-			cpu:   cpu.NewPool(eng, fmt.Sprintf("kv-cpu-%d", i), cfg.CoresPerShard, cfg.CoreFreqHz),
-			store: NewStore(int64(i) + 1),
-			cfg:   cfg,
-		}
+		sh := &shard{node: net.NewNode(fmt.Sprintf("kv-shard-%d", i)), store: NewStore(int64(i) + 1)}
 		c.shards = append(c.shards, sh)
-		for w := 0; w < cfg.WorkersPerShard; w++ {
-			eng.Go(fmt.Sprintf("kv-worker-%d-%d", i, w), func(p *sim.Proc) { sh.serve(p, c) })
-		}
+		c.serve(sh, cpu.NewPool(eng, fmt.Sprintf("kv-cpu-%d", i), cfg.CoresPerShard, cfg.CoreFreqHz))
 	}
 	return c
+}
+
+// serve makes sh's node answer the "kv" port: WorkersPerShard slots, each
+// request ServerCycles on pool, then the store operation and its media time.
+func (c *Cluster) serve(sh *shard, pool *cpu.Pool) {
+	sh.node.Serve("kv", c.cfg.WorkersPerShard, pool, c.cfg.ServerCycles, Reply{Down: true},
+		func(req any) (any, time.Duration, int) { return c.apply(sh, req.(Request)) })
 }
 
 // Shards returns the shard count.
@@ -141,54 +139,42 @@ func (c *Cluster) TotalKeys() int {
 	return n
 }
 
-func (sh *shard) serve(p *sim.Proc, c *Cluster) {
-	port := sh.node.Listen("kv")
-	for {
-		rpc := fabric.RecvRPC(p, port)
-		req := rpc.Req.(Request)
-		if sh.down {
-			rpc.Reply(p, sh.node, Reply{Down: true}, 32)
-			continue
-		}
-		sh.cpu.Exec(p, sh.cfg.ServerCycles)
-
-		var rep Reply
-		var mediaLat time.Duration
-		var mediaBytes int
-		switch req.Op {
-		case OpGet:
-			rep.Val, rep.Found = sh.store.Get(req.Key)
-			mediaLat, mediaBytes = sh.cfg.ReadMedia, len(rep.Val)
-		case OpGetInto:
-			// Media time and reply size are the whole value's, as for OpGet,
-			// whatever window of it the destination takes.
-			rep.Len, rep.Found = sh.store.GetInto(req.Key, req.Off, req.Into)
-			mediaLat, mediaBytes = sh.cfg.ReadMedia, rep.Len
-		case OpPut:
-			sh.store.Put(req.Key, req.Val)
-			rep.Found = true
-			mediaLat, mediaBytes = sh.cfg.WriteMedia, len(req.Val)
-		case OpDelete:
-			rep.Found = sh.store.Delete(req.Key)
-			mediaLat, mediaBytes = sh.cfg.WriteMedia, 0
-		case OpScan:
-			rep.KVs = sh.store.Scan(req.Key, req.Limit)
-			rep.Found = true
-			for _, kvp := range rep.KVs {
-				mediaBytes += len(kvp.Val)
-			}
-			mediaLat = sh.cfg.ReadMedia
-		}
-
-		p.Sleep(mediaLat + time.Duration(int64(mediaBytes)*int64(time.Second)/sh.cfg.MediaBps))
-
-		c.Ops.Inc()
-		respBytes := 64 + len(rep.Val) + rep.Len
+// apply runs req on sh's store, at the instant the shard's execution of it
+// ends, and returns the reply, the media time and the reply's size.
+func (c *Cluster) apply(sh *shard, req Request) (any, time.Duration, int) {
+	var rep Reply
+	var mediaLat time.Duration
+	var mediaBytes int
+	switch req.Op {
+	case OpGet:
+		rep.Val, rep.Found = sh.store.Get(req.Key)
+		mediaLat, mediaBytes = c.cfg.ReadMedia, len(rep.Val)
+	case OpGetInto:
+		// Media time and reply size are the whole value's, as for OpGet,
+		// whatever window of it the destination takes.
+		rep.Len, rep.Found = sh.store.GetInto(req.Key, req.Off, req.Into)
+		mediaLat, mediaBytes = c.cfg.ReadMedia, rep.Len
+	case OpPut:
+		sh.store.Put(req.Key, req.Val)
+		rep.Found = true
+		mediaLat, mediaBytes = c.cfg.WriteMedia, len(req.Val)
+	case OpDelete:
+		rep.Found = sh.store.Delete(req.Key)
+		mediaLat, mediaBytes = c.cfg.WriteMedia, 0
+	case OpScan:
+		rep.KVs = sh.store.Scan(req.Key, req.Limit)
+		rep.Found = true
 		for _, kvp := range rep.KVs {
-			respBytes += len(kvp.Key) + len(kvp.Val) + 16
+			mediaBytes += len(kvp.Val)
 		}
-		rpc.Reply(p, sh.node, rep, respBytes)
+		mediaLat = c.cfg.ReadMedia
 	}
+	c.Ops.Inc()
+	respBytes := 64 + len(rep.Val) + rep.Len
+	for _, kvp := range rep.KVs {
+		respBytes += len(kvp.Key) + len(kvp.Val) + 16
+	}
+	return rep, mediaLat + time.Duration(int64(mediaBytes)*int64(time.Second)/c.cfg.MediaBps), respBytes
 }
 
 // Client issues KV operations from a fabric node (typically the DPU).

@@ -137,7 +137,7 @@ func TestClientGetInto(t *testing.T) {
 		if n, ok := cl.GetInto(p, "no-such-key", 0, dst); ok || n != 0 {
 			t.Errorf("GetInto(missing) = %d, %v", n, ok)
 		}
-		c.shards[c.ShardFor("block-key")].down = true
+		c.shards[c.ShardFor("block-key")].node.Down = true
 		poisoned := bytes.Repeat([]byte{0xDB}, 16)
 		if _, ok := cl.GetInto(p, "block-key", 0, poisoned); ok || !bytes.Equal(poisoned, bytes.Repeat([]byte{0xDB}, 16)) {
 			t.Errorf("owning shard down: found=%v, destination %x", ok, poisoned)

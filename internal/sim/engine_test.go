@@ -6,7 +6,7 @@ import (
 )
 
 func TestScheduleOrdering(t *testing.T) {
-	e := NewEngine(1)
+	e := newTestEngine(t, 1)
 	var got []int
 	e.Schedule(30, func() { got = append(got, 3) })
 	e.Schedule(10, func() { got = append(got, 1) })
@@ -24,7 +24,7 @@ func TestScheduleOrdering(t *testing.T) {
 }
 
 func TestSameTimeFIFO(t *testing.T) {
-	e := NewEngine(1)
+	e := newTestEngine(t, 1)
 	var got []int
 	for i := 0; i < 10; i++ {
 		i := i
@@ -39,7 +39,7 @@ func TestSameTimeFIFO(t *testing.T) {
 }
 
 func TestSchedulePastPanics(t *testing.T) {
-	e := NewEngine(1)
+	e := newTestEngine(t, 1)
 	e.Schedule(100, func() {})
 	e.Run()
 	defer func() {
@@ -51,7 +51,7 @@ func TestSchedulePastPanics(t *testing.T) {
 }
 
 func TestAfter(t *testing.T) {
-	e := NewEngine(1)
+	e := newTestEngine(t, 1)
 	var at Time
 	e.Schedule(1000, func() {
 		e.After(5*Microsecond, func() { at = e.Now() })
@@ -63,7 +63,7 @@ func TestAfter(t *testing.T) {
 }
 
 func TestRunUntil(t *testing.T) {
-	e := NewEngine(1)
+	e := newTestEngine(t, 1)
 	fired := 0
 	e.Schedule(100, func() { fired++ })
 	e.Schedule(200, func() { fired++ })
@@ -82,7 +82,7 @@ func TestRunUntil(t *testing.T) {
 }
 
 func TestRunUntilAdvancesClockWithNoEvents(t *testing.T) {
-	e := NewEngine(1)
+	e := newTestEngine(t, 1)
 	e.RunUntil(12345)
 	if e.Now() != 12345 {
 		t.Fatalf("Now = %v, want 12345", e.Now())
@@ -90,7 +90,7 @@ func TestRunUntilAdvancesClockWithNoEvents(t *testing.T) {
 }
 
 func TestProcSleep(t *testing.T) {
-	e := NewEngine(1)
+	e := newTestEngine(t, 1)
 	var wakeTimes []Time
 	e.Go("sleeper", func(p *Proc) {
 		p.Sleep(10 * Microsecond)
@@ -105,7 +105,7 @@ func TestProcSleep(t *testing.T) {
 }
 
 func TestProcZeroSleepNoOp(t *testing.T) {
-	e := NewEngine(1)
+	e := newTestEngine(t, 1)
 	done := false
 	e.Go("p", func(p *Proc) {
 		p.Sleep(0)
@@ -118,7 +118,7 @@ func TestProcZeroSleepNoOp(t *testing.T) {
 }
 
 func TestProcInterleaving(t *testing.T) {
-	e := NewEngine(1)
+	e := newTestEngine(t, 1)
 	var trace []string
 	e.Go("a", func(p *Proc) {
 		trace = append(trace, "a0")
@@ -145,7 +145,7 @@ func TestProcInterleaving(t *testing.T) {
 }
 
 func TestSleepUntil(t *testing.T) {
-	e := NewEngine(1)
+	e := newTestEngine(t, 1)
 	var at Time
 	e.Go("p", func(p *Proc) {
 		p.SleepUntil(500)
@@ -160,7 +160,7 @@ func TestSleepUntil(t *testing.T) {
 
 func TestDeterminism(t *testing.T) {
 	run := func() []Time {
-		e := NewEngine(42)
+		e := newTestEngine(t, 42)
 		var times []Time
 		for i := 0; i < 5; i++ {
 			e.Go("w", func(p *Proc) {
@@ -186,7 +186,7 @@ func TestDeterminism(t *testing.T) {
 }
 
 func TestShutdownRunsDefers(t *testing.T) {
-	e := NewEngine(1)
+	e := newTestEngine(t, 1)
 	cleaned := false
 	c := NewCond(e, "never")
 	e.Go("waiter", func(p *Proc) {
@@ -209,7 +209,7 @@ func TestShutdownRunsDefers(t *testing.T) {
 func (p *Proc) Yield() { p.wakeAt(p.eng.now) }
 
 func TestYield(t *testing.T) {
-	e := NewEngine(1)
+	e := newTestEngine(t, 1)
 	var trace []string
 	e.Go("a", func(p *Proc) {
 		trace = append(trace, "a0")

@@ -30,8 +30,8 @@ func handJoin(p *Proc, name string, n int, body func(c *Proc, i int)) {
 // that ticks every 1µs, so the join's events meet others at the same
 // instants. It returns each step as "time proc what seq", seq being the
 // engine's last sequence number, and the engine's counters.
-func joinWorld(n int, join func(p *Proc, name string, n int, body func(c *Proc, i int))) ([]string, [4]int64) {
-	e := NewEngine(1)
+func joinWorld(t testing.TB, n int, join func(p *Proc, name string, n int, body func(c *Proc, i int))) ([]string, [4]int64) {
+	e := newTestEngine(t, 1)
 	var log []string
 	note := func(p *Proc, what string) {
 		log = append(log, fmt.Sprintf("%d %s %s %d", p.Now(), p.Name(), what, e.seq))
@@ -64,8 +64,8 @@ func joinWorld(n int, join func(p *Proc, name string, n int, body func(c *Proc, 
 func TestForkMatchesHandRolledJoin(t *testing.T) {
 	for _, n := range []int{0, 1, 3} {
 		t.Run(fmt.Sprint(n), func(t *testing.T) {
-			got, gotCounts := joinWorld(n, (*Proc).Fork)
-			want, wantCounts := joinWorld(n, handJoin)
+			got, gotCounts := joinWorld(t, n, (*Proc).Fork)
+			want, wantCounts := joinWorld(t, n, handJoin)
 			if !slices.Equal(got, want) {
 				t.Fatalf("event log differs:\nFork:\n%s\nhand-rolled:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
 			}

@@ -13,8 +13,8 @@ import (
 // makes room, a contended Resource, a Ticker, a plain
 // event tied with a wake, a child spawned mid-run — over RunUntil in two
 // slices, and returns the (time, proc, step) log.
-func goldenScript() []string {
-	e := NewEngine(1)
+func goldenScript(t testing.TB) []string {
+	e := newTestEngine(t, 1)
 	var log []string
 	rec := func(who, step string) {
 		log = append(log, fmt.Sprintf("%d %s %s", e.Now(), who, step))
@@ -132,7 +132,7 @@ var goldenLog = []string{
 }
 
 func TestGoldenInterleaving(t *testing.T) {
-	got := goldenScript()
+	got := goldenScript(t)
 	if strings.Join(got, "\n") != strings.Join(goldenLog, "\n") {
 		t.Fatalf("interleaving changed:\n got:\n%s\nwant:\n%s",
 			strings.Join(got, "\n"), strings.Join(goldenLog, "\n"))

@@ -6,7 +6,7 @@ import (
 )
 
 func TestMailboxSendThenRecv(t *testing.T) {
-	e := NewEngine(1)
+	e := newTestEngine(t, 1)
 	m := NewMailbox[int](e, "m", 0)
 	var got []int
 	e.Go("sender", func(p *Proc) {
@@ -26,7 +26,7 @@ func TestMailboxSendThenRecv(t *testing.T) {
 }
 
 func TestMailboxRecvBlocksUntilSend(t *testing.T) {
-	e := NewEngine(1)
+	e := newTestEngine(t, 1)
 	m := NewMailbox[string](e, "m", 0)
 	var at Time
 	var msg string
@@ -45,7 +45,7 @@ func TestMailboxRecvBlocksUntilSend(t *testing.T) {
 }
 
 func TestMailboxMultipleReceiversFIFO(t *testing.T) {
-	e := NewEngine(1)
+	e := newTestEngine(t, 1)
 	m := NewMailbox[int](e, "m", 0)
 	got := make(map[string]int)
 	e.Go("r1", func(p *Proc) { got["r1"] = m.Recv(p) })
@@ -64,7 +64,7 @@ func TestMailboxMultipleReceiversFIFO(t *testing.T) {
 // TestMailboxSendOnFullPanics: no sender waits for room. A bounded mailbox
 // is a doorbell rung with TrySend; Send on a full one is a bug.
 func TestMailboxSendOnFullPanics(t *testing.T) {
-	e := NewEngine(1)
+	e := newTestEngine(t, 1)
 	m := NewMailbox[int](e, "m", 1)
 	var recovered any
 	e.Go("sender", func(p *Proc) {
@@ -82,7 +82,7 @@ func TestMailboxSendOnFullPanics(t *testing.T) {
 }
 
 func TestMailboxTrySend(t *testing.T) {
-	e := NewEngine(1)
+	e := newTestEngine(t, 1)
 	m := NewMailbox[int](e, "m", 1)
 	if !m.TrySend(7) {
 		t.Fatal("TrySend on empty bounded mailbox failed")
@@ -101,7 +101,7 @@ func TestMailboxServerLoop(t *testing.T) {
 		x     int
 		reply *Mailbox[int]
 	}
-	e := NewEngine(1)
+	e := newTestEngine(t, 1)
 	in := NewMailbox[req](e, "in", 0)
 	e.Go("server", func(p *Proc) {
 		for {
@@ -144,7 +144,7 @@ func TestMailboxOrderProperty(t *testing.T) {
 		if n > 32 {
 			n = 32
 		}
-		e := NewEngine(3)
+		e := newTestEngine(t, 3)
 		m := NewMailbox[int](e, "m", 0)
 		var got []int
 		e.Go("sender", func(p *Proc) {
@@ -178,7 +178,7 @@ func TestMailboxOrderProperty(t *testing.T) {
 }
 
 func TestCondSignalBroadcast(t *testing.T) {
-	e := NewEngine(1)
+	e := newTestEngine(t, 1)
 	c := NewCond(e, "c")
 	var woke []string
 	for _, name := range []string{"a", "b", "c"} {

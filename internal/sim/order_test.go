@@ -206,7 +206,7 @@ func (w *orderWorld) check(when string) {
 func TestDispatchOrderProperty(t *testing.T) {
 	inPlace, queued := 0, 0
 	for seed := int64(0); seed < 300; seed++ {
-		e := NewEngine(seed)
+		e := newTestEngine(t, seed)
 		w := &orderWorld{
 			t: t, e: e, rng: rand.New(rand.NewSource(seed)),
 			gate: NewCond(e, "gate"), mb: NewMailbox[int](e, "mb", 2), cores: NewResource(e, "cores", 2),
@@ -256,8 +256,7 @@ func TestDispatchOrderProperty(t *testing.T) {
 // the smaller seq: the sleeper must park and let it fire first. One scheduled
 // after the wake fires after it.
 func TestSleepTieGoesToEarlierSeq(t *testing.T) {
-	e := NewEngine(1)
-	defer e.Shutdown()
+	e := newTestEngine(t, 1)
 	var got []string
 	e.Schedule(5, func() { got = append(got, "early") })
 	e.Go("sleeper", func(p *Proc) {
@@ -280,8 +279,7 @@ func TestSleepTieGoesToEarlierSeq(t *testing.T) {
 // A Sleep to exactly the run's limit is taken in place; one past it parks
 // with its wake pending and leaves the clock for RunUntil to set.
 func TestSleepAtAndPastLimit(t *testing.T) {
-	e := NewEngine(1)
-	defer e.Shutdown()
+	e := newTestEngine(t, 1)
 	var parksAtLimit, parksPast int64
 	e.Go("sleeper", func(p *Proc) {
 		parks := e.Parks
@@ -306,8 +304,7 @@ func TestSleepAtAndPastLimit(t *testing.T) {
 // With nothing pending for now, Yield has nobody to get behind: it returns at
 // once and still consumes the sequence number its wake would have had.
 func TestYieldAloneConsumesSeq(t *testing.T) {
-	e := NewEngine(1)
-	defer e.Shutdown()
+	e := newTestEngine(t, 1)
 	e.Go("lone", func(p *Proc) {
 		seq, parks := e.seq, e.Parks
 		p.Yield()
@@ -322,7 +319,7 @@ func TestYieldAloneConsumesSeq(t *testing.T) {
 // an event in its way: the ticker sees the sleeper's wake pending at each
 // fire, and stops at the first fire after the work ends, as it always has.
 func TestTickerOverLoneSleeper(t *testing.T) {
-	e := NewEngine(1)
+	e := newTestEngine(t, 1)
 	var fires []Time
 	tk := e.NewTicker(100*Microsecond, func(now Time) { fires = append(fires, now) })
 	e.Go("work", func(p *Proc) {
@@ -343,7 +340,7 @@ func TestTickerOverLoneSleeper(t *testing.T) {
 // park of a dead process, not run on in place and move the clock.
 func TestDeferredSleepUnderShutdown(t *testing.T) {
 	for _, fromEvent := range []bool{false, true} {
-		e := NewEngine(1)
+		e := newTestEngine(t, 1)
 		never := NewCond(e, "never")
 		var unwound any
 		var at Time
@@ -371,8 +368,7 @@ func TestDeferredSleepUnderShutdown(t *testing.T) {
 // Only the running process may sleep: from event context, or on behalf of
 // another process, Sleep still reaches park and its panic.
 func TestSleepFromWrongContextPanics(t *testing.T) {
-	e := NewEngine(1)
-	defer e.Shutdown()
+	e := newTestEngine(t, 1)
 	idle := NewCond(e, "idle")
 	other := e.Go("other", func(p *Proc) { idle.Wait(p) })
 	mustPanic := func(who string, f func()) {

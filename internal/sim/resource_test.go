@@ -16,7 +16,7 @@ func hold(p *Proc, r *Resource, d time.Duration) {
 }
 
 func TestResourceImmediateGrant(t *testing.T) {
-	e := NewEngine(1)
+	e := newTestEngine(t, 1)
 	r := NewResource(e, "cpu", 2)
 	var end Time
 	e.Go("p", func(p *Proc) {
@@ -33,7 +33,7 @@ func TestResourceImmediateGrant(t *testing.T) {
 }
 
 func TestResourceQueueing(t *testing.T) {
-	e := NewEngine(1)
+	e := newTestEngine(t, 1)
 	r := NewResource(e, "cpu", 1)
 	var ends []Time
 	for i := 0; i < 3; i++ {
@@ -49,7 +49,7 @@ func TestResourceQueueing(t *testing.T) {
 }
 
 func TestResourceParallelism(t *testing.T) {
-	e := NewEngine(1)
+	e := newTestEngine(t, 1)
 	r := NewResource(e, "cpu", 4)
 	var ends []Time
 	for i := 0; i < 8; i++ {
@@ -66,7 +66,7 @@ func TestResourceParallelism(t *testing.T) {
 }
 
 func TestResourceReleasePanics(t *testing.T) {
-	e := NewEngine(1)
+	e := newTestEngine(t, 1)
 	r := NewResource(e, "r", 1)
 	defer func() {
 		if recover() == nil {
@@ -86,7 +86,7 @@ func TestResourceConservationProperty(t *testing.T) {
 		if len(durs) > 64 {
 			durs = durs[:64]
 		}
-		e := NewEngine(7)
+		e := newTestEngine(t, 7)
 		r := NewResource(e, "r", 1)
 		var total int64
 		var ends []Time
@@ -143,8 +143,7 @@ func TestRWLockGrantOrder(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			e := NewEngine(1)
-			defer e.Shutdown()
+			e := newTestEngine(t, 1)
 			var l RWLock
 			var got []string
 			for _, a := range tc.arrivals {
@@ -173,8 +172,7 @@ func TestRWLockGrantOrder(t *testing.T) {
 // keep from advancing in place.
 func TestRWLockBlockedLockParksOnce(t *testing.T) {
 	const n = 16
-	e := NewEngine(1)
-	defer e.Shutdown()
+	e := newTestEngine(t, 1)
 	var l RWLock
 	held := 0
 	for i := 0; i < n; i++ {

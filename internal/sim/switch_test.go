@@ -132,8 +132,7 @@ func TestSwitchPathsZeroAllocs(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			e := NewEngine(1)
-			defer e.Shutdown()
+			e := newTestEngine(t, 1)
 			tc.setup(e)
 			for i := 0; i < 64; i++ { // warm up: heap, queues and carriers reach their size
 				step(e)
@@ -157,8 +156,7 @@ func TestSwitchPathsZeroAllocs(t *testing.T) {
 // command's completion, a fan-out's join) costs the Cond itself and nothing
 // on its first Wait, whether it is woken by Signal or by Broadcast.
 func TestFreshCondWaitZeroAllocs(t *testing.T) {
-	e := NewEngine(1)
-	defer e.Shutdown()
+	e := newTestEngine(t, 1)
 	var c *Cond
 	e.Go("waiter", func(p *Proc) {
 		for {
@@ -178,8 +176,7 @@ func TestFreshCondWaitZeroAllocs(t *testing.T) {
 // A finished body parks its carrier; the next Go takes it over, so spawning a
 // short process allocates the Proc and nothing else.
 func TestGoReusesCarrier(t *testing.T) {
-	e := NewEngine(1)
-	defer e.Shutdown()
+	e := newTestEngine(t, 1)
 	ran := 0
 	body := func(p *Proc) { p.Sleep(Microsecond); ran++ }
 	spawn := func() {
@@ -201,7 +198,7 @@ func TestGoReusesCarrier(t *testing.T) {
 // A panic in a process body surfaces from Run, on the goroutine that called
 // Run, carrying the original value; the engine stays usable for the others.
 func TestProcPanicSurfacesFromRun(t *testing.T) {
-	e := NewEngine(1)
+	e := newTestEngine(t, 1)
 	boom := errors.New("boom")
 	survived := false
 	e.Go("bystander", func(p *Proc) {
@@ -232,7 +229,10 @@ func TestProcPanicSurfacesFromRun(t *testing.T) {
 
 func TestShutdownOrderDefersAndGoroutines(t *testing.T) {
 	base := runtime.NumGoroutine()
-	e := NewEngine(1)
+	if base >= 20 {
+		t.Fatalf("%d goroutines alive before the test: an earlier test left its carriers running", base)
+	}
+	e := newTestEngine(t, 1)
 	never := NewCond(e, "never")
 	again := NewCond(e, "again")
 	var order []string
@@ -281,8 +281,7 @@ func TestShutdownOrderDefersAndGoroutines(t *testing.T) {
 // A lone sleeper's wake-up is always the next event, so every Sleep is the
 // in-place advance: no heap entry, no switch.
 func BenchmarkSleepSwitch(b *testing.B) {
-	e := NewEngine(1)
-	defer e.Shutdown()
+	e := newTestEngine(b, 1)
 	b.ReportAllocs()
 	e.Go("sleeper", func(p *Proc) {
 		b.ResetTimer()
@@ -297,8 +296,7 @@ func BenchmarkSleepSwitch(b *testing.B) {
 // is always behind the other's, so every Sleep is the full round trip — heap
 // push, park, pop, wake. One iteration is one such activation.
 func BenchmarkSleepInterleaved(b *testing.B) {
-	e := NewEngine(1)
-	defer e.Shutdown()
+	e := newTestEngine(b, 1)
 	b.ReportAllocs()
 	for i, name := range []string{"a", "b"} {
 		e.Go(name, func(p *Proc) {
@@ -316,8 +314,7 @@ func BenchmarkSleepInterleaved(b *testing.B) {
 }
 
 func BenchmarkMailboxPingPong(b *testing.B) {
-	e := NewEngine(1)
-	defer e.Shutdown()
+	e := newTestEngine(b, 1)
 	ping := NewMailbox[int](e, "ping", 0)
 	pong := NewMailbox[int](e, "pong", 0)
 	b.ReportAllocs()
@@ -337,8 +334,7 @@ func BenchmarkMailboxPingPong(b *testing.B) {
 }
 
 func BenchmarkGoShortProc(b *testing.B) {
-	e := NewEngine(1)
-	defer e.Shutdown()
+	e := newTestEngine(b, 1)
 	body := func(p *Proc) { p.Sleep(Microsecond) }
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {

@@ -9,7 +9,7 @@ import (
 // a ticker fires on its grid for as long as other work is pending, then
 // stops itself so plain Run() still drains.
 func TestTickerIdleStops(t *testing.T) {
-	e := NewEngine(1)
+	e := newTestEngine(t, 1)
 	var fireTimes []Time
 	tk := e.NewTicker(100*time.Microsecond, func(now Time) {
 		fireTimes = append(fireTimes, now)
@@ -37,7 +37,7 @@ func TestTickerIdleStops(t *testing.T) {
 
 // TestTickerStop checks an explicit Stop ends the cadence immediately.
 func TestTickerStop(t *testing.T) {
-	e := NewEngine(1)
+	e := newTestEngine(t, 1)
 	fires := 0
 	var tk *Ticker
 	tk = e.NewTicker(time.Microsecond, func(now Time) {
@@ -62,5 +62,5 @@ func TestTickerRejectsBadInterval(t *testing.T) {
 			t.Error("NewTicker(0) did not panic")
 		}
 	}()
-	NewEngine(1).NewTicker(0, func(Time) {})
+	newTestEngine(t, 1).NewTicker(0, func(Time) {})
 }

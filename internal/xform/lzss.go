@@ -146,6 +146,12 @@ func matchLength(src []byte, a, b int) int {
 }
 
 func lzDecompress(src []byte, origLen int) ([]byte, bool) {
+	// No body byte expands to more than half a longest match (a 2-byte
+	// back-reference), so a larger origLen is a corrupt header: refuse it
+	// before sizing the output by it.
+	if origLen > len(src)*(lzMaxMatch/2) {
+		return nil, false
+	}
 	out := make([]byte, 0, origLen)
 	i := 0
 	for i < len(src) && len(out) < origLen {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -103,6 +104,22 @@ func TestDecodeGarbage(t *testing.T) {
 				t.Errorf("%s accepted garbage % x", tr.Name(), g)
 			}
 		}
+	}
+}
+
+// A compressed block whose header claims more than its body can expand to
+// is corrupt, and decoding it does not allocate what the header claims.
+func TestLZSSDecodeRejectsOversizedHeader(t *testing.T) {
+	block := []byte{'L', 0, 0, 0, 4, 0x01, 'a', 0x00, 0x00} // claims 64 MiB
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := LZSS{}.Decode(block)
+	runtime.ReadMemStats(&after)
+	if err != ErrCorrupt {
+		t.Fatalf("Decode of a 9-byte block claiming 64 MiB: %v, want ErrCorrupt", err)
+	}
+	if d := after.TotalAlloc - before.TotalAlloc; d >= 1<<20 {
+		t.Fatalf("Decode allocated %d bytes for a 9-byte block", d)
 	}
 }
 

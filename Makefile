@@ -118,8 +118,9 @@ check-faults:
 # timed once, then the world is power-failed at seed-chosen instants (biased
 # into fsync group-commit and metadata windows), restarted from the
 # surviving superblock + WAL, and verified against every durability promise
-# acknowledged before the crash. Failures ddmin-shrink with the crash point
-# pinned.
+# acknowledged before the crash; each recovery is power-failed once more at a
+# seed-chosen instant inside it, and that image recovered and verified too.
+# Failures ddmin-shrink with the crash point pinned.
 check-crash:
 	$(GO) run ./cmd/dpccheck -crash -seeds 4 -points 6
 

@@ -359,7 +359,7 @@ func sharedPagesRun(t *testing.T, set func(*Options), ops int, k int64) {
 		if n := sys.KVFSService().Ctl.InflightReads(); n != 0 {
 			t.Errorf("%d pages still in the in-flight read table", n)
 		}
-		for _, prob := range sys.KVFS.Fsck(p, sys.KVCluster).Problems {
+		for _, prob := range kvfs.Fsck(sys.KVCluster).Problems {
 			t.Errorf("kvfs fsck: %s", prob)
 		}
 	})

@@ -312,7 +312,8 @@ func (c *Client) Rmdir(p *sim.Proc, qid int, path string) error {
 	return err
 }
 
-// Rename moves a file or directory.
+// Rename moves a dentry: a file, or a directory with its subtree. Moving a
+// directory into its own subtree is refused.
 func (c *Client) Rename(p *sim.Proc, qid int, oldPath, newPath string) error {
 	_, err := c.metaOp(p, qid, nvme.FileOpRename, oldPath, newPath)
 	return err

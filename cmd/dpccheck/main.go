@@ -19,8 +19,10 @@
 // windows and metadata ops). The SSD loses its un-barriered volatile
 // blocks, the system restarts from the surviving superblock + WAL, and the
 // recovered tree is verified against every durability promise the stack
-// acknowledged before the crash. Failures shrink to a minimal trace with
-// the crash point pinned.
+// acknowledged before the crash. Each recovery is then re-run and power-
+// failed again at a seed-chosen instant inside it, and that image is
+// recovered and verified the same way (the "crash inside recovery" line).
+// Failures shrink to a minimal trace with the crash point pinned.
 //
 // Exit status 1 when any stack diverges from the oracle; the report
 // includes a minimal shrunk trace and the command line that reproduces it.
@@ -145,6 +147,9 @@ func runCrash(seed int64, seeds, ops, points int, shrink bool, parallel int, ver
 	}
 	fmt.Printf("crash sweep: %d runs, %d records replayed, %d stale skipped, %d torn tails, %d WAL blocks lost, %d scavenge repairs, slowest recovery %v\n",
 		rep.Runs, rep.Replayed, rep.SkippedStale, rep.TornTails, rep.LostWALBlocks, rep.Scavenged, rep.MaxRecovery)
+	rc := rep.Recrash
+	fmt.Printf("crash inside recovery: %d runs, %d records replayed, %d stale skipped, %d torn tails, %d WAL blocks lost, %d scavenge repairs, slowest recovery %v\n",
+		rc.Runs, rc.Replayed, rc.SkippedStale, rc.TornTails, rc.LostWALBlocks, rc.Scavenged, rc.MaxRecovery)
 	if len(failures) == 0 {
 		fmt.Printf("ok: %d seeds x %d crash points recovered every durability promise\n",
 			len(cfg.Seeds), points)

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"dpc/internal/kvfs"
 	"dpc/internal/sim"
 )
 
@@ -108,7 +109,7 @@ func TestDirectWritesRacingFlushKeepLastVersion(t *testing.T) {
 				}
 			}
 		}
-		if probs := sys.KVFS.Fsck(p, sys.KVCluster).Problems; len(probs) > 0 {
+		if probs := kvfs.Fsck(sys.KVCluster).Problems; len(probs) > 0 {
 			t.Errorf("fsck: %v", probs)
 		}
 	})

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"dpc/internal/kvfs"
 	"dpc/internal/sim"
 )
 
@@ -60,7 +61,7 @@ func TestFlushClampsToEOF(t *testing.T) {
 		}
 		full, _ = f.Read(p, 0, 0, 4*size, true)
 		pastEOF, _ = f.Read(p, 0, size, 8192, true)
-		probs = sys.KVFS.Fsck(p, sys.KVCluster).Problems
+		probs = kvfs.Fsck(sys.KVCluster).Problems
 	})
 	sys.RunFor(time.Second)
 	sys.Shutdown()

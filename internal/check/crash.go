@@ -55,7 +55,7 @@ func timeTrace(trace []Op) ([]opWindow, []string) {
 		probs = w.journalLeaks()
 		w.Settle(p)
 		w.Barrier(p)
-		probs = append(probs, w.Fsck(p)...)
+		probs = append(probs, w.Fsck()...)
 	})
 	return wins, probs
 }
@@ -71,20 +71,25 @@ type crashImage struct {
 }
 
 // captureCrash re-runs trace on an identical world up to exactly tc, then
-// pulls the plug: un-barriered WAL writes are independently kept or torn by
-// rng, and the KV shards are dumped as-is (a KV put is atomic, but a crash
-// between the puts of one metadata op strands any prefix — the scavenger's
-// job). Nothing in the extraction consumes virtual time.
+// pulls the plug.
 func captureCrash(trace []Op, tc sim.Time, rng *rand.Rand) *crashImage {
 	w := crashStack.world(nil)
-	sys := w.Sys
-	sys.Go(func(p *sim.Proc) {
+	w.Sys.Go(func(p *sim.Proc) {
 		for _, op := range trace {
 			w.Apply(p, op)
 		}
 	})
-	sys.RunUntil(tc)
+	return pullPlug(w, tc, rng)
+}
 
+// pullPlug runs w up to exactly tc and power-fails it: un-barriered WAL
+// writes are independently kept or torn by rng, and the KV shards are dumped
+// as-is (a KV put is atomic, but a crash between the puts of one metadata
+// op strands any prefix — the scavenger's job). Nothing in the extraction
+// consumes virtual time.
+func pullPlug(w *World, tc sim.Time, rng *rand.Rand) *crashImage {
+	sys := w.Sys
+	sys.RunUntil(tc)
 	img := &crashImage{}
 	img.lost = sys.WALDev.Crash(rng)
 	img.wal = sys.WALDev.Snapshot()
@@ -100,9 +105,8 @@ func captureCrash(trace []Op, tc sim.Time, rng *rand.Rand) *crashImage {
 	return img
 }
 
-// recoverImage transplants a crash image into a fresh world and runs the
-// production recovery sequence (scavenge, WAL replay, checkpoint).
-func recoverImage(img *crashImage) (*World, wal.ReplayStats, *kvfs.RecoverReport, error) {
+// transplant builds a fresh world holding a crash image's durable state.
+func transplant(img *crashImage) *World {
 	w := crashStack.world(nil)
 	sys := w.Sys
 	sys.WALDev.Restore(img.wal)
@@ -113,13 +117,42 @@ func recoverImage(img *crashImage) (*World, wal.ReplayStats, *kvfs.RecoverReport
 			st.Put(kvp.Key, append([]byte(nil), kvp.Val...))
 		}
 	}
+	return w
+}
+
+// crashRecovery runs the recovery of img in a fresh world and power-fails it
+// at t2, as pullPlug does.
+func crashRecovery(img *crashImage, t2 sim.Time, rng *rand.Rand) *crashImage {
+	w := transplant(img)
+	w.Sys.Go(func(p *sim.Proc) { w.Sys.Recover(p) })
+	return pullPlug(w, t2, rng)
+}
+
+// recoverAndVerify transplants a crash image into a fresh world, runs the
+// production recovery sequence (scavenge, WAL replay, checkpoint) to
+// completion and verifies the result against the durability model m, with
+// inflight the op in flight at the first crash. It returns the violation
+// ("" if none), the recovery's telemetry and the virtual-time window
+// System.Recover took.
+func recoverAndVerify(img *crashImage, m *durableModel, inflight *Op) (string, crashRunStats, opWindow) {
+	w := transplant(img)
+	defer w.Stop()
+	st := crashRunStats{lost: img.lost}
 	var (
-		stats wal.ReplayStats
-		rep   *kvfs.RecoverReport
-		rerr  error
+		win  opWindow
+		rerr error
 	)
-	w.Drive(func(p *sim.Proc) { stats, rep, rerr = sys.Recover(p) })
-	return w, stats, rep, rerr
+	w.Drive(func(p *sim.Proc) {
+		win.start = p.Now()
+		st.replay, st.report, rerr = w.Sys.Recover(p)
+		win.end = p.Now()
+	})
+	if rerr != nil {
+		return fmt.Sprintf("recovery error: %v", rerr), st, win
+	}
+	var diff string
+	w.Drive(func(p *sim.Proc) { diff = verifyRecovered(p, w, m, inflight) })
+	return diff, st, win
 }
 
 // CrashPoint pins a crash instant to a trace op: the crash fires Frac of
@@ -183,11 +216,13 @@ func (f *CrashFailure) Error() string {
 		f.Seed, f.Point.Anchor, f.Point.Frac, time.Duration(f.When), f.Diff)
 }
 
-// crashRunStats aggregates one crash point's recovery telemetry.
+// crashRunStats aggregates one crash point's recovery telemetry, and in
+// recrash that of its second power failure, inside the recovery.
 type crashRunStats struct {
-	replay wal.ReplayStats
-	report *kvfs.RecoverReport
-	lost   int
+	replay  wal.ReplayStats
+	report  *kvfs.RecoverReport
+	lost    int
+	recrash *crashRunStats
 }
 
 func indexOfIdx(trace []Op, idx int) int {
@@ -206,9 +241,12 @@ func crashRNG(seed int64, pt CrashPoint) *rand.Rand {
 }
 
 // runCrashPoint executes one full crash cycle — re-run to the crash
-// instant, power failure, transplant, recovery, verification — and returns
-// a failure (nil if the recovered state honors every durability promise)
-// plus the run's recovery telemetry.
+// instant, power failure, transplant, recovery, verification — then power-
+// fails a second run of that recovery at a seed-chosen instant inside
+// System.Recover (scavenge, replay or checkpoint), tearing the WAL the same
+// way, and recovers and verifies that image against the same promises. It
+// returns a failure (nil if both recovered states honor every durability
+// promise) plus the runs' recovery telemetry.
 func runCrashPoint(seed int64, trace []Op, wins []opWindow, pt CrashPoint) (*CrashFailure, crashRunStats) {
 	idx := indexOfIdx(trace, pt.Anchor)
 	if idx < 0 {
@@ -216,19 +254,6 @@ func runCrashPoint(seed int64, trace []Op, wins []opWindow, pt CrashPoint) (*Cra
 	}
 	win := wins[idx]
 	tc := win.start + sim.Time(pt.Frac*float64(win.end-win.start))
-
-	img := captureCrash(trace, tc, crashRNG(seed, pt))
-	st := crashRunStats{lost: img.lost}
-
-	w, replay, rep, rerr := recoverImage(img)
-	defer w.Stop()
-	st.replay, st.report = replay, rep
-	fail := func(diff string) *CrashFailure {
-		return &CrashFailure{Seed: seed, Point: pt, When: tc, Diff: diff, Trace: trace, Replay: replay}
-	}
-	if rerr != nil {
-		return fail(fmt.Sprintf("recovery error: %v", rerr)), st
-	}
 
 	// Rebuild the durability model from the ops that completed before the
 	// crash, and identify the (at most one) op in flight at tc. Only
@@ -251,11 +276,22 @@ func runCrashPoint(seed int64, trace []Op, wins []opWindow, pt CrashPoint) (*Cra
 		}
 		break
 	}
+	fail := func(diff string, replay wal.ReplayStats) *CrashFailure {
+		return &CrashFailure{Seed: seed, Point: pt, When: tc, Diff: diff, Trace: trace, Replay: replay}
+	}
 
-	var diff string
-	w.Drive(func(p *sim.Proc) { diff = verifyRecovered(p, w, m, inflight) })
+	img := captureCrash(trace, tc, crashRNG(seed, pt))
+	diff, st, rwin := recoverAndVerify(img, m, inflight)
 	if diff != "" {
-		return fail(diff), st
+		return fail(diff, st.replay), st
+	}
+
+	rng := rand.New(rand.NewSource(crashRNG(seed, pt).Int63())) // places and tears the second crash
+	t2 := rwin.start + sim.Time(rng.Float64()*float64(rwin.end-rwin.start))
+	diff, second, _ := recoverAndVerify(crashRecovery(img, t2, rng), m, inflight)
+	st.recrash = &second
+	if diff != "" {
+		return fail(fmt.Sprintf("after a second crash %v into recovery: %s", time.Duration(t2-rwin.start), diff), second.replay), st
 	}
 	return nil, st
 }
@@ -309,6 +345,23 @@ type CrashReport struct {
 	LostWALBlocks int           // WAL blocks torn by the power failures
 	Scavenged     int           // files repaired + orphans removed
 	MaxRecovery   time.Duration // slowest recovery (virtual time)
+
+	// Recrash holds the same figures for the second power failures, each
+	// inside the recovery from a crash point's first.
+	Recrash *CrashReport
+}
+
+func (r *CrashReport) add(st crashRunStats) {
+	r.Runs++
+	r.TornTails += st.replay.TornTails
+	r.Replayed += st.replay.Replayed
+	r.SkippedStale += st.replay.SkippedStale
+	r.LostWALBlocks += st.lost
+	if st.report != nil {
+		r.Scavenged += st.report.RepairedFiles + st.report.OrphanAttrs +
+			st.report.DanglingDentries + st.report.DupDentries
+	}
+	r.MaxRecovery = max(r.MaxRecovery, st.replay.Duration)
 }
 
 // RunCrashSuite runs the crash-restart torture: per seed, one timing run,
@@ -329,7 +382,7 @@ func RunCrashSuite(cfg CrashSuiteConfig) ([]*CrashFailure, *CrashReport, error) 
 	var (
 		mu       sync.Mutex
 		failures []*CrashFailure
-		report   CrashReport
+		report   = CrashReport{Recrash: &CrashReport{}}
 		fsckErrs []error
 	)
 	pool(len(cfg.Seeds), cfg.Parallel, cfg.Logf, func(i int, logf func(string, ...any)) {
@@ -345,17 +398,9 @@ func RunCrashSuite(cfg CrashSuiteConfig) ([]*CrashFailure, *CrashReport, error) 
 		for _, pt := range pickCrashPoints(rng, trace, points) {
 			fail, st := runCrashPoint(seed, trace, wins, pt)
 			mu.Lock()
-			report.Runs++
-			report.TornTails += st.replay.TornTails
-			report.Replayed += st.replay.Replayed
-			report.SkippedStale += st.replay.SkippedStale
-			report.LostWALBlocks += st.lost
-			if st.report != nil {
-				report.Scavenged += st.report.RepairedFiles + st.report.OrphanAttrs +
-					st.report.DanglingDentries + st.report.DupDentries
-			}
-			if st.replay.Duration > report.MaxRecovery {
-				report.MaxRecovery = st.replay.Duration
+			report.add(st)
+			if st.recrash != nil {
+				report.Recrash.add(*st.recrash)
 			}
 			mu.Unlock()
 			if fail == nil {

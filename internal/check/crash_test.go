@@ -1,7 +1,10 @@
 package check
 
 import (
+	"math/rand"
+	"strings"
 	"testing"
+	"time"
 
 	"dpc/internal/sim"
 )
@@ -25,8 +28,8 @@ func TestCrashRestartTorture(t *testing.T) {
 	for _, f := range fails {
 		t.Errorf("%v (trace %d ops)", f, len(f.Trace))
 	}
-	if rep.Runs != 15 {
-		t.Errorf("runs = %d, want 15", rep.Runs)
+	if rep.Runs != 15 || rep.Recrash.Runs != 15 {
+		t.Errorf("runs = %d, with a crash inside recovery %d; want 15 of each", rep.Runs, rep.Recrash.Runs)
 	}
 	if rep.Replayed == 0 {
 		t.Error("sweep never replayed a WAL page record — crash points miss the journal")
@@ -61,21 +64,56 @@ func TestCrashHarnessCatchesLostJournal(t *testing.T) {
 	tc := wins[idx].start + sim.Time(pt.Frac*float64(wins[idx].end-wins[idx].start))
 	img := captureCrash(trace, tc, crashRNG(7, pt))
 	img.wal = map[int64][]byte{} // sabotage: the journal vanishes
-	w, _, _, rerr := recoverImage(img)
-	defer w.Stop()
-	if rerr != nil {
-		t.Fatalf("sabotaged recovery errored: %v", rerr)
-	}
 	m := newDurableModel()
 	for _, op := range trace[:3] {
 		m.apply(op)
 	}
-	var diff string
-	w.Drive(func(p *sim.Proc) { diff = verifyRecovered(p, w, m, nil) })
+	diff, _, _ := recoverAndVerify(img, m, nil)
+	if strings.HasPrefix(diff, "recovery error") {
+		t.Fatalf("sabotaged recovery errored: %s", diff)
+	}
 	if diff == "" {
 		t.Fatal("verifier accepted a recovery that lost journaled fsync data")
 	}
 	t.Logf("caught as expected: %s", diff)
+}
+
+// TestCrashInsideRecovery: a second power failure at any of a sweep of
+// instants inside the recovery from the canary's crash — in the scavenge,
+// the replay or the checkpoint — leaves an image whose own recovery still
+// keeps the fsync promise, replaying the journal again where the first
+// recovery's checkpoint had not landed.
+func TestCrashInsideRecovery(t *testing.T) {
+	trace := []Op{
+		{Idx: 0, Kind: OpCreate, Path: "/f0"},
+		{Idx: 1, Kind: OpWrite, Path: "/f0", Off: 0, Len: 32768},
+		{Idx: 2, Kind: OpFsync, Path: "/f0"},
+		{Idx: 3, Kind: OpStat, Path: "/f0"},
+	}
+	wins := timedClean(t, trace)
+	tc := wins[3].start + (wins[3].end-wins[3].start)/2
+	m := newDurableModel()
+	for _, op := range trace[:3] {
+		m.apply(op)
+	}
+	img := captureCrash(trace, tc, rand.New(rand.NewSource(7)))
+	diff, st, win := recoverAndVerify(img, m, nil)
+	if diff != "" || st.replay.Replayed == 0 {
+		t.Fatalf("first recovery: %q, stats %+v", diff, st.replay)
+	}
+	replayedAgain := 0
+	for i := range int64(16) {
+		t2 := win.start + (win.end-win.start)*sim.Time(i)/16
+		diff, st2, _ := recoverAndVerify(crashRecovery(img, t2, rand.New(rand.NewSource(i))), m, nil)
+		if diff != "" {
+			t.Errorf("crash %v into recovery: %s", time.Duration(t2-win.start), diff)
+		}
+		replayedAgain += min(st2.replay.Replayed, 1)
+	}
+	if replayedAgain == 0 {
+		t.Error("no second recovery replayed the journal: every crash missed the replay")
+	}
+	t.Logf("%d of 16 second recoveries replayed the journal again", replayedAgain)
 }
 
 // TestCrashTornTail sweeps fine-grained crash instants across the tail of a

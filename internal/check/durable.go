@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"dpc/internal/kvfs"
 	"dpc/internal/sim"
 )
 
@@ -171,7 +172,7 @@ func verifyRecovered(p *sim.Proc, w *World, m *durableModel, inflight *Op) strin
 	}
 
 	// The repaired image must be structurally clean before any semantics.
-	if probs := w.Sys.KVFS.Fsck(p, w.Sys.KVCluster).Problems; len(probs) > 0 {
+	if probs := kvfs.Fsck(w.Sys.KVCluster).Problems; len(probs) > 0 {
 		return "post-recovery fsck: " + strings.Join(probs, "; ")
 	}
 

@@ -69,7 +69,7 @@ func runTraceOn(w *World, seed int64, trace []Op) *Failure {
 			fail = &Failure{Stack: w.Name, Seed: seed, OpIdx: len(trace), Diff: "final verify: " + d, Trace: trace}
 			return
 		}
-		if probs := w.Fsck(p); len(probs) > 0 {
+		if probs := w.Fsck(); len(probs) > 0 {
 			fail = &Failure{Stack: w.Name, Seed: seed, OpIdx: len(trace),
 				Diff: "fsck: " + strings.Join(probs, "; "), Trace: trace}
 		}

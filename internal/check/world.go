@@ -9,6 +9,7 @@ import (
 	"dpc/internal/cache"
 	"dpc/internal/dfs"
 	"dpc/internal/fault"
+	"dpc/internal/kvfs"
 	"dpc/internal/localfs"
 	"dpc/internal/sim"
 	"dpc/internal/world"
@@ -117,13 +118,13 @@ func (w *World) Barrier(p *sim.Proc) {
 // entry the control plane still records as its own, on which the next fsync
 // would park for good, one still noted by a journal attempt that neither
 // landed nor was undone, or a page left in the in-flight read table.
-func (w *World) Fsck(p *sim.Proc) []string {
+func (w *World) Fsck() []string {
 	if w.Ext4 != nil {
 		return w.Ext4.Fsck().Problems
 	}
 	var probs []string
 	if w.Sys != nil && w.Sys.KVFS != nil {
-		probs = w.Sys.KVFS.Fsck(p, w.Sys.KVCluster).Problems
+		probs = kvfs.Fsck(w.Sys.KVCluster).Problems
 	}
 	if w.Ctl != nil {
 		probs = append(probs, cache.Fsck(w.M.HostMem, w.Ctl.L)...)

@@ -125,3 +125,20 @@ func NameOfDentryKey(key string) string {
 	}
 	return key[9:]
 }
+
+// decodeKey splits a KVFS key into its type byte and the inode it names: the
+// file's for attribute ('a'), small-file ('s') and block ('b') keys, with the
+// block number for the last, and the parent directory's for a dentry ('d').
+// kind is 0 for a key of no known shape.
+func decodeKey(key string) (kind byte, ino, blk uint64) {
+	be := func(off int) uint64 { return binary.BigEndian.Uint64([]byte(key[off : off+8])) }
+	switch {
+	case len(key) == 9 && (key[0] == 'a' || key[0] == 's'):
+		return key[0], be(1), 0
+	case len(key) == 25 && key[0] == 'b':
+		return 'b', be(9), be(17)
+	case len(key) > 9 && key[0] == 'd':
+		return 'd', be(1), 0
+	}
+	return 0, 0, 0
+}

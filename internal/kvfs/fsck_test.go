@@ -21,9 +21,7 @@ func TestFsckCleanFS(t *testing.T) {
 		empty, _ := fs.Create(p, "/empty")
 		_ = empty
 	})
-	var r *FsckReport
-	run(m, func(p *sim.Proc) { r = fs.Fsck(p, cluster) })
-	m.Eng.Shutdown()
+	r := Fsck(cluster)
 	if !r.OK() {
 		t.Fatalf("clean FS reported problems: %v", r.Problems)
 	}
@@ -38,13 +36,14 @@ func TestFsckDetectsMissingAttr(t *testing.T) {
 	run(m, func(p *sim.Proc) {
 		ino, _ = fs.Create(p, "/victim")
 	})
-	// Corrupt: delete the attribute KV directly in the store.
+	// Corrupt: delete the attribute KV directly in the store. The FS's
+	// attribute cache still holds it; fsck reads the store.
 	key := AttrKey(ino)
 	cluster.StoreOf(cluster.ShardFor(key)).Delete(key)
-	delete(fs.attrCache, ino)
-	var r *FsckReport
-	run(m, func(p *sim.Proc) { r = fs.Fsck(p, cluster) })
-	m.Eng.Shutdown()
+	if _, cached := fs.attrCache[ino]; !cached {
+		t.Fatal("setup: the attribute is not cached")
+	}
+	r := Fsck(cluster)
 	if r.OK() {
 		t.Fatal("missing attribute KV not detected")
 	}
@@ -59,9 +58,7 @@ func TestFsckDetectsMissingBlock(t *testing.T) {
 	})
 	key := BigKey(ino, 1)
 	cluster.StoreOf(cluster.ShardFor(key)).Delete(key)
-	var r *FsckReport
-	run(m, func(p *sim.Proc) { r = fs.Fsck(p, cluster) })
-	m.Eng.Shutdown()
+	r := Fsck(cluster)
 	if r.OK() {
 		t.Fatal("missing big-file block not detected")
 	}
@@ -75,9 +72,7 @@ func TestFsckDetectsOrphanAttr(t *testing.T) {
 		orphan := Attr{Ino: 999, Mode: ModeFile, Nlink: 1}
 		fs.cl.Put(p, AttrKey(999), orphan.Marshal())
 	})
-	var r *FsckReport
-	run(m, func(p *sim.Proc) { r = fs.Fsck(p, cluster) })
-	m.Eng.Shutdown()
+	r := Fsck(cluster)
 	if r.OK() {
 		t.Fatal("orphan attribute not detected")
 	}
@@ -92,9 +87,7 @@ func TestFsckDetectsOrphanData(t *testing.T) {
 		fs.cl.Put(p, SmallKey(999), []byte("lost"))
 		fs.cl.Put(p, BigKey(998, 2), make([]byte, BlockSize))
 	})
-	var r *FsckReport
-	run(m, func(p *sim.Proc) { r = fs.Fsck(p, cluster) })
-	m.Eng.Shutdown()
+	r := Fsck(cluster)
 	slices.Sort(r.Problems)
 	want := []string{"orphan big-file block 2 of ino 998", "orphan small-file KV for ino 999"}
 	if !slices.Equal(r.Problems, want) {
@@ -113,9 +106,7 @@ func TestFsckDetectsSizeMismatch(t *testing.T) {
 		a.Size = 6000
 		fs.putAttr(p, a)
 	})
-	var r *FsckReport
-	run(m, func(p *sim.Proc) { r = fs.Fsck(p, cluster) })
-	m.Eng.Shutdown()
+	r := Fsck(cluster)
 	if r.OK() {
 		t.Fatal("size mismatch not detected")
 	}
@@ -129,9 +120,7 @@ func TestFsckDetectsBlockPastEOF(t *testing.T) {
 		fs.Write(p, ino, 0, make([]byte, 2*BlockSize))
 		fs.cl.Put(p, BigKey(ino, 5), make([]byte, BlockSize))
 	})
-	var r *FsckReport
-	run(m, func(p *sim.Proc) { r = fs.Fsck(p, cluster) })
-	m.Eng.Shutdown()
+	r := Fsck(cluster)
 	want := []string{fmt.Sprintf("big-file block 5 of ino %d lies past EOF %d", ino, 2*BlockSize)}
 	if !slices.Equal(r.Problems, want) {
 		t.Fatalf("problems = %q, want %q", r.Problems, want)

@@ -397,7 +397,9 @@ func (fs *FS) Rmdir(p *sim.Proc, path string) error {
 }
 
 // Rename moves a dentry. The inode number is stable, so file data KVs do
-// not move.
+// not move. A destination whose path runs through the source — a directory
+// moved into its own subtree, which would cut the subtree off from the
+// root — is refused with ErrBadName.
 func (fs *FS) Rename(p *sim.Proc, oldPath, newPath string) error {
 	fs.charge(p)
 	oldP, oldLeaf, err := fs.splitParent(p, oldPath)
@@ -414,6 +416,12 @@ func (fs *FS) Rename(p *sim.Proc, oldPath, newPath string) error {
 	}
 	if _, exists := fs.lookupDentry(p, newP, newLeaf); exists {
 		return ErrExists
+	}
+	// Paths are canonical (resolve refuses empty components) and every
+	// directory has one dentry, so only a path under oldPath resolves through
+	// the source.
+	if strings.HasPrefix(strings.Trim(newPath, "/")+"/", strings.Trim(oldPath, "/")+"/") {
+		return ErrBadName
 	}
 	fs.putDentry(p, newP, newLeaf, ino)
 	fs.delDentry(p, oldP, oldLeaf)

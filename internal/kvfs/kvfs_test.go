@@ -17,6 +17,7 @@ func newTestFS(t *testing.T) (*model.Machine, *kv.Cluster, *FS) {
 	t.Helper()
 	m := model.NewMachine(model.Default())
 	cluster := kv.NewCluster(m.Eng, m.Net, kv.DefaultClusterConfig())
+	t.Cleanup(m.Eng.Shutdown)
 	fs := New(m, cluster.NewClient(m.DPUNode))
 	m.Eng.Go("mount", fs.Mount)
 	m.Eng.Run()
@@ -88,7 +89,6 @@ func TestCreateLookupGetattr(t *testing.T) {
 			t.Errorf("ghost lookup = %v", err)
 		}
 	})
-	m.Eng.Shutdown()
 }
 
 func TestDeepPathsAndReaddir(t *testing.T) {
@@ -119,7 +119,6 @@ func TestDeepPathsAndReaddir(t *testing.T) {
 			t.Errorf("Readdir on file = %v", err)
 		}
 	})
-	m.Eng.Shutdown()
 }
 
 func TestSmallFileWholeKVRewrite(t *testing.T) {
@@ -139,7 +138,6 @@ func TestSmallFileWholeKVRewrite(t *testing.T) {
 	if v, ok := cluster.StoreOf(sh).Get(SmallKey(ino)); !ok || string(v) != "hello world" {
 		t.Fatalf("small KV = %q,%v", v, ok)
 	}
-	m.Eng.Shutdown()
 }
 
 func TestSmallToBigMigration(t *testing.T) {
@@ -166,7 +164,6 @@ func TestSmallToBigMigration(t *testing.T) {
 	if v, ok := cluster.StoreOf(cluster.ShardFor(blk0)).Get(blk0); !ok || !bytes.Equal(v, payload[:BlockSize]) {
 		t.Fatal("big block 0 wrong after migration")
 	}
-	m.Eng.Shutdown()
 }
 
 func TestBigFileInPlaceUpdate(t *testing.T) {
@@ -196,7 +193,6 @@ func TestBigFileInPlaceUpdate(t *testing.T) {
 	if count != 7 {
 		t.Fatalf("cluster holds %d keys, want 7", count)
 	}
-	m.Eng.Shutdown()
 }
 
 func TestUnlinkRemovesAllKVs(t *testing.T) {
@@ -218,7 +214,6 @@ func TestUnlinkRemovesAllKVs(t *testing.T) {
 	if total != 1 { // only the root attr remains
 		t.Fatalf("cluster holds %d keys after unlink, want 1", total)
 	}
-	m.Eng.Shutdown()
 }
 
 // TestUnlinkWaitsOutMigration: an Unlink that meets the inode lock of a Write
@@ -245,7 +240,6 @@ func TestUnlinkWaitsOutMigration(t *testing.T) {
 		}
 	})
 	m.Eng.Run()
-	m.Eng.Shutdown()
 	total := 0
 	for i := 0; i < cluster.Shards(); i++ {
 		total += cluster.StoreOf(i).Len()
@@ -271,7 +265,6 @@ func TestRmdirSemantics(t *testing.T) {
 			t.Errorf("rmdir twice = %v", err)
 		}
 	})
-	m.Eng.Shutdown()
 }
 
 func TestRename(t *testing.T) {
@@ -295,7 +288,35 @@ func TestRename(t *testing.T) {
 			t.Error("data lost in rename")
 		}
 	})
-	m.Eng.Shutdown()
+}
+
+// A directory cannot move into its own subtree: the rename would leave the
+// subtree linked only from inside itself, unreachable from the root, and the
+// next Scavenge would delete it.
+func TestRenameIntoOwnSubtreeRefused(t *testing.T) {
+	m, cluster, fs := newTestFS(t)
+	run(m, func(p *sim.Proc) {
+		fs.Mkdir(p, "/a")
+		fs.Mkdir(p, "/a/b")
+		ino, _ := fs.Create(p, "/a/b/f")
+		fs.Write(p, ino, 0, []byte("kept"))
+		for _, mv := range [][2]string{{"/a", "/a/b/c"}, {"/a", "/a/c"}, {"/a/b/", "/a/b/c"}} {
+			if err := fs.Rename(p, mv[0], mv[1]); err != ErrBadName {
+				t.Errorf("Rename(%q, %q) = %v, want ErrBadName", mv[0], mv[1], err)
+			}
+		}
+		// A sibling whose name extends the source's is not inside it.
+		if err := fs.Rename(p, "/a", "/ab"); err != nil {
+			t.Errorf("Rename(/a, /ab): %v", err)
+		}
+		got, err := fs.Lookup(p, "/ab/b/f")
+		if data, _ := fs.Read(p, got, 0, 16); err != nil || got != ino || string(data) != "kept" {
+			t.Errorf("/ab/b/f = ino %d %q, %v; want ino %d \"kept\"", got, data, err, ino)
+		}
+	})
+	if r := Fsck(cluster); !r.OK() || r.Directories != 3 || r.Files != 1 {
+		t.Errorf("fsck after the refused renames: %+v", r)
+	}
 }
 
 func TestTruncate(t *testing.T) {
@@ -314,7 +335,6 @@ func TestTruncate(t *testing.T) {
 			t.Error("read after truncate returned data")
 		}
 	})
-	m.Eng.Shutdown()
 }
 
 func TestNameTooLong(t *testing.T) {
@@ -325,7 +345,6 @@ func TestNameTooLong(t *testing.T) {
 			t.Errorf("long name create = %v", err)
 		}
 	})
-	m.Eng.Shutdown()
 }
 
 func TestPageBackendRoundTrip(t *testing.T) {
@@ -366,7 +385,6 @@ func TestPageBackendRoundTrip(t *testing.T) {
 			t.Errorf("tail read = %d bytes, err %v, want 100", len(d), err)
 		}
 	})
-	m.Eng.Shutdown()
 }
 
 // Property: random aligned and unaligned writes followed by reads match a
@@ -475,8 +493,8 @@ func TestWriteMigrationCrossingSmallMax(t *testing.T) {
 		if err != nil {
 			t.Errorf("read: %v", err)
 		}
-		probs = fs.Fsck(p, cluster).Problems
 	})
+	probs = Fsck(cluster).Problems
 
 	if !bytes.Equal(got, want) {
 		t.Errorf("content mangled by migration: got %d bytes, want %d", len(got), len(want))

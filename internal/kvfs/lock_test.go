@@ -31,12 +31,9 @@ func bigFile(t *testing.T, blocks int, fill byte) (*FS, func(...func(p *sim.Proc
 		m.Eng.Run()
 	}
 	fsck := func() {
-		run(m, func(p *sim.Proc) {
-			if r := fs.Fsck(p, cluster); !r.OK() {
-				t.Errorf("fsck: %v", r.Problems)
-			}
-		})
-		m.Eng.Shutdown()
+		if r := Fsck(cluster); !r.OK() {
+			t.Errorf("fsck: %v", r.Problems)
+		}
 	}
 	return fs, race, ino, fsck
 }

@@ -17,7 +17,6 @@ import (
 func readIntoWorld(t *testing.T, xf xform.Transform, read func(p *sim.Proc, fs *FS, ino, off uint64, n int) ([]byte, error)) ([][]byte, sim.Time) {
 	t.Helper()
 	m, cluster, fs := newTestFS(t)
-	defer m.Eng.Shutdown()
 	fs.SetTransform(xf)
 	const bigSize = 5*BlockSize + 1000
 	body := make([]byte, bigSize)
@@ -97,7 +96,6 @@ func TestReadIntoEqualsRead(t *testing.T) {
 // with zeros up to the page size.
 func TestReadPageRangeTailPadded(t *testing.T) {
 	m, _, fs := newTestFS(t)
-	defer m.Eng.Shutdown()
 	const pageSize, size = 4096, 2*4096 + 100
 	body := bytes.Repeat([]byte{0x77}, size)
 	run(m, func(p *sim.Proc) {
@@ -130,7 +128,6 @@ func TestReadPageRangeTailPadded(t *testing.T) {
 // left is the fixed bookkeeping of two KV round trips: bounded, not zero.
 func TestBlockIOZeroAllocs(t *testing.T) {
 	m, _, fs := newTestFS(t)
-	defer m.Eng.Shutdown()
 	block, dst := bytes.Repeat([]byte{0x3C}, BlockSize), make([]byte, BlockSize)
 	var ino uint64
 	run(m, func(p *sim.Proc) {

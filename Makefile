@@ -179,8 +179,9 @@ whatif:
 # fabric RPC round trip with nil payloads, and a Slice of a materialised memory extent;
 # a KV GetInto round trip through a shard's fabric.Server allocates only the
 # boxing of its request and reply;
-# an 8 KiB write+read through the TGT, through KVFS and through the whole
-# stack stays at its fixed per-command bookkeeping.
+# an 8 KiB write+read through nvme-fs, alone and four deep on one doorbell,
+# allocates nothing (recycled command records, pooled workers, IRQ records),
+# and through the whole stack only what its KV accesses box and key.
 allocs:
 	$(GO) test -count=1 -run 'ZeroScratchAllocs|ZeroAllocs|PairBytes' .
 	$(GO) test -count=1 -run 'ZeroAllocs' ./internal/telemetry ./internal/cache ./internal/nvmefs ./internal/kv ./internal/kvfs ./internal/ssd ./internal/cpu ./internal/sim ./internal/fabric ./internal/pcie ./internal/mem

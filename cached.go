@@ -122,7 +122,7 @@ func (c *Client) writePageCached(p *sim.Proc, qid int, ino, lpn uint64, page []b
 	hdr := dispatch.ReqHeader{Ino: ino, Off: off, Len: uint32(len(page))}
 	comp := c.submit(p, qid, nvmefs.Submission{
 		FileOp:  nvme.FileOpWrite,
-		Header:  hdr.Marshal(),
+		Header:  c.header(hdr),
 		Payload: page,
 	})
 	if err := statusErr(comp.Status); err != nil {
@@ -193,9 +193,9 @@ type pageMiss struct {
 // missSubmission asks the DPU to install the page in the host cache. The
 // cached read path has no other way to the backend: the cache may hold bytes
 // newer than the backend's, so a read never goes around it.
-func missSubmission(ino, lpn, ps uint64) nvmefs.Submission {
+func (c *Client) missSubmission(ino, lpn, ps uint64) nvmefs.Submission {
 	hdr := dispatch.ReqHeader{Ino: ino, Off: lpn * ps, Len: uint32(ps), Flags: dispatch.FlagFillCache}
-	return nvmefs.Submission{FileOp: nvme.FileOpRead, Header: hdr.Marshal(), RHLen: 8, ReadLen: int(ps)}
+	return nvmefs.Submission{FileOp: nvme.FileOpRead, Header: c.header(hdr), RHLen: 8, ReadLen: int(ps)}
 }
 
 // fetchPages serves a batch of pages through the hybrid cache: probe, fill,
@@ -251,14 +251,11 @@ func (c *Client) fetchPages(p *sim.Proc, qid int, ino uint64, reqs []pageFetch) 
 				if len(g) == 0 {
 					continue
 				}
-				subs := make([]nvmefs.Submission, len(g))
+				q := (qid + s) % c.queueCount()
 				for i := range g {
-					subs[i] = missSubmission(ino, reqs[g[i].idx].lpn, ps)
+					g[i].pend = c.enqueue(p, q, c.missSubmission(ino, reqs[g[i].idx].lpn, ps))
 				}
-				pends := c.submitBatch(p, (qid+s)%c.queueCount(), subs)
-				for i := range g {
-					g[i].pend = pends[i]
-				}
+				c.ring(p, q)
 				inflight = append(inflight, g...)
 			}
 		}

@@ -125,6 +125,14 @@ type Client struct {
 	qbase  int
 	qcount int
 
+	// hdrBuf is where every request header is marshalled (header): Submit
+	// and Enqueue copy it into the command before they first park, so one
+	// buffer serves all of the client's processes. statusSink receives the
+	// one-byte status header of the commands whose callers never read it
+	// (direct reads, control commands), so its copy allocates nothing.
+	hdrBuf     [dispatch.ReqHeaderSize]byte
+	statusSink [1]byte
+
 	// Observability handles, cached at construction so the hot paths never
 	// look anything up. All nil when the system has no Obs attached.
 	o      *obs.Obs
@@ -238,19 +246,23 @@ func (c *Client) submit(p *sim.Proc, qid int, sub nvmefs.Submission) nvmefs.Comp
 	return c.sys.Driver.Submit(p, c.mapQ(qid), sub)
 }
 
-// submitBatch enqueues a burst of commands for this service on one queue and
-// rings its doorbell once.
-func (c *Client) submitBatch(p *sim.Proc, qid int, subs []nvmefs.Submission) []*nvmefs.Pending {
-	for i := range subs {
-		subs[i].Dispatch = c.dispatchBit
-	}
-	return c.sys.Driver.SubmitBatch(p, c.mapQ(qid), subs)
+// enqueue stages one command for this service on queue qid; ring publishes
+// every command staged on that queue with one doorbell.
+func (c *Client) enqueue(p *sim.Proc, qid int, sub nvmefs.Submission) *nvmefs.Pending {
+	sub.Dispatch = c.dispatchBit
+	return c.sys.Driver.Enqueue(p, c.mapQ(qid), sub)
 }
+
+func (c *Client) ring(p *sim.Proc, qid int) { c.sys.Driver.Ring(p, c.mapQ(qid)) }
+
+// header marshals h into the client's request-header buffer for the submit
+// or enqueue that follows it, with no park in between.
+func (c *Client) header(h dispatch.ReqHeader) []byte { return h.Put(c.hdrBuf[:]) }
 
 // command runs a header-only control command (a one-byte response header,
 // no payload either way) and maps its status.
 func (c *Client) command(p *sim.Proc, qid int, op uint32, hdr dispatch.ReqHeader) error {
-	comp := c.submit(p, qid, nvmefs.Submission{FileOp: op, Header: hdr.Marshal(), RHLen: 1})
+	comp := c.submit(p, qid, nvmefs.Submission{FileOp: op, Header: c.header(hdr), RHLen: 1, HeaderInto: c.statusSink[:]})
 	return statusErr(comp.Status)
 }
 
@@ -261,7 +273,7 @@ func (c *Client) metaOp(p *sim.Proc, qid int, op uint32, path, path2 string) (a 
 	hdr := dispatch.ReqHeader{PathLen: uint16(len(path)), Aux: uint16(len(path2))}
 	comp := c.submit(p, qid, nvmefs.Submission{
 		FileOp:  op,
-		Header:  hdr.Marshal(),
+		Header:  c.header(hdr),
 		Payload: append([]byte(path), path2...),
 		RHLen:   kvfs.AttrSize,
 	})
@@ -336,7 +348,7 @@ func (c *Client) Readdir(p *sim.Proc, qid int, path string) (out []DirEntry, err
 	hdr := dispatch.ReqHeader{PathLen: uint16(len(path))}
 	comp := c.submit(p, qid, nvmefs.Submission{
 		FileOp:  nvme.FileOpReaddir,
-		Header:  hdr.Marshal(),
+		Header:  c.header(hdr),
 		Payload: []byte(path),
 		RHLen:   1,
 		ReadLen: 64 * 1024,

@@ -100,8 +100,13 @@ func TestBufferedReadIntoZeroAllocs(t *testing.T) {
 // read through the whole stack (client, nvme-fs, dispatch, KVFS, KV shard)
 // allocates under 4 KiB in steady state: no payload-sized buffer is left
 // anywhere — the write overwrites the store's block in place and the read
-// fills the transport's response buffer from the shard.
+// fills the transport's response buffer from the shard. Counted, the pair
+// allocates only on the KV path: per block access, the boxing of its
+// kv.Request and kv.Reply into the fabric's `any` and the BigKey string.
+// The client, nvme-fs (command records, workers, interrupts) and the
+// dispatcher allocate nothing.
 func TestKVFSDirect8KPairBytes(t *testing.T) {
+	const kvAllocsPerAccess, accessesPerPair = 3, 2
 	sys := kvfsSystem(t, 1024)
 	cl := sys.KVFSClient()
 	sys.Go(func(p *sim.Proc) {
@@ -126,6 +131,9 @@ func TestKVFSDirect8KPairBytes(t *testing.T) {
 		}
 		for i := 0; i < 8; i++ {
 			pair()
+		}
+		if a := testing.AllocsPerRun(100, pair); a != kvAllocsPerAccess*accessesPerPair {
+			t.Errorf("8K direct write+read: %v allocs per pair, want %d (the KV path's)", a, kvAllocsPerAccess*accessesPerPair)
 		}
 		const pairs = 100
 		var before, after runtime.MemStats

@@ -50,14 +50,15 @@ func (f *File) writeDirect(p *sim.Proc, qid int, off uint64, data []byte) error 
 // later daemon flush of a pre-write snapshot would overwrite a write.
 //
 // Then the pipeline: up to Window() chunks in flight on the caller's queue,
-// each burst ringing the doorbell once, retired in submission order. A read
-// chunk's ReadInto aims the IRQ-side copy (or inline delivery) straight at
-// its slice of buf, so retiring it moves no bytes. The first failure, or a
-// read's first short chunk, stops submission; what is already in flight is
-// drained, so no completion — and no late error that deserves at least its
-// retry accounting — is abandoned mid-air. Everything retiring after a short
-// chunk reads past the EOF it observed and is discarded, payload and error
-// alike: it cannot change the bytes below EOF already in buf.
+// each burst of Enqueues ringing the doorbell once, retired in submission
+// order. A read chunk's ReadInto aims the IRQ-side copy (or inline
+// delivery) straight at its slice of buf, so retiring it moves no bytes.
+// The first failure, or a read's first short chunk, stops submission; what
+// is already in flight is drained, so no completion — and no late error
+// that deserves at least its retry accounting — is abandoned mid-air.
+// Everything retiring after a short chunk reads past the EOF it observed
+// and is discarded, payload and error alike: it cannot change the bytes
+// below EOF already in buf.
 func (f *File) direct(p *sim.Proc, qid int, off uint64, buf []byte, write bool) (int, error) {
 	c := f.c
 	if c.cacheHost != nil && c.cacheHost.HasDirty(p, f.Ino) {
@@ -67,22 +68,28 @@ func (f *File) direct(p *sim.Proc, qid int, off uint64, buf []byte, write bool) 
 	}
 	maxIO := c.sys.Driver.MaxIO()
 	w := c.sys.Driver.Window()
+	// The chunks in flight, oldest first: inflight[head], then n-1 more
+	// around the ring. The default window fits the array on the stack.
+	var inflightArr [16]*nvmefs.Pending
+	inflight := inflightArr[:]
+	if w > len(inflight) {
+		inflight = make([]*nvmefs.Pending, w)
+	}
 	var (
-		pends    []*nvmefs.Pending
-		burst    []nvmefs.Submission
+		head, n  int
 		next     int // first byte not yet submitted
 		retired  int // end of the chunks retired so far
 		got      int
 		short    bool
 		firstErr error
 	)
-	for next < len(buf) || len(pends) > 0 {
-		if firstErr == nil && !short && next < len(buf) && len(pends) < w {
-			burst = burst[:0]
-			for next < len(buf) && len(pends)+len(burst) < w {
+	for next < len(buf) || n > 0 {
+		if firstErr == nil && !short && next < len(buf) && n < w {
+			for next < len(buf) && n < w {
 				end := min(next+maxIO, len(buf))
 				hdr := dispatch.ReqHeader{Ino: f.Ino, Off: off + uint64(next), Len: uint32(end - next)}
-				sub := nvmefs.Submission{FileOp: nvme.FileOpRead, RHLen: 1, ReadLen: end - next, ReadInto: buf[next:end]}
+				sub := nvmefs.Submission{FileOp: nvme.FileOpRead, RHLen: 1, ReadLen: end - next,
+					ReadInto: buf[next:end], HeaderInto: c.statusSink[:]}
 				if write {
 					if next == 0 {
 						// The first chunk invalidates journaled page history
@@ -93,17 +100,19 @@ func (f *File) direct(p *sim.Proc, qid int, off uint64, buf []byte, write bool) 
 					}
 					sub = nvmefs.Submission{FileOp: nvme.FileOpWrite, Payload: buf[next:end]}
 				}
-				sub.Header = hdr.Marshal()
-				burst = append(burst, sub)
+				sub.Header = c.header(hdr)
+				inflight[(head+n)%w] = c.enqueue(p, qid, sub)
+				n++
 				next = end
 			}
-			pends = append(pends, c.submitBatch(p, qid, burst)...)
+			c.ring(p, qid)
 		}
-		if len(pends) == 0 {
+		if n == 0 {
 			break
 		}
-		comp := pends[0].Wait(p)
-		pends = pends[1:]
+		comp := inflight[head].Wait(p)
+		inflight[head] = nil
+		head, n = (head+1)%w, n-1
 		lo := retired
 		retired = min(retired+maxIO, len(buf))
 		if short {

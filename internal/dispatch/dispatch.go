@@ -249,7 +249,7 @@ func (d *Dispatcher) handleRead(p *sim.Proc, svc *Service, hdr ReqHeader, req nv
 		}
 		// Not filled (bucket busy, or a write overtook the read): ship the
 		// bytes back instead.
-		return nvmefs.Response{Status: nvme.StatusOK, Header: []byte{0}, Data: page}
+		return nvmefs.Response{Status: nvme.StatusOK, Header: hdrData, Data: page}
 	}
 	// DPU-resident cache path (ablation): serve hits from DPU DRAM; the
 	// payload still crosses PCIe in the response.
@@ -257,7 +257,7 @@ func (d *Dispatcher) handleRead(p *sim.Proc, svc *Service, hdr ReqHeader, req nv
 		lpn := hdr.Off / uint64(hdr.Len)
 		if data, ok := svc.dpuCacheGet(hdr.Ino, lpn); ok && uint64(len(data)) == uint64(hdr.Len) {
 			d.m.DPUExec(p, d.m.Cfg.Costs.DPUCacheCtl)
-			return nvmefs.Response{Status: nvme.StatusOK, Header: []byte{0}, Data: data}
+			return nvmefs.Response{Status: nvme.StatusOK, Header: hdrData, Data: data}
 		}
 	}
 	data := req.ReadBuf(int(hdr.Len))
@@ -269,8 +269,17 @@ func (d *Dispatcher) handleRead(p *sim.Proc, svc *Service, hdr ReqHeader, req nv
 	if svc.DPUCache != nil && hdr.Len > 0 && len(data) == int(hdr.Len) {
 		svc.dpuCachePut(hdr.Ino, hdr.Off/uint64(hdr.Len), data)
 	}
-	return nvmefs.Response{Status: nvme.StatusOK, Header: []byte{0}, Data: data}
+	return nvmefs.Response{Status: nvme.StatusOK, Header: hdrData, Data: data}
 }
+
+// Shared read-only response headers: RH[0]=0 on a read whose bytes ride
+// back in the response, RH[0]=1 on a done namespace op. The transport only
+// reads a Response's header (into host memory, or into a copy for the
+// retry-dedup cache), so one slice serves every response.
+var (
+	hdrData = []byte{0}
+	hdrDone = []byte{1}
+)
 
 // fillHeader encodes a "page installed in cache" response header.
 func fillHeader(idx int) []byte {
@@ -386,7 +395,7 @@ func (d *Dispatcher) kvfsMeta(p *sim.Proc, svc *Service, op uint32, hdr ReqHeade
 		for i, e := range ents {
 			names[i], inos[i] = e.Name, e.Ino
 		}
-		return nvmefs.Response{Status: nvme.StatusOK, Header: []byte{1}, Data: EncodeDirEntries(names, inos)}
+		return nvmefs.Response{Status: nvme.StatusOK, Header: hdrDone, Data: EncodeDirEntries(names, inos)}
 	case nvme.FileOpUnlink:
 		if svc.Ctl != nil && svc.Ctl.WAL() != nil {
 			if ino, err := fs.Lookup(p, path); err == nil {
@@ -443,7 +452,7 @@ func statusOnly(err error) nvmefs.Response {
 	if err != nil {
 		return errResponse(err)
 	}
-	return nvmefs.Response{Status: nvme.StatusOK, Header: []byte{1}}
+	return nvmefs.Response{Status: nvme.StatusOK, Header: hdrDone}
 }
 
 // errResponse maps file system errors onto NVMe completion statuses.

@@ -49,9 +49,16 @@ type ReqHeader struct {
 	Aux     uint16 // op-specific (e.g. second path length for rename)
 }
 
-// Marshal encodes the header.
+// Marshal encodes the header into a fresh buffer.
 func (h *ReqHeader) Marshal() []byte {
 	b := make([]byte, ReqHeaderSize)
+	h.Put(b)
+	return b
+}
+
+// Put encodes the header into dst[:ReqHeaderSize] and returns that slice.
+func (h *ReqHeader) Put(dst []byte) []byte {
+	b := dst[:ReqHeaderSize]
 	le := binary.LittleEndian
 	le.PutUint64(b[0:], h.Ino)
 	le.PutUint64(b[8:], h.Off)

@@ -2,6 +2,8 @@ package nvmefs
 
 import (
 	"bytes"
+	"fmt"
+	"strings"
 	"testing"
 
 	"dpc/internal/model"
@@ -15,7 +17,7 @@ import (
 // lands on the Pending of the matching CID.
 func TestSubmitBatchOneDoorbell(t *testing.T) {
 	const n = 8
-	m := model.NewMachine(model.Default())
+	m := newTestMachine(t, model.Default())
 	vc := newVirtualClient()
 	// The handler log pins down in-order SQE consumption and the node->CID
 	// assignment the host made at enqueue time.
@@ -58,6 +60,12 @@ func TestSubmitBatchOneDoorbell(t *testing.T) {
 		if len(pends) != n {
 			t.Fatalf("SubmitBatch returned %d pendings, want %d", len(pends), n)
 		}
+		// A Pending is the driver's again once Wait returns: note the CIDs
+		// first.
+		cids := make([]uint16, n)
+		for i, pend := range pends {
+			cids[i] = pend.cid
+		}
 		for i, pend := range pends {
 			comp := pend.Wait(p)
 			if !comp.OK() {
@@ -78,8 +86,8 @@ func TestSubmitBatchOneDoorbell(t *testing.T) {
 			if s.node != uint64(i) {
 				t.Errorf("SQE %d consumed out of order: node %d", i, s.node)
 			}
-			if s.cid != pends[i].pd.cid {
-				t.Errorf("cmd %d: handler saw CID %d, Pending has %d", i, s.cid, pends[i].pd.cid)
+			if s.cid != cids[i] {
+				t.Errorf("cmd %d: handler saw CID %d, Pending has %d", i, s.cid, cids[i])
 			}
 		}
 		// Read everything back: payloads must not have crossed commands.
@@ -93,7 +101,6 @@ func TestSubmitBatchOneDoorbell(t *testing.T) {
 		}
 	})
 	m.Eng.Run()
-	m.Eng.Shutdown()
 }
 
 // TestBatchExceedsQueueResources is the satellite regression: a single
@@ -101,7 +108,7 @@ func TestSubmitBatchOneDoorbell(t *testing.T) {
 // the slot/SQ conds (ringing its already-staged prefix so it can drain) and
 // finish without deadlock, with every completion correct.
 func TestBatchExceedsQueueResources(t *testing.T) {
-	m := model.NewMachine(model.Default())
+	m := newTestMachine(t, model.Default())
 	vc := newVirtualClient()
 	d := NewDriver(m, Config{Queues: 1, Depth: 4, SlotsPerQ: 2, MaxIO: 64 * 1024, RHCap: 64, InflightWindow: 16}, vc.handle)
 
@@ -127,7 +134,6 @@ func TestBatchExceedsQueueResources(t *testing.T) {
 		}
 	})
 	m.Eng.Run()
-	m.Eng.Shutdown()
 	if got := int(d.Completed); got != n {
 		t.Fatalf("Completed = %d, want %d", got, n)
 	}
@@ -155,7 +161,6 @@ func TestWaitOutOfOrder(t *testing.T) {
 		}
 	})
 	m.Eng.Run()
-	m.Eng.Shutdown()
 }
 
 // TestSerialSubmitStillRingsPerCommand: Submit (the sync wrapper) keeps the
@@ -174,8 +179,28 @@ func TestSerialSubmitStillRingsPerCommand(t *testing.T) {
 		}
 	})
 	m.Eng.Run()
-	m.Eng.Shutdown()
 	if mmios != 3 {
 		t.Fatalf("3 serial submits cost %d MMIOs, want 3", mmios)
 	}
+}
+
+// TestWaitTwicePanics: once Wait has returned, the Pending is the driver's
+// free record. A second Wait panics instead of returning a blank completion
+// and filing the record twice for later commands.
+func TestWaitTwicePanics(t *testing.T) {
+	m, d, _ := newTestDriver(t, 1)
+	m.Eng.Go("app", func(p *sim.Proc) {
+		pend := d.Enqueue(p, 0, Submission{FileOp: nvme.FileOpWrite, Header: header(1, 0), Payload: []byte("once")})
+		d.Ring(p, 0)
+		if c := pend.Wait(p); !c.OK() {
+			t.Errorf("write = %+v", c)
+		}
+		pend.Wait(p)
+	})
+	defer func() {
+		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "already returned") {
+			t.Fatalf("second Wait: recovered %v, want the already-returned panic", r)
+		}
+	}()
+	m.Eng.Run()
 }

@@ -2,6 +2,7 @@ package nvmefs
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 	"time"
 
@@ -16,7 +17,7 @@ import (
 // a handler that counts its own invocations (for dedup assertions).
 func newFaultDriver(t *testing.T, cfg Config, rules []fault.Rule) (*model.Machine, *Driver, *fault.Injector, *int) {
 	t.Helper()
-	m := model.NewMachine(model.Default())
+	m := newTestMachine(t, model.Default())
 	vc := newVirtualClient()
 	execs := new(int)
 	d := NewDriver(m, cfg, func(p *sim.Proc, req Request) Response {
@@ -170,7 +171,7 @@ func TestWorkerCrashRecovered(t *testing.T) {
 }
 
 func TestHeaderOverflowIsIOErrorNotPanic(t *testing.T) {
-	m := model.NewMachine(model.Default())
+	m := newTestMachine(t, model.Default())
 	d := NewDriver(m, faultCfg(), func(p *sim.Proc, req Request) Response {
 		// Response header larger than the submission's RHLen.
 		return Response{Status: nvme.StatusOK, Header: make([]byte, 32), Data: []byte("d")}
@@ -210,7 +211,7 @@ func TestNoDeadlinesWithoutInjector(t *testing.T) {
 // retry's response nor have its completion accepted as the retry's: the read
 // returns the written bytes, and the straggler's CQE is a counted drop.
 func TestStragglerCannotCompleteItsRetry(t *testing.T) {
-	m := model.NewMachine(model.Default())
+	m := newTestMachine(t, model.Default())
 	vc := newVirtualClient()
 	reads := 0
 	d := NewDriver(m, faultCfg(), func(p *sim.Proc, req Request) Response {
@@ -251,7 +252,7 @@ func TestRetirePathsBalanceQueueResources(t *testing.T) {
 	o := obs.New()
 	mcfg := model.Default()
 	mcfg.Obs = o
-	m := model.NewMachine(mcfg)
+	m := newTestMachine(t, mcfg)
 	vc := newVirtualClient()
 	cfg := faultCfg()
 	d := NewDriver(m, cfg, vc.handle)
@@ -280,10 +281,63 @@ func TestRetirePathsBalanceQueueResources(t *testing.T) {
 	if len(qs.freeCID) != cfg.Depth || len(qs.freeSlots) != cfg.SlotsPerQ {
 		t.Errorf("free CIDs %d / slots %d, want %d / %d", len(qs.freeCID), len(qs.freeSlots), cfg.Depth, cfg.SlotsPerQ)
 	}
-	if len(qs.pending) != 0 || len(qs.spanOf) != 0 {
-		t.Errorf("pending %d / spanOf %d entries left, want none", len(qs.pending), len(qs.spanOf))
+	if qs.npending != 0 || slices.ContainsFunc(qs.pending, func(pd *Pending) bool { return pd != nil }) {
+		t.Errorf("pending: count %d, table %v, want none", qs.npending, qs.pending)
 	}
 	if d.inflight != 0 || d.oInflight.Value() != 0 {
 		t.Errorf("inflight %d, gauge %v, want 0", d.inflight, d.oInflight.Value())
+	}
+}
+
+// TestStaleDeadlineSparesRecycledRecord: a command's deadline names its
+// attempt by (CID, token), not by the record that carries it. The first
+// command completes halfway to its deadline and its Wait returns, so its
+// record and its CID go to the next command, which is still running when the
+// first command's deadline fires. That stale deadline must find nothing to
+// abort: the second command completes once, untouched, with no timeout and
+// no retry.
+func TestStaleDeadlineSparesRecycledRecord(t *testing.T) {
+	m := newTestMachine(t, model.Default())
+	vc := newVirtualClient()
+	var start sim.Time
+	writes := 0
+	d := NewDriver(m, faultCfg(), func(p *sim.Proc, req Request) Response {
+		if req.SQE.FileOp == nvme.FileOpWrite {
+			writes++
+			switch writes {
+			case 1:
+				p.Sleep(cmdTimeout / 2)
+			case 2:
+				// Still running when the first command's deadline fires,
+				// done well before its own.
+				p.SleepUntil(start + sim.Time(cmdTimeout+cmdTimeout/4))
+			}
+		}
+		return vc.handle(p, req)
+	})
+	d.SetFaults(fault.New(m.Eng, nil)) // deadlines armed, nothing injected
+	m.Eng.Go("app", func(p *sim.Proc) {
+		start = p.Now()
+		first := d.Enqueue(p, 0, Submission{FileOp: nvme.FileOpWrite, Header: header(1, 0), Payload: []byte("first")})
+		d.Ring(p, 0)
+		cid := first.cid
+		if c := first.Wait(p); !c.OK() {
+			t.Errorf("first write = %+v", c)
+		}
+		second := d.Enqueue(p, 0, Submission{FileOp: nvme.FileOpWrite, Header: header(2, 0), Payload: []byte("second")})
+		d.Ring(p, 0)
+		if second != first || second.cid != cid {
+			t.Fatalf("the second command did not reuse the first one's record and CID: the test shows nothing")
+		}
+		if c := second.Wait(p); !c.OK() || c.Result != uint32(len("second")) {
+			t.Errorf("second write = %+v", c)
+		}
+		if p.Now() < start+sim.Time(cmdTimeout) {
+			t.Errorf("second write finished at %v, before the first deadline", p.Now()-start)
+		}
+	})
+	m.Eng.Run()
+	if d.Timeouts != 0 || d.Retries != 0 || writes != 2 {
+		t.Fatalf("timeouts=%d retries=%d handler writes=%d, want 0/0/2", d.Timeouts, d.Retries, writes)
 	}
 }

@@ -13,19 +13,34 @@ import (
 	"dpc/internal/sim"
 )
 
-// Pending is the host-side handle of an asynchronously submitted command.
-// The command's response is decoded and its buffer slot and CID recycled by
-// the completion interrupt itself, so a Pending never pins queue resources;
-// Wait only parks until the completion lands and charges the host-side reap
-// cost.
+// Pending is the host-side handle of an asynchronously submitted command,
+// and the command's own record: its state from SQE enqueue to host reap
+// lives here, named in the queue's pending table by its CID. The completion
+// interrupt decodes the response out of the slot buffer and frees the slot
+// and CID itself, so a Pending never pins queue resources and a blocked
+// submitter with a full in-flight window makes progress without anyone
+// calling Wait first; Wait only parks until the completion lands and charges
+// the host-side reap cost.
+//
+// A Pending is valid until its Wait returns. The record then goes back to
+// the driver's free list for a later command, so a caller must not touch it
+// again. A retry re-arms the same record for its next attempt.
 type Pending struct {
-	d *Driver
-	// pd is the attempt Wait reaps: &own until a retry, then the own of the
-	// Pending the resubmission made. Handle, command and its condition are
-	// one object: they live and die together.
-	pd  *pendingCmd
-	own pendingCmd
-	qid int // Wait resubmits on it when a retryable status leaves attempts
+	d     *Driver
+	cond  sim.Cond // initialised in place; never copy a Pending
+	done  bool     // retired: the attempt has left the pending table
+	comp  Completion
+	qid   int // Wait resubmits on it when a retryable status leaves attempts; -1 once free
+	cid   uint16
+	slot  int
+	token uint32     // the attempt's token (attemptBits); completions must echo it
+	sub   Submission // what the IRQ decodes for, and what a retry resubmits
+	// span carries the submitter's span across the host→TGT hop so the
+	// DPU-side spans nest under the client operation that issued the CID.
+	span obs.Span
+	// hdr holds the request header, copied at submission: sub.Header points
+	// into it, so a retry resubmits it and the caller's buffer is free.
+	hdr [64]byte
 }
 
 // A token names one attempt of one operation: the operation in the high
@@ -51,8 +66,8 @@ func (d *Driver) newToken() uint32 {
 // Submit runs one command on queue qid (callers typically pin a thread to a
 // queue): it enqueues it, rings the doorbell and blocks until completion.
 func (d *Driver) Submit(p *sim.Proc, qid int, sub Submission) Completion {
-	pend := d.enqueue(p, qid, sub, d.newToken())
-	d.ring(p, d.queues[qid%len(d.queues)])
+	pend := d.Enqueue(p, qid, sub)
+	d.Ring(p, qid)
 	return pend.Wait(p)
 }
 
@@ -66,19 +81,32 @@ func (d *Driver) Submit(p *sim.Proc, qid int, sub Submission) Completion {
 func (d *Driver) SubmitBatch(p *sim.Proc, qid int, subs []Submission) []*Pending {
 	pends := make([]*Pending, len(subs))
 	for i := range subs {
-		pends[i] = d.enqueue(p, qid, subs[i], d.newToken())
+		pends[i] = d.Enqueue(p, qid, subs[i])
 	}
 	if len(pends) > 0 {
-		d.ring(p, d.queues[qid%len(d.queues)])
+		d.Ring(p, qid)
 	}
 	return pends
 }
 
-// enqueue reserves resources, stages buffers and writes the SQE for one
-// attempt of a command, carrying token, without ringing the doorbell.
-func (d *Driver) enqueue(p *sim.Proc, qid int, sub Submission, token uint32) *Pending {
-	costs := d.m.Cfg.Costs
-	qs := d.queues[qid%len(d.queues)]
+// Enqueue stages one command on queue qid without ringing the doorbell: a
+// burst of Enqueues published by one Ring is SubmitBatch without its slice.
+// The request header is copied into the command before Enqueue first parks,
+// so the caller may rewrite its buffer as soon as Enqueue returns; Payload
+// and ReadInto/HeaderInto must stay put until Wait returns.
+func (d *Driver) Enqueue(p *sim.Proc, qid int, sub Submission) *Pending {
+	pend := d.newPending(qid, sub)
+	d.enqueue(p, pend, d.newToken())
+	return pend
+}
+
+// Ring publishes every command enqueued on queue qid since its last
+// doorbell with one MMIO.
+func (d *Driver) Ring(p *sim.Proc, qid int) { d.ring(p, d.queues[qid%len(d.queues)]) }
+
+// newPending takes a record off the free list, or makes one, for a fresh
+// operation on queue qid.
+func (d *Driver) newPending(qid int, sub Submission) *Pending {
 	if len(sub.Payload) > d.cfg.MaxIO || sub.ReadLen > d.cfg.MaxIO {
 		panic(fmt.Sprintf("nvmefs: payload %d / readlen %d exceed MaxIO %d",
 			len(sub.Payload), sub.ReadLen, d.cfg.MaxIO))
@@ -86,6 +114,35 @@ func (d *Driver) enqueue(p *sim.Proc, qid int, sub Submission, token uint32) *Pe
 	if len(sub.Header) > 64 || sub.RHLen > d.cfg.RHCap {
 		panic(fmt.Sprintf("nvmefs: header %d / rhlen %d exceed caps", len(sub.Header), sub.RHLen))
 	}
+	pend := popLast(&d.freePend)
+	if pend == nil {
+		pend = &Pending{d: d}
+		pend.cond.Init(d.m.Eng, "nvme-cmd")
+	}
+	pend.qid = qid
+	pend.sub = sub
+	pend.sub.Header = pend.hdr[:copy(pend.hdr[:], sub.Header)]
+	return pend
+}
+
+// popLast takes the last record off the free list *s; nil when it is empty.
+func popLast[T any](s *[]*T) *T {
+	n := len(*s) - 1
+	if n < 0 {
+		return nil
+	}
+	r := (*s)[n]
+	(*s)[n] = nil
+	*s = (*s)[:n]
+	return r
+}
+
+// enqueue reserves resources, stages buffers and writes the SQE for one
+// attempt of pend's command, carrying token, without ringing the doorbell.
+func (d *Driver) enqueue(p *sim.Proc, pend *Pending, token uint32) {
+	costs := d.m.Cfg.Costs
+	qs := d.queues[pend.qid%len(d.queues)]
+	sub := &pend.sub
 
 	// Syscall + fs-adapter conversion. No FUSE layer, no payload copy: the
 	// PRP points straight at the request buffer.
@@ -194,29 +251,26 @@ func (d *Driver) enqueue(p *sim.Proc, qid int, sub Submission, token uint32) *Pe
 	qs.qp.SQTail = qs.qp.SQ.Next(qs.qp.SQTail)
 	qs.unrung++
 
-	pend := &Pending{d: d, qid: qid, own: pendingCmd{cid: cid, slot: slot, token: token, sub: sub}}
-	pd := &pend.own
-	pd.cond.Init(d.m.Eng, "nvme-cmd")
-	pend.pd = pd
-	qs.pending[cid] = pd
-	qs.depthGauge.Set(float64(len(qs.pending)))
-	if s.Valid() {
-		qs.spanOf[cid] = s
-	}
+	pend.done, pend.comp = false, Completion{}
+	pend.cid, pend.slot, pend.token, pend.span = cid, slot, token, s
+	qs.pending[cid] = pend
+	qs.npending++
+	qs.depthGauge.Set(float64(qs.npending))
 
 	// Arm the per-command deadline. Only on fault runs: a fault-free run
 	// schedules no timer events at all, so its event interleaving — and
-	// with it every metric and trace snapshot — is unchanged.
+	// with it every metric and trace snapshot — is unchanged. The timer
+	// names the attempt by value: by the time it fires the record may be
+	// serving another command.
 	if d.faults != nil {
 		gen := qs.gen
-		d.m.Eng.After(cmdTimeout, func() { d.onDeadline(qs, gen, pd) })
+		d.m.Eng.After(cmdTimeout, func() { d.onDeadline(qs, gen, cid, token) })
 	}
 
 	d.inflight++
 	d.oInflightPeak.SetMax(float64(d.inflight))
 	d.oInflight.Set(float64(d.inflight))
 	s.End(p)
-	return pend
 }
 
 // ring publishes the SQ tail with one MMIO doorbell and kicks the queue's
@@ -236,7 +290,8 @@ func (d *Driver) ring(p *sim.Proc, qs *queueState) {
 
 // Wait parks until the command completes and returns its decoded
 // completion. The response bytes were already pulled out of the slot buffer
-// by the completion interrupt; Wait charges the host-side reap cost.
+// by the completion interrupt; Wait charges the host-side reap cost. Once
+// Wait returns, pend belongs to the driver again.
 //
 // Wait is also the retry engine: a retryable completion status (timeout,
 // transient, corrupt, reset) is resubmitted — the next attempt's token, a
@@ -244,22 +299,27 @@ func (d *Driver) ring(p *sim.Proc, qs *queueState) {
 // of resetThreshold consecutive timeouts triggers a controller reset first,
 // on the theory that the controller (not the command) is stuck.
 func (pend *Pending) Wait(p *sim.Proc) Completion {
+	if pend.qid < 0 {
+		panic("nvmefs: Wait on a Pending whose Wait already returned")
+	}
 	d := pend.d
 	s := d.o.Begin(p, "nvmefs.wait")
 	for {
-		if !pend.pd.done {
+		if !pend.done {
 			waitFrom := p.Now()
-			for !pend.pd.done {
-				pend.pd.cond.Wait(p)
+			for !pend.done {
+				pend.cond.Wait(p)
 			}
 			d.o.Attr(p, obs.CompWait, "nvmefs.inflight", waitFrom, p.Now())
 		}
-		comp := pend.pd.comp
-		retries := int(pend.pd.token & attemptMask)
+		comp := pend.comp
+		retries := int(pend.token & attemptMask)
 		if !nvme.Retryable(comp.Status) || retries >= maxRetries {
 			d.m.HostExec(p, d.m.Cfg.Costs.HostComplete)
 			d.Completed++
 			s.End(p)
+			pend.qid, pend.sub, pend.comp, pend.span = -1, Submission{}, Completion{}, obs.Span{}
+			d.freePend = append(d.freePend, pend)
 			return comp
 		}
 		d.Retries++
@@ -276,25 +336,34 @@ func (pend *Pending) Wait(p *sim.Proc) Completion {
 		// The backoff sleep is recovery time, not work: attribute it as
 		// wait so fault-injected runs show where retry latency went.
 		d.o.Sleep(p, backoff, obs.CompWait, "nvmefs.backoff")
-		pend.pd = d.enqueue(p, pend.qid, pend.pd.sub, pend.pd.token+1).pd
-		d.ring(p, d.queues[pend.qid%len(d.queues)])
+		d.enqueue(p, pend, pend.token+1)
+		d.Ring(p, pend.qid)
 	}
 }
 
-// live returns the pending entry that the command attempt (cid, token)
-// still owns, or nil once that attempt has been retired. It is the one
-// liveness rule of the driver: every retire deletes the entry in the same
-// step, and the token names the attempt, so a straggler cannot pass as the
-// retry that reused its CID. gen is the queue generation the caller's work
-// started under; a reset since then answers nil as well.
-func (qs *queueState) live(gen int, cid uint16, token uint32) *pendingCmd {
-	if qs.gen != gen {
+// live returns the command that the attempt (cid, token) still is, or nil
+// once that attempt has been retired. It is the one liveness rule of the
+// driver: every retire clears the entry in the same step, and the token
+// names the attempt, so a straggler cannot pass as the retry that reused its
+// CID or as the next command its record serves. gen is the queue generation
+// the caller's work started under; a reset since then answers nil as well.
+func (qs *queueState) live(gen int, cid uint16, token uint32) *Pending {
+	if qs.gen != gen || int(cid) >= len(qs.pending) {
 		return nil
 	}
 	if pd := qs.pending[cid]; pd != nil && pd.token == token {
 		return pd
 	}
 	return nil
+}
+
+// spanOf returns the span of the client operation that holds cid, so the
+// TGT's spans nest under it; the zero Span when the CID is free.
+func (qs *queueState) spanOf(cid uint16) obs.Span {
+	if int(cid) < len(qs.pending) && qs.pending[cid] != nil {
+		return qs.pending[cid].span
+	}
+	return obs.Span{}
 }
 
 // retire takes pd out of the pending table with completion comp. It is the
@@ -306,12 +375,12 @@ func (qs *queueState) live(gen int, cid uint16, token uint32) *pendingCmd {
 // flight aimed at it. Waking is the caller's: one slot waiter first, then
 // the owner. A reset wakes no slot waiter per command; it broadcasts once it
 // has re-armed the rings.
-func (d *Driver) retire(qs *queueState, pd *pendingCmd, comp Completion, quarantine bool) {
+func (d *Driver) retire(qs *queueState, pd *Pending, comp Completion, quarantine bool) {
 	pd.comp = comp
 	pd.done = true
-	delete(qs.pending, pd.cid)
-	qs.depthGauge.Set(float64(len(qs.pending)))
-	delete(qs.spanOf, pd.cid)
+	qs.pending[pd.cid] = nil
+	qs.npending--
+	qs.depthGauge.Set(float64(qs.npending))
 	qs.freeCID = append(qs.freeCID, pd.cid)
 	if quarantine {
 		slot := pd.slot

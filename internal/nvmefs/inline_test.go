@@ -15,7 +15,7 @@ import (
 
 func newInlineDriver(t *testing.T, queues, inlineMax int) (*model.Machine, *Driver, *virtualClient) {
 	t.Helper()
-	m := model.NewMachine(model.Default())
+	m := newTestMachine(t, model.Default())
 	vc := newVirtualClient()
 	d := NewDriver(m, Config{
 		Queues: queues, Depth: 64, SlotsPerQ: 32, MaxIO: 64 * 1024, RHCap: 256,
@@ -45,7 +45,6 @@ func TestInlineWriteCosts2DMAsAnd1PIO(t *testing.T) {
 		}
 	})
 	m.Eng.Run()
-	m.Eng.Shutdown()
 	if d.InlineWrites != 1 {
 		t.Fatalf("InlineWrites = %d, want 1", d.InlineWrites)
 	}
@@ -73,7 +72,6 @@ func TestInlineReadCosts3DMAs(t *testing.T) {
 		}
 	})
 	m.Eng.Run()
-	m.Eng.Shutdown()
 	if d.InlineReads != 1 {
 		t.Fatalf("InlineReads = %d, want 1", d.InlineReads)
 	}
@@ -97,7 +95,6 @@ func TestInlineReadInto(t *testing.T) {
 		}
 	})
 	m.Eng.Run()
-	m.Eng.Shutdown()
 	if !bytes.Equal(dst[:len(payload)], payload) {
 		t.Fatalf("dst = %q, want %q", dst[:len(payload)], payload)
 	}
@@ -135,7 +132,6 @@ func TestInlineCutoverBoundaries(t *testing.T) {
 		}
 	})
 	m.Eng.Run()
-	m.Eng.Shutdown()
 }
 
 // Inline commands must survive the retry/dedup machinery exactly like DMA
@@ -145,7 +141,7 @@ func TestInlineCutoverBoundaries(t *testing.T) {
 func TestInlineWriteUnderDroppedCompletion(t *testing.T) {
 	cfg := faultCfg()
 	cfg.InlineMax = 512
-	m := model.NewMachine(model.Default())
+	m := newTestMachine(t, model.Default())
 	vc := newVirtualClient()
 	execs := 0
 	d := NewDriver(m, cfg, func(p *sim.Proc, req Request) Response {
@@ -191,7 +187,6 @@ func TestInlineDisabledNoPIOsNoCounters(t *testing.T) {
 		}
 	})
 	m.Eng.Run()
-	m.Eng.Shutdown()
 	if d.InlineWrites != 0 || d.InlineReads != 0 || d.InlineBytes != 0 {
 		t.Fatalf("inline counters = %d/%d/%d, want 0/0/0",
 			d.InlineWrites, d.InlineReads, d.InlineBytes)
@@ -228,7 +223,6 @@ func TestInlineDeterminism(t *testing.T) {
 		fp := fmt.Sprintf("now=%d dmas=%d pios=%d piob=%d iw=%d ir=%d ib=%d",
 			m.Eng.Now(), m.PCIe.DMAs.Total(), m.PCIe.PIOs.Total(), m.PCIe.PIOBytes.Total(),
 			d.InlineWrites, d.InlineReads, d.InlineBytes)
-		m.Eng.Shutdown()
 		return fp
 	}
 	a, b := run(), run()

@@ -157,6 +157,9 @@ type Submission struct {
 	// aliases it, so the steady-state read path allocates nothing per op.
 	// The caller owns it; only the attempt that completes writes it.
 	ReadInto []byte
+	// HeaderInto does the same for the response header: when non-nil with
+	// len >= RHLen, Completion.Header aliases it instead of a fresh copy.
+	HeaderInto []byte
 }
 
 // Completion is the host-side result.
@@ -169,20 +172,6 @@ type Completion struct {
 
 // OK reports whether the command succeeded.
 func (c Completion) OK() bool { return c.Status == nvme.StatusOK }
-
-// pendingCmd tracks one attempt of a command from SQE enqueue to host reap.
-// The completion path (IRQ callback) decodes the response out of the slot
-// buffer and frees the slot/CID itself, so a blocked submitter with a full
-// in-flight window can make progress without anyone calling Wait first.
-type pendingCmd struct {
-	cond  sim.Cond // initialised in place; never copy a pendingCmd
-	done  bool     // retired: the entry has left the pending table
-	comp  Completion
-	cid   uint16
-	slot  int
-	token uint32     // the attempt's token (attemptBits); completions must echo it
-	sub   Submission // what the IRQ decodes for, and what a retry resubmits
-}
 
 type queueState struct {
 	qp       *nvme.QueuePair
@@ -205,11 +194,11 @@ type queueState struct {
 	// saturation. Registered whenever obs is attached (nil no-op otherwise).
 	depthGauge *obs.Gauge
 
-	pending map[uint16]*pendingCmd // by CID
-	// spanOf carries the submitter's span across the host→TGT hop so the
-	// DPU-side spans nest under the client operation that issued the CID.
-	spanOf  map[uint16]obs.Span
-	freeCID []uint16
+	// pending holds the live command of each CID (nil when the CID is
+	// free); npending counts them.
+	pending  []*Pending
+	npending int
+	freeCID  []uint16
 
 	// unrung counts SQEs enqueued since the last doorbell ring: a burst
 	// submitted with SubmitBatch publishes all of them with one MMIO.
@@ -291,8 +280,16 @@ type Driver struct {
 	inflight int64
 
 	// sched arbitrates between queue drain and dispatch in multi-tenant
-	// mode; nil (the default) means TGT threads dispatch directly.
+	// mode; nil (the default) means TGT threads hand each command to an
+	// idle pooled worker.
 	sched *scheduler
+	// Free lists of the per-command records (see DESIGN.md §6 "Command
+	// lifetime"): Pendings whose Wait has returned, IRQ records whose
+	// interrupt has fired, and nvme-worker processes parked between
+	// commands. Each grows to the peak in-flight count and no further.
+	freePend []*Pending
+	freeIRQ  []*irq
+	idle     []*worker
 
 	// faults is the injector consulted on the TGT and completion paths;
 	// nil (the default) means no injection, no deadlines, no extra events.
@@ -368,8 +365,7 @@ func NewDriver(m *model.Machine, cfg Config, handler Handler) *Driver {
 			kick:     sim.NewMailbox[struct{}](m.Eng, fmt.Sprintf("nvme-kick-%d", qid), 1),
 			slotCond: sim.NewCond(m.Eng, "nvme-slots"),
 			sqCond:   sim.NewCond(m.Eng, "nvme-sq"),
-			pending:  map[uint16]*pendingCmd{},
-			spanOf:   map[uint16]obs.Span{},
+			pending:  make([]*Pending, cfg.Depth),
 			wStride:  64 + cfg.MaxIO,
 			rStride:  cfg.RHCap + cfg.MaxIO,
 		}

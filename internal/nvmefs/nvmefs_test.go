@@ -48,7 +48,7 @@ func header(node, off uint64) []byte {
 
 func newTestDriver(t *testing.T, queues int) (*model.Machine, *Driver, *virtualClient) {
 	t.Helper()
-	m := model.NewMachine(model.Default())
+	m := newTestMachine(t, model.Default())
 	vc := newVirtualClient()
 	d := NewDriver(m, Config{Queues: queues, Depth: 64, SlotsPerQ: 32, MaxIO: 64 * 1024, RHCap: 256}, vc.handle)
 	return m, d, vc
@@ -77,7 +77,6 @@ func TestWriteReadRoundTrip(t *testing.T) {
 		got = r.Data
 	})
 	m.Eng.Run()
-	m.Eng.Shutdown()
 	if !bytes.Equal(got, payload) {
 		t.Fatal("read data differs from written data")
 	}
@@ -99,7 +98,6 @@ func TestEightKWriteCosts4DMAs(t *testing.T) {
 		}
 	})
 	m.Eng.Run()
-	m.Eng.Shutdown()
 }
 
 func TestEightKReadCosts4DMAs(t *testing.T) {
@@ -116,7 +114,6 @@ func TestEightKReadCosts4DMAs(t *testing.T) {
 		}
 	})
 	m.Eng.Run()
-	m.Eng.Shutdown()
 }
 
 func TestSQEOnTheWireIsBidirectionalVendorCommand(t *testing.T) {
@@ -146,7 +143,6 @@ func TestSQEOnTheWireIsBidirectionalVendorCommand(t *testing.T) {
 		}
 	})
 	m.Eng.Run()
-	m.Eng.Shutdown()
 	if len(sniffed) != 1 {
 		t.Fatalf("sniffed %d SQEs", len(sniffed))
 	}
@@ -160,7 +156,7 @@ func TestSQEOnTheWireIsBidirectionalVendorCommand(t *testing.T) {
 }
 
 func TestDispatchBitReachesHandler(t *testing.T) {
-	m := model.NewMachine(model.Default())
+	m := newTestMachine(t, model.Default())
 	var sawDispatch []uint8
 	d := NewDriver(m, Config{Queues: 1, Depth: 16, SlotsPerQ: 8, MaxIO: 8192, RHCap: 64},
 		func(p *sim.Proc, req Request) Response {
@@ -172,7 +168,6 @@ func TestDispatchBitReachesHandler(t *testing.T) {
 		d.Submit(p, 0, Submission{FileOp: nvme.FileOpWrite, Dispatch: nvme.DispatchDFS, Header: header(1, 0), Payload: make([]byte, 512)})
 	})
 	m.Eng.Run()
-	m.Eng.Shutdown()
 	if len(sawDispatch) != 2 || sawDispatch[0] != nvme.DispatchKVFS || sawDispatch[1] != nvme.DispatchDFS {
 		t.Fatalf("dispatch bits = %v", sawDispatch)
 	}
@@ -182,7 +177,7 @@ func TestMultiQueueParallelism(t *testing.T) {
 	// The same workload on 1 queue vs 8 queues: multi-queue must be
 	// substantially faster (this is nvme-fs's advantage over virtio-fs).
 	run := func(queues int) sim.Time {
-		m := model.NewMachine(model.Default())
+		m := newTestMachine(t, model.Default())
 		vc := newVirtualClient()
 		d := NewDriver(m, Config{Queues: queues, Depth: 64, SlotsPerQ: 32, MaxIO: 16 * 1024, RHCap: 64}, vc.handle)
 		const threads = 16
@@ -199,7 +194,6 @@ func TestMultiQueueParallelism(t *testing.T) {
 		}
 		m.Eng.Run()
 		end := m.Eng.Now()
-		m.Eng.Shutdown()
 		return end
 	}
 	t1, t8 := run(1), run(8)
@@ -221,7 +215,6 @@ func TestQueueFullBackpressure(t *testing.T) {
 		})
 	}
 	m.Eng.Run()
-	m.Eng.Shutdown()
 	if done != 200 {
 		t.Fatalf("done = %d, want 200", done)
 	}
@@ -239,7 +232,6 @@ func TestInvalidFileOpRejected(t *testing.T) {
 		}
 	})
 	m.Eng.Run()
-	m.Eng.Shutdown()
 }
 
 func TestLatencyLowAtSingleThread(t *testing.T) {
@@ -253,7 +245,6 @@ func TestLatencyLowAtSingleThread(t *testing.T) {
 		lat = p.Now() - start
 	})
 	m.Eng.Run()
-	m.Eng.Shutdown()
 	if lat < sim.Time(5*sim.Microsecond) || lat > sim.Time(60*sim.Microsecond) {
 		t.Fatalf("single-thread 8K write latency = %v", lat)
 	}

@@ -21,7 +21,7 @@ func TestBackoffAttributedAsWait(t *testing.T) {
 
 	mcfg := model.Default()
 	mcfg.Obs = o
-	m := model.NewMachine(mcfg)
+	m := newTestMachine(t, mcfg)
 	vc := newVirtualClient()
 	d := NewDriver(m, faultCfg(), func(p *sim.Proc, req Request) Response {
 		return vc.handle(p, req)

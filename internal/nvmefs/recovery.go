@@ -90,13 +90,14 @@ func (d *Driver) SetFaults(in *fault.Injector) {
 	d.o.Publish("nvmefs.driver.dedup_hits", &d.DedupHits)
 }
 
-// onDeadline aborts a command attempt whose completion did not arrive in
-// time: it is retired with StatusTimeout, its slot quarantined. The abort
-// wakes both any submitter parked on queue resources and the Wait-ing owner,
-// so a dropped completion can never deadlock the queue. gen is the queue
-// generation the attempt was enqueued under.
-func (d *Driver) onDeadline(qs *queueState, gen int, pd *pendingCmd) {
-	if qs.live(gen, pd.cid, pd.token) == nil {
+// onDeadline aborts the command attempt (cid, token) if its completion did
+// not arrive in time: it is retired with StatusTimeout, its slot
+// quarantined. The abort wakes both any submitter parked on queue resources
+// and the Wait-ing owner, so a dropped completion can never deadlock the
+// queue. gen is the queue generation the attempt was enqueued under.
+func (d *Driver) onDeadline(qs *queueState, gen int, cid uint16, token uint32) {
+	pd := qs.live(gen, cid, token)
+	if pd == nil {
 		return // completed, reset, or already aborted
 	}
 	d.Timeouts++

@@ -14,7 +14,7 @@ import (
 // virtual time per command.
 func newTenantDriver(t *testing.T, queues int, tenants []TenantConfig, service time.Duration) (*model.Machine, *Driver) {
 	t.Helper()
-	m := model.NewMachine(model.Default())
+	m := newTestMachine(t, model.Default())
 	vc := newVirtualClient()
 	d := NewDriver(m, Config{
 		Queues: queues, Depth: 64, SlotsPerQ: 32, MaxIO: 64 * 1024, RHCap: 256,
@@ -75,7 +75,6 @@ func TestDRRFairnessEqualWeights(t *testing.T) {
 		}
 	})
 	m.Eng.Run()
-	m.Eng.Shutdown()
 
 	quantum := int64(d.MaxIO()) + 512
 	maxCost := int64(512 + 32*1024)
@@ -130,7 +129,6 @@ func TestAdmissionShedsOverBudget(t *testing.T) {
 		})
 	}
 	m.Eng.Run()
-	m.Eng.Shutdown()
 
 	st := d.TenantStats(0)
 	if st.Shed == 0 {
@@ -166,7 +164,6 @@ func TestSchedDeterminism(t *testing.T) {
 			}
 		})
 		m.Eng.Run()
-		m.Eng.Shutdown()
 		for tn := 0; tn < 3; tn++ {
 			end[tn] = d.TenantStats(tn)
 		}

@@ -45,7 +45,7 @@ type fetched struct {
 
 // processOne consumes one SQE: the 4-DMA path of Figure 4. The TGT thread
 // performs the SQE fetch and parse synchronously (they keep queue order),
-// then hands the request to a worker process so slow file stacks do not
+// then hands the request to a pooled nvme-worker so slow file stacks do not
 // serialize the queue (DPFS's single HAL thread does exactly that, which is
 // part of why it cannot scale). In multi-tenant mode the hand-off goes
 // through the DPU scheduler instead: the TGT only drains and admits; the
@@ -58,9 +58,43 @@ func (d *Driver) processOne(p *sim.Proc, qs *queueState) {
 	case d.sched != nil:
 		d.sched.offer(p, f)
 	case d.pullBuffers(p, &f):
-		d.m.Eng.Go("nvme-worker", func(wp *sim.Proc) { d.execute(wp, f) })
+		d.handOff(f)
 	}
 	f.ts.End(p)
+}
+
+// worker is one pooled nvme-worker: a DPU thread that executes one command
+// at a time and parks on its own cond between commands.
+type worker struct {
+	d    *Driver
+	cond sim.Cond
+	f    fetched // the command to run; f.qs == nil while idle
+}
+
+// handOff gives f to an idle worker, or starts a new one when none is idle.
+// Either way the worker resumes at the current instant through one wake
+// event, so the pool schedules exactly what a process per command would.
+func (d *Driver) handOff(f fetched) {
+	if w := popLast(&d.idle); w != nil {
+		w.f = f
+		w.cond.Signal()
+		return
+	}
+	w := &worker{d: d, f: f}
+	w.cond.Init(d.m.Eng, "nvme-worker")
+	d.m.Eng.Go("nvme-worker", w.loop)
+}
+
+// loop runs commands for the driver's lifetime; Shutdown kills it idle.
+func (w *worker) loop(p *sim.Proc) {
+	for {
+		w.d.execute(p, w.f)
+		w.f = fetched{}
+		w.d.idle = append(w.d.idle, w)
+		for w.f.qs == nil {
+			w.cond.Wait(p)
+		}
+	}
 }
 
 // fetchOne performs the queue-order part of the TGT path: the SQE fetch
@@ -152,7 +186,7 @@ func (d *Driver) fetchOne(p *sim.Proc, qs *queueState) (fetched, bool) {
 		d.CorruptSQEs++
 		return fetched{ts: ts}, false
 	}
-	ts.SetParent(qs.spanOf[sqe.CID])
+	ts.SetParent(qs.spanOf(sqe.CID))
 	d.m.DPUExec(p, costs.DPUCmdParse)
 
 	if err := sqe.Validate(); err != nil {
@@ -224,8 +258,8 @@ func (d *Driver) pullBuffers(p *sim.Proc, f *fetched) bool {
 
 // execute runs a dispatched command to completion: dedup lookup, handler,
 // response write-back (④ rides in complete). In single-tenant mode it runs
-// on a per-command nvme-worker proc; in multi-tenant mode it runs inline on
-// the dispatch worker the scheduler granted the command to.
+// on the pooled nvme-worker handOff gave the command to; in multi-tenant
+// mode it runs inline on the dispatch worker the scheduler granted it to.
 func (d *Driver) execute(wp *sim.Proc, f fetched) {
 	link := d.m.PCIe
 	hm := d.m.HostMem
@@ -375,44 +409,72 @@ func (d *Driver) complete(p *sim.Proc, qs *queueState, gen int, sqe nvme.SQE, re
 		d.m.PCIe.DMAWrite(p, d.m.HostMem, cqAddr, cqeBytes[:], "cqe")
 	}
 
-	d.m.Eng.After(d.m.Cfg.Costs.HostIRQDelay, func() {
-		pd := qs.live(gen, cqe.CID, cqe.Token)
-		if pd == nil {
-			// Unknown CID, recycled CID, or an attempt already aborted:
-			// drop the completion. The slot is NOT recycled here — the
-			// abort path owns it.
-			d.UnknownCompletions++
-			return
+	r := popLast(&d.freeIRQ)
+	if r == nil {
+		r = &irq{d: d}
+		r.fire = r.interrupt
+	}
+	r.qs, r.gen, r.cqe, r.hasWin, r.winAddr = qs, gen, cqe, hasWin, winAddr
+	d.m.Eng.After(d.m.Cfg.Costs.HostIRQDelay, r.fire)
+}
+
+// irq is one posted completion on its way to the host's interrupt handler:
+// what complete knew when it wrote the CQE. Records come from the driver's
+// free list and return to it as the interrupt fires; fire is the method
+// value built once per record, so scheduling an interrupt allocates nothing.
+type irq struct {
+	d       *Driver
+	qs      *queueState
+	gen     int
+	cqe     nvme.CQE
+	hasWin  bool     // the response sits in the enlarged-CQE window
+	winAddr mem.Addr // that window slot
+	fire    func()
+}
+
+// interrupt is the host's completion handler: it decodes the response out
+// of the slot buffer (or the CQE window) into the command and retires it.
+func (r *irq) interrupt() {
+	d, qs, gen, cqe, hasWin, winAddr := r.d, r.qs, r.gen, r.cqe, r.hasWin, r.winAddr
+	r.qs = nil
+	d.freeIRQ = append(d.freeIRQ, r)
+	pd := qs.live(gen, cqe.CID, cqe.Token)
+	if pd == nil {
+		// Unknown CID, recycled CID, or an attempt already aborted:
+		// drop the completion. The slot is NOT recycled here — the
+		// abort path owns it.
+		d.UnknownCompletions++
+		return
+	}
+	d.consecTimeouts = 0
+	comp := Completion{Status: cqe.Status, Result: cqe.Result}
+	if sub := &pd.sub; (sub.RHLen > 0 || sub.ReadLen > 0) && cqe.Status == nvme.StatusOK {
+		_, rbuf := qs.slotBufs(pd.slot)
+		hdrAddr, dataAddr := rbuf, rbuf+mem.Addr(d.cfg.RHCap)
+		if hasWin {
+			hdrAddr = winAddr + nvme.CQESize
+			dataAddr = winAddr + nvme.CQESize + mem.Addr(d.cfg.RHCap)
 		}
-		d.consecTimeouts = 0
-		comp := Completion{Status: cqe.Status, Result: cqe.Result}
-		if (pd.sub.RHLen > 0 || pd.sub.ReadLen > 0) && cqe.Status == nvme.StatusOK {
-			_, rbuf := qs.slotBufs(pd.slot)
-			hdrAddr, dataAddr := rbuf, rbuf+mem.Addr(d.cfg.RHCap)
-			if hasWin {
-				hdrAddr = winAddr + nvme.CQESize
-				dataAddr = winAddr + nvme.CQESize + mem.Addr(d.cfg.RHCap)
-			}
-			// The completion outlives the slot (recycled below), so the
-			// host driver copies the response out of it.
-			if pd.sub.RHLen > 0 {
-				comp.Header = append([]byte(nil), d.m.HostMem.Slice(hdrAddr, pd.sub.RHLen)...)
-			}
-			n := int(cqe.Result)
-			if n > pd.sub.ReadLen {
-				n = pd.sub.ReadLen
-			}
-			if n > 0 {
-				if len(pd.sub.ReadInto) >= n {
-					copy(pd.sub.ReadInto, d.m.HostMem.Slice(dataAddr, n))
-					comp.Data = pd.sub.ReadInto[:n]
-				} else {
-					comp.Data = append([]byte(nil), d.m.HostMem.Slice(dataAddr, n)...)
-				}
-			}
+		// The completion outlives the slot (recycled below), so the host
+		// driver copies the response out of it: into the caller's buffers
+		// when it gave some, else into fresh ones.
+		if sub.RHLen > 0 {
+			comp.Header = copyOut(sub.HeaderInto, d.m.HostMem.Slice(hdrAddr, sub.RHLen))
 		}
-		d.retire(qs, pd, comp, false)
-		qs.slotCond.Signal()
-		pd.cond.Signal()
-	})
+		if n := min(int(cqe.Result), sub.ReadLen); n > 0 {
+			comp.Data = copyOut(sub.ReadInto, d.m.HostMem.Slice(dataAddr, n))
+		}
+	}
+	d.retire(qs, pd, comp, false)
+	qs.slotCond.Signal()
+	pd.cond.Signal()
+}
+
+// copyOut copies src into dst when it fits, else into a fresh slice, and
+// returns the copy.
+func copyOut(dst, src []byte) []byte {
+	if len(dst) >= len(src) {
+		return dst[:copy(dst, src)]
+	}
+	return append([]byte(nil), src...)
 }

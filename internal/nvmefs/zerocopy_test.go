@@ -11,15 +11,10 @@ import (
 	"dpc/internal/sim"
 )
 
-// TestSubmit8KTGTZeroAllocs: one 8 KiB write plus one 8 KiB read through
-// Driver.Submit. The TGT side pulls the request into a pooled buffer and
-// gathers the response straight into host memory, so in steady state no
-// payload-sized buffer is allocated anywhere; what remains is the fixed
-// per-command bookkeeping (the Pending handle, which holds the pending entry
-// and its cond; the worker Proc and its closure) — bounded, not zero.
-func TestSubmit8KTGTZeroAllocs(t *testing.T) {
-	m := model.NewMachine(model.Default())
-	defer m.Eng.Shutdown()
+// zeroAllocDriver is a one-queue driver over an 8 KiB store whose handler
+// allocates nothing: writes copy in, reads return the store itself.
+func zeroAllocDriver(t *testing.T) (*model.Machine, *Driver, []byte) {
+	m := newTestMachine(t, model.Default())
 	store := make([]byte, 8192)
 	d := NewDriver(m, Config{Queues: 1, Depth: 64, SlotsPerQ: 32, MaxIO: 64 * 1024, RHCap: 256},
 		func(p *sim.Proc, req Request) Response {
@@ -29,17 +24,19 @@ func TestSubmit8KTGTZeroAllocs(t *testing.T) {
 			}
 			return Response{Status: nvme.StatusOK, Header: store[:1], Data: store}
 		})
-	payload := bytes.Repeat([]byte{0xA5}, 8192)
-	hdr, dst := make([]byte, 16), make([]byte, 8192)
+	return m, d, store
+}
+
+// steadyAllocs runs round on an app process once per step, warms it up, and
+// checks that a step allocates nothing and under 2 KiB (a payload-sized
+// buffer) however it is counted.
+func steadyAllocs(t *testing.T, m *model.Machine, name string, round func(p *sim.Proc)) {
+	t.Helper()
 	kick := sim.NewCond(m.Eng, "step")
 	m.Eng.Go("app", func(p *sim.Proc) {
 		for {
 			kick.Wait(p)
-			w := d.Submit(p, 0, Submission{FileOp: nvme.FileOpWrite, Header: hdr, Payload: payload})
-			r := d.Submit(p, 0, Submission{FileOp: nvme.FileOpRead, Header: hdr, RHLen: 1, ReadLen: 8192, ReadInto: dst})
-			if !w.OK() || !r.OK() || !bytes.Equal(r.Data, payload) {
-				t.Errorf("round trip failed: write %+v read status %d", w, r.Status)
-			}
+			round(p)
 		}
 	})
 	m.Eng.Run()
@@ -47,9 +44,8 @@ func TestSubmit8KTGTZeroAllocs(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		step()
 	}
-	const maxAllocs, maxBytes = 13, 2048
-	if a := testing.AllocsPerRun(100, step); a > maxAllocs {
-		t.Fatalf("8K write+read: %v allocs, want <= %d", a, maxAllocs)
+	if a := testing.AllocsPerRun(100, step); a != 0 {
+		t.Fatalf("%s: %v allocs, want 0", name, a)
 	}
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
@@ -57,9 +53,63 @@ func TestSubmit8KTGTZeroAllocs(t *testing.T) {
 		step()
 	}
 	runtime.ReadMemStats(&after)
-	if b := (after.TotalAlloc - before.TotalAlloc) / 100; b > maxBytes {
-		t.Fatalf("8K write+read: %d bytes allocated per pair, want <= %d (a payload-sized buffer is back)", b, maxBytes)
+	if b := (after.TotalAlloc - before.TotalAlloc) / 100; b > 2048 {
+		t.Fatalf("%s: %d bytes allocated per step, want <= 2048 (a payload-sized buffer is back)", name, b)
 	}
+}
+
+// TestSubmit8KTGTZeroAllocs: one 8 KiB write plus one 8 KiB read through
+// Driver.Submit allocate nothing in steady state. The TGT pulls the request
+// into a pooled buffer and gathers the response straight into host memory;
+// the command record, the nvme-worker that runs it and the interrupt that
+// completes it are all recycled, and the read's response header and payload
+// land in the caller's HeaderInto and ReadInto.
+func TestSubmit8KTGTZeroAllocs(t *testing.T) {
+	m, d, _ := zeroAllocDriver(t)
+	payload := bytes.Repeat([]byte{0xA5}, 8192)
+	hdr, rh, dst := make([]byte, 16), make([]byte, 1), make([]byte, 8192)
+	steadyAllocs(t, m, "8K write+read", func(p *sim.Proc) {
+		w := d.Submit(p, 0, Submission{FileOp: nvme.FileOpWrite, Header: hdr, Payload: payload})
+		r := d.Submit(p, 0, Submission{FileOp: nvme.FileOpRead, Header: hdr, RHLen: 1, ReadLen: 8192, ReadInto: dst, HeaderInto: rh})
+		if !w.OK() || !r.OK() || !bytes.Equal(r.Data, payload) {
+			t.Errorf("round trip failed: write %+v read status %d", w, r.Status)
+		}
+	})
+}
+
+// TestBatch8KZeroAllocs: four 8 KiB writes on one doorbell, then four 8 KiB
+// reads on another, allocate nothing either, with four commands, workers and
+// interrupts in flight at once. The burst goes through Enqueue and Ring,
+// which is SubmitBatch without the result slice it returns.
+func TestBatch8KZeroAllocs(t *testing.T) {
+	const depth = 4
+	m, d, _ := zeroAllocDriver(t)
+	payload := bytes.Repeat([]byte{0x3C}, 8192)
+	hdr := make([]byte, 16)
+	var rh [depth][1]byte
+	var dst [depth][8192]byte
+	var pends [depth]*Pending
+	steadyAllocs(t, m, "4-deep 8K batch", func(p *sim.Proc) {
+		for i := range pends {
+			pends[i] = d.Enqueue(p, 0, Submission{FileOp: nvme.FileOpWrite, Header: hdr, Payload: payload})
+		}
+		d.Ring(p, 0)
+		for i, pend := range pends {
+			if c := pend.Wait(p); !c.OK() {
+				t.Errorf("write %d: status %d", i, c.Status)
+			}
+		}
+		for i := range pends {
+			pends[i] = d.Enqueue(p, 0, Submission{FileOp: nvme.FileOpRead, Header: hdr, RHLen: 1, ReadLen: 8192,
+				ReadInto: dst[i][:], HeaderInto: rh[i][:]})
+		}
+		d.Ring(p, 0)
+		for i, pend := range pends {
+			if c := pend.Wait(p); !c.OK() || !bytes.Equal(c.Data, payload) {
+				t.Errorf("read %d: status %d", i, c.Status)
+			}
+		}
+	})
 }
 
 // TestExecuteDataOutBytes: the gathered data-out write leaves host memory
@@ -87,8 +137,7 @@ func TestExecuteDataOutBytes(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			m := model.NewMachine(model.Default())
-			defer m.Eng.Shutdown()
+			m := newTestMachine(t, model.Default())
 			d := NewDriver(m, Config{Queues: 1, Depth: 8, SlotsPerQ: 1, MaxIO: 4096, RHCap: rhCap},
 				func(p *sim.Proc, req Request) Response {
 					return Response{Status: nvme.StatusOK, Header: hdrOf(tc.respHdr), Data: data}

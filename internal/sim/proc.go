@@ -34,8 +34,9 @@ type procKilled struct{ name string }
 
 // carrier is a coroutine that runs process bodies one after another. When a
 // body returns the carrier parks itself on Engine.idle and the next process
-// to start takes it over, so Go allocates a Proc and nothing else (nvme-fs
-// spawns one process per command). Idle carriers are released by Shutdown.
+// to start takes it over, so Go allocates a Proc and nothing else (Fork's
+// children and short-lived helpers start and end all the time). Idle
+// carriers are released by Shutdown.
 type carrier struct {
 	eng   *Engine
 	p     *Proc // the process whose body runs now, or runs on the next resume

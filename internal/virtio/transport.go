@@ -37,7 +37,7 @@ type pending struct {
 	usedLen uint32
 	// span is the submitter's request span, carried across the host→HAL hop
 	// so the DPU-side span nests under the operation that published the
-	// chain (mirrors nvmefs's spanOf map).
+	// chain (mirrors the span on nvmefs's Pending).
 	span obs.Span
 }
 

@@ -81,6 +81,7 @@ func SmallIO(cfg *model.Config, inlineMax int) nvmefs.Config {
 func NewNvmeEcho(cfg model.Config, ncfg nvmefs.Config, store Store) (*model.Machine, *nvmefs.Driver) {
 	m := model.NewMachine(cfg)
 	put, get := echoStore(m, store)
+	done := []byte{1} // the read status header, shared: the transport only reads it
 	d := nvmefs.NewDriver(m, ncfg, func(p *sim.Proc, req nvmefs.Request) nvmefs.Response {
 		off := uint64(req.SQE.DW12)
 		switch req.SQE.FileOp {
@@ -90,7 +91,7 @@ func NewNvmeEcho(cfg model.Config, ncfg nvmefs.Config, store Store) (*model.Mach
 			}
 		case nvme.FileOpRead:
 			if data, err := get(p, off, int(req.SQE.ReadLen)-ncfg.RHCap); err == nil {
-				return nvmefs.Response{Status: nvme.StatusOK, Header: []byte{1}, Data: data}
+				return nvmefs.Response{Status: nvme.StatusOK, Header: done, Data: data}
 			}
 		}
 		return nvmefs.Response{Status: nvme.StatusInvalid}

@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race torture check check-faults check-crash bench-json bench-identical bench-smoke allocs whatif
+.PHONY: build test vet race torture check check-faults check-crash bench-json bench-identical bench-smoke allocs fuzz whatif
 
 build:
 	$(GO) build ./...
@@ -180,10 +180,25 @@ whatif:
 # a KV GetInto round trip through a shard's fabric.Server allocates only the
 # boxing of its request and reply;
 # an 8 KiB write+read through nvme-fs, alone and four deep on one doorbell,
-# allocates nothing (recycled command records, pooled workers, IRQ records),
-# and through the whole stack only what its KV accesses box and key.
+# allocates nothing (recycled command, job and IRQ records, reused worker
+# processes), and through the whole stack only what its KV accesses box and
+# key; a buffered read that misses allocates nothing in the client; and a
+# process spawned by Go or Fork reuses a finished one, so it allocates nothing.
 allocs:
 	$(GO) test -count=1 -run 'ZeroScratchAllocs|ZeroAllocs|PairBytes' .
 	$(GO) test -count=1 -run 'ZeroAllocs' ./internal/telemetry ./internal/cache ./internal/nvmefs ./internal/kv ./internal/kvfs ./internal/ssd ./internal/cpu ./internal/sim ./internal/fabric ./internal/pcie ./internal/mem
 
-check: vet test race allocs torture check-faults check-crash bench-identical bench-smoke
+# Every Fuzz* target in the module (bench/ aside), each fuzzed for FUZZTIME:
+# go test fuzzes one target of one package per run. An input that fails is
+# written under that package's testdata/fuzz, from where plain go test
+# replays it on every run: commit it together with its fix.
+FUZZTIME ?= 10s
+fuzz:
+	@for f in $$(grep -rl --include='*_test.go' '^func Fuzz' . | grep -v '^\./bench/' | sort); do \
+		for t in $$(grep -o '^func Fuzz[A-Za-z0-9_]*' $$f | cut -d' ' -f2); do \
+			echo "fuzz $$(dirname $$f) $$t"; \
+			out=$$($(GO) test -run '^$$' -fuzz "^$$t\$$" -fuzztime $(FUZZTIME) $$(dirname $$f) 2>&1) || { echo "$$out"; exit 1; }; \
+		done; \
+	done
+
+check: vet test race allocs fuzz torture check-faults check-crash bench-identical bench-smoke

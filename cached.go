@@ -181,10 +181,10 @@ type pageFetch struct {
 	dst []byte
 }
 
-// pageMiss is one absent page on its way through the fill protocol. It names
+// pageMiss is one absent page in flight through the fill protocol. It names
 // its request by index into the caller's slice — not by pointer — so a
 // stack-allocated request array (the RMW and small-read paths) never escapes
-// to the heap through the miss queue.
+// to the heap through the window.
 type pageMiss struct {
 	idx  int
 	pend *nvmefs.Pending
@@ -209,58 +209,58 @@ func (c *Client) missSubmission(ino, lpn, ps uint64) nvmefs.Submission {
 func (c *Client) fetchPages(p *sim.Proc, qid int, ino uint64, reqs []pageFetch) error {
 	ps := uint64(c.cacheHost.L.PageSize)
 	// Hits copy straight from host memory into each request's dst
-	// (LookupInto: no intermediate page slice); the miss queue is only
-	// materialized when a miss actually occurs, so the all-hit fast path
-	// allocates nothing.
-	var queue []pageMiss
+	// (LookupInto: no intermediate page slice). Every absent page sits in
+	// exactly one of two rings on the stack: the miss queue (request
+	// indices, a slot per request) and the window in flight (a slot per
+	// command the window allows). Reads of up to 16 pages under the default
+	// window allocate neither.
+	var queueArr [16]int
+	queue := queueArr[:]
+	if len(reqs) > len(queue) {
+		queue = make([]int, len(reqs))
+	}
+	qhead, qn := 0, 0
 	for i := range reqs {
 		if !c.cacheHost.LookupInto(p, ino, reqs[i].lpn, reqs[i].po, reqs[i].dst) {
-			queue = append(queue, pageMiss{idx: i})
+			queue[qn] = i
+			qn++
 		}
 	}
-	if len(queue) == 0 {
+	if qn == 0 {
 		return nil
 	}
 	w := c.sys.Driver.Window()
-	stripes := c.queueCount()
-	if stripes > w {
-		stripes = w
+	stripes := min(c.queueCount(), w)
+	var inflightArr [16]pageMiss
+	inflight := inflightArr[:]
+	if w > len(inflight) {
+		inflight = make([]pageMiss, w)
 	}
-	inflight := make([]pageMiss, 0, w)
-	groups := make([][]pageMiss, stripes)
-	seq := 0
-	for len(queue) > 0 || len(inflight) > 0 {
-		if len(queue) > 0 && len(inflight) < w {
-			take := w - len(inflight)
-			if take > len(queue) {
-				take = len(queue)
-			}
-			wave := queue[:take]
-			queue = queue[take:]
-			// Group the wave by stripe (a fixed slice, not a map, so the
-			// submit order is deterministic) and batch each group.
-			for s := range groups {
-				groups[s] = groups[s][:0]
-			}
-			for _, ms := range wave {
-				s := seq % stripes
-				seq++
-				groups[s] = append(groups[s], ms)
-			}
-			for s, g := range groups {
-				if len(g) == 0 {
-					continue
-				}
+	head, n, seq := 0, 0, 0
+	for qn > 0 || n > 0 {
+		if qn > 0 && n < w {
+			take := min(w-n, qn)
+			// Group the wave by stripe, the k-th page of the wave going to
+			// stripe (seq+k) % stripes, and batch each group on its queue
+			// in wave order: a deterministic submit order, no map.
+			for s := range stripes {
 				q := (qid + s) % c.queueCount()
-				for i := range g {
-					g[i].pend = c.enqueue(p, q, c.missSubmission(ino, reqs[g[i].idx].lpn, ps))
+				k0 := ((s-seq)%stripes + stripes) % stripes
+				for k := k0; k < take; k += stripes {
+					idx := queue[(qhead+k)%len(queue)]
+					inflight[(head+n)%w] = pageMiss{idx: idx, pend: c.enqueue(p, q, c.missSubmission(ino, reqs[idx].lpn, ps))}
+					n++
 				}
-				c.ring(p, q)
-				inflight = append(inflight, g...)
+				if k0 < take {
+					c.ring(p, q)
+				}
 			}
+			seq += take
+			qhead, qn = (qhead+take)%len(queue), qn-take
 		}
-		ms := inflight[0]
-		inflight = inflight[1:]
+		ms := inflight[head]
+		inflight[head] = pageMiss{}
+		head, n = (head+1)%w, n-1
 		comp := ms.pend.Wait(p)
 		req := &reqs[ms.idx]
 		if err := statusErr(comp.Status); err != nil {
@@ -280,7 +280,8 @@ func (c *Client) fetchPages(p *sim.Proc, qid int, ino uint64, reqs []pageFetch) 
 		// evicted again before this probe is simply absent, and goes round
 		// for another fill.
 		if !c.cacheHost.LookupInto(p, ino, req.lpn, req.po, req.dst) {
-			queue = append(queue, ms)
+			queue[(qhead+qn)%len(queue)] = ms.idx
+			qn++
 		}
 	}
 	return nil

@@ -268,3 +268,56 @@ func TestInlineMetricsKeysOnlyWhenEnabled(t *testing.T) {
 		}
 	}
 }
+
+// A buffered read that misses allocates nothing in the client: its miss
+// queue and window are rings on the stack. Each read misses four 8 KiB
+// pages, striped over four queues, and the DPU fills each with one backend
+// read, so a page costs exactly that KV access's allocations (the boxing of
+// its request and reply and the key) and two of the fill header's: the dispatcher's 5-byte header and the
+// interrupt's copy of it, which the miss submission gives no buffer for
+// (both tiny, so a heap profile shows only one). The prefetcher is off: its
+// stream bookkeeping is not the client's.
+func TestBufferedReadMissZeroScratchAllocs(t *testing.T) {
+	const pages, kvAllocsPerAccess, fillHeader = 4, 3, 2
+	opts := DefaultOptions()
+	opts.CachePages = 1024
+	opts.Ctl.PrefetchEnabled = false
+	sys := New(opts)
+	cl := sys.KVFSClient()
+	sys.Go(func(p *sim.Proc) {
+		sys.StopDaemons()
+		f, err := cl.Create(p, 0, "/miss")
+		if err != nil {
+			t.Errorf("Create: %v", err)
+			return
+		}
+		data := bytes.Repeat([]byte{0x5A}, pages*8192)
+		if err := f.Write(p, 0, 0, data, true); err != nil {
+			t.Errorf("write: %v", err)
+			return
+		}
+		dst := make([]byte, len(data))
+		miss := func() {
+			cl.cacheHost.InvalidateIno(p, f.Ino)
+			if n, err := f.ReadInto(p, 0, 0, dst, false); err != nil || n != len(dst) {
+				t.Errorf("ReadInto = %d, %v", n, err)
+			}
+		}
+		for i := 0; i < 8; i++ {
+			miss()
+		}
+		fills := sys.kvfsSvc.Ctl.Fills.Total()
+		if a := testing.AllocsPerRun(50, miss); a != pages*(kvAllocsPerAccess+fillHeader) {
+			t.Errorf("buffered read missing %d pages: %v allocs, want %d (per page one KV access and the fill header)",
+				pages, a, pages*(kvAllocsPerAccess+fillHeader))
+		}
+		if n := sys.kvfsSvc.Ctl.Fills.Total() - fills; n != pages*51 {
+			t.Errorf("%d fills in 51 reads of %d pages: the reads did not miss", n, pages)
+		}
+		if !bytes.Equal(dst, data) {
+			t.Error("read-back mismatch")
+		}
+	})
+	sys.Run()
+	sys.Shutdown()
+}

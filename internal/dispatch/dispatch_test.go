@@ -2,6 +2,9 @@ package dispatch
 
 import (
 	"bytes"
+	"math"
+	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -362,6 +365,39 @@ func TestHandleReadTransportBuffer(t *testing.T) {
 		}
 		if cached := svc.DPUCache[[2]uint64{ino, 0}]; !bytes.Equal(cached, body[:kvfs.BlockSize]) {
 			t.Error("the DPU cache's own page was overwritten")
+		}
+	})
+	m.Eng.Run()
+	m.Eng.Shutdown()
+}
+
+// EncodeDirEntries carries each name's length in 16 bits. Its one caller
+// lists a KVFS directory, and KVFS refuses a name over MaxNameLen on every
+// path that makes one (create, mkdir, the target of a rename), so no name it
+// lists is longer than the encoding holds.
+func TestListedNamesFitDirEntryEncoding(t *testing.T) {
+	if kvfs.MaxNameLen > math.MaxUint16 {
+		t.Fatalf("kvfs.MaxNameLen %d does not fit a dirent's 16-bit name length", kvfs.MaxNameLen)
+	}
+	m, d, _ := newKVFSDispatcher(t)
+	long := "/" + strings.Repeat("n", kvfs.MaxNameLen+1)
+	m.Eng.Go("test", func(p *sim.Proc) {
+		mk := func(op uint32, hdr ReqHeader, payload string) nvmefs.Response {
+			return call(p, d, op, nvme.DispatchKVFS, hdr, []byte(payload))
+		}
+		for _, op := range []uint32{nvme.FileOpCreate, nvme.FileOpMkdir} {
+			if r := mk(op, ReqHeader{PathLen: uint16(len(long))}, long); r.Status == nvme.StatusOK {
+				t.Errorf("op %d made a %d-byte name", op, len(long)-1)
+			}
+		}
+		mk(nvme.FileOpCreate, ReqHeader{PathLen: 2}, "/a")
+		if r := mk(nvme.FileOpRename, ReqHeader{PathLen: 2, Aux: uint16(len(long))}, "/a"+long); r.Status == nvme.StatusOK {
+			t.Errorf("rename made a %d-byte name", len(long)-1)
+		}
+		r := mk(nvme.FileOpReaddir, ReqHeader{PathLen: 1}, "/")
+		names, _, err := DecodeDirEntries(r.Data)
+		if err != nil || !slices.Equal(names, []string{"a"}) {
+			t.Errorf("readdir / = %q, %v; want [a]", names, err)
 		}
 	})
 	m.Eng.Run()

@@ -281,15 +281,15 @@ type Driver struct {
 
 	// sched arbitrates between queue drain and dispatch in multi-tenant
 	// mode; nil (the default) means TGT threads hand each command to an
-	// idle pooled worker.
+	// nvme-worker of its own.
 	sched *scheduler
 	// Free lists of the per-command records (see DESIGN.md §6 "Command
 	// lifetime"): Pendings whose Wait has returned, IRQ records whose
-	// interrupt has fired, and nvme-worker processes parked between
-	// commands. Each grows to the peak in-flight count and no further.
+	// interrupt has fired, and jobs whose worker has started. Each grows to
+	// the peak in-flight count and no further.
 	freePend []*Pending
 	freeIRQ  []*irq
-	idle     []*worker
+	freeJobs []*job
 
 	// faults is the injector consulted on the TGT and completion paths;
 	// nil (the default) means no injection, no deadlines, no extra events.

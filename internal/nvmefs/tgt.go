@@ -45,7 +45,7 @@ type fetched struct {
 
 // processOne consumes one SQE: the 4-DMA path of Figure 4. The TGT thread
 // performs the SQE fetch and parse synchronously (they keep queue order),
-// then hands the request to a pooled nvme-worker so slow file stacks do not
+// then hands the request to an nvme-worker so slow file stacks do not
 // serialize the queue (DPFS's single HAL thread does exactly that, which is
 // part of why it cannot scale). In multi-tenant mode the hand-off goes
 // through the DPU scheduler instead: the TGT only drains and admits; the
@@ -63,38 +63,34 @@ func (d *Driver) processOne(p *sim.Proc, qs *queueState) {
 	f.ts.End(p)
 }
 
-// worker is one pooled nvme-worker: a DPU thread that executes one command
-// at a time and parks on its own cond between commands.
-type worker struct {
-	d    *Driver
-	cond sim.Cond
-	f    fetched // the command to run; f.qs == nil while idle
+// job carries one command to the nvme-worker process that executes it:
+// handOff fills a record from the driver's free list and starts run, the
+// method value built once per record, so a hand-off allocates nothing (the
+// engine reuses a finished worker's process).
+type job struct {
+	d   *Driver
+	f   fetched
+	run func(p *sim.Proc)
 }
 
-// handOff gives f to an idle worker, or starts a new one when none is idle.
-// Either way the worker resumes at the current instant through one wake
-// event, so the pool schedules exactly what a process per command would.
+// handOff starts an nvme-worker for f at the current instant.
 func (d *Driver) handOff(f fetched) {
-	if w := popLast(&d.idle); w != nil {
-		w.f = f
-		w.cond.Signal()
-		return
+	j := popLast(&d.freeJobs)
+	if j == nil {
+		j = &job{d: d}
+		j.run = j.execute
 	}
-	w := &worker{d: d, f: f}
-	w.cond.Init(d.m.Eng, "nvme-worker")
-	d.m.Eng.Go("nvme-worker", w.loop)
+	j.f = f
+	d.m.Eng.Go("nvme-worker", j.run)
 }
 
-// loop runs commands for the driver's lifetime; Shutdown kills it idle.
-func (w *worker) loop(p *sim.Proc) {
-	for {
-		w.d.execute(p, w.f)
-		w.f = fetched{}
-		w.d.idle = append(w.d.idle, w)
-		for w.f.qs == nil {
-			w.cond.Wait(p)
-		}
-	}
+// execute is an nvme-worker's body: it returns its record to the free list
+// and runs the command.
+func (j *job) execute(p *sim.Proc) {
+	d, f := j.d, j.f
+	j.f = fetched{}
+	d.freeJobs = append(d.freeJobs, j)
+	d.execute(p, f)
 }
 
 // fetchOne performs the queue-order part of the TGT path: the SQE fetch
@@ -258,7 +254,7 @@ func (d *Driver) pullBuffers(p *sim.Proc, f *fetched) bool {
 
 // execute runs a dispatched command to completion: dedup lookup, handler,
 // response write-back (④ rides in complete). In single-tenant mode it runs
-// on the pooled nvme-worker handOff gave the command to; in multi-tenant
+// on the nvme-worker handOff started for the command; in multi-tenant
 // mode it runs inline on the dispatch worker the scheduler granted it to.
 func (d *Driver) execute(wp *sim.Proc, f fetched) {
 	link := d.m.PCIe

@@ -56,6 +56,35 @@ func TestSpanNesting(t *testing.T) {
 	}
 }
 
+// A process that finished keeps its span stack in Ctx when the engine reuses
+// it, so its next body's first span must not nest under a span of the body
+// before: every span a body opened is closed by the time it returns.
+func TestReusedProcFirstSpanHasNoParent(t *testing.T) {
+	o := New()
+	eng := sim.NewEngine(1)
+	t.Cleanup(eng.Shutdown)
+	first := eng.Go("first", func(p *sim.Proc) {
+		outer := o.Begin(p, "outer")
+		inner := o.Begin(p, "inner")
+		p.Sleep(time.Microsecond)
+		inner.End(p)
+		outer.End(p)
+	})
+	eng.Run()
+	parent := uint64(1 << 63)
+	if second := eng.Go("second", func(p *sim.Proc) {
+		s := o.Begin(p, "next-body")
+		parent = o.tr.open[s.id].parent
+		s.End(p)
+	}); second != first {
+		t.Fatal("the engine did not reuse the finished process: the test is vacuous")
+	}
+	eng.Run()
+	if parent != 0 {
+		t.Fatalf("reused process's first span has parent %d, want none", parent)
+	}
+}
+
 // runSpanScenario drives a fixed multi-process workload against a fresh
 // engine + hub and returns the Perfetto export and metrics snapshot.
 func runSpanScenario(seed int64) ([]byte, []byte) {

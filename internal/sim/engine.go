@@ -9,12 +9,12 @@
 // structures shared between processes need no locking.
 //
 // Execution model: the event loop and every plain-event callback run on the
-// goroutine that called Run; a process body runs on a carrier coroutine
+// goroutine that called Run; a process body runs on the process's coroutine
 // (iter.Pull). An activation with other work interleaved costs two switches:
-// one from the loop into the carrier to wake the process, one back when it
+// one from the loop into the coroutine to wake the process, one back when it
 // parks. Two events cost less, in the same (at, seq) order: a sleeper whose
 // own wake-up is the next event advances the clock in place without leaving
-// its carrier (Proc.wakeAt), and a wake-up or event for the current instant
+// its coroutine (Proc.wakeAt), and a wake-up or event for the current instant
 // is queued in a FIFO instead of the heap (Engine.push). A panic in a process
 // body surfaces from Run.
 //
@@ -26,6 +26,7 @@ package sim
 import (
 	"cmp"
 	"fmt"
+	"iter"
 	"math/rand"
 	"slices"
 	"time"
@@ -130,9 +131,10 @@ type Engine struct {
 	seq     uint64
 	rng     *rand.Rand
 
-	// parked holds every live process currently blocked, for Shutdown. A
-	// process's slot is its parkIdx, so parking and waking are O(1).
-	parked []*Proc
+	// procs holds every process the engine has made and not yet seen die,
+	// for Shutdown; Go reuses processes, so it is as long as the most that
+	// were ever live at once.
+	procs []*Proc
 
 	// The engine's own work, counted since NewEngine. Parks counts park
 	// calls: each resumes through two coroutine switches. It also stamps
@@ -144,9 +146,8 @@ type Engine struct {
 	FIFOPops   int64
 	InPlace    int64
 
-	// idle holds carriers whose process body has returned; the next process
-	// to start reuses one instead of creating a coroutine.
-	idle []*carrier
+	// free holds processes whose body has returned, for Go to reuse.
+	free []*Proc
 	// running is the process currently executing, if any.
 	running *Proc
 	// inRun reports whether the event loop is active; limit is the bound of
@@ -262,58 +263,57 @@ func (e *Engine) RunUntil(limit Time) {
 // PendingEvents returns the number of scheduled events, heap and nowq.
 func (e *Engine) PendingEvents() int { return e.events.Len() + len(e.nowq) - e.nowHead }
 
-// Shutdown kills every parked process, in the order they parked, and releases
-// the idle carriers. It must be called from outside process context (after
-// Run returns). Killed processes unwind via panic, running their deferred
-// functions; the engine is unusable for those procs afterwards but may
-// continue to schedule plain events.
+// Shutdown kills every parked process, in the order they parked, and
+// releases the free ones. It must be called from outside process context
+// (after Run returns). Killed processes unwind via panic, running their
+// deferred functions; the engine is unusable for those procs afterwards but
+// may continue to schedule plain events. A process whose start is pending
+// gives up its coroutine: it starts on a new one if the engine runs again.
 func (e *Engine) Shutdown() {
 	if e.running != nil {
 		panic("sim: Shutdown called from process context")
 	}
-	slices.SortFunc(e.parked, func(a, b *Proc) int { return cmp.Compare(a.parkSeq, b.parkSeq) })
-	for _, p := range e.parked {
-		p.dead = true
+	parked := slices.DeleteFunc(slices.Clone(e.procs), func(p *Proc) bool { return p.state != procParked })
+	slices.SortFunc(parked, func(a, b *Proc) int { return cmp.Compare(a.parkSeq, b.parkSeq) })
+	for _, p := range parked {
+		p.state = procDead
 		e.running = p
-		p.c.stop() // park's yield returns false: the body unwinds as procKilled
+		p.stop() // park's yield returns false: the body unwinds as procKilled
 		e.running = nil
 	}
-	e.parked = nil
-	for _, c := range e.idle {
-		c.stop()
+	for _, p := range e.procs { // the free ones, and a start pending on a reused coroutine
+		if p.state != procDead && p.next != nil {
+			p.stop()
+			p.next, p.stop = nil, nil
+		}
 	}
-	e.idle = nil
+	e.free = nil
+	e.procs = slices.DeleteFunc(e.procs, func(p *Proc) bool { return p.state != procStarting })
 }
 
 // wake transfers control to p until it parks again or terminates. Must be
-// called only from the engine loop (with no process running). Waking a dead
-// process (completed or killed by Shutdown) is a no-op: stale wake events may
-// survive in the heap past a process's life. A process's first wake is its
-// start event: it takes a carrier and begins the body.
+// called only from the engine loop (with no process running). A start event
+// begins the body, on a new coroutine if p has none. Waking a dead process
+// is a no-op: a kill may leave wake-ups behind. A wake for a free process
+// would resume whatever body reuses it next, so it panics.
 func (e *Engine) wake(p *Proc) {
 	if e.running != nil {
 		panic("sim: wake with a process already running")
 	}
-	if p.dead {
+	switch p.state {
+	case procDead:
 		return
-	}
-	if p.c == nil {
-		p.c = e.takeCarrier()
-		p.c.p = p
-	} else {
-		// Leave the parked set: the last entry moves into p's slot.
-		if e.parked[p.parkIdx] != p {
-			panic(fmt.Sprintf("sim: waking proc %q that is not parked", p.name))
+	case procStarting:
+		if p.next == nil {
+			p.next, p.stop = iter.Pull(p.loop)
 		}
-		n := len(e.parked) - 1
-		last := e.parked[n]
-		e.parked[p.parkIdx] = last
-		last.parkIdx = p.parkIdx
-		e.parked[n] = nil
-		e.parked = e.parked[:n]
+	case procParked:
+	default:
+		panic(fmt.Sprintf("sim: waking proc %q that is not parked", p.name))
 	}
+	p.state = procRunning
 	e.running = p
-	p.c.next()
+	p.next()
 	e.running = nil
 }
 

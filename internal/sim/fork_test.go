@@ -102,3 +102,28 @@ func TestForkMatchesHandRolledJoin(t *testing.T) {
 		})
 	}
 }
+
+// A Fork keeps its join state in the parent and its children reuse finished
+// processes, so a steady-state fan-out allocates nothing.
+func TestForkZeroAllocs(t *testing.T) {
+	e := newTestEngine(t, 1)
+	joined := 0
+	body := func(c *Proc, i int) { c.Sleep(time.Duration(i+1) * Microsecond / 8) }
+	e.Go("parent", func(p *Proc) {
+		for {
+			p.Fork("child", 3, body)
+			joined++
+			p.Sleep(Microsecond / 2)
+		}
+	})
+	for range 16 { // warm up: the free list and the child method value
+		step(e)
+	}
+	before := joined
+	if a := testing.AllocsPerRun(200, func() { step(e) }); a != 0 {
+		t.Fatalf("%v allocs per round of Fork, want 0", a)
+	}
+	if joined == before {
+		t.Fatal("no Fork joined: the measurement is vacuous")
+	}
+}

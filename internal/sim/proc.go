@@ -2,96 +2,101 @@ package sim
 
 import (
 	"fmt"
-	"iter"
 	"os"
 	"runtime/debug"
 	"time"
 )
 
-// Proc is a simulation process: a body that runs on a carrier coroutine in
-// lockstep with the engine. Only one process runs at a time; every blocking
-// operation switches back to the event loop.
+// Proc is a simulation process: a body that runs on the process's own
+// coroutine in lockstep with the engine. Only one process runs at a time;
+// every blocking operation switches back to the event loop. A Proc whose body
+// has returned waits on Engine.free for the next Go to reuse it.
 type Proc struct {
-	eng  *Engine
-	name string
-	fn   func(p *Proc)
-	c    *carrier // nil until the start event runs
-	dead bool
-	// parkIdx is the process's slot in Engine.parked while it is parked;
-	// parkSeq is the Engine.Parks stamp of its latest park.
-	parkIdx int
+	eng   *Engine
+	name  string
+	fn    func(p *Proc)
+	state procState
+	// The coroutine, made at the first start: next resumes it, stop kills
+	// it, and yield, called on it, parks it.
+	next  func() (struct{}, bool)
+	stop  func()
+	yield func(struct{}) bool
+	// parkSeq is the Engine.Parks stamp of the process's latest park.
 	parkSeq int64
+
+	// The state of the Fork the process is parked in: the children's body,
+	// the next child's index, the children left, and child, the method
+	// value forkChild, built once.
+	forkBody           func(c *Proc, i int)
+	forkNext, forkLeft int
+	child              func(c *Proc)
 
 	// Ctx is an opaque per-process slot for cross-layer instrumentation:
 	// internal/obs hangs the process's span stack here. sim itself never
-	// reads or writes it. Safe without locking because only one process
-	// runs at a time.
+	// reads or writes it (it survives reuse). Safe without locking because
+	// only one process runs at a time.
 	Ctx any
 }
+
+// procState is where a process is in its life (DESIGN.md §2, "Process
+// lifetime").
+type procState uint8
+
+const (
+	procStarting procState = iota // start event pending
+	procRunning
+	procParked
+	procFree // body returned: on Engine.free
+	procDead // killed by Shutdown, or its body panicked: never reused
+)
 
 // procKilled is the panic value used to unwind a process killed by Shutdown.
 type procKilled struct{ name string }
 
-// carrier is a coroutine that runs process bodies one after another. When a
-// body returns the carrier parks itself on Engine.idle and the next process
-// to start takes it over, so Go allocates a Proc and nothing else (Fork's
-// children and short-lived helpers start and end all the time). Idle
-// carriers are released by Shutdown.
-type carrier struct {
-	eng   *Engine
-	p     *Proc // the process whose body runs now, or runs on the next resume
-	next  func() (struct{}, bool)
-	stop  func()
-	yield func(struct{}) bool
-}
-
-// takeCarrier returns an idle carrier, or a new one if none is idle.
-func (e *Engine) takeCarrier() *carrier {
-	if n := len(e.idle) - 1; n >= 0 {
-		c := e.idle[n]
-		e.idle = e.idle[:n]
-		return c
-	}
-	c := &carrier{eng: e}
-	c.next, c.stop = iter.Pull(c.loop)
-	return c
-}
-
-func (c *carrier) loop(yield func(struct{}) bool) {
-	c.yield = yield
-	for c.run() {
-		c.eng.idle = append(c.eng.idle, c)
+// loop is the process's coroutine: one body per start, and Engine.free in
+// between.
+func (p *Proc) loop(yield func(struct{}) bool) {
+	p.yield = yield
+	for p.run() {
+		p.eng.free = append(p.eng.free, p)
 		if !yield(struct{}{}) {
 			return
 		}
 	}
 }
 
-// run executes the body of c.p and reports whether the carrier can take
-// another process: false once Shutdown has stopped it. Any other panic leaves
-// through iter.Pull, which re-raises it in Run on the engine's goroutine; its
-// stack is gone by then, so it is printed here.
-func (c *carrier) run() (reusable bool) {
-	p := c.p
+// run executes the body and reports whether the process can be reused: false
+// once Shutdown has killed it. Any other panic leaves through iter.Pull,
+// which re-raises it in Run on the engine's goroutine; its stack is gone by
+// then, so it is printed here.
+func (p *Proc) run() (reusable bool) {
 	defer func() {
-		p.dead = true
-		c.p = nil
 		if r := recover(); r != nil {
+			p.state = procDead
 			if _, killed := r.(procKilled); !killed {
 				fmt.Fprintf(os.Stderr, "sim: proc %q panicked: %v\n%s", p.name, r, debug.Stack())
-				c.eng.running = nil
+				p.eng.running = nil
 				panic(r)
 			}
 		}
 	}()
 	p.fn(p)
+	p.fn, p.state = nil, procFree
 	return true
 }
 
-// Go spawns a new process. The process body starts executing at the current
-// virtual time (as a scheduled event), in lockstep with the engine.
+// Go spawns a process, reusing a free one if any. The body starts executing
+// at the current virtual time (as a scheduled event), in lockstep with the
+// engine. The returned Proc is this body's only until the body returns.
 func (e *Engine) Go(name string, fn func(p *Proc)) *Proc {
-	p := &Proc{eng: e, name: name, fn: fn}
+	var p *Proc
+	if n := len(e.free) - 1; n >= 0 {
+		p, e.free[n], e.free = e.free[n], nil, e.free[:n]
+	} else {
+		p = &Proc{eng: e}
+		e.procs = append(e.procs, p)
+	}
+	p.name, p.fn, p.state = name, fn, procStarting
 	e.scheduleWake(p, e.now)
 	return p
 }
@@ -101,43 +106,35 @@ func (e *Engine) Go(name string, fn func(p *Proc)) *Proc {
 // order at the current instant, and the last one to return wakes p directly.
 // That is n start events, one park and one wake at the last return: the
 // events of spawning n processes that count down to a Broadcast on a Cond p
-// waits on. For n == 0 Fork returns at once.
+// waits on. For n == 0 Fork returns at once. The join state lives in p.
 func (p *Proc) Fork(name string, n int, body func(c *Proc, i int)) {
 	if n == 0 {
 		return
 	}
-	f := &fork{parent: p, body: body, left: n}
-	child := f.child
+	if p.child == nil {
+		p.child = p.forkChild
+	}
+	p.forkBody, p.forkNext, p.forkLeft = body, 0, n
 	for range n {
-		p.eng.Go(name, child)
+		p.eng.Go(name, p.child)
 	}
 	p.park()
+	p.forkBody = nil
 }
 
-// fork is the state one Fork's children share.
-type fork struct {
-	parent *Proc
-	body   func(c *Proc, i int)
-	next   int // index of the next child to start
-	left   int // children that have not returned
-}
-
-// child is each child's body. Start events at one instant run in the order
-// they were scheduled, so the k-th child to start is child k.
-func (f *fork) child(c *Proc) {
-	i := f.next
-	f.next++
-	f.body(c, i)
-	if f.left--; f.left == 0 {
-		c.eng.scheduleWake(f.parent, c.eng.now)
+// forkChild is the body of p's Fork children. Start events at one instant
+// run in the order they were scheduled, so the k-th child to start is child k.
+func (p *Proc) forkChild(c *Proc) {
+	i := p.forkNext
+	p.forkNext++
+	p.forkBody(c, i)
+	if p.forkLeft--; p.forkLeft == 0 {
+		p.eng.scheduleWake(p, p.eng.now)
 	}
 }
 
 // Name returns the process name (for diagnostics).
 func (p *Proc) Name() string { return p.name }
-
-// Engine returns the engine this process belongs to.
-func (p *Proc) Engine() *Engine { return p.eng }
 
 // Now returns the current virtual time.
 func (p *Proc) Now() Time { return p.eng.now }
@@ -148,15 +145,12 @@ func (p *Proc) Now() Time { return p.eng.now }
 // the body via panic so deferred cleanups run.
 func (p *Proc) park() {
 	e := p.eng
-	if e.running != p {
-		panic(fmt.Sprintf("sim: proc %q parking while not running", p.name))
-	}
+	p.mustRun()
 	e.running = nil
 	e.Parks++
+	p.state = procParked
 	p.parkSeq = e.Parks
-	p.parkIdx = len(e.parked)
-	e.parked = append(e.parked, p)
-	if !p.c.yield(struct{}{}) {
+	if !p.yield(struct{}{}) {
 		panic(procKilled{p.name})
 	}
 }
@@ -196,13 +190,21 @@ func (p *Proc) SleepUntil(t Time) {
 // marks the process dead first) — must reach park's panics.
 func (p *Proc) wakeAt(at Time) {
 	e := p.eng
-	if e.running == p && !p.dead && at <= e.limit && e.nowHead == len(e.nowq) &&
+	if e.running == p && p.state == procRunning && at <= e.limit && e.nowHead == len(e.nowq) &&
 		(e.events.Len() == 0 || e.events.peek().at > at) {
 		e.seq++
 		e.now = at
 		e.InPlace++
 		return
 	}
+	p.mustRun() // before the wake is scheduled: none may be left pending
 	e.scheduleWake(p, at)
 	p.park()
+}
+
+// mustRun panics unless p is the running process: only it may park.
+func (p *Proc) mustRun() {
+	if p.eng.running != p {
+		panic(fmt.Sprintf("sim: proc %q parking while not running", p.name))
+	}
 }

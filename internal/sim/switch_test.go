@@ -16,7 +16,7 @@ func step(e *Engine) { e.RunUntil(e.Now() + Time(Microsecond)) }
 // state: the wake is a proc-carrying event in the heap or, for the current
 // instant, in the same-instant queue, which drains and refills in place; the
 // switch is a coroutine switch; and the waiter queues reuse their slots. A
-// spawned process costs its Proc and nothing else.
+// spawned process reuses a finished one, so it costs nothing either.
 func TestSwitchPathsZeroAllocs(t *testing.T) {
 	cases := []struct {
 		name   string
@@ -120,7 +120,7 @@ func TestSwitchPathsZeroAllocs(t *testing.T) {
 				}
 			})
 		}},
-		{name: "GoShortBody", allocs: 1, setup: func(e *Engine) {
+		{name: "GoShortBody", setup: func(e *Engine) {
 			body := func(p *Proc) { p.Yield() }
 			e.Go("spawner", func(p *Proc) {
 				for {
@@ -134,7 +134,7 @@ func TestSwitchPathsZeroAllocs(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			e := newTestEngine(t, 1)
 			tc.setup(e)
-			for i := 0; i < 64; i++ { // warm up: heap, queues and carriers reach their size
+			for i := 0; i < 64; i++ { // warm up: heap, queues and free list reach their size
 				step(e)
 			}
 			before, queue := e.Parks, cap(e.nowq)
@@ -173,25 +173,28 @@ func TestFreshCondWaitZeroAllocs(t *testing.T) {
 	}
 }
 
-// A finished body parks its carrier; the next Go takes it over, so spawning a
-// short process allocates the Proc and nothing else.
-func TestGoReusesCarrier(t *testing.T) {
+// A finished body's process waits on the free list and the next Go reuses
+// it, coroutine and all, so spawning a short process allocates nothing.
+func TestGoReusesProc(t *testing.T) {
 	e := newTestEngine(t, 1)
 	ran := 0
 	body := func(p *Proc) { p.Sleep(Microsecond); ran++ }
+	first := e.Go("short", body)
+	e.Run()
 	spawn := func() {
-		e.Go("short", body)
+		if p := e.Go("short", body); p != first {
+			t.Fatal("Go made a new process with a free one waiting")
+		}
 		e.Run()
 	}
-	spawn()
-	if a := testing.AllocsPerRun(200, spawn); a > 1 {
-		t.Fatalf("Go of a short body: %v allocs, want <= 1 (the Proc)", a)
+	if a := testing.AllocsPerRun(200, spawn); a != 0 {
+		t.Fatalf("Go of a short body: %v allocs, want 0", a)
 	}
 	if ran != 202 {
 		t.Fatalf("ran %d bodies, want 202", ran)
 	}
-	if len(e.idle) != 1 {
-		t.Fatalf("%d idle carriers after sequential bodies, want 1", len(e.idle))
+	if len(e.free) != 1 {
+		t.Fatalf("%d free processes after sequential bodies, want 1", len(e.free))
 	}
 }
 
@@ -230,7 +233,7 @@ func TestProcPanicSurfacesFromRun(t *testing.T) {
 func TestShutdownOrderDefersAndGoroutines(t *testing.T) {
 	base := runtime.NumGoroutine()
 	if base >= 20 {
-		t.Fatalf("%d goroutines alive before the test: an earlier test left its carriers running", base)
+		t.Fatalf("%d goroutines alive before the test: an earlier test left its processes running", base)
 	}
 	e := newTestEngine(t, 1)
 	never := NewCond(e, "never")
@@ -247,7 +250,7 @@ func TestShutdownOrderDefersAndGoroutines(t *testing.T) {
 			never.Wait(p)
 		})
 	}
-	for i := 0; i < 4; i++ { // bodies that return: their carriers go idle
+	for i := 0; i < 4; i++ { // bodies that return: their processes go free
 		e.Go("short", func(p *Proc) { p.Sleep(4 * Microsecond) })
 	}
 	e.Schedule(Time(5*Microsecond), again.Signal)
@@ -255,18 +258,18 @@ func TestShutdownOrderDefersAndGoroutines(t *testing.T) {
 	if len(order) != 0 {
 		t.Fatalf("defers ran before Shutdown: %v", order)
 	}
-	if len(e.idle) != 4 || len(e.parked) != 3 {
-		t.Fatalf("idle carriers = %d, parked = %d, want 4 and 3", len(e.idle), len(e.parked))
+	if len(e.free) != 4 || parkedProcs(e) != 3 {
+		t.Fatalf("free = %d, parked = %d, want 4 and 3", len(e.free), parkedProcs(e))
 	}
 	if n := runtime.NumGoroutine(); n != base+7 {
-		t.Fatalf("%d goroutines with 7 carriers alive, started from %d", n, base)
+		t.Fatalf("%d goroutines with 7 processes alive, started from %d", n, base)
 	}
 	e.Shutdown()
 	if want := []string{"b", "c", "a"}; !slices.Equal(order, want) {
 		t.Fatalf("kill order %v, want park order %v", order, want)
 	}
-	if len(e.idle) != 0 || len(e.parked) != 0 {
-		t.Fatalf("after Shutdown: idle = %d, parked = %d", len(e.idle), len(e.parked))
+	if len(e.free) != 0 || parkedProcs(e) != 0 {
+		t.Fatalf("after Shutdown: free = %d, parked = %d", len(e.free), parkedProcs(e))
 	}
 	// A stopped coroutine's goroutine exits on its own schedule: poll.
 	deadline := time.Now().Add(2 * time.Second)
@@ -276,6 +279,17 @@ func TestShutdownOrderDefersAndGoroutines(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
+}
+
+// parkedProcs counts e's parked processes.
+func parkedProcs(e *Engine) int {
+	n := 0
+	for _, p := range e.procs {
+		if p.state == procParked {
+			n++
+		}
+	}
+	return n
 }
 
 // A lone sleeper's wake-up is always the next event, so every Sleep is the

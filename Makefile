@@ -177,16 +177,21 @@ whatif:
 # a tracked SSD overwrite with its barrier, an SSD read into a caller's
 # buffer, a contended and an uncontended CPU execution, a contended DMA and a
 # fabric RPC round trip with nil payloads, and a Slice of a materialised memory extent;
-# a KV GetInto round trip through a shard's fabric.Server allocates only the
-# boxing of its request and reply;
+# a KV GetInto round trip through a shard's fabric.Server allocates nothing
+# (a recycled call record, carried by pointer both ways), and a DFS data
+# server round trip exactly what the server does with the shards (nothing to
+# overwrite one, two objects to read one back);
 # an 8 KiB write+read through nvme-fs, alone and four deep on one doorbell,
 # allocates nothing (recycled command, job and IRQ records, reused worker
-# processes), and through the whole stack only what its KV accesses box and
-# key; a buffered read that misses allocates nothing in the client; and a
-# process spawned by Go or Fork reuses a finished one, so it allocates nothing.
+# processes), and through the whole stack nothing either (the KV call record
+# is recycled and the block key built on the stack); a buffered read that
+# misses allocates nothing end to end, with the prefetcher off or on; one
+# fsync journal pass of a warm inode allocates nothing (a recycled pass
+# record, WAL group and Cond); and a process spawned by Go or Fork reuses a
+# finished one, so it allocates nothing.
 allocs:
 	$(GO) test -count=1 -run 'ZeroScratchAllocs|ZeroAllocs|PairBytes' .
-	$(GO) test -count=1 -run 'ZeroAllocs' ./internal/telemetry ./internal/cache ./internal/nvmefs ./internal/kv ./internal/kvfs ./internal/ssd ./internal/cpu ./internal/sim ./internal/fabric ./internal/pcie ./internal/mem
+	$(GO) test -count=1 -run 'ZeroAllocs|DSRoundTripAllocs' ./internal/telemetry ./internal/cache ./internal/nvmefs ./internal/kv ./internal/kvfs ./internal/ssd ./internal/cpu ./internal/sim ./internal/fabric ./internal/pcie ./internal/mem ./internal/dfs
 
 # Every Fuzz* target in the module (bench/ aside), each fuzzed for FUZZTIME:
 # go test fuzzes one target of one package per run. An input that fails is

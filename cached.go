@@ -184,18 +184,25 @@ type pageFetch struct {
 // pageMiss is one absent page in flight through the fill protocol. It names
 // its request by index into the caller's slice — not by pointer — so a
 // stack-allocated request array (the RMW and small-read paths) never escapes
-// to the heap through the window.
+// to the heap through the window. rh is the pooled buffer its response
+// header lands in.
 type pageMiss struct {
 	idx  int
+	rh   []byte
 	pend *nvmefs.Pending
 }
 
-// missSubmission asks the DPU to install the page in the host cache. The
-// cached read path has no other way to the backend: the cache may hold bytes
-// newer than the backend's, so a read never goes around it.
-func (c *Client) missSubmission(ino, lpn, ps uint64) nvmefs.Submission {
+// missRHLen is the response header a miss submission reserves: the fill
+// header (dispatch.ParseFillHeader) and slack.
+const missRHLen = 8
+
+// missSubmission asks the DPU to install the page in the host cache, its
+// response header landing in rh. The cached read path has no other way to
+// the backend: the cache may hold bytes newer than the backend's, so a read
+// never goes around it.
+func (c *Client) missSubmission(ino, lpn, ps uint64, rh []byte) nvmefs.Submission {
 	hdr := dispatch.ReqHeader{Ino: ino, Off: lpn * ps, Len: uint32(ps), Flags: dispatch.FlagFillCache}
-	return nvmefs.Submission{FileOp: nvme.FileOpRead, Header: c.header(hdr), RHLen: 8, ReadLen: int(ps)}
+	return nvmefs.Submission{FileOp: nvme.FileOpRead, Header: c.header(hdr), RHLen: missRHLen, ReadLen: int(ps), HeaderInto: rh}
 }
 
 // fetchPages serves a batch of pages through the hybrid cache: probe, fill,
@@ -248,7 +255,8 @@ func (c *Client) fetchPages(p *sim.Proc, qid int, ino uint64, reqs []pageFetch) 
 				k0 := ((s-seq)%stripes + stripes) % stripes
 				for k := k0; k < take; k += stripes {
 					idx := queue[(qhead+k)%len(queue)]
-					inflight[(head+n)%w] = pageMiss{idx: idx, pend: c.enqueue(p, q, c.missSubmission(ino, reqs[idx].lpn, ps))}
+					rh := c.pool.Get(missRHLen)
+					inflight[(head+n)%w] = pageMiss{idx: idx, rh: rh, pend: c.enqueue(p, q, c.missSubmission(ino, reqs[idx].lpn, ps, rh))}
 					n++
 				}
 				if k0 < take {
@@ -262,6 +270,8 @@ func (c *Client) fetchPages(p *sim.Proc, qid int, ino uint64, reqs []pageFetch) 
 		inflight[head] = pageMiss{}
 		head, n = (head+1)%w, n-1
 		comp := ms.pend.Wait(p)
+		filled, _ := dispatch.ParseFillHeader(comp.Header)
+		c.pool.Put(ms.rh)
 		req := &reqs[ms.idx]
 		if err := statusErr(comp.Status); err != nil {
 			if errors.Is(err, ErrNotFound) {
@@ -269,7 +279,7 @@ func (c *Client) fetchPages(p *sim.Proc, qid int, ino uint64, reqs []pageFetch) 
 			}
 			return err
 		}
-		if filled, _ := dispatch.ParseFillHeader(comp.Header); !filled {
+		if !filled {
 			// The DPU could not fill the bucket; data came back inline.
 			if req.po < len(comp.Data) {
 				copy(req.dst, comp.Data[req.po:])

@@ -3,6 +3,7 @@ package dpc
 import (
 	"errors"
 	"fmt"
+	"math"
 	"time"
 
 	"dpc/internal/bufpool"
@@ -53,6 +54,10 @@ var (
 	// ErrTimeout is returned when a command exhausted its retry budget
 	// after repeated deadline expiries (fault runs only).
 	ErrTimeout = errors.New("dpc: command timed out")
+	// ErrNameTooLong is returned for a path no command can carry: longer
+	// than the request header's 16-bit length field, or, with a rename's
+	// second path, longer than one command's payload.
+	ErrNameTooLong = errors.New("dpc: path too long")
 )
 
 // opTimer is a client op's span and latency sample (h nil: none), a value so
@@ -270,6 +275,9 @@ func (c *Client) command(p *sim.Proc, qid int, op uint32, hdr dispatch.ReqHeader
 func (c *Client) metaOp(p *sim.Proc, qid int, op uint32, path, path2 string) (a kvfs.Attr, err error) {
 	t := c.begin(p, clientSpanName(op), c.hMeta)
 	defer func() { t.end(p, err) }()
+	if err := c.checkPaths(path, path2); err != nil {
+		return kvfs.Attr{}, err
+	}
 	hdr := dispatch.ReqHeader{PathLen: uint16(len(path)), Aux: uint16(len(path2))}
 	comp := c.submit(p, qid, nvmefs.Submission{
 		FileOp:  op,
@@ -284,6 +292,14 @@ func (c *Client) metaOp(p *sim.Proc, qid int, op uint32, path, path2 string) (a 
 		return kvfs.UnmarshalAttr(comp.Header)
 	}
 	return kvfs.Attr{}, nil
+}
+
+// checkPaths refuses paths a namespace command cannot carry (ErrNameTooLong).
+func (c *Client) checkPaths(path, path2 string) error {
+	if len(path) > math.MaxUint16 || len(path2) > math.MaxUint16 || len(path)+len(path2) > c.sys.Driver.MaxIO() {
+		return ErrNameTooLong
+	}
+	return nil
 }
 
 // Create makes a new file and returns its handle.
@@ -345,6 +361,9 @@ func (c *Client) StatPath(p *sim.Proc, qid int, path string) (Stat, error) {
 func (c *Client) Readdir(p *sim.Proc, qid int, path string) (out []DirEntry, err error) {
 	t := c.begin(p, "client.readdir", c.hMeta)
 	defer func() { t.end(p, err) }()
+	if err := c.checkPaths(path, ""); err != nil {
+		return nil, err
+	}
 	hdr := dispatch.ReqHeader{PathLen: uint16(len(path))}
 	comp := c.submit(p, qid, nvmefs.Submission{
 		FileOp:  nvme.FileOpReaddir,

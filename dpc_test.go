@@ -2,8 +2,10 @@ package dpc
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 	"time"
 
@@ -90,6 +92,44 @@ func TestKVFSNamespaceOps(t *testing.T) {
 		}
 		if err := cl.Rmdir(p, 0, "/images"); err != nil {
 			t.Errorf("Rmdir: %v", err)
+		}
+	})
+	sys.Run()
+	sys.Shutdown()
+}
+
+// A path no command can carry is refused with ErrNameTooLong by every
+// namespace op, before anything is submitted: 65 536 bytes would wrap the
+// request header's 16-bit PathLen to 0, 65 537 would exceed one command's
+// payload. The longest path that fits still reaches the DPU, which refuses
+// its over-long name itself.
+func TestOverlongPathRefused(t *testing.T) {
+	sys := kvfsSystem(t, 0)
+	cl := sys.KVFSClient()
+	sys.Go(func(p *sim.Proc) {
+		for _, n := range []int{65536, 65537} {
+			long := "/" + strings.Repeat("a", n-1)
+			ops := map[string]func() error{
+				"create":  func() error { _, err := cl.Create(p, 0, long); return err },
+				"stat":    func() error { _, err := cl.StatPath(p, 0, long); return err },
+				"mkdir":   func() error { return cl.Mkdir(p, 0, long) },
+				"readdir": func() error { _, err := cl.Readdir(p, 0, long); return err },
+				"rename":  func() error { return cl.Rename(p, 0, "/a", long) },
+			}
+			for name, op := range ops {
+				if err := op(); !errors.Is(err, ErrNameTooLong) {
+					t.Errorf("%s of a %d-byte path: %v, want ErrNameTooLong", name, n, err)
+				}
+			}
+		}
+		if err := cl.Rename(p, 0, "/"+strings.Repeat("a", 40000), "/"+strings.Repeat("b", 40000)); !errors.Is(err, ErrNameTooLong) {
+			t.Errorf("rename of two 40 001-byte paths: %v, want ErrNameTooLong", err)
+		}
+		if _, err := cl.Create(p, 0, "/"+strings.Repeat("a", 65534)); err == nil || errors.Is(err, ErrNameTooLong) {
+			t.Errorf("create of a 65 535-byte path: %v, want the DPU's refusal", err)
+		}
+		if _, err := cl.Create(p, 0, "/short"); err != nil {
+			t.Errorf("create after the refusals: %v", err)
 		}
 	})
 	sys.Run()

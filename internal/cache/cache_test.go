@@ -784,13 +784,13 @@ func TestScanDirtySelectsAndStops(t *testing.T) {
 			m.PCIe.Mark()
 		}
 		m.PCIe.Mark()
-		check("all", c.scanDirty(p, anyIno, l.Total, false), []int{3, 130, 200, 201, 300, 511}, 4)
-		check("ino 7", c.scanDirty(p, 7, l.Total, false), []int{3, 200, 201, 300, 511}, 4)
-		check("ino 7 unlogged", c.scanDirty(p, 7, l.Total, true), []int{3, 201, 300, 511}, 4)
+		check("all", c.scanDirty(p, nil, anyIno, l.Total, false), []int{3, 130, 200, 201, 300, 511}, 4)
+		check("ino 7", c.scanDirty(p, nil, 7, l.Total, false), []int{3, 200, 201, 300, 511}, 4)
+		check("ino 7 unlogged", c.scanDirty(p, nil, 7, l.Total, true), []int{3, 201, 300, 511}, 4)
 		c.walGens[7]++
-		check("ino 7 unlogged, new generation", c.scanDirty(p, 7, l.Total, true), []int{3, 200, 201, 300, 511}, 4)
-		check("max 2", c.scanDirty(p, anyIno, 2, false), []int{3, 130}, 2)
-		check("max 0", c.scanDirty(p, anyIno, 0, false), nil, 0)
+		check("ino 7 unlogged, new generation", c.scanDirty(p, nil, 7, l.Total, true), []int{3, 200, 201, 300, 511}, 4)
+		check("max 2", c.scanDirty(p, nil, anyIno, 2, false), []int{3, 130}, 2)
+		check("max 0", c.scanDirty(p, nil, anyIno, 0, false), nil, 0)
 	})
 	m.Eng.Run()
 }

@@ -99,7 +99,7 @@ type Ctl struct {
 	// first settle parked on i). Only settle reads it; a host-held lock is not in it.
 	held     []bool
 	released []*sim.Cond
-	streams  map[uint64][]*stream
+	streams  map[uint64][]stream
 
 	// reads holds a page only while backend reads of it are in flight (see
 	// beginRead): it is bounded by those reads, not by the pages ever read,
@@ -156,6 +156,9 @@ type Ctl struct {
 	tickets     uint64
 	journaling  map[uint64]bool
 	journalDone *sim.Cond
+
+	// passes holds the write-back and journal pass records no pass is using.
+	passes []*pass
 
 	// o is nil when obs is disabled; it also takes the flush-join and settle
 	// wait attribution. oDegraded is registered by SetFaults.
@@ -220,7 +223,7 @@ func NewCtl(m *model.Machine, l Layout, backend Backend, cfg CtlConfig) *Ctl {
 		hands:    make([]int, l.Buckets),
 		held:     make([]bool, l.Total),
 		released: make([]*sim.Cond, l.Total),
-		streams:  map[uint64][]*stream{},
+		streams:  map[uint64][]stream{},
 		reads:    map[pageKey]pageReads{},
 		o:        m.Obs,
 	}

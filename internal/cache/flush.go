@@ -11,6 +11,7 @@ import (
 	"dpc/internal/fault"
 	"dpc/internal/obs"
 	"dpc/internal/sim"
+	"dpc/internal/wal"
 )
 
 const (
@@ -69,25 +70,25 @@ func (c *Ctl) flushDaemon(p *sim.Proc) {
 func (c *Ctl) FlushPass(p *sim.Proc, maxPages int) (int, error) {
 	s := c.o.Begin(p, "cache.flush_pass")
 	defer s.End(p)
-	dirty := c.scanDirty(p, anyIno, maxPages, false)
-	if len(dirty) == 0 {
-		return 0, nil // before the method value below, which escapes
-	}
-	return c.flushWindow(p, dirty, c.flushOne)
+	ps := c.beginPass(p, anyIno)
+	defer c.endPass(ps)
+	ps.entries = c.scanDirty(p, ps.entries, anyIno, maxPages, false)
+	return ps.window(ps.flushOneFn)
 }
 
 // scanDirty is the control plane's meta-table scan (§3.3): it DMA-reads the
-// meta area in 128-entry chunks and returns the indices of the dirty entries
-// of inode ino (anyIno: of every inode), stopping — and issuing no further
-// DMA — once limit are collected. unlogged, the journal's scan, leaves out
-// the pages whose current bytes a landed record already holds (onLog). Each
+// meta area in 128-entry chunks and returns, in dst[:0], the indices of the
+// dirty entries of inode ino (anyIno: of every inode), stopping — and
+// issuing no further DMA — once limit are collected. unlogged, the journal's
+// scan, leaves out the pages whose current bytes a landed record already
+// holds (onLog). Each
 // chunk is a view decoded before the next DMA parks the scanner, and only
 // the fields the filter tests are decoded. The scan is what the modelled DPU
 // does and its PCIe traffic is part of the model (Total*EntrySize bytes per
 // full pass); see DESIGN.md for why it is not replaced by a DPU-resident
 // dirty index.
-func (c *Ctl) scanDirty(p *sim.Proc, ino uint64, limit int, unlogged bool) []int {
-	var dirty []int
+func (c *Ctl) scanDirty(p *sim.Proc, dst []int, ino uint64, limit int, unlogged bool) []int {
+	dirty := dst[:0]
 	const chunkEntries = 128
 	le := binary.LittleEndian
 	for base := 0; base < c.L.Total && len(dirty) < limit; base += chunkEntries {
@@ -110,32 +111,91 @@ func (c *Ctl) scanDirty(p *sim.Proc, ino uint64, limit int, unlogged bool) []int
 	return dirty
 }
 
-// flushWindow writes the given entries back with a bounded pool of worker
+// pass is the scratch of one write-back or journal pass in flight: the
+// entries its scan found, the window's cursor and results, the journal
+// attempt's records, and its callbacks, bound once. Passes run at the same
+// time (the daemon, fsyncs of different inodes, a checkpoint), so each has
+// its own; the control plane recycles them (beginPass, endPass), and a
+// steady-state pass allocates nothing.
+type pass struct {
+	c   *Ctl
+	p   *sim.Proc // the pass's own process, the joiner settle reports under
+	ino uint64    // the inode settled (anyIno: every inode)
+
+	entries []int
+	// step is the window's per-entry attempt (flushOne, or settle with try);
+	// next, done and err are the workers' shared cursor and results.
+	step      func(pp *sim.Proc, i int) (bool, error)
+	try       func(pp *sim.Proc, i int) (took, gone bool, err error)
+	next      int
+	done      int
+	err       error
+	gen, tick uint64       // the journal attempt's generation and ticket
+	recs      []wal.Record // the journal attempt's snapshots
+
+	workFn                 func(pp *sim.Proc, _ int)
+	flushOneFn, settleFn   func(pp *sim.Proc, i int) (bool, error)
+	tryFlushFn, snapshotFn func(pp *sim.Proc, i int) (took, gone bool, err error)
+}
+
+// beginPass returns a pass of process p over inode ino, recycled if one is
+// free.
+func (c *Ctl) beginPass(p *sim.Proc, ino uint64) *pass {
+	var ps *pass
+	if k := len(c.passes) - 1; k >= 0 {
+		ps, c.passes = c.passes[k], c.passes[:k]
+	} else {
+		ps = &pass{c: c}
+		ps.workFn, ps.settleFn, ps.snapshotFn = ps.work, ps.settle, ps.snapshot
+		ps.flushOneFn, ps.tryFlushFn = c.flushOne, c.tryFlush
+	}
+	ps.p, ps.ino = p, ino
+	return ps
+}
+
+// endPass recycles ps once its pass has ended. Its slices keep their room;
+// recs is empty again, every journal attempt having put its page buffers
+// back in the pool.
+func (c *Ctl) endPass(ps *pass) {
+	ps.p, ps.step, ps.try, ps.err = nil, nil, nil, nil
+	c.passes = append(c.passes, ps)
+}
+
+// window writes the pass's entries back with a bounded pool of worker
 // processes (flushWorkers wide; a serial flusher could never keep up with
-// write-back load) and returns how many flushed. flush is the per-entry
+// write-back load) and returns how many flushed. step is the per-entry
 // attempt; it reports whether this call flushed the entry.
-func (c *Ctl) flushWindow(p *sim.Proc, entries []int, flush func(pp *sim.Proc, i int) (bool, error)) (int, error) {
-	if len(entries) == 0 {
+func (ps *pass) window(step func(pp *sim.Proc, i int) (bool, error)) (int, error) {
+	if len(ps.entries) == 0 {
 		return 0, nil
 	}
-	flushed, next := 0, 0
-	var firstErr error
+	ps.step, ps.next, ps.done, ps.err = step, 0, 0, nil
+	p := ps.p
 	waitFrom := p.Now()
-	p.Fork("cache-flush-w", min(flushWorkers, len(entries)), func(pp *sim.Proc, _ int) {
-		for next < len(entries) {
-			i := entries[next]
-			next++
-			ok, err := flush(pp, i)
-			if ok {
-				flushed++
-			}
-			if err != nil && firstErr == nil {
-				firstErr = err
-			}
+	p.Fork("cache-flush-w", min(flushWorkers, len(ps.entries)), ps.workFn)
+	ps.c.o.Attr(p, obs.CompWait, "cache.flush_join", waitFrom, p.Now())
+	return ps.done, ps.err
+}
+
+// work is one window worker: it takes the next entry until none is left.
+func (ps *pass) work(pp *sim.Proc, _ int) {
+	for ps.next < len(ps.entries) {
+		i := ps.entries[ps.next]
+		ps.next++
+		ok, err := ps.step(pp, i)
+		if ok {
+			ps.done++
 		}
-	})
-	c.o.Attr(p, obs.CompWait, "cache.flush_join", waitFrom, p.Now())
-	return flushed, firstErr
+		if err != nil && ps.err == nil {
+			ps.err = err
+		}
+	}
+}
+
+// settle is the window step of a pass that must settle every entry: settle
+// with the pass's try.
+func (ps *pass) settle(pp *sim.Proc, i int) (bool, error) {
+	return ps.c.settle(ps.p, pp, i, ps.ino, ps.try)
 }
 
 // FlushIno flushes every dirty page belonging to one inode (fsync; anyIno,
@@ -160,9 +220,11 @@ func (c *Ctl) flushWindow(p *sim.Proc, entries []int, flush func(pp *sim.Proc, i
 func (c *Ctl) FlushIno(p *sim.Proc, ino uint64) (int, error) {
 	// Write the pages back as a concurrent window rather than one blocking
 	// flushOne at a time; each worker settles its entry.
-	return c.flushWindow(p, c.scanDirty(p, ino, c.L.Total, false), func(pp *sim.Proc, i int) (bool, error) {
-		return c.settle(p, pp, i, ino, c.tryFlush)
-	})
+	ps := c.beginPass(p, ino)
+	defer c.endPass(ps)
+	ps.entries = c.scanDirty(p, ps.entries, ino, c.L.Total, false)
+	ps.try = ps.tryFlushFn
+	return ps.window(ps.settleFn)
 }
 
 // settle is the must-settle rule of the DPU side, written once for fsync's

@@ -49,12 +49,14 @@ func (c *Ctl) journalIno(p *sim.Proc, ino uint64) (int, error) {
 		c.journalDone.Wait(p)
 	}
 	c.journaling[ino] = true
+	ps := c.beginPass(p, ino)
 	defer func() {
+		c.endPass(ps)
 		delete(c.journaling, ino)
 		c.journalDone.Broadcast()
 	}()
 	for attempt := 0; ; attempt++ {
-		if n, again, err := c.journalAttempt(p, ino, attempt); !again {
+		if n, again, err := ps.journalAttempt(attempt); !again {
 			return n, err
 		}
 	}
@@ -97,49 +99,35 @@ func (c *Ctl) PendingLog() int {
 	return slices.IndexFunc(c.logs, func(n logNote) bool { return n.ticket != 0 && !n.landed })
 }
 
-// journalAttempt is one snapshot-and-commit pass of journalIno; again=true
-// asks for a re-run against the post-checkpoint cache state. Each snapshot
-// stores StatusLogged under the entry lock and notes the attempt's ticket;
-// the notes are marked landed once Commit succeeds and undone (unlog) on
-// every other exit. The snapshotted pages live in pooled buffers that go
-// back on every exit, and only once Commit has returned: a follower's
-// records are framed by its group leader.
-func (c *Ctl) journalAttempt(p *sim.Proc, ino uint64, attempt int) (n int, again bool, err error) {
+// journalAttempt is one snapshot-and-commit pass of journalIno over the
+// pass's inode; again=true asks for a re-run against the post-checkpoint
+// cache state. Each snapshot stores StatusLogged under the entry lock and
+// notes the attempt's ticket; the notes are marked landed once Commit
+// succeeds and undone (unlog) on every other exit. The snapshotted pages
+// live in pooled buffers that go back on every exit, and only once Commit
+// has returned: a follower's records are framed by its group leader.
+func (ps *pass) journalAttempt(attempt int) (n int, again bool, err error) {
+	c, p, ino := ps.c, ps.p, ps.ino
 	seq := c.waitCheckpoint(p)
-	gen := c.walGens[ino]
+	ps.gen = c.walGens[ino]
 	c.tickets++
-	t := c.tickets
+	ps.tick = c.tickets
 
-	var recs []wal.Record
-	entries := c.scanDirty(p, ino, c.L.Total, true)
+	ps.entries = c.scanDirty(p, ps.entries, ino, c.L.Total, true)
 	landed := false
 	defer func() {
-		for i := range recs {
-			c.pool.Put(recs[i].Data)
+		for i := range ps.recs {
+			c.pool.Put(ps.recs[i].Data)
 		}
+		clear(ps.recs)
+		ps.recs = ps.recs[:0]
 		if !landed {
-			c.unlog(p, entries, t)
+			c.unlog(p, ps.entries, ps.tick)
 		}
 	}()
-	_, err = c.flushWindow(p, entries, func(pp *sim.Proc, i int) (bool, error) {
-		return c.settle(p, pp, i, ino, func(pp *sim.Proc, i int) (took, gone bool, err error) {
-			// Busy: a concurrent flush or host write owns the entry. Gone: seen
-			// under the lock, so settle needs no second meta read.
-			e, took, gone := c.take(pp, i, LockRead, dirtyMask, ino)
-			if !took {
-				return false, gone, nil
-			}
-			data := c.pool.Get(c.L.PageSize)
-			c.m.PCIe.DMAReadInto(pp, data, c.m.HostMem, c.L.PageAddr(i), "cache-pull")
-			if e.Status != StatusLogged {
-				c.setStatus(pp, i, StatusLogged)
-			}
-			c.logs[i] = logNote{ticket: t, gen: gen}
-			c.unlock(pp, i)
-			recs = append(recs, wal.Record{Kind: wal.RecPage, Ino: ino, LPN: e.LPN, Gen: gen, Data: data})
-			return true, false, nil
-		})
-	})
+	ps.try = ps.snapshotFn
+	_, err = ps.window(ps.settleFn)
+	recs := ps.recs
 	if err != nil || len(recs) == 0 {
 		return 0, false, err
 	}
@@ -170,12 +158,33 @@ func (c *Ctl) journalAttempt(p *sim.Proc, ino uint64, attempt int) (n int, again
 		return 0, false, err
 	}
 	landed = true
-	for _, i := range entries {
-		if c.logs[i].ticket == t {
+	for _, i := range ps.entries {
+		if c.logs[i].ticket == ps.tick {
 			c.logs[i].landed = true
 		}
 	}
 	return len(recs), false, nil
+}
+
+// snapshot is a journal attempt's settle try on entry i: pull the page and
+// store StatusLogged under the entry lock. Busy: a concurrent flush or host
+// write owns the entry. Gone: seen under the lock, so settle needs no second
+// meta read.
+func (ps *pass) snapshot(pp *sim.Proc, i int) (took, gone bool, err error) {
+	c := ps.c
+	e, took, gone := c.take(pp, i, LockRead, dirtyMask, ps.ino)
+	if !took {
+		return false, gone, nil
+	}
+	data := c.pool.Get(c.L.PageSize)
+	c.m.PCIe.DMAReadInto(pp, data, c.m.HostMem, c.L.PageAddr(i), "cache-pull")
+	if e.Status != StatusLogged {
+		c.setStatus(pp, i, StatusLogged)
+	}
+	c.logs[i] = logNote{ticket: ps.tick, gen: ps.gen}
+	c.unlock(pp, i)
+	ps.recs = append(ps.recs, wal.Record{Kind: wal.RecPage, Ino: ps.ino, LPN: e.LPN, Gen: ps.gen, Data: data})
+	return true, false, nil
 }
 
 // BumpGen journals a generation bump for the inode. Metadata ops that make

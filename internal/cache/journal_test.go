@@ -319,3 +319,49 @@ func TestGenerationBumpMakesLogStale(t *testing.T) {
 		t.Error("the page journaled before the bump is lost at replay")
 	}
 }
+
+// TestJournalPassZeroAllocs: once warm, an fsync journal pass allocates
+// nothing. Its pass record (the scan's entries, the snapshots' records, the
+// window's state and its callbacks, bound once), the page buffers, the WAL
+// group with its Cond and the framing buffer are all recycled. Each pass
+// journals four pages the host has just re-dirtied (the host's write path
+// allocates nothing either). The log's device blocks exist beforehand, as
+// they do once a log has wrapped: a block the device stores for the first
+// time is the device's allocation, not the pass's.
+func TestJournalPassZeroAllocs(t *testing.T) {
+	m, _, h, c, _ := newTestCache(t, 64, 8, CtlConfig{})
+	defer m.Eng.Shutdown()
+	dev, cfg := ssd.New(m.Eng, ssd.DefaultConfig()), wal.DefaultConfig()
+	c.SetWAL(wal.Open(m.Eng, dev, cfg))
+	dev.WriteRaw(ssd.BlockSize, make([]byte, cfg.Size-ssd.BlockSize))
+	data := page(0x5A)
+	passes := 0
+	m.Eng.Go("fsync", func(p *sim.Proc) {
+		for {
+			for lpn := range uint64(4) {
+				if !h.WritePage(p, 7, lpn, data) {
+					t.Error("WritePage failed")
+				}
+			}
+			if n, err := c.SyncIno(p, 7); n != 4 || err != nil {
+				t.Errorf("SyncIno = %d, %v; want 4 pages journaled", n, err)
+			}
+			passes++
+		}
+	})
+	pass := func() {
+		for want := passes + 1; passes < want; {
+			m.Eng.RunUntil(m.Eng.Now() + sim.Time(10*time.Microsecond))
+		}
+	}
+	for range 8 {
+		pass()
+	}
+	ckpts := c.ckptSeq
+	if a := testing.AllocsPerRun(50, pass); a != 0 {
+		t.Errorf("journal pass of 4 pages: %v allocs, want 0", a)
+	}
+	if c.ckptSeq != ckpts {
+		t.Error("a checkpoint ran among the measured passes")
+	}
+}

@@ -36,7 +36,9 @@ func (c *Ctl) NotifyRead(p *sim.Proc, ino, lpn uint64) {
 	// next page must be exactly adjacent; afterwards the detector only
 	// sees misses, which jump forward by up to the prefetched window.
 	var s *stream
-	for _, cand := range c.streams[ino] {
+	ss := c.streams[ino]
+	for i := range ss {
+		cand := &ss[i]
 		gap := lpn - cand.lastLPN
 		window := uint64(1)
 		if cand.streak >= 2 && cand.depth > 0 {
@@ -50,11 +52,14 @@ func (c *Ctl) NotifyRead(p *sim.Proc, ino, lpn uint64) {
 		}
 	}
 	if s == nil {
-		s = &stream{lastLPN: lpn}
-		ss := append(c.streams[ino], s)
-		if len(ss) > maxStreamsPerIno {
-			ss = ss[1:]
+		// A new stream, the oldest evicted by shifting the rest down in
+		// place: the slice stops growing at maxStreamsPerIno.
+		if len(ss) < maxStreamsPerIno {
+			ss = append(ss, stream{})
+		} else {
+			copy(ss, ss[1:])
 		}
+		ss[len(ss)-1] = stream{lastLPN: lpn}
 		c.streams[ino] = ss
 		return
 	}
@@ -73,7 +78,7 @@ func (c *Ctl) NotifyRead(p *sim.Proc, ino, lpn uint64) {
 	}
 	// Bound aggregate readahead to a quarter of the cache so concurrent
 	// streams do not evict each other's prefetched pages before use.
-	if budget := c.L.Total / 4 / len(c.streams[ino]); s.depth > budget {
+	if budget := c.L.Total / 4 / len(ss); s.depth > budget {
 		s.depth = budget
 		if s.depth < 1 {
 			s.depth = 1

@@ -114,7 +114,7 @@ func transplant(img *crashImage) *World {
 	for i, shard := range img.shards {
 		st := sys.KVCluster.StoreOf(i)
 		for _, kvp := range shard {
-			st.Put(kvp.Key, append([]byte(nil), kvp.Val...))
+			st.Put([]byte(kvp.Key), append([]byte(nil), kvp.Val...))
 		}
 	}
 	return w

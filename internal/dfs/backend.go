@@ -133,6 +133,13 @@ type dsResp struct {
 	OK     bool
 }
 
+// dsCall is one data-server call: the request and the reply the server
+// writes into it. The fabric carries its pointer both ways (fabric.Handler).
+type dsCall struct {
+	req dsReq
+	rep dsResp
+}
+
 // ShardKey names one erasure-coded shard.
 func ShardKey(ino, blk uint64, shard int) string {
 	var b [17]byte
@@ -217,7 +224,7 @@ func NewBackend(eng *sim.Engine, net *fabric.Network, cfg BackendConfig) *Backen
 		d := &dsNode{node: net.NewNode(fmt.Sprintf("ds-%d", i)), store: map[string][]byte{}}
 		b.ds = append(b.ds, d)
 		d.node.Serve("data", cfg.DSCores, cpu.NewPool(eng, fmt.Sprintf("ds-cpu-%d", i), cfg.DSCores, cfg.DSFreqHz),
-			cfg.DSCycles, dsResp{OK: false}, func(req any) (any, time.Duration, int) { return b.dsApply(d, req.(dsReq)) })
+			cfg.DSCycles, &dsCall{}, func(c any) (time.Duration, int) { return b.dsApply(d, c.(*dsCall)) })
 	}
 	return b
 }

@@ -282,3 +282,48 @@ func TestHostCPUCostDifference(t *testing.T) {
 		t.Fatalf("opt client CPU (%.3f cores) not above std client (%.3f cores)", optCores, stdCores)
 	}
 }
+
+// TestDSRoundTripAllocs: a data-server call carries its call record by
+// pointer both ways (fabric.Handler), so a round trip allocates only what
+// the server itself does with the shards: overwriting a stored shard
+// nothing, since it reuses the shard's bytes, and reading it two objects,
+// its reply's shard list and the copy of the shard's bytes it hands out.
+func TestDSRoundTripAllocs(t *testing.T) {
+	w := newWorld(t)
+	defer w.m.Eng.Shutdown()
+	ds, from := w.b.ds[0].node, w.m.Net.NewNode("probe")
+	key := ShardKey(1, 0, 0)
+	write := &dsCall{req: dsReq{Op: dsWrite, Shards: []dsShard{{Key: key, Data: bytes.Repeat([]byte{0x5A}, 2048)}}}}
+	read := &dsCall{req: dsReq{Op: dsRead, Shards: []dsShard{{Key: key}}}}
+	next, calls := write, 0
+	var last dsResp
+	w.m.Eng.Go("client", func(p *sim.Proc) {
+		for {
+			next.rep = dsResp{}
+			dsCallTo(p, from, ds, next, 96)
+			last = next.rep
+			calls++
+		}
+	})
+	roundTrip := func(c *dsCall) func() {
+		return func() {
+			next = c
+			for want := calls + 1; calls < want; {
+				w.m.Eng.RunUntil(w.m.Eng.Now() + sim.Time(sim.Microsecond))
+			}
+		}
+	}
+	for i := 0; i < 16; i++ {
+		roundTrip(write)()
+		roundTrip(read)()
+	}
+	if a := testing.AllocsPerRun(100, roundTrip(write)); a != 0 {
+		t.Errorf("DS write round trip: %v allocs, want 0", a)
+	}
+	if a := testing.AllocsPerRun(100, roundTrip(read)); a != 2 {
+		t.Errorf("DS read round trip: %v allocs, want 2 (the reply's shard list and the shard's copy)", a)
+	}
+	if got := last.Shards; !last.OK || len(got) != 1 || !bytes.Equal(got[0].Data, write.req.Shards[0].Data) {
+		t.Errorf("read back %d shards, ok %v", len(got), last.OK)
+	}
+}

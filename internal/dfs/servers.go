@@ -148,35 +148,44 @@ func (b *Backend) recallDelegations(p *sim.Proc, m *mdsNode, ino, size uint64, w
 	}
 }
 
-// dsApply runs req on a data server, at the instant its execution ends, and
-// returns the reply, the media time and the reply's size.
-func (b *Backend) dsApply(d *dsNode, req dsReq) (any, time.Duration, int) {
+// dsApply runs c's request on a data server, at the instant its execution
+// ends, writes the reply into c and returns the media time and the reply's
+// size. A shard's stored bytes are the server's own: an overwrite reuses
+// them, and a read hands out a copy.
+func (b *Backend) dsApply(d *dsNode, c *dsCall) (time.Duration, int) {
 	bytes := 0
-	if req.Op == dsWrite {
-		for _, s := range req.Shards {
-			d.store[s.Key] = append([]byte(nil), s.Data...)
+	c.rep.OK = true
+	if c.req.Op == dsWrite {
+		for _, s := range c.req.Shards {
+			d.store[s.Key] = append(d.store[s.Key][:0], s.Data...)
 			bytes += len(s.Data)
 		}
-		return dsResp{OK: true}, b.cfg.DSWriteMedia + time.Duration(int64(bytes)*int64(time.Second)/b.cfg.DSMediaBps), 32
+		return b.cfg.DSWriteMedia + time.Duration(int64(bytes)*int64(time.Second)/b.cfg.DSMediaBps), 32
 	}
-	var out []dsShard
-	for _, s := range req.Shards {
+	for _, s := range c.req.Shards {
 		if data, ok := d.store[s.Key]; ok {
-			out = append(out, dsShard{Key: s.Key, Data: append([]byte(nil), data...)})
+			c.rep.Shards = append(c.rep.Shards, dsShard{Key: s.Key, Data: append([]byte(nil), data...)})
 			bytes += len(data)
 		}
 	}
-	return dsResp{Shards: out, OK: true}, b.cfg.DSReadMedia + time.Duration(int64(bytes)*int64(time.Second)/b.cfg.DSMediaBps), 32 + bytes
+	return b.cfg.DSReadMedia + time.Duration(int64(bytes)*int64(time.Second)/b.cfg.DSMediaBps), 32 + bytes
 }
 
-// parallelCalls issues one RPC per target, each from its own process, and
-// waits for all replies (the fan-out a striping client or MDS performs).
-func parallelCalls(p *sim.Proc, from *fabric.Node, targets []*fabric.Node, port string, reqs []any, reqBytes []int) []any {
-	out := make([]any, len(targets))
+// dsCallTo sends c to a data server's "data" port and leaves the reply in
+// c.rep: the server's own, or a copy of a down server's shared reply.
+func dsCallTo(p *sim.Proc, from, ds *fabric.Node, c *dsCall, reqBytes int) {
+	if r := from.Call(p, ds, "data", c, reqBytes).(*dsCall); r != c {
+		c.rep = r.rep
+	}
+}
+
+// parallelCalls issues one data-server call per target, each from its own
+// process, and waits for all replies (the fan-out a striping client or MDS
+// performs).
+func parallelCalls(p *sim.Proc, from *fabric.Node, targets []*fabric.Node, calls []*dsCall, reqBytes []int) {
 	p.Fork("fanout", len(targets), func(pp *sim.Proc, i int) {
-		out[i] = from.Call(pp, targets[i], port, reqs[i], reqBytes[i])
+		dsCallTo(pp, from, targets[i], calls[i], reqBytes[i])
 	})
-	return out
 }
 
 // writeBlocksFrom erasure-codes data (aligned to BlockSize groups) and
@@ -210,7 +219,7 @@ func (b *Backend) writeBlocksFrom(p *sim.Proc, from *fabric.Node, ino, off uint6
 		}
 	}
 	var targets []*fabric.Node
-	var reqs []any
+	var calls []*dsCall
 	var sizes []int
 	for ds, shards := range perDS {
 		if len(shards) == 0 {
@@ -221,12 +230,12 @@ func (b *Backend) writeBlocksFrom(p *sim.Proc, from *fabric.Node, ino, off uint6
 			bytes += len(s.Data) + len(s.Key)
 		}
 		targets = append(targets, b.ds[ds].node)
-		reqs = append(reqs, dsReq{Op: dsWrite, Shards: shards})
+		calls = append(calls, &dsCall{req: dsReq{Op: dsWrite, Shards: shards}})
 		sizes = append(sizes, 64+bytes)
 	}
-	resps := parallelCalls(p, from, targets, "data", reqs, sizes)
-	for _, r := range resps {
-		if !r.(dsResp).OK {
+	parallelCalls(p, from, targets, calls, sizes)
+	for _, c := range calls {
+		if !c.rep.OK {
 			return "ds write failed"
 		}
 	}
@@ -254,20 +263,19 @@ func (b *Backend) readBlocksInto(p *sim.Proc, from *fabric.Node, ino, off uint64
 	}
 	got := map[string][]byte{}
 	var targets []*fabric.Node
-	var reqs []any
+	var calls []*dsCall
 	var sizes []int
 	for ds, keys := range perDS {
 		if len(keys) == 0 {
 			continue
 		}
 		targets = append(targets, b.ds[ds].node)
-		reqs = append(reqs, dsReq{Op: dsRead, Shards: keys})
+		calls = append(calls, &dsCall{req: dsReq{Op: dsRead, Shards: keys}})
 		sizes = append(sizes, 64+len(keys)*24)
 	}
-	resps := parallelCalls(p, from, targets, "data", reqs, sizes)
-	for _, r := range resps {
-		dr := r.(dsResp)
-		for _, s := range dr.Shards {
+	parallelCalls(p, from, targets, calls, sizes)
+	for _, c := range calls {
+		for _, s := range c.rep.Shards {
 			got[s.Key] = s.Data
 		}
 	}
@@ -287,9 +295,9 @@ func (b *Backend) readBlocksInto(p *sim.Proc, from *fabric.Node, ino, off uint64
 			// Degraded read: fetch parity shards and reconstruct.
 			placement := b.Placement(ino, blk)
 			for i := b.cfg.ECData; i < len(placement); i++ {
-				resp := from.Call(p, b.ds[placement[i]].node, "data",
-					dsReq{Op: dsRead, Shards: []dsShard{{Key: ShardKey(ino, blk, i)}}}, 96).(dsResp)
-				for _, s := range resp.Shards {
+				c := &dsCall{req: dsReq{Op: dsRead, Shards: []dsShard{{Key: ShardKey(ino, blk, i)}}}}
+				dsCallTo(p, from, b.ds[placement[i]].node, c, 96)
+				for _, s := range c.rep.Shards {
 					shards[i] = s.Data
 				}
 			}

@@ -245,7 +245,7 @@ func (d *Dispatcher) handleRead(p *sim.Proc, svc *Service, hdr ReqHeader, req nv
 			d.CacheFills.Inc()
 			// Only the cache entry index travels back, in the response
 			// header: RH[0]=1, RH[1:5]=index.
-			return nvmefs.Response{Status: nvme.StatusOK, Header: fillHeader(idx)}
+			return nvmefs.Response{Status: nvme.StatusOK, Header: fillHeader(req.HeaderBuf(5), idx)}
 		}
 		// Not filled (bucket busy, or a write overtook the read): ship the
 		// bytes back instead.
@@ -281,9 +281,11 @@ var (
 	hdrDone = []byte{1}
 )
 
-// fillHeader encodes a "page installed in cache" response header.
-func fillHeader(idx int) []byte {
-	return []byte{1, byte(idx), byte(idx >> 8), byte(idx >> 16), byte(idx >> 24)}
+// fillHeader encodes a "page installed in cache" response header into h,
+// five bytes long, and returns it.
+func fillHeader(h []byte, idx int) []byte {
+	h[0], h[1], h[2], h[3], h[4] = 1, byte(idx), byte(idx>>8), byte(idx>>16), byte(idx>>24)
+	return h
 }
 
 // ParseFillHeader decodes a read response header: filled reports whether

@@ -78,7 +78,7 @@ func TestDecodeDirEntriesTruncated(t *testing.T) {
 
 func TestFillHeaderRoundTrip(t *testing.T) {
 	for _, idx := range []int{0, 1, 255, 1 << 20} {
-		filled, got := ParseFillHeader(fillHeader(idx))
+		filled, got := ParseFillHeader(fillHeader(make([]byte, 5), idx))
 		if !filled || got != idx {
 			t.Fatalf("fill header round trip: %v %d, want %d", filled, got, idx)
 		}

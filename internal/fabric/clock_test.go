@@ -192,6 +192,7 @@ func tick(e *sim.Engine, stop *bool) {
 // reply; its request's serialization costs no wake of its own.
 func TestCallParksOnce(t *testing.T) {
 	e := sim.NewEngine(1)
+	defer e.Shutdown()
 	n := testNet(e)
 	client, server := n.NewNode("client"), n.NewNode("server")
 	var serverParks int64
@@ -220,6 +221,7 @@ func TestCallParksOnce(t *testing.T) {
 // its sender once, until its last bit leaves.
 func TestSendParksAtMostOnce(t *testing.T) {
 	e := sim.NewEngine(1)
+	defer e.Shutdown()
 	n := testNet(e)
 	a, b := n.NewNode("a"), n.NewNode("b")
 	stop := false

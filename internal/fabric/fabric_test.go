@@ -16,6 +16,7 @@ func testNet(e *sim.Engine) *Network {
 
 func TestSendDelivers(t *testing.T) {
 	e := sim.NewEngine(1)
+	defer e.Shutdown()
 	n := testNet(e)
 	a, b := n.NewNode("a"), n.NewNode("b")
 	var got Message
@@ -41,6 +42,7 @@ func TestSendDelivers(t *testing.T) {
 
 func TestNICSerializes(t *testing.T) {
 	e := sim.NewEngine(1)
+	defer e.Shutdown()
 	n := testNet(e)
 	a, b := n.NewNode("a"), n.NewNode("b")
 	e.Go("recv", func(p *sim.Proc) {

@@ -8,10 +8,13 @@ import (
 	"dpc/internal/sim"
 )
 
-// Handler is a served port's operation. It applies req to the node's state,
-// as an engine event at the instant the call's execution ends, and returns
-// the reply, the media time that follows and the reply's size in bytes.
-type Handler func(req any) (rep any, media time.Duration, repBytes int)
+// Handler is a served port's operation. call is the request payload, a
+// pointer to the caller's call record: the handler applies it to the node's
+// state, as an engine event at the instant the call's execution ends, writes
+// the reply into the same record and returns the media time that follows
+// and the reply's size in bytes. The reply payload is the record itself, so
+// a call boxes nothing on either leg.
+type Handler func(call any) (media time.Duration, repBytes int)
 
 // Server answers a port with worker slots driven by engine events, not
 // processes. A slot picks a call up, books a fixed execution on the node's
@@ -45,7 +48,8 @@ type slot struct {
 
 // Serve makes port on nd a Server of workers slots, each call costing cycles
 // on pool and then handle; while nd is Down a call's reply is down, 32
-// bytes. Nothing else may receive from the port.
+// bytes, a record every such call shares and no caller may write. Nothing
+// else may receive from the port.
 func (nd *Node) Serve(port string, workers int, pool *cpu.Pool, cycles int64, down any, handle Handler) {
 	if _, dup := nd.ports[port]; dup || nd.servers[port] != nil || workers < 1 {
 		panic(fmt.Sprintf("fabric: cannot serve %s:%s with %d workers", nd.name, port, workers))
@@ -96,8 +100,8 @@ func (sl *slot) pickup() {
 }
 
 func (sl *slot) apply() {
-	rep, media, n := sl.s.handle(sl.rpc.Req)
-	sl.rep, sl.repBytes = rep, n
+	media, n := sl.s.handle(sl.rpc.Req)
+	sl.rep, sl.repBytes = sl.rpc.Req, n
 	sl.at(sl.s.node.net.eng.Now()+sim.Time(media), sl.replyFn)
 }
 

@@ -26,10 +26,11 @@ const (
 	OpGetInto
 )
 
-// Request is a KV RPC request.
+// Request is a KV RPC request. Key is the request's own copy of the key,
+// in its call record: the caller's key bytes are never retained.
 type Request struct {
 	Op    Op
-	Key   string
+	Key   []byte
 	Val   []byte
 	Limit int
 	// Into is the caller-owned destination of an OpGetInto, Off the value
@@ -82,6 +83,17 @@ type shard struct {
 	store *Store
 }
 
+// call is one KV access in flight: the request, with the key's bytes in its
+// Key, the reply and the shard owning the key. The Client recycles call
+// records (Client.free); the fabric carries the record's pointer both ways,
+// so an access boxes nothing. A record handed back to the free list keeps
+// its key buffer and no caller buffer.
+type call struct {
+	req   Request
+	rep   Reply
+	shard int
+}
+
 // Cluster is the set of storage nodes.
 type Cluster struct {
 	cfg    ClusterConfig
@@ -108,9 +120,11 @@ func NewCluster(eng *sim.Engine, net *fabric.Network, cfg ClusterConfig) *Cluste
 
 // serve makes sh's node answer the "kv" port: WorkersPerShard slots, each
 // request ServerCycles on pool, then the store operation and its media time.
+// While the node is down every call gets the one down record built here,
+// which no caller writes or recycles.
 func (c *Cluster) serve(sh *shard, pool *cpu.Pool) {
-	sh.node.Serve("kv", c.cfg.WorkersPerShard, pool, c.cfg.ServerCycles, Reply{Down: true},
-		func(req any) (any, time.Duration, int) { return c.apply(sh, req.(Request)) })
+	sh.node.Serve("kv", c.cfg.WorkersPerShard, pool, c.cfg.ServerCycles, &call{rep: Reply{Down: true}},
+		func(r any) (time.Duration, int) { return c.apply(sh, r.(*call)) })
 }
 
 // Shards returns the shard count.
@@ -139,10 +153,11 @@ func (c *Cluster) TotalKeys() int {
 	return n
 }
 
-// apply runs req on sh's store, at the instant the shard's execution of it
-// ends, and returns the reply, the media time and the reply's size.
-func (c *Cluster) apply(sh *shard, req Request) (any, time.Duration, int) {
-	var rep Reply
+// apply runs r's request on sh's store, at the instant the shard's
+// execution of it ends, writes the reply into r and returns the media time
+// and the reply's size.
+func (c *Cluster) apply(sh *shard, r *call) (time.Duration, int) {
+	req, rep := &r.req, &r.rep
 	var mediaLat time.Duration
 	var mediaBytes int
 	switch req.Op {
@@ -162,7 +177,7 @@ func (c *Cluster) apply(sh *shard, req Request) (any, time.Duration, int) {
 		rep.Found = sh.store.Delete(req.Key)
 		mediaLat, mediaBytes = c.cfg.WriteMedia, 0
 	case OpScan:
-		rep.KVs = sh.store.Scan(req.Key, req.Limit)
+		rep.KVs = sh.store.Scan(string(req.Key), req.Limit)
 		rep.Found = true
 		for _, kvp := range rep.KVs {
 			mediaBytes += len(kvp.Val)
@@ -174,13 +189,15 @@ func (c *Cluster) apply(sh *shard, req Request) (any, time.Duration, int) {
 	for _, kvp := range rep.KVs {
 		respBytes += len(kvp.Key) + len(kvp.Val) + 16
 	}
-	return rep, mediaLat + time.Duration(int64(mediaBytes)*int64(time.Second)/c.cfg.MediaBps), respBytes
+	return mediaLat + time.Duration(int64(mediaBytes)*int64(time.Second)/c.cfg.MediaBps), respBytes
 }
 
 // Client issues KV operations from a fabric node (typically the DPU).
 type Client struct {
 	c     *Cluster
 	local *fabric.Node
+	// free holds the call records of finished accesses.
+	free []*call
 }
 
 // NewClient creates a client bound to a local endpoint.
@@ -188,34 +205,58 @@ func (c *Cluster) NewClient(local *fabric.Node) *Client {
 	return &Client{c: c, local: local}
 }
 
-// call issues req to the shard owning its key.
-func (cl *Client) call(p *sim.Proc, req Request) Reply {
-	sh := cl.c.shards[cl.c.ShardFor(req.Key)]
-	reqBytes := 64 + len(req.Key) + len(req.Val)
-	return cl.local.Call(p, sh.node, "kv", req, reqBytes).(Reply)
+// begin returns a call record for op on a copy of key, routed to the shard
+// owning key. Every op copies its key here and keeps none of it, so a key
+// converted from a caller's bytes at the call site stays on the caller's
+// stack.
+func (cl *Client) begin(op Op, key string) *call {
+	var r *call
+	if k := len(cl.free) - 1; k >= 0 {
+		r, cl.free = cl.free[k], cl.free[:k]
+	} else {
+		r = &call{}
+	}
+	r.req.Op, r.req.Key, r.shard = op, append(r.req.Key[:0], key...), cl.c.ShardFor(key)
+	return r
+}
+
+// call sends r to its shard, recycles r and returns the reply: r's own, or
+// the shard's shared down reply. The recycled record drops every caller
+// buffer (Val, Into) and reply value (Val, KVs).
+func (cl *Client) call(p *sim.Proc, r *call) Reply {
+	sh := cl.c.shards[r.shard]
+	reqBytes := 64 + len(r.req.Key) + len(r.req.Val)
+	rep := cl.local.Call(p, sh.node, "kv", r, reqBytes).(*call).rep
+	r.req, r.rep = Request{Key: r.req.Key[:0]}, Reply{}
+	cl.free = append(cl.free, r)
+	return rep
 }
 
 // Get fetches a copy of a value.
 func (cl *Client) Get(p *sim.Proc, key string) ([]byte, bool) {
-	rep := cl.call(p, Request{Op: OpGet, Key: key})
+	rep := cl.call(p, cl.begin(OpGet, key))
 	return rep.Val, rep.Found && !rep.Down
 }
 
 // GetInto is Store.GetInto on the owning shard: the value's bytes from off
 // land in dst, its full length is returned, at Get's cost in virtual time.
 func (cl *Client) GetInto(p *sim.Proc, key string, off int, dst []byte) (int, bool) {
-	rep := cl.call(p, Request{Op: OpGetInto, Key: key, Off: off, Into: dst})
+	r := cl.begin(OpGetInto, key)
+	r.req.Off, r.req.Into = off, dst
+	rep := cl.call(p, r)
 	return rep.Len, rep.Found && !rep.Down
 }
 
 // Put stores a value.
 func (cl *Client) Put(p *sim.Proc, key string, val []byte) {
-	cl.call(p, Request{Op: OpPut, Key: key, Val: val})
+	r := cl.begin(OpPut, key)
+	r.req.Val = val
+	cl.call(p, r)
 }
 
 // Delete removes a key, reporting whether it existed.
 func (cl *Client) Delete(p *sim.Proc, key string) bool {
-	rep := cl.call(p, Request{Op: OpDelete, Key: key})
+	rep := cl.call(p, cl.begin(OpDelete, key))
 	return rep.Found && !rep.Down
 }
 
@@ -225,5 +266,7 @@ func (cl *Client) Scan(p *sim.Proc, prefix string, limit int) []KV {
 	if len(prefix) < RoutePrefixLen {
 		panic(fmt.Sprintf("kv: scan prefix %q shorter than route prefix", prefix))
 	}
-	return cl.call(p, Request{Op: OpScan, Key: prefix, Limit: limit}).KVs
+	r := cl.begin(OpScan, prefix)
+	r.req.Limit = limit
+	return cl.call(p, r).KVs
 }

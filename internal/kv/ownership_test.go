@@ -13,27 +13,27 @@ import (
 func TestGetResultSurvivesOverwrite(t *testing.T) {
 	s := NewStore(1)
 	old := bytes.Repeat([]byte{0x11}, 64)
-	s.Put("k", old)
-	got, _ := s.Get("k")
+	s.Put([]byte("k"), old)
+	got, _ := s.Get([]byte("k"))
 	into := make([]byte, 64)
-	s.GetInto("k", 0, into)
-	s.Put("k", bytes.Repeat([]byte{0x22}, 64))
+	s.GetInto([]byte("k"), 0, into)
+	s.Put([]byte("k"), bytes.Repeat([]byte{0x22}, 64))
 	if !bytes.Equal(got, old) || !bytes.Equal(into, old) {
 		t.Fatal("a returned value changed under a later Put: the store handed out its own bytes")
 	}
-	if v, _ := s.Get("k"); v[0] != 0x22 {
+	if v, _ := s.Get([]byte("k")); v[0] != 0x22 {
 		t.Fatalf("overwrite lost: %x", v[0])
 	}
 }
 
 func TestPutEmptyOverExistingKeepsKey(t *testing.T) {
 	s := NewStore(1)
-	s.Put("k", []byte("value"))
-	s.Put("k", nil)
-	if v, ok := s.Get("k"); !ok || len(v) != 0 {
+	s.Put([]byte("k"), []byte("value"))
+	s.Put([]byte("k"), nil)
+	if v, ok := s.Get([]byte("k")); !ok || len(v) != 0 {
 		t.Fatalf("Get after empty overwrite = %q, %v; want empty, found", v, ok)
 	}
-	if n, ok := s.GetInto("k", 0, make([]byte, 4)); !ok || n != 0 {
+	if n, ok := s.GetInto([]byte("k"), 0, make([]byte, 4)); !ok || n != 0 {
 		t.Fatalf("GetInto after empty overwrite = %d, %v", n, ok)
 	}
 	if s.Len() != 1 {
@@ -46,7 +46,7 @@ func TestPutEmptyOverExistingKeepsKey(t *testing.T) {
 func TestGetIntoWindow(t *testing.T) {
 	s := NewStore(1)
 	val := []byte("0123456789")
-	s.Put("k", val)
+	s.Put([]byte("k"), val)
 	for _, c := range []struct {
 		off, dst int
 		want     string
@@ -60,13 +60,13 @@ func TestGetIntoWindow(t *testing.T) {
 		{25, 3, "\xDB\xDB\xDB"}, // and beyond it
 	} {
 		dst := bytes.Repeat([]byte{0xDB}, c.dst)
-		n, ok := s.GetInto("k", c.off, dst)
+		n, ok := s.GetInto([]byte("k"), c.off, dst)
 		if !ok || n != len(val) || string(dst) != c.want {
 			t.Errorf("GetInto(off %d, %d bytes) = %d, %v, %q; want %d, true, %q", c.off, c.dst, n, ok, dst, len(val), c.want)
 		}
 	}
 	dst := []byte{0xDB}
-	if n, ok := s.GetInto("missing", 0, dst); ok || n != 0 || dst[0] != 0xDB {
+	if n, ok := s.GetInto([]byte("missing"), 0, dst); ok || n != 0 || dst[0] != 0xDB {
 		t.Errorf("GetInto(missing) = %d, %v, dst %x", n, ok, dst)
 	}
 }
@@ -75,16 +75,16 @@ func TestStoreSteadyStateZeroAllocs(t *testing.T) {
 	s := NewStore(1)
 	block := make([]byte, 8192)
 	for _, k := range []string{"a", "b", "c"} {
-		s.Put(k, block)
+		s.Put([]byte(k), block)
 	}
 	dst := make([]byte, 8192)
-	if a := testing.AllocsPerRun(100, func() { s.Put("b", block) }); a != 0 {
+	if a := testing.AllocsPerRun(100, func() { s.Put([]byte("b"), block) }); a != 0 {
 		t.Errorf("same-length Put over an existing key: %v allocs, want 0", a)
 	}
-	if a := testing.AllocsPerRun(100, func() { s.GetInto("b", 0, dst) }); a != 0 {
+	if a := testing.AllocsPerRun(100, func() { s.GetInto([]byte("b"), 0, dst) }); a != 0 {
 		t.Errorf("GetInto: %v allocs, want 0", a)
 	}
-	if a := testing.AllocsPerRun(100, func() { s.GetInto("missing", 0, dst) }); a != 0 {
+	if a := testing.AllocsPerRun(100, func() { s.GetInto([]byte("missing"), 0, dst) }); a != 0 {
 		t.Errorf("GetInto of an absent key: %v allocs, want 0", a)
 	}
 }
@@ -145,4 +145,32 @@ func TestClientGetInto(t *testing.T) {
 	})
 	e.Run()
 	e.Shutdown()
+}
+
+// A finished access's call record goes back to the client's free list
+// holding none of the caller's buffers (a Put's value, a GetInto's
+// destination) and no reply value (a Get's, a Scan's). A failed shard's down
+// reply, which every call to it shares, never joins the free list.
+func TestRecycledCallHoldsNoCallerBuffer(t *testing.T) {
+	e, c, cl := newTestCluster(t, 4)
+	const key = "dAAAABBBBk"
+	e.Go("client", func(p *sim.Proc) {
+		cl.Put(p, key, []byte("value"))
+		cl.GetInto(p, key, 0, make([]byte, 8))
+		cl.Get(p, key)
+		cl.Scan(p, key[:RoutePrefixLen], 0)
+		c.shards[c.ShardFor(key)].node.Down = true
+		if _, ok := cl.Get(p, key); ok {
+			t.Error("Get from a down shard found the key")
+		}
+	})
+	e.Run()
+	e.Shutdown()
+	if len(cl.free) != 1 {
+		t.Fatalf("%d free call records after one access at a time, want 1", len(cl.free))
+	}
+	r := cl.free[0]
+	if r.req.Val != nil || r.req.Into != nil || r.rep.Val != nil || r.rep.KVs != nil || r.rep.Down {
+		t.Errorf("recycled call record holds request %+v, reply %+v", r.req, r.rep)
+	}
 }

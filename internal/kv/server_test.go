@@ -17,37 +17,38 @@ import (
 // reference model the server's timing is checked against: each of
 // WorkersPerShard processes receives from the shard's "kv" port, checks
 // its node's Down, executes ServerCycles on the shard's cores, applies the request,
-// sleeps its media time and replies.
+// sleeps its media time and replies with the call record it was sent.
 func refServe(p *sim.Proc, c *Cluster, sh *shard, pool *cpu.Pool) {
 	port := sh.node.Listen("kv")
+	down := &call{rep: Reply{Down: true}}
 	for {
 		rpc := fabric.RecvRPC(p, port)
-		req := rpc.Req.(Request)
+		cl := rpc.Req.(*call)
+		req, rep := &cl.req, &cl.rep
 		if sh.node.Down {
-			rpc.Reply(p, sh.node, Reply{Down: true}, 32)
+			rpc.Reply(p, sh.node, down, 32)
 			continue
 		}
 		pool.Exec(p, c.cfg.ServerCycles)
 
-		var rep Reply
 		var mediaLat time.Duration
 		var mediaBytes int
 		switch req.Op {
 		case OpGet:
-			rep.Val, rep.Found = sh.store.Get(req.Key)
+			rep.Val, rep.Found = sh.store.Get([]byte(req.Key))
 			mediaLat, mediaBytes = c.cfg.ReadMedia, len(rep.Val)
 		case OpGetInto:
-			rep.Len, rep.Found = sh.store.GetInto(req.Key, req.Off, req.Into)
+			rep.Len, rep.Found = sh.store.GetInto([]byte(req.Key), req.Off, req.Into)
 			mediaLat, mediaBytes = c.cfg.ReadMedia, rep.Len
 		case OpPut:
-			sh.store.Put(req.Key, req.Val)
+			sh.store.Put([]byte(req.Key), req.Val)
 			rep.Found = true
 			mediaLat, mediaBytes = c.cfg.WriteMedia, len(req.Val)
 		case OpDelete:
-			rep.Found = sh.store.Delete(req.Key)
+			rep.Found = sh.store.Delete([]byte(req.Key))
 			mediaLat, mediaBytes = c.cfg.WriteMedia, 0
 		case OpScan:
-			rep.KVs = sh.store.Scan(req.Key, req.Limit)
+			rep.KVs = sh.store.Scan(string(req.Key), req.Limit)
 			rep.Found = true
 			for _, kvp := range rep.KVs {
 				mediaBytes += len(kvp.Val)
@@ -62,7 +63,7 @@ func refServe(p *sim.Proc, c *Cluster, sh *shard, pool *cpu.Pool) {
 		for _, kvp := range rep.KVs {
 			respBytes += len(kvp.Key) + len(kvp.Val) + 16
 		}
-		rpc.Reply(p, sh.node, rep, respBytes)
+		rpc.Reply(p, sh.node, cl, respBytes)
 	}
 }
 
@@ -114,7 +115,7 @@ func randomServerScript(rng *rand.Rand) serverScript {
 		fab:   fabric.Config{PropDelay: us(3), NICBps: []int64{1_000_000_000, 12_500_000_000}[rng.Intn(2)]},
 		nodes: 1 + rng.Intn(3),
 	}
-	key := func() string { return fmt.Sprintf("k%08d/%d", rng.Intn(3), rng.Intn(4)) }
+	key := func() []byte { return fmt.Appendf(nil, "k%08d/%d", rng.Intn(3), rng.Intn(4)) }
 	for i, n := 0, 1+rng.Intn(40); i < n; i++ {
 		c := scriptClient{at: sim.Time(us(60)), node: rng.Intn(s.nodes)}
 		for j, m := 0, 1+rng.Intn(4); j < m; j++ {
@@ -201,20 +202,20 @@ func (s serverScript) run(ref bool) serverRun {
 				var res string
 				switch r.Op {
 				case OpGet:
-					v, ok := cl.Get(p, r.Key)
+					v, ok := cl.Get(p, string(r.Key))
 					res = fmt.Sprintf("get %s %v", vs(v), ok)
 				case OpGetInto:
 					dst := append([]byte(nil), r.Into...)
-					n, ok := cl.GetInto(p, r.Key, r.Off, dst)
+					n, ok := cl.GetInto(p, string(r.Key), r.Off, dst)
 					res = fmt.Sprintf("getinto %d %v %s", n, ok, vs(dst))
 				case OpPut:
-					cl.Put(p, r.Key, r.Val)
+					cl.Put(p, string(r.Key), r.Val)
 					res = "put"
 				case OpDelete:
-					res = fmt.Sprintf("delete %v", cl.Delete(p, r.Key))
+					res = fmt.Sprintf("delete %v", cl.Delete(p, string(r.Key)))
 				case OpScan:
 					res = "scan"
-					for _, kvp := range cl.Scan(p, r.Key, r.Limit) {
+					for _, kvp := range cl.Scan(p, string(r.Key), r.Limit) {
 						res += " " + kvp.Key + "=" + vs(kvp.Val)
 					}
 				}
@@ -291,7 +292,7 @@ func TestShardServersMatchWorkerLoop(t *testing.T) {
 // caller, once, on the reply.
 func TestKVRoundTripParksOnce(t *testing.T) {
 	e, c, cl := newTestCluster(t, 4)
-	c.shards[c.ShardFor("idle-key")].store.Put("idle-key", []byte("v"))
+	c.shards[c.ShardFor("idle-key")].store.Put([]byte([]byte("idle-key")), []byte("v"))
 	parks := int64(-1)
 	e.Go("client", func(p *sim.Proc) {
 		before := e.Parks
@@ -308,12 +309,13 @@ func TestKVRoundTripParksOnce(t *testing.T) {
 }
 
 // TestClientGetIntoZeroAllocs: a steady-state GetInto round trip allocates
-// only the boxing of its Request and its Reply into the fabric's payloads;
-// the server's slots, the flights and the envelope are reused.
+// nothing: the client recycles its call record, which the fabric carries by
+// pointer both ways, and the server's slots, the flights and the envelope
+// are reused.
 func TestClientGetIntoZeroAllocs(t *testing.T) {
 	e, c, cl := newTestCluster(t, 4)
 	defer e.Shutdown()
-	c.shards[c.ShardFor("block-key")].store.Put("block-key", make([]byte, 8192))
+	c.shards[c.ShardFor("block-key")].store.Put([]byte([]byte("block-key")), make([]byte, 8192))
 	dst := make([]byte, 8192)
 	calls := 0
 	e.Go("client", func(p *sim.Proc) {
@@ -330,7 +332,7 @@ func TestClientGetIntoZeroAllocs(t *testing.T) {
 	for i := 0; i < 16; i++ {
 		roundTrip()
 	}
-	if a := testing.AllocsPerRun(100, roundTrip); a > 2 {
-		t.Fatalf("%v allocs per GetInto round trip, want at most 2 (the Request and Reply boxings)", a)
+	if a := testing.AllocsPerRun(100, roundTrip); a != 0 {
+		t.Fatalf("%v allocs per GetInto round trip, want 0", a)
 	}
 }

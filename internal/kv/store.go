@@ -23,7 +23,9 @@ type node struct {
 // process, so no internal locking is needed. index maps every key to its
 // list node: point operations (Get, GetInto, an overwriting Put, a Delete
 // miss) are one map lookup, and only the ordered ones — Scan, an insert, a
-// Delete — walk the list.
+// Delete — walk the list. The point operations take the key's bytes and
+// keep none of them: the one key string is the node's, made when a Put
+// inserts it.
 type Store struct {
 	head  *node
 	level int
@@ -79,8 +81,8 @@ func (s *Store) seek(key string) *node {
 // Get returns a copy of the value for key. The store owns its bytes and
 // never hands them out by reference — that is what lets Put overwrite a
 // value in place — so the result stays as it is whatever is stored later.
-func (s *Store) Get(key string) ([]byte, bool) {
-	n, ok := s.index[key]
+func (s *Store) Get(key []byte) ([]byte, bool) {
+	n, ok := s.index[string(key)]
 	if !ok {
 		return nil, false
 	}
@@ -90,8 +92,8 @@ func (s *Store) Get(key string) ([]byte, bool) {
 // GetInto copies the value's bytes from offset off into dst, as many as both
 // hold, and returns the value's full length: dst[max(0, n-off):] is left
 // untouched, so a caller that wants a zero-filled window clears that part.
-func (s *Store) GetInto(key string, off int, dst []byte) (int, bool) {
-	n, ok := s.index[key]
+func (s *Store) GetInto(key []byte, off int, dst []byte) (int, bool) {
+	n, ok := s.index[string(key)]
 	if !ok {
 		return 0, false
 	}
@@ -104,13 +106,14 @@ func (s *Store) GetInto(key string, off int, dst []byte) (int, bool) {
 // Put stores a copy of val under key, so callers may reuse their buffers.
 // An existing key's value is overwritten in place, reusing its buffer: no
 // reference to it exists outside the store (see Get).
-func (s *Store) Put(key string, val []byte) {
-	if n, ok := s.index[key]; ok {
+func (s *Store) Put(key []byte, val []byte) {
+	if n, ok := s.index[string(key)]; ok {
 		n.val = append(n.val[:0], val...)
 		return
 	}
+	nn := &node{key: string(key), val: append([]byte(nil), val...)}
 	var prevs [maxLevel]*node
-	s.findPrev(key, &prevs)
+	s.findPrev(nn.key, &prevs)
 	lvl := s.randomLevel()
 	if lvl > s.level {
 		for i := s.level; i < lvl; i++ {
@@ -118,22 +121,21 @@ func (s *Store) Put(key string, val []byte) {
 		}
 		s.level = lvl
 	}
-	nn := &node{key: key, val: append([]byte(nil), val...)}
 	for i := 0; i < lvl; i++ {
 		nn.next[i] = prevs[i].next[i]
 		prevs[i].next[i] = nn
 	}
-	s.index[key] = nn
+	s.index[nn.key] = nn
 }
 
 // Delete removes key, reporting whether it existed.
-func (s *Store) Delete(key string) bool {
-	n, ok := s.index[key]
+func (s *Store) Delete(key []byte) bool {
+	n, ok := s.index[string(key)]
 	if !ok {
 		return false
 	}
 	var prevs [maxLevel]*node
-	s.findPrev(key, &prevs)
+	s.findPrev(n.key, &prevs)
 	for i := 0; i < s.level; i++ {
 		if prevs[i].next[i] == n {
 			prevs[i].next[i] = n.next[i]
@@ -142,7 +144,7 @@ func (s *Store) Delete(key string) bool {
 	for s.level > 1 && s.head.next[s.level-1] == nil {
 		s.level--
 	}
-	delete(s.index, key)
+	delete(s.index, n.key)
 	return true
 }
 

@@ -12,22 +12,22 @@ import (
 
 func TestStoreBasics(t *testing.T) {
 	s := NewStore(1)
-	if _, ok := s.Get("missing"); ok {
+	if _, ok := s.Get([]byte("missing")); ok {
 		t.Fatal("Get on empty store found something")
 	}
-	s.Put("a", []byte("1"))
-	s.Put("b", []byte("2"))
-	if v, ok := s.Get("a"); !ok || string(v) != "1" {
+	s.Put([]byte("a"), []byte("1"))
+	s.Put([]byte("b"), []byte("2"))
+	if v, ok := s.Get([]byte("a")); !ok || string(v) != "1" {
 		t.Fatalf("Get a = %q,%v", v, ok)
 	}
-	s.Put("a", []byte("updated"))
-	if v, _ := s.Get("a"); string(v) != "updated" {
+	s.Put([]byte("a"), []byte("updated"))
+	if v, _ := s.Get([]byte("a")); string(v) != "updated" {
 		t.Fatal("overwrite failed")
 	}
 	if s.Len() != 2 {
 		t.Fatalf("Len = %d", s.Len())
 	}
-	if !s.Delete("a") || s.Delete("a") {
+	if !s.Delete([]byte("a")) || s.Delete([]byte("a")) {
 		t.Fatal("Delete semantics wrong")
 	}
 	if s.Len() != 1 {
@@ -38,9 +38,9 @@ func TestStoreBasics(t *testing.T) {
 func TestStoreValueIsolation(t *testing.T) {
 	s := NewStore(1)
 	buf := []byte("hello")
-	s.Put("k", buf)
+	s.Put([]byte("k"), buf)
 	buf[0] = 'X'
-	if v, _ := s.Get("k"); string(v) != "hello" {
+	if v, _ := s.Get([]byte("k")); string(v) != "hello" {
 		t.Fatal("store aliases caller buffer")
 	}
 }
@@ -49,7 +49,7 @@ func TestScanOrderedWithPrefix(t *testing.T) {
 	s := NewStore(1)
 	keys := []string{"dir1/c", "dir1/a", "dir2/x", "dir1/b", "dir10/z"}
 	for _, k := range keys {
-		s.Put(k, []byte(k))
+		s.Put([]byte(k), []byte(k))
 	}
 	got := s.Scan("dir1/", 0)
 	want := []string{"dir1/a", "dir1/b", "dir1/c"}
@@ -107,24 +107,24 @@ func TestStoreMatchesModelProperty(t *testing.T) {
 			val := []byte(fmt.Sprintf("v%d", o.Val))
 			switch o.Kind % 5 {
 			case 0:
-				s.Put(key, val)
+				s.Put([]byte(key), val)
 				m[key] = val
 			case 1:
-				got := s.Delete(key)
+				got := s.Delete([]byte(key))
 				_, want := m[key]
 				if got != want {
 					return false
 				}
 				delete(m, key)
 			case 2:
-				got, ok := s.Get(key)
+				got, ok := s.Get([]byte(key))
 				want, wok := m[key]
 				if ok != wok || string(got) != string(want) {
 					return false
 				}
 			case 3:
 				off, dst := int(o.Off%8), bytes.Repeat([]byte{0xDB}, int(o.Val%8))
-				n, ok := s.GetInto(key, off, dst)
+				n, ok := s.GetInto([]byte(key), off, dst)
 				want, wok := m[key]
 				if ok != wok || n != len(want) {
 					return false
@@ -137,12 +137,12 @@ func TestStoreMatchesModelProperty(t *testing.T) {
 					return false
 				}
 			case 4: // delete, then insert the same key afresh
-				got := s.Delete(key)
+				got := s.Delete([]byte(key))
 				_, want := m[key]
 				if got != want {
 					return false
 				}
-				s.Put(key, val)
+				s.Put([]byte(key), val)
 				m[key] = val
 			}
 			if err := checkIndex(s); err != nil {
@@ -181,7 +181,7 @@ func TestStoreLargeOrdered(t *testing.T) {
 	n := 5000
 	perm := rng.Perm(n)
 	for _, i := range perm {
-		s.Put(fmt.Sprintf("key-%06d", i), []byte{byte(i)})
+		s.Put([]byte(fmt.Sprintf("key-%06d", i)), []byte{byte(i)})
 	}
 	if s.Len() != n {
 		t.Fatalf("Len = %d", s.Len())

@@ -112,10 +112,23 @@ func SmallKey(ino uint64) string { return "s" + be64(ino) }
 // keys mix the block number into the routing prefix so a big file's blocks
 // spread across every KV shard — this is what lets KVFS bandwidth scale
 // with the disaggregated store. The plain (ino, blk) follow for uniqueness;
-// nothing prefix-scans big-file keys.
+// nothing prefix-scans big-file keys. The block paths build the key in a
+// stack buffer with appendBigKey.
 func BigKey(ino uint64, blk uint64) string {
+	var b [bigKeyLen]byte
+	return string(appendBigKey(b[:0], ino, blk))
+}
+
+// bigKeyLen is a block key's length: the type byte and three words.
+const bigKeyLen = 25
+
+// appendBigKey appends BigKey(ino, blk)'s bytes to dst.
+func appendBigKey(dst []byte, ino, blk uint64) []byte {
 	mix := (ino*0x9E3779B97F4A7C15 + blk) * 0xBF58476D1CE4E5B9
-	return "b" + be64(mix) + be64(ino) + be64(blk)
+	dst = append(dst, 'b')
+	dst = binary.BigEndian.AppendUint64(dst, mix)
+	dst = binary.BigEndian.AppendUint64(dst, ino)
+	return binary.BigEndian.AppendUint64(dst, blk)
 }
 
 // NameOfDentryKey recovers the file name from an inode KV key.

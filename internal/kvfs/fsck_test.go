@@ -39,7 +39,7 @@ func TestFsckDetectsMissingAttr(t *testing.T) {
 	// Corrupt: delete the attribute KV directly in the store. The FS's
 	// attribute cache still holds it; fsck reads the store.
 	key := AttrKey(ino)
-	cluster.StoreOf(cluster.ShardFor(key)).Delete(key)
+	cluster.StoreOf(cluster.ShardFor(key)).Delete([]byte(key))
 	if _, cached := fs.attrCache[ino]; !cached {
 		t.Fatal("setup: the attribute is not cached")
 	}
@@ -57,7 +57,7 @@ func TestFsckDetectsMissingBlock(t *testing.T) {
 		fs.Write(p, ino, 0, make([]byte, 3*BlockSize))
 	})
 	key := BigKey(ino, 1)
-	cluster.StoreOf(cluster.ShardFor(key)).Delete(key)
+	cluster.StoreOf(cluster.ShardFor(key)).Delete([]byte(key))
 	r := Fsck(cluster)
 	if r.OK() {
 		t.Fatal("missing big-file block not detected")

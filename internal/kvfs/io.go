@@ -6,19 +6,20 @@ import (
 )
 
 // eachBlock runs do on every block of inode ino that the file range [off,
-// off+len(buf)) touches, with the block's key, the range's offset inside the
-// block and the block's window of buf, and returns an error do returned. A
-// one-block range runs on p; a longer one forks a process per block, since
+// off+len(buf)) touches, with the block's number, the range's offset inside
+// the block and the block's window of buf, and returns an error do returned.
+// A one-block range runs on p; a longer one forks a process per block, since
 // the blocks live on different KV shards, the way a scatter-gather client
-// would.
-func (fs *FS) eachBlock(p *sim.Proc, ino, off uint64, buf []byte, do func(fs *FS, pp *sim.Proc, key string, bo int, window []byte) error) error {
+// would. do builds the block's key on its own stack (a key built here would
+// escape through the func value).
+func (fs *FS) eachBlock(p *sim.Proc, ino, off uint64, buf []byte, do func(fs *FS, pp *sim.Proc, ino, blk uint64, bo int, window []byte) error) error {
 	if len(buf) == 0 {
 		return nil
 	}
 	first := off / BlockSize
 	n := int((off+uint64(len(buf))-1)/BlockSize-first) + 1
 	if n == 1 {
-		return do(fs, p, BigKey(ino, first), int(off%BlockSize), buf)
+		return do(fs, p, ino, first, int(off%BlockSize), buf)
 	}
 	var err error
 	p.Fork("kvfs-io", n, func(pp *sim.Proc, i int) {
@@ -27,7 +28,7 @@ func (fs *FS) eachBlock(p *sim.Proc, ino, off uint64, buf []byte, do func(fs *FS
 			bo = int(off % BlockSize)
 		}
 		lo := int(blk*BlockSize + uint64(bo) - off)
-		if e := do(fs, pp, BigKey(ino, blk), bo, buf[lo:min(lo+BlockSize-bo, len(buf))]); e != nil {
+		if e := do(fs, pp, ino, blk, bo, buf[lo:min(lo+BlockSize-bo, len(buf))]); e != nil {
 			err = e
 		}
 	})
@@ -116,16 +117,20 @@ func (fs *FS) writeBigBlocks(p *sim.Proc, ino uint64, off uint64, data []byte) e
 	return fs.eachBlock(p, ino, off, data, (*FS).writeBlock)
 }
 
-// writeBlock writes chunk into the block at key from block offset bo. A full
+// writeBlock writes chunk into block blk of ino from block offset bo. A full
 // block is a pure in-place put; a partial one is read-modify-write.
-func (fs *FS) writeBlock(pp *sim.Proc, key string, bo int, chunk []byte) error {
+func (fs *FS) writeBlock(pp *sim.Proc, ino, blk uint64, bo int, chunk []byte) error {
+	// The key string does not allocate: a KV op copies its key and keeps
+	// none of it, so the conversion stays on the stack.
+	var kb [bigKeyLen]byte
+	key := string(appendBigKey(kb[:0], ino, blk))
 	if bo == 0 && len(chunk) == BlockSize {
 		fs.cl.Put(pp, key, fs.encodeBlock(pp, chunk))
 		return nil
 	}
 	buf := make([]byte, BlockSize)
 	// An undecodable block leaves buf zero and is rewritten whole.
-	_ = fs.readBlock(pp, key, 0, buf)
+	_ = fs.readBlock(pp, ino, blk, 0, buf)
 	copy(buf[bo:], chunk)
 	fs.cl.Put(pp, key, fs.encodeBlock(pp, buf))
 	return nil
@@ -136,7 +141,9 @@ func (fs *FS) writeBlock(pp *sim.Proc, key string, bo int, chunk []byte) error {
 // is an error and leaves dst as it was. Untransformed blocks land in dst
 // straight from the shard; with a transform the stored block is fetched whole
 // into a pooled scratch and decoded from there.
-func (fs *FS) readBlock(pp *sim.Proc, key string, bo int, dst []byte) error {
+func (fs *FS) readBlock(pp *sim.Proc, ino, blk uint64, bo int, dst []byte) error {
+	var kb [bigKeyLen]byte
+	key := string(appendBigKey(kb[:0], ino, blk))
 	if fs.xf == nil {
 		n, _ := fs.cl.GetInto(pp, key, bo, dst)
 		clear(dst[min(max(n-bo, 0), len(dst)):]) // what the value did not cover

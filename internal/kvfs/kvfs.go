@@ -436,8 +436,9 @@ func (fs *FS) deleteFileData(p *sim.Proc, a Attr) {
 		fs.cl.Delete(p, SmallKey(a.Ino))
 		return
 	}
+	var key [bigKeyLen]byte
 	for blk := uint64(0); blk*BlockSize < a.Size; blk++ {
-		fs.cl.Delete(p, BigKey(a.Ino, blk))
+		fs.cl.Delete(p, string(appendBigKey(key[:0], a.Ino, blk)))
 	}
 }
 

@@ -135,7 +135,7 @@ func TestSmallFileWholeKVRewrite(t *testing.T) {
 	})
 	// The data must live in a single small-file KV.
 	sh := cluster.ShardFor(SmallKey(ino))
-	if v, ok := cluster.StoreOf(sh).Get(SmallKey(ino)); !ok || string(v) != "hello world" {
+	if v, ok := cluster.StoreOf(sh).Get([]byte(SmallKey(ino))); !ok || string(v) != "hello world" {
 		t.Fatalf("small KV = %q,%v", v, ok)
 	}
 }
@@ -157,11 +157,11 @@ func TestSmallToBigMigration(t *testing.T) {
 		}
 	})
 	// The small KV must be gone and big-file block KVs present.
-	if _, ok := cluster.StoreOf(cluster.ShardFor(SmallKey(ino))).Get(SmallKey(ino)); ok {
+	if _, ok := cluster.StoreOf(cluster.ShardFor(SmallKey(ino))).Get([]byte(SmallKey(ino))); ok {
 		t.Fatal("small KV still present after migration")
 	}
 	blk0 := BigKey(ino, 0)
-	if v, ok := cluster.StoreOf(cluster.ShardFor(blk0)).Get(blk0); !ok || !bytes.Equal(v, payload[:BlockSize]) {
+	if v, ok := cluster.StoreOf(cluster.ShardFor(blk0)).Get([]byte(blk0)); !ok || !bytes.Equal(v, payload[:BlockSize]) {
 		t.Fatal("big block 0 wrong after migration")
 	}
 }

@@ -33,7 +33,7 @@ func readIntoWorld(t *testing.T, xf xform.Transform, read func(p *sim.Proc, fs *
 			t.Fatal(err)
 		}
 		hole := BigKey(big, 2)
-		cluster.StoreOf(cluster.ShardFor(hole)).Delete(hole)
+		cluster.StoreOf(cluster.ShardFor(hole)).Delete([]byte(hole))
 		for _, c := range []struct {
 			ino    uint64
 			off, n int

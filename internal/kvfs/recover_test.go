@@ -54,19 +54,19 @@ func (tr *tree) restore() {
 	for i, want := range tr.image {
 		st := tr.cluster.StoreOf(i)
 		for _, kvp := range st.Scan("", 0) {
-			st.Delete(kvp.Key)
+			st.Delete([]byte(kvp.Key))
 		}
 		for _, kvp := range want {
-			st.Put(kvp.Key, append([]byte(nil), kvp.Val...))
+			st.Put([]byte(kvp.Key), append([]byte(nil), kvp.Val...))
 		}
 	}
 	tr.next = 1000
 }
 
 func (tr *tree) put(key string, val []byte) {
-	tr.cluster.StoreOf(tr.cluster.ShardFor(key)).Put(key, val)
+	tr.cluster.StoreOf(tr.cluster.ShardFor(key)).Put([]byte(key), val)
 }
-func (tr *tree) del(key string) { tr.cluster.StoreOf(tr.cluster.ShardFor(key)).Delete(key) }
+func (tr *tree) del(key string) { tr.cluster.StoreOf(tr.cluster.ShardFor(key)).Delete([]byte(key)) }
 
 func (tr *tree) fresh() uint64 { tr.next++; return tr.next }
 

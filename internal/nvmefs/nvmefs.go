@@ -37,6 +37,7 @@ type Request struct {
 	Header []byte // WH_len request header bytes
 	Data   []byte // write payload after the header
 	out    []byte // the TGT's pooled response buffer (ReadBuf); nil in a bare Request
+	rh     []byte // the TGT's pooled response-header buffer (HeaderBuf); nil in a bare Request
 }
 
 // ReadBuf returns a buffer of unspecified contents for n bytes of read
@@ -50,6 +51,18 @@ func (r Request) ReadBuf(n int) []byte {
 		return make([]byte, n)
 	}
 	return r.out[:min(n, len(r.out))]
+}
+
+// HeaderBuf returns a buffer of unspecified contents for an n-byte response
+// header, for the handler to fill and return as Response.Header: the
+// transport's pooled buffer of the RHLen the submitter reserved, or a fresh
+// one when there is none or n exceeds it. Like ReadBuf it must not be
+// retained: the TGT takes it back once the completion is posted.
+func (r Request) HeaderBuf(n int) []byte {
+	if n > len(r.rh) {
+		return make([]byte, n)
+	}
+	return r.rh[:n]
 }
 
 // Response is the handler's reply. Header must be at most the RHLen the

@@ -266,6 +266,7 @@ func (d *Driver) execute(wp *sim.Proc, f fetched) {
 		// which then escapes to the heap.
 		req.out = d.pool.Get(n)
 	}
+	req.rh = d.pool.Get(int(sqe.RHLen))
 	if f.in != nil {
 		req.Header = f.in[:sqe.WHLen]
 		if len(f.in) > 64 {
@@ -321,6 +322,7 @@ func (d *Driver) execute(wp *sim.Proc, f fetched) {
 	// The handler has returned and the response has left the DPU.
 	d.pool.Put(f.in)
 	d.pool.Put(req.out)
+	d.pool.Put(req.rh)
 	ws.End(wp)
 }
 

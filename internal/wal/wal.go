@@ -120,13 +120,16 @@ type ReplayStats struct {
 // group is one in-flight commit batch. Records are kept unserialized until
 // the group write: framing stamps the epoch, and the epoch must be read
 // under the commit lock so a checkpoint can never slip between framing and
-// persisting.
+// persisting. Groups and their Conds are recycled (Log.free), but only once
+// every member has read err (leave): a follower never reads the result of a
+// later group.
 type group struct {
-	recs  []Record
-	bytes int // framed size of recs
-	done  *sim.Cond
-	err   error
-	ok    bool // committed (or failed); waiters may return
+	recs    []Record
+	bytes   int // framed size of recs
+	done    *sim.Cond
+	err     error
+	ok      bool // committed (or failed); waiters may return
+	members int  // the group's Commit calls that have not yet read err
 }
 
 // Log is the write-ahead log over one region of an ssd.Device.
@@ -143,6 +146,7 @@ type Log struct {
 	needsScan bool
 
 	cur   *group
+	free  []*group      // groups every member has left
 	wlock *sim.Resource // serializes group writes in commit order
 	// frame is writeGroup's framing buffer, reused across groups: group
 	// writes are serialized by wlock and the device copies what it stores.
@@ -256,9 +260,14 @@ func (l *Log) Commit(p *sim.Proc, recs []Record) error {
 	g := l.cur
 	lead := g == nil
 	if lead {
-		g = &group{done: sim.NewCond(l.eng, "wal-group")}
+		if k := len(l.free) - 1; k >= 0 {
+			g, l.free = l.free[k], l.free[:k]
+		} else {
+			g = &group{done: sim.NewCond(l.eng, "wal-group")}
+		}
 		l.cur = g
 	}
+	g.members++
 	for i := range recs {
 		if len(recs[i].Data) > MaxPayload {
 			panic(fmt.Sprintf("wal: record payload %d exceeds %d", len(recs[i].Data), MaxPayload))
@@ -270,7 +279,7 @@ func (l *Log) Commit(p *sim.Proc, recs []Record) error {
 		for !g.ok {
 			g.done.Wait(p)
 		}
-		return g.err
+		return l.leave(g)
 	}
 	if l.cfg.GroupWindow > 0 {
 		p.Sleep(l.cfg.GroupWindow)
@@ -282,6 +291,19 @@ func (l *Log) Commit(p *sim.Proc, recs []Record) error {
 	g.err = err
 	g.ok = true
 	g.done.Broadcast()
+	return l.leave(g)
+}
+
+// leave returns g's result to one of its members and recycles g once the
+// last member has it. The group drops its records: their buffers are the
+// callers' again.
+func (l *Log) leave(g *group) error {
+	err := g.err
+	if g.members--; g.members == 0 {
+		clear(g.recs)
+		g.recs, g.bytes, g.err, g.ok = g.recs[:0], 0, nil, false
+		l.free = append(l.free, g)
+	}
 	return err
 }
 
@@ -339,9 +361,14 @@ func (l *Log) writeGroup(p *sim.Proc, g *group) error {
 //	16:24 ino
 //	24:32 lpn
 //	32:40 gen
+//
+// The header is written in place in dst: a header array of its own would
+// escape to the heap through the checksum call.
 func appendRecord(dst []byte, epoch uint32, r *Record) []byte {
 	le := binary.LittleEndian
-	var h [recHdrSize]byte
+	n := len(dst)
+	dst = append(dst, make([]byte, recHdrSize)...)
+	h := dst[n:]
 	le.PutUint32(h[4:], epoch)
 	h[8] = r.Kind
 	le.PutUint32(h[12:], uint32(len(r.Data)))
@@ -349,7 +376,6 @@ func appendRecord(dst []byte, epoch uint32, r *Record) []byte {
 	le.PutUint64(h[24:], r.LPN)
 	le.PutUint64(h[32:], r.Gen)
 	le.PutUint32(h[0:], crc32.Update(crc32.ChecksumIEEE(h[4:]), crc32.IEEETable, r.Data))
-	dst = append(dst, h[:]...)
 	return append(dst, r.Data...)
 }
 

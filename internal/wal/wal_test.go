@@ -10,10 +10,12 @@ import (
 	"dpc/internal/ssd"
 )
 
-// newTestLog builds a log over a fresh device. size 0 means the default
-// geometry; a small explicit size makes the wraparound tests cheap.
-func newTestLog(size int64) (*sim.Engine, *ssd.Device, *Log) {
+// newTestLog builds a log over a fresh device, its engine shut down when the
+// test ends. size 0 means the default geometry; a small explicit size makes
+// the wraparound tests cheap.
+func newTestLog(t *testing.T, size int64) (*sim.Engine, *ssd.Device, *Log) {
 	eng := sim.NewEngine(1)
+	t.Cleanup(eng.Shutdown)
 	dev := ssd.New(eng, ssd.DefaultConfig())
 	cfg := DefaultConfig()
 	cfg.Size = size
@@ -44,7 +46,7 @@ func collect(out *[]Record) func(p *sim.Proc, r Record) error {
 func page(b byte) []byte { return bytes.Repeat([]byte{b}, 8192) }
 
 func TestRecoverEmptyLog(t *testing.T) {
-	eng, _, l := newTestLog(0)
+	eng, _, l := newTestLog(t, 0)
 	drive(eng, func(p *sim.Proc) {
 		var got []Record
 		st, err := l.Recover(p, collect(&got))
@@ -64,6 +66,7 @@ func TestRecoverEmptyLog(t *testing.T) {
 // (crash before the very first superblock barrier) is formatted fresh.
 func TestRecoverFormatsBlankDevice(t *testing.T) {
 	eng := sim.NewEngine(1)
+	defer eng.Shutdown()
 	dev := ssd.New(eng, ssd.DefaultConfig())
 	cfg := DefaultConfig()
 	l := Open(eng, dev, cfg)
@@ -88,7 +91,7 @@ func TestRecoverFormatsBlankDevice(t *testing.T) {
 }
 
 func TestCommitRecoverRoundTrip(t *testing.T) {
-	eng, _, l := newTestLog(0)
+	eng, _, l := newTestLog(t, 0)
 	drive(eng, func(p *sim.Proc) {
 		recs := []Record{
 			{Kind: RecPage, Ino: 7, LPN: 0, Gen: 1, Data: page('a')},
@@ -118,7 +121,7 @@ func TestCommitRecoverRoundTrip(t *testing.T) {
 // TestCommitBeforeRecoverPanics: appending blind to an adopted log would
 // overwrite acknowledged records; the API forbids it.
 func TestCommitBeforeRecoverPanics(t *testing.T) {
-	eng, _, l := newTestLog(0)
+	eng, _, l := newTestLog(t, 0)
 	drive(eng, func(p *sim.Proc) {
 		l.Reopen()
 		defer func() {
@@ -133,7 +136,7 @@ func TestCommitBeforeRecoverPanics(t *testing.T) {
 // TestTornTailDetection: a record whose bytes were half-written when power
 // failed must end the scan as a torn tail, preserving the prefix.
 func TestTornTailDetection(t *testing.T) {
-	eng, dev, l := newTestLog(0)
+	eng, dev, l := newTestLog(t, 0)
 	drive(eng, func(p *sim.Proc) {
 		if err := l.Commit(p, []Record{{Kind: RecPage, Ino: 1, LPN: 0, Gen: 1, Data: page('a')}}); err != nil {
 			t.Fatal(err)
@@ -184,7 +187,7 @@ func TestTornTailDetection(t *testing.T) {
 // replays — but recovery still succeeds (an unacknowledgeable tail, not an
 // error).
 func TestCorruptFirstRecord(t *testing.T) {
-	eng, dev, l := newTestLog(0)
+	eng, dev, l := newTestLog(t, 0)
 	drive(eng, func(p *sim.Proc) {
 		if err := l.Commit(p, []Record{{Kind: RecPage, Ino: 1, LPN: 0, Gen: 1, Data: page('a')}}); err != nil {
 			t.Fatal(err)
@@ -205,7 +208,7 @@ func TestCorruptFirstRecord(t *testing.T) {
 // TestGenerationFilter: page records older than the inode's final RecGen in
 // the log are stale and skipped; other inodes are untouched.
 func TestGenerationFilter(t *testing.T) {
-	eng, _, l := newTestLog(0)
+	eng, _, l := newTestLog(t, 0)
 	drive(eng, func(p *sim.Proc) {
 		err := l.Commit(p, []Record{
 			{Kind: RecPage, Ino: 5, LPN: 0, Gen: 1, Data: page('a')}, // stale: gen 3 follows
@@ -235,7 +238,7 @@ func TestGenerationFilter(t *testing.T) {
 // first recovery, before its checkpoint) applies the identical record
 // sequence both times.
 func TestIdempotentReplay(t *testing.T) {
-	eng, _, l := newTestLog(0)
+	eng, _, l := newTestLog(t, 0)
 	drive(eng, func(p *sim.Proc) {
 		err := l.Commit(p, []Record{
 			{Kind: RecPage, Ino: 1, LPN: 0, Gen: 1, Data: page('x')},
@@ -271,7 +274,7 @@ func TestIdempotentReplay(t *testing.T) {
 func TestCheckpointWraparound(t *testing.T) {
 	// 5 blocks: 1 superblock + 16 KiB of append region. Each 8 KiB-payload
 	// record occupies 8232 bytes, so exactly one fits at a time.
-	eng, _, l := newTestLog(5 * ssd.BlockSize)
+	eng, _, l := newTestLog(t, 5*ssd.BlockSize)
 	drive(eng, func(p *sim.Proc) {
 		rec := func(b byte) []Record {
 			return []Record{{Kind: RecPage, Ino: 1, LPN: uint64(b), Gen: 1, Data: page(b)}}
@@ -311,7 +314,7 @@ func TestCheckpointWraparound(t *testing.T) {
 // TestCheckpointResidueIsCleanEnd: records from the previous epoch that were
 // never overwritten read as the clean end of the log, not as torn tails.
 func TestCheckpointResidueIsCleanEnd(t *testing.T) {
-	eng, _, l := newTestLog(0)
+	eng, _, l := newTestLog(t, 0)
 	drive(eng, func(p *sim.Proc) {
 		if err := l.Commit(p, []Record{{Kind: RecPage, Ino: 1, LPN: 0, Gen: 1, Data: page('a')}}); err != nil {
 			t.Fatal(err)
@@ -333,7 +336,7 @@ func TestCheckpointResidueIsCleanEnd(t *testing.T) {
 // TestGroupCommitAmortizesBarriers: N concurrent commits inside one group
 // window cost a single device write + barrier, not N.
 func TestGroupCommitAmortizesBarriers(t *testing.T) {
-	eng, dev, l := newTestLog(0)
+	eng, dev, l := newTestLog(t, 0)
 	const n = 8
 	done := 0
 	before := dev.Barriers.Total()
@@ -368,10 +371,39 @@ func TestGroupCommitAmortizesBarriers(t *testing.T) {
 	})
 }
 
+// TestFollowerReadsItsOwnGroup: a group's follower returns its own group's
+// result even when the group has been written and a later group commits
+// before the follower runs again. The first group overflows the log and
+// fails; its follower, woken behind a second committer that leads a group
+// of its own at the same instant, must still see ErrFull. Groups are
+// recycled only once every member has read the result.
+func TestFollowerReadsItsOwnGroup(t *testing.T) {
+	// 5 blocks: 1 superblock + 16 KiB of append region; two 8 KiB records
+	// do not fit, one generation record does.
+	eng, _, l := newTestLog(t, 5*ssd.BlockSize)
+	var leader, follower, later error
+	eng.Go("leader", func(p *sim.Proc) {
+		leader = l.Commit(p, []Record{{Kind: RecPage, Ino: 1, Gen: 1, Data: page('a')}, {Kind: RecPage, Ino: 1, LPN: 1, Gen: 1, Data: page('b')}})
+		eng.Go("later", func(p *sim.Proc) { later = l.Commit(p, []Record{{Kind: RecGen, Ino: 3, Gen: 1}}) })
+	})
+	eng.Go("follower", func(p *sim.Proc) {
+		p.Sleep(5 * time.Microsecond) // inside the leader's group window
+		follower = l.Commit(p, []Record{{Kind: RecGen, Ino: 2, Gen: 1}})
+	})
+	eng.Run()
+	if leader != ErrFull || follower != ErrFull {
+		t.Errorf("overflowing group: leader %v, follower %v; want ErrFull for both", leader, follower)
+	}
+	if later != nil {
+		t.Errorf("later group: %v", later)
+	}
+}
+
 // TestZeroGroupWindow: GroupWindow 0 still commits correctly, one barrier
 // per group (each commit its own group under sequential callers).
 func TestZeroGroupWindow(t *testing.T) {
 	eng := sim.NewEngine(1)
+	defer eng.Shutdown()
 	dev := ssd.New(eng, ssd.DefaultConfig())
 	cfg := DefaultConfig()
 	cfg.GroupWindow = 0

@@ -97,13 +97,13 @@ func TestDIFDetectsBackendCorruption(t *testing.T) {
 	// wire or on flash).
 	key := kvfs.BigKey(ino, 1)
 	sh := sys.KVCluster.ShardFor(key)
-	val, ok := sys.KVCluster.StoreOf(sh).Get(key)
+	val, ok := sys.KVCluster.StoreOf(sh).Get([]byte(key))
 	if !ok {
 		t.Fatal("stored block not found")
 	}
 	val = append([]byte(nil), val...)
 	val[100] ^= 0x01
-	sys.KVCluster.StoreOf(sh).Put(key, val)
+	sys.KVCluster.StoreOf(sh).Put([]byte(key), val)
 
 	sys.Go(func(p *sim.Proc) {
 		f, err := cl.Open(p, 0, "/protected")

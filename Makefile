@@ -1,9 +1,14 @@
 GO ?= go
 
-.PHONY: build test vet race torture check check-faults check-crash bench-json bench-identical bench-smoke allocs fuzz whatif
+.PHONY: build test vet race torture check check-faults check-crash bench-json bench-identical bench-smoke allocs fuzz whatif loc
 
 build:
 	$(GO) build ./...
+
+# The size of the program: non-test Go lines outside bench/ (and outside
+# dot-directories), the count ROADMAP.md's baseline reports.
+loc:
+	@find . \( -path ./bench -o -path './.*' \) -prune -o -name '*.go' ! -name '*_test.go' -print | xargs cat | wc -l
 
 # vet also vets the bench/ module, which root `go vet ./...` stops short of,
 # and runs dpclint over both: every metric registration and every Publish of

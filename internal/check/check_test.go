@@ -1,8 +1,10 @@
 package check
 
 import (
+	"fmt"
 	"os"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -105,6 +107,46 @@ func TestShortTortureAllStacks(t *testing.T) {
 				t.Fatalf("diverged from oracle: %v", fail)
 			}
 		})
+	}
+}
+
+// TestRunSuiteSmoke drives the torture driver as dpccheck does, on one
+// stack and seed: RunSuite builds the suite's world, runs a 40-op trace
+// against the oracle and logs it as passed; an unknown stack is an error.
+// Shrink replays a reported failure on fresh worlds of the same row (fault
+// worlds, for a failure found under faults), and a trace that no longer fails
+// comes back whole. StackList is the configured stacks, or every stack the
+// mode supports.
+func TestRunSuiteSmoke(t *testing.T) {
+	var logged []string
+	logf := func(format string, args ...any) { logged = append(logged, fmt.Sprintf(format, args...)) }
+	fails, err := RunSuite(SuiteConfig{Stacks: []string{"kvfs-cache"}, Seeds: []int64{1}, Ops: 40, Parallel: 1, Logf: logf})
+	if err != nil || len(fails) != 0 {
+		t.Fatalf("RunSuite: %d failures, error %v", len(fails), err)
+	}
+	if want := "ok   kvfs-cache  seed=1    (40 ops)"; !slices.Equal(logged, []string{want}) {
+		t.Fatalf("RunSuite logged %q, want %q", logged, want)
+	}
+	if _, err := RunSuite(SuiteConfig{Stacks: []string{"nope"}, Seeds: []int64{1}, Ops: 1, Parallel: 1}); err == nil {
+		t.Fatal("RunSuite on an unknown stack returned no error")
+	}
+
+	row, _ := stackByName("kvfs-cache")
+	trace := GenTrace(2, 40, row.caps)
+	fail := &Failure{Stack: "kvfs-cache", Seed: 2, OpIdx: len(trace), Diff: "planted", Trace: trace, Faults: true}
+	shrunk, err := Shrink(fail, 3)
+	if err != nil || shrunk != fail || !slices.Equal(shrunk.Trace, trace) {
+		t.Fatalf("Shrink of a passing trace: %v, error %v; want the failure back whole", shrunk, err)
+	}
+
+	if got := (SuiteConfig{Stacks: []string{"localfs"}}).StackList(); !slices.Equal(got, []string{"localfs"}) {
+		t.Errorf("StackList with stacks set = %v", got)
+	}
+	if got := (SuiteConfig{}).StackList(); !slices.Equal(got, StackNames()) {
+		t.Errorf("StackList = %v, want every stack %v", got, StackNames())
+	}
+	if got := (SuiteConfig{Faults: true}).StackList(); !slices.Equal(got, FaultStackNames()) {
+		t.Errorf("StackList under faults = %v, want %v", got, FaultStackNames())
 	}
 }
 

@@ -228,7 +228,7 @@ func (d *Dispatcher) handleRead(p *sim.Proc, svc *Service, hdr ReqHeader, req nv
 		// Degraded cache: serve the read but bypass the fill — no new pages
 		// enter a cache whose write-back is failing.
 		degraded := svc.Ctl.Degraded()
-		if !degraded && hdr.Flags&FlagNoPrefetch == 0 {
+		if !degraded {
 			svc.Ctl.NotifyRead(p, hdr.Ino, lpn)
 		}
 		read := func() bool { return readPage(p, svc, hdr.Ino, lpn, page) }

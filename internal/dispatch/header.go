@@ -16,8 +16,6 @@ const (
 	// FlagFillCache asks the DPU to install the read page into the host
 	// cache and return its entry index instead of shipping the bytes back.
 	FlagFillCache uint32 = 1 << 0
-	// FlagNoPrefetch suppresses the sequential prefetcher (ablations).
-	FlagNoPrefetch uint32 = 1 << 1
 	// FlagWriteback, on a Flush, demands the synchronous write-back path
 	// even when a WAL could satisfy durability by journaling: the host's
 	// internal pre-direct-I/O syncs need the pages actually in the backend

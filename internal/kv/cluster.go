@@ -111,7 +111,7 @@ func NewCluster(eng *sim.Engine, net *fabric.Network, cfg ClusterConfig) *Cluste
 	}
 	c := &Cluster{cfg: cfg}
 	for i := 0; i < cfg.Shards; i++ {
-		sh := &shard{node: net.NewNode(fmt.Sprintf("kv-shard-%d", i)), store: NewStore(int64(i) + 1)}
+		sh := &shard{node: net.NewNode(fmt.Sprintf("kv-shard-%d", i)), store: NewStore()}
 		c.shards = append(c.shards, sh)
 		c.serve(sh, cpu.NewPool(eng, fmt.Sprintf("kv-cpu-%d", i), cfg.CoresPerShard, cfg.CoreFreqHz))
 	}

@@ -11,7 +11,7 @@ import (
 // The store owns its values: what Get and GetInto return is the caller's
 // and is not disturbed by a later in-place Put of the same key and length.
 func TestGetResultSurvivesOverwrite(t *testing.T) {
-	s := NewStore(1)
+	s := NewStore()
 	old := bytes.Repeat([]byte{0x11}, 64)
 	s.Put([]byte("k"), old)
 	got, _ := s.Get([]byte("k"))
@@ -27,7 +27,7 @@ func TestGetResultSurvivesOverwrite(t *testing.T) {
 }
 
 func TestPutEmptyOverExistingKeepsKey(t *testing.T) {
-	s := NewStore(1)
+	s := NewStore()
 	s.Put([]byte("k"), []byte("value"))
 	s.Put([]byte("k"), nil)
 	if v, ok := s.Get([]byte("k")); !ok || len(v) != 0 {
@@ -44,7 +44,7 @@ func TestPutEmptyOverExistingKeepsKey(t *testing.T) {
 // GetInto copies the window [off, off+len(dst)) that the value covers, leaves
 // the rest of dst alone and always reports the value's full length.
 func TestGetIntoWindow(t *testing.T) {
-	s := NewStore(1)
+	s := NewStore()
 	val := []byte("0123456789")
 	s.Put([]byte("k"), val)
 	for _, c := range []struct {
@@ -72,7 +72,7 @@ func TestGetIntoWindow(t *testing.T) {
 }
 
 func TestStoreSteadyStateZeroAllocs(t *testing.T) {
-	s := NewStore(1)
+	s := NewStore()
 	block := make([]byte, 8192)
 	for _, k := range []string{"a", "b", "c"} {
 		s.Put([]byte(k), block)

@@ -160,7 +160,7 @@ func (s serverScript) run(ref bool) serverRun {
 	c := &Cluster{cfg: s.cfg}
 	var pools []*cpu.Pool
 	for i := range s.cfg.Shards {
-		sh := &shard{node: net.NewNode(fmt.Sprintf("kv-shard-%d", i)), store: NewStore(int64(i) + 1)}
+		sh := &shard{node: net.NewNode(fmt.Sprintf("kv-shard-%d", i)), store: NewStore()}
 		c.shards = append(c.shards, sh)
 		pool := cpu.NewPool(e, "kv-cpu", s.cfg.CoresPerShard, s.cfg.CoreFreqHz)
 		pool.SwitchOverhead = s.sw

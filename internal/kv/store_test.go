@@ -11,7 +11,7 @@ import (
 )
 
 func TestStoreBasics(t *testing.T) {
-	s := NewStore(1)
+	s := NewStore()
 	if _, ok := s.Get([]byte("missing")); ok {
 		t.Fatal("Get on empty store found something")
 	}
@@ -36,7 +36,7 @@ func TestStoreBasics(t *testing.T) {
 }
 
 func TestStoreValueIsolation(t *testing.T) {
-	s := NewStore(1)
+	s := NewStore()
 	buf := []byte("hello")
 	s.Put([]byte("k"), buf)
 	buf[0] = 'X'
@@ -46,7 +46,7 @@ func TestStoreValueIsolation(t *testing.T) {
 }
 
 func TestScanOrderedWithPrefix(t *testing.T) {
-	s := NewStore(1)
+	s := NewStore()
 	keys := []string{"dir1/c", "dir1/a", "dir2/x", "dir1/b", "dir10/z"}
 	for _, k := range keys {
 		s.Put([]byte(k), []byte(k))
@@ -69,28 +69,7 @@ func TestScanOrderedWithPrefix(t *testing.T) {
 	}
 }
 
-// checkIndex reports where the point-lookup index and the level-0 list
-// disagree: they must hold the same keys, in order in the list, and the index
-// must map each key to that key's list node.
-func checkIndex(s *Store) error {
-	n := 0
-	for x := s.head.next[0]; x != nil; x = x.next[0] {
-		if x.next[0] != nil && x.next[0].key <= x.key {
-			return fmt.Errorf("list out of order at %q", x.key)
-		}
-		if s.index[x.key] != x {
-			return fmt.Errorf("index[%q] is not the key's list node", x.key)
-		}
-		n++
-	}
-	if n != len(s.index) {
-		return fmt.Errorf("list holds %d keys, index %d", n, len(s.index))
-	}
-	return nil
-}
-
-// Property: the store behaves exactly like a map with sorted iteration, and
-// after every operation its index and its list hold the same nodes.
+// Property: the store behaves exactly like a map with sorted iteration.
 func TestStoreMatchesModelProperty(t *testing.T) {
 	type op struct {
 		Kind byte
@@ -99,13 +78,13 @@ func TestStoreMatchesModelProperty(t *testing.T) {
 		Off  uint8
 	}
 	f := func(ops []op) bool {
-		s := NewStore(42)
+		s := NewStore()
 		m := map[string][]byte{}
 		for _, o := range ops {
 			// 32 keys, so that deletes and overwrites meet existing keys.
 			key := fmt.Sprintf("k%03d", o.Key%32)
 			val := []byte(fmt.Sprintf("v%d", o.Val))
-			switch o.Kind % 5 {
+			switch o.Kind % 6 {
 			case 0:
 				s.Put([]byte(key), val)
 				m[key] = val
@@ -144,10 +123,27 @@ func TestStoreMatchesModelProperty(t *testing.T) {
 				}
 				s.Put([]byte(key), val)
 				m[key] = val
-			}
-			if err := checkIndex(s); err != nil {
-				t.Log(err)
-				return false
+			case 5: // the keys of one decade, at most Off%4 of them (0: all)
+				prefix, limit := key[:3], int(o.Off%4)
+				var want []string
+				for k := range m {
+					if strings.HasPrefix(k, prefix) {
+						want = append(want, k)
+					}
+				}
+				sort.Strings(want)
+				if limit > 0 && len(want) > limit {
+					want = want[:limit]
+				}
+				got := s.Scan(prefix, limit)
+				if len(got) != len(want) {
+					return false
+				}
+				for i, kv := range got {
+					if kv.Key != want[i] || string(kv.Val) != string(m[kv.Key]) {
+						return false
+					}
+				}
 			}
 		}
 		if s.Len() != len(m) {
@@ -176,7 +172,7 @@ func TestStoreMatchesModelProperty(t *testing.T) {
 }
 
 func TestStoreLargeOrdered(t *testing.T) {
-	s := NewStore(7)
+	s := NewStore()
 	rng := rand.New(rand.NewSource(7))
 	n := 5000
 	perm := rng.Perm(n)

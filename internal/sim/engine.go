@@ -15,8 +15,10 @@
 // parks. Two events cost less, in the same (at, seq) order: a sleeper whose
 // own wake-up is the next event advances the clock in place without leaving
 // its coroutine (Proc.wakeAt), and a wake-up or event for the current instant
-// is queued in a FIFO instead of the heap (Engine.push). A panic in a process
-// body surfaces from Run.
+// is queued in a FIFO instead of the heap (Engine.push). That FIFO is the
+// instant's one ready set: when the clock moves, the heap's other entries for
+// the new instant join it (Engine.pop). A panic in a process body surfaces
+// from Run.
 //
 // Determinism: events scheduled for the same virtual time fire in the order
 // they were scheduled (a monotonically increasing sequence number breaks
@@ -124,8 +126,9 @@ func (h *eventHeap) popEvent() event {
 type Engine struct {
 	now    Time
 	events eventHeap
-	// nowq[nowHead:] holds, in scheduling order, the events scheduled for the
+	// nowq[nowHead:] holds, in seq order, every pending event for the
 	// instant the clock already shows; the clock stays put until it drains.
+	// The heap holds only later instants.
 	nowq    []event
 	nowHead int
 	seq     uint64
@@ -140,7 +143,8 @@ type Engine struct {
 	// calls: each resumes through two coroutine switches. It also stamps
 	// Proc.parkSeq, which gives Shutdown its order. HeapPushes counts events
 	// that went onto the heap, FIFOPops events popped from the same-instant
-	// queue, and InPlace sleeps whose wake-up advanced the clock in place.
+	// queue (all but the first of each instant the clock moves to), and
+	// InPlace sleeps whose wake-up advanced the clock in place.
 	Parks      int64
 	HeapPushes int64
 	FIFOPops   int64
@@ -154,10 +158,6 @@ type Engine struct {
 	// that RunUntil, which an in-place advance must not pass.
 	inRun bool
 	limit Time
-	// tickerPending counts scheduled idle-stopping ticker wake-ups (see
-	// Ticker): when they are the only events left, tickers stop firing so
-	// Run can drain.
-	tickerPending int
 }
 
 // NewEngine returns an engine with the clock at zero and a PRNG seeded with
@@ -184,7 +184,7 @@ func (e *Engine) Schedule(at Time, fn func()) {
 
 // push gives ev the next sequence number and queues it. An event for the
 // current instant sorts behind everything pending for now (smaller seq) and
-// ahead of everything later (larger at): it skips the heap for nowq.
+// ahead of everything later (larger at): it joins the back of nowq.
 func (e *Engine) push(ev event) {
 	e.seq++
 	ev.seq = e.seq
@@ -196,14 +196,13 @@ func (e *Engine) push(ev event) {
 	e.events.pushEvent(ev)
 }
 
-// pop returns the next event due by e.limit in (at, seq) order and moves the
-// clock to it. Heap entries for now were scheduled before the clock got here,
-// so their seq is below all of nowq; the rest of the heap is later than both.
+// pop returns the next event due by e.limit in (at, seq) order. nowq holds
+// the current instant's events in seq order, so its head comes first. Only
+// when it is empty does the clock move, to the heap's first entry: pop
+// returns that entry and moves the heap's other entries for the same instant
+// into nowq, so the heap never holds the current instant.
 func (e *Engine) pop() (ev event, ok bool) {
-	switch {
-	case e.events.Len() > 0 && e.events.peek().at == e.now:
-		return e.events.popEvent(), true
-	case e.nowHead < len(e.nowq):
+	if e.nowHead < len(e.nowq) {
 		ev = e.nowq[e.nowHead]
 		e.nowq[e.nowHead] = event{} // drop the fn/p references so they can be collected
 		e.nowHead++
@@ -212,15 +211,30 @@ func (e *Engine) pop() (ev event, ok bool) {
 			e.nowq, e.nowHead = e.nowq[:0], 0
 		}
 		return ev, true
-	case e.events.Len() > 0 && e.events.peek().at <= e.limit:
-		ev = e.events.popEvent()
-		if ev.at < e.now {
-			panic("sim: event heap time went backwards")
-		}
-		e.now = ev.at
-		return ev, true
 	}
-	return event{}, false
+	if e.events.Len() == 0 || e.events.peek().at > e.limit {
+		return event{}, false
+	}
+	ev = e.events.popEvent()
+	if ev.at <= e.now {
+		panic("sim: event heap held the current instant")
+	}
+	e.now = ev.at
+	if len(e.events) > 0 && e.events[0].at == ev.at {
+		return e.queueTies(ev), true
+	}
+	return ev, true
+}
+
+// queueTies moves the heap's other entries for the instant of first, the
+// event pop is returning, into nowq and returns first. It is out of line and
+// passes first through so that pop's common case, no tie, stays as small as
+// a plain heap pop.
+func (e *Engine) queueTies(first event) event {
+	for len(e.events) > 0 && e.events[0].at == first.at {
+		e.nowq = append(e.nowq, e.events.popEvent())
+	}
+	return first
 }
 
 // After registers fn to run d from now.

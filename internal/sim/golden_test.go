@@ -10,7 +10,7 @@ import (
 // goldenScript runs one fixed scenario that mixes every way a process can
 // park and be woken — Sleep, Yield, Cond Signal and Broadcast, a bounded
 // Mailbox whose full buffer parks the sender on a Cond until the receiver
-// makes room, a contended Resource, a Ticker, a plain
+// makes room, a contended Resource, a self-rescheduling tick, a plain
 // event tied with a wake, a child spawned mid-run — over RunUntil in two
 // slices, and returns the (time, proc, step) log.
 func goldenScript(t testing.TB) []string {
@@ -26,7 +26,7 @@ func goldenScript(t testing.TB) []string {
 	gate := NewCond(e, "gate")
 	open := false
 
-	e.NewTicker(3*Microsecond, func(Time) { rec("ticker", "tick") })
+	tickEvery(e, 3*Microsecond, func(Time) { rec("ticker", "tick") })
 
 	for i := 0; i < 3; i++ {
 		name := fmt.Sprintf("w%d", i)

@@ -132,6 +132,7 @@ func (w *orderWorld) event(d Time) {
 // so ties and self-next sleeps are both common.
 func (w *orderWorld) step(p *Proc) {
 	e, rng := w.e, w.rng
+	w.readySet(p.name)
 	switch rng.Intn(12) {
 	case 0, 1:
 		if d := rng.Intn(5); d > 0 {
@@ -182,10 +183,28 @@ func (w *orderWorld) step(p *Proc) {
 	}
 }
 
+// readySet requires the current instant's pending events to be nowq alone,
+// in seq order: the heap holds only later instants.
+func (w *orderWorld) readySet(when string) {
+	w.t.Helper()
+	e := w.e
+	for _, ev := range e.events {
+		if ev.at <= e.now {
+			w.t.Fatalf("%s: heap holds %v with the clock at %d", when, key{ev.at, ev.seq}, e.now)
+		}
+	}
+	for i := e.nowHead; i < len(e.nowq); i++ {
+		if ev := e.nowq[i]; ev.at != e.now || i > e.nowHead && ev.seq <= e.nowq[i-1].seq {
+			w.t.Fatalf("%s: nowq[%d] is %v with the clock at %d", when, i, key{ev.at, ev.seq}, e.now)
+		}
+	}
+}
+
 // check requires the log to be strictly increasing in (at, seq) and the
 // engine to hold exactly the events scheduled and not yet dispatched.
 func (w *orderWorld) check(when string) {
 	w.t.Helper()
+	w.readySet(when)
 	for i := 1; i < len(w.log); i++ {
 		a, b := w.log[i-1], w.log[i]
 		if b.at < a.at || b.at == a.at && b.seq <= a.seq {
@@ -216,12 +235,12 @@ func TestDispatchOrderProperty(t *testing.T) {
 		var tick key
 		fn := func(Time) {
 			w.log = append(w.log, tick)
-			if e.PendingEvents() > e.tickerPending {
+			if e.PendingEvents() > 0 {
 				tick = w.next(e.now+7, 0)
 			}
 		}
 		tick = w.next(e.now+7, 0)
-		e.NewTicker(7, fn)
+		tickEvery(e, 7, fn)
 		for i, n := 0, 4+w.rng.Intn(4); i < n; i++ {
 			w.spawn(fmt.Sprintf("p%d", i), 10+w.rng.Intn(30))
 		}
@@ -317,23 +336,38 @@ func TestYieldAloneConsumesSeq(t *testing.T) {
 
 // A sleeper that is alone between ticks advances in place, but every tick is
 // an event in its way: the ticker sees the sleeper's wake pending at each
-// fire, and stops at the first fire after the work ends, as it always has.
+// fire, and stops at the first fire after the work ends.
 func TestTickerOverLoneSleeper(t *testing.T) {
 	e := newTestEngine(t, 1)
 	var fires []Time
-	tk := e.NewTicker(100*Microsecond, func(now Time) { fires = append(fires, now) })
+	tickEvery(e, 100*Microsecond, func(now Time) { fires = append(fires, now) })
 	e.Go("work", func(p *Proc) {
 		for i := 0; i < 50; i++ {
 			p.Sleep(7 * Microsecond)
 		}
 	})
 	e.Run()
-	if want := []Time{100_000, 200_000, 300_000, 400_000}; !slices.Equal(fires, want) || !tk.stopped {
-		t.Fatalf("ticker fired at %v (stopped %v), want %v", fires, tk.stopped, want)
+	if want := []Time{100_000, 200_000, 300_000, 400_000}; !slices.Equal(fires, want) || e.PendingEvents() != 0 {
+		t.Fatalf("ticker fired at %v (%d events left), want %v", fires, e.PendingEvents(), want)
 	}
 	if e.Now() != 400_000 || e.Parks >= 50 {
 		t.Fatalf("now %v after %d parks: want 400µs and most of the 50 sleeps in place", e.Now(), e.Parks)
 	}
+}
+
+// tickEvery runs fn every interval of virtual time from event context, first
+// one interval from now, and stops at the first tick that finds no other
+// event pending, so that Run still drains: the rule telemetry's sampler
+// keeps.
+func tickEvery(e *Engine, every time.Duration, fn func(now Time)) {
+	var tick func()
+	tick = func() {
+		fn(e.Now())
+		if e.PendingEvents() > 0 {
+			e.After(every, tick)
+		}
+	}
+	e.After(every, tick)
 }
 
 // A Sleep deferred by a body that Shutdown is killing must unwind like any

@@ -99,8 +99,10 @@ type DumpSpan struct {
 type T struct {
 	o *obs.Obs
 
-	store  *Store
-	ticker *sim.Ticker
+	e        *sim.Engine
+	interval time.Duration
+	tickFn   func() // t.tick, bound once: a rescheduled tick allocates nothing
+	store    *Store
 
 	counters   []sampledCounter
 	gauges     []sampledGauge
@@ -124,20 +126,22 @@ type T struct {
 }
 
 // Attach builds the pipeline on an enabled observability hub and starts the
-// sampler on the engine's virtual clock. The sampler runs in event context
-// (it consumes no virtual time and never touches the PRNG) and idle-stops
-// with the simulation, so attaching telemetry perturbs nothing the workload
-// can observe.
+// sampler on the engine's virtual clock, one tick every Interval. The sampler
+// runs in event context (it consumes no virtual time and never touches the
+// PRNG) and idle-stops with the simulation, so attaching telemetry perturbs
+// nothing the workload can observe. Attach it at most once per engine.
 func Attach(e *sim.Engine, o *obs.Obs, cfg Config) (*T, error) {
 	if !o.Enabled() {
 		return nil, errors.New("telemetry: requires an enabled obs hub")
 	}
 	cfg.defaults()
 	t := &T{
-		o:     o,
-		store: newStore(int64(cfg.Interval), maxTicks),
-		cur:   make([]int64, stats.BucketCount()),
-		delta: make([]int64, stats.BucketCount()),
+		o:        o,
+		e:        e,
+		interval: cfg.Interval,
+		store:    newStore(int64(cfg.Interval), maxTicks),
+		cur:      make([]int64, stats.BucketCount()),
+		delta:    make([]int64, stats.BucketCount()),
 	}
 	for _, spec := range cfg.SLOs {
 		obj, err := ParseSLO(spec)
@@ -152,7 +156,8 @@ func Attach(e *sim.Engine, o *obs.Obs, cfg Config) (*T, error) {
 	}
 	t.rec = newRecorder(recorderSpans, int64(cfg.SlowSpan), recorderTrees)
 	o.Tracer().SetCloseHook(t.rec.observe)
-	t.ticker = e.NewTicker(cfg.Interval, t.sample)
+	t.tickFn = t.tick
+	e.After(t.interval, t.tickFn)
 	return t, nil
 }
 
@@ -239,6 +244,20 @@ func (t *T) refresh() {
 	}
 }
 
+// tick is the sampler's event. It samples, then comes back one interval on
+// while any other event is pending. The first tick that finds none is the
+// last: the simulation has quiesced, and coming back would keep Run alive
+// forever. A tick after Flush does nothing.
+func (t *T) tick() {
+	if t.flushed {
+		return
+	}
+	t.sample(t.e.Now())
+	if t.e.PendingEvents() > 0 {
+		t.e.After(t.interval, t.tickFn)
+	}
+}
+
 // sample is the per-tick body: snapshot every metric into the store, then
 // run due SLO evaluations and fault-dump checks.
 func (t *T) sample(now sim.Time) {
@@ -314,14 +333,13 @@ func (t *T) sample(now sim.Time) {
 }
 
 // Flush forces a final sample at now, capturing the partial window between
-// the last tick and the end of the run. Safe to call once after the engine
-// drains; subsequent calls are no-ops.
+// the last tick and the end of the run, and ends sampling. Safe to call once
+// after the engine drains; subsequent calls are no-ops.
 func (t *T) Flush(now sim.Time) {
 	if t.flushed {
 		return
 	}
 	t.flushed = true
-	t.ticker.Stop()
 	if int64(now) > t.lastTickNs {
 		t.sample(now)
 	}

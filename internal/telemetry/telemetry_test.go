@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"bytes"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -24,6 +25,59 @@ func TestAttachRequiresObs(t *testing.T) {
 func TestAttachRejectsBadSLO(t *testing.T) {
 	if _, err := Attach(sim.NewEngine(1), obs.New(), Config{SLOs: []string{"nope"}}); err == nil {
 		t.Error("Attach accepted a malformed SLO spec")
+	}
+}
+
+// attachSampler attaches a pipeline with the given interval to a fresh engine
+// and starts one process that sleeps for work.
+func attachSampler(t *testing.T, interval, work time.Duration) (*sim.Engine, *T) {
+	t.Helper()
+	e := sim.NewEngine(1)
+	t.Cleanup(e.Shutdown)
+	tel, err := Attach(e, obs.New(), Config{Interval: interval})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.Go("work", func(p *sim.Proc) { p.Sleep(work) })
+	return e, tel
+}
+
+// The sampler ticks on its grid for as long as other work is pending, then
+// stops itself so that plain Run still drains. Work ends at 350 µs: the
+// ticks at 100, 200 and 300 µs see it pending, the one at 400 µs finds
+// nothing else and is the last. A stopped sampler stays stopped.
+func TestSamplerIdleStops(t *testing.T) {
+	e, tel := attachSampler(t, 100*time.Microsecond, 350*time.Microsecond)
+	e.Run()
+	want := []int64{100_000, 200_000, 300_000, 400_000}
+	if !slices.Equal(tel.store.times, want) || e.PendingEvents() != 0 {
+		t.Fatalf("ticks at %v with %d events left, want %v and none", tel.store.times, e.PendingEvents(), want)
+	}
+	e.Go("more", func(p *sim.Proc) { p.Sleep(time.Millisecond) })
+	e.Run()
+	if tel.Ticks() != int64(len(want)) {
+		t.Fatalf("%d ticks after more work, want the %d before it", tel.Ticks(), len(want))
+	}
+}
+
+// Flush takes the last sample and ends sampling: the tick it finds scheduled
+// does nothing, and none follows it.
+func TestFlushEndsSampling(t *testing.T) {
+	e, tel := attachSampler(t, 100*time.Microsecond, time.Millisecond)
+	e.RunUntil(sim.Time(250 * time.Microsecond))
+	tel.Flush(e.Now())
+	e.Run()
+	if want := []int64{100_000, 200_000, 250_000}; !slices.Equal(tel.store.times, want) || e.Now() != sim.Time(time.Millisecond) {
+		t.Fatalf("ticks at %v, run ended at %v; want %v and 1ms", tel.store.times, e.Now(), want)
+	}
+}
+
+// A non-positive interval samples every 100 µs, the default.
+func TestSamplerDefaultsInterval(t *testing.T) {
+	e, tel := attachSampler(t, 0, 250*time.Microsecond)
+	e.Run()
+	if want := []int64{100_000, 200_000, 300_000}; !slices.Equal(tel.store.times, want) {
+		t.Fatalf("ticks at %v, want %v", tel.store.times, want)
 	}
 }
 

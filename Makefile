@@ -181,7 +181,7 @@ whatif:
 # engine's park/wake paths, a same-length KV Put and a GetInto hit and miss,
 # a tracked SSD overwrite with its barrier, an SSD read into a caller's
 # buffer, a contended and an uncontended CPU execution, a contended DMA and a
-# fabric RPC round trip with nil payloads, and a Slice of a materialised memory extent;
+# fabric RPC round trip with nil payloads, and a Slice of a backed memory reservation;
 # a KV GetInto round trip through a shard's fabric.Server allocates nothing
 # (a recycled call record, carried by pointer both ways), and a DFS data
 # server round trip exactly what the server does with the shards (nothing to
@@ -193,10 +193,14 @@ whatif:
 # misses allocates nothing end to end, with the prefetcher off or on; one
 # fsync journal pass of a warm inode allocates nothing (a recycled pass
 # record, WAL group and Cond); and a process spawned by Go or Fork reuses a
-# finished one, so it allocates nothing.
+# finished one, so it allocates nothing. Simulated memory is backed only
+# where it is touched: with one 8 KiB command in flight per queue, a default
+# nvme-fs driver backs its rings and one slot per queue, and a default world
+# running 32 threads of direct I/O little more than that and its cache
+# layout (ResidentHostMem).
 allocs:
-	$(GO) test -count=1 -run 'ZeroScratchAllocs|ZeroAllocs|PairBytes' .
-	$(GO) test -count=1 -run 'ZeroAllocs|DSRoundTripAllocs' ./internal/telemetry ./internal/cache ./internal/nvmefs ./internal/kv ./internal/kvfs ./internal/ssd ./internal/cpu ./internal/sim ./internal/fabric ./internal/pcie ./internal/mem ./internal/dfs
+	$(GO) test -count=1 -run 'ZeroScratchAllocs|ZeroAllocs|PairBytes|ResidentHostMem' .
+	$(GO) test -count=1 -run 'ZeroAllocs|DSRoundTripAllocs|ResidentHostMem' ./internal/telemetry ./internal/cache ./internal/nvmefs ./internal/kv ./internal/kvfs ./internal/ssd ./internal/cpu ./internal/sim ./internal/fabric ./internal/pcie ./internal/mem ./internal/dfs
 
 # Every Fuzz* target in the module (bench/ aside), each fuzzed for FUZZTIME:
 # go test fuzzes one target of one package per run. An input that fails is

@@ -110,8 +110,13 @@ func (c *Client) writePageCached(p *sim.Proc, qid int, ino, lpn uint64, page []b
 		if err := c.command(p, qid, nvme.FileOpCacheEvict, dispatch.ReqHeader{Ino: ino, Off: lpn, Len: 4}); err != nil {
 			return err
 		}
+		if c.cacheHost.Degraded() {
+			// Write-back is failing: another round would only retry it.
+			break
+		}
 	}
-	// The bucket would not drain (all entries hot); write through instead.
+	// The bucket would not drain (all entries hot, or write-back failing);
+	// write through instead.
 	off := lpn * uint64(c.cacheHost.L.PageSize)
 	if off >= eof {
 		return nil

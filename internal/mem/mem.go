@@ -10,32 +10,38 @@ package mem
 import (
 	"encoding/binary"
 	"fmt"
-	"sort"
 )
 
 // Addr is a simulated physical address.
 type Addr uint64
 
+// pageShift sizes the lookup index's pages: 4 KiB.
+const pageShift = 12
+
 // Region is a span of simulated physical address space starting at Base.
 // It is also its own allocator: Alloc reserves address ranges in ascending
-// order, up to a fixed capacity, and only reserved bytes exist. Reservations
-// made before any access share one extent, which is materialised on its
-// first access, zeroed and exactly its reserved size; it is never copied or
-// moved, so a view Slice returns aliases the region for the region's life.
-// An access must lie inside one reservation: the alignment gap between two
-// reservations and everything past the last one are not memory.
+// order, up to a fixed capacity, and only reserved bytes exist. Each
+// reservation is backed by its own allocation, made on its first access,
+// zeroed and exactly its reserved size, so a reservation nothing touches
+// costs no memory; a backing is never copied or moved, so a view Slice
+// returns aliases the region for the region's life. An access must lie
+// inside one reservation: the alignment gap between two reservations,
+// everything past the last one, and a range that runs from one reservation
+// into the next, even an adjacent one, are not memory.
 type Region struct {
 	name  string
 	base  Addr
 	limit Addr   // base + capacity
 	next  Addr   // one past the last reservation
 	spans []span // reservations, ascending
-	open  int    // index of the first span not yet materialised
-	last  span   // the span the last lookup returned, materialised
+	// pages indexes spans by 4 KiB page of [base, next): pages[i] is the
+	// first span that ends past page i's start.
+	pages    []int32
+	resident int  // bytes of the backed spans
+	last     span // the span the last lookup returned, backed
 }
 
-// span is one reservation, or a run of adjacent ones in one extent. buf is
-// its bytes, nil until its extent is materialised.
+// span is one reservation. buf is its bytes, nil until its first access.
 type span struct {
 	start, end Addr
 	buf        []byte
@@ -65,9 +71,13 @@ func (r *Region) Alloc(size, align int) Addr {
 	}
 	addr := Addr(a)
 	r.next = addr + Addr(size)
-	if n := len(r.spans); n > r.open && r.spans[n-1].end == addr {
-		r.spans[n-1].end = r.next
-	} else if size > 0 {
+	if size > 0 {
+		// Every page up to the new end that no earlier span reaches into
+		// starts below this span's end, so this span is its first.
+		last := int((r.next - r.base - 1) >> pageShift)
+		for len(r.pages) <= last {
+			r.pages = append(r.pages, int32(len(r.spans)))
+		}
 		r.spans = append(r.spans, span{start: addr, end: r.next})
 	}
 	return addr
@@ -83,32 +93,32 @@ func (r *Region) Base() Addr { return r.base }
 // distance from Base to one past the last reservation.
 func (r *Region) Size() int { return int(r.next - r.base) }
 
-// materialise backs the open extent, every span from r.open on, with one
-// zeroed allocation and hands each span its view. Later reservations start
-// a new extent.
-func (r *Region) materialise() {
-	ext := r.spans[r.open:]
-	start := ext[0].start
-	buf := make([]byte, r.next-start)
-	for i := range ext {
-		lo, hi := ext[i].start-start, ext[i].end-start
-		ext[i].buf = buf[lo:hi:hi]
-	}
-	r.open = len(r.spans)
-}
+// Resident returns the bytes backed so far: the sizes of the reservations
+// that have been accessed.
+func (r *Region) Resident() int { return r.resident } // read by the host-memory gates of the root and nvmefs tests //dpclint:ok
 
-// lookup returns the span holding [addr, addr+n), materialised, and keeps a
-// copy for Slice to try first. It panics when no reservation holds the range.
+// lookup returns the span holding [addr, addr+n), backed, and keeps a copy
+// for Slice to try first. It panics when no reservation holds the range.
 func (r *Region) lookup(addr Addr, n int) *span {
-	i := sort.Search(len(r.spans), func(i int) bool { return r.spans[i].end > addr })
+	i := len(r.spans)
+	if pg := uint64(addr-r.base) >> pageShift; addr >= r.base && pg < uint64(len(r.pages)) {
+		// Reservations that share the page end in address order: step
+		// past those that end at or before addr.
+		i = int(r.pages[pg])
+		for i < len(r.spans) && r.spans[i].end <= addr {
+			i++
+		}
+	}
 	if n < 0 || i == len(r.spans) || r.spans[i].start > addr || uint64(addr)+uint64(n) > uint64(r.spans[i].end) {
 		panic(fmt.Sprintf("mem: access [%#x,+%d) outside the reservations of region %q [%#x,%#x)",
 			uint64(addr), n, r.name, uint64(r.base), uint64(r.next)))
 	}
-	if r.spans[i].buf == nil {
-		r.materialise()
+	s := &r.spans[i]
+	if s.buf == nil {
+		s.buf = make([]byte, s.end-s.start)
+		r.resident += len(s.buf)
 	}
-	r.last = r.spans[i]
+	r.last = *s
 	return &r.last
 }
 

@@ -76,6 +76,7 @@ func TestArenaViewSurvivesLaterReservations(t *testing.T) {
 	a := r.Alloc(64, 8)
 	view := r.Slice(a, 64)
 	for i := 0; i < 100; i++ {
+		r.PutUint64(r.Alloc(8, 1), uint64(i)) // the first shares a's page
 		r.PutUint64(r.Alloc(4096, 4096), uint64(i))
 	}
 	view[3] = 0x5A
@@ -98,13 +99,86 @@ func TestArenaAllocPastCapacityPanics(t *testing.T) {
 func TestSliceZeroAllocs(t *testing.T) {
 	r := NewArena("arena", 0, 1<<20)
 	a, b := r.Alloc(8192, 4096), r.Alloc(64, 64)
+	db := make([]Addr, 32) // one page of 8-byte reservations, as the doorbells
+	for i := range db {
+		db[i] = r.Alloc(8, 8)
+	}
 	r.Slice(a, 1)
+	r.Slice(b, 1)
+	for _, d := range db {
+		r.Slice(d, 8)
+	}
 	if n := testing.AllocsPerRun(100, func() {
 		r.Slice(a, 8192)
 		r.Slice(b, 64)
 		r.PutUint32(b, r.Uint32(a)+1)
 	}); n != 0 {
-		t.Fatalf("Slice on a materialised extent: %v allocs per run", n)
+		t.Fatalf("Slice of a backed reservation: %v allocs per run", n)
+	}
+	// Each access below misses the last span and goes to the page index,
+	// some stepping past earlier reservations of a shared page.
+	if n := testing.AllocsPerRun(100, func() {
+		for i, d := range db {
+			r.PutUint64(d, r.Uint64(db[len(db)-1-i])+1)
+			r.Slice(a, 8)
+		}
+	}); n != 0 {
+		t.Fatalf("Slice through the page index: %v allocs per run", n)
+	}
+}
+
+func TestUntouchedReservationIsNeverBacked(t *testing.T) {
+	r := NewArena("arena", 0x1000, 1<<30)
+	a := r.Alloc(1<<20, 4096)
+	b := r.Alloc(128<<10, 4096)
+	c := r.Alloc(1<<20, 1)
+	if got := r.Resident(); got != 0 {
+		t.Fatalf("%d bytes backed before any access", got)
+	}
+	r.PutUint32(b+100, 7)
+	if got := r.Resident(); got != 128<<10 {
+		t.Fatalf("%d bytes backed after touching one 128 KiB reservation, want exactly it", got)
+	}
+	if r.Uint32(b+100) != 7 || r.Uint32(a) != 0 || r.Uint32(c+(1<<20)-4) != 0 {
+		t.Fatal("reservations do not read back what was written, or zeros")
+	}
+	if got := r.Resident(); got != 128<<10+2<<20 {
+		t.Fatalf("%d bytes backed after touching all three, want their sizes", got)
+	}
+}
+
+func TestAccessStraddlingAdjacentReservationsPanics(t *testing.T) {
+	r := NewArena("arena", 0, 1<<20)
+	a := r.Alloc(100, 4096)
+	b := r.Alloc(100, 1)
+	if b != a+100 {
+		t.Fatalf("b=%#x, want it adjacent to a=%#x", uint64(b), uint64(a))
+	}
+	r.Slice(a, 100)
+	r.Slice(b, 100)
+	mustPanic(t, `region "arena"`, func() { r.Slice(b-1, 2) })
+	mustPanic(t, `region "arena"`, func() { r.Slice(a, 200) })
+}
+
+func TestReservationsSharingAPageKeepTheirBytes(t *testing.T) {
+	r := NewArena("arena", 0x1000, 1<<20)
+	r.Alloc(4000, 4096)
+	a := r.Alloc(50, 1)  // 4000..4050: ends in page 0
+	b := r.Alloc(100, 1) // 4050..4150: crosses into page 1
+	c := r.Alloc(10, 1)  // 4150..4160: inside page 1, after b
+	for i, x := range []Addr{a, b, c} {
+		r.Write(x, bytes.Repeat([]byte{byte(i + 1)}, 10))
+	}
+	for i, x := range []Addr{a, b, c} {
+		if got := r.Read(x, 10); !bytes.Equal(got, bytes.Repeat([]byte{byte(i + 1)}, 10)) {
+			t.Fatalf("reservation %d reads % x", i, got)
+		}
+	}
+	if got := r.Read(b+90, 10); !bytes.Equal(got, make([]byte, 10)) {
+		t.Fatalf("b's tail in page 1 reads % x, want zeros", got)
+	}
+	if r.Resident() != 50+100+10 {
+		t.Fatalf("%d bytes backed, want the three touched reservations'", r.Resident())
 	}
 }
 

@@ -391,7 +391,12 @@ func NewDriver(m *model.Machine, cfg Config, handler Handler) *Driver {
 			qs.inWin = m.AllocDPU(cfg.Depth*qs.inStride, 4096)
 			qs.cqWin = m.AllocHost(cfg.Depth*qs.cqStride, 4096)
 		}
-		qs.slabBase = m.AllocHost(cfg.SlotsPerQ*(qs.wStride+qs.rStride), 4096)
+		// Each slot is its own reservation, so only the slots a workload
+		// touches are backed; they lie back to back, slotBufs' stride apart.
+		qs.slabBase = m.AllocHost(qs.wStride+qs.rStride, 4096)
+		for i := 1; i < cfg.SlotsPerQ; i++ {
+			m.AllocHost(qs.wStride+qs.rStride, 1)
+		}
 		for i := cfg.SlotsPerQ - 1; i >= 0; i-- {
 			qs.freeSlots = append(qs.freeSlots, i)
 		}

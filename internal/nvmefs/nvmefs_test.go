@@ -250,3 +250,28 @@ func TestLatencyLowAtSingleThread(t *testing.T) {
 	}
 	t.Logf("8K write latency: %v", lat)
 }
+
+// TestOneCommandPerQueueResidentHostMem bounds the host memory a default
+// driver backs with one 8 KiB command in flight on every queue: each queue's
+// rings and the one slot its command took. The other 15 slots of each queue
+// are reserved but never touched, so they are never backed.
+func TestOneCommandPerQueueResidentHostMem(t *testing.T) {
+	m := newTestMachine(t, model.Default())
+	cfg := DefaultConfig()
+	d := NewDriver(m, cfg, newVirtualClient().handle)
+	payload := bytes.Repeat([]byte{0xA7}, 8192)
+	for q := 0; q < cfg.Queues; q++ {
+		m.Eng.Go("app", func(p *sim.Proc) {
+			if c := d.Submit(p, q, Submission{FileOp: nvme.FileOpWrite, Header: header(uint64(q), 0), Payload: payload}); !c.OK() {
+				t.Errorf("queue %d: write completion %+v", q, c)
+			}
+		})
+	}
+	m.Eng.Run()
+	slot := 64 + cfg.RHCap + 2*cfg.MaxIO
+	rings := cfg.Depth * (nvme.SQESize + nvme.CQESize)
+	if got, bound := m.HostMem.Resident(), cfg.Queues*(rings+slot); got > bound {
+		t.Errorf("%d bytes of host memory backed, want at most %d: %d queues' rings and one %d-byte slot each (%d reserved)",
+			got, bound, cfg.Queues, slot, m.HostMem.Size())
+	}
+}

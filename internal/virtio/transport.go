@@ -92,7 +92,12 @@ func NewTransport(m *model.Machine, cfg Config, handler Handler) *Transport {
 		slabStride: 4096 + cfg.MaxIO + 4096,
 		o:          m.Obs,
 	}
-	t.slabBase = m.AllocHost(cfg.Slots*t.slabStride, 4096)
+	// One reservation per slab, back to back: only the slabs a workload
+	// touches are backed.
+	t.slabBase = m.AllocHost(t.slabStride, 4096)
+	for i := 1; i < cfg.Slots; i++ {
+		m.AllocHost(t.slabStride, 1)
+	}
 	for i := cfg.Slots - 1; i >= 0; i-- {
 		t.freeSlots = append(t.freeSlots, i)
 	}

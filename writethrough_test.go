@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"dpc/internal/kvfs"
+	"dpc/internal/obs"
 	"dpc/internal/sim"
 	"dpc/internal/wal"
 )
@@ -23,11 +24,13 @@ func (b *failingBackend) WritePage(*sim.Proc, uint64, uint64, int, []byte) error
 	return errors.New("backend down")
 }
 
-// TestBufferedWriteThroughFallback drives writePageCached past its four
-// failed CacheEvict rounds. The cache is one bucket of four pages, all dirty,
-// with prefetch and the flush daemon off, over a backend whose write-back
-// fails. A buffered write of an absent page then cannot enter the cache and
-// goes through to KVFS: its bytes land there (nothing else could carry them,
+// TestBufferedWriteThroughFallback drives writePageCached past a failed
+// CacheEvict round. The cache is one bucket of four pages, all dirty, with
+// prefetch and the flush daemon off, over a backend whose write-back fails.
+// The round's four failed write-backs put the cache into degraded mode, so
+// the write asks for no second round (which would only retry them). A
+// buffered write of an absent page then cannot enter the cache and goes
+// through to KVFS: its bytes land there (nothing else could carry them,
 // with write-back failing), trimmed to the EOF the write published, so the
 // file does not grow to the page boundary. With a WAL attached the
 // write-through journals no generation bump: the dirty pages still in the
@@ -39,6 +42,8 @@ func TestBufferedWriteThroughFallback(t *testing.T) {
 			opts.CachePages, opts.CacheBuckets = 4, 1
 			opts.Ctl.PrefetchEnabled, opts.Ctl.FlushEnabled = false, false
 			opts.WAL.Enabled = withWAL
+			o := obs.New()
+			opts.Model.Obs = o
 			sys := New(opts)
 			defer sys.Shutdown()
 			cl := sys.KVFSClient()
@@ -66,6 +71,15 @@ func TestBufferedWriteThroughFallback(t *testing.T) {
 			})
 			if failing.writes == 0 || !cl.cacheHost.Degraded() {
 				t.Fatalf("%d failed write-backs, degraded %v: the evict rounds never tried the backend", failing.writes, cl.cacheHost.Degraded())
+			}
+			evicts := 0
+			for _, sd := range o.Tracer().Export(sys.Now()) {
+				if sd.Name == "dispatch.cache_evict" {
+					evicts++
+				}
+			}
+			if failing.writes > 4 || evicts != 1 {
+				t.Errorf("%d backend write-backs over %d CacheEvict commands, want at most 4 over 1: eviction went on after the cache degraded", failing.writes, evicts)
 			}
 
 			var size uint64

@@ -199,8 +199,8 @@ whatif:
 # running 32 threads of direct I/O little more than that and its cache
 # layout (ResidentHostMem).
 allocs:
-	$(GO) test -count=1 -run 'ZeroScratchAllocs|ZeroAllocs|PairBytes|ResidentHostMem' .
-	$(GO) test -count=1 -run 'ZeroAllocs|DSRoundTripAllocs|ResidentHostMem' ./internal/telemetry ./internal/cache ./internal/nvmefs ./internal/kv ./internal/kvfs ./internal/ssd ./internal/cpu ./internal/sim ./internal/fabric ./internal/pcie ./internal/mem ./internal/dfs
+	$(GO) test -count=1 -run 'ZeroScratchAllocs|ZeroAllocs|PairBytes|ResidentHostMem|ParksPerOp' .
+	$(GO) test -count=1 -run 'ZeroAllocs|DSRoundTripAllocs|ResidentHostMem|RunsAsEvents' ./internal/telemetry ./internal/cache ./internal/nvmefs ./internal/kv ./internal/kvfs ./internal/ssd ./internal/cpu ./internal/sim ./internal/fabric ./internal/pcie ./internal/mem ./internal/dfs
 
 # Every Fuzz* target in the module (bench/ aside), each fuzzed for FUZZTIME:
 # go test fuzzes one target of one package per run. An input that fails is

@@ -176,3 +176,54 @@ func TestCPUClockMatchesResources(t *testing.T) {
 		}
 	}
 }
+
+// TestBookAndDoneMatchExec: executions booked from event context with Book
+// and counted at their end with Done end when ExecDuration's do, with the
+// same busy time and execution count, and nothing is counted before an
+// execution ends.
+func TestBookAndDoneMatchExec(t *testing.T) {
+	works := []time.Duration{500, 1500, 700, 0, 2500, 900, 1200}
+	type result struct {
+		ends        []sim.Time
+		execs, busy int64
+	}
+	run := func(events bool) result {
+		e := sim.NewEngine(1)
+		defer e.Shutdown()
+		o := obs.New()
+		c := NewPool(e, "dpu", 2, 1_000_000_000)
+		c.SwitchOverhead = 100
+		c.AttachObs(o)
+		var res result
+		for i, d := range works {
+			issue := sim.Time(i * 200)
+			if events {
+				e.Schedule(issue, func() {
+					start, end := c.Book(d)
+					e.At(end-1, func() {
+						if n := c.execs.Total(); n != int64(len(res.ends)) {
+							t.Errorf("exec %d: %d counted, %d ended", i, n, len(res.ends))
+						}
+					})
+					e.At(end, func() {
+						c.Done(obs.Span{}, issue, start, end)
+						res.ends = append(res.ends, e.Now())
+					})
+				})
+				continue
+			}
+			e.Go("exec", func(p *sim.Proc) {
+				p.SleepUntil(issue)
+				c.ExecDuration(p, d)
+				res.ends = append(res.ends, e.Now())
+			})
+		}
+		e.Run()
+		res.execs, res.busy = c.execs.Total(), c.busyNs.Total()
+		return res
+	}
+	blocking, events := run(false), run(true)
+	if !slices.Equal(blocking.ends, events.ends) || blocking.execs != events.execs || blocking.busy != events.busy {
+		t.Fatalf("blocking %+v, events %+v", blocking, events)
+	}
+}

@@ -89,20 +89,26 @@ func (c *Pool) Exec(p *sim.Proc, cycles int64) {
 
 // ExecDuration runs a fixed-duration piece of work on one core: it books the
 // core (Book), p sleeps once, until the work ends, and the execution is
-// counted then.
+// counted then (Done).
 func (c *Pool) ExecDuration(p *sim.Proc, d time.Duration) {
 	now := p.Now()
 	start, end := c.Book(d)
 	p.SleepUntil(end)
-	c.o.Attr(p, obs.CompWait, c.waitKind, now, start)
-	c.o.Attr(p, obs.CompCPU, c.execKind, start, end)
+	c.Done(c.o.Current(p), now, start, end)
+}
+
+// Done counts an execution issued at issued and booked from start to end,
+// at its end, attributing its run-queue wait and its compute to span s.
+func (c *Pool) Done(s obs.Span, issued, start, end sim.Time) {
+	c.o.AttrSpan(s, obs.CompWait, c.waitKind, issued, start)
+	c.o.AttrSpan(s, obs.CompCPU, c.execKind, start, end)
 	c.execs.Inc()
 	c.busyNs.Add(int64(end - start))
 }
 
 // Book books the core that frees first for d of work issued now, plus the
 // switch overhead if it frees later, and returns when the work starts and
-// ends; waiting is the caller's. Only ExecDuration publishes the execution.
+// ends; waiting, and counting the execution with Done, are the caller's.
 func (c *Pool) Book(d time.Duration) (start, end sim.Time) {
 	if d < 0 {
 		panic(fmt.Sprintf("cpu: pool %q negative work %v", c.name, d))

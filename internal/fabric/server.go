@@ -80,35 +80,27 @@ func (s *Server) arrive(rpc *RPC) {
 	s.node.net.eng.Schedule(s.node.net.eng.Now(), sl.pickupFn)
 }
 
-// at runs fn at t, at once if t has come, as a sleep until t returns at once.
-func (sl *slot) at(t sim.Time, fn func()) {
-	if eng := sl.s.node.net.eng; t > eng.Now() {
-		eng.Schedule(t, fn)
-		return
-	}
-	fn()
-}
-
 func (sl *slot) pickup() {
 	if s := sl.s; s.node.Down {
 		sl.rep, sl.repBytes = s.down, 32
 		sl.reply()
 	} else {
 		_, end := s.pool.Book(s.exec)
-		sl.at(end, sl.applyFn)
+		s.node.net.eng.At(end, sl.applyFn)
 	}
 }
 
 func (sl *slot) apply() {
 	media, n := sl.s.handle(sl.rpc.Req)
 	sl.rep, sl.repBytes = sl.rpc.Req, n
-	sl.at(sl.s.node.net.eng.Now()+sim.Time(media), sl.replyFn)
+	eng := sl.s.node.net.eng
+	eng.At(eng.Now()+sim.Time(media), sl.replyFn)
 }
 
 func (sl *slot) reply() {
 	f, depart := sl.s.node.post(sl.rpc.From, sl.rpc.reply, sl.rep, sl.repBytes)
 	sl.f, sl.rep = f, nil
-	sl.at(depart, sl.departFn)
+	sl.s.node.net.eng.At(depart, sl.departFn)
 }
 
 // depart sends the reply on its way and hands the slot to the oldest waiting

@@ -218,7 +218,7 @@ func NewMachine(cfg Config) *Machine {
 
 // AttachObs enables observability on an assembled machine: the CPU pools
 // and the PCIe link publish their counters, and a link subscriber attaches
-// every PCIe operation as an annotation to the issuing process's span. Must
+// every PCIe operation as an annotation to the span it serves. Must
 // be called before dependent components (drivers, caches, services) are
 // built, since they cache m.Obs at construction.
 func (m *Machine) AttachObs(o *obs.Obs) {
@@ -230,6 +230,10 @@ func (m *Machine) AttachObs(o *obs.Obs) {
 	m.DPUCPU.AttachObs(o)
 	m.PCIe.AttachObs(o)
 	m.PCIe.Subscribe(func(ev pcie.Event) {
+		if ev.Proc == nil {
+			o.AnnotateSpan(ev.Span, ev.At, annotPrefix[ev.Op]+ev.Label, int64(ev.Bytes))
+			return
+		}
 		o.Annotate(ev.Proc, annotPrefix[ev.Op]+ev.Label, int64(ev.Bytes))
 	})
 }

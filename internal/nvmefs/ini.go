@@ -285,7 +285,7 @@ func (d *Driver) ring(p *sim.Proc, qs *queueState) {
 	d.oCoalesced.Add(int64(qs.unrung - 1))
 	qs.unrung = 0
 	d.m.PCIe.MMIOWrite32(p, d.m.DPUMem, qs.doorbell, uint32(qs.qp.SQTail), "sq-doorbell")
-	qs.kick.TrySend(struct{}{})
+	qs.tgt.kick()
 }
 
 // Wait parks until the command completes and returns its decoded

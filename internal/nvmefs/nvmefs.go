@@ -3,10 +3,10 @@
 //
 // The host-side NVME-INI driver produces 64-byte bidirectional SQEs (vendor
 // opcode 0xA3) at the tail of a submission queue and rings a doorbell; a
-// per-queue NVME-TGT thread on the DPU consumes them. An 8 KB write costs
-// exactly 4 DMAs (Figure 4): ① SQE fetch, ② PRP/buffer-descriptor fetch,
-// ③ payload read, ④ CQE write. Unlike the virtio-fs baseline, nvme-fs is
-// multi-queue: one TGT thread per queue, so throughput scales with queues.
+// per-queue NVME-TGT thread (engine events; only handlers run on processes)
+// consumes them. An 8 KB write costs exactly 4 DMAs (Figure 4): ① SQE fetch,
+// ② PRP/buffer-descriptor fetch, ③ payload read, ④ CQE write. Unlike
+// virtio-fs, nvme-fs is multi-queue: one TGT per queue, so it scales.
 //
 // File-semantic request headers ride at the head of the write buffer
 // (WH_len) and response headers at the head of the read buffer (RH_len),
@@ -189,7 +189,7 @@ func (c Completion) OK() bool { return c.Status == nvme.StatusOK }
 type queueState struct {
 	qp       *nvme.QueuePair
 	doorbell mem.Addr
-	kick     *sim.Mailbox[struct{}]
+	tgt      *tgt
 
 	// tenant owns this queue pair in multi-tenant mode; -1 single-tenant.
 	tenant int
@@ -375,7 +375,6 @@ func NewDriver(m *model.Machine, cfg Config, handler Handler) *Driver {
 			qp:       nvme.NewQueuePair(qid, sqBase, cqBase, cfg.Depth),
 			tenant:   tenant,
 			doorbell: m.AllocDPU(8, 8),
-			kick:     sim.NewMailbox[struct{}](m.Eng, fmt.Sprintf("nvme-kick-%d", qid), 1),
 			slotCond: sim.NewCond(m.Eng, "nvme-slots"),
 			sqCond:   sim.NewCond(m.Eng, "nvme-sq"),
 			pending:  make([]*Pending, cfg.Depth),
@@ -403,8 +402,8 @@ func NewDriver(m *model.Machine, cfg Config, handler Handler) *Driver {
 		for c := cfg.Depth - 1; c >= 0; c-- {
 			qs.freeCID = append(qs.freeCID, uint16(c))
 		}
+		qs.tgt = newTGT(d, qs)
 		d.queues = append(d.queues, qs)
-		m.Eng.Go(fmt.Sprintf("nvme-tgt-%d", qid), func(p *sim.Proc) { d.tgtLoop(p, qs) })
 	}
 	if multiTenant {
 		d.sched = newScheduler(d)

@@ -111,15 +111,15 @@ func newScheduler(d *Driver) *scheduler {
 	return s
 }
 
-// offer admits one fetched command into its tenant's ready queue, or sheds
-// it. Runs on the TGT proc, so a shed command's StatusOverload CQE is
-// posted in queue order and the ring slot frees immediately.
-func (s *scheduler) offer(p *sim.Proc, f fetched) {
+// admit takes one fetched command into its tenant's ready queue and reports
+// true, or sheds it and reports false. The TGT then posts the shed command's
+// StatusOverload CQE itself, in queue order, so the ring slot frees
+// immediately.
+func (s *scheduler) admit(f fetched) bool {
 	st := s.tenants[f.qs.tenant]
 	if !s.fifo && st.cfg.MaxQueued > 0 && len(st.ready) >= st.cfg.MaxQueued {
 		st.shed++
-		s.d.complete(p, f.qs, f.gen, f.sqe, Response{Status: nvme.StatusOverload})
-		return
+		return false
 	}
 	if s.fifo {
 		s.fifoQ = append(s.fifoQ, f)
@@ -128,6 +128,7 @@ func (s *scheduler) offer(p *sim.Proc, f fetched) {
 		st.oQueued.Set(float64(len(st.ready)))
 	}
 	s.cond.Signal()
+	return true
 }
 
 // refill tops up a tenant's token bucket from elapsed virtual time. Buckets
@@ -276,24 +277,35 @@ func (s *scheduler) done(p *sim.Proc, tenant int) {
 	s.cond.Signal()
 }
 
-// dispatchLoop is one DPU dispatch worker: it pulls scheduler grants and
-// runs them to completion. Workers are the execution concurrency bound in
-// multi-tenant mode — the analogue of the DPU's core budget.
+// dispatchLoop is one DPU dispatch worker, a process because it runs
+// handlers. It re-checks each grant's liveness (a command may have timed out
+// or been reset in the ready queue, its slot now another's), pulls its
+// buffers and runs it. The workers bound execution — the DPU's core budget —
+// so each waits until its command's response tail has posted the CQE.
 func (d *Driver) dispatchLoop(p *sim.Proc) {
+	var tail sim.Cond
+	tail.Init(d.m.Eng, "nvme-dispatch")
+	busy := false
+	wake := func() { busy = false; tail.Signal() }
 	for {
 		f := d.sched.next(p)
-		d.dispatchOne(p, f)
+		if f.qs.live(f.gen, f.sqe.CID, f.sqe.Token) != nil {
+			var buf [2]pull
+			pulls, ok := d.plan(&f, &buf)
+			for _, pl := range pulls {
+				d.m.PCIe.DMAReadInto(p, pl.dst, d.m.HostMem, pl.addr, pl.label)
+			}
+			j := d.newJob(f, wake)
+			busy = true
+			if ok {
+				d.execute(p, j)
+			} else {
+				j.complete(Response{Status: nvme.StatusCorrupt})
+			}
+			for busy {
+				tail.Wait(p)
+			}
+		}
+		d.sched.done(p, f.qs.tenant)
 	}
-}
-
-// dispatchOne re-validates a scheduler grant and executes it. The liveness
-// re-check matters: the command may have timed out or been failed by a
-// reset while it sat in the scheduler's ready queue, in which case its slot
-// may already belong to another command and must not be touched.
-func (d *Driver) dispatchOne(p *sim.Proc, f fetched) {
-	qs := f.qs
-	if qs.live(f.gen, f.sqe.CID, f.sqe.Token) != nil && d.pullBuffers(p, &f) {
-		d.execute(p, f)
-	}
-	d.sched.done(p, qs.tenant)
 }

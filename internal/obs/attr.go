@@ -76,11 +76,12 @@ type SpanData struct {
 	Intervals []Interval
 }
 
-// attr appends one component interval to p's innermost open span. Intervals
-// arriving with no span open are dropped and counted (visible in reports so
-// truncation cannot silently skew attribution).
-func (t *Tracer) attr(p *sim.Proc, comp Component, kind string, start, end sim.Time) {
-	if id := t.currentID(p); id != 0 {
+// attr appends one component interval to the open span id, a process's
+// innermost or one named outright. Intervals arriving with no span open are
+// dropped and counted (visible in reports so truncation cannot silently skew
+// attribution).
+func (t *Tracer) attr(id uint64, comp Component, kind string, start, end sim.Time) {
+	if id != 0 {
 		if rec := t.open[id]; rec != nil {
 			rec.ivs = append(rec.ivs, ivRec{comp: comp, kind: kind, start: start, end: end})
 			return

@@ -51,7 +51,15 @@ func (o *Obs) Attr(p *sim.Proc, comp Component, kind string, start, end sim.Time
 	if o == nil || end <= start {
 		return
 	}
-	o.tr.attr(p, comp, kind, start, end)
+	o.tr.attr(o.tr.currentID(p), comp, kind, start, end)
+}
+
+// AttrSpan is Attr against span s, for work that runs as engine events.
+func (o *Obs) AttrSpan(s Span, comp Component, kind string, start, end sim.Time) {
+	if o == nil || end <= start {
+		return
+	}
+	o.tr.attr(s.id, comp, kind, start, end)
 }
 
 // Sleep blocks p for d and attributes the slept interval as comp/kind on p's
@@ -140,6 +148,16 @@ func (o *Obs) BeginChild(p *sim.Proc, parent Span, name string) Span {
 	return o.tr.begin(p, parent.id, name)
 }
 
+// Open opens a span at start on the trace thread named thread but on no
+// process's stack, for work that runs as engine events: attribute with
+// AttrSpan and AnnotateSpan, close with Span.EndAt.
+func (o *Obs) Open(thread string, parent Span, name string, start sim.Time) Span {
+	if o == nil {
+		return Span{}
+	}
+	return o.tr.openSpan(thread, parent.id, name, start)
+}
+
 // Current returns p's innermost open span (zero Span when none or disabled).
 func (o *Obs) Current(p *sim.Proc) Span {
 	if o == nil {
@@ -158,4 +176,14 @@ func (o *Obs) Annotate(p *sim.Proc, name string, bytes int64) {
 		return
 	}
 	o.tr.annotate(p, name, bytes)
+}
+
+// AnnotateSpan attaches an instant event at at to span s, if s is open.
+func (o *Obs) AnnotateSpan(s Span, at sim.Time, name string, bytes int64) {
+	if o == nil {
+		return
+	}
+	if rec := o.tr.open[s.id]; rec != nil {
+		rec.annots = append(rec.annots, annot{at: at, name: name, bytes: bytes, tid: rec.tid})
+	}
 }

@@ -147,6 +147,15 @@ func (t *Tracer) tidOf(name string) int {
 
 // begin opens a span under the given parent id and pushes it on p's stack.
 func (t *Tracer) begin(p *sim.Proc, parent uint64, name string) Span {
+	s := t.openSpan(p.Name(), parent, name, p.Now())
+	if s.id != 0 {
+		stackOf(p).ids = append(stackOf(p).ids, s.id)
+	}
+	return s
+}
+
+// openSpan records a span of thread opened at start, on no process's stack.
+func (t *Tracer) openSpan(thread string, parent uint64, name string, start sim.Time) Span {
 	if len(t.done)+len(t.open) >= t.maxSpans {
 		t.dropped++
 		return Span{}
@@ -156,12 +165,11 @@ func (t *Tracer) begin(p *sim.Proc, parent uint64, name string) Span {
 		id:     t.nextID,
 		parent: parent,
 		name:   name,
-		tid:    t.tidOf(p.Name()),
-		start:  p.Now(),
+		tid:    t.tidOf(thread),
+		start:  start,
 		end:    -1,
 	}
 	t.open[rec.id] = rec
-	stackOf(p).ids = append(stackOf(p).ids, rec.id)
 	return Span{t: t, id: rec.id}
 }
 
@@ -177,16 +185,18 @@ func (t *Tracer) currentID(p *sim.Proc) uint64 {
 // Ending out of order is tolerated (the stack entry is removed wherever it
 // sits) so error paths cannot corrupt enclosing spans.
 func (s Span) End(p *sim.Proc) {
+	if s.Valid() {
+		s.Leave(p)
+		s.EndAt(p.Now())
+	}
+}
+
+// Leave pops the span from p's stack and leaves it open, for EndAt to close
+// once the work it times has left the process.
+func (s Span) Leave(p *sim.Proc) {
 	if !s.Valid() {
 		return
 	}
-	rec := s.t.open[s.id]
-	if rec == nil {
-		return // double End
-	}
-	rec.end = p.Now()
-	delete(s.t.open, s.id)
-	s.t.done = append(s.t.done, rec)
 	if st, ok := p.Ctx.(*procStack); ok {
 		for i := len(st.ids) - 1; i >= 0; i-- {
 			if st.ids[i] == s.id {
@@ -195,6 +205,21 @@ func (s Span) End(p *sim.Proc) {
 			}
 		}
 	}
+}
+
+// EndAt closes the span at virtual time at (a span opened with Open, or
+// left with Leave).
+func (s Span) EndAt(at sim.Time) {
+	if !s.Valid() {
+		return
+	}
+	rec := s.t.open[s.id]
+	if rec == nil {
+		return // double End
+	}
+	rec.end = at
+	delete(s.t.open, s.id)
+	s.t.done = append(s.t.done, rec)
 	if rec.pinned {
 		if parent := s.t.open[rec.parent]; parent != nil {
 			parent.pinned = true

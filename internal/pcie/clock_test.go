@@ -2,6 +2,7 @@ package pcie
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -217,5 +218,59 @@ func TestDMAZeroAllocs(t *testing.T) {
 	}
 	if l.DMAs.Total() == before {
 		t.Fatal("no DMA completed: the measurement is vacuous")
+	}
+}
+
+// TestBookFromEventsMatchesDMA: DMAs booked from event context with Book and
+// published at their End with Done end when the blocking calls do and
+// leave the same counters, and no counter moves before a transfer ends.
+func TestBookFromEventsMatchesDMA(t *testing.T) {
+	sizes := []int{64, 8192, 0, 65536, 512, 8192, 4096}
+	type result struct {
+		ends           []sim.Time
+		dmas, h2d, d2h int64
+	}
+	run := func(events bool) result {
+		e := sim.NewEngine(1)
+		defer e.Shutdown()
+		l := NewLink(e, DefaultConfig())
+		r := mem.NewRegion("host", 0, 1<<20)
+		var res result
+		for i, n := range sizes {
+			dir := Dir(i % 2)
+			issue := sim.Time(i * 300) // overlapping transfers contend for the pipe
+			if events {
+				e.Schedule(issue, func() {
+					b := l.Book(dir, 0, n, "x")
+					e.At(b.End-1, func() {
+						if l.DMAs.Total() != int64(len(res.ends)) {
+							t.Errorf("DMA %d: %d counted, %d ended", i, l.DMAs.Total(), len(res.ends))
+						}
+					})
+					e.At(b.End, func() {
+						l.Done(b, obs.Span{})
+						res.ends = append(res.ends, e.Now())
+					})
+				})
+				continue
+			}
+			e.Go("dma", func(p *sim.Proc) {
+				p.SleepUntil(issue)
+				if dir == HostToDev {
+					l.DMAReadInto(p, make([]byte, n), r, 0, "x")
+				} else {
+					l.DMAWrite(p, r, 0, make([]byte, n), "x")
+				}
+				res.ends = append(res.ends, e.Now())
+			})
+		}
+		e.Run()
+		res.dmas, res.h2d, res.d2h = l.DMAs.Total(), l.DMABytesH2D.Total(), l.DMABytesD2H.Total()
+		return res
+	}
+	blocking, events := run(false), run(true)
+	if !slices.Equal(blocking.ends, events.ends) || blocking.dmas != events.dmas ||
+		blocking.h2d != events.h2d || blocking.d2h != events.d2h {
+		t.Fatalf("blocking %+v, events %+v", blocking, events)
 	}
 }

@@ -73,7 +73,7 @@ func (o Op) String() string {
 // Event describes one PCIe operation for trace consumers. Proc is the sim
 // process that issued the operation, letting subscribers attribute traffic
 // to the request being served (the model's annotator attaches DMA events to
-// the process's current span).
+// the process's current span); from event context, Span names the span.
 type Event struct {
 	At    sim.Time
 	Op    Op
@@ -82,6 +82,7 @@ type Event struct {
 	Bytes int
 	Label string
 	Proc  *sim.Proc
+	Span  obs.Span
 }
 
 // Config holds the link's cost model.
@@ -203,47 +204,69 @@ func (l *Link) payloadTime(n int) time.Duration {
 // SetFaults attaches a fault injector to the DMA path.
 func (l *Link) SetFaults(in *fault.Injector) { l.faults = in }
 
-// dma charges one DMA of n bytes in direction dir and emits trace/counters.
-// The transfer takes the engine that frees first, pays its setup, then
-// waits for the pipe and serializes its payload; all of that is known at
-// issue, so the issuer books the engine and the pipe until the end and
-// sleeps once. This is exactly the FIFO engine pool and FIFO pipe: the
-// setup is a constant, so grants and pipe arrivals never decrease in issue
-// order. An injected KindPCIeStall holds the transfer for the rule's extra
-// delay before its setup, on its engine — modeling replay/retrain hiccups
-// that slow a transfer without corrupting it. Its pipe slot is booked at
-// issue like any other, so later DMAs queue behind it.
+// DMA is one transfer Book has booked, with its instants.
+type DMA struct {
+	Addr                                mem.Addr
+	Bytes                               int
+	End                                 sim.Time // the instant the last byte lands
+	dir                                 Dir
+	label                               string
+	issued, grant, setup, arrive, start sim.Time
+}
+
+// dma charges one DMA: Book, a sleep until its end, and Done's report.
 func (l *Link) dma(p *sim.Proc, dir Dir, addr mem.Addr, n int, label string) {
+	b := l.Book(dir, addr, n, label)
+	p.SleepUntil(b.End)
+	l.publish(b, p, l.o.Current(p))
+}
+
+// Book books one DMA of n bytes issued now; the issuer resumes at its End
+// and calls Done. The transfer takes the engine that frees first, pays its
+// setup, then waits for the pipe and serializes its payload, all known at
+// issue: exactly the FIFO engine pool and FIFO pipe, since the setup is a
+// constant. An injected KindPCIeStall holds the transfer for the rule's
+// delay before its setup, on its engine (replay/retrain hiccups); its pipe
+// slot is booked at issue like any other, so later DMAs queue behind it.
+func (l *Link) Book(dir Dir, addr mem.Addr, n int, label string) DMA {
 	kind, delay, injected := l.faults.At(fault.SitePCIeDMA)
-	now := p.Now()
-	grant := l.engines.Grant(now)
-	setup := grant
+	b := DMA{Addr: addr, Bytes: n, dir: dir, label: label, issued: l.eng.Now()}
+	b.grant = l.engines.Grant(b.issued)
+	b.setup = b.grant
 	if injected && kind == fault.KindPCIeStall {
 		l.Stalls.Inc()
-		setup += sim.Time(delay)
+		b.setup += sim.Time(delay)
 	}
-	arrive := setup + sim.Time(l.cfg.DMASetup)
-	start := max(arrive, l.pipeFree)
-	end := start + sim.Time(l.payloadTime(n))
-	l.engines.Book(grant, end)
-	l.pipeFree = end
-	p.SleepUntil(end)
+	b.arrive = b.setup + sim.Time(l.cfg.DMASetup)
+	b.start = max(b.arrive, l.pipeFree)
+	b.End = b.start + sim.Time(l.payloadTime(n))
+	l.engines.Book(b.grant, b.End)
+	l.pipeFree = b.End
+	return b
+}
+
+// Done counts and reports a DMA booked from event context at its End,
+// attributed to span s, so a sampler never counts a transfer not ended.
+func (l *Link) Done(b DMA, s obs.Span) { l.publish(b, nil, s) }
+
+// publish counts an ended DMA and reports it; p is its issuer, if a process.
+func (l *Link) publish(b DMA, p *sim.Proc, s obs.Span) {
 	if o := l.o; o != nil {
-		o.Attr(p, obs.CompWait, "pcie.engine", now, grant)
-		o.Attr(p, obs.CompWait, "pcie.stall", grant, setup)
-		o.Attr(p, obs.CompDMA, label, setup, arrive)
-		o.Attr(p, obs.CompWait, "pcie.arb", arrive, start)
-		o.Attr(p, obs.CompDMA, label, start, end)
+		o.AttrSpan(s, obs.CompWait, "pcie.engine", b.issued, b.grant)
+		o.AttrSpan(s, obs.CompWait, "pcie.stall", b.grant, b.setup)
+		o.AttrSpan(s, obs.CompDMA, b.label, b.setup, b.arrive)
+		o.AttrSpan(s, obs.CompWait, "pcie.arb", b.arrive, b.start)
+		o.AttrSpan(s, obs.CompDMA, b.label, b.start, b.End)
 	}
 
 	l.DMAs.Inc()
-	if dir == HostToDev {
-		l.DMABytesH2D.Add(int64(n))
+	if b.dir == HostToDev {
+		l.DMABytesH2D.Add(int64(b.Bytes))
 	} else {
-		l.DMABytesD2H.Add(int64(n))
+		l.DMABytesD2H.Add(int64(b.Bytes))
 	}
 	if len(l.subs) > 0 {
-		l.emit(Event{At: l.eng.Now(), Op: OpDMA, Dir: dir, Addr: addr, Bytes: n, Label: label, Proc: p})
+		l.emit(Event{At: l.eng.Now(), Op: OpDMA, Dir: b.dir, Addr: b.Addr, Bytes: b.Bytes, Label: b.label, Proc: p, Span: s})
 	}
 }
 
@@ -273,15 +296,6 @@ func (l *Link) DMAReadView(p *sim.Proc, r *mem.Region, addr mem.Addr, n int, lab
 func (l *Link) DMAReadInto(p *sim.Proc, dst []byte, r *mem.Region, addr mem.Addr, label string) {
 	l.dma(p, HostToDev, addr, len(dst), label)
 	copy(dst, r.Slice(addr, len(dst)))
-}
-
-// DMAWriteView is the gather form of DMAWrite: it charges one n-byte DMA
-// into host memory at addr and returns the destination bytes in place, which
-// the caller fills from its pieces before p next parks — the same bytes land
-// at the same instant as a DMAWrite of their concatenation.
-func (l *Link) DMAWriteView(p *sim.Proc, r *mem.Region, addr mem.Addr, n int, label string) []byte {
-	l.dma(p, DevToHost, addr, n, label)
-	return r.Slice(addr, n)
 }
 
 // DMAWrite performs one DMA in which the device writes src into host memory.

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"dpc/internal/mem"
+	"dpc/internal/obs"
 	"dpc/internal/sim"
 )
 
@@ -303,30 +304,38 @@ func TestDMAReadViewLifetime(t *testing.T) {
 	}
 }
 
-// TestDMAWriteViewMatchesDMAWrite: filling a write view from pieces lands the
-// same bytes at the same instant, for the same charge, as DMAWrite of their
-// concatenation.
+// TestDMAWriteViewMatchesDMAWrite: the gather write of event context — a
+// DMA booked with Book whose destination bytes are filled from pieces when
+// Done reports it — lands the same bytes at the same instant, for the same
+// charge, as DMAWrite of their concatenation.
 func TestDMAWriteViewMatchesDMAWrite(t *testing.T) {
-	run := func(write func(l *Link, p *sim.Proc, r *mem.Region)) ([]byte, sim.Time, int64, int64) {
+	hdr, data := []byte("hdr"), []byte("payload-bytes")
+	run := func(events bool) ([]byte, sim.Time, int64, int64) {
 		e := sim.NewEngine(1)
 		l := testLink(e)
 		host := mem.NewRegion("host", 0, 4096)
 		var done sim.Time
-		e.Go("dev", func(p *sim.Proc) {
-			write(l, p, host)
-			done = p.Now()
-		})
+		if events {
+			e.Schedule(0, func() {
+				b := l.Book(DevToHost, 8, len(hdr)+len(data), "w")
+				e.At(b.End, func() {
+					l.Done(b, obs.Span{})
+					dst := host.Slice(b.Addr, b.Bytes)
+					copy(dst[copy(dst, hdr):], data)
+					done = e.Now()
+				})
+			})
+		} else {
+			e.Go("dev", func(p *sim.Proc) {
+				l.DMAWrite(p, host, 8, append(append([]byte(nil), hdr...), data...), "w")
+				done = p.Now()
+			})
+		}
 		e.Run()
 		return host.Read(0, 32), done, l.DMAs.Total(), l.DMABytesD2H.Total()
 	}
-	hdr, data := []byte("hdr"), []byte("payload-bytes")
-	b1, t1, n1, d1 := run(func(l *Link, p *sim.Proc, r *mem.Region) {
-		l.DMAWrite(p, r, 8, append(append([]byte(nil), hdr...), data...), "w")
-	})
-	b2, t2, n2, d2 := run(func(l *Link, p *sim.Proc, r *mem.Region) {
-		dst := l.DMAWriteView(p, r, 8, len(hdr)+len(data), "w")
-		copy(dst[copy(dst, hdr):], data)
-	})
+	b1, t1, n1, d1 := run(false)
+	b2, t2, n2, d2 := run(true)
 	if !bytes.Equal(b1, b2) || t1 != t2 || n1 != n2 || d1 != d2 || d1 != int64(len(hdr)+len(data)) {
 		t.Fatalf("gather write differs: bytes %q vs %q, done %v vs %v, dmas %d vs %d, d2h %d vs %d", b1, b2, t1, t2, n1, n2, d1, d2)
 	}

@@ -182,6 +182,18 @@ func (e *Engine) Schedule(at Time, fn func()) {
 	e.push(event{at: at, fn: fn})
 }
 
+// At runs fn at virtual time at: as an event, or at once from the caller
+// when at is not after now. It is SleepUntil for a chain of events: the
+// event takes the sequence number a sleeper's wake-up would, and a step that
+// would not sleep uses none.
+func (e *Engine) At(at Time, fn func()) {
+	if at <= e.now {
+		fn()
+		return
+	}
+	e.push(event{at: at, fn: fn})
+}
+
 // push gives ev the next sequence number and queues it. An event for the
 // current instant sorts behind everything pending for now (smaller seq) and
 // ahead of everything later (larger at): it joins the back of nowq.

@@ -190,7 +190,7 @@ type pageFetch struct {
 // its request by index into the caller's slice — not by pointer — so a
 // stack-allocated request array (the RMW and small-read paths) never escapes
 // to the heap through the window. rh is the pooled buffer its response
-// header lands in.
+// header lands in; pend is nil for the miss submitted alone.
 type pageMiss struct {
 	idx  int
 	rh   []byte
@@ -215,7 +215,8 @@ func (c *Client) missSubmission(ino, lpn, ps uint64, rh []byte) nvmefs.Submissio
 // a held entry lock, so a miss means the page is absent); misses are filled
 // by the DPU with their submissions pipelined under the client's in-flight
 // window and striped across queues starting at qid, each wave's per-queue
-// share riding a single doorbell. Waits retire in submission order;
+// share riding a single doorbell; a wave of one with nothing else in flight
+// is one Submit, which parks the caller once. Waits retire in submission order;
 // completions that finish early recycle their slot and CID at IRQ time, so
 // the window keeps moving regardless of wait order.
 func (c *Client) fetchPages(p *sim.Proc, qid int, ino uint64, reqs []pageFetch) error {
@@ -249,9 +250,11 @@ func (c *Client) fetchPages(p *sim.Proc, qid int, ino uint64, reqs []pageFetch) 
 		inflight = make([]pageMiss, w)
 	}
 	head, n, seq := 0, 0, 0
+	var single nvmefs.Completion // the completion of a miss submitted alone
 	for qn > 0 || n > 0 {
 		if qn > 0 && n < w {
 			take := min(w-n, qn)
+			alone := take == 1 && n == 0
 			// Group the wave by stripe, the k-th page of the wave going to
 			// stripe (seq+k) % stripes, and batch each group on its queue
 			// in wave order: a deterministic submit order, no map.
@@ -260,11 +263,17 @@ func (c *Client) fetchPages(p *sim.Proc, qid int, ino uint64, reqs []pageFetch) 
 				k0 := ((s-seq)%stripes + stripes) % stripes
 				for k := k0; k < take; k += stripes {
 					idx := queue[(qhead+k)%len(queue)]
-					rh := c.pool.Get(missRHLen)
-					inflight[(head+n)%w] = pageMiss{idx: idx, rh: rh, pend: c.enqueue(p, q, c.missSubmission(ino, reqs[idx].lpn, ps, rh))}
+					ms := pageMiss{idx: idx, rh: c.pool.Get(missRHLen)}
+					sub := c.missSubmission(ino, reqs[idx].lpn, ps, ms.rh)
+					if alone {
+						single = c.submit(p, q, sub)
+					} else {
+						ms.pend = c.enqueue(p, q, sub)
+					}
+					inflight[(head+n)%w] = ms
 					n++
 				}
-				if k0 < take {
+				if k0 < take && !alone {
 					c.ring(p, q)
 				}
 			}
@@ -274,7 +283,10 @@ func (c *Client) fetchPages(p *sim.Proc, qid int, ino uint64, reqs []pageFetch) 
 		ms := inflight[head]
 		inflight[head] = pageMiss{}
 		head, n = (head+1)%w, n-1
-		comp := ms.pend.Wait(p)
+		comp := single
+		if ms.pend != nil {
+			comp = ms.pend.Wait(p)
+		}
 		filled, _ := dispatch.ParseFillHeader(comp.Header)
 		c.pool.Put(ms.rh)
 		req := &reqs[ms.idx]

@@ -49,7 +49,8 @@ func (f *File) writeDirect(p *sim.Proc, qid int, off uint64, data []byte) error 
 // backend before the transfer, or a read would see pre-write data and a
 // later daemon flush of a pre-write snapshot would overwrite a write.
 //
-// Then the pipeline: up to Window() chunks in flight on the caller's queue,
+// An I/O of one chunk is one Submit, which parks the caller once. Larger
+// ones run the pipeline: up to Window() chunks in flight on the caller's queue,
 // each burst of Enqueues ringing the doorbell once, retired in submission
 // order. A read chunk's ReadInto aims the IRQ-side copy (or inline
 // delivery) straight at its slice of buf, so retiring it moves no bytes.
@@ -67,6 +68,13 @@ func (f *File) direct(p *sim.Proc, qid int, off uint64, buf []byte, write bool) 
 		}
 	}
 	maxIO := c.sys.Driver.MaxIO()
+	if len(buf) > 0 && len(buf) <= maxIO {
+		comp := c.submit(p, qid, f.chunk(off, buf, 0, len(buf), write))
+		if err := statusErr(comp.Status); err != nil || write {
+			return 0, err
+		}
+		return copy(buf, comp.Data), nil // self-copy no-op when ReadInto landed it
+	}
 	w := c.sys.Driver.Window()
 	// The chunks in flight, oldest first: inflight[head], then n-1 more
 	// around the ring. The default window fits the array on the stack.
@@ -87,21 +95,7 @@ func (f *File) direct(p *sim.Proc, qid int, off uint64, buf []byte, write bool) 
 		if firstErr == nil && !short && next < len(buf) && n < w {
 			for next < len(buf) && n < w {
 				end := min(next+maxIO, len(buf))
-				hdr := dispatch.ReqHeader{Ino: f.Ino, Off: off + uint64(next), Len: uint32(end - next)}
-				sub := nvmefs.Submission{FileOp: nvme.FileOpRead, RHLen: 1, ReadLen: end - next,
-					ReadInto: buf[next:end], HeaderInto: c.statusSink[:]}
-				if write {
-					if next == 0 {
-						// The first chunk invalidates journaled page history
-						// for the inode (see FlagInvalidate): the pre-write sync
-						// left the backend current, and success is only reported
-						// after this chunk — and therefore the bump — completed.
-						hdr.Flags = dispatch.FlagInvalidate
-					}
-					sub = nvmefs.Submission{FileOp: nvme.FileOpWrite, Payload: buf[next:end]}
-				}
-				sub.Header = c.header(hdr)
-				inflight[(head+n)%w] = c.enqueue(p, qid, sub)
+				inflight[(head+n)%w] = c.enqueue(p, qid, f.chunk(off, buf, next, end, write))
 				n++
 				next = end
 			}
@@ -137,4 +131,26 @@ func (f *File) direct(p *sim.Proc, qid int, off uint64, buf []byte, write bool) 
 		return 0, firstErr
 	}
 	return got, nil
+}
+
+// chunk is the submission that moves buf[next:end] to or from the file at
+// off+next. Its header lands in the client's header buffer, so it must be
+// submitted before the next one is built.
+func (f *File) chunk(off uint64, buf []byte, next, end int, write bool) nvmefs.Submission {
+	c := f.c
+	hdr := dispatch.ReqHeader{Ino: f.Ino, Off: off + uint64(next), Len: uint32(end - next)}
+	sub := nvmefs.Submission{FileOp: nvme.FileOpRead, RHLen: 1, ReadLen: end - next,
+		ReadInto: buf[next:end], HeaderInto: c.statusSink[:]}
+	if write {
+		if next == 0 {
+			// The first chunk invalidates journaled page history for the
+			// inode (see FlagInvalidate): the pre-write sync left the
+			// backend current, and success is only reported after this
+			// chunk — and therefore the bump — completed.
+			hdr.Flags = dispatch.FlagInvalidate
+		}
+		sub = nvmefs.Submission{FileOp: nvme.FileOpWrite, Payload: buf[next:end]}
+	}
+	sub.Header = c.header(hdr)
+	return sub
 }

@@ -60,6 +60,15 @@ func classFor(n int) int {
 // back to make. The returned slice is always fully zeroed — RMW staging
 // relies on hole pages reading as zeros.
 func (p *Pool) Get(n int) []byte {
+	b := p.GetUncleared(n)
+	clear(b)
+	return b
+}
+
+// GetUncleared is Get without the clear: a recycled buffer holds whatever
+// its last user left. It is for a buffer that a transfer then fills whole
+// (a DMA pull of exactly len(b) bytes), which would only overwrite zeros.
+func (p *Pool) GetUncleared(n int) []byte {
 	if n == 0 {
 		return nil
 	}
@@ -80,11 +89,7 @@ func (p *Pool) Get(n int) []byte {
 	fl[len(fl)-1] = nil
 	p.classes[c] = fl[:len(fl)-1]
 	p.Gets++
-	b = b[:n]
-	for i := range b {
-		b[i] = 0
-	}
-	return b
+	return b[:n]
 }
 
 // PoisonByte is what a released buffer is filled with under SetPoison.

@@ -22,6 +22,28 @@ func TestGetZeroedAfterReuse(t *testing.T) {
 	}
 }
 
+// GetUncleared recycles like Get but hands the buffer over as its last user
+// left it; a cold pool or a nil one still returns fresh zeros.
+func TestGetUnclearedKeepsContents(t *testing.T) {
+	p := New()
+	if b := p.GetUncleared(100); len(b) != 100 || b[0] != 0 || b[99] != 0 {
+		t.Fatalf("cold GetUncleared = len %d, want 100 zero bytes", len(b))
+	}
+	b := p.Get(4096)
+	for i := range b {
+		b[i] = 0xAB
+	}
+	p.Put(b)
+	b2 := p.GetUncleared(3000)
+	if &b[0] != &b2[0] || len(b2) != 3000 || b2[0] != 0xAB || b2[2999] != 0xAB {
+		t.Fatalf("GetUncleared did not hand back the recycled bytes as they were")
+	}
+	var nilPool *Pool
+	if b := nilPool.GetUncleared(8); len(b) != 8 {
+		t.Fatalf("nil pool GetUncleared len %d", len(b))
+	}
+}
+
 func TestClassRounding(t *testing.T) {
 	p := New()
 	b := p.Get(100) // rounds to the 128 class

@@ -807,6 +807,31 @@ func (b *retainingBackend) WritePage(p *sim.Proc, ino, lpn uint64, pageSize int,
 	return nil
 }
 
+// TestFlushPullFillsPoisonedBuffer: a flush pulls the page into a pooled
+// buffer that is not cleared first, so the pull must cover it whole: with
+// every released buffer poisoned, the backend still receives the page's
+// bytes, flush after flush of the same recycled buffer.
+func TestFlushPullFillsPoisonedBuffer(t *testing.T) {
+	bufpool.SetPoison(true)
+	defer bufpool.SetPoison(false)
+	m, _, h, c, b := newTestCache(t, 64, 8, CtlConfig{})
+	defer m.Eng.Shutdown()
+	m.Eng.Go("app", func(p *sim.Proc) {
+		for i := range 3 {
+			if !h.WritePage(p, 1, uint64(i), page(byte(0x11*(i+1)))) {
+				t.Error("host WritePage failed")
+			}
+			if n, err := c.FlushPass(p, 16); n != 1 || err != nil {
+				t.Errorf("FlushPass = %d, %v", n, err)
+			}
+			if got := b.pages[[2]uint64{1, uint64(i)}]; !bytes.Equal(got, page(byte(0x11*(i+1)))) {
+				t.Errorf("page %d reached the backend as %#x...", i, got[:4])
+			}
+		}
+	})
+	m.Eng.Run()
+}
+
 // TestFlushPageBufferIsRecycled: the page a flush hands to WritePage is a
 // pooled buffer released when WritePage returns. With the pool's poison
 // switch on (as the torture and determinism tests run), a backend that

@@ -298,7 +298,8 @@ func (c *Ctl) flushOne(p *sim.Proc, i int) (bool, error) {
 	}
 	// Pull the page into DPU DRAM by DMA: it must outlive the backend write,
 	// so it lands in a pooled buffer, released once WritePage has returned.
-	data := c.pool.Get(c.L.PageSize)
+	// The pull fills the whole buffer, so it needs no clearing first.
+	data := c.pool.GetUncleared(c.L.PageSize)
 	c.m.PCIe.DMAReadInto(p, data, c.m.HostMem, c.L.PageAddr(i), "cache-pull")
 	// Relevant computing (compression, DIF, EC...) happens here on the DPU.
 	c.m.DPUExec(p, c.m.Cfg.Costs.DPUFlushPage)

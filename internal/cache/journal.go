@@ -176,7 +176,7 @@ func (ps *pass) snapshot(pp *sim.Proc, i int) (took, gone bool, err error) {
 	if !took {
 		return false, gone, nil
 	}
-	data := c.pool.Get(c.L.PageSize)
+	data := c.pool.GetUncleared(c.L.PageSize) // the pull fills it whole
 	c.m.PCIe.DMAReadInto(pp, data, c.m.HostMem, c.L.PageAddr(i), "cache-pull")
 	if e.Status != StatusLogged {
 		c.setStatus(pp, i, StatusLogged)

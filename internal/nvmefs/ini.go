@@ -1,6 +1,6 @@
 // NVME-INI, the host side of nvme-fs: submission with doorbell coalescing,
-// the pending table every attempt lives in until it is retired, and Wait,
-// the retry engine.
+// run as events in Submit's caller's place, the pending table every attempt
+// lives in until it is retired, and Wait, the retry engine.
 
 package nvmefs
 
@@ -14,13 +14,12 @@ import (
 )
 
 // Pending is the host-side handle of an asynchronously submitted command,
-// and the command's own record: its state from SQE enqueue to host reap
-// lives here, named in the queue's pending table by its CID. The completion
-// interrupt decodes the response out of the slot buffer and frees the slot
-// and CID itself, so a Pending never pins queue resources and a blocked
-// submitter with a full in-flight window makes progress without anyone
-// calling Wait first; Wait only parks until the completion lands and charges
-// the host-side reap cost.
+// and the command's own record: its state from submission to host reap
+// lives here, named in the queue's pending table by its CID while an
+// attempt is in flight. The completion interrupt decodes the response out
+// of the slot buffer and frees the slot and CID itself, so a Pending never
+// pins queue resources and a blocked submitter with a full in-flight window
+// makes progress without anyone calling Wait first.
 //
 // A Pending is valid until its Wait returns. The record then goes back to
 // the driver's free list for a later command, so a caller must not touch it
@@ -41,6 +40,18 @@ type Pending struct {
 	// hdr holds the request header, copied at submission: sub.Header points
 	// into it, so a retry resubmits it and the caller's buffer is free.
 	hdr [64]byte
+
+	// The owner's side, run by the chain in its place: Submit's caller p;
+	// the wait span; waiting: parked on cond for the completion since
+	// waitFrom; reaped: the reap was booked for it. issued, start and end
+	// are its latest host CPU booking; issued also the doorbell's issue.
+	p                  *sim.Proc
+	next               step
+	ws                 obs.Span
+	waiting, reaped    bool
+	waitFrom           sim.Time
+	issued, start, end sim.Time
+	tail               uint32
 }
 
 // A token names one attempt of one operation: the operation in the high
@@ -64,9 +75,20 @@ func (d *Driver) newToken() uint32 {
 }
 
 // Submit runs one command on queue qid (callers typically pin a thread to a
-// queue): it enqueues it, rings the doorbell and blocks until completion.
+// queue): Enqueue, Ring and Wait, with every step but the wait run as an
+// event in p's place (chain), so p parks once, until the reap ends. Where
+// staging must park (no slot or CID, a full SQ, an inline write's PIO) the
+// chain hands p back in place and p goes on as Enqueue, Ring and Wait.
 func (d *Driver) Submit(p *sim.Proc, qid int, sub Submission) Completion {
-	pend := d.Enqueue(p, qid, sub)
+	pend := d.newPending(qid, sub)
+	d.book(p, pend, d.newToken())
+	pend.p, pend.next = p, stepStage
+	d.m.Eng.ScheduleStep(pend.end, (*chain)(pend))
+	pend.cond.Wait(p)
+	if pend.next != stepStage {
+		return pend.await(p)
+	}
+	d.stage(p, pend)
 	d.Ring(p, qid)
 	return pend.Wait(p)
 }
@@ -137,17 +159,49 @@ func popLast[T any](s *[]*T) *T {
 	return r
 }
 
-// enqueue reserves resources, stages buffers and writes the SQE for one
-// attempt of pend's command, carrying token, without ringing the doorbell.
+// enqueue runs one attempt of pend's command, carrying token, up to its SQE
+// on p: the submit work, then staging. It does not ring the doorbell.
 func (d *Driver) enqueue(p *sim.Proc, pend *Pending, token uint32) {
+	d.book(p, pend, token)
+	p.SleepUntil(pend.end)
+	d.booked(p, pend)
+	d.stage(p, pend)
+}
+
+// book opens the submit span of pend's attempt carrying token and books the
+// syscall and fs-adapter conversion on the host CPU. No FUSE layer, no
+// payload copy: the PRP points straight at the request buffer.
+func (d *Driver) book(p *sim.Proc, pend *Pending, token uint32) {
 	costs := d.m.Cfg.Costs
+	pend.token, pend.span = token, d.o.Begin(p, "nvmefs.submit")
+	pend.issued = p.Now()
+	pend.start, pend.end = d.m.HostCPU.Book(d.m.HostCPU.CyclesToDuration(costs.HostSyscall + costs.HostSubmit))
+}
+
+// booked counts the owner's CPU booking at its end, on p's innermost span.
+func (d *Driver) booked(p *sim.Proc, pend *Pending) {
+	d.m.HostCPU.Done(d.o.Current(p), pend.issued, pend.start, pend.end)
+}
+
+// inlineWrite reports whether sub's write goes inline: only with a payload
+// (a header-only command already costs a single 64-byte fetch, which beats
+// a PIO burst) at or under the cutover, which is 0 with the path off.
+func (d *Driver) inlineWrite(sub *Submission) bool {
+	return len(sub.Payload) > 0 && len(sub.Payload) <= d.cutover
+}
+
+// stageParks reports whether staging pend now would park its owner.
+func (d *Driver) stageParks(pend *Pending) bool {
+	qs := d.queues[pend.qid%len(d.queues)]
+	return len(qs.freeSlots) == 0 || len(qs.freeCID) == 0 || qs.qp.SQFull() || d.inlineWrite(&pend.sub)
+}
+
+// stage reserves a slot, a CID and an SQ entry for pend's attempt, lays out
+// its buffers, writes its SQE without ringing, and ends its submit span. It
+// parks p while the queue lacks those and for an inline write's PIO.
+func (d *Driver) stage(p *sim.Proc, pend *Pending) {
 	qs := d.queues[pend.qid%len(d.queues)]
 	sub := &pend.sub
-
-	// Syscall + fs-adapter conversion. No FUSE layer, no payload copy: the
-	// PRP points straight at the request buffer.
-	s := d.o.Begin(p, "nvmefs.submit")
-	d.m.HostExec(p, costs.HostSyscall+costs.HostSubmit)
 
 	// Acquire a buffer slot and a CID, then an SQ slot. Before parking,
 	// publish any batched SQEs: the TGT can only drain (and thereby free)
@@ -177,12 +231,10 @@ func (d *Driver) enqueue(p *sim.Proc, pend *Pending, token uint32) {
 		readLen = d.cfg.RHCap + sub.ReadLen
 	}
 
-	// Inline decisions. Writes inline only when there is a payload (a
-	// header-only command already costs a single 64-byte fetch, which beats
-	// a PIO burst) at or under the cutover, which is 0 with the path off.
-	// Reads inline whenever the response fits the enlarged-CQE window:
-	// folding data-out into the CQE DMA saves one DMA setup unconditionally.
-	inlineW := writeLen > 64 && len(sub.Payload) <= d.cutover
+	// Inline decisions. Reads inline whenever the response fits the
+	// enlarged-CQE window: folding data-out into the CQE DMA saves one DMA
+	// setup unconditionally.
+	inlineW := d.inlineWrite(sub)
 	inlineR := d.cfg.InlineMax > 0 && readLen > 0 && sub.ReadLen <= d.cfg.InlineMax
 
 	// Place the file-semantic header and payload in the write buffer. An
@@ -205,7 +257,7 @@ func (d *Driver) enqueue(p *sim.Proc, pend *Pending, token uint32) {
 		DW12:     sub.DW12,
 		WHLen:    uint16(len(sub.Header)),
 		RHLen:    uint16(sub.RHLen),
-		Token:    token,
+		Token:    pend.token,
 	}
 	switch {
 	case inlineW:
@@ -252,7 +304,7 @@ func (d *Driver) enqueue(p *sim.Proc, pend *Pending, token uint32) {
 	qs.unrung++
 
 	pend.done, pend.comp = false, Completion{}
-	pend.cid, pend.slot, pend.token, pend.span = cid, slot, token, s
+	pend.cid, pend.slot = cid, slot
 	qs.pending[cid] = pend
 	qs.npending++
 	qs.depthGauge.Set(float64(qs.npending))
@@ -263,35 +315,135 @@ func (d *Driver) enqueue(p *sim.Proc, pend *Pending, token uint32) {
 	// names the attempt by value: by the time it fires the record may be
 	// serving another command.
 	if d.faults != nil {
-		gen := qs.gen
+		gen, token := qs.gen, pend.token
 		d.m.Eng.After(cmdTimeout, func() { d.onDeadline(qs, gen, cid, token) })
 	}
 
 	d.inflight++
 	d.oInflightPeak.SetMax(float64(d.inflight))
 	d.oInflight.Set(float64(d.inflight))
-	s.End(p)
+	pend.span.End(p)
 }
 
 // ring publishes the SQ tail with one MMIO doorbell and kicks the queue's
-// TGT thread. Every SQE enqueued since the previous ring rides the same
-// doorbell; the coalesced count is the MMIOs a serial submitter would have
-// paid on top.
+// TGT thread.
 func (d *Driver) ring(p *sim.Proc, qs *queueState) {
 	if qs.unrung == 0 {
 		return
 	}
+	d.m.PCIe.MMIOWrite32(p, d.m.DPUMem, qs.doorbell, d.publish(qs), "sq-doorbell")
+	qs.tgt.kick()
+}
+
+// publish counts a doorbell for the SQEs enqueued on qs since the previous
+// one and returns the tail it carries. Every SQE since then rides the same
+// doorbell; the coalesced count is the MMIOs a serial submitter would have
+// paid on top.
+func (d *Driver) publish(qs *queueState) uint32 {
 	d.oDoorbells.Inc()
 	d.oCoalesced.Add(int64(qs.unrung - 1))
 	qs.unrung = 0
-	d.m.PCIe.MMIOWrite32(p, d.m.DPUMem, qs.doorbell, uint32(qs.qp.SQTail), "sq-doorbell")
+	return uint32(qs.qp.SQTail)
+}
+
+// step is the chain's pending step: staging at the submit work's end, the
+// doorbell's landing, the reap of a final completion.
+type step uint8
+
+const (
+	stepStage step = iota
+	stepLand
+	stepReap
+)
+
+// chain is a Pending as the event body of the steps run in its owner's
+// place. Each is pushed where the owner would have slept, so it takes the
+// sequence number of the owner's wake-up and runs what the owner would.
+type chain Pending
+
+func (c *chain) Step() {
+	pend := (*Pending)(c)
+	switch pend.next {
+	case stepStage:
+		pend.d.staged(pend)
+	case stepLand:
+		pend.d.landed(pend)
+	default:
+		pend.reap()
+	}
+}
+
+// staged ends Submit's submit work and, unless that would park, stages the
+// command and issues its doorbell.
+func (d *Driver) staged(pend *Pending) {
+	p, now := pend.p, d.m.Eng.Now()
+	d.booked(p, pend)
+	if d.stageParks(pend) {
+		pend.cond.ResumeAt(now) // the submitter stages itself, from here
+		return
+	}
+	d.stage(p, pend)
+	pend.tail = d.publish(d.queues[pend.qid%len(d.queues)])
+	pend.issued, pend.next = now, stepLand
+	d.m.Eng.ScheduleStep(d.m.PCIe.MMIOIssue(), (*chain)(pend))
+}
+
+// landed lands Submit's doorbell, kicks the TGT and opens the wait, unless
+// the command is done already (another doorbell published it, or a reset
+// failed it): then the reap is booked now, or the submitter retries.
+func (d *Driver) landed(pend *Pending) {
+	p, qs := pend.p, d.queues[pend.qid%len(d.queues)]
+	d.m.PCIe.MMIOLand(p, pend.issued, d.m.DPUMem, qs.doorbell, pend.tail, "sq-doorbell")
 	qs.tgt.kick()
+	pend.ws = d.o.Begin(p, "nvmefs.wait")
+	switch {
+	case !pend.done:
+		pend.waiting, pend.waitFrom = true, d.m.Eng.Now()
+	case pend.final():
+		pend.reap()
+	default:
+		pend.cond.ResumeAt(d.m.Eng.Now())
+	}
+}
+
+// final reports whether pend's completion is not retried.
+func (pend *Pending) final() bool {
+	return !nvme.Retryable(pend.comp.Status) || int(pend.token&attemptMask) >= maxRetries
+}
+
+// notify ends the wait of an owner parked for the retired attempt: a final
+// completion books the reap in its place, where its wake-up would have
+// been; anything else wakes it to retry.
+func (pend *Pending) notify() {
+	switch {
+	case !pend.waiting:
+	case pend.final():
+		pend.next = stepReap
+		pend.d.m.Eng.ScheduleStep(pend.d.m.Eng.Now(), (*chain)(pend))
+	default:
+		pend.cond.Signal()
+	}
+}
+
+// reap books the reap in the owner's place and resumes it where it ends.
+func (pend *Pending) reap() {
+	pend.bookReap()
+	pend.reaped = true
+	pend.cond.ResumeAt(pend.end)
+}
+
+// bookReap books the CQ reap, wake-up and copy-out on the host CPU.
+func (pend *Pending) bookReap() {
+	cpu := pend.d.m.HostCPU
+	pend.issued = pend.d.m.Eng.Now()
+	pend.start, pend.end = cpu.Book(cpu.CyclesToDuration(pend.d.m.Cfg.Costs.HostComplete))
 }
 
 // Wait parks until the command completes and returns its decoded
 // completion. The response bytes were already pulled out of the slot buffer
-// by the completion interrupt; Wait charges the host-side reap cost. Once
-// Wait returns, pend belongs to the driver again.
+// by the completion interrupt; Wait charges the host-side reap cost, which
+// a final completion books in a parked Wait's place. Once Wait returns,
+// pend belongs to the driver again.
 //
 // Wait is also the retry engine: a retryable completion status (timeout,
 // transient, corrupt, reset) is resubmitted — the next attempt's token, a
@@ -302,30 +454,49 @@ func (pend *Pending) Wait(p *sim.Proc) Completion {
 	if pend.qid < 0 {
 		panic("nvmefs: Wait on a Pending whose Wait already returned")
 	}
+	pend.ws = pend.d.o.Begin(p, "nvmefs.wait")
+	return pend.await(p)
+}
+
+// await is Wait once its span is open.
+func (pend *Pending) await(p *sim.Proc) Completion {
 	d := pend.d
-	s := d.o.Begin(p, "nvmefs.wait")
 	for {
 		if !pend.done {
-			waitFrom := p.Now()
+			pend.waiting, pend.waitFrom = true, p.Now()
 			for !pend.done {
 				pend.cond.Wait(p)
 			}
-			d.o.Attr(p, obs.CompWait, "nvmefs.inflight", waitFrom, p.Now())
+		}
+		if pend.waiting {
+			// The wait ended with the completion, where a reap booked for
+			// the owner was issued.
+			until := p.Now()
+			if pend.reaped {
+				until = pend.issued
+			}
+			d.o.Attr(p, obs.CompWait, "nvmefs.inflight", pend.waitFrom, until)
+			pend.waiting = false
 		}
 		comp := pend.comp
-		retries := int(pend.token & attemptMask)
-		if !nvme.Retryable(comp.Status) || retries >= maxRetries {
-			d.m.HostExec(p, d.m.Cfg.Costs.HostComplete)
+		if pend.final() {
+			if !pend.reaped {
+				pend.bookReap()
+				p.SleepUntil(pend.end)
+			}
+			d.booked(p, pend)
 			d.Completed++
-			s.End(p)
-			pend.qid, pend.sub, pend.comp, pend.span = -1, Submission{}, Completion{}, obs.Span{}
+			pend.ws.End(p)
+			pend.qid, pend.sub, pend.comp, pend.span, pend.ws = -1, Submission{}, Completion{}, obs.Span{}, obs.Span{}
+			pend.p, pend.reaped = nil, false
 			d.freePend = append(d.freePend, pend)
 			return comp
 		}
+		retries := int(pend.token & attemptMask)
 		d.Retries++
 		// A retryable completion is a fault-path event: pin the wait span so
 		// the telemetry flight recorder keeps this op's causal tree.
-		s.Pin()
+		pend.ws.Pin()
 		if comp.Status == nvme.StatusTimeout && d.consecTimeouts >= resetThreshold {
 			d.reset(p)
 		}

@@ -3,8 +3,9 @@
 //
 // The host-side NVME-INI driver produces 64-byte bidirectional SQEs (vendor
 // opcode 0xA3) at the tail of a submission queue and rings a doorbell; a
-// per-queue NVME-TGT thread (engine events; only handlers run on processes)
-// consumes them. An 8 KB write costs exactly 4 DMAs (Figure 4): ① SQE fetch,
+// per-queue NVME-TGT thread consumes them. Both run as chains of engine
+// events: a Submit's host-side steps run in its caller's place, which parks
+// once per command, and on the DPU only handlers run on processes. An 8 KB write costs exactly 4 DMAs (Figure 4): ① SQE fetch,
 // ② PRP/buffer-descriptor fetch, ③ payload read, ④ CQE write. Unlike
 // virtio-fs, nvme-fs is multi-queue: one TGT per queue, so it scales.
 //

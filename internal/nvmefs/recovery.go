@@ -104,7 +104,7 @@ func (d *Driver) onDeadline(qs *queueState, gen int, cid uint16, token uint32) {
 	d.consecTimeouts++
 	d.retire(qs, pd, Completion{Status: nvme.StatusTimeout}, true)
 	qs.slotCond.Signal()
-	pd.cond.Signal()
+	pd.notify()
 }
 
 // reset performs a controller reset: every queue's rings and doorbell are
@@ -129,7 +129,7 @@ func (d *Driver) reset(p *sim.Proc) {
 		for c := 0; c < d.cfg.Depth; c++ {
 			if pd := qs.pending[uint16(c)]; pd != nil {
 				d.retire(qs, pd, Completion{Status: nvme.StatusReset}, true)
-				pd.cond.Signal()
+				pd.notify()
 			}
 		}
 		// Re-arm the rings. Only pending-held CIDs/slots were released

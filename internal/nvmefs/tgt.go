@@ -247,14 +247,15 @@ type pull struct {
 // request header) and ③ (the payload) of f; an inline write brought both
 // through the window. ok=false: the window cannot satisfy a corrupted inline
 // SQE, which must fail retryably. The bytes land in a pooled buffer, f.in,
-// laid out like a window slot, that the job recycles.
+// laid out like a window slot, that the job recycles. The pulls cover f.in
+// whole, so it is not cleared first.
 func (d *Driver) plan(f *fetched, buf *[2]pull) (pulls []pull, ok bool) {
 	sqe := f.sqe
 	switch {
 	case sqe.PSDTWrite == nvme.PSDTInline && sqe.WriteLen > 0:
 		return nil, f.in != nil && len(f.in) >= int(sqe.WHLen)
 	case sqe.WriteLen > 0:
-		f.in = d.pool.Get(max(int(sqe.WriteLen), 64))
+		f.in = d.pool.GetUncleared(max(int(sqe.WriteLen), 64))
 		prp := mem.Addr(sqe.PRPWrite[0])
 		buf[0], buf[1] = pull{f.in[:64], prp, "prp"}, pull{f.in[64:], prp + 64, "data-in"}
 		if len(f.in) == 64 {
@@ -522,7 +523,7 @@ func (r *irq) interrupt() {
 	}
 	d.retire(qs, pd, comp, false)
 	qs.slotCond.Signal()
-	pd.cond.Signal()
+	pd.notify()
 }
 
 // copyOut copies src into dst when it fits, else into a fresh slice, and

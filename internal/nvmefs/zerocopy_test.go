@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"testing"
 
+	"dpc/internal/bufpool"
 	"dpc/internal/mem"
 	"dpc/internal/model"
 	"dpc/internal/nvme"
@@ -59,7 +60,9 @@ func steadyAllocs(t *testing.T, m *model.Machine, name string, round func(p *sim
 }
 
 // TestSubmit8KTGTZeroAllocs: one 8 KiB write plus one 8 KiB read through
-// Driver.Submit allocate nothing in steady state. The TGT pulls the request
+// Driver.Submit allocate nothing in steady state. Submit's host-side steps
+// run as a chain of events on the command's own record, which schedules
+// itself without a bound func (sim.Stepper). The TGT pulls the request
 // into a pooled buffer and gathers the response straight into host memory;
 // the command record, the nvme-worker that runs it and the interrupt that
 // completes it are all recycled, and the read's response header and payload
@@ -80,7 +83,9 @@ func TestSubmit8KTGTZeroAllocs(t *testing.T) {
 // TestBatch8KZeroAllocs: four 8 KiB writes on one doorbell, then four 8 KiB
 // reads on another, allocate nothing either, with four commands, workers and
 // interrupts in flight at once. The burst goes through Enqueue and Ring,
-// which is SubmitBatch without the result slice it returns.
+// which is SubmitBatch without the result slice it returns; the first Wait
+// of each burst parks before its completion, whose interrupt then books the
+// reap in its place (the fused reap).
 func TestBatch8KZeroAllocs(t *testing.T) {
 	const depth = 4
 	m, d, _ := zeroAllocDriver(t)
@@ -190,4 +195,37 @@ func firstDiff(a, b []byte) int {
 		}
 	}
 	return len(a)
+}
+
+// TestPullsFillPoisonedRequestBuffer: the TGT pulls a request into a pooled
+// buffer that is not cleared first, so the PRP and data-in pulls must cover
+// it whole. With every released buffer poisoned, a handler still sees each
+// request's exact header and payload, whatever the size the buffer last
+// served.
+func TestPullsFillPoisonedRequestBuffer(t *testing.T) {
+	bufpool.SetPoison(true)
+	defer bufpool.SetPoison(false)
+	m := newTestMachine(t, model.Default())
+	var hdr []byte
+	var payload []byte
+	d := NewDriver(m, Config{Queues: 1, Depth: 16, SlotsPerQ: 4, MaxIO: 64 * 1024, RHCap: 64},
+		func(p *sim.Proc, req Request) Response {
+			if !bytes.Equal(req.Header, hdr) || !bytes.Equal(req.Data, payload) {
+				t.Errorf("handler saw header %x and %d payload bytes, want %x and %d", req.Header, len(req.Data), hdr, len(payload))
+			}
+			return Response{Status: nvme.StatusOK}
+		})
+	m.Eng.Go("app", func(p *sim.Proc) {
+		for i, n := range []int{8192, 0, 100, 8000, 0, 16000, 1} {
+			hdr = bytes.Repeat([]byte{byte(i + 1)}, 16+i)
+			payload = bytes.Repeat([]byte{byte(0x40 + i)}, n)
+			if n == 0 {
+				payload = nil
+			}
+			if c := d.Submit(p, 0, Submission{FileOp: nvme.FileOpWrite, Header: hdr, Payload: payload}); !c.OK() {
+				t.Errorf("write %d: status %d", i, c.Status)
+			}
+		}
+	})
+	m.Eng.Run()
 }

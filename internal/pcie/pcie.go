@@ -305,9 +305,21 @@ func (l *Link) DMAWrite(p *sim.Proc, r *mem.Region, addr mem.Addr, src []byte, l
 }
 
 // MMIOWrite32 is a posted 32-bit write (doorbell) from host to device
-// register space backed by r.
+// register space backed by r: MMIOIssue, p's sleep until the write lands,
+// and MMIOLand.
 func (l *Link) MMIOWrite32(p *sim.Proc, r *mem.Region, addr mem.Addr, v uint32, label string) {
-	l.o.Sleep(p, l.cfg.MMIOLatency, obs.CompMMIO, label)
+	issued := l.eng.Now()
+	p.SleepUntil(l.MMIOIssue())
+	l.MMIOLand(p, issued, r, addr, v, label)
+}
+
+// MMIOIssue issues a posted write now and returns when it lands (MMIOLand).
+func (l *Link) MMIOIssue() sim.Time { return l.eng.Now() + sim.Time(l.cfg.MMIOLatency) }
+
+// MMIOLand lands the write of v that p issued at issued, attributed and
+// reported as p's, whether p runs or an event runs in its place.
+func (l *Link) MMIOLand(p *sim.Proc, issued sim.Time, r *mem.Region, addr mem.Addr, v uint32, label string) {
+	l.o.Attr(p, obs.CompMMIO, label, issued, l.eng.Now())
 	r.PutUint32(addr, v)
 	l.MMIOs.Inc()
 	if len(l.subs) > 0 {

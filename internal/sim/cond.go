@@ -1,5 +1,7 @@
 package sim
 
+import "fmt"
+
 // Cond is a condition variable for processes. Unlike sync.Cond there is no
 // associated lock: processes already run one at a time, so checking the
 // predicate and calling Wait is atomic with respect to other processes.
@@ -37,6 +39,23 @@ func (c *Cond) Signal() {
 		return
 	}
 	c.eng.scheduleWake(popFront(&c.waiters), c.eng.now)
+}
+
+// ResumeAt resumes the oldest waiter at virtual time at: by a wake-up
+// event, or, when at is not after now, at once in the calling event's place
+// (a process running panics), so an event that did the waiter's timed work
+// for it wakes it once, with the sequence numbers of a wake and a sleep.
+// The waiter may advance the clock: the caller must not read it after.
+func (c *Cond) ResumeAt(at Time) {
+	if len(c.waiters) == 0 {
+		panic(fmt.Sprintf("sim: ResumeAt on %q with no waiter", c.name))
+	}
+	p := popFront(&c.waiters)
+	if at > c.eng.now {
+		c.eng.scheduleWake(p, at)
+		return
+	}
+	c.eng.wake(p)
 }
 
 // Broadcast wakes every waiter in FIFO order. Wakes are scheduled, not run:

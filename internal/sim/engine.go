@@ -17,8 +17,9 @@
 // its coroutine (Proc.wakeAt), and a wake-up or event for the current instant
 // is queued in a FIFO instead of the heap (Engine.push). That FIFO is the
 // instant's one ready set: when the clock moves, the heap's other entries for
-// the new instant join it (Engine.pop). A panic in a process body surfaces
-// from Run.
+// the new instant join it (Engine.pop). An event may also give its place to
+// a parked process (Cond.ResumeAt): the process runs inside the event, with
+// no wake-up of its own. A panic in a process body surfaces from Run.
 //
 // Determinism: events scheduled for the same virtual time fire in the order
 // they were scheduled (a monotonically increasing sequence number breaks
@@ -53,15 +54,26 @@ func (t Time) Sub(u Time) time.Duration { return time.Duration(t - u) }
 
 func (t Time) String() string { return time.Duration(t).String() }
 
-// event is one heap entry. Process wake-ups carry the process in p instead
-// of a fresh closure: the wake path runs once per Sleep on every hot path,
-// and a closure there would heap-allocate per event.
+// event is one heap entry. Its body is a func, a record (ScheduleStep) or
+// a process's wake-up, which carries the process itself: a closure there
+// would heap-allocate once per Sleep on every hot path.
 type event struct {
 	at  Time
 	seq uint64
-	fn  func()
-	p   *Proc // when non-nil, wake p instead of calling fn
+	s   Stepper
 }
+
+// A Stepper is an event body that is a record: scheduling one allocates
+// nothing, where each method value bound for Schedule costs its record one.
+type Stepper interface{ Step() }
+
+type funcStep func() // one pointer: a Stepper without an allocation
+
+func (f funcStep) Step() { f() }
+
+type wakeStep Proc
+
+func (w *wakeStep) Step() { p := (*Proc)(w); p.eng.wake(p) }
 
 // eventHeap is a hand-rolled binary min-heap. container/heap would box every
 // event through its `any` interface on Push and Pop — two allocations per
@@ -100,7 +112,7 @@ func (h *eventHeap) popEvent() event {
 	top := s[0]
 	n := len(s) - 1
 	s[0] = s[n]
-	s[n] = event{} // drop the fn/p references so they can be collected
+	s[n] = event{} // drop the body's reference so it can be collected
 	s = s[:n]
 	*h = s
 	i := 0
@@ -175,12 +187,7 @@ func (e *Engine) Rand() *rand.Rand { return e.rng }
 
 // Schedule registers fn to run at the given absolute virtual time. Scheduling
 // in the past panics: it would silently reorder causality.
-func (e *Engine) Schedule(at Time, fn func()) {
-	if at < e.now {
-		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", at, e.now))
-	}
-	e.push(event{at: at, fn: fn})
-}
+func (e *Engine) Schedule(at Time, fn func()) { e.ScheduleStep(at, funcStep(fn)) }
 
 // At runs fn at virtual time at: as an event, or at once from the caller
 // when at is not after now. It is SleepUntil for a chain of events: the
@@ -191,7 +198,15 @@ func (e *Engine) At(at Time, fn func()) {
 		fn()
 		return
 	}
-	e.push(event{at: at, fn: fn})
+	e.push(event{at: at, s: funcStep(fn)})
+}
+
+// ScheduleStep is Schedule for a record: s.Step runs at virtual time at.
+func (e *Engine) ScheduleStep(at Time, s Stepper) {
+	if at < e.now {
+		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", at, e.now))
+	}
+	e.push(event{at: at, s: s})
 }
 
 // push gives ev the next sequence number and queues it. An event for the
@@ -216,7 +231,7 @@ func (e *Engine) push(ev event) {
 func (e *Engine) pop() (ev event, ok bool) {
 	if e.nowHead < len(e.nowq) {
 		ev = e.nowq[e.nowHead]
-		e.nowq[e.nowHead] = event{} // drop the fn/p references so they can be collected
+		e.nowq[e.nowHead] = event{} // drop the body's reference so it can be collected
 		e.nowHead++
 		e.FIFOPops++
 		if e.nowHead == len(e.nowq) {
@@ -275,10 +290,10 @@ func (e *Engine) RunUntil(limit Time) {
 	e.inRun, e.limit = true, limit
 	defer func() { e.inRun = false }()
 	for ev, ok := e.pop(); ok; ev, ok = e.pop() {
-		if ev.p != nil {
-			e.wake(ev.p)
+		if w, wake := ev.s.(*wakeStep); wake { // the hot case, called directly
+			e.wake((*Proc)(w))
 		} else {
-			ev.fn()
+			ev.s.Step()
 		}
 	}
 	if e.now < limit && limit < Time(1<<62-1) {
@@ -350,5 +365,5 @@ func (e *Engine) scheduleWake(p *Proc, at Time) {
 	if at < e.now {
 		panic(fmt.Sprintf("sim: scheduling wake at %v before now %v", at, e.now))
 	}
-	e.push(event{at: at, p: p})
+	e.push(event{at: at, s: (*wakeStep)(p)})
 }

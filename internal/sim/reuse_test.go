@@ -16,14 +16,16 @@ func checkWakes(t *testing.T, e *Engine, seed int64) {
 	pending := map[*Proc]int{}
 	for _, q := range [][]event{e.events, e.nowq[e.nowHead:]} {
 		for _, ev := range q {
-			if ev.p == nil {
+			w, ok := ev.s.(*wakeStep)
+			if !ok {
 				continue
 			}
-			if pending[ev.p]++; pending[ev.p] > 1 {
-				t.Fatalf("seed %d: two wakes pending for %q", seed, ev.p.name)
+			p := (*Proc)(w)
+			if pending[p]++; pending[p] > 1 {
+				t.Fatalf("seed %d: two wakes pending for %q", seed, p.name)
 			}
-			if st := ev.p.state; st != procStarting && st != procParked {
-				t.Fatalf("seed %d: wake pending for %q in state %d", seed, ev.p.name, st)
+			if st := p.state; st != procStarting && st != procParked {
+				t.Fatalf("seed %d: wake pending for %q in state %d", seed, p.name, st)
 			}
 		}
 	}
